@@ -24,6 +24,7 @@ use crate::executor::{
 use crate::gemm::{PackedFilter, QuantizedFilter};
 use crate::ops_cpu::{conv_weights, matmul_weights, sep_conv_seeds};
 use crate::tensor_data::TensorData;
+use crate::workers;
 use ios_core::{MergedConv, NetworkSchedule};
 use ios_ir::{Graph, Network, OpId, OpKind, OpSet, TensorShape, Value};
 use std::collections::HashMap;
@@ -669,9 +670,8 @@ pub(crate) fn execute_network_blocks_pooled(
     for index in blocks {
         let block = &network.blocks[index];
         let op_outputs = match schedule {
-            // When several sample workers already cover the cores, nested
-            // per-group threads would only oversubscribe them: run the
-            // stage groups serially (bit-identical either way).
+            // When several samples already cover the lanes, run the stage
+            // groups serially (bit-identical either way).
             Some(s) if serial_stages => execute_schedule_pooled_serial(
                 &block.graph,
                 &s.block_schedules[index],
@@ -717,8 +717,9 @@ pub(crate) fn execute_network_blocks_pooled(
     current
 }
 
-/// Executes a stacked batch by running every sample independently on scoped
-/// worker threads — the CPU serving fast path. Each sample runs the whole
+/// Executes a stacked batch by running every sample independently on the
+/// lanes of the shared worker pool ([`crate::workers`]) — the CPU serving
+/// fast path. Each sample runs the whole
 /// network (under `schedule` when given) with pooled, allocation-free
 /// storage; because every operator treats batch items independently, the
 /// restacked outputs are **bit-identical** to
@@ -749,13 +750,14 @@ pub fn execute_network_batched(
     execute_network_batched_capped(network, schedule, weights, inputs, arena, usize::MAX)
 }
 
-/// [`execute_network_batched`] with the sample-worker fan-out capped at
-/// `max_workers`. A serving runtime that already runs several dispatch
-/// workers should split the cores between them (each batch otherwise
-/// spawns `available_parallelism` threads and the products oversubscribe
-/// the host); `1` runs the samples serially on one worker, which is also
-/// fully deterministic for allocation-accounting tests. Results are
-/// bit-identical for every cap.
+/// [`execute_network_batched`] with the sample fan-out capped at
+/// `max_workers` lanes. A serving runtime that already runs several
+/// dispatch workers should split the cores between them so each batch's
+/// samples leave lanes for the others'; `1` runs the samples serially on
+/// the caller, which is also fully deterministic for
+/// allocation-accounting tests. The cap bounds samples only: the chunks of
+/// a large operator inside a sample still draw on whichever pool lanes are
+/// idle. Results are bit-identical for every cap.
 ///
 /// # Panics
 ///
@@ -795,54 +797,40 @@ pub fn execute_network_batched_capped(
         "weights and network block counts differ"
     );
 
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(batch)
-        .min(max_workers)
-        .max(1);
-    let chunk = batch.div_ceil(workers);
-    let mut per_sample_outputs: Vec<Option<Vec<TensorData>>> = (0..batch).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (worker, slots) in per_sample_outputs.chunks_mut(chunk).enumerate() {
-            let start = worker * chunk;
-            scope.spawn(move || {
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    let n = start + offset;
-                    let sample_inputs: Vec<TensorData> =
-                        inputs.iter().map(|t| sample_pooled(t, n, arena)).collect();
-                    *slot = Some(execute_network_sample_pooled(
-                        per_sample,
-                        schedule,
-                        weights,
-                        sample_inputs,
-                        arena,
-                        batch > 1,
-                    ));
-                }
-            });
-        }
-    });
+    // `max_workers` bounds how many lanes the *samples* occupy; one sample
+    // runs on the caller without posting anything.
+    let fan_out = workers::lanes().min(batch).min(max_workers).max(1);
+    let per_sample_outputs: Vec<Vec<TensorData>> = workers::parallel_map(fan_out, |worker| {
+        workers::chunk_range(batch, fan_out, worker)
+            .map(|n| {
+                let sample_inputs: Vec<TensorData> =
+                    inputs.iter().map(|t| sample_pooled(t, n, arena)).collect();
+                execute_network_sample_pooled(
+                    per_sample,
+                    schedule,
+                    weights,
+                    sample_inputs,
+                    arena,
+                    batch > 1,
+                )
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     // Restack: per-sample outputs are recycled; the stacked results are
     // drawn from `arena` so the caller can recycle them too and keep the
     // whole serving boundary allocation-free.
-    let num_outputs = per_sample_outputs[0]
-        .as_ref()
-        .expect("sample executed")
-        .len();
+    let num_outputs = per_sample_outputs[0].len();
     let mut stacked = Vec::with_capacity(num_outputs);
     for o in 0..num_outputs {
-        let samples: Vec<&TensorData> = per_sample_outputs
-            .iter()
-            .map(|sample| &sample.as_ref().expect("sample executed")[o])
-            .collect();
+        let samples: Vec<&TensorData> = per_sample_outputs.iter().map(|s| &s[o]).collect();
         stacked.push(stack_batch_pooled(&samples, arena));
     }
-    for sample in per_sample_outputs.into_iter().flatten() {
-        for t in sample {
-            arena.recycle_tensor(t);
-        }
+    for t in per_sample_outputs.into_iter().flatten() {
+        arena.recycle_tensor(t);
     }
     stacked
 }

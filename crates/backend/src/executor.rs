@@ -2,8 +2,8 @@
 //!
 //! [`execute_graph`] runs a graph sequentially in topological order;
 //! [`execute_schedule`] runs an IOS schedule stage by stage, executing the
-//! groups of a concurrent stage on separate worker threads and executing
-//! merged stages through an actual merged weight tensor plus a split — so a
+//! groups of a concurrent stage on the lanes of the shared worker pool
+//! ([`crate::workers`]) and executing merged stages through an actual merged weight tensor plus a split — so a
 //! passing [`verify_schedule`] demonstrates that the schedule transformation
 //! preserves the network's semantics, the guarantee cuDNN gives the paper's
 //! engine for free.
@@ -22,6 +22,7 @@ use crate::ops_cpu::{
     execute_op_with_weights_pooled,
 };
 use crate::tensor_data::TensorData;
+use crate::workers;
 use ios_core::{try_merge, ParallelizationStrategy, Schedule};
 use ios_ir::{Activation, Conv2dParams, Graph, Op, OpId, OpKind, Value};
 use std::borrow::Cow;
@@ -244,8 +245,8 @@ pub fn execute_graph_pooled(
 }
 
 /// Executes an IOS schedule stage by stage and returns every operator's
-/// output. Concurrent-execution stages run their groups on scoped worker
-/// threads; operator-merge stages run one merged convolution built from the
+/// output. Concurrent-execution stages run their groups on the worker
+/// pool's lanes; operator-merge stages run one merged convolution built from the
 /// stacked (and zero-padded) per-operator weights, followed by a split.
 /// Weights are precomputed once for the call.
 ///
@@ -279,8 +280,8 @@ pub fn execute_schedule_with(
 }
 
 /// [`execute_schedule_with`] drawing scratch and output storage from
-/// `arena`. Group worker threads share the pool; the returned tensors are
-/// owned by the caller.
+/// `arena`. The lanes running the groups share the arena; the returned
+/// tensors are owned by the caller.
 ///
 /// # Panics
 ///
@@ -298,9 +299,9 @@ pub fn execute_schedule_pooled(
 
 /// [`execute_schedule_pooled`] with concurrent-stage groups run serially on
 /// the calling thread. Group outputs do not depend on each other, so the
-/// result is bit-identical to the threaded path; the batched executor uses
-/// this inside its per-sample workers, where the cores are already busy and
-/// nested spawning would only oversubscribe them.
+/// result is bit-identical to the pooled path; the batched executor uses
+/// this inside its per-sample chunks, where the samples already cover the
+/// lanes.
 ///
 /// # Panics
 ///
@@ -370,20 +371,23 @@ impl Drop for GroupOutputs<'_> {
 /// Executes one schedule stage against a partial per-operator output state:
 /// stage operators read graph `inputs` and already-filled `outputs` slots
 /// and write their own slots. This is the single definition both the
-/// threaded and the serial schedule paths run (the group execution and
+/// pooled and the serial schedule paths run (the group execution and
 /// output stitching used to risk drifting apart), and the unit the
 /// stage-profiling harness ([`crate::profile::CpuStageProfiler`]) times —
 /// so the scheduler optimizes against exactly the code that serves.
 ///
-/// Concurrent-execution groups run on scoped worker threads when
-/// `parallel_groups` (serially otherwise — bit-identical, since groups are
-/// mutually independent); every group routes its scratch through a
+/// Concurrent-execution groups run as one job on the worker pool when
+/// `parallel_groups` — the caller takes groups beside whichever lanes are
+/// idle, and a lane done with its group helps the others' operator chunks
+/// — and serially otherwise (bit-identical, since groups are mutually
+/// independent); every group routes its scratch through a
 /// [`ScratchScope`], an uncontended local free list that drains back into
 /// `arena` when the group finishes, so both paths recycle intermediates
 /// identically without taking the shared pool mutex per buffer. Both the
 /// scope and the group's completed outputs drain back on **panic** too
-/// ([`GroupOutputs`]), so a panicking stage worker cannot leak pooled
-/// buffers.
+/// ([`GroupOutputs`]), so a panicking group cannot leak pooled buffers:
+/// the pool lets the other groups finish, drops their results and
+/// re-raises the panic here.
 pub(crate) fn execute_stage(
     graph: &Graph,
     stage: &ios_core::Stage,
@@ -406,8 +410,8 @@ pub(crate) fn execute_stage(
     let plan: &[FoldedRelu] = &plan;
     match stage.strategy {
         ParallelizationStrategy::ConcurrentExecution => {
-            // Each group runs independently (on its own thread when
-            // `parallel_groups`); groups only read outputs of earlier
+            // Each group runs independently (on whichever lane claims it
+            // when `parallel_groups`); groups only read outputs of earlier
             // stages or earlier ops of their own group, so a snapshot of
             // `outputs` is sufficient input state and the serial order
             // of groups cannot change any result.
@@ -446,19 +450,8 @@ pub(crate) fn execute_stage(
                 // the shared arena before the group's results are stitched.
                 local
             };
-            let group_results: Vec<GroupOutputs<'_>> = if parallel_groups && stage.groups.len() > 1
-            {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = stage
-                        .groups
-                        .iter()
-                        .map(|group| scope.spawn(|| run_group(group)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("group thread"))
-                        .collect()
-                })
+            let group_results: Vec<GroupOutputs<'_>> = if parallel_groups {
+                workers::parallel_map(stage.groups.len(), |g| run_group(&stage.groups[g]))
             } else {
                 stage.groups.iter().map(run_group).collect()
             };

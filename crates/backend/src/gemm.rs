@@ -72,7 +72,9 @@
 use crate::arena::Arena;
 use crate::simd::{self, Isa};
 use crate::tensor_data::TensorData;
+use crate::workers::{self, DisjointOut};
 use ios_ir::{Conv2dParams, TensorShape};
+use std::ops::Range;
 
 /// Output-channel rows per register tile.
 const MR: usize = 4;
@@ -223,9 +225,19 @@ impl Epilogue<'_> {
 /// requantized int8 kernel — goes through, so all paths apply the
 /// identical per-element expression.
 #[inline]
-fn store_lane(ep: &Epilogue<'_>, row: usize, j0: usize, m: usize, lane: &[f32], c: &mut [f32]) {
+fn store_lane(
+    ep: &Epilogue<'_>,
+    row: usize,
+    j0: usize,
+    m: usize,
+    lane: &[f32],
+    c: &DisjointOut<'_>,
+) {
     let start = row * m + j0;
-    let dst = &mut c[start..start + lane.len()];
+    // SAFETY: every `(row, column)` of `c` belongs to exactly one tile, a
+    // tile to exactly one chunk of the walk, and a thread holds one lane's
+    // slice at a time.
+    let dst = unsafe { c.slice_mut(start, lane.len()) };
     match (ep.bias, ep.residual) {
         (None, None) => {
             if ep.relu {
@@ -395,6 +407,46 @@ enum Filter<'a> {
     Packed(&'a PackedFilter),
 }
 
+/// How one sample of a packed (f32 or int8) convolution is cut into
+/// chunks of contiguous tiles: whole groups for separable/depthwise and
+/// grouped convolutions (their per-group grids are small and mutually
+/// independent), `PACK_NR`-wide column blocks otherwise. A chunk builds the
+/// `K × NR` im2col blocks of its own columns only, so no im2col work is
+/// duplicated; a grid with fewer blocks than lanes simply yields fewer
+/// chunks. Every tile — hence every output element — belongs to exactly one
+/// chunk, and a tile's accumulation never depends on which chunk runs it,
+/// so the output bits are the same for every split, including none.
+#[derive(Debug, Clone, Copy)]
+struct TileSplit {
+    chunks: usize,
+    groups: usize,
+    /// `PACK_NR`-wide column blocks per group.
+    blocks: usize,
+}
+
+impl TileSplit {
+    fn plan(groups: usize, rows_per_group: usize, m_cols: usize, k_len: usize) -> Self {
+        let blocks = m_cols.div_ceil(PACK_NR);
+        let units = if groups > 1 { groups } else { blocks };
+        let macs = groups * rows_per_group * m_cols * k_len;
+        TileSplit {
+            chunks: workers::op_chunks(units, macs),
+            groups,
+            blocks,
+        }
+    }
+
+    /// The `(groups, column blocks)` chunk `chunk` covers.
+    fn part(&self, chunk: usize) -> (Range<usize>, Range<usize>) {
+        let cut = |units| workers::chunk_range(units, self.chunks, chunk);
+        if self.groups > 1 {
+            (cut(self.groups), 0..self.blocks)
+        } else {
+            (0..self.groups, cut(self.blocks))
+        }
+    }
+}
+
 fn conv2d_gemm(
     input: &TensorData,
     params: &Conv2dParams,
@@ -427,49 +479,55 @@ fn conv2d_gemm(
     let m_cols = oh * ow;
     let in_plane = in_shape.height * in_shape.width;
     let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
+    // Read once, here: the lanes that run this convolution's chunks
+    // dispatch at the ISA of the thread that called it.
     let isa = simd::active_isa();
 
     // A pointwise convolution's patch matrix is the input itself — unless
     // a fused input-ReLU must transform the values, which forces the
-    // patch-build path (it applies the ReLU while loading). The unpacked
-    // kernel materializes the full `K × M` patch matrix per group; the
-    // packed kernel is column-block-outer, so it builds each `K × NR`
-    // column block on demand instead (fused im2col) and never holds more
-    // than one cache-resident block of B.
+    // patch-build path (it applies the ReLU while loading).
     let pointwise =
         kh == 1 && kw == 1 && params.stride == (1, 1) && params.padding == (0, 0) && !ep.input_relu;
-    let mut patches = if pointwise {
-        Vec::new()
-    } else {
-        match filter {
-            Filter::Unpacked(_) => pool.take(k_len * m_cols),
-            Filter::Packed(_) => pool.take(k_len * PACK_NR),
-        }
+    // The epilogue and output extent of group `g` of sample `n`.
+    let group_epilogue = |n: usize, g: usize| {
+        let oc0 = g * out_c_per_group;
+        let c_start = (n * params.out_channels + oc0) * m_cols;
+        let gep = Epilogue {
+            bias: ep.bias.map(|b| &b[oc0..oc0 + out_c_per_group]),
+            residual: ep
+                .residual
+                .map(|r| &r.data[c_start..c_start + out_c_per_group * m_cols]),
+            relu,
+        };
+        (gep, c_start)
+    };
+    // The input planes of group `g` of sample `n`: a pointwise
+    // convolution's whole `K × M` patch matrix.
+    let group_input = |n: usize, g: usize| {
+        let start = (n * in_shape.channels + g * in_c_per_group) * in_plane;
+        &input.data[start..start + k_len * m_cols]
     };
 
-    for n in 0..in_shape.batch {
-        for g in 0..groups {
-            let c0 = g * in_c_per_group;
-            let oc0 = g * out_c_per_group;
-            let c_start = (n * params.out_channels + oc0) * m_cols;
-            let gep = Epilogue {
-                bias: ep.bias.map(|b| &b[oc0..oc0 + out_c_per_group]),
-                residual: ep
-                    .residual
-                    .map(|r| &r.data[c_start..c_start + out_c_per_group * m_cols]),
-                relu,
+    match filter {
+        // The unpacked kernel materializes the full `K × M` patch matrix
+        // per group and runs on the caller alone: it is the reference the
+        // packed path is checked against, not a serving path.
+        Filter::Unpacked(weights) => {
+            let mut patches = if pointwise {
+                Vec::new()
+            } else {
+                pool.take(k_len * m_cols)
             };
-            let c = &mut out.data[c_start..c_start + out_c_per_group * m_cols];
-            match filter {
-                Filter::Unpacked(weights) => {
+            for n in 0..in_shape.batch {
+                for g in 0..groups {
+                    let (gep, c_start) = group_epilogue(n, g);
                     let b: &[f32] = if pointwise {
-                        let start = (n * in_shape.channels + c0) * in_plane;
-                        &input.data[start..start + k_len * m_cols]
+                        group_input(n, g)
                     } else {
                         im2col_group(
                             input,
                             n,
-                            c0,
+                            g * in_c_per_group,
                             in_c_per_group,
                             params,
                             oh,
@@ -479,65 +537,77 @@ fn conv2d_gemm(
                         );
                         &patches
                     };
+                    let oc0 = g * out_c_per_group;
                     let a = &weights[oc0 * k_len..(oc0 + out_c_per_group) * k_len];
+                    let c = &mut out.data[c_start..c_start + out_c_per_group * m_cols];
                     gemm_bit_exact(out_c_per_group, m_cols, k_len, a, b, &gep, c);
                 }
-                Filter::Packed(packed) if pointwise => {
-                    let start = (n * in_shape.channels + c0) * in_plane;
-                    let b = &input.data[start..start + k_len * m_cols];
-                    gemm_bit_exact_packed(
-                        out_c_per_group,
-                        m_cols,
-                        k_len,
-                        packed.group(g),
-                        b,
-                        &gep,
-                        c,
-                    );
-                }
-                Filter::Packed(packed) => {
-                    // Fused per-block im2col: build the `K × nr` patch
-                    // column block in cache, then stream every packed panel
-                    // over it while it is hot. Same patch values, same
-                    // ascending-k accumulation per output element — bit-
-                    // identical to the full-matrix path.
-                    let mut j0 = 0;
-                    while j0 < m_cols {
-                        let nr = PACK_NR.min(m_cols - j0);
-                        let block = &mut patches[..k_len * nr];
-                        im2col_block(
-                            input,
-                            n,
-                            c0,
-                            in_c_per_group,
-                            params,
-                            ow,
-                            j0,
-                            nr,
-                            block,
-                            ep.input_relu,
-                        );
-                        packed_panels_over_block(
-                            packed.group(g),
-                            out_c_per_group,
-                            m_cols,
-                            k_len,
-                            block,
-                            nr,
-                            j0,
-                            nr,
-                            &gep,
-                            isa,
-                            c,
-                        );
-                        j0 += PACK_NR;
-                    }
-                }
+            }
+            if !pointwise {
+                pool.recycle(patches);
             }
         }
-    }
-    if !pointwise {
-        pool.recycle(patches);
+        // The packed kernel is column-block-outer: it builds each `K × NR`
+        // column block on demand in the lane's scratch (fused im2col) and
+        // streams the packed panels over it while it is cache-hot. Same
+        // patch values, same ascending-k accumulation per output element —
+        // bit-identical to the full-matrix path, however the tile grid is
+        // split across lanes.
+        Filter::Packed(packed) => {
+            let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
+            let out_view = DisjointOut::new(&mut out.data);
+            for n in 0..in_shape.batch {
+                workers::parallel_for_op(split.chunks, |chunk| {
+                    let (chunk_groups, blocks) = split.part(chunk);
+                    let walk = |scratch: &mut [f32]| {
+                        for g in chunk_groups.clone() {
+                            let (gep, c_start) = group_epilogue(n, g);
+                            let c = out_view.part(c_start, out_c_per_group * m_cols);
+                            for block in blocks.clone() {
+                                let j0 = block * PACK_NR;
+                                let nr = PACK_NR.min(m_cols - j0);
+                                let (b, b_stride) = if pointwise {
+                                    (&group_input(n, g)[j0..], m_cols)
+                                } else {
+                                    let patch = &mut scratch[..k_len * nr];
+                                    im2col_block(
+                                        input,
+                                        n,
+                                        g * in_c_per_group,
+                                        in_c_per_group,
+                                        params,
+                                        ow,
+                                        j0,
+                                        nr,
+                                        patch,
+                                        ep.input_relu,
+                                    );
+                                    (&*patch, nr)
+                                };
+                                packed_panels_over_block(
+                                    packed.group(g),
+                                    out_c_per_group,
+                                    m_cols,
+                                    k_len,
+                                    b,
+                                    b_stride,
+                                    j0,
+                                    nr,
+                                    &gep,
+                                    isa,
+                                    &c,
+                                );
+                            }
+                        }
+                    };
+                    if pointwise {
+                        walk(&mut []);
+                    } else {
+                        workers::with_lane_scratch(k_len * PACK_NR, walk);
+                    }
+                });
+            }
+        }
     }
     out
 }
@@ -696,7 +766,13 @@ fn im2col_block(
 
 /// The half-open range of output positions `x` for which
 /// `0 <= x·stride + k − pad < limit`, clamped to `[0, out)`.
-fn valid_range(out: usize, stride: usize, k: usize, pad: usize, limit: usize) -> (usize, usize) {
+pub(crate) fn valid_range(
+    out: usize,
+    stride: usize,
+    k: usize,
+    pad: usize,
+    limit: usize,
+) -> (usize, usize) {
     let lo = if pad > k {
         (pad - k).div_ceil(stride).min(out)
     } else {
@@ -726,6 +802,7 @@ pub fn gemm_bit_exact(
     c: &mut [f32],
 ) {
     let isa = simd::active_isa();
+    let c = &DisjointOut::new(c);
     let mut i0 = 0;
     while i0 < m_rows {
         let mr = MR.min(m_rows - i0);
@@ -757,7 +834,7 @@ fn tile_full(
     a: &[f32],
     b: &[f32],
     ep: &Epilogue<'_>,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
     isa: Isa,
 ) {
     #[cfg(target_arch = "x86_64")]
@@ -813,7 +890,7 @@ unsafe fn tile_full_avx2(
     a: &[f32],
     b: &[f32],
     ep: &Epilogue<'_>,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     use std::arch::x86_64::*;
     debug_assert!(a.len() >= (i0 + MR) * k_len);
@@ -862,12 +939,13 @@ unsafe fn store_lane_avx2(
     j0: usize,
     m: usize,
     lane: [std::arch::x86_64::__m256; 2],
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     use std::arch::x86_64::*;
     let start = row * m + j0;
     let [mut v0, mut v1] = lane;
-    // SAFETY: the slice indexing bounds-checks every pointer below.
+    // SAFETY: the slice indexing bounds-checks every pointer below; the
+    // output row segment is this tile's alone (see `store_lane`).
     unsafe {
         if let Some(bias) = ep.bias {
             let bv = _mm256_set1_ps(bias[row]);
@@ -884,7 +962,7 @@ unsafe fn store_lane_avx2(
             v0 = _mm256_max_ps(v0, zero);
             v1 = _mm256_max_ps(v1, zero);
         }
-        let dst = &mut c[start..start + NR];
+        let dst = c.slice_mut(start, NR);
         _mm256_storeu_ps(dst.as_mut_ptr(), v0);
         _mm256_storeu_ps(dst.as_mut_ptr().add(8), v1);
     }
@@ -913,6 +991,7 @@ pub fn gemm_bit_exact_packed(
     c: &mut [f32],
 ) {
     let isa = simd::active_isa();
+    let c = &DisjointOut::new(c);
     let mut j0 = 0;
     while j0 < m {
         let nr = PACK_NR.min(m - j0);
@@ -942,7 +1021,7 @@ fn packed_panels_over_block(
     nr: usize,
     ep: &Epilogue<'_>,
     isa: Isa,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     let panel_stride = k_len * PACK_MR;
     let mut i0 = 0;
@@ -975,7 +1054,7 @@ fn packed_tile_full(
     k_len: usize,
     b: &[f32],
     ep: &Epilogue<'_>,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
     isa: Isa,
 ) {
     #[cfg(target_arch = "x86_64")]
@@ -1026,7 +1105,7 @@ unsafe fn packed_tile_full_avx2(
     k_len: usize,
     b: &[f32],
     ep: &Epilogue<'_>,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     use std::arch::x86_64::*;
     debug_assert!(panel.len() >= k_len * PACK_MR);
@@ -1068,7 +1147,7 @@ fn packed_tile_edge(
     k_len: usize,
     b: &[f32],
     ep: &Epilogue<'_>,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     let mut acc = [[0.0f32; PACK_NR]; PACK_MR];
     for kk in 0..k_len {
@@ -1099,7 +1178,7 @@ fn tile_edge(
     a: &[f32],
     b: &[f32],
     ep: &Epilogue<'_>,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     let b_off = &b[j0..];
@@ -1372,74 +1451,77 @@ pub fn conv2d_im2col_quant_fused(
     let m_cols = oh * ow;
     let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
     let pairs = quant.pairs;
-    // f32 staging block (the same fused im2col the f32 path uses) and an
-    // i16 pair-interleaved quantized block carved out of a pooled f32
-    // buffer — the arena is f32-only, see [`as_i16_mut`].
-    let mut fblock = pool.take(k_len * PACK_NR);
-    let mut qbuf = pool.take(pairs * PACK_NR);
     let isa = simd::active_isa();
     let per_item = in_shape.elements_per_item();
+    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
+    let out_view = DisjointOut::new(&mut out.data);
+    // Per lane: an f32 staging block (the same fused im2col the f32 path
+    // uses) followed by the i16 pair-interleaved quantized block, carved
+    // out of one f32 scratch buffer — see [`as_i16_mut`].
+    let staging = k_len * PACK_NR;
 
     for n in 0..in_shape.batch {
         let s_in = sample_scale(&input.data[n * per_item..(n + 1) * per_item], ep.input_relu);
-        for g in 0..groups {
-            let c0 = g * in_c_per_group;
-            let oc0 = g * out_c_per_group;
-            let c_start = (n * params.out_channels + oc0) * m_cols;
-            let scales_g = &quant.scales[oc0..oc0 + out_c_per_group];
-            let gep = Epilogue {
-                bias: ep.bias.map(|b| &b[oc0..oc0 + out_c_per_group]),
-                residual: ep
-                    .residual
-                    .map(|r| &r.data[c_start..c_start + out_c_per_group * m_cols]),
-                relu,
-            };
-            let c = &mut out.data[c_start..c_start + out_c_per_group * m_cols];
-            let mut j0 = 0;
-            while j0 < m_cols {
-                let nr = PACK_NR.min(m_cols - j0);
-                im2col_block(
-                    input,
-                    n,
-                    c0,
-                    in_c_per_group,
-                    params,
-                    ow,
-                    j0,
-                    nr,
-                    &mut fblock[..k_len * nr],
-                    ep.input_relu,
-                );
-                let qblock = as_i16_mut(&mut qbuf);
-                quantize_block(&fblock[..k_len * nr], k_len, nr, s_in, qblock);
-                quant_panels_over_block(
-                    quant.group(g),
-                    out_c_per_group,
-                    pairs,
-                    qblock,
-                    m_cols,
-                    j0,
-                    nr,
-                    s_in,
-                    scales_g,
-                    &gep,
-                    isa,
-                    c,
-                );
-                j0 += PACK_NR;
-            }
-        }
+        workers::parallel_for_op(split.chunks, |chunk| {
+            let (chunk_groups, blocks) = split.part(chunk);
+            workers::with_lane_scratch(staging + pairs * PACK_NR, |scratch| {
+                let (fblock, qbuf) = scratch.split_at_mut(staging);
+                let qblock = as_i16_mut(qbuf);
+                for g in chunk_groups {
+                    let oc0 = g * out_c_per_group;
+                    let c_start = (n * params.out_channels + oc0) * m_cols;
+                    let scales_g = &quant.scales[oc0..oc0 + out_c_per_group];
+                    let gep = Epilogue {
+                        bias: ep.bias.map(|b| &b[oc0..oc0 + out_c_per_group]),
+                        residual: ep
+                            .residual
+                            .map(|r| &r.data[c_start..c_start + out_c_per_group * m_cols]),
+                        relu,
+                    };
+                    let c = out_view.part(c_start, out_c_per_group * m_cols);
+                    for block in blocks.clone() {
+                        let j0 = block * PACK_NR;
+                        let nr = PACK_NR.min(m_cols - j0);
+                        im2col_block(
+                            input,
+                            n,
+                            g * in_c_per_group,
+                            in_c_per_group,
+                            params,
+                            ow,
+                            j0,
+                            nr,
+                            &mut fblock[..k_len * nr],
+                            ep.input_relu,
+                        );
+                        quantize_block(&fblock[..k_len * nr], k_len, nr, s_in, qblock);
+                        quant_panels_over_block(
+                            quant.group(g),
+                            out_c_per_group,
+                            pairs,
+                            qblock,
+                            m_cols,
+                            j0,
+                            nr,
+                            s_in,
+                            scales_g,
+                            &gep,
+                            isa,
+                            &c,
+                        );
+                    }
+                }
+            });
+        });
     }
-    pool.recycle(qbuf);
-    pool.recycle(fblock);
     out
 }
 
-/// Reinterprets a pooled f32 scratch buffer as i16 storage (the arena is
-/// f32-only). Sound: `f32`'s alignment (4) exceeds `i16`'s (2), the byte
-/// length maps 1 f32 → 2 i16 exactly, and `i16` has no invalid bit
-/// patterns. The buffer's f32 contents afterwards are arbitrary, which
-/// the pool tolerates — recycled buffers are fully rewritten before use.
+/// Reinterprets f32 scratch as i16 storage (lane scratch is f32-only).
+/// Sound: `f32`'s alignment (4) exceeds `i16`'s (2), the byte length maps
+/// 1 f32 → 2 i16 exactly, and `i16` has no invalid bit patterns. The
+/// buffer's f32 contents afterwards are arbitrary, which scratch users
+/// tolerate — they fully rewrite what they take before reading it.
 fn as_i16_mut(buf: &mut [f32]) -> &mut [i16] {
     // SAFETY: see above — same allocation, compatible alignment and size,
     // target type has no invalid representations.
@@ -1494,7 +1576,7 @@ fn quant_panels_over_block(
     scales: &[f32],
     ep: &Epilogue<'_>,
     isa: Isa,
-    c: &mut [f32],
+    c: &DisjointOut<'_>,
 ) {
     let panel_stride = pairs * PACK_MR * 2;
     let mut i0 = 0;

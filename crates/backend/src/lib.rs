@@ -21,17 +21,23 @@
 //!   through one cached table, overridable via `IOS_FORCE_ISA` for
 //!   deterministic fallback testing — every ISA computes bit-identical
 //!   outputs;
+//! * [`workers`] — the one process-wide worker pool: batch samples, the
+//!   groups of a concurrent stage and the chunks of a single large
+//!   operator (a convolution's tile grid, a pooling's channel planes) all
+//!   run on its `cores − 1` parked lanes beside their caller, so a
+//!   batch-1 inference uses every core and nothing oversubscribes —
+//!   bit-identical for every lane count;
 //! * [`arena`] — a scratch-buffer pool so steady-state execution performs
 //!   zero heap allocation, from the op loop out to the stacked batch
 //!   outputs at the serving boundary;
 //! * [`executor`] — runs a plain graph or an IOS [`ios_core::Schedule`]
-//!   (stage by stage, groups on worker threads), precomputing weights once
+//!   (stage by stage, groups on the worker pool), precomputing weights once
 //!   per call and serving operator-merge stages from the per-stage
 //!   merged-weight cache ([`BlockWeights::merged_stage`]);
 //! * [`batch`] — network-level execution, weight precomputation (packed
 //!   filters included), batch stacking/splitting, and
 //!   [`execute_network_batched`] which fans a stacked batch out across
-//!   worker threads, one deterministic sample per task;
+//!   the worker pool, one deterministic sample per task;
 //! * [`profile`] — the backend as an on-device stage profiler:
 //!   [`CpuStageProfiler`] executes candidate schedule stages through the
 //!   production `execute_stage` path so `ios_core::ProfiledCostModel` can
@@ -56,6 +62,7 @@ pub mod pipeline;
 pub mod profile;
 pub mod simd;
 pub mod tensor_data;
+pub mod workers;
 
 pub use arena::{Arena, ScratchPool, ScratchScope};
 pub use batch::{

@@ -24,6 +24,7 @@
 use crate::arena::{global_pool, Arena};
 use crate::gemm::{quantize_value, requantize, sample_scale, ConvEpilogue, QuantizedFilter};
 use crate::tensor_data::TensorData;
+use crate::workers::{self, DisjointOut};
 use ios_ir::{
     Activation, Conv2dParams, MatMulParams, Op, OpKind, PoolKind, PoolParams, TensorShape,
 };
@@ -426,28 +427,26 @@ pub fn pool(input: &TensorData, params: &PoolParams) -> TensorData {
     pool_pooled(input, params, global_pool())
 }
 
-/// [`pool`] with pooled output storage. The window loops run over the
-/// precomputed valid `(ky, kx)` ranges of each output position, so the
-/// interior of the plane pays no per-element bounds checks; visit order
-/// (and the average's divisor) match the reference loop exactly.
+/// [`pool`] with pooled output storage. Max and average pooling run
+/// row-wise (`pool_plane`) and split their channel planes across lanes
+/// when the operator is large enough (`workers::op_chunks`); visit order
+/// per element (and the average's divisor) match the reference loop
+/// exactly, so the result is bit-identical for every lane count.
 #[must_use]
 pub fn pool_pooled(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> TensorData {
     let in_shape = input.shape;
-    let (h, w) = (in_shape.height, in_shape.width);
-    let plane = h * w;
+    let plane = in_shape.height * in_shape.width;
+    let planes = in_shape.batch * in_shape.channels;
     match params.kind {
         PoolKind::GlobalAvg => {
             let out_shape = TensorShape::new(in_shape.batch, in_shape.channels, 1, 1);
             let mut out = arena.take_tensor(out_shape);
             let hw = plane as f32;
-            for n in 0..in_shape.batch {
-                for c in 0..in_shape.channels {
-                    let start = (n * in_shape.channels + c) * plane;
-                    // Slice iteration adds in the same (h, w) order as the
-                    // reference double loop.
-                    let acc: f32 = input.data[start..start + plane].iter().sum();
-                    out.data[n * in_shape.channels + c] = acc / hw;
-                }
+            for (slot, ch) in out.data.iter_mut().zip(input.data.chunks_exact(plane)) {
+                // Slice iteration adds in the same (h, w) order as the
+                // reference double loop.
+                let acc: f32 = ch.iter().sum();
+                *slot = acc / hw;
             }
             out
         }
@@ -455,49 +454,131 @@ pub fn pool_pooled(input: &TensorData, params: &PoolParams, arena: &impl Arena) 
             let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
             let out_shape = TensorShape::new(in_shape.batch, in_shape.channels, oh, ow);
             let mut out = arena.take_tensor(out_shape);
-            let (kh, kw) = params.kernel;
-            let (sh, sw) = params.stride;
-            let (ph, pw) = params.padding;
-            let is_max = params.kind == PoolKind::Max;
-            for n in 0..in_shape.batch {
-                for c in 0..in_shape.channels {
-                    let ch_start = (n * in_shape.channels + c) * plane;
-                    let ch = &input.data[ch_start..ch_start + plane];
-                    let out_start = (n * in_shape.channels + c) * oh * ow;
-                    for y in 0..oh {
-                        let base_y = (y * sh) as isize - ph as isize;
-                        let ky_lo = (-base_y).max(0) as usize;
-                        let ky_hi = ((h as isize - base_y).max(0) as usize).min(kh);
-                        let out_row = &mut out.data[out_start + y * ow..out_start + (y + 1) * ow];
-                        for (x, slot) in out_row.iter_mut().enumerate() {
-                            let base_x = (x * sw) as isize - pw as isize;
-                            let kx_lo = (-base_x).max(0) as usize;
-                            let kx_hi = ((w as isize - base_x).max(0) as usize).min(kw);
-                            let mut acc: f32 = if is_max { f32::NEG_INFINITY } else { 0.0 };
-                            for ky in ky_lo..ky_hi {
-                                let iy = (base_y + ky as isize) as usize;
-                                let row = &ch[iy * w..(iy + 1) * w];
-                                for kx in kx_lo..kx_hi {
-                                    let v = row[(base_x + kx as isize) as usize];
-                                    if is_max {
-                                        acc = acc.max(v);
-                                    } else {
-                                        acc += v;
-                                    }
-                                }
-                            }
-                            let count =
-                                (ky_hi.saturating_sub(ky_lo)) * (kx_hi.saturating_sub(kx_lo));
-                            *slot = if is_max {
-                                acc
-                            } else {
-                                acc / count.max(1) as f32
-                            };
-                        }
+            let out_plane = oh * ow;
+            let taps = WindowTaps::new(params, in_shape.width, ow);
+            let window = params.kernel.0 * params.kernel.1;
+            let work = planes * out_plane * window * POOL_TAP_MACS;
+            let chunks = workers::op_chunks(planes, work);
+            let out_view = DisjointOut::new(&mut out.data);
+            workers::parallel_for_op(chunks, |chunk| {
+                for p in workers::chunk_range(planes, chunks, chunk) {
+                    // SAFETY: plane `p` of the output belongs to this
+                    // chunk alone (chunk ranges partition the planes).
+                    let out_ch = unsafe { out_view.slice_mut(p * out_plane, out_plane) };
+                    let ch = &input.data[p * plane..(p + 1) * plane];
+                    let hw = (in_shape.height, in_shape.width);
+                    if params.kind == PoolKind::Max {
+                        pool_plane(ch, hw, params, &taps, f32::max, out_ch);
+                    } else {
+                        pool_plane(ch, hw, params, &taps, |a, v| a + v, out_ch);
                     }
                 }
-            }
+            });
             out
+        }
+    }
+}
+
+/// What one pooling tap costs, in the convolution multiply-accumulates
+/// [`workers::GRAIN_MACS`] is stated in: a tap is a load, an op and a
+/// store through the output row (≈ 0.35 ns measured), a MAC in a register
+/// tile an eighth of that.
+const POOL_TAP_MACS: usize = 8;
+
+/// The horizontal geometry of a pooling window, worked out once per
+/// operator: for each `kx`, the output positions whose tap is in bounds
+/// and the input column the first of them reads; for each output
+/// position, how many of its `kx` taps are in bounds.
+struct WindowTaps {
+    /// Per `kx` with any in-bounds tap, ascending: `(x_lo, x_hi, src)` —
+    /// outputs `[x_lo, x_hi)` read input columns `src`, `src + stride`, ….
+    columns: Vec<(usize, usize, usize)>,
+    /// Per output position: in-bounds `kx` count (the average's divisor
+    /// is this times the in-bounds `ky` count).
+    valid_kx: Vec<usize>,
+}
+
+impl WindowTaps {
+    fn new(params: &PoolParams, w: usize, ow: usize) -> Self {
+        let (kw, sw, pw) = (params.kernel.1, params.stride.1, params.padding.1);
+        let columns = (0..kw)
+            .filter_map(|kx| {
+                let (x_lo, x_hi) = crate::gemm::valid_range(ow, sw, kx, pw, w);
+                (x_hi > x_lo).then(|| (x_lo, x_hi, x_lo * sw + kx - pw))
+            })
+            .collect();
+        let valid_kx = (0..ow)
+            .map(|x| {
+                let kx_lo = pw.saturating_sub(x * sw).min(kw);
+                (w + pw).saturating_sub(x * sw).min(kw).max(kx_lo) - kx_lo
+            })
+            .collect();
+        WindowTaps { columns, valid_kx }
+    }
+}
+
+/// Max (`op` = `max`) or average (`op` = `+`) pooling of one `h × w`
+/// channel plane into `out` (`oh × ow`), one output *row* at a time: the
+/// row starts at the fold's identity, then every in-bounds tap `(ky, kx)`
+/// — ascending `ky`, then ascending `kx` — is folded into all the output
+/// positions it is valid for at once (stride-1 taps read one contiguous
+/// input slice), which the compiler vectorizes. Each output element still
+/// sees exactly its own in-bounds taps in `(ky, kx)` order, and the
+/// average divides by that tap count, so the result is bit-identical to
+/// the per-pixel window loop.
+fn pool_plane(
+    ch: &[f32],
+    (h, w): (usize, usize),
+    params: &PoolParams,
+    taps: &WindowTaps,
+    op: impl Fn(f32, f32) -> f32 + Copy,
+    out: &mut [f32],
+) {
+    let (kh, sh, ph) = (params.kernel.0, params.stride.0, params.padding.0);
+    let sw = params.stride.1;
+    let is_max = params.kind == PoolKind::Max;
+    let ow = taps.valid_kx.len();
+    for (y, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        // In-bounds ky: 0 <= y·sh + ky − ph < h.
+        let ky_lo = ph.saturating_sub(y * sh).min(kh);
+        let ky_hi = (h + ph).saturating_sub(y * sh).min(kh).max(ky_lo);
+        out_row.fill(if is_max { f32::NEG_INFINITY } else { 0.0 });
+        for ky in ky_lo..ky_hi {
+            let iy = y * sh + ky - ph;
+            let in_row = &ch[iy * w..(iy + 1) * w];
+            for &(x_lo, x_hi, src) in &taps.columns {
+                fold_tap(&mut out_row[x_lo..x_hi], &in_row[src..], sw, op);
+            }
+        }
+        if !is_max {
+            let rows = ky_hi - ky_lo;
+            for (a, &cols) in out_row.iter_mut().zip(&taps.valid_kx) {
+                *a /= (rows * cols).max(1) as f32;
+            }
+        }
+    }
+}
+
+/// Folds one tap into the running row: `acc[i] = op(acc[i], taps[i·stride])`
+/// for a non-empty `acc`. Strides 1 and 2 — every pooling of the model zoo
+/// — run with the stride a compile-time constant, so the loop vectorizes.
+#[inline]
+fn fold_tap(acc: &mut [f32], taps: &[f32], stride: usize, op: impl Fn(f32, f32) -> f32) {
+    #[inline]
+    fn fixed<const S: usize>(acc: &mut [f32], taps: &[f32], op: impl Fn(f32, f32) -> f32) {
+        let (last, body) = acc.split_last_mut().expect("non-empty tap range");
+        for (a, group) in body.iter_mut().zip(taps.chunks_exact(S)) {
+            *a = op(*a, group[0]);
+        }
+        *last = op(*last, taps[body.len() * S]);
+    }
+    match stride {
+        1 => fixed::<1>(acc, taps, op),
+        2 => fixed::<2>(acc, taps, op),
+        _ => {
+            for (a, group) in acc.iter_mut().zip(taps.chunks(stride)) {
+                *a = op(*a, group[0]);
+            }
         }
     }
 }
@@ -816,6 +897,93 @@ mod tests {
             let fast = conv2d(&input, params, &w);
             let reference = conv2d_naive(&input, params, &w);
             assert_eq!(fast, reference, "case {i} must be bit-identical");
+        }
+    }
+
+    /// The per-pixel window loop `pool_pooled` ran before it went
+    /// row-wise, kept verbatim as the oracle for tap order and divisor.
+    fn pool_windowed(input: &TensorData, params: &PoolParams) -> TensorData {
+        let in_shape = input.shape;
+        let (h, w) = (in_shape.height, in_shape.width);
+        let plane = h * w;
+        let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
+        let mut out =
+            TensorData::zeros(TensorShape::new(in_shape.batch, in_shape.channels, oh, ow));
+        let (kh, kw) = params.kernel;
+        let (sh, sw) = params.stride;
+        let (ph, pw) = params.padding;
+        let is_max = params.kind == PoolKind::Max;
+        for n in 0..in_shape.batch {
+            for c in 0..in_shape.channels {
+                let ch_start = (n * in_shape.channels + c) * plane;
+                let ch = &input.data[ch_start..ch_start + plane];
+                let out_start = (n * in_shape.channels + c) * oh * ow;
+                for y in 0..oh {
+                    let base_y = (y * sh) as isize - ph as isize;
+                    let ky_lo = (-base_y).max(0) as usize;
+                    let ky_hi = ((h as isize - base_y).max(0) as usize).min(kh);
+                    let out_row = &mut out.data[out_start + y * ow..out_start + (y + 1) * ow];
+                    for (x, slot) in out_row.iter_mut().enumerate() {
+                        let base_x = (x * sw) as isize - pw as isize;
+                        let kx_lo = (-base_x).max(0) as usize;
+                        let kx_hi = ((w as isize - base_x).max(0) as usize).min(kw);
+                        let mut acc: f32 = if is_max { f32::NEG_INFINITY } else { 0.0 };
+                        for ky in ky_lo..ky_hi {
+                            let iy = (base_y + ky as isize) as usize;
+                            let row = &ch[iy * w..(iy + 1) * w];
+                            for kx in kx_lo..kx_hi {
+                                let v = row[(base_x + kx as isize) as usize];
+                                if is_max {
+                                    acc = acc.max(v);
+                                } else {
+                                    acc += v;
+                                }
+                            }
+                        }
+                        let count = (ky_hi.saturating_sub(ky_lo)) * (kx_hi.saturating_sub(kx_lo));
+                        *slot = if is_max {
+                            acc
+                        } else {
+                            acc / count.max(1) as f32
+                        };
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_wise_pool_is_bit_identical_to_the_window_loop() {
+        // The pooling shapes of the benchmark networks (Inception's 3×3
+        // stride-2 max and padded 3×3 stride-1 average, SqueezeNet's
+        // ceil-less 3×3 stride-2 max) plus windows that overhang or miss
+        // the input entirely, on inputs carrying NaN and infinities.
+        let cases = [
+            ((2, 3, 21, 21), PoolParams::max((3, 3), (2, 2), (0, 0))),
+            ((1, 4, 17, 17), PoolParams::avg((3, 3), (1, 1), (1, 1))),
+            ((1, 2, 13, 9), PoolParams::max((3, 2), (2, 3), (1, 0))),
+            ((1, 2, 7, 8), PoolParams::avg((2, 3), (2, 2), (1, 1))),
+            ((1, 1, 4, 4), PoolParams::max((3, 3), (3, 3), (3, 3))),
+            ((1, 1, 4, 4), PoolParams::avg((3, 3), (3, 3), (3, 3))),
+            ((1, 3, 5, 6), PoolParams::avg((1, 1), (1, 1), (0, 0))),
+        ];
+        for (i, ((n, c, h, w), params)) in cases.into_iter().enumerate() {
+            let mut input = TensorData::random(TensorShape::new(n, c, h, w), 300 + i as u64);
+            input.data[1] = f32::NAN;
+            input.data[h * w - 2] = f32::INFINITY;
+            input.data[h * w / 2] = f32::NEG_INFINITY;
+            let want = pool_windowed(&input, &params);
+            for lanes in [1, 2, 3] {
+                let got = workers::with_forced_lanes(lanes, || pool(&input, &params));
+                assert_eq!(got.shape, want.shape);
+                let same = got
+                    .data
+                    .iter()
+                    .zip(&want.data)
+                    .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+                assert!(same, "case {i}, {lanes} lanes: pooling bits differ");
+            }
         }
     }
 

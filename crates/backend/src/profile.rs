@@ -2,8 +2,8 @@
 //! the paper's optimize → **profile** → execute loop.
 //!
 //! [`CpuStageProfiler`] implements [`ios_core::StageProfiler`]: given a
-//! candidate stage, it executes that stage — concurrent groups on real
-//! worker threads, merge stages through the packed merged-weight path —
+//! candidate stage, it executes that stage — concurrent groups on the
+//! worker pool's lanes, merge stages through the packed merged-weight path —
 //! through the very same [`execute_stage`] the serving executor runs, so
 //! the latencies the scheduler optimizes against are latencies of the code
 //! that will serve the schedule. [`ios_core::ProfiledCostModel`] supplies
@@ -182,7 +182,7 @@ impl Drop for ActiveLoad<'_> {
 /// code path the measured latencies stand for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupMode {
-    /// Groups on scoped worker threads, like
+    /// Groups on the worker pool's lanes ([`crate::workers`]), like
     /// [`crate::execute_schedule_pooled`] — the right mode when schedules
     /// execute one request at a time on an otherwise idle machine (the
     /// offline/gate setting).
@@ -192,10 +192,10 @@ pub enum GroupMode {
     /// [`crate::executor::execute_schedule_pooled_serial`].
     Serial,
     /// Match the batched serving executor per graph instance: batch-1
-    /// graphs run their groups on threads (that is how a lone request
-    /// executes), batch>1 graphs run them serially (inside
-    /// `execute_network_batched`'s per-sample workers, the cores are
-    /// already busy and stage groups run serially). This keeps the
+    /// graphs run their groups on the pool's lanes (that is how a lone
+    /// request executes), batch>1 graphs run them serially (inside
+    /// `execute_network_batched`'s per-sample chunks the samples already
+    /// cover the lanes and stage groups run serially). This keeps the
     /// profiled latencies aligned with the exact execution mode a serving
     /// engine will use at each batch size.
     MatchServing,
@@ -296,8 +296,8 @@ impl std::fmt::Debug for CpuStageProfiler {
 }
 
 impl CpuStageProfiler {
-    /// A profiler that runs concurrent-stage groups on real worker threads,
-    /// exactly like [`crate::execute_schedule`] will.
+    /// A profiler that runs concurrent-stage groups on the worker pool's
+    /// lanes, exactly like [`crate::execute_schedule`] will.
     #[must_use]
     pub fn new() -> Self {
         Self::with_group_mode(GroupMode::Parallel)
@@ -533,10 +533,14 @@ mod tests {
         // freshly woken load worker (especially on a contended one-core
         // host), so repeat the measurement window until the load has
         // provably churned — bounded, and almost always the first run.
+        // A run on the worker pool takes about ten microseconds and a few
+        // hundred of them can end before a woken load worker is first
+        // scheduled, so the bound is 20 000 runs — a few hundred
+        // milliseconds.
         let mut runs = 0;
         while profiler.background_load().unwrap().work_done() == 0 {
             assert!(
-                runs < 200,
+                runs < 20_000,
                 "the load never churned during {runs} stage runs"
             );
             profiler.run_concurrent(&g, &[vec![OpId(0)], vec![OpId(1)]]);

@@ -13,7 +13,8 @@
 //!   front rather than faulting in the kernel;
 //! * **[`with_forced_isa`]** — a thread-scoped override for in-process
 //!   cross-ISA identity tests (the proptests run the same convolution
-//!   under every supported ISA and assert bitwise equality).
+//!   under every supported ISA and assert bitwise equality). Jobs posted
+//!   to the worker pool carry it to the lanes that run their chunks.
 //!
 //! Every ISA variant of every kernel computes the *same* per-element
 //! operation sequence, so which entry the table selects is invisible in
@@ -124,10 +125,23 @@ pub fn active_isa() -> Isa {
     OVERRIDE.with(Cell::get).unwrap_or_else(selected_isa)
 }
 
+/// The thread-scoped override active on this thread, if any — what a job
+/// posted to the worker pool carries to the lanes that run its chunks.
+pub(crate) fn isa_override() -> Option<Isa> {
+    OVERRIDE.with(Cell::get)
+}
+
+/// Replaces this thread's override with the one a pool job carries,
+/// returning the previous value for the lane to restore afterwards.
+pub(crate) fn set_isa_override(isa: Option<Isa>) -> Option<Isa> {
+    OVERRIDE.with(|c| c.replace(isa))
+}
+
 /// Runs `f` with every kernel on the current thread dispatched at `isa`,
-/// restoring the previous selection afterwards (panic-safe). This is the
-/// hook the cross-ISA bit-identity tests and the `simd_gate` baseline
-/// timing use.
+/// restoring the previous selection afterwards (panic-safe). Work `f`
+/// hands to the worker pool ([`crate::workers`]) runs at `isa` too, on
+/// whichever lane picks it up. This is the hook the cross-ISA
+/// bit-identity tests and the `simd_gate` baseline timing use.
 ///
 /// # Panics
 ///

@@ -3,27 +3,37 @@
 //! interior fast paths, the arena-backed executor and the parallel batched
 //! network path must all be **bit-identical** (`assert_eq!`, no tolerances)
 //! to the naive reference across randomized shapes, strides, padding,
-//! groups, batch sizes — and SIMD ISAs: the dispatch module's forced-ISA
-//! hook pins every supported tier to the same bits.
+//! groups, batch sizes — SIMD ISAs (the dispatch module's forced-ISA hook
+//! pins every supported tier to the same bits) — and lane counts: the
+//! worker pool's forced-lanes hook cuts every operator, stage and batch
+//! into 1, 2, 3 and 7 lanes' worth of chunks and pins them to the same
+//! bits too.
 
 use ios_backend::gemm::{
     conv2d_im2col_fused, conv2d_im2col_packed_fused, conv2d_im2col_quant_fused,
 };
 use ios_backend::ops_cpu::{
     conv2d, conv2d_naive, conv2d_naive_quant, conv2d_packed, conv_weights, matmul, matmul_weights,
-    pool,
+    pool, sep_conv2d_packed_pooled, sep_conv2d_pooled, sep_conv2d_quant_pooled,
 };
+use ios_backend::workers::with_forced_lanes;
 use ios_backend::{
     execute_graph, execute_graph_pooled, execute_graph_uncached, execute_network,
     execute_network_batched, execute_network_batched_capped, execute_network_pipelined,
-    sample_scale, split_batch, BlockWeights, ConvEpilogue, NetworkWeights, PackedFilter,
-    QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
+    execute_schedule_pooled, sample_scale, split_batch, BlockWeights, ConvEpilogue, NetworkWeights,
+    PackedFilter, QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
 };
+use ios_core::{ParallelizationStrategy, Schedule, Stage};
 use ios_ir::{
-    Activation, Block, Conv2dParams, GraphBuilder, MatMulParams, Network, PoolKind, PoolParams,
-    SegmentPlan, TensorShape,
+    Activation, Block, Conv2dParams, GraphBuilder, MatMulParams, Network, OpId, PoolKind,
+    PoolParams, SegmentPlan, TensorShape,
 };
 use proptest::prelude::*;
+
+/// Lane counts the identity properties force: none, the seed host's two,
+/// an odd count that leaves ragged chunks, and more lanes than any test
+/// host has cores or most test shapes have tiles.
+const SPLIT_LANES: [usize; 3] = [2, 3, 7];
 
 /// The original per-element reference pooling loop, preserved verbatim as
 /// the oracle for the clamped-range fast path.
@@ -517,6 +527,225 @@ proptest! {
             for (o, solo_out) in solo.iter().enumerate() {
                 prop_assert_eq!(&per_output[o][i], solo_out);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn convolutions_are_bit_identical_for_every_lane_count(
+        seed in any::<u64>(),
+        batch in 1usize..3,
+        group_case in 0usize..3,
+        channels_per_group in 1usize..5,
+        out_per_group in 1usize..10,
+        height in 1usize..14,
+        width in 1usize..14,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        sh in 1usize..3,
+        sw in 1usize..3,
+        ph in 0usize..3,
+        pw in 0usize..3,
+        conv_relu in any::<bool>(),
+        input_relu in any::<bool>(),
+        use_bias in any::<bool>(),
+        use_residual in any::<bool>(),
+    ) {
+        // Packed f32 and int8, dense and grouped, every fused epilogue:
+        // the tile grid cut along columns (few lanes), rows (more lanes
+        // than column blocks) or groups must give the bits of the uncut
+        // walk, which the properties above pin to the naive oracles.
+        let groups = [1usize, 2, 3][group_case];
+        let in_c = channels_per_group * groups;
+        let out_c = out_per_group * groups;
+        let h = height.max(kh.saturating_sub(2 * ph));
+        let w = width.max(kw.saturating_sub(2 * pw));
+        let params = Conv2dParams {
+            out_channels: out_c,
+            kernel: (kh, kw),
+            stride: (sh, sw),
+            padding: (ph, pw),
+            groups,
+            activation: if conv_relu { Activation::Relu } else { Activation::None },
+        };
+        let input = TensorData::random(TensorShape::new(batch, in_c, h, w), seed);
+        let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
+        let k_len = channels_per_group * kh * kw;
+        let packed = PackedFilter::pack(&weights, out_c, groups, k_len);
+        let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
+        let arena = ScratchPool::new();
+        let out_shape = conv2d_packed(&input, &params, &packed).shape;
+        let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
+        let residual = TensorData::random(out_shape, seed ^ 0x9E5);
+        let ep = ConvEpilogue {
+            input_relu,
+            bias: use_bias.then_some(bias.as_slice()),
+            residual: use_residual.then_some(&residual),
+            relu: false,
+        };
+        let run = |lanes: usize| {
+            with_forced_lanes(lanes, || {
+                (
+                    conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena),
+                    conv2d_im2col_quant_fused(&input, &params, &quant, &ep, &arena),
+                )
+            })
+        };
+        let (f32_one, int8_one) = run(1);
+        prop_assert_eq!(&f32_one, &conv2d_im2col_fused(&input, &params, &weights, &ep, &arena));
+        for lanes in SPLIT_LANES {
+            let (f32_split, int8_split) = run(lanes);
+            prop_assert_eq!(&f32_split, &f32_one, "packed f32 differs on {} lanes", lanes);
+            prop_assert_eq!(&int8_split, &int8_one, "int8 differs on {} lanes", lanes);
+        }
+    }
+
+    #[test]
+    fn sepconv_and_pooling_are_bit_identical_for_every_lane_count(
+        seed in any::<u64>(),
+        batch in 1usize..3,
+        channels in 1usize..9,
+        out_channels in 1usize..9,
+        height in 3usize..14,
+        width in 3usize..14,
+        k in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        is_max in any::<bool>(),
+    ) {
+        let input = TensorData::random(TensorShape::new(batch, channels, height, width), seed);
+        let arena = ScratchPool::new();
+
+        // The separable unit splits its depthwise stage over groups and
+        // its pointwise stage over tiles.
+        let params = Conv2dParams::relu(out_channels, (k, k), (stride, stride), (pad, pad));
+        let dw = conv_weights(seed ^ 0xD17, channels, 1, (k, k));
+        let pw = conv_weights(seed ^ 0x117, out_channels, channels, (1, 1));
+        let dw_packed = PackedFilter::pack(&dw, channels, channels, k * k);
+        let pw_packed = PackedFilter::pack(&pw, out_channels, 1, channels);
+        let pw_quant = QuantizedFilter::quantize(&pw, out_channels, 1, channels);
+        let pool_params = if is_max {
+            PoolParams::max((k, k), (stride, stride), (pad, pad))
+        } else {
+            PoolParams::avg((k, k), (stride, stride), (pad, pad))
+        };
+        let run = |lanes: usize| {
+            with_forced_lanes(lanes, || {
+                (
+                    sep_conv2d_packed_pooled(&input, &params, &dw_packed, &pw_packed, &arena),
+                    sep_conv2d_quant_pooled(&input, &params, &dw_packed, &pw_quant, &arena),
+                    pool(&input, &pool_params),
+                )
+            })
+        };
+        let one = run(1);
+        prop_assert_eq!(&one.0, &sep_conv2d_pooled(&input, &params, &dw, &pw, &arena));
+        prop_assert_eq!(&one.2, &pool_reference(&input, &pool_params));
+        for lanes in SPLIT_LANES {
+            prop_assert_eq!(&run(lanes), &one, "differs on {} lanes", lanes);
+        }
+    }
+}
+
+/// Block 0 of [`tiny_network`] under two hand-built schedules: the 3×3 and
+/// the 1×1 convolution merged into one kernel, and all three branches as
+/// the groups of one concurrent stage.
+fn tiny_block_schedules(network: &Network) -> [Schedule; 2] {
+    let graph = &network.blocks[0].graph;
+    let stage = |ops: &[usize], strategy, groups: Vec<Vec<usize>>| Stage {
+        ops: ops.iter().map(|&i| OpId(i)).collect(),
+        strategy,
+        groups: groups
+            .into_iter()
+            .map(|g| g.into_iter().map(OpId).collect())
+            .collect(),
+        measured_latency_us: 1.0,
+    };
+    use ParallelizationStrategy::{ConcurrentExecution, OperatorMerge};
+    // Operators in build order: a = 0, c = 1, p = 2, cat = 3.
+    let merged = Schedule::new(
+        graph.name(),
+        vec![
+            stage(&[0, 1], OperatorMerge, vec![vec![0, 1]]),
+            stage(&[2, 3], ConcurrentExecution, vec![vec![2], vec![3]]),
+        ],
+    );
+    let concurrent = Schedule::new(
+        graph.name(),
+        vec![
+            stage(
+                &[0, 1, 2],
+                ConcurrentExecution,
+                vec![vec![0], vec![1], vec![2]],
+            ),
+            stage(&[3], ConcurrentExecution, vec![vec![3]]),
+        ],
+    );
+    for schedule in [&merged, &concurrent] {
+        schedule
+            .validate(graph)
+            .expect("hand-built schedule is valid");
+    }
+    [merged, concurrent]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn stages_blocks_and_batches_are_bit_identical_for_every_lane_count(
+        seed in any::<u64>(),
+        batch in 1usize..5,
+        int8 in any::<bool>(),
+    ) {
+        use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
+        use ios_sim::{DeviceKind, Simulator};
+        let net = tiny_network();
+        let precision = if int8 { WeightPrecision::Int8 } else { WeightPrecision::F32 };
+        let weights = NetworkWeights::precompute_as(&net, precision);
+        let arena = ScratchPool::new();
+
+        // A merged stage, and operator chunks posted from inside the
+        // groups of a concurrent stage (jobs nested in a job).
+        let block_inputs = vec![TensorData::random(net.input_shape, seed)];
+        let graph = &net.blocks[0].graph;
+        for schedule in tiny_block_schedules(&net) {
+            let run = |lanes: usize| {
+                with_forced_lanes(lanes, || {
+                    execute_schedule_pooled(
+                        graph, &schedule, &block_inputs, Some(weights.block(0)), &arena)
+                })
+            };
+            let one = run(1);
+            if !int8 {
+                prop_assert_eq!(&one, &execute_graph(graph, &block_inputs));
+            }
+            for lanes in SPLIT_LANES {
+                prop_assert_eq!(&run(lanes), &one, "block differs on {} lanes", lanes);
+            }
+        }
+
+        // Whole scheduled blocks, chained, under the sample fan-out: three
+        // levels of jobs on one pool.
+        let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
+        let schedule = optimize_network(&net, &cost, &SchedulerConfig::paper_default()).schedule;
+        let samples: Vec<TensorData> = (0..batch)
+            .map(|i| TensorData::random(net.input_shape, seed.wrapping_add(i as u64)))
+            .collect();
+        let refs: Vec<&TensorData> = samples.iter().collect();
+        let stacked = ios_backend::stack_batch(&refs);
+        let run = |lanes: usize| {
+            with_forced_lanes(lanes, || {
+                execute_network_batched(
+                    &net, Some(&schedule), &weights, std::slice::from_ref(&stacked), &arena)
+            })
+        };
+        let one = run(1);
+        for lanes in SPLIT_LANES {
+            prop_assert_eq!(&run(lanes), &one, "network differs on {} lanes", lanes);
         }
     }
 }

@@ -772,7 +772,10 @@ impl ServeEngine {
     /// The serving metrics in Prometheus text exposition format: request
     /// counters, queue-depth gauge, schedule-cache counters, weight-cache
     /// footprint gauges (f32 vs int8 bytes), the selected-microkernel-ISA
-    /// info gauge (`ios_simd_kernel{path,isa}`), the latency /
+    /// info gauge (`ios_simd_kernel{path,isa}`), the worker pool's lane
+    /// gauge and intra-operator counters (`ios_worker_pool_lanes`,
+    /// `ios_intra_op_jobs_total`, `ios_intra_op_chunks_total{by}` —
+    /// process-wide, like the pool), the latency /
     /// queue-wait / batch-assembly / device-time histograms (exposed in
     /// microseconds), and per-tenant completed/shed counters and
     /// queue-wait histograms as `ios_tenant_*{tenant="…"}` labelled
@@ -882,6 +885,28 @@ impl ServeEngine {
             &[
                 &[("path", "f32"), ("isa", isa)],
                 &[("path", "int8"), ("isa", isa)],
+            ],
+        );
+        let pool = ios_backend::workers::stats();
+        prom::gauge(
+            &mut out,
+            "ios_worker_pool_lanes",
+            "Lanes of the process-wide worker pool: its parked helpers plus the caller.",
+            pool.lanes as f64,
+        );
+        prom::counter(
+            &mut out,
+            "ios_intra_op_jobs_total",
+            "Operators split into chunks across worker-pool lanes, process-wide.",
+            pool.op_jobs,
+        );
+        prom::counter_family(
+            &mut out,
+            "ios_intra_op_chunks_total",
+            "Operator chunks run, by lane: the thread that posted the job or a helper.",
+            &[
+                (&[("by", "caller")], pool.op_chunks_by_caller),
+                (&[("by", "helper")], pool.op_chunks_by_helper),
             ],
         );
         prom::histogram_us(
