@@ -1,12 +1,13 @@
 //! Batched, weight-reusing network execution — the serving entry point.
 //!
-//! [`execute_graph`](crate::execute_graph) regenerates every operator's
-//! deterministic weights on each call, which is fine for one-off
-//! verification but wasteful when a serving runtime executes the same
-//! network for every incoming batch. This module precomputes the weights
-//! once ([`NetworkWeights`]) and executes whole networks (block chains) with
-//! them, plus the batch stacking/splitting helpers the `ios-serve` dynamic
-//! batcher uses to coalesce single-sample requests.
+//! Every executor runs from precomputed weights. The one-off entry points
+//! ([`crate::execute_graph`], [`execute_network`]) precompute them for the
+//! call, which is fine for verification but wasteful when a serving runtime
+//! executes the same network for every incoming batch. This module holds
+//! the weights precomputed once ([`NetworkWeights`]) and executes whole
+//! networks (block chains) with them, plus the batch stacking/splitting
+//! helpers the `ios-serve` dynamic batcher uses to coalesce single-sample
+//! requests.
 //!
 //! Weights depend only on the graph name, the operator index and the
 //! (batch-invariant) channel configuration, so one [`NetworkWeights`] is
@@ -18,8 +19,7 @@
 
 use crate::arena::ScratchPool;
 use crate::executor::{
-    execute_graph_pooled, execute_graph_with, execute_schedule_pooled,
-    execute_schedule_pooled_serial, execute_schedule_with, relu_fold_plan, weight_seed, FoldedRelu,
+    execute_graph_pooled, execute_schedule_pooled, relu_fold_plan, weight_seed, FoldedRelu,
 };
 use crate::gemm::{PackedFilter, QuantizedFilter};
 use crate::ops_cpu::{conv_weights, matmul_weights, sep_conv_seeds};
@@ -46,39 +46,78 @@ pub enum WeightPrecision {
     Int8,
 }
 
-/// Precomputed weights of one operator. Convolution filters are
-/// pre-packed into the GEMM microkernel's tile-major layout
-/// ([`PackedFilter`]) — or, under [`WeightPrecision::Int8`], quantized
-/// into pair-interleaved int8 panels ([`QuantizedFilter`]) at a quarter
-/// of the footprint — so the serving hot path streams `A` contiguously.
-/// Exactly one of the two kernel forms is held per conv. Dense
-/// convolutions additionally keep the natural layout, which the merge
-/// stage stacks into merged kernels (separable convolutions are never
-/// merged, so storing their natural filters would only double the weight
-/// memory).
+const F32_BYTES: usize = std::mem::size_of::<f32>();
+
+/// A convolution filter in the one form its kernel reads: tile-major f32
+/// panels ([`PackedFilter`], 4 B per weight) or pair-interleaved int8
+/// panels with per-channel scales ([`QuantizedFilter`], 1 B per weight).
+/// The natural `[out_c][in_c/g][kh][kw]` layout is not kept beside it.
+#[derive(Debug, Clone)]
+pub enum ConvKernel {
+    /// f32 precision: the packed GEMM kernel.
+    F32(PackedFilter),
+    /// Int8 precision: the `pmaddwd` integer kernel.
+    Int8(QuantizedFilter),
+}
+
+impl ConvKernel {
+    /// Builds the kernel form `precision` selects from a filter in natural
+    /// layout (`k_len` contiguous values per output channel).
+    fn build(
+        precision: WeightPrecision,
+        filter: &[f32],
+        out_channels: usize,
+        groups: usize,
+        k_len: usize,
+    ) -> Self {
+        match precision {
+            WeightPrecision::F32 => {
+                ConvKernel::F32(PackedFilter::pack(filter, out_channels, groups, k_len))
+            }
+            WeightPrecision::Int8 => ConvKernel::Int8(QuantizedFilter::quantize(
+                filter,
+                out_channels,
+                groups,
+                k_len,
+            )),
+        }
+    }
+
+    /// Number of logical weight parameters (`out_channels · k_len`).
+    #[must_use]
+    pub fn num_weights(&self) -> usize {
+        match self {
+            ConvKernel::F32(packed) => packed.num_weights(),
+            ConvKernel::Int8(quant) => quant.num_weights(),
+        }
+    }
+
+    /// Adds the bytes this kernel holds to `fp`.
+    fn add_footprint(&self, fp: &mut WeightFootprint) {
+        match self {
+            ConvKernel::F32(packed) => fp.f32_bytes += packed.num_elements() * F32_BYTES,
+            ConvKernel::Int8(quant) => fp.int8_bytes += quant.footprint_bytes(),
+        }
+    }
+}
+
+/// Precomputed weights of one operator, each in the form its kernel reads
+/// — so the serving hot path streams `A` contiguously and nothing else is
+/// held.
 #[derive(Debug, Clone)]
 pub enum OpWeights {
     /// Dense / grouped convolution filter.
-    Conv {
-        /// Natural layout `[out_c][in_c/g][kh][kw]`.
-        filter: Vec<f32>,
-        /// The filter in tile-major packed layout (f32 precision).
-        packed: Option<PackedFilter>,
-        /// The filter quantized to int8 panels (int8 precision).
-        quantized: Option<QuantizedFilter>,
-    },
+    Conv(ConvKernel),
     /// Separable convolution: depthwise then pointwise filters. The
     /// depthwise stage always stays f32-packed (its reduction is only
     /// `kh·kw` deep); the pointwise stage — where the compute lives —
-    /// carries either the packed f32 or the quantized int8 form.
+    /// follows the block's precision.
     SepConv {
         /// Depthwise k×k filter (one output channel per input channel) in
         /// tile-major packed layout.
-        depthwise_packed: PackedFilter,
-        /// Pointwise 1×1 filter in tile-major packed layout (f32).
-        pointwise_packed: Option<PackedFilter>,
-        /// Pointwise 1×1 filter quantized to int8 panels.
-        pointwise_quant: Option<QuantizedFilter>,
+        depthwise: PackedFilter,
+        /// Pointwise 1×1 filter.
+        pointwise: ConvKernel,
     },
     /// Fully connected weight matrix, layout `[out][in]`.
     MatMul(Vec<f32>),
@@ -89,8 +128,6 @@ pub enum OpWeights {
 /// and cached in [`BlockWeights`].
 #[derive(Debug)]
 pub struct MergedWeights {
-    /// The merged filter in natural `[out_c][in_c][mkh][mkw]` layout.
-    pub filter: Vec<f32>,
     /// The merged filter in tile-major packed layout.
     pub packed: PackedFilter,
 }
@@ -99,11 +136,11 @@ pub struct MergedWeights {
 /// lazily filled cache of merged-stage weights keyed by the stage's
 /// operator set — so executing the same schedule batch after batch stops
 /// rebuilding the merged tensor every time.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BlockWeights {
     by_op: Vec<Option<OpWeights>>,
     /// The block's ReLU-fold peephole plan ([`relu_fold_plan`]), computed
-    /// once at build time; empty when no weights were precomputed.
+    /// once at build time.
     fold_plan: Vec<FoldedRelu>,
     precision: WeightPrecision,
     merged: Mutex<HashMap<OpSet, Arc<MergedWeights>>>,
@@ -126,8 +163,7 @@ impl Clone for BlockWeights {
 
 impl BlockWeights {
     /// Generates the weights of every weighted operator of `graph` at f32
-    /// precision, using the same seeds as the on-the-fly path so results
-    /// stay bit-identical.
+    /// precision, each from its deterministic [`weight_seed`].
     #[must_use]
     pub fn precompute(graph: &Graph) -> Self {
         Self::precompute_as(graph, WeightPrecision::F32)
@@ -153,55 +189,34 @@ impl BlockWeights {
                 match &op.kind {
                     OpKind::Conv2d(p) => {
                         let in_c = input_shape(op.inputs[0]).channels / p.groups;
-                        let k_len = in_c * p.kernel.0 * p.kernel.1;
                         let filter = conv_weights(seed, p.out_channels, in_c, p.kernel);
-                        let (packed, quantized) = match precision {
-                            WeightPrecision::F32 => (
-                                Some(PackedFilter::pack(&filter, p.out_channels, p.groups, k_len)),
-                                None,
-                            ),
-                            WeightPrecision::Int8 => (
-                                None,
-                                Some(QuantizedFilter::quantize(
-                                    &filter,
-                                    p.out_channels,
-                                    p.groups,
-                                    k_len,
-                                )),
-                            ),
-                        };
-                        Some(OpWeights::Conv {
-                            filter,
-                            packed,
-                            quantized,
-                        })
+                        Some(OpWeights::Conv(ConvKernel::build(
+                            precision,
+                            &filter,
+                            p.out_channels,
+                            p.groups,
+                            in_c * p.kernel.0 * p.kernel.1,
+                        )))
                     }
                     OpKind::SepConv2d(p) => {
                         let in_c = input_shape(op.inputs[0]).channels;
                         let (dw_seed, pw_seed) = sep_conv_seeds(seed);
                         let depthwise = conv_weights(dw_seed, in_c, 1, p.kernel);
-                        let depthwise_packed =
-                            PackedFilter::pack(&depthwise, in_c, in_c, p.kernel.0 * p.kernel.1);
                         let pointwise = conv_weights(pw_seed, p.out_channels, in_c, (1, 1));
-                        let (pointwise_packed, pointwise_quant) = match precision {
-                            WeightPrecision::F32 => (
-                                Some(PackedFilter::pack(&pointwise, p.out_channels, 1, in_c)),
-                                None,
-                            ),
-                            WeightPrecision::Int8 => (
-                                None,
-                                Some(QuantizedFilter::quantize(
-                                    &pointwise,
-                                    p.out_channels,
-                                    1,
-                                    in_c,
-                                )),
-                            ),
-                        };
                         Some(OpWeights::SepConv {
-                            depthwise_packed,
-                            pointwise_packed,
-                            pointwise_quant,
+                            depthwise: PackedFilter::pack(
+                                &depthwise,
+                                in_c,
+                                in_c,
+                                p.kernel.0 * p.kernel.1,
+                            ),
+                            pointwise: ConvKernel::build(
+                                precision,
+                                &pointwise,
+                                p.out_channels,
+                                1,
+                                in_c,
+                            ),
                         })
                     }
                     OpKind::MatMul(p) => {
@@ -224,7 +239,9 @@ impl BlockWeights {
             by_op,
             fold_plan: relu_fold_plan(graph),
             precision,
-            ..BlockWeights::default()
+            merged: Mutex::default(),
+            merged_builds: AtomicU64::new(0),
+            merged_hits: AtomicU64::new(0),
         }
     }
 
@@ -240,38 +257,22 @@ impl BlockWeights {
         self.precision
     }
 
-    /// The build-time ReLU-fold plan, if this block was precomputed with
-    /// one (`None` for a default-constructed instance — callers then
-    /// compute the plan from the graph, which yields the identical plan).
+    /// The block's ReLU-fold plan: one entry per operator.
     #[must_use]
-    pub fn fold_plan(&self) -> Option<&[FoldedRelu]> {
-        if self.fold_plan.is_empty() {
-            None
-        } else {
-            Some(&self.fold_plan)
-        }
-    }
-
-    /// The convolution filter of `op` (natural layout), if it is a
-    /// convolution.
-    #[must_use]
-    pub fn conv(&self, op: OpId) -> Option<&[f32]> {
-        match self.get(op) {
-            Some(OpWeights::Conv { filter, .. }) => Some(filter),
-            _ => None,
-        }
+    pub fn fold_plan(&self) -> &[FoldedRelu] {
+        &self.fold_plan
     }
 
     /// The merged-stage weights for `merged` (an operator-merge stage of a
-    /// schedule for this graph), built from the precomputed per-part
-    /// filters on first use and served from the cache afterwards — the
-    /// merge stage of [`crate::execute_schedule`] stops rebuilding the
-    /// merged tensor every batch. Keyed by the stage's operator set.
+    /// schedule for this graph): on first use the parts' filters are
+    /// regenerated from their seeds, stacked and packed; afterwards the
+    /// stage is served from the cache, so repeat batches execute it
+    /// directly. Keyed by the stage's operator set. A merged stage runs the
+    /// f32 kernel whatever the block's precision.
     ///
     /// # Panics
     ///
-    /// Panics if any merged part is not a precomputed convolution of this
-    /// block.
+    /// Panics if any merged part is not a convolution of `graph`.
     #[must_use]
     pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<MergedWeights> {
         let key: OpSet = merged.parts.iter().copied().collect();
@@ -282,19 +283,14 @@ impl BlockWeights {
         let in_c = merged.input_shape.channels;
         let (mkh, mkw) = merged.params.kernel;
         let mut filter = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
-        stack_merged_filter(graph, merged, &mut filter, |part, _| {
-            std::borrow::Cow::Borrowed(
-                self.conv(part)
-                    .expect("merged part must be a precomputed convolution"),
-            )
-        });
+        stack_merged_filter(graph, merged, &mut filter);
         let packed = PackedFilter::pack(
             &filter,
             merged.params.out_channels,
             merged.params.groups,
             (in_c / merged.params.groups) * mkh * mkw,
         );
-        let built = Arc::new(MergedWeights { filter, packed });
+        let built = Arc::new(MergedWeights { packed });
         self.merged_builds.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.merged.lock().expect("merged-weight lock");
         // Two threads may race to build the same stage; both results are
@@ -315,23 +311,15 @@ impl BlockWeights {
     }
 }
 
-/// Stacks the per-part filters of `merged` into `dst` (pre-zeroed, length
-/// `out_c · in_c · mkh · mkw`), zero-padding smaller kernels so they stay
-/// centred inside the merged kernel — the single definition both the
-/// cached ([`BlockWeights::merged_stage`]) and the regenerating
-/// (`execute_schedule` without precomputed weights) paths build from, so
-/// the two can never drift apart. `part_filter` supplies each part's
-/// filter in natural `[out_c][in_c][kh][kw]` layout.
+/// Stacks the per-part filters of `merged` — each regenerated from its
+/// [`weight_seed`] in natural `[out_c][in_c][kh][kw]` layout — into `dst`
+/// (pre-zeroed, length `out_c · in_c · mkh · mkw`), zero-padding smaller
+/// kernels so they stay centred inside the merged kernel.
 ///
 /// # Panics
 ///
 /// Panics if any merged part is not a convolution of `graph`.
-pub(crate) fn stack_merged_filter<'a>(
-    graph: &Graph,
-    merged: &MergedConv,
-    dst: &mut [f32],
-    part_filter: impl Fn(OpId, &ios_ir::Conv2dParams) -> std::borrow::Cow<'a, [f32]>,
-) {
+fn stack_merged_filter(graph: &Graph, merged: &MergedConv, dst: &mut [f32]) {
     let in_c = merged.input_shape.channels;
     let (mkh, mkw) = merged.params.kernel;
     let mut oc_offset = 0usize;
@@ -340,7 +328,7 @@ pub(crate) fn stack_merged_filter<'a>(
         let OpKind::Conv2d(p) = &op.kind else {
             panic!("merged parts must be convolutions")
         };
-        let part_weights = part_filter(part, p);
+        let part_weights = conv_weights(weight_seed(graph, part), p.out_channels, in_c, p.kernel);
         let (kh, kw) = p.kernel;
         let (dy, dx) = ((mkh - kh) / 2, (mkw - kw) / 2);
         for oc in 0..p.out_channels {
@@ -368,8 +356,7 @@ pub struct NetworkWeights {
 /// `ios_weight_cache_*_bytes` gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WeightFootprint {
-    /// Bytes of f32 weight arrays (natural filters kept for merge
-    /// stacking, packed panels, matmul matrices).
+    /// Bytes of f32 weight arrays (packed panels, matmul matrices).
     pub f32_bytes: usize,
     /// Bytes of int8 quantized panels plus their per-channel scales.
     pub int8_bytes: usize,
@@ -412,44 +399,26 @@ impl NetworkWeights {
             .unwrap_or_default()
     }
 
-    /// The weight-cache bytes held, split by representation. Counts every
-    /// weight array resident in memory: natural filters (kept for merge
-    /// stacking), packed f32 panels or quantized int8 panels (+scales),
-    /// and matmul matrices — so the int8 footprint reduction is directly
-    /// observable.
+    /// The weight-cache bytes held, split by representation: packed f32
+    /// panels (≈ 4 B per weight, edge-panel padding included) and matmul
+    /// matrices on one side, quantized int8 panels plus their scales
+    /// (≈ 1 B per weight) on the other — so the int8 footprint reduction is
+    /// directly observable. Lazily built merged-stage filters are not
+    /// counted.
     #[must_use]
     pub fn footprint(&self) -> WeightFootprint {
-        let f32_size = std::mem::size_of::<f32>();
         let mut fp = WeightFootprint::default();
         for w in self.blocks.iter().flat_map(|b| b.by_op.iter().flatten()) {
             match w {
-                OpWeights::Conv {
-                    filter,
-                    packed,
-                    quantized,
-                } => {
-                    fp.f32_bytes += filter.len() * f32_size;
-                    if let Some(p) = packed {
-                        fp.f32_bytes += p.num_elements() * f32_size;
-                    }
-                    if let Some(q) = quantized {
-                        fp.int8_bytes += q.footprint_bytes();
-                    }
-                }
+                OpWeights::Conv(kernel) => kernel.add_footprint(&mut fp),
                 OpWeights::SepConv {
-                    depthwise_packed,
-                    pointwise_packed,
-                    pointwise_quant,
+                    depthwise,
+                    pointwise,
                 } => {
-                    fp.f32_bytes += depthwise_packed.num_elements() * f32_size;
-                    if let Some(p) = pointwise_packed {
-                        fp.f32_bytes += p.num_elements() * f32_size;
-                    }
-                    if let Some(q) = pointwise_quant {
-                        fp.int8_bytes += q.footprint_bytes();
-                    }
+                    fp.f32_bytes += depthwise.num_elements() * F32_BYTES;
+                    pointwise.add_footprint(&mut fp);
                 }
-                OpWeights::MatMul(m) => fp.f32_bytes += m.len() * f32_size,
+                OpWeights::MatMul(m) => fp.f32_bytes += m.len() * F32_BYTES,
             }
         }
         fp
@@ -480,21 +449,12 @@ impl NetworkWeights {
             .iter()
             .flat_map(|b| b.by_op.iter().flatten())
             .map(|w| match w {
-                OpWeights::Conv { filter, .. } => filter.len(),
+                OpWeights::Conv(kernel) => kernel.num_weights(),
                 OpWeights::MatMul(v) => v.len(),
                 OpWeights::SepConv {
-                    depthwise_packed,
-                    pointwise_packed,
-                    pointwise_quant,
-                } => {
-                    depthwise_packed.num_weights()
-                        + pointwise_packed
-                            .as_ref()
-                            .map_or(0, PackedFilter::num_weights)
-                        + pointwise_quant
-                            .as_ref()
-                            .map_or(0, QuantizedFilter::num_weights)
-                }
+                    depthwise,
+                    pointwise,
+                } => depthwise.num_weights() + pointwise.num_weights(),
             })
             .sum()
     }
@@ -518,8 +478,9 @@ fn graph_outputs(
 }
 
 /// Executes a whole network sequentially (block by block, operators in
-/// topological order), regenerating weights on the fly — the reference the
-/// serving runtime is checked against. Returns the final block's outputs.
+/// topological order), precomputing each block's weights for the call — the
+/// reference the serving runtime is checked against. Returns the final
+/// block's outputs.
 ///
 /// # Panics
 ///
@@ -527,77 +488,9 @@ fn graph_outputs(
 /// blocks do not chain (block `i` outputs ≠ block `i + 1` inputs).
 #[must_use]
 pub fn execute_network(network: &Network, inputs: &[TensorData]) -> Vec<TensorData> {
-    run_network(network, inputs, |graph, tensors| {
-        crate::execute_graph(graph, tensors)
-    })
-}
-
-/// Executes a whole network under a schedule with precomputed weights — the
-/// serving fast path. Returns the final block's outputs, bit-identical to
-/// [`execute_network`] per sample.
-///
-/// # Panics
-///
-/// Panics if the schedule or weights do not belong to this network's
-/// structure, or the inputs mismatch.
-#[must_use]
-pub fn execute_network_scheduled(
-    network: &Network,
-    schedule: &NetworkSchedule,
-    weights: &NetworkWeights,
-    inputs: &[TensorData],
-) -> Vec<TensorData> {
-    assert_eq!(
-        network.blocks.len(),
-        schedule.block_schedules.len(),
-        "schedule and network block counts differ"
-    );
-    assert_eq!(
-        network.blocks.len(),
-        weights.num_blocks(),
-        "weights and network block counts differ"
-    );
-    let mut block_index = 0;
-    run_network(network, inputs, |graph, tensors| {
-        let out = execute_schedule_with(
-            graph,
-            &schedule.block_schedules[block_index],
-            tensors,
-            Some(weights.block(block_index)),
-        );
-        block_index += 1;
-        out
-    })
-}
-
-/// Executes a whole network sequentially with precomputed weights (no
-/// schedule) — the one-request-at-a-time baseline with weight reuse.
-///
-/// # Panics
-///
-/// Panics if the weights or inputs do not match the network.
-#[must_use]
-pub fn execute_network_with_weights(
-    network: &Network,
-    weights: &NetworkWeights,
-    inputs: &[TensorData],
-) -> Vec<TensorData> {
-    let mut block_index = 0;
-    run_network(network, inputs, |graph, tensors| {
-        let out = execute_graph_with(graph, tensors, Some(weights.block(block_index)));
-        block_index += 1;
-        out
-    })
-}
-
-fn run_network(
-    network: &Network,
-    inputs: &[TensorData],
-    mut run_block: impl FnMut(&Graph, &[TensorData]) -> Vec<TensorData>,
-) -> Vec<TensorData> {
     let mut current: Vec<TensorData> = inputs.to_vec();
     for block in &network.blocks {
-        let op_outputs = run_block(&block.graph, &current);
+        let op_outputs = crate::execute_graph(&block.graph, &current);
         current = graph_outputs(&block.graph, &current, &op_outputs);
     }
     current
@@ -625,32 +518,11 @@ pub(crate) fn sample_pooled(batched: &TensorData, n: usize, arena: &ScratchPool)
     out
 }
 
-/// Executes one sample (or one already-stacked batch) through the whole
-/// network with pooled storage, consuming `inputs` and recycling every
-/// intermediate tensor — the zero-allocation op loop of the serving
-/// runtime. Runs each block under its schedule when one is given,
-/// sequentially otherwise; bit-identical to [`execute_network`] either way.
-fn execute_network_sample_pooled(
-    network: &Network,
-    schedule: Option<&NetworkSchedule>,
-    weights: &NetworkWeights,
-    inputs: Vec<TensorData>,
-    arena: &ScratchPool,
-    serial_stages: bool,
-) -> Vec<TensorData> {
-    execute_network_blocks_pooled(
-        network,
-        schedule,
-        weights,
-        0..network.blocks.len(),
-        inputs,
-        arena,
-        serial_stages,
-    )
-}
-
 /// Executes one sample through a contiguous **block range** of the network
-/// with pooled storage — the unit a pipeline segment worker runs. `inputs`
+/// with pooled storage, consuming `inputs` and recycling every intermediate
+/// tensor — the zero-allocation op loop of the serving runtime, and the
+/// unit a pipeline segment worker runs. Each block runs under its schedule
+/// when one is given, sequentially otherwise. `inputs`
 /// are the external inputs of the range's first block (the network inputs
 /// for block 0, the previous block's outputs otherwise); the return value
 /// is the last block's outputs, ready to feed the next range. Running the
@@ -664,21 +536,11 @@ pub(crate) fn execute_network_blocks_pooled(
     blocks: std::ops::Range<usize>,
     inputs: Vec<TensorData>,
     arena: &ScratchPool,
-    serial_stages: bool,
 ) -> Vec<TensorData> {
     let mut current = inputs;
     for index in blocks {
         let block = &network.blocks[index];
         let op_outputs = match schedule {
-            // When several samples already cover the lanes, run the stage
-            // groups serially (bit-identical either way).
-            Some(s) if serial_stages => execute_schedule_pooled_serial(
-                &block.graph,
-                &s.block_schedules[index],
-                &current,
-                Some(weights.block(index)),
-                arena,
-            ),
             Some(s) => execute_schedule_pooled(
                 &block.graph,
                 &s.block_schedules[index],
@@ -722,10 +584,8 @@ pub(crate) fn execute_network_blocks_pooled(
 /// fast path. Each sample runs the whole
 /// network (under `schedule` when given) with pooled, allocation-free
 /// storage; because every operator treats batch items independently, the
-/// restacked outputs are **bit-identical** to
-/// [`execute_network_scheduled`] on the stacked batch, and to solo
-/// [`execute_network`] runs per sample — regardless of worker count or
-/// completion order.
+/// restacked outputs are **bit-identical** to solo [`execute_network`]
+/// runs per sample — regardless of worker count or completion order.
 ///
 /// `network` may be shaped for any batch size; the per-sample instance is
 /// derived once per call when needed (pass the batch-1 instance to avoid
@@ -805,13 +665,13 @@ pub fn execute_network_batched_capped(
             .map(|n| {
                 let sample_inputs: Vec<TensorData> =
                     inputs.iter().map(|t| sample_pooled(t, n, arena)).collect();
-                execute_network_sample_pooled(
+                execute_network_blocks_pooled(
                     per_sample,
                     schedule,
                     weights,
+                    0..per_sample.blocks.len(),
                     sample_inputs,
                     arena,
-                    batch > 1,
                 )
             })
             .collect::<Vec<_>>()
@@ -965,14 +825,18 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_weights_match_on_the_fly_execution() {
+    fn one_weight_set_serves_every_call_bit_identically() {
         let net = tiny_network(1);
         let weights = NetworkWeights::precompute(&net);
         assert!(weights.num_parameters() > 0);
         let input = TensorData::random(net.input_shape, 42);
         let reference = execute_network(&net, std::slice::from_ref(&input));
-        let reused = execute_network_with_weights(&net, &weights, &[input]);
-        assert_eq!(reference, reused, "weight reuse must be bit-identical");
+        let arena = ScratchPool::new();
+        for _ in 0..2 {
+            let reused =
+                execute_network_batched(&net, None, &weights, std::slice::from_ref(&input), &arena);
+            assert_eq!(reference, reused, "weight reuse must be bit-identical");
+        }
     }
 
     #[test]
@@ -989,7 +853,9 @@ mod tests {
             .collect();
         let refs: Vec<&TensorData> = samples.iter().collect();
         let stacked = stack_batch(&refs);
-        let batched_out = execute_network_scheduled(&net_b, &schedule, &weights, &[stacked]);
+        let arena = ScratchPool::new();
+        let batched_out =
+            execute_network_batched(&net_b, Some(&schedule), &weights, &[stacked], &arena);
         assert_eq!(batched_out.len(), 2, "the tiny network has two outputs");
         let per_output_samples: Vec<Vec<TensorData>> =
             batched_out.iter().map(split_batch).collect();
@@ -1003,5 +869,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A network of dense convolutions only: every weight goes through a
+    /// [`ConvKernel`].
+    fn dense_conv_network() -> Network {
+        use ios_ir::{Block, Conv2dParams, GraphBuilder, TensorShape};
+        let input = TensorShape::new(1, 32, 8, 8);
+        let mut b = GraphBuilder::new("dense_only_b0", input);
+        let x = b.input(0);
+        let a = b.conv2d("a", x, Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)));
+        let c = b.conv2d("c", a, Conv2dParams::relu(64, (1, 1), (1, 1), (0, 0)));
+        let d = b.conv2d("d", c, Conv2dParams::relu(32, (3, 3), (1, 1), (1, 1)));
+        Network::new("dense_only", input, vec![Block::new(b.build(vec![d]))])
+    }
+
+    #[test]
+    fn int8_weights_are_a_quarter_of_the_f32_footprint() {
+        let net = dense_conv_network();
+        let f32_weights = NetworkWeights::precompute(&net);
+        let int8_weights = NetworkWeights::precompute_as(&net, WeightPrecision::Int8);
+        let (f32_fp, int8_fp) = (f32_weights.footprint(), int8_weights.footprint());
+        // Only the kernel form is resident: 4 B per weight (the channel
+        // counts are multiples of the panel height, so no padding)…
+        assert_eq!(f32_fp.int8_bytes, 0);
+        assert_eq!(f32_fp.f32_bytes, f32_weights.num_parameters() * 4);
+        // …against 1 B per weight plus one f32 scale per output channel.
+        assert_eq!(int8_fp.f32_bytes, 0);
+        assert!(
+            int8_fp.total() * 100 <= f32_fp.total() * 30,
+            "int8 {} B vs f32 {} B",
+            int8_fp.total(),
+            f32_fp.total()
+        );
+        assert_eq!(int8_weights.num_parameters(), f32_weights.num_parameters());
     }
 }

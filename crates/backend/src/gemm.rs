@@ -10,53 +10,50 @@
 //! `mul` + `add` operations as the reference. Padding positions contribute
 //! explicit zero patch values; adding `±0.0 * w` terms never changes a
 //! finite IEEE-754 sum, so results compare equal (`==`) element for
-//! element. No FMA contraction is used on either path.
+//! element. No FMA contraction is used.
 //!
 //! Layout:
 //!
 //! * patch matrix `B`: `K × M` where `K = in_c/groups · kh · kw` and
 //!   `M = oh · ow`; row `k` holds the input values the k-th kernel element
 //!   sees at every output pixel (zero where padding is hit);
-//! * weight matrix `A`: the existing `[out_c][in_c/g][kh][kw]` filter —
-//!   each output channel's row is already `K` contiguous values;
+//! * weight matrix `A`: the `[out_c][in_c/g][kh][kw]` filter, one row of
+//!   `K` values per output channel, pre-packed into the tile-major panels
+//!   of [`PackedFilter`] at weight-precompute time;
 //! * `C = A · B` is the `out_c/g × M` output of one group, written directly
 //!   into the NCHW output tensor.
 //!
 //! Pointwise convolutions (1×1, stride 1, no padding) skip im2col entirely:
 //! the input channel planes already *are* the patch matrix.
 //!
-//! Two weight representations feed the same semantics: the natural layout
-//! above ([`conv2d_im2col`]) and the pre-packed tile-major panels of
-//! [`PackedFilter`] ([`conv2d_im2col_packed`]), which the serving runtime
-//! packs once at weight-precompute time. The packed kernel walks the
-//! output column blocks in the outer loop and **fuses im2col into the
-//! block walk**: instead of materializing the full `K × M` patch matrix
-//! per call, it builds each `K × NR` column block in cache right before
-//! all packed panels stream over it ([`im2col_block`]), so the patch data
-//! of a large layer never round-trips through memory at all. Because the
-//! block holds exactly the values the full matrix would, packing is a pure
-//! permutation, and every accumulator still sums over strictly ascending
-//! `k`, both paths are bit-identical to each other and to the naive
-//! reference.
+//! There is one f32 kernel ([`conv2d_im2col_packed`]). It walks the output
+//! column blocks in the outer loop and **fuses im2col into the block
+//! walk**: the full `K × M` patch matrix is never materialized; each
+//! `K × PACK_NR` column block is built in cache right before all packed
+//! panels stream over it ([`im2col_block`]), so the patch data of a large
+//! layer never round-trips through memory at all. The block holds exactly
+//! the patch values, packing is a pure permutation of the filter, and every
+//! accumulator sums over strictly ascending `k` — bit-identical to the
+//! naive reference ([`crate::ops_cpu::conv2d_naive`]), the oracle every
+//! test checks it against.
 //!
 //! **Epilogues are fused into the tile writeback.** An [`Epilogue`]
 //! descriptor (bias / residual-add / ReLU, composable) is threaded through
-//! every kernel down to the `MR × NR` tile store, so activations and adds
-//! apply while the output tile is register-hot instead of as separate
-//! whole-tensor passes afterwards. The fused epilogue computes the exact
-//! per-element expression of the separate passes — `(acc + bias) +
+//! the kernel down to the `PACK_MR × PACK_NR` tile store, so activations
+//! and adds apply while the output tile is register-hot instead of as
+//! separate whole-tensor passes afterwards. The fused epilogue computes the
+//! exact per-element expression of the separate passes — `(acc + bias) +
 //! residual`, then `max(0, ·)` — so the f32 path stays bit-identical to
 //! the pass-after reference (`max(0, ·)` per element commutes with the
 //! store order).
 //!
-//! **Runtime SIMD dispatch.** Both f32 kernels carry explicit AVX2
-//! variants of their full register tiles (and of the fused epilogue
-//! store), selected per call through the shared [`crate::simd`] dispatch
-//! module; SSE2-and-below hosts keep the auto-vectorized form. The AVX2
-//! tiles use only `vmulps` + `vaddps` — never FMA — and accumulate each
-//! output element over the identical strictly ascending `k` sequence, so
-//! the selected ISA is invisible in the output bits: every path stays
-//! bit-identical to the naive oracle.
+//! **Runtime SIMD dispatch.** The full register tile (and its fused
+//! epilogue store) has an explicit AVX2 variant, selected per call through
+//! the shared [`crate::simd`] dispatch module; SSE2-and-below hosts keep
+//! the auto-vectorized form. The AVX2 tile uses only `vmulps` + `vaddps` —
+//! never FMA — and accumulates each output element over the identical
+//! strictly ascending `k` sequence, so the selected ISA is invisible in the
+//! output bits: every tier stays bit-identical to the naive oracle.
 //!
 //! **Int8 quantized path.** [`QuantizedFilter`] holds per-output-channel
 //! symmetric-scale int8 weights in a pair-interleaved panel layout (4× the
@@ -76,17 +73,12 @@ use crate::workers::{self, DisjointOut};
 use ios_ir::{Conv2dParams, TensorShape};
 use std::ops::Range;
 
-/// Output-channel rows per register tile.
-const MR: usize = 4;
-/// Output-pixel columns per register tile (two 8-lane vectors on AVX2).
-const NR: usize = 16;
-/// Output-channel rows per register tile of the *packed* kernel: the
-/// tile-major layout feeds the microkernel one contiguous `PACK_MR`-wide
-/// slab per k step. 4 × 16 accumulators + 2 patch vectors + 1 broadcast
+/// Output-channel rows per register tile: the tile-major layout feeds the
+/// microkernel one contiguous `PACK_MR`-wide slab per k step. 4 × 16 accumulators + 2 patch vectors + 1 broadcast
 /// fit the 16 AVX2 registers; wider tiles (6 or 8 rows) measured slower
 /// here because the accumulator array spills.
 const PACK_MR: usize = 4;
-/// Output-pixel columns per register tile of the packed kernel.
+/// Output-pixel columns per register tile (two 8-lane vectors on AVX2).
 const PACK_NR: usize = 16;
 
 /// A convolution filter pre-packed into the GEMM microkernel's tile-major
@@ -99,7 +91,8 @@ const PACK_NR: usize = 16;
 /// contiguous sequence. Packing is a pure permutation (edge panels are
 /// zero-padded rows that are never read back into the output), so the
 /// packed path consumes exactly the same weight values in exactly the same
-/// order per output element — bit-identical to the unpacked kernel.
+/// order per output element as the naive loop reads them from the natural
+/// layout.
 ///
 /// Pack once at weight-precompute time ([`crate::batch::BlockWeights`]);
 /// every later execution streams the packed filter directly.
@@ -314,48 +307,10 @@ impl ConvEpilogue<'_> {
     }
 }
 
-/// im2col + blocked-GEMM convolution. Bit-identical to
-/// [`crate::ops_cpu::conv2d_naive`]; scratch comes from `pool` and is
-/// recycled before returning, the output tensor is taken from `pool` and
-/// owned by the caller.
-#[must_use]
-pub fn conv2d_im2col(
-    input: &TensorData,
-    params: &Conv2dParams,
-    weights: &[f32],
-    pool: &impl Arena,
-) -> TensorData {
-    conv2d_gemm(
-        input,
-        params,
-        Filter::Unpacked(weights),
-        &ConvEpilogue::default(),
-        pool,
-    )
-}
-
-/// [`conv2d_im2col`] with a fused epilogue: input-ReLU during im2col,
-/// bias / residual-add / ReLU in the tile writeback. Bit-identical to
-/// running the same operations as separate passes after the convolution.
-///
-/// # Panics
-///
-/// Panics if a provided residual's shape differs from the output shape or
-/// a provided bias is shorter than `params.out_channels`.
-#[must_use]
-pub fn conv2d_im2col_fused(
-    input: &TensorData,
-    params: &Conv2dParams,
-    weights: &[f32],
-    ep: &ConvEpilogue<'_>,
-    pool: &impl Arena,
-) -> TensorData {
-    conv2d_gemm(input, params, Filter::Unpacked(weights), ep, pool)
-}
-
-/// [`conv2d_im2col`] reading the filter from its pre-packed tile-major
-/// layout — the serving fast path. Bit-identical to the unpacked kernel
-/// (and therefore to [`crate::ops_cpu::conv2d_naive`]).
+/// im2col + blocked-GEMM convolution reading the filter from its
+/// pre-packed tile-major layout. Bit-identical to
+/// [`crate::ops_cpu::conv2d_naive`]; per-lane scratch is thread-local, the
+/// output tensor is taken from `pool` and owned by the caller.
 ///
 /// # Panics
 ///
@@ -368,43 +323,6 @@ pub fn conv2d_im2col_packed(
     pool: &impl Arena,
 ) -> TensorData {
     conv2d_im2col_packed_fused(input, params, packed, &ConvEpilogue::default(), pool)
-}
-
-/// [`conv2d_im2col_packed`] with a fused epilogue — the serving fast
-/// path. Bit-identical to the unpacked fused kernel (and to the separate
-/// passes it replaces).
-///
-/// # Panics
-///
-/// Panics if `packed` was not packed for this convolution's geometry, or
-/// a provided residual/bias does not match the output geometry.
-#[must_use]
-pub fn conv2d_im2col_packed_fused(
-    input: &TensorData,
-    params: &Conv2dParams,
-    packed: &PackedFilter,
-    ep: &ConvEpilogue<'_>,
-    pool: &impl Arena,
-) -> TensorData {
-    let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
-    assert!(
-        packed.matches(params.out_channels, params.groups, k_len),
-        "packed filter geometry (out_c {}, groups {}, k {}) does not match the convolution \
-         (out_c {}, groups {}, k {})",
-        packed.out_channels,
-        packed.groups,
-        packed.k_len,
-        params.out_channels,
-        params.groups,
-        k_len
-    );
-    conv2d_gemm(input, params, Filter::Packed(packed), ep, pool)
-}
-
-/// The weight operand of the GEMM: natural layout or pre-packed panels.
-enum Filter<'a> {
-    Unpacked(&'a [f32]),
-    Packed(&'a PackedFilter),
 }
 
 /// How one sample of a packed (f32 or int8) convolution is cut into
@@ -447,13 +365,35 @@ impl TileSplit {
     }
 }
 
-fn conv2d_gemm(
+/// [`conv2d_im2col_packed`] with a fused epilogue: input-ReLU during
+/// im2col, bias / residual-add / ReLU in the tile writeback. Bit-identical
+/// to running the same operations as separate passes around the naive
+/// convolution.
+///
+/// # Panics
+///
+/// Panics if `packed` was not packed for this convolution's geometry, or
+/// a provided residual/bias does not match the output geometry.
+#[must_use]
+pub fn conv2d_im2col_packed_fused(
     input: &TensorData,
     params: &Conv2dParams,
-    filter: Filter<'_>,
+    packed: &PackedFilter,
     ep: &ConvEpilogue<'_>,
     pool: &impl Arena,
 ) -> TensorData {
+    let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
+    assert!(
+        packed.matches(params.out_channels, params.groups, k_len),
+        "packed filter geometry (out_c {}, groups {}, k {}) does not match the convolution \
+         (out_c {}, groups {}, k {})",
+        packed.out_channels,
+        packed.groups,
+        packed.k_len,
+        params.out_channels,
+        params.groups,
+        k_len
+    );
     let in_shape = input.shape;
     let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
     let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
@@ -475,7 +415,6 @@ fn conv2d_gemm(
     let in_c_per_group = in_shape.channels / groups;
     let out_c_per_group = params.out_channels / groups;
     let (kh, kw) = params.kernel;
-    let k_len = in_c_per_group * kh * kw;
     let m_cols = oh * ow;
     let in_plane = in_shape.height * in_shape.width;
     let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
@@ -508,106 +447,63 @@ fn conv2d_gemm(
         &input.data[start..start + k_len * m_cols]
     };
 
-    match filter {
-        // The unpacked kernel materializes the full `K × M` patch matrix
-        // per group and runs on the caller alone: it is the reference the
-        // packed path is checked against, not a serving path.
-        Filter::Unpacked(weights) => {
-            let mut patches = if pointwise {
-                Vec::new()
-            } else {
-                pool.take(k_len * m_cols)
-            };
-            for n in 0..in_shape.batch {
-                for g in 0..groups {
+    // The walk is column-block-outer: each lane builds the `K × PACK_NR`
+    // column block it is about to use in its own scratch (fused im2col) and
+    // streams the packed panels over it while it is cache-hot. Every output
+    // element accumulates the patch values over ascending k whichever chunk
+    // its tile falls into, so the bits do not depend on the split.
+    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
+    let out_view = DisjointOut::new(&mut out.data);
+    for n in 0..in_shape.batch {
+        workers::parallel_for_op(split.chunks, |chunk| {
+            let (chunk_groups, blocks) = split.part(chunk);
+            let walk = |scratch: &mut [f32]| {
+                for g in chunk_groups.clone() {
                     let (gep, c_start) = group_epilogue(n, g);
-                    let b: &[f32] = if pointwise {
-                        group_input(n, g)
-                    } else {
-                        im2col_group(
-                            input,
-                            n,
-                            g * in_c_per_group,
-                            in_c_per_group,
-                            params,
-                            oh,
-                            ow,
-                            &mut patches,
-                            ep.input_relu,
+                    let c = out_view.part(c_start, out_c_per_group * m_cols);
+                    for block in blocks.clone() {
+                        let j0 = block * PACK_NR;
+                        let nr = PACK_NR.min(m_cols - j0);
+                        let (b, b_stride) = if pointwise {
+                            (&group_input(n, g)[j0..], m_cols)
+                        } else {
+                            let patch = &mut scratch[..k_len * nr];
+                            im2col_block(
+                                input,
+                                n,
+                                g * in_c_per_group,
+                                in_c_per_group,
+                                params,
+                                ow,
+                                j0,
+                                nr,
+                                patch,
+                                ep.input_relu,
+                            );
+                            (&*patch, nr)
+                        };
+                        packed_panels_over_block(
+                            packed.group(g),
+                            out_c_per_group,
+                            m_cols,
+                            k_len,
+                            b,
+                            b_stride,
+                            j0,
+                            nr,
+                            &gep,
+                            isa,
+                            &c,
                         );
-                        &patches
-                    };
-                    let oc0 = g * out_c_per_group;
-                    let a = &weights[oc0 * k_len..(oc0 + out_c_per_group) * k_len];
-                    let c = &mut out.data[c_start..c_start + out_c_per_group * m_cols];
-                    gemm_bit_exact(out_c_per_group, m_cols, k_len, a, b, &gep, c);
-                }
-            }
-            if !pointwise {
-                pool.recycle(patches);
-            }
-        }
-        // The packed kernel is column-block-outer: it builds each `K × NR`
-        // column block on demand in the lane's scratch (fused im2col) and
-        // streams the packed panels over it while it is cache-hot. Same
-        // patch values, same ascending-k accumulation per output element —
-        // bit-identical to the full-matrix path, however the tile grid is
-        // split across lanes.
-        Filter::Packed(packed) => {
-            let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
-            let out_view = DisjointOut::new(&mut out.data);
-            for n in 0..in_shape.batch {
-                workers::parallel_for_op(split.chunks, |chunk| {
-                    let (chunk_groups, blocks) = split.part(chunk);
-                    let walk = |scratch: &mut [f32]| {
-                        for g in chunk_groups.clone() {
-                            let (gep, c_start) = group_epilogue(n, g);
-                            let c = out_view.part(c_start, out_c_per_group * m_cols);
-                            for block in blocks.clone() {
-                                let j0 = block * PACK_NR;
-                                let nr = PACK_NR.min(m_cols - j0);
-                                let (b, b_stride) = if pointwise {
-                                    (&group_input(n, g)[j0..], m_cols)
-                                } else {
-                                    let patch = &mut scratch[..k_len * nr];
-                                    im2col_block(
-                                        input,
-                                        n,
-                                        g * in_c_per_group,
-                                        in_c_per_group,
-                                        params,
-                                        ow,
-                                        j0,
-                                        nr,
-                                        patch,
-                                        ep.input_relu,
-                                    );
-                                    (&*patch, nr)
-                                };
-                                packed_panels_over_block(
-                                    packed.group(g),
-                                    out_c_per_group,
-                                    m_cols,
-                                    k_len,
-                                    b,
-                                    b_stride,
-                                    j0,
-                                    nr,
-                                    &gep,
-                                    isa,
-                                    &c,
-                                );
-                            }
-                        }
-                    };
-                    if pointwise {
-                        walk(&mut []);
-                    } else {
-                        workers::with_lane_scratch(k_len * PACK_NR, walk);
                     }
-                });
+                }
+            };
+            if pointwise {
+                walk(&mut []);
+            } else {
+                workers::with_lane_scratch(k_len * PACK_NR, walk);
             }
-        }
+        });
     }
     out
 }
@@ -643,67 +539,12 @@ fn fill_seg(seg: &mut [f32], in_row: &[f32], src: usize, sw: usize, input_relu: 
     }
 }
 
-/// Fills `patches` (a `K × M` matrix, `K = in_c_per_group·kh·kw`,
-/// `M = oh·ow`) with the im2col expansion of sample `n`, channels
-/// `[c0, c0 + in_c_per_group)`. Out-of-bounds (padding) positions become
-/// exact `0.0`; every element of `patches` is written. `input_relu`
-/// applies `max(0, ·)` to every loaded value.
-#[allow(clippy::too_many_arguments)]
-fn im2col_group(
-    input: &TensorData,
-    n: usize,
-    c0: usize,
-    in_c_per_group: usize,
-    params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
-    patches: &mut [f32],
-    input_relu: bool,
-) {
-    let shape = input.shape;
-    let (h, w) = (shape.height, shape.width);
-    let (kh, kw) = params.kernel;
-    let (sh, sw) = params.stride;
-    let (ph, pw) = params.padding;
-    let m_cols = oh * ow;
-
-    let mut k = 0usize;
-    for ic in 0..in_c_per_group {
-        let plane_start = (n * shape.channels + c0 + ic) * h * w;
-        let plane = &input.data[plane_start..plane_start + h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = &mut patches[k * m_cols..(k + 1) * m_cols];
-                // Valid output-x range: 0 <= x·sw + kx − pw < w.
-                let (x_lo, x_hi) = valid_range(ow, sw, kx, pw, w);
-                for y in 0..oh {
-                    let iy = (y * sh + ky) as isize - ph as isize;
-                    let seg = &mut row[y * ow..(y + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        seg.fill(0.0);
-                        continue;
-                    }
-                    let in_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    seg[..x_lo].fill(0.0);
-                    if x_hi > x_lo {
-                        let src = ((x_lo * sw + kx) as isize - pw as isize) as usize;
-                        fill_seg(&mut seg[x_lo..x_hi], in_row, src, sw, input_relu);
-                    }
-                    seg[x_hi..].fill(0.0);
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
 /// Fills `patches` (a `K × nr` block, `K = in_c_per_group·kh·kw`, row
 /// stride `nr`) with the im2col expansion of output columns
 /// `[j0, j0 + nr)` of sample `n`, channels `[c0, c0 + in_c_per_group)` —
-/// the fused-im2col building block of the packed kernel. Produces exactly
-/// the values the full-matrix [`im2col_group`] would put in those columns
-/// (padding positions become exact `0.0`); every element of `patches` is
-/// written. `input_relu` applies `max(0, ·)` to every loaded value.
+/// the fused-im2col building block of the kernels: row `k` holds the input
+/// value kernel element `k` sees at each of those output pixels (padding
+/// positions become exact `0.0`); every element of `patches` is written. `input_relu` applies `max(0, ·)` to every loaded value.
 #[allow(clippy::too_many_arguments)]
 fn im2col_block(
     input: &TensorData,
@@ -787,136 +628,6 @@ pub(crate) fn valid_range(
     (lo, hi.max(lo))
 }
 
-/// `C[i·m + j] = Σ_k A[i·k_len + k] · B[k·m + j]` pushed through the
-/// fused epilogue `ep`, with `k` strictly ascending for every `(i, j)` —
-/// the bit-exactness invariant. Register blocking covers `MR × NR` output
-/// tiles; each accumulator's operation sequence is identical to a scalar
-/// loop, and the epilogue applies per element in the tile writeback.
-pub fn gemm_bit_exact(
-    m_rows: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &mut [f32],
-) {
-    let isa = simd::active_isa();
-    let c = &DisjointOut::new(c);
-    let mut i0 = 0;
-    while i0 < m_rows {
-        let mr = MR.min(m_rows - i0);
-        let mut j0 = 0;
-        while j0 < m {
-            let nr = NR.min(m - j0);
-            if mr == MR && nr == NR {
-                tile_full(i0, j0, m, k_len, a, b, ep, c, isa);
-            } else {
-                tile_edge(i0, j0, mr, nr, m, k_len, a, b, ep, c);
-            }
-            j0 += NR;
-        }
-        i0 += MR;
-    }
-}
-
-/// Full `MR × NR` register tile: the explicit AVX2 kernel when the
-/// dispatch selected it, else the auto-vectorized form whose fixed trip
-/// counts let the compiler keep the accumulators in vector registers.
-/// Both run the identical per-element mul+add sequence.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn tile_full(
-    i0: usize,
-    j0: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &DisjointOut<'_>,
-    isa: Isa,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: the dispatch module only selects Avx2 after runtime
-        // feature detection (or a forced override validated against it).
-        unsafe { tile_full_avx2(i0, j0, m, k_len, a, b, ep, c) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
-    let mut acc = [[0.0f32; NR]; MR];
-    let mut a_rows = [&a[0..0]; MR];
-    for (i, row) in a_rows.iter_mut().enumerate() {
-        *row = &a[(i0 + i) * k_len..(i0 + i + 1) * k_len];
-    }
-    let b_off = &b[j0..];
-    for kk in 0..k_len {
-        let brow = &b_off[kk * m..kk * m + NR];
-        for i in 0..MR {
-            let aik = a_rows[i][kk];
-            let lane = &mut acc[i];
-            for j in 0..NR {
-                lane[j] += aik * brow[j];
-            }
-        }
-    }
-    for (i, lane) in acc.iter().enumerate() {
-        store_lane(ep, i0 + i, j0, m, lane, c);
-    }
-}
-
-/// Explicit AVX2 form of the full `MR × NR` tile: the 4 × 16 f32
-/// accumulators live in 8 ymm registers (two per row), each k step loads
-/// the `NR`-row of `B` as two vectors and broadcasts one `A` value per
-/// row. Only `vmulps` + `vaddps` are issued — no FMA — so lane `j` of row
-/// `i` receives exactly the scalar sequence `acc += a[i][k] · b[k][j]`
-/// over strictly ascending `k`: bit-identical to the auto-vectorized
-/// tile.
-///
-/// # Safety
-///
-/// AVX2 must be available (guaranteed by the dispatch module). Slice
-/// bounds are the same as [`tile_full`]'s and are debug-asserted.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_full_avx2(
-    i0: usize,
-    j0: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &DisjointOut<'_>,
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(a.len() >= (i0 + MR) * k_len);
-    debug_assert!(k_len == 0 || b.len() >= (k_len - 1) * m + j0 + NR);
-    // SAFETY: all pointer arithmetic stays inside the slices per the
-    // bounds above; loads are explicitly unaligned.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        let ap = a.as_ptr().add(i0 * k_len);
-        let bp = b.as_ptr().add(j0);
-        for kk in 0..k_len {
-            let brow = bp.add(kk * m);
-            let b0 = _mm256_loadu_ps(brow);
-            let b1 = _mm256_loadu_ps(brow.add(8));
-            for (i, accr) in acc.iter_mut().enumerate() {
-                let aik = _mm256_set1_ps(*ap.add(i * k_len + kk));
-                accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(aik, b0));
-                accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(aik, b1));
-            }
-        }
-        for (i, accr) in acc.iter().enumerate() {
-            store_lane_avx2(ep, i0 + i, j0, m, *accr, c);
-        }
-    }
-}
-
 /// Vectorized [`store_lane`] for one full 16-wide accumulator row held as
 /// two ymm vectors: bias broadcast-add, residual add and `max(0, ·)`
 /// apply lane-wise in the exact per-element order of the scalar store —
@@ -928,7 +639,7 @@ unsafe fn tile_full_avx2(
 ///
 /// # Safety
 ///
-/// AVX2 must be available. Row `row`, columns `[j0, j0 + NR)` must lie
+/// AVX2 must be available. Row `row`, columns `[j0, j0 + PACK_NR)` must lie
 /// inside `c` (and inside the residual, when present) — enforced by the
 /// slice indexing below.
 #[cfg(target_arch = "x86_64")]
@@ -953,7 +664,7 @@ unsafe fn store_lane_avx2(
             v1 = _mm256_add_ps(v1, bv);
         }
         if let Some(res) = ep.residual {
-            let r = &res[start..start + NR];
+            let r = &res[start..start + PACK_NR];
             v0 = _mm256_add_ps(v0, _mm256_loadu_ps(r.as_ptr()));
             v1 = _mm256_add_ps(v1, _mm256_loadu_ps(r.as_ptr().add(8)));
         }
@@ -962,24 +673,23 @@ unsafe fn store_lane_avx2(
             v0 = _mm256_max_ps(v0, zero);
             v1 = _mm256_max_ps(v1, zero);
         }
-        let dst = c.slice_mut(start, NR);
+        let dst = c.slice_mut(start, PACK_NR);
         _mm256_storeu_ps(dst.as_mut_ptr(), v0);
         _mm256_storeu_ps(dst.as_mut_ptr().add(8), v1);
     }
 }
 
-/// [`gemm_bit_exact`] reading `A` from tile-major packed panels
+/// `C[i·m + j] = Σ_k A[i][k] · B[k·m + j]` pushed through the fused
+/// epilogue `ep`, with `k` strictly ascending for every `(i, j)` — the
+/// bit-exactness invariant — reading `A` from tile-major packed panels
 /// ([`PackedFilter::pack`]): panel `p` holds rows `p·PACK_MR ..` as
 /// `panel[k · PACK_MR + row]`, so the k loop walks one contiguous stream.
-/// Every output element still accumulates over strictly ascending `k` —
-/// bit-identical to the unpacked kernel.
 ///
-/// The loop nest is column-block-outer: for each `NR`-wide block of output
-/// pixels, *all* weight panels are streamed over the same `K × NR` slice of
-/// the patch matrix. The slice stays cache-hot across panels, so the big
-/// patch matrix of a large layer crosses the memory hierarchy once instead
-/// of once per panel — the unpacked kernel's dominant cost on
-/// GEMM-bound shapes — while the packed `A` is one sequential,
+/// The loop nest is column-block-outer: for each `PACK_NR`-wide block of
+/// output pixels, *all* weight panels are streamed over the same
+/// `K × PACK_NR` slice of the patch matrix. The slice stays cache-hot
+/// across panels, so the patch matrix crosses the memory hierarchy once
+/// instead of once per panel, while the packed `A` is one sequential,
 /// hardware-prefetchable stream per block.
 pub fn gemm_bit_exact_packed(
     m_rows: usize,
@@ -1003,8 +713,8 @@ pub fn gemm_bit_exact_packed(
 /// Streams every packed panel over one `nr`-wide column block of `B`.
 ///
 /// `b_block` holds B columns `[j0, j0 + nr)` with row stride `b_stride`: a
-/// view into the full `K × M` patch matrix (`b_stride = m`) for the
-/// pointwise / full-matrix paths, or a fused cache-resident `K × nr` block
+/// view into a full `K × M` patch matrix (`b_stride = m`, a pointwise
+/// convolution's input planes), or a fused cache-resident `K × nr` block
 /// (`b_stride = nr`) built by [`im2col_block`]. `c` is the full
 /// `m_rows × m` output; columns `[j0, j0 + nr)` are written. Every output
 /// element accumulates over strictly ascending `k` with the same values
@@ -1083,16 +793,22 @@ fn packed_tile_full(
     }
 }
 
-/// Explicit AVX2 form of the full packed tile: same 8-ymm accumulator
-/// layout as [`tile_full_avx2`], with `A` read as one contiguous
-/// `PACK_MR`-slab per k step straight from the packed panel. Mul+add
-/// only, strictly ascending `k` per element — bit-identical to the
-/// auto-vectorized packed tile.
+/// Explicit AVX2 form of the full packed tile: the 4 × 16 f32
+/// accumulators live in 8 ymm registers (two per row); each k step loads
+/// the `PACK_NR`-row of `B` as two vectors and broadcasts one `A` value per
+/// row from the contiguous `PACK_MR`-slab of the packed panel. Only
+/// `vmulps` + `vaddps` are issued — no FMA — so lane `j` of row `i`
+/// receives exactly the scalar sequence `acc += a[i][k] · b[k][j]` over
+/// strictly ascending `k`: bit-identical to the auto-vectorized tile.
 ///
 /// # Safety
 ///
-/// AVX2 must be available (guaranteed by the dispatch module). Slice
-/// bounds are the same as [`packed_tile_full`]'s and are debug-asserted.
+/// AVX2 must be available (guaranteed by the dispatch module).
+///
+/// # Panics
+///
+/// Panics if `panel` or `b` is too short for the tile — the raw loads
+/// below never run against an out-of-bounds slice.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
@@ -1108,10 +824,13 @@ unsafe fn packed_tile_full_avx2(
     c: &DisjointOut<'_>,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(panel.len() >= k_len * PACK_MR);
-    debug_assert!(k_len == 0 || b.len() >= (k_len - 1) * b_stride + PACK_NR);
+    assert!(panel.len() >= k_len * PACK_MR, "packed panel too short");
+    assert!(
+        k_len == 0 || b.len() >= (k_len - 1) * b_stride + PACK_NR,
+        "patch block too short"
+    );
     // SAFETY: all pointer arithmetic stays inside the slices per the
-    // bounds above; loads are explicitly unaligned.
+    // asserts above; loads are explicitly unaligned.
     unsafe {
         let mut acc = [[_mm256_setzero_ps(); 2]; PACK_MR];
         let pp = panel.as_ptr();
@@ -1155,37 +874,6 @@ fn packed_tile_edge(
         let brow = &b[kk * b_stride..kk * b_stride + nr];
         for i in 0..mr {
             let aik = a_k[i];
-            let lane = &mut acc[i];
-            for (j, bv) in brow.iter().enumerate() {
-                lane[j] += aik * bv;
-            }
-        }
-    }
-    for (i, lane) in acc.iter().enumerate().take(mr) {
-        store_lane(ep, i0 + i, j0, m, &lane[..nr], c);
-    }
-}
-
-/// Partial tile at the right/bottom edges (`mr <= MR`, `nr <= NR`).
-#[allow(clippy::too_many_arguments)]
-fn tile_edge(
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &DisjointOut<'_>,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    let b_off = &b[j0..];
-    for kk in 0..k_len {
-        let brow = &b_off[kk * m..kk * m + nr];
-        for i in 0..mr {
-            let aik = a[(i0 + i) * k_len + kk];
             let lane = &mut acc[i];
             for (j, bv) in brow.iter().enumerate() {
                 lane[j] += aik * bv;
@@ -1608,12 +1296,12 @@ fn quant_panels_over_block(
 fn quant_tile(panel: &[i8], pairs: usize, b: &[i16], acc: &mut [i32; PACK_MR * PACK_NR], isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: SSE2 is part of the x86_64 baseline; the AVX2 variant
-        // only runs after the dispatch module's runtime feature check (or
-        // a forced override validated against it) passed.
         match isa {
+            // SAFETY: the AVX2 variant only runs after the dispatch
+            // module's runtime feature check (or a forced override
+            // validated against it) passed.
             Isa::Avx2 => unsafe { quant_tile_avx2(panel, pairs, b, acc) },
-            Isa::Sse2 => unsafe { quant_tile_sse2(panel, pairs, b, acc) },
+            Isa::Sse2 => quant_tile_sse2(panel, pairs, b, acc),
             Isa::Scalar => quant_tile_scalar(panel, pairs, b, acc),
         }
     }
@@ -1643,26 +1331,31 @@ fn quant_tile_scalar(panel: &[i8], pairs: usize, b: &[i16], acc: &mut [i32; PACK
     }
 }
 
+/// The bounds the explicit-SIMD integer tiles read through raw pointers:
+/// checked once per tile, outside the pair loop, in every build.
+#[cfg(target_arch = "x86_64")]
+fn assert_quant_tile_bounds(panel: &[i8], pairs: usize, b: &[i16]) {
+    assert!(panel.len() >= pairs * PACK_MR * 2, "int8 panel too short");
+    assert!(b.len() >= pairs * PACK_NR * 2, "quantized block too short");
+}
+
 /// SSE2 `pmaddwd` tile. SSE2 is unconditionally available on x86_64, so
 /// this is the portable floor of the integer path.
 ///
-/// # Safety
+/// # Panics
 ///
-/// `panel` must hold `pairs · PACK_MR · 2` i8 and `b` must hold
-/// `pairs · PACK_NR · 2` i16 (unaligned loads stay in bounds).
+/// Panics unless `panel` holds `pairs · PACK_MR · 2` i8 and `b` holds
+/// `pairs · PACK_NR · 2` i16 — the raw loads below never run against an
+/// out-of-bounds slice.
 #[cfg(target_arch = "x86_64")]
-unsafe fn quant_tile_sse2(
-    panel: &[i8],
-    pairs: usize,
-    b: &[i16],
-    acc: &mut [i32; PACK_MR * PACK_NR],
-) {
+fn quant_tile_sse2(panel: &[i8], pairs: usize, b: &[i16], acc: &mut [i32; PACK_MR * PACK_NR]) {
     use std::arch::x86_64::*;
-    debug_assert!(panel.len() >= pairs * PACK_MR * 2 && b.len() >= pairs * PACK_NR * 2);
+    assert_quant_tile_bounds(panel, pairs, b);
     // 4 × 16 i32 accumulators would need 16 xmm registers and spill, so
     // the 16 columns are walked in two halves of 8.
-    // SAFETY: all pointer arithmetic stays inside the slices per the
-    // contract above; loads/stores are explicitly unaligned.
+    // SAFETY: SSE2 is part of the x86_64 baseline; all pointer arithmetic
+    // stays inside the slices per the assert above; loads/stores are
+    // explicitly unaligned.
     unsafe {
         for half in 0..2 {
             let mut accv = [[_mm_setzero_si128(); 2]; PACK_MR];
@@ -1695,8 +1388,11 @@ unsafe fn quant_tile_sse2(
 ///
 /// # Safety
 ///
-/// AVX2 must be available (runtime-checked by the caller) and the slice
-/// bounds of [`quant_tile_sse2`] hold.
+/// AVX2 must be available (runtime-checked by the caller).
+///
+/// # Panics
+///
+/// Panics on the slice bounds [`quant_tile_sse2`] checks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quant_tile_avx2(
@@ -1706,8 +1402,8 @@ unsafe fn quant_tile_avx2(
     acc: &mut [i32; PACK_MR * PACK_NR],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(panel.len() >= pairs * PACK_MR * 2 && b.len() >= pairs * PACK_NR * 2);
-    // SAFETY: pointer arithmetic stays inside the slices per the contract
+    assert_quant_tile_bounds(panel, pairs, b);
+    // SAFETY: pointer arithmetic stays inside the slices per the assert
     // above; loads/stores are explicitly unaligned.
     unsafe {
         let mut accv = [[_mm256_setzero_si256(); 2]; PACK_MR];
@@ -1736,30 +1432,21 @@ unsafe fn quant_tile_avx2(
 mod tests {
     use super::*;
     use crate::arena::ScratchPool;
+    use crate::ops_cpu::conv2d_naive;
 
-    #[test]
-    fn gemm_matches_scalar_reference() {
-        // 7×23 output with k = 11: exercises full and edge tiles.
-        let (m_rows, m, k_len) = (7usize, 23usize, 11usize);
-        let a: Vec<f32> = (0..m_rows * k_len).map(|i| (i as f32).sin()).collect();
-        let b: Vec<f32> = (0..k_len * m).map(|i| (i as f32).cos()).collect();
-        let mut c = vec![0.0f32; m_rows * m];
-        gemm_bit_exact(m_rows, m, k_len, &a, &b, &Epilogue::NONE, &mut c);
-        for i in 0..m_rows {
-            for j in 0..m {
-                let mut acc = 0.0f32;
-                for kk in 0..k_len {
-                    acc += a[i * k_len + kk] * b[kk * m + j];
-                }
-                assert_eq!(c[i * m + j], acc, "tile result must be bit-identical");
-            }
-        }
+    /// `sin`/`cos`-filled GEMM operands: `A` is `m_rows × k_len`, `B` is
+    /// `k_len × m`.
+    fn operands(m_rows: usize, m: usize, k_len: usize) -> (Vec<f32>, Vec<f32>) {
+        let a = (0..m_rows * k_len).map(|i| (i as f32).sin()).collect();
+        let b = (0..k_len * m).map(|i| (i as f32).cos()).collect();
+        (a, b)
     }
 
     #[test]
-    fn packed_gemm_is_bit_identical_to_unpacked() {
-        // Row counts around the PACK_MR boundary, column counts around NR,
-        // including a single-row (depthwise-like) matrix.
+    fn packed_gemm_matches_scalar_reference() {
+        // Row counts around the PACK_MR boundary, column counts around
+        // PACK_NR (full and edge tiles), including a single-row
+        // (depthwise-like) matrix.
         for &(m_rows, m, k_len) in &[
             (7usize, 23usize, 11usize),
             (6, 16, 4),
@@ -1767,12 +1454,9 @@ mod tests {
             (1, 5, 3),
             (12, 48, 9),
         ] {
-            let a: Vec<f32> = (0..m_rows * k_len).map(|i| (i as f32).sin()).collect();
-            let b: Vec<f32> = (0..k_len * m).map(|i| (i as f32).cos()).collect();
-            let mut unpacked = vec![0.0f32; m_rows * m];
-            gemm_bit_exact(m_rows, m, k_len, &a, &b, &Epilogue::NONE, &mut unpacked);
+            let (a, b) = operands(m_rows, m, k_len);
             let packed = PackedFilter::pack(&a, m_rows, 1, k_len);
-            let mut from_packed = vec![0.0f32; m_rows * m];
+            let mut c = vec![0.0f32; m_rows * m];
             gemm_bit_exact_packed(
                 m_rows,
                 m,
@@ -1780,12 +1464,21 @@ mod tests {
                 packed.group(0),
                 &b,
                 &Epilogue::NONE,
-                &mut from_packed,
+                &mut c,
             );
-            assert_eq!(
-                from_packed, unpacked,
-                "{m_rows}x{m} (k {k_len}) must be bit-identical"
-            );
+            for i in 0..m_rows {
+                for j in 0..m {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k_len {
+                        acc += a[i * k_len + kk] * b[kk * m + j];
+                    }
+                    assert_eq!(
+                        c[i * m + j],
+                        acc,
+                        "{m_rows}x{m} (k {k_len}) must be bit-identical"
+                    );
+                }
+            }
         }
     }
 
@@ -1813,12 +1506,23 @@ mod tests {
         }
     }
 
+    /// `sin`-filled filter for `params` over `shape`, natural layout and
+    /// packed.
+    fn filters(shape: TensorShape, params: &Conv2dParams) -> (Vec<f32>, PackedFilter) {
+        let k_len = (shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
+        let weights: Vec<f32> = (0..params.out_channels * k_len)
+            .map(|v| (v as f32).sin())
+            .collect();
+        let packed = PackedFilter::pack(&weights, params.out_channels, params.groups, k_len);
+        (weights, packed)
+    }
+
     #[test]
-    fn fused_block_im2col_conv_matches_full_matrix_unpacked_conv() {
-        // The packed path builds K × NR patch blocks on demand; the
-        // unpacked path materializes the full patch matrix. Both must be
-        // bit-identical across strides, padding, groups and ragged widths
-        // (ow not a multiple of NR, blocks spanning several output rows).
+    fn fused_block_im2col_conv_matches_naive() {
+        // The kernel builds K × PACK_NR patch blocks on demand; they must
+        // hold what the naive loop reads across strides, padding, groups
+        // and ragged widths (ow not a multiple of PACK_NR, blocks spanning
+        // several output rows).
         use ios_ir::Activation;
         let pool = ScratchPool::new();
         let cases: Vec<(TensorShape, Conv2dParams)> = vec![
@@ -1849,18 +1553,13 @@ mod tests {
         ];
         for (i, (shape, params)) in cases.iter().enumerate() {
             let input = TensorData::random(*shape, 400 + i as u64);
-            let k_len = (shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
-            let weights: Vec<f32> = (0..params.out_channels * k_len)
-                .map(|v| (v as f32).sin())
-                .collect();
-            let packed = PackedFilter::pack(&weights, params.out_channels, params.groups, k_len);
-            let unpacked_out = conv2d_im2col(&input, params, &weights, &pool);
+            let (weights, packed) = filters(*shape, params);
             let packed_out = conv2d_im2col_packed(&input, params, &packed, &pool);
             assert_eq!(
-                packed_out, unpacked_out,
+                packed_out,
+                conv2d_naive(&input, params, &weights),
                 "case {i}: fused-block packed conv must be bit-identical"
             );
-            pool.recycle_tensor(unpacked_out);
             pool.recycle_tensor(packed_out);
         }
     }
@@ -1868,23 +1567,19 @@ mod tests {
     #[test]
     fn fused_epilogue_matches_separate_passes_bitwise() {
         // bias + residual + relu fused into the tile writeback must equal
-        // the plain conv followed by the three separate passes, bit for
-        // bit, on both the packed and unpacked kernels.
+        // the naive conv followed by the three separate passes, bit for
+        // bit.
         let pool = ScratchPool::new();
         let shape = TensorShape::new(2, 3, 9, 7);
         let params = Conv2dParams::plain(6, (3, 3), (1, 1), (1, 1));
         let input = TensorData::random(shape, 42);
-        let k_len = shape.channels * 9;
-        let weights: Vec<f32> = (0..params.out_channels * k_len)
-            .map(|v| (v as f32).sin())
-            .collect();
-        let packed = PackedFilter::pack(&weights, params.out_channels, 1, k_len);
+        let (weights, packed) = filters(shape, &params);
         let bias: Vec<f32> = (0..params.out_channels).map(|v| (v as f32).cos()).collect();
-        let plain = conv2d_im2col(&input, &params, &weights, &pool);
+        let plain = conv2d_naive(&input, &params, &weights);
         let residual = TensorData::random(plain.shape, 77);
 
         // Separate-pass reference, in the documented epilogue order.
-        let mut reference = plain.clone();
+        let mut reference = plain;
         let m_cols = reference.shape.height * reference.shape.width;
         for n in 0..reference.shape.batch {
             for (oc, &bv) in bias.iter().enumerate() {
@@ -1907,16 +1602,8 @@ mod tests {
             residual: Some(&residual),
             relu: true,
         };
-        let fused = conv2d_im2col_fused(&input, &params, &weights, &ep, &pool);
-        let fused_packed = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
-        assert_eq!(
-            fused, reference,
-            "unpacked fused epilogue must be bit-identical"
-        );
-        assert_eq!(
-            fused_packed, reference,
-            "packed fused epilogue must be bit-identical"
-        );
+        let fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
+        assert_eq!(fused, reference, "fused epilogue must be bit-identical");
     }
 
     #[test]
@@ -1935,20 +1622,13 @@ mod tests {
             for v in &mut activated.data {
                 *v = v.max(0.0);
             }
-            let k_len = shape.channels * params.kernel.0 * params.kernel.1;
-            let weights: Vec<f32> = (0..params.out_channels * k_len)
-                .map(|v| (v as f32).sin())
-                .collect();
-            let packed = PackedFilter::pack(&weights, params.out_channels, 1, k_len);
+            let (weights, packed) = filters(shape, &params);
             let ep = ConvEpilogue {
                 input_relu: true,
                 ..ConvEpilogue::default()
             };
-            let reference = conv2d_im2col(&activated, &params, &weights, &pool);
-            let fused = conv2d_im2col_fused(&input, &params, &weights, &ep, &pool);
-            let fused_packed = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
-            assert_eq!(fused, reference);
-            assert_eq!(fused_packed, reference);
+            let fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
+            assert_eq!(fused, conv2d_naive(&activated, &params, &weights));
         }
     }
 
@@ -1989,12 +1669,11 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             {
                 let mut got = [0i32; PACK_MR * PACK_NR];
-                // SAFETY: slices sized to the kernel contract above.
-                unsafe { quant_tile_sse2(&panel, pairs, &b, &mut got) };
+                quant_tile_sse2(&panel, pairs, &b, &mut got);
                 assert_eq!(got, want, "sse2 must match scalar at {pairs} pairs");
                 if std::arch::is_x86_feature_detected!("avx2") {
                     let mut got = [0i32; PACK_MR * PACK_NR];
-                    // SAFETY: AVX2 just detected; slice contract as above.
+                    // SAFETY: AVX2 just detected.
                     unsafe { quant_tile_avx2(&panel, pairs, &b, &mut got) };
                     assert_eq!(got, want, "avx2 must match scalar at {pairs} pairs");
                 }
@@ -2002,19 +1681,70 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_tiles_panic_on_a_short_b_slice_instead_of_reading_past_it() {
+        // The explicit-SIMD tiles load through raw pointers; a `b` one
+        // element short of the tile must be refused by a check that is
+        // still there in release builds.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pairs = 5usize;
+        let panel = vec![1i8; pairs * PACK_MR * 2];
+        let short_b = vec![1i16; pairs * PACK_NR * 2 - 1];
+        let mut acc = [0i32; PACK_MR * PACK_NR];
+        let sse2 = catch_unwind(AssertUnwindSafe(|| {
+            quant_tile_sse2(&panel, pairs, &short_b, &mut acc);
+        }));
+        assert!(sse2.is_err(), "quant_tile_sse2 must refuse a short block");
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let avx2 = catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: AVX2 just detected.
+            unsafe { quant_tile_avx2(&panel, pairs, &short_b, &mut acc) };
+        }));
+        assert!(avx2.is_err(), "quant_tile_avx2 must refuse a short block");
+
+        let k_len = 9usize;
+        let f32_panel = vec![1.0f32; k_len * PACK_MR];
+        let short_block = vec![1.0f32; k_len * PACK_NR - 1];
+        let mut c = vec![0.0f32; PACK_MR * PACK_NR];
+        let f32_tile = catch_unwind(AssertUnwindSafe(|| {
+            let c = DisjointOut::new(&mut c);
+            // SAFETY: AVX2 just detected.
+            unsafe {
+                packed_tile_full_avx2(
+                    &f32_panel,
+                    0,
+                    0,
+                    PACK_NR,
+                    PACK_NR,
+                    k_len,
+                    &short_block,
+                    &Epilogue::NONE,
+                    &c,
+                );
+            }
+        }));
+        assert!(
+            f32_tile.is_err(),
+            "packed_tile_full_avx2 must refuse a short block"
+        );
+    }
+
     #[test]
     fn f32_tile_isa_variants_agree_bitwise() {
-        // The explicit AVX2 f32 tiles (when the host has them) must
-        // produce bit-identical results to the auto-vectorized baseline,
-        // on both GEMM paths and through every epilogue combination —
-        // the f32 mirror of `quant_tile_isa_variants_agree_with_scalar`.
+        // The explicit AVX2 f32 tile (when the host has it) must produce
+        // bit-identical results to the auto-vectorized baseline through
+        // every epilogue combination — the f32 mirror of
+        // `quant_tile_isa_variants_agree_with_scalar`.
         let supported: Vec<Isa> = [Isa::Scalar, Isa::Sse2, Isa::Avx2]
             .into_iter()
             .filter(|&i| i <= simd::detected_isa())
             .collect();
-        // Shapes around the MR/NR boundaries: full tiles, edge tiles, a
-        // single-row matrix, and a k long enough to accumulate error if
-        // any variant reordered the sum.
+        // Shapes around the PACK_MR/PACK_NR boundaries: full tiles, edge
+        // tiles, a single-row matrix, and a k long enough to accumulate
+        // error if any variant reordered the sum.
         for &(m_rows, m, k_len) in &[
             (8usize, 32usize, 64usize),
             (7, 23, 11),
@@ -2022,8 +1752,7 @@ mod tests {
             (1, 5, 3),
             (13, 50, 200),
         ] {
-            let a: Vec<f32> = (0..m_rows * k_len).map(|i| (i as f32).sin()).collect();
-            let b: Vec<f32> = (0..k_len * m).map(|i| (i as f32).cos()).collect();
+            let (a, b) = operands(m_rows, m, k_len);
             let bias: Vec<f32> = (0..m_rows).map(|i| (i as f32 * 0.7).tan()).collect();
             let residual: Vec<f32> = (0..m_rows * m).map(|i| (i as f32 * 1.3).sin()).collect();
             let packed = PackedFilter::pack(&a, m_rows, 1, k_len);
@@ -2035,26 +1764,16 @@ mod tests {
                 };
                 let run = |isa: Isa| {
                     simd::with_forced_isa(isa, || {
-                        let mut unpacked = vec![0.0f32; m_rows * m];
-                        gemm_bit_exact(m_rows, m, k_len, &a, &b, &ep, &mut unpacked);
-                        let mut from_packed = vec![0.0f32; m_rows * m];
-                        gemm_bit_exact_packed(
-                            m_rows,
-                            m,
-                            k_len,
-                            packed.group(0),
-                            &b,
-                            &ep,
-                            &mut from_packed,
-                        );
-                        (unpacked, from_packed)
+                        let mut c = vec![0.0f32; m_rows * m];
+                        gemm_bit_exact_packed(m_rows, m, k_len, packed.group(0), &b, &ep, &mut c);
+                        c
                     })
                 };
                 let want = run(Isa::Scalar);
                 for &isa in &supported[1..] {
-                    let got = run(isa);
                     assert_eq!(
-                        got, want,
+                        run(isa),
+                        want,
                         "{m_rows}x{m} (k {k_len}, ep {ep_case}) must be bit-identical on {isa}"
                     );
                 }

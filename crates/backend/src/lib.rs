@@ -7,14 +7,14 @@
 //! traffic through `ios-serve`:
 //!
 //! * [`ops_cpu`] — every IR operator, with the naive 7-deep convolution
-//!   loop kept as the oracle ([`ops_cpu::conv2d_naive`]) and an im2col +
-//!   register-blocked GEMM engine ([`gemm`]) as the default path,
-//!   **bit-identical** to the oracle because it preserves the reference's
-//!   `(ic, ky, kx)` accumulation order per output element;
+//!   loop kept as the oracle ([`ops_cpu::conv2d_naive`]) and one im2col +
+//!   register-blocked GEMM kernel ([`gemm`]) that every f32 convolution
+//!   runs, **bit-identical** to the oracle because it preserves the
+//!   reference's `(ic, ky, kx)` accumulation order per output element;
 //! * [`gemm::PackedFilter`] — conv filters pre-packed into the
-//!   microkernel's tile-major layout at weight-precompute time; the packed
-//!   kernel streams the weights contiguously with the patch-matrix block
-//!   cache-hot, still bit-identical (packing is a pure permutation);
+//!   microkernel's tile-major layout at weight-precompute time; the kernel
+//!   streams the weights contiguously with the patch-matrix block
+//!   cache-hot (packing is a pure permutation, so the bits do not change);
 //! * [`simd`] — the runtime SIMD dispatch shared by every microkernel:
 //!   the f32 register tiles and the int8 `pmaddwd` tiles both select
 //!   their widest usable ISA (explicit AVX2 kernels, SSE2/scalar floors)
@@ -31,16 +31,17 @@
 //!   zero heap allocation, from the op loop out to the stacked batch
 //!   outputs at the serving boundary;
 //! * [`executor`] — runs a plain graph or an IOS [`ios_core::Schedule`]
-//!   (stage by stage, groups on the worker pool), precomputing weights once
-//!   per call and serving operator-merge stages from the per-stage
-//!   merged-weight cache ([`BlockWeights::merged_stage`]);
+//!   (stage by stage, groups on the worker pool) from precomputed weights
+//!   ([`BlockWeights`], built for the call when the caller holds none),
+//!   serving operator-merge stages from the per-stage merged-weight cache
+//!   ([`BlockWeights::merged_stage`]);
 //! * [`batch`] — network-level execution, weight precomputation (packed
 //!   filters included), batch stacking/splitting, and
 //!   [`execute_network_batched`] which fans a stacked batch out across
 //!   the worker pool, one deterministic sample per task;
 //! * [`profile`] — the backend as an on-device stage profiler:
 //!   [`CpuStageProfiler`] executes candidate schedule stages through the
-//!   production `execute_stage` path so `ios_core::ProfiledCostModel` can
+//!   executor's one stage runner so `ios_core::ProfiledCostModel` can
 //!   optimize against latencies measured on this very substrate — under a
 //!   configurable background load ([`BackgroundLoad`]) so serving-time
 //!   schedules are optimized for a busy machine, not an idle one;
@@ -66,21 +67,19 @@ pub mod workers;
 
 pub use arena::{Arena, ScratchPool, ScratchScope};
 pub use batch::{
-    execute_network, execute_network_batched, execute_network_batched_capped,
-    execute_network_scheduled, execute_network_with_weights, split_batch, stack_batch,
-    stack_batch_pooled, BlockWeights, MergedWeights, NetworkWeights, OpWeights, WeightFootprint,
-    WeightPrecision,
+    execute_network, execute_network_batched, execute_network_batched_capped, split_batch,
+    stack_batch, stack_batch_pooled, BlockWeights, ConvKernel, MergedWeights, NetworkWeights,
+    OpWeights, WeightFootprint, WeightPrecision,
 };
 pub use executor::{
-    execute_graph, execute_graph_pooled, execute_graph_uncached, execute_graph_with,
-    execute_schedule, execute_schedule_pooled, execute_schedule_pooled_serial,
-    execute_schedule_with, max_abs_difference, relu_fold_plan, verify_schedule, FoldedRelu,
+    execute_graph, execute_graph_pooled, execute_schedule, execute_schedule_pooled,
+    max_abs_difference, relu_fold_plan, verify_schedule, weight_seed, FoldedRelu,
 };
 pub use gemm::{
     quantization_scale, quantize_value, requantize, sample_scale, ConvEpilogue, Epilogue,
     PackedFilter, QuantizedFilter,
 };
 pub use pipeline::{execute_network_pipelined, PipelinedNetworkExecutor};
-pub use profile::{BackgroundLoad, CpuStageProfiler, GroupMode};
+pub use profile::{BackgroundLoad, CpuStageProfiler};
 pub use simd::Isa;
 pub use tensor_data::TensorData;

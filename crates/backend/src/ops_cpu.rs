@@ -5,21 +5,23 @@
 //! (e.g. the original convolutions vs. their merged counterpart) see the
 //! same parameters and must produce the same outputs.
 //!
-//! Two convolution paths exist: [`conv2d_naive`], the obviously-correct
-//! 7-deep reference loop, and [`conv2d`], the im2col + register-blocked GEMM
-//! engine ([`crate::gemm`]) that is several times faster and **bit-identical**
-//! — it preserves the reference's `(ic, ky, kx)` accumulation order per
-//! output element (verified by proptests in `tests/bit_exact.rs`). The GEMM
-//! tile dispatches through [`crate::simd`] at runtime (explicit AVX2
-//! kernels on capable hosts, the auto-vectorized tile elsewhere); every
-//! tier computes the same bits, so the oracle relationship is ISA-free.
-//! The blocked [`matmul`] reduction, by contrast, stays on the
-//! auto-vectorized path only: its dot products accumulate along `k`, and
-//! vectorizing across `k` would reorder the sum and break bit-exactness.
-//! Every
-//! operator has a `*_pooled` variant drawing scratch and output storage from
-//! a [`ScratchPool`] so steady-state serving allocates nothing in the op
-//! loop; the plain variants use the process-global pool.
+//! There is one f32 convolution kernel — [`conv2d_packed_pooled`], the
+//! im2col + register-blocked GEMM engine ([`crate::gemm`]) over pre-packed
+//! filters — and one int8 kernel ([`conv2d_quant_pooled`]); each has a
+//! naive oracle ([`conv2d_naive`], the obviously-correct 7-deep reference
+//! loop, and [`conv2d_naive_quant`]). The f32 kernel is **bit-identical**
+//! to its oracle — it preserves the reference's `(ic, ky, kx)` accumulation
+//! order per output element (verified by proptests in
+//! `tests/bit_exact.rs`). The GEMM tile dispatches through [`crate::simd`]
+//! at runtime (an explicit AVX2 kernel on capable hosts, the
+//! auto-vectorized tile elsewhere); every tier computes the same bits, so
+//! the oracle relationship is ISA-free. The blocked [`matmul`] reduction,
+//! by contrast, stays on the auto-vectorized path only: its dot products
+//! accumulate along `k`, and vectorizing across `k` would reorder the sum
+//! and break bit-exactness. Every operator has a `*_pooled` variant drawing
+//! scratch and output storage from a [`ScratchPool`](crate::ScratchPool) so
+//! steady-state serving allocates nothing in the op loop; the plain
+//! variants use the process-global pool.
 
 use crate::arena::{global_pool, Arena};
 use crate::gemm::{quantize_value, requantize, sample_scale, ConvEpilogue, QuantizedFilter};
@@ -71,41 +73,10 @@ fn apply_activation(activation: Activation, v: f32) -> f32 {
     }
 }
 
-/// Dense / grouped 2-D convolution with explicit weights — the im2col +
-/// blocked-GEMM fast path, bit-identical to [`conv2d_naive`].
-#[must_use]
-pub fn conv2d(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
-    conv2d_pooled(input, params, weights, global_pool())
-}
-
-/// [`conv2d`] with scratch and output storage drawn from `arena`.
-#[must_use]
-pub fn conv2d_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    weights: &[f32],
-    arena: &impl Arena,
-) -> TensorData {
-    crate::gemm::conv2d_im2col(input, params, weights, arena)
-}
-
-/// [`conv2d`] reading the filter from its pre-packed tile-major layout
-/// ([`crate::gemm::PackedFilter`]) — the serving fast path, bit-identical
-/// to [`conv2d`] and [`conv2d_naive`].
-///
-/// # Panics
-///
-/// Panics if the packed filter does not match the convolution's geometry.
-#[must_use]
-pub fn conv2d_packed(
-    input: &TensorData,
-    params: &Conv2dParams,
-    packed: &crate::gemm::PackedFilter,
-) -> TensorData {
-    conv2d_packed_pooled(input, params, packed, global_pool())
-}
-
-/// [`conv2d_packed`] with scratch and output storage drawn from `arena`.
+/// Dense / grouped 2-D convolution reading the filter from its pre-packed
+/// tile-major layout ([`crate::gemm::PackedFilter`]) — the im2col +
+/// blocked-GEMM kernel, bit-identical to [`conv2d_naive`]. Scratch and
+/// output storage are drawn from `arena`.
 ///
 /// # Panics
 ///
@@ -272,33 +243,12 @@ pub fn conv2d_naive(input: &TensorData, params: &Conv2dParams, weights: &[f32]) 
 }
 
 /// The depthwise and pointwise weight seeds a separable convolution
-/// derives from its operator seed — the single source of truth shared by
-/// the seeded execution paths and [`crate::batch::BlockWeights`], so the
-/// regenerating and precomputed paths can never drift apart.
+/// derives from its operator seed — shared by
+/// [`crate::batch::BlockWeights`] and the test oracles that rebuild the
+/// weights from seeds.
 #[must_use]
 pub fn sep_conv_seeds(seed: u64) -> (u64, u64) {
     (seed ^ 0xD17, seed ^ 0x0009_0117)
-}
-
-/// Depthwise-separable convolution: ReLU on the input, depthwise k×k, then
-/// pointwise 1×1 (the "Relu-SepConv" unit).
-#[must_use]
-pub fn sep_conv2d(input: &TensorData, params: &Conv2dParams, seed: u64) -> TensorData {
-    let (dw_seed, pw_seed) = sep_conv_seeds(seed);
-    let dw_weights = conv_weights(dw_seed, input.shape.channels, 1, params.kernel);
-    let pw_weights = conv_weights(pw_seed, params.out_channels, input.shape.channels, (1, 1));
-    sep_conv2d_with(input, params, &dw_weights, &pw_weights)
-}
-
-/// [`sep_conv2d`] with explicit depthwise and pointwise weights.
-#[must_use]
-pub fn sep_conv2d_with(
-    input: &TensorData,
-    params: &Conv2dParams,
-    dw_weights: &[f32],
-    pw_weights: &[f32],
-) -> TensorData {
-    sep_conv2d_pooled(input, params, dw_weights, pw_weights, global_pool())
 }
 
 /// The depthwise convolution parameters a separable unit derives from its
@@ -329,8 +279,8 @@ fn sep_conv_pw_params(params: &Conv2dParams) -> Conv2dParams {
 /// The epilogue the depthwise stage of a separable unit runs with: the
 /// unit's input ReLU is fused into the im2col load instead of
 /// materializing an activated copy of the input first. Values entering
-/// the GEMM are identical, so the fused form is bit-identical to the
-/// former separate activation pass.
+/// the GEMM are identical, so the fused form is bit-identical to a
+/// separate activation pass.
 fn sep_conv_dw_epilogue() -> ConvEpilogue<'static> {
     ConvEpilogue {
         input_relu: true,
@@ -338,33 +288,11 @@ fn sep_conv_dw_epilogue() -> ConvEpilogue<'static> {
     }
 }
 
-/// [`sep_conv2d_with`] with pooled scratch; the input ReLU is fused into
-/// the depthwise im2col and the depthwise intermediate is recycled before
+/// Depthwise-separable convolution — ReLU on the input, depthwise k×k, then
+/// pointwise 1×1 (the "Relu-SepConv" unit) — reading both filters from
+/// their pre-packed tile-major layouts. The input ReLU is fused into the
+/// depthwise im2col and the depthwise intermediate is recycled before
 /// returning.
-#[must_use]
-pub fn sep_conv2d_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    dw_weights: &[f32],
-    pw_weights: &[f32],
-    arena: &impl Arena,
-) -> TensorData {
-    let dw_params = sep_conv_dw_params(input.shape.channels, params);
-    let depthwise = crate::gemm::conv2d_im2col_fused(
-        input,
-        &dw_params,
-        dw_weights,
-        &sep_conv_dw_epilogue(),
-        arena,
-    );
-    let pw_params = sep_conv_pw_params(params);
-    let out = conv2d_pooled(&depthwise, &pw_params, pw_weights, arena);
-    arena.recycle_tensor(depthwise);
-    out
-}
-
-/// [`sep_conv2d_pooled`] reading both filters from their pre-packed
-/// tile-major layouts — bit-identical to the unpacked path.
 ///
 /// # Panics
 ///
@@ -698,70 +626,10 @@ pub fn relu_pooled(input: &TensorData, arena: &impl Arena) -> TensorData {
     out
 }
 
-/// Executes one operator given its resolved inputs, using deterministic
-/// weights derived from `weight_seed`.
-#[must_use]
-pub fn execute_op(op: &Op, inputs: &[&TensorData], weight_seed: u64) -> TensorData {
-    execute_op_pooled(op, inputs, weight_seed, global_pool())
-}
-
-/// [`execute_op`] with pooled scratch and output storage.
-#[must_use]
-pub fn execute_op_pooled(
-    op: &Op,
-    inputs: &[&TensorData],
-    weight_seed: u64,
-    arena: &impl Arena,
-) -> TensorData {
-    match &op.kind {
-        OpKind::Conv2d(p) => {
-            let in_c_per_group = inputs[0].shape.channels / p.groups;
-            let w = conv_weights(weight_seed, p.out_channels, in_c_per_group, p.kernel);
-            conv2d_pooled(inputs[0], p, &w, arena)
-        }
-        OpKind::SepConv2d(p) => {
-            let (dw_seed, pw_seed) = sep_conv_seeds(weight_seed);
-            let dw = conv_weights(dw_seed, inputs[0].shape.channels, 1, p.kernel);
-            let pw = conv_weights(pw_seed, p.out_channels, inputs[0].shape.channels, (1, 1));
-            sep_conv2d_pooled(inputs[0], p, &dw, &pw, arena)
-        }
-        OpKind::Pool(p) => pool_pooled(inputs[0], p, arena),
-        OpKind::MatMul(p) => {
-            let w = matmul_weights(
-                weight_seed,
-                p.out_features,
-                inputs[0].shape.elements_per_item(),
-            );
-            matmul_pooled(inputs[0], p, &w, arena)
-        }
-        OpKind::Concat => concat_pooled(inputs, arena),
-        OpKind::Add => add_pooled(inputs, arena),
-        OpKind::Relu => relu_pooled(inputs[0], arena),
-        OpKind::Identity => {
-            let mut out = arena.take_tensor(inputs[0].shape);
-            out.data.copy_from_slice(&inputs[0].data);
-            out
-        }
-    }
-}
-
-/// Executes one weighted operator with precomputed weights. Bit-identical
-/// to [`execute_op`] when the weights come from
-/// [`crate::batch::BlockWeights::precompute`].
-///
-/// # Panics
-///
-/// Panics if the weight kind does not match the operator kind.
-#[must_use]
-pub fn execute_op_with_weights(
-    op: &Op,
-    inputs: &[&TensorData],
-    weights: &crate::batch::OpWeights,
-) -> TensorData {
-    execute_op_with_weights_pooled(op, inputs, weights, global_pool())
-}
-
-/// [`execute_op_with_weights`] with pooled scratch and output storage.
+/// Executes one operator given its resolved inputs: a weighted operator
+/// (convolution, separable convolution, matmul) with its precomputed
+/// `weights`, any other with `None`. Scratch and output storage are drawn
+/// from `arena`.
 ///
 /// # Panics
 ///
@@ -770,36 +638,35 @@ pub fn execute_op_with_weights(
 pub fn execute_op_with_weights_pooled(
     op: &Op,
     inputs: &[&TensorData],
-    weights: &crate::batch::OpWeights,
+    weights: Option<&crate::batch::OpWeights>,
     arena: &impl Arena,
 ) -> TensorData {
-    use crate::batch::OpWeights;
+    use crate::batch::{ConvKernel, OpWeights};
     match (&op.kind, weights) {
-        (
-            OpKind::Conv2d(p),
-            OpWeights::Conv {
-                packed, quantized, ..
-            },
-        ) => match (quantized, packed) {
-            (Some(quant), _) => conv2d_quant_pooled(inputs[0], p, quant, arena),
-            (None, Some(packed)) => conv2d_packed_pooled(inputs[0], p, packed, arena),
-            (None, None) => unreachable!("precomputed conv weights carry packed or quantized"),
+        (OpKind::Conv2d(p), Some(OpWeights::Conv(kernel))) => match kernel {
+            ConvKernel::F32(packed) => conv2d_packed_pooled(inputs[0], p, packed, arena),
+            ConvKernel::Int8(quant) => conv2d_quant_pooled(inputs[0], p, quant, arena),
         },
         (
             OpKind::SepConv2d(p),
-            OpWeights::SepConv {
-                depthwise_packed,
-                pointwise_packed,
-                pointwise_quant,
-            },
-        ) => match (pointwise_quant, pointwise_packed) {
-            (Some(quant), _) => {
-                sep_conv2d_quant_pooled(inputs[0], p, depthwise_packed, quant, arena)
-            }
-            (None, Some(pw)) => sep_conv2d_packed_pooled(inputs[0], p, depthwise_packed, pw, arena),
-            (None, None) => unreachable!("precomputed sepconv weights carry a pointwise stage"),
+            Some(OpWeights::SepConv {
+                depthwise,
+                pointwise,
+            }),
+        ) => match pointwise {
+            ConvKernel::F32(pw) => sep_conv2d_packed_pooled(inputs[0], p, depthwise, pw, arena),
+            ConvKernel::Int8(pw) => sep_conv2d_quant_pooled(inputs[0], p, depthwise, pw, arena),
         },
-        (OpKind::MatMul(p), OpWeights::MatMul(w)) => matmul_pooled(inputs[0], p, w, arena),
+        (OpKind::MatMul(p), Some(OpWeights::MatMul(w))) => matmul_pooled(inputs[0], p, w, arena),
+        (OpKind::Pool(p), None) => pool_pooled(inputs[0], p, arena),
+        (OpKind::Concat, None) => concat_pooled(inputs, arena),
+        (OpKind::Add, None) => add_pooled(inputs, arena),
+        (OpKind::Relu, None) => relu_pooled(inputs[0], arena),
+        (OpKind::Identity, None) => {
+            let mut out = arena.take_tensor(inputs[0].shape);
+            out.data.copy_from_slice(&inputs[0].data);
+            out
+        }
         (kind, _) => panic!("mismatched precomputed weights for operator kind {kind:?}"),
     }
 }
@@ -807,6 +674,30 @@ pub fn execute_op_with_weights_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::PackedFilter;
+
+    /// The f32 kernel over a filter given in its natural layout.
+    fn conv2d(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
+        let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
+        let packed = PackedFilter::pack(weights, params.out_channels, params.groups, k_len);
+        conv2d_packed_pooled(input, params, &packed, global_pool())
+    }
+
+    /// The separable unit with both filters generated from `seed`.
+    fn sep_conv2d(input: &TensorData, params: &Conv2dParams, seed: u64) -> TensorData {
+        let in_c = input.shape.channels;
+        let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+        let dw = conv_weights(dw_seed, in_c, 1, params.kernel);
+        let pw = conv_weights(pw_seed, params.out_channels, in_c, (1, 1));
+        let (kh, kw) = params.kernel;
+        sep_conv2d_packed_pooled(
+            input,
+            params,
+            &PackedFilter::pack(&dw, in_c, in_c, kh * kw),
+            &PackedFilter::pack(&pw, params.out_channels, 1, in_c),
+            global_pool(),
+        )
+    }
 
     #[test]
     fn conv2d_identity_kernel() {

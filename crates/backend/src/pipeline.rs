@@ -296,10 +296,6 @@ fn stage_worker(
         let mut busy = tracer.span("pipeline.busy", "pipeline");
         busy.set_id(segment as u64);
         busy.set_arg(job.index as u64);
-        // Stage groups run serially inside a segment worker: with several
-        // segments (and several samples) in flight the cores are already
-        // covered, and the result is bit-identical either way.
-        //
         // A panicking operator is contained here rather than unwinding the
         // worker thread: jobs still buffered in this worker's channel
         // would be dropped un-recycled with it. On panic the sample is
@@ -317,7 +313,6 @@ fn stage_worker(
                 range.clone(),
                 tensors,
                 pool,
-                true,
             )
         }));
         match executed {

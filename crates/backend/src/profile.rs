@@ -178,29 +178,6 @@ impl Drop for ActiveLoad<'_> {
     }
 }
 
-/// How the profiler executes a concurrent stage's groups — which serving
-/// code path the measured latencies stand for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GroupMode {
-    /// Groups on the worker pool's lanes ([`crate::workers`]), like
-    /// [`crate::execute_schedule_pooled`] — the right mode when schedules
-    /// execute one request at a time on an otherwise idle machine (the
-    /// offline/gate setting).
-    #[default]
-    Parallel,
-    /// Groups serially on the calling thread, like
-    /// [`crate::executor::execute_schedule_pooled_serial`].
-    Serial,
-    /// Match the batched serving executor per graph instance: batch-1
-    /// graphs run their groups on the pool's lanes (that is how a lone
-    /// request executes), batch>1 graphs run them serially (inside
-    /// `execute_network_batched`'s per-sample chunks the samples already
-    /// cover the lanes and stage groups run serially). This keeps the
-    /// profiled latencies aligned with the exact execution mode a serving
-    /// engine will use at each batch size.
-    MatchServing,
-}
-
 /// Warmed per-graph profiling state: weights plus synthetic inputs and
 /// predecessor outputs for every operator.
 struct GraphState {
@@ -270,7 +247,6 @@ pub struct CpuStageProfiler {
     /// block (weights are batch-size independent), keyed by
     /// [`weights_fingerprint`].
     weights: Mutex<HashMap<u64, Arc<BlockWeights>>>,
-    group_mode: GroupMode,
     /// Concurrent load the profiler activates around every stage run, so
     /// measurements see a busy machine instead of an idle one.
     load: Option<BackgroundLoad>,
@@ -289,30 +265,20 @@ impl std::fmt::Debug for CpuStageProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuStageProfiler")
             .field("graphs", &self.graphs.lock().expect("graph map lock").len())
-            .field("group_mode", &self.group_mode)
             .field("load", &self.load)
             .finish()
     }
 }
 
 impl CpuStageProfiler {
-    /// A profiler that runs concurrent-stage groups on the worker pool's
-    /// lanes, exactly like [`crate::execute_schedule`] will.
+    /// A profiler running every stage through the executor's one stage
+    /// runner, exactly like [`crate::execute_schedule`] will.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_group_mode(GroupMode::Parallel)
-    }
-
-    /// A profiler measuring for an explicit execution mode — see
-    /// [`GroupMode`]; serving engines use [`GroupMode::MatchServing`] so
-    /// every batch size is profiled the way it will execute.
-    #[must_use]
-    pub fn with_group_mode(group_mode: GroupMode) -> Self {
         CpuStageProfiler {
             pool: ScratchPool::new(),
             graphs: Mutex::new(HashMap::new()),
             weights: Mutex::new(HashMap::new()),
-            group_mode,
             load: None,
             precision: WeightPrecision::F32,
         }
@@ -340,19 +306,6 @@ impl CpuStageProfiler {
     #[must_use]
     pub fn background_load(&self) -> Option<&BackgroundLoad> {
         self.load.as_ref()
-    }
-
-    /// Whether `graph`'s concurrent stages run their groups on threads
-    /// under this profiler's [`GroupMode`].
-    fn parallel_groups_for(&self, graph: &Graph) -> bool {
-        match self.group_mode {
-            GroupMode::Parallel => true,
-            GroupMode::Serial => false,
-            GroupMode::MatchServing => graph
-                .input_shapes()
-                .first()
-                .is_none_or(|shape| shape.batch <= 1),
-        }
     }
 
     /// The shared precomputed weights for `graph`'s block structure,
@@ -423,15 +376,7 @@ impl CpuStageProfiler {
             inputs,
             outputs,
         } = &mut *state;
-        execute_stage(
-            graph,
-            stage,
-            inputs,
-            Some(weights),
-            outputs,
-            &self.pool,
-            self.parallel_groups_for(graph),
-        );
+        execute_stage(graph, stage, inputs, weights, outputs, &self.pool);
     }
 }
 
@@ -591,11 +536,5 @@ mod tests {
             1,
             "batch-resized instances must share one BlockWeights"
         );
-        // MatchServing resolves per instance: threaded groups at batch 1
-        // (how a lone request executes), serial at batch > 1 (inside the
-        // per-sample batch workers).
-        let serving = CpuStageProfiler::with_group_mode(GroupMode::MatchServing);
-        assert!(serving.parallel_groups_for(&g1));
-        assert!(!serving.parallel_groups_for(&g4));
     }
 }

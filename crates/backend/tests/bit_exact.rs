@@ -2,31 +2,30 @@
 //! guarantees: the im2col + blocked-GEMM convolution, the pool/matmul
 //! interior fast paths, the arena-backed executor and the parallel batched
 //! network path must all be **bit-identical** (`assert_eq!`, no tolerances)
-//! to the naive reference across randomized shapes, strides, padding,
+//! to the naive references — per operator ([`conv2d_naive`] and the loops
+//! below) and per graph ([`naive_graph`]) — across randomized shapes, strides, padding,
 //! groups, batch sizes — SIMD ISAs (the dispatch module's forced-ISA hook
 //! pins every supported tier to the same bits) — and lane counts: the
 //! worker pool's forced-lanes hook cuts every operator, stage and batch
 //! into 1, 2, 3 and 7 lanes' worth of chunks and pins them to the same
 //! bits too.
 
-use ios_backend::gemm::{
-    conv2d_im2col_fused, conv2d_im2col_packed_fused, conv2d_im2col_quant_fused,
-};
+use ios_backend::gemm::{conv2d_im2col_packed_fused, conv2d_im2col_quant_fused};
 use ios_backend::ops_cpu::{
-    conv2d, conv2d_naive, conv2d_naive_quant, conv2d_packed, conv_weights, matmul, matmul_weights,
-    pool, sep_conv2d_packed_pooled, sep_conv2d_pooled, sep_conv2d_quant_pooled,
+    conv2d_naive, conv2d_naive_quant, conv_weights, matmul, matmul_weights, pool,
+    sep_conv2d_packed_pooled, sep_conv2d_quant_pooled, sep_conv_seeds,
 };
 use ios_backend::workers::with_forced_lanes;
 use ios_backend::{
-    execute_graph, execute_graph_pooled, execute_graph_uncached, execute_network,
-    execute_network_batched, execute_network_batched_capped, execute_network_pipelined,
-    execute_schedule_pooled, sample_scale, split_batch, BlockWeights, ConvEpilogue, NetworkWeights,
-    PackedFilter, QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
+    execute_graph, execute_graph_pooled, execute_network, execute_network_batched,
+    execute_network_batched_capped, execute_network_pipelined, execute_schedule_pooled,
+    relu_fold_plan, sample_scale, split_batch, weight_seed, BlockWeights, ConvEpilogue, FoldedRelu,
+    NetworkWeights, PackedFilter, QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
 };
 use ios_core::{ParallelizationStrategy, Schedule, Stage};
 use ios_ir::{
-    Activation, Block, Conv2dParams, GraphBuilder, MatMulParams, Network, OpId, PoolKind,
-    PoolParams, SegmentPlan, TensorShape,
+    Activation, Block, Conv2dParams, Graph, GraphBuilder, MatMulParams, Network, OpId, OpKind,
+    PoolKind, PoolParams, SegmentPlan, TensorShape, Value,
 };
 use proptest::prelude::*;
 
@@ -107,6 +106,197 @@ fn matmul_reference(input: &TensorData, params: &MatMulParams, weights: &[f32]) 
     out
 }
 
+/// The naive convolution with the epilogue `ep` run as separate
+/// whole-tensor passes around it, in the fused epilogue's order: an
+/// input-ReLU copy, the convolution with its activation deferred, then
+/// bias, residual and `max(0, ·)` — the oracle of every fused f32 kernel.
+fn naive_conv_with_passes(
+    input: &TensorData,
+    params: &Conv2dParams,
+    weights: &[f32],
+    ep: &ConvEpilogue<'_>,
+) -> TensorData {
+    let mut pre = input.clone();
+    if ep.input_relu {
+        for v in &mut pre.data {
+            *v = v.max(0.0);
+        }
+    }
+    let plain = Conv2dParams {
+        activation: Activation::None,
+        ..*params
+    };
+    let mut out = conv2d_naive(&pre, &plain, weights);
+    let plane = out.shape.height * out.shape.width;
+    if let Some(bias) = ep.bias {
+        for (i, v) in out.data.iter_mut().enumerate() {
+            *v += bias[(i / plane) % params.out_channels];
+        }
+    }
+    if let Some(residual) = ep.residual {
+        for (v, r) in out.data.iter_mut().zip(&residual.data) {
+            *v += r;
+        }
+    }
+    if params.activation == Activation::Relu || ep.relu {
+        for v in &mut out.data {
+            *v = v.max(0.0);
+        }
+    }
+    out
+}
+
+/// A per-output-channel bias and a residual of the output's shape for
+/// `params` over an input of `shape`, both derived from `seed`.
+fn epilogue_operands(
+    seed: u64,
+    shape: TensorShape,
+    params: &Conv2dParams,
+) -> (Vec<f32>, TensorData) {
+    let (oh, ow) = shape.conv_output_hw(params.kernel, params.stride, params.padding);
+    let out_shape = TensorShape::new(shape.batch, params.out_channels, oh, ow);
+    (
+        conv_weights(seed ^ 0xB1A5, params.out_channels, 1, (1, 1)),
+        TensorData::random(out_shape, seed ^ 0x9E5),
+    )
+}
+
+/// The separable unit from naive parts: a ReLU copy of the input, the
+/// depthwise k×k as a grouped naive convolution, the pointwise 1×1.
+fn naive_sep_conv(
+    input: &TensorData,
+    params: &Conv2dParams,
+    depthwise: &[f32],
+    pointwise: &[f32],
+) -> TensorData {
+    let channels = input.shape.channels;
+    let mut pre = input.clone();
+    for v in &mut pre.data {
+        *v = v.max(0.0);
+    }
+    let dw_params = Conv2dParams {
+        out_channels: channels,
+        groups: channels,
+        activation: Activation::None,
+        ..*params
+    };
+    let pw_params = Conv2dParams::plain(params.out_channels, (1, 1), (1, 1), (0, 0));
+    conv2d_naive(
+        &conv2d_naive(&pre, &dw_params, depthwise),
+        &pw_params,
+        pointwise,
+    )
+}
+
+/// The graph-level oracle: a topological walk that runs every operator
+/// through its naive loop — convolutions through [`conv2d_naive`] with the
+/// weights regenerated from [`weight_seed`], pooling and matmul through the
+/// reference loops above, concat / add / ReLU / identity element by
+/// element — with no packing, no fusion, no ReLU folding and no merging.
+/// Returns every operator's output, like `execute_graph`.
+fn naive_graph(graph: &Graph, inputs: &[TensorData]) -> Vec<TensorData> {
+    let mut outputs: Vec<Option<TensorData>> = vec![None; graph.len()];
+    for id in graph.topological_order() {
+        let op = graph.op(id);
+        let args: Vec<&TensorData> = op
+            .inputs
+            .iter()
+            .map(|v| match v {
+                Value::Input(i) => &inputs[*i],
+                Value::Op(src) => outputs[src.index()].as_ref().expect("producer ran"),
+            })
+            .collect();
+        let seed = weight_seed(graph, id);
+        let in_c = args[0].shape.channels;
+        let out = match &op.kind {
+            OpKind::Conv2d(p) => {
+                let weights = conv_weights(seed, p.out_channels, in_c / p.groups, p.kernel);
+                conv2d_naive(args[0], p, &weights)
+            }
+            OpKind::SepConv2d(p) => {
+                let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+                let depthwise = conv_weights(dw_seed, in_c, 1, p.kernel);
+                let pointwise = conv_weights(pw_seed, p.out_channels, in_c, (1, 1));
+                naive_sep_conv(args[0], p, &depthwise, &pointwise)
+            }
+            OpKind::Pool(p) if p.kind == PoolKind::GlobalAvg => {
+                let shape = args[0].shape;
+                let plane = shape.height * shape.width;
+                TensorData {
+                    shape: TensorShape::new(shape.batch, shape.channels, 1, 1),
+                    data: args[0]
+                        .data
+                        .chunks(plane)
+                        .map(|ch| ch.iter().fold(0.0f32, |acc, v| acc + v) / plane as f32)
+                        .collect(),
+                }
+            }
+            OpKind::Pool(p) => pool_reference(args[0], p),
+            OpKind::MatMul(p) => {
+                let in_features = args[0].shape.elements_per_item();
+                let weights = matmul_weights(seed, p.out_features, in_features);
+                matmul_reference(args[0], p, &weights)
+            }
+            OpKind::Concat => {
+                let mut out = TensorData::zeros(op.output_shape);
+                for n in 0..out.shape.batch {
+                    let mut c0 = 0;
+                    for t in &args {
+                        for c in 0..t.shape.channels {
+                            for y in 0..t.shape.height {
+                                for x in 0..t.shape.width {
+                                    out.set(n, c0 + c, y, x, t.at(n, c, y, x));
+                                }
+                            }
+                        }
+                        c0 += t.shape.channels;
+                    }
+                }
+                out
+            }
+            OpKind::Add => {
+                let mut out = args[0].clone();
+                for t in &args[1..] {
+                    for (o, v) in out.data.iter_mut().zip(&t.data) {
+                        *o += v;
+                    }
+                }
+                out
+            }
+            OpKind::Relu => {
+                let mut out = args[0].clone();
+                for v in &mut out.data {
+                    *v = v.max(0.0);
+                }
+                out
+            }
+            OpKind::Identity => args[0].clone(),
+        };
+        assert_eq!(out.shape, op.output_shape, "oracle shape of {}", op.name);
+        outputs[id.index()] = Some(out);
+    }
+    outputs.into_iter().map(|o| o.expect("op ran")).collect()
+}
+
+/// Asserts that an executor's per-operator outputs are the oracle's. The
+/// one operator whose stored tensor an executor may change is a convolution
+/// that absorbed the standalone ReLU behind it ([`relu_fold_plan`] — only
+/// planned when nothing else reads the convolution): it holds the
+/// oracle's tensor already rectified.
+fn assert_matches_oracle(graph: &Graph, got: &[TensorData], oracle: &[TensorData], what: &str) {
+    let plan = relu_fold_plan(graph);
+    assert_eq!(got.len(), oracle.len());
+    for (op, (got, want)) in graph.ops().iter().zip(got.iter().zip(oracle)) {
+        let mut want = want.clone();
+        if plan[op.id.index()] == FoldedRelu::FuseRelu {
+            for v in &mut want.data {
+                *v = v.max(0.0);
+            }
+        }
+        assert_eq!(got, &want, "{}: {what}, operator {}", graph.name(), op.name);
+    }
+}
+
 /// A tiny two-block network used by the executor/batched properties.
 fn tiny_network() -> Network {
     let input = TensorShape::new(1, 6, 9, 9);
@@ -167,16 +357,12 @@ proptest! {
         };
         let input = TensorData::random(shape, seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
-        let fast = conv2d(&input, &params, &weights);
-        let reference = conv2d_naive(&input, &params, &weights);
-        prop_assert_eq!(&fast, &reference);
         // The tile-major packed layout must consume exactly the same weight
-        // values in the same per-element order: bit-identical to both the
-        // unpacked GEMM and the naive oracle.
+        // values in the same per-element order as the naive oracle.
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
-        let packed_out = conv2d_packed(&input, &params, &packed);
-        prop_assert_eq!(&packed_out, &fast);
-        prop_assert_eq!(&packed_out, &reference);
+        let packed_out = conv2d_im2col_packed_fused(
+            &input, &params, &packed, &ConvEpilogue::default(), &ScratchPool::new());
+        prop_assert_eq!(&packed_out, &conv2d_naive(&input, &params, &weights));
     }
 
     #[test]
@@ -267,42 +453,7 @@ proptest! {
         let input = TensorData::random(shape, seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
 
-        // Separate-pass reference: an input-ReLU copy, the convolution with
-        // the activation deferred, then bias / residual / ReLU as
-        // whole-tensor passes in the epilogue's order.
-        let mut pre = input.clone();
-        if input_relu {
-            for v in &mut pre.data {
-                *v = v.max(0.0);
-            }
-        }
-        let plain = Conv2dParams { activation: Activation::None, ..params };
-        let mut reference = conv2d(&pre, &plain, &weights);
-        let out_shape = reference.shape;
-        let plane = out_shape.height * out_shape.width;
-        let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
-        let residual = TensorData::random(out_shape, seed ^ 0x9E5);
-        if use_bias {
-            for n in 0..out_shape.batch {
-                for (oc, &bv) in bias.iter().enumerate() {
-                    let start = (n * out_c + oc) * plane;
-                    for v in &mut reference.data[start..start + plane] {
-                        *v += bv;
-                    }
-                }
-            }
-        }
-        if use_residual {
-            for (v, r) in reference.data.iter_mut().zip(&residual.data) {
-                *v += r;
-            }
-        }
-        if conv_relu || ep_relu {
-            for v in &mut reference.data {
-                *v = v.max(0.0);
-            }
-        }
-
+        let (bias, residual) = epilogue_operands(seed, shape, &params);
         let ep = ConvEpilogue {
             input_relu,
             bias: use_bias.then_some(bias.as_slice()),
@@ -310,11 +461,9 @@ proptest! {
             relu: ep_relu,
         };
         let arena = ScratchPool::new();
-        let fused = conv2d_im2col_fused(&input, &params, &weights, &ep, &arena);
-        prop_assert_eq!(&fused, &reference);
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
         let packed_fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena);
-        prop_assert_eq!(&packed_fused, &reference);
+        prop_assert_eq!(&packed_fused, &naive_conv_with_passes(&input, &params, &weights, &ep));
     }
 
     #[test]
@@ -337,8 +486,8 @@ proptest! {
         use_residual in any::<bool>(),
         ep_relu in any::<bool>(),
     ) {
-        // The explicit AVX2 f32 tiles (mirroring the int8 "avx2 must match
-        // scalar" pin): both GEMM paths must produce bit-identical outputs
+        // The explicit AVX2 f32 tile (mirroring the int8 "avx2 must match
+        // scalar" pin): the kernel must produce the naive oracle's bits
         // under every ISA the host supports, across random shapes — edge
         // tiles (partial mr/nr) included via the free-ranging out_c and
         // spatial extents — and every epilogue combination.
@@ -361,31 +510,22 @@ proptest! {
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
         let arena = ScratchPool::new();
-        let probe = conv2d_im2col_fused(&input, &params, &weights, &ConvEpilogue::default(), &arena);
-        let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
-        let residual = TensorData::random(probe.shape, seed ^ 0x9E5);
+        let (bias, residual) = epilogue_operands(seed, shape, &params);
         let ep = ConvEpilogue {
             input_relu,
             bias: use_bias.then_some(bias.as_slice()),
             residual: use_residual.then_some(&residual),
             relu: ep_relu,
         };
-        let run = |isa: Isa| {
-            simd::with_forced_isa(isa, || {
-                (
-                    conv2d_im2col_fused(&input, &params, &weights, &ep, &arena),
-                    conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena),
-                )
-            })
-        };
-        let (ref_unpacked, ref_packed) = run(Isa::Scalar);
-        for isa in [Isa::Sse2, Isa::Avx2] {
+        let reference = naive_conv_with_passes(&input, &params, &weights, &ep);
+        for isa in [Isa::Scalar, Isa::Sse2, Isa::Avx2] {
             if isa > simd::detected_isa() {
                 continue;
             }
-            let (unpacked, packed_out) = run(isa);
-            prop_assert_eq!(&unpacked, &ref_unpacked, "unpacked f32 path differs on {}", isa);
-            prop_assert_eq!(&packed_out, &ref_packed, "packed f32 path differs on {}", isa);
+            let out = simd::with_forced_isa(isa, || {
+                conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena)
+            });
+            prop_assert_eq!(&out, &reference, "f32 kernel differs from the oracle on {}", isa);
         }
     }
 
@@ -429,9 +569,7 @@ proptest! {
         let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
 
         let arena = ScratchPool::new();
-        let probe = conv2d_im2col_fused(&input, &params, &weights, &ConvEpilogue::default(), &arena);
-        let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
-        let residual = TensorData::random(probe.shape, seed ^ 0x9E5);
+        let (bias, residual) = epilogue_operands(seed, shape, &params);
         let ep = ConvEpilogue {
             input_relu,
             bias: use_bias.then_some(bias.as_slice()),
@@ -445,11 +583,11 @@ proptest! {
         let oracle = conv2d_naive_quant(&input, &params, &quant, &ep);
         prop_assert_eq!(&fast, &oracle);
 
-        // Calibration: against the fused f32 kernel, each element stays
+        // Calibration: against the f32 oracle, each element stays
         // within the documented k_len · s_in · s_w[oc] · 128 bound (one
         // half-step rounding per quantized operand, no clamping by
         // construction of the scales).
-        let f32_out = conv2d_im2col_fused(&input, &params, &weights, &ep, &arena);
+        let f32_out = naive_conv_with_passes(&input, &params, &weights, &ep);
         let per_item = input.shape.elements_per_item();
         let plane = f32_out.shape.height * f32_out.shape.width;
         for n in 0..f32_out.shape.batch {
@@ -499,12 +637,14 @@ proptest! {
         let net = tiny_network();
         let graph = &net.blocks[0].graph;
         let inputs = vec![TensorData::random(net.input_shape, seed)];
-        let reference = execute_graph_uncached(graph, &inputs);
+        let reference = naive_graph(graph, &inputs);
         prop_assert_eq!(&execute_graph(graph, &inputs), &reference);
         let weights = BlockWeights::precompute(graph);
         let arena = ScratchPool::new();
         let pooled = execute_graph_pooled(graph, &inputs, Some(&weights), &arena);
         prop_assert_eq!(&pooled, &reference);
+        // `None` precomputes the same weights for the call.
+        prop_assert_eq!(&execute_graph_pooled(graph, &inputs, None, &arena), &reference);
     }
 
     #[test]
@@ -577,9 +717,7 @@ proptest! {
         let packed = PackedFilter::pack(&weights, out_c, groups, k_len);
         let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
         let arena = ScratchPool::new();
-        let out_shape = conv2d_packed(&input, &params, &packed).shape;
-        let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
-        let residual = TensorData::random(out_shape, seed ^ 0x9E5);
+        let (bias, residual) = epilogue_operands(seed, input.shape, &params);
         let ep = ConvEpilogue {
             input_relu,
             bias: use_bias.then_some(bias.as_slice()),
@@ -595,7 +733,7 @@ proptest! {
             })
         };
         let (f32_one, int8_one) = run(1);
-        prop_assert_eq!(&f32_one, &conv2d_im2col_fused(&input, &params, &weights, &ep, &arena));
+        prop_assert_eq!(&f32_one, &naive_conv_with_passes(&input, &params, &weights, &ep));
         for lanes in SPLIT_LANES {
             let (f32_split, int8_split) = run(lanes);
             prop_assert_eq!(&f32_split, &f32_one, "packed f32 differs on {} lanes", lanes);
@@ -642,7 +780,7 @@ proptest! {
             })
         };
         let one = run(1);
-        prop_assert_eq!(&one.0, &sep_conv2d_pooled(&input, &params, &dw, &pw, &arena));
+        prop_assert_eq!(&one.0, &naive_sep_conv(&input, &params, &dw, &pw));
         prop_assert_eq!(&one.2, &pool_reference(&input, &pool_params));
         for lanes in SPLIT_LANES {
             prop_assert_eq!(&run(lanes), &one, "differs on {} lanes", lanes);
@@ -748,6 +886,77 @@ proptest! {
             prop_assert_eq!(&run(lanes), &one, "network differs on {} lanes", lanes);
         }
     }
+}
+
+/// Graphs that between them hold every operator kind: the two blocks of
+/// [`tiny_network`] (convolutions, pooling, concat, add), a standalone ReLU
+/// the executor folds into its producer, and a separable convolution under
+/// a global-average / identity / matmul head.
+fn oracle_graphs() -> Vec<Graph> {
+    let mut graphs: Vec<Graph> = tiny_network().blocks.into_iter().map(|b| b.graph).collect();
+
+    let mut b = GraphBuilder::new("oracle_fold", TensorShape::new(2, 4, 8, 8));
+    let x = b.input(0);
+    let c = b.conv2d("c", x, Conv2dParams::plain(6, (3, 3), (1, 1), (1, 1)));
+    let r = b.relu("r", c);
+    let d = b.conv2d("d", r, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
+    graphs.push(b.build(vec![d]));
+
+    let mut b = GraphBuilder::new("oracle_head", TensorShape::new(2, 5, 7, 7));
+    let x = b.input(0);
+    let s = b.sep_conv2d("s", x, Conv2dParams::relu(9, (3, 3), (2, 2), (1, 1)));
+    let g = b.pool("g", s, PoolParams::global_avg());
+    let i = b.identity("i", g);
+    let m = b.matmul("m", i, 11);
+    graphs.push(b.build(vec![m]));
+    graphs
+}
+
+/// Every executor entry against the graph-level naive oracle: the
+/// sequential walk (which packs weights, fuses activations and folds the
+/// standalone ReLU) and the scheduled walks — one with a **merge stage**,
+/// whose merged filter is regenerated from the parts' seeds, stacked,
+/// zero-padded and packed, and must still produce the bits of the two
+/// naive convolutions it replaces.
+#[test]
+fn executors_match_the_graph_level_naive_oracle() {
+    let arena = ScratchPool::new();
+    let random_inputs = |graph: &Graph, seed: u64| -> Vec<TensorData> {
+        graph
+            .input_shapes()
+            .iter()
+            .enumerate()
+            .map(|(i, shape)| TensorData::random(*shape, seed + i as u64))
+            .collect()
+    };
+    for (g, graph) in oracle_graphs().iter().enumerate() {
+        for seed in [3u64, 1717] {
+            let inputs = random_inputs(graph, seed + g as u64);
+            let reference = naive_graph(graph, &inputs);
+            let got = execute_graph(graph, &inputs);
+            assert_matches_oracle(graph, &got, &reference, "execute_graph");
+        }
+    }
+
+    let net = tiny_network();
+    let graph = &net.blocks[0].graph;
+    let weights = BlockWeights::precompute(graph);
+    let [merged, concurrent] = tiny_block_schedules(&net);
+    assert!(
+        merged.stages[0].strategy == ParallelizationStrategy::OperatorMerge,
+        "the first schedule must open with the merge stage"
+    );
+    for seed in [5u64, 4242] {
+        let inputs = random_inputs(graph, seed);
+        let reference = naive_graph(graph, &inputs);
+        for schedule in [&merged, &concurrent] {
+            for w in [Some(&weights), None] {
+                let got = execute_schedule_pooled(graph, schedule, &inputs, w, &arena);
+                assert_matches_oracle(graph, &got, &reference, "execute_schedule_pooled");
+            }
+        }
+    }
+    assert_eq!(weights.merged_builds(), 1, "one distinct merge stage");
 }
 
 /// The steady-state guarantee of the full serving boundary: after one

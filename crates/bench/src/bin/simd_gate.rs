@@ -1,15 +1,14 @@
 //! `simd_gate` — CI acceptance gate for the explicit AVX2 f32 GEMM
-//! microkernels behind the runtime SIMD dispatch (`ios_backend::simd`).
+//! microkernel behind the runtime SIMD dispatch (`ios_backend::simd`).
 //!
 //! On the serving-hot layer shapes of [`ios_bench::simd_bench_shapes`],
 //! each run with a full bias + residual + ReLU epilogue:
 //!
-//! 1. **Bit-identity across ISAs** — before any timing, both f32 GEMM
-//!    paths (unpacked [`conv2d_im2col_fused`] and packed
-//!    [`conv2d_im2col_packed_fused`]) are run under *every* ISA this host
+//! 1. **Bit-identity across ISAs** — before any timing, the f32 kernel
+//!    ([`conv2d_im2col_packed_fused`]) is run under *every* ISA this host
 //!    supports via `with_forced_isa` and asserted bitwise equal to the
 //!    scalar-forced reference. A single differing bit fails the gate.
-//! 2. **Host-aware speedup bar** — on AVX2 hosts, the active kernels must
+//! 2. **Host-aware speedup bar** — on AVX2 hosts, the active kernel must
 //!    beat the auto-vectorized SSE2-tier baseline by a geomean ≥ 1.4×;
 //!    on hosts without AVX2 the explicit path does not exist, so the bar
 //!    degrades to a ≥ 0.95× no-regression check against the same tier
@@ -25,7 +24,7 @@
 //! Run with: `cargo run --release -p ios-bench --bin simd_gate`
 //! (`--quick` lowers the round count; the shapes stay full-size).
 
-use ios_backend::gemm::{conv2d_im2col_fused, conv2d_im2col_packed_fused};
+use ios_backend::gemm::conv2d_im2col_packed_fused;
 use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::{self, Isa};
 use ios_backend::{ConvEpilogue, PackedFilter, ScratchPool, TensorData};
@@ -136,34 +135,24 @@ fn main() {
             relu: true,
         };
 
-        let run_both = |isa: Isa| {
+        let run_on = |isa: Isa| {
             simd::with_forced_isa(isa, || {
-                (
-                    conv2d_im2col_fused(&input, &plain, &weights, &ep, &arena),
-                    conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena),
-                )
+                conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena)
             })
         };
 
         // The gate is only meaningful if every ISA computes the same bits.
-        let (ref_unpacked, ref_packed) = run_both(Isa::Scalar);
+        let reference = run_on(Isa::Scalar);
         for &isa in &supported[1..] {
-            let (unpacked, packed_out) = run_both(isa);
+            let out = run_on(isa);
             assert_eq!(
-                unpacked, ref_unpacked,
-                "{}: unpacked f32 kernel must be bit-identical on {isa}",
+                out, reference,
+                "{}: f32 kernel must be bit-identical on {isa}",
                 case.name
             );
-            assert_eq!(
-                packed_out, ref_packed,
-                "{}: packed f32 kernel must be bit-identical on {isa}",
-                case.name
-            );
-            arena.recycle_tensor(unpacked);
-            arena.recycle_tensor(packed_out);
+            arena.recycle_tensor(out);
         }
-        arena.recycle_tensor(ref_unpacked);
-        arena.recycle_tensor(ref_packed);
+        arena.recycle_tensor(reference);
 
         // Baseline and wide variants interleave within every round; the
         // speedup is the median of the per-round paired ratios and the

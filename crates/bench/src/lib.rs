@@ -321,64 +321,6 @@ pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
     ]
 }
 
-/// The convolution shapes the `pack_gate` CI binary runs: the serving-hot
-/// layers of real ImageNet backbones, where the patch matrix outgrows the
-/// L2 cache and the packed kernel's block-outer streaming pays — VGG/ResNet
-/// early 3×3 stages at 112²–28² spatial extent — plus two compact
-/// Inception shapes (where both paths are compute-bound) so small-layer
-/// regressions stay visible. Unlike [`conv_bench_shapes`], the set is not
-/// scaled down in quick mode: shrinking the channels would pull the patch
-/// matrices back under the L2 cache and change the regime the gate
-/// measures; `pack_gate --quick` reduces the iteration count instead.
-#[must_use]
-pub fn pack_bench_shapes() -> Vec<ConvCase> {
-    use ios_ir::{Conv2dParams, TensorShape};
-    vec![
-        ConvCase {
-            // VGG conv2-style early layer: huge spatial extent.
-            name: "vgg_3x3_112",
-            input: TensorShape::new(1, 64, 112, 112),
-            params: Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)),
-        },
-        ConvCase {
-            // ResNet conv2_x body: 56×56, 64 channels.
-            name: "resnet_3x3_56",
-            input: TensorShape::new(1, 64, 56, 56),
-            params: Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)),
-        },
-        ConvCase {
-            // ResNet conv3_x body: 28×28, 128 channels.
-            name: "resnet_3x3_28",
-            input: TensorShape::new(1, 128, 28, 28),
-            params: Conv2dParams::relu(128, (3, 3), (1, 1), (1, 1)),
-        },
-        ConvCase {
-            // ResNet conv3 downsample entry: strided 3×3.
-            name: "resnet_3x3_s2",
-            input: TensorShape::new(1, 128, 56, 56),
-            params: Conv2dParams::relu(128, (3, 3), (2, 2), (1, 1)),
-        },
-        ConvCase {
-            // ResNet bottleneck expansion: wide pointwise, pure GEMM.
-            name: "pointwise_56",
-            input: TensorShape::new(1, 64, 56, 56),
-            params: Conv2dParams::relu(256, (1, 1), (1, 1), (0, 0)),
-        },
-        ConvCase {
-            // Inception mixed-block 3×3 branch: compact, compute-bound.
-            name: "inception_3x3",
-            input: TensorShape::new(1, 96, 15, 15),
-            params: Conv2dParams::relu(96, (3, 3), (1, 1), (1, 1)),
-        },
-        ConvCase {
-            // Inception 1×1 bottleneck: compact pointwise.
-            name: "inception_1x1",
-            input: TensorShape::new(1, 128, 15, 15),
-            params: Conv2dParams::relu(128, (1, 1), (1, 1), (0, 0)),
-        },
-    ]
-}
-
 /// The convolution shapes the `quant_gate` CI binary runs: the layers of
 /// serving CNN backbones that actually *carry* a bias + residual-add +
 /// ReLU epilogue — ResNet basic-block ending 3×3s and bottleneck
@@ -387,9 +329,10 @@ pub fn pack_bench_shapes() -> Vec<ConvCase> {
 /// concat. Epilogue fusion pays where the epilogue's whole-tensor passes
 /// are a real fraction of the conv (shallow `k`, large output planes);
 /// deep-`k` interior 3×3s keep their epilogue-free fast path and stay
-/// covered by [`pack_bench_shapes`] / `pack_gate`. Like the pack set, the
-/// shapes are never scaled down in quick mode — that would change the
-/// compute-vs-traffic regime the gate measures.
+/// covered by [`simd_bench_shapes`] / `simd_gate`. The shapes are never
+/// scaled down in quick mode — shrinking the channels would pull the patch
+/// matrices back under the L2 cache and change the compute-vs-traffic
+/// regime the gate measures.
 #[must_use]
 pub fn quant_bench_shapes() -> Vec<ConvCase> {
     use ios_ir::{Conv2dParams, TensorShape};
@@ -444,7 +387,7 @@ pub fn quant_bench_shapes() -> Vec<ConvCase> {
 /// `k`, the tile-bound case the AVX2 kernel targets), a strided
 /// downsample, a bottleneck pointwise (pure GEMM), and a compact
 /// Inception 3×3 so small-`m` layers with edge tiles stay visible. Like
-/// the pack/quant sets, never scaled down in quick mode — that would
+/// the quant set, never scaled down in quick mode — that would
 /// shift the compute-vs-traffic regime; `simd_gate --quick` reduces the
 /// round count instead.
 #[must_use]

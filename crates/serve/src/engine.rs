@@ -11,9 +11,7 @@ use crate::request::{
     InferenceResponse, Pending, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,
     ServeError, TenantId,
 };
-use ios_backend::{
-    stack_batch_pooled, CpuStageProfiler, GroupMode, NetworkWeights, ScratchPool, TensorData,
-};
+use ios_backend::{stack_batch_pooled, CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
 use ios_core::{
     network_block_costs, optimize_network, plan_pipeline, CachingCostModel, CostModel,
     NetworkSchedule, PipelinePlan, ProfiledCostModel, SimCostModel,
@@ -521,10 +519,6 @@ impl ServeEngine {
             // re-optimization shares the engine's cores with serving, so
             // optimization cost is bounded tighter than offline profiling;
             // the ProfiledCostModel caches per stage on its own.
-            // `MatchServing` profiles each batch size the way the batched
-            // executor will run it: batch-1 stages with threaded groups, and
-            // batch>1 stages serially (inside per-sample batch workers the
-            // cores are already busy and stage groups run serially).
             //
             // A pipelining engine additionally profiles **under concurrent
             // load** — one background load worker per sibling dispatch
@@ -539,7 +533,7 @@ impl ServeEngine {
                     config.workers.saturating_sub(1)
                 };
                 Arc::new(ProfiledCostModel::with_policy(
-                    CpuStageProfiler::with_group_mode(GroupMode::MatchServing)
+                    CpuStageProfiler::new()
                         .with_background_load(load)
                         .with_precision(config.precision),
                     1,

@@ -374,7 +374,7 @@ fn pool_counters_stay_flat_across_mixed_clone_drop_sequences() {
 /// `prometheus::validate`-clean document.
 #[test]
 fn int8_engine_serves_the_quantized_path_and_reports_its_footprint() {
-    use ios_backend::{execute_network_with_weights, NetworkWeights, WeightPrecision};
+    use ios_backend::{execute_network_batched, NetworkWeights, ScratchPool, WeightPrecision};
 
     let net = serve_network();
     let engine = ServeEngine::start(
@@ -386,10 +386,11 @@ fn int8_engine_serves_the_quantized_path_and_reports_its_footprint() {
             .with_max_wait(Duration::from_millis(1)),
     );
     let quant_weights = NetworkWeights::precompute_as(&net, WeightPrecision::Int8);
+    let pool = ScratchPool::new();
     for i in 0..3 {
         let sample = TensorData::random(net.input_shape, 700 + i);
         let response = engine.infer(sample.clone()).unwrap();
-        let reference = execute_network_with_weights(&net, &quant_weights, &[sample]);
+        let reference = execute_network_batched(&net, None, &quant_weights, &[sample], &pool);
         assert_eq!(response.outputs.len(), reference.len());
         for (leased, expected) in response.outputs.iter().zip(&reference) {
             assert_eq!(

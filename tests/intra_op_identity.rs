@@ -52,8 +52,8 @@ fn squeezenet_outputs_are_bit_identical_for_every_lane_count() {
         assert_eq!(split, one_lane, "{lanes} lanes");
     }
 
-    // Two samples: the sample fan-out, serial stages inside it and operator
-    // chunks under both.
+    // Two samples: the sample fan-out, stage groups posted inside it and
+    // operator chunks under both.
     let batch_one_lane = with_forced_lanes(1, || run(&stacked));
     for lanes in [2, 7] {
         let split = with_forced_lanes(lanes, || run(&stacked));
