@@ -1,9 +1,12 @@
 //! Criterion benchmark: cost of the IOS dynamic-programming search itself
 //! (the right axis of Figure 9), as a function of the pruning parameters and
-//! of the block width.
+//! of the block width, and of whole networks — `optimize_network/*` times
+//! what `ios_benchmark`'s `sched_search` workload times (Inception V3) and
+//! reports per layer (RandWire-small): a full IOS-Both search at r = 3,
+//! s = 8 against a fresh simulator cost model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ios_core::{schedule_graph, IosVariant, SchedulerConfig, SimCostModel};
+use ios_core::{optimize_network, schedule_graph, IosVariant, SchedulerConfig, SimCostModel};
 use ios_models::{figure2_block, inception::inception_v3_last_block, worst_case_chains};
 use ios_sim::{DeviceKind, Simulator};
 
@@ -59,5 +62,29 @@ fn bench_variants(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pruning, bench_block_width, bench_variants);
+fn bench_networks(c: &mut Criterion) {
+    let config = SchedulerConfig::paper_default();
+    let mut group = c.benchmark_group("optimize_network");
+    group.sample_size(10);
+    for (name, network) in [
+        ("inception_v3", ios_models::inception_v3(1)),
+        ("randwire_small", ios_models::randwire_small(1)),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &network, |b, network| {
+            b.iter(|| {
+                let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
+                optimize_network(network, &cost, &config)
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_pruning,
+    bench_block_width,
+    bench_variants,
+    bench_networks
+);
 criterion_main!(benches);

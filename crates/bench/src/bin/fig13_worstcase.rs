@@ -2,7 +2,7 @@
 //! of c operators) whose transition count reaches the complexity bound.
 
 use ios_bench::{maybe_write_json, render_table, BenchOptions};
-use ios_core::block_statistics;
+use ios_core::{block_statistics, PruningLimits};
 use ios_models::worst_case_chains;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(d, c) in configs {
         let net = worst_case_chains(d, c, 1);
-        let stats = block_statistics(&net.blocks[0].graph, usize::MAX);
+        let stats = block_statistics(&net.blocks[0].graph, PruningLimits::unpruned());
         let bound = stats.transition_bound;
         rows.push(vec![
             format!("d={d} c={c}"),

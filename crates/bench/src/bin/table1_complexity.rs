@@ -3,7 +3,7 @@
 //! transitions and number of feasible schedules).
 
 use ios_bench::{maybe_write_json, render_table, BenchOptions};
-use ios_core::block_statistics;
+use ios_core::{block_statistics, PruningLimits};
 
 fn main() {
     let opts = BenchOptions::from_args();
@@ -13,10 +13,14 @@ fn main() {
     for net in &networks {
         let (idx, _) = net.largest_block().expect("non-empty network");
         let graph = &net.blocks[idx].graph;
-        // Quick mode bounds the ending size like the paper's pruning does;
-        // the full run reproduces the unpruned counts of Table 1.
-        let cap = if opts.quick { 12 } else { usize::MAX };
-        let stats = block_statistics(graph, cap);
+        // Quick mode counts under the paper's pruning (r = 3, s = 8); the
+        // full run reproduces the unpruned counts of Table 1.
+        let pruning = if opts.quick {
+            PruningLimits::paper_default()
+        } else {
+            PruningLimits::unpruned()
+        };
+        let stats = block_statistics(graph, pruning);
         rows.push(vec![
             net.name.clone(),
             stats.n.to_string(),

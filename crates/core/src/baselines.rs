@@ -9,17 +9,18 @@
 
 use crate::cost_model::CostModel;
 use crate::schedule::{ParallelizationStrategy, Schedule, Stage};
-use ios_ir::{Graph, OpSet};
+use ios_ir::{EndingEnumerator, Graph, OpSet};
 
 /// Builds the sequential schedule: one operator per stage, topological order.
 #[must_use]
 pub fn sequential_schedule<C: CostModel>(graph: &Graph, cost_model: &C) -> Schedule {
+    let stage_cost = cost_model.bind(graph);
     let stages = graph
         .topological_order()
         .into_iter()
         .map(|op| {
             let groups = vec![vec![op]];
-            let latency = cost_model.concurrent_latency(graph, &groups);
+            let latency = stage_cost.concurrent_latency(&groups);
             Stage {
                 ops: OpSet::singleton(op),
                 strategy: ParallelizationStrategy::ConcurrentExecution,
@@ -36,7 +37,8 @@ pub fn sequential_schedule<C: CostModel>(graph: &Graph, cost_model: &C) -> Sched
 /// stage are grouped into connected components and executed concurrently.
 #[must_use]
 pub fn greedy_schedule<C: CostModel>(graph: &Graph, cost_model: &C) -> Schedule {
-    let preds = graph.predecessor_sets();
+    let stage_cost = cost_model.bind(graph);
+    let index = EndingEnumerator::new(graph);
     let mut scheduled = OpSet::empty();
     let all = graph.all_ops();
     let mut stages = Vec::new();
@@ -44,18 +46,14 @@ pub fn greedy_schedule<C: CostModel>(graph: &Graph, cost_model: &C) -> Schedule 
         let ready: OpSet = all
             .difference(scheduled)
             .iter()
-            .filter(|op| preds[op.index()].is_subset(scheduled))
+            .filter(|op| index.predecessors(*op).is_subset(scheduled))
             .collect();
         assert!(
             !ready.is_empty(),
             "dependency cycle while building the greedy schedule"
         );
-        let groups: Vec<Vec<ios_ir::OpId>> = graph
-            .groups_of(ready)
-            .into_iter()
-            .map(|g| graph.sequential_order_of(g))
-            .collect();
-        let latency = cost_model.concurrent_latency(graph, &groups);
+        let groups = index.ordered_groups(ready);
+        let latency = stage_cost.concurrent_latency(&groups);
         stages.push(Stage {
             ops: ready,
             strategy: ParallelizationStrategy::ConcurrentExecution,

@@ -6,6 +6,13 @@
 //! cached wrapper ([`CachingCostModel`]), or any synthetic model used in
 //! tests.
 //!
+//! A search asks for thousands of stage latencies on one graph, so whatever
+//! a model can work out from the graph alone — the kernel each operator
+//! lowers to, the fingerprint its cache entries are keyed by — is computed
+//! once per graph: [`CostModel::bind`] returns a [`GraphCostModel`], the
+//! model's view of that graph, and the scheduler, the baselines and the
+//! re-evaluation of a schedule all measure through one view per block.
+//!
 //! Real devices enter through the [`StageProfiler`] capability: anything
 //! that can *execute* a candidate stage once (an execution backend, a
 //! remote device worker) becomes a full profiling cost model by wrapping it
@@ -20,7 +27,10 @@ use crate::merge::MergedConv;
 use ios_ir::{Graph, OpId};
 use ios_sim::{KernelSpec, Simulator};
 use parking_lot::Mutex;
+use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -39,6 +49,44 @@ pub trait CostModel {
     /// measurement count is the hardware-independent proxy reported by the
     /// Figure 9 and Figure 12 reproductions.
     fn measurement_count(&self) -> u64;
+
+    /// This model's view of one graph: the same latencies as the two
+    /// per-call methods, with the per-graph work done once. Callers that
+    /// measure many stages of a graph bind once and measure through the
+    /// view.
+    ///
+    /// The default view forwards to the per-call methods. A model with
+    /// per-graph work to share overrides `bind` and turns its per-call
+    /// methods into `self.bind(graph).…` (one or the other has to hold the
+    /// measurement itself).
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        Box::new(PerCall { model: self, graph })
+    }
+}
+
+/// A [`CostModel`] bound to one graph by [`CostModel::bind`].
+pub trait GraphCostModel {
+    /// [`CostModel::concurrent_latency`] on the bound graph.
+    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64;
+
+    /// [`CostModel::merge_latency`] on the bound graph.
+    fn merge_latency(&self, merged: &MergedConv) -> f64;
+}
+
+/// The default [`CostModel::bind`]: nothing per graph to share.
+struct PerCall<'a, C: ?Sized> {
+    model: &'a C,
+    graph: &'a Graph,
+}
+
+impl<C: CostModel + ?Sized> GraphCostModel for PerCall<'_, C> {
+    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
+        self.model.concurrent_latency(self.graph, groups)
+    }
+
+    fn merge_latency(&self, merged: &MergedConv) -> f64 {
+        self.model.merge_latency(self.graph, merged)
+    }
 }
 
 // Cost models take `&self` everywhere, so references and shared pointers are
@@ -57,6 +105,10 @@ impl<C: CostModel + ?Sized> CostModel for &C {
     fn measurement_count(&self) -> u64 {
         (**self).measurement_count()
     }
+
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        (**self).bind(graph)
+    }
 }
 
 impl<C: CostModel + ?Sized> CostModel for std::sync::Arc<C> {
@@ -70,6 +122,10 @@ impl<C: CostModel + ?Sized> CostModel for std::sync::Arc<C> {
 
     fn measurement_count(&self) -> u64 {
         (**self).measurement_count()
+    }
+
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        (**self).bind(graph)
     }
 }
 
@@ -99,23 +155,63 @@ impl SimCostModel {
 
 impl CostModel for SimCostModel {
     fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        self.measurements.fetch_add(1, Ordering::Relaxed);
-        self.simulator.measure_stage(graph, groups).latency_us
+        self.bind(graph).concurrent_latency(groups)
     }
 
     fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        self.measurements.fetch_add(1, Ordering::Relaxed);
-        // The merged convolution kernel…
+        self.bind(graph).merge_latency(merged)
+    }
+
+    fn measurement_count(&self) -> u64 {
+        self.measurements.load(Ordering::Relaxed)
+    }
+
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        Box::new(SimGraphCost {
+            model: self,
+            graph,
+            kernels: vec![OnceCell::new(); graph.len()],
+        })
+    }
+}
+
+/// [`SimCostModel`] on one graph: each operator is lowered to its kernel
+/// the first time a stage contains it, and every stage after that borrows
+/// the kernel.
+struct SimGraphCost<'a> {
+    model: &'a SimCostModel,
+    graph: &'a Graph,
+    kernels: Vec<OnceCell<KernelSpec>>,
+}
+
+impl SimGraphCost<'_> {
+    fn kernel(&self, op: OpId) -> &KernelSpec {
+        self.kernels[op.index()].get_or_init(|| self.model.simulator.kernel(self.graph, op))
+    }
+}
+
+impl GraphCostModel for SimGraphCost<'_> {
+    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
+        self.model.measurements.fetch_add(1, Ordering::Relaxed);
+        let streams = groups
+            .iter()
+            .map(|group| group.iter().map(|op| self.kernel(*op)));
+        self.model.simulator.latency_us(streams)
+    }
+
+    fn merge_latency(&self, merged: &MergedConv) -> f64 {
+        self.model.measurements.fetch_add(1, Ordering::Relaxed);
+        // The merged convolution kernel (fully described by `merged`)…
         let conv = ios_sim::conv2d_kernel(
-            format!("merged[{}]", merged.parts.len()),
+            String::new(),
             merged.input_shape,
             merged.params,
-            self.simulator.library(),
+            self.model.simulator.library(),
         );
         // …followed by the split (modeled as an element-wise copy kernel).
         let split_elems = (merged.split_bytes() / 8) as usize; // read+write → elements
         let split = KernelSpec {
-            name: "split".to_string(),
+            name: String::new(),
             flops: 0,
             mem_bytes: merged.split_bytes(),
             working_set_bytes: merged.split_bytes(),
@@ -123,14 +219,7 @@ impl CostModel for SimCostModel {
             compute_efficiency: 1.0,
             memory_efficiency: 0.85,
         };
-        let _ = graph; // the merged kernel is fully described by `merged`
-        self.simulator
-            .measure_kernel_stage(&[vec![conv, split]])
-            .latency_us
-    }
-
-    fn measurement_count(&self) -> u64 {
-        self.measurements.load(Ordering::Relaxed)
+        self.model.simulator.latency_us([[conv, split].iter()])
     }
 }
 
@@ -189,6 +278,69 @@ impl<P: StageProfiler + ?Sized> StageProfiler for std::sync::Arc<P> {
     }
 }
 
+/// Stage latencies keyed by the measured graph's fingerprint, then by the
+/// stage (`K` is how the stage is written down). The fingerprint is taken
+/// once per bound graph, and a lookup borrows the stage, so a hit neither
+/// hashes the graph nor copies the key.
+///
+/// Entries are keyed by the *graph* (see [`graph_fingerprint`]) as well as
+/// the stage because operator ids repeat across the blocks of a network and
+/// across batch-resized instances of the same block: a stage-only key would
+/// silently serve block 0's latency for block 3's stage, or batch-1
+/// latencies for a batch-32 instance.
+struct StageCache<K>(Mutex<HashMap<u64, HashMap<K, f64>>>);
+
+impl<K: Hash + Eq> StageCache<K> {
+    fn new() -> Self {
+        StageCache(Mutex::new(HashMap::new()))
+    }
+
+    fn get<Q>(&self, fingerprint: u64, stage: &Q) -> Option<f64>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.lock().get(&fingerprint)?.get(stage).copied()
+    }
+
+    fn insert(&self, fingerprint: u64, stage: K, latency_us: f64) {
+        self.0
+            .lock()
+            .entry(fingerprint)
+            .or_default()
+            .insert(stage, latency_us);
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().values().map(HashMap::len).sum()
+    }
+}
+
+/// Cache of concurrent-execution stages, written down as their groups.
+type ConcurrentStageCache = StageCache<Vec<Vec<OpId>>>;
+/// Cache of operator-merge stages, written down as the merged parts.
+type MergeStageCache = StageCache<Vec<OpId>>;
+
+/// A structural fingerprint of a graph, distinguishing the graphs a stage
+/// key may otherwise collide across: different blocks (names differ),
+/// different batch sizes of one block (shapes differ), and same-shaped
+/// graphs whose operators differ only in hyper-parameters (kinds differ).
+/// Shared by [`CachingCostModel`], [`ProfiledCostModel`] and the backend
+/// profiling harness (which keys its per-graph weights/inputs by it).
+#[must_use]
+pub fn graph_fingerprint(graph: &Graph) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    graph.name().hash(&mut hasher);
+    graph.input_shapes().hash(&mut hasher);
+    for op in graph.ops() {
+        op.kind.hash(&mut hasher);
+        op.inputs.hash(&mut hasher);
+        op.output_shape.hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
 /// A cost model that *measures* stage latency on a [`StageProfiler`]
 /// instead of simulating it — the paper's §4 profiling loop.
 ///
@@ -209,8 +361,8 @@ pub struct ProfiledCostModel<P> {
     profiler: P,
     warmup: u32,
     repeats: u32,
-    concurrent_cache: Mutex<HashMap<ConcurrentStageKey, f64>>,
-    merge_cache: Mutex<HashMap<MergeStageKey, f64>>,
+    concurrent_cache: ConcurrentStageCache,
+    merge_cache: MergeStageCache,
     /// Held across one full warmup-plus-repeats measurement so timed runs
     /// never overlap (and never time another thread's lock wait).
     measure_lock: Mutex<()>,
@@ -251,8 +403,8 @@ impl<P: StageProfiler> ProfiledCostModel<P> {
             profiler,
             warmup,
             repeats: repeats.max(1),
-            concurrent_cache: Mutex::new(HashMap::new()),
-            merge_cache: Mutex::new(HashMap::new()),
+            concurrent_cache: StageCache::new(),
+            merge_cache: StageCache::new(),
             measure_lock: Mutex::new(()),
             profiled: AtomicU64::new(0),
             stage_runs: AtomicU64::new(0),
@@ -308,46 +460,80 @@ impl<P: StageProfiler> ProfiledCostModel<P> {
             0.5 * (samples[mid - 1] + samples[mid])
         }
     }
+
+    /// One stage's latency: from `cache` if it is there, else measured —
+    /// one measurement at a time, re-checking under the measurement lock so
+    /// a racing caller that just profiled this stage is served its result
+    /// instead of profiling it again.
+    fn cached_or_measured<K, Q>(
+        &self,
+        cache: &StageCache<K>,
+        fingerprint: u64,
+        stage: &Q,
+        run: impl FnMut(),
+    ) -> f64
+    where
+        K: Hash + Eq + Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(cached) = cache.get(fingerprint, stage) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        let _one_at_a_time = self.measure_lock.lock();
+        if let Some(cached) = cache.get(fingerprint, stage) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        let value = self.measure(run);
+        cache.insert(fingerprint, stage.to_owned(), value);
+        value
+    }
 }
 
 impl<P: StageProfiler> CostModel for ProfiledCostModel<P> {
     fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        let key = (graph_fingerprint(graph), groups.to_vec());
-        if let Some(cached) = self.concurrent_cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        // One measurement at a time; re-check under the lock so a racing
-        // caller that just profiled this stage is served its result
-        // instead of profiling it again.
-        let _one_at_a_time = self.measure_lock.lock();
-        if let Some(cached) = self.concurrent_cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        let value = self.measure(|| self.profiler.run_concurrent(graph, groups));
-        self.concurrent_cache.lock().insert(key, value);
-        value
+        self.bind(graph).concurrent_latency(groups)
     }
 
     fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        let key = (graph_fingerprint(graph), merged.parts.clone());
-        if let Some(cached) = self.merge_cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        let _one_at_a_time = self.measure_lock.lock();
-        if let Some(cached) = self.merge_cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        let value = self.measure(|| self.profiler.run_merge(graph, merged));
-        self.merge_cache.lock().insert(key, value);
-        value
+        self.bind(graph).merge_latency(merged)
     }
 
     fn measurement_count(&self) -> u64 {
         self.profiled.load(Ordering::Relaxed)
+    }
+
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        Box::new(ProfiledGraphCost {
+            model: self,
+            graph,
+            fingerprint: graph_fingerprint(graph),
+        })
+    }
+}
+
+/// [`ProfiledCostModel`] on one graph, fingerprinted once.
+struct ProfiledGraphCost<'a, P> {
+    model: &'a ProfiledCostModel<P>,
+    graph: &'a Graph,
+    fingerprint: u64,
+}
+
+impl<P: StageProfiler> GraphCostModel for ProfiledGraphCost<'_, P> {
+    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
+        let model = self.model;
+        model.cached_or_measured(&model.concurrent_cache, self.fingerprint, groups, || {
+            model.profiler.run_concurrent(self.graph, groups);
+        })
+    }
+
+    fn merge_latency(&self, merged: &MergedConv) -> f64 {
+        let model = self.model;
+        let parts = merged.parts.as_slice();
+        model.cached_or_measured(&model.merge_cache, self.fingerprint, parts, || {
+            model.profiler.run_merge(self.graph, merged);
+        })
     }
 }
 
@@ -363,50 +549,19 @@ impl<P: StageProfiler> CostModel for ProfiledCostModel<P> {
 /// measured from many threads concurrently — the serving runtime relies on
 /// this to share one cost model between its schedule cache and background
 /// re-optimization workers.
-///
-/// Cache entries are keyed by a fingerprint of the measured *graph* (name,
-/// input shapes, size) in addition to the stage itself: operator ids repeat
-/// across the blocks of a network and across batch-resized instances of the
-/// same block, and a one-graph key would silently serve block 0's latency
-/// for block 3's stage, or batch-1 latencies for a batch-32 instance.
 pub struct CachingCostModel<C> {
     inner: C,
-    concurrent_cache: Mutex<HashMap<ConcurrentStageKey, f64>>,
-    merge_cache: Mutex<HashMap<MergeStageKey, f64>>,
+    concurrent_cache: ConcurrentStageCache,
+    merge_cache: MergeStageCache,
     hits: AtomicU64,
-}
-
-/// Cache key of a concurrent-execution stage: graph fingerprint + groups.
-type ConcurrentStageKey = (u64, Vec<Vec<OpId>>);
-/// Cache key of an operator-merge stage: graph fingerprint + merged parts.
-type MergeStageKey = (u64, Vec<OpId>);
-
-/// A structural fingerprint of a graph, distinguishing the graphs a stage
-/// key may otherwise collide across: different blocks (names differ),
-/// different batch sizes of one block (shapes differ), and same-shaped
-/// graphs whose operators differ only in hyper-parameters (kinds differ).
-/// Shared by [`CachingCostModel`], [`ProfiledCostModel`] and the backend
-/// profiling harness (which keys its per-graph weights/inputs by it).
-#[must_use]
-pub fn graph_fingerprint(graph: &Graph) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    graph.name().hash(&mut hasher);
-    graph.input_shapes().hash(&mut hasher);
-    for op in graph.ops() {
-        op.kind.hash(&mut hasher);
-        op.inputs.hash(&mut hasher);
-        op.output_shape.hash(&mut hasher);
-    }
-    hasher.finish()
 }
 
 impl<C: std::fmt::Debug> std::fmt::Debug for CachingCostModel<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachingCostModel")
             .field("inner", &self.inner)
-            .field("cached_concurrent", &self.concurrent_cache.lock().len())
-            .field("cached_merge", &self.merge_cache.lock().len())
+            .field("cached_concurrent", &self.concurrent_cache.len())
+            .field("cached_merge", &self.merge_cache.len())
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .finish()
     }
@@ -418,8 +573,8 @@ impl<C: CostModel> CachingCostModel<C> {
     pub fn new(inner: C) -> Self {
         CachingCostModel {
             inner,
-            concurrent_cache: Mutex::new(HashMap::new()),
-            merge_cache: Mutex::new(HashMap::new()),
+            concurrent_cache: StageCache::new(),
+            merge_cache: StageCache::new(),
             hits: AtomicU64::new(0),
         }
     }
@@ -439,29 +594,55 @@ impl<C: CostModel> CachingCostModel<C> {
 
 impl<C: CostModel> CostModel for CachingCostModel<C> {
     fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        let key = (graph_fingerprint(graph), groups.to_vec());
-        if let Some(cached) = self.concurrent_cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        let value = self.inner.concurrent_latency(graph, groups);
-        self.concurrent_cache.lock().insert(key, value);
-        value
+        self.bind(graph).concurrent_latency(groups)
     }
 
     fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        let key = (graph_fingerprint(graph), merged.parts.clone());
-        if let Some(cached) = self.merge_cache.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        let value = self.inner.merge_latency(graph, merged);
-        self.merge_cache.lock().insert(key, value);
-        value
+        self.bind(graph).merge_latency(merged)
     }
 
     fn measurement_count(&self) -> u64 {
         self.inner.measurement_count()
+    }
+
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        Box::new(CachedGraphCost {
+            model: self,
+            inner: self.inner.bind(graph),
+            fingerprint: graph_fingerprint(graph),
+        })
+    }
+}
+
+/// [`CachingCostModel`] on one graph: the graph fingerprinted and the inner
+/// model bound once.
+struct CachedGraphCost<'a, C> {
+    model: &'a CachingCostModel<C>,
+    inner: Box<dyn GraphCostModel + 'a>,
+    fingerprint: u64,
+}
+
+impl<C> GraphCostModel for CachedGraphCost<'_, C> {
+    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
+        let cache = &self.model.concurrent_cache;
+        if let Some(cached) = cache.get(self.fingerprint, groups) {
+            self.model.hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        let value = self.inner.concurrent_latency(groups);
+        cache.insert(self.fingerprint, groups.to_vec(), value);
+        value
+    }
+
+    fn merge_latency(&self, merged: &MergedConv) -> f64 {
+        let cache = &self.model.merge_cache;
+        if let Some(cached) = cache.get(self.fingerprint, merged.parts.as_slice()) {
+            self.model.hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        let value = self.inner.merge_latency(merged);
+        cache.insert(self.fingerprint, merged.parts.clone(), value);
+        value
     }
 }
 
@@ -552,6 +733,63 @@ mod tests {
         let merge = cost.merge_latency(&g, &merged);
         let seq = cost.concurrent_latency(&g, &[vec![OpId(0), OpId(1)]]);
         assert!(merge < seq, "merge {merge} vs sequential {seq}");
+    }
+
+    #[test]
+    fn bound_views_agree_with_the_per_call_methods() {
+        // Every stage the search would ask about on this graph, through a
+        // view bound once and through the per-call methods, on two separate
+        // instances of each model (so neither sees the other's cache).
+        fn check<C: CostModel>(make: impl Fn() -> C, graph: &Graph) {
+            let (bound_model, per_call) = (make(), make());
+            let bound = bound_model.bind(graph);
+            let stages: [&[Vec<OpId>]; 4] = [
+                &[vec![OpId(0)]],
+                &[vec![OpId(0), OpId(1)]],
+                &[vec![OpId(0)], vec![OpId(1)]],
+                &[vec![OpId(0)], vec![OpId(1)], vec![OpId(2)]],
+            ];
+            let merged =
+                crate::merge::try_merge(graph, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
+            // Twice over: the second round is served from whatever the
+            // model caches.
+            for _ in 0..2 {
+                for groups in stages {
+                    assert_eq!(
+                        bound.concurrent_latency(groups).to_bits(),
+                        per_call.concurrent_latency(graph, groups).to_bits(),
+                        "{groups:?}"
+                    );
+                }
+                assert_eq!(
+                    bound.merge_latency(&merged).to_bits(),
+                    per_call.merge_latency(graph, &merged).to_bits()
+                );
+            }
+            assert_eq!(
+                bound_model.measurement_count(),
+                per_call.measurement_count()
+            );
+        }
+        let sim = || SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
+        for graph in [two_branch_graph_at(1), two_branch_graph_at(32)] {
+            check(sim, &graph);
+            check(|| CachingCostModel::new(sim()), &graph);
+            check(|| std::sync::Arc::new(CachingCostModel::new(sim())), &graph);
+            check(testing::UnitCostModel::default, &graph);
+        }
+        // A caching model's view takes the fingerprint once and still keeps
+        // graphs apart: the batch-32 view never sees batch-1 entries.
+        let cost = CachingCostModel::new(sim());
+        let (g1, g32) = (two_branch_graph_at(1), two_branch_graph_at(32));
+        let groups = vec![vec![OpId(0)], vec![OpId(1)]];
+        let l1 = cost.bind(&g1).concurrent_latency(&groups);
+        let l32 = cost.bind(&g32).concurrent_latency(&groups);
+        assert!(l32 > l1);
+        assert_eq!(cost.cache_hits(), 0);
+        assert_eq!(cost.bind(&g1).concurrent_latency(&groups), l1);
+        assert_eq!(cost.concurrent_latency(&g32, &groups), l32);
+        assert_eq!(cost.cache_hits(), 2);
     }
 
     #[test]

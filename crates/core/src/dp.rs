@@ -13,23 +13,31 @@
 //! strategy `P(r, s)`, and the optimal schedule is reconstructed from the
 //! recorded `choice[S]`.
 
-use crate::cost_model::CostModel;
-use crate::merge::try_merge;
+use crate::cost_model::{CostModel, GraphCostModel};
+use crate::merge::{try_merge, MergedConv};
 use crate::schedule::{ParallelizationStrategy, Schedule, Stage};
 use crate::variants::SchedulerConfig;
+use ios_ir::opset::OpSetMap;
 use ios_ir::{EndingEnumerator, Graph, OpId, OpSet};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// The decision recorded for a state: the last stage's operators, strategy,
-/// groups and measured latency.
-#[derive(Debug, Clone)]
-struct Choice {
-    stage_ops: OpSet,
+/// The outcome of `GenerateStage(S′)`: measured latency, winning strategy
+/// and execution groups.
+#[derive(Debug)]
+struct GeneratedStage {
+    latency_us: f64,
     strategy: ParallelizationStrategy,
     groups: Vec<Vec<OpId>>,
-    latency_us: f64,
+}
+
+/// `cost[S]` and `choice[S]` of Algorithm 1: the latency of an optimal
+/// schedule of a state, and the last stage of one.
+#[derive(Debug)]
+struct Solved {
+    cost: f64,
+    stage_ops: OpSet,
+    stage: Rc<GeneratedStage>,
 }
 
 /// Result of scheduling one graph.
@@ -59,23 +67,25 @@ pub struct ScheduleResult {
 pub struct Scheduler<'a, C: CostModel> {
     graph: &'a Graph,
     cost_model: &'a C,
+    /// `cost_model` bound to `graph`: what the search measures through.
+    stage_cost: Box<dyn GraphCostModel + 'a>,
     config: SchedulerConfig,
     enumerator: EndingEnumerator,
-    cost: HashMap<OpSet, f64>,
-    choice: HashMap<OpSet, Choice>,
+    /// The recursion's memo, by state.
+    solved: OpSetMap<Solved>,
     /// `GenerateStage` results memoized by the ending `S′`: the same ending
     /// is reachable from many states, but its groups and measured latency
-    /// do not depend on the state it is subtracted from. `Rc` keeps memo
-    /// hits allocation-free (the groups are only deep-cloned when a stage
-    /// actually wins a state's minimization).
-    stage_memo: HashMap<OpSet, Option<Rc<GeneratedStage>>>,
+    /// do not depend on the state it is subtracted from. States whose
+    /// minimum an ending wins share the entry (`Rc`); nothing is copied
+    /// until the final schedule is written out.
+    stage_memo: OpSetMap<Option<Rc<GeneratedStage>>>,
     stage_memo_hits: u64,
     transitions: u64,
+    /// Nanoseconds spent inside the cost model — memo misses are where it
+    /// runs. Kept only while the tracer records (`None` otherwise), and
+    /// reported once per block.
+    cost_model_ns: Option<u64>,
 }
-
-/// The outcome of `GenerateStage(S′)`: measured latency, winning strategy
-/// and execution groups.
-type GeneratedStage = (f64, ParallelizationStrategy, Vec<Vec<OpId>>);
 
 impl<'a, C: CostModel> Scheduler<'a, C> {
     /// Creates a scheduler for `graph` using `cost_model` to measure stages.
@@ -84,13 +94,14 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
         Scheduler {
             graph,
             cost_model,
+            stage_cost: cost_model.bind(graph),
             config,
             enumerator: EndingEnumerator::new(graph),
-            cost: HashMap::new(),
-            choice: HashMap::new(),
-            stage_memo: HashMap::new(),
+            solved: OpSetMap::default(),
+            stage_memo: OpSetMap::default(),
             stage_memo_hits: 0,
             transitions: 0,
+            cost_model_ns: None,
         }
     }
 
@@ -105,25 +116,39 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
         let measurements_before = self.cost_model.measurement_count();
         let all = self.graph.all_ops();
         let total_latency = {
-            let mut span = ios_telemetry::tracer().span("dp.solve", "optimize");
-            span.set_arg(all.len() as u64);
-            self.solve(all)
+            // One span per block, carrying the search's counters; the time
+            // inside the cost model is a second span over the same block.
+            let tracer = ios_telemetry::tracer();
+            let mut span = tracer.span("dp.solve", "optimize");
+            let solve_start_ns = tracer.now_ns();
+            self.cost_model_ns = tracer.is_enabled().then_some(0);
+            let total = self.solve(all);
+            let generated = self.transitions - self.stage_memo_hits;
+            span.set_id(self.transitions);
+            span.set_arg(generated);
+            if let Some(cost_model_ns) = self.cost_model_ns {
+                tracer.record_span_at(
+                    "dp.cost_model",
+                    "optimize",
+                    solve_start_ns,
+                    cost_model_ns,
+                    generated,
+                    self.cost_model.measurement_count() - measurements_before,
+                );
+            }
+            total
         };
 
         // Reconstruct the schedule from the recorded choices (L6-11).
         let mut stages_rev: Vec<Stage> = Vec::new();
         let mut state = all;
         while !state.is_empty() {
-            let choice = self
-                .choice
-                .get(&state)
-                .expect("solved state has a choice")
-                .clone();
+            let choice = &self.solved[&state];
             stages_rev.push(Stage {
                 ops: choice.stage_ops,
-                strategy: choice.strategy,
-                groups: choice.groups,
-                measured_latency_us: choice.latency_us,
+                strategy: choice.stage.strategy,
+                groups: choice.stage.groups.clone(),
+                measured_latency_us: choice.stage.latency_us,
             });
             state = state.difference(choice.stage_ops);
         }
@@ -134,7 +159,7 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
             schedule,
             latency_us: total_latency,
             transitions: self.transitions,
-            states: self.cost.len() as u64,
+            states: self.solved.len() as u64,
             measurements: self.cost_model.measurement_count() - measurements_before,
             stage_memo_hits: self.stage_memo_hits,
             search_seconds: start.elapsed().as_secs_f64(),
@@ -147,18 +172,12 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
         if state.is_empty() {
             return 0.0;
         }
-        if let Some(&cached) = self.cost.get(&state) {
-            return cached;
+        if let Some(solved) = self.solved.get(&state) {
+            return solved.cost;
         }
-        let endings = self
-            .enumerator
-            .endings(state, self.config.pruning.max_stage_ops());
-        let mut best = f64::INFINITY;
-        let mut best_choice: Option<Choice> = None;
-        for ending in endings {
-            if !self.config.pruning.admits(self.graph, ending) {
-                continue;
-            }
+        let mut best_cost = f64::INFINITY;
+        let mut best_choice: Option<(OpSet, Rc<GeneratedStage>)> = None;
+        for ending in self.enumerator.endings(state, self.config.pruning) {
             self.transitions += 1;
             let stage = match self.stage_memo.get(&ending) {
                 Some(cached) => {
@@ -166,10 +185,6 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
                     cached.clone()
                 }
                 None => {
-                    // Memo misses are where the cost model actually runs, so
-                    // they dominate search time — a trace shows each one.
-                    let mut span = ios_telemetry::tracer().span("dp.stage_gen", "optimize");
-                    span.set_arg(ending.len() as u64);
                     let generated = self.generate_stage(ending).map(Rc::new);
                     self.stage_memo.insert(ending, generated.clone());
                     generated
@@ -178,23 +193,23 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
             let Some(stage) = stage else {
                 continue;
             };
-            let (latency, strategy, ref groups) = *stage;
-            let rest = self.solve(state.difference(ending));
-            let total = rest + latency;
-            if total < best {
-                best = total;
-                best_choice = Some(Choice {
-                    stage_ops: ending,
-                    strategy,
-                    groups: groups.clone(),
-                    latency_us: latency,
-                });
+            let cost = self.solve(state.difference(ending)) + stage.latency_us;
+            if cost < best_cost {
+                best_cost = cost;
+                best_choice = Some((ending, stage));
             }
         }
-        let choice = best_choice.expect("every non-empty state has at least one ending");
-        self.cost.insert(state, best);
-        self.choice.insert(state, choice);
-        best
+        let (stage_ops, stage) =
+            best_choice.expect("every non-empty state has at least one ending");
+        self.solved.insert(
+            state,
+            Solved {
+                cost: best_cost,
+                stage_ops,
+                stage,
+            },
+        );
+        best_cost
     }
 
     /// `GenerateStage(S′)` of Algorithm 1: pick the better parallelization
@@ -202,50 +217,41 @@ impl<'a, C: CostModel> Scheduler<'a, C> {
     ///
     /// Returns `None` when the variant forbids every applicable strategy
     /// (e.g. IOS-Merge on a multi-operator stage that cannot merge).
-    fn generate_stage(&self, stage_ops: OpSet) -> Option<GeneratedStage> {
-        let groups: Vec<Vec<OpId>> = self
-            .graph
-            .groups_of(stage_ops)
-            .into_iter()
-            .map(|g| self.graph.sequential_order_of(g))
-            .collect();
-
+    fn generate_stage(&mut self, stage_ops: OpSet) -> Option<GeneratedStage> {
         // Concurrent execution is always applicable; under the IOS-Merge
         // variant it is only allowed for single-operator stages (which makes
         // IOS-Merge degenerate to the sequential schedule when nothing can
         // merge, as observed for RandWire and NasNet in Figure 6).
         let parallel_allowed = self.config.variant.allows_parallel() || stage_ops.len() == 1;
-        let concurrent = if parallel_allowed {
-            Some(self.cost_model.concurrent_latency(self.graph, &groups))
-        } else {
-            None
-        };
-
         let merged = if self.config.variant.allows_merge() && stage_ops.len() > 1 {
             try_merge(self.graph, stage_ops)
-                .map(|m| (self.cost_model.merge_latency(self.graph, &m), m))
         } else {
             None
         };
+        let groups = parallel_allowed.then(|| self.enumerator.ordered_groups(stage_ops));
 
-        match (concurrent, merged) {
-            (Some(c), Some((m, merged_conv))) => {
-                if m < c {
-                    Some((
-                        m,
-                        ParallelizationStrategy::OperatorMerge,
-                        vec![merged_conv.parts],
-                    ))
-                } else {
-                    Some((c, ParallelizationStrategy::ConcurrentExecution, groups))
-                }
-            }
-            (Some(c), None) => Some((c, ParallelizationStrategy::ConcurrentExecution, groups)),
-            (None, Some((m, merged_conv))) => Some((
-                m,
-                ParallelizationStrategy::OperatorMerge,
-                vec![merged_conv.parts],
-            )),
+        let entered = self.cost_model_ns.map(|_| Instant::now());
+        let concurrent = groups
+            .as_deref()
+            .map(|groups| self.stage_cost.concurrent_latency(groups));
+        let merge = merged.as_ref().map(|m| self.stage_cost.merge_latency(m));
+        if let (Some(total), Some(entered)) = (self.cost_model_ns.as_mut(), entered) {
+            *total += entered.elapsed().as_nanos() as u64;
+        }
+
+        let merge_stage = |latency_us, merged: MergedConv| GeneratedStage {
+            latency_us,
+            strategy: ParallelizationStrategy::OperatorMerge,
+            groups: vec![merged.parts],
+        };
+        match (concurrent.zip(groups), merge.zip(merged)) {
+            (Some((c, _)), Some((m, merged))) if m < c => Some(merge_stage(m, merged)),
+            (Some((latency_us, groups)), _) => Some(GeneratedStage {
+                latency_us,
+                strategy: ParallelizationStrategy::ConcurrentExecution,
+                groups,
+            }),
+            (None, Some((m, merged))) => Some(merge_stage(m, merged)),
             (None, None) => None,
         }
     }

@@ -17,7 +17,9 @@
 //!   schedules of Section 6.1 ([`baselines`]).
 //! * [`SimCostModel`] — the cost model backed by the `ios-sim` GPU
 //!   simulator, playing the role of the paper's on-device profiler
-//!   ([`cost_model`]).
+//!   ([`cost_model`]). A search binds its cost model to each block once
+//!   ([`CostModel::bind`] → [`GraphCostModel`]), so operators are lowered
+//!   and graphs fingerprinted per block, not per measurement.
 //! * [`StageProfiler`] / [`ProfiledCostModel`] — the real profiling loop:
 //!   any substrate that can execute a candidate stage becomes a measuring
 //!   cost model (warmup + median-of-N repeats, cached per stage); the CPU
@@ -56,7 +58,8 @@ pub mod variants;
 
 pub use baselines::{greedy_schedule, sequential_schedule};
 pub use cost_model::{
-    graph_fingerprint, CachingCostModel, CostModel, ProfiledCostModel, SimCostModel, StageProfiler,
+    graph_fingerprint, CachingCostModel, CostModel, GraphCostModel, ProfiledCostModel,
+    SimCostModel, StageProfiler,
 };
 pub use dp::{schedule_graph, ScheduleResult, Scheduler};
 pub use ios_ir::PruningLimits;

@@ -228,20 +228,21 @@ pub fn network_block_costs<C: CostModel>(
         .iter()
         .zip(&schedule.block_schedules)
         .map(|(block, block_schedule)| {
+            let stage_cost = cost_model.bind(&block.graph);
             block_schedule
                 .stages
                 .iter()
                 .map(|stage| match stage.strategy {
                     ParallelizationStrategy::ConcurrentExecution => {
-                        cost_model.concurrent_latency(&block.graph, &stage.groups)
+                        stage_cost.concurrent_latency(&stage.groups)
                     }
                     ParallelizationStrategy::OperatorMerge => {
                         match try_merge(&block.graph, stage.ops) {
-                            Some(merged) => cost_model.merge_latency(&block.graph, &merged),
+                            Some(merged) => stage_cost.merge_latency(&merged),
                             // Fall back to concurrent execution if the stage
                             // is no longer mergeable (cannot happen for pure
                             // batch re-shaping, but keeps evaluation total).
-                            None => cost_model.concurrent_latency(&block.graph, &stage.groups),
+                            None => stage_cost.concurrent_latency(&stage.groups),
                         }
                     }
                 })

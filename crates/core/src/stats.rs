@@ -7,9 +7,9 @@
 //! running the latency-aware dynamic program: transition and schedule counts
 //! only depend on the graph structure.
 
-use ios_ir::{dag_width, transition_upper_bound, EndingEnumerator, Graph, OpSet};
+use ios_ir::opset::OpSetMap;
+use ios_ir::{dag_width, transition_upper_bound, EndingEnumerator, Graph, OpSet, PruningLimits};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The Table 1 row for one block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -22,7 +22,8 @@ pub struct BlockStats {
     pub width: usize,
     /// The upper bound `∏ C(cᵢ + 2, 2)` on the number of transitions.
     pub transition_bound: f64,
-    /// The real number of `(S, S′)` pairs explored by an unpruned search.
+    /// The real number of `(S, S′)` pairs explored by a search under the
+    /// given pruning strategy.
     pub transitions: u64,
     /// The total number of feasible schedules (can be astronomically large,
     /// e.g. 9.2 × 10²² for RandWire, hence a float).
@@ -31,18 +32,17 @@ pub struct BlockStats {
 
 /// Computes the Table 1 statistics for a graph.
 ///
-/// `max_stage_ops` bounds the size of an ending, mirroring a pruning
-/// strategy; pass `usize::MAX` for the unpruned counts reported in the paper.
+/// `pruning` restricts the endings as it does in the search; pass
+/// [`PruningLimits::unpruned`] for the counts reported in the paper.
 #[must_use]
-pub fn block_statistics(graph: &Graph, max_stage_ops: usize) -> BlockStats {
+pub fn block_statistics(graph: &Graph, pruning: PruningLimits) -> BlockStats {
     let enumerator = EndingEnumerator::new(graph);
-    let mut schedule_counts: HashMap<OpSet, f64> = HashMap::new();
+    let mut schedule_counts: OpSetMap<f64> = OpSetMap::default();
     let mut transitions = 0u64;
-    let all = graph.all_ops();
     let num_schedules = count_schedules(
         &enumerator,
-        all,
-        max_stage_ops,
+        graph.all_ops(),
+        pruning,
         &mut schedule_counts,
         &mut transitions,
     );
@@ -56,11 +56,13 @@ pub fn block_statistics(graph: &Graph, max_stage_ops: usize) -> BlockStats {
     }
 }
 
+/// Number of schedules of `state`. A state's endings are visited, never
+/// stored: RandWire's largest block has 1.2 × 10⁶ transitions unpruned.
 fn count_schedules(
     enumerator: &EndingEnumerator,
     state: OpSet,
-    max_stage_ops: usize,
-    memo: &mut HashMap<OpSet, f64>,
+    pruning: PruningLimits,
+    memo: &mut OpSetMap<f64>,
     transitions: &mut u64,
 ) -> f64 {
     if state.is_empty() {
@@ -70,16 +72,16 @@ fn count_schedules(
         return cached;
     }
     let mut total = 0.0;
-    for ending in enumerator.endings(state, max_stage_ops) {
+    enumerator.for_each_ending(state, pruning, |ending| {
         *transitions += 1;
         total += count_schedules(
             enumerator,
             state.difference(ending),
-            max_stage_ops,
+            pruning,
             memo,
             transitions,
         );
-    }
+    });
     memo.insert(state, total);
     total
 }
@@ -106,7 +108,7 @@ mod tests {
                 v = b.conv2d(format!("c{i}"), v, conv());
             }
             let g = b.build(vec![v]);
-            let stats = block_statistics(&g, usize::MAX);
+            let stats = block_statistics(&g, PruningLimits::unpruned());
             assert_eq!(stats.n, n);
             assert_eq!(stats.width, 1);
             assert_eq!(stats.num_schedules, 2f64.powi(n as i32 - 1), "n = {n}");
@@ -122,7 +124,7 @@ mod tests {
         let a = b.conv2d("a", x, conv());
         let c = b.conv2d("c", x, conv());
         let g = b.build(vec![a, c]);
-        let stats = block_statistics(&g, usize::MAX);
+        let stats = block_statistics(&g, PruningLimits::unpruned());
         assert_eq!(stats.num_schedules, 3.0);
         assert_eq!(stats.width, 2);
         // Transitions: state {a,c}: endings {a},{c},{a,c} (3); states {a},{c}: 1 each → 5.
@@ -141,7 +143,7 @@ mod tests {
         let _bb = b.conv2d("b", a, conv());
         let _c = b.conv2d("c", x, conv());
         let g = b.build(vec![]);
-        let stats = block_statistics(&g, usize::MAX);
+        let stats = block_statistics(&g, PruningLimits::unpruned());
         // Enumerate by hand: stage partitions of {a,b,c} respecting a→b.
         // 1 stage: {a,b,c}
         // 2 stages: {a}{b,c}, {a,b}{c}, {a,c}{b}, {c}{a,b}, {b? no}…
@@ -162,8 +164,9 @@ mod tests {
             .map(|i| b.conv2d(format!("c{i}"), x, conv()))
             .collect();
         let g = b.build(outs);
-        let unpruned = block_statistics(&g, usize::MAX);
-        let pruned = block_statistics(&g, 2);
+        let unpruned = block_statistics(&g, PruningLimits::unpruned());
+        // Five independent operators: at most two (singleton) groups per stage.
+        let pruned = block_statistics(&g, PruningLimits::new(1, 2));
         assert!(pruned.transitions < unpruned.transitions);
         assert!(pruned.num_schedules < unpruned.num_schedules);
         assert_eq!(pruned.n, unpruned.n);
@@ -174,7 +177,7 @@ mod tests {
         // Figure 13: d chains of c operators reach the bound exactly.
         let net = ios_models::worst_case_chains(3, 3, 1);
         let g = &net.blocks[0].graph;
-        let stats = block_statistics(g, usize::MAX);
+        let stats = block_statistics(g, PruningLimits::unpruned());
         assert_eq!(stats.transition_bound, 10f64.powi(3));
         // The bound counts (S, S′) pairs including empty endings; the search
         // only explores non-empty endings, so the real count is the bound

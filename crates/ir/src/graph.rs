@@ -5,6 +5,7 @@
 //! computation graph `G = (V, E)` where each edge `(u, v)` is a tensor
 //! produced by `u` and consumed by `v`.
 
+use crate::endings::EndingEnumerator;
 use crate::error::IrError;
 use crate::op::{Activation, Conv2dParams, MatMulParams, Op, OpId, OpKind, PoolParams};
 use crate::opset::{OpSet, MAX_OPS};
@@ -219,24 +220,7 @@ impl Graph {
     /// sources.
     #[must_use]
     pub fn topological_order(&self) -> Vec<OpId> {
-        let preds = self.predecessor_sets();
-        let succs = self.successor_sets();
-        let mut indegree: Vec<usize> = preds.iter().map(|p| p.len()).collect();
-        let mut queue: VecDeque<OpId> = (0..self.ops.len())
-            .filter(|&i| indegree[i] == 0)
-            .map(OpId)
-            .collect();
-        let mut order = Vec::with_capacity(self.ops.len());
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            for s in succs[id.index()].iter() {
-                indegree[s.index()] -= 1;
-                if indegree[s.index()] == 0 {
-                    queue.push_back(s);
-                }
-            }
-        }
-        order
+        kahn_order(&self.predecessor_sets(), &self.successor_sets())
     }
 
     /// Transitive closure: `reach[i]` is the set of operators reachable from
@@ -257,50 +241,27 @@ impl Graph {
     }
 
     /// Partitions the operators of `set` into groups: connected components of
-    /// the *undirected* dependency graph restricted to `set`.
+    /// the *undirected* dependency graph restricted to `set`, ordered by
+    /// their smallest operator id.
     ///
     /// This is exactly how the paper forms the groups of a "concurrent
     /// execution" stage: operators connected by an edge inside the stage end
     /// up in the same group and are executed sequentially, while different
     /// groups run concurrently.
+    ///
+    /// Builds an [`EndingEnumerator`] for this one call; hold one and use
+    /// [`EndingEnumerator::groups`] when partitioning many sets.
     #[must_use]
     pub fn groups_of(&self, set: OpSet) -> Vec<OpSet> {
-        let preds = self.predecessor_sets();
-        let succs = self.successor_sets();
-        let mut remaining = set;
-        let mut groups = Vec::new();
-        while let Some(seed) = remaining.first() {
-            let mut group = OpSet::empty();
-            let mut stack = vec![seed];
-            while let Some(cur) = stack.pop() {
-                if group.contains(cur) {
-                    continue;
-                }
-                group.insert(cur);
-                let neighbors = preds[cur.index()]
-                    .union(succs[cur.index()])
-                    .intersection(set);
-                for n in neighbors.iter() {
-                    if !group.contains(n) {
-                        stack.push(n);
-                    }
-                }
-            }
-            remaining = remaining.difference(group);
-            groups.push(group);
-        }
-        groups.sort_by_key(|g| g.first().map_or(usize::MAX, OpId::index));
-        groups
+        EndingEnumerator::new(self).groups(set).collect()
     }
 
     /// Orders the operators of a group in a topologically valid sequence
-    /// (operators in a group execute sequentially).
+    /// (operators in a group execute sequentially). One-call form of
+    /// [`EndingEnumerator::order`].
     #[must_use]
     pub fn sequential_order_of(&self, group: OpSet) -> Vec<OpId> {
-        self.topological_order()
-            .into_iter()
-            .filter(|id| group.contains(*id))
-            .collect()
+        EndingEnumerator::new(self).order(group).collect()
     }
 
     /// Validates the structural invariants of the graph (acyclicity, input
@@ -340,6 +301,27 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// Kahn's algorithm over adjacency bitsets. Operators on a cycle are left
+/// out, which is how [`Graph::validate`] detects one.
+pub(crate) fn kahn_order(preds: &[OpSet], succs: &[OpSet]) -> Vec<OpId> {
+    let mut indegree: Vec<usize> = preds.iter().map(|p| p.len()).collect();
+    let mut queue: VecDeque<OpId> = (0..preds.len())
+        .filter(|&i| indegree[i] == 0)
+        .map(OpId)
+        .collect();
+    let mut order = Vec::with_capacity(preds.len());
+    while let Some(id) = queue.pop_front() {
+        order.push(id);
+        for s in succs[id.index()].iter() {
+            indegree[s.index()] -= 1;
+            if indegree[s.index()] == 0 {
+                queue.push_back(s);
+            }
+        }
+    }
+    order
 }
 
 /// Builder for [`Graph`]s with eager shape inference.

@@ -11,7 +11,10 @@
 //! * [`OpSet`] — a 128-bit bitset over operator ids used as the dynamic
 //!   programming state of the scheduler ([`opset`]).
 //! * [`endings`] — enumeration of *endings* (successor-closed subsets), the
-//!   candidate last stages of the IOS dynamic program.
+//!   candidate last stages of the IOS dynamic program, under the pruning
+//!   strategy `P(r, s)`; [`EndingEnumerator`] is the per-graph index
+//!   (adjacency bitsets, topological order) the search also takes a
+//!   stage's groups and their execution order from.
 //! * [`width`] — DAG width via Dilworth's theorem (minimum path cover).
 //! * [`Network`] — a CNN as a sequence of blocks, the unit the paper
 //!   optimizes independently ([`network`]).

@@ -7,7 +7,9 @@
 
 use crate::op::OpId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum number of operators a single scheduled graph may contain.
 pub const MAX_OPS: usize = 128;
@@ -123,8 +125,9 @@ impl OpSet {
         self.0 & other.0 == 0
     }
 
-    /// Iterates over the members in increasing id order.
-    pub fn iter(self) -> impl Iterator<Item = OpId> {
+    /// Iterates over the members in increasing id order (and, from the
+    /// back, in decreasing order).
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = OpId> {
         OpSetIter(self.0)
     }
 
@@ -136,6 +139,56 @@ impl OpSet {
         } else {
             Some(OpId(self.0.trailing_zeros() as usize))
         }
+    }
+
+    /// The member with the largest id, if any.
+    #[must_use]
+    pub fn last(self) -> Option<OpId> {
+        self.iter().next_back()
+    }
+}
+
+/// A hash map keyed by [`OpSet`] — the shape of every memo table of the
+/// dynamic program (`cost[S]`, `choice[S]`, the stage memo, the Table 1
+/// schedule counts).
+pub type OpSetMap<V> = HashMap<OpSet, V, BuildHasherDefault<OpSetHasher>>;
+
+/// The hasher behind [`OpSetMap`]: two multiply-folds over the bitmask's
+/// halves instead of SipHash over its sixteen bytes. The keys are states the
+/// program enumerates itself, so resistance to crafted collisions — what the
+/// default hasher pays for — buys nothing here.
+#[derive(Debug, Clone, Copy)]
+pub struct OpSetHasher(u64);
+
+impl Default for OpSetHasher {
+    fn default() -> Self {
+        OpSetHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl OpSetHasher {
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for OpSetHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u128(&mut self, bits: u128) {
+        self.mix(bits as u64);
+        self.mix((bits >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -200,6 +253,18 @@ impl Iterator for OpSetIter {
     }
 }
 
+impl DoubleEndedIterator for OpSetIter {
+    fn next_back(&mut self) -> Option<OpId> {
+        if self.0 == 0 {
+            None
+        } else {
+            let idx = 127 - self.0.leading_zeros() as usize;
+            self.0 &= !(1u128 << idx);
+            Some(OpId(idx))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +316,29 @@ mod tests {
         assert_eq!(got, vec![1, 5, 64]);
         assert_eq!(s.first(), Some(OpId(1)));
         assert_eq!(OpSet::empty().first(), None);
+        let back: Vec<usize> = s.iter().rev().map(OpId::index).collect();
+        assert_eq!(back, vec![64, 5, 1]);
+        assert_eq!(s.last(), Some(OpId(64)));
+        assert_eq!(OpSet::full(128).last(), Some(OpId(127)));
+        assert_eq!(OpSet::empty().last(), None);
+    }
+
+    #[test]
+    fn opset_map_tells_nearby_states_apart() {
+        // Every subset of seven operators spread over both halves of the
+        // mask, as keys of one map: all distinct, all found again.
+        let ops = [0usize, 1, 2, 63, 64, 65, 127];
+        let mut map: OpSetMap<usize> = OpSetMap::default();
+        for mask in 0..1usize << ops.len() {
+            let set: OpSet = (0..ops.len())
+                .filter(|bit| mask >> bit & 1 == 1)
+                .map(|bit| OpId(ops[bit]))
+                .collect();
+            assert_eq!(map.insert(set, mask), None);
+        }
+        assert_eq!(map.len(), 128);
+        let probe: OpSet = [OpId(1), OpId(64)].into_iter().collect();
+        assert_eq!(map[&probe], 0b1_0010);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::device::{DeviceKind, DeviceSpec, ExecutionOverheads};
 use crate::kernel::{kernel_for_op, KernelLibrary, KernelSpec};
-use crate::stream::{simulate_stage, KernelEvent, StageSimulation};
+use crate::stream::{simulate_stage, stage_latency_us, KernelEvent};
 use ios_ir::{Graph, OpId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -146,24 +146,26 @@ impl Simulator {
     /// Measures a stage given explicit kernel groups.
     #[must_use]
     pub fn measure_kernel_stage(&self, groups: &[Vec<KernelSpec>]) -> StageMeasurement {
-        let runs = if self.config.noise_std > 0.0 {
-            self.config.repeats
-        } else {
-            1
-        };
-        let mut last: Option<StageSimulation> = None;
-        let mut total = 0.0;
-        for _ in 0..runs {
-            let sim = simulate_stage(groups, &self.device, self.overheads);
-            total += self.apply_noise(sim.latency_us);
-            last = Some(sim);
-        }
-        let sim = last.expect("at least one run");
+        let sim = simulate_stage(groups, &self.device, self.overheads);
         StageMeasurement {
-            latency_us: total / runs as f64,
+            latency_us: self.measured(sim.latency_us),
             events: sim.events,
             total_flops: sim.total_flops,
         }
+    }
+
+    /// The `latency_us` of [`Simulator::measure_kernel_stage`] without its
+    /// timeline: the same simulation loop and the same noise draws, so the
+    /// two agree bit for bit. Each stream is an iterator over kernels the
+    /// caller lowered beforehand (see [`Simulator::kernel`]) — this is the
+    /// form a search uses, which measures thousands of stages over the same
+    /// few operators.
+    #[must_use]
+    pub fn latency_us<'a, I>(&self, groups: impl IntoIterator<Item = I>) -> f64
+    where
+        I: ExactSizeIterator<Item = &'a KernelSpec>,
+    {
+        self.measured(stage_latency_us(groups, &self.device, self.overheads))
     }
 
     /// Measures a stage of graph operators executed with "concurrent
@@ -185,17 +187,26 @@ impl Simulator {
         self.measure_stage(graph, &[ops.to_vec()])
     }
 
-    fn apply_noise(&self, latency: f64) -> f64 {
+    /// What the configured measurement process reports for a stage whose
+    /// simulated latency is `latency`: the value itself, or the mean of
+    /// `repeats` noisy readings of it (the simulation is deterministic, so
+    /// repeats differ only in their noise).
+    fn measured(&self, latency: f64) -> f64 {
         if self.config.noise_std <= 0.0 {
             return latency;
         }
         let mut rng = self.rng.lock();
-        // Box-Muller transform on two uniform samples to avoid depending on
-        // rand_distr just for a Gaussian.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (latency * (1.0 + self.config.noise_std * z)).max(latency * 0.2)
+        let mut total = 0.0;
+        let repeats = self.config.repeats.max(1);
+        for _ in 0..repeats {
+            // Box-Muller transform on two uniform samples to avoid depending
+            // on rand_distr just for a Gaussian.
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            total += (latency * (1.0 + self.config.noise_std * z)).max(latency * 0.2);
+        }
+        total / repeats as f64
     }
 }
 
@@ -262,6 +273,78 @@ mod tests {
             .measure_stage(&g, &[vec![OpId(0)], vec![OpId(1)]])
             .latency_us;
         assert_ne!(measured, m2);
+    }
+
+    /// Random stages over real blocks: every group is a random run of the
+    /// block's operators in id order (valid or not as a schedule stage —
+    /// the simulator only sees streams of kernels).
+    fn random_stages(graph: &Graph, rng: &mut StdRng, count: usize) -> Vec<Vec<Vec<OpId>>> {
+        (0..count)
+            .map(|_| {
+                let mut groups = vec![Vec::new(); rng.gen_range(1..7)];
+                for op in 0..graph.len() {
+                    if rng.gen_bool(0.4) {
+                        let group = rng.gen_range(0..groups.len());
+                        groups[group].push(OpId(op));
+                    }
+                }
+                groups
+            })
+            .collect()
+    }
+
+    #[test]
+    fn latency_only_pass_is_bit_identical_to_the_full_measurement() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for batch in [1, 32] {
+            let network = ios_models::inception_v3(batch);
+            for block in network.blocks.iter().step_by(3) {
+                let graph = &block.graph;
+                let stages = random_stages(graph, &mut rng, 12);
+                for device in [
+                    DeviceKind::TeslaV100,
+                    DeviceKind::TeslaK80,
+                    DeviceKind::A100,
+                ] {
+                    for library in [KernelLibrary::CuDnn, KernelLibrary::TensorRt] {
+                        for config in [
+                            MeasureConfig::deterministic(),
+                            MeasureConfig::noisy(0.05, 7, 3),
+                        ] {
+                            // Two simulators with equal seeds: equal results
+                            // throughout mean both passes drew the same
+                            // number of noise samples per stage.
+                            let make = || {
+                                Simulator::with_settings(
+                                    device.spec(),
+                                    library,
+                                    ExecutionOverheads::ios_engine(),
+                                    config,
+                                )
+                            };
+                            let (full, fast) = (make(), make());
+                            let kernels: Vec<KernelSpec> = (0..graph.len())
+                                .map(|op| fast.kernel(graph, OpId(op)))
+                                .collect();
+                            for groups in &stages {
+                                let expected = full.measure_stage(graph, groups).latency_us;
+                                let got = fast.latency_us(
+                                    groups
+                                        .iter()
+                                        .map(|g| g.iter().map(|op| &kernels[op.index()])),
+                                );
+                                assert_eq!(
+                                    got.to_bits(),
+                                    expected.to_bits(),
+                                    "{} {device:?} {library:?} {config:?} {groups:?}",
+                                    graph.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -78,28 +78,24 @@ impl StageSimulation {
 }
 
 /// Per-stream simulation state.
-struct StreamState<'a> {
-    kernels: &'a [KernelSpec],
-    /// Index of the kernel currently executing or about to execute.
-    next: usize,
+struct StreamState<'a, I> {
+    /// The kernel currently executing or about to execute; `None` once every
+    /// kernel of the stream has finished.
+    current: Option<&'a KernelSpec>,
+    /// The kernels after `current`, in issue order.
+    rest: I,
     /// Fraction of the current kernel already completed.
     progress: f64,
     /// Time at which the current kernel's launch completes and it may start.
     ready_at: f64,
     /// Time at which the current kernel actually started executing.
     started_at: f64,
-    /// True once every kernel of the stream has finished.
-    done: bool,
-}
-
-impl StreamState<'_> {
-    fn current(&self) -> Option<&KernelSpec> {
-        if self.done {
-            None
-        } else {
-            self.kernels.get(self.next)
-        }
-    }
+    /// Whether the current kernel is resident in this step of the loop.
+    active: bool,
+    /// The resident kernel's share of the device's SMs, if it ran alone.
+    demand: f64,
+    /// Time the resident kernel still needs at this step's rates.
+    remaining: f64,
 }
 
 /// Simulates the concurrent execution of `groups` on `device`.
@@ -115,44 +111,88 @@ pub fn simulate_stage(
     device: &DeviceSpec,
     overheads: ExecutionOverheads,
 ) -> StageSimulation {
-    let non_empty: Vec<&Vec<KernelSpec>> = groups.iter().filter(|g| !g.is_empty()).collect();
-    if non_empty.is_empty() {
-        return StageSimulation {
-            latency_us: 0.0,
-            events: Vec::new(),
-            total_flops: 0,
-        };
+    let mut events = Vec::new();
+    let latency_us = run_streams(
+        groups.iter().map(|g| g.iter()),
+        device,
+        overheads,
+        |kernel, group, start_us, end_us| {
+            events.push(KernelEvent {
+                name: kernel.name.clone(),
+                group,
+                start_us,
+                end_us,
+                warps: kernel.warps().min(device.max_resident_warps()),
+                flops: kernel.flops,
+            });
+        },
+    );
+    StageSimulation {
+        latency_us,
+        // Every kernel of the stage finishes exactly once.
+        total_flops: events.iter().map(|e| e.flops).sum(),
+        events,
     }
+}
 
-    let mut streams: Vec<StreamState<'_>> = non_empty
-        .iter()
-        .enumerate()
-        .map(|(i, g)| StreamState {
-            kernels: g.as_slice(),
-            next: 0,
+/// The latency of [`simulate_stage`] alone — the same loop, bit for bit,
+/// without recording the timeline. Streams are given as iterators over
+/// kernels lowered elsewhere, so a caller that measures many stages of one
+/// graph lowers each operator once and clones nothing per stage.
+#[must_use]
+pub(crate) fn stage_latency_us<'a, I>(
+    groups: impl IntoIterator<Item = I>,
+    device: &DeviceSpec,
+    overheads: ExecutionOverheads,
+) -> f64
+where
+    I: ExactSizeIterator<Item = &'a KernelSpec>,
+{
+    run_streams(groups, device, overheads, |_, _, _, _| {})
+}
+
+/// The processor-sharing loop behind [`simulate_stage`] and
+/// [`stage_latency_us`]. `on_finish(kernel, stream, start_us, end_us)` is
+/// called once per kernel, in completion order.
+fn run_streams<'a, I>(
+    groups: impl IntoIterator<Item = I>,
+    device: &DeviceSpec,
+    overheads: ExecutionOverheads,
+    mut on_finish: impl FnMut(&'a KernelSpec, usize, f64, f64),
+) -> f64
+where
+    I: ExactSizeIterator<Item = &'a KernelSpec>,
+{
+    let mut kernels = 0;
+    let mut streams: Vec<StreamState<'a, I>> = Vec::new();
+    for mut group in groups {
+        kernels += group.len();
+        let Some(first) = group.next() else {
+            continue;
+        };
+        streams.push(StreamState {
+            current: Some(first),
+            rest: group,
             progress: 0.0,
             // The host issues the first kernel of each stream one after the
             // other, so stream i waits for i+1 launch gaps.
-            ready_at: overheads.kernel_launch_us * (i + 1) as f64,
+            ready_at: overheads.kernel_launch_us * (streams.len() + 1) as f64,
             started_at: f64::NAN,
-            done: false,
-        })
-        .collect();
-
-    let mut now = 0.0_f64;
-    let mut events = Vec::new();
-    let mut total_flops = 0u64;
-    for g in &non_empty {
-        for k in g.iter() {
-            total_flops += k.flops;
-        }
+            active: false,
+            demand: 0.0,
+            remaining: 0.0,
+        });
+    }
+    if streams.is_empty() {
+        return 0.0;
     }
 
+    let mut now = 0.0_f64;
     const EPS: f64 = 1e-9;
-    let max_iterations = 16 * (1 + non_empty.iter().map(|g| g.len()).sum::<usize>());
+    let max_iterations = 16 * (1 + kernels);
     let mut iterations = 0;
 
-    while streams.iter().any(|s| !s.done) {
+    while streams.iter().any(|s| s.current.is_some()) {
         iterations += 1;
         assert!(
             iterations <= max_iterations,
@@ -160,135 +200,109 @@ pub fn simulate_stage(
         );
 
         // Which kernels are resident right now?
-        let active: Vec<usize> = streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.done && s.ready_at <= now + EPS)
-            .map(|(i, _)| i)
-            .collect();
+        let mut resident = 0usize;
+        for s in &mut streams {
+            s.active = s.current.is_some() && s.ready_at <= now + EPS;
+            resident += usize::from(s.active);
+        }
 
-        if active.is_empty() {
+        if resident == 0 {
             // Jump to the next launch completion.
-            let next_ready = streams
+            now = streams
                 .iter()
-                .filter(|s| !s.done)
+                .filter(|s| s.current.is_some())
                 .map(|s| s.ready_at)
                 .fold(f64::INFINITY, f64::min);
-            now = next_ready;
             continue;
         }
 
-        // Record start times for kernels that just became active.
-        for &i in &active {
-            if streams[i].started_at.is_nan() {
-                streams[i].started_at = now;
+        // Record start times for kernels that just became active, and
+        // compute resource shares.
+        let mut combined_ws = 0u64;
+        for s in streams.iter_mut().filter(|s| s.active) {
+            if s.started_at.is_nan() {
+                s.started_at = now;
             }
+            let k = s.current.expect("active stream has a kernel");
+            s.demand = k.thread_blocks as f64 / device.sm_count as f64;
+            combined_ws += k.working_set_bytes;
         }
-
-        // Compute resource shares.
-        let demands: Vec<f64> = active
-            .iter()
-            .map(|&i| {
-                let k = streams[i].current().expect("active stream has a kernel");
-                k.thread_blocks as f64 / device.sm_count as f64
-            })
-            .collect();
-        let total_demand: f64 = demands.iter().sum();
+        let total_demand: f64 = streams.iter().filter(|s| s.active).map(|s| s.demand).sum();
         // Multi-tenancy contention: kernels from different streams compete
         // for schedulers, cache and DRAM; the penalty grows with the number
         // of co-resident kernels (not with the size of any single kernel).
-        let contention =
-            1.0 / (1.0 + device.contention_alpha * (active.len() as f64 - 1.0).max(0.0));
-        let combined_ws: u64 = active
-            .iter()
-            .map(|&i| streams[i].current().expect("active").working_set_bytes)
-            .sum();
-        let l2_factor = if active.len() > 1 && combined_ws as usize > device.l2_cache_bytes {
+        let contention = 1.0 / (1.0 + device.contention_alpha * (resident as f64 - 1.0).max(0.0));
+        let l2_factor = if resident > 1 && combined_ws as usize > device.l2_cache_bytes {
             device.l2_miss_factor
         } else {
             1.0
         };
 
         // Remaining time of each active kernel at the current rates.
-        let mut remaining: Vec<f64> = Vec::with_capacity(active.len());
-        for (idx, &i) in active.iter().enumerate() {
-            let k = streams[i].current().expect("active");
+        for s in streams.iter_mut().filter(|s| s.active) {
+            let k = s.current.expect("active");
             let share = if total_demand > 1.0 {
-                demands[idx] / total_demand
+                s.demand / total_demand
             } else {
-                demands[idx]
+                s.demand
             }
             .min(1.0);
             let compute_rate =
                 device.peak_flops_per_us() * share * k.compute_efficiency * contention;
-            let mem_share = if active.len() > 1 {
-                (demands[idx] / total_demand.max(1.0))
-                    .max(1.0 / active.len() as f64)
+            let mem_share = if resident > 1 {
+                (s.demand / total_demand.max(1.0))
+                    .max(1.0 / resident as f64)
                     .min(1.0)
             } else {
                 1.0
             };
             let memory_rate = device.bytes_per_us() * k.memory_efficiency * mem_share * l2_factor;
-            let frac_left = 1.0 - streams[i].progress;
+            let frac_left = 1.0 - s.progress;
             let t = crate::cost::roofline_time_us(
                 k.flops as f64 * frac_left,
                 k.mem_bytes as f64 * frac_left,
                 compute_rate,
                 memory_rate,
             );
-            remaining.push(t.max(EPS));
+            s.remaining = t.max(EPS);
         }
 
         // Next event: either a kernel finishes or a pending stream becomes ready.
-        let next_finish = remaining.iter().cloned().fold(f64::INFINITY, f64::min);
+        let next_finish = streams
+            .iter()
+            .filter(|s| s.active)
+            .map(|s| s.remaining)
+            .fold(f64::INFINITY, f64::min);
         let next_ready = streams
             .iter()
-            .filter(|s| !s.done && s.ready_at > now + EPS)
+            .filter(|s| s.current.is_some() && s.ready_at > now + EPS)
             .map(|s| s.ready_at - now)
             .fold(f64::INFINITY, f64::min);
         let dt = next_finish.min(next_ready);
         debug_assert!(dt.is_finite() && dt > 0.0);
 
         // Advance all active kernels by dt.
-        for (idx, &i) in active.iter().enumerate() {
-            let advanced = dt / remaining[idx];
-            let s = &mut streams[i];
+        for (i, s) in streams.iter_mut().enumerate().filter(|(_, s)| s.active) {
+            let advanced = dt / s.remaining;
             s.progress += (1.0 - s.progress) * advanced.min(1.0);
             if s.progress >= 1.0 - 1e-6 {
                 // Kernel complete.
-                let k = &s.kernels[s.next];
-                let warps = k.warps().min(device.max_resident_warps());
-                events.push(KernelEvent {
-                    name: k.name.clone(),
-                    group: i,
-                    start_us: s.started_at,
-                    end_us: now + dt,
-                    warps,
-                    flops: k.flops,
-                });
-                s.next += 1;
+                on_finish(s.current.expect("active"), i, s.started_at, now + dt);
+                s.current = s.rest.next();
                 s.progress = 0.0;
                 s.started_at = f64::NAN;
-                if s.next >= s.kernels.len() {
-                    s.done = true;
-                } else {
-                    s.ready_at = now + dt + overheads.kernel_launch_us;
-                }
+                s.ready_at = now + dt + overheads.kernel_launch_us;
             }
         }
         now += dt;
     }
 
-    let sync = if non_empty.len() > 1 {
+    let sync = if streams.len() > 1 {
         overheads.stage_sync_us
     } else {
         0.0
     };
-    StageSimulation {
-        latency_us: now + sync,
-        events,
-        total_flops,
-    }
+    now + sync
 }
 
 #[cfg(test)]
