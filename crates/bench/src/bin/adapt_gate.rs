@@ -6,8 +6,11 @@
 //! 1. **Baseline** — one closed-loop client measures the unloaded
 //!    engine-side p99 latency (enqueue → completion, from the serving
 //!    metrics histogram — free of client-thread wakeup jitter).
-//! 2. **Overload with shedding** — several closed-loop clients race a
-//!    capacity-1 admission queue with the shed controller armed. Offers
+//! 2. **Overload with shedding** — four closed-loop clients race a
+//!    capacity-1 admission queue with the shed controller armed; a shed
+//!    client backs off for about one unloaded service time before it
+//!    offers again (a client that re-offers in a spin loop takes a core
+//!    away from the worker it is waiting for, and measures that). Offers
 //!    are either answered or typed-shed (exact conservation), at least one
 //!    offer must be shed, every accepted response is checked
 //!    **bit-identical** against solo execution, and the accepted-request
@@ -18,7 +21,11 @@
 //!    the gate requires **≥ 1 observed re-plan** and zero bit-exactness
 //!    violations across the mid-flight plan swap.
 //!
-//! The latency bar is host-aware, like `pipeline_gate`: on hosts with
+//! Both percentiles are taken over a thousand or more requests (sub-ms
+//! each): a p99 over the ~50 the quick mode used to serve is their maximum,
+//! and one scheduler hiccup decided the verdict.
+//!
+//! The latency bar is host-aware: on hosts with
 //! ≥ 2 cores the accepted-p99 must stay ≤ 3× the unloaded p99; on a
 //! single-core host client threads, worker and controller all contend for
 //! one CPU, so the gate relaxes the ratio to 6× (shedding still has to
@@ -98,9 +105,9 @@ fn main() {
             execute_network(&net, std::slice::from_ref(&input))
         })
         .collect();
-    let baseline_requests = if opts.quick { 120 } else { 400 };
-    let offers_per_client = if opts.quick { 40 } else { 120 };
-    let overload_clients = 2usize;
+    let baseline_requests = if opts.quick { 1000 } else { 3000 };
+    let overload_accepted_target = baseline_requests as u64;
+    let overload_clients = 4usize;
 
     // ---- Phase 1: unloaded baseline --------------------------------
     let engine = ServeEngine::start(
@@ -147,6 +154,8 @@ fn main() {
         .with_shed_queue_wait_budget(Duration::from_secs_f64(baseline_p99 / 1e3));
     config.adapt.min_window_batches = 4;
     let engine = Arc::new(ServeEngine::start(net.clone(), config));
+    let shed_backoff = Duration::from_secs_f64(baseline_p99 / 1e3);
+    let offered = Arc::new(AtomicU64::new(0));
     let shed = Arc::new(AtomicU64::new(0));
     let accepted = Arc::new(AtomicU64::new(0));
     let bitexact_checks = Arc::new(AtomicU64::new(0));
@@ -156,13 +165,17 @@ fn main() {
             let engine = Arc::clone(&engine);
             let net = &net;
             let references = &references;
+            let offered = Arc::clone(&offered);
             let shed = Arc::clone(&shed);
             let accepted = Arc::clone(&accepted);
             let checks = Arc::clone(&bitexact_checks);
             let violations = Arc::clone(&bitexact_violations);
             scope.spawn(move || {
-                for round in 0..offers_per_client as u64 {
+                let mut round = 0;
+                while accepted.load(Ordering::SeqCst) < overload_accepted_target {
                     let seed = (client * 31 + round) % 8;
+                    round += 1;
+                    offered.fetch_add(1, Ordering::SeqCst);
                     match engine.submit(TensorData::random(net.input_shape, seed)) {
                         Ok(handle) => {
                             let response =
@@ -180,6 +193,7 @@ fn main() {
                         }
                         Err(ServeError::Rejected(Rejected::Shed)) => {
                             shed.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(shed_backoff);
                         }
                         Err(other) => panic!("unexpected submit error: {other}"),
                     }
@@ -191,7 +205,7 @@ fn main() {
     let metrics = engine.metrics();
     let engine = Arc::try_unwrap(engine).unwrap_or_else(|_| panic!("clients joined"));
     engine.shutdown();
-    let overload_offered = (overload_clients * offers_per_client) as u64;
+    let overload_offered = offered.load(Ordering::SeqCst);
     let overload_accepted = accepted.load(Ordering::SeqCst);
     assert_eq!(
         overload_accepted + overload_shed,

@@ -17,9 +17,11 @@
 
 use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled, conv_weights};
 use ios_backend::{PackedFilter, ScratchPool, TensorData};
-use ios_bench::{conv_bench_shapes, fmt3, geomean, maybe_write_json, render_table, BenchOptions};
+use ios_bench::{
+    conv_bench_shapes, fmt3, geomean, maybe_write_json, paired_rounds, render_table, BenchOptions,
+};
 use serde::Serialize;
-use std::time::Instant;
+use std::hint::black_box;
 
 #[derive(Debug, Clone, Serialize)]
 struct ConvRow {
@@ -36,17 +38,6 @@ struct Report {
     geomean_speedup: f64,
     acceptance_bar: f64,
     pass: bool,
-}
-
-/// Best (minimum) wall time of `iters` runs of `f`, in milliseconds.
-fn best_ms<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
 }
 
 fn main() {
@@ -98,11 +89,13 @@ fn main() {
             * case.input.batch) as u64;
         arena.recycle_tensor(fast);
 
-        let naive_ms = best_ms(iters, || conv2d_naive(&input, &case.params, &weights));
-        let gemm_ms = best_ms(iters * 3, || {
+        let mut naive = || drop(black_box(conv2d_naive(&input, &case.params, &weights)));
+        let mut gemm = || {
             let out = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
             arena.recycle_tensor(out);
-        });
+        };
+        let naive_ms = paired_rounds(iters, &mut [&mut naive]).best_ms(0);
+        let gemm_ms = paired_rounds(iters * 3, &mut [&mut gemm]).best_ms(0);
         rows.push(ConvRow {
             shape: case.name.to_string(),
             macs,

@@ -48,11 +48,10 @@ use ios_backend::{
     sample_scale, ConvEpilogue, PackedFilter, QuantizedFilter, ScratchPool, TensorData,
 };
 use ios_bench::{
-    fmt3, geomean, maybe_write_json, median, quant_bench_shapes, render_table, BenchOptions,
+    fmt3, geomean, maybe_write_json, paired_rounds, quant_bench_shapes, render_table, BenchOptions,
 };
 use ios_ir::{Activation, Conv2dParams};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
 struct QuantRow {
@@ -79,13 +78,6 @@ struct Report {
     fused_acceptance_bar: f64,
     int8_acceptance_bar: f64,
     pass: bool,
-}
-
-/// One timed call of `f`, in milliseconds.
-fn time_ms<O>(f: impl FnOnce() -> O) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -244,39 +236,24 @@ fn main() {
         // rounds a burst split in half. The reported times are best-of-N.
         // Baseline and barred-fused run at the pinned tier; the active-tier
         // fused time and int8 run at the live dispatch.
-        let mut baseline_ms = f64::INFINITY;
-        let mut fused_ms = f64::INFINITY;
-        let mut fused_active_ms = f64::INFINITY;
-        let mut int8_ms = f64::INFINITY;
-        let mut fused_ratios = Vec::with_capacity(iters);
-        let mut int8_ratios = Vec::with_capacity(iters);
-        let mut active_ratios = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let b =
-                simd::with_forced_isa(pinned, || time_ms(|| arena.recycle_tensor(run_baseline())));
-            let f = simd::with_forced_isa(pinned, || time_ms(|| arena.recycle_tensor(run_fused())));
-            let fa = time_ms(|| arena.recycle_tensor(run_fused()));
-            let q = time_ms(|| arena.recycle_tensor(run_int8()));
-            baseline_ms = baseline_ms.min(b);
-            fused_ms = fused_ms.min(f);
-            fused_active_ms = fused_active_ms.min(fa);
-            int8_ms = int8_ms.min(q);
-            fused_ratios.push(b / f);
-            int8_ratios.push(f / q);
-            active_ratios.push(fa / q);
-        }
-        let fused_speedup = median(&mut fused_ratios);
-        let int8_speedup = median(&mut int8_ratios);
-        let int8_vs_active_fused = median(&mut active_ratios);
+        let rounds = paired_rounds(
+            iters,
+            &mut [
+                &mut || simd::with_forced_isa(pinned, || arena.recycle_tensor(run_baseline())),
+                &mut || simd::with_forced_isa(pinned, || arena.recycle_tensor(run_fused())),
+                &mut || arena.recycle_tensor(run_fused()),
+                &mut || arena.recycle_tensor(run_int8()),
+            ],
+        );
         rows.push(QuantRow {
             shape: case.name.to_string(),
-            baseline_ms,
-            fused_ms,
-            fused_active_ms,
-            int8_ms,
-            fused_speedup,
-            int8_speedup,
-            int8_vs_active_fused,
+            baseline_ms: rounds.best_ms(0),
+            fused_ms: rounds.best_ms(1),
+            fused_active_ms: rounds.best_ms(2),
+            int8_ms: rounds.best_ms(3),
+            fused_speedup: rounds.median_speedup(0, 1),
+            int8_speedup: rounds.median_speedup(1, 3),
+            int8_vs_active_fused: rounds.median_speedup(2, 3),
             max_calibration_error: max_err,
             calibration_bound: bound,
         });

@@ -38,7 +38,7 @@ use ios_backend::{
     execute_graph_pooled, execute_schedule_pooled, max_abs_difference, BlockWeights,
     CpuStageProfiler, ScratchPool, TensorData,
 };
-use ios_bench::{fmt3, geomean, maybe_write_json, render_table, BenchOptions};
+use ios_bench::{fmt3, geomean, maybe_write_json, paired_rounds, render_table, BenchOptions};
 use ios_core::{
     schedule_graph, ParallelizationStrategy, ProfiledCostModel, Schedule, SchedulerConfig,
     SimCostModel,
@@ -78,17 +78,6 @@ struct Report {
     multi_core_bar: f64,
     diverged_blocks: usize,
     pass: bool,
-}
-
-/// Best (minimum) wall time of `iters` runs of `f`, in milliseconds.
-fn best_ms<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
 }
 
 /// A compact human-readable summary of a schedule's stage decomposition,
@@ -191,21 +180,21 @@ fn main() {
             pool.recycle_tensor(t);
         }
 
-        let seq_ms = best_ms(iters, || {
+        let mut run_sequential = || {
             for t in execute_graph_pooled(graph, &inputs, Some(&weights), &pool) {
                 pool.recycle_tensor(t);
             }
-        });
-        let ios_ms = best_ms(iters, || {
-            for t in execute_schedule_pooled(graph, &ios.schedule, &inputs, Some(&weights), &pool) {
+        };
+        let run_scheduled = |schedule| {
+            for t in execute_schedule_pooled(graph, schedule, &inputs, Some(&weights), &pool) {
                 pool.recycle_tensor(t);
             }
-        });
-        let sim_guided_ms = best_ms(iters, || {
-            for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, Some(&weights), &pool) {
-                pool.recycle_tensor(t);
-            }
-        });
+        };
+        // One variant per call: best-of-N each, measured back to back.
+        let seq_ms = paired_rounds(iters, &mut [&mut run_sequential]).best_ms(0);
+        let ios_ms = paired_rounds(iters, &mut [&mut || run_scheduled(&ios.schedule)]).best_ms(0);
+        let sim_guided_ms =
+            paired_rounds(iters, &mut [&mut || run_scheduled(&sim.schedule)]).best_ms(0);
 
         let cpu_decomposition = decomposition(&ios.schedule);
         let sim_decomposition = decomposition(&sim.schedule);

@@ -29,11 +29,10 @@ use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::{self, Isa};
 use ios_backend::{ConvEpilogue, PackedFilter, ScratchPool, TensorData};
 use ios_bench::{
-    fmt3, geomean, maybe_write_json, median, render_table, simd_bench_shapes, BenchOptions,
+    fmt3, geomean, maybe_write_json, paired_rounds, render_table, simd_bench_shapes, BenchOptions,
 };
 use ios_ir::{Activation, Conv2dParams};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
 struct SimdRow {
@@ -52,13 +51,6 @@ struct Report {
     acceptance_bar: f64,
     bit_identical: bool,
     pass: bool,
-}
-
-/// One timed call of `f`, in milliseconds.
-fn time_ms<O>(f: impl FnOnce() -> O) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -162,22 +154,18 @@ fn main() {
             let out = conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena);
             arena.recycle_tensor(out);
         };
-        let mut baseline_ms = f64::INFINITY;
-        let mut wide_ms = f64::INFINITY;
-        let mut ratios = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let b = simd::with_forced_isa(baseline, || time_ms(run_packed));
-            let w = simd::with_forced_isa(active, || time_ms(run_packed));
-            baseline_ms = baseline_ms.min(b);
-            wide_ms = wide_ms.min(w);
-            ratios.push(b / w);
-        }
-        let speedup = median(&mut ratios);
+        let rounds = paired_rounds(
+            iters,
+            &mut [
+                &mut || simd::with_forced_isa(baseline, run_packed),
+                &mut || simd::with_forced_isa(active, run_packed),
+            ],
+        );
         rows.push(SimdRow {
             shape: case.name.to_string(),
-            baseline_ms,
-            wide_ms,
-            speedup,
+            baseline_ms: rounds.best_ms(0),
+            wide_ms: rounds.best_ms(1),
+            speedup: rounds.median_speedup(0, 1),
         });
     }
 

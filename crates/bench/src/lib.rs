@@ -442,6 +442,54 @@ pub fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
+/// Wall times of interleaved timing rounds, per variant, in milliseconds —
+/// the timing harness of the gate binaries ([`paired_rounds`]).
+#[derive(Debug, Clone)]
+pub struct Rounds {
+    /// `times_ms[variant][round]`.
+    times_ms: Vec<Vec<f64>>,
+}
+
+impl Rounds {
+    /// Best (minimum) wall time of `variant` over the rounds — the time a
+    /// gate reports.
+    #[must_use]
+    pub fn best_ms(&self, variant: usize) -> f64 {
+        self.times_ms[variant]
+            .iter()
+            .fold(f64::INFINITY, |best, &t| best.min(t))
+    }
+
+    /// Median over the rounds of `time(slower) / time(faster)` within each
+    /// round — the speedup a gate judges. The variants of one round ran
+    /// adjacently, so a noisy stretch on a shared host covers both sides
+    /// of that round's ratio, and the median discards the rounds a burst
+    /// split in half.
+    #[must_use]
+    pub fn median_speedup(&self, slower: usize, faster: usize) -> f64 {
+        let mut ratios: Vec<f64> = self.times_ms[slower]
+            .iter()
+            .zip(&self.times_ms[faster])
+            .map(|(s, f)| s / f)
+            .collect();
+        median(&mut ratios)
+    }
+}
+
+/// Times `rounds` rounds of `variants`, running every variant once per
+/// round, in order. A single variant makes this plain best-of-N timing.
+pub fn paired_rounds(rounds: usize, variants: &mut [&mut dyn FnMut()]) -> Rounds {
+    let mut times_ms = vec![Vec::with_capacity(rounds); variants.len()];
+    for _ in 0..rounds {
+        for (variant, times) in variants.iter_mut().zip(&mut times_ms) {
+            let start = std::time::Instant::now();
+            variant();
+            times.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Rounds { times_ms }
+}
+
 /// Writes any serializable value as pretty JSON if a path was requested.
 pub fn maybe_write_json<T: Serialize>(opts: &BenchOptions, value: &T) {
     if let Some(path) = &opts.json {
@@ -518,6 +566,28 @@ mod tests {
         assert_eq!(rows.len(), 6);
         assert!(rows.iter().any(|r| r.label == "IOS"));
         assert!(rows.iter().any(|r| r.label == "TensorRT"));
+    }
+
+    #[test]
+    fn paired_rounds_time_every_variant_once_per_round() {
+        let (mut slow_runs, mut fast_runs) = (0, 0);
+        let rounds = paired_rounds(
+            5,
+            &mut [
+                &mut || {
+                    slow_runs += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(4));
+                },
+                &mut || {
+                    fast_runs += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                },
+            ],
+        );
+        assert_eq!((slow_runs, fast_runs), (5, 5));
+        assert!(rounds.best_ms(0) >= 4.0 && rounds.best_ms(1) >= 1.0);
+        assert!(rounds.best_ms(1) < rounds.best_ms(0));
+        assert!(rounds.median_speedup(0, 1) > 1.5);
     }
 
     #[test]

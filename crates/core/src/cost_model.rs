@@ -36,57 +36,28 @@ use std::time::Instant;
 
 /// A source of stage latencies for the scheduler.
 pub trait CostModel {
-    /// Latency (µs) of executing `groups` with the "concurrent execution"
-    /// strategy: groups run concurrently, operators inside a group run
-    /// sequentially in the given order.
-    fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64;
-
-    /// Latency (µs) of executing a merged convolution (plus its split).
-    fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64;
-
     /// Number of latency measurements performed so far. The paper's
     /// "optimization cost" is dominated by on-device profiling, so the
     /// measurement count is the hardware-independent proxy reported by the
     /// Figure 9 and Figure 12 reproductions.
     fn measurement_count(&self) -> u64;
 
-    /// This model's view of one graph: the same latencies as the two
-    /// per-call methods, with the per-graph work done once. Callers that
-    /// measure many stages of a graph bind once and measure through the
-    /// view.
-    ///
-    /// The default view forwards to the per-call methods. A model with
-    /// per-graph work to share overrides `bind` and turns its per-call
-    /// methods into `self.bind(graph).…` (one or the other has to hold the
-    /// measurement itself).
-    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
-        Box::new(PerCall { model: self, graph })
-    }
+    /// This model's view of one graph — the one way to ask it for a
+    /// latency. Whatever the model can work out from the graph alone is
+    /// done here, once; callers bind once per graph and measure every stage
+    /// through the view.
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a>;
 }
 
 /// A [`CostModel`] bound to one graph by [`CostModel::bind`].
 pub trait GraphCostModel {
-    /// [`CostModel::concurrent_latency`] on the bound graph.
+    /// Latency (µs) of executing `groups` with the "concurrent execution"
+    /// strategy: groups run concurrently, operators inside a group run
+    /// sequentially in the given order.
     fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64;
 
-    /// [`CostModel::merge_latency`] on the bound graph.
+    /// Latency (µs) of executing a merged convolution (plus its split).
     fn merge_latency(&self, merged: &MergedConv) -> f64;
-}
-
-/// The default [`CostModel::bind`]: nothing per graph to share.
-struct PerCall<'a, C: ?Sized> {
-    model: &'a C,
-    graph: &'a Graph,
-}
-
-impl<C: CostModel + ?Sized> GraphCostModel for PerCall<'_, C> {
-    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
-        self.model.concurrent_latency(self.graph, groups)
-    }
-
-    fn merge_latency(&self, merged: &MergedConv) -> f64 {
-        self.model.merge_latency(self.graph, merged)
-    }
 }
 
 // Cost models take `&self` everywhere, so references and shared pointers are
@@ -94,14 +65,6 @@ impl<C: CostModel + ?Sized> GraphCostModel for PerCall<'_, C> {
 // serving-time schedule cache and background re-optimization threads (the
 // `ios-serve` runtime shares an `Arc<CachingCostModel<SimCostModel>>`).
 impl<C: CostModel + ?Sized> CostModel for &C {
-    fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        (**self).concurrent_latency(graph, groups)
-    }
-
-    fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        (**self).merge_latency(graph, merged)
-    }
-
     fn measurement_count(&self) -> u64 {
         (**self).measurement_count()
     }
@@ -112,14 +75,6 @@ impl<C: CostModel + ?Sized> CostModel for &C {
 }
 
 impl<C: CostModel + ?Sized> CostModel for std::sync::Arc<C> {
-    fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        (**self).concurrent_latency(graph, groups)
-    }
-
-    fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        (**self).merge_latency(graph, merged)
-    }
-
     fn measurement_count(&self) -> u64 {
         (**self).measurement_count()
     }
@@ -154,14 +109,6 @@ impl SimCostModel {
 }
 
 impl CostModel for SimCostModel {
-    fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        self.bind(graph).concurrent_latency(groups)
-    }
-
-    fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        self.bind(graph).merge_latency(merged)
-    }
-
     fn measurement_count(&self) -> u64 {
         self.measurements.load(Ordering::Relaxed)
     }
@@ -492,14 +439,6 @@ impl<P: StageProfiler> ProfiledCostModel<P> {
 }
 
 impl<P: StageProfiler> CostModel for ProfiledCostModel<P> {
-    fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        self.bind(graph).concurrent_latency(groups)
-    }
-
-    fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        self.bind(graph).merge_latency(merged)
-    }
-
     fn measurement_count(&self) -> u64 {
         self.profiled.load(Ordering::Relaxed)
     }
@@ -593,14 +532,6 @@ impl<C: CostModel> CachingCostModel<C> {
 }
 
 impl<C: CostModel> CostModel for CachingCostModel<C> {
-    fn concurrent_latency(&self, graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
-        self.bind(graph).concurrent_latency(groups)
-    }
-
-    fn merge_latency(&self, graph: &Graph, merged: &MergedConv) -> f64 {
-        self.bind(graph).merge_latency(merged)
-    }
-
     fn measurement_count(&self) -> u64 {
         self.inner.measurement_count()
     }
@@ -676,7 +607,17 @@ pub(crate) mod testing {
     }
 
     impl CostModel for UnitCostModel {
-        fn concurrent_latency(&self, _graph: &Graph, groups: &[Vec<OpId>]) -> f64 {
+        fn measurement_count(&self) -> u64 {
+            self.measurements.load(Ordering::Relaxed)
+        }
+
+        fn bind<'a>(&'a self, _graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+            Box::new(self)
+        }
+    }
+
+    impl GraphCostModel for &UnitCostModel {
+        fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
             self.measurements.fetch_add(1, Ordering::Relaxed);
             let max_group = groups
                 .iter()
@@ -685,13 +626,9 @@ pub(crate) mod testing {
             max_group + self.stage_overhead_us
         }
 
-        fn merge_latency(&self, _graph: &Graph, merged: &MergedConv) -> f64 {
+        fn merge_latency(&self, merged: &MergedConv) -> f64 {
             self.measurements.fetch_add(1, Ordering::Relaxed);
             merged.parts.len() as f64 * self.base_us * self.merge_factor + self.stage_overhead_us
-        }
-
-        fn measurement_count(&self) -> u64 {
-            self.measurements.load(Ordering::Relaxed)
         }
     }
 }
@@ -719,8 +656,10 @@ mod tests {
     fn sim_cost_model_measures_and_counts() {
         let g = two_branch_graph();
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
-        let seq = cost.concurrent_latency(&g, &[vec![OpId(0), OpId(1)]]);
-        let conc = cost.concurrent_latency(&g, &[vec![OpId(0)], vec![OpId(1)]]);
+        let seq = cost.bind(&g).concurrent_latency(&[vec![OpId(0), OpId(1)]]);
+        let conc = cost
+            .bind(&g)
+            .concurrent_latency(&[vec![OpId(0)], vec![OpId(1)]]);
         assert!(conc < seq);
         assert_eq!(cost.measurement_count(), 2);
     }
@@ -730,66 +669,9 @@ mod tests {
         let g = two_branch_graph();
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
         let merged = crate::merge::try_merge(&g, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
-        let merge = cost.merge_latency(&g, &merged);
-        let seq = cost.concurrent_latency(&g, &[vec![OpId(0), OpId(1)]]);
+        let merge = cost.bind(&g).merge_latency(&merged);
+        let seq = cost.bind(&g).concurrent_latency(&[vec![OpId(0), OpId(1)]]);
         assert!(merge < seq, "merge {merge} vs sequential {seq}");
-    }
-
-    #[test]
-    fn bound_views_agree_with_the_per_call_methods() {
-        // Every stage the search would ask about on this graph, through a
-        // view bound once and through the per-call methods, on two separate
-        // instances of each model (so neither sees the other's cache).
-        fn check<C: CostModel>(make: impl Fn() -> C, graph: &Graph) {
-            let (bound_model, per_call) = (make(), make());
-            let bound = bound_model.bind(graph);
-            let stages: [&[Vec<OpId>]; 4] = [
-                &[vec![OpId(0)]],
-                &[vec![OpId(0), OpId(1)]],
-                &[vec![OpId(0)], vec![OpId(1)]],
-                &[vec![OpId(0)], vec![OpId(1)], vec![OpId(2)]],
-            ];
-            let merged =
-                crate::merge::try_merge(graph, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
-            // Twice over: the second round is served from whatever the
-            // model caches.
-            for _ in 0..2 {
-                for groups in stages {
-                    assert_eq!(
-                        bound.concurrent_latency(groups).to_bits(),
-                        per_call.concurrent_latency(graph, groups).to_bits(),
-                        "{groups:?}"
-                    );
-                }
-                assert_eq!(
-                    bound.merge_latency(&merged).to_bits(),
-                    per_call.merge_latency(graph, &merged).to_bits()
-                );
-            }
-            assert_eq!(
-                bound_model.measurement_count(),
-                per_call.measurement_count()
-            );
-        }
-        let sim = || SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
-        for graph in [two_branch_graph_at(1), two_branch_graph_at(32)] {
-            check(sim, &graph);
-            check(|| CachingCostModel::new(sim()), &graph);
-            check(|| std::sync::Arc::new(CachingCostModel::new(sim())), &graph);
-            check(testing::UnitCostModel::default, &graph);
-        }
-        // A caching model's view takes the fingerprint once and still keeps
-        // graphs apart: the batch-32 view never sees batch-1 entries.
-        let cost = CachingCostModel::new(sim());
-        let (g1, g32) = (two_branch_graph_at(1), two_branch_graph_at(32));
-        let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let l1 = cost.bind(&g1).concurrent_latency(&groups);
-        let l32 = cost.bind(&g32).concurrent_latency(&groups);
-        assert!(l32 > l1);
-        assert_eq!(cost.cache_hits(), 0);
-        assert_eq!(cost.bind(&g1).concurrent_latency(&groups), l1);
-        assert_eq!(cost.concurrent_latency(&g32, &groups), l32);
-        assert_eq!(cost.cache_hits(), 2);
     }
 
     #[test]
@@ -816,10 +698,10 @@ mod tests {
 
         let cost = CachingCostModel::new(SimCostModel::new(Simulator::new(DeviceKind::TeslaV100)));
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let l1 = cost.concurrent_latency(&g1, &groups);
-        let l8 = cost.concurrent_latency(&g8, &groups);
-        let lo = cost.concurrent_latency(&other, &groups);
-        let lp = cost.concurrent_latency(&params_only, &groups);
+        let l1 = cost.bind(&g1).concurrent_latency(&groups);
+        let l8 = cost.bind(&g8).concurrent_latency(&groups);
+        let lo = cost.bind(&other).concurrent_latency(&groups);
+        let lp = cost.bind(&params_only).concurrent_latency(&groups);
         assert_eq!(
             cost.cache_hits(),
             0,
@@ -839,7 +721,7 @@ mod tests {
             "the 1×1/16-channel block must be cheaper ({lo} vs {l1})"
         );
         // Repeats still hit.
-        let again = cost.concurrent_latency(&g8, &groups);
+        let again = cost.bind(&g8).concurrent_latency(&groups);
         assert_eq!(again, l8);
         assert_eq!(cost.cache_hits(), 1);
     }
@@ -858,14 +740,14 @@ mod tests {
             DeviceKind::TeslaV100,
         ))));
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let expected = cost.concurrent_latency(&g, &groups);
+        let expected = cost.bind(&g).concurrent_latency(&groups);
         let results: Vec<f64> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let cost = std::sync::Arc::clone(&cost);
                     let g = &g;
                     let groups = &groups;
-                    scope.spawn(move || cost.concurrent_latency(g, groups))
+                    scope.spawn(move || cost.bind(g).concurrent_latency(groups))
                 })
                 .collect();
             handles
@@ -921,7 +803,7 @@ mod tests {
         let g = two_branch_graph();
         let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 2, 3);
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let first = cost.concurrent_latency(&g, &groups);
+        let first = cost.bind(&g).concurrent_latency(&groups);
         assert!(first > 0.0, "profiled latency must be positive");
         assert_eq!(
             cost.profiler().concurrent_runs.load(Ordering::Relaxed),
@@ -933,14 +815,14 @@ mod tests {
         assert_eq!(cost.measurement_count(), 1);
 
         // A repeat request is served from the stage cache: no further runs.
-        let again = cost.concurrent_latency(&g, &groups);
+        let again = cost.bind(&g).concurrent_latency(&groups);
         assert_eq!(again, first);
         assert_eq!(cost.profiler().concurrent_runs.load(Ordering::Relaxed), 5);
         assert_eq!(cost.cache_hits(), 1);
 
         // Merge stages profile through the merge path.
         let merged = crate::merge::try_merge(&g, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
-        let m = cost.merge_latency(&g, &merged);
+        let m = cost.bind(&g).merge_latency(&merged);
         assert!(m > 0.0);
         assert_eq!(cost.profiler().merge_runs.load(Ordering::Relaxed), 5);
         assert_eq!(cost.profiled_stages(), 2);
@@ -966,7 +848,7 @@ mod tests {
                     let cost = std::sync::Arc::clone(&cost);
                     let g = &g;
                     let groups = &groups;
-                    scope.spawn(move || cost.concurrent_latency(g, groups))
+                    scope.spawn(move || cost.bind(g).concurrent_latency(groups))
                 })
                 .collect();
             handles
@@ -992,8 +874,8 @@ mod tests {
         let g8 = two_branch_graph_at(8);
         let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 0, 1);
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let _ = cost.concurrent_latency(&g1, &groups);
-        let _ = cost.concurrent_latency(&g8, &groups);
+        let _ = cost.bind(&g1).concurrent_latency(&groups);
+        let _ = cost.bind(&g8).concurrent_latency(&groups);
         assert_eq!(
             cost.profiled_stages(),
             2,
@@ -1031,15 +913,15 @@ mod tests {
         let g = two_branch_graph();
         let cost = CachingCostModel::new(SimCostModel::new(Simulator::new(DeviceKind::TeslaV100)));
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let a = cost.concurrent_latency(&g, &groups);
-        let b = cost.concurrent_latency(&g, &groups);
+        let a = cost.bind(&g).concurrent_latency(&groups);
+        let b = cost.bind(&g).concurrent_latency(&groups);
         assert_eq!(a, b);
         assert_eq!(cost.measurement_count(), 1);
         assert_eq!(cost.cache_hits(), 1);
         // Merge caching too.
         let merged = crate::merge::try_merge(&g, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
-        let m1 = cost.merge_latency(&g, &merged);
-        let m2 = cost.merge_latency(&g, &merged);
+        let m1 = cost.bind(&g).merge_latency(&merged);
+        let m2 = cost.bind(&g).merge_latency(&merged);
         assert_eq!(m1, m2);
         assert_eq!(cost.cache_hits(), 2);
         assert!(cost.inner().measurement_count() >= 2);

@@ -29,13 +29,23 @@
 //!
 //! Every tick runs inside `catch_unwind` (the PR 5 panic-isolation
 //! idiom): a panicking re-plan leaves the engine serving on its old plan
-//! and the controller alive for the next tick.
+//! and the controller alive for the next tick, and is counted under
+//! `ios_panics_total{site="adapt"}`.
 
 use crate::engine::Shared;
+use crate::metrics::PanicSite;
 use ios_telemetry::HistogramSnapshot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// Shed mode disengages after this many *consecutive* controller ticks
+/// whose window held fewer than `min_window_batches` samples: post-overload
+/// trickle traffic never fills a window, so without this bound a latched
+/// shed mode would keep rejecting traffic the engine could easily serve.
+/// (A full window re-evaluates shedding on its own evidence and resets the
+/// count.)
+const SHED_STALE_TICKS: u64 = 3;
 
 /// Per-batch-size accumulator of observed vs predicted device time,
 /// drained by the controller each tick.
@@ -75,10 +85,6 @@ pub(crate) struct AdaptState {
 }
 
 impl AdaptState {
-    pub fn new() -> Self {
-        AdaptState::default()
-    }
-
     /// Whether shed mode is currently engaged.
     pub fn shedding(&self) -> bool {
         self.shed_mode.load(Ordering::Relaxed)
@@ -113,37 +119,25 @@ struct Window {
 /// serving on its old plan and the controller alive.
 pub(crate) fn controller_loop(shared: &Arc<Shared>) {
     let mut window = Window {
-        queue_wait: shared.metrics.queue_wait_histogram().snapshot(),
-        batch_size: shared.metrics.batch_size_histogram().snapshot(),
+        queue_wait: shared.metrics.queue_wait.snapshot(),
+        batch_size: shared.metrics.batch_size.snapshot(),
     };
     loop {
-        {
-            let mut stopped = shared.adapt.stop.lock().expect("stop lock");
-            while !*stopped {
-                let (guard, timeout) = shared
-                    .adapt
-                    .stop_signal
-                    .wait_timeout(stopped, shared.config.adapt.tick)
-                    .expect("stop lock");
-                stopped = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            if *stopped {
-                return;
-            }
+        let stopped = shared.adapt.stop.lock().expect("stop lock");
+        let (stopped, _) = shared
+            .adapt
+            .stop_signal
+            .wait_timeout_while(stopped, shared.config.adapt.tick, |stopped| !*stopped)
+            .expect("stop lock");
+        if *stopped {
+            return;
         }
+        drop(stopped);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shared.adaptation_tick(&mut window);
         }));
         if let Err(panic) = result {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic".to_string());
-            eprintln!("ios-serve: adaptation tick panicked (old plan keeps serving): {message}");
+            shared.metrics.panic_message(PanicSite::Adapt, &*panic);
         }
     }
 }
@@ -152,8 +146,8 @@ impl Shared {
     /// One controller tick: window the sensors, then run the shed, re-plan
     /// and regret policies on the windowed evidence.
     fn adaptation_tick(self: &Arc<Self>, window: &mut Window) {
-        let queue_wait_now = self.metrics.queue_wait_histogram().snapshot();
-        let batch_size_now = self.metrics.batch_size_histogram().snapshot();
+        let queue_wait_now = self.metrics.queue_wait.snapshot();
+        let batch_size_now = self.metrics.batch_size.snapshot();
         let wait_window = queue_wait_now.window_delta(&window.queue_wait);
         let size_window = batch_size_now.window_delta(&window.batch_size);
         window.queue_wait = queue_wait_now;
@@ -167,7 +161,7 @@ impl Shared {
     /// Shed policy: engage when the windowed p95 queue wait exceeds the
     /// budget, disengage when it falls below half of it (hysteresis), when
     /// the system has drained idle (no samples, empty queue), or when
-    /// [`crate::AdaptConfig::shed_stale_ticks`] consecutive ticks pass
+    /// [`SHED_STALE_TICKS`] consecutive ticks pass
     /// without a full window's worth of samples. Without the idle clause a
     /// shed engine that scared all traffic away would never see the
     /// samples needed to disengage; without the stale-tick bound a
@@ -202,8 +196,8 @@ impl Shared {
                     return;
                 }
                 let drained_idle = self.queue.depth() == 0;
-                let stale = self.adapt.stale_ticks.fetch_add(1, Ordering::Relaxed) + 1
-                    >= self.config.adapt.shed_stale_ticks.max(1);
+                let stale =
+                    self.adapt.stale_ticks.fetch_add(1, Ordering::Relaxed) + 1 >= SHED_STALE_TICKS;
                 if (drained_idle || stale) && self.adapt.shed_mode.swap(false, Ordering::Relaxed) {
                     self.adapt.stale_ticks.store(0, Ordering::Relaxed);
                     ios_telemetry::tracer().instant("adapt.shed_mode", "adapt", 0);
@@ -247,7 +241,7 @@ impl Shared {
                     let expected = predicted_mean * scale;
                     if expected > 0.0
                         && observed_mean > self.config.adapt.regret_threshold * expected
-                        && self.cache.evict(&self.key(batch))
+                        && self.cache.evict(batch)
                     {
                         ios_telemetry::tracer().instant("adapt.evict", "adapt", batch as u64);
                         // Re-calibrate from scratch once a fresh schedule
@@ -287,26 +281,16 @@ impl Shared {
         let tracer = ios_telemetry::tracer();
         let mut span = tracer.span("adapt.replan", "adapt");
         span.set_arg(dominant as u64);
-        self.metrics.record_replan();
+        self.metrics.replans.add(1);
         // The dominant batch size deserves its exact specialized schedule:
         // optimize it now (off the serving path — this is the controller
         // thread) if the cache doesn't hold one.
-        let key = self.key(dominant);
-        if self.cache.peek(&key).is_none() {
-            let schedule = self.optimize(dominant);
-            self.cache.insert_background(key, schedule);
-        }
+        self.ensure_exact(dominant);
         // Re-plan the pipeline for the observed mix. A plan that no longer
         // beats the flat path at the dominant batch size is retired rather
         // than force-installed.
         if let Some(plan) = self.build_pipeline_plan() {
-            let worth_running = matches!(self.config.pipeline, crate::PipelineMode::Forced(_))
-                || plan.prefers_pipeline_vs(dominant, self.flat_workers);
-            if worth_running {
-                self.install_pipeline_plan(plan);
-            } else {
-                *self.pipeline.lock().expect("pipeline plan lock") = None;
-            }
+            self.offer_pipeline_plan(plan, dominant..=dominant);
         }
         // Only remember the shift once the whole re-plan committed: a
         // panic above leaves `planned_for` unchanged, so the next tick

@@ -23,7 +23,7 @@
 //! exact even with racing submitters:
 //!
 //! * **token buckets** — a tenant configured with a rate limit spends one
-//!   token per accepted request ([`PushResult::RateLimited`] when dry);
+//!   token per accepted request ([`Refused::RateLimited`] when dry);
 //! * **bounded admission** — a hard queue-depth capacity across all lanes;
 //! * **tenant-aware shedding** — in shed mode each tenant may hold at most
 //!   its weighted share `max(1, cap·w/W)` of the shed capacity (`W` = sum
@@ -225,17 +225,16 @@ impl QueueState {
     }
 }
 
-/// Result of offering a request to the queue.
+/// Why the queue refused an offered request. The request is handed back
+/// with the reason, so admission can finish it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PushResult {
-    /// The request is queued.
-    Accepted,
-    /// The queue is closed (engine shutting down); the request was dropped.
+pub(crate) enum Refused {
+    /// The queue is closed (engine shutting down).
     Closed,
     /// The queue (or, in shed mode, the tenant's weighted share of it) is
-    /// at its admission capacity; the request was dropped.
+    /// at its admission capacity.
     Full,
-    /// The tenant's token bucket is dry; the request was dropped.
+    /// The tenant's token bucket is dry.
     RateLimited,
 }
 
@@ -255,7 +254,7 @@ impl BatchQueue {
     }
 
     /// A queue admitting per the given tenant configuration (weights, rate
-    /// limits); unknown tenants get the fallback.
+    /// limits); unknown tenants get [`TenantConfig::default`].
     pub fn with_tenants(tenants: TenantsConfig) -> Self {
         BatchQueue {
             state: Mutex::new(QueueState::default()),
@@ -269,7 +268,7 @@ impl BatchQueue {
     /// [`BatchQueue::push_bounded`]; this unbounded form serves the tests.)
     #[cfg(test)]
     pub fn push(&self, pending: Pending) -> bool {
-        self.push_bounded(pending, None, false) == PushResult::Accepted
+        self.push_bounded(pending, None, false).is_ok()
     }
 
     /// Offers a request subject to the tenant's token bucket and an
@@ -279,44 +278,48 @@ impl BatchQueue {
     /// With `shedding` set, the capacity is applied per tenant as a
     /// weighted share (see [`QueueState::tenant_share`]) instead of as one
     /// shared total, so the over-quota tenant is rejected first.
+    ///
+    /// A refused request comes back by value for admission to finish;
+    /// boxing it would put an allocation on every shed.
+    #[allow(clippy::result_large_err)]
     pub fn push_bounded(
         &self,
         pending: Pending,
         capacity: Option<usize>,
         shedding: bool,
-    ) -> PushResult {
+    ) -> Result<(), (Refused, Pending)> {
         let mut state = self.state.lock().expect("queue lock");
         if state.closed {
-            return PushResult::Closed;
+            return Err((Refused::Closed, pending));
         }
         if !state.lanes.contains_key(&pending.tenant) {
             let config = self.tenants.for_tenant(pending.tenant.name());
             state
                 .lanes
-                .insert(pending.tenant.clone(), TenantLane::from_config(config));
+                .insert(pending.tenant.clone(), TenantLane::from_config(&config));
         }
         if let Some(cap) = capacity {
             if shedding {
                 let share = state.tenant_share(&pending.tenant, cap);
                 let queued = state.lanes[&pending.tenant].queue.len();
                 if queued >= share {
-                    return PushResult::Full;
+                    return Err((Refused::Full, pending));
                 }
             } else if state.total >= cap {
-                return PushResult::Full;
+                return Err((Refused::Full, pending));
             }
         }
         let now = Instant::now();
         let lane = state.lanes.get_mut(&pending.tenant).expect("lane exists");
         if let Some(bucket) = &mut lane.bucket {
             if !bucket.try_take(now) {
-                return PushResult::RateLimited;
+                return Err((Refused::RateLimited, pending));
             }
         }
         state.enqueue(pending);
         // Wake one worker; it re-checks the batching condition itself.
         self.available.notify_one();
-        PushResult::Accepted
+        Ok(())
     }
 
     /// Number of requests currently queued, across all tenants.
@@ -455,9 +458,22 @@ mod tests {
             input: TensorData::zeros(TensorShape::new(1, 1, 1, 1)),
             enqueued_at: Instant::now(),
             deadline,
+            tenant_metrics: Default::default(),
             respond_to: tx,
         };
         (pending, rx)
+    }
+
+    /// The queue's verdict on an offer (a refused request is dropped).
+    fn offer(
+        queue: &BatchQueue,
+        pending: Pending,
+        capacity: Option<usize>,
+        shedding: bool,
+    ) -> Result<(), Refused> {
+        queue
+            .push_bounded(pending, capacity, shedding)
+            .map_err(|(why, _)| why)
     }
 
     const NO_EXEC: Duration = Duration::ZERO;
@@ -690,14 +706,12 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..25 {
                         let (p, _rx) = pending(t * 100 + i);
-                        match queue.push_bounded(p, Some(10), false) {
-                            PushResult::Accepted => {
-                                accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                            }
-                            PushResult::Full => {
+                        match offer(&queue, p, Some(10), false) {
+                            Ok(()) => accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                            Err(Refused::Full) => {
                                 full.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
                             }
-                            PushResult::Closed | PushResult::RateLimited => {
+                            Err(Refused::Closed) | Err(Refused::RateLimited) => {
                                 panic!("queue is open and unlimited")
                             }
                         };
@@ -714,9 +728,10 @@ mod tests {
 
     fn two_tenant_queue(alpha_weight: u32, beta_weight: u32) -> BatchQueue {
         BatchQueue::with_tenants(
-            TenantsConfig::default()
+            crate::ServeConfig::default()
                 .with_tenant("alpha", TenantConfig::default().with_weight(alpha_weight))
-                .with_tenant("beta", TenantConfig::default().with_weight(beta_weight)),
+                .with_tenant("beta", TenantConfig::default().with_weight(beta_weight))
+                .tenants,
         )
     }
 
@@ -729,12 +744,12 @@ mod tests {
         let mut receivers = Vec::new();
         for i in 0..6 {
             let (p, rx) = pending_for(i, "alpha");
-            assert_eq!(queue.push_bounded(p, None, false), PushResult::Accepted);
+            assert_eq!(offer(&queue, p, None, false), Ok(()));
             receivers.push(rx);
         }
         for i in 10..12 {
             let (p, rx) = pending_for(i, "beta");
-            assert_eq!(queue.push_bounded(p, None, false), PushResult::Accepted);
+            assert_eq!(offer(&queue, p, None, false), Ok(()));
             receivers.push(rx);
         }
         let batch = queue
@@ -756,10 +771,10 @@ mod tests {
         let mut receivers = Vec::new();
         for i in 0..8 {
             let (p, rx) = pending_for(i, "alpha");
-            queue.push_bounded(p, None, false);
+            assert!(offer(&queue, p, None, false).is_ok());
             receivers.push(rx);
             let (p, rx) = pending_for(100 + i, "beta");
-            queue.push_bounded(p, None, false);
+            assert!(offer(&queue, p, None, false).is_ok());
             receivers.push(rx);
         }
         let batch = queue
@@ -799,8 +814,9 @@ mod tests {
         // threads race 10 offers each; exactly 5 are admitted, the rest
         // are RateLimited — token accounting under the queue lock.
         let queue = std::sync::Arc::new(BatchQueue::with_tenants(
-            TenantsConfig::default()
-                .with_tenant("limited", TenantConfig::default().with_rate(1e-9, 5.0)),
+            crate::ServeConfig::default()
+                .with_tenant("limited", TenantConfig::default().with_rate(1e-9, 5.0))
+                .tenants,
         ));
         let accepted = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let limited = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -812,11 +828,9 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..10 {
                         let (p, _rx) = pending_for(t * 100 + i, "limited");
-                        match queue.push_bounded(p, None, false) {
-                            PushResult::Accepted => {
-                                accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                            }
-                            PushResult::RateLimited => {
+                        match offer(&queue, p, None, false) {
+                            Ok(()) => accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                            Err(Refused::RateLimited) => {
                                 limited.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
                             }
                             other => panic!("unexpected verdict {other:?}"),
@@ -835,23 +849,24 @@ mod tests {
     #[test]
     fn rate_limit_only_throttles_its_own_tenant() {
         let queue = BatchQueue::with_tenants(
-            TenantsConfig::default()
-                .with_tenant("limited", TenantConfig::default().with_rate(1e-9, 2.0)),
+            crate::ServeConfig::default()
+                .with_tenant("limited", TenantConfig::default().with_rate(1e-9, 2.0))
+                .tenants,
         );
         let mut receivers = Vec::new();
         for i in 0..5 {
             let (p, rx) = pending_for(i, "limited");
-            let verdict = queue.push_bounded(p, None, false);
+            let verdict = offer(&queue, p, None, false);
             receivers.push(rx);
             if i < 2 {
-                assert_eq!(verdict, PushResult::Accepted);
+                assert_eq!(verdict, Ok(()));
             } else {
-                assert_eq!(verdict, PushResult::RateLimited);
+                assert_eq!(verdict, Err(Refused::RateLimited));
             }
         }
         for i in 10..15 {
             let (p, rx) = pending_for(i, "free");
-            assert_eq!(queue.push_bounded(p, None, false), PushResult::Accepted);
+            assert_eq!(offer(&queue, p, None, false), Ok(()));
             receivers.push(rx);
         }
         assert_eq!(queue.depth(), 7);
@@ -867,20 +882,20 @@ mod tests {
         let mut receivers = Vec::new();
         for i in 0..4 {
             let (p, rx) = pending_for(i, "alpha");
-            assert_eq!(queue.push_bounded(p, Some(4), true), PushResult::Accepted);
+            assert_eq!(offer(&queue, p, Some(4), true), Ok(()));
             receivers.push(rx);
         }
         // Beta's share is max(1, 4·1/2) = 2: two in, the third rejected.
         for i in 10..12 {
             let (p, rx) = pending_for(i, "beta");
-            assert_eq!(queue.push_bounded(p, Some(4), true), PushResult::Accepted);
+            assert_eq!(offer(&queue, p, Some(4), true), Ok(()));
             receivers.push(rx);
         }
         let (p, _rx) = pending_for(12, "beta");
-        assert_eq!(queue.push_bounded(p, Some(4), true), PushResult::Full);
+        assert_eq!(offer(&queue, p, Some(4), true), Err(Refused::Full));
         // Alpha is over its share of 2 now that beta is active.
         let (p, _rx) = pending_for(4, "alpha");
-        assert_eq!(queue.push_bounded(p, Some(4), true), PushResult::Full);
+        assert_eq!(offer(&queue, p, Some(4), true), Err(Refused::Full));
         assert_eq!(queue.depth(), 6);
     }
 
@@ -913,7 +928,7 @@ mod tests {
                 };
                 let (mut p, rx) = pending_with_deadline(op, deadline);
                 p.tenant = TenantId::from(tenant);
-                queue.push_bounded(p, None, false);
+                assert!(offer(&queue, p, None, false).is_ok());
                 receivers.push(rx);
             } else {
                 let take = (r / 1000 % 4) as usize + 1;

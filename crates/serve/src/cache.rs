@@ -3,43 +3,29 @@
 //! Table 3 of the paper shows that an IOS schedule is only optimal for the
 //! `(batch size, device)` it was profiled on. An online server sees many
 //! batch sizes, so this cache materializes that insight as a runtime
-//! policy: schedules are keyed by `(network name, batch size, device)`,
-//! optimized lazily on first miss, and an exact-batch miss can be served by
-//! the *nearest* cached batch size (schedule stage structure is valid at any
-//! batch) while a background worker optimizes the exact one. Background
+//! policy: an engine serves one network on one device, so its schedules
+//! are keyed by batch size, optimized lazily on first miss, and an
+//! exact-batch miss can be served by the *nearest* cached batch size
+//! (schedule stage structure is valid at any batch) while a background
+//! worker optimizes the exact one. Background
 //! re-optimization runs against whatever cost model the engine was
 //! configured with — with `CostModelKind::CpuProfiled` the schedule that
 //! lands in the cache was *measured* on the serving backend, not simulated.
+//!
+//! The policy itself — `Shared::resolve_schedule` and its
+//! `Shared::ensure_exact` half — lives at the bottom of this module:
+//! every part of the engine that needs a schedule (pre-warm, the resolve
+//! stage, pipeline planning, the adaptation controller) gets it there.
 
-use ios_core::NetworkSchedule;
-use ios_sim::DeviceKind;
+use crate::engine::Shared;
+use crate::metrics::{Count, PanicSite};
+use crate::request::ScheduleSource;
+use ios_core::{optimize_network, NetworkSchedule};
+use ios_ir::Network;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Key of one cached schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ScheduleKey {
-    /// Network name (schedules are structure-specific).
-    pub network: String,
-    /// Batch size the schedule was optimized for.
-    pub batch: usize,
-    /// Device the schedule was optimized for.
-    pub device: DeviceKind,
-}
-
-impl ScheduleKey {
-    /// Creates a key.
-    #[must_use]
-    pub fn new(network: impl Into<String>, batch: usize, device: DeviceKind) -> Self {
-        ScheduleKey {
-            network: network.into(),
-            batch,
-            device,
-        }
-    }
-}
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// Counters describing cache behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,16 +60,16 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe cache of batch/device-specialized network schedules.
+/// A thread-safe cache of one engine's batch-specialized network schedules,
+/// keyed by the batch size each was optimized for.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: Mutex<HashMap<ScheduleKey, Arc<NetworkSchedule>>>,
-    in_flight: Mutex<HashSet<ScheduleKey>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    nearest_served: AtomicU64,
-    background_inserts: AtomicU64,
-    evictions: AtomicU64,
+    entries: Mutex<HashMap<usize, Arc<NetworkSchedule>>>,
+    hits: Count,
+    misses: Count,
+    nearest_served: Count,
+    background_inserts: Count,
+    evictions: Count,
 }
 
 impl ScheduleCache {
@@ -93,81 +79,66 @@ impl ScheduleCache {
         ScheduleCache::default()
     }
 
-    /// Looks up the schedule specialized for exactly `key`, counting a hit
-    /// or miss.
+    /// Looks up the schedule specialized for exactly `batch`, counting a
+    /// hit or miss.
     #[must_use]
-    pub fn lookup(&self, key: &ScheduleKey) -> Option<Arc<NetworkSchedule>> {
-        let found = self.entries.lock().expect("cache lock").get(key).cloned();
+    pub fn lookup(&self, batch: usize) -> Option<Arc<NetworkSchedule>> {
+        let found = self.peek(batch);
         match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.add(1),
+            None => self.misses.add(1),
+        }
         found
     }
 
     /// Like [`ScheduleCache::lookup`], but without touching the hit/miss
     /// counters — for double-checked paths that already counted the miss.
     #[must_use]
-    pub fn peek(&self, key: &ScheduleKey) -> Option<Arc<NetworkSchedule>> {
-        self.entries.lock().expect("cache lock").get(key).cloned()
-    }
-
-    /// Inserts a schedule under `key`.
-    pub fn insert(&self, key: ScheduleKey, schedule: Arc<NetworkSchedule>) {
+    pub fn peek(&self, batch: usize) -> Option<Arc<NetworkSchedule>> {
         self.entries
             .lock()
             .expect("cache lock")
-            .insert(key, schedule);
+            .get(&batch)
+            .cloned()
     }
 
-    /// Inserts a schedule produced by background re-optimization and clears
-    /// its in-flight marker.
-    pub fn insert_background(&self, key: ScheduleKey, schedule: Arc<NetworkSchedule>) {
-        self.background_inserts.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.lock().expect("in-flight lock").remove(&key);
-        self.insert(key, schedule);
+    /// Inserts the schedule optimized for `batch`.
+    pub fn insert(&self, batch: usize, schedule: Arc<NetworkSchedule>) {
+        self.entries
+            .lock()
+            .expect("cache lock")
+            .insert(batch, schedule);
     }
 
-    /// The cached schedule for the same network and device whose batch size
-    /// is nearest to `key.batch` (ties prefer the smaller batch). Counts a
-    /// nearest-serve when found.
+    /// The cached schedule whose batch size is nearest to `batch` (ties
+    /// prefer the smaller batch). Counts a nearest-serve when found.
     #[must_use]
-    pub fn nearest_batch(&self, key: &ScheduleKey) -> Option<(usize, Arc<NetworkSchedule>)> {
+    pub fn nearest_batch(&self, batch: usize) -> Option<(usize, Arc<NetworkSchedule>)> {
         let entries = self.entries.lock().expect("cache lock");
         let best = entries
             .iter()
-            .filter(|(k, _)| k.network == key.network && k.device == key.device)
-            .min_by_key(|(k, _)| (k.batch.abs_diff(key.batch), k.batch))
-            .map(|(k, v)| (k.batch, Arc::clone(v)));
+            .min_by_key(|(&cached, _)| (cached.abs_diff(batch), cached))
+            .map(|(&cached, schedule)| (cached, Arc::clone(schedule)));
         drop(entries);
         if best.is_some() {
-            self.nearest_served.fetch_add(1, Ordering::Relaxed);
+            self.nearest_served.add(1);
         }
         best
     }
 
-    /// Atomically marks `key` as being optimized in the background. Returns
-    /// `false` if an optimization for it is already in flight.
-    pub fn claim_background(&self, key: &ScheduleKey) -> bool {
-        self.in_flight
-            .lock()
-            .expect("in-flight lock")
-            .insert(key.clone())
-    }
-
-    /// Evicts the schedule cached under `key` (regret-driven refresh: the
+    /// Evicts the schedule cached for `batch` (regret-driven refresh: the
     /// prediction stopped describing measured reality). Counts an eviction
     /// only when something was actually removed; in-flight batches holding
     /// the schedule's `Arc` finish unaffected.
-    pub fn evict(&self, key: &ScheduleKey) -> bool {
+    pub fn evict(&self, batch: usize) -> bool {
         let removed = self
             .entries
             .lock()
             .expect("cache lock")
-            .remove(key)
+            .remove(&batch)
             .is_some();
         if removed {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.add(1);
         }
         removed
     }
@@ -176,12 +147,97 @@ impl ScheduleCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            nearest_served: self.nearest_served.load(Ordering::Relaxed),
-            background_inserts: self.background_inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            nearest_served: self.nearest_served.get(),
+            background_inserts: self.background_inserts.get(),
+            evictions: self.evictions.get(),
             entries: self.entries.lock().expect("cache lock").len() as u64,
+        }
+    }
+}
+
+impl Shared {
+    /// The network instance shaped for `batch`, built on first use (batch 1
+    /// is the base instance itself).
+    pub(crate) fn instance(&self, batch: usize) -> Arc<Network> {
+        if batch == 1 {
+            return Arc::clone(&self.base);
+        }
+        let mut instances = self.instances.lock().expect("instances lock");
+        Arc::clone(
+            instances
+                .entry(batch)
+                .or_insert_with(|| Arc::new(self.base.with_batch_size(batch))),
+        )
+    }
+
+    /// The schedule specialized for exactly `batch`: the cached one, else
+    /// optimized now (synchronously) and cached. The flag tells whether
+    /// this call ran the search.
+    pub(crate) fn ensure_exact(&self, batch: usize) -> (Arc<NetworkSchedule>, bool) {
+        // One search at a time: racing callers (cold-starting workers, a
+        // background fill, the controller) would all run the same expensive
+        // search; whoever loses the race finds the winner's entry. The lock
+        // guards no data, so a search that panicked poisons nothing.
+        let _one_search = self
+            .optimizing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(schedule) = self.cache.peek(batch) {
+            return (schedule, false);
+        }
+        let network = self.instance(batch);
+        let schedule =
+            Arc::new(optimize_network(&network, &self.cost, &self.config.scheduler).schedule);
+        self.cache.insert(batch, Arc::clone(&schedule));
+        (schedule, true)
+    }
+
+    /// The Table 3 runtime policy: exact specialized schedule if cached,
+    /// else nearest cached batch (filling in the exact one in the
+    /// background), else optimize synchronously.
+    pub(crate) fn resolve_schedule(
+        self: &Arc<Self>,
+        batch: usize,
+    ) -> (Arc<NetworkSchedule>, ScheduleSource) {
+        if let Some(schedule) = self.cache.lookup(batch) {
+            return (schedule, ScheduleSource::Exact);
+        }
+        if let Some((optimized_for, schedule)) = self.cache.nearest_batch(batch) {
+            if self.config.background_reoptimize {
+                self.fill_in_background(batch);
+            }
+            return (schedule, ScheduleSource::Nearest { optimized_for });
+        }
+        match self.ensure_exact(batch) {
+            (schedule, true) => (schedule, ScheduleSource::FreshlyOptimized),
+            (schedule, false) => (schedule, ScheduleSource::Exact),
+        }
+    }
+
+    /// Optimizes the exact schedule for `batch` on a background thread,
+    /// unless one is already at it: a batch size is claimed for as long as
+    /// its thread runs.
+    fn fill_in_background(self: &Arc<Self>, batch: usize) {
+        let mut fills = self.background.lock().expect("background lock");
+        if fills.get(&batch).is_some_and(|fill| !fill.is_finished()) {
+            return;
+        }
+        let shared = Arc::clone(self);
+        let fill = std::thread::Builder::new()
+            .name(format!("ios-serve-reopt-b{batch}"))
+            .spawn(move || {
+                if shared.ensure_exact(batch).1 {
+                    shared.cache.background_inserts.add(1);
+                }
+            })
+            .expect("spawn background re-optimization thread");
+        // Replacing a finished fill reaps it. One that died (a panicking
+        // cost model) left no entry behind, so this is its retry — the
+        // batch size is not left on a nearest schedule for good.
+        if let Some(Err(panic)) = fills.insert(batch, fill).map(JoinHandle::join) {
+            self.metrics.panic_message(PanicSite::Reoptimize, &*panic);
         }
     }
 }
@@ -200,16 +256,12 @@ mod tests {
         })
     }
 
-    fn key(batch: usize) -> ScheduleKey {
-        ScheduleKey::new("net", batch, DeviceKind::TeslaV100)
-    }
-
     #[test]
     fn exact_hits_and_misses_are_counted() {
         let cache = ScheduleCache::new();
-        assert!(cache.lookup(&key(4)).is_none());
-        cache.insert(key(4), schedule(4));
-        assert_eq!(cache.lookup(&key(4)).unwrap().label, "batch4");
+        assert!(cache.lookup(4).is_none());
+        cache.insert(4, schedule(4));
+        assert_eq!(cache.lookup(4).unwrap().label, "batch4");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -218,48 +270,33 @@ mod tests {
     #[test]
     fn nearest_batch_prefers_closest_then_smaller() {
         let cache = ScheduleCache::new();
-        cache.insert(key(1), schedule(1));
-        cache.insert(key(8), schedule(8));
-        let (batch, _) = cache.nearest_batch(&key(6)).unwrap();
+        cache.insert(1, schedule(1));
+        cache.insert(8, schedule(8));
+        let (batch, _) = cache.nearest_batch(6).unwrap();
         assert_eq!(batch, 8);
-        let (batch, _) = cache.nearest_batch(&key(3)).unwrap();
+        let (batch, _) = cache.nearest_batch(3).unwrap();
         assert_eq!(
             batch, 1,
             "equidistant from 1 and 8 minus... 3 is nearer to 1"
         );
-        // Different device: no candidates.
-        let other = ScheduleKey::new("net", 6, DeviceKind::TeslaK80);
-        assert!(cache.nearest_batch(&other).is_none());
+        // Ties prefer the smaller batch; an empty cache has no candidates.
+        cache.insert(5, schedule(5));
+        assert_eq!(cache.nearest_batch(3).unwrap().0, 1);
+        assert!(ScheduleCache::new().nearest_batch(6).is_none());
     }
 
     #[test]
     fn eviction_removes_the_entry_and_counts_once() {
         let cache = ScheduleCache::new();
-        cache.insert(key(4), schedule(4));
-        let held = cache.peek(&key(4)).expect("cached");
-        assert!(cache.evict(&key(4)), "first eviction removes the entry");
-        assert!(!cache.evict(&key(4)), "nothing left to evict");
-        assert!(cache.peek(&key(4)).is_none());
+        cache.insert(4, schedule(4));
+        let held = cache.peek(4).expect("cached");
+        assert!(cache.evict(4), "first eviction removes the entry");
+        assert!(!cache.evict(4), "nothing left to evict");
+        assert!(cache.peek(4).is_none());
         // An in-flight batch holding the Arc still reads its schedule.
         assert_eq!(held.label, "batch4");
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 0);
-    }
-
-    #[test]
-    fn background_claims_deduplicate() {
-        let cache = ScheduleCache::new();
-        assert!(cache.claim_background(&key(16)));
-        assert!(
-            !cache.claim_background(&key(16)),
-            "second claim must be rejected"
-        );
-        cache.insert_background(key(16), schedule(16));
-        assert!(
-            cache.claim_background(&key(16)),
-            "claim reopens after the insert"
-        );
-        assert_eq!(cache.stats().background_inserts, 1);
     }
 }

@@ -63,37 +63,21 @@ impl TenantConfig {
 }
 
 /// Per-tenant admission configuration: named tenants with explicit
-/// [`TenantConfig`]s, plus the config any *unknown* tenant (including the
-/// default tenant anonymous traffic maps to) falls back on.
+/// [`TenantConfig`]s. Any *unknown* tenant (including the default tenant
+/// anonymous traffic maps to) gets [`TenantConfig::default`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantsConfig {
     /// Explicitly configured tenants, by name. (A `BTreeMap` so exports
     /// and shares iterate deterministically.)
     pub tenants: BTreeMap<String, TenantConfig>,
-    /// Fallback for tenants not in the map.
-    pub fallback: TenantConfig,
 }
 
 impl TenantsConfig {
-    /// The admission parameters for `tenant`: its explicit entry, or the
-    /// fallback.
+    /// The admission parameters for `tenant`: its explicit entry, or
+    /// [`TenantConfig::default`].
     #[must_use]
-    pub fn for_tenant(&self, tenant: &str) -> &TenantConfig {
-        self.tenants.get(tenant).unwrap_or(&self.fallback)
-    }
-
-    /// Adds (or replaces) one named tenant's admission parameters.
-    #[must_use]
-    pub fn with_tenant(mut self, name: impl Into<String>, tenant: TenantConfig) -> Self {
-        self.tenants.insert(name.into(), tenant);
-        self
-    }
-
-    /// Sets the fallback applied to tenants not explicitly configured.
-    #[must_use]
-    pub fn with_fallback(mut self, tenant: TenantConfig) -> Self {
-        self.fallback = tenant;
-        self
+    pub fn for_tenant(&self, tenant: &str) -> TenantConfig {
+        self.tenants.get(tenant).cloned().unwrap_or_default()
     }
 }
 
@@ -169,13 +153,6 @@ pub struct AdaptConfig {
     /// prediction has stopped describing reality, so the entry is removed
     /// and re-optimized on next use.
     pub regret_threshold: f64,
-    /// Shed mode disengages after this many *consecutive* controller
-    /// ticks whose window held fewer than `min_window_batches` samples:
-    /// post-overload trickle traffic never fills a window, so without
-    /// this bound a latched shed mode would keep rejecting traffic the
-    /// engine could easily serve. (A full window re-evaluates shedding
-    /// on its own evidence and resets the count.)
-    pub shed_stale_ticks: u64,
 }
 
 impl Default for AdaptConfig {
@@ -188,7 +165,6 @@ impl Default for AdaptConfig {
             admission_capacity: None,
             default_deadline: None,
             regret_threshold: 2.0,
-            shed_stale_ticks: 3,
         }
     }
 }
@@ -220,9 +196,6 @@ pub struct ServeConfig {
     pub background_reoptimize: bool,
     /// Cross-block pipelined execution mode (see [`PipelineMode`]).
     pub pipeline: PipelineMode,
-    /// Cap on pipeline segment count; `None` lets the planner choose (up
-    /// to twice the host's cores).
-    pub pipeline_max_segments: Option<usize>,
     /// Weight precision the engine precomputes, profiles, and executes at.
     /// [`WeightPrecision::Int8`] runs convolution/pointwise stages through
     /// the quantized integer kernels (deterministic: byte-identical across
@@ -233,8 +206,8 @@ pub struct ServeConfig {
     /// by default.
     pub adapt: AdaptConfig,
     /// Per-tenant admission: WFQ weights and token-bucket rate limits.
-    /// The default (every tenant on the fallback [`TenantConfig`]: weight
-    /// 1, no rate limit) makes multi-tenancy invisible until configured.
+    /// The default (every tenant on [`TenantConfig::default`]: weight 1,
+    /// no rate limit) makes multi-tenancy invisible until configured.
     pub tenants: TenantsConfig,
 }
 
@@ -253,7 +226,6 @@ impl Default for ServeConfig {
             prewarm_batches: None,
             background_reoptimize: true,
             pipeline: PipelineMode::default(),
-            pipeline_max_segments: None,
             precision: WeightPrecision::default(),
             adapt: AdaptConfig::default(),
             tenants: TenantsConfig::default(),
@@ -340,25 +312,10 @@ impl ServeConfig {
         self
     }
 
-    /// Caps the number of pipeline segments the planner may choose.
-    #[must_use]
-    pub fn with_pipeline_max_segments(mut self, max_segments: usize) -> Self {
-        assert!(max_segments >= 1, "at least one segment is required");
-        self.pipeline_max_segments = Some(max_segments);
-        self
-    }
-
     /// Sets the weight precision the engine serves at.
     #[must_use]
     pub fn with_precision(mut self, precision: WeightPrecision) -> Self {
         self.precision = precision;
-        self
-    }
-
-    /// Replaces the whole adaptation configuration.
-    #[must_use]
-    pub fn with_adapt(mut self, adapt: AdaptConfig) -> Self {
-        self.adapt = adapt;
         self
     }
 
@@ -419,15 +376,6 @@ impl ServeConfig {
         self.tenants.tenants.insert(name.into(), tenant);
         self
     }
-
-    /// Sets the fallback admission parameters applied to every tenant not
-    /// explicitly configured (including the default tenant anonymous
-    /// traffic maps to).
-    #[must_use]
-    pub fn with_tenant_fallback(mut self, tenant: TenantConfig) -> Self {
-        self.tenants.fallback = tenant;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -444,7 +392,6 @@ mod tests {
             .with_background_reoptimize(false)
             .with_cost_model(CostModelKind::CpuProfiled)
             .with_pipeline(PipelineMode::Auto)
-            .with_pipeline_max_segments(4)
             .with_precision(WeightPrecision::Int8);
         assert_eq!(config.max_batch, 32);
         assert_eq!(config.precision, WeightPrecision::Int8);
@@ -454,7 +401,6 @@ mod tests {
             "f32 remains the default precision"
         );
         assert_eq!(config.pipeline, PipelineMode::Auto);
-        assert_eq!(config.pipeline_max_segments, Some(4));
         assert_eq!(
             ServeConfig::default().pipeline,
             PipelineMode::Off,

@@ -1,33 +1,27 @@
-//! The serving engine: worker pool wiring the dynamic batcher, the
-//! specialized-schedule cache and a batch execution backend together.
+//! The serving engine: the public handle, the state its threads share and
+//! the worker loop driving each batch through the stages (`stages.rs`).
 
 use crate::adapt::AdaptState;
-use crate::batcher::{BatchQueue, PushResult};
-use crate::cache::{ScheduleCache, ScheduleKey};
+use crate::batcher::BatchQueue;
+use crate::cache::ScheduleCache;
 use crate::config::{CostModelKind, PipelineMode, ServeConfig};
-use crate::exec::{BatchContext, BatchExecutor, CpuReferenceExecutor, SimulatedDeviceExecutor};
-use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::request::{
-    InferenceResponse, Pending, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,
-    ServeError, TenantId,
-};
-use ios_backend::{stack_batch_pooled, CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
-use ios_core::{
-    network_block_costs, optimize_network, plan_pipeline, CachingCostModel, CostModel,
-    NetworkSchedule, PipelinePlan, ProfiledCostModel, SimCostModel,
-};
-use ios_ir::{Network, SegmentPlan, TensorShape};
+use crate::exec::{BatchExecutor, CpuReferenceExecutor, SimulatedDeviceExecutor};
+use crate::metrics::{External, MetricsSnapshot, PanicSite, ServeMetrics};
+use crate::request::{InferenceResponse, Rejected, ResponseHandle, ServeError, TenantId};
+use ios_backend::{CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
+use ios_core::{CachingCostModel, CostModel, PipelinePlan, ProfiledCostModel, SimCostModel};
+use ios_ir::{Network, TensorShape};
 use ios_sim::Simulator;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The host's available parallelism (1 when unknown) — the single probe
 /// the worker split, the pipeline planner's stage budget and the custom
 /// backend default all derive from.
-fn host_cores() -> usize {
+pub(crate) fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -38,7 +32,7 @@ fn host_cores() -> usize {
 pub(crate) struct Shared {
     /// The network at batch size 1 (instances for other batch sizes are
     /// derived lazily).
-    pub(crate) base: Network,
+    pub(crate) base: Arc<Network>,
     /// Per-sample input shape requests must match.
     pub(crate) sample_shape: TensorShape,
     pub(crate) config: ServeConfig,
@@ -59,7 +53,7 @@ pub(crate) struct Shared {
     pub(crate) io_pool: Arc<ScratchPool>,
     pub(crate) metrics: ServeMetrics,
     /// The cross-block pipeline plan, when [`ServeConfig::pipeline`] is on
-    /// and the backend accepted it; [`Shared::run_batch`] consults it per
+    /// and the backend accepted it; the execute stage consults it per
     /// batch size to pick pipelined vs flat batched execution.
     pub(crate) pipeline: Mutex<Option<Arc<PipelinePlan>>>,
     /// Per-batch sample-worker cap of the *flat* execution path — what the
@@ -68,9 +62,11 @@ pub(crate) struct Shared {
     /// the core count; custom backends default to the full host.
     pub(crate) flat_workers: usize,
     pub(crate) instances: Mutex<HashMap<usize, Arc<Network>>>,
-    pub(crate) background: Mutex<Vec<JoinHandle<()>>>,
-    /// Serializes cold-start synchronous schedule optimizations.
-    pub(crate) sync_optimize: Mutex<()>,
+    /// Background re-optimizations by batch size
+    /// ([`Shared::resolve_schedule`]).
+    pub(crate) background: Mutex<HashMap<usize, JoinHandle<()>>>,
+    /// Serializes schedule searches ([`Shared::ensure_exact`]).
+    pub(crate) optimizing: Mutex<()>,
     /// Live state of the runtime adaptation loop (shed mode, regret
     /// observations, controller stop signal).
     pub(crate) adapt: AdaptState,
@@ -82,356 +78,40 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The network instance shaped for `batch`, built on first use.
-    pub(crate) fn instance(&self, batch: usize) -> Arc<Network> {
-        let mut instances = self.instances.lock().expect("instances lock");
-        Arc::clone(
-            instances
-                .entry(batch)
-                .or_insert_with(|| Arc::new(self.base.with_batch_size(batch))),
-        )
-    }
-
-    pub(crate) fn key(&self, batch: usize) -> ScheduleKey {
-        ScheduleKey::new(self.base.name.clone(), batch, self.config.device)
-    }
-
-    /// Optimizes a schedule specialized for `batch` (synchronously).
-    pub(crate) fn optimize(&self, batch: usize) -> Arc<NetworkSchedule> {
-        let network = self.instance(batch);
-        Arc::new(optimize_network(&network, &self.cost, &self.config.scheduler).schedule)
-    }
-
-    /// The Table 3 runtime policy: exact specialized schedule if cached,
-    /// else nearest cached batch (kicking off background re-optimization of
-    /// the exact one), else optimize synchronously.
-    fn resolve_schedule(self: &Arc<Self>, batch: usize) -> (Arc<NetworkSchedule>, ScheduleSource) {
-        let key = self.key(batch);
-        if let Some(schedule) = self.cache.lookup(&key) {
-            return (schedule, ScheduleSource::Exact);
-        }
-        if let Some((optimized_for, schedule)) = self.cache.nearest_batch(&key) {
-            if self.config.background_reoptimize && self.cache.claim_background(&key) {
-                let shared = Arc::clone(self);
-                let handle = std::thread::Builder::new()
-                    .name(format!("ios-serve-reopt-b{batch}"))
-                    .spawn(move || {
-                        let schedule = shared.optimize(batch);
-                        shared.cache.insert_background(shared.key(batch), schedule);
-                    })
-                    .expect("spawn background re-optimization thread");
-                self.background
-                    .lock()
-                    .expect("background lock")
-                    .push(handle);
-            }
-            return (schedule, ScheduleSource::Nearest { optimized_for });
-        }
-        // Nothing usable is cached. Serialize synchronous optimizations so
-        // cold-starting workers don't all run the same expensive search;
-        // whoever loses the race finds the winner's entry on re-check.
-        let _only_one_optimizer = self.sync_optimize.lock().expect("sync-optimize lock");
-        if let Some(schedule) = self.cache.peek(&key) {
-            return (schedule, ScheduleSource::Exact);
-        }
-        let schedule = self.optimize(batch);
-        self.cache.insert(key, Arc::clone(&schedule));
-        (schedule, ScheduleSource::FreshlyOptimized)
-    }
-
-    /// Builds a fresh cross-block pipeline plan from current cost-model
-    /// measurements, or `None` when pipelining is off or the backend can't
-    /// run one. Shared by startup planning and the adaptation controller's
-    /// re-planning — both then decide separately whether the plan is worth
-    /// installing.
-    pub(crate) fn build_pipeline_plan(&self) -> Option<PipelinePlan> {
-        if self.config.pipeline == PipelineMode::Off || !self.executor.can_pipeline() {
-            // Planning measures every block (expensively, for a profiled
-            // cost model): don't pay for a plan a flat-only backend would
-            // discard anyway.
-            return None;
-        }
-        // The per-sample (batch-1) schedule drives the plan: the pipeline
-        // executes one sample per job regardless of serving batch size.
-        let key = self.key(1);
-        let schedule1 = self.cache.peek(&key).unwrap_or_else(|| {
-            let schedule = self.optimize(1);
-            self.cache.insert(key, Arc::clone(&schedule));
-            schedule
-        });
-        let stage_workers = host_cores();
-        Some(match self.config.pipeline {
-            PipelineMode::Forced(segments) => PipelinePlan::for_segments(
-                network_block_costs(&self.base, &schedule1, &self.cost),
-                SegmentPlan::even(self.base.blocks.len(), segments.max(1)),
-                stage_workers,
-            ),
-            _ => plan_pipeline(
-                &self.base,
-                &schedule1,
-                &self.cost,
-                stage_workers,
-                self.config.pipeline_max_segments,
-            ),
-        })
-    }
-
-    /// Offers `plan` to the execution backend and installs it as the
-    /// serving plan if the backend accepts. The executor's
-    /// `prepare_pipeline` is mid-flight-swap safe (in-flight batches hold
-    /// their own `Arc`s), so this is also the controller's re-plan commit.
-    pub(crate) fn install_pipeline_plan(&self, plan: PipelinePlan) -> bool {
-        if self
-            .executor
-            .prepare_pipeline(self.instance(1), Arc::clone(&self.weights), &plan)
-        {
-            *self.pipeline.lock().expect("pipeline plan lock") = Some(Arc::new(plan));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Plans the cross-block pipeline at startup when
-    /// [`ServeConfig::pipeline`] asks for one: measure per-block costs of
-    /// the batch-1 schedule with the engine's cost model (for
-    /// [`CostModelKind::CpuProfiled`] with pipelining on, those stage
-    /// latencies were measured *under concurrent load*), choose segment
-    /// boundaries, and offer the plan to the execution backend. The plan
-    /// only sticks if the backend can actually execute it.
-    fn plan_pipeline_if_configured(self: &Arc<Self>) {
-        let Some(plan) = self.build_pipeline_plan() else {
-            return;
-        };
-        // Under `Auto` the pipeline only earns its stage workers if some
-        // admissible batch size is actually predicted to route to it — a
-        // flat plan, or a multi-segment plan that never beats the capped
-        // flat path for any batch up to `max_batch`, stays flat.
-        let worth_running = matches!(self.config.pipeline, PipelineMode::Forced(_))
-            || (2..=self.config.max_batch)
-                .any(|batch| plan.prefers_pipeline_vs(batch, self.flat_workers));
-        if worth_running {
-            self.install_pipeline_plan(plan);
-        }
-    }
-
     /// The wall-clock execute-time estimate the deadline-aware batcher
     /// subtracts from the most urgent queued deadline: the mean observed
     /// per-batch device time so far (zero until the first batch lands —
     /// before any measurement the batcher flushes right at the deadline).
     fn predicted_exec(&self) -> Duration {
-        let device = self.metrics.device_time_histogram();
+        let device = &self.metrics.device_time;
         if device.count() == 0 {
             return Duration::ZERO;
         }
         Duration::from_nanos(device.mean() as u64)
     }
 
-    /// The admission inputs for the next offer: the effective queue
-    /// capacity — the configured hard bound, tightened to one batch's
-    /// worth of requests while the controller has shed mode engaged
-    /// (queued work keeps the device fed; everything beyond it would only
-    /// queue-wait past the budget) — and whether shed mode is on. In shed
-    /// mode the queue applies the capacity per tenant as a weighted share,
-    /// so the over-quota tenant is the one shed.
-    fn admission(&self) -> (Option<usize>, bool) {
-        let configured = self.config.adapt.admission_capacity;
-        if self.adapt.shedding() {
-            let shed_cap = self.config.max_batch;
-            (Some(configured.map_or(shed_cap, |c| c.min(shed_cap))), true)
-        } else {
-            (configured, false)
-        }
-    }
-
     /// One worker: take batches until the queue closes and drains.
     fn worker_loop(self: &Arc<Self>) {
         loop {
             let predicted_exec = self.predicted_exec();
-            let Some(batch) =
+            let Some(mut requests) =
                 self.queue
                     .next_batch(self.config.max_batch, self.config.max_wait, predicted_exec)
             else {
                 break;
             };
-            self.metrics.set_queue_depth(self.queue.depth());
+            self.metrics.queue_depth.set(self.queue.depth() as u64);
             // A panicking batch (e.g. a custom executor bug) must not kill
-            // the worker: its requests' senders drop (their handles see the
-            // disconnect) and the worker moves on to the next batch.
-            let shared = Arc::clone(self);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                shared.run_batch(batch);
-            }));
-            if let Err(panic) = result {
-                let message = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic".to_string());
-                eprintln!("ios-serve: batch execution panicked: {message}");
-            }
-        }
-    }
-
-    /// The pipeline plan this batch should execute under, per the
-    /// configured [`PipelineMode`] and the plan's own per-batch-size
-    /// prediction — `None` means flat batched execution. (Under
-    /// [`PipelineMode::Off`] no plan is ever stored, so the lock read
-    /// already short-circuits.)
-    fn pipeline_for(&self, batch: usize) -> Option<Arc<PipelinePlan>> {
-        let plan = self.pipeline.lock().expect("pipeline plan lock").clone()?;
-        if let PipelineMode::Auto = self.config.pipeline {
-            // Compare against the flat path as this engine actually runs
-            // it: capped at `flat_workers` sample workers per batch.
-            return plan
-                .prefers_pipeline_vs(batch, self.flat_workers)
-                .then_some(plan);
-        }
-        Some(plan)
-    }
-
-    fn run_batch(self: &Arc<Self>, batch: Vec<Pending>) {
-        let tracer = ios_telemetry::tracer();
-        // Requests whose deadline already passed complete as expired *before*
-        // any schedule resolution or device dispatch — serving them would
-        // burn device time on answers nobody can use.
-        let now = Instant::now();
-        let (batch, expired): (Vec<Pending>, Vec<Pending>) = batch
-            .into_iter()
-            .partition(|p| p.deadline.is_none_or(|d| now < d));
-        for pending in expired {
-            self.metrics.record_deadline_expired();
-            tracer.instant("request.deadline_expired", "request", pending.id.0);
-            let _ = pending.respond_to.send(Err(Rejected::DeadlineExceeded));
-        }
-        if batch.is_empty() {
-            return;
-        }
-        let batch_id = self.next_batch_id.fetch_add(1, Ordering::Relaxed);
-        let batch_size = batch.len();
-        let mut batch_span = tracer.span("batch", "serve");
-        batch_span.set_id(batch_id);
-        batch_span.set_arg(batch_size as u64);
-        let (schedule, source) = self.resolve_schedule(batch_size);
-        let network = self.instance(batch_size);
-        let mut pipeline = self.pipeline_for(batch_size);
-        let dispatched_at = Instant::now();
-        if let Some(oldest) = batch.iter().map(|p| p.enqueued_at).min() {
-            // Batch assembly: the oldest member's enqueue to this dispatch.
-            let assembly_us = (dispatched_at - oldest).as_secs_f64() * 1e6;
-            self.metrics.record_assembly(assembly_us);
-        }
-
-        let input_refs: Vec<&TensorData> = batch.iter().map(|p| &p.input).collect();
-        let stacked = stack_batch_pooled(&input_refs, &self.io_pool);
-        let run = |pipeline: Option<&PipelinePlan>| {
-            self.executor.execute(&BatchContext {
-                network: &network,
-                schedule: &schedule,
-                weights: &self.weights,
-                inputs: std::slice::from_ref(&stacked),
-                pipeline,
-            })
-        };
-        let mut exec_span = tracer.span("batch.execute", "serve");
-        exec_span.set_id(batch_id);
-        exec_span.set_arg(u64::from(pipeline.is_some()));
-        let outcome = if let Some(plan) = pipeline.clone() {
-            // A dead pipeline (one stage worker panicked and broke the
-            // channel chain) must not take the engine down with it: drop
-            // the plan so every later batch goes flat, and salvage *this*
-            // batch by retrying it on the flat path right away.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(Some(&plan)))) {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    eprintln!(
-                        "ios-serve: pipelined execution failed; disabling the pipeline \
-                         and retrying this batch flat"
-                    );
-                    *self.pipeline.lock().expect("pipeline plan lock") = None;
-                    pipeline = None;
-                    run(None)
+            // the worker, nor leave its requests unanswered: every member
+            // the stages had not finished yet completes as failed, and the
+            // worker moves on to the next batch.
+            let run = std::panic::AssertUnwindSafe(|| self.run_batch(&mut requests));
+            if let Err(panic) = std::panic::catch_unwind(run) {
+                self.metrics.panic_message(PanicSite::Batch, &*panic);
+                for pending in requests.drain(..) {
+                    self.finish(pending, Err(Rejected::Failed));
                 }
             }
-        } else {
-            run(None)
-        };
-        drop(exec_span);
-        self.io_pool.recycle_tensor(stacked);
-        self.metrics
-            .record_batch(batch_size, outcome.device_time_us, pipeline.is_some());
-        if self.config.adapt.enabled && source == ScheduleSource::Exact {
-            // Feed the regret sensor: measured device time vs what the
-            // schedule's optimizer predicted for exactly this batch size.
-            self.adapt
-                .observe(batch_size, outcome.device_time_us, schedule.latency_us);
-        }
-
-        // Split the stacked outputs (one entry per network output) into
-        // per-sample response leases drawn from the io pool; each lease's
-        // buffer returns to the pool when the client drops it. The stacked
-        // output tensors themselves go back to the backend's pool.
-        let mut responses: Vec<Vec<ResponseLease>> = (0..batch_size)
-            .map(|_| Vec::with_capacity(outcome.outputs.as_ref().map_or(0, Vec::len)))
-            .collect();
-        if let Some(outputs) = outcome.outputs {
-            for stacked_out in &outputs {
-                let per_item = stacked_out.shape.elements_per_item();
-                let item_shape = ios_ir::TensorShape::new(
-                    1,
-                    stacked_out.shape.channels,
-                    stacked_out.shape.height,
-                    stacked_out.shape.width,
-                );
-                for (i, sample_outputs) in responses.iter_mut().enumerate() {
-                    let mut leased = self.io_pool.take_tensor(item_shape);
-                    leased
-                        .data
-                        .copy_from_slice(&stacked_out.data[i * per_item..(i + 1) * per_item]);
-                    sample_outputs.push(ResponseLease::pooled(leased, Arc::clone(&self.io_pool)));
-                }
-            }
-            self.executor.recycle_outputs(outputs);
-        }
-        let device_share_us = outcome.device_time_us / batch_size as f64;
-
-        for (pending, outputs) in batch.into_iter().zip(responses) {
-            let now = Instant::now();
-            let total_us = (now - pending.enqueued_at).as_secs_f64() * 1e6;
-            let queue_us = (dispatched_at - pending.enqueued_at).as_secs_f64() * 1e6;
-            self.metrics.record_latency(total_us);
-            self.metrics.record_queue_wait(queue_us);
-            self.metrics
-                .tenant(&pending.tenant)
-                .record_completed(queue_us);
-            if tracer.is_enabled() {
-                // Back-date the queue-wait span to the request's enqueue:
-                // its record lands on this worker's lane, tagged with the
-                // batch that eventually served it.
-                let total_ns = (total_us * 1e3).max(0.0) as u64;
-                let start_ns = tracer.now_ns().saturating_sub(total_ns);
-                let wait_ns = (queue_us * 1e3).max(0.0) as u64;
-                tracer.record_span_at(
-                    "request.queue_wait",
-                    "request",
-                    start_ns,
-                    wait_ns,
-                    pending.id.0,
-                    batch_id,
-                );
-                tracer.instant("request.respond", "request", pending.id.0);
-            }
-            // A dropped ResponseHandle is fine; the send just fails.
-            let _ = pending.respond_to.send(Ok(InferenceResponse {
-                id: pending.id,
-                outputs,
-                batch_size,
-                schedule_source: source,
-                pipelined: pipeline.is_some(),
-                queue_us,
-                total_us,
-                device_us: device_share_us,
-            }));
         }
     }
 }
@@ -556,11 +236,11 @@ impl ServeEngine {
             1,
             "the serving engine batches single-input networks"
         );
-        let base = if network.input_shape.batch == 1 {
+        let base = Arc::new(if network.input_shape.batch == 1 {
             network
         } else {
             network.with_batch_size(1)
-        };
+        });
         let sample_shape = base.input_shape;
         let weights = Arc::new(NetworkWeights::precompute_as(&base, config.precision));
 
@@ -572,13 +252,13 @@ impl ServeEngine {
             weights,
             executor,
             io_pool: Arc::new(ScratchPool::new()),
-            metrics: ServeMetrics::new(),
+            metrics: ServeMetrics::default(),
             pipeline: Mutex::new(None),
             flat_workers: flat_workers.max(1),
             instances: Mutex::new(HashMap::new()),
-            background: Mutex::new(Vec::new()),
-            sync_optimize: Mutex::new(()),
-            adapt: AdaptState::new(),
+            background: Mutex::new(HashMap::new()),
+            optimizing: Mutex::new(()),
+            adapt: AdaptState::default(),
             next_id: AtomicU64::new(0),
             next_batch_id: AtomicU64::new(0),
             base,
@@ -588,11 +268,14 @@ impl ServeEngine {
         // Pre-warm the schedule cache: the configured batch sizes get their
         // specialized schedules before the first request arrives.
         for batch in shared.config.effective_prewarm_batches() {
-            let schedule = shared.optimize(batch);
-            shared.cache.insert(shared.key(batch), schedule);
+            shared.ensure_exact(batch);
         }
-
-        shared.plan_pipeline_if_configured();
+        // Plan the cross-block pipeline when the configured mode asks for
+        // one; the plan only sticks if some admissible batch size is
+        // predicted to route to it and the backend can execute it.
+        if let Some(plan) = shared.build_pipeline_plan() {
+            shared.offer_pipeline_plan(plan, 2..=shared.config.max_batch);
+        }
 
         let workers = (0..shared.config.workers.max(1))
             .map(|i| {
@@ -633,11 +316,8 @@ impl ServeEngine {
     /// control turned the request away (bounded queue full, or shed mode
     /// with a batch's worth already queued).
     pub fn submit(&self, input: TensorData) -> Result<ResponseHandle, ServeError> {
-        self.submit_inner(
-            TenantId::default_tenant(),
-            input,
-            self.shared.config.adapt.default_deadline,
-        )
+        let budget = self.shared.config.adapt.default_deadline;
+        self.shared.admit(TenantId::default_tenant(), input, budget)
     }
 
     /// Submits a request on behalf of a named tenant: it queues on the
@@ -658,11 +338,8 @@ impl ServeEngine {
         tenant: impl Into<TenantId>,
         input: TensorData,
     ) -> Result<ResponseHandle, ServeError> {
-        self.submit_inner(
-            tenant.into(),
-            input,
-            self.shared.config.adapt.default_deadline,
-        )
+        let budget = self.shared.config.adapt.default_deadline;
+        self.shared.admit(tenant.into(), input, budget)
     }
 
     /// [`ServeEngine::submit_for_tenant`] with a per-request deadline
@@ -677,7 +354,7 @@ impl ServeEngine {
         input: TensorData,
         budget: Duration,
     ) -> Result<ResponseHandle, ServeError> {
-        self.submit_inner(tenant.into(), input, Some(budget))
+        self.shared.admit(tenant.into(), input, Some(budget))
     }
 
     /// Submits a request that is only worth answering for the next
@@ -694,48 +371,8 @@ impl ServeEngine {
         input: TensorData,
         budget: Duration,
     ) -> Result<ResponseHandle, ServeError> {
-        self.submit_inner(TenantId::default_tenant(), input, Some(budget))
-    }
-
-    fn submit_inner(
-        &self,
-        tenant: TenantId,
-        input: TensorData,
-        budget: Option<Duration>,
-    ) -> Result<ResponseHandle, ServeError> {
-        if input.shape != self.shared.sample_shape {
-            return Err(ServeError::WrongInputShape {
-                expected: self.shared.sample_shape,
-                submitted: input.shape,
-            });
-        }
-        let id = RequestId(self.shared.next_id.fetch_add(1, Ordering::Relaxed));
-        let (respond_to, receiver) = mpsc::channel();
-        let enqueued_at = Instant::now();
-        let pending = Pending {
-            id,
-            tenant: tenant.clone(),
-            input,
-            enqueued_at,
-            deadline: budget.map(|b| enqueued_at + b),
-            respond_to,
-        };
-        let (capacity, shedding) = self.shared.admission();
-        match self.shared.queue.push_bounded(pending, capacity, shedding) {
-            PushResult::Accepted => {}
-            PushResult::Closed => return Err(ServeError::ShuttingDown),
-            PushResult::Full | PushResult::RateLimited => {
-                self.shared.metrics.record_shed();
-                self.shared.metrics.tenant(&tenant).record_shed();
-                ios_telemetry::tracer().instant("request.shed", "request", id.0);
-                return Err(ServeError::Rejected(Rejected::Shed));
-            }
-        }
-        ios_telemetry::tracer().instant("request.enqueue", "request", id.0);
         self.shared
-            .metrics
-            .set_queue_depth(self.shared.queue.depth());
-        Ok(ResponseHandle { id, receiver })
+            .admit(TenantId::default_tenant(), input, Some(budget))
     }
 
     /// Submits a request and blocks for its response.
@@ -763,218 +400,17 @@ impl ServeEngine {
         ios_telemetry::chrome_trace_json(&ios_telemetry::tracer().records())
     }
 
-    /// The serving metrics in Prometheus text exposition format: request
-    /// counters, queue-depth gauge, schedule-cache counters, weight-cache
-    /// footprint gauges (f32 vs int8 bytes), the selected-microkernel-ISA
-    /// info gauge (`ios_simd_kernel{path,isa}`), the worker pool's lane
-    /// gauge and intra-operator counters (`ios_worker_pool_lanes`,
-    /// `ios_intra_op_jobs_total`, `ios_intra_op_chunks_total{by}` —
-    /// process-wide, like the pool), the latency /
-    /// queue-wait / batch-assembly / device-time histograms (exposed in
-    /// microseconds), and per-tenant completed/shed counters and
-    /// queue-wait histograms as `ios_tenant_*{tenant="…"}` labelled
-    /// series.
+    /// The serving metrics in Prometheus text exposition format — the
+    /// metric table of [`crate::metrics`] over this engine's counters, its
+    /// schedule cache, its weight cache and the process-wide kernel facts.
     #[must_use]
     pub fn prometheus_text(&self) -> String {
-        use ios_telemetry::prometheus as prom;
-        let m = &self.shared.metrics;
-        let cache = self.shared.cache.stats();
-        let mut out = String::new();
-        prom::counter(
-            &mut out,
-            "ios_requests_completed_total",
-            "Requests answered since the engine started.",
-            m.completed(),
-        );
-        prom::counter(
-            &mut out,
-            "ios_batches_total",
-            "Batches dispatched since the engine started.",
-            m.batches(),
-        );
-        prom::counter(
-            &mut out,
-            "ios_pipelined_batches_total",
-            "Batches executed through the cross-block pipeline.",
-            m.pipelined_batches(),
-        );
-        prom::counter(
-            &mut out,
-            "ios_requests_shed_total",
-            "Requests turned away by admission control (bounded queue or shed mode).",
-            m.shed(),
-        );
-        prom::counter(
-            &mut out,
-            "ios_requests_deadline_expired_total",
-            "Requests completed as expired before reaching the device.",
-            m.deadline_expired(),
-        );
-        prom::counter(
-            &mut out,
-            "ios_adaptation_replans_total",
-            "Telemetry-triggered pipeline/schedule re-plans.",
-            m.replans(),
-        );
-        prom::gauge(
-            &mut out,
-            "ios_queue_depth",
-            "Requests waiting in the batching queue.",
-            m.queue_depth() as f64,
-        );
-        prom::counter(
-            &mut out,
-            "ios_schedule_cache_hits_total",
-            "Exact specialized-schedule cache hits.",
-            cache.hits,
-        );
-        prom::counter(
-            &mut out,
-            "ios_schedule_cache_misses_total",
-            "Schedule-cache lookups with no exact entry.",
-            cache.misses,
-        );
-        prom::counter(
-            &mut out,
-            "ios_schedule_cache_nearest_total",
-            "Batches served by the nearest cached batch size.",
-            cache.nearest_served,
-        );
-        prom::counter(
-            &mut out,
-            "ios_schedule_cache_background_inserts_total",
-            "Exact schedules inserted by background re-optimization.",
-            cache.background_inserts,
-        );
-        prom::counter(
-            &mut out,
-            "ios_schedule_cache_evictions_total",
-            "Schedules evicted for regretting their predicted device time.",
-            cache.evictions,
-        );
-        prom::gauge(
-            &mut out,
-            "ios_schedule_cache_entries",
-            "Schedules currently cached.",
-            cache.entries as f64,
-        );
-        let footprint = self.shared.weights.footprint();
-        prom::gauge(
-            &mut out,
-            "ios_weight_cache_f32_bytes",
-            "Bytes of f32 weight arrays held by the weight cache.",
-            footprint.f32_bytes as f64,
-        );
-        prom::gauge(
-            &mut out,
-            "ios_weight_cache_int8_bytes",
-            "Bytes of int8 quantized weights (and scales) held by the weight cache.",
-            footprint.int8_bytes as f64,
-        );
-        let isa = ios_backend::simd::active_isa().name();
-        prom::info(
-            &mut out,
-            "ios_simd_kernel",
-            "Selected microkernel ISA per numeric path (info gauge, constant 1).",
-            &[
-                &[("path", "f32"), ("isa", isa)],
-                &[("path", "int8"), ("isa", isa)],
-            ],
-        );
-        let pool = ios_backend::workers::stats();
-        prom::gauge(
-            &mut out,
-            "ios_worker_pool_lanes",
-            "Lanes of the process-wide worker pool: its parked helpers plus the caller.",
-            pool.lanes as f64,
-        );
-        prom::counter(
-            &mut out,
-            "ios_intra_op_jobs_total",
-            "Operators split into chunks across worker-pool lanes, process-wide.",
-            pool.op_jobs,
-        );
-        prom::counter_family(
-            &mut out,
-            "ios_intra_op_chunks_total",
-            "Operator chunks run, by lane: the thread that posted the job or a helper.",
-            &[
-                (&[("by", "caller")], pool.op_chunks_by_caller),
-                (&[("by", "helper")], pool.op_chunks_by_helper),
-            ],
-        );
-        prom::histogram_us(
-            &mut out,
-            "ios_request_latency_us",
-            "Request latency, submission to response, microseconds.",
-            &m.latency_histogram().snapshot(),
-        );
-        prom::histogram_us(
-            &mut out,
-            "ios_request_queue_wait_us",
-            "Time requests spent queued before dispatch, microseconds.",
-            &m.queue_wait_histogram().snapshot(),
-        );
-        prom::histogram_us(
-            &mut out,
-            "ios_batch_assembly_us",
-            "Batch assembly time, oldest enqueue to dispatch, microseconds.",
-            &m.batch_assembly_histogram().snapshot(),
-        );
-        prom::histogram_us(
-            &mut out,
-            "ios_batch_device_time_us",
-            "Per-batch (simulated) device time, microseconds.",
-            &m.device_time_histogram().snapshot(),
-        );
-        // Per-tenant labelled series: one sample (or histogram) per tenant
-        // seen so far, `{tenant="…"}`. Absent entirely until the first
-        // request arrives.
-        let tenants = m.tenant_entries();
-        if !tenants.is_empty() {
-            let labels: Vec<[(&str, &str); 1]> = tenants
-                .iter()
-                .map(|(tenant, _)| [("tenant", tenant.name())])
-                .collect();
-            let completed: Vec<(&[(&str, &str)], u64)> = tenants
-                .iter()
-                .zip(&labels)
-                .map(|((_, tm), l)| (l.as_slice(), tm.completed()))
-                .collect();
-            prom::counter_family(
-                &mut out,
-                "ios_tenant_requests_completed_total",
-                "Requests answered, per tenant.",
-                &completed,
-            );
-            let shed: Vec<(&[(&str, &str)], u64)> = tenants
-                .iter()
-                .zip(&labels)
-                .map(|((_, tm), l)| (l.as_slice(), tm.shed()))
-                .collect();
-            prom::counter_family(
-                &mut out,
-                "ios_tenant_requests_shed_total",
-                "Requests turned away by admission control, per tenant.",
-                &shed,
-            );
-            let wait_snaps: Vec<ios_telemetry::HistogramSnapshot> = tenants
-                .iter()
-                .map(|(_, tm)| tm.queue_wait_histogram().snapshot())
-                .collect();
-            let waits: Vec<(&[(&str, &str)], &ios_telemetry::HistogramSnapshot)> = wait_snaps
-                .iter()
-                .zip(&labels)
-                .map(|(snap, l)| (l.as_slice(), snap))
-                .collect();
-            prom::histogram_us_family(
-                &mut out,
-                "ios_tenant_queue_wait_us",
-                "Time requests spent queued before dispatch, per tenant, microseconds.",
-                &waits,
-            );
-        }
-        out
+        self.shared.metrics.prometheus_text(&External {
+            cache: self.shared.cache.stats(),
+            weights: self.shared.weights.footprint(),
+            isa: ios_backend::simd::active_isa().name(),
+            pool: ios_backend::workers::stats(),
+        })
     }
 
     /// The cross-block pipeline plan the engine is serving with, if the
@@ -1050,17 +486,11 @@ impl ServeEngine {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers may have spawned re-optimizations while draining; take
-        // the list repeatedly until it stays empty.
-        loop {
-            let handles: Vec<JoinHandle<()>> =
-                std::mem::take(&mut *self.shared.background.lock().expect("background lock"));
-            if handles.is_empty() {
-                break;
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
+        // With the workers gone nothing spawns another re-optimization:
+        // wait out the ones still running.
+        let fills = std::mem::take(&mut *self.shared.background.lock().expect("background lock"));
+        for (_, fill) in fills {
+            let _ = fill.join();
         }
     }
 }
@@ -1078,6 +508,7 @@ impl std::fmt::Debug for ServeEngine {
             .field("executor", &self.shared.executor.name())
             .field("max_batch", &self.shared.config.max_batch)
             .field("workers", &self.workers.len())
+            .field("last_panic", &self.shared.metrics.last_panic)
             .finish()
     }
 }
@@ -1086,7 +517,8 @@ impl std::fmt::Debug for ServeEngine {
 mod tests {
     use super::*;
     use crate::request::ScheduleSource;
-    use std::time::Duration;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
 
     fn tiny_network() -> Network {
         use ios_ir::{Block, Conv2dParams, GraphBuilder};
@@ -1242,6 +674,66 @@ mod tests {
             .infer(TensorData::random(net.input_shape, 2))
             .unwrap();
         assert_eq!(response.schedule_source, ScheduleSource::Exact);
+        engine.shutdown();
+    }
+
+    /// A background re-optimization that panics (a faulty profiler) must
+    /// give its batch size back: the next miss retries it, instead of the
+    /// batch size being served by a nearest schedule for good.
+    #[test]
+    fn a_background_fill_that_panics_once_is_retried() {
+        use ios_core::GraphCostModel;
+
+        /// The simulator cost model, with one injected fault once armed.
+        struct PanicsOnce {
+            inner: SimCostModel,
+            armed: std::sync::atomic::AtomicBool,
+        }
+        impl CostModel for PanicsOnce {
+            fn measurement_count(&self) -> u64 {
+                self.inner.measurement_count()
+            }
+            fn bind<'a>(&'a self, graph: &'a ios_ir::Graph) -> Box<dyn GraphCostModel + 'a> {
+                assert!(
+                    !self.armed.swap(false, Ordering::SeqCst),
+                    "injected profiler fault"
+                );
+                self.inner.bind(graph)
+            }
+        }
+
+        let net = tiny_network();
+        let config = quick_config()
+            .with_prewarm_batches(vec![4])
+            .with_max_wait(Duration::from_millis(2));
+        let cost = Arc::new(PanicsOnce {
+            inner: SimCostModel::new(Simulator::new(config.device)),
+            armed: std::sync::atomic::AtomicBool::new(false),
+        });
+        let executor = Box::new(CpuReferenceExecutor::new());
+        let engine = ServeEngine::build(net.clone(), config, cost.clone(), executor, 1);
+        cost.armed.store(true, Ordering::SeqCst);
+        // Lone requests miss batch 1 and are served by the batch-4 schedule
+        // while a background fill runs. The first fill hits the fault; a
+        // later miss must start another, which lands the exact schedule.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while engine.metrics().cache.background_inserts == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the panicked fill kept its claim: batch 1 is never re-optimized"
+            );
+            engine.infer(TensorData::zeros(net.input_shape)).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(!cost.armed.load(Ordering::SeqCst), "the fault fired");
+        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
+        assert_eq!(response.schedule_source, ScheduleSource::Exact);
+        assert_eq!(engine.metrics().cache.background_inserts, 1);
+        let text = engine.prometheus_text();
+        assert!(
+            text.contains("ios_panics_total{site=\"reoptimize\"} 1"),
+            "the dead fill is counted when it is reaped"
+        );
         engine.shutdown();
     }
 

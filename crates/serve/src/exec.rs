@@ -1,9 +1,9 @@
 //! Pluggable batch execution backends.
 //!
 //! The engine is backend-agnostic: a [`BatchExecutor`] receives a fully
-//! prepared batch (network instance shaped for the batch size, specialized
-//! schedule, precomputed weights, stacked inputs) and returns stacked
-//! outputs plus the device time consumed. Two backends ship today:
+//! prepared batch (network instance shaped for the batch size and for one
+//! sample, specialized schedule, precomputed weights, stacked inputs) and
+//! returns stacked outputs plus the device time consumed. Two backends ship today:
 //!
 //! * [`CpuReferenceExecutor`] — computes real numerics through
 //!   `ios_backend`, bit-identical per sample to `execute_graph`. Its
@@ -31,6 +31,9 @@ use std::time::Instant;
 pub struct BatchContext<'a> {
     /// The network shaped for this batch size.
     pub network: &'a Network,
+    /// The same network at batch size 1 — what a backend that fans a batch
+    /// out one sample per task executes.
+    pub per_sample: &'a Network,
     /// The specialized schedule serving this batch (shared so pipelined
     /// backends can carry it per in-flight sample).
     pub schedule: &'a Arc<NetworkSchedule>,
@@ -103,7 +106,7 @@ pub trait BatchExecutor: Send + Sync + 'static {
 /// Executes batches numerically on the CPU execution engine.
 ///
 /// Batches fan out across worker threads, one sample per task
-/// ([`execute_network_batched`]), with all scratch and intermediate
+/// ([`execute_network_batched_capped`]), with all scratch and intermediate
 /// tensors drawn from a long-lived [`ScratchPool`] — after the first batch
 /// of a given shape profile, the op loop performs no heap allocation.
 /// Per-sample results are bit-identical to solo `execute_network` runs.
@@ -120,9 +123,6 @@ pub struct CpuReferenceExecutor {
     /// dispatch workers split the cores between them so concurrent batches
     /// do not oversubscribe the host.
     max_workers: usize,
-    /// The batch-1 network instance, derived once per served network so
-    /// repeat batches skip the metadata rescale.
-    per_sample: Mutex<Option<(String, Arc<Network>)>>,
     /// The cross-block pipeline, once the engine prepared one. Shared with
     /// in-flight batches so a re-prepare cannot tear workers down under a
     /// batch mid-execution.
@@ -151,7 +151,6 @@ impl CpuReferenceExecutor {
         CpuReferenceExecutor {
             pool: Arc::new(ScratchPool::new()),
             max_workers: max_workers.max(1),
-            per_sample: Mutex::new(None),
             pipeline: Mutex::new(None),
         }
     }
@@ -161,48 +160,6 @@ impl CpuReferenceExecutor {
     pub fn pool_stats(&self) -> (u64, u64) {
         (self.pool.fresh_allocations(), self.pool.reuses())
     }
-
-    fn per_sample_instance(&self, network: &Network) -> Arc<Network> {
-        let mut cached = self.per_sample.lock().expect("per-sample network lock");
-        match cached.as_ref() {
-            Some((name, instance))
-                if *name == network.name && same_structure(instance, network) =>
-            {
-                Arc::clone(instance)
-            }
-            _ => {
-                let instance = Arc::new(if network.input_shape.batch == 1 {
-                    network.clone()
-                } else {
-                    network.with_batch_size(1)
-                });
-                *cached = Some((network.name.clone(), Arc::clone(&instance)));
-                instance
-            }
-        }
-    }
-}
-
-/// Whether a cached batch-1 instance still matches the incoming network's
-/// structure — guards the name-keyed cache against a *different* network
-/// reusing the same name (e.g. one executor shared across engines): block
-/// count, per-block operator kinds *and wiring* (operator inputs, declared
-/// graph outputs) and per-item input shape must all agree.
-fn same_structure(cached: &Network, incoming: &Network) -> bool {
-    let same_item_shape = |a: ios_ir::TensorShape, b: ios_ir::TensorShape| {
-        (a.channels, a.height, a.width) == (b.channels, b.height, b.width)
-    };
-    same_item_shape(cached.input_shape, incoming.input_shape)
-        && cached.blocks.len() == incoming.blocks.len()
-        && cached.blocks.iter().zip(&incoming.blocks).all(|(c, i)| {
-            c.graph.len() == i.graph.len()
-                && c.graph.outputs() == i.graph.outputs()
-                && c.graph
-                    .ops()
-                    .iter()
-                    .zip(i.graph.ops())
-                    .all(|(co, io)| co.kind == io.kind && co.inputs == io.inputs)
-        })
 }
 
 impl BatchExecutor for CpuReferenceExecutor {
@@ -229,10 +186,9 @@ impl BatchExecutor for CpuReferenceExecutor {
                 };
             }
         }
-        let per_sample = self.per_sample_instance(ctx.network);
         let start = Instant::now();
         let outputs = execute_network_batched_capped(
-            &per_sample,
+            ctx.per_sample,
             Some(ctx.schedule),
             ctx.weights,
             ctx.inputs,
@@ -335,6 +291,7 @@ mod tests {
         let input1 = TensorData::zeros(net1.input_shape);
         let outcome1 = executor.execute(&BatchContext {
             network: &net1,
+            per_sample: &net1,
             schedule: &schedule1,
             weights: &weights1,
             inputs: &[input1],
@@ -349,6 +306,7 @@ mod tests {
         let stacked = stack_batch(&vec![&sample; batch]);
         let outcome32 = executor.execute(&BatchContext {
             network: &net32,
+            per_sample: &net1,
             schedule: &schedule32,
             weights: &weights32,
             inputs: &[stacked],

@@ -3,57 +3,68 @@
 //! The rest of the workspace reproduces IOS (Ding et al., MLSys 2021) as an
 //! *offline* pipeline: build a network, run the ending-based dynamic program
 //! once, report a latency. This crate turns that scheduler into an *online*
-//! engine:
+//! engine. A request passes through five stages, and reaches its terminal
+//! outcome in one place:
 //!
-//! * **Dynamic batching** ([`batcher`]) — single-sample requests coalesce
-//!   into batches up to `max_batch`, with a `max_wait` bound on the oldest
-//!   request so tail latency stays controlled under trickle load.
-//! * **Specialized-schedule cache** ([`cache`]) — Table 3 of the paper shows
-//!   a schedule is only optimal for the `(batch size, device)` it was
-//!   profiled for. The cache keys schedules by exactly that, optimizes
-//!   lazily on first miss, serves exact misses from the *nearest* cached
-//!   batch size (stage structure is batch-invariant), and re-optimizes the
-//!   exact batch in the background.
-//! * **Pluggable execution** ([`exec`]) — the CPU reference backend returns
+//! * **Admit** (`stages`) — shape check, the tenant's counters resolved
+//!   once, the offer to the batching queue. Requests carry a tenant
+//!   ([`ServeEngine::submit_for_tenant`]; anonymous traffic maps to the
+//!   default tenant, [`request::TenantId`], [`config::TenantsConfig`]):
+//!   token-bucket rate limits and the admission bounds are enforced inside
+//!   the queue lock (exact under racing submitters), and shed mode applies
+//!   the capacity per tenant as a weighted share (the over-quota tenant is
+//!   shed first). A refused offer finishes as [`request::Rejected::Shed`].
+//! * **Assemble** (`batcher`) — single-sample requests coalesce into
+//!   batches up to `max_batch`, with a `max_wait` bound on the oldest
+//!   request so tail latency stays controlled under trickle load; each
+//!   tenant has its own FIFO lane drained by virtual-time weighted-fair
+//!   queuing (a burst cannot starve another tenant's trickle). Requests can
+//!   carry deadlines ([`ServeEngine::submit_with_deadline`]): the batcher
+//!   flushes early to make them, and one that has passed by assembly
+//!   finishes as [`request::Rejected::DeadlineExceeded`] instead of being
+//!   served a stale result.
+//! * **Resolve** ([`cache`]) — Table 3 of the paper shows a schedule is
+//!   only optimal for the `(batch size, device)` it was profiled for. The
+//!   cache keys an engine's schedules by batch size, and one policy serves
+//!   every part of the engine that needs a schedule: the exact one if
+//!   cached, else the *nearest* cached batch size (stage structure is
+//!   batch-invariant) while the exact one is re-optimized in the
+//!   background, else a synchronous search. The scheduler can measure
+//!   candidate stages on the CPU execution backend itself
+//!   ([`config::CostModelKind::CpuProfiled`]) instead of simulating them,
+//!   closing the paper's optimize → profile → execute loop at serving time;
+//!   a pipelining engine profiles **under concurrent load**.
+//! * **Execute** (`stages`, [`exec`]) — the CPU reference backend returns
 //!   real numerics (bit-identical per sample to
 //!   [`ios_backend::execute_graph`]); the simulated-device backend charges
-//!   batches the analytical GPU latency for throughput studies.
-//! * **Profile-guided optimization** ([`config::CostModelKind`]) — the
-//!   engine's scheduler (and its background re-optimizer) can measure
-//!   candidate stages on the CPU execution backend itself
-//!   (`CostModelKind::CpuProfiled`) instead of simulating them, closing
-//!   the paper's optimize → profile → execute loop at serving time; a
-//!   pipelining engine profiles **under concurrent load**, not on an idle
-//!   machine.
-//! * **Cross-block pipelined execution** ([`config::PipelineMode`]) — the
-//!   engine measures per-block costs, plans segment boundaries
-//!   (`ios_core::plan_pipeline`) and routes each batch to the backend's
-//!   cross-block pipeline whenever the plan predicts it out-serves flat
-//!   batched execution at that batch size, so block `k` of sample `i + 1`
-//!   overlaps block `k + 1` of sample `i` — bit-identical per sample
-//!   either way.
-//! * **Metrics** ([`metrics`]) — p50/p95/p99 latency, wall and device
-//!   throughput, queue depth, batch shape and cache hit rates.
+//!   batches the analytical GPU latency for throughput studies. With
+//!   [`config::PipelineMode`] on, the engine measures per-block costs,
+//!   plans segment boundaries (`ios_core::plan_pipeline`) and routes each
+//!   batch to the backend's cross-block pipeline whenever the plan predicts
+//!   it out-serves flat batched execution at that batch size — bit-identical
+//!   per sample either way; a pipeline that dies is retired and its batch
+//!   retried flat.
+//! * **Respond** (`stages`) — the stacked outputs are split into leases
+//!   from the serving-boundary pool and every member of the batch is
+//!   finished with its response. A batch whose backend panics finishes its
+//!   members as [`request::Rejected::Failed`]; the worker moves on.
+//!
+//! Around the stages:
+//!
+//! * **Metrics** ([`metrics`]) — every metric is declared once, in one
+//!   table that renders the Prometheus exposition; the snapshot reads the
+//!   same storage and exports the accounting identity `submitted =
+//!   completed + shed + deadline_expired + failed + in_flight`, alongside
+//!   p50/p95/p99 latency, wall and device throughput, queue depth, batch
+//!   shape, cache hit rates and per-tenant `ios_tenant_*{tenant="…"}`
+//!   series.
 //! * **Runtime adaptation** ([`config::AdaptConfig`]) — an opt-in
 //!   controller thread windows the queue-wait and batch-size histograms
 //!   each tick and (1) sheds load when the windowed p95 queue wait
 //!   exceeds a budget, (2) re-plans pipeline boundaries and schedule
 //!   specialization when the observed batch-size mix shifts, and
 //!   (3) evicts cached schedules whose measured device time regrets the
-//!   optimizer's prediction. Requests can carry deadlines
-//!   ([`ServeEngine::submit_with_deadline`]): the batcher flushes early to
-//!   make them, and expired requests complete with
-//!   [`request::Rejected::DeadlineExceeded`] instead of stale results.
-//! * **Multi-tenant admission** ([`request::TenantId`],
-//!   [`config::TenantsConfig`]) — requests carry a tenant
-//!   ([`ServeEngine::submit_for_tenant`]; anonymous traffic maps to the
-//!   default tenant), each tenant gets its own FIFO lane drained by
-//!   virtual-time weighted-fair queuing (a burst cannot starve another
-//!   tenant's trickle), token-bucket rate limits are enforced inside the
-//!   queue lock (exact under racing submitters), shed mode applies the
-//!   capacity per tenant as a weighted share (the over-quota tenant is
-//!   shed first), and per-tenant completed/shed/queue-wait metrics export
-//!   as `ios_tenant_*{tenant="…"}` labelled Prometheus series.
+//!   optimizer's prediction.
 //!
 //! # Quickstart
 //!
@@ -94,8 +105,9 @@ pub mod engine;
 pub mod exec;
 pub mod metrics;
 pub mod request;
+mod stages;
 
-pub use cache::{CacheStats, ScheduleCache, ScheduleKey};
+pub use cache::{CacheStats, ScheduleCache};
 pub use config::{
     AdaptConfig, CostModelKind, PipelineMode, ServeConfig, TenantConfig, TenantsConfig,
 };

@@ -1,5 +1,12 @@
 //! Serving metrics: latency percentiles, throughput, queue depth, batch
-//! shape and schedule-cache behaviour.
+//! shape and schedule-cache behaviour — each declared once.
+//!
+//! `ServeMetrics` is the storage (plain relaxed counters and
+//! [`Histogram`]s the stages write directly), and the rows of
+//! `ServeMetrics::prometheus_text` are the one table giving every
+//! exported series its name, help text, kind and storage. The snapshot
+//! ([`MetricsSnapshot`]) and the Prometheus exposition both read that
+//! storage; nothing else names a metric.
 //!
 //! Durations are kept in [`Histogram`]s (log-bucketed, fixed 15 KiB of
 //! atomics each), so memory stays bounded no matter how long the engine
@@ -11,121 +18,150 @@
 
 use crate::cache::CacheStats;
 use crate::request::TenantId;
-use ios_telemetry::Histogram;
+use ios_backend::workers::PoolStats;
+use ios_backend::WeightFootprint;
+use ios_telemetry::{prometheus as prom, Histogram, HistogramSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// The form of the metric table: one row per exported series (or family)
+/// giving its kind — the `ios_telemetry::prometheus` helper that renders it —
+/// its exposition name, where its value is stored, and its help text.
+macro_rules! table {
+    ($out:expr; $($kind:ident $name:literal = $value:expr, $help:literal;)*) => {
+        $(prom::$kind($out, $name, $help, $value);)*
+    };
+}
+
+/// An event count (or a gauge's last value). Relaxed: a counter orders
+/// nothing, it is only ever summed or exported.
+#[derive(Debug, Default)]
+pub(crate) struct Count(AtomicU64);
+
+impl Count {
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Takes back an `add` that turned out not to have happened.
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    pub fn set(&self, value: u64) {
+        self.0.store(value, Ordering::Relaxed);
+    }
+
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Where a caught panic was isolated — the `site` label of
+/// `ios_panics_total` and the id of the `panic` trace instant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PanicSite {
+    /// A batch's execution or response; its requests complete as
+    /// [`crate::Rejected::Failed`].
+    Batch,
+    /// The pipelined path of one batch; the batch is retried flat.
+    Pipeline,
+    /// One adaptation-controller tick; the old plan keeps serving.
+    Adapt,
+    /// A background re-optimization; the nearest schedule keeps serving.
+    Reoptimize,
+}
+
+/// The `site` label of each [`PanicSite`], in declaration order.
+const PANIC_SITES: [&str; 4] = ["batch", "pipeline", "adapt", "reoptimize"];
+
 /// One tenant's admission-path counters: requests completed, requests
-/// shed, and the queue-wait distribution. Created lazily on a tenant's
-/// first submit; exported as `ios_tenant_*{tenant="…"}` labelled series.
-#[derive(Debug)]
+/// shed, and the queue-wait distribution. Created on a tenant's first
+/// submit and carried by each of its requests
+/// ([`crate::request::Pending::tenant_metrics`]); exported as
+/// `ios_tenant_*{tenant="…"}` labelled series.
+#[derive(Debug, Default)]
 pub(crate) struct TenantMetrics {
-    completed: AtomicU64,
-    shed: AtomicU64,
+    pub completed: Count,
+    /// Turned away by admission control (bounded queue, shed share, or
+    /// token bucket).
+    pub shed: Count,
     /// Time this tenant's completed requests spent queued, ns.
-    queue_wait: Histogram,
+    pub queue_wait: Histogram,
 }
 
-impl TenantMetrics {
-    fn new() -> Self {
-        TenantMetrics {
-            completed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            queue_wait: Histogram::new(),
-        }
-    }
-
-    /// Records one completed request and its queue wait.
-    pub fn record_completed(&self, queue_wait_us: f64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait.record_us(queue_wait_us);
-    }
-
-    /// Records one request of this tenant turned away by admission
-    /// control (bounded queue, shed share, or token bucket).
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests completed for this tenant so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Requests of this tenant turned away so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// The tenant's queue-wait histogram (ns), for exporters.
-    pub fn queue_wait_histogram(&self) -> &Histogram {
-        &self.queue_wait
-    }
+/// What the exposition reads from outside [`ServeMetrics`]: the schedule
+/// cache's counters, the weight cache's footprint and the process-wide
+/// kernel facts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct External {
+    pub cache: CacheStats,
+    pub weights: WeightFootprint,
+    /// Name of the microkernel ISA tier in use.
+    pub isa: &'static str,
+    pub pool: PoolStats,
 }
 
-/// Live counters updated by the engine; snapshot with
-/// [`ServeMetrics::snapshot`].
+/// When the metrics began: the denominator of wall throughput.
 #[derive(Debug)]
+struct Since(Instant);
+
+impl Default for Since {
+    fn default() -> Self {
+        Since(Instant::now())
+    }
+}
+
+/// Live counters written by the serving stages, all zero at `default()`;
+/// read with [`ServeMetrics::snapshot`] and
+/// [`ServeMetrics::prometheus_text`].
+#[derive(Debug, Default)]
 pub(crate) struct ServeMetrics {
-    started_at: Instant,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    pipelined_batches: AtomicU64,
-    shed: AtomicU64,
-    deadline_expired: AtomicU64,
-    replans: AtomicU64,
-    queue_depth: AtomicUsize,
+    started_at: Since,
+    /// Requests offered to admission that the engine answered for: every
+    /// one reaches exactly one of `completed`, `shed`, `deadline_expired`
+    /// or `failed`.
+    pub submitted: Count,
+    pub completed: Count,
+    pub batches: Count,
+    pub pipelined_batches: Count,
+    pub shed: Count,
+    pub deadline_expired: Count,
+    pub failed: Count,
+    pub replans: Count,
+    pub queue_depth: Count,
+    /// Caught panics, by [`PanicSite`].
+    panics: [Count; 4],
+    /// The most recent caught panic as `site: message`, for `Debug` output.
+    pub last_panic: Mutex<Option<String>>,
     /// Completed-request total latencies (submission → response), ns.
-    latency: Histogram,
+    pub latency: Histogram,
     /// Time each request spent queued before its batch dispatched, ns.
-    queue_wait: Histogram,
+    pub queue_wait: Histogram,
     /// Time spent assembling each batch (oldest enqueue → dispatch), ns.
-    batch_assembly: Histogram,
+    pub batch_assembly: Histogram,
     /// Per-batch (simulated) device time, ns.
-    device_time: Histogram,
+    pub device_time: Histogram,
     /// Dispatched batch sizes — the adaptation controller's sensor for the
     /// observed traffic mix (windowed mode() = dominant batch size).
-    batch_size: Histogram,
+    pub batch_size: Histogram,
     /// Per-tenant counters, created lazily on a tenant's first submit.
     /// (A `BTreeMap` so exports iterate deterministically.)
     tenants: Mutex<BTreeMap<TenantId, Arc<TenantMetrics>>>,
 }
 
 impl ServeMetrics {
-    pub fn new() -> Self {
-        ServeMetrics {
-            started_at: Instant::now(),
-            completed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            pipelined_batches: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            latency: Histogram::new(),
-            queue_wait: Histogram::new(),
-            batch_assembly: Histogram::new(),
-            device_time: Histogram::new(),
-            batch_size: Histogram::new(),
-            tenants: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     /// The counters of `tenant`, created on first use.
     pub fn tenant(&self, tenant: &TenantId) -> Arc<TenantMetrics> {
         let mut tenants = self.tenants.lock().expect("tenant metrics lock");
-        Arc::clone(
-            tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| Arc::new(TenantMetrics::new())),
-        )
+        Arc::clone(tenants.entry(tenant.clone()).or_default())
     }
 
     /// Every tenant seen so far with its counters, in tenant-name order.
-    pub fn tenant_entries(&self) -> Vec<(TenantId, Arc<TenantMetrics>)> {
+    fn tenant_entries(&self) -> Vec<(TenantId, Arc<TenantMetrics>)> {
         self.tenants
             .lock()
             .expect("tenant metrics lock")
@@ -134,142 +170,67 @@ impl ServeMetrics {
             .collect()
     }
 
-    /// Records one dispatched batch and how it was executed (`pipelined`
-    /// = through the cross-block pipeline, else flat batched).
-    /// `device_time_us` must be non-negative (debug-asserted); it is
-    /// rounded — not truncated — to the nearest nanosecond, so sub-µs
-    /// stage times are not silently dropped from the device totals.
+    /// Records one executed batch and how it ran (`pipelined` = through
+    /// the cross-block pipeline, else flat batched). `device_time_us` must
+    /// be non-negative (debug-asserted); it is rounded — not truncated —
+    /// to the nearest nanosecond, so sub-µs stage times are not silently
+    /// dropped from the device totals.
     pub fn record_batch(&self, batch_size: usize, device_time_us: f64, pipelined: bool) {
         debug_assert!(
             device_time_us >= 0.0,
             "negative device time: {device_time_us} µs"
         );
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if pipelined {
-            self.pipelined_batches.fetch_add(1, Ordering::Relaxed);
-        }
-        self.completed
-            .fetch_add(batch_size as u64, Ordering::Relaxed);
+        self.batches.add(1);
+        self.pipelined_batches.add(u64::from(pipelined));
         self.device_time.record_us(device_time_us);
         self.batch_size.record(batch_size as u64);
     }
 
-    /// Records one request turned away by admission control.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request completed as expired (deadline passed before
-    /// dispatch).
-    pub fn record_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one adaptation-triggered re-plan.
-    pub fn record_replan(&self) {
-        self.replans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed request's total latency.
-    pub fn record_latency(&self, total_us: f64) {
-        self.latency.record_us(total_us);
-    }
-
-    /// Records how long one request waited in the queue before dispatch.
-    pub fn record_queue_wait(&self, wait_us: f64) {
-        self.queue_wait.record_us(wait_us);
-    }
-
-    /// Records how long one batch took to assemble (its oldest request's
-    /// enqueue to the batch's dispatch).
-    pub fn record_assembly(&self, assembly_us: f64) {
-        self.batch_assembly.record_us(assembly_us);
-    }
-
-    /// Publishes the current queue depth gauge.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.store(depth, Ordering::Relaxed);
-    }
-
-    /// The latency histogram (ns), for exporters.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency
-    }
-
-    /// The queue-wait histogram (ns), for exporters.
-    pub fn queue_wait_histogram(&self) -> &Histogram {
-        &self.queue_wait
-    }
-
-    /// The batch-assembly histogram (ns), for exporters.
-    pub fn batch_assembly_histogram(&self) -> &Histogram {
-        &self.batch_assembly
-    }
-
-    /// The per-batch device-time histogram (ns), for exporters.
-    pub fn device_time_histogram(&self) -> &Histogram {
-        &self.device_time
-    }
-
-    /// The dispatched-batch-size histogram (values are batch sizes, not
-    /// durations), for the adaptation controller.
-    pub fn batch_size_histogram(&self) -> &Histogram {
-        &self.batch_size
-    }
-
-    /// Requests answered so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Batches dispatched so far.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Batches that ran through the cross-block pipeline.
-    pub fn pipelined_batches(&self) -> u64 {
-        self.pipelined_batches.load(Ordering::Relaxed)
-    }
-
-    /// Requests turned away by admission control so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Requests completed as deadline-expired so far.
-    pub fn deadline_expired(&self) -> u64 {
-        self.deadline_expired.load(Ordering::Relaxed)
-    }
-
-    /// Adaptation-triggered re-plans so far.
-    pub fn replans(&self) -> u64 {
-        self.replans.load(Ordering::Relaxed)
-    }
-
-    /// The queue-depth gauge as last published.
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::Relaxed)
+    /// The one report of a caught panic: formats the payload, counts it
+    /// under its site's `ios_panics_total` label, marks the trace timeline
+    /// and keeps the message for the engine's `Debug` output. (The panic
+    /// hook has already written the message to stderr.)
+    pub fn panic_message(&self, site: PanicSite, payload: &(dyn std::any::Any + Send)) {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic".to_string());
+        self.panics[site as usize].add(1);
+        ios_telemetry::tracer().instant("panic", "serve", site as u64);
+        let mut last = self.last_panic.lock().unwrap_or_else(|e| e.into_inner());
+        *last = Some(format!("{}: {message}", PANIC_SITES[site as usize]));
     }
 
     /// Snapshots every counter. Percentiles come from the latency
     /// histogram in a single pass; count, sum and max are exact.
     pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
-        let completed = self.completed();
-        let batches = self.batches();
+        // Outcomes before `submitted`: every outcome follows its own
+        // submission, so this order can only over-count what is in flight.
+        let completed = self.completed.get();
+        let (shed, deadline_expired, failed) = (
+            self.shed.get(),
+            self.deadline_expired.get(),
+            self.failed.get(),
+        );
+        let submitted = self.submitted.get();
+        let batches = self.batches.get();
         let device_time_us = self.device_time.sum() as f64 / 1e3;
-        let elapsed = self.started_at.elapsed().as_secs_f64();
+        let elapsed = self.started_at.0.elapsed().as_secs_f64();
         let [p50, p95, p99] = match self.latency.percentiles(&[50.0, 95.0, 99.0]) {
             Some(ps) => [ps[0], ps[1], ps[2]].map(|ns| ns as f64 / 1e3),
             None => [0.0; 3],
         };
         MetricsSnapshot {
+            submitted,
             completed,
             batches,
-            pipelined_batches: self.pipelined_batches(),
-            shed: self.shed(),
-            deadline_expired: self.deadline_expired(),
-            replans: self.replans(),
+            pipelined_batches: self.pipelined_batches.get(),
+            shed,
+            deadline_expired,
+            failed,
+            in_flight: submitted - (completed + shed + deadline_expired + failed),
+            replans: self.replans.get(),
             mean_batch_size: if batches == 0 {
                 0.0
             } else {
@@ -292,15 +253,15 @@ impl ServeMetrics {
             } else {
                 0.0
             },
-            queue_depth: self.queue_depth(),
+            queue_depth: self.queue_depth.get() as usize,
             cache,
             tenants: self
                 .tenant_entries()
                 .into_iter()
                 .map(|(tenant, m)| TenantMetricsSnapshot {
                     tenant: tenant.name().to_string(),
-                    completed: m.completed(),
-                    shed: m.shed(),
+                    completed: m.completed.get(),
+                    shed: m.shed.get(),
                     mean_queue_wait_us: m.queue_wait.mean() / 1e3,
                     p95_queue_wait_us: m
                         .queue_wait
@@ -308,6 +269,124 @@ impl ServeMetrics {
                         .map_or(0.0, |ns| ns as f64 / 1e3),
                 })
                 .collect(),
+        }
+    }
+
+    /// The metric table, rendered as Prometheus text: request counters, the
+    /// queue-depth gauge, schedule-cache counters, weight-cache footprint
+    /// gauges (f32 vs int8 bytes), the selected-microkernel-ISA info gauge,
+    /// the worker pool's lane gauge and intra-operator counters
+    /// (process-wide, like the pool), the latency / queue-wait /
+    /// batch-assembly / device-time histograms (exposed in microseconds),
+    /// per-tenant `ios_tenant_*{tenant="…"}` series and the caught-panic
+    /// counters.
+    pub fn prometheus_text(&self, ext: &External) -> String {
+        let mut out = String::new();
+        let (cache, pool, isa) = (ext.cache, ext.pool, ext.isa);
+        table! { &mut out;
+            counter "ios_requests_completed_total" = self.completed.get(),
+                "Requests answered since the engine started.";
+            counter "ios_batches_total" = self.batches.get(),
+                "Batches dispatched since the engine started.";
+            counter "ios_pipelined_batches_total" = self.pipelined_batches.get(),
+                "Batches executed through the cross-block pipeline.";
+            counter "ios_requests_shed_total" = self.shed.get(),
+                "Requests turned away by admission control (bounded queue or shed mode).";
+            counter "ios_requests_deadline_expired_total" = self.deadline_expired.get(),
+                "Requests completed as expired before reaching the device.";
+            counter "ios_requests_failed_total" = self.failed.get(),
+                "Requests completed as failed: their batch panicked in the backend.";
+            counter "ios_adaptation_replans_total" = self.replans.get(),
+                "Telemetry-triggered pipeline/schedule re-plans.";
+            gauge "ios_queue_depth" = self.queue_depth.get() as f64,
+                "Requests waiting in the batching queue.";
+            counter "ios_schedule_cache_hits_total" = cache.hits,
+                "Exact specialized-schedule cache hits.";
+            counter "ios_schedule_cache_misses_total" = cache.misses,
+                "Schedule-cache lookups with no exact entry.";
+            counter "ios_schedule_cache_nearest_total" = cache.nearest_served,
+                "Batches served by the nearest cached batch size.";
+            counter "ios_schedule_cache_background_inserts_total" = cache.background_inserts,
+                "Exact schedules inserted by background re-optimization.";
+            counter "ios_schedule_cache_evictions_total" = cache.evictions,
+                "Schedules evicted for regretting their predicted device time.";
+            gauge "ios_schedule_cache_entries" = cache.entries as f64,
+                "Schedules currently cached.";
+            gauge "ios_weight_cache_f32_bytes" = ext.weights.f32_bytes as f64,
+                "Bytes of f32 weight arrays held by the weight cache.";
+            gauge "ios_weight_cache_int8_bytes" = ext.weights.int8_bytes as f64,
+                "Bytes of int8 quantized weights (and scales) held by the weight cache.";
+            info "ios_simd_kernel" =
+                &[&[("path", "f32"), ("isa", isa)], &[("path", "int8"), ("isa", isa)]],
+                "Selected microkernel ISA per numeric path (info gauge, constant 1).";
+            gauge "ios_worker_pool_lanes" = pool.lanes as f64,
+                "Lanes of the process-wide worker pool: its parked helpers plus the caller.";
+            counter "ios_intra_op_jobs_total" = pool.op_jobs,
+                "Operators split into chunks across worker-pool lanes, process-wide.";
+            counter_family "ios_intra_op_chunks_total" = &[
+                    (&[("by", "caller")], pool.op_chunks_by_caller),
+                    (&[("by", "helper")], pool.op_chunks_by_helper),
+                ],
+                "Operator chunks run, by lane: the thread that posted the job or a helper.";
+            histogram_us "ios_request_latency_us" = &self.latency.snapshot(),
+                "Request latency, submission to response, microseconds.";
+            histogram_us "ios_request_queue_wait_us" = &self.queue_wait.snapshot(),
+                "Time requests spent queued before dispatch, microseconds.";
+            histogram_us "ios_batch_assembly_us" = &self.batch_assembly.snapshot(),
+                "Batch assembly time, oldest enqueue to dispatch, microseconds.";
+            histogram_us "ios_batch_device_time_us" = &self.device_time.snapshot(),
+                "Per-batch (simulated) device time, microseconds.";
+        }
+        self.render_tenants(&mut out);
+        let sites = PANIC_SITES.map(|site| [("site", site)]);
+        let panics: Vec<(&[(&str, &str)], u64)> = sites
+            .iter()
+            .zip(&self.panics)
+            .map(|(labels, count)| (labels.as_slice(), count.get()))
+            .collect();
+        table! { &mut out;
+            counter_family "ios_panics_total" = &panics,
+                "Panics caught and isolated, by site: a batch, the pipelined path of one, \
+                 an adaptation tick, a background re-optimization.";
+        }
+        out
+    }
+
+    /// The per-tenant rows: one sample (or histogram) per tenant seen so
+    /// far, `{tenant="…"}`. Absent entirely until the first request
+    /// arrives.
+    fn render_tenants(&self, out: &mut String) {
+        let tenants = self.tenant_entries();
+        if tenants.is_empty() {
+            return;
+        }
+        let labels: Vec<[(&str, &str); 1]> = tenants
+            .iter()
+            .map(|(tenant, _)| [("tenant", tenant.name())])
+            .collect();
+        let counts = |read: fn(&TenantMetrics) -> &Count| -> Vec<(&[(&str, &str)], u64)> {
+            tenants
+                .iter()
+                .zip(&labels)
+                .map(|((_, tm), l)| (l.as_slice(), read(tm).get()))
+                .collect()
+        };
+        let wait_snaps: Vec<HistogramSnapshot> = tenants
+            .iter()
+            .map(|(_, tm)| tm.queue_wait.snapshot())
+            .collect();
+        let waits: Vec<(&[(&str, &str)], &HistogramSnapshot)> = wait_snaps
+            .iter()
+            .zip(&labels)
+            .map(|(snap, l)| (l.as_slice(), snap))
+            .collect();
+        table! { out;
+            counter_family "ios_tenant_requests_completed_total" = &counts(|tm| &tm.completed),
+                "Requests answered, per tenant.";
+            counter_family "ios_tenant_requests_shed_total" = &counts(|tm| &tm.shed),
+                "Requests turned away by admission control, per tenant.";
+            histogram_us_family "ios_tenant_queue_wait_us" = &waits,
+                "Time requests spent queued before dispatch, per tenant, microseconds.";
         }
     }
 }
@@ -328,9 +407,17 @@ pub struct TenantMetricsSnapshot {
     pub p95_queue_wait_us: f64,
 }
 
-/// A point-in-time view of the serving metrics.
+/// A point-in-time view of the serving metrics. Every snapshot satisfies
+/// the accounting identity
+/// `submitted = completed + shed + deadline_expired + failed + in_flight`:
+/// each request the engine answers for reaches exactly one of the four
+/// terminal outcomes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
+    /// Requests offered to admission that the engine answered for
+    /// (wrong-shape and post-shutdown submissions are refused outright and
+    /// not counted).
+    pub submitted: u64,
     /// Requests answered so far.
     pub completed: u64,
     /// Batches dispatched so far.
@@ -344,6 +431,12 @@ pub struct MetricsSnapshot {
     /// Requests completed as expired: their deadline passed before their
     /// batch dispatched, so they never reached the device.
     pub deadline_expired: u64,
+    /// Requests completed as failed: their batch panicked in the execution
+    /// backend (the worker survived and moved on).
+    pub failed: u64,
+    /// Requests admitted and not yet finished: queued, or in a batch that
+    /// is executing.
+    pub in_flight: u64,
     /// Times the adaptation controller re-planned pipeline segment
     /// boundaries in response to an observed traffic-mix shift.
     pub replans: u64,
@@ -391,9 +484,9 @@ mod tests {
 
     #[test]
     fn percentiles_track_nearest_rank_within_the_error_bound() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::default();
         for us in 1..=100 {
-            metrics.record_latency(f64::from(us));
+            metrics.latency.record_us(f64::from(us));
         }
         let snap = metrics.snapshot(CacheStats::default());
         assert!(
@@ -417,16 +510,18 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates_counters() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::default();
         metrics.record_batch(4, 200.0, true);
         metrics.record_batch(2, 100.0, false);
+        metrics.submitted.add(6);
+        metrics.completed.add(6);
         for latency in [10.0, 20.0, 30.0, 40.0, 50.0, 60.0] {
-            metrics.record_latency(latency);
+            metrics.latency.record_us(latency);
         }
-        metrics.record_queue_wait(8.0);
-        metrics.record_queue_wait(12.0);
-        metrics.record_assembly(40.0);
-        metrics.set_queue_depth(3);
+        metrics.queue_wait.record_us(8.0);
+        metrics.queue_wait.record_us(12.0);
+        metrics.batch_assembly.record_us(40.0);
+        metrics.queue_depth.set(3);
         let snap = metrics.snapshot(CacheStats::default());
         assert_eq!(snap.completed, 6);
         assert_eq!(snap.batches, 2);
@@ -451,12 +546,12 @@ mod tests {
         // The old implementation pushed every latency into a Vec; this
         // pins the histogram replacement: a million records later, a
         // snapshot is still cheap and counts stay exact.
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::default();
         for i in 0..1_000_000u64 {
-            metrics.record_latency((i % 10_000) as f64);
+            metrics.latency.record_us((i % 10_000) as f64);
         }
         let snap = metrics.snapshot(CacheStats::default());
-        assert_eq!(metrics.latency_histogram().count(), 1_000_000);
+        assert_eq!(metrics.latency.count(), 1_000_000);
         assert!(
             close(snap.p50_latency_us, 4_999.0),
             "p50 {}",
@@ -466,7 +561,7 @@ mod tests {
 
     #[test]
     fn device_time_rounds_instead_of_truncating() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::default();
         // 0.0006 µs = 0.6 ns each: truncation would record 0 forever.
         for _ in 0..1000 {
             metrics.record_batch(1, 0.0006, false);
@@ -481,11 +576,12 @@ mod tests {
 
     #[test]
     fn adaptation_counters_flow_into_the_snapshot() {
-        let metrics = ServeMetrics::new();
-        metrics.record_shed();
-        metrics.record_shed();
-        metrics.record_deadline_expired();
-        metrics.record_replan();
+        let metrics = ServeMetrics::default();
+        metrics.submitted.add(3);
+        metrics.shed.add(1);
+        metrics.shed.add(1);
+        metrics.deadline_expired.add(1);
+        metrics.replans.add(1);
         metrics.record_batch(4, 10.0, false);
         metrics.record_batch(4, 10.0, false);
         metrics.record_batch(1, 10.0, false);
@@ -495,19 +591,97 @@ mod tests {
         assert_eq!(snap.replans, 1);
         // The batch-size histogram sees the dispatched sizes; its mode is
         // the dominant batch size the controller plans for.
-        let sizes = metrics.batch_size_histogram().snapshot();
+        let sizes = metrics.batch_size.snapshot();
         assert_eq!(sizes.count, 3);
         assert_eq!(sizes.mode(), Some(4));
     }
 
     #[test]
     fn snapshot_serializes() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::default();
         metrics.record_batch(1, 50.0, false);
-        metrics.record_latency(80.0);
+        metrics.latency.record_us(80.0);
         let snap = metrics.snapshot(CacheStats::default());
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+    /// `prometheus_text` for a fixed, hand-recorded state must be what the
+    /// parent commit's hand-written exposition rendered for the same state
+    /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
+    /// two-lane host) — apart from the two families this table added.
+    #[test]
+    fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
+        let metrics = ServeMetrics::default();
+        metrics.record_batch(4, 200.0, true);
+        metrics.record_batch(2, 100.0, false);
+        metrics.submitted.add(11);
+        metrics.completed.add(6);
+        metrics.shed.add(2);
+        metrics.deadline_expired.add(1);
+        metrics.failed.add(2);
+        metrics.replans.add(1);
+        metrics.queue_depth.set(3);
+        for us in [10.0, 20.0, 30.0, 40.0, 50.0, 60.0] {
+            metrics.latency.record_us(us);
+        }
+        metrics.queue_wait.record_us(8.0);
+        metrics.queue_wait.record_us(12.0);
+        metrics.batch_assembly.record_us(40.0);
+        let alpha = metrics.tenant(&TenantId::from("alpha"));
+        alpha.completed.add(2);
+        alpha.queue_wait.record_us(8.0);
+        alpha.queue_wait.record_us(12.0);
+        let beta = metrics.tenant(&TenantId::from("beta"));
+        beta.completed.add(1);
+        beta.queue_wait.record_us(2500.0);
+        beta.shed.add(2);
+        metrics.panic_message(PanicSite::Batch, &"injected");
+        metrics.panic_message(PanicSite::Reoptimize, &String::from("injected"));
+        assert_eq!(
+            metrics.last_panic.lock().unwrap().as_deref(),
+            Some("reoptimize: injected")
+        );
+
+        let text = metrics.prometheus_text(&External {
+            cache: CacheStats {
+                hits: 3,
+                misses: 1,
+                nearest_served: 1,
+                background_inserts: 1,
+                evictions: 1,
+                entries: 2,
+            },
+            weights: WeightFootprint {
+                f32_bytes: 640,
+                int8_bytes: 0,
+            },
+            isa: "avx2",
+            pool: PoolStats {
+                lanes: 2,
+                op_jobs: 0,
+                op_chunks_by_caller: 0,
+                op_chunks_by_helper: 0,
+            },
+        });
+
+        let expired = "ios_requests_deadline_expired_total 1\n";
+        let failed = "# HELP ios_requests_failed_total Requests completed as failed: \
+                      their batch panicked in the backend.\n\
+                      # TYPE ios_requests_failed_total counter\n\
+                      ios_requests_failed_total 2\n";
+        let panics = "# HELP ios_panics_total Panics caught and isolated, by site: a batch, \
+                      the pipelined path of one, an adaptation tick, a background \
+                      re-optimization.\n\
+                      # TYPE ios_panics_total counter\n\
+                      ios_panics_total{site=\"batch\"} 1\n\
+                      ios_panics_total{site=\"pipeline\"} 0\n\
+                      ios_panics_total{site=\"adapt\"} 0\n\
+                      ios_panics_total{site=\"reoptimize\"} 1\n";
+        let parent = include_str!("../tests/data/prometheus_parent.txt");
+        assert_eq!(parent.matches(expired).count(), 1);
+        let expected = parent.replacen(expired, &format!("{expired}{failed}"), 1) + panics;
+        assert_eq!(text, expected);
+        prom::validate(&text).expect("well-formed exposition");
     }
 }

@@ -194,11 +194,11 @@ pub struct InferenceResponse {
 }
 
 /// Why an accepted-or-offered request was completed *without* a result —
-/// the typed rejections of the runtime adaptation loop. A rejected request
-/// never reaches the device: it is either turned away at admission
-/// ([`Rejected::Shed`]) or completed as expired at batch assembly
-/// ([`Rejected::DeadlineExceeded`]) instead of being served a stale
-/// result.
+/// with [`InferenceResponse`], the terminal outcomes of a request. It was
+/// turned away at admission ([`Rejected::Shed`]), completed as expired at
+/// batch assembly ([`Rejected::DeadlineExceeded`]) instead of being served
+/// a stale result, or lost to a fault in the execution backend
+/// ([`Rejected::Failed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejected {
     /// The request's deadline passed before its batch dispatched; the
@@ -210,6 +210,10 @@ pub enum Rejected {
     /// wait over the configured budget) with a batch's worth of requests
     /// already queued.
     Shed,
+    /// The request's batch panicked inside the execution backend (or while
+    /// its responses were being built). The worker survives and serves the
+    /// next batch; this request has no result.
+    Failed,
 }
 
 impl std::fmt::Display for Rejected {
@@ -219,6 +223,7 @@ impl std::fmt::Display for Rejected {
                 write!(f, "the request's deadline passed before dispatch")
             }
             Rejected::Shed => write!(f, "the request was shed by admission control"),
+            Rejected::Failed => write!(f, "the request's batch failed in the execution backend"),
         }
     }
 }
@@ -236,6 +241,9 @@ pub(crate) struct Pending {
     /// The tenant this request was submitted on behalf of (the default
     /// tenant for anonymous traffic).
     pub tenant: TenantId,
+    /// That tenant's counters, resolved once at admission so no later
+    /// stage looks them up again.
+    pub tenant_metrics: Arc<crate::metrics::TenantMetrics>,
     pub input: TensorData,
     pub enqueued_at: Instant,
     /// When set, the instant after which serving this request is useless;
@@ -265,8 +273,8 @@ impl ResponseHandle {
     ///
     /// Panics if the engine shut down without answering (a bug: the engine
     /// drains its queue before stopping), or if the request was rejected
-    /// (deadline expired) — use [`ResponseHandle::wait_outcome`] when
-    /// deadlines are in play.
+    /// (deadline expired, batch failed) — use
+    /// [`ResponseHandle::wait_outcome`] when deadlines are in play.
     #[must_use]
     pub fn wait(self) -> InferenceResponse {
         let id = self.id;
@@ -280,7 +288,8 @@ impl ResponseHandle {
     /// # Errors
     ///
     /// Returns the [`Rejected`] reason when the engine completed this
-    /// request without a result (its deadline passed before dispatch).
+    /// request without a result (its deadline passed before dispatch, or
+    /// its batch failed in the execution backend).
     ///
     /// # Panics
     ///
@@ -303,18 +312,15 @@ impl ResponseHandle {
     /// # Panics
     ///
     /// Panics (like [`ResponseHandle::wait`]) if the engine dropped the
-    /// request without answering — e.g. its batch panicked inside a custom
-    /// execution backend. Treating that as "still pending" would make a
-    /// polling loop spin forever.
+    /// request without answering (a bug: every accepted request is
+    /// finished exactly once, a failed batch included). Treating that as
+    /// "still pending" would make a polling loop spin forever.
     pub fn try_wait(self) -> Result<Outcome, ResponseHandle> {
         match self.receiver.try_recv() {
             Ok(outcome) => Ok(outcome),
             Err(mpsc::TryRecvError::Empty) => Err(self),
             Err(mpsc::TryRecvError::Disconnected) => {
-                panic!(
-                    "the engine dropped {} without answering (batch execution failed)",
-                    self.id
-                )
+                panic!("the engine dropped {} without answering", self.id)
             }
         }
     }

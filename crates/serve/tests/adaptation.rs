@@ -527,7 +527,7 @@ impl BatchExecutor for SleepyExecutor {
 /// requires an empty queue and the hysteresis clause requires a full
 /// window, so a single parked request starved both disengage paths. The
 /// stale-tick clause must now disengage after
-/// `shed_stale_ticks` sample-free ticks.
+/// three sample-free ticks.
 #[test]
 fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
     let net = common::three_block_network();
@@ -545,7 +545,6 @@ fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
         .with_shed_queue_wait_budget(Duration::from_millis(2))
         .with_regret_threshold(1e9);
     config.adapt.min_window_batches = 4;
-    config.adapt.shed_stale_ticks = 3;
     let engine = ServeEngine::start_with_executor(
         net.clone(),
         config,
