@@ -26,8 +26,8 @@
 //! Pointwise convolutions (1×1, stride 1, no padding) skip im2col entirely:
 //! the input channel planes already *are* the patch matrix.
 //!
-//! There is one f32 kernel ([`conv2d_im2col_packed`]). It walks the output
-//! column blocks in the outer loop and **fuses im2col into the block
+//! There is one f32 kernel ([`conv2d_im2col_packed_fused`]). It walks the
+//! output column blocks in the outer loop and **fuses im2col into the block
 //! walk**: the full `K × M` patch matrix is never materialized; each
 //! `K × PACK_NR` column block is built in cache right before all packed
 //! panels stream over it ([`im2col_block`]), so the patch data of a large
@@ -47,13 +47,27 @@
 //! the pass-after reference (`max(0, ·)` per element commutes with the
 //! store order).
 //!
-//! **Runtime SIMD dispatch.** The full register tile (and its fused
-//! epilogue store) has an explicit AVX2 variant, selected per call through
-//! the shared [`crate::simd`] dispatch module; SSE2-and-below hosts keep
-//! the auto-vectorized form. The AVX2 tile uses only `vmulps` + `vaddps` —
-//! never FMA — and accumulates each output element over the identical
-//! strictly ascending `k` sequence, so the selected ISA is invisible in the
-//! output bits: every tier stays bit-identical to the naive oracle.
+//! **One tile body, instantiated per tier.** The register tile and its
+//! epilogue store are written once ([`ColumnBlock::tile`], [`store_row`]),
+//! generic over [`Row`] — 16 adjacent output columns held in whatever
+//! registers a tier has — and instantiated three times in one place
+//! ([`at_tier`]), selected per call through the shared [`crate::simd`]
+//! dispatch module:
+//!
+//! | tier | row type | tile |
+//! |---|---|---|
+//! | scalar, SSE2 | `[f32; 16]` (auto-vectorized) | 4 rows × 16 columns |
+//! | AVX2 | `[__m256; 2]` | 4 rows × 2 vectors |
+//! | AVX-512F | `[__m512; 1]` | 8 rows (two adjacent panels) × 1 vector |
+//!
+//! A row multiplies and adds in separate instructions — never FMA — and
+//! each output element accumulates over the identical strictly ascending
+//! `k` sequence, so the selected tier is invisible in the output bits:
+//! every tier stays bit-identical to the naive oracle. The packed layout,
+//! the `K × 16` column block and the chunking are the same at every tier.
+//! There is no edge tile: a ragged last column block is built at the full
+//! row stride with a zero tail, edge panels carry zero rows, the full tile
+//! runs everywhere and only the *store* is partial.
 //!
 //! **Int8 quantized path.** [`QuantizedFilter`] holds per-output-channel
 //! symmetric-scale int8 weights in a pair-interleaved panel layout (4× the
@@ -67,18 +81,20 @@
 //! int8 oracle ([`crate::ops_cpu::conv2d_naive_quant`]).
 
 use crate::arena::Arena;
-use crate::simd::{self, Isa};
+use crate::simd::{self, Isa, KernelPath};
 use crate::tensor_data::TensorData;
 use crate::workers::{self, DisjointOut};
 use ios_ir::{Conv2dParams, TensorShape};
 use std::ops::Range;
 
-/// Output-channel rows per register tile: the tile-major layout feeds the
-/// microkernel one contiguous `PACK_MR`-wide slab per k step. 4 × 16 accumulators + 2 patch vectors + 1 broadcast
-/// fit the 16 AVX2 registers; wider tiles (6 or 8 rows) measured slower
-/// here because the accumulator array spills.
+/// Output-channel rows per packed panel: the tile-major layout feeds the
+/// microkernel one contiguous `PACK_MR`-wide slab per k step. 4 × 16
+/// accumulators + 2 patch vectors + 1 broadcast fit the 16 AVX2 registers
+/// (6 or 8 rows measured slower there because the accumulator array
+/// spills); the AVX-512 tile spans two adjacent panels.
 const PACK_MR: usize = 4;
-/// Output-pixel columns per register tile (two 8-lane vectors on AVX2).
+/// Output-pixel columns per register tile: one [`Row`] (two 8-lane vectors
+/// on AVX2, one 16-lane vector on AVX-512).
 const PACK_NR: usize = 16;
 
 /// A convolution filter pre-packed into the GEMM microkernel's tile-major
@@ -212,71 +228,163 @@ impl Epilogue<'_> {
     };
 }
 
-/// Writes one finished accumulator lane (`lane.len()` elements of output
-/// row `row`, columns `[j0, j0 + lane.len())`, row stride `m`) through the
-/// epilogue into `c`. This is the single store every f32 kernel — and the
-/// requantized int8 kernel — goes through, so all paths apply the
-/// identical per-element expression.
-#[inline]
-fn store_lane(
+/// One row of a register tile: `PACK_NR` = 16 adjacent output columns held
+/// in whatever registers a tier has. The tile body and the epilogue store
+/// are written once over this trait; a tier is an implementation plus a
+/// `#[target_feature]` entry ([`at_tier`]).
+///
+/// `mul` and `add` are always separate operations, never fused — every
+/// implementation gives each lane the scalar sequence `acc + a · b`
+/// rounded twice, so all tiers produce the same bits. `max(v, +0.0)`
+/// returns `+0.0` for NaN lanes on every implementation (`f32::max` and
+/// `vmaxps` agree), and a `-0.0` can never reach it (every accumulator
+/// chain starts at `+0.0`, and IEEE-754 addition only yields `-0.0` from
+/// two `-0.0` operands).
+///
+/// # Safety
+///
+/// The methods of an implementation may only run on a CPU that executes
+/// the implementing type's instruction set; `load` reads and `store`
+/// writes `PACK_NR` consecutive `f32` (unaligned) at the given pointer.
+trait Row: Copy {
+    unsafe fn splat(v: f32) -> Self;
+    unsafe fn load(src: *const f32) -> Self;
+    unsafe fn mul(self, o: Self) -> Self;
+    unsafe fn add(self, o: Self) -> Self;
+    unsafe fn max(self, o: Self) -> Self;
+    unsafe fn store(self, dst: *mut f32);
+}
+
+/// Implements [`Row`] as `PACK_NR / $lanes` vectors of `$lanes` lanes from
+/// the vector type's elementwise operations.
+macro_rules! row_of {
+    ($v:ty, $lanes:literal, $splat:expr, $load:expr, $mul:expr, $add:expr, $max:expr, $store:expr) => {
+        // SAFETY (every block below): the `Row` contract — the CPU executes
+        // `$v`'s ISA, pointers lead to `PACK_NR` values; the operations load
+        // and store unaligned. (The portable row's are safe: the `allow`.)
+        #[allow(unused_unsafe)]
+        impl Row for [$v; PACK_NR / $lanes] {
+            #[inline(always)]
+            unsafe fn splat(v: f32) -> Self {
+                unsafe { [$splat(v); PACK_NR / $lanes] }
+            }
+            #[inline(always)]
+            unsafe fn load(src: *const f32) -> Self {
+                unsafe { std::array::from_fn(|h| $load(src.add(h * $lanes))) }
+            }
+            #[inline(always)]
+            unsafe fn mul(self, o: Self) -> Self {
+                unsafe { std::array::from_fn(|h| $mul(self[h], o[h])) }
+            }
+            #[inline(always)]
+            unsafe fn add(self, o: Self) -> Self {
+                unsafe { std::array::from_fn(|h| $add(self[h], o[h])) }
+            }
+            #[inline(always)]
+            unsafe fn max(self, o: Self) -> Self {
+                unsafe { std::array::from_fn(|h| $max(self[h], o[h])) }
+            }
+            #[inline(always)]
+            unsafe fn store(self, dst: *mut f32) {
+                for (h, v) in self.into_iter().enumerate() {
+                    unsafe { $store(dst.add(h * $lanes), v) };
+                }
+            }
+        }
+    };
+}
+
+// The portable row of the scalar and SSE2 tiers: sixteen plain floats the
+// compiler auto-vectorizes at the build's baseline.
+row_of!(
+    f32,
+    1,
+    std::convert::identity,
+    |p: *const f32| p.read(),
+    |a: f32, b: f32| a * b,
+    |a: f32, b: f32| a + b,
+    f32::max,
+    |p: *mut f32, v: f32| p.write(v)
+);
+
+#[cfg(target_arch = "x86_64")]
+mod x86_rows {
+    use super::{Row, PACK_NR};
+    use std::arch::x86_64::*;
+    // AVX2: two 8-lane vectors.
+    row_of!(
+        __m256,
+        8,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_mul_ps,
+        _mm256_add_ps,
+        _mm256_max_ps,
+        _mm256_storeu_ps
+    );
+    // AVX-512F: one 16-lane vector.
+    row_of!(
+        __m512,
+        16,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_mul_ps,
+        _mm512_add_ps,
+        _mm512_max_ps,
+        _mm512_storeu_ps
+    );
+}
+
+/// Pushes one finished accumulator row (output row `row`, columns
+/// `[j0, j0 + PACK_NR)`, row stride `m`) through the epilogue and stores
+/// its first `nr` columns into `c`. This is the single store every f32
+/// tier — and the requantized int8 kernel — goes through, so all paths
+/// apply the identical per-element expression: `(acc + bias) + residual`,
+/// then the ReLU clamp. A ragged block (`nr < PACK_NR`) computes the whole
+/// row and goes through the stack for the residual load and the store;
+/// the lanes beyond `nr` are never written.
+///
+/// # Safety
+///
+/// The CPU must execute `R`'s instruction set (the [`Row`] contract).
+#[inline(always)]
+unsafe fn store_row<R: Row>(
     ep: &Epilogue<'_>,
     row: usize,
     j0: usize,
+    nr: usize,
     m: usize,
-    lane: &[f32],
+    mut v: R,
     c: &DisjointOut<'_>,
 ) {
     let start = row * m + j0;
-    // SAFETY: every `(row, column)` of `c` belongs to exactly one tile, a
-    // tile to exactly one chunk of the walk, and a thread holds one lane's
-    // slice at a time.
-    let dst = unsafe { c.slice_mut(start, lane.len()) };
-    match (ep.bias, ep.residual) {
-        (None, None) => {
-            if ep.relu {
-                for (d, &v) in dst.iter_mut().zip(lane) {
-                    *d = v.max(0.0);
-                }
-            } else {
-                dst.copy_from_slice(lane);
-            }
+    // SAFETY: the slice indexing bounds-checks every pointer below. Every
+    // `(row, column)` of `c` belongs to exactly one tile, a tile to exactly
+    // one chunk of the walk, and a thread holds one row's slice at a time.
+    unsafe {
+        if let Some(bias) = ep.bias {
+            v = v.add(R::splat(bias[row]));
         }
-        (Some(bias), None) => {
-            let bv = bias[row];
-            if ep.relu {
-                for (d, &v) in dst.iter_mut().zip(lane) {
-                    *d = (v + bv).max(0.0);
-                }
+        if let Some(res) = ep.residual {
+            let r = &res[start..start + nr];
+            v = v.add(if nr == PACK_NR {
+                R::load(r.as_ptr())
             } else {
-                for (d, &v) in dst.iter_mut().zip(lane) {
-                    *d = v + bv;
-                }
-            }
+                let mut tail = [0.0f32; PACK_NR];
+                tail[..nr].copy_from_slice(r);
+                R::load(tail.as_ptr())
+            });
         }
-        (None, Some(res)) => {
-            let r = &res[start..start + lane.len()];
-            if ep.relu {
-                for ((d, &v), &rv) in dst.iter_mut().zip(lane).zip(r) {
-                    *d = (v + rv).max(0.0);
-                }
-            } else {
-                for ((d, &v), &rv) in dst.iter_mut().zip(lane).zip(r) {
-                    *d = v + rv;
-                }
-            }
+        if ep.relu {
+            v = v.max(R::splat(0.0));
         }
-        (Some(bias), Some(res)) => {
-            let bv = bias[row];
-            let r = &res[start..start + lane.len()];
-            if ep.relu {
-                for ((d, &v), &rv) in dst.iter_mut().zip(lane).zip(r) {
-                    *d = (v + bv + rv).max(0.0);
-                }
-            } else {
-                for ((d, &v), &rv) in dst.iter_mut().zip(lane).zip(r) {
-                    *d = v + bv + rv;
-                }
-            }
+        let dst = c.slice_mut(start, nr);
+        if nr == PACK_NR {
+            v.store(dst.as_mut_ptr());
+        } else {
+            let mut tail = [0.0f32; PACK_NR];
+            v.store(tail.as_mut_ptr());
+            dst.copy_from_slice(&tail[..nr]);
         }
     }
 }
@@ -305,24 +413,58 @@ impl ConvEpilogue<'_> {
     pub fn is_identity(&self) -> bool {
         !self.input_relu && self.bias.is_none() && self.residual.is_none() && !self.relu
     }
-}
 
-/// im2col + blocked-GEMM convolution reading the filter from its
-/// pre-packed tile-major layout. Bit-identical to
-/// [`crate::ops_cpu::conv2d_naive`]; per-lane scratch is thread-local, the
-/// output tensor is taken from `pool` and owned by the caller.
-///
-/// # Panics
-///
-/// Panics if `packed` was not packed for this convolution's geometry.
-#[must_use]
-pub fn conv2d_im2col_packed(
-    input: &TensorData,
-    params: &Conv2dParams,
-    packed: &PackedFilter,
-    pool: &impl Arena,
-) -> TensorData {
-    conv2d_im2col_packed_fused(input, params, packed, &ConvEpilogue::default(), pool)
+    /// Takes the convolution's output tensor from `pool`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the residual or bias does not match the output geometry.
+    fn take_output(
+        &self,
+        input: &TensorData,
+        params: &Conv2dParams,
+        pool: &impl Arena,
+    ) -> TensorData {
+        let (oh, ow) = input
+            .shape
+            .conv_output_hw(params.kernel, params.stride, params.padding);
+        let out_shape = TensorShape::new(input.shape.batch, params.out_channels, oh, ow);
+        if let Some(res) = self.residual {
+            assert_eq!(
+                res.shape, out_shape,
+                "fused residual shape must match the convolution output"
+            );
+        }
+        if let Some(bias) = self.bias {
+            assert!(
+                bias.len() >= params.out_channels,
+                "fused bias must cover every output channel"
+            );
+        }
+        pool.take_tensor(out_shape)
+    }
+
+    /// The GEMM epilogue of output channels `[oc0, oc0 + rows)` of sample
+    /// `n` — one group's `rows × m_cols` slice of the output — and where
+    /// that slice starts in the output tensor.
+    fn of_rows(
+        &self,
+        params: &Conv2dParams,
+        n: usize,
+        oc0: usize,
+        rows: usize,
+        m_cols: usize,
+    ) -> (Epilogue<'_>, usize) {
+        let c_start = (n * params.out_channels + oc0) * m_cols;
+        let gep = Epilogue {
+            bias: self.bias.map(|b| &b[oc0..oc0 + rows]),
+            residual: self
+                .residual
+                .map(|r| &r.data[c_start..c_start + rows * m_cols]),
+            relu: params.activation == ios_ir::Activation::Relu || self.relu,
+        };
+        (gep, c_start)
+    }
 }
 
 /// How one sample of a packed (f32 or int8) convolution is cut into
@@ -365,10 +507,13 @@ impl TileSplit {
     }
 }
 
-/// [`conv2d_im2col_packed`] with a fused epilogue: input-ReLU during
-/// im2col, bias / residual-add / ReLU in the tile writeback. Bit-identical
-/// to running the same operations as separate passes around the naive
-/// convolution.
+/// im2col + blocked-GEMM convolution reading the filter from its
+/// pre-packed tile-major layout, with a fused epilogue: input-ReLU during
+/// im2col, bias / residual-add / ReLU in the tile writeback
+/// ([`ConvEpilogue::default`] fuses nothing). Bit-identical to running the
+/// same operations as separate passes around
+/// [`crate::ops_cpu::conv2d_naive`]; per-lane scratch is thread-local, the
+/// output tensor is taken from `pool` and owned by the caller.
 ///
 /// # Panics
 ///
@@ -395,29 +540,15 @@ pub fn conv2d_im2col_packed_fused(
         k_len
     );
     let in_shape = input.shape;
-    let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
-    let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
-    let mut out = pool.take_tensor(out_shape);
-    if let Some(res) = ep.residual {
-        assert_eq!(
-            res.shape, out_shape,
-            "fused residual shape must match the convolution output"
-        );
-    }
-    if let Some(bias) = ep.bias {
-        assert!(
-            bias.len() >= params.out_channels,
-            "fused bias must cover every output channel"
-        );
-    }
+    let mut out = ep.take_output(input, params, pool);
+    let ow = out.shape.width;
 
     let groups = params.groups;
     let in_c_per_group = in_shape.channels / groups;
     let out_c_per_group = params.out_channels / groups;
     let (kh, kw) = params.kernel;
-    let m_cols = oh * ow;
+    let m_cols = out.shape.height * ow;
     let in_plane = in_shape.height * in_shape.width;
-    let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
     // Read once, here: the lanes that run this convolution's chunks
     // dispatch at the ISA of the thread that called it.
     let isa = simd::active_isa();
@@ -427,19 +558,6 @@ pub fn conv2d_im2col_packed_fused(
     // patch-build path (it applies the ReLU while loading).
     let pointwise =
         kh == 1 && kw == 1 && params.stride == (1, 1) && params.padding == (0, 0) && !ep.input_relu;
-    // The epilogue and output extent of group `g` of sample `n`.
-    let group_epilogue = |n: usize, g: usize| {
-        let oc0 = g * out_c_per_group;
-        let c_start = (n * params.out_channels + oc0) * m_cols;
-        let gep = Epilogue {
-            bias: ep.bias.map(|b| &b[oc0..oc0 + out_c_per_group]),
-            residual: ep
-                .residual
-                .map(|r| &r.data[c_start..c_start + out_c_per_group * m_cols]),
-            relu,
-        };
-        (gep, c_start)
-    };
     // The input planes of group `g` of sample `n`: a pointwise
     // convolution's whole `K × M` patch matrix.
     let group_input = |n: usize, g: usize| {
@@ -451,23 +569,33 @@ pub fn conv2d_im2col_packed_fused(
     // column block it is about to use in its own scratch (fused im2col) and
     // streams the packed panels over it while it is cache-hot. Every output
     // element accumulates the patch values over ascending k whichever chunk
-    // its tile falls into, so the bits do not depend on the split.
+    // its tile falls into, so the bits do not depend on the split. A
+    // pointwise convolution reads full blocks in place and needs the
+    // scratch only for a ragged last block.
     let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
     let out_view = DisjointOut::new(&mut out.data);
+    let scratch_len = if pointwise && m_cols.is_multiple_of(PACK_NR) {
+        0
+    } else {
+        k_len * PACK_NR
+    };
     for n in 0..in_shape.batch {
         workers::parallel_for_op(split.chunks, |chunk| {
             let (chunk_groups, blocks) = split.part(chunk);
-            let walk = |scratch: &mut [f32]| {
-                for g in chunk_groups.clone() {
-                    let (gep, c_start) = group_epilogue(n, g);
+            workers::with_lane_scratch(scratch_len, |scratch| {
+                for g in chunk_groups {
+                    let (gep, c_start) =
+                        ep.of_rows(params, n, g * out_c_per_group, out_c_per_group, m_cols);
                     let c = out_view.part(c_start, out_c_per_group * m_cols);
                     for block in blocks.clone() {
                         let j0 = block * PACK_NR;
                         let nr = PACK_NR.min(m_cols - j0);
-                        let (b, b_stride) = if pointwise {
+                        let (b, b_stride) = if pointwise && nr == PACK_NR {
                             (&group_input(n, g)[j0..], m_cols)
+                        } else if pointwise {
+                            copy_edge_block(&group_input(n, g)[j0..], m_cols, nr, scratch);
+                            (&*scratch, PACK_NR)
                         } else {
-                            let patch = &mut scratch[..k_len * nr];
                             im2col_block(
                                 input,
                                 n,
@@ -477,35 +605,41 @@ pub fn conv2d_im2col_packed_fused(
                                 ow,
                                 j0,
                                 nr,
-                                patch,
+                                scratch,
                                 ep.input_relu,
                             );
-                            (&*patch, nr)
+                            (&*scratch, PACK_NR)
                         };
-                        packed_panels_over_block(
-                            packed.group(g),
-                            out_c_per_group,
-                            m_cols,
+                        let block = ColumnBlock {
+                            a_panels: packed.group(g),
+                            m_rows: out_c_per_group,
                             k_len,
                             b,
                             b_stride,
                             j0,
                             nr,
-                            &gep,
-                            isa,
-                            &c,
-                        );
+                            m: m_cols,
+                            ep: &gep,
+                            c: &c,
+                        };
+                        at_tier(isa, &block);
                     }
                 }
-            };
-            if pointwise {
-                walk(&mut []);
-            } else {
-                workers::with_lane_scratch(k_len * PACK_NR, walk);
-            }
+            });
         });
     }
     out
+}
+
+/// Copies the ragged last `nr < PACK_NR` columns of a `K × M` matrix
+/// (`src` starts at the block's first column, row stride `src_stride`) into
+/// `block` at row stride `PACK_NR`, zeroing the tail of every row — the
+/// shape the full tile reads.
+fn copy_edge_block(src: &[f32], src_stride: usize, nr: usize, block: &mut [f32]) {
+    for (k, row) in block.chunks_exact_mut(PACK_NR).enumerate() {
+        row[..nr].copy_from_slice(&src[k * src_stride..k * src_stride + nr]);
+        row[nr..].fill(0.0);
+    }
 }
 
 /// Copies `seg.len()` input values starting at `in_row[src]` with stride
@@ -539,12 +673,14 @@ fn fill_seg(seg: &mut [f32], in_row: &[f32], src: usize, sw: usize, input_relu: 
     }
 }
 
-/// Fills `patches` (a `K × nr` block, `K = in_c_per_group·kh·kw`, row
-/// stride `nr`) with the im2col expansion of output columns
-/// `[j0, j0 + nr)` of sample `n`, channels `[c0, c0 + in_c_per_group)` —
-/// the fused-im2col building block of the kernels: row `k` holds the input
-/// value kernel element `k` sees at each of those output pixels (padding
-/// positions become exact `0.0`); every element of `patches` is written. `input_relu` applies `max(0, ·)` to every loaded value.
+/// Fills `patches` (a `K × PACK_NR` block, `K = in_c_per_group·kh·kw`) with
+/// the im2col expansion of output columns `[j0, j0 + nr)` of sample `n`,
+/// channels `[c0, c0 + in_c_per_group)` — the fused-im2col building block
+/// of the kernels: row `k` holds the input value kernel element `k` sees at
+/// each of those output pixels (padding positions become exact `0.0`), then
+/// a zero tail when the block is ragged (`nr < PACK_NR`); every element of
+/// `patches` is written. `input_relu` applies `max(0, ·)` to every loaded
+/// value.
 #[allow(clippy::too_many_arguments)]
 fn im2col_block(
     input: &TensorData,
@@ -570,7 +706,8 @@ fn im2col_block(
         let plane = &input.data[plane_start..plane_start + h * w];
         for ky in 0..kh {
             for kx in 0..kw {
-                let row = &mut patches[k * nr..(k + 1) * nr];
+                let row = &mut patches[k * PACK_NR..(k + 1) * PACK_NR];
+                row[nr..].fill(0.0);
                 // Valid output-x range: 0 <= x·sw + kx − pw < w.
                 let (x_lo, x_hi) = valid_range(ow, sw, kx, pw, w);
                 // The block's columns may span several output rows y; walk
@@ -628,69 +765,157 @@ pub(crate) fn valid_range(
     (lo, hi.max(lo))
 }
 
-/// Vectorized [`store_lane`] for one full 16-wide accumulator row held as
-/// two ymm vectors: bias broadcast-add, residual add and `max(0, ·)`
-/// apply lane-wise in the exact per-element order of the scalar store —
-/// `(acc + bias) + residual`, then the ReLU clamp. `vmaxps(v, +0.0)`
-/// returns `+0.0` for NaN lanes exactly like `f32::max(v, 0.0)`, and a
-/// `-0.0` can never reach the clamp (every accumulator chain starts at
-/// `+0.0`, and IEEE-754 addition only yields `-0.0` from two `-0.0`
-/// operands), so the store is bit-identical to the scalar epilogue.
+/// One `PACK_NR`-wide column block of the GEMM
+/// `C[i·m + j] = Σ_k A[i][k] · B[k][j]`, pushed through the fused epilogue
+/// `ep`, with `k` strictly ascending for every `(i, j)` — the
+/// bit-exactness invariant.
 ///
-/// # Safety
+/// `a_panels` is `A` in tile-major packed panels ([`PackedFilter::pack`]):
+/// panel `p` holds rows `p·PACK_MR ..` as `panel[k · PACK_MR + row]`, so
+/// the k loop walks one contiguous stream per panel. `b` holds B columns
+/// `[j0, j0 + PACK_NR)` with row stride `b_stride`: a view into a full
+/// `K × M` patch matrix (a pointwise convolution's input planes), or a
+/// cache-resident `K × PACK_NR` block built by [`im2col_block`] /
+/// [`copy_edge_block`]. `c` is the full `m_rows × m` output; columns
+/// `[j0, j0 + nr)` are written.
 ///
-/// AVX2 must be available. Row `row`, columns `[j0, j0 + PACK_NR)` must lie
-/// inside `c` (and inside the residual, when present) — enforced by the
-/// slice indexing below.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn store_lane_avx2(
-    ep: &Epilogue<'_>,
-    row: usize,
+/// *All* weight panels stream over the same block, so the patch data stays
+/// cache-hot across panels and crosses the memory hierarchy once, while the
+/// packed `A` is one sequential, hardware-prefetchable stream per block.
+struct ColumnBlock<'a> {
+    a_panels: &'a [f32],
+    m_rows: usize,
+    k_len: usize,
+    b: &'a [f32],
+    b_stride: usize,
     j0: usize,
+    nr: usize,
     m: usize,
-    lane: [std::arch::x86_64::__m256; 2],
-    c: &DisjointOut<'_>,
-) {
-    use std::arch::x86_64::*;
-    let start = row * m + j0;
-    let [mut v0, mut v1] = lane;
-    // SAFETY: the slice indexing bounds-checks every pointer below; the
-    // output row segment is this tile's alone (see `store_lane`).
-    unsafe {
-        if let Some(bias) = ep.bias {
-            let bv = _mm256_set1_ps(bias[row]);
-            v0 = _mm256_add_ps(v0, bv);
-            v1 = _mm256_add_ps(v1, bv);
+    ep: &'a Epilogue<'a>,
+    c: &'a DisjointOut<'a>,
+}
+
+/// Work written once over [`Row`] and run at a tier by [`at_tier`]. `SPAN`
+/// is how many adjacent groups of `PACK_MR` rows the tier's registers hold
+/// as accumulators.
+trait RowKernel {
+    type Out;
+    /// # Safety
+    ///
+    /// The CPU must execute `R`'s instruction set (the [`Row`] contract).
+    unsafe fn run<R: Row, const SPAN: usize>(self) -> Self::Out;
+}
+
+/// Runs `kernel` at tier `isa` — the one list of [`Row`] instantiations,
+/// each behind its `#[target_feature]` entry, that the tile and the
+/// roofline probe ([`mul_add_probe`]) share.
+fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{__m256, __m512};
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2<K: RowKernel>(kernel: K) -> K::Out {
+            // SAFETY: this function's contract — AVX2 is available.
+            unsafe { kernel.run::<[__m256; 2], 1>() }
         }
-        if let Some(res) = ep.residual {
-            let r = &res[start..start + PACK_NR];
-            v0 = _mm256_add_ps(v0, _mm256_loadu_ps(r.as_ptr()));
-            v1 = _mm256_add_ps(v1, _mm256_loadu_ps(r.as_ptr().add(8)));
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512<K: RowKernel>(kernel: K) -> K::Out {
+            // SAFETY: this function's contract — AVX-512F is available.
+            unsafe { kernel.run::<[__m512; 1], 2>() }
         }
-        if ep.relu {
-            let zero = _mm256_setzero_ps();
-            v0 = _mm256_max_ps(v0, zero);
-            v1 = _mm256_max_ps(v1, zero);
+        // SAFETY: the dispatch module only selects a tier after runtime
+        // feature detection (or a forced override validated against it).
+        match isa {
+            Isa::Avx512 => return unsafe { avx512(kernel) },
+            Isa::Avx2 => return unsafe { avx2(kernel) },
+            Isa::Sse2 | Isa::Scalar => {}
         }
-        let dst = c.slice_mut(start, PACK_NR);
-        _mm256_storeu_ps(dst.as_mut_ptr(), v0);
-        _mm256_storeu_ps(dst.as_mut_ptr().add(8), v1);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    // SAFETY: the portable row is plain Rust and runs anywhere.
+    unsafe { kernel.run::<[f32; PACK_NR], 1>() }
+}
+
+impl RowKernel for &ColumnBlock<'_> {
+    type Out = ();
+    /// Streams every packed panel over the block, in tiles of `SPAN`
+    /// adjacent panels; an odd trailing panel runs the same body at one.
+    #[inline(always)]
+    unsafe fn run<R: Row, const SPAN: usize>(self) {
+        let panels = self.m_rows.div_ceil(PACK_MR);
+        let mut p = 0;
+        // SAFETY: the caller's contract, passed down.
+        unsafe {
+            while p + SPAN <= panels {
+                self.tile::<R, SPAN>(p);
+                p += SPAN;
+            }
+            while p < panels {
+                self.tile::<R, 1>(p);
+                p += 1;
+            }
+        }
+    }
+}
+
+impl ColumnBlock<'_> {
+    /// The register tile — `SPAN · PACK_MR` rows × one [`Row`] of columns,
+    /// starting at panel `p`. Per k step it loads one `PACK_NR`-row of `B`
+    /// and broadcasts one `A` value per row from each panel's contiguous
+    /// `PACK_MR`-slab; lane `j` of row `i` receives exactly the scalar
+    /// sequence `acc += a[i][k] · b[k][j]` (a multiply, then an add) over
+    /// strictly ascending `k`. The full tile always runs: an edge panel's
+    /// missing rows are zero weights whose accumulators are not stored, a
+    /// ragged block's missing columns are a zero tail ([`store_row`] writes
+    /// `nr` of them).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must execute `R`'s instruction set (the [`Row`] contract).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the panels or `b` are too short for the tile — the raw
+    /// loads below never run against an out-of-bounds slice.
+    #[inline(always)]
+    unsafe fn tile<R: Row, const SPAN: usize>(&self, p: usize) {
+        let (k_len, b_stride) = (self.k_len, self.b_stride);
+        let panel_stride = k_len * PACK_MR;
+        let a = &self.a_panels[p * panel_stride..(p + SPAN) * panel_stride];
+        assert!(
+            k_len == 0 || self.b.len() >= (k_len - 1) * b_stride + PACK_NR,
+            "patch block too short"
+        );
+        // SAFETY: all pointer arithmetic stays inside `a` and `self.b` per
+        // the slicing and the assert above; `R`'s ISA is the caller's
+        // contract.
+        unsafe {
+            let mut acc = [[R::splat(0.0); PACK_MR]; SPAN];
+            let (ap, bp) = (a.as_ptr(), self.b.as_ptr());
+            for kk in 0..k_len {
+                let brow = R::load(bp.add(kk * b_stride));
+                for (s, panel_acc) in acc.iter_mut().enumerate() {
+                    let a_k = ap.add(s * panel_stride + kk * PACK_MR);
+                    for (i, row_acc) in panel_acc.iter_mut().enumerate() {
+                        *row_acc = row_acc.add(R::splat(*a_k.add(i)).mul(brow));
+                    }
+                }
+            }
+            let i0 = p * PACK_MR;
+            let rows = acc.as_flattened().iter().take(self.m_rows - i0);
+            for (i, &row_acc) in rows.enumerate() {
+                store_row(self.ep, i0 + i, self.j0, self.nr, self.m, row_acc, self.c);
+            }
+        }
     }
 }
 
 /// `C[i·m + j] = Σ_k A[i][k] · B[k·m + j]` pushed through the fused
-/// epilogue `ep`, with `k` strictly ascending for every `(i, j)` — the
-/// bit-exactness invariant — reading `A` from tile-major packed panels
-/// ([`PackedFilter::pack`]): panel `p` holds rows `p·PACK_MR ..` as
-/// `panel[k · PACK_MR + row]`, so the k loop walks one contiguous stream.
-///
-/// The loop nest is column-block-outer: for each `PACK_NR`-wide block of
-/// output pixels, *all* weight panels are streamed over the same
-/// `K × PACK_NR` slice of the patch matrix. The slice stays cache-hot
-/// across panels, so the patch matrix crosses the memory hierarchy once
-/// instead of once per panel, while the packed `A` is one sequential,
-/// hardware-prefetchable stream per block.
+/// epilogue `ep` at the active tier, with `k` strictly ascending for every
+/// `(i, j)`: `a_panels` is one group of a [`PackedFilter`], `b` the full
+/// `k_len × m` matrix, read in place block by block like a pointwise
+/// convolution's input (a ragged last block through a zero-tailed copy).
 pub fn gemm_bit_exact_packed(
     m_rows: usize,
     m: usize,
@@ -702,187 +927,95 @@ pub fn gemm_bit_exact_packed(
 ) {
     let isa = simd::active_isa();
     let c = &DisjointOut::new(c);
-    let mut j0 = 0;
-    while j0 < m {
+    let ragged = !m.is_multiple_of(PACK_NR);
+    let mut edge = vec![0.0f32; if ragged { k_len * PACK_NR } else { 0 }];
+    for j0 in (0..m).step_by(PACK_NR) {
         let nr = PACK_NR.min(m - j0);
-        packed_panels_over_block(a_panels, m_rows, m, k_len, &b[j0..], m, j0, nr, ep, isa, c);
-        j0 += PACK_NR;
-    }
-}
-
-/// Streams every packed panel over one `nr`-wide column block of `B`.
-///
-/// `b_block` holds B columns `[j0, j0 + nr)` with row stride `b_stride`: a
-/// view into a full `K × M` patch matrix (`b_stride = m`, a pointwise
-/// convolution's input planes), or a fused cache-resident `K × nr` block
-/// (`b_stride = nr`) built by [`im2col_block`]. `c` is the full
-/// `m_rows × m` output; columns `[j0, j0 + nr)` are written. Every output
-/// element accumulates over strictly ascending `k` with the same values
-/// regardless of the B layout — the two layouts are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn packed_panels_over_block(
-    a_panels: &[f32],
-    m_rows: usize,
-    m: usize,
-    k_len: usize,
-    b_block: &[f32],
-    b_stride: usize,
-    j0: usize,
-    nr: usize,
-    ep: &Epilogue<'_>,
-    isa: Isa,
-    c: &DisjointOut<'_>,
-) {
-    let panel_stride = k_len * PACK_MR;
-    let mut i0 = 0;
-    let mut p = 0;
-    while i0 < m_rows {
-        let mr = PACK_MR.min(m_rows - i0);
-        let panel = &a_panels[p * panel_stride..(p + 1) * panel_stride];
-        if mr == PACK_MR && nr == PACK_NR {
-            packed_tile_full(panel, i0, j0, m, b_stride, k_len, b_block, ep, c, isa);
+        let (block, b_stride) = if nr == PACK_NR {
+            (&b[j0..], m)
         } else {
-            packed_tile_edge(panel, i0, j0, mr, nr, m, b_stride, k_len, b_block, ep, c);
-        }
-        i0 += PACK_MR;
-        p += 1;
+            copy_edge_block(&b[j0..], m, nr, &mut edge);
+            (&edge[..], PACK_NR)
+        };
+        let block = ColumnBlock {
+            a_panels,
+            m_rows,
+            k_len,
+            b: block,
+            b_stride,
+            j0,
+            nr,
+            m,
+            ep,
+            c,
+        };
+        at_tier(isa, &block);
     }
 }
 
-/// Full `PACK_MR × PACK_NR` register tile of the packed kernel; per k step it
-/// loads one contiguous `PACK_MR`-slab of `A` and one `PACK_NR`-row of `B`
-/// (read with row stride `b_stride`, written to `C` with row stride `m`).
-/// Dispatches to the explicit AVX2 tile when the dispatch selected it.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn packed_tile_full(
-    panel: &[f32],
-    i0: usize,
-    j0: usize,
-    m: usize,
-    b_stride: usize,
-    k_len: usize,
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &DisjointOut<'_>,
-    isa: Isa,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: the dispatch module only selects Avx2 after runtime
-        // feature detection (or a forced override validated against it).
-        unsafe { packed_tile_full_avx2(panel, i0, j0, m, b_stride, k_len, b, ep, c) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
-    let mut acc = [[0.0f32; PACK_NR]; PACK_MR];
-    for kk in 0..k_len {
-        let a_k = &panel[kk * PACK_MR..kk * PACK_MR + PACK_MR];
-        let brow = &b[kk * b_stride..kk * b_stride + PACK_NR];
-        for i in 0..PACK_MR {
-            let aik = a_k[i];
-            let lane = &mut acc[i];
-            for j in 0..PACK_NR {
-                lane[j] += aik * brow[j];
+/// The roofline probe of the f32 tile: as many independent `acc += x · y`
+/// row chains as the tier's tile holds accumulator rows — a multiply, then
+/// an add, never fused — for `steps` steps from registers and L1.
+struct MulAddChains {
+    steps: usize,
+}
+
+impl RowKernel for MulAddChains {
+    /// FLOPs executed.
+    type Out = u64;
+    #[inline(always)]
+    unsafe fn run<R: Row, const SPAN: usize>(self) -> u64 {
+        // `y` cycles through an L1-resident table the compiler cannot see
+        // through, so no product is hoisted out of the loop; every chain has
+        // a factor of its own, so none is shared between chains.
+        let table: [[f32; PACK_NR]; 16] =
+            std::array::from_fn(|t| std::array::from_fn(|j| 1.0 + (t * PACK_NR + j) as f32 * 1e-4));
+        let table = std::hint::black_box(&table);
+        // SAFETY: every load reads one `PACK_NR`-row of `table`, every store
+        // writes the `PACK_NR`-value stack array; `R`'s ISA is the caller's
+        // contract.
+        unsafe {
+            let xs: [[R; PACK_MR]; SPAN] = std::array::from_fn(|s| {
+                std::array::from_fn(|i| R::splat(1.0 + (s * PACK_MR + i) as f32 * 1e-4))
+            });
+            let mut acc = [[R::splat(0.0); PACK_MR]; SPAN];
+            for step in 0..self.steps {
+                let y = R::load(table[step % 16].as_ptr());
+                for (a, &x) in acc.as_flattened_mut().iter_mut().zip(xs.as_flattened()) {
+                    *a = a.add(x.mul(y));
+                }
+            }
+            for a in acc.as_flattened() {
+                let mut lanes = [0.0f32; PACK_NR];
+                a.store(lanes.as_mut_ptr());
+                std::hint::black_box(lanes);
             }
         }
-    }
-    for (i, lane) in acc.iter().enumerate() {
-        store_lane(ep, i0 + i, j0, m, lane, c);
+        (self.steps * SPAN * PACK_MR * PACK_NR * 2) as u64
     }
 }
 
-/// Explicit AVX2 form of the full packed tile: the 4 × 16 f32
-/// accumulators live in 8 ymm registers (two per row); each k step loads
-/// the `PACK_NR`-row of `B` as two vectors and broadcasts one `A` value per
-/// row from the contiguous `PACK_MR`-slab of the packed panel. Only
-/// `vmulps` + `vaddps` are issued — no FMA — so lane `j` of row `i`
-/// receives exactly the scalar sequence `acc += a[i][k] · b[k][j]` over
-/// strictly ascending `k`: bit-identical to the auto-vectorized tile.
-///
-/// # Safety
-///
-/// AVX2 must be available (guaranteed by the dispatch module).
+/// Runs the f32 tile's arithmetic — independent row-wide `mul` + `add`
+/// chains, one per accumulator row of tier `isa`'s tile, through the same
+/// vector-row instantiation the tile uses — for `steps` steps with no memory
+/// traffic beyond L1, and returns the FLOPs executed. Timing it gives the
+/// no-FMA ceiling the bit-exact contract allows the tile at that tier. At
+/// an explicit-vector tier that is the hardware's `mul` + `add` rate (eight
+/// vector accumulators keep both ports busy); below AVX2 the row is sixteen
+/// scalars and the probe times what the compiler makes of the same four
+/// rows — sixteen SSE accumulators, every register that tier has — so it
+/// reads the portable tile's own arithmetic rate, not the 4-lane ceiling.
 ///
 /// # Panics
 ///
-/// Panics if `panel` or `b` is too short for the tile — the raw loads
-/// below never run against an out-of-bounds slice.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn packed_tile_full_avx2(
-    panel: &[f32],
-    i0: usize,
-    j0: usize,
-    m: usize,
-    b_stride: usize,
-    k_len: usize,
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &DisjointOut<'_>,
-) {
-    use std::arch::x86_64::*;
-    assert!(panel.len() >= k_len * PACK_MR, "packed panel too short");
+/// Panics if `isa` is wider than the host executes.
+#[must_use]
+pub fn mul_add_probe(isa: Isa, steps: usize) -> u64 {
     assert!(
-        k_len == 0 || b.len() >= (k_len - 1) * b_stride + PACK_NR,
-        "patch block too short"
+        isa <= simd::detected_isa(),
+        "{isa} does not run on this host"
     );
-    // SAFETY: all pointer arithmetic stays inside the slices per the
-    // asserts above; loads are explicitly unaligned.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; PACK_MR];
-        let pp = panel.as_ptr();
-        let bp = b.as_ptr();
-        for kk in 0..k_len {
-            let a_k = pp.add(kk * PACK_MR);
-            let brow = bp.add(kk * b_stride);
-            let b0 = _mm256_loadu_ps(brow);
-            let b1 = _mm256_loadu_ps(brow.add(8));
-            for (i, accr) in acc.iter_mut().enumerate() {
-                let aik = _mm256_set1_ps(*a_k.add(i));
-                accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(aik, b0));
-                accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(aik, b1));
-            }
-        }
-        for (i, accr) in acc.iter().enumerate() {
-            store_lane_avx2(ep, i0 + i, j0, m, *accr, c);
-        }
-    }
-}
-
-/// Partial packed tile at the right/bottom edges (`mr <= PACK_MR`,
-/// `nr <= PACK_NR`); the zero-padded panel rows beyond `mr` are never read.
-#[allow(clippy::too_many_arguments)]
-fn packed_tile_edge(
-    panel: &[f32],
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    m: usize,
-    b_stride: usize,
-    k_len: usize,
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &DisjointOut<'_>,
-) {
-    let mut acc = [[0.0f32; PACK_NR]; PACK_MR];
-    for kk in 0..k_len {
-        let a_k = &panel[kk * PACK_MR..kk * PACK_MR + PACK_MR];
-        let brow = &b[kk * b_stride..kk * b_stride + nr];
-        for i in 0..mr {
-            let aik = a_k[i];
-            let lane = &mut acc[i];
-            for (j, bv) in brow.iter().enumerate() {
-                lane[j] += aik * bv;
-            }
-        }
-    }
-    for (i, lane) in acc.iter().enumerate().take(mr) {
-        store_lane(ep, i0 + i, j0, m, &lane[..nr], c);
-    }
+    at_tier(isa, MulAddChains { steps })
 }
 
 // ---------------------------------------------------------------------------
@@ -1072,25 +1205,11 @@ pub fn sample_scale(sample: &[f32], input_relu: bool) -> f32 {
 
 /// Int8 quantized convolution: per-sample dynamic input scales, `i32`
 /// accumulation through `pmaddwd`-shaped kernels, requantize in the tile
-/// writeback. Byte-identical to [`crate::ops_cpu::conv2d_naive_quant`]
-/// on every ISA path.
-///
-/// # Panics
-///
-/// Panics if `quant` was not quantized for this convolution's geometry.
-#[must_use]
-pub fn conv2d_im2col_quant(
-    input: &TensorData,
-    params: &Conv2dParams,
-    quant: &QuantizedFilter,
-    pool: &impl Arena,
-) -> TensorData {
-    conv2d_im2col_quant_fused(input, params, quant, &ConvEpilogue::default(), pool)
-}
-
-/// [`conv2d_im2col_quant`] with a fused epilogue (input-ReLU, bias,
-/// residual, output-ReLU). The epilogue's float operations happen *after*
-/// requantization, in the same [`store_lane`] the f32 kernels use.
+/// writeback, with a fused epilogue (input-ReLU, bias, residual,
+/// output-ReLU; [`ConvEpilogue::default`] fuses nothing). The epilogue's
+/// float operations happen *after* requantization, in the same
+/// [`store_row`] the f32 kernel uses. Byte-identical to
+/// [`crate::ops_cpu::conv2d_naive_quant`] on every ISA path.
 ///
 /// # Panics
 ///
@@ -1117,27 +1236,13 @@ pub fn conv2d_im2col_quant_fused(
         params.groups,
         k_len
     );
-    let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
-    let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
-    let mut out = pool.take_tensor(out_shape);
-    if let Some(res) = ep.residual {
-        assert_eq!(
-            res.shape, out_shape,
-            "fused residual shape must match the convolution output"
-        );
-    }
-    if let Some(bias) = ep.bias {
-        assert!(
-            bias.len() >= params.out_channels,
-            "fused bias must cover every output channel"
-        );
-    }
+    let mut out = ep.take_output(input, params, pool);
+    let ow = out.shape.width;
 
     let groups = params.groups;
     let in_c_per_group = in_shape.channels / groups;
     let out_c_per_group = params.out_channels / groups;
-    let m_cols = oh * ow;
-    let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
+    let m_cols = out.shape.height * ow;
     let pairs = quant.pairs;
     let isa = simd::active_isa();
     let per_item = in_shape.elements_per_item();
@@ -1157,15 +1262,8 @@ pub fn conv2d_im2col_quant_fused(
                 let qblock = as_i16_mut(qbuf);
                 for g in chunk_groups {
                     let oc0 = g * out_c_per_group;
-                    let c_start = (n * params.out_channels + oc0) * m_cols;
                     let scales_g = &quant.scales[oc0..oc0 + out_c_per_group];
-                    let gep = Epilogue {
-                        bias: ep.bias.map(|b| &b[oc0..oc0 + out_c_per_group]),
-                        residual: ep
-                            .residual
-                            .map(|r| &r.data[c_start..c_start + out_c_per_group * m_cols]),
-                        relu,
-                    };
+                    let (gep, c_start) = ep.of_rows(params, n, oc0, out_c_per_group, m_cols);
                     let c = out_view.part(c_start, out_c_per_group * m_cols);
                     for block in blocks.clone() {
                         let j0 = block * PACK_NR;
@@ -1179,10 +1277,10 @@ pub fn conv2d_im2col_quant_fused(
                             ow,
                             j0,
                             nr,
-                            &mut fblock[..k_len * nr],
+                            fblock,
                             ep.input_relu,
                         );
-                        quantize_block(&fblock[..k_len * nr], k_len, nr, s_in, qblock);
+                        quantize_block(fblock, k_len, s_in, qblock);
                         quant_panels_over_block(
                             quant.group(g),
                             out_c_per_group,
@@ -1216,33 +1314,29 @@ fn as_i16_mut(buf: &mut [f32]) -> &mut [i16] {
     unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<i16>(), buf.len() * 2) }
 }
 
-/// Quantizes a `K × nr` f32 im2col block (row stride `nr`) into the
-/// pair-interleaved i16 layout the integer microkernel reads:
-/// `q[(k/2) · PACK_NR·2 + j·2 + (k&1)]`. Columns `≥ nr` and the odd-k pad
-/// slot stay zero — they contribute exact `0` to every i32 sum.
-fn quantize_block(fblock: &[f32], k_len: usize, nr: usize, scale: f32, q: &mut [i16]) {
-    if nr < PACK_NR {
-        // Edge block: columns `nr..PACK_NR` are never written below but are
-        // still read by the fixed-width tile — they must contribute 0.
-        q.fill(0);
-    } else if k_len & 1 == 1 {
-        // Full-width block: every slot is written except the odd-k pad lane
-        // of the final pair.
+/// Quantizes a `K × PACK_NR` f32 im2col block into the pair-interleaved
+/// i16 layout the integer microkernel reads:
+/// `q[(k/2) · PACK_NR·2 + j·2 + (k&1)]`. A ragged block's zero tail
+/// quantizes to zeros and the odd-k pad slot is zeroed — both contribute
+/// exact `0` to every i32 sum.
+fn quantize_block(fblock: &[f32], k_len: usize, scale: f32, q: &mut [i16]) {
+    if k_len & 1 == 1 {
+        // Every slot is written below except the odd-k pad lane of the
+        // final pair.
         let last = (k_len / 2) * (PACK_NR * 2);
         q[last..last + PACK_NR * 2].fill(0);
     }
     let mut tmp = [0i16; PACK_NR];
-    for k in 0..k_len {
-        let row = &fblock[k * nr..(k + 1) * nr];
+    for (k, row) in fblock.chunks_exact(PACK_NR).enumerate() {
         // Quantize into a contiguous stack row first (this loop
         // autovectorizes); the pair-interleaved scatter below is pure i16
         // moves.
-        for (t, &v) in tmp[..nr].iter_mut().zip(row) {
+        for (t, &v) in tmp.iter_mut().zip(row) {
             *t = quantize_value(v, scale);
         }
         let base = (k / 2) * (PACK_NR * 2) + (k & 1);
-        for j in 0..nr {
-            q[base + j * 2] = tmp[j];
+        for (j, &t) in tmp.iter().enumerate() {
+            q[base + j * 2] = t;
         }
     }
 }
@@ -1275,34 +1369,36 @@ fn quant_panels_over_block(
         let panel = &a_panels[p * panel_stride..(p + 1) * panel_stride];
         let mut acc = [0i32; PACK_MR * PACK_NR];
         quant_tile(panel, pairs, b_block, &mut acc, isa);
-        for i in 0..mr {
+        for (i, acc_row) in acc.chunks_exact(PACK_NR).enumerate().take(mr) {
             let row = i0 + i;
-            let acc_row = &acc[i * PACK_NR..i * PACK_NR + nr];
-            for (l, &a) in lane[..nr].iter_mut().zip(acc_row) {
+            for (l, &a) in lane.iter_mut().zip(acc_row) {
                 *l = requantize(a, in_scale, scales[row]);
             }
-            store_lane(ep, row, j0, m, &lane[..nr], c);
+            // SAFETY: the portable row is plain Rust and runs anywhere.
+            unsafe { store_row(ep, row, j0, nr, m, lane, c) };
         }
         i0 += PACK_MR;
         p += 1;
     }
 }
 
-/// One `PACK_MR × PACK_NR` integer tile: dispatches to the ISA the shared
-/// [`crate::simd`] module selected. All variants compute the *same* i32
-/// sums — integer addition is associative — so the result is
-/// byte-identical regardless of which one runs.
+/// One `PACK_MR × PACK_NR` integer tile: dispatches to the tier
+/// [`simd::executed_isa`] maps the active one to (there is no int8 tile
+/// wider than AVX2). All variants compute the *same* i32 sums — integer
+/// addition is associative — so the result is byte-identical regardless
+/// of which one runs.
 #[inline]
 fn quant_tile(panel: &[i8], pairs: usize, b: &[i16], acc: &mut [i32; PACK_MR * PACK_NR], isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     {
-        match isa {
+        match simd::executed_isa(KernelPath::Int8, isa) {
             // SAFETY: the AVX2 variant only runs after the dispatch
             // module's runtime feature check (or a forced override
             // validated against it) passed.
             Isa::Avx2 => unsafe { quant_tile_avx2(panel, pairs, b, acc) },
             Isa::Sse2 => quant_tile_sse2(panel, pairs, b, acc),
             Isa::Scalar => quant_tile_scalar(panel, pairs, b, acc),
+            Isa::Avx512 => unreachable!("the int8 path executes at most AVX2"),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1554,7 +1650,13 @@ mod tests {
         for (i, (shape, params)) in cases.iter().enumerate() {
             let input = TensorData::random(*shape, 400 + i as u64);
             let (weights, packed) = filters(*shape, params);
-            let packed_out = conv2d_im2col_packed(&input, params, &packed, &pool);
+            let packed_out = conv2d_im2col_packed_fused(
+                &input,
+                params,
+                &packed,
+                &ConvEpilogue::default(),
+                &pool,
+            );
             assert_eq!(
                 packed_out,
                 conv2d_naive(&input, params, &weights),
@@ -1684,10 +1786,40 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn simd_tiles_panic_on_a_short_b_slice_instead_of_reading_past_it() {
-        // The explicit-SIMD tiles load through raw pointers; a `b` one
-        // element short of the tile must be refused by a check that is
-        // still there in release builds.
+        // The tiles load through raw pointers; a `b` one element short of
+        // the tile must be refused by a check that is still there in
+        // release builds — by every instantiation of the generic f32 body
+        // (each supported tier at 4 rows, one panel, and at 8: the AVX-512
+        // tile spans two) and by the explicit int8 tiles.
         use std::panic::{catch_unwind, AssertUnwindSafe};
+        let k_len = 9usize;
+        let short_block = vec![1.0f32; k_len * PACK_NR - 1];
+        for isa in simd::supported_isas() {
+            for m_rows in [PACK_MR, 2 * PACK_MR] {
+                let a_panels = vec![1.0f32; k_len * m_rows];
+                let mut c = vec![0.0f32; m_rows * PACK_NR];
+                let f32_tile = catch_unwind(AssertUnwindSafe(|| {
+                    let block = ColumnBlock {
+                        a_panels: &a_panels,
+                        m_rows,
+                        k_len,
+                        b: &short_block,
+                        b_stride: PACK_NR,
+                        j0: 0,
+                        nr: PACK_NR,
+                        m: PACK_NR,
+                        ep: &Epilogue::NONE,
+                        c: &DisjointOut::new(&mut c),
+                    };
+                    at_tier(isa, &block);
+                }));
+                assert!(
+                    f32_tile.is_err(),
+                    "the {m_rows}-row f32 tile must refuse a short block on {isa}"
+                );
+            }
+        }
+
         let pairs = 5usize;
         let panel = vec![1i8; pairs * PACK_MR * 2];
         let short_b = vec![1i16; pairs * PACK_NR * 2 - 1];
@@ -1704,54 +1836,46 @@ mod tests {
             unsafe { quant_tile_avx2(&panel, pairs, &short_b, &mut acc) };
         }));
         assert!(avx2.is_err(), "quant_tile_avx2 must refuse a short block");
+    }
 
-        let k_len = 9usize;
-        let f32_panel = vec![1.0f32; k_len * PACK_MR];
-        let short_block = vec![1.0f32; k_len * PACK_NR - 1];
-        let mut c = vec![0.0f32; PACK_MR * PACK_NR];
-        let f32_tile = catch_unwind(AssertUnwindSafe(|| {
-            let c = DisjointOut::new(&mut c);
-            // SAFETY: AVX2 just detected.
-            unsafe {
-                packed_tile_full_avx2(
-                    &f32_panel,
-                    0,
-                    0,
-                    PACK_NR,
-                    PACK_NR,
-                    k_len,
-                    &short_block,
-                    &Epilogue::NONE,
-                    &c,
-                );
-            }
-        }));
-        assert!(
-            f32_tile.is_err(),
-            "packed_tile_full_avx2 must refuse a short block"
-        );
+    #[test]
+    fn the_probe_runs_one_chain_per_accumulator_row_of_each_tier() {
+        for isa in simd::supported_isas() {
+            let rows = if isa == Isa::Avx512 {
+                2 * PACK_MR
+            } else {
+                PACK_MR
+            };
+            assert_eq!(mul_add_probe(isa, 5), (5 * rows * PACK_NR * 2) as u64);
+        }
     }
 
     #[test]
     fn f32_tile_isa_variants_agree_bitwise() {
-        // The explicit AVX2 f32 tile (when the host has it) must produce
-        // bit-identical results to the auto-vectorized baseline through
-        // every epilogue combination — the f32 mirror of
+        // Every instantiation of the tile body the host can run must
+        // produce bit-identical results to the scalar tier through every
+        // epilogue combination — the f32 mirror of
         // `quant_tile_isa_variants_agree_with_scalar`.
-        let supported: Vec<Isa> = [Isa::Scalar, Isa::Sse2, Isa::Avx2]
-            .into_iter()
-            .filter(|&i| i <= simd::detected_isa())
-            .collect();
+        let supported = simd::supported_isas();
         // Shapes around the PACK_MR/PACK_NR boundaries: full tiles, edge
         // tiles, a single-row matrix, and a k long enough to accumulate
-        // error if any variant reordered the sum.
-        for &(m_rows, m, k_len) in &[
+        // error if any variant reordered the sum ...
+        let mut shapes = vec![
             (8usize, 32usize, 64usize),
             (7, 23, 11),
             (4, 16, 1),
             (1, 5, 3),
             (13, 50, 200),
-        ] {
+        ];
+        // ... then every tile boundary: even, odd and ragged panel counts
+        // (the AVX-512 tile spans two panels) against a lone column, one
+        // short of a block, exact, one over, and a 17×17 layer's 289.
+        for m_rows in [4, 8, 12, 13] {
+            for m in [1, 15, 16, 17, 289] {
+                shapes.push((m_rows, m, 37));
+            }
+        }
+        for (m_rows, m, k_len) in shapes {
             let (a, b) = operands(m_rows, m, k_len);
             let bias: Vec<f32> = (0..m_rows).map(|i| (i as f32 * 0.7).tan()).collect();
             let residual: Vec<f32> = (0..m_rows * m).map(|i| (i as f32 * 1.3).sin()).collect();
@@ -1778,6 +1902,31 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pointwise_conv_with_a_ragged_last_block_matches_naive() {
+        // A pointwise convolution reads its input planes in place; its
+        // ragged last block (17·17 = 289 = 18·16 + 1 columns) is copied to
+        // the full row stride instead. Every tier, odd panel count.
+        let pool = ScratchPool::new();
+        let shape = TensorShape::new(2, 5, 17, 17);
+        let params = Conv2dParams::relu(13, (1, 1), (1, 1), (0, 0));
+        let input = TensorData::random(shape, 23);
+        let (weights, packed) = filters(shape, &params);
+        let want = conv2d_naive(&input, &params, &weights);
+        for isa in simd::supported_isas() {
+            let got = simd::with_forced_isa(isa, || {
+                conv2d_im2col_packed_fused(
+                    &input,
+                    &params,
+                    &packed,
+                    &ConvEpilogue::default(),
+                    &pool,
+                )
+            });
+            assert_eq!(got, want, "ragged pointwise conv on {isa}");
         }
     }
 

@@ -88,7 +88,7 @@ pub fn conv2d_packed_pooled(
     packed: &crate::gemm::PackedFilter,
     arena: &impl Arena,
 ) -> TensorData {
-    crate::gemm::conv2d_im2col_packed(input, params, packed, arena)
+    crate::gemm::conv2d_im2col_packed_fused(input, params, packed, &ConvEpilogue::default(), arena)
 }
 
 /// Int8 quantized convolution reading [`QuantizedFilter`] weights —
@@ -106,7 +106,7 @@ pub fn conv2d_quant_pooled(
     quant: &QuantizedFilter,
     arena: &impl Arena,
 ) -> TensorData {
-    crate::gemm::conv2d_im2col_quant(input, params, quant, arena)
+    crate::gemm::conv2d_im2col_quant_fused(input, params, quant, &ConvEpilogue::default(), arena)
 }
 
 /// The naive int8 reference: quantizes the sample and reads the filter's

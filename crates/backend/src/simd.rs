@@ -5,12 +5,12 @@
 //! re-running feature detection per convolution call. The selection is
 //! cached in a [`OnceLock`] kernel table keyed by [`Isa`]:
 //!
-//! * **detection** — `is_x86_feature_detected!("avx2")` on x86_64 (SSE2 is
-//!   the unconditional x86_64 floor), scalar elsewhere;
-//! * **`IOS_FORCE_ISA`** — a `{scalar, sse2, avx2}` environment override
-//!   for deterministic testing (e.g. exercising the SSE2 fallback on an
-//!   AVX2 CI runner). Forcing an ISA the host cannot execute panics up
-//!   front rather than faulting in the kernel;
+//! * **detection** — `is_x86_feature_detected!` for `avx512f`, then `avx2`,
+//!   on x86_64 (SSE2 is the unconditional x86_64 floor), scalar elsewhere;
+//! * **`IOS_FORCE_ISA`** — a `{scalar, sse2, avx2, avx512}` environment
+//!   override for deterministic testing (e.g. exercising the SSE2 fallback
+//!   on an AVX2 CI runner). Forcing an ISA the host cannot execute panics
+//!   up front rather than faulting in the kernel;
 //! * **[`with_forced_isa`]** — a thread-scoped override for in-process
 //!   cross-ISA identity tests (the proptests run the same convolution
 //!   under every supported ISA and assert bitwise equality). Jobs posted
@@ -34,9 +34,17 @@ pub enum Isa {
     Sse2,
     /// AVX2: explicit 8-lane f32 and 16-lane `vpmaddwd` int8 tiles.
     Avx2,
+    /// AVX-512F: the f32 tile at 16 lanes. There is no int8 tile at this
+    /// width — see [`executed_isa`].
+    Avx512,
 }
 
 impl Isa {
+    /// Every tier, narrowest first — the one list the cross-ISA identity
+    /// suites, the gates and the `IOS_FORCE_ISA` parser walk, so a tier
+    /// cannot be added without them running it.
+    pub const ALL: [Isa; 4] = [Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512];
+
     /// The lower-case name used by `IOS_FORCE_ISA` and the telemetry
     /// export (`ios_simd_kernel{isa="…"}`).
     #[must_use]
@@ -45,19 +53,46 @@ impl Isa {
             Isa::Scalar => "scalar",
             Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
         }
     }
 
     /// Parses an [`Isa`] from its [`name`](Isa::name) (case-insensitive).
     #[must_use]
     pub fn parse(name: &str) -> Option<Isa> {
-        match name.to_ascii_lowercase().as_str() {
-            "scalar" => Some(Isa::Scalar),
-            "sse2" => Some(Isa::Sse2),
-            "avx2" => Some(Isa::Avx2),
-            _ => None,
-        }
+        Isa::ALL
+            .into_iter()
+            .find(|isa| name.eq_ignore_ascii_case(isa.name()))
     }
+}
+
+/// A numeric path with microkernels of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelPath {
+    /// The f32 register tile: one body instantiated at every tier.
+    F32,
+    /// The int8 `pmaddwd` tiles: hand-written up to AVX2.
+    Int8,
+}
+
+/// The tier whose microkernel `path` executes when `active` is selected:
+/// the f32 tile exists at every tier, the int8 tiles stop at AVX2 and run
+/// that tile on wider hosts. The kernel dispatch and the telemetry export
+/// both read this, so the export cannot name a kernel that did not run.
+#[must_use]
+pub fn executed_isa(path: KernelPath, active: Isa) -> Isa {
+    match path {
+        KernelPath::F32 => active,
+        KernelPath::Int8 => active.min(Isa::Avx2),
+    }
+}
+
+/// The tiers this host can execute, narrowest first: [`Isa::ALL`] up to
+/// [`detected_isa`].
+#[must_use]
+pub fn supported_isas() -> Vec<Isa> {
+    let detected = detected_isa();
+    Isa::ALL.into_iter().filter(|&i| i <= detected).collect()
 }
 
 impl std::fmt::Display for Isa {
@@ -72,7 +107,9 @@ impl std::fmt::Display for Isa {
 pub fn detected_isa() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            Isa::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx2") {
             Isa::Avx2
         } else {
             Isa::Sse2
@@ -94,7 +131,10 @@ fn selected_isa() -> Isa {
         match std::env::var("IOS_FORCE_ISA") {
             Ok(v) => {
                 let forced = Isa::parse(&v).unwrap_or_else(|| {
-                    panic!("IOS_FORCE_ISA={v:?} is not one of scalar, sse2, avx2")
+                    panic!(
+                        "IOS_FORCE_ISA={v:?} is not one of {:?}",
+                        Isa::ALL.map(Isa::name)
+                    )
                 });
                 assert!(
                     forced <= detected,
@@ -169,12 +209,22 @@ mod tests {
 
     #[test]
     fn isa_names_round_trip_and_order() {
-        for isa in [Isa::Scalar, Isa::Sse2, Isa::Avx2] {
+        for isa in Isa::ALL {
             assert_eq!(Isa::parse(isa.name()), Some(isa));
             assert_eq!(Isa::parse(&isa.name().to_ascii_uppercase()), Some(isa));
         }
-        assert_eq!(Isa::parse("avx512"), None);
-        assert!(Isa::Scalar < Isa::Sse2 && Isa::Sse2 < Isa::Avx2);
+        assert_eq!(Isa::parse("avx512f"), None);
+        assert!(Isa::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn each_path_executes_a_tier_the_active_one_covers() {
+        for active in Isa::ALL {
+            assert_eq!(executed_isa(KernelPath::F32, active), active);
+            assert!(executed_isa(KernelPath::Int8, active) <= active);
+        }
+        assert_eq!(executed_isa(KernelPath::Int8, Isa::Avx512), Isa::Avx2);
+        assert_eq!(supported_isas().last(), Some(&detected_isa()));
     }
 
     #[test]

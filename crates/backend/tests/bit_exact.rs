@@ -491,7 +491,7 @@ proptest! {
         // under every ISA the host supports, across random shapes — edge
         // tiles (partial mr/nr) included via the free-ranging out_c and
         // spatial extents — and every epilogue combination.
-        use ios_backend::simd::{self, Isa};
+        use ios_backend::simd;
         let groups = [1usize, 2, 3][group_case];
         let in_c = channels_per_group * groups;
         let out_c = out_per_group * groups;
@@ -518,10 +518,7 @@ proptest! {
             relu: ep_relu,
         };
         let reference = naive_conv_with_passes(&input, &params, &weights, &ep);
-        for isa in [Isa::Scalar, Isa::Sse2, Isa::Avx2] {
-            if isa > simd::detected_isa() {
-                continue;
-            }
+        for isa in simd::supported_isas() {
             let out = simd::with_forced_isa(isa, || {
                 conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena)
             });

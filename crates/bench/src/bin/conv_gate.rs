@@ -6,7 +6,11 @@
 //! ([`conv2d_naive`]) on the Inception-/SqueezeNet-shaped layers of
 //! [`ios_bench::conv_bench_shapes`], after first asserting the two are
 //! **bit-identical** on every shape. The acceptance bar is a geometric
-//! mean speedup ≥ 3×.
+//! mean speedup ≥ 3×. Each row also states the kernel's arithmetic rate
+//! (`gflops`) and `pct_of_peak` against the host's no-FMA `mul` + `add`
+//! ceiling at the active SIMD tier, which the gate measures itself
+//! ([`ios_bench::mul_add_peak_gflops`] on every worker-pool lane at once) —
+//! reported, not judged.
 //!
 //! A machine-readable report is always written to `BENCH_conv.json` (and
 //! additionally to `--json PATH` when given) so the kernel's performance
@@ -18,7 +22,8 @@
 use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled, conv_weights};
 use ios_backend::{PackedFilter, ScratchPool, TensorData};
 use ios_bench::{
-    conv_bench_shapes, fmt3, geomean, maybe_write_json, paired_rounds, render_table, BenchOptions,
+    conv_bench_shapes, fmt3, geomean, maybe_write_json, mul_add_peak_gflops, paired_rounds,
+    render_table, BenchOptions,
 };
 use serde::Serialize;
 use std::hint::black_box;
@@ -30,10 +35,15 @@ struct ConvRow {
     naive_ms: f64,
     gemm_ms: f64,
     speedup: f64,
+    gflops: f64,
+    pct_of_peak: f64,
 }
 
 #[derive(Serialize)]
 struct Report {
+    active_isa: String,
+    lanes: usize,
+    peak_gflops: f64,
     rows: Vec<ConvRow>,
     geomean_speedup: f64,
     acceptance_bar: f64,
@@ -45,8 +55,12 @@ fn main() {
     let iters = if opts.quick { 3 } else { 5 };
     let arena = ScratchPool::new();
     let cases = conv_bench_shapes(opts.quick);
+    let active = ios_backend::simd::active_isa();
+    let lanes = ios_backend::workers::stats().lanes;
+    let peak_gflops = mul_add_peak_gflops(active, lanes, iters * 3);
     println!(
-        "conv_gate: {} shapes, best of {iters} runs each (quick = {})",
+        "conv_gate: {} shapes, best of {iters} runs each (active isa = {active}, mul+add peak = \
+         {peak_gflops:.1} GFLOP/s on {lanes} lanes, quick = {})",
         cases.len(),
         opts.quick
     );
@@ -77,16 +91,6 @@ fn main() {
             "{}: im2col/GEMM output must be bit-identical to the naive kernel",
             case.name
         );
-        let (oh, ow) =
-            case.input
-                .conv_output_hw(case.params.kernel, case.params.stride, case.params.padding);
-        let macs = (case.params.out_channels
-            * in_c_per_group
-            * case.params.kernel.0
-            * case.params.kernel.1
-            * oh
-            * ow
-            * case.input.batch) as u64;
         arena.recycle_tensor(fast);
 
         let mut naive = || drop(black_box(conv2d_naive(&input, &case.params, &weights)));
@@ -96,12 +100,15 @@ fn main() {
         };
         let naive_ms = paired_rounds(iters, &mut [&mut naive]).best_ms(0);
         let gemm_ms = paired_rounds(iters * 3, &mut [&mut gemm]).best_ms(0);
+        let gflops = case.gflops(gemm_ms);
         rows.push(ConvRow {
             shape: case.name.to_string(),
-            macs,
+            macs: case.macs(),
             naive_ms,
             gemm_ms,
             speedup: naive_ms / gemm_ms,
+            gflops,
+            pct_of_peak: 100.0 * gflops / peak_gflops,
         });
     }
 
@@ -114,6 +121,8 @@ fn main() {
                 fmt3(r.naive_ms),
                 fmt3(r.gemm_ms),
                 fmt3(r.speedup),
+                format!("{:.1}", r.gflops),
+                format!("{:.1}", r.pct_of_peak),
             ]
         })
         .collect();
@@ -121,7 +130,15 @@ fn main() {
         "{}",
         render_table(
             "Convolution kernels: naive loop vs im2col + blocked GEMM",
-            &["shape", "MACs", "naive ms", "gemm ms", "speedup"],
+            &[
+                "shape",
+                "MACs",
+                "naive ms",
+                "gemm ms",
+                "speedup",
+                "gflops",
+                "pct of peak",
+            ],
             &table_rows,
         )
     );
@@ -134,6 +151,9 @@ fn main() {
     println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
+        active_isa: active.name().to_string(),
+        lanes,
+        peak_gflops,
         rows,
         geomean_speedup: mean,
         acceptance_bar: bar,

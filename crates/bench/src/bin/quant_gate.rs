@@ -10,17 +10,19 @@
 //!    pre-fusion engine served them: as separate elementwise ops, each
 //!    writing a fresh arena tensor — after asserting the fused path is
 //!    **bit-identical** to those separate passes.
-//! 2. **Int8 ≥ 1.8×** (geomean) over the fused f32 kernel, with the
+//! 2. **Int8 ≥ 1.48×** (geomean) over the fused f32 kernel, with the
 //!    quantized output **byte-identical** to the naive integer oracle on
 //!    the smallest shape, and the calibration error against the f32 kernel
 //!    within the documented `k_len · s_in · s_w[oc] · 128` bound on every
 //!    shape.
 //!
 //! Both f32 references are *pinned at the SSE2 tier* (forced through the
-//! dispatch module), the kernel these bars were calibrated against in
-//! PR 7 — a gate baseline must stay fixed so the bars keep detecting
+//! dispatch module), the tier these bars were calibrated against in
+//! PR 7 — a gate baseline should stay fixed so the bars keep detecting
 //! regressions in the paths this gate owns (fusion and the int8 kernel)
-//! rather than flipping whenever an unrelated kernel improves. The fused
+//! rather than flipping whenever a wider f32 tier improves. The pin names
+//! a tier, not a frozen kernel, so the int8 bar is spelled as what it was
+//! calibrated to and what has moved under it since ([`INT8_BAR`]). The fused
 //! bar is a *no-regression floor*, not a magnitude claim: the measured
 //! geomean is ~1.05× on the 1-core CI host but its run-to-run spread
 //! reaches ±0.03, so the bar sits at 1.01× — it trips the moment fusion
@@ -52,6 +54,17 @@ use ios_bench::{
 };
 use ios_ir::{Activation, Conv2dParams};
 use serde::Serialize;
+
+/// The int8 bar: PR 7 calibrated it as ≥ 1.8× over the SSE2-tier f32
+/// tile of its day. PR 16 wrote that tile once for every tier, which took
+/// the per-k-step slice bounds checks out of the SSE2 tier's loop: on this
+/// gate's shapes the pinned f32 reference became 1.22× faster (sixteen
+/// alternated parent/change runs, int8 ÷ pinned-f32 1.85 → 1.51) while
+/// int8 did not move (int8 ÷ the AVX2 f32 tile, whose loop is the
+/// parent's: 0.79 → 0.82). The same int8 time therefore reads
+/// 1.8 / 1.22 = 1.48 — the bar asks of the int8 kernel exactly what it
+/// asked before, no less and with no margin added.
+const INT8_BAR: f64 = 1.48;
 
 #[derive(Debug, Clone, Serialize)]
 struct QuantRow {
@@ -303,7 +316,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     let fused_bar = 1.01;
-    let int8_bar = 1.8;
+    let int8_bar = INT8_BAR;
     let pass = fused_mean >= fused_bar && int8_mean >= int8_bar && calibration_ok;
     println!(
         "fused-f32 geomean speedup ({pinned} tier): {fused_mean:.3}x (bar: >= {fused_bar:.2}x)"

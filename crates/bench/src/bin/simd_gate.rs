@@ -1,5 +1,6 @@
-//! `simd_gate` — CI acceptance gate for the explicit AVX2 f32 GEMM
-//! microkernel behind the runtime SIMD dispatch (`ios_backend::simd`).
+//! `simd_gate` — CI acceptance gate for the explicit-vector tiers of the
+//! f32 GEMM microkernel behind the runtime SIMD dispatch
+//! (`ios_backend::simd`).
 //!
 //! On the serving-hot layer shapes of [`ios_bench::simd_bench_shapes`],
 //! each run with a full bias + residual + ReLU epilogue:
@@ -8,11 +9,19 @@
 //!    ([`conv2d_im2col_packed_fused`]) is run under *every* ISA this host
 //!    supports via `with_forced_isa` and asserted bitwise equal to the
 //!    scalar-forced reference. A single differing bit fails the gate.
-//! 2. **Host-aware speedup bar** — on AVX2 hosts, the active kernel must
-//!    beat the auto-vectorized SSE2-tier baseline by a geomean ≥ 1.4×;
-//!    on hosts without AVX2 the explicit path does not exist, so the bar
-//!    degrades to a ≥ 0.95× no-regression check against the same tier
-//!    (the dispatch itself must not cost anything measurable).
+//! 2. **Host-aware speedup bar** — at AVX2 and wider, the active kernel
+//!    must beat the auto-vectorized SSE2-tier baseline by a geomean ≥ 1.4×;
+//!    below AVX2 no explicit tier exists, so the bar degrades to a ≥ 0.95×
+//!    no-regression check against the same tier (the dispatch itself must
+//!    not cost anything measurable).
+//! 3. **No explicit tier slower than the one below it** — on every row
+//!    the active tier must reach ≥ 0.95× of the next narrower tier
+//!    (AVX-512 vs AVX2, AVX2 vs SSE2): a wider tile never loses a shape.
+//! 4. **Roofline** — each row states its arithmetic rate (`gflops`) and
+//!    `pct_of_peak` against the host's no-FMA `mul` + `add` ceiling at the
+//!    active width, which the gate measures itself
+//!    ([`ios_bench::mul_add_peak_gflops`] on every worker-pool lane at
+//!    once). Reported, not judged.
 //!
 //! Speedups are medians of per-round paired ratios (baseline and wide
 //! variants run adjacently within each round, so a noisy stretch on a
@@ -29,7 +38,8 @@ use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::{self, Isa};
 use ios_backend::{ConvEpilogue, PackedFilter, ScratchPool, TensorData};
 use ios_bench::{
-    fmt3, geomean, maybe_write_json, paired_rounds, render_table, simd_bench_shapes, BenchOptions,
+    fmt3, geomean, maybe_write_json, mul_add_peak_gflops, paired_rounds, render_table,
+    simd_bench_shapes, BenchOptions,
 };
 use ios_ir::{Activation, Conv2dParams};
 use serde::Serialize;
@@ -38,17 +48,29 @@ use serde::Serialize;
 struct SimdRow {
     shape: String,
     baseline_ms: f64,
+    /// Best time at the tier just below the active one (`None` below
+    /// AVX2, where every tier runs the same portable row).
+    next_narrower_ms: Option<f64>,
     wide_ms: f64,
     speedup: f64,
+    /// Median paired ratio next-narrower ÷ active.
+    narrower_speedup: Option<f64>,
+    gflops: f64,
+    pct_of_peak: f64,
 }
 
 #[derive(Serialize)]
 struct Report {
     active_isa: String,
     baseline_isa: String,
+    next_narrower_isa: Option<String>,
+    lanes: usize,
+    peak_gflops: f64,
     rows: Vec<SimdRow>,
     geomean_speedup: f64,
     acceptance_bar: f64,
+    min_narrower_speedup: Option<f64>,
+    narrower_bar: f64,
     bit_identical: bool,
     pass: bool,
 }
@@ -60,27 +82,39 @@ fn main() {
     let cases = simd_bench_shapes();
 
     let active = simd::active_isa();
-    // On AVX2 hosts the baseline is the previous production kernel: the
-    // auto-vectorized tile at the SSE2 tier. Elsewhere there is no wider
-    // kernel to compare, so the "baseline" is the active tier itself and
-    // the bar is a pure no-regression check on the dispatch overhead.
-    let baseline = if active == Isa::Avx2 {
-        Isa::Sse2
-    } else {
-        active
-    };
-    let bar = if active == Isa::Avx2 { 1.4 } else { 0.95 };
+    let supported = simd::supported_isas();
+    // At an explicit-vector tier the baseline is the auto-vectorized tile
+    // at the SSE2 tier. Below there is no wider kernel to compare, so the
+    // "baseline" is the active tier itself and the bar is a pure
+    // no-regression check on the dispatch overhead.
+    let explicit = active >= Isa::Avx2;
+    let baseline = if explicit { Isa::Sse2 } else { active };
+    let bar = if explicit { 1.4 } else { 0.95 };
+    // The tier just below an explicit one. (Scalar and SSE2 run the same
+    // portable row, so below AVX2 there is no narrower f32 kernel.)
+    let narrower = supported.iter().copied().rfind(|&i| explicit && i < active);
+    let narrower_bar = 0.95;
+    // The tiers timed, interleaved within every round: the baseline first,
+    // the active tier last (a second run of the baseline's tier below AVX2),
+    // the next narrower tier between them unless it is the baseline.
+    let mut tiers = vec![baseline];
+    let narrower_index = narrower.map(|n| {
+        if n != baseline {
+            tiers.push(n);
+        }
+        tiers.len() - 1
+    });
+    tiers.push(active);
+    let active_index = tiers.len() - 1;
+    let lanes = ios_backend::workers::stats().lanes;
+    let peak_gflops = mul_add_peak_gflops(active, lanes, iters);
     println!(
         "simd_gate: {} shapes, best of {iters} rounds each (active isa = {active}, \
-         baseline isa = {baseline}, bar = {bar:.2}x, quick = {})",
+         baseline isa = {baseline}, bar = {bar:.2}x, mul+add peak = {peak_gflops:.1} GFLOP/s \
+         on {lanes} lanes, quick = {})",
         cases.len(),
         opts.quick
     );
-
-    let supported: Vec<Isa> = [Isa::Scalar, Isa::Sse2, Isa::Avx2]
-        .into_iter()
-        .filter(|&i| i <= simd::detected_isa())
-        .collect();
 
     let mut rows = Vec::new();
     for case in &cases {
@@ -146,61 +180,99 @@ fn main() {
         }
         arena.recycle_tensor(reference);
 
-        // Baseline and wide variants interleave within every round; the
-        // speedup is the median of the per-round paired ratios and the
-        // reported times are best-of-N (same harness as quant_gate, so
-        // single-core CI hosts don't produce noisy verdicts).
+        // The tiers interleave within every round; a speedup is the median
+        // of the per-round paired ratios and the reported times are
+        // best-of-N (same harness as quant_gate, so single-core CI hosts
+        // don't produce noisy verdicts).
         let run_packed = || {
             let out = conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena);
             arena.recycle_tensor(out);
         };
-        let rounds = paired_rounds(
-            iters,
-            &mut [
-                &mut || simd::with_forced_isa(baseline, run_packed),
-                &mut || simd::with_forced_isa(active, run_packed),
-            ],
-        );
+        let mut runs: Vec<_> = tiers
+            .iter()
+            .map(|&tier| move || simd::with_forced_isa(tier, run_packed))
+            .collect();
+        let mut variants: Vec<&mut dyn FnMut()> =
+            runs.iter_mut().map(|r| r as &mut dyn FnMut()).collect();
+        let rounds = paired_rounds(iters, &mut variants);
+        let wide_ms = rounds.best_ms(active_index);
+        let gflops = case.gflops(wide_ms);
         rows.push(SimdRow {
             shape: case.name.to_string(),
             baseline_ms: rounds.best_ms(0),
-            wide_ms: rounds.best_ms(1),
-            speedup: rounds.median_speedup(0, 1),
+            next_narrower_ms: narrower_index.map(|n| rounds.best_ms(n)),
+            wide_ms,
+            speedup: rounds.median_speedup(0, active_index),
+            narrower_speedup: narrower_index.map(|n| rounds.median_speedup(n, active_index)),
+            gflops,
+            pct_of_peak: 100.0 * gflops / peak_gflops,
         });
     }
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
+            let or_dash = |v: Option<f64>| v.map_or_else(|| "-".to_string(), fmt3);
             vec![
                 r.shape.clone(),
                 fmt3(r.baseline_ms),
+                or_dash(r.next_narrower_ms),
                 fmt3(r.wide_ms),
                 fmt3(r.speedup),
+                or_dash(r.narrower_speedup),
+                format!("{:.1}", r.gflops),
+                format!("{:.1}", r.pct_of_peak),
             ]
         })
         .collect();
+    let narrower_name = narrower.map_or("-", Isa::name);
     println!(
         "{}",
         render_table(
-            &format!("f32 GEMM microkernel: {baseline} baseline vs {active}"),
-            &["shape", "baseline ms", "wide ms", "speedup"],
+            &format!(
+                "f32 GEMM microkernel: {baseline} baseline and next narrower \
+                 ({narrower_name}) vs {active}"
+            ),
+            &[
+                "shape",
+                "baseline ms",
+                "next narrower ms",
+                "wide ms",
+                "speedup",
+                "vs narrower",
+                "gflops",
+                "pct of peak",
+            ],
             &table_rows,
         )
     );
 
     let speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
     let mean = geomean(&speedups);
-    let pass = mean >= bar;
+    let min_narrower = rows
+        .iter()
+        .filter_map(|r| r.narrower_speedup)
+        .reduce(f64::min);
+    let pass = mean >= bar && min_narrower.is_none_or(|m| m >= narrower_bar);
     println!("geomean speedup: {mean:.3}x (acceptance bar: >= {bar:.2}x)");
+    if let Some(m) = min_narrower {
+        println!(
+            "slowest row vs {narrower_name}: {m:.3}x (no-regression bar: >= {narrower_bar:.2}x)"
+        );
+    }
     println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         active_isa: active.name().to_string(),
         baseline_isa: baseline.name().to_string(),
+        next_narrower_isa: narrower.map(|n| n.name().to_string()),
+        lanes,
+        peak_gflops,
         rows,
         geomean_speedup: mean,
         acceptance_bar: bar,
+        min_narrower_speedup: min_narrower,
+        narrower_bar,
         bit_identical: true,
         pass,
     };

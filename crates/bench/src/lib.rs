@@ -17,6 +17,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use ios_backend::gemm::mul_add_probe;
+use ios_backend::simd::Isa;
 use ios_core::{
     greedy_network_schedule, optimize_network, sequential_network_schedule, IosVariant,
     NetworkSchedule, SchedulerConfig, SimCostModel,
@@ -286,6 +288,23 @@ pub struct ConvCase {
     pub params: ios_ir::Conv2dParams,
 }
 
+impl ConvCase {
+    /// Multiply-accumulates of one run of the layer (two FLOPs each).
+    #[must_use]
+    pub fn macs(&self) -> u64 {
+        let p = &self.params;
+        let (oh, ow) = self.input.conv_output_hw(p.kernel, p.stride, p.padding);
+        let k_len = self.input.channels / p.groups * p.kernel.0 * p.kernel.1;
+        (self.input.batch * p.out_channels * k_len * oh * ow) as u64
+    }
+
+    /// The layer's arithmetic rate at `ms` per run, in GFLOP/s.
+    #[must_use]
+    pub fn gflops(&self, ms: f64) -> f64 {
+        2.0 * self.macs() as f64 / (ms * 1e6)
+    }
+}
+
 /// The convolution shapes the kernel bench and gate run: Inception- and
 /// SqueezeNet-shaped layers covering 3×3, pointwise, strided-downsample
 /// and grouped cases. `quick` halves the channel counts.
@@ -490,6 +509,48 @@ pub fn paired_rounds(rounds: usize, variants: &mut [&mut dyn FnMut()]) -> Rounds
     Rounds { times_ms }
 }
 
+/// The f32 `mul` + `add` ceiling of this host at tier `isa`, measured: the
+/// best aggregate rate over `rounds` rounds of `threads` threads each
+/// running [`ios_backend::gemm::mul_add_probe`] — the f32 tile's own
+/// independent multiply-add chains, through the tile's own vector rows,
+/// from registers — in GFLOP/s. This is the roofline a gate states
+/// `pct_of_peak` against — the no-FMA arithmetic peak the bit-exact
+/// contract allows, not the FMA peak on the vendor's data sheet.
+///
+/// # Panics
+///
+/// Panics if `isa` is wider than the host executes.
+#[must_use]
+pub fn mul_add_peak_gflops(isa: Isa, threads: usize, rounds: usize) -> f64 {
+    const STEPS: usize = 1 << 19;
+    let barrier = std::sync::Barrier::new(threads);
+    let mut best = 0.0f64;
+    for _ in 0..rounds {
+        // Every thread starts at the barrier and times its own loop; the
+        // round took as long as its slowest thread.
+        let (flops, slowest) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let start = std::time::Instant::now();
+                        let flops = mul_add_probe(isa, std::hint::black_box(STEPS));
+                        (flops, start.elapsed().as_secs_f64())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("peak probe thread"))
+                .fold((0u64, 0.0f64), |(f, t), (flops, secs)| {
+                    (f + flops, t.max(secs))
+                })
+        });
+        best = best.max(flops as f64 / slowest / 1e9);
+    }
+    best
+}
+
 /// Writes any serializable value as pretty JSON if a path was requested.
 pub fn maybe_write_json<T: Serialize>(opts: &BenchOptions, value: &T) {
     if let Some(path) = &opts.json {
@@ -566,6 +627,29 @@ mod tests {
         assert_eq!(rows.len(), 6);
         assert!(rows.iter().any(|r| r.label == "IOS"));
         assert!(rows.iter().any(|r| r.label == "TensorRT"));
+    }
+
+    #[test]
+    fn conv_case_counts_macs_and_every_tier_has_a_peak() {
+        let case = ConvCase {
+            name: "t",
+            input: ios_ir::TensorShape::new(2, 6, 9, 9),
+            params: ios_ir::Conv2dParams {
+                groups: 2,
+                ..ios_ir::Conv2dParams::plain(8, (3, 3), (2, 2), (1, 1))
+            },
+        };
+        // 5×5 outputs, k = 3 channels · 9 taps per group.
+        assert_eq!(case.macs(), 2 * 8 * 27 * 25);
+        assert!((case.gflops(1.0) - 2.0 * case.macs() as f64 / 1e6).abs() < 1e-12);
+        // The probe runs (and finishes with a finite positive rate) at
+        // every tier the host executes, on one thread and on two.
+        for isa in ios_backend::simd::supported_isas() {
+            for threads in [1, 2] {
+                let peak = mul_add_peak_gflops(isa, threads, 1);
+                assert!(peak.is_finite() && peak > 0.0, "{isa} x{threads}: {peak}");
+            }
+        }
     }
 
     #[test]

@@ -408,7 +408,7 @@ impl ServeEngine {
         self.shared.metrics.prometheus_text(&External {
             cache: self.shared.cache.stats(),
             weights: self.shared.weights.footprint(),
-            isa: ios_backend::simd::active_isa().name(),
+            isa: ios_backend::simd::active_isa(),
             pool: ios_backend::workers::stats(),
         })
     }

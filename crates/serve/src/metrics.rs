@@ -18,6 +18,7 @@
 
 use crate::cache::CacheStats;
 use crate::request::TenantId;
+use ios_backend::simd::{self, Isa, KernelPath};
 use ios_backend::workers::PoolStats;
 use ios_backend::WeightFootprint;
 use ios_telemetry::{prometheus as prom, Histogram, HistogramSnapshot};
@@ -100,8 +101,9 @@ pub(crate) struct TenantMetrics {
 pub(crate) struct External {
     pub cache: CacheStats,
     pub weights: WeightFootprint,
-    /// Name of the microkernel ISA tier in use.
-    pub isa: &'static str,
+    /// The selected microkernel ISA tier; each numeric path is reported at
+    /// the tier it executes under it ([`simd::executed_isa`]).
+    pub isa: Isa,
     pub pool: PoolStats,
 }
 
@@ -282,7 +284,13 @@ impl ServeMetrics {
     /// counters.
     pub fn prometheus_text(&self, ext: &External) -> String {
         let mut out = String::new();
-        let (cache, pool, isa) = (ext.cache, ext.pool, ext.isa);
+        let (cache, pool) = (ext.cache, ext.pool);
+        let kernel = |label, path| {
+            [
+                ("path", label),
+                ("isa", simd::executed_isa(path, ext.isa).name()),
+            ]
+        };
         table! { &mut out;
             counter "ios_requests_completed_total" = self.completed.get(),
                 "Requests answered since the engine started.";
@@ -317,7 +325,7 @@ impl ServeMetrics {
             gauge "ios_weight_cache_int8_bytes" = ext.weights.int8_bytes as f64,
                 "Bytes of int8 quantized weights (and scales) held by the weight cache.";
             info "ios_simd_kernel" =
-                &[&[("path", "f32"), ("isa", isa)], &[("path", "int8"), ("isa", isa)]],
+                &[&kernel("f32", KernelPath::F32), &kernel("int8", KernelPath::Int8)],
                 "Selected microkernel ISA per numeric path (info gauge, constant 1).";
             gauge "ios_worker_pool_lanes" = pool.lanes as f64,
                 "Lanes of the process-wide worker pool: its parked helpers plus the caller.";
@@ -656,7 +664,7 @@ mod tests {
                 f32_bytes: 640,
                 int8_bytes: 0,
             },
-            isa: "avx2",
+            isa: Isa::Avx2,
             pool: PoolStats {
                 lanes: 2,
                 op_jobs: 0,

@@ -405,14 +405,19 @@ fn int8_engine_serves_the_quantized_path_and_reports_its_footprint() {
     assert!(samples > 0);
     assert!(text.contains("ios_weight_cache_f32_bytes"));
     assert!(text.contains("ios_weight_cache_int8_bytes"));
-    // The selected-microkernel info gauge reports the dispatch module's
-    // active ISA for both numeric paths, constant-1 style.
-    let isa = ios_backend::simd::active_isa().name();
-    assert!(
-        text.contains(&format!("ios_simd_kernel{{path=\"f32\",isa=\"{isa}\"}} 1")),
-        "missing f32 simd kernel info gauge in:\n{text}"
-    );
-    assert!(text.contains(&format!("ios_simd_kernel{{path=\"int8\",isa=\"{isa}\"}} 1")));
+    // The selected-microkernel info gauge reports, constant-1 style, the
+    // tier each numeric path executes under the dispatch module's active
+    // ISA (the int8 tiles stop at AVX2).
+    use ios_backend::simd::{self, KernelPath};
+    for (path, kernel) in [("f32", KernelPath::F32), ("int8", KernelPath::Int8)] {
+        let isa = simd::executed_isa(kernel, simd::active_isa());
+        assert!(
+            text.contains(&format!(
+                "ios_simd_kernel{{path=\"{path}\",isa=\"{isa}\"}} 1"
+            )),
+            "missing {path} simd kernel info gauge in:\n{text}"
+        );
+    }
     let quant_fp = quant_weights.footprint();
     assert!(
         quant_fp.int8_bytes > 0,
