@@ -6,8 +6,8 @@
 //! Run with: `cargo bench -p ios-bench --bench conv_kernels`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled, conv_weights};
-use ios_backend::{PackedFilter, ScratchPool, TensorData};
+use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled};
+use ios_backend::ScratchPool;
 use ios_bench::conv_bench_shapes;
 
 fn bench_conv_kernels(c: &mut Criterion) {
@@ -15,20 +15,7 @@ fn bench_conv_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_kernels");
     group.sample_size(5);
     for case in conv_bench_shapes(true) {
-        let input = TensorData::random(case.input, 7);
-        let in_c_per_group = case.input.channels / case.params.groups;
-        let weights = conv_weights(
-            11,
-            case.params.out_channels,
-            in_c_per_group,
-            case.params.kernel,
-        );
-        let packed = PackedFilter::pack(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            in_c_per_group * case.params.kernel.0 * case.params.kernel.1,
-        );
+        let (input, weights, packed) = case.operands();
         group.bench_with_input(BenchmarkId::new("naive", case.name), &case, |b, case| {
             b.iter(|| conv2d_naive(&input, &case.params, &weights))
         });

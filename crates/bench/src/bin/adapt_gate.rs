@@ -29,75 +29,23 @@
 //! ≥ 2 cores the accepted-p99 must stay ≤ 3× the unloaded p99; on a
 //! single-core host client threads, worker and controller all contend for
 //! one CPU, so the gate relaxes the ratio to 6× (shedding still has to
-//! prove exact accounting and bit-identity there). The JSON report
-//! (`BENCH_adapt.json`, plus `--json PATH`) records both bars, every
-//! counter and which bar was enforced.
+//! prove exact accounting and bit-identity there).
+//!
+//! Judged and reported (`BENCH_adapt.json`) through [`ios_bench::gate`].
 //!
 //! Run with: `cargo run --release -p ios-bench --bin adapt_gate`
 //! (`--quick` shortens the request streams for CI).
 
 use ios_backend::{execute_network, TensorData};
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_bench::{cells, gate_network, Gate, Table};
 use ios_serve::{PipelineMode, Rejected, ServeConfig, ServeEngine, ServeError};
-use serde::Serialize;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[derive(Serialize)]
-struct Report {
-    host_parallelism: usize,
-    baseline_requests: usize,
-    baseline_p99_ms: f64,
-    overload_clients: usize,
-    overload_offered: u64,
-    overload_accepted: u64,
-    overload_shed: u64,
-    overload_p99_ms: f64,
-    /// Accepted-request p99 under overload over unloaded p99.
-    p99_ratio: f64,
-    acceptance_bar: f64,
-    multi_core_bar: f64,
-    replans_observed: u64,
-    bitexact_checks: u64,
-    bitexact_violations: u64,
-    pass: bool,
-}
-
-/// The serving workload: a three-block branchy stack, heavy enough
-/// (~16-channel 3×3 convs) that execution time dominates scheduling
-/// jitter, small enough that the gate finishes in seconds.
-fn gate_network() -> Network {
-    let input = TensorShape::new(1, 16, 12, 12);
-    let mut shape = input;
-    let mut blocks = Vec::with_capacity(3);
-    for i in 0..3 {
-        let mut b = GraphBuilder::new(format!("adapt_gate_b{i}"), shape);
-        let x = b.input(0);
-        let a = b.conv2d(
-            format!("b{i}_a3"),
-            x,
-            Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)),
-        );
-        let c = b.conv2d(
-            format!("b{i}_c1"),
-            x,
-            Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)),
-        );
-        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
-        let block = Block::new(b.build(vec![cat]));
-        shape = block.graph.output_shapes()[0];
-        blocks.push(block);
-    }
-    Network::new("adapt_gate_net", input, blocks)
-}
-
-fn main() {
-    let opts = BenchOptions::from_args();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("adapt");
     let net = gate_network();
     let references: Vec<Vec<TensorData>> = (0..8)
         .map(|seed| {
@@ -105,7 +53,7 @@ fn main() {
             execute_network(&net, std::slice::from_ref(&input))
         })
         .collect();
-    let baseline_requests = if opts.quick { 1000 } else { 3000 };
+    let baseline_requests: usize = if gate.opts.quick { 1000 } else { 3000 };
     let overload_accepted_target = baseline_requests as u64;
     let overload_clients = 4usize;
 
@@ -134,11 +82,6 @@ fn main() {
     // engine's tail.
     let baseline_p99 = engine.metrics().p99_latency_us / 1e3;
     engine.shutdown();
-    println!(
-        "adapt_gate: {cores} cores, unloaded p99 {:.3} ms over {baseline_requests} requests \
-         (quick = {})",
-        baseline_p99, opts.quick
-    );
 
     // ---- Phase 2: overload with shedding ---------------------------
     // Capacity 1 bounds how much backlog an accepted request can sit
@@ -220,10 +163,6 @@ fn main() {
     // requests ever enter the latency histogram.
     let overload_p99 = metrics.p99_latency_us / 1e3;
     let p99_ratio = overload_p99 / baseline_p99;
-    println!(
-        "adapt_gate: overload accepted {overload_accepted}/{overload_offered} \
-         (shed {overload_shed}), accepted p99 {overload_p99:.3} ms ({p99_ratio:.2}x unloaded)"
-    );
 
     // ---- Phase 3: mix-shift re-plan, bit-identical across the swap --
     let mut config = ServeConfig::default()
@@ -256,7 +195,6 @@ fn main() {
     };
     // Singles until the controller plans for batch 1, then bursts of 4
     // until it re-plans for the shifted mix.
-    let mut phase_ok = true;
     let stop_at = Instant::now() + Duration::from_secs(60);
     while engine.metrics().replans < 1 && Instant::now() < stop_at {
         let handle = engine
@@ -278,86 +216,55 @@ fn main() {
         check(handles, &seeds);
     }
     let replans_observed = engine.metrics().replans;
-    if replans_observed < 1 {
-        println!("adapt_gate: controller never re-planned within the time budget");
-        phase_ok = false;
-    }
     engine.shutdown();
 
     // ---- Verdict ---------------------------------------------------
-    let multi_core_bar = 3.0;
-    let single_core_bar = 6.0;
-    let bar = if cores >= 2 {
-        multi_core_bar
-    } else {
-        println!(
-            "single-core host: clients, worker and controller contend for one CPU, so the \
-             latency ratio bar relaxes to {single_core_bar:.1}x (>= 2 cores enforces \
-             {multi_core_bar:.1}x). Accounting, shedding and bit-identity are still enforced."
-        );
-        single_core_bar
-    };
     let checks = bitexact_checks.load(Ordering::SeqCst);
     let violations = bitexact_violations.load(Ordering::SeqCst);
-    let pass = phase_ok
-        && p99_ratio <= bar
-        && overload_shed > 0
-        && violations == 0
-        && replans_observed >= 1;
-
-    println!(
-        "{}",
-        render_table(
-            "Runtime adaptation gate: shed-mode tail latency and re-planning",
-            &[
-                "unloaded p99 ms",
-                "overload p99 ms",
-                "ratio",
-                "bar",
-                "shed",
-                "replans",
-                "bit-exact"
-            ],
-            &[vec![
-                fmt3(baseline_p99),
-                fmt3(overload_p99),
-                fmt3(p99_ratio),
-                format!("<= {bar:.1}x"),
-                overload_shed.to_string(),
-                replans_observed.to_string(),
-                format!("{}/{} ok", checks - violations, checks),
-            ]],
-        )
+    let mut table = Table::new(
+        "Runtime adaptation gate: shed-mode tail latency and re-planning",
+        &[
+            ("baseline_requests", "unloaded requests"),
+            ("baseline_p99_ms", "unloaded p99 ms"),
+            ("overload_clients", "clients"),
+            ("overload_offered", "offered"),
+            ("overload_accepted", "accepted"),
+            ("overload_shed", "shed"),
+            ("overload_p99_ms", "overload p99 ms"),
+            ("replans_observed", "replans"),
+            ("bitexact_checks", "bit-exact checks"),
+            ("bitexact_violations", "violations"),
+        ],
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        host_parallelism: cores,
+    table.row(cells![
         baseline_requests,
-        baseline_p99_ms: baseline_p99,
+        baseline_p99,
         overload_clients,
         overload_offered,
         overload_accepted,
         overload_shed,
-        overload_p99_ms: overload_p99,
-        p99_ratio,
-        acceptance_bar: bar,
-        multi_core_bar,
+        overload_p99,
         replans_observed,
-        bitexact_checks: checks,
-        bitexact_violations: violations,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_adapt.json", json) {
-                eprintln!("failed to write BENCH_adapt.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_adapt.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+        checks,
+        violations,
+    ]);
+    gate.table(&table);
+
+    // On one core the clients, the worker and the controller contend for
+    // the same CPU, so the latency ratio relaxes; accounting, shedding and
+    // bit-identity are enforced everywhere.
+    let ratio_bar = gate.by_cores(3.0, 6.0);
+    gate.at_most(
+        "accepted p99 under overload / unloaded p99",
+        p99_ratio,
+        ratio_bar,
+    );
+    gate.at_least("offers shed", overload_shed as f64, 1.0);
+    gate.at_most("bit-exactness violations", violations as f64, 0.0);
+    gate.at_least(
+        "re-plans observed within the time budget",
+        replans_observed as f64,
+        1.0,
+    );
+    gate.finish()
 }

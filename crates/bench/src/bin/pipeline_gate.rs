@@ -22,19 +22,18 @@
 //! Flat and pipelined streams alternate within each timing round and the
 //! speedup is the median of the per-round ratios (`ios_bench::paired_rounds`).
 //!
-//! The acceptance bar follows the plan's own prediction — the rule the
-//! engine's `PipelineMode::Auto` applies (`PipelinePlan::prefers_pipeline_vs`):
-//! where the plan predicts the pipeline out-serves the flat path, the
-//! pipelined stream must reach **≥ 1.15×** the flat throughput; where it
-//! does not, the pipeline only has to not regress (**≥ 0.95×**). The
-//! prediction is asked about the flat path as it runs today: since the
-//! process-wide worker pool, a flat batch keeps every core busy —
-//! intra-operator chunks fill the straggler round that the plan's
-//! one-sample-per-worker flat model charges a ragged batch — so the flat
-//! side is evaluated at a whole round (`cores` samples over `cores`
-//! workers). The JSON report (`BENCH_pipeline.json`, plus `--json PATH`)
-//! records which bar was enforced, the chosen plan and the measured
-//! per-block costs.
+//! The pipeline only has to not regress: the pipelined stream must reach
+//! **≥ 0.95×** the flat throughput. It cannot be asked for a win, because
+//! its own plan never predicts one against the flat path as it runs today:
+//! since the process-wide worker pool a flat batch keeps every core busy
+//! (intra-operator chunks fill the straggler round of a ragged batch), so
+//! flat serving costs `total / cores` per sample, and
+//! `PipelinePlan::for_segments` puts the pipeline's period at
+//! `(total + hand-offs) / workers` or above with `workers = cores`.
+//!
+//! Judged and reported (`BENCH_pipeline.json`) through [`ios_bench::gate`]:
+//! the chosen plan, its predictions and the measured per-block costs ride
+//! along as facts and a second table.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin pipeline_gate`
 //! (`--quick` shortens the stream and the profiling policy for CI).
@@ -43,40 +42,12 @@ use ios_backend::{
     execute_network_batched, stack_batch, CpuStageProfiler, NetworkWeights,
     PipelinedNetworkExecutor, ScratchPool, TensorData,
 };
-use ios_bench::{fmt3, maybe_write_json, paired_rounds, render_table, BenchOptions};
+use ios_bench::{cells, paired_rounds, Cell, Gate, Table};
 use ios_core::{plan_pipeline, sequential_network_schedule, PipelinePlan, ProfiledCostModel};
 use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
-use serde::Serialize;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-#[derive(Serialize)]
-struct Report {
-    host_parallelism: usize,
-    batch: usize,
-    stream_batches: usize,
-    stream_samples: usize,
-    blocks: usize,
-    /// Chosen segmentation, e.g. `"[0..2 | 2..4 | 4..6 | 6..8]"`.
-    plan: String,
-    segments: usize,
-    /// Per-block latencies measured under concurrent load, µs.
-    block_costs_us: Vec<f64>,
-    /// Planner-predicted steady-state period, µs per sample.
-    predicted_period_us: f64,
-    /// Planner-predicted speedup over flat at this batch size.
-    predicted_speedup: f64,
-    /// Background load workers active while profiling block costs.
-    profile_load_threads: usize,
-    flat_ms: f64,
-    pipelined_ms: f64,
-    speedup: f64,
-    /// Whether the plan predicts the pipeline beats the flat path (selects
-    /// the bar).
-    plan_prefers_pipeline: bool,
-    acceptance_bar: f64,
-    pass: bool,
-}
 
 /// A uniform stack of branchy blocks — deep enough to cut into balanced
 /// segments, heavy enough (≈ 10 MFLOP per block) that the per-segment
@@ -111,17 +82,16 @@ fn pipeline_stack(blocks: usize) -> Network {
     Network::new("pipe_stack", input, out)
 }
 
-fn main() {
-    let opts = BenchOptions::from_args();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("pipeline");
+    let quick = gate.opts.quick;
+    let cores = gate.host.cores;
     // The ragged batch: one more sample than the host has cores, so flat
     // execution pays a straggler round on every batch.
     let batch = cores + 1;
-    let stream_batches = if opts.quick { 6 } else { 10 };
-    let iters = if opts.quick { 31 } else { 51 };
-    let (warmup, repeats) = if opts.quick { (1, 2) } else { (1, 3) };
+    let stream_batches = if quick { 6 } else { 10 };
+    let iters = if quick { 31 } else { 51 };
+    let (warmup, repeats) = if quick { (1, 2) } else { (1, 3) };
     let blocks = 8;
 
     let net = pipeline_stack(blocks);
@@ -138,18 +108,15 @@ fn main() {
     );
     let schedule = sequential_network_schedule(&net, &cost);
     let plan: PipelinePlan = plan_pipeline(&net, &schedule, &cost, cores, None);
-    println!(
-        "pipeline_gate: {} cores, batch {batch} ({} batches = {} samples streamed), plan {} \
-         (period {:.0} µs, predicted {:.2}x vs flat, profiled under {} load workers, quick = {})",
-        cores,
-        stream_batches,
-        stream_batches * batch,
-        plan.segments,
-        plan.period_us,
-        plan.predicted_speedup(batch),
-        profile_load_threads,
-        opts.quick
-    );
+    gate.fact("batch", batch);
+    gate.fact("stream_batches", stream_batches);
+    gate.fact("stream_samples", stream_batches * batch);
+    gate.fact("blocks", blocks);
+    gate.fact("plan", plan.segments.to_string());
+    gate.fact("segments", plan.segments.num_segments());
+    gate.fact("predicted_period_us", plan.period_us);
+    gate.fact("predicted_speedup", plan.predicted_speedup(batch));
+    gate.fact("profile_load_threads", profile_load_threads);
 
     // The streamed input: `stream_batches` ragged batches of distinct
     // deterministic samples.
@@ -233,75 +200,37 @@ fn main() {
     };
 
     let rounds = paired_rounds(iters, &mut [&mut flat, &mut pipelined]);
-    let (flat_ms, pipelined_ms) = (rounds.best_ms(0), rounds.best_ms(1));
     let speedup = rounds.median_speedup(0, 1);
-    let plan_prefers_pipeline = plan.prefers_pipeline_vs(cores, cores);
-    let bar = if plan_prefers_pipeline {
-        1.15
-    } else {
-        println!(
-            "the plan does not predict a win over a flat path that keeps all {cores} cores \
-             busy (period {:.0} µs vs {:.0} µs per sample flat): enforcing no-regression",
-            plan.period_us,
-            plan.flat_us_per_sample_with(cores, cores)
-        );
-        0.95
-    };
-    let pass = speedup >= bar;
 
-    println!(
-        "{}",
-        render_table(
-            "Cross-block pipelined serving vs flat batched serving",
-            &[
-                "stream",
-                "flat ms",
-                "pipelined ms",
-                "speedup",
-                "plan",
-                "bar"
-            ],
-            &[vec![
-                format!("{}x batch {batch}", stream_batches),
-                fmt3(flat_ms),
-                fmt3(pipelined_ms),
-                fmt3(speedup),
-                plan.segments.to_string(),
-                format!(">= {bar:.2}x"),
-            ]],
-        )
+    let mut table = Table::new(
+        "Cross-block pipelined serving vs flat batched serving",
+        &[
+            ("stream", "stream"),
+            ("flat_ms", "flat ms"),
+            ("pipelined_ms", "pipelined ms"),
+            ("speedup", "speedup"),
+        ],
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        host_parallelism: cores,
-        batch,
-        stream_batches,
-        stream_samples: stream_batches * batch,
-        blocks,
-        plan: plan.segments.to_string(),
-        segments: plan.segments.num_segments(),
-        block_costs_us: plan.block_costs_us.clone(),
-        predicted_period_us: plan.period_us,
-        predicted_speedup: plan.predicted_speedup(batch),
-        profile_load_threads,
-        flat_ms,
-        pipelined_ms,
+    table.row(cells![
+        format!("{stream_batches}x batch {batch}"),
+        rounds.best_ms(0),
+        rounds.best_ms(1),
         speedup,
-        plan_prefers_pipeline,
-        acceptance_bar: bar,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_pipeline.json", json) {
-                eprintln!("failed to write BENCH_pipeline.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_pipeline.json: {e}"),
+    ]);
+    gate.table(&table);
+    let mut costs = Table::new(
+        "Block latencies measured under concurrent load",
+        &[("block", "block"), ("cost_us", "cost us")],
+    );
+    for (block, &cost_us) in plan.block_costs_us.iter().enumerate() {
+        costs.row(cells![block, Cell::Num(cost_us, 1)]);
     }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate.table(&costs);
+
+    gate.at_least(
+        "pipelined vs flat throughput, median of paired rounds",
+        speedup,
+        0.95,
+    );
+    gate.finish()
 }

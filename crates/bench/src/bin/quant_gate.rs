@@ -29,31 +29,27 @@
 //! stops paying for itself while staying clear of scheduler noise. The
 //! explicit AVX2 f32 tile (PR 9) outruns the int8 path outright, so the
 //! active-tier fused time and the int8-vs-active ratio are reported
-//! informationally (`fuse x@act` column, `int8_vs_active_*` JSON fields)
-//! without a bar; the cross-tier f32 comparison itself is `simd_gate`'s
-//! job. On AVX2 hosts int8's value is the ~4× smaller weight cache, not
-//! latency — see the README "Quantized execution" section.
+//! informationally (`fused@act ms` and `int8 x@act` columns, the
+//! `int8_vs_active_geomean` fact) without a bar; the cross-tier f32
+//! comparison itself is `simd_gate`'s job. On AVX2 hosts int8's value is
+//! the ~4× smaller weight cache, not latency — see the README "Quantized
+//! execution" section.
 //!
 //! Speedups are medians of per-round paired ratios (the variants run
 //! adjacently within each round, so a noisy stretch on a shared host
 //! cancels out of the ratio); the reported per-variant times are
-//! best-of-N. A machine-readable report is always written to
-//! `BENCH_quant.json` (and additionally to `--json PATH` when given).
+//! best-of-N. Judged and reported (`BENCH_quant.json`) through
+//! [`ios_bench::gate`].
 //!
 //! Run with: `cargo run --release -p ios-bench --bin quant_gate`
 //! (`--quick` lowers the iteration count; the shapes stay full-size).
 
 use ios_backend::gemm::{conv2d_im2col_packed_fused, conv2d_im2col_quant_fused};
-use ios_backend::ops_cpu::{conv2d_naive_quant, conv2d_packed_pooled, conv_weights};
+use ios_backend::ops_cpu::{conv2d_naive_quant, conv2d_packed_pooled};
 use ios_backend::simd::{self, Isa};
-use ios_backend::{
-    sample_scale, ConvEpilogue, PackedFilter, QuantizedFilter, ScratchPool, TensorData,
-};
-use ios_bench::{
-    fmt3, geomean, maybe_write_json, paired_rounds, quant_bench_shapes, render_table, BenchOptions,
-};
-use ios_ir::{Activation, Conv2dParams};
-use serde::Serialize;
+use ios_backend::{sample_scale, ConvEpilogue, QuantizedFilter, ScratchPool};
+use ios_bench::{cells, geomean, paired_rounds, quant_bench_shapes, Gate, Table};
+use std::process::ExitCode;
 
 /// The int8 bar: PR 7 calibrated it as ≥ 1.8× over the SSE2-tier f32
 /// tile of its day. PR 16 wrote that tile once for every tier, which took
@@ -66,50 +62,18 @@ use serde::Serialize;
 /// asked before, no less and with no margin added.
 const INT8_BAR: f64 = 1.48;
 
-#[derive(Debug, Clone, Serialize)]
-struct QuantRow {
-    shape: String,
-    baseline_ms: f64,
-    fused_ms: f64,
-    fused_active_ms: f64,
-    int8_ms: f64,
-    fused_speedup: f64,
-    int8_speedup: f64,
-    int8_vs_active_fused: f64,
-    max_calibration_error: f64,
-    calibration_bound: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    pinned_isa: String,
-    active_isa: String,
-    rows: Vec<QuantRow>,
-    fused_geomean_speedup: f64,
-    int8_geomean_speedup: f64,
-    int8_vs_active_geomean: f64,
-    fused_acceptance_bar: f64,
-    int8_acceptance_bar: f64,
-    pass: bool,
-}
-
-fn main() {
-    let opts = BenchOptions::from_args();
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("quant");
     // The fusion bar is a ~5 % effect, so even quick mode needs enough
     // paired rounds for the per-round median to settle on a 1-core host.
-    let iters = if opts.quick { 13 } else { 21 };
+    let iters = if gate.opts.quick { 13 } else { 21 };
     let arena = ScratchPool::new();
     let cases = quant_bench_shapes();
     // The fusion and int8 bars are calibrated against the SSE2-tier f32
     // kernel (see the module docs); the active tier rides along unbarred.
     let pinned = Isa::Sse2.min(simd::detected_isa());
-    let active = simd::active_isa();
-    println!(
-        "quant_gate: {} shapes, best of {iters} runs each (f32 reference pinned at {pinned}, \
-         active isa = {active}, quick = {})",
-        cases.len(),
-        opts.quick
-    );
+    gate.fact("pinned_isa", pinned.name());
+    gate.fact("paired_rounds", iters);
 
     // The byte-identity oracle run is O(naive); do it once, on the
     // cheapest shape.
@@ -119,46 +83,31 @@ fn main() {
         .map(|c| c.name)
         .unwrap_or_default();
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "Epilogue fusion + int8: separate passes vs fused f32 (pinned tier) vs quantized",
+        &[
+            ("shape", "shape"),
+            ("baseline_ms", "separate ms"),
+            ("fused_ms", "fused ms"),
+            ("fused_active_ms", "fused@act ms"),
+            ("int8_ms", "int8 ms"),
+            ("fused_speedup", "fuse x"),
+            ("int8_speedup", "int8 x"),
+            ("int8_vs_active_fused", "int8 x@act"),
+            ("max_calibration_error", "max |err|"),
+            ("calibration_bound", "|err| bound"),
+        ],
+    );
     let mut calibration_ok = true;
     for case in &cases {
-        let input = TensorData::random(case.input, 7);
-        let in_c_per_group = case.input.channels / case.params.groups;
-        let weights = conv_weights(
-            11,
-            case.params.out_channels,
-            in_c_per_group,
-            case.params.kernel,
-        );
-        let k_len = in_c_per_group * case.params.kernel.0 * case.params.kernel.1;
-        let packed = PackedFilter::pack(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            k_len,
-        );
-        let quant = QuantizedFilter::quantize(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            k_len,
-        );
+        let (input, weights, packed) = case.operands();
+        let (out_channels, k_len) = (case.params.out_channels, case.k_len());
+        let quant = QuantizedFilter::quantize(&weights, out_channels, case.params.groups, k_len);
 
         // Epilogue operands: per-output-channel bias and a full residual
         // tensor, applied with ReLU — the serving-hot epilogue shape.
-        let plain = Conv2dParams {
-            activation: Activation::None,
-            ..case.params
-        };
-        let out_channels = case.params.out_channels;
-        let bias = conv_weights(13, out_channels, 1, (1, 1));
-        let out_shape = {
-            let probe = conv2d_packed_pooled(&input, &plain, &packed, &arena);
-            let shape = probe.shape;
-            arena.recycle_tensor(probe);
-            shape
-        };
-        let residual = TensorData::random(out_shape, 17);
+        let (plain, bias, residual) = case.epilogue_operands();
+        let out_shape = residual.shape;
         let plane = out_shape.height * out_shape.width;
         let ep = ConvEpilogue {
             input_relu: false,
@@ -258,106 +207,38 @@ fn main() {
                 &mut || arena.recycle_tensor(run_int8()),
             ],
         );
-        rows.push(QuantRow {
-            shape: case.name.to_string(),
-            baseline_ms: rounds.best_ms(0),
-            fused_ms: rounds.best_ms(1),
-            fused_active_ms: rounds.best_ms(2),
-            int8_ms: rounds.best_ms(3),
-            fused_speedup: rounds.median_speedup(0, 1),
-            int8_speedup: rounds.median_speedup(1, 3),
-            int8_vs_active_fused: rounds.median_speedup(2, 3),
-            max_calibration_error: max_err,
-            calibration_bound: bound,
-        });
+        table.row(cells![
+            case.name,
+            rounds.best_ms(0),
+            rounds.best_ms(1),
+            rounds.best_ms(2),
+            rounds.best_ms(3),
+            rounds.median_speedup(0, 1),
+            rounds.median_speedup(1, 3),
+            rounds.median_speedup(2, 3),
+            max_err,
+            bound,
+        ]);
     }
+    gate.table(&table);
 
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.shape.clone(),
-                fmt3(r.baseline_ms),
-                fmt3(r.fused_ms),
-                fmt3(r.fused_active_ms),
-                fmt3(r.int8_ms),
-                fmt3(r.fused_speedup),
-                fmt3(r.int8_speedup),
-                fmt3(r.int8_vs_active_fused),
-                format!("{:.2e}", r.max_calibration_error),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Epilogue fusion + int8: separate passes vs fused f32 (pinned tier) vs quantized",
-            &[
-                "shape",
-                "separate ms",
-                "fused ms",
-                "fused@act ms",
-                "int8 ms",
-                "fuse x",
-                "int8 x",
-                "int8 x@act",
-                "max |err|",
-            ],
-            &table_rows,
-        )
+    gate.fact(
+        "int8_vs_active_geomean",
+        geomean(&table.column("int8_vs_active_fused")),
     );
-
-    let fused_mean = geomean(&rows.iter().map(|r| r.fused_speedup).collect::<Vec<_>>());
-    let int8_mean = geomean(&rows.iter().map(|r| r.int8_speedup).collect::<Vec<_>>());
-    let active_mean = geomean(
-        &rows
-            .iter()
-            .map(|r| r.int8_vs_active_fused)
-            .collect::<Vec<_>>(),
+    gate.at_least(
+        format!("fused-f32 geomean speedup over separate passes ({pinned} tier)"),
+        geomean(&table.column("fused_speedup")),
+        1.01,
     );
-    let fused_bar = 1.01;
-    let int8_bar = INT8_BAR;
-    let pass = fused_mean >= fused_bar && int8_mean >= int8_bar && calibration_ok;
-    println!(
-        "fused-f32 geomean speedup ({pinned} tier): {fused_mean:.3}x (bar: >= {fused_bar:.2}x)"
+    gate.at_least(
+        format!("int8 geomean speedup over fused-f32 ({pinned} tier)"),
+        geomean(&table.column("int8_speedup")),
+        INT8_BAR,
     );
-    println!(
-        "int8 geomean speedup over fused-f32 ({pinned} tier): {int8_mean:.3}x (bar: >= {int8_bar:.2}x)"
+    gate.check(
+        "calibration error within bound on every shape",
+        calibration_ok,
     );
-    println!(
-        "int8 geomean vs fused-f32 at the active tier ({active}): {active_mean:.3}x (informational)"
-    );
-    println!(
-        "calibration: {}",
-        if calibration_ok {
-            "within bound on every shape"
-        } else {
-            "BOUND EXCEEDED"
-        }
-    );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        pinned_isa: pinned.name().to_string(),
-        active_isa: active.name().to_string(),
-        rows,
-        fused_geomean_speedup: fused_mean,
-        int8_geomean_speedup: int8_mean,
-        int8_vs_active_geomean: active_mean,
-        fused_acceptance_bar: fused_bar,
-        int8_acceptance_bar: int8_bar,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_quant.json", json) {
-                eprintln!("failed to write BENCH_quant.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_quant.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate.finish()
 }

@@ -23,13 +23,12 @@
 //! single-core host no schedule can beat sequential wall-clock through
 //! concurrency, the profiled model's job is to *recognize* that and
 //! converge to (near-)sequential schedules, and the gate enforces
-//! no-regression (geomean ≥ 0.95×) instead. The JSON report records which
-//! bar was enforced.
+//! no-regression (geomean ≥ 0.95×) instead.
 //!
-//! A machine-readable report is always written to `BENCH_sched.json` (and
-//! additionally to `--json PATH` when given): per-block timings, the
-//! profiled-vs-simulated stage decompositions and whether they diverged —
-//! the README's "schedule divergence" table is generated from this.
+//! Judged and reported (`BENCH_sched.json`) through [`ios_bench::gate`]:
+//! per-block timings, the profiled-vs-simulated stage decompositions and
+//! whether they diverged — the README's "schedule divergence" table is
+//! generated from this.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin sched_gate`
 //! (`--quick` profiles fewer blocks with fewer repeats for CI's PR lane).
@@ -38,7 +37,7 @@ use ios_backend::{
     execute_graph_pooled, execute_schedule_pooled, max_abs_difference, BlockWeights,
     CpuStageProfiler, ScratchPool, TensorData,
 };
-use ios_bench::{fmt3, geomean, maybe_write_json, paired_rounds, render_table, BenchOptions};
+use ios_bench::{cells, geomean, paired_rounds, Gate, Table};
 use ios_core::{
     schedule_graph, ParallelizationStrategy, ProfiledCostModel, Schedule, SchedulerConfig,
     SimCostModel,
@@ -46,39 +45,8 @@ use ios_core::{
 use ios_ir::Graph;
 use ios_models::RandWireConfig;
 use ios_sim::Simulator;
-use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
-
-#[derive(Debug, Clone, Serialize)]
-struct SchedRow {
-    block: String,
-    ops: usize,
-    /// Stage latency measurements the profiled optimization performed.
-    profiled_stages: u64,
-    seq_ms: f64,
-    ios_ms: f64,
-    sim_guided_ms: f64,
-    speedup_vs_seq: f64,
-    speedup_vs_sim_guided: f64,
-    /// `stages(strategy summary)` of the CPU-profiled schedule.
-    cpu_decomposition: String,
-    /// `stages(strategy summary)` of the sim-optimized schedule.
-    sim_decomposition: String,
-    /// Whether the two cost models picked different stage decompositions.
-    diverged: bool,
-}
-
-#[derive(Serialize)]
-struct Report {
-    rows: Vec<SchedRow>,
-    geomean_speedup_vs_seq: f64,
-    geomean_speedup_vs_sim_guided: f64,
-    host_parallelism: usize,
-    acceptance_bar: f64,
-    multi_core_bar: f64,
-    diverged_blocks: usize,
-    pass: bool,
-}
 
 /// A compact human-readable summary of a schedule's stage decomposition,
 /// e.g. `"6 stages [c2 c1 m2 c1 c1 c1]"` (`c` = concurrent groups,
@@ -121,37 +89,50 @@ fn gate_blocks(quick: bool) -> Vec<(String, Graph)> {
     picks
 }
 
-fn main() {
-    let opts = BenchOptions::from_args();
-    let iters = if opts.quick { 5 } else { 9 };
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("sched");
+    let quick = gate.opts.quick;
+    let iters = if quick { 5 } else { 9 };
     // Profiling policy: the gate's DP measures hundreds of distinct stages
     // per block, so quick mode trades repeats for wall time.
-    let (warmup, repeats) = if opts.quick { (1, 2) } else { (1, 3) };
-    let config = if opts.quick {
+    let (warmup, repeats) = if quick { (1, 2) } else { (1, 3) };
+    let config = if quick {
         SchedulerConfig::paper_default().with_pruning(2, 4)
     } else {
         SchedulerConfig::paper_default().with_pruning(3, 6)
     };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let cases = gate_blocks(opts.quick);
-    println!(
-        "sched_gate: {} blocks, profile policy {warmup}+{repeats} (median), best of {iters} \
-         timed runs, host parallelism {host_parallelism} (quick = {})",
-        cases.len(),
-        opts.quick
-    );
+    gate.fact("profile_policy", format!("{warmup}+{repeats} (median)"));
+    gate.fact("timed_runs", iters);
 
-    let mut rows = Vec::new();
-    for (name, graph) in &cases {
+    let mut table = Table::new(
+        "Profile-guided scheduling: IOS-DP on measured CPU stage latencies",
+        &[
+            ("block", "block"),
+            ("ops", "ops"),
+            // Stage latency measurements the profiled optimization performed.
+            ("profiled_stages", "stage profiles"),
+            ("optimize_s", "optimize s"),
+            ("seq_ms", "seq ms"),
+            ("ios_ms", "ios ms"),
+            ("sim_guided_ms", "sim-guided ms"),
+            ("speedup_vs_seq", "vs seq"),
+            ("speedup_vs_sim_guided", "vs sim-guided"),
+            ("cpu_decomposition", "cpu schedule"),
+            ("sim_decomposition", "sim schedule"),
+            // Whether the two cost models picked different decompositions.
+            ("diverged", "diverged"),
+        ],
+    );
+    let mut diverged_blocks = 0usize;
+    for (name, graph) in &gate_blocks(quick) {
         // Optimize against stage latencies measured on the CPU backend…
         let profiled = ProfiledCostModel::with_policy(CpuStageProfiler::new(), warmup, repeats);
         let started = Instant::now();
         let ios = schedule_graph(graph, &profiled, &config);
         let optimize_s = started.elapsed().as_secs_f64();
+        println!("  {name}: optimized in {optimize_s:.1}s");
         // …and against the analytical V100 simulator for comparison.
-        let sim_cost = SimCostModel::new(Simulator::new(opts.device));
+        let sim_cost = SimCostModel::new(Simulator::new(gate.opts.device));
         let sim = schedule_graph(graph, &sim_cost, &config);
 
         let weights = BlockWeights::precompute(graph);
@@ -196,113 +177,43 @@ fn main() {
         let sim_guided_ms =
             paired_rounds(iters, &mut [&mut || run_scheduled(&sim.schedule)]).best_ms(0);
 
-        let cpu_decomposition = decomposition(&ios.schedule);
-        let sim_decomposition = decomposition(&sim.schedule);
         let diverged = ios
             .schedule
             .stages
             .iter()
             .map(|s| (s.ops, s.strategy))
             .ne(sim.schedule.stages.iter().map(|s| (s.ops, s.strategy)));
-        println!(
-            "  {name}: optimized in {optimize_s:.1}s ({} stage profiles)",
-            ios.measurements
-        );
-        rows.push(SchedRow {
-            block: name.clone(),
-            ops: graph.len(),
-            profiled_stages: ios.measurements,
+        diverged_blocks += usize::from(diverged);
+        table.row(cells![
+            name.as_str(),
+            graph.len(),
+            ios.measurements,
+            optimize_s,
             seq_ms,
             ios_ms,
             sim_guided_ms,
-            speedup_vs_seq: seq_ms / ios_ms,
-            speedup_vs_sim_guided: sim_guided_ms / ios_ms,
-            cpu_decomposition,
-            sim_decomposition,
+            seq_ms / ios_ms,
+            sim_guided_ms / ios_ms,
+            decomposition(&ios.schedule),
+            decomposition(&sim.schedule),
             diverged,
-        });
+        ]);
     }
+    gate.table(&table);
 
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.block.clone(),
-                fmt3(r.seq_ms),
-                fmt3(r.ios_ms),
-                fmt3(r.sim_guided_ms),
-                fmt3(r.speedup_vs_seq),
-                fmt3(r.speedup_vs_sim_guided),
-                r.cpu_decomposition.clone(),
-                r.sim_decomposition.clone(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Profile-guided scheduling: IOS-DP on measured CPU stage latencies",
-            &[
-                "block",
-                "seq ms",
-                "ios ms",
-                "sim-guided ms",
-                "vs seq",
-                "vs sim-guided",
-                "cpu schedule",
-                "sim schedule",
-            ],
-            &table_rows,
-        )
+    gate.fact("diverged_blocks", diverged_blocks);
+    gate.fact(
+        "geomean_speedup_vs_sim_guided",
+        geomean(&table.column("speedup_vs_sim_guided")),
     );
-
-    let vs_seq: Vec<f64> = rows.iter().map(|r| r.speedup_vs_seq).collect();
-    let vs_sim: Vec<f64> = rows.iter().map(|r| r.speedup_vs_sim_guided).collect();
-    let mean_seq = geomean(&vs_seq);
-    let mean_sim = geomean(&vs_sim);
-    let diverged_blocks = rows.iter().filter(|r| r.diverged).count();
-
-    let multi_core_bar = 1.10;
-    let single_core_bar = 0.95;
-    let bar = if host_parallelism >= 2 {
-        multi_core_bar
-    } else {
-        println!(
-            "single-core host: inter-operator concurrency cannot beat sequential wall-clock \
-             here; the profiled model's job is to converge to (near-)sequential schedules, so \
-             the gate enforces no-regression (>= {single_core_bar:.2}x). On hosts with >= 2 \
-             cores (CI) the bar is >= {multi_core_bar:.2}x."
-        );
-        single_core_bar
-    };
-    let pass = mean_seq >= bar;
-    println!(
-        "geomean speedup vs sequential: {mean_seq:.3}x (enforced bar: >= {bar:.2}x); \
-         vs sim-guided schedules: {mean_sim:.3}x; {diverged_blocks}/{} blocks diverged",
-        rows.len()
+    // Inter-operator concurrency is a hardware property: with one core no
+    // schedule beats sequential wall-clock, the profiled model's job is to
+    // converge to (near-)sequential schedules, and the bar is no-regression.
+    let bar = gate.by_cores(1.10, 0.95);
+    gate.at_least(
+        "geomean speedup, profiled IOS vs sequential",
+        geomean(&table.column("speedup_vs_seq")),
+        bar,
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        rows,
-        geomean_speedup_vs_seq: mean_seq,
-        geomean_speedup_vs_sim_guided: mean_sim,
-        host_parallelism,
-        acceptance_bar: bar,
-        multi_core_bar,
-        diverged_blocks,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_sched.json", json) {
-                eprintln!("failed to write BENCH_sched.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_sched.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate.finish()
 }

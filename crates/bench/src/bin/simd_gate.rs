@@ -27,57 +27,23 @@
 //! variants run adjacently within each round, so a noisy stretch on a
 //! shared single-core CI host cancels out of the ratio, and the median
 //! discards the rounds a burst split in half); the reported per-variant
-//! times are best-of-N. A machine-readable report is always written to
-//! `BENCH_simd.json` (and additionally to `--json PATH` when given).
+//! times are best-of-N. Judged and reported (`BENCH_simd.json`) through
+//! [`ios_bench::gate`].
 //!
 //! Run with: `cargo run --release -p ios-bench --bin simd_gate`
 //! (`--quick` lowers the round count; the shapes stay full-size).
 
 use ios_backend::gemm::conv2d_im2col_packed_fused;
-use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::{self, Isa};
-use ios_backend::{ConvEpilogue, PackedFilter, ScratchPool, TensorData};
+use ios_backend::{ConvEpilogue, ScratchPool};
 use ios_bench::{
-    fmt3, geomean, maybe_write_json, mul_add_peak_gflops, paired_rounds, render_table,
-    simd_bench_shapes, BenchOptions,
+    cells, geomean, mul_add_peak_gflops, paired_rounds, simd_bench_shapes, Cell, Gate, Table,
 };
-use ios_ir::{Activation, Conv2dParams};
-use serde::Serialize;
+use std::process::ExitCode;
 
-#[derive(Debug, Clone, Serialize)]
-struct SimdRow {
-    shape: String,
-    baseline_ms: f64,
-    /// Best time at the tier just below the active one (`None` below
-    /// AVX2, where every tier runs the same portable row).
-    next_narrower_ms: Option<f64>,
-    wide_ms: f64,
-    speedup: f64,
-    /// Median paired ratio next-narrower ÷ active.
-    narrower_speedup: Option<f64>,
-    gflops: f64,
-    pct_of_peak: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    active_isa: String,
-    baseline_isa: String,
-    next_narrower_isa: Option<String>,
-    lanes: usize,
-    peak_gflops: f64,
-    rows: Vec<SimdRow>,
-    geomean_speedup: f64,
-    acceptance_bar: f64,
-    min_narrower_speedup: Option<f64>,
-    narrower_bar: f64,
-    bit_identical: bool,
-    pass: bool,
-}
-
-fn main() {
-    let opts = BenchOptions::from_args();
-    let iters = if opts.quick { 9 } else { 15 };
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("simd");
+    let iters = if gate.opts.quick { 9 } else { 15 };
     let arena = ScratchPool::new();
     let cases = simd_bench_shapes();
 
@@ -93,7 +59,6 @@ fn main() {
     // The tier just below an explicit one. (Scalar and SSE2 run the same
     // portable row, so below AVX2 there is no narrower f32 kernel.)
     let narrower = supported.iter().copied().rfind(|&i| explicit && i < active);
-    let narrower_bar = 0.95;
     // The tiers timed, interleaved within every round: the baseline first,
     // the active tier last (a second run of the baseline's tier below AVX2),
     // the next narrower tier between them unless it is the baseline.
@@ -106,54 +71,36 @@ fn main() {
     });
     tiers.push(active);
     let active_index = tiers.len() - 1;
-    let lanes = ios_backend::workers::stats().lanes;
-    let peak_gflops = mul_add_peak_gflops(active, lanes, iters);
-    println!(
-        "simd_gate: {} shapes, best of {iters} rounds each (active isa = {active}, \
-         baseline isa = {baseline}, bar = {bar:.2}x, mul+add peak = {peak_gflops:.1} GFLOP/s \
-         on {lanes} lanes, quick = {})",
-        cases.len(),
-        opts.quick
+    let peak_gflops = mul_add_peak_gflops(active, gate.host.lanes, iters);
+    gate.fact("baseline_isa", baseline.name());
+    gate.fact("next_narrower_isa", narrower.map(Isa::name));
+    gate.fact("paired_rounds", iters);
+    gate.fact("peak_gflops", peak_gflops);
+
+    let mut table = Table::new(
+        format!(
+            "f32 GEMM microkernel: {baseline} baseline and next narrower ({}) vs {active}",
+            narrower.map_or("-", Isa::name)
+        ),
+        &[
+            ("shape", "shape"),
+            ("baseline_ms", "baseline ms"),
+            // At the tier just below the active one (missing below AVX2,
+            // where every tier runs the same portable row).
+            ("next_narrower_ms", "next narrower ms"),
+            ("wide_ms", "wide ms"),
+            ("speedup", "speedup"),
+            // Median paired ratio next-narrower ÷ active.
+            ("narrower_speedup", "vs narrower"),
+            ("gflops", "gflops"),
+            ("pct_of_peak", "pct of peak"),
+        ],
     );
-
-    let mut rows = Vec::new();
     for case in &cases {
-        let input = TensorData::random(case.input, 7);
-        let in_c_per_group = case.input.channels / case.params.groups;
-        let weights = conv_weights(
-            11,
-            case.params.out_channels,
-            in_c_per_group,
-            case.params.kernel,
-        );
-        let k_len = in_c_per_group * case.params.kernel.0 * case.params.kernel.1;
-        let packed = PackedFilter::pack(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            k_len,
-        );
-
+        let (input, _, packed) = case.operands();
         // Full serving-hot epilogue so the vectorized store is on the
         // measured (and verified) path.
-        let plain = Conv2dParams {
-            activation: Activation::None,
-            ..case.params
-        };
-        let bias = conv_weights(13, case.params.out_channels, 1, (1, 1));
-        let out_shape = {
-            let probe = conv2d_im2col_packed_fused(
-                &input,
-                &plain,
-                &packed,
-                &ConvEpilogue::default(),
-                &arena,
-            );
-            let shape = probe.shape;
-            arena.recycle_tensor(probe);
-            shape
-        };
-        let residual = TensorData::random(out_shape, 17);
+        let (plain, bias, residual) = case.epilogue_operands();
         let ep = ConvEpilogue {
             input_relu: false,
             bias: Some(&bias),
@@ -197,95 +144,32 @@ fn main() {
         let rounds = paired_rounds(iters, &mut variants);
         let wide_ms = rounds.best_ms(active_index);
         let gflops = case.gflops(wide_ms);
-        rows.push(SimdRow {
-            shape: case.name.to_string(),
-            baseline_ms: rounds.best_ms(0),
-            next_narrower_ms: narrower_index.map(|n| rounds.best_ms(n)),
+        table.row(cells![
+            case.name,
+            rounds.best_ms(0),
+            narrower_index.map(|n| rounds.best_ms(n)),
             wide_ms,
-            speedup: rounds.median_speedup(0, active_index),
-            narrower_speedup: narrower_index.map(|n| rounds.median_speedup(n, active_index)),
-            gflops,
-            pct_of_peak: 100.0 * gflops / peak_gflops,
-        });
+            rounds.median_speedup(0, active_index),
+            narrower_index.map(|n| rounds.median_speedup(n, active_index)),
+            Cell::Num(gflops, 1),
+            Cell::Num(100.0 * gflops / peak_gflops, 1),
+        ]);
     }
+    gate.table(&table);
+    // Asserted above, on every shape at every supported tier.
+    gate.fact("bit_identical", true);
 
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let or_dash = |v: Option<f64>| v.map_or_else(|| "-".to_string(), fmt3);
-            vec![
-                r.shape.clone(),
-                fmt3(r.baseline_ms),
-                or_dash(r.next_narrower_ms),
-                fmt3(r.wide_ms),
-                fmt3(r.speedup),
-                or_dash(r.narrower_speedup),
-                format!("{:.1}", r.gflops),
-                format!("{:.1}", r.pct_of_peak),
-            ]
-        })
-        .collect();
-    let narrower_name = narrower.map_or("-", Isa::name);
-    println!(
-        "{}",
-        render_table(
-            &format!(
-                "f32 GEMM microkernel: {baseline} baseline and next narrower \
-                 ({narrower_name}) vs {active}"
-            ),
-            &[
-                "shape",
-                "baseline ms",
-                "next narrower ms",
-                "wide ms",
-                "speedup",
-                "vs narrower",
-                "gflops",
-                "pct of peak",
-            ],
-            &table_rows,
-        )
+    gate.at_least(
+        format!("geomean speedup, {active} vs {baseline}"),
+        geomean(&table.column("speedup")),
+        bar,
     );
-
-    let speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
-    let mean = geomean(&speedups);
-    let min_narrower = rows
-        .iter()
-        .filter_map(|r| r.narrower_speedup)
-        .reduce(f64::min);
-    let pass = mean >= bar && min_narrower.is_none_or(|m| m >= narrower_bar);
-    println!("geomean speedup: {mean:.3}x (acceptance bar: >= {bar:.2}x)");
-    if let Some(m) = min_narrower {
-        println!(
-            "slowest row vs {narrower_name}: {m:.3}x (no-regression bar: >= {narrower_bar:.2}x)"
-        );
+    if let Some(slowest) = table
+        .column("narrower_speedup")
+        .into_iter()
+        .reduce(f64::min)
+    {
+        gate.at_least("slowest row vs the next narrower tier", slowest, 0.95);
     }
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        active_isa: active.name().to_string(),
-        baseline_isa: baseline.name().to_string(),
-        next_narrower_isa: narrower.map(|n| n.name().to_string()),
-        lanes,
-        peak_gflops,
-        rows,
-        geomean_speedup: mean,
-        acceptance_bar: bar,
-        min_narrower_speedup: min_narrower,
-        narrower_bar,
-        bit_identical: true,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_simd.json", json) {
-                eprintln!("failed to write BENCH_simd.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_simd.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate.finish()
 }

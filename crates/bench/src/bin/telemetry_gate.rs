@@ -21,51 +21,19 @@
 //!   against the exact nearest-rank value of the sorted data, and also
 //!   requires the count and sum to match exactly.
 //!
-//! The JSON report (`BENCH_telemetry.json`, plus `--json PATH`) records
-//! every measured number behind both bars.
+//! Judged and reported (`BENCH_telemetry.json`) through
+//! [`ios_bench::gate`].
 //!
 //! Run with: `cargo run --release -p ios-bench --bin telemetry_gate`
 //! (`--quick` shortens the serving stream and the sampled workload).
 
 use ios_backend::TensorData;
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
+use ios_bench::{cells, Cell, Gate, Table};
 use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 use ios_serve::{ServeConfig, ServeEngine};
 use ios_telemetry::{tracer, Histogram, Tracer};
-use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
-
-#[derive(Serialize)]
-struct PercentileRow {
-    p: f64,
-    exact_ns: u64,
-    histogram_ns: u64,
-    rel_err_pct: f64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    /// Requests served per timed phase.
-    requests: usize,
-    /// Measured cost of one *disabled* span site, nanoseconds.
-    per_site_ns: f64,
-    /// Trace records one served request produces when enabled.
-    sites_per_request: f64,
-    /// Closed-loop wall time per request, microseconds.
-    request_us: f64,
-    /// `sites_per_request x per_site_ns / request_time`, percent.
-    overhead_pct: f64,
-    overhead_bar_pct: f64,
-    /// Values recorded into the accuracy-test histogram.
-    histogram_values: usize,
-    percentiles: Vec<PercentileRow>,
-    /// Worst observed percentile error, percent.
-    max_rel_err_pct: f64,
-    err_bar_pct: f64,
-    /// The histogram's design bound (1/64), percent, for reference.
-    design_bound_pct: f64,
-    pass: bool,
-}
 
 /// A two-block branchy network — small enough that a closed-loop request
 /// completes in well under a millisecond, branchy enough that a request
@@ -137,16 +105,17 @@ fn log_uniform_ns(state: &mut u64) -> u64 {
     (1u64 << e) + lcg(state) % (1u64 << e)
 }
 
-fn main() {
-    let opts = BenchOptions::from_args();
-    let requests = if opts.quick { 32 } else { 128 };
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("telemetry");
+    let quick = gate.opts.quick;
+    let requests = if quick { 32 } else { 128 };
     let warmup = 8;
-    let (site_iters, site_reps) = if opts.quick {
+    let (site_iters, site_reps) = if quick {
         (1_000_000u64, 3)
     } else {
         (5_000_000u64, 5)
     };
-    let histogram_values = if opts.quick { 20_000 } else { 200_000 };
+    let histogram_values = if quick { 20_000 } else { 200_000 };
 
     // --- Bar 1: disabled-tracer overhead on the serving hot loop --------
     let per_site_ns = disabled_site_cost_ns(site_iters, site_reps);
@@ -184,7 +153,22 @@ fn main() {
          (saw {sites_per_request:.1} records/request — instrumentation went missing?)"
     );
     let overhead_pct = 100.0 * sites_per_request * per_site_ns / request_ns;
-    let overhead_bar_pct = 2.0;
+    let mut overhead = Table::new(
+        "Disabled-tracer overhead on the serving hot loop",
+        &[
+            ("requests", "requests"),
+            ("per_site_ns", "ns/site"),
+            ("sites_per_request", "sites/req"),
+            ("request_us", "us/req"),
+        ],
+    );
+    overhead.row(cells![
+        requests,
+        per_site_ns,
+        sites_per_request,
+        request_ns / 1e3
+    ]);
+    gate.table(&overhead);
 
     // --- Bar 2: histogram percentile accuracy ---------------------------
     let histogram = Histogram::new();
@@ -205,92 +189,35 @@ fn main() {
 
     let ps = [50.0, 90.0, 95.0, 99.0, 99.9];
     let approx = histogram.percentiles(&ps).expect("non-empty");
-    let mut percentile_rows = Vec::with_capacity(ps.len());
-    let mut max_rel_err_pct = 0.0f64;
+    let mut percentiles = Table::new(
+        "Histogram percentiles vs exact nearest-rank (log-uniform ns)",
+        &[
+            ("p", "p"),
+            ("exact_ns", "exact ns"),
+            ("histogram_ns", "histogram ns"),
+            ("rel_err_pct", "rel err %"),
+        ],
+    );
     for (&p, &histogram_ns) in ps.iter().zip(&approx) {
         let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize;
         let exact_ns = values[rank.min(values.len()) - 1];
         let rel_err_pct = 100.0 * (histogram_ns as f64 - exact_ns as f64).abs() / exact_ns as f64;
-        max_rel_err_pct = max_rel_err_pct.max(rel_err_pct);
-        percentile_rows.push(PercentileRow {
-            p,
-            exact_ns,
-            histogram_ns,
-            rel_err_pct,
-        });
+        percentiles.row(cells![Cell::Num(p, 1), exact_ns, histogram_ns, rel_err_pct]);
     }
-    let err_bar_pct = 5.0;
-    let design_bound_pct = 100.0 * Histogram::MAX_RELATIVE_ERROR;
+    gate.table(&percentiles);
+    gate.fact("histogram_values", histogram_values);
+    gate.fact("design_bound_pct", 100.0 * Histogram::MAX_RELATIVE_ERROR);
 
-    let pass = overhead_pct <= overhead_bar_pct && max_rel_err_pct <= err_bar_pct;
-
-    println!(
-        "{}",
-        render_table(
-            "Disabled-tracer overhead on the serving hot loop",
-            &[
-                "requests",
-                "ns/site",
-                "sites/req",
-                "us/req",
-                "overhead",
-                "bar"
-            ],
-            &[vec![
-                requests.to_string(),
-                fmt3(per_site_ns),
-                fmt3(sites_per_request),
-                fmt3(request_ns / 1e3),
-                format!("{overhead_pct:.4} %"),
-                format!("<= {overhead_bar_pct:.1} %"),
-            ]],
-        )
-    );
-    println!(
-        "{}",
-        render_table(
-            "Histogram percentiles vs exact nearest-rank (log-uniform ns)",
-            &["p", "exact ns", "histogram ns", "rel err", "bar"],
-            &percentile_rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        format!("p{}", r.p),
-                        r.exact_ns.to_string(),
-                        r.histogram_ns.to_string(),
-                        format!("{:.3} %", r.rel_err_pct),
-                        format!("<= {err_bar_pct:.1} % (design {design_bound_pct:.2} %)"),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
-    );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        requests,
-        per_site_ns,
-        sites_per_request,
-        request_us: request_ns / 1e3,
+    gate.at_most(
+        "disabled-tracer overhead, % of request time",
         overhead_pct,
-        overhead_bar_pct,
-        histogram_values,
-        percentiles: percentile_rows,
-        max_rel_err_pct,
-        err_bar_pct,
-        design_bound_pct,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_telemetry.json", json) {
-                eprintln!("failed to write BENCH_telemetry.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_telemetry.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+        2.0,
+    );
+    let worst = percentiles.column("rel_err_pct");
+    gate.at_most(
+        "worst histogram percentile error, %",
+        worst.into_iter().fold(0.0, f64::max),
+        5.0,
+    );
+    gate.finish()
 }

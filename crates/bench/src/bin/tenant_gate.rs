@@ -17,70 +17,20 @@
 //!
 //! The gate also round-trips the engine's Prometheus exposition (now
 //! carrying `ios_tenant_*{tenant="…"}` labelled series) through the
-//! telemetry validator. The JSON report (`BENCH_tenant.json`, plus
-//! `--json PATH`) records every counter and bar.
+//! telemetry validator.
+//!
+//! Judged and reported (`BENCH_tenant.json`) through [`ios_bench::gate`].
 //!
 //! Run with: `cargo run --release -p ios-bench --bin tenant_gate`
 //! (`--quick` shortens both phases for CI).
 
 use ios_backend::TensorData;
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_bench::{cells, gate_network, Gate, Table};
 use ios_serve::{Rejected, ServeConfig, ServeEngine, ServeError, TenantConfig};
-use serde::Serialize;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-#[derive(Serialize)]
-struct Report {
-    host_parallelism: usize,
-    quick: bool,
-    fairness_target_completed: u64,
-    burst_completed: u64,
-    trickle_completed: u64,
-    /// max(burst, trickle) / min(burst, trickle) completed counts.
-    fairness_ratio: f64,
-    fairness_bar: f64,
-    quota_rate_per_sec: f64,
-    quota_burst: f64,
-    quota_offered: u64,
-    quota_accepted: u64,
-    quota_shed: u64,
-    quota_elapsed_s: f64,
-    /// `burst + rate · elapsed + slack`: the most the bucket may admit.
-    quota_accept_bound: f64,
-    prometheus_series: usize,
-    pass: bool,
-}
-
-/// The serving workload shared with `adapt_gate`: a three-block branchy
-/// stack heavy enough that execution dominates scheduling jitter, small
-/// enough that the gate finishes in seconds.
-fn gate_network() -> Network {
-    let input = TensorShape::new(1, 16, 12, 12);
-    let mut shape = input;
-    let mut blocks = Vec::with_capacity(3);
-    for i in 0..3 {
-        let mut b = GraphBuilder::new(format!("tenant_gate_b{i}"), shape);
-        let x = b.input(0);
-        let a = b.conv2d(
-            format!("b{i}_a3"),
-            x,
-            Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)),
-        );
-        let c = b.conv2d(
-            format!("b{i}_c1"),
-            x,
-            Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)),
-        );
-        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
-        let block = Block::new(b.build(vec![cat]));
-        shape = block.graph.output_shapes()[0];
-        blocks.push(block);
-    }
-    Network::new("tenant_gate_net", input, blocks)
-}
 
 fn tenant_completed(engine: &ServeEngine, tenant: &str) -> u64 {
     engine
@@ -91,14 +41,11 @@ fn tenant_completed(engine: &ServeEngine, tenant: &str) -> u64 {
         .map_or(0, |t| t.completed)
 }
 
-fn main() {
-    let opts = BenchOptions::from_args();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+fn main() -> ExitCode {
+    let mut gate = Gate::from_args("tenant");
     let net = gate_network();
-    let fairness_target = if opts.quick { 240u64 } else { 600 };
-    let quota_offers = if opts.quick { 60u64 } else { 120 };
+    let fairness_target = if gate.opts.quick { 240u64 } else { 600 };
+    let quota_offers = if gate.opts.quick { 60u64 } else { 120 };
 
     // ---- Phase 1: equal weights split a 3:1 offered load evenly ------
     // One worker, batch 1: every dispatch is a pure weighted-fair choice.
@@ -157,19 +104,9 @@ fn main() {
     Arc::try_unwrap(engine)
         .unwrap_or_else(|_| panic!("feeders joined"))
         .shutdown();
-    let fairness_bar = 1.25;
-    let fairness_ratio = if burst_completed.min(trickle_completed) == 0 {
-        f64::INFINITY
-    } else {
-        burst_completed.max(trickle_completed) as f64
-            / burst_completed.min(trickle_completed) as f64
-    };
-    println!(
-        "tenant_gate: {cores} cores, fairness burst {burst_completed} vs trickle \
-         {trickle_completed} completed ({fairness_ratio:.3}x, bar {fairness_bar:.2}x, \
-         quick = {})",
-        opts.quick
-    );
+    // A starved lane (zero completed) makes this infinite, which fails.
+    let fairness_ratio = burst_completed.max(trickle_completed) as f64
+        / burst_completed.min(trickle_completed) as f64;
 
     // ---- Phase 2: the token bucket cannot leak -----------------------
     let rate = 20.0;
@@ -223,76 +160,65 @@ fn main() {
         }
     };
     engine.shutdown();
-    println!(
-        "tenant_gate: quota accepted {quota_accepted}/{quota_offers} (shed {quota_shed}) over \
-         {quota_elapsed:.2} s — bound {quota_accept_bound:.1} at rate {rate}/s, burst {burst}"
-    );
 
     // ---- Verdict -----------------------------------------------------
-    let pass = fairness_ratio <= fairness_bar
-        && quota_shed > 0
-        && quota_accepted + quota_shed == quota_offers
-        && (quota_accepted as f64) <= quota_accept_bound
-        && quota_accepted >= burst as u64
-        && metered.completed == quota_accepted
-        && metered.shed == quota_shed
-        && prometheus_series > 0
-        && text.contains(r#"ios_tenant_requests_shed_total{tenant="metered"}"#);
-
-    println!(
-        "{}",
-        render_table(
-            "Multi-tenant admission gate: weighted fairness and quota enforcement",
-            &[
-                "burst done",
-                "trickle done",
-                "ratio",
-                "bar",
-                "quota accepted",
-                "quota shed",
-                "accept bound",
-            ],
-            &[vec![
-                burst_completed.to_string(),
-                trickle_completed.to_string(),
-                fmt3(fairness_ratio),
-                format!("<= {fairness_bar:.2}x"),
-                quota_accepted.to_string(),
-                quota_shed.to_string(),
-                fmt3(quota_accept_bound),
-            ]],
-        )
+    let mut table = Table::new(
+        "Multi-tenant admission gate: weighted fairness and quota enforcement",
+        &[
+            ("fairness_target_completed", "fairness target"),
+            ("burst_completed", "burst done"),
+            ("trickle_completed", "trickle done"),
+            ("quota_rate_per_sec", "quota rate/s"),
+            ("quota_burst", "quota burst"),
+            ("quota_offered", "quota offered"),
+            ("quota_accepted", "quota accepted"),
+            ("quota_shed", "quota shed"),
+            ("quota_elapsed_s", "quota elapsed s"),
+            ("prometheus_series", "prometheus series"),
+        ],
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
-
-    let report = Report {
-        host_parallelism: cores,
-        quick: opts.quick,
-        fairness_target_completed: fairness_target,
+    table.row(cells![
+        fairness_target,
         burst_completed,
         trickle_completed,
-        fairness_ratio,
-        fairness_bar,
-        quota_rate_per_sec: rate,
-        quota_burst: burst,
-        quota_offered: quota_offers,
+        rate,
+        burst,
+        quota_offers,
         quota_accepted,
         quota_shed,
-        quota_elapsed_s: quota_elapsed,
-        quota_accept_bound,
+        quota_elapsed,
         prometheus_series,
-        pass,
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_tenant.json", json) {
-                eprintln!("failed to write BENCH_tenant.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_tenant.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    ]);
+    gate.table(&table);
+
+    gate.at_most(
+        "completed-count ratio of two equal-weight tenants under 3:1 load",
+        fairness_ratio,
+        1.25,
+    );
+    gate.at_least("over-quota offers shed", quota_shed as f64, 1.0);
+    gate.check(
+        "every quota offer is accepted or shed",
+        quota_accepted + quota_shed == quota_offers,
+    );
+    gate.at_most(
+        "quota accepted vs burst + rate x elapsed + slack",
+        quota_accepted as f64,
+        quota_accept_bound,
+    );
+    gate.at_least(
+        "quota accepted vs the bucket's burst",
+        quota_accepted as f64,
+        burst,
+    );
+    gate.check(
+        "metered tenant's completed and shed metrics match client truth",
+        metered.completed == quota_accepted && metered.shed == quota_shed,
+    );
+    gate.at_least("prometheus series validated", prometheus_series as f64, 1.0);
+    gate.check(
+        "exposition carries the metered tenant's shed series",
+        text.contains(r#"ios_tenant_requests_shed_total{tenant="metered"}"#),
+    );
+    gate.finish()
 }

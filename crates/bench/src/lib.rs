@@ -1,10 +1,13 @@
 //! # ios-bench — experiment harness for the IOS reproduction
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! shared plumbing in this library: schedule/framework sweeps, table
-//! rendering, normalization, geometric means and JSON report output.
+//! One binary per table/figure of the paper and one per acceptance gate
+//! (see `src/bin/`), plus the shared plumbing in this library:
+//! schedule/framework sweeps, table rendering, normalization, geometric
+//! means, the paired-round timer, and [`gate`] — the one way a gate judges,
+//! reports (`BENCH_<gate>.json`) and exits.
 //!
-//! Every binary accepts:
+//! Every binary accepts, and rejects anything else with a usage line and
+//! exit status 2:
 //!
 //! * `--device v100|k80|2080ti` — the simulated GPU (default V100);
 //! * `--batch N` — batch size where applicable (default 1);
@@ -18,16 +21,22 @@
 #![warn(rust_2018_idioms)]
 
 use ios_backend::gemm::mul_add_probe;
+use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::Isa;
+use ios_backend::{PackedFilter, TensorData};
 use ios_core::{
     greedy_network_schedule, optimize_network, sequential_network_schedule, IosVariant,
     NetworkSchedule, SchedulerConfig, SimCostModel,
 };
 use ios_frameworks::{Framework, FrameworkKind};
-use ios_ir::Network;
+use ios_ir::{Activation, Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 use ios_models::RandWireConfig;
 use ios_sim::{DeviceKind, Simulator};
 use serde::Serialize;
+
+pub mod gate;
+
+pub use gate::{Cell, Gate, Table};
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -54,37 +63,37 @@ impl Default for BenchOptions {
 }
 
 impl BenchOptions {
-    /// Parses the options from `std::env::args`.
-    ///
-    /// Unknown arguments are ignored so binaries can add their own flags.
+    /// Parses the options from `std::env::args`; a malformed command line
+    /// prints why and the usage line, and exits with status 2.
     #[must_use]
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|error| gate::exit_usage(&error))
+    }
+
+    /// Parses the options from the arguments after the program name.
+    ///
+    /// # Errors
+    ///
+    /// Says what is wrong with the first argument that is not one of the
+    /// four flags, lacks its value, or has a value that does not parse.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = BenchOptions::default();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--device" if i + 1 < args.len() => {
-                    opts.device = parse_device(&args[i + 1]);
-                    i += 1;
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--device" => opts.device = parse_device(&value()?)?,
+                "--batch" => {
+                    let text = value()?;
+                    let batch = text.parse();
+                    opts.batch = batch.map_err(|_| format!("--batch {text:?} is not a count"))?;
                 }
-                "--batch" if i + 1 < args.len() => {
-                    opts.batch = args[i + 1].parse().unwrap_or(1);
-                    i += 1;
-                }
-                "--json" if i + 1 < args.len() => {
-                    opts.json = Some(args[i + 1].clone());
-                    i += 1;
-                }
+                "--json" => opts.json = Some(value()?),
                 "--quick" => opts.quick = true,
-                _ => {}
+                _ => return Err(format!("unknown argument {flag:?}")),
             }
-            i += 1;
         }
-        if std::env::var("IOS_BENCH_QUICK").is_ok() {
-            opts.quick = true;
-        }
-        opts
+        Ok(opts)
     }
 
     /// The scheduler configuration implied by the options (quick mode uses
@@ -122,15 +131,16 @@ impl BenchOptions {
     }
 }
 
-fn parse_device(name: &str) -> DeviceKind {
-    match name.to_ascii_lowercase().as_str() {
+fn parse_device(name: &str) -> Result<DeviceKind, String> {
+    Ok(match name.to_ascii_lowercase().as_str() {
+        "v100" => DeviceKind::TeslaV100,
         "k80" => DeviceKind::TeslaK80,
         "2080ti" | "rtx2080ti" => DeviceKind::Rtx2080Ti,
         "1080" | "gtx1080" => DeviceKind::Gtx1080,
         "980ti" | "gtx980ti" => DeviceKind::Gtx980Ti,
         "a100" => DeviceKind::A100,
-        _ => DeviceKind::TeslaV100,
-    }
+        _ => return Err(format!("unknown device {name:?}")),
+    })
 }
 
 /// One labelled measurement row (latency + derived throughput).
@@ -289,13 +299,47 @@ pub struct ConvCase {
 }
 
 impl ConvCase {
+    /// Depth of the layer's GEMM reduction: input channels per group ×
+    /// kernel taps.
+    #[must_use]
+    pub fn k_len(&self) -> usize {
+        self.input.channels / self.params.groups * self.params.kernel.0 * self.params.kernel.1
+    }
+
     /// Multiply-accumulates of one run of the layer (two FLOPs each).
     #[must_use]
     pub fn macs(&self) -> u64 {
         let p = &self.params;
         let (oh, ow) = self.input.conv_output_hw(p.kernel, p.stride, p.padding);
-        let k_len = self.input.channels / p.groups * p.kernel.0 * p.kernel.1;
-        (self.input.batch * p.out_channels * k_len * oh * ow) as u64
+        (self.input.batch * p.out_channels * self.k_len() * oh * ow) as u64
+    }
+
+    /// What every kernel gate and bench runs the layer on: a seeded random
+    /// input, seeded natural-layout weights, and those weights packed (as
+    /// weight precomputation does, outside any timed region).
+    #[must_use]
+    pub fn operands(&self) -> (TensorData, Vec<f32>, PackedFilter) {
+        let p = &self.params;
+        let weights = conv_weights(11, p.out_channels, self.input.channels / p.groups, p.kernel);
+        let packed = PackedFilter::pack(&weights, p.out_channels, p.groups, self.k_len());
+        (TensorData::random(self.input, 7), weights, packed)
+    }
+
+    /// The serving-hot epilogue `quant_gate` and `simd_gate` run the layer
+    /// with: the layer's parameters minus their activation (the epilogue's
+    /// ReLU stands in for it), a per-output-channel bias and a residual
+    /// tensor of the output's shape.
+    #[must_use]
+    pub fn epilogue_operands(&self) -> (Conv2dParams, Vec<f32>, TensorData) {
+        let p = self.params;
+        let (oh, ow) = self.input.conv_output_hw(p.kernel, p.stride, p.padding);
+        let out_shape = TensorShape::new(self.input.batch, p.out_channels, oh, ow);
+        let plain = Conv2dParams {
+            activation: Activation::None,
+            ..p
+        };
+        let bias = conv_weights(13, p.out_channels, 1, (1, 1));
+        (plain, bias, TensorData::random(out_shape, 17))
     }
 
     /// The layer's arithmetic rate at `ms` per run, in GFLOP/s.
@@ -310,7 +354,6 @@ impl ConvCase {
 /// and grouped cases. `quick` halves the channel counts.
 #[must_use]
 pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
-    use ios_ir::{Conv2dParams, TensorShape};
     let s = if quick { 2 } else { 1 };
     vec![
         ConvCase {
@@ -354,7 +397,6 @@ pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
 /// regime the gate measures.
 #[must_use]
 pub fn quant_bench_shapes() -> Vec<ConvCase> {
-    use ios_ir::{Conv2dParams, TensorShape};
     vec![
         ConvCase {
             // ResNet basic-block conv2: the 3×3 the residual joins.
@@ -411,7 +453,6 @@ pub fn quant_bench_shapes() -> Vec<ConvCase> {
 /// round count instead.
 #[must_use]
 pub fn simd_bench_shapes() -> Vec<ConvCase> {
-    use ios_ir::{Conv2dParams, TensorShape};
     vec![
         ConvCase {
             // ResNet conv2_x body: 56×56, 64 channels, k = 576.
@@ -444,6 +485,36 @@ pub fn simd_bench_shapes() -> Vec<ConvCase> {
             params: Conv2dParams::relu(96, (3, 3), (1, 1), (1, 1)),
         },
     ]
+}
+
+/// The serving workload of `adapt_gate` and `tenant_gate`: a three-block
+/// branchy stack, heavy enough (~16-channel 3×3 convs) that execution time
+/// dominates scheduling jitter, small enough that a gate finishes in
+/// seconds.
+#[must_use]
+pub fn gate_network() -> Network {
+    let input = TensorShape::new(1, 16, 12, 12);
+    let mut shape = input;
+    let mut blocks = Vec::with_capacity(3);
+    for i in 0..3 {
+        let mut b = GraphBuilder::new(format!("serve_gate_b{i}"), shape);
+        let x = b.input(0);
+        let a = b.conv2d(
+            format!("b{i}_a3"),
+            x,
+            Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)),
+        );
+        let c = b.conv2d(
+            format!("b{i}_c1"),
+            x,
+            Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)),
+        );
+        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
+        let block = Block::new(b.build(vec![cat]));
+        shape = block.graph.output_shapes()[0];
+        blocks.push(block);
+    }
+    Network::new("serve_gate_net", input, blocks)
 }
 
 /// Median of a sample set (averages the middle pair for even counts).
@@ -551,17 +622,23 @@ pub fn mul_add_peak_gflops(isa: Isa, threads: usize, rounds: usize) -> f64 {
     best
 }
 
-/// Writes any serializable value as pretty JSON if a path was requested.
+/// Writes any serializable value to `path` as pretty JSON — the one writer
+/// behind every report; a failure is reported on stderr, not fatal.
+pub fn write_json<T: Serialize>(path: &str, value: &T) {
+    match serde_json::to_string_pretty(value) {
+        Ok(json) => {
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("failed to write {path}: {e}");
+            }
+        }
+        Err(e) => eprintln!("failed to serialize {path}: {e}"),
+    }
+}
+
+/// Writes `value` to the `--json PATH` of `opts`, if one was given.
 pub fn maybe_write_json<T: Serialize>(opts: &BenchOptions, value: &T) {
     if let Some(path) = &opts.json {
-        match serde_json::to_string_pretty(value) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("failed to write {path}: {e}");
-                }
-            }
-            Err(e) => eprintln!("failed to serialize report: {e}"),
-        }
+        write_json(path, value);
     }
 }
 
@@ -642,6 +719,16 @@ mod tests {
         // 5×5 outputs, k = 3 channels · 9 taps per group.
         assert_eq!(case.macs(), 2 * 8 * 27 * 25);
         assert!((case.gflops(1.0) - 2.0 * case.macs() as f64 / 1e6).abs() < 1e-12);
+        // The operands fit the layer: the packed kernel reproduces the
+        // naive one on them, and the residual has the output's shape.
+        let (input, weights, packed) = case.operands();
+        let pool = ios_backend::ScratchPool::new();
+        let out = ios_backend::ops_cpu::conv2d_packed_pooled(&input, &case.params, &packed, &pool);
+        let naive = ios_backend::ops_cpu::conv2d_naive(&input, &case.params, &weights);
+        assert_eq!(out, naive);
+        let (plain, bias, residual) = case.epilogue_operands();
+        assert_eq!(plain.activation, Activation::None);
+        assert_eq!((bias.len(), residual.shape), (8, out.shape));
         // The probe runs (and finishes with a finite positive rate) at
         // every tier the host executes, on one thread and on two.
         for isa in ios_backend::simd::supported_isas() {
@@ -693,11 +780,34 @@ mod tests {
 
     #[test]
     fn options_parse_device_names() {
-        assert_eq!(parse_device("k80"), DeviceKind::TeslaK80);
-        assert_eq!(parse_device("2080ti"), DeviceKind::Rtx2080Ti);
-        assert_eq!(parse_device("anything"), DeviceKind::TeslaV100);
+        assert_eq!(parse_device("k80"), Ok(DeviceKind::TeslaK80));
+        assert_eq!(parse_device("2080ti"), Ok(DeviceKind::Rtx2080Ti));
+        assert_eq!(parse_device("V100"), Ok(DeviceKind::TeslaV100));
+        assert!(parse_device("anything").is_err());
         let opts = BenchOptions::default();
         assert_eq!(opts.batch, 1);
         assert!(!opts.quick);
+    }
+
+    #[test]
+    fn options_parse_the_four_flags_and_reject_everything_else() {
+        let parse = |line: &str| BenchOptions::parse(line.split_whitespace().map(String::from));
+        let opts = parse("--quick --device k80 --batch 32 --json out.json").expect("well-formed");
+        assert!(opts.quick);
+        assert_eq!(opts.device, DeviceKind::TeslaK80);
+        assert_eq!(opts.batch, 32);
+        assert_eq!(opts.json.as_deref(), Some("out.json"));
+        assert!(!parse("").expect("no flags").quick);
+        // Refused, not defaulted: a typo must not run the full-size gate.
+        for malformed in [
+            "--quik",
+            "--batch many",
+            "--device gtx9000",
+            "--json",
+            "quick",
+        ] {
+            let error = parse(malformed).expect_err(malformed);
+            assert!(!error.is_empty());
+        }
     }
 }
