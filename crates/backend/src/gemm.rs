@@ -29,7 +29,7 @@
 //! There is one f32 kernel ([`conv2d_im2col_packed_fused`]). It walks the
 //! output column blocks in the outer loop and **fuses im2col into the block
 //! walk**: the full `K × M` patch matrix is never materialized; each
-//! `K × PACK_NR` column block is built in cache right before all packed
+//! `K × 16·NV` column block is built in cache right before all packed
 //! panels stream over it ([`im2col_block`]), so the patch data of a large
 //! layer never round-trips through memory at all. The block holds exactly
 //! the patch values, packing is a pure permutation of the filter, and every
@@ -50,24 +50,29 @@
 //! **One tile body, instantiated per tier.** The register tile and its
 //! epilogue store are written once ([`ColumnBlock::tile`], [`store_row`]),
 //! generic over [`Row`] — 16 adjacent output columns held in whatever
-//! registers a tier has — and instantiated three times in one place
+//! registers a tier has — in height (`SPAN` adjacent panels) and in width
+//! (`NV` adjacent `Row`s), and instantiated three times in one place
 //! ([`at_tier`]), selected per call through the shared [`crate::simd`]
 //! dispatch module:
 //!
-//! | tier | row type | tile |
-//! |---|---|---|
-//! | scalar, SSE2 | `[f32; 16]` (auto-vectorized) | 4 rows × 16 columns |
-//! | AVX2 | `[__m256; 2]` | 4 rows × 2 vectors |
-//! | AVX-512F | `[__m512; 1]` | 8 rows (two adjacent panels) × 1 vector |
+//! | tier | row type | tile | registers |
+//! |---|---|---|---|
+//! | scalar, SSE2 | `[f32; 16]` (auto-vectorized) | 4 rows × 16 columns | 16 xmm accumulators |
+//! | AVX2 | `[__m256; 2]` | 4 rows × 16 columns | 8 + 2 patch + 1 broadcast of 16 ymm |
+//! | AVX-512F | `[__m512; 1]` | 8 rows (two adjacent panels) × 48 columns | 24 + 3 patch + 1 broadcast of 32 zmm |
 //!
 //! A row multiplies and adds in separate instructions — never FMA — and
 //! each output element accumulates over the identical strictly ascending
 //! `k` sequence, so the selected tier is invisible in the output bits:
-//! every tier stays bit-identical to the naive oracle. The packed layout,
-//! the `K × 16` column block and the chunking are the same at every tier.
-//! There is no edge tile: a ragged last column block is built at the full
-//! row stride with a zero tail, edge panels carry zero rows, the full tile
-//! runs everywhere and only the *store* is partial.
+//! every tier stays bit-identical to the naive oracle. The packed layout is
+//! the same at every tier; the column block a lane builds is as wide as the
+//! tier's tile (`K × 16·NV`), so every broadcast weight feeds `NV`
+//! multiplies and the filter is streamed once per `16·NV` output columns.
+//! There is no edge tile: the last one or two 16-column sub-blocks of a
+//! chunk run the same body at a smaller `NV` (as an odd trailing panel runs
+//! it at `SPAN` 1), a ragged last sub-block is built at the full row stride
+//! with a zero tail, edge panels carry zero rows, and only the *store* is
+//! partial.
 //!
 //! **Int8 quantized path.** [`QuantizedFilter`] holds per-output-channel
 //! symmetric-scale int8 weights in a pair-interleaved panel layout (4× the
@@ -88,13 +93,17 @@ use ios_ir::{Conv2dParams, TensorShape};
 use std::ops::Range;
 
 /// Output-channel rows per packed panel: the tile-major layout feeds the
-/// microkernel one contiguous `PACK_MR`-wide slab per k step. 4 × 16
-/// accumulators + 2 patch vectors + 1 broadcast fit the 16 AVX2 registers
-/// (6 or 8 rows measured slower there because the accumulator array
-/// spills); the AVX-512 tile spans two adjacent panels.
+/// microkernel one contiguous `PACK_MR`-wide slab per k step. 4 rows × 2
+/// accumulator vectors + 2 patch vectors + 1 broadcast fit the 16 AVX2
+/// registers (6 or 8 rows measured slower there because the accumulator
+/// array spills); the AVX-512 tile spans two adjacent panels and three
+/// [`Row`]s — 24 accumulators + 3 patch vectors + 1 broadcast of its 32
+/// registers.
 const PACK_MR: usize = 4;
-/// Output-pixel columns per register tile: one [`Row`] (two 8-lane vectors
-/// on AVX2, one 16-lane vector on AVX-512).
+/// Output-pixel columns per [`Row`] (two 8-lane vectors on AVX2, one
+/// 16-lane vector on AVX-512) — the sub-block every column walk, chunk cut
+/// and partial store counts in. A tier's register tile is `NV` of them
+/// wide ([`at_tier`]).
 const PACK_NR: usize = 16;
 
 /// A convolution filter pre-packed into the GEMM microkernel's tile-major
@@ -470,25 +479,33 @@ impl ConvEpilogue<'_> {
 /// How one sample of a packed (f32 or int8) convolution is cut into
 /// chunks of contiguous tiles: whole groups for separable/depthwise and
 /// grouped convolutions (their per-group grids are small and mutually
-/// independent), `PACK_NR`-wide column blocks otherwise. A chunk builds the
-/// `K × NR` im2col blocks of its own columns only, so no im2col work is
-/// duplicated; a grid with fewer blocks than lanes simply yields fewer
-/// chunks. Every tile — hence every output element — belongs to exactly one
-/// chunk, and a tile's accumulation never depends on which chunk runs it,
-/// so the output bits are the same for every split, including none.
+/// independent), runs of `PACK_NR`-wide column sub-blocks otherwise. A chunk
+/// builds the im2col blocks of its own columns only, so no im2col work is
+/// duplicated. Every tile — hence every output element — belongs to exactly
+/// one chunk, and a tile's accumulation never depends on which chunk runs
+/// it, so the output bits are the same for every split, including none.
+///
+/// The cut is balanced first, wide second. A kernel whose tile is `width`
+/// sub-blocks wide gets no more chunks than the grid has such tiles, so a
+/// chunk is about a tile wide or wider; the sub-blocks are then shared out
+/// evenly (chunk sizes differ by at most one sub-block) and each chunk
+/// walks its run at full width, its last one or two sub-blocks at a
+/// narrower one. Cutting on tile boundaries instead would hand 64 columns
+/// on two lanes out as 48 + 16 where 32 + 32 finishes sooner.
 #[derive(Debug, Clone, Copy)]
 struct TileSplit {
     chunks: usize,
     groups: usize,
-    /// `PACK_NR`-wide column blocks per group.
+    /// `PACK_NR`-wide column sub-blocks per group.
     blocks: usize,
 }
 
 impl TileSplit {
-    fn plan(groups: usize, rows_per_group: usize, m_cols: usize, k_len: usize) -> Self {
+    fn plan(groups: usize, rows: usize, m_cols: usize, k_len: usize, width: usize) -> Self {
         let blocks = m_cols.div_ceil(PACK_NR);
-        let units = if groups > 1 { groups } else { blocks };
-        let macs = groups * rows_per_group * m_cols * k_len;
+        let tiles = blocks.div_ceil(width);
+        let units = if groups > 1 { groups } else { tiles };
+        let macs = groups * rows * m_cols * k_len;
         TileSplit {
             chunks: workers::op_chunks(units, macs),
             groups,
@@ -496,7 +513,7 @@ impl TileSplit {
         }
     }
 
-    /// The `(groups, column blocks)` chunk `chunk` covers.
+    /// The `(groups, column sub-blocks)` chunk `chunk` covers.
     fn part(&self, chunk: usize) -> (Range<usize>, Range<usize>) {
         let cut = |units| workers::chunk_range(units, self.chunks, chunk);
         if self.groups > 1 {
@@ -565,19 +582,21 @@ pub fn conv2d_im2col_packed_fused(
         &input.data[start..start + k_len * m_cols]
     };
 
-    // The walk is column-block-outer: each lane builds the `K × PACK_NR`
-    // column block it is about to use in its own scratch (fused im2col) and
-    // streams the packed panels over it while it is cache-hot. Every output
-    // element accumulates the patch values over ascending k whichever chunk
-    // its tile falls into, so the bits do not depend on the split. A
-    // pointwise convolution reads full blocks in place and needs the
-    // scratch only for a ragged last block.
-    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
+    // The walk is column-block-outer: each lane builds the column block it
+    // is about to use — as wide as the tier's tile — in its own scratch
+    // (fused im2col) and streams the packed panels over it while it is
+    // cache-hot. Every output element accumulates the patch values over
+    // ascending k whichever chunk and whichever block width its tile falls
+    // into, so the bits depend on neither. A pointwise convolution reads
+    // blocks of full sub-blocks in place and needs the scratch only for a
+    // ragged last one.
+    let width = tile_width(isa);
+    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len, width);
     let out_view = DisjointOut::new(&mut out.data);
     let scratch_len = if pointwise && m_cols.is_multiple_of(PACK_NR) {
         0
     } else {
-        k_len * PACK_NR
+        k_len * width * PACK_NR
     };
     for n in 0..in_shape.batch {
         workers::parallel_for_op(split.chunks, |chunk| {
@@ -587,14 +606,13 @@ pub fn conv2d_im2col_packed_fused(
                     let (gep, c_start) =
                         ep.of_rows(params, n, g * out_c_per_group, out_c_per_group, m_cols);
                     let c = out_view.part(c_start, out_c_per_group * m_cols);
-                    for block in blocks.clone() {
+                    // Full-width blocks, then the chunk's last one or two
+                    // sub-blocks as a narrower one.
+                    for block in blocks.clone().step_by(width) {
                         let j0 = block * PACK_NR;
-                        let nr = PACK_NR.min(m_cols - j0);
-                        let (b, b_stride) = if pointwise && nr == PACK_NR {
-                            (&group_input(n, g)[j0..], m_cols)
-                        } else if pointwise {
-                            copy_edge_block(&group_input(n, g)[j0..], m_cols, nr, scratch);
-                            (&*scratch, PACK_NR)
+                        let nr = (width.min(blocks.end - block) * PACK_NR).min(m_cols - j0);
+                        let (b, b_stride) = if pointwise {
+                            in_place_or_edge_copy(&group_input(n, g)[j0..], m_cols, nr, scratch)
                         } else {
                             im2col_block(
                                 input,
@@ -608,7 +626,7 @@ pub fn conv2d_im2col_packed_fused(
                                 scratch,
                                 ep.input_relu,
                             );
-                            (&*scratch, PACK_NR)
+                            (&*scratch, nr.next_multiple_of(PACK_NR))
                         };
                         let block = ColumnBlock {
                             a_panels: packed.group(g),
@@ -631,15 +649,26 @@ pub fn conv2d_im2col_packed_fused(
     out
 }
 
-/// Copies the ragged last `nr < PACK_NR` columns of a `K × M` matrix
-/// (`src` starts at the block's first column, row stride `src_stride`) into
-/// `block` at row stride `PACK_NR`, zeroing the tail of every row — the
-/// shape the full tile reads.
-fn copy_edge_block(src: &[f32], src_stride: usize, nr: usize, block: &mut [f32]) {
-    for (k, row) in block.chunks_exact_mut(PACK_NR).enumerate() {
-        row[..nr].copy_from_slice(&src[k * src_stride..k * src_stride + nr]);
+/// Columns `[0, nr)` of a `K × M` matrix as a column block the tile can
+/// read (`src` starts at the block's first column, row stride
+/// `src_stride`): whole sub-blocks in place, a ragged last one copied into
+/// `edge` at row stride `nr` rounded up to whole sub-blocks with the tail of
+/// every row zeroed. Returns the block and its row stride.
+fn in_place_or_edge_copy<'a>(
+    src: &'a [f32],
+    src_stride: usize,
+    nr: usize,
+    edge: &'a mut [f32],
+) -> (&'a [f32], usize) {
+    if nr.is_multiple_of(PACK_NR) {
+        return (src, src_stride);
+    }
+    let row_width = nr.next_multiple_of(PACK_NR);
+    for (row, src_row) in edge.chunks_exact_mut(row_width).zip(src.chunks(src_stride)) {
+        row[..nr].copy_from_slice(&src_row[..nr]);
         row[nr..].fill(0.0);
     }
+    (edge, row_width)
 }
 
 /// Copies `seg.len()` input values starting at `in_row[src]` with stride
@@ -673,14 +702,16 @@ fn fill_seg(seg: &mut [f32], in_row: &[f32], src: usize, sw: usize, input_relu: 
     }
 }
 
-/// Fills `patches` (a `K × PACK_NR` block, `K = in_c_per_group·kh·kw`) with
-/// the im2col expansion of output columns `[j0, j0 + nr)` of sample `n`,
-/// channels `[c0, c0 + in_c_per_group)` — the fused-im2col building block
-/// of the kernels: row `k` holds the input value kernel element `k` sees at
-/// each of those output pixels (padding positions become exact `0.0`), then
-/// a zero tail when the block is ragged (`nr < PACK_NR`); every element of
-/// `patches` is written. `input_relu` applies `max(0, ·)` to every loaded
-/// value.
+/// Fills the head of `patches` — a `K × W` block, `K = in_c_per_group·kh·kw`
+/// and `W` = `nr` rounded up to whole `PACK_NR` sub-blocks — with the im2col
+/// expansion of output columns `[j0, j0 + nr)` of sample `n`, channels
+/// `[c0, c0 + in_c_per_group)` — the fused-im2col building block of the
+/// kernels: row `k` holds the input value kernel element `k` sees at each
+/// of those output pixels (padding positions become exact `0.0`), then a
+/// zero tail when the block is ragged (`nr < W`); every element of the
+/// block is written. One pass builds the block at the width the tile reads,
+/// so a row of a 48-column block is one run of segments, not three.
+/// `input_relu` applies `max(0, ·)` to every loaded value.
 #[allow(clippy::too_many_arguments)]
 fn im2col_block(
     input: &TensorData,
@@ -699,6 +730,7 @@ fn im2col_block(
     let (kh, kw) = params.kernel;
     let (sh, sw) = params.stride;
     let (ph, pw) = params.padding;
+    let row_width = nr.next_multiple_of(PACK_NR);
 
     let mut k = 0usize;
     for ic in 0..in_c_per_group {
@@ -706,7 +738,7 @@ fn im2col_block(
         let plane = &input.data[plane_start..plane_start + h * w];
         for ky in 0..kh {
             for kx in 0..kw {
-                let row = &mut patches[k * PACK_NR..(k + 1) * PACK_NR];
+                let row = &mut patches[k * row_width..(k + 1) * row_width];
                 row[nr..].fill(0.0);
                 // Valid output-x range: 0 <= x·sw + kx − pw < w.
                 let (x_lo, x_hi) = valid_range(ow, sw, kx, pw, w);
@@ -765,19 +797,19 @@ pub(crate) fn valid_range(
     (lo, hi.max(lo))
 }
 
-/// One `PACK_NR`-wide column block of the GEMM
-/// `C[i·m + j] = Σ_k A[i][k] · B[k][j]`, pushed through the fused epilogue
-/// `ep`, with `k` strictly ascending for every `(i, j)` — the
+/// One column block — up to a tile's width of `PACK_NR`-wide sub-blocks — of
+/// the GEMM `C[i·m + j] = Σ_k A[i][k] · B[k][j]`, pushed through the fused
+/// epilogue `ep`, with `k` strictly ascending for every `(i, j)` — the
 /// bit-exactness invariant.
 ///
 /// `a_panels` is `A` in tile-major packed panels ([`PackedFilter::pack`]):
 /// panel `p` holds rows `p·PACK_MR ..` as `panel[k · PACK_MR + row]`, so
 /// the k loop walks one contiguous stream per panel. `b` holds B columns
-/// `[j0, j0 + PACK_NR)` with row stride `b_stride`: a view into a full
-/// `K × M` patch matrix (a pointwise convolution's input planes), or a
-/// cache-resident `K × PACK_NR` block built by [`im2col_block`] /
-/// [`copy_edge_block`]. `c` is the full `m_rows × m` output; columns
-/// `[j0, j0 + nr)` are written.
+/// `[j0, j0 + W)`, `W` = `nr` rounded up to whole sub-blocks, with row
+/// stride `b_stride`: a view into a full `K × M` patch matrix (a pointwise
+/// convolution's input planes), or a cache-resident `K × W` block built by
+/// [`im2col_block`] / [`in_place_or_edge_copy`]. `c` is the full `m_rows × m`
+/// output; columns `[j0, j0 + nr)` are written.
 ///
 /// *All* weight panels stream over the same block, so the patch data stays
 /// cache-hot across panels and crosses the memory hierarchy once, while the
@@ -795,20 +827,21 @@ struct ColumnBlock<'a> {
     c: &'a DisjointOut<'a>,
 }
 
-/// Work written once over [`Row`] and run at a tier by [`at_tier`]. `SPAN`
-/// is how many adjacent groups of `PACK_MR` rows the tier's registers hold
-/// as accumulators.
+/// Work written once over [`Row`] and run at a tier by [`at_tier`]. The
+/// tier's registers hold `SPAN` adjacent groups of `PACK_MR` rows × `NV`
+/// adjacent [`Row`]s of columns as accumulators.
 trait RowKernel {
     type Out;
     /// # Safety
     ///
     /// The CPU must execute `R`'s instruction set (the [`Row`] contract).
-    unsafe fn run<R: Row, const SPAN: usize>(self) -> Self::Out;
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) -> Self::Out;
 }
 
 /// Runs `kernel` at tier `isa` — the one list of [`Row`] instantiations,
-/// each behind its `#[target_feature]` entry, that the tile and the
-/// roofline probe ([`mul_add_probe`]) share.
+/// each with its tile's height and width behind its `#[target_feature]`
+/// entry, that the tile, the column walk ([`tile_width`]) and the roofline
+/// probe ([`mul_add_probe`]) share.
 fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
     #[cfg(target_arch = "x86_64")]
     {
@@ -816,12 +849,12 @@ fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
         #[target_feature(enable = "avx2")]
         unsafe fn avx2<K: RowKernel>(kernel: K) -> K::Out {
             // SAFETY: this function's contract — AVX2 is available.
-            unsafe { kernel.run::<[__m256; 2], 1>() }
+            unsafe { kernel.run::<[__m256; 2], 1, 1>() }
         }
         #[target_feature(enable = "avx512f")]
         unsafe fn avx512<K: RowKernel>(kernel: K) -> K::Out {
             // SAFETY: this function's contract — AVX-512F is available.
-            unsafe { kernel.run::<[__m512; 1], 2>() }
+            unsafe { kernel.run::<[__m512; 1], 2, 3>() }
         }
         // SAFETY: the dispatch module only selects a tier after runtime
         // feature detection (or a forced override validated against it).
@@ -834,41 +867,78 @@ fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
     // SAFETY: the portable row is plain Rust and runs anywhere.
-    unsafe { kernel.run::<[f32; PACK_NR], 1>() }
+    unsafe { kernel.run::<[f32; PACK_NR], 1, 1>() }
+}
+
+/// The width of tier `isa`'s register tile in `PACK_NR`-wide sub-blocks:
+/// how far the column walks advance per block and how wide they build it.
+fn tile_width(isa: Isa) -> usize {
+    struct Width;
+    impl RowKernel for Width {
+        type Out = usize;
+        unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) -> usize {
+            NV
+        }
+    }
+    at_tier(isa, Width)
 }
 
 impl RowKernel for &ColumnBlock<'_> {
     type Out = ();
-    /// Streams every packed panel over the block, in tiles of `SPAN`
-    /// adjacent panels; an odd trailing panel runs the same body at one.
+    /// Runs the tile at the block's own width: the tier's `NV`, or fewer
+    /// vectors for the last one or two sub-blocks of a chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is wider than the tier's tile.
     #[inline(always)]
-    unsafe fn run<R: Row, const SPAN: usize>(self) {
-        let panels = self.m_rows.div_ceil(PACK_MR);
-        let mut p = 0;
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) {
         // SAFETY: the caller's contract, passed down.
         unsafe {
-            while p + SPAN <= panels {
-                self.tile::<R, SPAN>(p);
-                p += SPAN;
-            }
-            while p < panels {
-                self.tile::<R, 1>(p);
-                p += 1;
+            match self.nr.div_ceil(PACK_NR) {
+                1 => self.panels::<R, SPAN, 1>(),
+                2 if NV >= 2 => self.panels::<R, SPAN, 2>(),
+                3 if NV >= 3 => self.panels::<R, SPAN, 3>(),
+                wide => panic!("a block of {wide} sub-blocks at a tile width of {NV}"),
             }
         }
     }
 }
 
 impl ColumnBlock<'_> {
-    /// The register tile — `SPAN · PACK_MR` rows × one [`Row`] of columns,
-    /// starting at panel `p`. Per k step it loads one `PACK_NR`-row of `B`
-    /// and broadcasts one `A` value per row from each panel's contiguous
-    /// `PACK_MR`-slab; lane `j` of row `i` receives exactly the scalar
-    /// sequence `acc += a[i][k] · b[k][j]` (a multiply, then an add) over
-    /// strictly ascending `k`. The full tile always runs: an edge panel's
-    /// missing rows are zero weights whose accumulators are not stored, a
-    /// ragged block's missing columns are a zero tail ([`store_row`] writes
-    /// `nr` of them).
+    /// Streams every packed panel over the block, in tiles of `SPAN`
+    /// adjacent panels; an odd trailing panel runs the same body at one.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must execute `R`'s instruction set (the [`Row`] contract).
+    #[inline(always)]
+    unsafe fn panels<R: Row, const SPAN: usize, const NV: usize>(&self) {
+        let panels = self.m_rows.div_ceil(PACK_MR);
+        let mut p = 0;
+        // SAFETY: the caller's contract, passed down.
+        unsafe {
+            while p + SPAN <= panels {
+                self.tile::<R, SPAN, NV>(p);
+                p += SPAN;
+            }
+            while p < panels {
+                self.tile::<R, 1, NV>(p);
+                p += 1;
+            }
+        }
+    }
+
+    /// The register tile — `SPAN · PACK_MR` rows × `NV` [`Row`]s of
+    /// columns, starting at panel `p`. Per k step it loads `NV` adjacent
+    /// `PACK_NR`-rows of `B` and broadcasts one `A` value per row from each
+    /// panel's contiguous `PACK_MR`-slab, each broadcast feeding `NV`
+    /// multiplies; lane `j` of row `i` receives exactly the scalar sequence
+    /// `acc += a[i][k] · b[k][j]` (a multiply, then an add) over strictly
+    /// ascending `k`. The full tile always runs: an edge panel's missing
+    /// rows are zero weights whose accumulators are not stored, a ragged
+    /// block's missing columns are a zero tail ([`store_row`] writes `nr`
+    /// of them).
     ///
     /// # Safety
     ///
@@ -879,33 +949,46 @@ impl ColumnBlock<'_> {
     /// Panics if the panels or `b` are too short for the tile — the raw
     /// loads below never run against an out-of-bounds slice.
     #[inline(always)]
-    unsafe fn tile<R: Row, const SPAN: usize>(&self, p: usize) {
+    unsafe fn tile<R: Row, const SPAN: usize, const NV: usize>(&self, p: usize) {
         let (k_len, b_stride) = (self.k_len, self.b_stride);
         let panel_stride = k_len * PACK_MR;
         let a = &self.a_panels[p * panel_stride..(p + SPAN) * panel_stride];
         assert!(
-            k_len == 0 || self.b.len() >= (k_len - 1) * b_stride + PACK_NR,
+            k_len == 0 || self.b.len() >= (k_len - 1) * b_stride + NV * PACK_NR,
             "patch block too short"
         );
         // SAFETY: all pointer arithmetic stays inside `a` and `self.b` per
-        // the slicing and the assert above; `R`'s ISA is the caller's
-        // contract.
+        // the slicing and the assert above (the last row's last vector ends
+        // at `(k_len − 1) · b_stride + NV · PACK_NR`); `R`'s ISA is the
+        // caller's contract.
         unsafe {
-            let mut acc = [[R::splat(0.0); PACK_MR]; SPAN];
+            let mut acc = [[[R::splat(0.0); NV]; PACK_MR]; SPAN];
             let (ap, bp) = (a.as_ptr(), self.b.as_ptr());
             for kk in 0..k_len {
-                let brow = R::load(bp.add(kk * b_stride));
+                let b_k = bp.add(kk * b_stride);
+                let brow: [R; NV] = std::array::from_fn(|v| R::load(b_k.add(v * PACK_NR)));
                 for (s, panel_acc) in acc.iter_mut().enumerate() {
                     let a_k = ap.add(s * panel_stride + kk * PACK_MR);
                     for (i, row_acc) in panel_acc.iter_mut().enumerate() {
-                        *row_acc = row_acc.add(R::splat(*a_k.add(i)).mul(brow));
+                        let a_ik = R::splat(*a_k.add(i));
+                        // Indexed, not zipped: at `NV` 1 this is what keeps
+                        // the portable row's loop the one `quant_gate` pins
+                        // its int8 bar to (zipped, it compiles eight moves
+                        // shorter and the bar reads 3 % lower).
+                        for v in 0..NV {
+                            row_acc[v] = row_acc[v].add(a_ik.mul(brow[v]));
+                        }
                     }
                 }
             }
             let i0 = p * PACK_MR;
             let rows = acc.as_flattened().iter().take(self.m_rows - i0);
-            for (i, &row_acc) in rows.enumerate() {
-                store_row(self.ep, i0 + i, self.j0, self.nr, self.m, row_acc, self.c);
+            for (i, row_acc) in rows.enumerate() {
+                for (v, &v_acc) in row_acc.iter().enumerate() {
+                    let nr = PACK_NR.min(self.nr - v * PACK_NR);
+                    let j0 = self.j0 + v * PACK_NR;
+                    store_row(self.ep, i0 + i, j0, nr, self.m, v_acc, self.c);
+                }
             }
         }
     }
@@ -927,16 +1010,12 @@ pub fn gemm_bit_exact_packed(
 ) {
     let isa = simd::active_isa();
     let c = &DisjointOut::new(c);
+    let tile_cols = tile_width(isa) * PACK_NR;
     let ragged = !m.is_multiple_of(PACK_NR);
-    let mut edge = vec![0.0f32; if ragged { k_len * PACK_NR } else { 0 }];
-    for j0 in (0..m).step_by(PACK_NR) {
-        let nr = PACK_NR.min(m - j0);
-        let (block, b_stride) = if nr == PACK_NR {
-            (&b[j0..], m)
-        } else {
-            copy_edge_block(&b[j0..], m, nr, &mut edge);
-            (&edge[..], PACK_NR)
-        };
+    let mut edge = vec![0.0f32; if ragged { k_len * tile_cols } else { 0 }];
+    for j0 in (0..m).step_by(tile_cols) {
+        let nr = tile_cols.min(m - j0);
+        let (block, b_stride) = in_place_or_edge_copy(&b[j0..], m, nr, &mut edge);
         let block = ColumnBlock {
             a_panels,
             m_rows,
@@ -955,7 +1034,10 @@ pub fn gemm_bit_exact_packed(
 
 /// The roofline probe of the f32 tile: as many independent `acc += x · y`
 /// row chains as the tier's tile holds accumulator rows — a multiply, then
-/// an add, never fused — for `steps` steps from registers and L1.
+/// an add, never fused — for `steps` steps from registers and L1. One
+/// chain per row whatever the tile's width `NV`: eight chains already keep
+/// two ports busy through a four-cycle latency, so the ceiling is the
+/// hardware's and does not move when the tile is widened.
 struct MulAddChains {
     steps: usize,
 }
@@ -964,7 +1046,7 @@ impl RowKernel for MulAddChains {
     /// FLOPs executed.
     type Out = u64;
     #[inline(always)]
-    unsafe fn run<R: Row, const SPAN: usize>(self) -> u64 {
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) -> u64 {
         // `y` cycles through an L1-resident table the compiler cannot see
         // through, so no product is hoisted out of the loop; every chain has
         // a factor of its own, so none is shared between chains.
@@ -996,12 +1078,13 @@ impl RowKernel for MulAddChains {
 }
 
 /// Runs the f32 tile's arithmetic — independent row-wide `mul` + `add`
-/// chains, one per accumulator row of tier `isa`'s tile, through the same
-/// vector-row instantiation the tile uses — for `steps` steps with no memory
-/// traffic beyond L1, and returns the FLOPs executed. Timing it gives the
-/// no-FMA ceiling the bit-exact contract allows the tile at that tier. At
-/// an explicit-vector tier that is the hardware's `mul` + `add` rate (eight
-/// vector accumulators keep both ports busy); below AVX2 the row is sixteen
+/// chains, one per accumulator row of tier `isa`'s tile (`SPAN · PACK_MR`,
+/// not one per accumulator: the tile's width adds no chains), through the
+/// same vector-row instantiation the tile uses — for `steps` steps with no
+/// memory traffic beyond L1, and returns the FLOPs executed. Timing it
+/// gives the no-FMA ceiling the bit-exact contract allows the tile at that
+/// tier. At an explicit-vector tier that is the hardware's `mul` + `add`
+/// rate (eight vector accumulators keep both ports busy); below AVX2 the row is sixteen
 /// scalars and the probe times what the compiler makes of the same four
 /// rows — sixteen SSE accumulators, every register that tier has — so it
 /// reads the portable tile's own arithmetic rate, not the 4-lane ceiling.
@@ -1246,7 +1329,8 @@ pub fn conv2d_im2col_quant_fused(
     let pairs = quant.pairs;
     let isa = simd::active_isa();
     let per_item = in_shape.elements_per_item();
-    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len);
+    // The integer tile is one sub-block wide.
+    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len, 1);
     let out_view = DisjointOut::new(&mut out.data);
     // Per lane: an f32 staging block (the same fused im2col the f32 path
     // uses) followed by the i16 pair-interleaved quantized block, carved
@@ -1787,36 +1871,41 @@ mod tests {
     #[test]
     fn simd_tiles_panic_on_a_short_b_slice_instead_of_reading_past_it() {
         // The tiles load through raw pointers; a `b` one element short of
-        // the tile must be refused by a check that is still there in
-        // release builds — by every instantiation of the generic f32 body
-        // (each supported tier at 4 rows, one panel, and at 8: the AVX-512
-        // tile spans two) and by the explicit int8 tiles.
+        // the tile — of its last vector's last row — must be refused by a
+        // check that is still there in release builds: by every
+        // instantiation of the generic f32 body the dispatch can reach
+        // (each supported tier at 4 rows, one panel, and at 8 — the AVX-512
+        // tile spans two — at every block width up to the tier's) and by
+        // the explicit int8 tiles.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let k_len = 9usize;
-        let short_block = vec![1.0f32; k_len * PACK_NR - 1];
         for isa in simd::supported_isas() {
-            for m_rows in [PACK_MR, 2 * PACK_MR] {
-                let a_panels = vec![1.0f32; k_len * m_rows];
-                let mut c = vec![0.0f32; m_rows * PACK_NR];
-                let f32_tile = catch_unwind(AssertUnwindSafe(|| {
-                    let block = ColumnBlock {
-                        a_panels: &a_panels,
-                        m_rows,
-                        k_len,
-                        b: &short_block,
-                        b_stride: PACK_NR,
-                        j0: 0,
-                        nr: PACK_NR,
-                        m: PACK_NR,
-                        ep: &Epilogue::NONE,
-                        c: &DisjointOut::new(&mut c),
-                    };
-                    at_tier(isa, &block);
-                }));
-                assert!(
-                    f32_tile.is_err(),
-                    "the {m_rows}-row f32 tile must refuse a short block on {isa}"
-                );
+            for wide in 1..=tile_width(isa) {
+                let row_width = wide * PACK_NR;
+                let short_block = vec![1.0f32; k_len * row_width - 1];
+                for m_rows in [PACK_MR, 2 * PACK_MR] {
+                    let a_panels = vec![1.0f32; k_len * m_rows];
+                    let mut c = vec![0.0f32; m_rows * row_width];
+                    let f32_tile = catch_unwind(AssertUnwindSafe(|| {
+                        let block = ColumnBlock {
+                            a_panels: &a_panels,
+                            m_rows,
+                            k_len,
+                            b: &short_block,
+                            b_stride: row_width,
+                            j0: 0,
+                            nr: row_width,
+                            m: row_width,
+                            ep: &Epilogue::NONE,
+                            c: &DisjointOut::new(&mut c),
+                        };
+                        at_tier(isa, &block);
+                    }));
+                    assert!(
+                        f32_tile.is_err(),
+                        "the {m_rows}-row, {wide}-vector f32 tile must refuse a short block on {isa}"
+                    );
+                }
             }
         }
 
@@ -1840,6 +1929,9 @@ mod tests {
 
     #[test]
     fn the_probe_runs_one_chain_per_accumulator_row_of_each_tier() {
+        // Per row, not per accumulator: a tile `NV` vectors wide still
+        // probes `SPAN · PACK_MR` chains, so `pct_of_peak` keeps its
+        // denominator when a tier's tile is widened.
         for isa in simd::supported_isas() {
             let rows = if isa == Isa::Avx512 {
                 2 * PACK_MR
@@ -1868,10 +1960,12 @@ mod tests {
             (13, 50, 200),
         ];
         // ... then every tile boundary: even, odd and ragged panel counts
-        // (the AVX-512 tile spans two panels) against a lone column, one
-        // short of a block, exact, one over, and a 17×17 layer's 289.
+        // (the AVX-512 tile spans two panels) against every remainder of
+        // the wide column walk (its tile spans three sub-blocks): a lone
+        // column, then one short of, exactly and one over one, two and
+        // three sub-blocks, four, and a 17×17 layer's 289.
         for m_rows in [4, 8, 12, 13] {
-            for m in [1, 15, 16, 17, 289] {
+            for m in [1, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 289] {
                 shapes.push((m_rows, m, 37));
             }
         }
@@ -1907,27 +2001,69 @@ mod tests {
 
     #[test]
     fn pointwise_conv_with_a_ragged_last_block_matches_naive() {
-        // A pointwise convolution reads its input planes in place; its
-        // ragged last block (17·17 = 289 = 18·16 + 1 columns) is copied to
-        // the full row stride instead. Every tier, odd panel count.
+        // A pointwise convolution reads its input planes in place; a block
+        // ending in a ragged sub-block is copied to its full row stride
+        // instead: 17·17 = 289 = 6·48 + 1 columns, 35·35 = 1225 = 25·48 + 25
+        // (a ragged block two sub-blocks wide), and 8·8 = 64 = 48 + 16,
+        // nothing ragged and a narrower last block. Every tier, odd panel
+        // count.
         let pool = ScratchPool::new();
-        let shape = TensorShape::new(2, 5, 17, 17);
-        let params = Conv2dParams::relu(13, (1, 1), (1, 1), (0, 0));
-        let input = TensorData::random(shape, 23);
-        let (weights, packed) = filters(shape, &params);
-        let want = conv2d_naive(&input, &params, &weights);
-        for isa in simd::supported_isas() {
-            let got = simd::with_forced_isa(isa, || {
-                conv2d_im2col_packed_fused(
-                    &input,
-                    &params,
-                    &packed,
-                    &ConvEpilogue::default(),
-                    &pool,
-                )
-            });
-            assert_eq!(got, want, "ragged pointwise conv on {isa}");
+        for side in [17usize, 35, 8] {
+            let shape = TensorShape::new(2, 5, side, side);
+            let params = Conv2dParams::relu(13, (1, 1), (1, 1), (0, 0));
+            let input = TensorData::random(shape, 23);
+            let (weights, packed) = filters(shape, &params);
+            let want = conv2d_naive(&input, &params, &weights);
+            for isa in simd::supported_isas() {
+                let got = simd::with_forced_isa(isa, || {
+                    conv2d_im2col_packed_fused(
+                        &input,
+                        &params,
+                        &packed,
+                        &ConvEpilogue::default(),
+                        &pool,
+                    )
+                });
+                assert_eq!(got, want, "{side}×{side} pointwise conv on {isa}");
+            }
         }
+    }
+
+    #[test]
+    fn tile_split_is_balanced_and_cuts_on_sub_block_boundaries() {
+        // Inception's planes (8², 17², 35², 71², 147²) on every lane count
+        // and tile width: the chunks partition the sub-blocks in order,
+        // none is empty, and the widest exceeds the narrowest by at most
+        // one tile — in fact by at most one sub-block.
+        for m_cols in [64usize, 289, 1225, 5041, 21609] {
+            let blocks = m_cols.div_ceil(PACK_NR);
+            for lanes in [1usize, 2, 3, 4, 8] {
+                for width in [1usize, 2, 3] {
+                    let split = workers::with_forced_lanes(lanes, || {
+                        TileSplit::plan(1, 64, m_cols, 9, width)
+                    });
+                    let tiles = blocks.div_ceil(width);
+                    assert_eq!(split.chunks, lanes.min(tiles), "{m_cols}/{lanes}/{width}");
+                    let sizes: Vec<usize> = (0..split.chunks)
+                        .scan(0, |next, chunk| {
+                            let (groups, cut) = split.part(chunk);
+                            assert_eq!((groups, cut.start), (0..1, *next));
+                            *next = cut.end;
+                            Some(cut.len())
+                        })
+                        .collect();
+                    assert_eq!(sizes.iter().sum::<usize>(), blocks);
+                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                    assert!(
+                        *min > 0 && max - min <= 1,
+                        "{m_cols}/{lanes}/{width}: {sizes:?}"
+                    );
+                }
+            }
+        }
+        // 64 columns on two lanes at a three-wide tile: 32 + 32, not 48 + 16.
+        let split = workers::with_forced_lanes(2, || TileSplit::plan(1, 384, 64, 2048, 3));
+        assert_eq!((split.part(0).1, split.part(1).1), (0..2, 2..4));
     }
 
     #[test]

@@ -47,12 +47,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// on its caller alone.
 ///
 /// Chosen by measurement on the 2-vCPU seed host (see README,
-/// "Intra-operator parallelism"): a grain takes ≈ 35 µs at the kernels'
+/// "Intra-operator parallelism"): a grain took ≈ 35 µs at the AVX2 tile's
 /// ≈ 30 GMAC/s per core, and a parked helper joins ≈ 35 µs after the job
 /// is posted (a 4.6 M-MAC pointwise convolution runs in 95–107 µs on two
 /// lanes against 129 µs on one, 65 µs being the ideal). Below two grains
 /// the caller has finished before the helper arrives; from two grains up a
-/// split cannot lose more than the wake-up call.
+/// split cannot lose more than the wake-up call. Re-measured with the
+/// 8 × 48 AVX-512 tile (`taskset -c 0 simd_gate`, nine rows): 24–41 GMAC/s
+/// on one core, a grain of 26–44 µs — the constant was not retuned.
 pub const GRAIN_MACS: usize = 1 << 20;
 
 /// Chunks per lane a split operator is cut into. More chunks than lanes
@@ -391,16 +393,24 @@ pub(crate) fn chunk_range(units: usize, chunks: usize, chunk: usize) -> std::ops
 }
 
 /// Runs `f` with this lane's scratch buffer at length `len` (contents
-/// unspecified). The buffer belongs to the thread and keeps its high-water
+/// unspecified), starting on a cache-line boundary: a kernel that lays the
+/// buffer out in rows of whole 64-byte vectors never loads one across two
+/// lines. The buffer belongs to the thread and keeps its high-water
 /// capacity, so operator chunks allocate nothing in steady state and touch
 /// no shared [`crate::ScratchPool`] from a helper. (The buffer is out of
 /// its slot while `f` runs, so a nested use would simply get its own.)
 pub(crate) fn with_lane_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    const LINE: usize = 64;
+    const PAD: usize = LINE / std::mem::size_of::<f32>() - 1;
     let mut buf = SCRATCH.with(Cell::take);
-    if buf.len() < len {
-        buf.resize(len, 0.0);
+    if buf.len() < len + PAD {
+        buf.resize(len + PAD, 0.0);
     }
-    let result = f(&mut buf[..len]);
+    // An `f32` address is a multiple of four, so fewer than `PAD + 1`
+    // elements reach the next line.
+    let addr = buf.as_ptr() as usize;
+    let skip = (addr.next_multiple_of(LINE) - addr) / std::mem::size_of::<f32>();
+    let result = f(&mut buf[skip..skip + len]);
     SCRATCH.with(|slot| slot.set(buf));
     result
 }
@@ -663,6 +673,20 @@ mod tests {
                 next = range.end;
             }
             assert_eq!(next, units);
+        }
+    }
+
+    #[test]
+    fn lane_scratch_starts_on_a_cache_line_nested_use_included() {
+        let misaligned = |s: &[f32]| s.as_ptr() as usize % 64;
+        // Growing lengths reallocate the buffer between uses.
+        for len in [1usize, 16, 1000, 1001, 100_000] {
+            with_lane_scratch(len, |outer| {
+                assert_eq!((outer.len(), misaligned(outer)), (len, 0));
+                with_lane_scratch(len + 3, |inner| {
+                    assert_eq!((inner.len(), misaligned(inner)), (len + 3, 0));
+                });
+            });
         }
     }
 

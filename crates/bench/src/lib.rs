@@ -349,13 +349,50 @@ impl ConvCase {
     }
 }
 
+/// The Inception V3 layers `conv_gate` and `simd_gate` share, channel
+/// counts divided by `s`: what `infer_inception_b1` spends its time in and
+/// the ResNet rows (K ≤ 1152, planes of whole tiles) do not show — a deep
+/// factorized 7×7 on the 17×17 grid, the widest pointwise on the 8×8 grid
+/// (four column sub-blocks: the row a chunk cut that is wide before it is
+/// balanced loses), a 5×5 on the 35×35 grid, and the im2col-bound stem.
+fn inception_v3_shapes(s: usize) -> Vec<ConvCase> {
+    vec![
+        ConvCase {
+            // Inception-B 1×7 of the 7×7 branches: 17×17, k = 1344.
+            name: "inception_1x7_17",
+            input: TensorShape::new(1, 192 / s, 17, 17),
+            params: Conv2dParams::relu(192 / s, (1, 7), (1, 1), (0, 3)),
+        },
+        ConvCase {
+            // Inception-C branch-1 pointwise: 8×8 = 64 columns, k = 2048.
+            name: "inception_c_1x1_8",
+            input: TensorShape::new(1, 2048 / s, 8, 8),
+            params: Conv2dParams::relu(384 / s, (1, 1), (1, 1), (0, 0)),
+        },
+        ConvCase {
+            // Inception-A 5×5: 35×35, k = 1200.
+            name: "inception_5x5_35",
+            input: TensorShape::new(1, 48 / s, 35, 35),
+            params: Conv2dParams::relu(64 / s, (5, 5), (1, 1), (2, 2)),
+        },
+        ConvCase {
+            // Stem conv3: 147×147, 32 → 64 channels — few rows per patch
+            // value, so building the patch block is most of the layer.
+            name: "stem_3x3_147",
+            input: TensorShape::new(1, 32 / s, 147, 147),
+            params: Conv2dParams::relu(64 / s, (3, 3), (1, 1), (1, 1)),
+        },
+    ]
+}
+
 /// The convolution shapes the kernel bench and gate run: Inception- and
 /// SqueezeNet-shaped layers covering 3×3, pointwise, strided-downsample
-/// and grouped cases. `quick` halves the channel counts.
+/// and grouped cases, then [`inception_v3_shapes`]. `quick` halves the
+/// channel counts.
 #[must_use]
 pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
     let s = if quick { 2 } else { 1 };
-    vec![
+    let mut cases = vec![
         ConvCase {
             // Inception-v3 mixed-block 3×3 branch shape.
             name: "inception_3x3",
@@ -380,7 +417,9 @@ pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
             input: TensorShape::new(1, 64 / s, 27, 27),
             params: Conv2dParams::relu(64 / s, (3, 3), (2, 2), (1, 1)),
         },
-    ]
+    ];
+    cases.extend(inception_v3_shapes(s));
+    cases
 }
 
 /// The convolution shapes the `quant_gate` CI binary runs: the layers of
@@ -446,14 +485,14 @@ pub fn quant_bench_shapes() -> Vec<ConvCase> {
 /// The convolution shapes the `simd_gate` CI binary runs: the f32 GEMM
 /// register tile under its serving-hot regimes — ResNet body 3×3s (deep
 /// `k`, the tile-bound case the AVX2 kernel targets), a strided
-/// downsample, a bottleneck pointwise (pure GEMM), and a compact
-/// Inception 3×3 so small-`m` layers with edge tiles stay visible. Like
-/// the quant set, never scaled down in quick mode — that would
-/// shift the compute-vs-traffic regime; `simd_gate --quick` reduces the
-/// round count instead.
+/// downsample, a bottleneck pointwise (pure GEMM), a compact Inception 3×3
+/// so small-`m` layers with edge tiles stay visible, then the full-size
+/// [`inception_v3_shapes`]. Like the quant set, never scaled down in quick
+/// mode — that would shift the compute-vs-traffic regime; `simd_gate
+/// --quick` reduces the round count instead.
 #[must_use]
 pub fn simd_bench_shapes() -> Vec<ConvCase> {
-    vec![
+    let mut cases = vec![
         ConvCase {
             // ResNet conv2_x body: 56×56, 64 channels, k = 576.
             name: "resnet_3x3_56",
@@ -484,7 +523,9 @@ pub fn simd_bench_shapes() -> Vec<ConvCase> {
             input: TensorShape::new(1, 96, 15, 15),
             params: Conv2dParams::relu(96, (3, 3), (1, 1), (1, 1)),
         },
-    ]
+    ];
+    cases.extend(inception_v3_shapes(1));
+    cases
 }
 
 /// The serving workload of `adapt_gate` and `tenant_gate`: a three-block
@@ -776,6 +817,26 @@ mod tests {
         assert!(shapes.len() >= 4);
         assert!(shapes.iter().any(|c| c.name == "resnet_3x3_56"));
         assert!(shapes.iter().any(|c| c.params.kernel == (1, 1)));
+        // Both kernel gates end in the Inception V3 rows: full-size here
+        // (the 8×8 pointwise is four column sub-blocks of k = 2048), halved
+        // channels in `conv_gate --quick`.
+        for (cases, s) in [
+            (shapes, 1),
+            (conv_bench_shapes(false), 1),
+            (conv_bench_shapes(true), 2),
+        ] {
+            let tail: Vec<_> = cases[cases.len() - 4..]
+                .iter()
+                .map(|c| (c.name, c.k_len()))
+                .collect();
+            let want = [
+                ("inception_1x7_17", 1344 / s),
+                ("inception_c_1x1_8", 2048 / s),
+                ("inception_5x5_35", 1200 / s),
+                ("stem_3x3_147", 288 / s),
+            ];
+            assert_eq!(tail, want);
+        }
     }
 
     #[test]
