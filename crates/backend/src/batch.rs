@@ -21,8 +21,8 @@ use crate::arena::ScratchPool;
 use crate::executor::{
     execute_graph_pooled, execute_schedule_pooled, relu_fold_plan, weight_seed, FoldedRelu,
 };
-use crate::gemm::{PackedFilter, QuantizedFilter};
-use crate::ops_cpu::{conv_weights, matmul_weights, sep_conv_seeds};
+use crate::gemm::{ConvKernel, PackedFilter};
+use crate::ops_cpu::{conv_weights, copy_of, matmul_weights, sep_conv_seeds};
 use crate::tensor_data::TensorData;
 use crate::workers;
 use ios_core::{MergedConv, NetworkSchedule};
@@ -44,61 +44,6 @@ pub enum WeightPrecision {
     /// classifier heads and depthwise stages stay f32 (their reductions
     /// are too shallow for quantization to pay).
     Int8,
-}
-
-const F32_BYTES: usize = std::mem::size_of::<f32>();
-
-/// A convolution filter in the one form its kernel reads: tile-major f32
-/// panels ([`PackedFilter`], 4 B per weight) or pair-interleaved int8
-/// panels with per-channel scales ([`QuantizedFilter`], 1 B per weight).
-/// The natural `[out_c][in_c/g][kh][kw]` layout is not kept beside it.
-#[derive(Debug, Clone)]
-pub enum ConvKernel {
-    /// f32 precision: the packed GEMM kernel.
-    F32(PackedFilter),
-    /// Int8 precision: the `pmaddwd` integer kernel.
-    Int8(QuantizedFilter),
-}
-
-impl ConvKernel {
-    /// Builds the kernel form `precision` selects from a filter in natural
-    /// layout (`k_len` contiguous values per output channel).
-    fn build(
-        precision: WeightPrecision,
-        filter: &[f32],
-        out_channels: usize,
-        groups: usize,
-        k_len: usize,
-    ) -> Self {
-        match precision {
-            WeightPrecision::F32 => {
-                ConvKernel::F32(PackedFilter::pack(filter, out_channels, groups, k_len))
-            }
-            WeightPrecision::Int8 => ConvKernel::Int8(QuantizedFilter::quantize(
-                filter,
-                out_channels,
-                groups,
-                k_len,
-            )),
-        }
-    }
-
-    /// Number of logical weight parameters (`out_channels · k_len`).
-    #[must_use]
-    pub fn num_weights(&self) -> usize {
-        match self {
-            ConvKernel::F32(packed) => packed.num_weights(),
-            ConvKernel::Int8(quant) => quant.num_weights(),
-        }
-    }
-
-    /// Adds the bytes this kernel holds to `fp`.
-    fn add_footprint(&self, fp: &mut WeightFootprint) {
-        match self {
-            ConvKernel::F32(packed) => fp.f32_bytes += packed.num_elements() * F32_BYTES,
-            ConvKernel::Int8(quant) => fp.int8_bytes += quant.footprint_bytes(),
-        }
-    }
 }
 
 /// Precomputed weights of one operator, each in the form its kernel reads
@@ -123,15 +68,6 @@ pub enum OpWeights {
     MatMul(Vec<f32>),
 }
 
-/// The weights of one operator-merge stage: the per-part filters stacked
-/// (and zero-padded) into the merged kernel, built once per distinct stage
-/// and cached in [`BlockWeights`].
-#[derive(Debug)]
-pub struct MergedWeights {
-    /// The merged filter in tile-major packed layout.
-    pub packed: PackedFilter,
-}
-
 /// Precomputed weights for every weighted operator of one graph, plus a
 /// lazily filled cache of merged-stage weights keyed by the stage's
 /// operator set — so executing the same schedule batch after batch stops
@@ -143,7 +79,9 @@ pub struct BlockWeights {
     /// once at build time.
     fold_plan: Vec<FoldedRelu>,
     precision: WeightPrecision,
-    merged: Mutex<HashMap<OpSet, Arc<MergedWeights>>>,
+    /// The merged-stage kernels built so far: the parts' filters stacked
+    /// (and zero-padded) into one, always f32.
+    merged: Mutex<HashMap<OpSet, Arc<ConvKernel>>>,
     merged_builds: AtomicU64,
     merged_hits: AtomicU64,
 }
@@ -171,7 +109,7 @@ impl BlockWeights {
 
     /// [`BlockWeights::precompute`] at an explicit precision: f32 builds
     /// packed panels, int8 quantizes dense-conv and sepconv-pointwise
-    /// filters into [`QuantizedFilter`] panels (per-output-channel scale
+    /// filters into [`crate::QuantizedFilter`] panels (per-output-channel scale
     /// calibration happens here, at weight-precompute time).
     #[must_use]
     pub fn precompute_as(graph: &Graph, precision: WeightPrecision) -> Self {
@@ -274,7 +212,7 @@ impl BlockWeights {
     ///
     /// Panics if any merged part is not a convolution of `graph`.
     #[must_use]
-    pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<MergedWeights> {
+    pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<ConvKernel> {
         let key: OpSet = merged.parts.iter().copied().collect();
         if let Some(cached) = self.merged.lock().expect("merged-weight lock").get(&key) {
             self.merged_hits.fetch_add(1, Ordering::Relaxed);
@@ -284,13 +222,13 @@ impl BlockWeights {
         let (mkh, mkw) = merged.params.kernel;
         let mut filter = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
         stack_merged_filter(graph, merged, &mut filter);
-        let packed = PackedFilter::pack(
+        let built = Arc::new(ConvKernel::build(
+            WeightPrecision::F32,
             &filter,
             merged.params.out_channels,
             merged.params.groups,
             (in_c / merged.params.groups) * mkh * mkw,
-        );
-        let built = Arc::new(MergedWeights { packed });
+        ));
         self.merged_builds.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.merged.lock().expect("merged-weight lock");
         // Two threads may race to build the same stage; both results are
@@ -399,26 +337,50 @@ impl NetworkWeights {
             .unwrap_or_default()
     }
 
-    /// The weight-cache bytes held, split by representation: packed f32
-    /// panels (≈ 4 B per weight, edge-panel padding included) and matmul
-    /// matrices on one side, quantized int8 panels plus their scales
-    /// (≈ 1 B per weight) on the other — so the int8 footprint reduction is
-    /// directly observable. Lazily built merged-stage filters are not
-    /// counted.
-    #[must_use]
-    pub fn footprint(&self) -> WeightFootprint {
-        let mut fp = WeightFootprint::default();
+    /// Logical weight parameters and resident bytes of the per-operator
+    /// weights — the one walk both public readings come from.
+    fn sized(&self) -> (usize, WeightFootprint) {
+        let mut total = (0usize, WeightFootprint::default());
+        let mut add = |(parameters, held): (usize, WeightFootprint)| {
+            total.0 += parameters;
+            total.1.f32_bytes += held.f32_bytes;
+            total.1.int8_bytes += held.int8_bytes;
+        };
         for w in self.blocks.iter().flat_map(|b| b.by_op.iter().flatten()) {
             match w {
-                OpWeights::Conv(kernel) => kernel.add_footprint(&mut fp),
+                OpWeights::Conv(kernel) => add(kernel.footprint()),
                 OpWeights::SepConv {
                     depthwise,
                     pointwise,
                 } => {
-                    fp.f32_bytes += depthwise.num_elements() * F32_BYTES;
-                    pointwise.add_footprint(&mut fp);
+                    add(depthwise.footprint());
+                    add(pointwise.footprint());
                 }
-                OpWeights::MatMul(m) => fp.f32_bytes += m.len() * F32_BYTES,
+                OpWeights::MatMul(m) => add((
+                    m.len(),
+                    WeightFootprint {
+                        f32_bytes: std::mem::size_of_val(&m[..]),
+                        int8_bytes: 0,
+                    },
+                )),
+            }
+        }
+        total
+    }
+
+    /// The weight-cache bytes held, split by representation: packed f32
+    /// panels (≈ 4 B per weight, edge-panel padding included) and matmul
+    /// matrices on one side, quantized int8 panels plus their scales
+    /// (≈ 1 B per weight) on the other — so the int8 footprint reduction is
+    /// directly observable. The merged-stage filters built so far (always
+    /// f32) are counted too: a block holds them for as long as it lives.
+    #[must_use]
+    pub fn footprint(&self) -> WeightFootprint {
+        let mut fp = self.sized().1;
+        for block in &self.blocks {
+            let merged = block.merged.lock().expect("merged-weight lock");
+            for stage in merged.values() {
+                fp.f32_bytes += stage.footprint().1.f32_bytes;
             }
         }
         fp
@@ -445,18 +407,7 @@ impl NetworkWeights {
     /// Total number of weight parameters held.
     #[must_use]
     pub fn num_parameters(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.by_op.iter().flatten())
-            .map(|w| match w {
-                OpWeights::Conv(kernel) => kernel.num_weights(),
-                OpWeights::MatMul(v) => v.len(),
-                OpWeights::SepConv {
-                    depthwise,
-                    pointwise,
-                } => depthwise.num_weights() + pointwise.num_weights(),
-            })
-            .sum()
+        self.sized().0
     }
 }
 
@@ -494,13 +445,6 @@ pub fn execute_network(network: &Network, inputs: &[TensorData]) -> Vec<TensorDa
         current = graph_outputs(&block.graph, &current, &op_outputs);
     }
     current
-}
-
-/// A pooled copy of `tensor`.
-fn copy_pooled(tensor: &TensorData, arena: &ScratchPool) -> TensorData {
-    let mut out = arena.take_tensor(tensor.shape);
-    out.data.copy_from_slice(&tensor.data);
-    out
 }
 
 /// A pooled copy of sample `n` of a stacked tensor (batch dimension 1).
@@ -555,12 +499,12 @@ pub(crate) fn execute_network_blocks_pooled(
         let mut next: Vec<TensorData> = Vec::with_capacity(declared.len());
         for (j, value) in declared.iter().enumerate() {
             let tensor = match value {
-                Value::Input(i) => copy_pooled(&current[*i], arena),
+                Value::Input(i) => copy_of(&current[*i], arena),
                 Value::Op(id) => {
                     // An op may be listed as a graph output more than once;
                     // only the first occurrence can take ownership.
                     if let Some(prev) = declared[..j].iter().position(|u| u == value) {
-                        copy_pooled(&next[prev], arena)
+                        copy_of(&next[prev], arena)
                     } else {
                         op_outputs[id.index()].take().expect("op executed")
                     }
@@ -695,6 +639,26 @@ pub fn execute_network_batched_capped(
     stacked
 }
 
+/// The shape of `samples` stacked along the batch dimension.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or the per-sample shapes disagree.
+fn stacked_shape(samples: &[&TensorData]) -> TensorShape {
+    assert!(!samples.is_empty(), "cannot stack an empty batch");
+    let item = samples[0].shape;
+    let per_item = |s: TensorShape| (s.channels, s.height, s.width);
+    let batch = samples.iter().map(|sample| {
+        assert_eq!(
+            per_item(sample.shape),
+            per_item(item),
+            "stacked samples must share their per-item shape"
+        );
+        sample.shape.batch
+    });
+    TensorShape::new(batch.sum(), item.channels, item.height, item.width)
+}
+
 /// Stacks single-sample tensors (batch = 1 each) into one batched tensor
 /// along the batch dimension, in order.
 ///
@@ -703,27 +667,12 @@ pub fn execute_network_batched_capped(
 /// Panics if `samples` is empty or the per-sample shapes disagree.
 #[must_use]
 pub fn stack_batch(samples: &[&TensorData]) -> TensorData {
-    assert!(!samples.is_empty(), "cannot stack an empty batch");
-    let item = samples[0].shape;
-    let mut data = Vec::with_capacity(item.elements_per_item() * samples.len());
-    let mut batch = 0;
+    let shape = stacked_shape(samples);
+    let mut data = Vec::with_capacity(shape.num_elements());
     for sample in samples {
-        assert_eq!(
-            (
-                sample.shape.channels,
-                sample.shape.height,
-                sample.shape.width
-            ),
-            (item.channels, item.height, item.width),
-            "stacked samples must share their per-item shape"
-        );
-        batch += sample.shape.batch;
         data.extend_from_slice(&sample.data);
     }
-    TensorData {
-        shape: TensorShape::new(batch, item.channels, item.height, item.width),
-        data,
-    }
+    TensorData { shape, data }
 }
 
 /// [`stack_batch`] drawing the stacked tensor's storage from `arena`
@@ -735,29 +684,7 @@ pub fn stack_batch(samples: &[&TensorData]) -> TensorData {
 /// Panics if `samples` is empty or the per-sample shapes disagree.
 #[must_use]
 pub fn stack_batch_pooled(samples: &[&TensorData], arena: &ScratchPool) -> TensorData {
-    assert!(!samples.is_empty(), "cannot stack an empty batch");
-    let item = samples[0].shape;
-    let batch: usize = samples
-        .iter()
-        .map(|sample| {
-            assert_eq!(
-                (
-                    sample.shape.channels,
-                    sample.shape.height,
-                    sample.shape.width
-                ),
-                (item.channels, item.height, item.width),
-                "stacked samples must share their per-item shape"
-            );
-            sample.shape.batch
-        })
-        .sum();
-    let mut out = arena.take_tensor(TensorShape::new(
-        batch,
-        item.channels,
-        item.height,
-        item.width,
-    ));
+    let mut out = arena.take_tensor(stacked_shape(samples));
     let mut offset = 0usize;
     for sample in samples {
         out.data[offset..offset + sample.data.len()].copy_from_slice(&sample.data);
@@ -787,7 +714,9 @@ pub fn split_batch(batched: &TensorData) -> Vec<TensorData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
+    use ios_core::{
+        optimize_network, IosVariant, ParallelizationStrategy, SchedulerConfig, SimCostModel, Stage,
+    };
     use ios_sim::{DeviceKind, Simulator};
 
     /// A small two-block network with mergeable branches: heavy enough to
@@ -868,6 +797,50 @@ mod tests {
                     "sample {i}, output {o} must match its solo execution bit-for-bit"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn footprint_counts_a_merged_stage_filter_once_it_is_built() {
+        // One block, two convolutions off the same input, scheduled by
+        // IOS-Merge: the first batch builds the merged 160-channel 3×3
+        // filter (the 1×1 zero-padded into it) and the block then holds it.
+        use ios_ir::{Block, Conv2dParams, GraphBuilder};
+        let input = TensorShape::new(1, 64, 12, 12);
+        let mut b = GraphBuilder::new("merge_fp_b0", input);
+        let x = b.input(0);
+        let a = b.conv2d("a", x, Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)));
+        let c = b.conv2d("c", x, Conv2dParams::relu(96, (1, 1), (1, 1), (0, 0)));
+        let net = Network::new("merge_fp", input, vec![Block::new(b.build(vec![a, c]))]);
+        let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
+        let config = SchedulerConfig::for_variant(IosVariant::Merge);
+        let schedule = optimize_network(&net, &cost, &config).schedule;
+        let merges = |s: &Stage| s.strategy == ParallelizationStrategy::OperatorMerge;
+        assert!(schedule.block_schedules[0].stages.iter().any(merges));
+
+        for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
+            let weights = NetworkWeights::precompute_as(&net, precision);
+            let before = weights.footprint();
+            let arena = ScratchPool::new();
+            let sample = TensorData::random(input, 3);
+            let run = || {
+                execute_network_batched(
+                    &net,
+                    Some(&schedule),
+                    &weights,
+                    std::slice::from_ref(&sample),
+                    &arena,
+                )
+            };
+            let first = run();
+            // 160 output channels are whole panels of k = 64·3·3 f32s — f32
+            // whatever the block's precision.
+            let mut after = before;
+            after.f32_bytes += 160 * 64 * 9 * 4;
+            assert_eq!(weights.footprint(), after, "{precision:?}");
+            assert_eq!(run(), first);
+            assert_eq!(weights.footprint(), after, "a cache hit holds nothing new");
+            assert_eq!(weights.block(0).merged_builds(), 1);
         }
     }
 

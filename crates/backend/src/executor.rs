@@ -17,11 +17,12 @@
 
 use crate::arena::{global_pool, Arena, ScratchPool, ScratchScope};
 use crate::batch::BlockWeights;
-use crate::ops_cpu::{conv2d_packed_pooled, execute_op_with_weights_pooled};
+use crate::gemm::{conv2d, ConvEpilogue};
+use crate::ops_cpu::{copy_of, execute_op};
 use crate::tensor_data::TensorData;
 use crate::workers;
 use ios_core::{try_merge, ParallelizationStrategy, Schedule};
-use ios_ir::{Activation, Conv2dParams, Graph, Op, OpId, OpKind, Value};
+use ios_ir::{Activation, Graph, Op, OpId, OpKind, Value};
 
 /// How the executor treats one operator under the standalone-ReLU peephole
 /// ([`relu_fold_plan`]): a standalone [`OpKind::Relu`] whose input is a
@@ -120,33 +121,13 @@ fn run_op(
     fold: FoldedRelu,
     arena: &impl Arena,
 ) -> TensorData {
-    let fused;
-    let op = match fold {
-        FoldedRelu::CopyOf(_) => {
-            // The producing convolution already applied this ReLU in its
-            // epilogue; the input is rectified, so the op is a copy.
-            let mut out = arena.take_tensor(op.output_shape);
-            out.data.copy_from_slice(&op_inputs[0].data);
-            return out;
-        }
-        FoldedRelu::FuseRelu => {
-            let OpKind::Conv2d(params) = &op.kind else {
-                unreachable!("FuseRelu is only planned for convolutions")
-            };
-            // Weights depend only on channel/kernel geometry, so the
-            // precomputed entry for the original op still applies.
-            fused = Op {
-                kind: OpKind::Conv2d(Conv2dParams {
-                    activation: Activation::Relu,
-                    ..*params
-                }),
-                ..op.clone()
-            };
-            &fused
-        }
-        FoldedRelu::None => op,
-    };
-    execute_op_with_weights_pooled(op, op_inputs, weights.get(op.id), arena)
+    if let FoldedRelu::CopyOf(_) = fold {
+        // The producing convolution already applied this ReLU in its
+        // epilogue; the input is rectified, so the op is a copy.
+        return copy_of(op_inputs[0], arena);
+    }
+    let fuse_relu = fold == FoldedRelu::FuseRelu;
+    execute_op(op, op_inputs, weights.get(op.id), fuse_relu, arena)
 }
 
 /// Executes the graph sequentially and returns every operator's output.
@@ -384,8 +365,13 @@ pub(crate) fn execute_stage(
             // it directly.
             let stage_weights = weights.merged_stage(graph, &merged);
             let input = resolve(merged.input, inputs, outputs);
-            let merged_out =
-                conv2d_packed_pooled(input, &merged.params, &stage_weights.packed, arena);
+            let merged_out = conv2d(
+                input,
+                &merged.params,
+                &stage_weights,
+                &ConvEpilogue::default(),
+                arena,
+            );
             // Split the merged output back into the per-part outputs:
             // each part's channels are one contiguous block per sample.
             let plane = merged_out.shape.height * merged_out.shape.width;

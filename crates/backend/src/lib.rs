@@ -6,21 +6,19 @@
 //! for the reproduction — plus a CPU hot path fast enough to serve real
 //! traffic through `ios-serve`:
 //!
-//! * [`ops_cpu`] — every IR operator, with the naive 7-deep convolution
-//!   loop kept as the oracle ([`ops_cpu::conv2d_naive`]) and one im2col +
-//!   register-blocked GEMM kernel ([`gemm`]) that every f32 convolution
-//!   runs, **bit-identical** to the oracle because it preserves the
-//!   reference's `(ic, ky, kx)` accumulation order per output element;
-//! * [`gemm::PackedFilter`] — conv filters pre-packed into the
-//!   microkernel's tile-major layout at weight-precompute time; the kernel
-//!   streams the weights contiguously with the patch-matrix block
-//!   cache-hot (packing is a pure permutation, so the bits do not change);
-//! * [`simd`] — the runtime SIMD dispatch shared by every microkernel:
-//!   the f32 register tiles and the int8 `pmaddwd` tiles both select
-//!   their widest usable ISA (explicit AVX2 kernels, SSE2/scalar floors)
-//!   through one cached table, overridable via `IOS_FORCE_ISA` for
-//!   deterministic fallback testing — every ISA computes bit-identical
-//!   outputs;
+//! * [`gemm`] — the one convolution entry ([`conv2d`]) and driver for both
+//!   numeric paths: im2col + register-blocked GEMM over filters pre-packed
+//!   at weight-precompute time ([`ConvKernel`]: tile-major f32 panels or
+//!   pair-interleaved int8), **bit-identical** to the naive oracles because
+//!   it preserves the reference's `(ic, ky, kx)` accumulation order per
+//!   output element;
+//! * [`ops_cpu`] — every other IR operator, one entry each, and the naive
+//!   7-deep convolution loops kept as the oracles
+//!   ([`ops_cpu::conv2d_naive`], [`ops_cpu::conv2d_naive_quant`]);
+//! * [`simd`] — the runtime SIMD dispatch shared by both register tiles:
+//!   one cached selection of the widest usable tier, overridable via
+//!   `IOS_FORCE_ISA` for deterministic fallback testing — every tier
+//!   computes bit-identical outputs;
 //! * [`workers`] — the one process-wide worker pool: batch samples, the
 //!   groups of a concurrent stage and the chunks of a single large
 //!   operator (a convolution's tile grid, a pooling's channel planes) all
@@ -56,29 +54,30 @@
 
 pub mod arena;
 pub mod batch;
+mod epilogue;
 pub mod executor;
 pub mod gemm;
+mod im2col;
 pub mod ops_cpu;
 pub mod pipeline;
 pub mod profile;
+mod quant;
 pub mod simd;
 pub mod tensor_data;
+mod tile;
 pub mod workers;
 
 pub use arena::{Arena, ScratchPool, ScratchScope};
 pub use batch::{
     execute_network, execute_network_batched, execute_network_batched_capped, split_batch,
-    stack_batch, stack_batch_pooled, BlockWeights, ConvKernel, MergedWeights, NetworkWeights,
-    OpWeights, WeightFootprint, WeightPrecision,
+    stack_batch, stack_batch_pooled, BlockWeights, NetworkWeights, OpWeights, WeightFootprint,
+    WeightPrecision,
 };
 pub use executor::{
     execute_graph, execute_graph_pooled, execute_schedule, execute_schedule_pooled,
     max_abs_difference, relu_fold_plan, verify_schedule, weight_seed, FoldedRelu,
 };
-pub use gemm::{
-    quantization_scale, quantize_value, requantize, sample_scale, ConvEpilogue, Epilogue,
-    PackedFilter, QuantizedFilter,
-};
+pub use gemm::{conv2d, sample_scale, ConvEpilogue, ConvKernel, PackedFilter, QuantizedFilter};
 pub use pipeline::{execute_network_pipelined, PipelinedNetworkExecutor};
 pub use profile::{BackgroundLoad, CpuStageProfiler};
 pub use simd::Isa;

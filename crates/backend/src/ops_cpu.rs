@@ -5,26 +5,21 @@
 //! (e.g. the original convolutions vs. their merged counterpart) see the
 //! same parameters and must produce the same outputs.
 //!
-//! There is one f32 convolution kernel — [`conv2d_packed_pooled`], the
-//! im2col + register-blocked GEMM engine ([`crate::gemm`]) over pre-packed
-//! filters — and one int8 kernel ([`conv2d_quant_pooled`]); each has a
-//! naive oracle ([`conv2d_naive`], the obviously-correct 7-deep reference
-//! loop, and [`conv2d_naive_quant`]). The f32 kernel is **bit-identical**
-//! to its oracle — it preserves the reference's `(ic, ky, kx)` accumulation
-//! order per output element (verified by proptests in
-//! `tests/bit_exact.rs`). The GEMM tile dispatches through [`crate::simd`]
-//! at runtime (an explicit AVX2 kernel on capable hosts, the
-//! auto-vectorized tile elsewhere); every tier computes the same bits, so
-//! the oracle relationship is ISA-free. The blocked [`matmul`] reduction,
-//! by contrast, stays on the auto-vectorized path only: its dot products
-//! accumulate along `k`, and vectorizing across `k` would reorder the sum
-//! and break bit-exactness. Every operator has a `*_pooled` variant drawing
-//! scratch and output storage from a [`ScratchPool`](crate::ScratchPool) so
-//! steady-state serving allocates nothing in the op loop; the plain
-//! variants use the process-global pool.
+//! Convolutions run the one im2col + register-blocked GEMM kernel
+//! ([`crate::gemm::conv2d`]); this module composes the separable unit from
+//! it ([`sep_conv2d`]) and keeps the two naive oracles ([`conv2d_naive`],
+//! the obviously-correct 7-deep reference loop the f32 kernel is
+//! **bit-identical** to on every tier, and [`conv2d_naive_quant`]). The
+//! blocked [`matmul`] reduction stays on the auto-vectorized path only: its
+//! dot products accumulate along `k`, and vectorizing across `k` would
+//! reorder the sum and break bit-exactness. Every operator has one entry,
+//! drawing scratch and output storage from the [`Arena`] it is handed, so
+//! steady-state serving allocates nothing in the op loop.
 
-use crate::arena::{global_pool, Arena};
-use crate::gemm::{quantize_value, requantize, sample_scale, ConvEpilogue, QuantizedFilter};
+use crate::arena::Arena;
+use crate::batch::OpWeights;
+use crate::gemm::{conv2d, conv2d_with, ConvEpilogue, ConvKernel, Filter, PackedFilter};
+use crate::quant::{quantize_value, requantize, sample_scale, QuantizedFilter};
 use crate::tensor_data::TensorData;
 use crate::workers::{self, DisjointOut};
 use ios_ir::{
@@ -73,42 +68,6 @@ fn apply_activation(activation: Activation, v: f32) -> f32 {
     }
 }
 
-/// Dense / grouped 2-D convolution reading the filter from its pre-packed
-/// tile-major layout ([`crate::gemm::PackedFilter`]) — the im2col +
-/// blocked-GEMM kernel, bit-identical to [`conv2d_naive`]. Scratch and
-/// output storage are drawn from `arena`.
-///
-/// # Panics
-///
-/// Panics if the packed filter does not match the convolution's geometry.
-#[must_use]
-pub fn conv2d_packed_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    packed: &crate::gemm::PackedFilter,
-    arena: &impl Arena,
-) -> TensorData {
-    crate::gemm::conv2d_im2col_packed_fused(input, params, packed, &ConvEpilogue::default(), arena)
-}
-
-/// Int8 quantized convolution reading [`QuantizedFilter`] weights —
-/// per-sample input scales, i32 accumulation, requantize in the tile
-/// writeback. Byte-identical to [`conv2d_naive_quant`].
-///
-/// # Panics
-///
-/// Panics if the quantized filter does not match the convolution's
-/// geometry.
-#[must_use]
-pub fn conv2d_quant_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    quant: &QuantizedFilter,
-    arena: &impl Arena,
-) -> TensorData {
-    crate::gemm::conv2d_im2col_quant_fused(input, params, quant, &ConvEpilogue::default(), arena)
-}
-
 /// The naive int8 reference: quantizes the sample and reads the filter's
 /// integers exactly as the fast path does ([`sample_scale`],
 /// [`QuantizedFilter::weight`]), accumulates in `i32` over the reference
@@ -131,8 +90,9 @@ pub fn conv2d_naive_quant(
     let in_shape = input.shape;
     let in_c_per_group = in_shape.channels / params.groups;
     let k_len = in_c_per_group * params.kernel.0 * params.kernel.1;
-    assert!(
-        quant.matches(params.out_channels, params.groups, k_len),
+    assert_eq!(
+        quant.geometry(),
+        (params.out_channels, params.groups, k_len),
         "quantized filter geometry does not match the convolution"
     );
     let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
@@ -251,117 +211,58 @@ pub fn sep_conv_seeds(seed: u64) -> (u64, u64) {
     (seed ^ 0xD17, seed ^ 0x0009_0117)
 }
 
-/// The depthwise convolution parameters a separable unit derives from its
-/// own: groups = channels, one output channel per input channel.
-fn sep_conv_dw_params(input_channels: usize, params: &Conv2dParams) -> Conv2dParams {
-    Conv2dParams {
-        out_channels: input_channels,
-        kernel: params.kernel,
-        stride: params.stride,
-        padding: params.padding,
-        groups: input_channels,
-        activation: Activation::None,
-    }
-}
-
-/// The pointwise 1×1 convolution parameters of a separable unit.
-fn sep_conv_pw_params(params: &Conv2dParams) -> Conv2dParams {
-    Conv2dParams {
-        out_channels: params.out_channels,
-        kernel: (1, 1),
-        stride: (1, 1),
-        padding: (0, 0),
-        groups: 1,
-        activation: Activation::None,
-    }
-}
-
-/// The epilogue the depthwise stage of a separable unit runs with: the
-/// unit's input ReLU is fused into the im2col load instead of
-/// materializing an activated copy of the input first. Values entering
-/// the GEMM are identical, so the fused form is bit-identical to a
-/// separate activation pass.
-fn sep_conv_dw_epilogue() -> ConvEpilogue<'static> {
-    ConvEpilogue {
-        input_relu: true,
-        ..ConvEpilogue::default()
-    }
-}
-
 /// Depthwise-separable convolution — ReLU on the input, depthwise k×k, then
 /// pointwise 1×1 (the "Relu-SepConv" unit) — reading both filters from
-/// their pre-packed tile-major layouts. The input ReLU is fused into the
-/// depthwise im2col and the depthwise intermediate is recycled before
-/// returning.
-///
-/// # Panics
-///
-/// Panics if either packed filter does not match its convolution geometry.
-#[must_use]
-pub fn sep_conv2d_packed_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    dw_packed: &crate::gemm::PackedFilter,
-    pw_packed: &crate::gemm::PackedFilter,
-    arena: &impl Arena,
-) -> TensorData {
-    let dw_params = sep_conv_dw_params(input.shape.channels, params);
-    let depthwise = crate::gemm::conv2d_im2col_packed_fused(
-        input,
-        &dw_params,
-        dw_packed,
-        &sep_conv_dw_epilogue(),
-        arena,
-    );
-    let pw_params = sep_conv_pw_params(params);
-    let out = conv2d_packed_pooled(&depthwise, &pw_params, pw_packed, arena);
-    arena.recycle_tensor(depthwise);
-    out
-}
-
-/// [`sep_conv2d_packed_pooled`] with the pointwise stage quantized to
-/// int8: the depthwise stage stays f32 (its reduction is only `kh·kw`
-/// values deep — quantization overhead would dominate), the pointwise
-/// 1×1 — where the unit's compute lives — runs the integer kernel.
+/// their pre-packed layouts. The input ReLU is fused into the depthwise
+/// im2col load instead of materializing an activated copy first (the values
+/// entering the GEMM are identical, so the fused form is bit-identical),
+/// and the depthwise intermediate is recycled before returning. The
+/// depthwise stage is always f32 (its reduction is only `kh·kw` values deep
+/// — quantization overhead would dominate); the pointwise 1×1 — where the
+/// unit's compute lives — runs whichever kernel `pointwise` holds.
 ///
 /// # Panics
 ///
 /// Panics if either filter does not match its convolution geometry.
 #[must_use]
-pub fn sep_conv2d_quant_pooled(
+pub fn sep_conv2d(
     input: &TensorData,
     params: &Conv2dParams,
-    dw_packed: &crate::gemm::PackedFilter,
-    pw_quant: &QuantizedFilter,
+    depthwise: &PackedFilter,
+    pointwise: &ConvKernel,
     arena: &impl Arena,
 ) -> TensorData {
-    let dw_params = sep_conv_dw_params(input.shape.channels, params);
-    let depthwise = crate::gemm::conv2d_im2col_packed_fused(
-        input,
-        &dw_params,
-        dw_packed,
-        &sep_conv_dw_epilogue(),
+    // Depthwise: groups = channels, one output channel per input channel.
+    let dw_params = Conv2dParams {
+        out_channels: input.shape.channels,
+        groups: input.shape.channels,
+        activation: Activation::None,
+        ..*params
+    };
+    let dw_epilogue = ConvEpilogue {
+        input_relu: true,
+        ..ConvEpilogue::default()
+    };
+    let dw_out = conv2d_with(input, &dw_params, depthwise, &dw_epilogue, arena);
+    let pw_params = Conv2dParams::plain(params.out_channels, (1, 1), (1, 1), (0, 0));
+    let out = conv2d(
+        &dw_out,
+        &pw_params,
+        pointwise,
+        &ConvEpilogue::default(),
         arena,
     );
-    let pw_params = sep_conv_pw_params(params);
-    let out = conv2d_quant_pooled(&depthwise, &pw_params, pw_quant, arena);
-    arena.recycle_tensor(depthwise);
+    arena.recycle_tensor(dw_out);
     out
 }
 
-/// Pooling.
-#[must_use]
-pub fn pool(input: &TensorData, params: &PoolParams) -> TensorData {
-    pool_pooled(input, params, global_pool())
-}
-
-/// [`pool`] with pooled output storage. Max and average pooling run
+/// Pooling. Max and average pooling run
 /// row-wise (`pool_plane`) and split their channel planes across lanes
 /// when the operator is large enough (`workers::op_chunks`); visit order
 /// per element (and the average's divisor) match the reference loop
 /// exactly, so the result is bit-identical for every lane count.
 #[must_use]
-pub fn pool_pooled(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> TensorData {
+pub fn pool(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> TensorData {
     let in_shape = input.shape;
     let plane = in_shape.height * in_shape.width;
     let planes = in_shape.batch * in_shape.channels;
@@ -431,7 +332,7 @@ impl WindowTaps {
         let (kw, sw, pw) = (params.kernel.1, params.stride.1, params.padding.1);
         let columns = (0..kw)
             .filter_map(|kx| {
-                let (x_lo, x_hi) = crate::gemm::valid_range(ow, sw, kx, pw, w);
+                let (x_lo, x_hi) = crate::im2col::valid_range(ow, sw, kx, pw, w);
                 (x_hi > x_lo).then(|| (x_lo, x_hi, x_lo * sw + kx - pw))
             })
             .collect();
@@ -511,17 +412,11 @@ fn fold_tap(acc: &mut [f32], taps: &[f32], stride: usize, op: impl Fn(f32, f32) 
     }
 }
 
-/// Fully connected layer.
-#[must_use]
-pub fn matmul(input: &TensorData, params: &MatMulParams, weights: &[f32]) -> TensorData {
-    matmul_pooled(input, params, weights, global_pool())
-}
-
-/// [`matmul`] with pooled output storage. Outputs are computed four at a
+/// Fully connected layer. Outputs are computed four at a
 /// time so the input row is read once per quadruple; every accumulator
 /// still sums in ascending feature order, bit-identical to the reference.
 #[must_use]
-pub fn matmul_pooled(
+pub fn matmul(
     input: &TensorData,
     params: &MatMulParams,
     weights: &[f32],
@@ -562,17 +457,11 @@ pub fn matmul_pooled(
     out
 }
 
-/// Channel-wise concatenation.
-#[must_use]
-pub fn concat(inputs: &[&TensorData]) -> TensorData {
-    concat_pooled(inputs, global_pool())
-}
-
-/// [`concat`] with pooled output storage: each input contributes one
+/// Channel-wise concatenation: each input contributes one
 /// contiguous `channels × h × w` block per sample, copied with a single
 /// memcpy instead of per-element indexing.
 #[must_use]
-pub fn concat_pooled(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
+pub fn concat(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
     let first = inputs[0].shape;
     let channels: usize = inputs.iter().map(|t| t.shape.channels).sum();
     let out_shape = TensorShape::new(first.batch, channels, first.height, first.width);
@@ -593,13 +482,7 @@ pub fn concat_pooled(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
 
 /// Element-wise addition of all inputs.
 #[must_use]
-pub fn add(inputs: &[&TensorData]) -> TensorData {
-    add_pooled(inputs, global_pool())
-}
-
-/// [`add`] with pooled output storage.
-#[must_use]
-pub fn add_pooled(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
+pub fn add(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
     let mut out = arena.take_tensor(inputs[0].shape);
     out.data.copy_from_slice(&inputs[0].data);
     for t in &inputs[1..] {
@@ -612,13 +495,7 @@ pub fn add_pooled(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
 
 /// Standalone ReLU.
 #[must_use]
-pub fn relu(input: &TensorData) -> TensorData {
-    relu_pooled(input, global_pool())
-}
-
-/// [`relu`] with pooled output storage.
-#[must_use]
-pub fn relu_pooled(input: &TensorData, arena: &impl Arena) -> TensorData {
+pub fn relu(input: &TensorData, arena: &impl Arena) -> TensorData {
     let mut out = arena.take_tensor(input.shape);
     for (o, v) in out.data.iter_mut().zip(&input.data) {
         *o = v.max(0.0);
@@ -626,47 +503,51 @@ pub fn relu_pooled(input: &TensorData, arena: &impl Arena) -> TensorData {
     out
 }
 
+/// A copy of `tensor` in storage drawn from `arena`.
+pub(crate) fn copy_of(tensor: &TensorData, arena: &impl Arena) -> TensorData {
+    let mut out = arena.take_tensor(tensor.shape);
+    out.data.copy_from_slice(&tensor.data);
+    out
+}
+
 /// Executes one operator given its resolved inputs: a weighted operator
 /// (convolution, separable convolution, matmul) with its precomputed
-/// `weights`, any other with `None`. Scratch and output storage are drawn
-/// from `arena`.
+/// `weights`, any other with `None`; `fuse_relu` applies `max(0, ·)` in a
+/// convolution's tile writeback (the executor's standalone-ReLU fold).
+/// Scratch and output storage are drawn from `arena`.
 ///
 /// # Panics
 ///
 /// Panics if the weight kind does not match the operator kind.
 #[must_use]
-pub fn execute_op_with_weights_pooled(
+pub fn execute_op(
     op: &Op,
     inputs: &[&TensorData],
-    weights: Option<&crate::batch::OpWeights>,
+    weights: Option<&OpWeights>,
+    fuse_relu: bool,
     arena: &impl Arena,
 ) -> TensorData {
-    use crate::batch::{ConvKernel, OpWeights};
     match (&op.kind, weights) {
-        (OpKind::Conv2d(p), Some(OpWeights::Conv(kernel))) => match kernel {
-            ConvKernel::F32(packed) => conv2d_packed_pooled(inputs[0], p, packed, arena),
-            ConvKernel::Int8(quant) => conv2d_quant_pooled(inputs[0], p, quant, arena),
-        },
+        (OpKind::Conv2d(p), Some(OpWeights::Conv(kernel))) => {
+            let ep = ConvEpilogue {
+                relu: fuse_relu,
+                ..ConvEpilogue::default()
+            };
+            conv2d(inputs[0], p, kernel, &ep, arena)
+        }
         (
             OpKind::SepConv2d(p),
             Some(OpWeights::SepConv {
                 depthwise,
                 pointwise,
             }),
-        ) => match pointwise {
-            ConvKernel::F32(pw) => sep_conv2d_packed_pooled(inputs[0], p, depthwise, pw, arena),
-            ConvKernel::Int8(pw) => sep_conv2d_quant_pooled(inputs[0], p, depthwise, pw, arena),
-        },
-        (OpKind::MatMul(p), Some(OpWeights::MatMul(w))) => matmul_pooled(inputs[0], p, w, arena),
-        (OpKind::Pool(p), None) => pool_pooled(inputs[0], p, arena),
-        (OpKind::Concat, None) => concat_pooled(inputs, arena),
-        (OpKind::Add, None) => add_pooled(inputs, arena),
-        (OpKind::Relu, None) => relu_pooled(inputs[0], arena),
-        (OpKind::Identity, None) => {
-            let mut out = arena.take_tensor(inputs[0].shape);
-            out.data.copy_from_slice(&inputs[0].data);
-            out
-        }
+        ) => sep_conv2d(inputs[0], p, depthwise, pointwise, arena),
+        (OpKind::MatMul(p), Some(OpWeights::MatMul(w))) => matmul(inputs[0], p, w, arena),
+        (OpKind::Pool(p), None) => pool(inputs[0], p, arena),
+        (OpKind::Concat, None) => concat(inputs, arena),
+        (OpKind::Add, None) => add(inputs, arena),
+        (OpKind::Relu, None) => relu(inputs[0], arena),
+        (OpKind::Identity, None) => copy_of(inputs[0], arena),
         (kind, _) => panic!("mismatched precomputed weights for operator kind {kind:?}"),
     }
 }
@@ -674,13 +555,19 @@ pub fn execute_op_with_weights_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::PackedFilter;
+    use crate::arena::global_pool;
 
     /// The f32 kernel over a filter given in its natural layout.
     fn conv2d(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
         let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
         let packed = PackedFilter::pack(weights, params.out_channels, params.groups, k_len);
-        conv2d_packed_pooled(input, params, &packed, global_pool())
+        conv2d_with(
+            input,
+            params,
+            &packed,
+            &ConvEpilogue::default(),
+            global_pool(),
+        )
     }
 
     /// The separable unit with both filters generated from `seed`.
@@ -690,11 +577,11 @@ mod tests {
         let dw = conv_weights(dw_seed, in_c, 1, params.kernel);
         let pw = conv_weights(pw_seed, params.out_channels, in_c, (1, 1));
         let (kh, kw) = params.kernel;
-        sep_conv2d_packed_pooled(
+        super::sep_conv2d(
             input,
             params,
             &PackedFilter::pack(&dw, in_c, in_c, kh * kw),
-            &PackedFilter::pack(&pw, params.out_channels, 1, in_c),
+            &ConvKernel::F32(PackedFilter::pack(&pw, params.out_channels, 1, in_c)),
             global_pool(),
         )
     }
@@ -791,7 +678,7 @@ mod tests {
         }
     }
 
-    /// The per-pixel window loop `pool_pooled` ran before it went
+    /// The per-pixel window loop `pool` ran before it went
     /// row-wise, kept verbatim as the oracle for tap order and divisor.
     fn pool_windowed(input: &TensorData, params: &PoolParams) -> TensorData {
         let in_shape = input.shape;
@@ -866,7 +753,8 @@ mod tests {
             input.data[h * w / 2] = f32::NEG_INFINITY;
             let want = pool_windowed(&input, &params);
             for lanes in [1, 2, 3] {
-                let got = workers::with_forced_lanes(lanes, || pool(&input, &params));
+                let got =
+                    workers::with_forced_lanes(lanes, || pool(&input, &params, global_pool()));
                 assert_eq!(got.shape, want.shape);
                 let same = got
                     .data
@@ -883,7 +771,11 @@ mod tests {
         let mut input = TensorData::zeros(TensorShape::new(1, 1, 4, 4));
         input.set(0, 0, 1, 1, 5.0);
         input.set(0, 0, 2, 3, -2.0);
-        let out = pool(&input, &PoolParams::max((2, 2), (2, 2), (0, 0)));
+        let out = pool(
+            &input,
+            &PoolParams::max((2, 2), (2, 2), (0, 0)),
+            global_pool(),
+        );
         assert_eq!(out.shape, TensorShape::new(1, 1, 2, 2));
         assert_eq!(out.at(0, 0, 0, 0), 5.0);
         assert_eq!(out.at(0, 0, 1, 1), 0.0);
@@ -892,7 +784,11 @@ mod tests {
     #[test]
     fn padded_max_pool_ignores_out_of_bounds() {
         let input = TensorData::random(TensorShape::new(1, 2, 5, 5), 77);
-        let out = pool(&input, &PoolParams::max((3, 3), (2, 2), (1, 1)));
+        let out = pool(
+            &input,
+            &PoolParams::max((3, 3), (2, 2), (1, 1)),
+            global_pool(),
+        );
         assert_eq!(out.shape, TensorShape::new(1, 2, 3, 3));
         // The corner window sees only the 2×2 in-bounds values.
         let expected = input
@@ -909,7 +805,7 @@ mod tests {
             shape: TensorShape::new(1, 1, 2, 2),
             data: vec![1.0, 2.0, 3.0, 6.0],
         };
-        let out = pool(&input, &PoolParams::global_avg());
+        let out = pool(&input, &PoolParams::global_avg(), global_pool());
         assert_eq!(out.at(0, 0, 0, 0), 3.0);
     }
 
@@ -923,12 +819,12 @@ mod tests {
             shape: TensorShape::new(1, 1, 1, 2),
             data: vec![3.0, 4.0],
         };
-        let cat = concat(&[&a, &b]);
+        let cat = concat(&[&a, &b], global_pool());
         assert_eq!(cat.shape.channels, 2);
         assert_eq!(cat.data, vec![1.0, -2.0, 3.0, 4.0]);
-        let sum = add(&[&a, &b]);
+        let sum = add(&[&a, &b], global_pool());
         assert_eq!(sum.data, vec![4.0, 2.0]);
-        let r = relu(&a);
+        let r = relu(&a, global_pool());
         assert_eq!(r.data, vec![1.0, 0.0]);
     }
 
@@ -943,7 +839,7 @@ mod tests {
             out_features: 2,
             activation: Activation::None,
         };
-        let out = matmul(&input, &params, &weights);
+        let out = matmul(&input, &params, &weights, global_pool());
         assert_eq!(out.data, vec![2.0, 5.0]);
     }
 
@@ -956,7 +852,7 @@ mod tests {
             activation: Activation::Relu,
         };
         let w = matmul_weights(9, 6, 10);
-        let out = matmul(&input, &params, &w);
+        let out = matmul(&input, &params, &w, global_pool());
         for n in 0..3 {
             for o in 0..6 {
                 let expected: f32 = (0..10)

@@ -34,7 +34,7 @@ pub enum Isa {
     Sse2,
     /// AVX2: explicit 8-lane f32 and 16-lane `vpmaddwd` int8 tiles.
     Avx2,
-    /// AVX-512F: the f32 tile at 16 lanes. There is no int8 tile at this
+    /// AVX-512F: the f32 tile at 16 lanes. There is no integer row at this
     /// width — see [`executed_isa`].
     Avx512,
 }
@@ -71,19 +71,24 @@ impl Isa {
 pub enum KernelPath {
     /// The f32 register tile: one body instantiated at every tier.
     F32,
-    /// The int8 `pmaddwd` tiles: hand-written up to AVX2.
+    /// The int8 `pmaddwd` tile: one body over an integer row per tier.
     Int8,
 }
 
 /// The tier whose microkernel `path` executes when `active` is selected:
-/// the f32 tile exists at every tier, the int8 tiles stop at AVX2 and run
-/// that tile on wider hosts. The kernel dispatch and the telemetry export
-/// both read this, so the export cannot name a kernel that did not run.
+/// the f32 tile has a row at every tier, the integer tile the row the
+/// tier list names for it (`at_tier` in the tile module — none is wider
+/// than AVX2's). The telemetry export reads the list the dispatch runs, so
+/// it cannot name a kernel that did not run.
+///
+/// # Panics
+///
+/// Panics if `active` is wider than [`detected_isa`].
 #[must_use]
 pub fn executed_isa(path: KernelPath, active: Isa) -> Isa {
     match path {
         KernelPath::F32 => active,
-        KernelPath::Int8 => active.min(Isa::Avx2),
+        KernelPath::Int8 => crate::tile::tier_facts(active).1,
     }
 }
 
@@ -219,11 +224,15 @@ mod tests {
 
     #[test]
     fn each_path_executes_a_tier_the_active_one_covers() {
-        for active in Isa::ALL {
+        // The integer tile has a row of its own up to AVX2 and runs that
+        // one on wider hosts.
+        for active in supported_isas() {
             assert_eq!(executed_isa(KernelPath::F32, active), active);
-            assert!(executed_isa(KernelPath::Int8, active) <= active);
+            assert_eq!(
+                executed_isa(KernelPath::Int8, active),
+                active.min(Isa::Avx2)
+            );
         }
-        assert_eq!(executed_isa(KernelPath::Int8, Isa::Avx512), Isa::Avx2);
         assert_eq!(supported_isas().last(), Some(&detected_isa()));
     }
 

@@ -437,25 +437,6 @@ impl<'a> DisjointOut<'a> {
         }
     }
 
-    /// A view of elements `[start, start + len)` alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not lie inside the buffer.
-    pub(crate) fn part(&self, start: usize, len: usize) -> DisjointOut<'_> {
-        assert!(
-            start <= self.len && len <= self.len - start,
-            "range {start}+{len} outside an output of {}",
-            self.len
-        );
-        DisjointOut {
-            // SAFETY: in bounds per the assert.
-            ptr: unsafe { self.ptr.add(start) },
-            len,
-            _borrow: PhantomData,
-        }
-    }
-
     /// Elements `[start, start + len)` of the buffer.
     ///
     /// # Safety

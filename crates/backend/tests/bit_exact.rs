@@ -10,17 +10,17 @@
 //! into 1, 2, 3 and 7 lanes' worth of chunks and pins them to the same
 //! bits too.
 
-use ios_backend::gemm::{conv2d_im2col_packed_fused, conv2d_im2col_quant_fused};
 use ios_backend::ops_cpu::{
-    conv2d_naive, conv2d_naive_quant, conv_weights, matmul, matmul_weights, pool,
-    sep_conv2d_packed_pooled, sep_conv2d_quant_pooled, sep_conv_seeds,
+    conv2d_naive, conv2d_naive_quant, conv_weights, matmul, matmul_weights, pool, sep_conv2d,
+    sep_conv_seeds,
 };
 use ios_backend::workers::with_forced_lanes;
 use ios_backend::{
-    execute_graph, execute_graph_pooled, execute_network, execute_network_batched,
+    conv2d, execute_graph, execute_graph_pooled, execute_network, execute_network_batched,
     execute_network_batched_capped, execute_network_pipelined, execute_schedule_pooled,
-    relu_fold_plan, sample_scale, split_batch, weight_seed, BlockWeights, ConvEpilogue, FoldedRelu,
-    NetworkWeights, PackedFilter, QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
+    relu_fold_plan, sample_scale, split_batch, weight_seed, BlockWeights, ConvEpilogue, ConvKernel,
+    FoldedRelu, NetworkWeights, PackedFilter, QuantizedFilter, ScratchPool, TensorData,
+    WeightPrecision,
 };
 use ios_core::{ParallelizationStrategy, Schedule, Stage};
 use ios_ir::{
@@ -360,8 +360,8 @@ proptest! {
         // The tile-major packed layout must consume exactly the same weight
         // values in the same per-element order as the naive oracle.
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
-        let packed_out = conv2d_im2col_packed_fused(
-            &input, &params, &packed, &ConvEpilogue::default(), &ScratchPool::new());
+        let packed_out = conv2d(
+            &input, &params, &ConvKernel::F32(packed), &ConvEpilogue::default(), &ScratchPool::new());
         prop_assert_eq!(&packed_out, &conv2d_naive(&input, &params, &weights));
     }
 
@@ -388,7 +388,10 @@ proptest! {
         } else {
             PoolParams::avg((kh, kw), (sh, sw), (ph, pw))
         };
-        prop_assert_eq!(pool(&input, &params), pool_reference(&input, &params));
+        prop_assert_eq!(
+            pool(&input, &params, &ScratchPool::new()),
+            pool_reference(&input, &params)
+        );
     }
 
     #[test]
@@ -406,7 +409,7 @@ proptest! {
         };
         let weights = matmul_weights(seed ^ 0xFEED, out_features, in_features);
         prop_assert_eq!(
-            matmul(&input, &params, &weights),
+            matmul(&input, &params, &weights, &ScratchPool::new()),
             matmul_reference(&input, &params, &weights)
         );
     }
@@ -462,7 +465,7 @@ proptest! {
         };
         let arena = ScratchPool::new();
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
-        let packed_fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena);
+        let packed_fused = conv2d(&input, &params, &ConvKernel::F32(packed), &ep, &arena);
         prop_assert_eq!(&packed_fused, &naive_conv_with_passes(&input, &params, &weights, &ep));
     }
 
@@ -509,6 +512,7 @@ proptest! {
         let input = TensorData::random(shape, seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
+        let packed = ConvKernel::F32(packed);
         let arena = ScratchPool::new();
         let (bias, residual) = epilogue_operands(seed, shape, &params);
         let ep = ConvEpilogue {
@@ -520,7 +524,7 @@ proptest! {
         let reference = naive_conv_with_passes(&input, &params, &weights, &ep);
         for isa in simd::supported_isas() {
             let out = simd::with_forced_isa(isa, || {
-                conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena)
+                conv2d(&input, &params, &packed, &ep, &arena)
             });
             prop_assert_eq!(&out, &reference, "f32 kernel differs from the oracle on {}", isa);
         }
@@ -576,7 +580,7 @@ proptest! {
 
         // Byte-identity: every int8 fast path must equal the naive integer
         // oracle exactly — integer accumulation is order-exact.
-        let fast = conv2d_im2col_quant_fused(&input, &params, &quant, &ep, &arena);
+        let fast = conv2d(&input, &params, &ConvKernel::Int8(quant.clone()), &ep, &arena);
         let oracle = conv2d_naive_quant(&input, &params, &quant, &ep);
         prop_assert_eq!(&fast, &oracle);
 
@@ -711,8 +715,8 @@ proptest! {
         let input = TensorData::random(TensorShape::new(batch, in_c, h, w), seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
         let k_len = channels_per_group * kh * kw;
-        let packed = PackedFilter::pack(&weights, out_c, groups, k_len);
-        let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
+        let packed = ConvKernel::F32(PackedFilter::pack(&weights, out_c, groups, k_len));
+        let quant = ConvKernel::Int8(QuantizedFilter::quantize(&weights, out_c, groups, k_len));
         let arena = ScratchPool::new();
         let (bias, residual) = epilogue_operands(seed, input.shape, &params);
         let ep = ConvEpilogue {
@@ -724,8 +728,8 @@ proptest! {
         let run = |lanes: usize| {
             with_forced_lanes(lanes, || {
                 (
-                    conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena),
-                    conv2d_im2col_quant_fused(&input, &params, &quant, &ep, &arena),
+                    conv2d(&input, &params, &packed, &ep, &arena),
+                    conv2d(&input, &params, &quant, &ep, &arena),
                 )
             })
         };
@@ -760,8 +764,8 @@ proptest! {
         let dw = conv_weights(seed ^ 0xD17, channels, 1, (k, k));
         let pw = conv_weights(seed ^ 0x117, out_channels, channels, (1, 1));
         let dw_packed = PackedFilter::pack(&dw, channels, channels, k * k);
-        let pw_packed = PackedFilter::pack(&pw, out_channels, 1, channels);
-        let pw_quant = QuantizedFilter::quantize(&pw, out_channels, 1, channels);
+        let pw_packed = ConvKernel::F32(PackedFilter::pack(&pw, out_channels, 1, channels));
+        let pw_quant = ConvKernel::Int8(QuantizedFilter::quantize(&pw, out_channels, 1, channels));
         let pool_params = if is_max {
             PoolParams::max((k, k), (stride, stride), (pad, pad))
         } else {
@@ -770,9 +774,9 @@ proptest! {
         let run = |lanes: usize| {
             with_forced_lanes(lanes, || {
                 (
-                    sep_conv2d_packed_pooled(&input, &params, &dw_packed, &pw_packed, &arena),
-                    sep_conv2d_quant_pooled(&input, &params, &dw_packed, &pw_quant, &arena),
-                    pool(&input, &pool_params),
+                    sep_conv2d(&input, &params, &dw_packed, &pw_packed, &arena),
+                    sep_conv2d(&input, &params, &dw_packed, &pw_quant, &arena),
+                    pool(&input, &pool_params, &arena),
                 )
             })
         };

@@ -6,8 +6,8 @@
 //! Run with: `cargo bench -p ios-bench --bench conv_kernels`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled};
-use ios_backend::ScratchPool;
+use ios_backend::ops_cpu::conv2d_naive;
+use ios_backend::{conv2d, ConvEpilogue, ScratchPool};
 use ios_bench::conv_bench_shapes;
 
 fn bench_conv_kernels(c: &mut Criterion) {
@@ -24,7 +24,13 @@ fn bench_conv_kernels(c: &mut Criterion) {
             &case,
             |b, case| {
                 b.iter(|| {
-                    let out = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
+                    let out = conv2d(
+                        &input,
+                        &case.params,
+                        &packed,
+                        &ConvEpilogue::default(),
+                        &arena,
+                    );
                     arena.recycle_tensor(out);
                 })
             },

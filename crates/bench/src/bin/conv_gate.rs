@@ -1,7 +1,7 @@
 //! `conv_gate` — CI acceptance gate for the CPU convolution engine.
 //!
 //! Times the im2col + register-blocked GEMM convolution
-//! ([`conv2d_packed_pooled`], the filter packed outside the timed region as
+//! ([`conv2d`], the filter packed outside the timed region as
 //! weight precomputation does) against the naive 7-deep reference loop
 //! ([`conv2d_naive`]) on the Inception-/SqueezeNet-shaped layers of
 //! [`ios_bench::conv_bench_shapes`], after first asserting the two are
@@ -17,8 +17,8 @@
 //! Run with: `cargo run --release -p ios-bench --bin conv_gate`
 //! (`--quick` halves the channel counts and the iteration count).
 
-use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled};
-use ios_backend::ScratchPool;
+use ios_backend::ops_cpu::conv2d_naive;
+use ios_backend::{conv2d, ConvEpilogue, ScratchPool};
 use ios_bench::{
     cells, conv_bench_shapes, geomean, mul_add_peak_gflops, paired_rounds, Cell, Gate, Table,
 };
@@ -29,6 +29,7 @@ fn main() -> ExitCode {
     let mut gate = Gate::from_args("conv");
     let iters = if gate.opts.quick { 3 } else { 5 };
     let arena = ScratchPool::new();
+    let unfused = ConvEpilogue::default();
     let cases = conv_bench_shapes(gate.opts.quick);
     let active = ios_backend::simd::active_isa();
     let peak_gflops = mul_add_peak_gflops(active, gate.host.lanes, iters * 3);
@@ -51,7 +52,7 @@ fn main() -> ExitCode {
         let (input, weights, packed) = case.operands();
 
         // The gate is only meaningful if the fast path is exact.
-        let fast = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
+        let fast = conv2d(&input, &case.params, &packed, &unfused, &arena);
         let reference = conv2d_naive(&input, &case.params, &weights);
         assert_eq!(
             fast, reference,
@@ -62,7 +63,7 @@ fn main() -> ExitCode {
 
         let mut naive = || drop(black_box(conv2d_naive(&input, &case.params, &weights)));
         let mut gemm = || {
-            let out = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
+            let out = conv2d(&input, &case.params, &packed, &unfused, &arena);
             arena.recycle_tensor(out);
         };
         let naive_ms = paired_rounds(iters, &mut [&mut naive]).best_ms(0);

@@ -44,10 +44,9 @@
 //! Run with: `cargo run --release -p ios-bench --bin quant_gate`
 //! (`--quick` lowers the iteration count; the shapes stay full-size).
 
-use ios_backend::gemm::{conv2d_im2col_packed_fused, conv2d_im2col_quant_fused};
-use ios_backend::ops_cpu::{conv2d_naive_quant, conv2d_packed_pooled};
+use ios_backend::ops_cpu::conv2d_naive_quant;
 use ios_backend::simd::{self, Isa};
-use ios_backend::{sample_scale, ConvEpilogue, QuantizedFilter, ScratchPool};
+use ios_backend::{conv2d, sample_scale, ConvEpilogue, ConvKernel, QuantizedFilter, ScratchPool};
 use ios_bench::{cells, geomean, paired_rounds, quant_bench_shapes, Gate, Table};
 use std::process::ExitCode;
 
@@ -103,6 +102,7 @@ fn main() -> ExitCode {
         let (input, weights, packed) = case.operands();
         let (out_channels, k_len) = (case.params.out_channels, case.k_len());
         let quant = QuantizedFilter::quantize(&weights, out_channels, case.params.groups, k_len);
+        let int8 = ConvKernel::Int8(quant.clone());
 
         // Epilogue operands: per-output-channel bias and a full residual
         // tensor, applied with ReLU — the serving-hot epilogue shape.
@@ -122,7 +122,7 @@ fn main() -> ExitCode {
         // writing a fresh arena tensor (the same arithmetic order the
         // fused store uses, so the bit-identity assert below holds).
         let run_baseline = || {
-            let conv = conv2d_packed_pooled(&input, &plain, &packed, &arena);
+            let conv = conv2d(&input, &plain, &packed, &ConvEpilogue::default(), &arena);
             let mut biased = arena.take_tensor(conv.shape);
             for n in 0..conv.shape.batch {
                 for (oc, &bv) in bias.iter().enumerate() {
@@ -146,8 +146,8 @@ fn main() -> ExitCode {
             arena.recycle_tensor(added);
             out
         };
-        let run_fused = || conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena);
-        let run_int8 = || conv2d_im2col_quant_fused(&input, &plain, &quant, &ep, &arena);
+        let run_fused = || conv2d(&input, &plain, &packed, &ep, &arena);
+        let run_int8 = || conv2d(&input, &plain, &int8, &ep, &arena);
 
         // The gate is only meaningful if fusion is exact.
         let baseline_out = run_baseline();

@@ -6,7 +6,7 @@
 //! each run with a full bias + residual + ReLU epilogue:
 //!
 //! 1. **Bit-identity across ISAs** — before any timing, the f32 kernel
-//!    ([`conv2d_im2col_packed_fused`]) is run under *every* ISA this host
+//!    ([`conv2d`]) is run under *every* ISA this host
 //!    supports via `with_forced_isa` and asserted bitwise equal to the
 //!    scalar-forced reference. A single differing bit fails the gate.
 //! 2. **Host-aware speedup bar** — at AVX2 and wider, the active kernel
@@ -33,9 +33,8 @@
 //! Run with: `cargo run --release -p ios-bench --bin simd_gate`
 //! (`--quick` lowers the round count; the shapes stay full-size).
 
-use ios_backend::gemm::conv2d_im2col_packed_fused;
 use ios_backend::simd::{self, Isa};
-use ios_backend::{ConvEpilogue, ScratchPool};
+use ios_backend::{conv2d, ConvEpilogue, ScratchPool};
 use ios_bench::{
     cells, geomean, mul_add_peak_gflops, paired_rounds, simd_bench_shapes, Cell, Gate, Table,
 };
@@ -108,11 +107,8 @@ fn main() -> ExitCode {
             relu: true,
         };
 
-        let run_on = |isa: Isa| {
-            simd::with_forced_isa(isa, || {
-                conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena)
-            })
-        };
+        let run_on =
+            |isa: Isa| simd::with_forced_isa(isa, || conv2d(&input, &plain, &packed, &ep, &arena));
 
         // The gate is only meaningful if every ISA computes the same bits.
         let reference = run_on(Isa::Scalar);
@@ -132,7 +128,7 @@ fn main() -> ExitCode {
         // best-of-N (same harness as quant_gate, so single-core CI hosts
         // don't produce noisy verdicts).
         let run_packed = || {
-            let out = conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena);
+            let out = conv2d(&input, &plain, &packed, &ep, &arena);
             arena.recycle_tensor(out);
         };
         let mut runs: Vec<_> = tiers

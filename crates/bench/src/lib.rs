@@ -23,7 +23,7 @@
 use ios_backend::gemm::mul_add_probe;
 use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::Isa;
-use ios_backend::{PackedFilter, TensorData};
+use ios_backend::{ConvKernel, PackedFilter, TensorData};
 use ios_core::{
     greedy_network_schedule, optimize_network, sequential_network_schedule, IosVariant,
     NetworkSchedule, SchedulerConfig, SimCostModel,
@@ -315,14 +315,16 @@ impl ConvCase {
     }
 
     /// What every kernel gate and bench runs the layer on: a seeded random
-    /// input, seeded natural-layout weights, and those weights packed (as
-    /// weight precomputation does, outside any timed region).
+    /// input, seeded natural-layout weights, and those weights packed into
+    /// the f32 kernel (as weight precomputation does, outside any timed
+    /// region).
     #[must_use]
-    pub fn operands(&self) -> (TensorData, Vec<f32>, PackedFilter) {
+    pub fn operands(&self) -> (TensorData, Vec<f32>, ConvKernel) {
         let p = &self.params;
         let weights = conv_weights(11, p.out_channels, self.input.channels / p.groups, p.kernel);
         let packed = PackedFilter::pack(&weights, p.out_channels, p.groups, self.k_len());
-        (TensorData::random(self.input, 7), weights, packed)
+        let input = TensorData::random(self.input, 7);
+        (input, weights, ConvKernel::F32(packed))
     }
 
     /// The serving-hot epilogue `quant_gate` and `simd_gate` run the layer
@@ -764,7 +766,8 @@ mod tests {
         // naive one on them, and the residual has the output's shape.
         let (input, weights, packed) = case.operands();
         let pool = ios_backend::ScratchPool::new();
-        let out = ios_backend::ops_cpu::conv2d_packed_pooled(&input, &case.params, &packed, &pool);
+        let unfused = ios_backend::ConvEpilogue::default();
+        let out = ios_backend::conv2d(&input, &case.params, &packed, &unfused, &pool);
         let naive = ios_backend::ops_cpu::conv2d_naive(&input, &case.params, &weights);
         assert_eq!(out, naive);
         let (plain, bias, residual) = case.epilogue_operands();

@@ -45,6 +45,7 @@
 //!   still serves the tests.
 
 use crate::config::{TenantConfig, TenantsConfig};
+use crate::metrics::Count;
 use crate::request::{Pending, TenantId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -268,7 +269,8 @@ impl BatchQueue {
     /// [`BatchQueue::push_bounded`]; this unbounded form serves the tests.)
     #[cfg(test)]
     pub fn push(&self, pending: Pending) -> bool {
-        self.push_bounded(pending, None, false).is_ok()
+        self.push_bounded(pending, None, false, &Count::default())
+            .is_ok()
     }
 
     /// Offers a request subject to the tenant's token bucket and an
@@ -279,6 +281,12 @@ impl BatchQueue {
     /// weighted share (see [`QueueState::tenant_share`]) instead of as one
     /// shared total, so the over-quota tenant is rejected first.
     ///
+    /// An open queue takes every offer on — to enqueue it or to hand it
+    /// back for admission to finish as shed — and counts it into
+    /// `taken_on` right there: under the lock, so ahead of any worker
+    /// handing the request out and of any outcome, and never for an offer
+    /// a closed queue turns away.
+    ///
     /// A refused request comes back by value for admission to finish;
     /// boxing it would put an allocation on every shed.
     #[allow(clippy::result_large_err)]
@@ -287,11 +295,13 @@ impl BatchQueue {
         pending: Pending,
         capacity: Option<usize>,
         shedding: bool,
+        taken_on: &Count,
     ) -> Result<(), (Refused, Pending)> {
         let mut state = self.state.lock().expect("queue lock");
         if state.closed {
             return Err((Refused::Closed, pending));
         }
+        taken_on.add(1);
         if !state.lanes.contains_key(&pending.tenant) {
             let config = self.tenants.for_tenant(pending.tenant.name());
             state
@@ -472,7 +482,7 @@ mod tests {
         shedding: bool,
     ) -> Result<(), Refused> {
         queue
-            .push_bounded(pending, capacity, shedding)
+            .push_bounded(pending, capacity, shedding, &Count::default())
             .map_err(|(why, _)| why)
     }
 

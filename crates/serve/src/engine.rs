@@ -568,6 +568,68 @@ mod tests {
     }
 
     #[test]
+    fn offers_racing_the_close_never_export_a_phantom_in_flight_request() {
+        // Submitters keep offering across the moment the queue closes (the
+        // first thing `shutdown` does to it) while a scraper reads the
+        // exported counters. A closed queue takes nothing on, so once the
+        // requests accepted before the close have drained, `in_flight` is 0
+        // and `submitted` stands still at every scrape — however many
+        // offers are being turned away at that moment.
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        let net = tiny_network();
+        let engine = ServeEngine::start(net.clone(), quick_config());
+        let closed = AtomicBool::new(false);
+        let submitters_left = AtomicU64::new(3);
+        let handed_out = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let mut turned_away = 0;
+                    while turned_away < 20_000 {
+                        match engine.submit(TensorData::zeros(net.input_shape)) {
+                            Ok(handle) => {
+                                handle.wait_outcome().expect("accepted requests complete");
+                                handed_out.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(ServeError::ShuttingDown) => turned_away += 1,
+                            Err(other) => panic!("unexpected refusal: {other}"),
+                        }
+                    }
+                    submitters_left.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            scope.spawn(|| {
+                let mut drained: Option<u64> = None;
+                while submitters_left.load(Ordering::SeqCst) > 0 {
+                    let was_closed = closed.load(Ordering::SeqCst);
+                    let m = engine.metrics();
+                    let outcomes = m.completed + m.shed + m.deadline_expired + m.failed;
+                    assert_eq!(m.submitted, outcomes + m.in_flight);
+                    match drained {
+                        Some(submitted) => assert_eq!(
+                            (m.in_flight, m.submitted),
+                            (0, submitted),
+                            "an offer a closed queue turned away was exported as in flight"
+                        ),
+                        None if was_closed && m.in_flight == 0 => drained = Some(m.submitted),
+                        None => {}
+                    }
+                }
+            });
+            while handed_out.load(Ordering::SeqCst) < 30 {
+                std::thread::yield_now();
+            }
+            engine.shared.queue.close();
+            closed.store(true, Ordering::SeqCst);
+        });
+        let m = engine.metrics();
+        assert_eq!(
+            (m.submitted, m.completed, m.in_flight),
+            (handed_out.load(Ordering::SeqCst), m.submitted, 0)
+        );
+    }
+
+    #[test]
     fn coalesces_deep_queues_into_full_batches() {
         let net = tiny_network();
         let engine = ServeEngine::start(

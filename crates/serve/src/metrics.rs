@@ -47,11 +47,6 @@ impl Count {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Takes back an `add` that turned out not to have happened.
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }

@@ -74,17 +74,17 @@ impl Shared {
             respond_to,
         };
         let (capacity, shedding) = self.admission();
-        // Counted before the offer: a worker may finish the request before
-        // this thread runs again, and no outcome may be counted ahead of
-        // its submission.
-        self.metrics.submitted.add(1);
-        match self.queue.push_bounded(pending, capacity, shedding) {
+        // The queue counts the submission as it takes the offer on, under
+        // its lock: a worker may finish the request before this thread runs
+        // again, and no outcome may be counted ahead of its submission.
+        let submitted = &self.metrics.submitted;
+        match self
+            .queue
+            .push_bounded(pending, capacity, shedding, submitted)
+        {
             Ok(()) => {}
-            Err((Refused::Closed, _)) => {
-                // The engine never took the request on: not a submission.
-                self.metrics.submitted.sub(1);
-                return Err(ServeError::ShuttingDown);
-            }
+            // The engine never took the request on: not a submission.
+            Err((Refused::Closed, _)) => return Err(ServeError::ShuttingDown),
             Err((Refused::Full | Refused::RateLimited, pending)) => {
                 // The caller gets this outcome as the return value: with no
                 // receiver left, the send in `finish` allocates nothing.

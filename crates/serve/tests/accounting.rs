@@ -216,3 +216,86 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
         handle.wait_outcome().expect("drained at shutdown");
     }
 }
+
+/// Racing submitters under a scraper, then a drain: the queue counts a
+/// submission as it takes the offer on (under its lock), so no scrape may
+/// show more requests in flight than the submitters have been handed and
+/// not yet seen resolved — and every scrape satisfies the identity. (An
+/// offer racing the *close* itself is only reachable inside the crate —
+/// `shutdown` takes the engine by value — and is pinned by the engine's
+/// unit test `offers_racing_the_close_never_export_a_phantom_in_flight_request`.)
+#[test]
+fn a_scrape_never_sees_more_in_flight_than_the_submitters_hold() {
+    use std::sync::atomic::AtomicU64;
+    const SUBMITTERS: u64 = 3;
+    const OFFERS_EACH: u64 = 300;
+    let net = two_block_network();
+    let (entered_tx, _entered) = mpsc::channel();
+    let (_release, release_rx) = mpsc::channel();
+    let config = ServeConfig::default()
+        .with_max_batch(2)
+        .with_workers(1)
+        .with_max_wait(Duration::from_micros(50))
+        .with_prewarm_batches(vec![1, 2])
+        .with_background_reoptimize(false)
+        .with_admission_capacity(1);
+    let engine = ServeEngine::start_with_executor(
+        net.clone(),
+        config,
+        Box::new(ScriptedExecutor {
+            script: Arc::default(),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        }),
+    );
+    let (offered, resolved, shed) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let submitters_left = AtomicU64::new(SUBMITTERS);
+    let parting: Vec<_> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while submitters_left.load(Ordering::SeqCst) > 0 {
+                let resolved_before = resolved.load(Ordering::SeqCst);
+                let m = engine.metrics();
+                let offered_after = offered.load(Ordering::SeqCst);
+                let outcomes = m.completed + m.shed + m.deadline_expired + m.failed;
+                assert_eq!(m.submitted, outcomes + m.in_flight, "the exported identity");
+                assert!(
+                    m.in_flight <= SUBMITTERS.min(offered_after - resolved_before),
+                    "{} in flight, {offered_after} offered, {resolved_before} resolved",
+                    m.in_flight
+                );
+            }
+        });
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    for _ in 0..OFFERS_EACH {
+                        offered.fetch_add(1, Ordering::SeqCst);
+                        match engine.submit(TensorData::zeros(net.input_shape)) {
+                            Ok(handle) => drop(handle.wait_outcome().expect("served")),
+                            Err(ServeError::Rejected(Rejected::Shed)) => {
+                                shed.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(other) => panic!("unexpected refusal: {other}"),
+                        }
+                        resolved.fetch_add(1, Ordering::SeqCst);
+                    }
+                    // One more, left unresolved for the drain below.
+                    offered.fetch_add(1, Ordering::SeqCst);
+                    let parting = engine.submit(TensorData::zeros(net.input_shape));
+                    submitters_left.fetch_sub(1, Ordering::SeqCst);
+                    parting
+                })
+            })
+            .collect();
+        submitters.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+    let parted = parting.iter().filter(|p| p.is_ok()).count() as u64;
+    let m = engine.metrics();
+    assert_eq!(m.submitted, SUBMITTERS * (OFFERS_EACH + 1));
+    assert_eq!(m.shed, shed.load(Ordering::SeqCst) + (SUBMITTERS - parted));
+    assert!(m.in_flight <= parted);
+    engine.shutdown();
+    for handle in parting.into_iter().flatten() {
+        handle.wait_outcome().expect("drained at shutdown");
+    }
+}
