@@ -7,10 +7,10 @@
 //! `(ic, ky, kx)` flattened, walked strictly sequentially — and blocks only
 //! over the *independent* output dimensions (output channels × output
 //! pixels), so every output element receives precisely the same sequence of
-//! `mul` + `add` operations as the reference. Padding positions contribute
-//! explicit zero patch values; adding `±0.0 * w` terms never changes a
-//! finite IEEE-754 sum, so results compare equal (`==`) element for
-//! element. No FMA contraction is used.
+//! fused multiply-adds as the reference: `acc = fma(w, x, acc)`, one rounding
+//! per step, on every tier ([`crate::tile`]). Padding positions contribute
+//! explicit zero patch values; `fma(±0.0, w, acc)` leaves a finite accumulator
+//! equal to itself, so results compare equal (`==`) element for element.
 //!
 //! Layout:
 //!
@@ -285,7 +285,7 @@ impl Filter for PackedFilter {
     }
 
     /// As wide as the tier's register tile, so every broadcast weight feeds
-    /// `NV` multiplies and the filter is streamed once per `16·NV` columns.
+    /// `NV` multiply-adds and the filter is streamed once per `16·NV` columns.
     fn tile_at(&self, isa: Isa) -> (Isa, usize) {
         (isa, tier_facts(isa).0)
     }
@@ -494,7 +494,7 @@ mod tests {
                 for j in 0..m {
                     let mut acc = 0.0f32;
                     for kk in 0..k_len {
-                        acc += a[i * k_len + kk] * b[kk * m + j];
+                        acc = a[i * k_len + kk].mul_add(b[kk * m + j], acc);
                     }
                     assert_eq!(
                         c.data[i * m + j],
@@ -506,6 +506,45 @@ mod tests {
             let want = conv2d_naive_quant(&input, &params, &quant, &ep);
             let got = conv2d(&input, &params, &ConvKernel::Int8(quant), &ep, &pool);
             assert_eq!(got, want, "{m_rows}x{m} (k {k_len}) int8");
+        }
+    }
+
+    #[test]
+    fn every_mac_is_fused_on_the_oracle_and_on_every_tier() {
+        // Two input channels: −1 · (1 + 2⁻¹¹), then (1 + 2⁻¹²)², whose exact
+        // product 1 + 2⁻¹¹ + 2⁻²⁴ lands on −(1 + 2⁻¹¹). One rounding per MAC
+        // leaves exactly 2⁻²⁴; a product rounded on its own is a tie that
+        // rounds to 1 + 2⁻¹¹ and leaves 0.0. An un-fused oracle or tier — or
+        // a contraction flag fusing one and not the other — fails here.
+        let (w, x) = (
+            [-1.0, 1.0 + 2f32.powi(-12)],
+            [1.0 + 2f32.powi(-11), 1.0 + 2f32.powi(-12)],
+        );
+        let fused = 2f32.powi(-24);
+        assert_eq!(w[0] * x[0] + w[1] * x[1], 0.0);
+        assert_eq!(w[1].mul_add(x[1], w[0] * x[0]), fused);
+        // 5 rows × 50 columns: an edge panel, and every lane of a full, a
+        // two-wide and a ragged block.
+        let (m_rows, m) = (5usize, 50usize);
+        let input = TensorData {
+            shape: TensorShape::new(1, 2, 1, m),
+            data: x.iter().flat_map(|&v| vec![v; m]).collect(),
+        };
+        let params = Conv2dParams::plain(m_rows, (1, 1), (1, 1), (0, 0));
+        let weights = w.repeat(m_rows);
+        let want = vec![fused; m_rows * m];
+        assert_eq!(conv2d_naive(&input, &params, &weights).data, want, "oracle");
+        let (kernel, _) = kernels(&weights, m_rows, 2);
+        let pool = ScratchPool::new();
+        for isa in simd::supported_isas() {
+            for lanes in [1, 2, workers::lanes()] {
+                let got = simd::with_forced_isa(isa, || {
+                    workers::with_forced_lanes(lanes, || {
+                        conv2d(&input, &params, &kernel, &ConvEpilogue::default(), &pool)
+                    })
+                });
+                assert_eq!(got.data, want, "{isa}, {lanes} lanes");
+            }
         }
     }
 

@@ -156,9 +156,9 @@ pub fn conv2d_naive_quant(
     out
 }
 
-/// The naive 7-deep reference convolution: one scalar accumulator per
-/// output element, walked over `(ic, ky, kx)` with per-element bounds
-/// checks. Kept as the numerics oracle the fast path is verified against.
+/// The naive 7-deep reference convolution: one scalar accumulator per output
+/// element, `acc = fma(w, x, acc)` (one rounding) over `(ic, ky, kx)` with
+/// per-element bounds checks. The numerics oracle of the fast path.
 #[must_use]
 pub fn conv2d_naive(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
     let in_shape = input.shape;
@@ -190,7 +190,8 @@ pub fn conv2d_naive(input: &TensorData, params: &Conv2dParams, weights: &[f32]) 
                                     continue;
                                 }
                                 let w = weights[((oc * in_c_per_group + ic) * kh + ky) * kw + kx];
-                                acc += w * input.at(n, in_channel, iy as usize, ix as usize);
+                                let v = input.at(n, in_channel, iy as usize, ix as usize);
+                                acc = w.mul_add(v, acc);
                             }
                         }
                     }
@@ -412,9 +413,10 @@ fn fold_tap(acc: &mut [f32], taps: &[f32], stride: usize, op: impl Fn(f32, f32) 
     }
 }
 
-/// Fully connected layer. Outputs are computed four at a
-/// time so the input row is read once per quadruple; every accumulator
-/// still sums in ascending feature order, bit-identical to the reference.
+/// Fully connected layer. Outputs are computed four at a time so the input
+/// row is read once per quadruple; every accumulator still sums in ascending
+/// feature order, bit-identical to the reference. Its step is `acc += x · w`,
+/// rounded twice: the fused contract is the convolution path's, not its own.
 #[must_use]
 pub fn matmul(
     input: &TensorData,

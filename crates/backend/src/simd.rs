@@ -6,7 +6,8 @@
 //! cached in a [`OnceLock`] kernel table keyed by [`Isa`]:
 //!
 //! * **detection** — `is_x86_feature_detected!` for `avx512f`, then `avx2`,
-//!   on x86_64 (SSE2 is the unconditional x86_64 floor), scalar elsewhere;
+//!   each with the `fma` its f32 tile executes, on x86_64 (SSE2 is the
+//!   unconditional x86_64 floor), scalar elsewhere;
 //! * **`IOS_FORCE_ISA`** — a `{scalar, sse2, avx2, avx512}` environment
 //!   override for deterministic testing (e.g. exercising the SSE2 fallback
 //!   on an AVX2 CI runner). Forcing an ISA the host cannot execute panics
@@ -29,10 +30,10 @@ use std::sync::OnceLock;
 pub enum Isa {
     /// Portable scalar code — the only tier off x86_64.
     Scalar,
-    /// SSE2: the x86_64 baseline. The f32 tiles run their auto-vectorized
-    /// form at this tier; the int8 tiles run explicit `pmaddwd`.
+    /// SSE2: the x86_64 baseline. The f32 tiles run the portable `fmaf` row
+    /// (an exact-but-slow reference tier); the int8 tiles explicit `pmaddwd`.
     Sse2,
-    /// AVX2: explicit 8-lane f32 and 16-lane `vpmaddwd` int8 tiles.
+    /// AVX2 + FMA: explicit 8-lane f32 and 16-lane `vpmaddwd` int8 tiles.
     Avx2,
     /// AVX-512F: the f32 tile at 16 lanes. There is no integer row at this
     /// width — see [`executed_isa`].
@@ -107,17 +108,17 @@ impl std::fmt::Display for Isa {
 }
 
 /// The widest ISA this host can execute, from hardware feature detection
-/// alone (no overrides).
+/// alone (no overrides): all of its `#[target_feature]` set in the tile
+/// module's tier list is reported.
 #[must_use]
 pub fn detected_isa() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            Isa::Avx512
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            Isa::Avx2
-        } else {
-            Isa::Sse2
+        use std::arch::is_x86_feature_detected as has;
+        match (has!("avx2") && has!("fma"), has!("avx512f")) {
+            (false, _) => Isa::Sse2,
+            (true, false) => Isa::Avx2,
+            (true, true) => Isa::Avx512,
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -252,7 +253,20 @@ mod tests {
 
     #[test]
     fn detection_never_exceeds_the_hardware() {
-        // active_isa() must always be executable on this host.
+        // active_isa() must always be executable on this host ...
         assert!(active_isa() <= detected_isa());
+        // ... which is the `unsafe` contract of the tile module's tier
+        // list: every feature a supported tier's `#[target_feature]` entry
+        // enables is one the CPU reports.
+        #[cfg(target_arch = "x86_64")]
+        for isa in supported_isas() {
+            use std::arch::is_x86_feature_detected as has;
+            let reported = match isa {
+                Isa::Scalar | Isa::Sse2 => true,
+                Isa::Avx2 => has!("avx2") && has!("fma"),
+                Isa::Avx512 => has!("avx512f") && has!("avx2") && has!("fma"),
+            };
+            assert!(reported, "{isa} selected without its features");
+        }
     }
 }

@@ -2,8 +2,11 @@
 //! body, each written once over a row trait ([`Row`], [`IntRow`]) and
 //! instantiated per tier in one list ([`at_tier`]), selected per call
 //! through [`crate::simd`]. Every f32 row gives each output element the same
-//! `mul`, then `add` — never FMA — over strictly ascending `k`, and every
-//! integer row the same `i32` sums, so the tier is invisible in the output.
+//! fused multiply-add — `acc = fma(a, b, acc)`, one rounding per MAC — over
+//! strictly ascending `k`, and every integer row the same `i32` sums, so the
+//! tier is invisible in the output. Below AVX2 no instruction fuses: the
+//! portable row calls libm's `fmaf` per lane, and the scalar / SSE2 tiers
+//! are exact-but-slow *reference* tiers.
 //! There is no edge tile: a ragged sub-block is built with a zero tail, an
 //! edge panel carries zero rows, and only the *store* is partial.
 
@@ -29,13 +32,13 @@ pub(crate) const PACK_NR: usize = 16;
 /// store are written once over this trait; a tier is an implementation plus
 /// a `#[target_feature]` entry ([`at_tier`]).
 ///
-/// `mul` and `add` are always separate operations, never fused — every
-/// implementation gives each lane the scalar sequence `acc + a · b`
-/// rounded twice, so all tiers produce the same bits. `max(v, +0.0)`
-/// returns `+0.0` for NaN lanes on every implementation (`f32::max` and
-/// `vmaxps` agree), and a `-0.0` can never reach it (every accumulator
-/// chain starts at `+0.0`, and IEEE-754 addition only yields `-0.0` from
-/// two `-0.0` operands).
+/// `acc.mul_add(a, b)` is the one multiply-accumulate of the convolution
+/// path: `fma(a, b, acc)`, the exact product added to `acc` and rounded
+/// once — `f32::mul_add`, `vfmadd231ps` — on every implementation and in
+/// [`crate::ops_cpu::conv2d_naive`], so all tiers produce the same bits.
+/// `add` is the epilogue's. `max(v, +0.0)` returns `+0.0` for NaN lanes on
+/// every implementation (`f32::max` and `vmaxps` agree); a `-0.0` reaches it
+/// only from a product that underflowed, and compares equal.
 ///
 /// # Safety
 ///
@@ -45,7 +48,7 @@ pub(crate) const PACK_NR: usize = 16;
 pub(crate) trait Row: Copy {
     unsafe fn splat(v: f32) -> Self;
     unsafe fn load(src: *const f32) -> Self;
-    unsafe fn mul(self, o: Self) -> Self;
+    unsafe fn mul_add(self, a: Self, b: Self) -> Self;
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn max(self, o: Self) -> Self;
     unsafe fn store(self, dst: *mut f32);
@@ -54,7 +57,7 @@ pub(crate) trait Row: Copy {
 /// Implements [`Row`] as `PACK_NR / $lanes` vectors of `$lanes` lanes from
 /// the vector type's elementwise operations.
 macro_rules! row_of {
-    ($v:ty, $lanes:literal, $splat:expr, $load:expr, $mul:expr, $add:expr, $max:expr, $store:expr) => {
+    ($v:ty, $lanes:literal, $splat:expr, $load:expr, $fma:expr, $add:expr, $max:expr, $store:expr) => {
         // SAFETY (every block below): the `Row` contract — the CPU executes
         // `$v`'s ISA, pointers lead to `PACK_NR` values; the operations load
         // and store unaligned. (The portable row's are safe: the `allow`.)
@@ -69,8 +72,8 @@ macro_rules! row_of {
                 unsafe { std::array::from_fn(|h| $load(src.add(h * $lanes))) }
             }
             #[inline(always)]
-            unsafe fn mul(self, o: Self) -> Self {
-                unsafe { std::array::from_fn(|h| $mul(self[h], o[h])) }
+            unsafe fn mul_add(self, a: Self, b: Self) -> Self {
+                unsafe { std::array::from_fn(|h| $fma(a[h], b[h], self[h])) }
             }
             #[inline(always)]
             unsafe fn add(self, o: Self) -> Self {
@@ -149,14 +152,14 @@ macro_rules! int_row_of {
     };
 }
 
-// The portable row of the scalar and SSE2 tiers: sixteen plain floats the
-// compiler auto-vectorizes at the build's baseline.
+// The portable row of the scalar and SSE2 tiers: sixteen plain floats, each
+// `f32::mul_add` a call to libm's exact `fmaf` on x86-64 (an FMA on aarch64).
 row_of!(
     f32,
     1,
     std::convert::identity,
     |p: *const f32| p.read(),
-    |a: f32, b: f32| a * b,
+    f32::mul_add,
     |a: f32, b: f32| a + b,
     f32::max,
     |p: *mut f32, v: f32| p.write(v)
@@ -178,13 +181,13 @@ int_row_of!(
 mod x86_rows {
     use super::{pair, IntRow, Isa, Row, PACK_NR};
     use std::arch::x86_64::*;
-    // AVX2: two 8-lane vectors.
+    // AVX2 + FMA: two 8-lane vectors.
     row_of!(
         __m256,
         8,
         _mm256_set1_ps,
         _mm256_loadu_ps,
-        _mm256_mul_ps,
+        _mm256_fmadd_ps,
         _mm256_add_ps,
         _mm256_max_ps,
         _mm256_storeu_ps
@@ -195,7 +198,7 @@ mod x86_rows {
         16,
         _mm512_set1_ps,
         _mm512_loadu_ps,
-        _mm512_mul_ps,
+        _mm512_fmadd_ps,
         _mm512_add_ps,
         _mm512_max_ps,
         _mm512_storeu_ps
@@ -245,20 +248,20 @@ pub(crate) fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{__m128i, __m256, __m256i, __m512};
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn avx2<K: RowKernel>(kernel: K) -> K::Out {
-            // SAFETY: this function's contract — AVX2 is available.
+            // SAFETY: this function's contract — AVX2 and FMA are available.
             unsafe { kernel.run::<[__m256; 2], [__m256i; 2], 1, 1>() }
         }
-        #[target_feature(enable = "avx512f")]
+        #[target_feature(enable = "avx512f,fma")]
         unsafe fn avx512<K: RowKernel>(kernel: K) -> K::Out {
-            // SAFETY: this function's contract — AVX-512F (hence AVX2) is
-            // available.
+            // SAFETY: this function's contract — AVX-512F (hence AVX2) and
+            // FMA are available.
             unsafe { kernel.run::<[__m512; 1], [__m256i; 2], 2, 3>() }
         }
-        // SAFETY: the dispatch module only selects a tier after runtime
-        // feature detection (or a forced override validated against it);
-        // SSE2 is part of the x86_64 baseline.
+        // SAFETY: the dispatch module only selects a tier after detecting
+        // every feature of its entry above at runtime (or a forced override
+        // validated against it); SSE2 is part of the x86_64 baseline.
         match isa {
             Isa::Avx512 => return unsafe { avx512(kernel) },
             Isa::Avx2 => return unsafe { avx2(kernel) },
@@ -387,12 +390,11 @@ impl F32Panels<'_> {
     /// columns, starting at panel `p`. Per k step it loads `NV` adjacent
     /// `PACK_NR`-rows of `B` and broadcasts one `A` value per row from each
     /// panel's contiguous `PACK_MR`-slab, each broadcast feeding `NV`
-    /// multiplies; lane `j` of row `i` receives exactly the scalar sequence
-    /// `acc += a[i][k] · b[k][j]` (a multiply, then an add) over strictly
-    /// ascending `k`. The full tile always runs: an edge panel's missing
-    /// rows are zero weights whose accumulators are not stored, a ragged
-    /// block's missing columns are a zero tail ([`store_row`] writes `nr`
-    /// of them).
+    /// fused multiply-adds; lane `j` of row `i` receives exactly the scalar
+    /// sequence `acc = fma(a[i][k], b[k][j], acc)` over strictly ascending
+    /// `k`. The full tile always runs: an edge panel's missing rows are zero
+    /// weights whose accumulators are not stored, a ragged block's missing
+    /// columns are a zero tail ([`store_row`] writes `nr` of them).
     ///
     /// # Safety
     ///
@@ -426,12 +428,8 @@ impl F32Panels<'_> {
                     let a_k = ap.add(s * panel_stride + kk * PACK_MR);
                     for (i, row_acc) in panel_acc.iter_mut().enumerate() {
                         let a_ik = R::splat(*a_k.add(i));
-                        // Indexed, not zipped: at `NV` 1 this is what keeps
-                        // the portable row's loop the one `quant_gate` pins
-                        // its int8 bar to (zipped, it compiles eight moves
-                        // shorter and the bar reads 3 % lower).
-                        for v in 0..NV {
-                            row_acc[v] = row_acc[v].add(a_ik.mul(brow[v]));
+                        for (v_acc, &b_kv) in row_acc.iter_mut().zip(&brow) {
+                            *v_acc = v_acc.mul_add(a_ik, b_kv);
                         }
                     }
                 }
@@ -561,7 +559,7 @@ impl RowKernel for MulAddChains {
             for step in 0..self.steps {
                 let y = R::load(table[step % 16].as_ptr());
                 for (a, &x) in acc.as_flattened_mut().iter_mut().zip(xs.as_flattened()) {
-                    *a = a.add(x.mul(y));
+                    *a = a.mul_add(x, y);
                 }
             }
             for a in acc.as_flattened() {
@@ -574,16 +572,15 @@ impl RowKernel for MulAddChains {
     }
 }
 
-/// Runs the f32 tile's arithmetic — independent row-wide `acc += x · y`
-/// chains (a multiply, then an add, never fused), one per accumulator row
-/// of tier `isa`'s tile (`SPAN · PACK_MR`, not one per accumulator: eight
-/// chains already keep two ports busy through a four-cycle latency, so the
-/// ceiling does not move when the tile is widened), through the same
-/// vector-row instantiation the tile uses — for `steps` steps with no
-/// memory traffic beyond L1, and returns the FLOPs executed. Timing it
-/// gives the no-FMA ceiling the bit-exact contract allows the tile at that
-/// tier; below AVX2 the row is sixteen scalars, so there it reads the
-/// portable tile's own arithmetic rate, not the 4-lane hardware ceiling.
+/// Runs the f32 tile's arithmetic — independent row-wide
+/// `acc = fma(x, y, acc)` chains, one per accumulator row of tier `isa`'s
+/// tile (`SPAN · PACK_MR`, not one per accumulator: eight chains already
+/// keep two FMA ports busy through a four-cycle latency, so the ceiling does
+/// not move when the tile is widened), through the same vector-row
+/// instantiation the tile uses — for `steps` steps with no memory traffic
+/// beyond L1, and returns the FLOPs executed. Timing it gives the hardware's
+/// FMA ceiling at that tier; below AVX2 the row is sixteen `fmaf` calls, so
+/// there it reads the reference tile's own arithmetic rate.
 ///
 /// # Panics
 ///

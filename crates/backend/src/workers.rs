@@ -27,6 +27,15 @@
 //! group or sample could hold the caller's finished job back by
 //! milliseconds.
 //!
+//! A helper starts on a CPU of its own: Linux starts a thread where its
+//! parent runs and wakes it where it last ran, and where nothing balances
+//! load afterwards (a cpuset with `sched_load_balance` off, as containers
+//! set it) a helper left on its first caller's CPU takes turns with that
+//! caller for ever — the split operator no faster than an unsplit one, and a
+//! run's speed decided by where its threads happened to start. So the first
+//! thing lane `k` does is move to the `k`-th allowed CPU after the one it was
+//! born on (`leave_cpu`); it is placed, not pinned.
+//!
 //! A chunk that panics does not take the pool down: the payload is kept,
 //! the job's other chunks drain, and the panic resumes on the caller.
 //!
@@ -220,7 +229,7 @@ impl Pool {
                 // callers complete their own jobs regardless.
                 let _ = std::thread::Builder::new()
                     .name(format!("ios-lane-{}", lane + 1))
-                    .spawn(move || self.help_forever());
+                    .spawn(move || self.help_forever(lane + 1));
             }
         }
         state.open.push(Arc::clone(job));
@@ -229,7 +238,8 @@ impl Pool {
         }
     }
 
-    fn help_forever(&self) -> ! {
+    fn help_forever(&self, lane: usize) -> ! {
+        leave_cpu(lane);
         let mut state = self.lock();
         loop {
             match state.open.iter().find(|job| job.has_unclaimed()) {
@@ -266,6 +276,52 @@ impl Pool {
             }
         }
     }
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn sched_getcpu() -> i32;
+    fn sched_getaffinity(pid: i32, bytes: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, bytes: usize, mask: *const u64) -> i32;
+}
+
+/// Moves the calling thread to the `lane`-th after the one it runs on
+/// (cyclically) of the CPUs it is allowed on — lanes `1..` born on one CPU
+/// land on CPUs of their own — and leaves its affinity mask as it was: the
+/// thread is placed once, not pinned. Does nothing where the thread has
+/// nowhere else to go or the platform offers no such call.
+fn leave_cpu(lane: usize) {
+    #[cfg(target_os = "linux")]
+    {
+        // 1024 CPUs, the C library's `cpu_set_t`.
+        let mut allowed = [0u64; 16];
+        let bytes = std::mem::size_of_val(&allowed);
+        // SAFETY: pid 0 is the calling thread; `allowed` is `bytes` long.
+        if unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) } != 0 {
+            return;
+        }
+        let cpus: Vec<usize> = (0..bytes * 8)
+            .filter(|c| allowed[c / 64] >> (c % 64) & 1 == 1)
+            .collect();
+        // SAFETY: no arguments, no memory touched.
+        let here = unsafe { sched_getcpu() };
+        let Some(at) = cpus.iter().position(|&c| Ok(c) == usize::try_from(here)) else {
+            return;
+        };
+        let to = cpus[(at + lane) % cpus.len()];
+        let mut only = [0u64; 16];
+        only[to / 64] = 1 << (to % 64);
+        // SAFETY: as above, both masks `bytes` long. The kernel migrates the
+        // thread before the first call returns; the second cannot fail where
+        // the first did not, and a refusal of either leaves a valid mask.
+        unsafe {
+            if sched_setaffinity(0, bytes, only.as_ptr()) == 0 {
+                sched_setaffinity(0, bytes, allowed.as_ptr());
+            }
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = lane;
 }
 
 /// Runs `body(0)`, …, `body(chunks − 1)`, each exactly once, on the caller
@@ -552,6 +608,29 @@ mod tests {
                 barrier.wait();
             });
         });
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_lane_leaves_its_cpu_and_keeps_its_affinity_mask() {
+        // SAFETY: no arguments, no memory touched.
+        let cpu = || unsafe { sched_getcpu() };
+        // On a thread of its own: the test harness's is not ours to move.
+        std::thread::spawn(move || {
+            let here = cpu();
+            leave_cpu(1);
+            if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+                assert_eq!(cpu(), here);
+                return;
+            }
+            let there = cpu();
+            assert_ne!(there, here);
+            // Not pinned where it landed: it can be sent on.
+            leave_cpu(1);
+            assert_ne!(cpu(), there);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! [`ios_bench::conv_bench_shapes`], after first asserting the two are
 //! **bit-identical** on every shape. The acceptance bar is a geometric
 //! mean speedup ≥ 3×. Each row also states the kernel's arithmetic rate
-//! (`gflops`) and `pct_of_peak` against the host's no-FMA `mul` + `add`
-//! ceiling at the active SIMD tier, which the gate measures itself
+//! (`gflops`) and `pct_of_peak` against the host's FMA ceiling at the
+//! active SIMD tier, which the gate measures itself
 //! ([`ios_bench::mul_add_peak_gflops`] on every worker-pool lane at once) —
-//! reported, not judged.
+//! reported, not judged; a row above 100 % would be a bug in the probe.
 //!
 //! Judged and reported (`BENCH_conv.json`) through [`ios_bench::gate`].
 //!

@@ -10,30 +10,22 @@
 //!    pre-fusion engine served them: as separate elementwise ops, each
 //!    writing a fresh arena tensor — after asserting the fused path is
 //!    **bit-identical** to those separate passes.
-//! 2. **Int8 ≥ 1.48×** (geomean) over the fused f32 kernel, with the
-//!    quantized output **byte-identical** to the naive integer oracle on
-//!    the smallest shape, and the calibration error against the f32 kernel
-//!    within the documented `k_len · s_in · s_w[oc] · 128` bound on every
-//!    shape.
+//! 2. **Int8 within its calibration bound** — the quantized output is
+//!    **byte-identical** to the naive integer oracle on the smallest
+//!    shape, and the calibration error against the f32 kernel stays within
+//!    the documented `k_len · s_in · s_w[oc] · 128` bound on every shape.
 //!
-//! Both f32 references are *pinned at the SSE2 tier* (forced through the
-//! dispatch module), the tier these bars were calibrated against in
-//! PR 7 — a gate baseline should stay fixed so the bars keep detecting
-//! regressions in the paths this gate owns (fusion and the int8 kernel)
-//! rather than flipping whenever a wider f32 tier improves. The pin names
-//! a tier, not a frozen kernel, so the int8 bar is spelled as what it was
-//! calibrated to and what has moved under it since ([`INT8_BAR`]). The fused
-//! bar is a *no-regression floor*, not a magnitude claim: the measured
-//! geomean is ~1.05× on the 1-core CI host but its run-to-run spread
-//! reaches ±0.03, so the bar sits at 1.01× — it trips the moment fusion
-//! stops paying for itself while staying clear of scheduler noise. The
-//! explicit AVX2 f32 tile (PR 9) outruns the int8 path outright, so the
-//! active-tier fused time and the int8-vs-active ratio are reported
-//! informationally (`fused@act ms` and `int8 x@act` columns, the
-//! `int8_vs_active_geomean` fact) without a bar; the cross-tier f32
-//! comparison itself is `simd_gate`'s job. On AVX2 hosts int8's value is
-//! the ~4× smaller weight cache, not latency — see the README "Quantized
-//! execution" section.
+//! Everything runs at the active tier. The fused bar is a *no-regression
+//! floor*, not a magnitude claim: the saving is a few percent of a layer
+//! and its run-to-run spread reaches ±0.03 on the 1-core CI host, so the
+//! bar sits at 1.01× — it trips the moment fusion stops paying for itself
+//! while staying clear of scheduler noise. Int8 has no latency bar: from
+//! AVX2 up the f32 tile is one `vfmadd231ps` per sixteen MACs and outruns
+//! the `vpmaddwd` path outright, and below AVX2 the f32 tiers are `fmaf`
+//! reference tiers nobody serves from. Int8's value is the ~4× smaller
+//! weight cache — see the README "Quantized execution" section — so its
+//! time and the int8-vs-f32 ratio are reported (`int8 ms`, `int8 x`, the
+//! `int8_vs_active_geomean` fact), not judged.
 //!
 //! Speedups are medians of per-round paired ratios (the variants run
 //! adjacently within each round, so a noisy stretch on a shared host
@@ -45,21 +37,9 @@
 //! (`--quick` lowers the iteration count; the shapes stay full-size).
 
 use ios_backend::ops_cpu::conv2d_naive_quant;
-use ios_backend::simd::{self, Isa};
 use ios_backend::{conv2d, sample_scale, ConvEpilogue, ConvKernel, QuantizedFilter, ScratchPool};
 use ios_bench::{cells, geomean, paired_rounds, quant_bench_shapes, Gate, Table};
 use std::process::ExitCode;
-
-/// The int8 bar: PR 7 calibrated it as ≥ 1.8× over the SSE2-tier f32
-/// tile of its day. PR 16 wrote that tile once for every tier, which took
-/// the per-k-step slice bounds checks out of the SSE2 tier's loop: on this
-/// gate's shapes the pinned f32 reference became 1.22× faster (sixteen
-/// alternated parent/change runs, int8 ÷ pinned-f32 1.85 → 1.51) while
-/// int8 did not move (int8 ÷ the AVX2 f32 tile, whose loop is the
-/// parent's: 0.79 → 0.82). The same int8 time therefore reads
-/// 1.8 / 1.22 = 1.48 — the bar asks of the int8 kernel exactly what it
-/// asked before, no less and with no margin added.
-const INT8_BAR: f64 = 1.48;
 
 fn main() -> ExitCode {
     let mut gate = Gate::from_args("quant");
@@ -68,10 +48,6 @@ fn main() -> ExitCode {
     let iters = if gate.opts.quick { 13 } else { 21 };
     let arena = ScratchPool::new();
     let cases = quant_bench_shapes();
-    // The fusion and int8 bars are calibrated against the SSE2-tier f32
-    // kernel (see the module docs); the active tier rides along unbarred.
-    let pinned = Isa::Sse2.min(simd::detected_isa());
-    gate.fact("pinned_isa", pinned.name());
     gate.fact("paired_rounds", iters);
 
     // The byte-identity oracle run is O(naive); do it once, on the
@@ -83,16 +59,14 @@ fn main() -> ExitCode {
         .unwrap_or_default();
 
     let mut table = Table::new(
-        "Epilogue fusion + int8: separate passes vs fused f32 (pinned tier) vs quantized",
+        "Epilogue fusion + int8: separate passes vs fused f32 vs quantized",
         &[
             ("shape", "shape"),
             ("baseline_ms", "separate ms"),
             ("fused_ms", "fused ms"),
-            ("fused_active_ms", "fused@act ms"),
             ("int8_ms", "int8 ms"),
             ("fused_speedup", "fuse x"),
-            ("int8_speedup", "int8 x"),
-            ("int8_vs_active_fused", "int8 x@act"),
+            ("int8_vs_active_fused", "int8 x"),
             ("max_calibration_error", "max |err|"),
             ("calibration_bound", "|err| bound"),
         ],
@@ -196,13 +170,10 @@ fn main() -> ExitCode {
         // baseline/fused/int8 group, so the round's ratio stays clean
         // even when its absolute times do not, and the median discards the
         // rounds a burst split in half. The reported times are best-of-N.
-        // Baseline and barred-fused run at the pinned tier; the active-tier
-        // fused time and int8 run at the live dispatch.
         let rounds = paired_rounds(
             iters,
             &mut [
-                &mut || simd::with_forced_isa(pinned, || arena.recycle_tensor(run_baseline())),
-                &mut || simd::with_forced_isa(pinned, || arena.recycle_tensor(run_fused())),
+                &mut || arena.recycle_tensor(run_baseline()),
                 &mut || arena.recycle_tensor(run_fused()),
                 &mut || arena.recycle_tensor(run_int8()),
             ],
@@ -212,10 +183,8 @@ fn main() -> ExitCode {
             rounds.best_ms(0),
             rounds.best_ms(1),
             rounds.best_ms(2),
-            rounds.best_ms(3),
             rounds.median_speedup(0, 1),
-            rounds.median_speedup(1, 3),
-            rounds.median_speedup(2, 3),
+            rounds.median_speedup(1, 2),
             max_err,
             bound,
         ]);
@@ -227,14 +196,9 @@ fn main() -> ExitCode {
         geomean(&table.column("int8_vs_active_fused")),
     );
     gate.at_least(
-        format!("fused-f32 geomean speedup over separate passes ({pinned} tier)"),
+        "fused-f32 geomean speedup over separate passes",
         geomean(&table.column("fused_speedup")),
         1.01,
-    );
-    gate.at_least(
-        format!("int8 geomean speedup over fused-f32 ({pinned} tier)"),
-        geomean(&table.column("int8_speedup")),
-        INT8_BAR,
     );
     gate.check(
         "calibration error within bound on every shape",

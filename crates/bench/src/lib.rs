@@ -623,13 +623,14 @@ pub fn paired_rounds(rounds: usize, variants: &mut [&mut dyn FnMut()]) -> Rounds
     Rounds { times_ms }
 }
 
-/// The f32 `mul` + `add` ceiling of this host at tier `isa`, measured: the
-/// best aggregate rate over `rounds` rounds of `threads` threads each
+/// The f32 fused-multiply-add ceiling of this host at tier `isa`, measured:
+/// the best aggregate rate over `rounds` rounds of `threads` threads each
 /// running [`ios_backend::gemm::mul_add_probe`] — the f32 tile's own
-/// independent multiply-add chains, through the tile's own vector rows,
-/// from registers — in GFLOP/s. This is the roofline a gate states
-/// `pct_of_peak` against — the no-FMA arithmetic peak the bit-exact
-/// contract allows, not the FMA peak on the vendor's data sheet.
+/// independent `fma` chains, through the tile's own vector rows, from
+/// registers — in GFLOP/s. This is the roofline a gate states
+/// `pct_of_peak` against: from AVX2 up the hardware's FMA peak (the tile's
+/// one instruction per MAC is the machine's), at the portable tiers the
+/// rate of libm's `fmaf`.
 ///
 /// # Panics
 ///
