@@ -5,15 +5,15 @@
 //! (e.g. the original convolutions vs. their merged counterpart) see the
 //! same parameters and must produce the same outputs.
 //!
-//! Convolutions run the one im2col + register-blocked GEMM kernel
-//! ([`crate::gemm::conv2d`]); this module composes the separable unit from
-//! it ([`sep_conv2d`]) and keeps the two naive oracles ([`conv2d_naive`],
-//! the obviously-correct 7-deep reference loop the f32 kernel is
-//! **bit-identical** to on every tier, and [`conv2d_naive_quant`]). The
-//! blocked [`matmul`] reduction stays on the auto-vectorized path only: its
-//! dot products accumulate along `k`, and vectorizing across `k` would
-//! reorder the sum and break bit-exactness. Every operator has one entry,
-//! drawing scratch and output storage from the [`Arena`] it is handed, so
+//! Three bodies are written once over the tile module's row traits and run
+//! at every tier through its one list: the f32 and integer register tiles of
+//! the one convolution kernel ([`crate::gemm::conv2d`]) — which this module
+//! composes into the separable unit ([`sep_conv2d`]) and checks against two
+//! naive oracles ([`conv2d_naive`], **bit-identical** on every tier, and
+//! [`conv2d_naive_quant`]) — and the pooling window ([`pool`]). The blocked
+//! [`matmul`] stays auto-vectorized: its dot products accumulate along `k`,
+//! which vectorizing would reorder. Every operator has one entry, drawing
+//! scratch and output storage from the [`Arena`] it is handed, so
 //! steady-state serving allocates nothing in the op loop.
 
 use crate::arena::Arena;
@@ -21,6 +21,7 @@ use crate::batch::OpWeights;
 use crate::gemm::{conv2d, conv2d_with, ConvEpilogue, ConvKernel, Filter, PackedFilter};
 use crate::quant::{quantize_value, requantize, sample_scale, QuantizedFilter};
 use crate::tensor_data::TensorData;
+use crate::tile::{at_tier, IntRow, Row, RowKernel, PACK_NR};
 use crate::workers::{self, DisjointOut};
 use ios_ir::{
     Activation, Conv2dParams, MatMulParams, Op, OpKind, PoolKind, PoolParams, TensorShape,
@@ -257,11 +258,10 @@ pub fn sep_conv2d(
     out
 }
 
-/// Pooling. Max and average pooling run
-/// row-wise (`pool_plane`) and split their channel planes across lanes
-/// when the operator is large enough (`workers::op_chunks`); visit order
-/// per element (and the average's divisor) match the reference loop
-/// exactly, so the result is bit-identical for every lane count.
+/// Pooling. Max and average pooling run one window body (`PoolWindow`)
+/// at the active tier, split their channel planes across lanes when the
+/// operator is large enough (`workers::op_chunks`), and give the reference
+/// loop's bits at every tier and lane count.
 #[must_use]
 pub fn pool(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> TensorData {
     let in_shape = input.shape;
@@ -284,25 +284,32 @@ pub fn pool(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> Tens
             let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
             let out_shape = TensorShape::new(in_shape.batch, in_shape.channels, oh, ow);
             let mut out = arena.take_tensor(out_shape);
-            let out_plane = oh * ow;
-            let taps = WindowTaps::new(params, in_shape.width, ow);
-            let window = params.kernel.0 * params.kernel.1;
-            let work = planes * out_plane * window * POOL_TAP_MACS;
-            let chunks = workers::op_chunks(planes, work);
-            let out_view = DisjointOut::new(&mut out.data);
+            let ((kh, kw), (sh, sw), (ph, pw)) = (params.kernel, params.stride, params.padding);
+            let runs = ow.next_multiple_of(PACK_NR);
+            let phase = runs + (kw - 1) / sw;
+            // Taps of a window at `pos` in bounds: 0 <= pos·s + t − p < len.
+            let inside = |pos: usize, s: usize, p: usize, k: usize, len: usize| {
+                (len + p).saturating_sub(pos * s).min(k) - p.saturating_sub(pos * s).min(k)
+            };
+            let (h, w) = (in_shape.height, in_shape.width);
+            let count = |i| inside(i / runs, sh, ph, kh, h) * inside(i % runs, sw, pw, kw, w);
+            let tap = |t| (t / kw * sw + t % kw % sw) * phase + t % kw / sw;
+            let window = PoolWindow {
+                params: *params,
+                input,
+                out: DisjointOut::new(&mut out.data),
+                phase,
+                taps: (0..kh * kw).map(tap).collect(),
+                divisors: (0..oh * runs).map(|i| count(i).max(1) as f32).collect(),
+            };
+            let chunks = workers::op_chunks(planes, planes * oh * ow * kh * kw * POOL_TAP_MACS);
+            // Read once, here: the lanes run at the caller's tier.
+            let isa = crate::simd::active_isa();
             workers::parallel_for_op(chunks, |chunk| {
-                for p in workers::chunk_range(planes, chunks, chunk) {
-                    // SAFETY: plane `p` of the output belongs to this
-                    // chunk alone (chunk ranges partition the planes).
-                    let out_ch = unsafe { out_view.slice_mut(p * out_plane, out_plane) };
-                    let ch = &input.data[p * plane..(p + 1) * plane];
-                    let hw = (in_shape.height, in_shape.width);
-                    if params.kind == PoolKind::Max {
-                        pool_plane(ch, hw, params, &taps, f32::max, out_ch);
-                    } else {
-                        pool_plane(ch, hw, params, &taps, |a, v| a + v, out_ch);
-                    }
-                }
+                let planes = workers::chunk_range(planes, chunks, chunk);
+                workers::with_lane_scratch(((oh - 1) * sh + kh) * sw * phase, |padded| {
+                    at_tier(isa, PoolChunk(&window, planes, padded));
+                });
             });
             out
         }
@@ -310,107 +317,100 @@ pub fn pool(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> Tens
 }
 
 /// What one pooling tap costs, in the convolution multiply-accumulates
-/// [`workers::GRAIN_MACS`] is stated in: a tap is a load, an op and a
-/// store through the output row (≈ 0.35 ns measured), a MAC in a register
-/// tile an eighth of that.
+/// [`workers::GRAIN_MACS`] is stated in: 0.09–0.22 ns on one lane (a load
+/// and an op into a register-held run, `simd_gate`'s pool rows), 2–13 MACs
+/// of the register tile at its one-lane rate.
 const POOL_TAP_MACS: usize = 8;
 
-/// The horizontal geometry of a pooling window, worked out once per
-/// operator: for each `kx`, the output positions whose tap is in bounds
-/// and the input column the first of them reads; for each output
-/// position, how many of its `kx` taps are in bounds.
-struct WindowTaps {
-    /// Per `kx` with any in-bounds tap, ascending: `(x_lo, x_hi, src)` —
-    /// outputs `[x_lo, x_hi)` read input columns `src`, `src + stride`, ….
-    columns: Vec<(usize, usize, usize)>,
-    /// Per output position: in-bounds `kx` count (the average's divisor
-    /// is this times the in-bounds `ky` count).
-    valid_kx: Vec<usize>,
+/// The window body of max and average pooling, written once over [`Row`].
+/// Each plane is copied into lane scratch padded with the fold's identity
+/// (−∞, +0.0) to cover every window, a row's columns split into `stride.1`
+/// phases of `phase` values (`ow` rounded up to whole runs) so that a tap
+/// of `PACK_NR` adjacent outputs is as many adjacent values. A run's one
+/// accumulator folds its taps in ascending `(ky, kx)` — `tap.max(acc)` or
+/// `acc + tap`, a padded tap the identity exactly (a sum from +0.0 never
+/// becomes −0.0) — and an average then divides by its in-bounds count.
+struct PoolWindow<'a> {
+    params: PoolParams,
+    input: &'a TensorData,
+    out: DisjointOut<'a>,
+    phase: usize,
+    /// Per tap, ascending `(ky, kx)`: its offset from its window's origin.
+    taps: Vec<usize>,
+    /// The average's divisor per output (`ow` rounded up): its in-bounds taps.
+    divisors: Vec<f32>,
 }
 
-impl WindowTaps {
-    fn new(params: &PoolParams, w: usize, ow: usize) -> Self {
-        let (kw, sw, pw) = (params.kernel.1, params.stride.1, params.padding.1);
-        let columns = (0..kw)
-            .filter_map(|kx| {
-                let (x_lo, x_hi) = crate::im2col::valid_range(ow, sw, kx, pw, w);
-                (x_hi > x_lo).then(|| (x_lo, x_hi, x_lo * sw + kx - pw))
-            })
-            .collect();
-        let valid_kx = (0..ow)
-            .map(|x| {
-                let kx_lo = pw.saturating_sub(x * sw).min(kw);
-                (w + pw).saturating_sub(x * sw).min(kw).max(kx_lo) - kx_lo
-            })
-            .collect();
-        WindowTaps { columns, valid_kx }
-    }
-}
+/// One chunk's channel planes, through one padded plane of lane scratch.
+struct PoolChunk<'a>(&'a PoolWindow<'a>, std::ops::Range<usize>, &'a mut [f32]);
 
-/// Max (`op` = `max`) or average (`op` = `+`) pooling of one `h × w`
-/// channel plane into `out` (`oh × ow`), one output *row* at a time: the
-/// row starts at the fold's identity, then every in-bounds tap `(ky, kx)`
-/// — ascending `ky`, then ascending `kx` — is folded into all the output
-/// positions it is valid for at once (stride-1 taps read one contiguous
-/// input slice), which the compiler vectorizes. Each output element still
-/// sees exactly its own in-bounds taps in `(ky, kx)` order, and the
-/// average divides by that tap count, so the result is bit-identical to
-/// the per-pixel window loop.
-fn pool_plane(
-    ch: &[f32],
-    (h, w): (usize, usize),
-    params: &PoolParams,
-    taps: &WindowTaps,
-    op: impl Fn(f32, f32) -> f32 + Copy,
-    out: &mut [f32],
-) {
-    let (kh, sh, ph) = (params.kernel.0, params.stride.0, params.padding.0);
-    let sw = params.stride.1;
-    let is_max = params.kind == PoolKind::Max;
-    let ow = taps.valid_kx.len();
-    for (y, out_row) in out.chunks_exact_mut(ow).enumerate() {
-        // In-bounds ky: 0 <= y·sh + ky − ph < h.
-        let ky_lo = ph.saturating_sub(y * sh).min(kh);
-        let ky_hi = (h + ph).saturating_sub(y * sh).min(kh).max(ky_lo);
-        out_row.fill(if is_max { f32::NEG_INFINITY } else { 0.0 });
-        for ky in ky_lo..ky_hi {
-            let iy = y * sh + ky - ph;
-            let in_row = &ch[iy * w..(iy + 1) * w];
-            for &(x_lo, x_hi, src) in &taps.columns {
-                fold_tap(&mut out_row[x_lo..x_hi], &in_row[src..], sw, op);
+impl RowKernel for PoolChunk<'_> {
+    type Out = ();
+    #[inline(always)]
+    unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) {
+        let PoolChunk(wnd, planes, padded) = self;
+        let (shape, prm, phase) = (wnd.input.shape, wnd.params, wnd.phase);
+        let ((kh, _), (sh, sw), (ph, pw)) = (prm.kernel, prm.stride, prm.padding);
+        let (h, w) = (shape.height, shape.width);
+        let (oh, ow) = shape.conv_output_hw(prm.kernel, prm.stride, prm.padding);
+        let (runs, max) = (ow.next_multiple_of(PACK_NR), prm.kind == PoolKind::Max);
+        let identity = if max { f32::NEG_INFINITY } else { 0.0 };
+        padded.fill(identity);
+        for p in planes {
+            let plane = &wnd.input.data[p * h * w..(p + 1) * h * w];
+            for q in 0..sw {
+                // Phase `q`'s value `i` is input column `i · sw + q − pw`.
+                let (lo, hi) = crate::im2col::valid_range(phase, sw, q, pw, w);
+                let rows = padded.chunks_exact_mut(sw * phase).skip(ph);
+                for (src, row) in plane.chunks_exact(w).zip(rows).filter(|_| hi > lo) {
+                    let (dst, src) = (&mut row[q * phase..][lo..hi], &src[lo * sw + q - pw..]);
+                    match sw {
+                        1 => gather(dst, src, 1),
+                        2 => gather(dst, src, 2),
+                        _ => gather(dst, src, sw),
+                    }
+                }
             }
-        }
-        if !is_max {
-            let rows = ky_hi - ky_lo;
-            for (a, &cols) in out_row.iter_mut().zip(&taps.valid_kx) {
-                *a /= (rows * cols).max(1) as f32;
-            }
-        }
-    }
-}
-
-/// Folds one tap into the running row: `acc[i] = op(acc[i], taps[i·stride])`
-/// for a non-empty `acc`. Strides 1 and 2 — every pooling of the model zoo
-/// — run with the stride a compile-time constant, so the loop vectorizes.
-#[inline]
-fn fold_tap(acc: &mut [f32], taps: &[f32], stride: usize, op: impl Fn(f32, f32) -> f32) {
-    #[inline]
-    fn fixed<const S: usize>(acc: &mut [f32], taps: &[f32], op: impl Fn(f32, f32) -> f32) {
-        let (last, body) = acc.split_last_mut().expect("non-empty tap range");
-        for (a, group) in body.iter_mut().zip(taps.chunks_exact(S)) {
-            *a = op(*a, group[0]);
-        }
-        *last = op(*last, taps[body.len() * S]);
-    }
-    match stride {
-        1 => fixed::<1>(acc, taps, op),
-        2 => fixed::<2>(acc, taps, op),
-        _ => {
-            for (a, group) in acc.iter_mut().zip(taps.chunks(stride)) {
-                *a = op(*a, group[0]);
+            // SAFETY: output plane `p` is this chunk's alone; a tap of the run
+            // at `x` ends by `runs + (kw − 1) / sw = phase` in its phase, in
+            // row `ky` of `window`; `R`'s ISA is the caller's contract.
+            unsafe {
+                let out = wnd.out.slice_mut(p * oh * ow, oh * ow);
+                for (y, out_row) in out.chunks_exact_mut(ow).enumerate() {
+                    let window = &padded[y * sh * sw * phase..(y * sh + kh) * sw * phase];
+                    let divisors = &wnd.divisors[y * runs..(y + 1) * runs];
+                    for x in (0..ow).step_by(PACK_NR) {
+                        let mut acc = R::splat(identity);
+                        for &t in &wnd.taps {
+                            let tap = R::load(window.as_ptr().add(x + t));
+                            acc = if max { tap.max(acc) } else { acc.add(tap) };
+                        }
+                        if !max {
+                            acc = acc.div(R::load(divisors.as_ptr().add(x)));
+                        }
+                        if x + PACK_NR <= ow {
+                            acc.store(out_row.as_mut_ptr().add(x));
+                        } else {
+                            let mut tail = [0.0f32; PACK_NR];
+                            acc.store(tail.as_mut_ptr());
+                            out_row[x..].copy_from_slice(&tail[..ow - x]);
+                        }
+                    }
+                }
             }
         }
     }
+}
+
+/// `dst[i] = src[i · stride]` for a non-empty `dst`. Inlined at a constant
+/// stride — 1 or 2, every pooling of the model zoo — the copy vectorizes.
+#[inline(always)]
+fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
+    let (last, body) = dst.split_last_mut().expect("non-empty span");
+    for (d, s) in body.iter_mut().zip(src.chunks_exact(stride)) {
+        *d = s[0];
+    }
+    *last = src[body.len() * stride];
 }
 
 /// Fully connected layer. Outputs are computed four at a time so the input

@@ -1,7 +1,7 @@
-//! The register tiles of the convolution GEMM: one f32 body and one integer
-//! body, each written once over a row trait ([`Row`], [`IntRow`]) and
-//! instantiated per tier in one list ([`at_tier`]), selected per call
-//! through [`crate::simd`]. Every f32 row gives each output element the same
+//! The row traits ([`Row`], [`IntRow`]), instantiated per tier in one list
+//! ([`at_tier`]) and selected per call through [`crate::simd`], and three
+//! bodies written once over them: the GEMM's f32 and integer register tiles
+//! and the pooling window (`ops_cpu`). Every f32 row gives each output the same
 //! fused multiply-add — `acc = fma(a, b, acc)`, one rounding per MAC — over
 //! strictly ascending `k`, and every integer row the same `i32` sums, so the
 //! tier is invisible in the output. Below AVX2 no instruction fuses: the
@@ -36,9 +36,11 @@ pub(crate) const PACK_NR: usize = 16;
 /// path: `fma(a, b, acc)`, the exact product added to `acc` and rounded
 /// once — `f32::mul_add`, `vfmadd231ps` — on every implementation and in
 /// [`crate::ops_cpu::conv2d_naive`], so all tiers produce the same bits.
-/// `add` is the epilogue's. `max(v, +0.0)` returns `+0.0` for NaN lanes on
-/// every implementation (`f32::max` and `vmaxps` agree); a `-0.0` reaches it
-/// only from a product that underflowed, and compares equal.
+/// `add` and `div` are the epilogue's and the average pool's. `a.max(b)` is
+/// `if a > b { a } else { b }` — `vmaxps`'s order, spelled out in the
+/// portable row, where `f32::max` leaves a zero tie open: a NaN or tied `a`
+/// yields `b`. So `max(v, +0.0)` is `+0.0` for NaN and `-0.0`, and the max
+/// pool's `tap.max(acc)` keeps `acc` — `f32::max(acc, tap)` as it compiles.
 ///
 /// # Safety
 ///
@@ -50,6 +52,7 @@ pub(crate) trait Row: Copy {
     unsafe fn load(src: *const f32) -> Self;
     unsafe fn mul_add(self, a: Self, b: Self) -> Self;
     unsafe fn add(self, o: Self) -> Self;
+    unsafe fn div(self, o: Self) -> Self;
     unsafe fn max(self, o: Self) -> Self;
     unsafe fn store(self, dst: *mut f32);
 }
@@ -57,7 +60,7 @@ pub(crate) trait Row: Copy {
 /// Implements [`Row`] as `PACK_NR / $lanes` vectors of `$lanes` lanes from
 /// the vector type's elementwise operations.
 macro_rules! row_of {
-    ($v:ty, $lanes:literal, $splat:expr, $load:expr, $fma:expr, $add:expr, $max:expr, $store:expr) => {
+    ($v:ty, $lanes:literal, $splat:expr, $load:expr, $fma:expr, $store:expr, $($op:ident: $f:expr),+) => {
         // SAFETY (every block below): the `Row` contract — the CPU executes
         // `$v`'s ISA, pointers lead to `PACK_NR` values; the operations load
         // and store unaligned. (The portable row's are safe: the `allow`.)
@@ -75,14 +78,12 @@ macro_rules! row_of {
             unsafe fn mul_add(self, a: Self, b: Self) -> Self {
                 unsafe { std::array::from_fn(|h| $fma(a[h], b[h], self[h])) }
             }
-            #[inline(always)]
-            unsafe fn add(self, o: Self) -> Self {
-                unsafe { std::array::from_fn(|h| $add(self[h], o[h])) }
-            }
-            #[inline(always)]
-            unsafe fn max(self, o: Self) -> Self {
-                unsafe { std::array::from_fn(|h| $max(self[h], o[h])) }
-            }
+            $(
+                #[inline(always)]
+                unsafe fn $op(self, o: Self) -> Self {
+                    unsafe { std::array::from_fn(|h| $f(self[h], o[h])) }
+                }
+            )+
             #[inline(always)]
             unsafe fn store(self, dst: *mut f32) {
                 for (h, v) in self.into_iter().enumerate() {
@@ -160,9 +161,10 @@ row_of!(
     std::convert::identity,
     |p: *const f32| p.read(),
     f32::mul_add,
-    |a: f32, b: f32| a + b,
-    f32::max,
-    |p: *mut f32, v: f32| p.write(v)
+    |p: *mut f32, v: f32| p.write(v),
+    add: |a: f32, b: f32| a + b,
+    div: |a: f32, b: f32| a / b,
+    max: |a: f32, b: f32| if a > b { a } else { b }
 );
 
 // The portable integer row — the sums every explicit row must match.
@@ -188,9 +190,8 @@ mod x86_rows {
         _mm256_set1_ps,
         _mm256_loadu_ps,
         _mm256_fmadd_ps,
-        _mm256_add_ps,
-        _mm256_max_ps,
-        _mm256_storeu_ps
+        _mm256_storeu_ps,
+        add: _mm256_add_ps, div: _mm256_div_ps, max: _mm256_max_ps
     );
     // AVX-512F: one 16-lane vector.
     row_of!(
@@ -199,9 +200,8 @@ mod x86_rows {
         _mm512_set1_ps,
         _mm512_loadu_ps,
         _mm512_fmadd_ps,
-        _mm512_add_ps,
-        _mm512_max_ps,
-        _mm512_storeu_ps
+        _mm512_storeu_ps,
+        add: _mm512_add_ps, div: _mm512_div_ps, max: _mm512_max_ps
     );
     // SSE2 `pmaddwd`: eight columns, so the tile takes two passes.
     int_row_of!(
@@ -242,8 +242,8 @@ pub(crate) trait RowKernel {
 /// Runs `kernel` at tier `isa` — the one list of tiers: each names its
 /// [`Row`], its [`IntRow`] (there is no integer row wider than AVX2's) and
 /// its f32 tile's height and width behind its `#[target_feature]` entry.
-/// Both tiles, the column walk and the telemetry export ([`tier_facts`])
-/// and the roofline probe ([`mul_add_probe`]) read it.
+/// Both tiles, the pooling window, the column walk and the telemetry export
+/// ([`tier_facts`]) and the roofline probe ([`mul_add_probe`]) read it.
 pub(crate) fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
     #[cfg(target_arch = "x86_64")]
     {

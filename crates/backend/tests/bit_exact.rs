@@ -789,6 +789,76 @@ proptest! {
     }
 }
 
+/// The pooling window body against the reference loop at every tier and
+/// lane count, over the edges of its geometry: widths on both sides of a
+/// 16-wide run, strides up to three column phases, padding up to windows
+/// wholly in it, square and one-sided kernels. Inputs seeded with ±0.0,
+/// ±∞ and subnormals must give the reference's bits; inputs with NaN must
+/// give NaN at the reference's positions and its bits everywhere else. A
+/// NaN's payload is not asserted: the reference's `acc += v` is commutative
+/// to the compiler, so which of two NaN payloads an average carries on is
+/// not fixed there to begin with.
+#[test]
+fn pool_window_is_bit_identical_at_every_tier_and_lane_count() {
+    use ios_backend::simd;
+    let arena = ScratchPool::new();
+    let kernels = [(1, 1), (2, 2), (3, 3), (3, 1), (1, 3)];
+    let windows = kernels
+        .into_iter()
+        .flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, (s, s), (p, p)))));
+    for (case, w) in [1usize, 15, 16, 17, 33, 35].into_iter().enumerate() {
+        let mut clean = TensorData::random(TensorShape::new(1, 3, 4, w), 7000 + case as u64);
+        for (i, v) in clean.data.iter_mut().enumerate() {
+            // Plane 1 is non-positive, so its maxima are mostly zero ties.
+            let random = if i / (4 * w) == 1 { -v.abs() } else { *v };
+            *v = match i % 16 {
+                0 | 5 | 10 => 0.0,
+                1 | 6 | 13 => -0.0,
+                3 => f32::from_bits(1 + i as u32 % 7),
+                8 => -f32::from_bits(0x7F_FFFF - i as u32 % 5),
+                11 if i % 3 == 0 => f32::INFINITY,
+                14 if i % 5 == 0 => f32::NEG_INFINITY,
+                _ => random,
+            };
+        }
+        // Quiet NaNs of both signs with payloads of their own.
+        let mut with_nan = clean.clone();
+        for (i, v) in with_nan.data.iter_mut().enumerate().skip(2).step_by(9) {
+            let payload = (i as u32 * 0x1_0101) & 0x3F_FFFF;
+            *v = f32::from_bits(0x7FC0_0000 | payload | ((i as u32 % 2) << 31));
+        }
+        // The IR requires the padded input to cover the window.
+        let fits =
+            |&((kh, kw), _, (p, _)): &(_, _, (usize, usize))| kh <= 4 + 2 * p && kw <= w + 2 * p;
+        for (kernel, stride, padding) in windows.clone().filter(fits) {
+            for params in [
+                PoolParams::max(kernel, stride, padding),
+                PoolParams::avg(kernel, stride, padding),
+            ] {
+                for (nan, input) in [(false, &clean), (true, &with_nan)] {
+                    let want = pool_reference(input, &params);
+                    for isa in simd::supported_isas() {
+                        for lanes in [1, 2, 3, 7] {
+                            let got = simd::with_forced_isa(isa, || {
+                                with_forced_lanes(lanes, || pool(input, &params, &arena))
+                            });
+                            assert_eq!(got.shape, want.shape);
+                            let same = got.data.iter().zip(&want.data).all(|(g, r)| {
+                                g.to_bits() == r.to_bits() || nan && g.is_nan() && r.is_nan()
+                            });
+                            assert!(
+                                same,
+                                "width {w}, {params:?}, NaN {nan}, {isa}, {lanes} lanes"
+                            );
+                            arena.recycle_tensor(got);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Block 0 of [`tiny_network`] under two hand-built schedules: the 3×3 and
 /// the 1×1 convolution merged into one kernel, and all three branches as
 /// the groups of one concurrent stage.

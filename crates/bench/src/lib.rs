@@ -666,6 +666,53 @@ pub fn mul_add_peak_gflops(isa: Isa, threads: usize, rounds: usize) -> f64 {
     best
 }
 
+/// The host's streaming copy bandwidth, measured: the best aggregate rate
+/// over `rounds` rounds of `threads` threads each copying a buffer of its
+/// own four times — 8 MiB, four times the 2 MiB L2 of the reference host,
+/// so the copy streams from beyond the core's caches — in GB/s, counting
+/// bytes read plus bytes written. This is the byte roofline a gate states a
+/// bandwidth-bound kernel's `pct_of_bw` against, built like
+/// [`mul_add_peak_gflops`], and the stream-bandwidth probe of the host.
+#[must_use]
+pub fn copy_peak_gbps(threads: usize, rounds: usize) -> f64 {
+    const FLOATS: usize = 2 << 20;
+    const COPIES: usize = 4;
+    let mut buffers: Vec<(Vec<f32>, Vec<f32>)> = (0..threads)
+        .map(|_| (vec![1.0; FLOATS], vec![0.0; FLOATS]))
+        .collect();
+    let barrier = std::sync::Barrier::new(threads);
+    let mut best = 0.0f64;
+    for _ in 0..rounds {
+        // Every thread faults its pages in, starts at the barrier and times
+        // its own copies; the round took as long as its slowest thread.
+        let slowest = std::thread::scope(|scope| {
+            let handles: Vec<_> = buffers
+                .iter_mut()
+                .map(|(src, dst)| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        dst.copy_from_slice(src);
+                        barrier.wait();
+                        let start = std::time::Instant::now();
+                        for _ in 0..COPIES {
+                            dst.copy_from_slice(std::hint::black_box(&src[..]));
+                        }
+                        std::hint::black_box(&dst);
+                        start.elapsed().as_secs_f64()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("copy probe thread"))
+                .fold(0.0f64, f64::max)
+        });
+        let bytes = threads * COPIES * 2 * FLOATS * std::mem::size_of::<f32>();
+        best = best.max(bytes as f64 / slowest / 1e9);
+    }
+    best
+}
+
 /// Writes any serializable value to `path` as pretty JSON — the one writer
 /// behind every report; a failure is reported on stderr, not fatal.
 pub fn write_json<T: Serialize>(path: &str, value: &T) {
@@ -781,6 +828,14 @@ mod tests {
                 let peak = mul_add_peak_gflops(isa, threads, 1);
                 assert!(peak.is_finite() && peak > 0.0, "{isa} x{threads}: {peak}");
             }
+        }
+    }
+
+    #[test]
+    fn the_copy_probe_reports_a_finite_rate_on_one_thread_and_two() {
+        for threads in [1, 2] {
+            let gbps = copy_peak_gbps(threads, 1);
+            assert!(gbps.is_finite() && gbps > 0.0, "x{threads}: {gbps}");
         }
     }
 
