@@ -448,7 +448,7 @@ pub fn execute_network(network: &Network, inputs: &[TensorData]) -> Vec<TensorDa
 }
 
 /// A pooled copy of sample `n` of a stacked tensor (batch dimension 1).
-pub(crate) fn sample_pooled(batched: &TensorData, n: usize, arena: &ScratchPool) -> TensorData {
+fn sample_pooled(batched: &TensorData, n: usize, arena: &ScratchPool) -> TensorData {
     let per_item = batched.shape.elements_per_item();
     let item_shape = TensorShape::new(
         1,
@@ -462,28 +462,20 @@ pub(crate) fn sample_pooled(batched: &TensorData, n: usize, arena: &ScratchPool)
     out
 }
 
-/// Executes one sample through a contiguous **block range** of the network
-/// with pooled storage, consuming `inputs` and recycling every intermediate
-/// tensor — the zero-allocation op loop of the serving runtime, and the
-/// unit a pipeline segment worker runs. Each block runs under its schedule
-/// when one is given, sequentially otherwise. `inputs`
-/// are the external inputs of the range's first block (the network inputs
-/// for block 0, the previous block's outputs otherwise); the return value
-/// is the last block's outputs, ready to feed the next range. Running the
-/// ranges of any contiguous partition in order is bit-identical to one
-/// whole-network pass, because the hand-off tensors are exactly the block
-/// outputs the whole-network loop threads through.
-pub(crate) fn execute_network_blocks_pooled(
+/// Executes one sample through the whole network with pooled storage,
+/// consuming `inputs` and recycling every intermediate tensor — the
+/// zero-allocation op loop of the serving runtime. Each block runs under
+/// its schedule when one is given, sequentially otherwise. Returns the
+/// last block's outputs.
+fn execute_network_blocks_pooled(
     network: &Network,
     schedule: Option<&NetworkSchedule>,
     weights: &NetworkWeights,
-    blocks: std::ops::Range<usize>,
     inputs: Vec<TensorData>,
     arena: &ScratchPool,
 ) -> Vec<TensorData> {
     let mut current = inputs;
-    for index in blocks {
-        let block = &network.blocks[index];
+    for (index, block) in network.blocks.iter().enumerate() {
         let op_outputs = match schedule {
             Some(s) => execute_schedule_pooled(
                 &block.graph,
@@ -609,14 +601,7 @@ pub fn execute_network_batched_capped(
             .map(|n| {
                 let sample_inputs: Vec<TensorData> =
                     inputs.iter().map(|t| sample_pooled(t, n, arena)).collect();
-                execute_network_blocks_pooled(
-                    per_sample,
-                    schedule,
-                    weights,
-                    0..per_sample.blocks.len(),
-                    sample_inputs,
-                    arena,
-                )
+                execute_network_blocks_pooled(per_sample, schedule, weights, sample_inputs, arena)
             })
             .collect::<Vec<_>>()
     })

@@ -256,7 +256,7 @@ impl Drop for GroupOutputs<'_> {
 /// Executes one schedule stage against a partial per-operator output state:
 /// stage operators read graph `inputs` and already-filled `outputs` slots
 /// and write their own slots. This is the one stage runner: the schedule
-/// executors, the batched and pipelined network paths and the
+/// executors, the batched network path and the
 /// stage-profiling harness ([`crate::profile::CpuStageProfiler`]) all come
 /// through here — so the scheduler optimizes against exactly the code that
 /// serves.

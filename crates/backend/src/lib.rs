@@ -40,14 +40,7 @@
 //! * [`profile`] — the backend as an on-device stage profiler:
 //!   [`CpuStageProfiler`] executes candidate schedule stages through the
 //!   executor's one stage runner so `ios_core::ProfiledCostModel` can
-//!   optimize against latencies measured on this very substrate — under a
-//!   configurable background load ([`BackgroundLoad`]) so serving-time
-//!   schedules are optimized for a busy machine, not an idle one;
-//! * [`pipeline`] — cross-block pipelined execution:
-//!   [`PipelinedNetworkExecutor`] streams batch instances through
-//!   long-lived per-segment stage workers so block `k` of sample `i + 1`
-//!   overlaps block `k + 1` of sample `i` (and batch `n + 1` overlaps the
-//!   drain of batch `n`), bit-identical per sample to the flat paths.
+//!   optimize against latencies measured on this very substrate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -59,7 +52,6 @@ pub mod executor;
 pub mod gemm;
 mod im2col;
 pub mod ops_cpu;
-pub mod pipeline;
 pub mod profile;
 mod quant;
 pub mod simd;
@@ -78,7 +70,6 @@ pub use executor::{
     max_abs_difference, relu_fold_plan, verify_schedule, weight_seed, FoldedRelu,
 };
 pub use gemm::{conv2d, sample_scale, ConvEpilogue, ConvKernel, PackedFilter, QuantizedFilter};
-pub use pipeline::{execute_network_pipelined, PipelinedNetworkExecutor};
-pub use profile::{BackgroundLoad, CpuStageProfiler};
+pub use profile::CpuStageProfiler;
 pub use simd::Isa;
 pub use tensor_data::TensorData;

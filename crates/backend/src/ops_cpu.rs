@@ -74,7 +74,7 @@ fn apply_activation(activation: Activation, v: f32) -> f32 {
 /// [`QuantizedFilter::weight`]), accumulates in `i32` over the reference
 /// `(ic, ky, kx)` order, requantizes and applies the epilogue per
 /// element. Integer sums are order-independent, so every fast path —
-/// scalar, SSE2, AVX2, blocked, pipelined — must be **byte-identical** to
+/// scalar, SSE2, AVX2, blocked, batched — must be **byte-identical** to
 /// this oracle.
 ///
 /// # Panics

@@ -29,154 +29,7 @@ use crate::tensor_data::TensorData;
 use ios_core::{graph_fingerprint, MergedConv, ParallelizationStrategy, Stage, StageProfiler};
 use ios_ir::{Graph, OpId, OpSet};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-
-/// A controllable source of concurrent CPU load: `threads` workers that
-/// churn compute- and cache-intensive busywork while activated, and park
-/// on a condition variable otherwise (zero idle cost — a serving engine
-/// can hold one for its whole lifetime).
-///
-/// Stage latencies profiled on an idle machine flatter every candidate: a
-/// serving host runs neighbours that steal cores and cache, and the
-/// schedule that wins on quiet hardware is not necessarily the schedule
-/// that wins under load. Wrapping the measurement window in
-/// [`BackgroundLoad`] (see [`CpuStageProfiler::with_background_load`])
-/// reproduces that contention, so the dynamic program optimizes for the
-/// machine it will actually serve on.
-///
-/// [`BackgroundLoad::activate`] wakes the parked workers through the
-/// condvar, so even a sub-100µs measurement window sees them start;
-/// deactivation is a flag the workers observe after their in-flight
-/// busywork chunk (microseconds).
-pub struct BackgroundLoad {
-    shared: Arc<LoadShared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-/// Worker-visible load state: the atomic is the hot-path check between
-/// busywork chunks, the mutex/condvar pair is where idle workers park.
-struct LoadShared {
-    active: AtomicBool,
-    stop: AtomicBool,
-    /// Loop iterations retired by the load workers while active.
-    work: AtomicU64,
-    wake: Mutex<()>,
-    wakeup: Condvar,
-}
-
-impl BackgroundLoad {
-    /// Spawns `threads` idle load workers (0 spawns none — a no-op load).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(LoadShared {
-            active: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            work: AtomicU64::new(0),
-            wake: Mutex::new(()),
-            wakeup: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ios-bgload-{i}"))
-                    .spawn(move || {
-                        // 64 KiB of f32 streamed per chunk: enough to evict
-                        // shares of L1/L2 like a serving neighbour would,
-                        // small enough that one chunk retires in
-                        // microseconds and deactivation is prompt.
-                        let mut buf = vec![1.0f32; 16 * 1024];
-                        let mut acc = 0.0f32;
-                        while !shared.stop.load(Ordering::Acquire) {
-                            if shared.active.load(Ordering::Acquire) {
-                                for v in &mut buf {
-                                    acc = acc.mul_add(0.999_9, *v);
-                                    *v = acc;
-                                }
-                                std::hint::black_box(acc);
-                                shared.work.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                // Park until activated (or stopped): no
-                                // idle wakeups while the profiler is quiet.
-                                let guard = shared.wake.lock().expect("load wake lock");
-                                let _unused = shared
-                                    .wakeup
-                                    .wait_while(guard, |()| {
-                                        !shared.active.load(Ordering::Acquire)
-                                            && !shared.stop.load(Ordering::Acquire)
-                                    })
-                                    .expect("load wake lock");
-                            }
-                        }
-                    })
-                    .expect("spawn background load worker")
-            })
-            .collect();
-        BackgroundLoad {
-            shared,
-            threads: handles,
-        }
-    }
-
-    /// Number of load worker threads.
-    #[must_use]
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Starts the load churning, waking every parked worker.
-    pub fn activate(&self) {
-        self.shared.active.store(true, Ordering::Release);
-        let _guard = self.shared.wake.lock().expect("load wake lock");
-        self.shared.wakeup.notify_all();
-    }
-
-    /// Returns the load to idle; workers park after their in-flight chunk.
-    pub fn deactivate(&self) {
-        self.shared.active.store(false, Ordering::Release);
-    }
-
-    /// Busywork iterations retired so far — proof the load actually ran
-    /// during a measurement window.
-    #[must_use]
-    pub fn work_done(&self) -> u64 {
-        self.shared.work.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for BackgroundLoad {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.wake.lock().expect("load wake lock");
-            self.shared.wakeup.notify_all();
-        }
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for BackgroundLoad {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackgroundLoad")
-            .field("threads", &self.threads.len())
-            .field("active", &self.shared.active.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Deactivates a [`BackgroundLoad`] on drop, so a panicking stage run
-/// cannot leave the load churning forever.
-struct ActiveLoad<'a>(&'a BackgroundLoad);
-
-impl Drop for ActiveLoad<'_> {
-    fn drop(&mut self) {
-        self.0.deactivate();
-    }
-}
+use std::sync::{Arc, Mutex};
 
 /// Warmed per-graph profiling state: weights plus synthetic inputs and
 /// predecessor outputs for every operator.
@@ -247,9 +100,6 @@ pub struct CpuStageProfiler {
     /// block (weights are batch-size independent), keyed by
     /// [`weights_fingerprint`].
     weights: Mutex<HashMap<u64, Arc<BlockWeights>>>,
-    /// Concurrent load the profiler activates around every stage run, so
-    /// measurements see a busy machine instead of an idle one.
-    load: Option<BackgroundLoad>,
     /// Weight precision the profiled kernels run at — must match the
     /// serving engine's so the optimizer sees the costs that will serve.
     precision: WeightPrecision,
@@ -265,7 +115,6 @@ impl std::fmt::Debug for CpuStageProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuStageProfiler")
             .field("graphs", &self.graphs.lock().expect("graph map lock").len())
-            .field("load", &self.load)
             .finish()
     }
 }
@@ -279,7 +128,6 @@ impl CpuStageProfiler {
             pool: ScratchPool::new(),
             graphs: Mutex::new(HashMap::new()),
             weights: Mutex::new(HashMap::new()),
-            load: None,
             precision: WeightPrecision::F32,
         }
     }
@@ -290,22 +138,6 @@ impl CpuStageProfiler {
     pub fn with_precision(mut self, precision: WeightPrecision) -> Self {
         self.precision = precision;
         self
-    }
-
-    /// Profiles every stage under `threads` background load workers —
-    /// measurements for a *serving* machine, where concurrent batches and
-    /// pipeline stage neighbours contend for cores and cache, rather than
-    /// an idle one. The load idles between runs; 0 threads is a no-op.
-    #[must_use]
-    pub fn with_background_load(mut self, threads: usize) -> Self {
-        self.load = (threads > 0).then(|| BackgroundLoad::new(threads));
-        self
-    }
-
-    /// The background load this profiler measures under, if any.
-    #[must_use]
-    pub fn background_load(&self) -> Option<&BackgroundLoad> {
-        self.load.as_ref()
     }
 
     /// The shared precomputed weights for `graph`'s block structure,
@@ -360,10 +192,6 @@ impl CpuStageProfiler {
     /// executes through [`execute_stage`] and leaves fresh outputs in the
     /// state for any later stage that depends on them.
     fn run_stage(&self, graph: &Graph, stage: &Stage) {
-        let _churning = self.load.as_ref().map(|load| {
-            load.activate();
-            ActiveLoad(load)
-        });
         let state = self.state_for(graph);
         let mut state = state.lock().expect("graph state lock");
         for op in stage.ops.iter() {
@@ -466,44 +294,6 @@ mod tests {
         assert!(cost.measurement_count() > 0);
         let diff = verify_schedule(&g, &result.schedule, 17);
         assert!(diff < 1e-3, "difference = {diff}");
-    }
-
-    #[test]
-    fn under_load_profiling_churns_only_during_stage_runs() {
-        let g = branchy();
-        let profiler = CpuStageProfiler::new().with_background_load(2);
-        let load_threads = profiler.background_load().unwrap().num_threads();
-        assert_eq!(load_threads, 2);
-        // One stage run can be shorter than the OS takes to schedule a
-        // freshly woken load worker (especially on a contended one-core
-        // host), so repeat the measurement window until the load has
-        // provably churned — bounded, and almost always the first run.
-        // A run on the worker pool takes about ten microseconds and a few
-        // hundred of them can end before a woken load worker is first
-        // scheduled, so the bound is 20 000 runs — a few hundred
-        // milliseconds.
-        let mut runs = 0;
-        while profiler.background_load().unwrap().work_done() == 0 {
-            assert!(
-                runs < 20_000,
-                "the load never churned during {runs} stage runs"
-            );
-            profiler.run_concurrent(&g, &[vec![OpId(0)], vec![OpId(1)]]);
-            runs += 1;
-        }
-        // Idle between runs: the load stops churning (give the workers
-        // time to finish an in-flight chunk and observe the flag).
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let idle_base = profiler.background_load().unwrap().work_done();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(
-            profiler.background_load().unwrap().work_done(),
-            idle_base,
-            "an idle profiler must not burn CPU"
-        );
-        // Zero threads is a clean no-op.
-        let unloaded = CpuStageProfiler::new().with_background_load(0);
-        assert!(unloaded.background_load().is_none());
     }
 
     #[test]

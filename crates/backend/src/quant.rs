@@ -2,8 +2,8 @@
 //! sample as each column block is built, the integer tile ([`crate::tile`])
 //! accumulates in `i32`, and requantization happens in the tile writeback.
 //! Integer accumulation is order-exact, so the quantized path is
-//! **byte-identical** across thread counts, pipeline segmentations, ISA
-//! tiers and the naive int8 oracle ([`crate::ops_cpu::conv2d_naive_quant`]).
+//! **byte-identical** across thread counts, ISA tiers and the naive int8
+//! oracle ([`crate::ops_cpu::conv2d_naive_quant`]).
 
 use crate::batch::WeightFootprint;
 use crate::gemm::{panel_row, rows_per_group, Filter};

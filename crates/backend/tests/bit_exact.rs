@@ -17,15 +17,14 @@ use ios_backend::ops_cpu::{
 use ios_backend::workers::with_forced_lanes;
 use ios_backend::{
     conv2d, execute_graph, execute_graph_pooled, execute_network, execute_network_batched,
-    execute_network_batched_capped, execute_network_pipelined, execute_schedule_pooled,
-    relu_fold_plan, sample_scale, split_batch, weight_seed, BlockWeights, ConvEpilogue, ConvKernel,
-    FoldedRelu, NetworkWeights, PackedFilter, QuantizedFilter, ScratchPool, TensorData,
-    WeightPrecision,
+    execute_network_batched_capped, execute_schedule_pooled, relu_fold_plan, sample_scale,
+    split_batch, weight_seed, BlockWeights, ConvEpilogue, ConvKernel, FoldedRelu, NetworkWeights,
+    PackedFilter, QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
 };
 use ios_core::{ParallelizationStrategy, Schedule, Stage};
 use ios_ir::{
     Activation, Block, Conv2dParams, Graph, GraphBuilder, MatMulParams, Network, OpId, OpKind,
-    PoolKind, PoolParams, SegmentPlan, TensorShape, Value,
+    PoolKind, PoolParams, TensorShape, Value,
 };
 use proptest::prelude::*;
 
@@ -626,11 +625,6 @@ proptest! {
         let threaded = execute_network_batched_capped(
             &net, None, &weights, std::slice::from_ref(&stacked), &arena, 4);
         prop_assert_eq!(&serial, &threaded, "worker count must not change int8 bytes");
-        for plan in [SegmentPlan::single(2), SegmentPlan::per_block(2)] {
-            let piped = execute_network_pipelined(
-                &net, None, &weights, std::slice::from_ref(&stacked), &plan);
-            prop_assert_eq!(&serial, &piped, "segmentation must not change int8 bytes");
-        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!    p99 must stay within the acceptance bar of the unloaded p99 —
 //!    load shedding converts overload into rejections, not latency.
 //! 3. **Mix-shift re-plan** — the traffic mix flips from singles to
-//!    full bursts under an adaptation controller with a forced pipeline;
-//!    the gate requires **≥ 1 observed re-plan** and zero bit-exactness
-//!    violations across the mid-flight plan swap.
+//!    full bursts under an adaptation controller; the gate requires
+//!    **≥ 1 observed re-plan** and zero bit-exactness violations across
+//!    the mid-flight schedule swap.
 //!
 //! Both percentiles are taken over a thousand or more requests (sub-ms
 //! each): a p99 over the ~50 the quick mode used to serve is their maximum,
@@ -38,7 +38,7 @@
 
 use ios_backend::{execute_network, TensorData};
 use ios_bench::{cells, gate_network, Gate, Table};
-use ios_serve::{PipelineMode, Rejected, ServeConfig, ServeEngine, ServeError};
+use ios_serve::{Rejected, ServeConfig, ServeEngine, ServeError};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -171,7 +171,6 @@ fn main() -> ExitCode {
         .with_max_wait(Duration::from_millis(1))
         .with_prewarm_batches(vec![1, 4])
         .with_background_reoptimize(false)
-        .with_pipeline(PipelineMode::Forced(2))
         .with_adaptation(true)
         .with_adapt_tick(Duration::from_millis(5))
         // The re-plan channel is under test; keep timing noise in the

@@ -1,5 +1,4 @@
-//! The one way an acceptance gate (`*_gate`, `serve_throughput`) judges
-//! and reports.
+//! The one way an acceptance gate (`*_gate`) judges and reports.
 //!
 //! A gate starts a [`Gate`], measures, and hands it what it found:
 //! [`Table`]s whose columns are declared once — a column's key names the
@@ -15,7 +14,7 @@
 //!
 //! | key | value |
 //! |---|---|
-//! | `gate` | the gate's name (`conv`, `sched`, … `serve`) |
+//! | `gate` | the gate's name (`conv`, `sched`, … `tenant`) |
 //! | `host` | [`Host`]: cores, worker-pool lanes, detected and active ISA, CPU model |
 //! | `quick` | whether `--quick` shortened the run |
 //! | `tables` | `[{title, rows: [{<column key>: cell, …}]}]`, keys in column order |

@@ -50,7 +50,6 @@ pub mod cost_model;
 pub mod dp;
 pub mod merge;
 pub mod optimizer;
-pub mod pipeline;
 pub mod schedule;
 pub mod specialize;
 pub mod stats;
@@ -68,10 +67,13 @@ pub use optimizer::{
     evaluate_network, greedy_network_schedule, network_block_costs, optimize_network,
     sequential_network_schedule, NetworkSchedule, OptimizeReport,
 };
-pub use pipeline::{plan_pipeline, PipelinePlan};
 pub use schedule::{ParallelizationStrategy, Schedule, Stage};
 pub use specialize::{
     cross_evaluate, specialization_violations, ExecutionContext, SpecializationCell,
 };
 pub use stats::{block_statistics, BlockStats};
 pub use variants::{IosVariant, SchedulerConfig};
+
+/// Kept for `ios_benchmark`'s trait signature; ROADMAP item 8 removes it.
+#[derive(Debug)]
+pub struct PipelinePlan;

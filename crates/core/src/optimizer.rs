@@ -205,9 +205,8 @@ pub fn evaluate_network<C: CostModel>(
 }
 
 /// Re-measures an existing schedule block by block: element `i` is the
-/// latency of block `i`'s stages under `cost_model`. This is the
-/// measurement [`crate::pipeline::plan_pipeline`] partitions into pipeline
-/// segments, and [`evaluate_network`] is its sum.
+/// latency of block `i`'s stages under `cost_model`; [`evaluate_network`]
+/// is its sum.
 ///
 /// # Panics
 ///

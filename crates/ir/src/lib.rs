@@ -18,9 +18,6 @@
 //! * [`width`] — DAG width via Dilworth's theorem (minimum path cover).
 //! * [`Network`] — a CNN as a sequence of blocks, the unit the paper
 //!   optimizes independently ([`network`]).
-//! * [`SegmentPlan`] — contiguous segment boundaries over a network's
-//!   block list, the structural unit of cross-block pipelined execution
-//!   ([`segment`]).
 //!
 //! # Example
 //!
@@ -47,7 +44,6 @@ pub mod graphviz;
 pub mod network;
 pub mod op;
 pub mod opset;
-pub mod segment;
 pub mod tensor;
 pub mod width;
 
@@ -57,6 +53,5 @@ pub use graph::{Graph, GraphBuilder, Value};
 pub use network::{Block, Network};
 pub use op::{Activation, Conv2dParams, MatMulParams, Op, OpId, OpKind, PoolKind, PoolParams};
 pub use opset::OpSet;
-pub use segment::SegmentPlan;
 pub use tensor::{DType, TensorShape};
 pub use width::{chain_decomposition, dag_width, relaxed_transition_bound, transition_upper_bound};

@@ -1,10 +1,10 @@
 //! The runtime adaptation loop: a controller thread that closes the
 //! paper's Table-3 specialization insight *at runtime*.
 //!
-//! The startup path (PRs 4–5) optimizes schedules and plans the pipeline
-//! against the traffic it assumes; this module makes the engine adapt to
-//! the traffic it actually observes, using the `ios-telemetry` histograms
-//! as its only sensor. Each controller tick takes a windowed delta
+//! The startup path optimizes schedules against the traffic it assumes;
+//! this module makes the engine adapt to the traffic it actually observes,
+//! using the `ios-telemetry` histograms as its only sensor. Each controller
+//! tick takes a windowed delta
 //! ([`ios_telemetry::HistogramSnapshot::window_delta`]) of the queue-wait
 //! and batch-size histograms — exact under racing writers — and acts on
 //! three channels:
@@ -17,9 +17,7 @@
 //! 2. **Re-planning** — when the dominant observed batch size (the
 //!    window's mode) differs from what the serving plan was built for,
 //!    the controller re-plans: it makes sure the dominant batch size has
-//!    an exact specialized schedule cached, and (for pipelining engines)
-//!    re-runs segment planning and swaps the plan in via the PR 5
-//!    mid-flight-swap-safe `prepare_pipeline` path.
+//!    an exact specialized schedule cached.
 //! 3. **Regret eviction** — per exact-schedule batch size, observed mean
 //!    device time is compared against the optimizer's prediction. The
 //!    first window calibrates the units (simulated µs vs wall µs); after
@@ -27,10 +25,9 @@
 //!    calibrated prediction evicts the cache entry, forcing a fresh
 //!    optimization on next use.
 //!
-//! Every tick runs inside `catch_unwind` (the PR 5 panic-isolation
-//! idiom): a panicking re-plan leaves the engine serving on its old plan
-//! and the controller alive for the next tick, and is counted under
-//! `ios_panics_total{site="adapt"}`.
+//! Every tick runs inside `catch_unwind`: a panicking re-plan leaves the
+//! engine serving on its old plan and the controller alive for the next
+//! tick, and is counted under `ios_panics_total{site="adapt"}`.
 
 use crate::engine::Shared;
 use crate::metrics::PanicSite;
@@ -71,8 +68,8 @@ pub(crate) struct AdaptState {
     /// `min_window_batches` while shed mode was engaged — the sensor for
     /// the trickle-traffic disengage path.
     stale_ticks: AtomicU64,
-    /// Batch size the current pipeline plan / schedule focus was chosen
-    /// for; `None` until the first window-driven re-plan.
+    /// Batch size the current schedule focus was chosen for; `None` until
+    /// the first window-driven re-plan.
     planned_for: Mutex<Option<usize>>,
     /// Regret sensor: per-batch-size observations since the last tick.
     observations: Mutex<HashMap<usize, Observation>>,
@@ -115,8 +112,8 @@ struct Window {
 
 /// The adaptation controller: ticks until [`AdaptState::request_stop`],
 /// isolating each tick behind `catch_unwind` so a panicking re-plan (e.g.
-/// a faulty backend rejecting the swap violently) leaves the engine
-/// serving on its old plan and the controller alive.
+/// a faulty cost model) leaves the engine serving on its old plan and the
+/// controller alive.
 pub(crate) fn controller_loop(shared: &Arc<Shared>) {
     let mut window = Window {
         queue_wait: shared.metrics.queue_wait.snapshot(),
@@ -255,9 +252,7 @@ impl Shared {
 
     /// Re-plan policy: when a full window's dominant batch size differs
     /// from what the engine last planned for, re-specialize — make sure
-    /// the dominant size has an exact cached schedule, and re-run pipeline
-    /// segment planning against current measurements, swapping the new
-    /// plan in mid-flight.
+    /// the dominant size has an exact cached schedule.
     fn replan_on_mix_shift(self: &Arc<Self>, size_window: &HistogramSnapshot) {
         if size_window.count < self.config.adapt.min_window_batches {
             return;
@@ -286,12 +281,6 @@ impl Shared {
         // optimize it now (off the serving path — this is the controller
         // thread) if the cache doesn't hold one.
         self.ensure_exact(dominant);
-        // Re-plan the pipeline for the observed mix. A plan that no longer
-        // beats the flat path at the dominant batch size is retired rather
-        // than force-installed.
-        if let Some(plan) = self.build_pipeline_plan() {
-            self.offer_pipeline_plan(plan, dominant..=dominant);
-        }
         // Only remember the shift once the whole re-plan committed: a
         // panic above leaves `planned_for` unchanged, so the next tick
         // retries (and the chaos suite can observe the old plan serving).

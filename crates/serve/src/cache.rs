@@ -15,7 +15,7 @@
 //! The policy itself — `Shared::resolve_schedule` and its
 //! `Shared::ensure_exact` half — lives at the bottom of this module:
 //! every part of the engine that needs a schedule (pre-warm, the resolve
-//! stage, pipeline planning, the adaptation controller) gets it there.
+//! stage, the adaptation controller) gets it there.
 
 use crate::engine::Shared;
 use crate::metrics::{Count, PanicSite};

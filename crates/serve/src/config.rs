@@ -97,26 +97,6 @@ pub enum CostModelKind {
     CpuProfiled,
 }
 
-/// Whether (and how) the engine executes batches through the cross-block
-/// pipeline instead of flat batched execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Flat batched execution only.
-    #[default]
-    Off,
-    /// Measure per-block costs with the engine's cost model, plan segment
-    /// boundaries (`ios_core::plan_pipeline`), and route each batch to the
-    /// pipeline **only when the plan predicts it out-serves flat batched
-    /// execution at that batch size** — flat otherwise. On hosts where
-    /// pipelining cannot win (one core, or one dominant block) the plan
-    /// comes back flat and every batch takes the flat path.
-    Auto,
-    /// Route every batch through a pipeline with the given number of
-    /// segments (clamped to the block count), regardless of the
-    /// prediction. For diagnostics and tests; `Auto` is the serving mode.
-    Forced(usize),
-}
-
 /// Configuration of the runtime adaptation loop: the telemetry-driven
 /// controller (re-planning + regret-based cache eviction), deadline-aware
 /// batching, and load shedding. Everything here is opt-in — the default is
@@ -194,13 +174,11 @@ pub struct ServeConfig {
     /// Whether a cache miss on an exact batch size triggers background
     /// re-optimization for that batch size (Table 3 as a runtime policy).
     pub background_reoptimize: bool,
-    /// Cross-block pipelined execution mode (see [`PipelineMode`]).
-    pub pipeline: PipelineMode,
     /// Weight precision the engine precomputes, profiles, and executes at.
     /// [`WeightPrecision::Int8`] runs convolution/pointwise stages through
     /// the quantized integer kernels (deterministic: byte-identical across
-    /// thread counts and pipeline segmentations) at a fraction of the
-    /// weight-cache footprint; matmul and depthwise stages stay f32.
+    /// thread counts) at a fraction of the weight-cache footprint; matmul
+    /// and depthwise stages stay f32.
     pub precision: WeightPrecision,
     /// Runtime adaptation loop (controller, deadlines, shedding). Disabled
     /// by default.
@@ -225,7 +203,6 @@ impl Default for ServeConfig {
             scheduler: SchedulerConfig::paper_default(),
             prewarm_batches: None,
             background_reoptimize: true,
-            pipeline: PipelineMode::default(),
             precision: WeightPrecision::default(),
             adapt: AdaptConfig::default(),
             tenants: TenantsConfig::default(),
@@ -300,15 +277,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_background_reoptimize(mut self, enabled: bool) -> Self {
         self.background_reoptimize = enabled;
-        self
-    }
-
-    /// Sets the cross-block pipelined execution mode.
-    /// [`PipelineMode::Auto`] lets the engine pick pipelined vs flat
-    /// batched execution per batch size from the planner's prediction.
-    #[must_use]
-    pub fn with_pipeline(mut self, mode: PipelineMode) -> Self {
-        self.pipeline = mode;
         self
     }
 
@@ -391,7 +359,6 @@ mod tests {
             .with_max_wait(Duration::from_millis(5))
             .with_background_reoptimize(false)
             .with_cost_model(CostModelKind::CpuProfiled)
-            .with_pipeline(PipelineMode::Auto)
             .with_precision(WeightPrecision::Int8);
         assert_eq!(config.max_batch, 32);
         assert_eq!(config.precision, WeightPrecision::Int8);
@@ -399,12 +366,6 @@ mod tests {
             ServeConfig::default().precision,
             WeightPrecision::F32,
             "f32 remains the default precision"
-        );
-        assert_eq!(config.pipeline, PipelineMode::Auto);
-        assert_eq!(
-            ServeConfig::default().pipeline,
-            PipelineMode::Off,
-            "pipelining stays opt-in"
         );
         assert_eq!(config.effective_prewarm_batches(), vec![1, 32]);
         assert_eq!(config.device, DeviceKind::TeslaK80);

@@ -4,12 +4,12 @@
 use crate::adapt::AdaptState;
 use crate::batcher::BatchQueue;
 use crate::cache::ScheduleCache;
-use crate::config::{CostModelKind, PipelineMode, ServeConfig};
+use crate::config::{CostModelKind, ServeConfig};
 use crate::exec::{BatchExecutor, CpuReferenceExecutor, SimulatedDeviceExecutor};
 use crate::metrics::{External, MetricsSnapshot, PanicSite, ServeMetrics};
 use crate::request::{InferenceResponse, Rejected, ResponseHandle, ServeError, TenantId};
 use ios_backend::{CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
-use ios_core::{CachingCostModel, CostModel, PipelinePlan, ProfiledCostModel, SimCostModel};
+use ios_core::{CachingCostModel, CostModel, ProfiledCostModel, SimCostModel};
 use ios_ir::{Network, TensorShape};
 use ios_sim::Simulator;
 use std::collections::HashMap;
@@ -18,10 +18,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The host's available parallelism (1 when unknown) — the single probe
-/// the worker split, the pipeline planner's stage budget and the custom
-/// backend default all derive from.
-pub(crate) fn host_cores() -> usize {
+/// The host's available parallelism (1 when unknown), which the worker
+/// split derives from.
+fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -52,15 +51,6 @@ pub(crate) struct Shared {
     /// at the boundary.
     pub(crate) io_pool: Arc<ScratchPool>,
     pub(crate) metrics: ServeMetrics,
-    /// The cross-block pipeline plan, when [`ServeConfig::pipeline`] is on
-    /// and the backend accepted it; the execute stage consults it per
-    /// batch size to pick pipelined vs flat batched execution.
-    pub(crate) pipeline: Mutex<Option<Arc<PipelinePlan>>>,
-    /// Per-batch sample-worker cap of the *flat* execution path — what the
-    /// pipeline's prediction must beat. [`ServeEngine::start`] splits the
-    /// host's cores across its dispatch workers, so this is usually below
-    /// the core count; custom backends default to the full host.
-    pub(crate) flat_workers: usize,
     pub(crate) instances: Mutex<HashMap<usize, Arc<Network>>>,
     /// Background re-optimizations by batch size
     /// ([`Shared::resolve_schedule`]).
@@ -73,7 +63,7 @@ pub(crate) struct Shared {
     pub(crate) next_id: AtomicU64,
     /// Batch correlation ids for the tracer: every span and instant a
     /// batch's lifecycle emits carries the same id, so the timeline can be
-    /// grouped per batch across worker, pipeline and request lanes.
+    /// grouped per batch across worker and request lanes.
     pub(crate) next_batch_id: AtomicU64,
 }
 
@@ -156,7 +146,6 @@ impl ServeEngine {
             config,
             cost,
             Box::new(CpuReferenceExecutor::with_max_workers(per_batch)),
-            per_batch,
         )
     }
 
@@ -171,14 +160,12 @@ impl ServeEngine {
             config.device,
         ))));
         let executor = SimulatedDeviceExecutor::new(Arc::clone(&cost));
-        Self::build(network, config, cost, Box::new(executor), host_cores())
+        Self::build(network, config, cost, Box::new(executor))
     }
 
     /// Starts an engine with a custom execution backend, optimizing
     /// schedules against the cost model selected by
-    /// [`ServeConfig::cost_model`]. The backend's flat per-batch fan-out is
-    /// unknown here, so the pipeline-vs-flat prediction assumes it spans
-    /// the whole host.
+    /// [`ServeConfig::cost_model`].
     #[must_use]
     pub fn start_with_executor(
         network: Network,
@@ -186,7 +173,7 @@ impl ServeEngine {
         executor: Box<dyn BatchExecutor>,
     ) -> Self {
         let cost = Self::cost_model_for(&config);
-        Self::build(network, config, cost, executor, host_cores())
+        Self::build(network, config, cost, executor)
     }
 
     /// The scheduling cost model [`ServeConfig::cost_model`] selects.
@@ -199,27 +186,11 @@ impl ServeEngine {
             // re-optimization shares the engine's cores with serving, so
             // optimization cost is bounded tighter than offline profiling;
             // the ProfiledCostModel caches per stage on its own.
-            //
-            // A pipelining engine additionally profiles **under concurrent
-            // load** — one background load worker per sibling dispatch
-            // worker — because its stages never run on an idle machine:
-            // pipeline neighbours and concurrent batches contend for cores
-            // and cache, and measurements that ignore that contention
-            // mis-rank candidate stages and segment boundaries.
-            CostModelKind::CpuProfiled => {
-                let load = if config.pipeline == PipelineMode::Off {
-                    0
-                } else {
-                    config.workers.saturating_sub(1)
-                };
-                Arc::new(ProfiledCostModel::with_policy(
-                    CpuStageProfiler::new()
-                        .with_background_load(load)
-                        .with_precision(config.precision),
-                    1,
-                    3,
-                ))
-            }
+            CostModelKind::CpuProfiled => Arc::new(ProfiledCostModel::with_policy(
+                CpuStageProfiler::new().with_precision(config.precision),
+                1,
+                3,
+            )),
         }
     }
 
@@ -228,7 +199,6 @@ impl ServeEngine {
         config: ServeConfig,
         cost: Arc<dyn CostModel + Send + Sync>,
         executor: Box<dyn BatchExecutor>,
-        flat_workers: usize,
     ) -> Self {
         assert!(!network.blocks.is_empty(), "cannot serve an empty network");
         assert_eq!(
@@ -253,8 +223,6 @@ impl ServeEngine {
             executor,
             io_pool: Arc::new(ScratchPool::new()),
             metrics: ServeMetrics::default(),
-            pipeline: Mutex::new(None),
-            flat_workers: flat_workers.max(1),
             instances: Mutex::new(HashMap::new()),
             background: Mutex::new(HashMap::new()),
             optimizing: Mutex::new(()),
@@ -269,12 +237,6 @@ impl ServeEngine {
         // specialized schedules before the first request arrives.
         for batch in shared.config.effective_prewarm_batches() {
             shared.ensure_exact(batch);
-        }
-        // Plan the cross-block pipeline when the configured mode asks for
-        // one; the plan only sticks if some admissible batch size is
-        // predicted to route to it and the backend can execute it.
-        if let Some(plan) = shared.build_pipeline_plan() {
-            shared.offer_pipeline_plan(plan, 2..=shared.config.max_batch);
         }
 
         let workers = (0..shared.config.workers.max(1))
@@ -411,18 +373,6 @@ impl ServeEngine {
             isa: ios_backend::simd::active_isa(),
             pool: ios_backend::workers::stats(),
         })
-    }
-
-    /// The cross-block pipeline plan the engine is serving with, if the
-    /// configured [`PipelineMode`] produced one and the backend accepted
-    /// it. `None` means every batch runs flat batched execution.
-    #[must_use]
-    pub fn pipeline_plan(&self) -> Option<Arc<PipelinePlan>> {
-        self.shared
-            .pipeline
-            .lock()
-            .expect("pipeline plan lock")
-            .clone()
     }
 
     /// Counters of the engine's serving-boundary pool (stacked inputs and
@@ -739,42 +689,50 @@ mod tests {
         engine.shutdown();
     }
 
+    /// The simulator cost model, with one injected fault once armed.
+    struct PanicsOnce {
+        inner: SimCostModel,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl PanicsOnce {
+        /// An engine on the CPU backend whose schedule searches go through
+        /// a `PanicsOnce`, armed once the pre-warm searches are done.
+        fn armed_engine(net: &Network, config: ServeConfig) -> (ServeEngine, Arc<Self>) {
+            let cost = Arc::new(PanicsOnce {
+                inner: SimCostModel::new(Simulator::new(config.device)),
+                armed: std::sync::atomic::AtomicBool::new(false),
+            });
+            let executor = Box::new(CpuReferenceExecutor::new());
+            let engine = ServeEngine::build(net.clone(), config, cost.clone(), executor);
+            cost.armed.store(true, Ordering::SeqCst);
+            (engine, cost)
+        }
+    }
+
+    impl CostModel for PanicsOnce {
+        fn measurement_count(&self) -> u64 {
+            self.inner.measurement_count()
+        }
+        fn bind<'a>(&'a self, graph: &'a ios_ir::Graph) -> Box<dyn ios_core::GraphCostModel + 'a> {
+            assert!(
+                !self.armed.swap(false, Ordering::SeqCst),
+                "injected profiler fault"
+            );
+            self.inner.bind(graph)
+        }
+    }
+
     /// A background re-optimization that panics (a faulty profiler) must
     /// give its batch size back: the next miss retries it, instead of the
     /// batch size being served by a nearest schedule for good.
     #[test]
     fn a_background_fill_that_panics_once_is_retried() {
-        use ios_core::GraphCostModel;
-
-        /// The simulator cost model, with one injected fault once armed.
-        struct PanicsOnce {
-            inner: SimCostModel,
-            armed: std::sync::atomic::AtomicBool,
-        }
-        impl CostModel for PanicsOnce {
-            fn measurement_count(&self) -> u64 {
-                self.inner.measurement_count()
-            }
-            fn bind<'a>(&'a self, graph: &'a ios_ir::Graph) -> Box<dyn GraphCostModel + 'a> {
-                assert!(
-                    !self.armed.swap(false, Ordering::SeqCst),
-                    "injected profiler fault"
-                );
-                self.inner.bind(graph)
-            }
-        }
-
         let net = tiny_network();
         let config = quick_config()
             .with_prewarm_batches(vec![4])
             .with_max_wait(Duration::from_millis(2));
-        let cost = Arc::new(PanicsOnce {
-            inner: SimCostModel::new(Simulator::new(config.device)),
-            armed: std::sync::atomic::AtomicBool::new(false),
-        });
-        let executor = Box::new(CpuReferenceExecutor::new());
-        let engine = ServeEngine::build(net.clone(), config, cost.clone(), executor, 1);
-        cost.armed.store(true, Ordering::SeqCst);
+        let (engine, cost) = PanicsOnce::armed_engine(&net, config);
         // Lone requests miss batch 1 and are served by the batch-4 schedule
         // while a background fill runs. The first fill hits the fault; a
         // later miss must start another, which lands the exact schedule.
@@ -796,6 +754,79 @@ mod tests {
             text.contains("ios_panics_total{site=\"reoptimize\"} 1"),
             "the dead fill is counted when it is reaped"
         );
+        engine.shutdown();
+    }
+
+    /// A re-plan that panics (the controller's search for the dominant
+    /// batch size hits a faulty profiler) is caught and counted, the engine
+    /// keeps serving on the nearest schedule, and a later tick retries and
+    /// lands the exact one.
+    #[test]
+    fn a_panicking_replan_leaves_the_old_plan_serving_and_counters_flat() {
+        let net = tiny_network();
+        let mut config = quick_config()
+            .with_prewarm_batches(vec![4])
+            .with_background_reoptimize(false)
+            .with_adaptation(true)
+            .with_adapt_tick(Duration::from_millis(5))
+            // Only the re-plan channel is under test: a sky-high regret
+            // threshold keeps CPU timing noise from evicting schedules.
+            .with_regret_threshold(1e9);
+        config.adapt.min_window_batches = 4;
+        let (engine, cost) = PanicsOnce::armed_engine(&net, config);
+        let inputs: Vec<TensorData> = (0..4)
+            .map(|seed| TensorData::random(net.input_shape, seed))
+            .collect();
+        let references: Vec<Vec<TensorData>> = inputs
+            .iter()
+            .map(|input| ios_backend::execute_network(&net, std::slice::from_ref(input)))
+            .collect();
+        let serve = |seed: usize| {
+            let response = engine.infer(inputs[seed].clone()).unwrap();
+            assert_eq!(response.outputs.len(), references[seed].len());
+            for (lease, reference) in response.outputs.iter().zip(&references[seed]) {
+                assert_eq!(lease, reference, "served bit-identically");
+            }
+            response.schedule_source
+        };
+
+        // Singles make batch 1 dominant. Until the controller lands its
+        // exact schedule, the prewarmed batch-4 one serves them; its first
+        // attempt hits the fault, a later tick retries.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while serve(1) != ScheduleSource::Exact {
+            assert!(
+                Instant::now() < deadline,
+                "the controller never landed the exact batch-1 schedule \
+                 (replans {})",
+                engine.metrics().replans
+            );
+        }
+        assert!(!cost.armed.load(Ordering::SeqCst), "the fault fired");
+        let text = engine.prometheus_text();
+        assert!(
+            text.lines()
+                .any(|l| l == "ios_panics_total{site=\"adapt\"} 1"),
+            "the panicking re-plan is counted once"
+        );
+        let before = engine.metrics();
+        assert!(before.replans >= 2, "the failed re-plan was retried");
+
+        let (io_fresh, _) = engine.io_pool_stats();
+        let (exec_fresh, _) = engine.executor_pool_stats().expect("cpu pools");
+        for seed in 0..4 {
+            assert_eq!(serve(seed), ScheduleSource::Exact);
+        }
+        assert_eq!(engine.io_pool_stats().0, io_fresh, "io pool stays steady");
+        assert_eq!(
+            engine.executor_pool_stats().expect("cpu pools").0,
+            exec_fresh,
+            "executor pool stays steady"
+        );
+        let after = engine.metrics();
+        assert_eq!(after.cache.entries, 2, "batch 4 and the landed batch 1");
+        assert_eq!(after.cache.background_inserts, 0);
+        assert_eq!(after.cache.evictions, 0);
         engine.shutdown();
     }
 
@@ -839,121 +870,6 @@ mod tests {
         // …and answer the next request normally.
         let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
         assert_eq!(response.batch_size, 1);
-        engine.shutdown();
-    }
-
-    /// A three-block chain so a forced two-segment pipeline has a real
-    /// boundary to cut.
-    fn three_block_network() -> Network {
-        use ios_ir::{Block, Conv2dParams, GraphBuilder};
-        let input = TensorShape::new(1, 4, 6, 6);
-        let mut b = GraphBuilder::new("engine_pipe_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
-        let cat = b.concat("cat", &[a, c]);
-        let block0 = Block::new(b.build(vec![cat]));
-        let mut b = GraphBuilder::with_inputs("engine_pipe_b1", block0.graph.output_shapes());
-        let x = b.input(0);
-        let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-        let block1 = Block::new(b.build(vec![d]));
-        let mut b = GraphBuilder::with_inputs("engine_pipe_b2", block1.graph.output_shapes());
-        let x = b.input(0);
-        let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-        let block2 = Block::new(b.build(vec![e]));
-        Network::new("engine_pipe", input, vec![block0, block1, block2])
-    }
-
-    #[test]
-    fn forced_pipeline_serves_bit_identical_responses() {
-        let net = three_block_network();
-        let config = quick_config()
-            .with_pipeline(crate::PipelineMode::Forced(2))
-            .with_max_wait(Duration::from_millis(30));
-        let engine = ServeEngine::start(net.clone(), config);
-        let plan = engine.pipeline_plan().expect("forced mode must plan");
-        assert_eq!(plan.segments.num_segments(), 2);
-
-        let inputs: Vec<TensorData> = (0..4)
-            .map(|i| TensorData::random(net.input_shape, 60 + i))
-            .collect();
-        let handles: Vec<_> = inputs
-            .iter()
-            .map(|t| engine.submit(t.clone()).unwrap())
-            .collect();
-        let responses: Vec<_> = handles.into_iter().map(ResponseHandle::wait).collect();
-        for (input, response) in inputs.iter().zip(&responses) {
-            assert!(response.pipelined, "forced mode routes every batch");
-            let solo = ios_backend::execute_network(&net, std::slice::from_ref(input));
-            assert_eq!(response.outputs.len(), solo.len());
-            for (lease, reference) in response.outputs.iter().zip(&solo) {
-                assert_eq!(
-                    lease, reference,
-                    "pipelined serving must be bit-identical to solo execution"
-                );
-            }
-        }
-        let metrics = engine.metrics();
-        assert!(metrics.pipelined_batches >= 1);
-        assert_eq!(metrics.pipelined_batches, metrics.batches);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn a_dead_pipeline_falls_back_to_flat_execution() {
-        use crate::exec::{BatchContext, BatchExecutor, BatchOutcome};
-        use ios_core::PipelinePlan;
-
-        /// Accepts the pipeline offer but dies on every pipelined batch —
-        /// the shape of a stage-worker panic surfacing through
-        /// `execute_batch`; flat execution works fine.
-        struct DeadPipeline;
-        impl BatchExecutor for DeadPipeline {
-            fn name(&self) -> &'static str {
-                "dead-pipeline"
-            }
-            fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome {
-                assert!(
-                    ctx.pipeline.is_none(),
-                    "simulated stage-worker death on the pipelined path"
-                );
-                BatchOutcome {
-                    outputs: None,
-                    device_time_us: 1.0,
-                }
-            }
-            fn can_pipeline(&self) -> bool {
-                true
-            }
-            fn prepare_pipeline(
-                &self,
-                _network: Arc<Network>,
-                _weights: Arc<NetworkWeights>,
-                _plan: &PipelinePlan,
-            ) -> bool {
-                true
-            }
-        }
-
-        let net = three_block_network();
-        let config = quick_config().with_pipeline(crate::PipelineMode::Forced(2));
-        let engine = ServeEngine::start_with_executor(net.clone(), config, Box::new(DeadPipeline));
-        assert!(engine.pipeline_plan().is_some());
-        // The first batch hits the dead pipeline, falls back to flat
-        // mid-batch (the request is salvaged, served un-pipelined) and
-        // disables the pipeline for good.
-        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
-        assert!(!response.pipelined, "the salvaged batch was served flat");
-        assert!(
-            engine.pipeline_plan().is_none(),
-            "a dead pipeline must be disabled"
-        );
-        // Later batches go straight to the flat path.
-        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
-        assert!(!response.pipelined);
-        let metrics = engine.metrics();
-        assert_eq!(metrics.pipelined_batches, 0);
-        assert_eq!(metrics.completed, 2);
         engine.shutdown();
     }
 

@@ -17,13 +17,10 @@
 //! Later PRs can add further backends (sharded, async, real accelerators)
 //! without touching the queueing or caching layers.
 
-use ios_backend::{
-    execute_network_batched_capped, NetworkWeights, PipelinedNetworkExecutor, ScratchPool,
-    TensorData,
-};
+use ios_backend::{execute_network_batched_capped, NetworkWeights, ScratchPool, TensorData};
 use ios_core::{evaluate_network, CachingCostModel, NetworkSchedule, PipelinePlan, SimCostModel};
 use ios_ir::Network;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything a backend needs to run one coalesced batch.
@@ -34,18 +31,13 @@ pub struct BatchContext<'a> {
     /// The same network at batch size 1 — what a backend that fans a batch
     /// out one sample per task executes.
     pub per_sample: &'a Network,
-    /// The specialized schedule serving this batch (shared so pipelined
-    /// backends can carry it per in-flight sample).
+    /// The specialized schedule serving this batch.
     pub schedule: &'a Arc<NetworkSchedule>,
     /// Precomputed weights (batch-size independent).
     pub weights: &'a NetworkWeights,
     /// The stacked input tensors (one per graph input; batch dimension =
     /// coalesced batch size).
     pub inputs: &'a [TensorData],
-    /// Set when the engine chose cross-block pipelined execution for this
-    /// batch (the plan it chose); backends without a pipeline ignore it
-    /// and execute flat.
-    pub pipeline: Option<&'a PipelinePlan>,
 }
 
 /// Result of executing one batch.
@@ -66,18 +58,13 @@ pub trait BatchExecutor: Send + Sync + 'static {
     /// Executes one batch.
     fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome;
 
-    /// Whether this backend can execute cross-block pipelines at all — the
-    /// cheap capability probe the engine consults *before* paying for
-    /// per-block cost measurement and planning. Defaults to `false`.
+    /// Always `false`; the engine never calls it. Kept, with
+    /// [`BatchExecutor::prepare_pipeline`], for `ios_benchmark`'s wrapper.
     fn can_pipeline(&self) -> bool {
         false
     }
 
-    /// Offers the backend a pipeline plan for the served network (batch-1
-    /// instance + shared weights). Backends that can execute pipelined
-    /// spin up their stage workers here and honour
-    /// [`BatchContext::pipeline`] afterwards; the default ignores the
-    /// offer, and the engine then falls back to flat execution.
+    /// Always `false`; the engine never calls it.
     fn prepare_pipeline(
         &self,
         network: Arc<Network>,
@@ -110,23 +97,13 @@ pub trait BatchExecutor: Send + Sync + 'static {
 /// tensors drawn from a long-lived [`ScratchPool`] — after the first batch
 /// of a given shape profile, the op loop performs no heap allocation.
 /// Per-sample results are bit-identical to solo `execute_network` runs.
-///
-/// When the engine offers a pipeline plan ([`BatchExecutor::prepare_pipeline`])
-/// the executor additionally keeps a [`PipelinedNetworkExecutor`] — long
-/// lived stage workers sharing the same scratch pool — and routes batches
-/// there whenever [`BatchContext::pipeline`] is set, still bit-identical
-/// per sample.
 #[derive(Debug)]
 pub struct CpuReferenceExecutor {
-    pool: Arc<ScratchPool>,
+    pool: ScratchPool,
     /// Cap on the per-batch sample-worker fan-out; engines running several
     /// dispatch workers split the cores between them so concurrent batches
     /// do not oversubscribe the host.
     max_workers: usize,
-    /// The cross-block pipeline, once the engine prepared one. Shared with
-    /// in-flight batches so a re-prepare cannot tear workers down under a
-    /// batch mid-execution.
-    pipeline: Mutex<Option<Arc<PipelinedNetworkExecutor>>>,
 }
 
 impl Default for CpuReferenceExecutor {
@@ -149,9 +126,8 @@ impl CpuReferenceExecutor {
     #[must_use]
     pub fn with_max_workers(max_workers: usize) -> Self {
         CpuReferenceExecutor {
-            pool: Arc::new(ScratchPool::new()),
+            pool: ScratchPool::new(),
             max_workers: max_workers.max(1),
-            pipeline: Mutex::new(None),
         }
     }
 
@@ -168,24 +144,6 @@ impl BatchExecutor for CpuReferenceExecutor {
     }
 
     fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome {
-        if ctx.pipeline.is_some() {
-            let pipeline = self.pipeline.lock().expect("pipeline lock").clone();
-            if let Some(pipeline) = pipeline {
-                let start = Instant::now();
-                let outputs = pipeline.execute_batch(Some(ctx.schedule), ctx.inputs);
-                // Wall time of this batch's trip through the *shared*
-                // pipeline: when concurrent batches interleave, each
-                // batch's elapsed time includes the others' samples — the
-                // right per-request latency share, but an overcount of
-                // device utilization (the flat path under concurrent
-                // dispatch workers contending for cores has the same
-                // character).
-                return BatchOutcome {
-                    outputs: Some(outputs),
-                    device_time_us: start.elapsed().as_secs_f64() * 1e6,
-                };
-            }
-        }
         let start = Instant::now();
         let outputs = execute_network_batched_capped(
             ctx.per_sample,
@@ -199,26 +157,6 @@ impl BatchExecutor for CpuReferenceExecutor {
             outputs: Some(outputs),
             device_time_us: start.elapsed().as_secs_f64() * 1e6,
         }
-    }
-
-    fn can_pipeline(&self) -> bool {
-        true
-    }
-
-    fn prepare_pipeline(
-        &self,
-        network: Arc<Network>,
-        weights: Arc<NetworkWeights>,
-        plan: &PipelinePlan,
-    ) -> bool {
-        let executor = PipelinedNetworkExecutor::new(
-            network,
-            weights,
-            plan.segments.clone(),
-            Arc::clone(&self.pool),
-        );
-        *self.pipeline.lock().expect("pipeline lock") = Some(Arc::new(executor));
-        true
     }
 
     fn recycle_outputs(&self, outputs: Vec<TensorData>) {
@@ -295,7 +233,6 @@ mod tests {
             schedule: &schedule1,
             weights: &weights1,
             inputs: &[input1],
-            pipeline: None,
         });
         assert!(outcome1.outputs.is_none());
         assert!(outcome1.device_time_us > 0.0);
@@ -310,7 +247,6 @@ mod tests {
             schedule: &schedule32,
             weights: &weights32,
             inputs: &[stacked],
-            pipeline: None,
         });
         // The under-utilization effect of the simulated GPU: a batch of 32
         // costs less than half of 32 batches of one (≈ 2.4× throughput).

@@ -1,7 +1,7 @@
 //! # ios-serve — online batched inference serving on the IOS scheduler
 //!
 //! The rest of the workspace reproduces IOS (Ding et al., MLSys 2021) as an
-//! *offline* pipeline: build a network, run the ending-based dynamic program
+//! *offline* tool: build a network, run the ending-based dynamic program
 //! once, report a latency. This crate turns that scheduler into an *online*
 //! engine. A request passes through five stages, and reaches its terminal
 //! outcome in one place:
@@ -32,18 +32,11 @@
 //!   background, else a synchronous search. The scheduler can measure
 //!   candidate stages on the CPU execution backend itself
 //!   ([`config::CostModelKind::CpuProfiled`]) instead of simulating them,
-//!   closing the paper's optimize → profile → execute loop at serving time;
-//!   a pipelining engine profiles **under concurrent load**.
+//!   closing the paper's optimize → profile → execute loop at serving time.
 //! * **Execute** (`stages`, [`exec`]) — the CPU reference backend returns
 //!   real numerics (bit-identical per sample to
 //!   [`ios_backend::execute_graph`]); the simulated-device backend charges
-//!   batches the analytical GPU latency for throughput studies. With
-//!   [`config::PipelineMode`] on, the engine measures per-block costs,
-//!   plans segment boundaries (`ios_core::plan_pipeline`) and routes each
-//!   batch to the backend's cross-block pipeline whenever the plan predicts
-//!   it out-serves flat batched execution at that batch size — bit-identical
-//!   per sample either way; a pipeline that dies is retired and its batch
-//!   retried flat.
+//!   batches the analytical GPU latency for throughput studies.
 //! * **Respond** (`stages`) — the stacked outputs are split into leases
 //!   from the serving-boundary pool and every member of the batch is
 //!   finished with its response. A batch whose backend panics finishes its
@@ -61,8 +54,8 @@
 //! * **Runtime adaptation** ([`config::AdaptConfig`]) — an opt-in
 //!   controller thread windows the queue-wait and batch-size histograms
 //!   each tick and (1) sheds load when the windowed p95 queue wait
-//!   exceeds a budget, (2) re-plans pipeline boundaries and schedule
-//!   specialization when the observed batch-size mix shifts, and
+//!   exceeds a budget, (2) re-plans schedule specialization when the
+//!   observed batch-size mix shifts, and
 //!   (3) evicts cached schedules whose measured device time regrets the
 //!   optimizer's prediction.
 //!
@@ -108,9 +101,7 @@ pub mod request;
 mod stages;
 
 pub use cache::{CacheStats, ScheduleCache};
-pub use config::{
-    AdaptConfig, CostModelKind, PipelineMode, ServeConfig, TenantConfig, TenantsConfig,
-};
+pub use config::{AdaptConfig, CostModelKind, ServeConfig, TenantConfig, TenantsConfig};
 pub use engine::ServeEngine;
 pub use exec::{
     BatchContext, BatchExecutor, BatchOutcome, CpuReferenceExecutor, SimulatedDeviceExecutor,

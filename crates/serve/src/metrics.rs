@@ -63,8 +63,6 @@ pub(crate) enum PanicSite {
     /// A batch's execution or response; its requests complete as
     /// [`crate::Rejected::Failed`].
     Batch,
-    /// The pipelined path of one batch; the batch is retried flat.
-    Pipeline,
     /// One adaptation-controller tick; the old plan keeps serving.
     Adapt,
     /// A background re-optimization; the nearest schedule keeps serving.
@@ -72,7 +70,7 @@ pub(crate) enum PanicSite {
 }
 
 /// The `site` label of each [`PanicSite`], in declaration order.
-const PANIC_SITES: [&str; 4] = ["batch", "pipeline", "adapt", "reoptimize"];
+const PANIC_SITES: [&str; 3] = ["batch", "adapt", "reoptimize"];
 
 /// One tenant's admission-path counters: requests completed, requests
 /// shed, and the queue-wait distribution. Created on a tenant's first
@@ -124,14 +122,13 @@ pub(crate) struct ServeMetrics {
     pub submitted: Count,
     pub completed: Count,
     pub batches: Count,
-    pub pipelined_batches: Count,
     pub shed: Count,
     pub deadline_expired: Count,
     pub failed: Count,
     pub replans: Count,
     pub queue_depth: Count,
     /// Caught panics, by [`PanicSite`].
-    panics: [Count; 4],
+    panics: [Count; 3],
     /// The most recent caught panic as `site: message`, for `Debug` output.
     pub last_panic: Mutex<Option<String>>,
     /// Completed-request total latencies (submission → response), ns.
@@ -167,18 +164,16 @@ impl ServeMetrics {
             .collect()
     }
 
-    /// Records one executed batch and how it ran (`pipelined` = through
-    /// the cross-block pipeline, else flat batched). `device_time_us` must
-    /// be non-negative (debug-asserted); it is rounded — not truncated —
-    /// to the nearest nanosecond, so sub-µs stage times are not silently
-    /// dropped from the device totals.
-    pub fn record_batch(&self, batch_size: usize, device_time_us: f64, pipelined: bool) {
+    /// Records one executed batch. `device_time_us` must be non-negative
+    /// (debug-asserted); it is rounded — not truncated — to the nearest
+    /// nanosecond, so sub-µs stage times are not silently dropped from the
+    /// device totals.
+    pub fn record_batch(&self, batch_size: usize, device_time_us: f64) {
         debug_assert!(
             device_time_us >= 0.0,
             "negative device time: {device_time_us} µs"
         );
         self.batches.add(1);
-        self.pipelined_batches.add(u64::from(pipelined));
         self.device_time.record_us(device_time_us);
         self.batch_size.record(batch_size as u64);
     }
@@ -222,7 +217,6 @@ impl ServeMetrics {
             submitted,
             completed,
             batches,
-            pipelined_batches: self.pipelined_batches.get(),
             shed,
             deadline_expired,
             failed,
@@ -291,8 +285,6 @@ impl ServeMetrics {
                 "Requests answered since the engine started.";
             counter "ios_batches_total" = self.batches.get(),
                 "Batches dispatched since the engine started.";
-            counter "ios_pipelined_batches_total" = self.pipelined_batches.get(),
-                "Batches executed through the cross-block pipeline.";
             counter "ios_requests_shed_total" = self.shed.get(),
                 "Requests turned away by admission control (bounded queue or shed mode).";
             counter "ios_requests_deadline_expired_total" = self.deadline_expired.get(),
@@ -300,7 +292,7 @@ impl ServeMetrics {
             counter "ios_requests_failed_total" = self.failed.get(),
                 "Requests completed as failed: their batch panicked in the backend.";
             counter "ios_adaptation_replans_total" = self.replans.get(),
-                "Telemetry-triggered pipeline/schedule re-plans.";
+                "Telemetry-triggered schedule re-plans.";
             gauge "ios_queue_depth" = self.queue_depth.get() as f64,
                 "Requests waiting in the batching queue.";
             counter "ios_schedule_cache_hits_total" = cache.hits,
@@ -349,8 +341,8 @@ impl ServeMetrics {
             .collect();
         table! { &mut out;
             counter_family "ios_panics_total" = &panics,
-                "Panics caught and isolated, by site: a batch, the pipelined path of one, \
-                 an adaptation tick, a background re-optimization.";
+                "Panics caught and isolated, by site: a batch, an adaptation tick, \
+                 a background re-optimization.";
         }
         out
     }
@@ -425,9 +417,6 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Batches dispatched so far.
     pub batches: u64,
-    /// Batches that executed through the cross-block pipeline (the rest
-    /// ran flat batched execution).
-    pub pipelined_batches: u64,
     /// Requests turned away by admission control (bounded queue or shed
     /// mode) — they never entered the queue.
     pub shed: u64,
@@ -440,8 +429,8 @@ pub struct MetricsSnapshot {
     /// Requests admitted and not yet finished: queued, or in a batch that
     /// is executing.
     pub in_flight: u64,
-    /// Times the adaptation controller re-planned pipeline segment
-    /// boundaries in response to an observed traffic-mix shift.
+    /// Times the adaptation controller re-specialized schedules in
+    /// response to an observed traffic-mix shift.
     pub replans: u64,
     /// Mean coalesced batch size (`completed / batches`).
     pub mean_batch_size: f64,
@@ -514,8 +503,8 @@ mod tests {
     #[test]
     fn snapshot_aggregates_counters() {
         let metrics = ServeMetrics::default();
-        metrics.record_batch(4, 200.0, true);
-        metrics.record_batch(2, 100.0, false);
+        metrics.record_batch(4, 200.0);
+        metrics.record_batch(2, 100.0);
         metrics.submitted.add(6);
         metrics.completed.add(6);
         for latency in [10.0, 20.0, 30.0, 40.0, 50.0, 60.0] {
@@ -528,7 +517,6 @@ mod tests {
         let snap = metrics.snapshot(CacheStats::default());
         assert_eq!(snap.completed, 6);
         assert_eq!(snap.batches, 2);
-        assert_eq!(snap.pipelined_batches, 1);
         assert!((snap.mean_batch_size - 3.0).abs() < 1e-12);
         assert!(
             close(snap.p50_latency_us, 30.0),
@@ -567,7 +555,7 @@ mod tests {
         let metrics = ServeMetrics::default();
         // 0.0006 µs = 0.6 ns each: truncation would record 0 forever.
         for _ in 0..1000 {
-            metrics.record_batch(1, 0.0006, false);
+            metrics.record_batch(1, 0.0006);
         }
         let snap = metrics.snapshot(CacheStats::default());
         assert!(
@@ -585,9 +573,9 @@ mod tests {
         metrics.shed.add(1);
         metrics.deadline_expired.add(1);
         metrics.replans.add(1);
-        metrics.record_batch(4, 10.0, false);
-        metrics.record_batch(4, 10.0, false);
-        metrics.record_batch(1, 10.0, false);
+        metrics.record_batch(4, 10.0);
+        metrics.record_batch(4, 10.0);
+        metrics.record_batch(1, 10.0);
         let snap = metrics.snapshot(CacheStats::default());
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.deadline_expired, 1);
@@ -602,7 +590,7 @@ mod tests {
     #[test]
     fn snapshot_serializes() {
         let metrics = ServeMetrics::default();
-        metrics.record_batch(1, 50.0, false);
+        metrics.record_batch(1, 50.0);
         metrics.latency.record_us(80.0);
         let snap = metrics.snapshot(CacheStats::default());
         let json = serde_json::to_string(&snap).unwrap();
@@ -612,12 +600,13 @@ mod tests {
     /// `prometheus_text` for a fixed, hand-recorded state must be what the
     /// parent commit's hand-written exposition rendered for the same state
     /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
-    /// two-lane host) — apart from the two families this table added.
+    /// two-lane host) — apart from the two families this table added and
+    /// the pipeline counter and wording, which are stripped from it here.
     #[test]
     fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
         let metrics = ServeMetrics::default();
-        metrics.record_batch(4, 200.0, true);
-        metrics.record_batch(2, 100.0, false);
+        metrics.record_batch(4, 200.0);
+        metrics.record_batch(2, 100.0);
         metrics.submitted.add(11);
         metrics.completed.add(6);
         metrics.shed.add(2);
@@ -674,14 +663,18 @@ mod tests {
                       # TYPE ios_requests_failed_total counter\n\
                       ios_requests_failed_total 2\n";
         let panics = "# HELP ios_panics_total Panics caught and isolated, by site: a batch, \
-                      the pipelined path of one, an adaptation tick, a background \
-                      re-optimization.\n\
+                      an adaptation tick, a background re-optimization.\n\
                       # TYPE ios_panics_total counter\n\
                       ios_panics_total{site=\"batch\"} 1\n\
-                      ios_panics_total{site=\"pipeline\"} 0\n\
                       ios_panics_total{site=\"adapt\"} 0\n\
                       ios_panics_total{site=\"reoptimize\"} 1\n";
-        let parent = include_str!("../tests/data/prometheus_parent.txt");
+        // The pipelined-batch counter is gone from the table, and re-plans
+        // no longer re-plan a pipeline.
+        let parent: String = include_str!("../tests/data/prometheus_parent.txt")
+            .lines()
+            .filter(|line| !line.contains("ios_pipelined_batches_total"))
+            .map(|line| line.replace("pipeline/schedule re-plans", "schedule re-plans") + "\n")
+            .collect();
         assert_eq!(parent.matches(expired).count(), 1);
         let expected = parent.replacen(expired, &format!("{expired}{failed}"), 1) + panics;
         assert_eq!(text, expected);

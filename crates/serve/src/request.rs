@@ -182,9 +182,6 @@ pub struct InferenceResponse {
     pub batch_size: usize,
     /// How the batch's schedule was obtained.
     pub schedule_source: ScheduleSource,
-    /// Whether the batch executed through the cross-block pipeline
-    /// (`false` = flat batched execution).
-    pub pipelined: bool,
     /// Time spent queued before dispatch, in µs of wall clock.
     pub queue_us: f64,
     /// Total time from submission to completion, in µs of wall clock.

@@ -11,19 +11,15 @@
 //! is kept.
 
 use crate::batcher::Refused;
-use crate::config::PipelineMode;
-use crate::engine::{host_cores, Shared};
+use crate::engine::Shared;
 use crate::exec::BatchContext;
-use crate::metrics::PanicSite;
 use crate::request::{
     InferenceResponse, Pending, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,
     ServeError, TenantId,
 };
 use ios_backend::{stack_batch_pooled, TensorData};
-use ios_core::{network_block_costs, plan_pipeline, NetworkSchedule, PipelinePlan};
-use ios_ir::{SegmentPlan, TensorShape};
-use std::ops::RangeInclusive;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use ios_core::NetworkSchedule;
+use ios_ir::TensorShape;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -38,7 +34,6 @@ struct Executed {
     /// End of every member's queue wait.
     dispatched_at: Instant,
     source: ScheduleSource,
-    pipelined: bool,
     /// Each member's share of the batch's device time, µs.
     device_share_us: f64,
     /// One stacked tensor per network output; `None` from backends that
@@ -151,7 +146,6 @@ impl Shared {
                     outputs,
                     batch_size: batch.batch_size,
                     schedule_source: batch.source,
-                    pipelined: batch.pipelined,
                     queue_us,
                     total_us,
                     device_us: batch.device_share_us,
@@ -204,8 +198,7 @@ impl Shared {
         self.respond(requests, executed);
     }
 
-    /// **Execute**: stacks the inputs, runs the batch — pipelined when a
-    /// plan routes this batch size there, flat otherwise — and accounts it
+    /// **Execute**: stacks the inputs, runs the batch and accounts it
     /// (assembly and device-time histograms, the regret sensor).
     fn execute(
         &self,
@@ -216,7 +209,6 @@ impl Shared {
     ) -> Executed {
         let batch_size = requests.len();
         let network = self.instance(batch_size);
-        let plan = self.pipeline_for(batch_size);
         let dispatched_at = Instant::now();
         if let Some(oldest) = requests.iter().map(|p| p.enqueued_at).min() {
             // Batch assembly: the oldest member's enqueue to this dispatch.
@@ -226,38 +218,19 @@ impl Shared {
 
         let input_refs: Vec<&TensorData> = requests.iter().map(|p| &p.input).collect();
         let stacked = stack_batch_pooled(&input_refs, &self.io_pool);
-        let run = |pipeline: Option<&PipelinePlan>| {
-            self.executor.execute(&BatchContext {
-                network: &network,
-                per_sample: &self.base,
-                schedule,
-                weights: &self.weights,
-                inputs: std::slice::from_ref(&stacked),
-                pipeline,
-            })
-        };
         let mut exec_span = ios_telemetry::tracer().span("batch.execute", "serve");
         exec_span.set_id(batch_id);
-        exec_span.set_arg(u64::from(plan.is_some()));
-        let (outcome, pipelined) = match plan.as_deref() {
-            None => (run(None), false),
-            Some(plan) => match catch_unwind(AssertUnwindSafe(|| run(Some(plan)))) {
-                Ok(outcome) => (outcome, true),
-                // A dead pipeline (one stage worker panicked and broke the
-                // channel chain) must not take the engine down with it:
-                // retire the plan so every later batch goes flat, and
-                // salvage *this* batch by retrying it flat right away.
-                Err(panic) => {
-                    self.metrics.panic_message(PanicSite::Pipeline, &*panic);
-                    self.retire_pipeline_plan();
-                    (run(None), false)
-                }
-            },
-        };
+        let outcome = self.executor.execute(&BatchContext {
+            network: &network,
+            per_sample: &self.base,
+            schedule,
+            weights: &self.weights,
+            inputs: std::slice::from_ref(&stacked),
+        });
         drop(exec_span);
         self.io_pool.recycle_tensor(stacked);
         self.metrics
-            .record_batch(batch_size, outcome.device_time_us, pipelined);
+            .record_batch(batch_size, outcome.device_time_us);
         if self.config.adapt.enabled && source == ScheduleSource::Exact {
             // Feed the regret sensor: measured device time vs what the
             // schedule's optimizer predicted for exactly this batch size.
@@ -269,7 +242,6 @@ impl Shared {
             batch_size,
             dispatched_at,
             source,
-            pipelined,
             device_share_us: outcome.device_time_us / batch_size as f64,
             outputs: outcome.outputs,
         }
@@ -310,79 +282,6 @@ impl Shared {
             };
             self.finish(pending, Ok(served));
         }
-    }
-
-    /// The pipeline plan this batch should execute under, per the
-    /// configured [`PipelineMode`] and the plan's own per-batch-size
-    /// prediction — `None` means flat batched execution. (Under
-    /// [`PipelineMode::Off`] no plan is ever stored, so the lock read
-    /// already short-circuits.)
-    fn pipeline_for(&self, batch: usize) -> Option<Arc<PipelinePlan>> {
-        let plan = self.pipeline.lock().expect("pipeline plan lock").clone()?;
-        if let PipelineMode::Auto = self.config.pipeline {
-            // Compare against the flat path as this engine actually runs
-            // it: capped at `flat_workers` sample workers per batch.
-            return plan
-                .prefers_pipeline_vs(batch, self.flat_workers)
-                .then_some(plan);
-        }
-        Some(plan)
-    }
-
-    /// Builds a fresh cross-block pipeline plan from current cost-model
-    /// measurements (for [`crate::CostModelKind::CpuProfiled`] with
-    /// pipelining on, stage latencies measured *under concurrent load*), or
-    /// `None` when pipelining is off or the backend can't run one.
-    pub(crate) fn build_pipeline_plan(&self) -> Option<PipelinePlan> {
-        if self.config.pipeline == PipelineMode::Off || !self.executor.can_pipeline() {
-            // Planning measures every block (expensively, for a profiled
-            // cost model): don't pay for a plan a flat-only backend would
-            // discard anyway.
-            return None;
-        }
-        // The per-sample (batch-1) schedule drives the plan: the pipeline
-        // executes one sample per job regardless of serving batch size.
-        let (schedule1, _) = self.ensure_exact(1);
-        let stage_workers = host_cores();
-        Some(match self.config.pipeline {
-            PipelineMode::Forced(segments) => PipelinePlan::for_segments(
-                network_block_costs(&self.base, &schedule1, &self.cost),
-                SegmentPlan::even(self.base.blocks.len(), segments.max(1)),
-                stage_workers,
-            ),
-            _ => plan_pipeline(&self.base, &schedule1, &self.cost, stage_workers, None),
-        })
-    }
-
-    /// Installs `plan` as the serving plan if it is worth its stage
-    /// workers — the mode forces it, or it is predicted to beat the capped
-    /// flat path for some batch size in `for_batches` (every admissible
-    /// size at start-up, the dominant one on a re-plan) — and the backend
-    /// accepts it; a plan not worth running retires the serving one. The
-    /// executor's `prepare_pipeline` is mid-flight-swap safe (in-flight
-    /// batches hold their own `Arc`s).
-    pub(crate) fn offer_pipeline_plan(
-        &self,
-        plan: PipelinePlan,
-        for_batches: RangeInclusive<usize>,
-    ) {
-        let worth_running = matches!(self.config.pipeline, PipelineMode::Forced(_))
-            || for_batches
-                .into_iter()
-                .any(|batch| plan.prefers_pipeline_vs(batch, self.flat_workers));
-        if !worth_running {
-            self.retire_pipeline_plan();
-        } else if self
-            .executor
-            .prepare_pipeline(self.instance(1), Arc::clone(&self.weights), &plan)
-        {
-            *self.pipeline.lock().expect("pipeline plan lock") = Some(Arc::new(plan));
-        }
-    }
-
-    /// Stops routing batches to the pipeline: every later batch runs flat.
-    fn retire_pipeline_plan(&self) {
-        *self.pipeline.lock().expect("pipeline plan lock") = None;
     }
 }
 

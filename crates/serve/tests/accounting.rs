@@ -2,18 +2,16 @@
 //! exactly one terminal outcome, and the exported counters say so —
 //! `submitted = completed + shed + deadline_expired + failed + in_flight`.
 //!
-//! One engine is driven through every way a request can end — a dead
-//! pipeline salvaged flat, a panicking backend, an expired deadline,
-//! bounded-admission shedding with requests parked mid-flight, and a drain
-//! at shutdown — and after each phase the snapshot must agree with the
+//! One engine is driven through every way a request can end — a panicking
+//! backend, an expired deadline, bounded-admission shedding with requests
+//! parked mid-flight, and a drain at shutdown — and after each phase the snapshot must agree with the
 //! tally the test keeps from what its own handles resolved to.
 
-use ios_backend::{NetworkWeights, TensorData};
-use ios_core::PipelinePlan;
+use ios_backend::TensorData;
 use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 use ios_serve::{
-    BatchContext, BatchExecutor, BatchOutcome, MetricsSnapshot, PipelineMode, Rejected,
-    ServeConfig, ServeEngine, ServeError,
+    BatchContext, BatchExecutor, BatchOutcome, MetricsSnapshot, Rejected, ServeConfig, ServeEngine,
+    ServeError,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -35,16 +33,14 @@ fn two_block_network() -> Network {
 /// What the test tells the backend to do with the batches it is handed.
 #[derive(Default)]
 struct Script {
-    /// Panic on the next flat batch.
+    /// Panic on the next batch.
     fail_next: AtomicBool,
-    /// While set, a flat batch announces itself on `entered` and then
+    /// While set, a batch announces itself on `entered` and then
     /// blocks until `release` yields.
     hold: AtomicBool,
 }
 
-/// Accepts the pipeline offer but dies on every pipelined batch (the
-/// `DeadPipeline` of the engine's unit tests); flat batches follow the
-/// [`Script`]. Computes no numerics.
+/// Runs every batch as the [`Script`] says. Computes no numerics.
 struct ScriptedExecutor {
     script: Arc<Script>,
     entered: Mutex<mpsc::Sender<()>>,
@@ -55,11 +51,7 @@ impl BatchExecutor for ScriptedExecutor {
     fn name(&self) -> &'static str {
         "scripted"
     }
-    fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome {
-        assert!(
-            ctx.pipeline.is_none(),
-            "simulated stage-worker death on the pipelined path"
-        );
+    fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
         if self.script.fail_next.swap(false, Ordering::SeqCst) {
             panic!("injected backend fault");
         }
@@ -71,12 +63,6 @@ impl BatchExecutor for ScriptedExecutor {
             outputs: None,
             device_time_us: 1.0,
         }
-    }
-    fn can_pipeline(&self) -> bool {
-        true
-    }
-    fn prepare_pipeline(&self, _: Arc<Network>, _: Arc<NetworkWeights>, _: &PipelinePlan) -> bool {
-        true
     }
 }
 
@@ -131,8 +117,7 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
         .with_max_wait(Duration::from_millis(1))
         .with_prewarm_batches(vec![1])
         .with_background_reoptimize(false)
-        .with_admission_capacity(2)
-        .with_pipeline(PipelineMode::Forced(2));
+        .with_admission_capacity(2);
     let engine = ServeEngine::start_with_executor(
         net.clone(),
         config,
@@ -144,15 +129,6 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
     );
     let mut tally = Tally::default();
     tally.check("fresh engine", &engine.metrics(), 0);
-
-    // A dead pipeline: the batch is salvaged on the flat path, the plan
-    // retired, the request completed.
-    assert!(engine.pipeline_plan().is_some());
-    let response = engine.infer(input()).unwrap();
-    assert!(!response.pipelined);
-    assert!(engine.pipeline_plan().is_none());
-    tally.completed += 1;
-    tally.check("dead pipeline", &engine.metrics(), 0);
 
     // A panicking backend: the request resolves to a typed failure — not a
     // channel disconnect — and the worker survives.
@@ -196,12 +172,11 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
     let text = engine.prometheus_text();
     ios_telemetry::prometheus::validate(&text).expect("well-formed exposition");
     for line in [
-        "ios_requests_completed_total 4",
+        "ios_requests_completed_total 3",
         "ios_requests_shed_total 1",
         "ios_requests_deadline_expired_total 1",
         "ios_requests_failed_total 1",
         "ios_panics_total{site=\"batch\"} 1",
-        "ios_panics_total{site=\"pipeline\"} 1",
     ] {
         assert!(text.lines().any(|l| l == line), "missing {line:?}");
     }
@@ -210,7 +185,7 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
     // answered, not dropped.
     let draining: Vec<_> = (0..2).map(|_| engine.submit(input()).unwrap()).collect();
     let before = engine.metrics();
-    assert_eq!(before.submitted, 9, "every offer above was counted once");
+    assert_eq!(before.submitted, 8, "every offer above was counted once");
     engine.shutdown();
     for handle in draining {
         handle.wait_outcome().expect("drained at shutdown");

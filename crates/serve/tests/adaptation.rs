@@ -1,6 +1,6 @@
-//! The runtime adaptation suite: deadline-aware batching, the
-//! telemetry-driven controller's re-planning and regret eviction, and the
-//! chaos case of a panic inside an adaptation-triggered re-plan.
+//! The runtime adaptation suite: deadline-aware batching and the
+//! telemetry-driven controller's re-planning and regret eviction. (The
+//! chaos case of a panic inside a re-plan is an engine unit test.)
 //!
 //! * deadlines: an already-expired request completes with a typed
 //!   rejection **without any device dispatch**; a deadline-carrying
@@ -8,15 +8,10 @@
 //!   batch serves the live requests and rejects only the expired ones;
 //! * re-planning: when the observed batch-size mix shifts, the controller
 //!   re-plans (counter observed) and responses stay **bit-identical** to
-//!   solo references across the adaptation-triggered pipeline swap —
-//!   extending the PR 5 mid-flight-swap proof to swaps the engine decides
-//!   on its own;
+//!   solo references across the adaptation-triggered schedule swap;
 //! * regret: a backend whose measured device time drifts 10× away from
 //!   the optimizer's prediction gets its cached schedule evicted (after a
 //!   first calibration window bridges the units);
-//! * chaos: a panic injected into the re-plan's `prepare_pipeline` leaves
-//!   the old plan serving, the engine bit-identical, and the pool/cache
-//!   counters flat;
 //! * shed latch: a parked request that keeps the queue occupied (but never
 //!   fills a window) must not latch shed mode forever — the stale-tick
 //!   clause disengages it;
@@ -24,13 +19,9 @@
 //!   make the controller optimize and cache a schedule for batch 97 (a
 //!   log-bucket representative that was never dispatched).
 
-use ios_backend::{execute_network, NetworkWeights, TensorData};
-use ios_core::PipelinePlan;
+use ios_backend::{execute_network, TensorData};
 use ios_ir::Network;
-use ios_serve::{
-    BatchContext, BatchExecutor, BatchOutcome, CpuReferenceExecutor, PipelineMode, Rejected,
-    ServeConfig, ServeEngine,
-};
+use ios_serve::{BatchContext, BatchExecutor, BatchOutcome, Rejected, ServeConfig, ServeEngine};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,8 +29,8 @@ use std::time::{Duration, Instant};
 mod common {
     use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 
-    /// The three-block chain from the concurrency suite: pipelinable, with
-    /// distinct per-batch schedules, small enough to stress in CI.
+    /// The three-block chain from the concurrency suite: distinct
+    /// per-batch schedules, small enough to stress in CI.
     pub fn three_block_network() -> Network {
         let input = TensorShape::new(1, 4, 6, 6);
         let mut b = GraphBuilder::new("adapt_b0", input);
@@ -197,13 +188,11 @@ fn a_traffic_mix_shift_triggers_a_replan_and_responses_stay_bit_identical() {
         .with_max_wait(Duration::from_millis(1))
         .with_prewarm_batches(vec![1, 4])
         .with_background_reoptimize(false)
-        .with_pipeline(PipelineMode::Forced(2))
         .with_adaptation(true)
         .with_adapt_tick(Duration::from_millis(5));
     let mut adapt_config = config;
     adapt_config.adapt.min_window_batches = 4;
     let engine = ServeEngine::start(net.clone(), adapt_config);
-    assert!(engine.pipeline_plan().is_some(), "forced mode must plan");
     let references: Vec<Vec<TensorData>> = (0..4).map(|s| reference_outputs(&net, s)).collect();
 
     let check = |handles: Vec<ios_serve::ResponseHandle>, seeds: &[u64]| {
@@ -264,10 +253,6 @@ fn a_traffic_mix_shift_triggers_a_replan_and_responses_stay_bit_identical() {
     assert!(
         metrics.replans >= 2,
         "one replan per observed dominant size"
-    );
-    assert!(
-        engine.pipeline_plan().is_some(),
-        "forced mode keeps a plan installed across replans"
     );
     // The exporter carries the counter.
     let text = engine.prometheus_text();
@@ -366,136 +351,6 @@ fn schedules_whose_predictions_regret_measured_reality_are_evicted() {
         .wait_outcome()
         .unwrap();
     assert_eq!(response.batch_size, 1);
-    engine.shutdown();
-}
-
-// ------------------------------------------------------------------ chaos
-
-/// Delegates everything to the CPU reference backend, but panics inside
-/// `prepare_pipeline` on every call after the first — the startup offer
-/// succeeds, every adaptation-triggered re-plan blows up mid-swap.
-struct PanicOnReplan {
-    inner: CpuReferenceExecutor,
-    prepares: AtomicU64,
-}
-
-impl BatchExecutor for PanicOnReplan {
-    fn name(&self) -> &'static str {
-        "panic-on-replan"
-    }
-    fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome {
-        self.inner.execute(ctx)
-    }
-    fn can_pipeline(&self) -> bool {
-        true
-    }
-    fn prepare_pipeline(
-        &self,
-        network: Arc<Network>,
-        weights: Arc<NetworkWeights>,
-        plan: &PipelinePlan,
-    ) -> bool {
-        if self.prepares.fetch_add(1, Ordering::SeqCst) == 0 {
-            self.inner.prepare_pipeline(network, weights, plan)
-        } else {
-            panic!("injected fault inside the adaptation-triggered re-plan");
-        }
-    }
-    fn recycle_outputs(&self, outputs: Vec<TensorData>) {
-        self.inner.recycle_outputs(outputs);
-    }
-    fn pool_stats(&self) -> Option<(u64, u64)> {
-        Some(self.inner.pool_stats())
-    }
-}
-
-#[test]
-fn a_panicking_replan_leaves_the_old_plan_serving_and_counters_flat() {
-    let net = common::three_block_network();
-    let mut config = ServeConfig::default()
-        .with_max_batch(4)
-        .with_workers(1)
-        .with_max_wait(Duration::from_millis(1))
-        .with_prewarm_batches(vec![1, 4])
-        .with_background_reoptimize(false)
-        .with_pipeline(PipelineMode::Forced(2))
-        .with_adaptation(true)
-        .with_adapt_tick(Duration::from_millis(5))
-        // This test isolates the re-plan channel: a sky-high regret
-        // threshold keeps CPU timing noise from triggering evictions.
-        .with_regret_threshold(1e9);
-    config.adapt.min_window_batches = 4;
-    let engine = ServeEngine::start_with_executor(
-        net.clone(),
-        config,
-        Box::new(PanicOnReplan {
-            inner: CpuReferenceExecutor::new(),
-            prepares: AtomicU64::new(0),
-        }),
-    );
-    let startup_plan = engine.pipeline_plan().expect("startup offer succeeded");
-    let references: Vec<Vec<TensorData>> = (0..4).map(|s| reference_outputs(&net, s)).collect();
-
-    // Drive singles until the controller attempts (and fails) a re-plan.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().replans < 1 {
-        assert!(
-            Instant::now() < deadline,
-            "controller never attempted a re-plan"
-        );
-        let response = engine
-            .submit(TensorData::random(net.input_shape, 1))
-            .unwrap()
-            .wait_outcome()
-            .expect("serving survives the panicking re-plan");
-        for (lease, reference) in response.outputs.iter().zip(&references[1]) {
-            assert_eq!(lease, reference);
-        }
-    }
-
-    // The panic was caught: the old plan still serves, bit-identically.
-    let surviving_plan = engine.pipeline_plan().expect("old plan must survive");
-    assert!(
-        Arc::ptr_eq(&startup_plan, &surviving_plan),
-        "the panicking swap must not have replaced the plan"
-    );
-    let before = engine.metrics();
-    let (io_fresh_before, _) = engine.io_pool_stats();
-    let (exec_fresh_before, _) = engine.executor_pool_stats().expect("cpu pools");
-    for seed in 0..4u64 {
-        let response = engine
-            .submit(TensorData::random(net.input_shape, seed))
-            .unwrap()
-            .wait_outcome()
-            .expect("still serving");
-        assert!(
-            response.pipelined,
-            "forced mode still routes the old pipeline"
-        );
-        for (lease, reference) in response.outputs.iter().zip(&references[seed as usize]) {
-            assert_eq!(lease, reference);
-        }
-    }
-    let after = engine.metrics();
-    let (io_fresh_after, _) = engine.io_pool_stats();
-    let (exec_fresh_after, _) = engine.executor_pool_stats().expect("cpu pools");
-    assert_eq!(
-        io_fresh_after, io_fresh_before,
-        "serving-boundary pool stays steady across caught re-plan panics"
-    );
-    assert_eq!(
-        exec_fresh_after, exec_fresh_before,
-        "executor pool stays steady across caught re-plan panics"
-    );
-    assert_eq!(
-        after.cache.background_inserts, before.cache.background_inserts,
-        "no background insert sneaks in (the dominant size was prewarmed)"
-    );
-    assert_eq!(after.cache.evictions, 0, "nothing was evicted");
-    assert_eq!(
-        after.cache.entries, before.cache.entries,
-        "cache stays flat"
-    );
     engine.shutdown();
 }
 

@@ -4,8 +4,7 @@
 //!
 //! * responses stay **bit-identical** to solo reference executions while
 //!   the background re-optimizer swaps specialized schedules under the
-//!   running engine — on the flat batched path and through the cross-block
-//!   pipeline (whose in-flight samples carry their schedule);
+//!   running engine;
 //! * schedule-cache and pool counters stay consistent under racing
 //!   submit/drop (a repeated stress loop — every batch's resolve is
 //!   exactly one exact-cache lookup, so `hits + misses == batches` must
@@ -14,20 +13,20 @@
 //!   boundary dispatch, and shutdown with requests still queued — no
 //!   hang, every request answered, response leases returned to the pool;
 //! * the span tracer's records stay **well-nested per thread** while
-//!   batches stream through the forced cross-block pipeline — the
-//!   structural invariant a Chrome trace of a live engine depends on.
+//!   batches stream through the engine — the structural invariant a
+//!   Chrome trace of a live engine depends on.
 
 use ios_backend::{execute_network, TensorData};
-use ios_serve::{PipelineMode, ResponseHandle, ServeConfig, ServeEngine};
+use ios_serve::{ResponseHandle, ServeConfig, ServeEngine};
 use ios_telemetry::TraceKind;
 use std::time::{Duration, Instant};
 
 mod common {
     use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 
-    /// A three-block chain with a branchy head — big enough to pipeline
-    /// and to get distinct specialized schedules per batch size, small
-    /// enough for a stress loop in CI.
+    /// A three-block chain with a branchy head — big enough to get
+    /// distinct specialized schedules per batch size, small enough for a
+    /// stress loop in CI.
     pub fn three_block_network() -> Network {
         let input = TensorShape::new(1, 4, 6, 6);
         let mut b = GraphBuilder::new("conc_b0", input);
@@ -81,8 +80,8 @@ fn stress_bit_identity(
                         assert_eq!(
                             lease, reference,
                             "client {client} round {round}: response diverged from solo \
-                             execution (batch {}, source {:?}, pipelined {})",
-                            response.batch_size, response.schedule_source, response.pipelined
+                             execution (batch {}, source {:?})",
+                            response.batch_size, response.schedule_source
                         );
                     }
                 }
@@ -129,8 +128,7 @@ fn responses_stay_bit_identical_while_schedules_swap_mid_flight() {
         .with_workers(2)
         .with_max_wait(Duration::from_millis(1))
         .with_prewarm_batches(vec![4])
-        .with_background_reoptimize(true)
-        .with_pipeline(PipelineMode::Auto);
+        .with_background_reoptimize(true);
     let engine = ServeEngine::start(net.clone(), config);
     stress_bit_identity(&engine, &net, 4, 24);
     await_background_insert(&engine, &net);
@@ -143,44 +141,13 @@ fn responses_stay_bit_identical_while_schedules_swap_mid_flight() {
 }
 
 #[test]
-fn pipelined_responses_stay_bit_identical_while_schedules_swap_mid_flight() {
-    // Same race, but every batch is forced through the cross-block
-    // pipeline: in-flight samples carry the schedule they entered with,
-    // so a mid-flight swap must never mix schedules within a sample.
-    let net = common::three_block_network();
-    let config = ServeConfig::default()
-        .with_max_batch(4)
-        .with_workers(2)
-        .with_max_wait(Duration::from_millis(1))
-        .with_prewarm_batches(vec![4])
-        .with_background_reoptimize(true)
-        .with_pipeline(PipelineMode::Forced(2));
-    let engine = ServeEngine::start(net.clone(), config);
-    assert!(engine.pipeline_plan().is_some(), "forced mode must plan");
-    stress_bit_identity(&engine, &net, 4, 24);
-    await_background_insert(&engine, &net);
-    stress_bit_identity(&engine, &net, 2, 8);
-    let metrics = engine.metrics();
-    assert!(metrics.cache.background_inserts >= 1);
-    assert!(
-        metrics.pipelined_batches == metrics.batches,
-        "forced mode routes every batch through the pipeline \
-         ({}/{} pipelined)",
-        metrics.pipelined_batches,
-        metrics.batches
-    );
-    engine.shutdown();
-}
-
-#[test]
 fn cache_and_pool_counters_stay_consistent_under_racing_submit_and_drop() {
     let net = common::three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(2)
         .with_max_wait(Duration::from_millis(1))
-        .with_background_reoptimize(true)
-        .with_pipeline(PipelineMode::Auto);
+        .with_background_reoptimize(true);
     let engine = ServeEngine::start(net.clone(), config);
 
     // Racing clients; every third handle is dropped without waiting (the
@@ -317,9 +284,9 @@ fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
 }
 
 #[test]
-fn pipeline_spans_stay_well_nested_within_every_thread() {
-    // Serve through the forced pipeline with the process-global tracer
-    // on, then check the structural invariants of the captured trace.
+fn serving_spans_stay_well_nested_within_every_thread() {
+    // Serve with the process-global tracer on, then check the structural
+    // invariants of the captured trace.
     //
     // The tracer is process-global and other tests in this binary may be
     // serving concurrently; that is the point, not a problem — the
@@ -330,8 +297,7 @@ fn pipeline_spans_stay_well_nested_within_every_thread() {
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
-        .with_max_wait(Duration::from_millis(1))
-        .with_pipeline(PipelineMode::Forced(2));
+        .with_max_wait(Duration::from_millis(1));
     let engine = ServeEngine::start(net.clone(), config);
     let tracer = ios_telemetry::tracer();
     let dropped_before = tracer.dropped();
@@ -347,7 +313,7 @@ fn pipeline_spans_stay_well_nested_within_every_thread() {
         })
         .collect();
     for handle in handles {
-        assert!(handle.wait().pipelined, "forced mode pipelines every batch");
+        assert_eq!(handle.wait().outputs.len(), 1);
     }
     // Shut down before snapshotting: span guards record on drop, so the
     // last batch's spans only land once the workers have quiesced.
@@ -357,14 +323,12 @@ fn pipeline_spans_stay_well_nested_within_every_thread() {
     let dropped = tracer.dropped() - dropped_before;
     tracer.clear();
 
-    // Every lane of the instrumentation shows up: serving, pipeline
-    // segments, executor stages and the request lifecycle.
+    // Every lane of the instrumentation shows up: serving, executor
+    // stages and the request lifecycle.
     for name in [
         "batch",
         "batch.execute",
         "batcher.next_batch",
-        "pipeline.busy",
-        "pipeline.forward",
         "request.enqueue",
         "request.queue_wait",
         "request.respond",

@@ -16,7 +16,7 @@
 //!   disabled (one relaxed atomic load per span site, no clock read) and
 //!   cheap when enabled; recording never blocks on readers and never
 //!   reorders records within a thread. The process-global instance
-//!   ([`tracer()`]) is what the optimizer, executor, pipeline and serving
+//!   ([`tracer()`]) is what the optimizer, executor and serving
 //!   engine instrument against.
 //! * Exporters — [`chrome_trace_json`] renders trace records as Chrome
 //!   `chrome://tracing` trace-event JSON (an array of

@@ -36,7 +36,7 @@ pub struct TraceRecord {
     pub seq: u64,
     /// Site name, e.g. `"stage.concurrent"`.
     pub name: &'static str,
-    /// Category lane, e.g. `"exec"`, `"pipeline"`, `"serve"`.
+    /// Category lane, e.g. `"exec"`, `"serve"`.
     pub cat: &'static str,
     /// Span or instant.
     pub kind: TraceKind,
@@ -46,7 +46,7 @@ pub struct TraceRecord {
     pub dur_ns: u64,
     /// Small dense id of the recording thread.
     pub tid: u64,
-    /// Primary correlation id (request id, batch id, segment index, …);
+    /// Primary correlation id (request id, batch id, block index, …);
     /// meaning is per site.
     pub id: u64,
     /// Secondary payload (batch size, group count, …); meaning is per site.
@@ -262,7 +262,7 @@ pub struct Span<'a> {
 }
 
 impl Span<'_> {
-    /// Sets the span's correlation id (request, batch, segment, …).
+    /// Sets the span's correlation id (request, batch, block, …).
     pub fn set_id(&mut self, id: u64) {
         self.id = id;
     }

@@ -1,7 +1,7 @@
 //! Demo of the `ios-telemetry` observability layer: serve a small network
-//! through a forced two-segment pipeline with the span tracer enabled,
-//! then export the run as a Chrome trace (load it in `chrome://tracing` or
-//! Perfetto) and as a Prometheus text exposition.
+//! with the span tracer enabled, then export the run as a Chrome trace
+//! (load it in `chrome://tracing` or Perfetto) and as a Prometheus text
+//! exposition.
 //!
 //! Run with: `cargo run --release --example observe_demo`
 
@@ -10,7 +10,7 @@ use ios::prelude::*;
 use ios::telemetry;
 use std::time::Duration;
 
-/// A three-block chain so the forced pipeline has real boundaries to cut.
+/// A three-block chain, so each batch records several stage spans.
 fn three_block_network() -> Network {
     use ios::ir::Block;
     let input = TensorShape::new(1, 6, 10, 10);
@@ -44,13 +44,9 @@ fn main() {
         ServeConfig::default()
             .with_max_batch(4)
             .with_workers(1)
-            .with_pipeline(PipelineMode::Forced(2))
             .with_max_wait(Duration::from_millis(5)),
     );
-    println!(
-        "== serving `{}` through a forced 2-segment pipeline, tracer on ==",
-        network.name
-    );
+    println!("== serving `{}`, tracer on ==", network.name);
 
     let handles: Vec<_> = (0..12)
         .map(|i| {
@@ -60,8 +56,7 @@ fn main() {
         })
         .collect();
     for handle in handles {
-        let r = handle.wait();
-        assert!(r.pipelined, "forced mode routes every batch");
+        assert_eq!(handle.wait().outputs.len(), 1);
     }
     telemetry::tracer().set_enabled(false);
 

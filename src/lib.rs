@@ -53,17 +53,17 @@ pub use ios_telemetry as telemetry;
 pub mod prelude {
     pub use ios_core::{
         evaluate_network, greedy_network_schedule, greedy_schedule, optimize_network,
-        plan_pipeline, schedule_graph, sequential_network_schedule, sequential_schedule, CostModel,
-        IosVariant, NetworkSchedule, ParallelizationStrategy, PipelinePlan, PruningLimits,
-        Schedule, SchedulerConfig, SimCostModel, Stage,
+        schedule_graph, sequential_network_schedule, sequential_schedule, CostModel, IosVariant,
+        NetworkSchedule, ParallelizationStrategy, PruningLimits, Schedule, SchedulerConfig,
+        SimCostModel, Stage,
     };
     pub use ios_ir::{
         Activation, Conv2dParams, Graph, GraphBuilder, Network, Op, OpId, OpKind, OpSet,
-        SegmentPlan, TensorShape,
+        TensorShape,
     };
     pub use ios_serve::{
-        AdaptConfig, InferenceResponse, MetricsSnapshot, PipelineMode, Rejected, ScheduleSource,
-        ServeConfig, ServeEngine,
+        AdaptConfig, InferenceResponse, MetricsSnapshot, Rejected, ScheduleSource, ServeConfig,
+        ServeEngine,
     };
     pub use ios_sim::{DeviceKind, KernelLibrary, Simulator};
 }
