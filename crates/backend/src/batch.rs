@@ -21,7 +21,7 @@ use crate::arena::ScratchPool;
 use crate::executor::{
     execute_graph_pooled, execute_schedule_pooled, relu_fold_plan, weight_seed, FoldedRelu,
 };
-use crate::gemm::{ConvKernel, PackedFilter};
+use crate::gemm::PackedFilter;
 use crate::ops_cpu::{conv_weights, copy_of, matmul_weights, sep_conv_seeds};
 use crate::tensor_data::TensorData;
 use crate::workers;
@@ -31,38 +31,19 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The numeric representation weights are precomputed into — selects the
-/// kernel path every weighted operator of the block executes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum WeightPrecision {
-    /// f32 tile-major packed panels; bit-identical to the naive oracle.
-    #[default]
-    F32,
-    /// Int8 pair-interleaved panels with per-output-channel scales; the
-    /// integer path carries its own byte-identity determinism contract
-    /// and a calibration-error bound against the f32 oracle. Matmul
-    /// classifier heads and depthwise stages stay f32 (their reductions
-    /// are too shallow for quantization to pay).
-    Int8,
-}
-
 /// Precomputed weights of one operator, each in the form its kernel reads
 /// — so the serving hot path streams `A` contiguously and nothing else is
 /// held.
 #[derive(Debug, Clone)]
 pub enum OpWeights {
     /// Dense / grouped convolution filter.
-    Conv(ConvKernel),
-    /// Separable convolution: depthwise then pointwise filters. The
-    /// depthwise stage always stays f32-packed (its reduction is only
-    /// `kh·kw` deep); the pointwise stage — where the compute lives —
-    /// follows the block's precision.
+    Conv(PackedFilter),
+    /// Separable convolution: depthwise then pointwise filters.
     SepConv {
-        /// Depthwise k×k filter (one output channel per input channel) in
-        /// tile-major packed layout.
+        /// Depthwise k×k filter (one output channel per input channel).
         depthwise: PackedFilter,
         /// Pointwise 1×1 filter.
-        pointwise: ConvKernel,
+        pointwise: PackedFilter,
     },
     /// Fully connected weight matrix, layout `[out][in]`.
     MatMul(Vec<f32>),
@@ -78,10 +59,9 @@ pub struct BlockWeights {
     /// The block's ReLU-fold peephole plan ([`relu_fold_plan`]), computed
     /// once at build time.
     fold_plan: Vec<FoldedRelu>,
-    precision: WeightPrecision,
-    /// The merged-stage kernels built so far: the parts' filters stacked
-    /// (and zero-padded) into one, always f32.
-    merged: Mutex<HashMap<OpSet, Arc<ConvKernel>>>,
+    /// The merged-stage filters built so far: the parts' filters stacked
+    /// (and zero-padded) into one.
+    merged: Mutex<HashMap<OpSet, Arc<PackedFilter>>>,
     merged_builds: AtomicU64,
     merged_hits: AtomicU64,
 }
@@ -91,7 +71,6 @@ impl Clone for BlockWeights {
         BlockWeights {
             by_op: self.by_op.clone(),
             fold_plan: self.fold_plan.clone(),
-            precision: self.precision,
             merged: Mutex::new(self.merged.lock().expect("merged-weight lock").clone()),
             merged_builds: AtomicU64::new(self.merged_builds.load(Ordering::Relaxed)),
             merged_hits: AtomicU64::new(self.merged_hits.load(Ordering::Relaxed)),
@@ -100,19 +79,10 @@ impl Clone for BlockWeights {
 }
 
 impl BlockWeights {
-    /// Generates the weights of every weighted operator of `graph` at f32
-    /// precision, each from its deterministic [`weight_seed`].
+    /// Generates the weights of every weighted operator of `graph`, each
+    /// from its deterministic [`weight_seed`], convolution filters packed.
     #[must_use]
     pub fn precompute(graph: &Graph) -> Self {
-        Self::precompute_as(graph, WeightPrecision::F32)
-    }
-
-    /// [`BlockWeights::precompute`] at an explicit precision: f32 builds
-    /// packed panels, int8 quantizes dense-conv and sepconv-pointwise
-    /// filters into [`crate::QuantizedFilter`] panels (per-output-channel scale
-    /// calibration happens here, at weight-precompute time).
-    #[must_use]
-    pub fn precompute_as(graph: &Graph, precision: WeightPrecision) -> Self {
         let by_op = graph
             .ops()
             .iter()
@@ -128,8 +98,7 @@ impl BlockWeights {
                     OpKind::Conv2d(p) => {
                         let in_c = input_shape(op.inputs[0]).channels / p.groups;
                         let filter = conv_weights(seed, p.out_channels, in_c, p.kernel);
-                        Some(OpWeights::Conv(ConvKernel::build(
-                            precision,
+                        Some(OpWeights::Conv(PackedFilter::pack(
                             &filter,
                             p.out_channels,
                             p.groups,
@@ -148,13 +117,7 @@ impl BlockWeights {
                                 in_c,
                                 p.kernel.0 * p.kernel.1,
                             ),
-                            pointwise: ConvKernel::build(
-                                precision,
-                                &pointwise,
-                                p.out_channels,
-                                1,
-                                in_c,
-                            ),
+                            pointwise: PackedFilter::pack(&pointwise, p.out_channels, 1, in_c),
                         })
                     }
                     OpKind::MatMul(p) => {
@@ -176,7 +139,6 @@ impl BlockWeights {
         BlockWeights {
             by_op,
             fold_plan: relu_fold_plan(graph),
-            precision,
             merged: Mutex::default(),
             merged_builds: AtomicU64::new(0),
             merged_hits: AtomicU64::new(0),
@@ -189,12 +151,6 @@ impl BlockWeights {
         self.by_op.get(op.index()).and_then(Option::as_ref)
     }
 
-    /// The precision these weights were precomputed at.
-    #[must_use]
-    pub fn precision(&self) -> WeightPrecision {
-        self.precision
-    }
-
     /// The block's ReLU-fold plan: one entry per operator.
     #[must_use]
     pub fn fold_plan(&self) -> &[FoldedRelu] {
@@ -205,14 +161,13 @@ impl BlockWeights {
     /// schedule for this graph): on first use the parts' filters are
     /// regenerated from their seeds, stacked and packed; afterwards the
     /// stage is served from the cache, so repeat batches execute it
-    /// directly. Keyed by the stage's operator set. A merged stage runs the
-    /// f32 kernel whatever the block's precision.
+    /// directly. Keyed by the stage's operator set.
     ///
     /// # Panics
     ///
     /// Panics if any merged part is not a convolution of `graph`.
     #[must_use]
-    pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<ConvKernel> {
+    pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<PackedFilter> {
         let key: OpSet = merged.parts.iter().copied().collect();
         if let Some(cached) = self.merged.lock().expect("merged-weight lock").get(&key) {
             self.merged_hits.fetch_add(1, Ordering::Relaxed);
@@ -222,8 +177,7 @@ impl BlockWeights {
         let (mkh, mkw) = merged.params.kernel;
         let mut filter = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
         stack_merged_filter(graph, merged, &mut filter);
-        let built = Arc::new(ConvKernel::build(
-            WeightPrecision::F32,
+        let built = Arc::new(PackedFilter::pack(
             &filter,
             merged.params.out_channels,
             merged.params.groups,
@@ -289,66 +243,47 @@ pub struct NetworkWeights {
     blocks: Vec<BlockWeights>,
 }
 
-/// The weight-cache memory held by a [`NetworkWeights`], split by
-/// representation — the numbers behind the serving engine's
-/// `ios_weight_cache_*_bytes` gauges.
+/// The weight-cache memory held by a [`NetworkWeights`] — the number
+/// behind the serving engine's `ios_weight_cache_f32_bytes` gauge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WeightFootprint {
     /// Bytes of f32 weight arrays (packed panels, matmul matrices).
     pub f32_bytes: usize,
-    /// Bytes of int8 quantized panels plus their per-channel scales.
-    pub int8_bytes: usize,
 }
 
 impl WeightFootprint {
-    /// Total bytes across both representations.
+    /// Total bytes held.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.f32_bytes + self.int8_bytes
+        self.f32_bytes
     }
 }
 
 impl NetworkWeights {
-    /// Generates the weights of every block of `network` at f32 precision.
+    /// Generates the weights of every block of `network`.
     #[must_use]
     pub fn precompute(network: &Network) -> Self {
-        Self::precompute_as(network, WeightPrecision::F32)
-    }
-
-    /// [`NetworkWeights::precompute`] at an explicit precision.
-    #[must_use]
-    pub fn precompute_as(network: &Network, precision: WeightPrecision) -> Self {
         NetworkWeights {
             network_name: network.name.clone(),
             blocks: network
                 .blocks
                 .iter()
-                .map(|b| BlockWeights::precompute_as(&b.graph, precision))
+                .map(|b| BlockWeights::precompute(&b.graph))
                 .collect(),
         }
     }
 
-    /// The precision the blocks were precomputed at.
-    #[must_use]
-    pub fn precision(&self) -> WeightPrecision {
-        self.blocks
-            .first()
-            .map(BlockWeights::precision)
-            .unwrap_or_default()
-    }
-
     /// Logical weight parameters and resident bytes of the per-operator
     /// weights — the one walk both public readings come from.
-    fn sized(&self) -> (usize, WeightFootprint) {
-        let mut total = (0usize, WeightFootprint::default());
-        let mut add = |(parameters, held): (usize, WeightFootprint)| {
+    fn sized(&self) -> (usize, usize) {
+        let mut total = (0usize, 0usize);
+        let mut add = |(parameters, bytes): (usize, usize)| {
             total.0 += parameters;
-            total.1.f32_bytes += held.f32_bytes;
-            total.1.int8_bytes += held.int8_bytes;
+            total.1 += bytes;
         };
         for w in self.blocks.iter().flat_map(|b| b.by_op.iter().flatten()) {
             match w {
-                OpWeights::Conv(kernel) => add(kernel.footprint()),
+                OpWeights::Conv(filter) => add(filter.footprint()),
                 OpWeights::SepConv {
                     depthwise,
                     pointwise,
@@ -356,34 +291,24 @@ impl NetworkWeights {
                     add(depthwise.footprint());
                     add(pointwise.footprint());
                 }
-                OpWeights::MatMul(m) => add((
-                    m.len(),
-                    WeightFootprint {
-                        f32_bytes: std::mem::size_of_val(&m[..]),
-                        int8_bytes: 0,
-                    },
-                )),
+                OpWeights::MatMul(m) => add((m.len(), std::mem::size_of_val(&m[..]))),
             }
         }
         total
     }
 
-    /// The weight-cache bytes held, split by representation: packed f32
-    /// panels (≈ 4 B per weight, edge-panel padding included) and matmul
-    /// matrices on one side, quantized int8 panels plus their scales
-    /// (≈ 1 B per weight) on the other — so the int8 footprint reduction is
-    /// directly observable. The merged-stage filters built so far (always
-    /// f32) are counted too: a block holds them for as long as it lives.
+    /// The weight-cache bytes held: packed panels (4 B per weight,
+    /// edge-panel padding included) and matmul matrices. The merged-stage
+    /// filters built so far are counted too: a block holds them for as long
+    /// as it lives.
     #[must_use]
     pub fn footprint(&self) -> WeightFootprint {
-        let mut fp = self.sized().1;
+        let mut f32_bytes = self.sized().1;
         for block in &self.blocks {
             let merged = block.merged.lock().expect("merged-weight lock");
-            for stage in merged.values() {
-                fp.f32_bytes += stage.footprint().1.f32_bytes;
-            }
+            f32_bytes += merged.values().map(|f| f.footprint().1).sum::<usize>();
         }
-        fp
+        WeightFootprint { f32_bytes }
     }
 
     /// Name of the network the weights were generated for.
@@ -803,63 +728,26 @@ mod tests {
         let merges = |s: &Stage| s.strategy == ParallelizationStrategy::OperatorMerge;
         assert!(schedule.block_schedules[0].stages.iter().any(merges));
 
-        for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
-            let weights = NetworkWeights::precompute_as(&net, precision);
-            let before = weights.footprint();
-            let arena = ScratchPool::new();
-            let sample = TensorData::random(input, 3);
-            let run = || {
-                execute_network_batched(
-                    &net,
-                    Some(&schedule),
-                    &weights,
-                    std::slice::from_ref(&sample),
-                    &arena,
-                )
-            };
-            let first = run();
-            // 160 output channels are whole panels of k = 64·3·3 f32s — f32
-            // whatever the block's precision.
-            let mut after = before;
-            after.f32_bytes += 160 * 64 * 9 * 4;
-            assert_eq!(weights.footprint(), after, "{precision:?}");
-            assert_eq!(run(), first);
-            assert_eq!(weights.footprint(), after, "a cache hit holds nothing new");
-            assert_eq!(weights.block(0).merged_builds(), 1);
-        }
-    }
-
-    /// A network of dense convolutions only: every weight goes through a
-    /// [`ConvKernel`].
-    fn dense_conv_network() -> Network {
-        use ios_ir::{Block, Conv2dParams, GraphBuilder, TensorShape};
-        let input = TensorShape::new(1, 32, 8, 8);
-        let mut b = GraphBuilder::new("dense_only_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", a, Conv2dParams::relu(64, (1, 1), (1, 1), (0, 0)));
-        let d = b.conv2d("d", c, Conv2dParams::relu(32, (3, 3), (1, 1), (1, 1)));
-        Network::new("dense_only", input, vec![Block::new(b.build(vec![d]))])
-    }
-
-    #[test]
-    fn int8_weights_are_a_quarter_of_the_f32_footprint() {
-        let net = dense_conv_network();
-        let f32_weights = NetworkWeights::precompute(&net);
-        let int8_weights = NetworkWeights::precompute_as(&net, WeightPrecision::Int8);
-        let (f32_fp, int8_fp) = (f32_weights.footprint(), int8_weights.footprint());
-        // Only the kernel form is resident: 4 B per weight (the channel
-        // counts are multiples of the panel height, so no padding)…
-        assert_eq!(f32_fp.int8_bytes, 0);
-        assert_eq!(f32_fp.f32_bytes, f32_weights.num_parameters() * 4);
-        // …against 1 B per weight plus one f32 scale per output channel.
-        assert_eq!(int8_fp.f32_bytes, 0);
-        assert!(
-            int8_fp.total() * 100 <= f32_fp.total() * 30,
-            "int8 {} B vs f32 {} B",
-            int8_fp.total(),
-            f32_fp.total()
-        );
-        assert_eq!(int8_weights.num_parameters(), f32_weights.num_parameters());
+        let weights = NetworkWeights::precompute(&net);
+        let before = weights.footprint();
+        let arena = ScratchPool::new();
+        let sample = TensorData::random(input, 3);
+        let run = || {
+            execute_network_batched(
+                &net,
+                Some(&schedule),
+                &weights,
+                std::slice::from_ref(&sample),
+                &arena,
+            )
+        };
+        let first = run();
+        // 160 output channels are whole panels of k = 64·3·3 f32s.
+        let mut after = before;
+        after.f32_bytes += 160 * 64 * 9 * 4;
+        assert_eq!(weights.footprint(), after);
+        assert_eq!(run(), first);
+        assert_eq!(weights.footprint(), after, "a cache hit holds nothing new");
+        assert_eq!(weights.block(0).merged_builds(), 1);
     }
 }

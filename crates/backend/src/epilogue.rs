@@ -9,9 +9,8 @@ use ios_ir::{Conv2dParams, TensorShape};
 
 /// Pushes one finished accumulator row of `blk` (the group's output row
 /// `row`, columns `[j0, j0 + PACK_NR)`) through the epilogue and stores its
-/// first `nr` columns. This is the single store every f32 tier — and the
-/// requantized int8 kernel — goes through, so all paths apply the identical
-/// per-element expression: `(acc + bias) + residual`, then the ReLU clamp.
+/// first `nr` columns. This is the single store every tier goes through, so
+/// all of them apply the identical per-element expression: `(acc + bias) + residual`, then the ReLU clamp.
 /// A ragged block (`nr < PACK_NR`) computes the whole row and goes through
 /// the stack for the residual load and the store; the lanes beyond `nr` are
 /// never written.

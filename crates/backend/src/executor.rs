@@ -423,8 +423,9 @@ pub fn max_abs_difference(a: &[TensorData], b: &[TensorData]) -> f32 {
 
 /// Executes the graph both sequentially and under `schedule` with the same
 /// random inputs and returns the largest absolute difference across all
-/// operator outputs. A value within floating point tolerance (≤ 1e-3 for the
-/// padded-kernel merges) demonstrates the schedule preserves semantics.
+/// operator outputs. Schedules are exact for finite inputs — a merge's
+/// zero-padded taps add `fma(0, x, acc) = acc` — so `0.0` demonstrates the
+/// schedule preserves semantics.
 #[must_use]
 pub fn verify_schedule(graph: &Graph, schedule: &Schedule, seed: u64) -> f32 {
     let inputs: Vec<TensorData> = graph
@@ -492,7 +493,7 @@ mod tests {
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
         let schedule = greedy_schedule(&g, &cost);
         let diff = verify_schedule(&g, &schedule, 3);
-        assert!(diff < 1e-5, "difference = {diff}");
+        assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
     #[test]
@@ -501,7 +502,7 @@ mod tests {
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
         let result = schedule_graph(&g, &cost, &SchedulerConfig::paper_default());
         let diff = verify_schedule(&g, &result.schedule, 7);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
     #[test]
@@ -511,7 +512,7 @@ mod tests {
         let g = branchy();
         let schedule = forced_merge_schedule(&g);
         let diff = verify_schedule(&g, &schedule, 11);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
     /// The hand-built schedule of `forced_merge_stage_matches_sequential`,
@@ -686,7 +687,7 @@ mod tests {
             ],
         );
         let diff = verify_schedule(&g, &schedule, 13);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
     #[test]

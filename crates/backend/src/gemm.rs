@@ -19,35 +19,27 @@
 //!   sees at every output pixel (zero where padding is hit);
 //! * weight matrix `A`: the `[out_c][in_c/g][kh][kw]` filter, one row of
 //!   `K` values per output channel, pre-packed at weight-precompute time
-//!   into the panels of a [`ConvKernel`] — tile-major f32
-//!   ([`PackedFilter`]) or pair-interleaved int8 ([`QuantizedFilter`]);
+//!   into tile-major panels ([`PackedFilter`]);
 //! * `C = A · B` is the `out_c/g × M` output of one group, written directly
 //!   into the NCHW output tensor.
 //!
-//! There is one convolution entry ([`conv2d`]) over one driver
-//! (`conv2d_with`), generic over the filter form (`Filter`): f32
-//! ([`PackedFilter`], bit-identical to [`crate::ops_cpu::conv2d_naive`]) or
-//! int8 (`crate::quant`, byte-identical to
-//! [`crate::ops_cpu::conv2d_naive_quant`]). The driver walks the output
-//! column blocks in the outer loop and fuses im2col into the walk
-//! (`crate::im2col`); the filter streams all its panels over each block
-//! while it is cache-hot, through the register tile of the selected tier
-//! (`crate::tile`) and the fused epilogue (`crate::epilogue`).
-//! Everything the two numeric paths do differently lives in their
-//! `Filter` implementations.
+//! There is one convolution entry ([`conv2d`]), bit-identical to
+//! [`crate::ops_cpu::conv2d_naive`]. It walks the output column blocks in
+//! the outer loop and fuses im2col into the walk (`crate::im2col`); the
+//! filter's panels stream over each block while it is cache-hot, through
+//! the register tile of the selected tier (`crate::tile`) and the fused
+//! epilogue (`crate::epilogue`).
 
 use crate::arena::Arena;
-use crate::batch::{WeightFootprint, WeightPrecision};
 use crate::im2col::{im2col_block, in_place_or_edge_copy};
-use crate::simd::{self, Isa};
+use crate::simd;
 use crate::tensor_data::TensorData;
-use crate::tile::{at_tier, tier_facts, ColumnBlock, F32Panels, PACK_MR, PACK_NR};
+use crate::tile::{at_tier, tile_width, ColumnBlock, F32Panels, PACK_MR, PACK_NR};
 use crate::workers::{self, DisjointOut};
 use ios_ir::{Activation, Conv2dParams};
 use std::ops::Range;
 
 pub use crate::epilogue::ConvEpilogue;
-pub use crate::quant::{sample_scale, QuantizedFilter};
 pub use crate::tile::mul_add_probe;
 
 /// A convolution filter pre-packed into the GEMM microkernel's tile-major
@@ -61,7 +53,7 @@ pub use crate::tile::mul_add_probe;
 /// zero-padded rows that are never read back into the output), so the
 /// packed path consumes exactly the same weight values in exactly the same
 /// order per output element as the naive loop reads them from the natural
-/// layout.
+/// layout. The natural layout is not kept beside it.
 ///
 /// Pack once at weight-precompute time ([`crate::batch::BlockWeights`]);
 /// every later execution streams the packed filter directly.
@@ -75,36 +67,6 @@ pub struct PackedFilter {
     group_stride: usize,
 }
 
-/// Output channels per group of a filter in natural layout; panics as
-/// [`PackedFilter::pack`] documents.
-pub(crate) fn rows_per_group(
-    weights_len: usize,
-    out_channels: usize,
-    groups: usize,
-    k_len: usize,
-) -> usize {
-    assert_eq!(
-        weights_len,
-        out_channels * k_len,
-        "filter length must be out_channels * k_len"
-    );
-    assert_eq!(
-        out_channels % groups,
-        0,
-        "output channels must divide evenly into groups"
-    );
-    out_channels / groups
-}
-
-/// Where output channel `oc` lies when every group's rows are cut into
-/// panels of `PACK_MR` (the last one of a group zero-padded), groups one
-/// after the other: `(panel, row within it)`.
-pub(crate) fn panel_row(oc: usize, rows_per_group: usize) -> (usize, usize) {
-    let (g, r) = (oc / rows_per_group, oc % rows_per_group);
-    let panels_per_group = rows_per_group.div_ceil(PACK_MR);
-    (g * panels_per_group + r / PACK_MR, r % PACK_MR)
-}
-
 impl PackedFilter {
     /// Packs a filter in the natural `[out_c][in_c/g][kh][kw]` layout
     /// (`k_len = in_c/g · kh · kw` contiguous values per output channel,
@@ -116,15 +78,29 @@ impl PackedFilter {
     /// is not divisible by `groups`.
     #[must_use]
     pub fn pack(weights: &[f32], out_channels: usize, groups: usize, k_len: usize) -> Self {
-        let rows_per_group = rows_per_group(weights.len(), out_channels, groups, k_len);
+        assert_eq!(
+            weights.len(),
+            out_channels * k_len,
+            "filter length must be out_channels * k_len"
+        );
+        assert_eq!(
+            out_channels % groups,
+            0,
+            "output channels must divide evenly into groups"
+        );
+        let rows_per_group = out_channels / groups;
+        let panels_per_group = rows_per_group.div_ceil(PACK_MR);
         let panel_stride = k_len * PACK_MR;
-        let group_stride = rows_per_group.div_ceil(PACK_MR) * panel_stride;
+        let group_stride = panels_per_group * panel_stride;
         let mut data = vec![0.0f32; groups * group_stride];
         for oc in 0..out_channels {
-            let (p, r) = panel_row(oc, rows_per_group);
+            // Groups one after the other, each cut into panels of `PACK_MR`
+            // rows, its last one zero-padded.
+            let (g, r) = (oc / rows_per_group, oc % rows_per_group);
+            let p = g * panels_per_group + r / PACK_MR;
             let panel = &mut data[p * panel_stride..][..panel_stride];
             for (k, &w) in weights[oc * k_len..][..k_len].iter().enumerate() {
-                panel[k * PACK_MR + r] = w;
+                panel[k * PACK_MR + r % PACK_MR] = w;
             }
         }
         PackedFilter {
@@ -136,6 +112,11 @@ impl PackedFilter {
         }
     }
 
+    /// The `(out_channels, groups, k_len)` the filter was packed for.
+    fn geometry(&self) -> (usize, usize, usize) {
+        (self.out_channels, self.groups, self.k_len)
+    }
+
     /// The packed panels of group `g`.
     #[must_use]
     fn group(&self, g: usize) -> &[f32] {
@@ -144,23 +125,22 @@ impl PackedFilter {
 
     /// Logical weight parameters (`out_channels · k_len`) and the bytes
     /// held (edge-panel zero padding included).
-    pub(crate) fn footprint(&self) -> (usize, WeightFootprint) {
-        let held = WeightFootprint {
-            f32_bytes: std::mem::size_of_val(&self.data[..]),
-            int8_bytes: 0,
-        };
-        (self.out_channels * self.k_len, held)
+    pub(crate) fn footprint(&self) -> (usize, usize) {
+        (
+            self.out_channels * self.k_len,
+            std::mem::size_of_val(&self.data[..]),
+        )
     }
 }
 
-/// How one sample of a packed (f32 or int8) convolution is cut into
-/// chunks of contiguous tiles: whole groups for separable/depthwise and
-/// grouped convolutions (their per-group grids are small and mutually
-/// independent), runs of `PACK_NR`-wide column sub-blocks otherwise. A chunk
-/// builds the im2col blocks of its own columns only, so no im2col work is
-/// duplicated. Every tile — hence every output element — belongs to exactly
-/// one chunk, and a tile's accumulation never depends on which chunk runs
-/// it, so the output bits are the same for every split, including none.
+/// How one sample of a packed convolution is cut into chunks of contiguous
+/// tiles: whole groups for separable/depthwise and grouped convolutions
+/// (their per-group grids are small and mutually independent), runs of
+/// `PACK_NR`-wide column sub-blocks otherwise. A chunk builds the im2col
+/// blocks of its own columns only, so no im2col work is duplicated. Every
+/// tile — hence every output element — belongs to exactly one chunk, and a
+/// tile's accumulation never depends on which chunk runs it, so the output
+/// bits are the same for every split, including none.
 ///
 /// The cut is balanced first, wide second. A kernel whose tile is `width`
 /// sub-blocks wide gets no more chunks than the grid has such tiles, so a
@@ -201,111 +181,26 @@ impl TileSplit {
     }
 }
 
-/// A convolution filter in the one form its kernel reads: tile-major f32
-/// panels ([`PackedFilter`], 4 B per weight) or pair-interleaved int8
-/// panels with per-channel scales ([`QuantizedFilter`], 1 B per weight).
-/// The natural `[out_c][in_c/g][kh][kw]` layout is not kept beside it.
-#[derive(Debug, Clone)]
-pub enum ConvKernel {
-    /// f32 precision: the packed GEMM kernel.
-    F32(PackedFilter),
-    /// Int8 precision: the `pmaddwd` integer kernel.
-    Int8(QuantizedFilter),
-}
-
-impl ConvKernel {
-    /// Builds the kernel form `precision` selects from a filter in natural
-    /// layout (`k_len` contiguous values per output channel).
-    pub(crate) fn build(
-        precision: WeightPrecision,
-        filter: &[f32],
-        out_channels: usize,
-        groups: usize,
-        k_len: usize,
-    ) -> Self {
-        match precision {
-            WeightPrecision::F32 => {
-                ConvKernel::F32(PackedFilter::pack(filter, out_channels, groups, k_len))
-            }
-            WeightPrecision::Int8 => ConvKernel::Int8(QuantizedFilter::quantize(
-                filter,
-                out_channels,
-                groups,
-                k_len,
-            )),
-        }
-    }
-
-    /// Logical weight parameters (`out_channels · k_len`) and the bytes
-    /// this kernel holds.
-    pub(crate) fn footprint(&self) -> (usize, WeightFootprint) {
-        match self {
-            ConvKernel::F32(packed) => packed.footprint(),
-            ConvKernel::Int8(quant) => quant.footprint(),
-        }
-    }
-}
-
-/// What the one convolution driver ([`conv2d_with`]) needs of a filter
-/// form; everything the numeric paths do differently is behind it.
-pub(crate) trait Filter: Sync {
-    /// What the filter reads off a whole sample before its chunks run.
-    type Sample: Copy + Sync;
-    /// The `(out_channels, groups, k_len)` the filter was built for.
-    fn geometry(&self) -> (usize, usize, usize);
-    /// The tier whose tile the filter runs when `isa` is selected, and how
-    /// many `PACK_NR`-wide sub-blocks wide a column block it streams its
-    /// panels over there.
-    fn tile_at(&self, isa: Isa) -> (Isa, usize);
-    /// `f32`s of lane scratch [`stream`](Filter::stream) needs behind the
-    /// patch block.
-    fn lane_scratch(&self) -> usize {
-        0
-    }
-    /// Reads `sample` (one batch item of the input; `input_relu` as fused).
-    fn prepare(&self, sample: &[f32], input_relu: bool) -> Self::Sample;
-    /// Streams the panels of group `g` over `block` at `tier` (as
-    /// [`tile_at`](Filter::tile_at) named it), storing the block's columns
-    /// of the group's output rows.
-    fn stream(
-        &self,
-        tier: Isa,
-        g: usize,
-        sample: Self::Sample,
-        block: &ColumnBlock<'_>,
-        scratch: &mut [f32],
-    );
-}
-
-impl Filter for PackedFilter {
-    type Sample = ();
-
-    fn geometry(&self) -> (usize, usize, usize) {
-        (self.out_channels, self.groups, self.k_len)
-    }
-
-    /// As wide as the tier's register tile, so every broadcast weight feeds
-    /// `NV` multiply-adds and the filter is streamed once per `16·NV` columns.
-    fn tile_at(&self, isa: Isa) -> (Isa, usize) {
-        (isa, tier_facts(isa).0)
-    }
-
-    fn prepare(&self, _sample: &[f32], _input_relu: bool) {}
-
-    fn stream(&self, tier: Isa, g: usize, (): (), block: &ColumnBlock<'_>, _scratch: &mut [f32]) {
-        let a = self.group(g);
-        at_tier(tier, F32Panels { a, block });
-    }
-}
-
-/// The one convolution driver, as [`conv2d`] documents it, reading
-/// `filter`'s pre-packed panels.
-pub(crate) fn conv2d_with<F: Filter>(
+/// Dense / grouped 2-D convolution reading `filter`'s pre-packed panels —
+/// the one convolution entry: im2col + blocked GEMM with a fused epilogue,
+/// input-ReLU during im2col, bias / residual-add / ReLU in the tile
+/// writeback ([`ConvEpilogue::default`] fuses nothing). Bit-identical to
+/// running `ep`'s operations as separate passes around
+/// [`crate::ops_cpu::conv2d_naive`] on every tier and lane count. Per-lane
+/// scratch is thread-local; the output tensor is taken from `arena` and
+/// owned by the caller.
+///
+/// # Panics
+///
+/// Panics if `filter` was not packed for this convolution's geometry, or a
+/// provided residual/bias does not match the output geometry.
+#[must_use]
+pub fn conv2d(
     input: &TensorData,
     params: &Conv2dParams,
-    filter: &F,
+    filter: &PackedFilter,
     ep: &ConvEpilogue<'_>,
-    pool: &impl Arena,
+    arena: &impl Arena,
 ) -> TensorData {
     let in_shape = input.shape;
     let groups = params.groups;
@@ -318,14 +213,16 @@ pub(crate) fn conv2d_with<F: Filter>(
         (params.out_channels, groups, k_len),
         "filter geometry (out_c, groups, k) does not match the convolution"
     );
-    let mut out = ep.take_output(input, params, pool);
+    let mut out = ep.take_output(input, params, arena);
     let ow = out.shape.width;
     let m_cols = out.shape.height * ow;
     let in_plane = in_shape.height * in_shape.width;
-    let per_item = in_shape.elements_per_item();
     // Read once, here: the lanes that run this convolution's chunks
     // dispatch at the ISA of the thread that called it.
-    let (tier, width) = filter.tile_at(simd::active_isa());
+    let tier = simd::active_isa();
+    // As wide as the tier's register tile, so every broadcast weight feeds
+    // `NV` multiply-adds and the filter is streamed once per `16·NV` columns.
+    let width = tile_width(tier);
 
     let relu = params.activation == Activation::Relu || ep.relu;
     // A pointwise convolution's patch matrix is the input itself — unless
@@ -341,13 +238,13 @@ pub(crate) fn conv2d_with<F: Filter>(
     };
 
     // The walk is column-block-outer: each lane builds the column block it
-    // is about to use — as wide as the filter streams at this tier — in its
-    // own scratch (fused im2col) and the filter streams its panels over it
-    // while it is cache-hot. Every output element accumulates the patch
-    // values over ascending k whichever chunk and whichever block width its
-    // tile falls into, so the bits depend on neither. A pointwise
-    // convolution reads blocks of full sub-blocks in place and needs the
-    // patch scratch only for a ragged last one.
+    // is about to use — as wide as the tier's tile — in its own scratch
+    // (fused im2col) and the filter's panels stream over it while it is
+    // cache-hot. Every output element accumulates the patch values over
+    // ascending k whichever chunk and whichever block width its tile falls
+    // into, so the bits depend on neither. A pointwise convolution reads
+    // blocks of full sub-blocks in place and needs the patch scratch only
+    // for a ragged last one.
     let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len, width);
     let out_view = DisjointOut::new(&mut out.data);
     let patch_len = if pointwise && m_cols.is_multiple_of(PACK_NR) {
@@ -356,11 +253,9 @@ pub(crate) fn conv2d_with<F: Filter>(
         k_len * width * PACK_NR
     };
     for n in 0..in_shape.batch {
-        let sample = filter.prepare(&input.data[n * per_item..(n + 1) * per_item], ep.input_relu);
         workers::parallel_for_op(split.chunks, |chunk| {
             let (chunk_groups, blocks) = split.part(chunk);
-            workers::with_lane_scratch(patch_len + filter.lane_scratch(), |scratch| {
-                let (patches, scratch) = scratch.split_at_mut(patch_len);
+            workers::with_lane_scratch(patch_len, |patches| {
                 for g in chunk_groups {
                     let oc0 = g * out_c_per_group;
                     // Full-width blocks, then the chunk's last one or two
@@ -399,7 +294,8 @@ pub(crate) fn conv2d_with<F: Filter>(
                             c0: (n * params.out_channels + oc0) * m_cols,
                             c: &out_view,
                         };
-                        filter.stream(tier, g, sample, &block, scratch);
+                        let a = filter.group(g);
+                        at_tier(tier, F32Panels { a, block: &block });
                     }
                 }
             });
@@ -408,43 +304,13 @@ pub(crate) fn conv2d_with<F: Filter>(
     out
 }
 
-/// Dense / grouped 2-D convolution reading `kernel`'s pre-packed filter —
-/// the one entry of both numeric paths: im2col + blocked GEMM with a fused
-/// epilogue, input-ReLU during im2col, bias / residual-add / ReLU in the
-/// tile writeback ([`ConvEpilogue::default`] fuses nothing). At f32 it is
-/// bit-identical to running `ep`'s operations as separate passes around
-/// [`crate::ops_cpu::conv2d_naive`], at int8 byte-identical to
-/// [`crate::ops_cpu::conv2d_naive_quant`] (per-sample input scales, `i32`
-/// accumulation, requantize in the tile writeback) — on every tier and
-/// lane count. Per-lane scratch is thread-local; the output tensor is
-/// taken from `arena` and owned by the caller.
-///
-/// # Panics
-///
-/// Panics if `kernel` was not built for this convolution's geometry, or a
-/// provided residual/bias does not match the output geometry.
-#[must_use]
-pub fn conv2d(
-    input: &TensorData,
-    params: &Conv2dParams,
-    kernel: &ConvKernel,
-    ep: &ConvEpilogue<'_>,
-    arena: &impl Arena,
-) -> TensorData {
-    match kernel {
-        ConvKernel::F32(packed) => conv2d_with(input, params, packed, ep, arena),
-        ConvKernel::Int8(quant) => conv2d_with(input, params, quant, ep, arena),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arena::ScratchPool;
     use crate::im2col::valid_range;
-    use crate::ops_cpu::{conv2d_naive, conv2d_naive_quant};
-    use crate::quant::quantize_value;
-    use crate::tile::{int_tile, IntRow, Row, RowKernel};
+    use crate::ops_cpu::conv2d_naive;
+    use crate::simd::Isa;
     use ios_ir::TensorShape;
 
     /// The GEMM `A · B` — `A` is `m_rows × k_len`, `B` is `k_len × m`,
@@ -465,13 +331,6 @@ mod tests {
         (input, params, a)
     }
 
-    /// Both kernel forms of the `m_rows × k_len` filter `a`.
-    fn kernels(a: &[f32], m_rows: usize, k_len: usize) -> (ConvKernel, QuantizedFilter) {
-        let quant = QuantizedFilter::quantize(a, m_rows, 1, k_len);
-        let packed = PackedFilter::pack(a, m_rows, 1, k_len);
-        (ConvKernel::F32(packed), quant)
-    }
-
     #[test]
     fn packed_gemm_matches_scalar_reference() {
         // Row counts around the PACK_MR boundary, column counts around
@@ -487,8 +346,8 @@ mod tests {
             (12, 48, 9),
         ] {
             let (input, params, a) = pointwise_gemm(m_rows, m, k_len);
-            let (f32_kernel, quant) = kernels(&a, m_rows, k_len);
-            let c = conv2d(&input, &params, &f32_kernel, &ep, &pool);
+            let packed = PackedFilter::pack(&a, m_rows, 1, k_len);
+            let c = conv2d(&input, &params, &packed, &ep, &pool);
             let b = &input.data;
             for i in 0..m_rows {
                 for j in 0..m {
@@ -503,9 +362,6 @@ mod tests {
                     );
                 }
             }
-            let want = conv2d_naive_quant(&input, &params, &quant, &ep);
-            let got = conv2d(&input, &params, &ConvKernel::Int8(quant), &ep, &pool);
-            assert_eq!(got, want, "{m_rows}x{m} (k {k_len}) int8");
         }
     }
 
@@ -534,7 +390,7 @@ mod tests {
         let weights = w.repeat(m_rows);
         let want = vec![fused; m_rows * m];
         assert_eq!(conv2d_naive(&input, &params, &weights).data, want, "oracle");
-        let (kernel, _) = kernels(&weights, m_rows, 2);
+        let kernel = PackedFilter::pack(&weights, m_rows, 1, 2);
         let pool = ScratchPool::new();
         for isa in simd::supported_isas() {
             for lanes in [1, 2, workers::lanes()] {
@@ -574,13 +430,13 @@ mod tests {
 
     /// `sin`-filled filter for `params` over `shape`, natural layout and
     /// packed.
-    fn filters(shape: TensorShape, params: &Conv2dParams) -> (Vec<f32>, ConvKernel) {
+    fn filters(shape: TensorShape, params: &Conv2dParams) -> (Vec<f32>, PackedFilter) {
         let k_len = (shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
         let weights: Vec<f32> = (0..params.out_channels * k_len)
             .map(|v| (v as f32).sin())
             .collect();
         let packed = PackedFilter::pack(&weights, params.out_channels, params.groups, k_len);
-        (weights, ConvKernel::F32(packed))
+        (weights, packed)
     }
 
     #[test]
@@ -699,82 +555,17 @@ mod tests {
     }
 
     #[test]
-    fn quantized_filter_weight_accessor_reads_back_every_weight() {
-        // weight(oc, k) must see exactly round(w/scale) for every position
-        // across groups and ragged panel edges.
-        let (out_c, groups, k_len) = (10usize, 2usize, 5usize);
-        let weights: Vec<f32> = (0..out_c * k_len)
-            .map(|i| ((i as f32) * 0.37).sin() * 3.0)
-            .collect();
-        let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
-        assert_eq!(quant.geometry(), (out_c, groups, k_len));
-        assert_eq!(quant.footprint().0, out_c * k_len);
-        for oc in 0..out_c {
-            let scale = quant.scales()[oc];
-            for k in 0..k_len {
-                let expect = quantize_value(weights[oc * k_len + k], scale) as i8;
-                assert_eq!(quant.weight(oc, k), expect, "oc {oc} k {k}");
-            }
-        }
-    }
-
-    /// The integer tile at a tier's row.
-    struct IntTile<'a>(&'a [i8], usize, &'a [i16]);
-    impl RowKernel for IntTile<'_> {
-        type Out = [i32; PACK_MR * PACK_NR];
-        unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) -> Self::Out {
-            // SAFETY: the caller's contract, passed down.
-            unsafe { int_tile::<I>(self.0, self.1, self.2) }
-        }
-    }
-
-    #[test]
-    fn quant_tile_isa_variants_agree_with_scalar() {
-        // The one integer body at every row the host can run must produce
-        // the exact i32 sums of the scalar definition — the byte-identity
-        // contract's foundation.
-        for pairs in [1usize, 3, 7, 288] {
-            let panel: Vec<i8> = (0..pairs * PACK_MR * 2)
-                .map(|i| ((i * 37 + 11) % 255) as i8)
-                .collect();
-            let b: Vec<i16> = (0..pairs * PACK_NR * 2)
-                .map(|i| (((i * 73 + 5) % 255) as i16) - 127)
-                .collect();
-            let mut want = [0i32; PACK_MR * PACK_NR];
-            for (at, w) in want.iter_mut().enumerate() {
-                let (i, j) = (at / PACK_NR, at % PACK_NR);
-                for pr in 0..pairs {
-                    let (a_pair, b_pair) = (
-                        &panel[(pr * PACK_MR + i) * 2..],
-                        &b[(pr * PACK_NR + j) * 2..],
-                    );
-                    *w += i32::from(a_pair[0]) * i32::from(b_pair[0])
-                        + i32::from(a_pair[1]) * i32::from(b_pair[1]);
-                }
-            }
-            for isa in simd::supported_isas() {
-                let got = at_tier(isa, IntTile(&panel, pairs, &b));
-                assert_eq!(got, want, "{isa} must match scalar at {pairs} pairs");
-            }
-        }
-    }
-
-    #[test]
     fn simd_tiles_panic_on_a_short_b_slice_instead_of_reading_past_it() {
         // The tiles load through raw pointers; a `b` one element short of
         // the tile — of its last vector's last row — must be refused by a
         // check that is still there in release builds: by every
-        // instantiation of the generic f32 body the dispatch can reach
-        // (each supported tier at 4 rows, one panel, and at 8 — the AVX-512
-        // tile spans two — at every block width up to the tier's) and by
-        // the one integer body at every tier's row.
+        // instantiation of the generic body the dispatch can reach (each
+        // supported tier at 4 rows, one panel, and at 8 — the AVX-512 tile
+        // spans two — at every block width up to the tier's).
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let k_len = 9usize;
-        let pairs = 5usize;
-        let panel = vec![1i8; pairs * PACK_MR * 2];
-        let short_q = vec![1i16; pairs * PACK_NR * 2 - 1];
         for isa in simd::supported_isas() {
-            for wide in 1..=tier_facts(isa).0 {
+            for wide in 1..=tile_width(isa) {
                 let row_width = wide * PACK_NR;
                 let short_block = vec![1.0f32; k_len * row_width - 1];
                 for m_rows in [PACK_MR, 2 * PACK_MR] {
@@ -804,11 +595,6 @@ mod tests {
                     );
                 }
             }
-            let int_tile = catch_unwind(|| at_tier(isa, IntTile(&panel, pairs, &short_q)));
-            assert!(
-                int_tile.is_err(),
-                "the integer tile must refuse a short block on {isa}"
-            );
         }
     }
 
@@ -829,10 +615,9 @@ mod tests {
 
     #[test]
     fn f32_tile_isa_variants_agree_bitwise() {
-        // Every instantiation of the two tile bodies the host can run, on
-        // one lane, two and the host's, must produce the bits of the
-        // scalar tier (f32) and of the naive integer oracle (int8) through
-        // every epilogue combination.
+        // Every instantiation of the tile body the host can run, on one
+        // lane, two and the host's, must produce the bits of the scalar tier
+        // through every epilogue combination.
         let supported = simd::supported_isas();
         let pool = ScratchPool::new();
         // Shapes around the PACK_MR/PACK_NR boundaries: full tiles, edge
@@ -862,8 +647,7 @@ mod tests {
                 shape: TensorShape::new(1, m_rows, 1, m),
                 data: (0..m_rows * m).map(|i| (i as f32 * 1.3).sin()).collect(),
             };
-            let (f32_kernel, quant) = kernels(&a, m_rows, k_len);
-            let int8_kernel = ConvKernel::Int8(quant.clone());
+            let packed = PackedFilter::pack(&a, m_rows, 1, k_len);
             for ep_case in 0..4 {
                 let ep = ConvEpilogue {
                     input_relu: false,
@@ -871,25 +655,17 @@ mod tests {
                     residual: (ep_case & 2 != 0).then_some(&residual),
                     relu: ep_case != 0,
                 };
-                let int8_want = conv2d_naive_quant(&input, &params, &quant, &ep);
                 let run = |isa: Isa, lanes: usize| {
-                    let both = || {
-                        (
-                            conv2d(&input, &params, &f32_kernel, &ep, &pool),
-                            conv2d(&input, &params, &int8_kernel, &ep, &pool),
-                        )
-                    };
-                    simd::with_forced_isa(isa, || workers::with_forced_lanes(lanes, both))
+                    let conv = || conv2d(&input, &params, &packed, &ep, &pool);
+                    simd::with_forced_isa(isa, || workers::with_forced_lanes(lanes, conv))
                 };
-                let f32_want = run(Isa::Scalar, 1).0;
+                let f32_want = run(Isa::Scalar, 1);
                 for &isa in &supported {
                     for lanes in [1, 2, workers::lanes()] {
                         let what = format!(
                             "{m_rows}x{m} (k {k_len}, ep {ep_case}) on {isa}, {lanes} lanes"
                         );
-                        let (f32_got, int8_got) = run(isa, lanes);
-                        assert_eq!(f32_got, f32_want, "f32 {what}");
-                        assert_eq!(int8_got, int8_want, "int8 {what}");
+                        assert_eq!(run(isa, lanes), f32_want, "f32 {what}");
                     }
                 }
             }

@@ -6,19 +6,17 @@
 //! for the reproduction — plus a CPU hot path fast enough to serve real
 //! traffic through `ios-serve`:
 //!
-//! * [`gemm`] — the one convolution entry ([`conv2d`]) and driver for both
-//!   numeric paths: im2col + register-blocked GEMM over filters pre-packed
-//!   at weight-precompute time ([`ConvKernel`]: tile-major f32 panels or
-//!   pair-interleaved int8), **bit-identical** to the naive oracles because
-//!   it preserves the reference's `(ic, ky, kx)` accumulation order per
-//!   output element;
+//! * [`gemm`] — the one convolution entry ([`conv2d`]): im2col +
+//!   register-blocked GEMM over f32 filters pre-packed into tile-major
+//!   panels at weight-precompute time ([`PackedFilter`]), **bit-identical**
+//!   to the naive oracle because it preserves the reference's
+//!   `(ic, ky, kx)` accumulation order per output element;
 //! * [`ops_cpu`] — every other IR operator, one entry each, and the naive
-//!   7-deep convolution loops kept as the oracles
-//!   ([`ops_cpu::conv2d_naive`], [`ops_cpu::conv2d_naive_quant`]);
-//! * [`simd`] — the runtime SIMD dispatch shared by both register tiles:
-//!   one cached selection of the widest usable tier, overridable via
-//!   `IOS_FORCE_ISA` for deterministic fallback testing — every tier
-//!   computes bit-identical outputs;
+//!   7-deep convolution loop kept as the oracle ([`ops_cpu::conv2d_naive`]);
+//! * [`simd`] — the runtime SIMD dispatch of the register tile and the
+//!   pooling window: one cached selection of the widest usable tier,
+//!   overridable via `IOS_FORCE_ISA` for deterministic fallback testing —
+//!   every tier computes bit-identical outputs;
 //! * [`workers`] — the one process-wide worker pool: batch samples, the
 //!   groups of a concurrent stage and the chunks of a single large
 //!   operator (a convolution's tile grid, a pooling's channel planes) all
@@ -53,7 +51,6 @@ pub mod gemm;
 mod im2col;
 pub mod ops_cpu;
 pub mod profile;
-mod quant;
 pub mod simd;
 pub mod tensor_data;
 mod tile;
@@ -63,13 +60,12 @@ pub use arena::{Arena, ScratchPool, ScratchScope};
 pub use batch::{
     execute_network, execute_network_batched, execute_network_batched_capped, split_batch,
     stack_batch, stack_batch_pooled, BlockWeights, NetworkWeights, OpWeights, WeightFootprint,
-    WeightPrecision,
 };
 pub use executor::{
     execute_graph, execute_graph_pooled, execute_schedule, execute_schedule_pooled,
     max_abs_difference, relu_fold_plan, verify_schedule, weight_seed, FoldedRelu,
 };
-pub use gemm::{conv2d, sample_scale, ConvEpilogue, ConvKernel, PackedFilter, QuantizedFilter};
+pub use gemm::{conv2d, ConvEpilogue, PackedFilter};
 pub use profile::CpuStageProfiler;
 pub use simd::Isa;
 pub use tensor_data::TensorData;

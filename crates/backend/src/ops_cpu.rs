@@ -5,23 +5,22 @@
 //! (e.g. the original convolutions vs. their merged counterpart) see the
 //! same parameters and must produce the same outputs.
 //!
-//! Three bodies are written once over the tile module's row traits and run
-//! at every tier through its one list: the f32 and integer register tiles of
-//! the one convolution kernel ([`crate::gemm::conv2d`]) — which this module
-//! composes into the separable unit ([`sep_conv2d`]) and checks against two
-//! naive oracles ([`conv2d_naive`], **bit-identical** on every tier, and
-//! [`conv2d_naive_quant`]) — and the pooling window ([`pool`]). The blocked
-//! [`matmul`] stays auto-vectorized: its dot products accumulate along `k`,
-//! which vectorizing would reorder. Every operator has one entry, drawing
-//! scratch and output storage from the [`Arena`] it is handed, so
-//! steady-state serving allocates nothing in the op loop.
+//! Two bodies are written once over the tile module's row trait and run at
+//! every tier through its one list: the register tile of the one
+//! convolution kernel ([`crate::gemm::conv2d`]) — which this module composes
+//! into the separable unit ([`sep_conv2d`]) and checks against the naive
+//! oracle ([`conv2d_naive`], **bit-identical** on every tier) — and the
+//! pooling window ([`pool`]). The blocked [`matmul`] stays auto-vectorized:
+//! its dot products accumulate along `k`, which vectorizing would reorder.
+//! Every operator has one entry, drawing scratch and output storage from the
+//! [`Arena`] it is handed, so steady-state serving allocates nothing in the
+//! op loop.
 
 use crate::arena::Arena;
 use crate::batch::OpWeights;
-use crate::gemm::{conv2d, conv2d_with, ConvEpilogue, ConvKernel, Filter, PackedFilter};
-use crate::quant::{quantize_value, requantize, sample_scale, QuantizedFilter};
+use crate::gemm::{conv2d, ConvEpilogue, PackedFilter};
 use crate::tensor_data::TensorData;
-use crate::tile::{at_tier, IntRow, Row, RowKernel, PACK_NR};
+use crate::tile::{at_tier, Row, RowKernel, PACK_NR};
 use crate::workers::{self, DisjointOut};
 use ios_ir::{
     Activation, Conv2dParams, MatMulParams, Op, OpKind, PoolKind, PoolParams, TensorShape,
@@ -67,94 +66,6 @@ fn apply_activation(activation: Activation, v: f32) -> f32 {
         Activation::None => v,
         Activation::Relu => v.max(0.0),
     }
-}
-
-/// The naive int8 reference: quantizes the sample and reads the filter's
-/// integers exactly as the fast path does ([`sample_scale`],
-/// [`QuantizedFilter::weight`]), accumulates in `i32` over the reference
-/// `(ic, ky, kx)` order, requantizes and applies the epilogue per
-/// element. Integer sums are order-independent, so every fast path —
-/// scalar, SSE2, AVX2, blocked, batched — must be **byte-identical** to
-/// this oracle.
-///
-/// # Panics
-///
-/// Panics if the quantized filter does not match the convolution's
-/// geometry.
-#[must_use]
-pub fn conv2d_naive_quant(
-    input: &TensorData,
-    params: &Conv2dParams,
-    quant: &QuantizedFilter,
-    ep: &ConvEpilogue<'_>,
-) -> TensorData {
-    let in_shape = input.shape;
-    let in_c_per_group = in_shape.channels / params.groups;
-    let k_len = in_c_per_group * params.kernel.0 * params.kernel.1;
-    assert_eq!(
-        quant.geometry(),
-        (params.out_channels, params.groups, k_len),
-        "quantized filter geometry does not match the convolution"
-    );
-    let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
-    let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
-    let mut out = TensorData::zeros(out_shape);
-    let out_c_per_group = params.out_channels / params.groups;
-    let (kh, kw) = params.kernel;
-    let relu = params.activation == Activation::Relu || ep.relu;
-    let per_item = in_shape.elements_per_item();
-    for n in 0..in_shape.batch {
-        let s_in = sample_scale(&input.data[n * per_item..(n + 1) * per_item], ep.input_relu);
-        for oc in 0..params.out_channels {
-            let group = oc / out_c_per_group;
-            let w_scale = quant.scales()[oc];
-            for y in 0..oh {
-                for x in 0..ow {
-                    let mut acc = 0i32;
-                    let mut k = 0usize;
-                    for ic in 0..in_c_per_group {
-                        let in_channel = group * in_c_per_group + ic;
-                        for ky in 0..kh {
-                            for kx in 0..kw {
-                                let iy =
-                                    (y * params.stride.0 + ky) as isize - params.padding.0 as isize;
-                                let ix =
-                                    (x * params.stride.1 + kx) as isize - params.padding.1 as isize;
-                                let in_bounds = iy >= 0
-                                    && ix >= 0
-                                    && iy < in_shape.height as isize
-                                    && ix < in_shape.width as isize;
-                                if in_bounds {
-                                    let mut v = input.at(n, in_channel, iy as usize, ix as usize);
-                                    if ep.input_relu {
-                                        v = v.max(0.0);
-                                    }
-                                    let q = i32::from(quantize_value(v, s_in));
-                                    acc += i32::from(quant.weight(oc, k)) * q;
-                                }
-                                k += 1;
-                            }
-                        }
-                    }
-                    // The exact epilogue expression of the fused store:
-                    // (v + bias) + residual, then max(0, ·); absent terms
-                    // are skipped, never added as 0.0.
-                    let mut v = requantize(acc, s_in, w_scale);
-                    if let Some(bias) = ep.bias {
-                        v += bias[oc];
-                    }
-                    if let Some(res) = ep.residual {
-                        v += res.at(n, oc, y, x);
-                    }
-                    if relu {
-                        v = v.max(0.0);
-                    }
-                    out.set(n, oc, y, x, v);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The naive 7-deep reference convolution: one scalar accumulator per output
@@ -218,10 +129,7 @@ pub fn sep_conv_seeds(seed: u64) -> (u64, u64) {
 /// their pre-packed layouts. The input ReLU is fused into the depthwise
 /// im2col load instead of materializing an activated copy first (the values
 /// entering the GEMM are identical, so the fused form is bit-identical),
-/// and the depthwise intermediate is recycled before returning. The
-/// depthwise stage is always f32 (its reduction is only `kh·kw` values deep
-/// — quantization overhead would dominate); the pointwise 1×1 — where the
-/// unit's compute lives — runs whichever kernel `pointwise` holds.
+/// and the depthwise intermediate is recycled before returning.
 ///
 /// # Panics
 ///
@@ -231,7 +139,7 @@ pub fn sep_conv2d(
     input: &TensorData,
     params: &Conv2dParams,
     depthwise: &PackedFilter,
-    pointwise: &ConvKernel,
+    pointwise: &PackedFilter,
     arena: &impl Arena,
 ) -> TensorData {
     // Depthwise: groups = channels, one output channel per input channel.
@@ -245,7 +153,7 @@ pub fn sep_conv2d(
         input_relu: true,
         ..ConvEpilogue::default()
     };
-    let dw_out = conv2d_with(input, &dw_params, depthwise, &dw_epilogue, arena);
+    let dw_out = conv2d(input, &dw_params, depthwise, &dw_epilogue, arena);
     let pw_params = Conv2dParams::plain(params.out_channels, (1, 1), (1, 1), (0, 0));
     let out = conv2d(
         &dw_out,
@@ -347,7 +255,7 @@ struct PoolChunk<'a>(&'a PoolWindow<'a>, std::ops::Range<usize>, &'a mut [f32]);
 impl RowKernel for PoolChunk<'_> {
     type Out = ();
     #[inline(always)]
-    unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) {
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) {
         let PoolChunk(wnd, planes, padded) = self;
         let (shape, prm, phase) = (wnd.input.shape, wnd.params, wnd.phase);
         let ((kh, _), (sh, sw), (ph, pw)) = (prm.kernel, prm.stride, prm.padding);
@@ -563,7 +471,7 @@ mod tests {
     fn conv2d(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
         let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
         let packed = PackedFilter::pack(weights, params.out_channels, params.groups, k_len);
-        conv2d_with(
+        super::conv2d(
             input,
             params,
             &packed,
@@ -583,7 +491,7 @@ mod tests {
             input,
             params,
             &PackedFilter::pack(&dw, in_c, in_c, kh * kw),
-            &ConvKernel::F32(PackedFilter::pack(&pw, params.out_channels, 1, in_c)),
+            &PackedFilter::pack(&pw, params.out_channels, 1, in_c),
             global_pool(),
         )
     }

@@ -23,7 +23,7 @@
 //! per-stage overhead the real executor pays anyway).
 
 use crate::arena::ScratchPool;
-use crate::batch::{BlockWeights, WeightPrecision};
+use crate::batch::BlockWeights;
 use crate::executor::execute_stage;
 use crate::tensor_data::TensorData;
 use ios_core::{graph_fingerprint, MergedConv, ParallelizationStrategy, Stage, StageProfiler};
@@ -100,9 +100,6 @@ pub struct CpuStageProfiler {
     /// block (weights are batch-size independent), keyed by
     /// [`weights_fingerprint`].
     weights: Mutex<HashMap<u64, Arc<BlockWeights>>>,
-    /// Weight precision the profiled kernels run at — must match the
-    /// serving engine's so the optimizer sees the costs that will serve.
-    precision: WeightPrecision,
 }
 
 impl Default for CpuStageProfiler {
@@ -128,16 +125,7 @@ impl CpuStageProfiler {
             pool: ScratchPool::new(),
             graphs: Mutex::new(HashMap::new()),
             weights: Mutex::new(HashMap::new()),
-            precision: WeightPrecision::F32,
         }
-    }
-
-    /// Profiles with weights precomputed at `precision`, so int8 serving
-    /// optimizes against measured int8 stage costs.
-    #[must_use]
-    pub fn with_precision(mut self, precision: WeightPrecision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// The shared precomputed weights for `graph`'s block structure,
@@ -148,7 +136,7 @@ impl CpuStageProfiler {
         Arc::clone(
             weights
                 .entry(key)
-                .or_insert_with(|| Arc::new(BlockWeights::precompute_as(graph, self.precision))),
+                .or_insert_with(|| Arc::new(BlockWeights::precompute(graph))),
         )
     }
 
@@ -293,7 +281,7 @@ mod tests {
         assert!(result.latency_us > 0.0);
         assert!(cost.measurement_count() > 0);
         let diff = verify_schedule(&g, &result.schedule, 17);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Runtime SIMD dispatch shared by every microkernel.
 //!
-//! Both GEMM families — the f32 register tiles and the int8 `pmaddwd`
-//! tiles — pick their widest usable ISA *once* per process instead of
-//! re-running feature detection per convolution call. The selection is
-//! cached in a [`OnceLock`] kernel table keyed by [`Isa`]:
+//! The register tile and the pooling window pick their widest usable ISA
+//! *once* per process instead of re-running feature detection per call.
+//! The selection is cached in a [`OnceLock`] keyed by [`Isa`]:
 //!
 //! * **detection** — `is_x86_feature_detected!` for `avx512f`, then `avx2`,
-//!   each with the `fma` its f32 tile executes, on x86_64 (SSE2 is the
-//!   unconditional x86_64 floor), scalar elsewhere;
-//! * **`IOS_FORCE_ISA`** — a `{scalar, sse2, avx2, avx512}` environment
-//!   override for deterministic testing (e.g. exercising the SSE2 fallback
-//!   on an AVX2 CI runner). Forcing an ISA the host cannot execute panics
-//!   up front rather than faulting in the kernel;
+//!   each with the `fma` the tile executes, on x86_64; the portable scalar
+//!   tier otherwise;
+//! * **`IOS_FORCE_ISA`** — a `{scalar, avx2, avx512}` environment override
+//!   for deterministic testing (e.g. exercising the scalar fallback on an
+//!   AVX2 CI runner). Forcing an ISA the host cannot execute panics up
+//!   front rather than faulting in the kernel;
 //! * **[`with_forced_isa`]** — a thread-scoped override for in-process
 //!   cross-ISA identity tests (the proptests run the same convolution
 //!   under every supported ISA and assert bitwise equality). Jobs posted
@@ -28,15 +27,12 @@ use std::sync::OnceLock;
 /// narrowest to widest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Isa {
-    /// Portable scalar code — the only tier off x86_64.
+    /// Portable code: the `fmaf` row, an exact-but-slow reference tier —
+    /// the only tier off x86_64 and on x86_64 without AVX2 + FMA.
     Scalar,
-    /// SSE2: the x86_64 baseline. The f32 tiles run the portable `fmaf` row
-    /// (an exact-but-slow reference tier); the int8 tiles explicit `pmaddwd`.
-    Sse2,
-    /// AVX2 + FMA: explicit 8-lane f32 and 16-lane `vpmaddwd` int8 tiles.
+    /// AVX2 + FMA: the tile at 8 lanes.
     Avx2,
-    /// AVX-512F: the f32 tile at 16 lanes. There is no integer row at this
-    /// width — see [`executed_isa`].
+    /// AVX-512F: the tile at 16 lanes.
     Avx512,
 }
 
@@ -44,7 +40,7 @@ impl Isa {
     /// Every tier, narrowest first — the one list the cross-ISA identity
     /// suites, the gates and the `IOS_FORCE_ISA` parser walk, so a tier
     /// cannot be added without them running it.
-    pub const ALL: [Isa; 4] = [Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512];
+    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Avx2, Isa::Avx512];
 
     /// The lower-case name used by `IOS_FORCE_ISA` and the telemetry
     /// export (`ios_simd_kernel{isa="…"}`).
@@ -52,7 +48,6 @@ impl Isa {
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
         }
@@ -64,32 +59,6 @@ impl Isa {
         Isa::ALL
             .into_iter()
             .find(|isa| name.eq_ignore_ascii_case(isa.name()))
-    }
-}
-
-/// A numeric path with microkernels of its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// The f32 register tile: one body instantiated at every tier.
-    F32,
-    /// The int8 `pmaddwd` tile: one body over an integer row per tier.
-    Int8,
-}
-
-/// The tier whose microkernel `path` executes when `active` is selected:
-/// the f32 tile has a row at every tier, the integer tile the row the
-/// tier list names for it (`at_tier` in the tile module — none is wider
-/// than AVX2's). The telemetry export reads the list the dispatch runs, so
-/// it cannot name a kernel that did not run.
-///
-/// # Panics
-///
-/// Panics if `active` is wider than [`detected_isa`].
-#[must_use]
-pub fn executed_isa(path: KernelPath, active: Isa) -> Isa {
-    match path {
-        KernelPath::F32 => active,
-        KernelPath::Int8 => crate::tile::tier_facts(active).1,
     }
 }
 
@@ -116,7 +85,7 @@ pub fn detected_isa() -> Isa {
     {
         use std::arch::is_x86_feature_detected as has;
         match (has!("avx2") && has!("fma"), has!("avx512f")) {
-            (false, _) => Isa::Sse2,
+            (false, _) => Isa::Scalar,
             (true, false) => Isa::Avx2,
             (true, true) => Isa::Avx512,
         }
@@ -224,20 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn each_path_executes_a_tier_the_active_one_covers() {
-        // The integer tile has a row of its own up to AVX2 and runs that
-        // one on wider hosts.
-        for active in supported_isas() {
-            assert_eq!(executed_isa(KernelPath::F32, active), active);
-            assert_eq!(
-                executed_isa(KernelPath::Int8, active),
-                active.min(Isa::Avx2)
-            );
-        }
-        assert_eq!(supported_isas().last(), Some(&detected_isa()));
-    }
-
-    #[test]
     fn forced_isa_scopes_to_the_closure_and_restores() {
         let ambient = active_isa();
         let inner = with_forced_isa(Isa::Scalar, active_isa);
@@ -255,6 +210,7 @@ mod tests {
     fn detection_never_exceeds_the_hardware() {
         // active_isa() must always be executable on this host ...
         assert!(active_isa() <= detected_isa());
+        assert_eq!(supported_isas().last(), Some(&detected_isa()));
         // ... which is the `unsafe` contract of the tile module's tier
         // list: every feature a supported tier's `#[target_feature]` entry
         // enables is one the CPU reports.
@@ -262,7 +218,7 @@ mod tests {
         for isa in supported_isas() {
             use std::arch::is_x86_feature_detected as has;
             let reported = match isa {
-                Isa::Scalar | Isa::Sse2 => true,
+                Isa::Scalar => true,
                 Isa::Avx2 => has!("avx2") && has!("fma"),
                 Isa::Avx512 => has!("avx512f") && has!("avx2") && has!("fma"),
             };

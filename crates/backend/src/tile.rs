@@ -1,17 +1,15 @@
-//! The row traits ([`Row`], [`IntRow`]), instantiated per tier in one list
-//! ([`at_tier`]) and selected per call through [`crate::simd`], and three
-//! bodies written once over them: the GEMM's f32 and integer register tiles
-//! and the pooling window (`ops_cpu`). Every f32 row gives each output the same
-//! fused multiply-add — `acc = fma(a, b, acc)`, one rounding per MAC — over
-//! strictly ascending `k`, and every integer row the same `i32` sums, so the
-//! tier is invisible in the output. Below AVX2 no instruction fuses: the
-//! portable row calls libm's `fmaf` per lane, and the scalar / SSE2 tiers
-//! are exact-but-slow *reference* tiers.
+//! The row trait ([`Row`]), instantiated per tier in one list ([`at_tier`])
+//! and selected per call through [`crate::simd`], and two bodies written once
+//! over it: the GEMM's register tile and the pooling window (`ops_cpu`).
+//! Every row gives each output the same fused multiply-add —
+//! `acc = fma(a, b, acc)`, one rounding per MAC — over strictly ascending
+//! `k`, so the tier is invisible in the output. Below AVX2 no instruction
+//! fuses: the portable row calls libm's `fmaf` per lane, and the scalar tier
+//! is an exact-but-slow *reference* tier.
 //! There is no edge tile: a ragged sub-block is built with a zero tail, an
 //! edge panel carries zero rows, and only the *store* is partial.
 
 use crate::epilogue::{store_row, ConvEpilogue};
-use crate::quant::requantize;
 use crate::simd::{self, Isa};
 use crate::workers::DisjointOut;
 
@@ -23,11 +21,11 @@ use crate::workers::DisjointOut;
 pub(crate) const PACK_MR: usize = 4;
 /// Output-pixel columns per [`Row`] (two 8-lane vectors on AVX2, one
 /// 16-lane vector on AVX-512) — the sub-block every column walk, chunk cut
-/// and partial store counts in. A tier's f32 register tile is `NV` of them
-/// wide ([`at_tier`]); the integer tile is always one.
+/// and partial store counts in. A tier's register tile is `NV` of them wide
+/// ([`at_tier`]).
 pub(crate) const PACK_NR: usize = 16;
 
-/// One row of an f32 register tile: `PACK_NR` = 16 adjacent output columns
+/// One row of the register tile: `PACK_NR` = 16 adjacent output columns
 /// held in whatever registers a tier has. The tile body and the epilogue
 /// store are written once over this trait; a tier is an implementation plus
 /// a `#[target_feature]` entry ([`at_tier`]).
@@ -94,66 +92,7 @@ macro_rules! row_of {
     };
 }
 
-/// One accumulator row of the integer tile: `COLS` adjacent output columns
-/// as `i32` lanes. The patch block and the broadcast weights reach it as
-/// `(k, k + 1)` pairs of 16-bit values, one pair per lane, and
-/// [`madd_acc`](IntRow::madd_acc) is `pmaddwd` + `paddd`: each lane gains
-/// `a.lo · b.lo + a.hi · b.hi` in `i32`. Every implementation computes
-/// those exact integers, so which one runs is invisible in the output.
-///
-/// # Safety
-///
-/// The methods may only run on a CPU that executes `TIER`; `load` reads
-/// `COLS` pairs (`2 · COLS` unaligned `i16`), `store` writes `COLS` `i32`.
-pub(crate) trait IntRow: Copy {
-    /// Output columns per row; the tile walks `PACK_NR` of them in
-    /// `PACK_NR / COLS` passes (SSE2's 4 × 16 accumulators would spill).
-    const COLS: usize;
-    /// The tier whose instructions the row executes.
-    const TIER: Isa;
-    unsafe fn load(src: *const i16) -> Self;
-    unsafe fn pair_splat(a0: i8, a1: i8) -> Self;
-    unsafe fn madd_acc(self, a: Self, b: Self) -> Self;
-    unsafe fn store(self, dst: *mut i32);
-}
-
-/// Two 16-bit values as the 32-bit lane `pmaddwd` reads them.
-#[inline(always)]
-fn pair(lo: i16, hi: i16) -> i32 {
-    ((hi as u16 as u32) << 16 | lo as u16 as u32) as i32
-}
-
-/// Implements [`IntRow`] as `$n` vectors of `$lanes` `i32` lanes.
-macro_rules! int_row_of {
-    ($v:ty, $n:literal, $lanes:literal, $tier:expr, $load:expr, $splat:expr, $madd_acc:expr, $store:expr) => {
-        // SAFETY (every block below): the `IntRow` contract, as for `Row`.
-        #[allow(unused_unsafe)]
-        impl IntRow for [$v; $n] {
-            const COLS: usize = $n * $lanes;
-            const TIER: Isa = $tier;
-            #[inline(always)]
-            unsafe fn load(src: *const i16) -> Self {
-                unsafe { std::array::from_fn(|h| $load(src.add(h * $lanes * 2))) }
-            }
-            #[inline(always)]
-            unsafe fn pair_splat(a0: i8, a1: i8) -> Self {
-                unsafe { [$splat(pair(a0.into(), a1.into())); $n] }
-            }
-            #[inline(always)]
-            unsafe fn madd_acc(self, a: Self, b: Self) -> Self {
-                unsafe { std::array::from_fn(|h| $madd_acc(self[h], a[h], b[h])) }
-            }
-            #[inline(always)]
-            unsafe fn store(self, dst: *mut i32) {
-                for (h, v) in self.into_iter().enumerate() {
-                    unsafe { $store(dst.add(h * $lanes), v) };
-                }
-            }
-        }
-    };
-}
-
-// The portable row of the scalar and SSE2 tiers: sixteen plain floats, each
+// The portable row of the scalar tier: sixteen plain floats, each
 // `f32::mul_add` a call to libm's exact `fmaf` on x86-64 (an FMA on aarch64).
 row_of!(
     f32,
@@ -167,21 +106,9 @@ row_of!(
     max: |a: f32, b: f32| if a > b { a } else { b }
 );
 
-// The portable integer row — the sums every explicit row must match.
-int_row_of!(
-    i32,
-    16,
-    1,
-    Isa::Scalar,
-    |p: *const i16| pair(p.read_unaligned(), p.add(1).read_unaligned()),
-    std::convert::identity,
-    |acc: i32, a: i32, b: i32| acc + (a as i16 as i32) * (b as i16 as i32) + (a >> 16) * (b >> 16),
-    |p: *mut i32, v: i32| p.write_unaligned(v)
-);
-
 #[cfg(target_arch = "x86_64")]
 mod x86_rows {
-    use super::{pair, IntRow, Isa, Row, PACK_NR};
+    use super::{Row, PACK_NR};
     use std::arch::x86_64::*;
     // AVX2 + FMA: two 8-lane vectors.
     row_of!(
@@ -203,96 +130,70 @@ mod x86_rows {
         _mm512_storeu_ps,
         add: _mm512_add_ps, div: _mm512_div_ps, max: _mm512_max_ps
     );
-    // SSE2 `pmaddwd`: eight columns, so the tile takes two passes.
-    int_row_of!(
-        __m128i,
-        2,
-        4,
-        Isa::Sse2,
-        |p: *const i16| _mm_loadu_si128(p.cast()),
-        _mm_set1_epi32,
-        |acc, a, b| _mm_add_epi32(acc, _mm_madd_epi16(a, b)),
-        |p: *mut i32, v| _mm_storeu_si128(p.cast(), v)
-    );
-    // AVX2 `vpmaddwd`: the full 4 × 16 tile in 8 ymm accumulators.
-    int_row_of!(
-        __m256i,
-        2,
-        8,
-        Isa::Avx2,
-        |p: *const i16| _mm256_loadu_si256(p.cast()),
-        _mm256_set1_epi32,
-        |acc, a, b| _mm256_add_epi32(acc, _mm256_madd_epi16(a, b)),
-        |p: *mut i32, v| _mm256_storeu_si256(p.cast(), v)
-    );
 }
 
-/// Work written once over the row traits and run at a tier by [`at_tier`].
+/// Work written once over the row trait and run at a tier by [`at_tier`].
 /// The tier's registers hold `SPAN` adjacent groups of `PACK_MR` rows × `NV`
-/// adjacent [`Row`]s of columns as f32 accumulators, or `PACK_MR` [`IntRow`]s.
+/// adjacent [`Row`]s of columns as accumulators.
 pub(crate) trait RowKernel {
     type Out;
     /// # Safety
     ///
-    /// The CPU must execute `R`'s and `I`'s instruction sets (the [`Row`]
-    /// and [`IntRow`] contracts).
-    unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) -> Self::Out;
+    /// The CPU must execute `R`'s instruction set (the [`Row`] contract).
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) -> Self::Out;
 }
 
 /// Runs `kernel` at tier `isa` — the one list of tiers: each names its
-/// [`Row`], its [`IntRow`] (there is no integer row wider than AVX2's) and
-/// its f32 tile's height and width behind its `#[target_feature]` entry.
-/// Both tiles, the pooling window, the column walk and the telemetry export
-/// ([`tier_facts`]) and the roofline probe ([`mul_add_probe`]) read it.
+/// [`Row`] and its tile's height and width behind its `#[target_feature]`
+/// entry. The tile, the pooling window, the column walk ([`tile_width`])
+/// and the roofline probe ([`mul_add_probe`]) read it.
 pub(crate) fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::arch::x86_64::{__m128i, __m256, __m256i, __m512};
+        use std::arch::x86_64::{__m256, __m512};
         #[target_feature(enable = "avx2,fma")]
         unsafe fn avx2<K: RowKernel>(kernel: K) -> K::Out {
             // SAFETY: this function's contract — AVX2 and FMA are available.
-            unsafe { kernel.run::<[__m256; 2], [__m256i; 2], 1, 1>() }
+            unsafe { kernel.run::<[__m256; 2], 1, 1>() }
         }
         #[target_feature(enable = "avx512f,fma")]
         unsafe fn avx512<K: RowKernel>(kernel: K) -> K::Out {
             // SAFETY: this function's contract — AVX-512F (hence AVX2) and
             // FMA are available.
-            unsafe { kernel.run::<[__m512; 1], [__m256i; 2], 2, 3>() }
+            unsafe { kernel.run::<[__m512; 1], 2, 3>() }
         }
         // SAFETY: the dispatch module only selects a tier after detecting
         // every feature of its entry above at runtime (or a forced override
-        // validated against it); SSE2 is part of the x86_64 baseline.
+        // validated against it).
         match isa {
             Isa::Avx512 => return unsafe { avx512(kernel) },
             Isa::Avx2 => return unsafe { avx2(kernel) },
-            Isa::Sse2 => return unsafe { kernel.run::<[f32; PACK_NR], [__m128i; 2], 1, 1>() },
             Isa::Scalar => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
-    // SAFETY: the portable rows are plain Rust and run anywhere.
-    unsafe { kernel.run::<[f32; PACK_NR], [i32; PACK_NR], 1, 1>() }
+    // SAFETY: the portable row is plain Rust and runs anywhere.
+    unsafe { kernel.run::<[f32; PACK_NR], 1, 1>() }
 }
 
-/// What [`at_tier`]'s list says of tier `isa`: the width of its f32
-/// register tile in `PACK_NR`-wide sub-blocks (how far the column walk
-/// advances per block and how wide it builds it), and the tier whose
-/// integer row runs.
+/// What [`at_tier`]'s list says of tier `isa`: the width of its register
+/// tile in `PACK_NR`-wide sub-blocks — how far the column walk advances per
+/// block and how wide it builds it.
 ///
 /// # Panics
 ///
 /// Panics if `isa` is wider than the host executes.
-pub(crate) fn tier_facts(isa: Isa) -> (usize, Isa) {
-    struct Facts;
-    impl RowKernel for Facts {
-        type Out = (usize, Isa);
-        unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) -> Self::Out {
-            (NV, I::TIER)
+pub(crate) fn tile_width(isa: Isa) -> usize {
+    struct Width;
+    impl RowKernel for Width {
+        type Out = usize;
+        unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) -> usize {
+            NV
         }
     }
     assert_runs_here(isa);
-    at_tier(isa, Facts)
+    at_tier(isa, Width)
 }
 
 fn assert_runs_here(isa: Isa) {
@@ -305,10 +206,10 @@ fn assert_runs_here(isa: Isa) {
 /// One column block — up to a tile's width of `PACK_NR`-wide sub-blocks — of
 /// one group's GEMM `C[i·m + j] = Σ_k A[i][k] · B[k][j]`, pushed through the
 /// fused epilogue `ep`, with `k` strictly ascending for every `(i, j)` — the
-/// bit-exactness invariant. The one convolution driver builds it; a filter
-/// form streams *all* its panels over it ([`F32Panels`], [`Int8Panels`]), so
-/// the patch data stays cache-hot across panels and crosses the memory
-/// hierarchy once, while `A` is one sequential, prefetchable stream.
+/// bit-exactness invariant. The one convolution driver builds it and streams
+/// *all* the filter's panels over it ([`F32Panels`]), so the patch data stays
+/// cache-hot across panels and crosses the memory hierarchy once, while `A`
+/// is one sequential, prefetchable stream.
 ///
 /// `b` holds B columns `[j0, j0 + W)`, `W` = `nr` rounded up to whole
 /// sub-blocks, with row stride `b_stride`: a view into a full `K × M` patch
@@ -349,7 +250,7 @@ impl RowKernel for F32Panels<'_> {
     ///
     /// Panics if the block is wider than the tier's tile.
     #[inline(always)]
-    unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) {
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) {
         // SAFETY: the caller's contract, passed down.
         unsafe {
             match self.block.nr.div_ceil(PACK_NR) {
@@ -447,91 +348,6 @@ impl F32Panels<'_> {
     }
 }
 
-/// `A` in pair-interleaved int8 panels ([`crate::quant::QuantizedFilter`])
-/// over a column block one sub-block wide, whose patch values `q` holds
-/// quantized at `in_scale` in the layout `quantize_block` writes.
-pub(crate) struct Int8Panels<'a> {
-    pub a: &'a [i8],
-    pub pairs: usize,
-    pub q: &'a [i16],
-    pub in_scale: f32,
-    /// Per-output-channel weight scales.
-    pub scales: &'a [f32],
-    pub block: &'a ColumnBlock<'a>,
-}
-
-impl RowKernel for Int8Panels<'_> {
-    type Out = ();
-    /// Streams every quantized panel over the block, requantizing each
-    /// finished tile row and storing it through the shared f32 epilogue.
-    /// Overflow-safe: each pair contributes `≤ 2 · 127²` per lane, so `i32`
-    /// holds any `k_len < 2¹⁷` exactly.
-    #[inline(always)]
-    unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) {
-        let blk = self.block;
-        let panel_stride = self.pairs * PACK_MR * 2;
-        let mut lane = [0.0f32; PACK_NR];
-        for (p, i0) in (0..blk.m_rows).step_by(PACK_MR).enumerate() {
-            let panel = &self.a[p * panel_stride..(p + 1) * panel_stride];
-            // SAFETY: the caller's contract, passed down.
-            let acc = unsafe { int_tile::<I>(panel, self.pairs, self.q) };
-            let rows = acc.chunks_exact(PACK_NR).take(blk.m_rows - i0);
-            for (row, acc_row) in (i0..).zip(rows) {
-                for (l, &a) in lane.iter_mut().zip(acc_row) {
-                    *l = requantize(a, self.in_scale, self.scales[blk.oc0 + row]);
-                }
-                // SAFETY: the portable row is plain Rust and runs anywhere.
-                unsafe { store_row(blk, row, blk.j0, blk.nr, lane) };
-            }
-        }
-    }
-}
-
-/// The `PACK_MR × PACK_NR` integer tile: for each output `(row, j)` the
-/// accumulator gains `a[pair][row][0]·b[pair][j][0] +
-/// a[pair][row][1]·b[pair][j][1]` over ascending pairs, all in `i32` — the
-/// `(a0, a1)` weight pair broadcast into every lane, one `pmaddwd`-shaped
-/// multiply-add per row and pair.
-///
-/// # Safety
-///
-/// The CPU must execute `I`'s instruction set (the [`IntRow`] contract).
-///
-/// # Panics
-///
-/// Panics unless `panel` holds `pairs · PACK_MR · 2` i8 and `b` holds
-/// `pairs · PACK_NR · 2` i16 — checked once per tile, in every build: the
-/// raw loads below never run against an out-of-bounds slice.
-#[inline(always)]
-pub(crate) unsafe fn int_tile<I: IntRow>(
-    panel: &[i8],
-    pairs: usize,
-    b: &[i16],
-) -> [i32; PACK_MR * PACK_NR] {
-    assert!(panel.len() >= pairs * PACK_MR * 2, "int8 panel too short");
-    assert!(b.len() >= pairs * PACK_NR * 2, "quantized block too short");
-    let mut acc = [0i32; PACK_MR * PACK_NR];
-    // SAFETY: all pointer arithmetic stays inside the slices per the
-    // asserts above; `I`'s ISA is the caller's contract.
-    unsafe {
-        for pass in 0..PACK_NR / I::COLS {
-            let mut rows = [I::pair_splat(0, 0); PACK_MR];
-            for pr in 0..pairs {
-                let b_pr = I::load(b.as_ptr().add((pr * PACK_NR + pass * I::COLS) * 2));
-                let a_pr = panel.as_ptr().add(pr * PACK_MR * 2);
-                for (i, row) in rows.iter_mut().enumerate() {
-                    let a = I::pair_splat(*a_pr.add(i * 2), *a_pr.add(i * 2 + 1));
-                    *row = row.madd_acc(a, b_pr);
-                }
-            }
-            for (i, row) in rows.iter().enumerate() {
-                row.store(acc.as_mut_ptr().add(i * PACK_NR + pass * I::COLS));
-            }
-        }
-    }
-    acc
-}
-
 /// The roofline probe behind [`mul_add_probe`].
 struct MulAddChains {
     steps: usize,
@@ -541,7 +357,7 @@ impl RowKernel for MulAddChains {
     /// FLOPs executed.
     type Out = u64;
     #[inline(always)]
-    unsafe fn run<R: Row, I: IntRow, const SPAN: usize, const NV: usize>(self) -> u64 {
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) -> u64 {
         // `y` cycles through an L1-resident table the compiler cannot see
         // through, so no product is hoisted out of the loop; every chain has
         // a factor of its own, so none is shared between chains.

@@ -11,15 +11,14 @@
 //! bits too.
 
 use ios_backend::ops_cpu::{
-    conv2d_naive, conv2d_naive_quant, conv_weights, matmul, matmul_weights, pool, sep_conv2d,
-    sep_conv_seeds,
+    conv2d_naive, conv_weights, matmul, matmul_weights, pool, sep_conv2d, sep_conv_seeds,
 };
 use ios_backend::workers::with_forced_lanes;
 use ios_backend::{
     conv2d, execute_graph, execute_graph_pooled, execute_network, execute_network_batched,
-    execute_network_batched_capped, execute_schedule_pooled, relu_fold_plan, sample_scale,
-    split_batch, weight_seed, BlockWeights, ConvEpilogue, ConvKernel, FoldedRelu, NetworkWeights,
-    PackedFilter, QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
+    execute_network_batched_capped, execute_schedule_pooled, relu_fold_plan, split_batch,
+    weight_seed, BlockWeights, ConvEpilogue, FoldedRelu, NetworkWeights, PackedFilter, ScratchPool,
+    TensorData,
 };
 use ios_core::{ParallelizationStrategy, Schedule, Stage};
 use ios_ir::{
@@ -360,7 +359,7 @@ proptest! {
         // values in the same per-element order as the naive oracle.
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
         let packed_out = conv2d(
-            &input, &params, &ConvKernel::F32(packed), &ConvEpilogue::default(), &ScratchPool::new());
+            &input, &params, &packed, &ConvEpilogue::default(), &ScratchPool::new());
         prop_assert_eq!(&packed_out, &conv2d_naive(&input, &params, &weights));
     }
 
@@ -464,7 +463,7 @@ proptest! {
         };
         let arena = ScratchPool::new();
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
-        let packed_fused = conv2d(&input, &params, &ConvKernel::F32(packed), &ep, &arena);
+        let packed_fused = conv2d(&input, &params, &packed, &ep, &arena);
         prop_assert_eq!(&packed_fused, &naive_conv_with_passes(&input, &params, &weights, &ep));
     }
 
@@ -488,9 +487,8 @@ proptest! {
         use_residual in any::<bool>(),
         ep_relu in any::<bool>(),
     ) {
-        // The explicit AVX2 f32 tile (mirroring the int8 "avx2 must match
-        // scalar" pin): the kernel must produce the naive oracle's bits
-        // under every ISA the host supports, across random shapes — edge
+        // The explicit AVX2 and AVX-512 tiles: the kernel must produce the
+        // naive oracle's bits under every ISA the host supports, across random shapes — edge
         // tiles (partial mr/nr) included via the free-ranging out_c and
         // spatial extents — and every epilogue combination.
         use ios_backend::simd;
@@ -511,7 +509,6 @@ proptest! {
         let input = TensorData::random(shape, seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
-        let packed = ConvKernel::F32(packed);
         let arena = ScratchPool::new();
         let (bias, residual) = epilogue_operands(seed, shape, &params);
         let ep = ConvEpilogue {
@@ -528,104 +525,10 @@ proptest! {
             prop_assert_eq!(&out, &reference, "f32 kernel differs from the oracle on {}", isa);
         }
     }
-
-    #[test]
-    fn quantized_conv_matches_its_oracle_and_stays_calibrated(
-        seed in any::<u64>(),
-        batch in 1usize..3,
-        group_case in 0usize..3,
-        channels_per_group in 1usize..4,
-        out_per_group in 1usize..4,
-        height in 2usize..9,
-        width in 2usize..9,
-        kh in 1usize..4,
-        kw in 1usize..4,
-        sh in 1usize..3,
-        sw in 1usize..3,
-        ph in 0usize..3,
-        pw in 0usize..3,
-        conv_relu in any::<bool>(),
-        input_relu in any::<bool>(),
-        use_bias in any::<bool>(),
-        use_residual in any::<bool>(),
-    ) {
-        let groups = [1usize, 2, 3][group_case];
-        let in_c = channels_per_group * groups;
-        let out_c = out_per_group * groups;
-        let h = height.max(kh.saturating_sub(2 * ph));
-        let w = width.max(kw.saturating_sub(2 * pw));
-        let shape = TensorShape::new(batch, in_c, h, w);
-        let params = Conv2dParams {
-            out_channels: out_c,
-            kernel: (kh, kw),
-            stride: (sh, sw),
-            padding: (ph, pw),
-            groups,
-            activation: if conv_relu { Activation::Relu } else { Activation::None },
-        };
-        let input = TensorData::random(shape, seed);
-        let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
-        let k_len = channels_per_group * kh * kw;
-        let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
-
-        let arena = ScratchPool::new();
-        let (bias, residual) = epilogue_operands(seed, shape, &params);
-        let ep = ConvEpilogue {
-            input_relu,
-            bias: use_bias.then_some(bias.as_slice()),
-            residual: use_residual.then_some(&residual),
-            relu: false,
-        };
-
-        // Byte-identity: every int8 fast path must equal the naive integer
-        // oracle exactly — integer accumulation is order-exact.
-        let fast = conv2d(&input, &params, &ConvKernel::Int8(quant.clone()), &ep, &arena);
-        let oracle = conv2d_naive_quant(&input, &params, &quant, &ep);
-        prop_assert_eq!(&fast, &oracle);
-
-        // Calibration: against the f32 oracle, each element stays
-        // within the documented k_len · s_in · s_w[oc] · 128 bound (one
-        // half-step rounding per quantized operand, no clamping by
-        // construction of the scales).
-        let f32_out = naive_conv_with_passes(&input, &params, &weights, &ep);
-        let per_item = input.shape.elements_per_item();
-        let plane = f32_out.shape.height * f32_out.shape.width;
-        for n in 0..f32_out.shape.batch {
-            let s_in = sample_scale(&input.data[n * per_item..(n + 1) * per_item], input_relu);
-            for oc in 0..out_c {
-                let bound = k_len as f32 * s_in * quant.scales()[oc] * 128.0 + 1e-5;
-                let start = (n * out_c + oc) * plane;
-                for i in 0..plane {
-                    let d = (fast.data[start + i] - f32_out.data[start + i]).abs();
-                    prop_assert!(d <= bound, "calibration error {} exceeds bound {}", d, bound);
-                }
-            }
-        }
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn int8_network_execution_is_byte_identical_across_strategies(
-        seed in any::<u64>(),
-        batch in 1usize..5,
-    ) {
-        let net = tiny_network();
-        let weights = NetworkWeights::precompute_as(&net, WeightPrecision::Int8);
-        let samples: Vec<TensorData> = (0..batch)
-            .map(|i| TensorData::random(net.input_shape, seed.wrapping_add(i as u64)))
-            .collect();
-        let refs: Vec<&TensorData> = samples.iter().collect();
-        let stacked = ios_backend::stack_batch(&refs);
-        let arena = ScratchPool::new();
-        let serial = execute_network_batched_capped(
-            &net, None, &weights, std::slice::from_ref(&stacked), &arena, 1);
-        let threaded = execute_network_batched_capped(
-            &net, None, &weights, std::slice::from_ref(&stacked), &arena, 4);
-        prop_assert_eq!(&serial, &threaded, "worker count must not change int8 bytes");
-    }
 
     #[test]
     fn arena_backed_executor_is_bit_identical(seed in any::<u64>()) {
@@ -689,10 +592,10 @@ proptest! {
         use_bias in any::<bool>(),
         use_residual in any::<bool>(),
     ) {
-        // Packed f32 and int8, dense and grouped, every fused epilogue:
-        // the tile grid cut along columns (few lanes), rows (more lanes
-        // than column blocks) or groups must give the bits of the uncut
-        // walk, which the properties above pin to the naive oracles.
+        // Dense and grouped, every fused epilogue: the tile grid cut along
+        // columns (few lanes), rows (more lanes than column blocks) or
+        // groups must give the bits of the uncut walk, which the properties
+        // above pin to the naive oracle.
         let groups = [1usize, 2, 3][group_case];
         let in_c = channels_per_group * groups;
         let out_c = out_per_group * groups;
@@ -709,8 +612,7 @@ proptest! {
         let input = TensorData::random(TensorShape::new(batch, in_c, h, w), seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
         let k_len = channels_per_group * kh * kw;
-        let packed = ConvKernel::F32(PackedFilter::pack(&weights, out_c, groups, k_len));
-        let quant = ConvKernel::Int8(QuantizedFilter::quantize(&weights, out_c, groups, k_len));
+        let packed = PackedFilter::pack(&weights, out_c, groups, k_len);
         let arena = ScratchPool::new();
         let (bias, residual) = epilogue_operands(seed, input.shape, &params);
         let ep = ConvEpilogue {
@@ -720,19 +622,12 @@ proptest! {
             relu: false,
         };
         let run = |lanes: usize| {
-            with_forced_lanes(lanes, || {
-                (
-                    conv2d(&input, &params, &packed, &ep, &arena),
-                    conv2d(&input, &params, &quant, &ep, &arena),
-                )
-            })
+            with_forced_lanes(lanes, || conv2d(&input, &params, &packed, &ep, &arena))
         };
-        let (f32_one, int8_one) = run(1);
+        let f32_one = run(1);
         prop_assert_eq!(&f32_one, &naive_conv_with_passes(&input, &params, &weights, &ep));
         for lanes in SPLIT_LANES {
-            let (f32_split, int8_split) = run(lanes);
-            prop_assert_eq!(&f32_split, &f32_one, "packed f32 differs on {} lanes", lanes);
-            prop_assert_eq!(&int8_split, &int8_one, "int8 differs on {} lanes", lanes);
+            prop_assert_eq!(&run(lanes), &f32_one, "packed f32 differs on {} lanes", lanes);
         }
     }
 
@@ -758,8 +653,7 @@ proptest! {
         let dw = conv_weights(seed ^ 0xD17, channels, 1, (k, k));
         let pw = conv_weights(seed ^ 0x117, out_channels, channels, (1, 1));
         let dw_packed = PackedFilter::pack(&dw, channels, channels, k * k);
-        let pw_packed = ConvKernel::F32(PackedFilter::pack(&pw, out_channels, 1, channels));
-        let pw_quant = ConvKernel::Int8(QuantizedFilter::quantize(&pw, out_channels, 1, channels));
+        let pw_packed = PackedFilter::pack(&pw, out_channels, 1, channels);
         let pool_params = if is_max {
             PoolParams::max((k, k), (stride, stride), (pad, pad))
         } else {
@@ -769,14 +663,13 @@ proptest! {
             with_forced_lanes(lanes, || {
                 (
                     sep_conv2d(&input, &params, &dw_packed, &pw_packed, &arena),
-                    sep_conv2d(&input, &params, &dw_packed, &pw_quant, &arena),
                     pool(&input, &pool_params, &arena),
                 )
             })
         };
         let one = run(1);
         prop_assert_eq!(&one.0, &naive_sep_conv(&input, &params, &dw, &pw));
-        prop_assert_eq!(&one.2, &pool_reference(&input, &pool_params));
+        prop_assert_eq!(&one.1, &pool_reference(&input, &pool_params));
         for lanes in SPLIT_LANES {
             prop_assert_eq!(&run(lanes), &one, "differs on {} lanes", lanes);
         }
@@ -902,13 +795,11 @@ proptest! {
     fn stages_blocks_and_batches_are_bit_identical_for_every_lane_count(
         seed in any::<u64>(),
         batch in 1usize..5,
-        int8 in any::<bool>(),
     ) {
         use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
         use ios_sim::{DeviceKind, Simulator};
         let net = tiny_network();
-        let precision = if int8 { WeightPrecision::Int8 } else { WeightPrecision::F32 };
-        let weights = NetworkWeights::precompute_as(&net, precision);
+        let weights = NetworkWeights::precompute(&net);
         let arena = ScratchPool::new();
 
         // A merged stage, and operator chunks posted from inside the
@@ -923,9 +814,7 @@ proptest! {
                 })
             };
             let one = run(1);
-            if !int8 {
-                prop_assert_eq!(&one, &execute_graph(graph, &block_inputs));
-            }
+            prop_assert_eq!(&one, &execute_graph(graph, &block_inputs));
             for lanes in SPLIT_LANES {
                 prop_assert_eq!(&run(lanes), &one, "block differs on {} lanes", lanes);
             }
@@ -1042,7 +931,7 @@ fn batched_execution_boundary_is_allocation_free_in_steady_state() {
     let refs: Vec<&TensorData> = samples.iter().collect();
     let stacked = ios_backend::stack_batch(&refs);
     let run = |arena: &ScratchPool| {
-        ios_backend::execute_network_batched_capped(
+        execute_network_batched_capped(
             &net,
             None,
             &weights,

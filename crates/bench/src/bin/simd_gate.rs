@@ -118,7 +118,7 @@ fn main() -> ExitCode {
 
         // Baseline and active tier interleave within every round; the
         // speedup is the median of the per-round paired ratios and the
-        // reported times are best-of-N (same harness as quant_gate, so
+        // reported times are best-of-N (same harness as conv_gate, so
         // single-core CI hosts don't produce noisy verdicts).
         let rounds = paired_rounds(
             iters,
@@ -188,7 +188,6 @@ fn pool_rows(gate: &mut Gate, iters: usize, arena: &ScratchPool) {
         &[
             ("shape", "shape"),
             ("scalar_ms", "scalar ms"),
-            ("sse2_ms", "sse2 ms"),
             ("avx2_ms", "avx2 ms"),
             ("avx512_ms", "avx512 ms"),
             ("vs_avx2", "vs avx2"),

@@ -374,7 +374,7 @@ mod tests {
             cores,
             lanes: cores,
             detected_isa: "avx2".to_string(),
-            active_isa: "sse2".to_string(),
+            active_isa: "scalar".to_string(),
             cpu_model: None,
         }
     }
@@ -415,7 +415,7 @@ mod tests {
         let mut gate = Gate::new("selftest", opts, host(2));
         gate.table(&synthetic_table());
         gate.fact("peak_gflops", 61.5);
-        gate.fact("pinned_isa", "sse2");
+        gate.fact("pinned_isa", "scalar");
         gate.at_least("geomean speedup", 4.0, 3.0);
         let report = gate.report();
         assert_eq!(

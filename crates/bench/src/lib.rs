@@ -23,7 +23,7 @@
 use ios_backend::gemm::mul_add_probe;
 use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::Isa;
-use ios_backend::{ConvKernel, PackedFilter, TensorData};
+use ios_backend::{PackedFilter, TensorData};
 use ios_core::{
     greedy_network_schedule, optimize_network, sequential_network_schedule, IosVariant,
     NetworkSchedule, SchedulerConfig, SimCostModel,
@@ -315,19 +315,18 @@ impl ConvCase {
     }
 
     /// What every kernel gate and bench runs the layer on: a seeded random
-    /// input, seeded natural-layout weights, and those weights packed into
-    /// the f32 kernel (as weight precomputation does, outside any timed
-    /// region).
+    /// input, seeded natural-layout weights, and those weights packed (as
+    /// weight precomputation does, outside any timed region).
     #[must_use]
-    pub fn operands(&self) -> (TensorData, Vec<f32>, ConvKernel) {
+    pub fn operands(&self) -> (TensorData, Vec<f32>, PackedFilter) {
         let p = &self.params;
         let weights = conv_weights(11, p.out_channels, self.input.channels / p.groups, p.kernel);
         let packed = PackedFilter::pack(&weights, p.out_channels, p.groups, self.k_len());
         let input = TensorData::random(self.input, 7);
-        (input, weights, ConvKernel::F32(packed))
+        (input, weights, packed)
     }
 
-    /// The serving-hot epilogue `quant_gate` and `simd_gate` run the layer
+    /// The serving-hot epilogue `conv_gate` and `simd_gate` run the layer
     /// with: the layer's parameters minus their activation (the epilogue's
     /// ReLU stands in for it), a per-output-channel bias and a residual
     /// tensor of the output's shape.
@@ -424,7 +423,7 @@ pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
     cases
 }
 
-/// The convolution shapes the `quant_gate` CI binary runs: the layers of
+/// The convolution shapes `conv_gate`'s epilogue table runs: the layers of
 /// serving CNN backbones that actually *carry* a bias + residual-add +
 /// ReLU epilogue — ResNet basic-block ending 3×3s and bottleneck
 /// expansion 1×1s (the convs the residual joins), MobileNetV2-style
@@ -437,7 +436,7 @@ pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
 /// matrices back under the L2 cache and change the compute-vs-traffic
 /// regime the gate measures.
 #[must_use]
-pub fn quant_bench_shapes() -> Vec<ConvCase> {
+pub fn epilogue_bench_shapes() -> Vec<ConvCase> {
     vec![
         ConvCase {
             // ResNet basic-block conv2: the 3×3 the residual joins.
@@ -489,7 +488,7 @@ pub fn quant_bench_shapes() -> Vec<ConvCase> {
 /// `k`, the tile-bound case the AVX2 kernel targets), a strided
 /// downsample, a bottleneck pointwise (pure GEMM), a compact Inception 3×3
 /// so small-`m` layers with edge tiles stay visible, then the full-size
-/// [`inception_v3_shapes`]. Like the quant set, never scaled down in quick
+/// [`inception_v3_shapes`]. Like the epilogue set, never scaled down in quick
 /// mode — that would shift the compute-vs-traffic regime; `simd_gate
 /// --quick` reduces the round count instead.
 #[must_use]

@@ -1,6 +1,5 @@
 //! Serving runtime configuration.
 
-use ios_backend::WeightPrecision;
 use ios_core::SchedulerConfig;
 use ios_sim::DeviceKind;
 use std::collections::BTreeMap;
@@ -174,12 +173,6 @@ pub struct ServeConfig {
     /// Whether a cache miss on an exact batch size triggers background
     /// re-optimization for that batch size (Table 3 as a runtime policy).
     pub background_reoptimize: bool,
-    /// Weight precision the engine precomputes, profiles, and executes at.
-    /// [`WeightPrecision::Int8`] runs convolution/pointwise stages through
-    /// the quantized integer kernels (deterministic: byte-identical across
-    /// thread counts) at a fraction of the weight-cache footprint; matmul
-    /// and depthwise stages stay f32.
-    pub precision: WeightPrecision,
     /// Runtime adaptation loop (controller, deadlines, shedding). Disabled
     /// by default.
     pub adapt: AdaptConfig,
@@ -203,7 +196,6 @@ impl Default for ServeConfig {
             scheduler: SchedulerConfig::paper_default(),
             prewarm_batches: None,
             background_reoptimize: true,
-            precision: WeightPrecision::default(),
             adapt: AdaptConfig::default(),
             tenants: TenantsConfig::default(),
         }
@@ -280,13 +272,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the weight precision the engine serves at.
-    #[must_use]
-    pub fn with_precision(mut self, precision: WeightPrecision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Enables (or disables) the adaptation controller thread.
     #[must_use]
     pub fn with_adaptation(mut self, enabled: bool) -> Self {
@@ -358,15 +343,8 @@ mod tests {
             .with_workers(2)
             .with_max_wait(Duration::from_millis(5))
             .with_background_reoptimize(false)
-            .with_cost_model(CostModelKind::CpuProfiled)
-            .with_precision(WeightPrecision::Int8);
+            .with_cost_model(CostModelKind::CpuProfiled);
         assert_eq!(config.max_batch, 32);
-        assert_eq!(config.precision, WeightPrecision::Int8);
-        assert_eq!(
-            ServeConfig::default().precision,
-            WeightPrecision::F32,
-            "f32 remains the default precision"
-        );
         assert_eq!(config.effective_prewarm_batches(), vec![1, 32]);
         assert_eq!(config.device, DeviceKind::TeslaK80);
         assert_eq!(config.workers, 2);

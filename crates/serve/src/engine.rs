@@ -187,7 +187,7 @@ impl ServeEngine {
             // optimization cost is bounded tighter than offline profiling;
             // the ProfiledCostModel caches per stage on its own.
             CostModelKind::CpuProfiled => Arc::new(ProfiledCostModel::with_policy(
-                CpuStageProfiler::new().with_precision(config.precision),
+                CpuStageProfiler::new(),
                 1,
                 3,
             )),
@@ -212,7 +212,7 @@ impl ServeEngine {
             network.with_batch_size(1)
         });
         let sample_shape = base.input_shape;
-        let weights = Arc::new(NetworkWeights::precompute_as(&base, config.precision));
+        let weights = Arc::new(NetworkWeights::precompute(&base));
 
         let shared = Arc::new(Shared {
             sample_shape,

@@ -18,7 +18,7 @@
 
 use crate::cache::CacheStats;
 use crate::request::TenantId;
-use ios_backend::simd::{self, Isa, KernelPath};
+use ios_backend::simd::Isa;
 use ios_backend::workers::PoolStats;
 use ios_backend::WeightFootprint;
 use ios_telemetry::{prometheus as prom, Histogram, HistogramSnapshot};
@@ -94,8 +94,7 @@ pub(crate) struct TenantMetrics {
 pub(crate) struct External {
     pub cache: CacheStats,
     pub weights: WeightFootprint,
-    /// The selected microkernel ISA tier; each numeric path is reported at
-    /// the tier it executes under it ([`simd::executed_isa`]).
+    /// The selected microkernel ISA tier.
     pub isa: Isa,
     pub pool: PoolStats,
 }
@@ -264,8 +263,8 @@ impl ServeMetrics {
     }
 
     /// The metric table, rendered as Prometheus text: request counters, the
-    /// queue-depth gauge, schedule-cache counters, weight-cache footprint
-    /// gauges (f32 vs int8 bytes), the selected-microkernel-ISA info gauge,
+    /// queue-depth gauge, schedule-cache counters, the weight-cache
+    /// footprint gauge, the selected-microkernel-ISA info gauge,
     /// the worker pool's lane gauge and intra-operator counters
     /// (process-wide, like the pool), the latency / queue-wait /
     /// batch-assembly / device-time histograms (exposed in microseconds),
@@ -274,12 +273,6 @@ impl ServeMetrics {
     pub fn prometheus_text(&self, ext: &External) -> String {
         let mut out = String::new();
         let (cache, pool) = (ext.cache, ext.pool);
-        let kernel = |label, path| {
-            [
-                ("path", label),
-                ("isa", simd::executed_isa(path, ext.isa).name()),
-            ]
-        };
         table! { &mut out;
             counter "ios_requests_completed_total" = self.completed.get(),
                 "Requests answered since the engine started.";
@@ -309,10 +302,7 @@ impl ServeMetrics {
                 "Schedules currently cached.";
             gauge "ios_weight_cache_f32_bytes" = ext.weights.f32_bytes as f64,
                 "Bytes of f32 weight arrays held by the weight cache.";
-            gauge "ios_weight_cache_int8_bytes" = ext.weights.int8_bytes as f64,
-                "Bytes of int8 quantized weights (and scales) held by the weight cache.";
-            info "ios_simd_kernel" =
-                &[&kernel("f32", KernelPath::F32), &kernel("int8", KernelPath::Int8)],
+            info "ios_simd_kernel" = &[&[("path", "f32"), ("isa", ext.isa.name())]],
                 "Selected microkernel ISA per numeric path (info gauge, constant 1).";
             gauge "ios_worker_pool_lanes" = pool.lanes as f64,
                 "Lanes of the process-wide worker pool: its parked helpers plus the caller.";
@@ -600,8 +590,9 @@ mod tests {
     /// `prometheus_text` for a fixed, hand-recorded state must be what the
     /// parent commit's hand-written exposition rendered for the same state
     /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
-    /// two-lane host) — apart from the two families this table added and
-    /// the pipeline counter and wording, which are stripped from it here.
+    /// two-lane host) — apart from the two families this table added, and
+    /// the pipeline counter and wording and the int8 weight gauge and kernel
+    /// series, which are stripped from it here.
     #[test]
     fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
         let metrics = ServeMetrics::default();
@@ -644,10 +635,7 @@ mod tests {
                 evictions: 1,
                 entries: 2,
             },
-            weights: WeightFootprint {
-                f32_bytes: 640,
-                int8_bytes: 0,
-            },
+            weights: WeightFootprint { f32_bytes: 640 },
             isa: Isa::Avx2,
             pool: PoolStats {
                 lanes: 2,
@@ -668,11 +656,16 @@ mod tests {
                       ios_panics_total{site=\"batch\"} 1\n\
                       ios_panics_total{site=\"adapt\"} 0\n\
                       ios_panics_total{site=\"reoptimize\"} 1\n";
-        // The pipelined-batch counter is gone from the table, and re-plans
-        // no longer re-plan a pipeline.
+        // The pipelined-batch counter and the int8 series are gone from the
+        // table, and re-plans no longer re-plan a pipeline.
+        let removed = [
+            "ios_pipelined_batches_total",
+            "ios_weight_cache_int8_bytes",
+            "path=\"int8\"",
+        ];
         let parent: String = include_str!("../tests/data/prometheus_parent.txt")
             .lines()
-            .filter(|line| !line.contains("ios_pipelined_batches_total"))
+            .filter(|line| !removed.iter().any(|r| line.contains(r)))
             .map(|line| line.replace("pipeline/schedule re-plans", "schedule re-plans") + "\n")
             .collect();
         assert_eq!(parent.matches(expired).count(), 1);

@@ -368,13 +368,12 @@ fn pool_counters_stay_flat_across_mixed_clone_drop_sequences() {
     engine.shutdown();
 }
 
-/// An int8 engine serves responses byte-identical to the flat quantized
-/// reference path, and its Prometheus exposition reports the quantized
-/// weight-cache footprint — smaller than the f32 engine's — in a
-/// `prometheus::validate`-clean document.
+/// An engine serves responses bit-identical to the flat reference path,
+/// and its Prometheus exposition reports the weight-cache footprint and the
+/// selected microkernel tier in a `prometheus::validate`-clean document.
 #[test]
-fn int8_engine_serves_the_quantized_path_and_reports_its_footprint() {
-    use ios_backend::{execute_network_batched, NetworkWeights, ScratchPool, WeightPrecision};
+fn f32_engine_serves_the_flat_reference_and_reports_its_footprint() {
+    use ios_backend::{execute_network_batched, NetworkWeights, ScratchPool};
 
     let net = serve_network();
     let engine = ServeEngine::start(
@@ -382,20 +381,19 @@ fn int8_engine_serves_the_quantized_path_and_reports_its_footprint() {
         ServeConfig::default()
             .with_max_batch(2)
             .with_workers(1)
-            .with_precision(WeightPrecision::Int8)
             .with_max_wait(Duration::from_millis(1)),
     );
-    let quant_weights = NetworkWeights::precompute_as(&net, WeightPrecision::Int8);
+    let weights = NetworkWeights::precompute(&net);
     let pool = ScratchPool::new();
     for i in 0..3 {
         let sample = TensorData::random(net.input_shape, 700 + i);
         let response = engine.infer(sample.clone()).unwrap();
-        let reference = execute_network_batched(&net, None, &quant_weights, &[sample], &pool);
+        let reference = execute_network_batched(&net, None, &weights, &[sample], &pool);
         assert_eq!(response.outputs.len(), reference.len());
         for (leased, expected) in response.outputs.iter().zip(&reference) {
             assert_eq!(
                 leased, expected,
-                "int8 serving must be byte-identical to the flat quantized reference"
+                "serving must be bit-identical to the flat reference"
             );
         }
     }
@@ -404,31 +402,12 @@ fn int8_engine_serves_the_quantized_path_and_reports_its_footprint() {
     let samples = ios_telemetry::prometheus::validate(&text).expect("well-formed exposition");
     assert!(samples > 0);
     assert!(text.contains("ios_weight_cache_f32_bytes"));
-    assert!(text.contains("ios_weight_cache_int8_bytes"));
     // The selected-microkernel info gauge reports, constant-1 style, the
-    // tier each numeric path executes under the dispatch module's active
-    // ISA (the int8 tiles stop at AVX2).
-    use ios_backend::simd::{self, KernelPath};
-    for (path, kernel) in [("f32", KernelPath::F32), ("int8", KernelPath::Int8)] {
-        let isa = simd::executed_isa(kernel, simd::active_isa());
-        assert!(
-            text.contains(&format!(
-                "ios_simd_kernel{{path=\"{path}\",isa=\"{isa}\"}} 1"
-            )),
-            "missing {path} simd kernel info gauge in:\n{text}"
-        );
-    }
-    let quant_fp = quant_weights.footprint();
+    // dispatch module's active tier.
+    let isa = ios_backend::simd::active_isa();
     assert!(
-        quant_fp.int8_bytes > 0,
-        "int8 engine holds quantized panels"
-    );
-    let f32_fp = NetworkWeights::precompute(&net).footprint();
-    assert!(
-        quant_fp.total() < f32_fp.total(),
-        "quantization must shrink the weight cache ({} -> {})",
-        f32_fp.total(),
-        quant_fp.total()
+        text.contains(&format!("ios_simd_kernel{{path=\"f32\",isa=\"{isa}\"}} 1")),
+        "missing f32 simd kernel info gauge in:\n{text}"
     );
     engine.shutdown();
 }

@@ -68,7 +68,7 @@ fn main() {
         // tensors as a plain sequential execution of the graph.
         let max_diff = verify_schedule(&graph, &result.schedule, 42);
         println!("  max |difference| vs reference execution: {max_diff:.2e}");
-        assert!(max_diff < 1e-3, "schedule changed the network's semantics");
+        assert_eq!(max_diff, 0.0, "schedule changed the network's semantics");
     }
     println!("\nboth schedules preserve the network's output exactly (up to float rounding).");
 }

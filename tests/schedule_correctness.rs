@@ -22,7 +22,7 @@ fn ios_schedules_for_squeezenet_blocks_preserve_semantics() {
         let result = schedule_graph(graph, &cost, &config);
         assert!(result.schedule.validate(graph).is_ok());
         let diff = verify_schedule(graph, &result.schedule, 0xF00D + idx as u64);
-        assert!(diff < 1e-3, "block {idx}: difference {diff}");
+        assert_eq!(diff, 0.0, "block {idx}: difference {diff}");
     }
 }
 
@@ -42,7 +42,7 @@ fn merged_stages_preserve_semantics_on_figure2_block() {
         .iter()
         .any(|s| s.strategy == ParallelizationStrategy::OperatorMerge));
     let diff = verify_schedule(graph, &merge_only.schedule, 77);
-    assert!(diff < 1e-3, "difference {diff}");
+    assert_eq!(diff, 0.0, "difference {diff}");
 }
 
 /// Random layered graph generator for property tests: every operator picks
@@ -107,7 +107,7 @@ proptest! {
         prop_assert!(result.latency_us <= sequential.total_measured_latency_us() + 1e-6);
 
         let diff = verify_schedule(&graph, &result.schedule, seed);
-        prop_assert!(diff < 1e-3, "difference {diff}");
+        prop_assert_eq!(diff, 0.0, "difference {diff}");
     }
 
     /// The greedy baseline is always valid and also numerically equivalent.
@@ -118,6 +118,6 @@ proptest! {
         let schedule = greedy_schedule(&graph, &cost);
         prop_assert!(schedule.validate(&graph).is_ok());
         let diff = verify_schedule(&graph, &schedule, seed ^ 0xABC);
-        prop_assert!(diff < 1e-3, "difference {diff}");
+        prop_assert_eq!(diff, 0.0, "difference {diff}");
     }
 }
