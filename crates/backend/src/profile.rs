@@ -284,6 +284,47 @@ mod tests {
         assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
+    /// The profiled cost model does not learn: a second search of the same
+    /// network against the same model hits the stage cache for every
+    /// candidate and returns the schedule the first one found. (So a
+    /// serving engine has nothing to gain from dropping a cached schedule
+    /// and searching again.)
+    #[test]
+    fn a_second_search_against_one_profiled_model_measures_nothing_and_agrees() {
+        use ios_core::optimize_network;
+        use ios_ir::{Block, Network};
+        // Three blocks of `3x3 || 1x1 -> concat -> 1x1` on 16 channels of
+        // 16x16.
+        let input = TensorShape::new(1, 16, 16, 16);
+        let mut shape = input;
+        let blocks = (0..3)
+            .map(|i| {
+                let mut b = GraphBuilder::new(format!("small_block{i}"), shape);
+                let x = b.input(0);
+                let wide = b.conv2d("wide", x, Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)));
+                let point = b.conv2d("point", x, Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)));
+                let cat = b.concat("cat", &[wide, point]);
+                let mix = b.conv2d("mix", cat, Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)));
+                let graph = b.build(vec![mix]);
+                shape = graph.output_shapes()[0];
+                Block::new(graph)
+            })
+            .collect();
+        let network = Network::new("small", input, blocks);
+        let cost = ProfiledCostModel::with_policy(CpuStageProfiler::new(), 1, 3);
+        let config = SchedulerConfig::paper_default();
+        let first = optimize_network(&network, &cost, &config).schedule;
+        let measured = cost.measurement_count();
+        assert!(measured > 0);
+        let second = optimize_network(&network, &cost, &config).schedule;
+        assert_eq!(
+            cost.measurement_count(),
+            measured,
+            "the second search measured a stage again"
+        );
+        assert_eq!(second, first);
+    }
+
     #[test]
     fn distinct_batch_sizes_get_distinct_profiles() {
         let g1 = branchy();

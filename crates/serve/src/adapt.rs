@@ -1,38 +1,26 @@
-//! The runtime adaptation loop: a controller thread that closes the
-//! paper's Table-3 specialization insight *at runtime*.
+//! The runtime adaptation loop: a controller thread that sheds load when
+//! queueing outgrows its budget.
 //!
-//! The startup path optimizes schedules against the traffic it assumes;
-//! this module makes the engine adapt to the traffic it actually observes,
-//! using the `ios-telemetry` histograms as its only sensor. Each controller
-//! tick takes a windowed delta
-//! ([`ios_telemetry::HistogramSnapshot::window_delta`]) of the queue-wait
-//! and batch-size histograms — exact under racing writers — and acts on
-//! three channels:
+//! The controller's only sensor is the `ios-telemetry` queue-wait
+//! histogram. Each tick takes a windowed delta of it
+//! ([`ios_telemetry::HistogramSnapshot::window_delta`], exact under racing
+//! writers); when the windowed p95 queue wait exceeds the configured
+//! budget, shed mode engages: admission tightens to one batch's worth of
+//! queued requests and everything beyond is rejected with
+//! [`crate::Rejected::Shed`]. Hysteresis (disengage at half the budget)
+//! keeps the mode from flapping at the boundary.
 //!
-//! 1. **Load shedding** — when the windowed p95 queue wait exceeds the
-//!    configured budget, shed mode engages: admission tightens to one
-//!    batch's worth of queued requests and everything beyond is rejected
-//!    with [`crate::Rejected::Shed`]. Hysteresis (disengage at half the
-//!    budget) keeps the mode from flapping at the boundary.
-//! 2. **Re-planning** — when the dominant observed batch size (the
-//!    window's mode) differs from what the serving plan was built for,
-//!    the controller re-plans: it makes sure the dominant batch size has
-//!    an exact specialized schedule cached.
-//! 3. **Regret eviction** — per exact-schedule batch size, observed mean
-//!    device time is compared against the optimizer's prediction. The
-//!    first window calibrates the units (simulated µs vs wall µs); after
-//!    that, a window whose observed mean exceeds `regret_threshold ×` the
-//!    calibrated prediction evicts the cache entry, forcing a fresh
-//!    optimization on next use.
+//! The controller never touches the schedule cache: background
+//! re-optimization ([`crate::cache`]) is the one path that brings in an
+//! exact schedule for a batch size the engine serves.
 //!
-//! Every tick runs inside `catch_unwind`: a panicking re-plan leaves the
-//! engine serving on its old plan and the controller alive for the next
-//! tick, and is counted under `ios_panics_total{site="adapt"}`.
+//! Every tick runs inside `catch_unwind`: a panicking tick leaves the
+//! controller alive for the next one and is counted under
+//! `ios_panics_total{site="adapt"}`.
 
 use crate::engine::Shared;
 use crate::metrics::PanicSite;
 use ios_telemetry::HistogramSnapshot;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -44,21 +32,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// count.)
 const SHED_STALE_TICKS: u64 = 3;
 
-/// Per-batch-size accumulator of observed vs predicted device time,
-/// drained by the controller each tick.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Observation {
-    /// Batches observed since the last drain.
-    pub count: u64,
-    /// Sum of measured per-batch device time, µs.
-    pub device_sum_us: f64,
-    /// Sum of the serving schedule's predicted latency, µs (one term per
-    /// batch; the prediction can change mid-window if the entry refreshes).
-    pub predicted_sum_us: f64,
-}
-
-/// Live adaptation state shared between workers, submitters and the
-/// controller thread.
+/// Live adaptation state shared between submitters and the controller
+/// thread.
 #[derive(Debug, Default)]
 pub(crate) struct AdaptState {
     /// Whether shed mode is engaged (set only by the controller; read by
@@ -68,14 +43,6 @@ pub(crate) struct AdaptState {
     /// `min_window_batches` while shed mode was engaged — the sensor for
     /// the trickle-traffic disengage path.
     stale_ticks: AtomicU64,
-    /// Batch size the current schedule focus was chosen for; `None` until
-    /// the first window-driven re-plan.
-    planned_for: Mutex<Option<usize>>,
-    /// Regret sensor: per-batch-size observations since the last tick.
-    observations: Mutex<HashMap<usize, Observation>>,
-    /// Per-batch-size units calibration: first-window observed/predicted
-    /// ratio, bridging simulated-vs-wall time scales.
-    calibration: Mutex<HashMap<usize, f64>>,
     /// Stop signal for the controller thread.
     stop: Mutex<bool>,
     stop_signal: Condvar,
@@ -87,15 +54,6 @@ impl AdaptState {
         self.shed_mode.load(Ordering::Relaxed)
     }
 
-    /// Records one exact-schedule batch execution for the regret sensor.
-    pub fn observe(&self, batch: usize, device_time_us: f64, predicted_us: f64) {
-        let mut observations = self.observations.lock().expect("observations lock");
-        let entry = observations.entry(batch).or_default();
-        entry.count += 1;
-        entry.device_sum_us += device_time_us;
-        entry.predicted_sum_us += predicted_us;
-    }
-
     /// Asks the controller thread to exit at its next wakeup.
     pub fn request_stop(&self) {
         *self.stop.lock().expect("stop lock") = true;
@@ -103,22 +61,13 @@ impl AdaptState {
     }
 }
 
-/// The sliding window the controller deltas against: last tick's
-/// snapshots of its two sensor histograms.
-struct Window {
-    queue_wait: HistogramSnapshot,
-    batch_size: HistogramSnapshot,
-}
-
 /// The adaptation controller: ticks until [`AdaptState::request_stop`],
-/// isolating each tick behind `catch_unwind` so a panicking re-plan (e.g.
-/// a faulty cost model) leaves the engine serving on its old plan and the
-/// controller alive.
+/// isolating each tick behind `catch_unwind` so a panicking tick leaves the
+/// engine serving and the controller alive.
 pub(crate) fn controller_loop(shared: &Arc<Shared>) {
-    let mut window = Window {
-        queue_wait: shared.metrics.queue_wait.snapshot(),
-        batch_size: shared.metrics.batch_size.snapshot(),
-    };
+    // The sliding window the controller deltas against: last tick's
+    // snapshot of the queue-wait histogram.
+    let mut window = shared.metrics.queue_wait.snapshot();
     loop {
         let stopped = shared.adapt.stop.lock().expect("stop lock");
         let (stopped, _) = shared
@@ -131,7 +80,10 @@ pub(crate) fn controller_loop(shared: &Arc<Shared>) {
         }
         drop(stopped);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.adaptation_tick(&mut window);
+            let now = shared.metrics.queue_wait.snapshot();
+            let wait_window = now.window_delta(&window);
+            window = now;
+            shared.update_shed_mode(&wait_window);
         }));
         if let Err(panic) = result {
             shared.metrics.panic_message(PanicSite::Adapt, &*panic);
@@ -140,21 +92,6 @@ pub(crate) fn controller_loop(shared: &Arc<Shared>) {
 }
 
 impl Shared {
-    /// One controller tick: window the sensors, then run the shed, re-plan
-    /// and regret policies on the windowed evidence.
-    fn adaptation_tick(self: &Arc<Self>, window: &mut Window) {
-        let queue_wait_now = self.metrics.queue_wait.snapshot();
-        let batch_size_now = self.metrics.batch_size.snapshot();
-        let wait_window = queue_wait_now.window_delta(&window.queue_wait);
-        let size_window = batch_size_now.window_delta(&window.batch_size);
-        window.queue_wait = queue_wait_now;
-        window.batch_size = batch_size_now;
-
-        self.update_shed_mode(&wait_window);
-        self.regret_sweep();
-        self.replan_on_mix_shift(&size_window);
-    }
-
     /// Shed policy: engage when the windowed p95 queue wait exceeds the
     /// budget, disengage when it falls below half of it (hysteresis), when
     /// the system has drained idle (no samples, empty queue), or when
@@ -201,89 +138,5 @@ impl Shared {
                 }
             }
         }
-    }
-
-    /// Regret policy: drain the per-batch-size observations that have a
-    /// full window; the first window per batch size calibrates units, and
-    /// later windows evict the cached schedule when measured reality
-    /// regrets the (calibrated) prediction past the threshold.
-    fn regret_sweep(&self) {
-        let min = self.config.adapt.min_window_batches;
-        let ready: Vec<(usize, Observation)> = {
-            let mut observations = self.adapt.observations.lock().expect("observations lock");
-            let keys: Vec<usize> = observations
-                .iter()
-                .filter(|(_, o)| o.count >= min)
-                .map(|(&b, _)| b)
-                .collect();
-            keys.into_iter()
-                .filter_map(|b| observations.remove(&b).map(|o| (b, o)))
-                .collect()
-        };
-        for (batch, observation) in ready {
-            let observed_mean = observation.device_sum_us / observation.count as f64;
-            let predicted_mean = observation.predicted_sum_us / observation.count as f64;
-            if !(predicted_mean > 0.0 && observed_mean.is_finite()) {
-                continue;
-            }
-            let mut calibration = self.adapt.calibration.lock().expect("calibration lock");
-            match calibration.get(&batch) {
-                None => {
-                    // First full window: learn the units bridge between
-                    // the optimizer's time scale (possibly simulated) and
-                    // the measured one.
-                    calibration.insert(batch, observed_mean / predicted_mean);
-                }
-                Some(&scale) => {
-                    let expected = predicted_mean * scale;
-                    if expected > 0.0
-                        && observed_mean > self.config.adapt.regret_threshold * expected
-                        && self.cache.evict(batch)
-                    {
-                        ios_telemetry::tracer().instant("adapt.evict", "adapt", batch as u64);
-                        // Re-calibrate from scratch once a fresh schedule
-                        // lands.
-                        calibration.remove(&batch);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-plan policy: when a full window's dominant batch size differs
-    /// from what the engine last planned for, re-specialize — make sure
-    /// the dominant size has an exact cached schedule.
-    fn replan_on_mix_shift(self: &Arc<Self>, size_window: &HistogramSnapshot) {
-        if size_window.count < self.config.adapt.min_window_batches {
-            return;
-        }
-        let Some(dominant) = size_window.mode() else {
-            return;
-        };
-        // Histogram values are exact only below 64; past that, `mode()`
-        // returns a log-bucket representative that may be a batch size
-        // that was never dispatched (a window of batch-96 dispatches
-        // reports 97 with `max_batch = 96`). Snap to the nearest
-        // dispatchable size — at most `max_batch`, at least 1 — so the
-        // controller never optimizes and caches a schedule for a phantom
-        // batch size, churning `planned_for` against reality.
-        let dominant = usize::try_from(dominant)
-            .unwrap_or(self.config.max_batch)
-            .clamp(1, self.config.max_batch);
-        if *self.adapt.planned_for.lock().expect("planned-for lock") == Some(dominant) {
-            return;
-        }
-        let tracer = ios_telemetry::tracer();
-        let mut span = tracer.span("adapt.replan", "adapt");
-        span.set_arg(dominant as u64);
-        self.metrics.replans.add(1);
-        // The dominant batch size deserves its exact specialized schedule:
-        // optimize it now (off the serving path — this is the controller
-        // thread) if the cache doesn't hold one.
-        self.ensure_exact(dominant);
-        // Only remember the shift once the whole re-plan committed: a
-        // panic above leaves `planned_for` unchanged, so the next tick
-        // retries (and the chaos suite can observe the old plan serving).
-        *self.adapt.planned_for.lock().expect("planned-for lock") = Some(dominant);
     }
 }

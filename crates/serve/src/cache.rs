@@ -15,7 +15,11 @@
 //! The policy itself — `Shared::resolve_schedule` and its
 //! `Shared::ensure_exact` half — lives at the bottom of this module:
 //! every part of the engine that needs a schedule (pre-warm, the resolve
-//! stage, the adaptation controller) gets it there.
+//! stage) gets it there. Entries are never removed: the cost models the
+//! engine searches against do not learn, so a second search for a batch
+//! size returns the schedule already cached, and background
+//! re-optimization is the one path that brings in an exact schedule
+//! after start-up.
 
 use crate::engine::Shared;
 use crate::metrics::{Count, PanicSite};
@@ -39,10 +43,6 @@ pub struct CacheStats {
     pub nearest_served: u64,
     /// Schedules inserted by background re-optimization.
     pub background_inserts: u64,
-    /// Schedules evicted by the adaptation controller because their
-    /// measured device time regretted the prediction past the configured
-    /// threshold.
-    pub evictions: u64,
     /// Number of schedules currently cached.
     pub entries: u64,
 }
@@ -69,7 +69,6 @@ pub struct ScheduleCache {
     misses: Count,
     nearest_served: Count,
     background_inserts: Count,
-    evictions: Count,
 }
 
 impl ScheduleCache {
@@ -126,23 +125,6 @@ impl ScheduleCache {
         best
     }
 
-    /// Evicts the schedule cached for `batch` (regret-driven refresh: the
-    /// prediction stopped describing measured reality). Counts an eviction
-    /// only when something was actually removed; in-flight batches holding
-    /// the schedule's `Arc` finish unaffected.
-    pub fn evict(&self, batch: usize) -> bool {
-        let removed = self
-            .entries
-            .lock()
-            .expect("cache lock")
-            .remove(&batch)
-            .is_some();
-        if removed {
-            self.evictions.add(1);
-        }
-        removed
-    }
-
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
@@ -151,7 +133,6 @@ impl ScheduleCache {
             misses: self.misses.get(),
             nearest_served: self.nearest_served.get(),
             background_inserts: self.background_inserts.get(),
-            evictions: self.evictions.get(),
             entries: self.entries.lock().expect("cache lock").len() as u64,
         }
     }
@@ -177,7 +158,7 @@ impl Shared {
     /// this call ran the search.
     pub(crate) fn ensure_exact(&self, batch: usize) -> (Arc<NetworkSchedule>, bool) {
         // One search at a time: racing callers (cold-starting workers, a
-        // background fill, the controller) would all run the same expensive
+        // background fill) would all run the same expensive
         // search; whoever loses the race finds the winner's entry. The lock
         // guards no data, so a search that panicked poisons nothing.
         let _one_search = self
@@ -283,20 +264,5 @@ mod tests {
         cache.insert(5, schedule(5));
         assert_eq!(cache.nearest_batch(3).unwrap().0, 1);
         assert!(ScheduleCache::new().nearest_batch(6).is_none());
-    }
-
-    #[test]
-    fn eviction_removes_the_entry_and_counts_once() {
-        let cache = ScheduleCache::new();
-        cache.insert(4, schedule(4));
-        let held = cache.peek(4).expect("cached");
-        assert!(cache.evict(4), "first eviction removes the entry");
-        assert!(!cache.evict(4), "nothing left to evict");
-        assert!(cache.peek(4).is_none());
-        // An in-flight batch holding the Arc still reads its schedule.
-        assert_eq!(held.label, "batch4");
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.entries, 0);
     }
 }

@@ -96,27 +96,24 @@ pub enum CostModelKind {
     CpuProfiled,
 }
 
-/// Configuration of the runtime adaptation loop: the telemetry-driven
-/// controller (re-planning + regret-based cache eviction), deadline-aware
-/// batching, and load shedding. Everything here is opt-in — the default is
-/// a fully static engine, matching the behaviour of earlier revisions.
+/// Configuration of the runtime adaptation loop: the telemetry-driven shed
+/// controller, bounded admission and deadlines. Everything here is opt-in —
+/// the default is a fully static engine.
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
-    /// Master switch for the adaptation controller thread. When `false`
-    /// nothing is spawned and only explicitly-passed deadlines (via
-    /// [`crate::ServeEngine::submit_with_deadline`]) have any effect.
-    pub enabled: bool,
     /// How often the controller wakes to inspect its telemetry window.
+    /// Must be non-zero when a shed budget is set.
     pub tick: Duration,
-    /// Minimum number of batches a window must contain before the
-    /// controller acts on it — guards against re-planning or shedding on
-    /// statistically vacuous evidence.
+    /// Minimum number of samples a window must contain before the
+    /// controller acts on it — guards against shedding on statistically
+    /// vacuous evidence.
     pub min_window_batches: u64,
     /// Queue-wait budget for load shedding: when the windowed p95 queue
     /// wait exceeds this, the engine enters shed mode (new requests beyond
     /// a batch's worth are rejected with [`crate::Rejected::Shed`]) until
     /// the windowed p95 falls back below half the budget (hysteresis).
-    /// `None` disables telemetry-driven shedding.
+    /// The controller thread runs exactly when this is set; `None` spawns
+    /// nothing.
     pub shed_queue_wait_budget: Option<Duration>,
     /// Hard bound on the admission queue depth, enforced exactly under the
     /// queue lock. Offers beyond it are rejected with
@@ -127,23 +124,16 @@ pub struct AdaptConfig {
     /// (measured from submission). `None` means plain submissions carry no
     /// deadline.
     pub default_deadline: Option<Duration>,
-    /// A cached schedule is evicted when its observed mean device time
-    /// exceeds `regret_threshold ×` its (calibrated) predicted time — the
-    /// prediction has stopped describing reality, so the entry is removed
-    /// and re-optimized on next use.
-    pub regret_threshold: f64,
 }
 
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
-            enabled: false,
             tick: Duration::from_millis(20),
             min_window_batches: 8,
             shed_queue_wait_budget: None,
             admission_capacity: None,
             default_deadline: None,
-            regret_threshold: 2.0,
         }
     }
 }
@@ -156,7 +146,7 @@ pub struct ServeConfig {
     /// The cost model schedules are optimized against.
     pub cost_model: CostModelKind,
     /// Largest batch the dynamic batcher coalesces. Requests are dispatched
-    /// as soon as `max_batch` are queued.
+    /// as soon as `max_batch` are queued. Must be at least 1.
     pub max_batch: usize,
     /// Longest time the oldest queued request waits before a partial batch
     /// is dispatched anyway.
@@ -173,8 +163,8 @@ pub struct ServeConfig {
     /// Whether a cache miss on an exact batch size triggers background
     /// re-optimization for that batch size (Table 3 as a runtime policy).
     pub background_reoptimize: bool,
-    /// Runtime adaptation loop (controller, deadlines, shedding). Disabled
-    /// by default.
+    /// Runtime adaptation loop (shed controller, admission bound,
+    /// deadlines). Disabled by default.
     pub adapt: AdaptConfig,
     /// Per-tenant admission: WFQ weights and token-bucket rate limits.
     /// The default (every tenant on [`TenantConfig::default`]: weight 1,
@@ -204,10 +194,10 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Sets the maximum batch size (pre-warmed by default, unless an
-    /// explicit pre-warm list was configured).
+    /// explicit pre-warm list was configured). The engine refuses to start
+    /// with zero.
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch >= 1, "max_batch must be at least 1");
         self.max_batch = max_batch;
         self
     }
@@ -272,27 +262,19 @@ impl ServeConfig {
         self
     }
 
-    /// Enables (or disables) the adaptation controller thread.
-    #[must_use]
-    pub fn with_adaptation(mut self, enabled: bool) -> Self {
-        self.adapt.enabled = enabled;
-        self
-    }
-
-    /// Sets the controller's tick interval.
+    /// Sets the controller's tick interval (non-zero when a shed budget is
+    /// set; checked when the engine starts).
     #[must_use]
     pub fn with_adapt_tick(mut self, tick: Duration) -> Self {
-        assert!(!tick.is_zero(), "the adaptation tick must be non-zero");
         self.adapt.tick = tick;
         self
     }
 
-    /// Sets the queue-wait p95 budget that triggers load shedding (also
-    /// enables the controller, which hosts the shed policy).
+    /// Sets the queue-wait p95 budget that triggers load shedding, which
+    /// starts the controller thread that hosts the shed policy.
     #[must_use]
     pub fn with_shed_queue_wait_budget(mut self, budget: Duration) -> Self {
         self.adapt.shed_queue_wait_budget = Some(budget);
-        self.adapt.enabled = true;
         self
     }
 
@@ -309,15 +291,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_default_deadline(mut self, budget: Duration) -> Self {
         self.adapt.default_deadline = Some(budget);
-        self
-    }
-
-    /// Sets the observed/predicted device-time ratio beyond which a cached
-    /// schedule is evicted as stale.
-    #[must_use]
-    pub fn with_regret_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 1.0, "a regret threshold must exceed 1.0");
-        self.adapt.regret_threshold = threshold;
         self
     }
 
@@ -369,17 +342,52 @@ mod tests {
         );
     }
 
+    /// Starts an engine on a one-convolution network: the configuration
+    /// checks run before anything is optimized or spawned.
+    fn start(config: ServeConfig) {
+        use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+        let input = TensorShape::new(1, 2, 4, 4);
+        let mut b = GraphBuilder::new("config_tiny", input);
+        let x = b.input(0);
+        let a = b.conv2d("a", x, Conv2dParams::relu(2, (1, 1), (1, 1), (0, 0)));
+        let network = Network::new("config_tiny", input, vec![Block::new(b.build(vec![a]))]);
+        crate::ServeEngine::start(network, config).shutdown();
+    }
+
     #[test]
     #[should_panic(expected = "max_batch must be at least 1")]
     fn zero_batch_rejected() {
-        let _ = ServeConfig::default().with_max_batch(0);
+        start(ServeConfig::default().with_max_batch(0));
+    }
+
+    /// The fields are public, so a zero set by assignment bypasses every
+    /// builder; the batcher would then hand out empty batches forever.
+    #[test]
+    #[should_panic(expected = "max_batch must be at least 1")]
+    fn a_field_assigned_zero_max_batch_is_rejected_at_start() {
+        let mut config = ServeConfig::default().with_workers(1);
+        config.max_batch = 0;
+        start(config);
+    }
+
+    /// A zero tick would make the shed controller spin.
+    #[test]
+    #[should_panic(expected = "the adaptation tick must be non-zero")]
+    fn a_zero_tick_with_a_shed_budget_is_rejected_at_start() {
+        start(
+            ServeConfig::default()
+                .with_shed_queue_wait_budget(Duration::from_millis(10))
+                .with_adapt_tick(Duration::ZERO),
+        );
     }
 
     #[test]
     fn adaptation_stays_opt_in_and_builders_compose() {
         let default = ServeConfig::default();
-        assert!(!default.adapt.enabled, "the adaptation loop is opt-in");
-        assert!(default.adapt.shed_queue_wait_budget.is_none());
+        assert!(
+            default.adapt.shed_queue_wait_budget.is_none(),
+            "the shed controller is opt-in"
+        );
         assert!(default.adapt.admission_capacity.is_none());
         assert!(default.adapt.default_deadline.is_none());
 
@@ -387,12 +395,7 @@ mod tests {
             .with_shed_queue_wait_budget(Duration::from_millis(10))
             .with_admission_capacity(64)
             .with_default_deadline(Duration::from_millis(50))
-            .with_adapt_tick(Duration::from_millis(5))
-            .with_regret_threshold(3.0);
-        assert!(
-            config.adapt.enabled,
-            "configuring a shed budget implies the controller"
-        );
+            .with_adapt_tick(Duration::from_millis(5));
         assert_eq!(
             config.adapt.shed_queue_wait_budget,
             Some(Duration::from_millis(10))
@@ -403,7 +406,6 @@ mod tests {
             Some(Duration::from_millis(50))
         );
         assert_eq!(config.adapt.tick, Duration::from_millis(5));
-        assert!((config.adapt.regret_threshold - 3.0).abs() < f64::EPSILON);
     }
 
     #[test]

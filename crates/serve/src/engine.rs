@@ -57,8 +57,8 @@ pub(crate) struct Shared {
     pub(crate) background: Mutex<HashMap<usize, JoinHandle<()>>>,
     /// Serializes schedule searches ([`Shared::ensure_exact`]).
     pub(crate) optimizing: Mutex<()>,
-    /// Live state of the runtime adaptation loop (shed mode, regret
-    /// observations, controller stop signal).
+    /// Live state of the runtime adaptation loop (shed mode, controller
+    /// stop signal).
     pub(crate) adapt: AdaptState,
     pub(crate) next_id: AtomicU64,
     /// Batch correlation ids for the tracer: every span and instant a
@@ -128,8 +128,8 @@ impl Shared {
 pub struct ServeEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// The adaptation controller thread, when [`crate::AdaptConfig`]
-    /// enabled it.
+    /// The shed controller thread, when
+    /// [`crate::AdaptConfig::shed_queue_wait_budget`] is set.
     controller: Option<JoinHandle<()>>,
 }
 
@@ -200,6 +200,15 @@ impl ServeEngine {
         cost: Arc<dyn CostModel + Send + Sync>,
         executor: Box<dyn BatchExecutor>,
     ) -> Self {
+        // The one configuration check: the fields are public, so no
+        // builder can guard them. A zero `max_batch` would have the batcher
+        // hand out empty batches forever; a zero tick would spin the
+        // controller.
+        assert!(config.max_batch >= 1, "max_batch must be at least 1");
+        assert!(
+            config.adapt.shed_queue_wait_budget.is_none() || !config.adapt.tick.is_zero(),
+            "the adaptation tick must be non-zero"
+        );
         assert!(!network.blocks.is_empty(), "cannot serve an empty network");
         assert_eq!(
             network.blocks[0].graph.input_shapes().len(),
@@ -249,7 +258,7 @@ impl ServeEngine {
             })
             .collect();
 
-        let controller = shared.config.adapt.enabled.then(|| {
+        let controller = shared.config.adapt.shed_queue_wait_budget.map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ios-serve-adapt".to_string())
@@ -426,8 +435,8 @@ impl ServeEngine {
     }
 
     fn stop(&mut self) {
-        // Stop the adaptation controller first so no re-plan or eviction
-        // races the drain below.
+        // Stop the shed controller first so no shed-mode flip races the
+        // drain below.
         self.shared.adapt.request_stop();
         if let Some(controller) = self.controller.take() {
             let _ = controller.join();
@@ -754,79 +763,6 @@ mod tests {
             text.contains("ios_panics_total{site=\"reoptimize\"} 1"),
             "the dead fill is counted when it is reaped"
         );
-        engine.shutdown();
-    }
-
-    /// A re-plan that panics (the controller's search for the dominant
-    /// batch size hits a faulty profiler) is caught and counted, the engine
-    /// keeps serving on the nearest schedule, and a later tick retries and
-    /// lands the exact one.
-    #[test]
-    fn a_panicking_replan_leaves_the_old_plan_serving_and_counters_flat() {
-        let net = tiny_network();
-        let mut config = quick_config()
-            .with_prewarm_batches(vec![4])
-            .with_background_reoptimize(false)
-            .with_adaptation(true)
-            .with_adapt_tick(Duration::from_millis(5))
-            // Only the re-plan channel is under test: a sky-high regret
-            // threshold keeps CPU timing noise from evicting schedules.
-            .with_regret_threshold(1e9);
-        config.adapt.min_window_batches = 4;
-        let (engine, cost) = PanicsOnce::armed_engine(&net, config);
-        let inputs: Vec<TensorData> = (0..4)
-            .map(|seed| TensorData::random(net.input_shape, seed))
-            .collect();
-        let references: Vec<Vec<TensorData>> = inputs
-            .iter()
-            .map(|input| ios_backend::execute_network(&net, std::slice::from_ref(input)))
-            .collect();
-        let serve = |seed: usize| {
-            let response = engine.infer(inputs[seed].clone()).unwrap();
-            assert_eq!(response.outputs.len(), references[seed].len());
-            for (lease, reference) in response.outputs.iter().zip(&references[seed]) {
-                assert_eq!(lease, reference, "served bit-identically");
-            }
-            response.schedule_source
-        };
-
-        // Singles make batch 1 dominant. Until the controller lands its
-        // exact schedule, the prewarmed batch-4 one serves them; its first
-        // attempt hits the fault, a later tick retries.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while serve(1) != ScheduleSource::Exact {
-            assert!(
-                Instant::now() < deadline,
-                "the controller never landed the exact batch-1 schedule \
-                 (replans {})",
-                engine.metrics().replans
-            );
-        }
-        assert!(!cost.armed.load(Ordering::SeqCst), "the fault fired");
-        let text = engine.prometheus_text();
-        assert!(
-            text.lines()
-                .any(|l| l == "ios_panics_total{site=\"adapt\"} 1"),
-            "the panicking re-plan is counted once"
-        );
-        let before = engine.metrics();
-        assert!(before.replans >= 2, "the failed re-plan was retried");
-
-        let (io_fresh, _) = engine.io_pool_stats();
-        let (exec_fresh, _) = engine.executor_pool_stats().expect("cpu pools");
-        for seed in 0..4 {
-            assert_eq!(serve(seed), ScheduleSource::Exact);
-        }
-        assert_eq!(engine.io_pool_stats().0, io_fresh, "io pool stays steady");
-        assert_eq!(
-            engine.executor_pool_stats().expect("cpu pools").0,
-            exec_fresh,
-            "executor pool stays steady"
-        );
-        let after = engine.metrics();
-        assert_eq!(after.cache.entries, 2, "batch 4 and the landed batch 1");
-        assert_eq!(after.cache.background_inserts, 0);
-        assert_eq!(after.cache.evictions, 0);
         engine.shutdown();
     }
 

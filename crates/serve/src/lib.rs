@@ -52,12 +52,10 @@
 //!   shape, cache hit rates and per-tenant `ios_tenant_*{tenant="…"}`
 //!   series.
 //! * **Runtime adaptation** ([`config::AdaptConfig`]) — an opt-in
-//!   controller thread windows the queue-wait and batch-size histograms
-//!   each tick and (1) sheds load when the windowed p95 queue wait
-//!   exceeds a budget, (2) re-plans schedule specialization when the
-//!   observed batch-size mix shifts, and
-//!   (3) evicts cached schedules whose measured device time regrets the
-//!   optimizer's prediction.
+//!   controller thread windows the queue-wait histogram each tick and
+//!   sheds load while the windowed p95 queue wait exceeds a budget. It
+//!   never touches the schedule cache: background re-optimization is the
+//!   one path that brings in an exact schedule.
 //!
 //! # Quickstart
 //!

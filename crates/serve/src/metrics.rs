@@ -63,7 +63,7 @@ pub(crate) enum PanicSite {
     /// A batch's execution or response; its requests complete as
     /// [`crate::Rejected::Failed`].
     Batch,
-    /// One adaptation-controller tick; the old plan keeps serving.
+    /// One shed-controller tick; the controller lives on to the next.
     Adapt,
     /// A background re-optimization; the nearest schedule keeps serving.
     Reoptimize,
@@ -124,7 +124,6 @@ pub(crate) struct ServeMetrics {
     pub shed: Count,
     pub deadline_expired: Count,
     pub failed: Count,
-    pub replans: Count,
     pub queue_depth: Count,
     /// Caught panics, by [`PanicSite`].
     panics: [Count; 3],
@@ -138,9 +137,6 @@ pub(crate) struct ServeMetrics {
     pub batch_assembly: Histogram,
     /// Per-batch (simulated) device time, ns.
     pub device_time: Histogram,
-    /// Dispatched batch sizes — the adaptation controller's sensor for the
-    /// observed traffic mix (windowed mode() = dominant batch size).
-    pub batch_size: Histogram,
     /// Per-tenant counters, created lazily on a tenant's first submit.
     /// (A `BTreeMap` so exports iterate deterministically.)
     tenants: Mutex<BTreeMap<TenantId, Arc<TenantMetrics>>>,
@@ -167,14 +163,13 @@ impl ServeMetrics {
     /// (debug-asserted); it is rounded — not truncated — to the nearest
     /// nanosecond, so sub-µs stage times are not silently dropped from the
     /// device totals.
-    pub fn record_batch(&self, batch_size: usize, device_time_us: f64) {
+    pub fn record_batch(&self, device_time_us: f64) {
         debug_assert!(
             device_time_us >= 0.0,
             "negative device time: {device_time_us} µs"
         );
         self.batches.add(1);
         self.device_time.record_us(device_time_us);
-        self.batch_size.record(batch_size as u64);
     }
 
     /// The one report of a caught panic: formats the payload, counts it
@@ -220,7 +215,6 @@ impl ServeMetrics {
             deadline_expired,
             failed,
             in_flight: submitted - (completed + shed + deadline_expired + failed),
-            replans: self.replans.get(),
             mean_batch_size: if batches == 0 {
                 0.0
             } else {
@@ -284,8 +278,6 @@ impl ServeMetrics {
                 "Requests completed as expired before reaching the device.";
             counter "ios_requests_failed_total" = self.failed.get(),
                 "Requests completed as failed: their batch panicked in the backend.";
-            counter "ios_adaptation_replans_total" = self.replans.get(),
-                "Telemetry-triggered schedule re-plans.";
             gauge "ios_queue_depth" = self.queue_depth.get() as f64,
                 "Requests waiting in the batching queue.";
             counter "ios_schedule_cache_hits_total" = cache.hits,
@@ -296,8 +288,6 @@ impl ServeMetrics {
                 "Batches served by the nearest cached batch size.";
             counter "ios_schedule_cache_background_inserts_total" = cache.background_inserts,
                 "Exact schedules inserted by background re-optimization.";
-            counter "ios_schedule_cache_evictions_total" = cache.evictions,
-                "Schedules evicted for regretting their predicted device time.";
             gauge "ios_schedule_cache_entries" = cache.entries as f64,
                 "Schedules currently cached.";
             gauge "ios_weight_cache_f32_bytes" = ext.weights.f32_bytes as f64,
@@ -419,9 +409,6 @@ pub struct MetricsSnapshot {
     /// Requests admitted and not yet finished: queued, or in a batch that
     /// is executing.
     pub in_flight: u64,
-    /// Times the adaptation controller re-specialized schedules in
-    /// response to an observed traffic-mix shift.
-    pub replans: u64,
     /// Mean coalesced batch size (`completed / batches`).
     pub mean_batch_size: f64,
     /// Median request latency (submission → response), µs wall clock.
@@ -493,8 +480,8 @@ mod tests {
     #[test]
     fn snapshot_aggregates_counters() {
         let metrics = ServeMetrics::default();
-        metrics.record_batch(4, 200.0);
-        metrics.record_batch(2, 100.0);
+        metrics.record_batch(200.0);
+        metrics.record_batch(100.0);
         metrics.submitted.add(6);
         metrics.completed.add(6);
         for latency in [10.0, 20.0, 30.0, 40.0, 50.0, 60.0] {
@@ -545,7 +532,7 @@ mod tests {
         let metrics = ServeMetrics::default();
         // 0.0006 µs = 0.6 ns each: truncation would record 0 forever.
         for _ in 0..1000 {
-            metrics.record_batch(1, 0.0006);
+            metrics.record_batch(0.0006);
         }
         let snap = metrics.snapshot(CacheStats::default());
         assert!(
@@ -562,25 +549,15 @@ mod tests {
         metrics.shed.add(1);
         metrics.shed.add(1);
         metrics.deadline_expired.add(1);
-        metrics.replans.add(1);
-        metrics.record_batch(4, 10.0);
-        metrics.record_batch(4, 10.0);
-        metrics.record_batch(1, 10.0);
         let snap = metrics.snapshot(CacheStats::default());
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.deadline_expired, 1);
-        assert_eq!(snap.replans, 1);
-        // The batch-size histogram sees the dispatched sizes; its mode is
-        // the dominant batch size the controller plans for.
-        let sizes = metrics.batch_size.snapshot();
-        assert_eq!(sizes.count, 3);
-        assert_eq!(sizes.mode(), Some(4));
     }
 
     #[test]
     fn snapshot_serializes() {
         let metrics = ServeMetrics::default();
-        metrics.record_batch(1, 50.0);
+        metrics.record_batch(50.0);
         metrics.latency.record_us(80.0);
         let snap = metrics.snapshot(CacheStats::default());
         let json = serde_json::to_string(&snap).unwrap();
@@ -591,19 +568,18 @@ mod tests {
     /// parent commit's hand-written exposition rendered for the same state
     /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
     /// two-lane host) — apart from the two families this table added, and
-    /// the pipeline counter and wording and the int8 weight gauge and kernel
-    /// series, which are stripped from it here.
+    /// the pipeline, re-plan and eviction counters and the int8 weight gauge
+    /// and kernel series, which are stripped from it here.
     #[test]
     fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
         let metrics = ServeMetrics::default();
-        metrics.record_batch(4, 200.0);
-        metrics.record_batch(2, 100.0);
+        metrics.record_batch(200.0);
+        metrics.record_batch(100.0);
         metrics.submitted.add(11);
         metrics.completed.add(6);
         metrics.shed.add(2);
         metrics.deadline_expired.add(1);
         metrics.failed.add(2);
-        metrics.replans.add(1);
         metrics.queue_depth.set(3);
         for us in [10.0, 20.0, 30.0, 40.0, 50.0, 60.0] {
             metrics.latency.record_us(us);
@@ -632,7 +608,6 @@ mod tests {
                 misses: 1,
                 nearest_served: 1,
                 background_inserts: 1,
-                evictions: 1,
                 entries: 2,
             },
             weights: WeightFootprint { f32_bytes: 640 },
@@ -656,17 +631,19 @@ mod tests {
                       ios_panics_total{site=\"batch\"} 1\n\
                       ios_panics_total{site=\"adapt\"} 0\n\
                       ios_panics_total{site=\"reoptimize\"} 1\n";
-        // The pipelined-batch counter and the int8 series are gone from the
-        // table, and re-plans no longer re-plan a pipeline.
+        // The pipelined-batch counter, the int8 series, the re-plan counter
+        // and the eviction counter are gone from the table.
         let removed = [
             "ios_pipelined_batches_total",
             "ios_weight_cache_int8_bytes",
             "path=\"int8\"",
+            "ios_adaptation_replans_total",
+            "ios_schedule_cache_evictions_total",
         ];
         let parent: String = include_str!("../tests/data/prometheus_parent.txt")
             .lines()
             .filter(|line| !removed.iter().any(|r| line.contains(r)))
-            .map(|line| line.replace("pipeline/schedule re-plans", "schedule re-plans") + "\n")
+            .map(|line| line.to_string() + "\n")
             .collect();
         assert_eq!(parent.matches(expired).count(), 1);
         let expected = parent.replacen(expired, &format!("{expired}{failed}"), 1) + panics;

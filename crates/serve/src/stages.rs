@@ -199,7 +199,7 @@ impl Shared {
     }
 
     /// **Execute**: stacks the inputs, runs the batch and accounts it
-    /// (assembly and device-time histograms, the regret sensor).
+    /// (assembly and device-time histograms).
     fn execute(
         &self,
         batch_id: u64,
@@ -229,14 +229,7 @@ impl Shared {
         });
         drop(exec_span);
         self.io_pool.recycle_tensor(stacked);
-        self.metrics
-            .record_batch(batch_size, outcome.device_time_us);
-        if self.config.adapt.enabled && source == ScheduleSource::Exact {
-            // Feed the regret sensor: measured device time vs what the
-            // schedule's optimizer predicted for exactly this batch size.
-            self.adapt
-                .observe(batch_size, outcome.device_time_us, schedule.latency_us);
-        }
+        self.metrics.record_batch(outcome.device_time_us);
         Executed {
             batch_id,
             batch_size,

@@ -1,29 +1,23 @@
-//! The runtime adaptation suite: deadline-aware batching and the
-//! telemetry-driven controller's re-planning and regret eviction. (The
-//! chaos case of a panic inside a re-plan is an engine unit test.)
+//! The runtime adaptation suite: deadline-aware batching, the mid-flight
+//! schedule swap a background fill makes, and the shed controller.
 //!
 //! * deadlines: an already-expired request completes with a typed
 //!   rejection **without any device dispatch**; a deadline-carrying
 //!   request flushes early instead of waiting out `max_wait`; a mixed
 //!   batch serves the live requests and rejects only the expired ones;
-//! * re-planning: when the observed batch-size mix shifts, the controller
-//!   re-plans (counter observed) and responses stay **bit-identical** to
-//!   solo references across the adaptation-triggered schedule swap;
-//! * regret: a backend whose measured device time drifts 10× away from
-//!   the optimizer's prediction gets its cached schedule evicted (after a
-//!   first calibration window bridges the units);
+//! * mid-flight swap: lone requests are served by the nearest cached
+//!   schedule until background re-optimization lands their exact one, and
+//!   responses stay **bit-identical** to solo references across the swap;
 //! * shed latch: a parked request that keeps the queue occupied (but never
 //!   fills a window) must not latch shed mode forever — the stale-tick
-//!   clause disengages it;
-//! * phantom dominant: a traffic mix of full batch-96 dispatches must not
-//!   make the controller optimize and cache a schedule for batch 97 (a
-//!   log-bucket representative that was never dispatched).
+//!   clause disengages it.
 
 use ios_backend::{execute_network, TensorData};
 use ios_ir::Network;
-use ios_serve::{BatchContext, BatchExecutor, BatchOutcome, Rejected, ServeConfig, ServeEngine};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use ios_serve::{
+    BatchContext, BatchExecutor, BatchOutcome, Rejected, ResponseHandle, ScheduleSource,
+    ServeConfig, ServeEngine,
+};
 use std::time::{Duration, Instant};
 
 mod common {
@@ -177,66 +171,76 @@ fn default_deadline_applies_to_plain_submits() {
     engine.shutdown();
 }
 
-// ------------------------------------------------------- mix-shift replan
+// --------------------------------------------------- mid-flight swap
 
+/// Table 3 at runtime: lone requests form batches of 1, which only the
+/// prewarmed batch-4 schedule can serve at first. Background
+/// re-optimization lands the exact batch-1 schedule while traffic keeps
+/// flowing, and every response before, across and after that swap — and
+/// through the bursts of 4 that follow — is bit-identical to solo
+/// execution.
 #[test]
-fn a_traffic_mix_shift_triggers_a_replan_and_responses_stay_bit_identical() {
+fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identical() {
     let net = common::three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
         .with_max_wait(Duration::from_millis(1))
-        .with_prewarm_batches(vec![1, 4])
-        .with_background_reoptimize(false)
-        .with_adaptation(true)
-        .with_adapt_tick(Duration::from_millis(5));
-    let mut adapt_config = config;
-    adapt_config.adapt.min_window_batches = 4;
-    let engine = ServeEngine::start(net.clone(), adapt_config);
+        .with_prewarm_batches(vec![4])
+        .with_background_reoptimize(true);
+    let engine = ServeEngine::start(net.clone(), config);
     let references: Vec<Vec<TensorData>> = (0..4).map(|s| reference_outputs(&net, s)).collect();
 
-    let check = |handles: Vec<ios_serve::ResponseHandle>, seeds: &[u64]| {
-        for (handle, &seed) in handles.into_iter().zip(seeds) {
-            let response = handle.wait_outcome().expect("no deadline configured");
-            for (lease, reference) in response.outputs.iter().zip(&references[seed as usize]) {
-                assert_eq!(
-                    lease, reference,
-                    "response diverged from solo execution across an \
-                     adaptation-triggered swap (batch {})",
-                    response.batch_size
-                );
-            }
-        }
+    let check = |handles: Vec<ResponseHandle>, seeds: &[u64]| -> Vec<ScheduleSource> {
+        handles
+            .into_iter()
+            .zip(seeds)
+            .map(|(handle, &seed)| {
+                let response = handle.wait_outcome().expect("no deadline configured");
+                assert_eq!(response.outputs.len(), references[seed as usize].len());
+                for (lease, reference) in response.outputs.iter().zip(&references[seed as usize]) {
+                    assert_eq!(
+                        lease, reference,
+                        "response diverged from solo execution across the \
+                         mid-flight schedule swap (batch {}, {:?})",
+                        response.batch_size, response.schedule_source
+                    );
+                }
+                response.schedule_source
+            })
+            .collect()
     };
 
-    // Phase 1: singles until the controller plans for batch 1.
+    // Singles until the background fill has landed batch 1's exact
+    // schedule; until then the batch-4 schedule serves them.
+    let mut served_nearest = 0;
     let deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().replans < 1 {
+    loop {
         assert!(
             Instant::now() < deadline,
-            "controller never re-planned for the single-request mix \
-             (replans {}, batches {})",
-            engine.metrics().replans,
-            engine.metrics().batches
+            "the background fill never landed the exact batch-1 schedule \
+             (background inserts {})",
+            engine.metrics().cache.background_inserts
         );
         let seed = 1u64;
         let handle = engine
             .submit(TensorData::random(net.input_shape, seed))
             .unwrap();
-        check(vec![handle], &[seed]);
+        match check(vec![handle], &[seed])[0] {
+            ScheduleSource::Exact => break,
+            ScheduleSource::Nearest { optimized_for: 4 } => served_nearest += 1,
+            other => panic!("a lone request was served by {other:?}"),
+        }
     }
+    assert!(
+        served_nearest >= 1,
+        "the first single must be served by the nearest (batch-4) schedule"
+    );
+    assert!(engine.metrics().cache.background_inserts >= 1);
 
-    // Phase 2: bursts of max_batch shift the dominant size to 4; the
-    // controller must re-plan again, and the swap must stay invisible in
-    // the numerics.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().replans < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "controller never re-planned after the mix shifted to bursts \
-             (replans {})",
-            engine.metrics().replans
-        );
+    // Bursts of max_batch run on the prewarmed batch-4 schedule, next to
+    // the freshly filled batch-1 one.
+    for _ in 0..8 {
         let seeds = [0u64, 1, 2, 3];
         let handles: Vec<_> = seeds
             .iter()
@@ -248,109 +252,6 @@ fn a_traffic_mix_shift_triggers_a_replan_and_responses_stay_bit_identical() {
             .collect();
         check(handles, &seeds);
     }
-
-    let metrics = engine.metrics();
-    assert!(
-        metrics.replans >= 2,
-        "one replan per observed dominant size"
-    );
-    // The exporter carries the counter.
-    let text = engine.prometheus_text();
-    assert!(text.contains("ios_adaptation_replans_total"));
-    engine.shutdown();
-}
-
-// --------------------------------------------------------- regret eviction
-
-/// Reports whatever device time the dial says — the knob that lets a test
-/// make measured reality drift away from the optimizer's prediction.
-struct DialableDeviceTime {
-    device_us: AtomicU64,
-}
-
-impl BatchExecutor for DialableDeviceTime {
-    fn name(&self) -> &'static str {
-        "dialable-device-time"
-    }
-    fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
-        BatchOutcome {
-            outputs: None,
-            device_time_us: self.device_us.load(Ordering::Relaxed) as f64,
-        }
-    }
-}
-
-#[test]
-fn schedules_whose_predictions_regret_measured_reality_are_evicted() {
-    let net = common::three_block_network();
-    let mut config = ServeConfig::default()
-        .with_max_batch(1)
-        .with_workers(1)
-        .with_max_wait(Duration::from_millis(1))
-        .with_prewarm_batches(vec![1])
-        .with_background_reoptimize(false)
-        .with_adaptation(true)
-        .with_adapt_tick(Duration::from_millis(5))
-        .with_regret_threshold(2.0);
-    config.adapt.min_window_batches = 4;
-    let dial = Arc::new(DialableDeviceTime {
-        device_us: AtomicU64::new(100),
-    });
-    struct Handle(Arc<DialableDeviceTime>);
-    impl BatchExecutor for Handle {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome {
-            self.0.execute(ctx)
-        }
-    }
-    let engine =
-        ServeEngine::start_with_executor(net.clone(), config, Box::new(Handle(Arc::clone(&dial))));
-
-    // Calibration phase: a steady 100 µs per batch teaches the controller
-    // the observed/predicted units bridge. Keep submitting until at least
-    // one full window has drained (no eviction must happen here).
-    let calibration_until = Instant::now() + Duration::from_millis(100);
-    while Instant::now() < calibration_until {
-        let _ = engine
-            .submit(TensorData::zeros(net.input_shape))
-            .unwrap()
-            .wait_outcome()
-            .unwrap();
-    }
-    assert_eq!(
-        engine.metrics().cache.evictions,
-        0,
-        "a schedule matching its calibrated prediction must not be evicted"
-    );
-
-    // Drift phase: measured device time jumps 10× past the calibrated
-    // prediction — well over the 2× regret threshold — and the cached
-    // batch-1 schedule must fall out.
-    dial.device_us.store(1000, Ordering::Relaxed);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().cache.evictions == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "regretted schedule was never evicted"
-        );
-        let _ = engine
-            .submit(TensorData::zeros(net.input_shape))
-            .unwrap()
-            .wait_outcome()
-            .unwrap();
-    }
-    let text = engine.prometheus_text();
-    assert!(text.contains("ios_schedule_cache_evictions_total"));
-    // The engine keeps serving after the eviction (the next miss simply
-    // re-optimizes).
-    let response = engine
-        .submit(TensorData::zeros(net.input_shape))
-        .unwrap()
-        .wait_outcome()
-        .unwrap();
-    assert_eq!(response.batch_size, 1);
     engine.shutdown();
 }
 
@@ -395,10 +296,8 @@ fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
         .with_max_wait(Duration::from_secs(60))
         .with_prewarm_batches(vec![1, 4])
         .with_background_reoptimize(false)
-        .with_adaptation(true)
         .with_adapt_tick(Duration::from_millis(100))
-        .with_shed_queue_wait_budget(Duration::from_millis(2))
-        .with_regret_threshold(1e9);
+        .with_shed_queue_wait_budget(Duration::from_millis(2));
     config.adapt.min_window_batches = 4;
     let engine = ServeEngine::start_with_executor(
         net.clone(),
@@ -485,80 +384,4 @@ fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
     };
     parked.expect("shutdown flushes the parked request");
     follow_up.wait_outcome().expect("and the follow-up");
-}
-
-// -------------------------------------- phantom dominant size regression
-
-/// Regression for the histogram-mode phantom: batch-size histogram buckets
-/// are exact only below 64, so a window of batch-96 dispatches reports its
-/// log-bucket representative 97 as the mode — a batch size that was never
-/// dispatched and (with `max_batch = 96`) never can be. The controller
-/// used to optimize and cache a schedule for that phantom size on every
-/// mix shift; it must snap the dominant size to a dispatchable one.
-#[test]
-fn a_replan_never_caches_a_schedule_for_a_phantom_batch_size() {
-    let net = common::three_block_network();
-    let mut config = ServeConfig::default()
-        .with_max_batch(96)
-        .with_workers(1)
-        .with_max_wait(Duration::from_millis(200))
-        .with_prewarm_batches(vec![96])
-        .with_background_reoptimize(false)
-        .with_adaptation(true)
-        .with_adapt_tick(Duration::from_millis(5))
-        .with_regret_threshold(1e9);
-    config.adapt.min_window_batches = 1;
-    // A metrics-only executor keeps batch-96 dispatches cheap: this test
-    // watches the controller, not the numerics.
-    let engine = ServeEngine::start_with_executor(
-        net.clone(),
-        config,
-        Box::new(DialableDeviceTime {
-            device_us: AtomicU64::new(100),
-        }),
-    );
-    assert_eq!(
-        engine.metrics().cache.entries,
-        1,
-        "exactly the prewarmed batch-96 schedule is cached at startup"
-    );
-
-    // Drive full batches of 96 until the controller re-plans for the
-    // observed mix. Submission is microseconds against a 200 ms max_wait,
-    // so every dispatch is a full batch of exactly 96.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while engine.metrics().replans < 1 {
-        assert!(
-            Instant::now() < deadline,
-            "controller never re-planned for the batch-96 mix (batches {})",
-            engine.metrics().batches
-        );
-        let handles: Vec<_> = (0..96)
-            .map(|i| {
-                engine
-                    .submit(TensorData::random(net.input_shape, i))
-                    .unwrap()
-            })
-            .collect();
-        for handle in handles {
-            handle.wait_outcome().expect("no deadline configured");
-        }
-    }
-    // Let a few more ticks elapse on the same mix: a phantom dominant
-    // would churn the cache on each of them.
-    std::thread::sleep(Duration::from_millis(50));
-
-    let metrics = engine.metrics();
-    assert!(metrics.replans >= 1, "the mix shift was observed");
-    assert_eq!(
-        metrics.cache.background_inserts, 0,
-        "the dominant size must snap to the (already cached) batch 96 — \
-         a background insert means the controller optimized a schedule \
-         for a phantom batch size no dispatch can ever use"
-    );
-    assert_eq!(
-        metrics.cache.entries, 1,
-        "the cache still holds exactly the prewarmed batch-96 schedule"
-    );
-    engine.shutdown();
 }

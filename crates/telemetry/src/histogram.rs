@@ -394,18 +394,6 @@ impl HistogramSnapshot {
         Some(out)
     }
 
-    /// The representative value of the heaviest bucket (ties prefer the
-    /// smaller value), or `None` when empty. For small-integer
-    /// distributions — batch sizes, queue depths — buckets below 32 are
-    /// exact, so this is the exact mode.
-    #[must_use]
-    pub fn mode(&self) -> Option<u64> {
-        self.buckets
-            .iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|&(index, _)| bucket_mid(index as usize).clamp(self.min, self.max))
-    }
-
     /// Mean of recorded values, or 0 when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -599,7 +587,6 @@ mod tests {
         assert!(delta.is_empty());
         assert_eq!(delta.percentile(95.0), None, "a vacuous p95 must be None");
         assert_eq!(delta.percentiles(&[50.0, 95.0]), None);
-        assert_eq!(delta.mode(), None);
         assert_eq!(delta, HistogramSnapshot::empty().window_delta(&a));
         assert_eq!(HistogramSnapshot::empty().percentile(50.0), None);
     }
@@ -616,20 +603,6 @@ mod tests {
         }
         let many = snap.percentiles(&[1.0, 50.0, 95.0, 99.0]).unwrap();
         assert_eq!(many[2], snap.percentile(95.0).unwrap());
-    }
-
-    #[test]
-    fn mode_picks_the_heaviest_bucket_preferring_smaller_ties() {
-        let h = Histogram::new();
-        for v in [4u64, 4, 4, 9, 9, 1] {
-            h.record(v);
-        }
-        assert_eq!(h.snapshot().mode(), Some(4));
-        let tie = Histogram::new();
-        for v in [2u64, 2, 8, 8] {
-            tie.record(v);
-        }
-        assert_eq!(tie.snapshot().mode(), Some(2), "ties prefer the smaller");
     }
 
     #[test]
