@@ -1,12 +1,14 @@
 //! The dynamic batching queue, with per-tenant weighted-fair admission.
 //!
 //! Single-sample requests accumulate in per-tenant FIFO lanes; worker
-//! threads take coalesced batches with the classic dynamic-batching
-//! policy: dispatch as soon as `max_batch` requests are queued (across all
-//! lanes), or when the *oldest* queued request has waited `max_wait`,
-//! whichever comes first. Under a deep queue every dispatch is a full
-//! batch (maximum device efficiency); under trickle load the wait bound
-//! keeps tail latency in check.
+//! threads take coalesced batches. A batch leaves as soon as `max_batch`
+//! requests are queued (across all lanes). A partial batch leaves at once
+//! when no batch is executing — on an idle engine a companion could only
+//! delay it — and otherwise once the *oldest* queued request has waited
+//! `max_wait` (or less when a deadline is near). A batch counts as
+//! executing until the [`InFlight`] guard handed out with it drops. Under a
+//! deep queue every dispatch is a full batch (maximum device efficiency);
+//! under trickle load a lone request goes straight to an idle device.
 //!
 //! **Weighted-fair dequeue.** Lanes are drained by virtual-time weighted
 //! fair queuing: each arrival is stamped with a virtual finish tag
@@ -48,7 +50,7 @@ use crate::config::{TenantConfig, TenantsConfig};
 use crate::metrics::Count;
 use crate::request::{Pending, TenantId};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Slack reserved on top of `predicted_exec` when a deadline tightens the
@@ -137,6 +139,8 @@ struct QueueState {
     /// Multiset of queued deadlines: the tightest is `first_key_value()`,
     /// maintained on push/drain instead of rescanned per condvar wakeup.
     deadlines: BTreeMap<Instant, u32>,
+    /// Batches handed out whose [`InFlight`] guard has not dropped yet.
+    in_flight: usize,
     closed: bool,
 }
 
@@ -237,6 +241,44 @@ pub(crate) enum Refused {
     Full,
     /// The tenant's token bucket is dry.
     RateLimited,
+}
+
+/// The rule that released a batch: `max_batch` queued, no batch
+/// executing, `max_wait` run out behind an executing batch, a deadline
+/// flush, or the queue closing — in the order of [`TRIGGERS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Trigger {
+    Full,
+    Idle,
+    Wait,
+    Deadline,
+    Close,
+}
+
+/// Each [`Trigger`]'s `trigger` label in `ios_batch_dispatch_total`.
+pub(crate) const TRIGGERS: [&str; 5] = ["full", "idle", "wait", "deadline", "close"];
+
+/// A batch the queue handed out, counted as executing until this drops —
+/// after the batch's run or the panic guard that caught it, so the count
+/// cannot leak.
+#[must_use]
+pub(crate) struct InFlight<'a> {
+    queue: &'a BatchQueue,
+    pub trigger: Trigger,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Never panic here: the guard may drop while a panic unwinds.
+        let queue = self.queue;
+        let mut state = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.in_flight -= 1;
+        // The engine just went idle: a queued partial batch has nothing
+        // left to wait for.
+        if state.in_flight == 0 && state.total > 0 {
+            queue.available.notify_one();
+        }
+    }
 }
 
 /// A thread-safe dynamic batching queue with per-tenant weighted-fair
@@ -344,32 +386,34 @@ impl BatchQueue {
         self.available.notify_all();
     }
 
-    /// Takes the next batch according to the dynamic batching policy, or
-    /// `None` when the queue is closed and drained.
+    /// Takes the next batch according to the dispatch rule, with the guard
+    /// that counts it as executing, or `None` when the queue is closed and
+    /// drained.
     ///
-    /// Blocks while the queue is empty (and open), or while a partial batch
-    /// is still inside the oldest request's `max_wait` window *and* no
-    /// queued request's deadline is closer than `predicted_exec` — the
-    /// caller's estimate of assembly + device time for the batch about to
-    /// form. A request with deadline `d` must dispatch by `d -
-    /// predicted_exec` to have any chance of completing in time, so the
-    /// most urgent such bound tightens the flush deadline. A full batch
-    /// still dispatches immediately: at exactly `max_batch` queued the
-    /// deadline machinery is never consulted.
+    /// Blocks while the queue is empty (and open). A partial batch blocks
+    /// only while another batch is in flight, and then only while it is
+    /// still inside the oldest request's `max_wait` window *and* no queued
+    /// request's deadline is closer than `predicted_exec`, the caller's
+    /// estimate of assembly + device time for the batch about to form. A
+    /// request with deadline `d` must dispatch by `d - predicted_exec` to
+    /// have any chance of completing in time, so the most urgent such bound
+    /// tightens the flush deadline. A full batch still dispatches
+    /// immediately: at exactly `max_batch` queued the deadline machinery is
+    /// never consulted.
     pub fn next_batch(
         &self,
         max_batch: usize,
         max_wait: Duration,
         predicted_exec: Duration,
-    ) -> Option<Vec<Pending>> {
+    ) -> Option<(Vec<Pending>, InFlight<'_>)> {
         // The span covers the whole wait: on a trace timeline it is the
         // gap between a worker going idle and its next batch forming.
         let mut span = ios_telemetry::tracer().span("batcher.next_batch", "serve");
-        let batch = self.wait_for_batch(max_batch, max_wait, predicted_exec);
-        if let Some(batch) = &batch {
+        let dispatch = self.wait_for_batch(max_batch, max_wait, predicted_exec);
+        if let Some((batch, _)) = &dispatch {
             span.set_arg(batch.len() as u64);
         }
-        batch
+        dispatch
     }
 
     fn wait_for_batch(
@@ -377,46 +421,60 @@ impl BatchQueue {
         max_batch: usize,
         max_wait: Duration,
         predicted_exec: Duration,
-    ) -> Option<Vec<Pending>> {
+    ) -> Option<(Vec<Pending>, InFlight<'_>)> {
         let mut state = self.state.lock().expect("queue lock");
-        loop {
+        let trigger = loop {
             if state.total >= max_batch {
-                return Some(state.drain(max_batch));
+                break Trigger::Full;
             }
             if state.closed {
                 if state.total == 0 {
                     return None;
                 }
-                return Some(state.drain(max_batch));
+                break Trigger::Close;
             }
-            if let Some(oldest) = state.oldest_enqueued() {
-                let mut flush_at = oldest + max_wait;
-                // The tightest queued deadline may be closer than the
-                // oldest request's wait bound; dispatch early enough that
-                // it still has predicted_exec of slack, plus a fixed margin
-                // for condvar wakeup and assembly jitter — without it a
-                // cold engine (predicted_exec zero) would flush a lone
-                // request exactly at its deadline and lose the race
-                // against its own expiry check. The minimum is maintained
-                // incrementally on push/drain, not rescanned per wakeup.
-                if let Some(deadline) = state.min_deadline() {
-                    let reserve = predicted_exec + DISPATCH_MARGIN;
-                    flush_at =
-                        flush_at.min(deadline.checked_sub(reserve).unwrap_or_else(Instant::now));
-                }
-                let now = Instant::now();
-                if now >= flush_at {
-                    return Some(state.drain(max_batch));
-                }
-                let (guard, _) = self
-                    .available
-                    .wait_timeout(state, flush_at - now)
-                    .expect("queue lock");
-                state = guard;
-            } else {
+            let Some(oldest) = state.oldest_enqueued() else {
                 state = self.available.wait(state).expect("queue lock");
+                continue;
+            };
+            if state.in_flight == 0 {
+                break Trigger::Idle;
             }
-        }
+            let mut flush = (oldest + max_wait, Trigger::Wait);
+            // The tightest queued deadline may be closer than the oldest
+            // request's wait bound; dispatch early enough that it still has
+            // predicted_exec of slack, plus a fixed margin for condvar
+            // wakeup and assembly jitter — without it a cold engine
+            // (predicted_exec zero) would flush a lone request exactly at
+            // its deadline and lose the race against its own expiry check.
+            // The minimum is maintained incrementally on push/drain, not
+            // rescanned per wakeup.
+            if let Some(deadline) = state.min_deadline() {
+                let reserve = predicted_exec + DISPATCH_MARGIN;
+                let by_deadline = deadline.checked_sub(reserve).unwrap_or_else(Instant::now);
+                if by_deadline < flush.0 {
+                    flush = (by_deadline, Trigger::Deadline);
+                }
+            }
+            let now = Instant::now();
+            if now >= flush.0 {
+                break flush.1;
+            }
+            let (guard, _) = self
+                .available
+                .wait_timeout(state, flush.0 - now)
+                .expect("queue lock");
+            state = guard;
+        };
+        state.in_flight += 1;
+        let batch = state.drain(max_batch);
+        Some((
+            batch,
+            InFlight {
+                queue: self,
+                trigger,
+            },
+        ))
     }
 
     /// The incrementally-maintained tightest queued deadline (test hook).
@@ -488,6 +546,31 @@ mod tests {
 
     const NO_EXEC: Duration = Duration::ZERO;
 
+    /// Hands out a first batch and keeps it executing: the in-flight batch
+    /// a partial batch waits behind.
+    fn hold_in_flight(queue: &BatchQueue) -> InFlight<'_> {
+        let (p, _rx) = pending(u64::MAX);
+        assert!(queue.push(p));
+        let (_, in_flight) = queue
+            .next_batch(1, Duration::from_secs(60), NO_EXEC)
+            .expect("open queue");
+        in_flight
+    }
+
+    /// A worker thread's next batch and the rule that released it (the
+    /// guard drops on the worker).
+    fn take_on_a_worker(
+        queue: &std::sync::Arc<BatchQueue>,
+        max_wait: Duration,
+    ) -> std::thread::JoinHandle<Option<(Vec<Pending>, Trigger)>> {
+        let queue = std::sync::Arc::clone(queue);
+        std::thread::spawn(move || {
+            queue
+                .next_batch(8, max_wait, NO_EXEC)
+                .map(|(batch, in_flight)| (batch, in_flight.trigger))
+        })
+    }
+
     #[test]
     fn full_batch_dispatches_immediately() {
         let queue = BatchQueue::new();
@@ -497,28 +580,92 @@ mod tests {
             assert!(queue.push(p));
             receivers.push(rx);
         }
-        let batch = queue
+        let (batch, in_flight) = queue
             .next_batch(4, Duration::from_secs(60), NO_EXEC)
             .expect("open queue");
         assert_eq!(batch.len(), 4);
         assert_eq!(batch[0].id, RequestId(0));
+        assert_eq!(in_flight.trigger, Trigger::Full);
         assert_eq!(queue.depth(), 1);
     }
 
     #[test]
     fn partial_batch_waits_for_the_deadline() {
         let queue = BatchQueue::new();
+        let _held = hold_in_flight(&queue);
         let (p, _rx) = pending(0);
         queue.push(p);
         let start = Instant::now();
-        let batch = queue
+        let (batch, in_flight) = queue
             .next_batch(8, Duration::from_millis(30), NO_EXEC)
             .expect("open queue");
         assert_eq!(batch.len(), 1);
+        assert_eq!(in_flight.trigger, Trigger::Wait);
         assert!(
             start.elapsed() >= Duration::from_millis(25),
             "dispatched after {:?}, before the wait bound",
             start.elapsed()
+        );
+    }
+
+    #[test]
+    fn an_idle_queue_hands_a_lone_request_out_at_once() {
+        let queue = BatchQueue::new();
+        let (p, _rx) = pending(0);
+        queue.push(p);
+        let start = Instant::now();
+        let (batch, in_flight) = queue
+            .next_batch(8, Duration::from_secs(60), NO_EXEC)
+            .expect("open queue");
+        assert_eq!(batch.len(), 1);
+        assert_eq!(in_flight.trigger, Trigger::Idle);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "no batch was executing, yet the lone request waited out max_wait"
+        );
+    }
+
+    #[test]
+    fn a_partial_batch_waits_while_any_handed_out_batch_still_executes() {
+        // The queue counts batches, not a busy flag: with two batches
+        // handed out, one of them finishing leaves the engine busy.
+        let queue = BatchQueue::new();
+        let _held = hold_in_flight(&queue);
+        for round in 0..2 {
+            let (p, _rx) = pending(round);
+            queue.push(p);
+            let start = Instant::now();
+            let (batch, in_flight) = queue
+                .next_batch(8, Duration::from_millis(30), NO_EXEC)
+                .expect("open queue");
+            assert_eq!((batch.len(), in_flight.trigger), (1, Trigger::Wait));
+            assert!(
+                start.elapsed() >= Duration::from_millis(25),
+                "round {round}: dispatched after {:?} with a batch in flight",
+                start.elapsed()
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_the_held_guard_dispatches_a_queued_partial_batch_at_once() {
+        let queue = std::sync::Arc::new(BatchQueue::new());
+        let held = hold_in_flight(&queue);
+        let worker = take_on_a_worker(&queue, Duration::from_secs(60));
+        let (p, _rx) = pending(0);
+        assert!(queue.push(p));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            !worker.is_finished(),
+            "a partial batch left while another batch was executing"
+        );
+        let start = Instant::now();
+        drop(held);
+        let (batch, trigger) = worker.join().expect("worker").expect("open queue");
+        assert_eq!((batch.len(), trigger), (1, Trigger::Idle));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the guard's drop must wake the waiting worker, not max_wait"
         );
     }
 
@@ -529,16 +676,14 @@ mod tests {
         // must wake on the push, sleep out the request's own deadline, and
         // dispatch a batch of exactly one.
         let queue = std::sync::Arc::new(BatchQueue::new());
-        let worker = {
-            let queue = std::sync::Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_batch(8, Duration::from_millis(25), NO_EXEC))
-        };
+        let _held = hold_in_flight(&queue);
+        let worker = take_on_a_worker(&queue, Duration::from_millis(25));
         std::thread::sleep(Duration::from_millis(15));
         let start = Instant::now();
         let (p, _rx) = pending(0);
         assert!(queue.push(p));
-        let batch = worker.join().expect("worker").expect("open queue");
-        assert_eq!(batch.len(), 1);
+        let (batch, trigger) = worker.join().expect("worker").expect("open queue");
+        assert_eq!((batch.len(), trigger), (1, Trigger::Wait));
         let waited = start.elapsed();
         assert!(
             waited >= Duration::from_millis(20),
@@ -559,7 +704,7 @@ mod tests {
         // Exactly max_batch queued: dispatch now (the 60 s deadline must
         // not be involved), exactly max_batch handed out, nothing left.
         let start = Instant::now();
-        let batch = queue
+        let (batch, _) = queue
             .next_batch(4, Duration::from_secs(60), NO_EXEC)
             .expect("open queue");
         assert!(
@@ -580,10 +725,8 @@ mod tests {
         // Shutdown with requests still queued: the close must hand them
         // out immediately (no 60 s deadline hang) as one final batch.
         let queue = std::sync::Arc::new(BatchQueue::new());
-        let worker = {
-            let queue = std::sync::Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_batch(8, Duration::from_secs(60), NO_EXEC))
-        };
+        let _held = hold_in_flight(&queue);
+        let worker = take_on_a_worker(&queue, Duration::from_secs(60));
         std::thread::sleep(Duration::from_millis(10));
         let mut receivers = Vec::new();
         for i in 0..3 {
@@ -593,12 +736,12 @@ mod tests {
         }
         let start = Instant::now();
         queue.close();
-        let batch = worker.join().expect("worker").expect("drains before None");
+        let (batch, trigger) = worker.join().expect("worker").expect("drains before None");
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "close must flush immediately, not wait out the deadline"
         );
-        assert_eq!(batch.len(), 3);
+        assert_eq!((batch.len(), trigger), (3, Trigger::Close));
         assert!(queue
             .next_batch(8, Duration::from_secs(60), NO_EXEC)
             .is_none());
@@ -610,7 +753,7 @@ mod tests {
         let (p, _rx) = pending(0);
         queue.push(p);
         queue.close();
-        let batch = queue
+        let (batch, _) = queue
             .next_batch(8, Duration::from_secs(60), NO_EXEC)
             .expect("drains first");
         assert_eq!(batch.len(), 1);
@@ -624,10 +767,7 @@ mod tests {
     #[test]
     fn blocked_worker_wakes_on_close() {
         let queue = std::sync::Arc::new(BatchQueue::new());
-        let worker = {
-            let queue = std::sync::Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_batch(8, Duration::from_secs(60), NO_EXEC))
-        };
+        let worker = take_on_a_worker(&queue, Duration::from_secs(60));
         std::thread::sleep(Duration::from_millis(20));
         queue.close();
         assert!(worker.join().expect("worker").is_none());
@@ -640,13 +780,14 @@ mod tests {
         // must flush at deadline - predicted_exec - margin, not at
         // max_wait.
         let queue = BatchQueue::new();
+        let _held = hold_in_flight(&queue);
         let (p, _rx) = pending_with_deadline(0, Some(Instant::now() + Duration::from_millis(150)));
         queue.push(p);
         let start = Instant::now();
-        let batch = queue
+        let (batch, in_flight) = queue
             .next_batch(8, Duration::from_secs(60), Duration::from_millis(10))
             .expect("open queue");
-        assert_eq!(batch.len(), 1);
+        assert_eq!((batch.len(), in_flight.trigger), (1, Trigger::Deadline));
         let waited = start.elapsed();
         assert!(
             waited >= Duration::from_millis(60) && waited < Duration::from_secs(5),
@@ -659,13 +800,14 @@ mod tests {
         // A request whose slack is already gone must not make the worker
         // wait at all; expiry itself is handled downstream at assembly.
         let queue = BatchQueue::new();
+        let _held = hold_in_flight(&queue);
         let (p, _rx) = pending_with_deadline(0, Some(Instant::now() - Duration::from_millis(5)));
         queue.push(p);
         let start = Instant::now();
-        let batch = queue
+        let (batch, in_flight) = queue
             .next_batch(8, Duration::from_secs(60), Duration::from_millis(10))
             .expect("open queue");
-        assert_eq!(batch.len(), 1);
+        assert_eq!((batch.len(), in_flight.trigger), (1, Trigger::Deadline));
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "expired deadline must flush without waiting"
@@ -689,7 +831,7 @@ mod tests {
             receivers.push(rx);
         }
         let start = Instant::now();
-        let batch = queue
+        let (batch, _) = queue
             .next_batch(4, Duration::from_secs(60), Duration::from_millis(25))
             .expect("open queue");
         assert_eq!(batch.len(), 4, "the full batch dispatches whole");
@@ -762,7 +904,7 @@ mod tests {
             assert_eq!(offer(&queue, p, None, false), Ok(()));
             receivers.push(rx);
         }
-        let batch = queue
+        let (batch, _) = queue
             .next_batch(8, Duration::from_secs(60), NO_EXEC)
             .expect("open queue");
         let order: Vec<u64> = batch.iter().map(|p| p.id.0).collect();
@@ -787,7 +929,7 @@ mod tests {
             assert!(offer(&queue, p, None, false).is_ok());
             receivers.push(rx);
         }
-        let batch = queue
+        let (batch, _) = queue
             .next_batch(8, Duration::from_secs(60), NO_EXEC)
             .expect("open queue");
         let alpha = batch.iter().filter(|p| p.tenant.name() == "alpha").count();
@@ -811,7 +953,7 @@ mod tests {
             queue.push(p);
             receivers.push(rx);
         }
-        let batch = queue
+        let (batch, _) = queue
             .next_batch(10, Duration::from_secs(60), NO_EXEC)
             .expect("open queue");
         let order: Vec<u64> = batch.iter().map(|p| p.id.0).collect();

@@ -148,8 +148,8 @@ pub struct ServeConfig {
     /// Largest batch the dynamic batcher coalesces. Requests are dispatched
     /// as soon as `max_batch` are queued. Must be at least 1.
     pub max_batch: usize,
-    /// Longest time the oldest queued request waits before a partial batch
-    /// is dispatched anyway.
+    /// Longest time a partial batch waits for companions while another
+    /// batch executes; an idle engine dispatches it at once.
     pub max_wait: Duration,
     /// Number of worker threads executing batches.
     pub workers: usize,
@@ -226,7 +226,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the partial-batch dispatch deadline.
+    /// Sets [`ServeConfig::max_wait`].
     #[must_use]
     pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
         self.max_wait = max_wait;

@@ -84,12 +84,13 @@ impl Shared {
     fn worker_loop(self: &Arc<Self>) {
         loop {
             let predicted_exec = self.predicted_exec();
-            let Some(mut requests) =
+            let Some((mut requests, in_flight)) =
                 self.queue
                     .next_batch(self.config.max_batch, self.config.max_wait, predicted_exec)
             else {
                 break;
             };
+            self.metrics.dispatched[in_flight.trigger as usize].add(1);
             self.metrics.queue_depth.set(self.queue.depth() as u64);
             // A panicking batch (e.g. a custom executor bug) must not kill
             // the worker, nor leave its requests unanswered: every member
@@ -102,6 +103,9 @@ impl Shared {
                     self.finish(pending, Err(Rejected::Failed));
                 }
             }
+            // Only now has the batch stopped executing, on every path: a
+            // partial batch another worker holds may leave at once.
+            drop(in_flight);
         }
     }
 }
@@ -498,6 +502,25 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_engine_answers_a_lone_request_without_waiting_out_max_wait() {
+        let net = tiny_network();
+        let engine = ServeEngine::start(
+            net.clone(),
+            quick_config().with_max_wait(Duration::from_secs(60)),
+        );
+        let start = Instant::now();
+        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(
+            response.queue_us < 10_000.0,
+            "queued {} µs on an idle engine",
+            response.queue_us
+        );
+        assert_eq!(engine.metrics().dispatch["idle"], 1);
+        engine.shutdown();
+    }
+
+    #[test]
     fn serves_single_requests() {
         let net = tiny_network();
         let engine = ServeEngine::start(net.clone(), quick_config());
@@ -591,10 +614,14 @@ mod tests {
     #[test]
     fn coalesces_deep_queues_into_full_batches() {
         let net = tiny_network();
-        let engine = ServeEngine::start(
+        let (executor, gate) = crate::common::gated(CpuReferenceExecutor::new());
+        let engine = ServeEngine::start_with_executor(
             net.clone(),
             quick_config().with_max_wait(Duration::from_millis(50)),
+            executor,
         );
+        // The queue deepens behind a lone request held in flight.
+        let held = gate.hold(&engine, TensorData::zeros(net.input_shape));
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 engine
@@ -602,6 +629,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        gate.release(held);
         let responses: Vec<_> = handles.into_iter().map(ResponseHandle::wait).collect();
         // All eight went through batches of max_batch = 4.
         assert!(
@@ -610,8 +638,18 @@ mod tests {
             responses.iter().map(|r| r.batch_size).collect::<Vec<_>>()
         );
         let metrics = engine.metrics();
-        assert_eq!(metrics.completed, 8);
-        assert!(metrics.mean_batch_size >= 3.9);
+        assert_eq!(metrics.completed, 1 + 8);
+        // Every batch handed out is counted once, under the rule that
+        // released it: the idle lone request, then two full batches.
+        let d = &metrics.dispatch;
+        assert_eq!(
+            ["full", "idle", "wait", "deadline", "close"].map(|trigger| d[trigger]),
+            [2, 1, 0, 0, 0]
+        );
+        assert_eq!(d.values().sum::<u64>(), metrics.batches);
+        assert!(engine
+            .prometheus_text()
+            .contains("ios_batch_dispatch_total{trigger=\"full\"} 2\n"));
         engine.shutdown();
     }
 
@@ -624,9 +662,12 @@ mod tests {
             .with_prewarm_batches(vec![1, 4])
             .with_background_reoptimize(false)
             .with_max_wait(Duration::from_millis(30));
-        let engine = ServeEngine::start(net.clone(), config);
+        let (executor, gate) = crate::common::gated(CpuReferenceExecutor::new());
+        let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
+        let hold = || gate.hold(&engine, TensorData::zeros(net.input_shape));
 
-        // A full batch of 4 → exact cache hit.
+        // Behind a held batch, a full batch of 4 forms → exact cache hit.
+        let held = hold();
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 engine
@@ -634,6 +675,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        gate.release(held);
         let responses: Vec<_> = handles.into_iter().map(ResponseHandle::wait).collect();
         assert!(responses
             .iter()
@@ -641,21 +683,22 @@ mod tests {
 
         // A lone pair → batch 2 has no exact schedule; the nearest cached
         // batch (1 or 4) serves it.
+        let held = hold();
         let h1 = engine
             .submit(TensorData::random(net.input_shape, 10))
             .unwrap();
         let h2 = engine
             .submit(TensorData::random(net.input_shape, 11))
             .unwrap();
+        gate.release(held);
         let (r1, r2) = (h1.wait(), h2.wait());
         for r in [&r1, &r2] {
-            if r.batch_size == 2 {
-                assert!(
-                    matches!(r.schedule_source, ScheduleSource::Nearest { optimized_for } if optimized_for == 1 || optimized_for == 4),
-                    "batch 2 must be served by a nearest schedule, got {:?}",
-                    r.schedule_source
-                );
-            }
+            assert_eq!(r.batch_size, 2, "the queued pair ships as one batch");
+            assert!(
+                matches!(r.schedule_source, ScheduleSource::Nearest { optimized_for } if optimized_for == 1 || optimized_for == 4),
+                "batch 2 must be served by a nearest schedule, got {:?}",
+                r.schedule_source
+            );
         }
         let stats = engine.metrics().cache;
         assert!(stats.hits >= 1);
@@ -762,6 +805,34 @@ mod tests {
         assert!(
             text.contains("ios_panics_total{site=\"reoptimize\"} 1"),
             "the dead fill is counted when it is reaped"
+        );
+        engine.shutdown();
+    }
+
+    /// A batch that panics still stops counting as executing: with a
+    /// second worker free and a 60 s `max_wait`, the next lone request
+    /// would otherwise wait out the minute behind a batch that is gone.
+    #[test]
+    fn a_panicked_batch_leaves_the_engine_idle() {
+        let net = tiny_network();
+        let config = quick_config()
+            .with_workers(2)
+            .with_max_wait(Duration::from_secs(60))
+            .with_prewarm_batches(vec![])
+            .with_background_reoptimize(false);
+        // Nothing is pre-warmed, so the first batch searches its schedule
+        // inside its run and hits the fault there.
+        let (engine, cost) = PanicsOnce::armed_engine(&net, config);
+        let doomed = engine.submit(TensorData::zeros(net.input_shape)).unwrap();
+        assert_eq!(doomed.wait_outcome().err(), Some(Rejected::Failed));
+        assert!(!cost.armed.load(Ordering::SeqCst), "the fault fired");
+        let start = Instant::now();
+        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(
+            response.queue_us < 10_000.0,
+            "queued {} µs behind a batch that had panicked",
+            response.queue_us
         );
         engine.shutdown();
     }

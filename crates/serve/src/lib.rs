@@ -15,8 +15,8 @@
 //!   the capacity per tenant as a weighted share (the over-quota tenant is
 //!   shed first). A refused offer finishes as [`request::Rejected::Shed`].
 //! * **Assemble** (`batcher`) — single-sample requests coalesce into
-//!   batches up to `max_batch`, with a `max_wait` bound on the oldest
-//!   request so tail latency stays controlled under trickle load; each
+//!   batches up to `max_batch`; a partial batch leaves at once on an idle
+//!   engine and waits at most `max_wait` while another batch executes. Each
 //!   tenant has its own FIFO lane drained by virtual-time weighted-fair
 //!   queuing (a burst cannot starve another tenant's trickle). Requests can
 //!   carry deadlines ([`ServeEngine::submit_with_deadline`]): the batcher
@@ -109,3 +109,11 @@ pub use request::{
     InferenceResponse, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,
     ServeError, TenantId,
 };
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+// The unit tests share the integration suites' executors (above), which
+// name this crate by its public path.
+#[cfg(test)]
+extern crate self as ios_serve;

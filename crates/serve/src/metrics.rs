@@ -16,6 +16,7 @@
 //! values carry at most [`Histogram::MAX_RELATIVE_ERROR`] (≈ 1.6 %)
 //! relative error.
 
+use crate::batcher::TRIGGERS;
 use crate::cache::CacheStats;
 use crate::request::TenantId;
 use ios_backend::simd::Isa;
@@ -121,6 +122,8 @@ pub(crate) struct ServeMetrics {
     pub submitted: Count,
     pub completed: Count,
     pub batches: Count,
+    /// Batches handed out, by [`crate::batcher::Trigger`].
+    pub dispatched: [Count; 5],
     pub shed: Count,
     pub deadline_expired: Count,
     pub failed: Count,
@@ -211,6 +214,11 @@ impl ServeMetrics {
             submitted,
             completed,
             batches,
+            dispatch: TRIGGERS
+                .iter()
+                .zip(&self.dispatched)
+                .map(|(trigger, count)| ((*trigger).to_string(), count.get()))
+                .collect(),
             shed,
             deadline_expired,
             failed,
@@ -267,11 +275,15 @@ impl ServeMetrics {
     pub fn prometheus_text(&self, ext: &External) -> String {
         let mut out = String::new();
         let (cache, pool) = (ext.cache, ext.pool);
+        let triggers = TRIGGERS.map(|trigger| [("trigger", trigger)]);
         table! { &mut out;
             counter "ios_requests_completed_total" = self.completed.get(),
                 "Requests answered since the engine started.";
             counter "ios_batches_total" = self.batches.get(),
                 "Batches dispatched since the engine started.";
+            counter_family "ios_batch_dispatch_total" = &labelled(&triggers, &self.dispatched),
+                "Batches the queue handed out, by the rule that released each: full, \
+                 idle (no batch executing), wait (max_wait), deadline, close.";
             counter "ios_requests_shed_total" = self.shed.get(),
                 "Requests turned away by admission control (bounded queue or shed mode).";
             counter "ios_requests_deadline_expired_total" = self.deadline_expired.get(),
@@ -314,13 +326,8 @@ impl ServeMetrics {
         }
         self.render_tenants(&mut out);
         let sites = PANIC_SITES.map(|site| [("site", site)]);
-        let panics: Vec<(&[(&str, &str)], u64)> = sites
-            .iter()
-            .zip(&self.panics)
-            .map(|(labels, count)| (labels.as_slice(), count.get()))
-            .collect();
         table! { &mut out;
-            counter_family "ios_panics_total" = &panics,
+            counter_family "ios_panics_total" = &labelled(&sites, &self.panics),
                 "Panics caught and isolated, by site: a batch, an adaptation tick, \
                  a background re-optimization.";
         }
@@ -366,6 +373,18 @@ impl ServeMetrics {
     }
 }
 
+/// One series per count of a one-label counter family.
+fn labelled<'a>(
+    labels: &'a [[(&'a str, &'a str); 1]],
+    counts: &[Count],
+) -> Vec<(&'a [(&'a str, &'a str)], u64)> {
+    labels
+        .iter()
+        .zip(counts)
+        .map(|(labels, count)| (labels.as_slice(), count.get()))
+        .collect()
+}
+
 /// A point-in-time view of one tenant's admission-path counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantMetricsSnapshot {
@@ -397,6 +416,10 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Batches dispatched so far.
     pub batches: u64,
+    /// Batches the queue handed out, by the `trigger` label of
+    /// `ios_batch_dispatch_total` that released each (`full`, `idle`,
+    /// `wait`, `deadline`, `close`).
+    pub dispatch: BTreeMap<String, u64>,
     /// Requests turned away by admission control (bounded queue or shed
     /// mode) — they never entered the queue.
     pub shed: u64,
@@ -567,14 +590,17 @@ mod tests {
     /// `prometheus_text` for a fixed, hand-recorded state must be what the
     /// parent commit's hand-written exposition rendered for the same state
     /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
-    /// two-lane host) — apart from the two families this table added, and
+    /// two-lane host) — apart from the three families this table added, and
     /// the pipeline, re-plan and eviction counters and the int8 weight gauge
     /// and kernel series, which are stripped from it here.
     #[test]
     fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
+        use crate::batcher::Trigger;
         let metrics = ServeMetrics::default();
         metrics.record_batch(200.0);
         metrics.record_batch(100.0);
+        metrics.dispatched[Trigger::Idle as usize].add(1);
+        metrics.dispatched[Trigger::Wait as usize].add(1);
         metrics.submitted.add(11);
         metrics.completed.add(6);
         metrics.shed.add(2);
@@ -620,6 +646,16 @@ mod tests {
             },
         });
 
+        let batches = "ios_batches_total 2\n";
+        let dispatch = "# HELP ios_batch_dispatch_total Batches the queue handed out, by the rule \
+                        that released each: full, idle (no batch executing), wait (max_wait), \
+                        deadline, close.\n\
+                        # TYPE ios_batch_dispatch_total counter\n\
+                        ios_batch_dispatch_total{trigger=\"full\"} 0\n\
+                        ios_batch_dispatch_total{trigger=\"idle\"} 1\n\
+                        ios_batch_dispatch_total{trigger=\"wait\"} 1\n\
+                        ios_batch_dispatch_total{trigger=\"deadline\"} 0\n\
+                        ios_batch_dispatch_total{trigger=\"close\"} 0\n";
         let expired = "ios_requests_deadline_expired_total 1\n";
         let failed = "# HELP ios_requests_failed_total Requests completed as failed: \
                       their batch panicked in the backend.\n\
@@ -646,7 +682,11 @@ mod tests {
             .map(|line| line.to_string() + "\n")
             .collect();
         assert_eq!(parent.matches(expired).count(), 1);
-        let expected = parent.replacen(expired, &format!("{expired}{failed}"), 1) + panics;
+        assert_eq!(parent.matches(batches).count(), 1);
+        let expected = parent
+            .replacen(batches, &format!("{batches}{dispatch}"), 1)
+            .replacen(expired, &format!("{expired}{failed}"), 1)
+            + panics;
         assert_eq!(text, expected);
         prom::validate(&text).expect("well-formed exposition");
     }

@@ -13,36 +13,33 @@
 //!   clause disengages it.
 
 use ios_backend::{execute_network, TensorData};
-use ios_ir::Network;
+use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 use ios_serve::{
-    BatchContext, BatchExecutor, BatchOutcome, Rejected, ResponseHandle, ScheduleSource,
-    ServeConfig, ServeEngine,
+    CpuReferenceExecutor, Rejected, ResponseHandle, ScheduleSource, ServeConfig, ServeEngine,
 };
 use std::time::{Duration, Instant};
 
-mod common {
-    use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+mod common;
 
-    /// The three-block chain from the concurrency suite: distinct
-    /// per-batch schedules, small enough to stress in CI.
-    pub fn three_block_network() -> Network {
-        let input = TensorShape::new(1, 4, 6, 6);
-        let mut b = GraphBuilder::new("adapt_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
-        let cat = b.concat("cat", &[a, c]);
-        let block0 = Block::new(b.build(vec![cat]));
-        let mut b = GraphBuilder::with_inputs("adapt_b1", block0.graph.output_shapes());
-        let x = b.input(0);
-        let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-        let block1 = Block::new(b.build(vec![d]));
-        let mut b = GraphBuilder::with_inputs("adapt_b2", block1.graph.output_shapes());
-        let x = b.input(0);
-        let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-        let block2 = Block::new(b.build(vec![e]));
-        Network::new("adapt_net", input, vec![block0, block1, block2])
-    }
+/// The three-block chain from the concurrency suite: distinct per-batch
+/// schedules, small enough to stress in CI.
+fn three_block_network() -> Network {
+    let input = TensorShape::new(1, 4, 6, 6);
+    let mut b = GraphBuilder::new("adapt_b0", input);
+    let x = b.input(0);
+    let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
+    let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
+    let cat = b.concat("cat", &[a, c]);
+    let block0 = Block::new(b.build(vec![cat]));
+    let mut b = GraphBuilder::with_inputs("adapt_b1", block0.graph.output_shapes());
+    let x = b.input(0);
+    let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
+    let block1 = Block::new(b.build(vec![d]));
+    let mut b = GraphBuilder::with_inputs("adapt_b2", block1.graph.output_shapes());
+    let x = b.input(0);
+    let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
+    let block2 = Block::new(b.build(vec![e]));
+    Network::new("adapt_net", input, vec![block0, block1, block2])
 }
 
 fn reference_outputs(net: &Network, seed: u64) -> Vec<TensorData> {
@@ -54,7 +51,7 @@ fn reference_outputs(net: &Network, seed: u64) -> Vec<TensorData> {
 
 #[test]
 fn an_already_expired_request_is_rejected_without_device_dispatch() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
@@ -84,14 +81,17 @@ fn an_already_expired_request_is_rejected_without_device_dispatch() {
 
 #[test]
 fn a_deadline_flushes_the_batch_early_instead_of_waiting_out_max_wait() {
-    let net = common::three_block_network();
-    // max_wait is a full minute; only the deadline can explain a prompt
-    // answer.
+    let net = three_block_network();
+    // max_wait is a full minute and one worker's batch is held in flight,
+    // so the other worker waits for companions: only the deadline can
+    // explain a prompt answer.
     let config = ServeConfig::default()
         .with_max_batch(8)
-        .with_workers(1)
+        .with_workers(2)
         .with_max_wait(Duration::from_secs(60));
-    let engine = ServeEngine::start(net.clone(), config);
+    let (executor, gate) = common::gated(CpuReferenceExecutor::new());
+    let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
+    let held = gate.hold(&engine, TensorData::zeros(net.input_shape));
     let start = Instant::now();
     let response = engine
         .submit_with_deadline(
@@ -113,19 +113,23 @@ fn a_deadline_flushes_the_batch_early_instead_of_waiting_out_max_wait() {
             "an early flush still serves exact numerics"
         );
     }
+    assert_eq!(engine.metrics().dispatch["deadline"], 1);
+    gate.release(held);
     engine.shutdown();
 }
 
 #[test]
 fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(2)
         .with_workers(1)
         .with_max_wait(Duration::from_millis(50));
-    let engine = ServeEngine::start(net.clone(), config);
-    // Two requests fill max_batch and dispatch together: one already
-    // expired, one with plenty of slack.
+    let (executor, gate) = common::gated(CpuReferenceExecutor::new());
+    let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
+    // Behind a batch held in flight, two requests fill max_batch and
+    // dispatch together: one already expired, one with plenty of slack.
+    let held = gate.hold(&engine, TensorData::zeros(net.input_shape));
     let doomed = engine
         .submit_with_deadline(TensorData::random(net.input_shape, 1), Duration::ZERO)
         .unwrap();
@@ -135,6 +139,7 @@ fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
             Duration::from_secs(60),
         )
         .unwrap();
+    gate.release(held);
     assert_eq!(
         doomed.wait_outcome().err(),
         Some(Rejected::DeadlineExceeded)
@@ -149,13 +154,21 @@ fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
     }
     let metrics = engine.metrics();
     assert_eq!(metrics.deadline_expired, 1);
-    assert_eq!(metrics.completed, 1);
+    assert_eq!(
+        metrics.completed,
+        1 + 1,
+        "the live request and the held one"
+    );
+    assert_eq!(
+        metrics.dispatch["full"], 1,
+        "the pair left as one full batch"
+    );
     engine.shutdown();
 }
 
 #[test]
 fn default_deadline_applies_to_plain_submits() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
@@ -181,7 +194,7 @@ fn default_deadline_applies_to_plain_submits() {
 /// execution.
 #[test]
 fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identical() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
@@ -257,26 +270,6 @@ fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identi
 
 // -------------------------------------------------- shed latch regression
 
-/// Burns a fixed wall-clock interval per batch, like the overload suite's
-/// slow executor — the knob that makes queue waits blow past the shed
-/// budget deterministically.
-struct SleepyExecutor {
-    batch_time: Duration,
-}
-
-impl BatchExecutor for SleepyExecutor {
-    fn name(&self) -> &'static str {
-        "sleepy"
-    }
-    fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
-        std::thread::sleep(self.batch_time);
-        BatchOutcome {
-            outputs: None,
-            device_time_us: self.batch_time.as_micros() as f64,
-        }
-    }
-}
-
 /// Regression for the shed-mode latch: a post-overload *trickle* — enough
 /// queued work to keep the queue non-empty at every tick, never enough to
 /// fill a window — used to keep shed mode engaged forever. The idle clause
@@ -286,24 +279,18 @@ impl BatchExecutor for SleepyExecutor {
 /// three sample-free ticks.
 #[test]
 fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     let batch_time = Duration::from_millis(20);
-    // max_wait is a full minute: a lone queued request never flushes on
-    // its own, pinning the queue depth at 1 for as long as the test runs.
     let mut config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
-        .with_max_wait(Duration::from_secs(60))
         .with_prewarm_batches(vec![1, 4])
         .with_background_reoptimize(false)
         .with_adapt_tick(Duration::from_millis(100))
         .with_shed_queue_wait_budget(Duration::from_millis(2));
     config.adapt.min_window_batches = 4;
-    let engine = ServeEngine::start_with_executor(
-        net.clone(),
-        config,
-        Box::new(SleepyExecutor { batch_time }),
-    );
+    let (executor, gate) = common::gated(common::SleepyExecutor { batch_time });
+    let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
     assert!(!engine.is_shedding(), "a fresh engine starts permissive");
 
     // Overload phase: 32 requests (an exact multiple of max_batch, so the
@@ -327,28 +314,23 @@ fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // Park one request. Shed mode caps the (sole) tenant at one batch's
-    // worth, and the burst drains four-at-a-time, so the retry loop can
-    // only land this request on an *empty* queue — where, at 1 < max_batch
-    // with a 60 s max_wait, it sits parked indefinitely.
-    let parked = loop {
-        match engine.submit(TensorData::random(net.input_shape, 999)) {
-            Ok(handle) => break handle,
-            Err(ios_serve::ServeError::Rejected(Rejected::Shed)) => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(other) => panic!("unexpected submit error: {other}"),
-        }
-    };
     for handle in burst {
         handle.wait_outcome().expect("burst requests complete");
     }
+    // Park one request behind a batch held in flight: the worker is
+    // parked at the gate, so the request stays queued for as long as the
+    // test runs. Shed mode caps the (sole) tenant at one batch's worth of
+    // queued requests, which both fit in.
+    let held = gate.hold(&engine, TensorData::random(net.input_shape, 998));
+    let parked = engine
+        .submit(TensorData::random(net.input_shape, 999))
+        .expect("one queued request is within the shed share");
 
-    // The queue now holds exactly the parked request: no window ever
-    // reaches min_window_batches again and the queue never drains empty.
-    // Pre-fix both disengage clauses are starved and shed mode stays
-    // latched forever; the stale-tick clause must release it within a few
-    // ticks.
+    // The queue now holds exactly the parked request and nothing
+    // completes: no window ever reaches min_window_batches again and the
+    // queue never drains empty. Pre-fix both disengage clauses are starved
+    // and shed mode stays latched forever; the stale-tick clause must
+    // release it within a few ticks.
     let deadline = Instant::now() + Duration::from_secs(30);
     while engine.is_shedding() {
         assert!(
@@ -376,12 +358,14 @@ fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
     let follow_up = engine
         .submit(TensorData::random(net.input_shape, 1000))
         .expect("admission recovered after the stale-tick disengage");
-    // Shutdown flushes the two parked requests as a final partial batch.
+    // Once the held batch finishes, the two parked requests leave as one
+    // partial batch.
+    gate.release(held);
     engine.shutdown();
     let parked = match parked.try_wait() {
         Ok(outcome) => outcome,
         Err(handle) => handle.wait_outcome(),
     };
-    parked.expect("shutdown flushes the parked request");
+    parked.expect("the parked request is answered");
     follow_up.wait_outcome().expect("and the follow-up");
 }

@@ -17,41 +17,40 @@
 //!   Chrome trace of a live engine depends on.
 
 use ios_backend::{execute_network, TensorData};
-use ios_serve::{ResponseHandle, ServeConfig, ServeEngine};
+use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_serve::{CpuReferenceExecutor, ResponseHandle, ServeConfig, ServeEngine};
 use ios_telemetry::TraceKind;
 use std::time::{Duration, Instant};
 
-mod common {
-    use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+mod common;
 
-    /// A three-block chain with a branchy head — big enough to get
-    /// distinct specialized schedules per batch size, small enough for a
-    /// stress loop in CI.
-    pub fn three_block_network() -> Network {
-        let input = TensorShape::new(1, 4, 6, 6);
-        let mut b = GraphBuilder::new("conc_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
-        let cat = b.concat("cat", &[a, c]);
-        let block0 = Block::new(b.build(vec![cat]));
-        let mut b = GraphBuilder::with_inputs("conc_b1", block0.graph.output_shapes());
-        let x = b.input(0);
-        let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-        let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-        let cat = b.concat("cat1", &[d, e]);
-        let block1 = Block::new(b.build(vec![cat]));
-        let mut b = GraphBuilder::with_inputs("conc_b2", block1.graph.output_shapes());
-        let x = b.input(0);
-        let f = b.conv2d("f", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-        let block2 = Block::new(b.build(vec![f]));
-        Network::new("conc_net", input, vec![block0, block1, block2])
-    }
+/// A three-block chain with a branchy head — big enough to get distinct
+/// specialized schedules per batch size, small enough for a stress loop in
+/// CI.
+fn three_block_network() -> Network {
+    let input = TensorShape::new(1, 4, 6, 6);
+    let mut b = GraphBuilder::new("conc_b0", input);
+    let x = b.input(0);
+    let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
+    let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
+    let cat = b.concat("cat", &[a, c]);
+    let block0 = Block::new(b.build(vec![cat]));
+    let mut b = GraphBuilder::with_inputs("conc_b1", block0.graph.output_shapes());
+    let x = b.input(0);
+    let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
+    let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
+    let cat = b.concat("cat1", &[d, e]);
+    let block1 = Block::new(b.build(vec![cat]));
+    let mut b = GraphBuilder::with_inputs("conc_b2", block1.graph.output_shapes());
+    let x = b.input(0);
+    let f = b.conv2d("f", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
+    let block2 = Block::new(b.build(vec![f]));
+    Network::new("conc_net", input, vec![block0, block1, block2])
 }
 
 /// The solo reference outputs for a seeded input — what every concurrent
 /// response must match bit for bit.
-fn reference_outputs(net: &ios_ir::Network, seed: u64) -> Vec<TensorData> {
+fn reference_outputs(net: &Network, seed: u64) -> Vec<TensorData> {
     let input = TensorData::random(net.input_shape, seed);
     execute_network(net, std::slice::from_ref(&input))
 }
@@ -59,12 +58,7 @@ fn reference_outputs(net: &ios_ir::Network, seed: u64) -> Vec<TensorData> {
 /// Stress the engine from `clients` threads × `rounds` seeded requests
 /// each, asserting every response against its solo reference. Returns the
 /// total number of requests issued.
-fn stress_bit_identity(
-    engine: &ServeEngine,
-    net: &ios_ir::Network,
-    clients: u64,
-    rounds: u64,
-) -> u64 {
+fn stress_bit_identity(engine: &ServeEngine, net: &Network, clients: u64, rounds: u64) -> u64 {
     let references: Vec<Vec<TensorData>> = (0..8).map(|s| reference_outputs(net, s)).collect();
     std::thread::scope(|scope| {
         for client in 0..clients {
@@ -96,7 +90,7 @@ fn stress_bit_identity(
 /// Bursts of three concurrent requests coalesce into batch sizes that have
 /// no exact cached schedule (only batch 1 and the full batch are
 /// pre-warmed), so each burst can trigger a background re-optimization.
-fn await_background_insert(engine: &ServeEngine, net: &ios_ir::Network) {
+fn await_background_insert(engine: &ServeEngine, net: &Network) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while engine.metrics().cache.background_inserts == 0 {
         assert!(
@@ -119,7 +113,7 @@ fn await_background_insert(engine: &ServeEngine, net: &ios_ir::Network) {
 
 #[test]
 fn responses_stay_bit_identical_while_schedules_swap_mid_flight() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     // Pre-warm only the full batch: every smaller coalesced batch is
     // served by the nearest schedule while the background re-optimizer
     // races to insert the exact one — schedules swap under live traffic.
@@ -142,7 +136,7 @@ fn responses_stay_bit_identical_while_schedules_swap_mid_flight() {
 
 #[test]
 fn cache_and_pool_counters_stay_consistent_under_racing_submit_and_drop() {
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(2)
@@ -226,17 +220,21 @@ fn cache_and_pool_counters_stay_consistent_under_racing_submit_and_drop() {
 
 #[test]
 fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
-    let net = common::three_block_network();
-    // One worker, deadlines far away: requests sit in the queue until
-    // shutdown flushes them.
+    let net = three_block_network();
+    // Two workers, one of them parked at the gate with a held batch: the
+    // other waits for companions, and with max_wait a minute away,
+    // requests sit in the queue until they fill a batch or shutdown
+    // flushes them.
     let config = ServeConfig::default()
         .with_max_batch(5)
-        .with_workers(1)
+        .with_workers(2)
         .with_max_wait(Duration::from_secs(60))
         .with_prewarm_batches(vec![3, 5])
         .with_background_reoptimize(false);
-    let engine = ServeEngine::start(net.clone(), config);
+    let (executor, gate) = common::gated(CpuReferenceExecutor::new());
+    let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
     let references: Vec<Vec<TensorData>> = (0..5).map(|s| reference_outputs(&net, s)).collect();
+    let held = gate.hold(&engine, TensorData::zeros(net.input_shape));
 
     // Wave 1: exactly max_batch queued → dispatches immediately as one
     // full batch (the engine-level exact-boundary case).
@@ -256,11 +254,12 @@ fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
     }
     drop(responses);
 
-    // Wave 2: three requests below the boundary, deadline an hour away —
-    // they are still queued when shutdown begins. Shutdown must flush
-    // them (no hang) and answer every handle; the leases those responses
-    // hold outlive the engine and return to its pool on drop (the
-    // counter-level proof is `shutdown_wave2_reuses_leases`).
+    // Wave 2: three requests below the boundary, max_wait a minute away
+    // and a batch still held in flight — they are still queued when
+    // shutdown begins. Shutdown must flush them (no hang) and answer every
+    // handle; the leases those responses hold outlive the engine and
+    // return to its pool on drop (the counter-level proof is
+    // `shutdown_wave2_reuses_leases`).
     let handles: Vec<_> = (0..3)
         .map(|s| {
             engine
@@ -268,14 +267,24 @@ fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
                 .unwrap()
         })
         .collect();
-    let shutdown_started = Instant::now();
-    engine.shutdown();
-    assert!(
-        shutdown_started.elapsed() < Duration::from_secs(30),
-        "shutdown must flush the queue, not wait out the 60 s deadline"
-    );
-    for (seed, handle) in handles.into_iter().enumerate() {
-        let response = handle.wait();
+    let responses = std::thread::scope(|scope| {
+        let shutdown = scope.spawn(move || {
+            let started = Instant::now();
+            engine.shutdown();
+            started.elapsed()
+        });
+        // Only the close can have flushed the trio: the held batch keeps
+        // the engine busy until the gate is released below.
+        let responses: Vec<_> = handles.into_iter().map(ResponseHandle::wait).collect();
+        gate.release(held);
+        let took = shutdown.join().expect("shutdown");
+        assert!(
+            took < Duration::from_secs(30),
+            "shutdown must flush the queue, not wait out the 60 s max_wait"
+        );
+        responses
+    });
+    for (seed, response) in responses.iter().enumerate() {
         assert_eq!(response.batch_size, 3, "the queued trio ships as one batch");
         for (lease, reference) in response.outputs.iter().zip(&references[seed]) {
             assert_eq!(lease, reference);
@@ -293,7 +302,7 @@ fn serving_spans_stay_well_nested_within_every_thread() {
     // invariants below are universal (they hold for every engine's
     // threads), and extra traffic only makes them harder to satisfy by
     // accident.
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(4)
         .with_workers(1)
@@ -420,15 +429,20 @@ fn shutdown_wave2_reuses_leases() {
     // pool, its responses drop (leases return), wave 2 of the same shape
     // must then be allocation-free at the serving boundary — measured
     // *before* shutdown so the engine is still alive to report counters.
-    let net = common::three_block_network();
+    let net = three_block_network();
     let config = ServeConfig::default()
         .with_max_batch(5)
         .with_workers(1)
         .with_max_wait(Duration::from_millis(5))
         .with_prewarm_batches(vec![5])
         .with_background_reoptimize(false);
-    let engine = ServeEngine::start(net.clone(), config);
+    let (executor, gate) = common::gated(CpuReferenceExecutor::new());
+    let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
+    // Each wave queues behind a held batch, so it ships as one batch of
+    // the same shape every time; the held response is kept until the wave
+    // is answered, so its lease never races the wave's.
     let wave = |count: usize| {
+        let held = gate.hold(&engine, TensorData::zeros(net.input_shape));
         let handles: Vec<_> = (0..count)
             .map(|s| {
                 engine
@@ -436,9 +450,11 @@ fn shutdown_wave2_reuses_leases() {
                     .unwrap()
             })
             .collect();
+        let held = gate.release(held);
         for handle in handles {
             drop(handle.wait());
         }
+        drop(held);
     };
     wave(5);
     let (io_fresh, _) = engine.io_pool_stats();

@@ -61,6 +61,17 @@ fn bucket_mid(index: usize) -> u64 {
     lower + (width >> 1)
 }
 
+/// `value` clamped to the recorded `[min, max]` — unless a reader raced a
+/// record and saw its count before its extremes (`min` above `max`), in
+/// which case the bucket value goes out unclamped.
+fn clamp_to_extremes(value: u64, min: u64, max: u64) -> u64 {
+    if min <= max {
+        value.clamp(min, max)
+    } else {
+        value
+    }
+}
+
 /// A thread-safe log-bucketed histogram of `u64` values (nanoseconds, by
 /// convention, throughout this workspace).
 ///
@@ -206,7 +217,11 @@ impl Histogram {
                 bucket += 1;
             }
             // `bucket - 1` holds the ranked value (the loop advanced past it).
-            out.push(bucket_mid(bucket.saturating_sub(1)).clamp(min, max));
+            out.push(clamp_to_extremes(
+                bucket_mid(bucket.saturating_sub(1)),
+                min,
+                max,
+            ));
         }
         Some(out)
     }
@@ -387,7 +402,7 @@ impl HistogramSnapshot {
                 }
             }
             out.push(match current {
-                Some(index) => bucket_mid(index as usize).clamp(self.min, self.max),
+                Some(index) => clamp_to_extremes(bucket_mid(index as usize), self.min, self.max),
                 None => self.max,
             });
         }
@@ -423,6 +438,18 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_percentile_read_racing_the_first_record_does_not_panic() {
+        // The state a reader sees between `record`'s count and its
+        // min / max updates, live and snapshotted.
+        let h = Histogram::new();
+        h.buckets[bucket_index(1_000)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        let mid = Some(bucket_mid(bucket_index(1_000)));
+        assert_eq!(h.percentile(50.0), mid);
+        assert_eq!(h.snapshot().percentile(50.0), mid);
+    }
 
     #[test]
     fn bucket_index_is_monotone_and_bounded() {

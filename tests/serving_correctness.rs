@@ -5,9 +5,17 @@
 //! documented hit/miss behaviour.
 
 use ios::backend::TensorData;
+use ios::core::{CachingCostModel, SimCostModel};
 use ios::prelude::*;
-use ios::serve::{ScheduleSource, ServeConfig, ServeEngine};
+use ios::serve::{
+    CpuReferenceExecutor, ScheduleSource, ServeConfig, ServeEngine, SimulatedDeviceExecutor,
+};
+use ios::sim::Simulator;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[path = "../crates/serve/tests/common/mod.rs"]
+mod common;
 
 /// The reference: every block executed with `execute_graph`, block outputs
 /// resolved and chained into the next block — no serving machinery at all.
@@ -48,9 +56,13 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
         .with_workers(1)
         .with_max_wait(Duration::from_millis(40))
         .with_prewarm_batches(vec![1, 4, 8]);
-    let engine = ServeEngine::start(network.clone(), config);
+    let (executor, gate) = common::gated(CpuReferenceExecutor::new());
+    let engine = ServeEngine::start_with_executor(network.clone(), config, executor);
 
     for batch in [1usize, 4, 8] {
+        // A lone request leaves the idle engine at once; a larger batch
+        // forms behind a batch held in flight.
+        let held = (batch > 1).then(|| gate.hold(&engine, samples[0].clone()));
         let sample_idx: Vec<usize> = (0..batch).map(|i| i % samples.len()).collect();
         let handles: Vec<_> = sample_idx
             .iter()
@@ -60,9 +72,13 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
                     .expect("engine accepts requests")
             })
             .collect();
+        if let Some(held) = held {
+            gate.release(held);
+        }
         let responses: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
 
         for (response, &s) in responses.iter().zip(&sample_idx) {
+            assert_eq!(response.batch_size, batch);
             // Batch sizes 1, 4 and 8 were pre-warmed: every request must be
             // served by its exactly specialized schedule.
             assert_eq!(
@@ -82,7 +98,11 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
     }
 
     let metrics = engine.metrics();
-    assert_eq!(metrics.completed, 1 + 4 + 8);
+    assert_eq!(
+        metrics.completed,
+        1 + 4 + 8 + 2,
+        "plus the two held requests"
+    );
     assert_eq!(
         metrics.cache.misses, 0,
         "all three batch sizes were pre-warmed"
@@ -102,12 +122,23 @@ fn schedule_cache_serves_specialized_schedules_with_nearest_fallback() {
         .with_max_wait(Duration::from_millis(20))
         .with_prewarm_batches(vec![1, 8])
         .with_background_reoptimize(true);
-    let engine = ServeEngine::start_simulated(network.clone(), config);
+    let cost = CachingCostModel::new(SimCostModel::new(Simulator::new(config.device)));
+    let (executor, gate) = common::gated(SimulatedDeviceExecutor::new(Arc::new(cost)));
+    let engine = ServeEngine::start_with_executor(network.clone(), config, executor);
     let input = || TensorData::zeros(network.input_shape);
+    // Requests queued behind a batch held in flight leave together once it
+    // finishes (the held lone request is an exact batch-1 hit).
+    let behind_a_held_batch = |count: usize| {
+        let held = gate.hold(&engine, input());
+        let handles: Vec<_> = (0..count)
+            .map(|_| engine.submit(input()).unwrap())
+            .collect();
+        gate.release(held);
+        handles
+    };
 
     // Depth 8 → exact batch-8 schedule.
-    let handles: Vec<_> = (0..8).map(|_| engine.submit(input()).unwrap()).collect();
-    for handle in handles {
+    for handle in behind_a_held_batch(8) {
         let response = handle.wait();
         assert_eq!(response.batch_size, 8);
         assert_eq!(response.schedule_source, ScheduleSource::Exact);
@@ -115,8 +146,10 @@ fn schedule_cache_serves_specialized_schedules_with_nearest_fallback() {
 
     // Three requests → batch 3 has no exact schedule; the nearest cached
     // batch size (1, distance 2, rather than 8, distance 5) serves it.
-    let handles: Vec<_> = (0..3).map(|_| engine.submit(input()).unwrap()).collect();
-    let responses: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    let responses: Vec<_> = behind_a_held_batch(3)
+        .into_iter()
+        .map(|h| h.wait())
+        .collect();
     assert!(responses.iter().all(|r| r.batch_size == 3));
     for response in &responses {
         assert_eq!(
@@ -136,8 +169,7 @@ fn schedule_cache_serves_specialized_schedules_with_nearest_fallback() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let handles: Vec<_> = (0..3).map(|_| engine.submit(input()).unwrap()).collect();
-    for handle in handles {
+    for handle in behind_a_held_batch(3) {
         assert_eq!(handle.wait().schedule_source, ScheduleSource::Exact);
     }
 
