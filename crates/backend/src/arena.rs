@@ -23,9 +23,9 @@
 
 use crate::tensor_data::TensorData;
 use ios_ir::TensorShape;
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// The scratch-allocation capability the operator kernels draw from: take
 /// a buffer, give it back. Implemented by the shared, thread-safe
@@ -124,7 +124,7 @@ impl ScratchPool {
     #[must_use]
     pub fn take(&self, len: usize) -> Vec<f32> {
         let recycled = {
-            let mut free = self.free.lock().expect("scratch pool lock");
+            let mut free = self.free.lock();
             // The list is sorted by capacity: the first fit is the best fit.
             let i = free.bufs.partition_point(|buf| buf.capacity() < len);
             (i < free.bufs.len()).then(|| {
@@ -160,7 +160,7 @@ impl ScratchPool {
         if buf.capacity() == 0 {
             return;
         }
-        let mut free = self.free.lock().expect("scratch pool lock");
+        let mut free = self.free.lock();
         if free.bufs.len() >= MAX_POOLED_BUFFERS
             || free.elements + buf.capacity() > MAX_POOLED_ELEMENTS
         {
@@ -210,13 +210,13 @@ impl ScratchPool {
     /// Buffers currently sitting in the pool.
     #[must_use]
     pub fn pooled(&self) -> usize {
-        self.free.lock().expect("scratch pool lock").bufs.len()
+        self.free.lock().bufs.len()
     }
 
     /// Total capacity currently retained by the pool, in `f32` elements.
     #[must_use]
     pub fn pooled_elements(&self) -> usize {
-        self.free.lock().expect("scratch pool lock").elements
+        self.free.lock().elements
     }
 }
 

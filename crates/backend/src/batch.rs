@@ -25,9 +25,10 @@ use crate::tensor_data::TensorData;
 use crate::workers;
 use ios_core::{MergedConv, NetworkSchedule, Schedule};
 use ios_ir::{Graph, Network, OpId, OpKind, OpSet, TensorShape, Value};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Precomputed weights of one operator, each in the form its kernel reads
 /// — so the serving hot path streams `A` contiguously and nothing else is
@@ -69,7 +70,7 @@ impl Clone for BlockWeights {
         BlockWeights {
             by_op: self.by_op.clone(),
             fold_plan: self.fold_plan.clone(),
-            merged: Mutex::new(self.merged.lock().expect("merged-weight lock").clone()),
+            merged: Mutex::new(self.merged.lock().clone()),
             merged_builds: AtomicU64::new(self.merged_builds.load(Ordering::Relaxed)),
             merged_hits: AtomicU64::new(self.merged_hits.load(Ordering::Relaxed)),
         }
@@ -167,7 +168,7 @@ impl BlockWeights {
     #[must_use]
     pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<PackedFilter> {
         let key: OpSet = merged.parts.iter().copied().collect();
-        if let Some(cached) = self.merged.lock().expect("merged-weight lock").get(&key) {
+        if let Some(cached) = self.merged.lock().get(&key) {
             self.merged_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
@@ -182,7 +183,7 @@ impl BlockWeights {
             (in_c / merged.params.groups) * mkh * mkw,
         ));
         self.merged_builds.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.merged.lock().expect("merged-weight lock");
+        let mut cache = self.merged.lock();
         // Two threads may race to build the same stage; both results are
         // identical, keep whichever landed first.
         Arc::clone(cache.entry(key).or_insert(built))
@@ -303,7 +304,7 @@ impl NetworkWeights {
     pub fn footprint(&self) -> WeightFootprint {
         let mut f32_bytes = self.sized().1;
         for block in &self.blocks {
-            let merged = block.merged.lock().expect("merged-weight lock");
+            let merged = block.merged.lock();
             f32_bytes += merged.values().map(|f| f.footprint().1).sum::<usize>();
         }
         WeightFootprint { f32_bytes }
@@ -473,6 +474,11 @@ pub fn execute_network_batched(
 /// allocation-accounting tests. The cap bounds samples only: the chunks of
 /// a large operator inside a sample still draw on whichever pool lanes are
 /// idle. Results are bit-identical for every cap.
+///
+/// Samples run one by one, not as one batch-*b* network, because a block
+/// keeps every op output live until it ends: batch *b* would hold *b*
+/// copies (`serve_open_squeezenet` peak RSS 62–67 → 138 MB, three
+/// alternated 10 s pairs, 2-vCPU host). ROADMAP item 4(b) solves that first.
 ///
 /// # Panics
 ///

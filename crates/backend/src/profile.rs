@@ -27,9 +27,11 @@ use crate::batch::BlockWeights;
 use crate::executor::execute_stage;
 use crate::tensor_data::TensorData;
 use ios_core::{graph_fingerprint, MergedConv, ParallelizationStrategy, Stage, StageProfiler};
-use ios_ir::{Graph, OpId, OpSet};
+use ios_ir::{Graph, Op, OpId, OpSet};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Warmed per-graph profiling state: weights plus synthetic inputs and
 /// predecessor outputs for every operator.
@@ -40,6 +42,14 @@ struct GraphState {
     /// of the operator's output shape so any stage can resolve its
     /// predecessors; stage runs overwrite their own ops' slots.
     outputs: Vec<Option<TensorData>>,
+}
+
+/// An operator's slot tensor, drawn from `seed`, the graph's fingerprint.
+fn seeded_output(op: &Op, seed: u64) -> TensorData {
+    TensorData::random(
+        op.output_shape,
+        seed ^ (op.id.index() as u64).wrapping_mul(0x9E3779B97F4A7C15),
+    )
 }
 
 impl GraphState {
@@ -53,12 +63,7 @@ impl GraphState {
         let outputs = graph
             .ops()
             .iter()
-            .map(|op| {
-                Some(TensorData::random(
-                    op.output_shape,
-                    seed ^ (op.id.index() as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                ))
-            })
+            .map(|op| Some(seeded_output(op, seed)))
             .collect();
         GraphState {
             weights,
@@ -111,7 +116,7 @@ impl Default for CpuStageProfiler {
 impl std::fmt::Debug for CpuStageProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuStageProfiler")
-            .field("graphs", &self.graphs.lock().expect("graph map lock").len())
+            .field("graphs", &self.graphs.lock().len())
             .finish()
     }
 }
@@ -132,7 +137,7 @@ impl CpuStageProfiler {
     /// built once and reused by every batch-resized instance.
     fn weights_for(&self, graph: &Graph) -> Arc<BlockWeights> {
         let key = weights_fingerprint(graph);
-        let mut weights = self.weights.lock().expect("weights map lock");
+        let mut weights = self.weights.lock();
         Arc::clone(
             weights
                 .entry(key)
@@ -143,7 +148,7 @@ impl CpuStageProfiler {
     /// Number of distinct graphs with warmed profiling state.
     #[must_use]
     pub fn warmed_graphs(&self) -> usize {
-        self.graphs.lock().expect("graph map lock").len()
+        self.graphs.lock().len()
     }
 
     /// Scratch-pool counters `(fresh heap allocations, pool reuses)` — in
@@ -155,12 +160,7 @@ impl CpuStageProfiler {
 
     fn state_for(&self, graph: &Graph) -> Arc<Mutex<GraphState>> {
         let fingerprint = graph_fingerprint(graph);
-        if let Some(state) = self
-            .graphs
-            .lock()
-            .expect("graph map lock")
-            .get(&fingerprint)
-        {
+        if let Some(state) = self.graphs.lock().get(&fingerprint) {
             return Arc::clone(state);
         }
         // Build outside the map lock (weight precompute + tensor seeding
@@ -170,7 +170,7 @@ impl CpuStageProfiler {
             fingerprint,
             self.weights_for(graph),
         )));
-        let mut graphs = self.graphs.lock().expect("graph map lock");
+        let mut graphs = self.graphs.lock();
         Arc::clone(graphs.entry(fingerprint).or_insert(built))
     }
 
@@ -178,10 +178,11 @@ impl CpuStageProfiler {
     /// previous outputs are recycled into the pool first (so the run's own
     /// takes reuse them — allocation-free in steady state), then the stage
     /// executes through [`execute_stage`] and leaves fresh outputs in the
-    /// state for any later stage that depends on them.
+    /// state for any later stage that depends on them. A stage that panics
+    /// re-seeds the slots it emptied, so later stages find their inputs.
     fn run_stage(&self, graph: &Graph, stage: &Stage) {
         let state = self.state_for(graph);
-        let mut state = state.lock().expect("graph state lock");
+        let mut state = state.lock();
         for op in stage.ops.iter() {
             if let Some(previous) = state.outputs[op.index()].take() {
                 self.pool.recycle_tensor(previous);
@@ -192,7 +193,16 @@ impl CpuStageProfiler {
             inputs,
             outputs,
         } = &mut *state;
-        execute_stage(graph, stage, inputs, weights, outputs, &self.pool);
+        let run = AssertUnwindSafe(|| {
+            execute_stage(graph, stage, inputs, weights, outputs, &self.pool);
+        });
+        if let Err(panic) = catch_unwind(run) {
+            let seed = graph_fingerprint(graph);
+            for op in stage.ops.iter() {
+                outputs[op.index()].get_or_insert_with(|| seeded_output(graph.op(op), seed));
+            }
+            resume_unwind(panic);
+        }
     }
 }
 
@@ -267,6 +277,24 @@ mod tests {
             "repeat stage runs must be allocation-free"
         );
         assert!(reuses > 0);
+    }
+
+    #[test]
+    fn a_panicking_stage_leaves_the_warmed_state_whole() {
+        // `d` reads `a`: listed against that order, the group panics with
+        // both slots already taken out of the warmed state.
+        let g = branchy();
+        let profiler = CpuStageProfiler::new();
+        let (a, d) = (OpId(0), OpId(2));
+        let backwards = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            profiler.run_concurrent(&g, &[vec![d, a]]);
+        }));
+        assert!(backwards.is_err(), "an intra-group dependency must panic");
+        // `d` alone finds `a` re-seeded, however often it is profiled.
+        for _ in 0..2 {
+            profiler.run_concurrent(&g, &[vec![d]]);
+        }
+        assert_eq!(profiler.warmed_graphs(), 1);
     }
 
     #[test]
@@ -351,7 +379,7 @@ mod tests {
         // …but share one precomputed weight table (weights are
         // batch-size independent).
         assert_eq!(
-            profiler.weights.lock().unwrap().len(),
+            profiler.weights.lock().len(),
             1,
             "batch-resized instances must share one BlockWeights"
         );

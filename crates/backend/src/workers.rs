@@ -44,12 +44,13 @@
 //! the overrides of the thread that posted it.
 
 use crate::simd::{self, Isa};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Multiply-accumulates (or pooling taps) an operator chunk must hold
 /// before the operator is split: an operator of fewer than two grains runs
@@ -145,7 +146,7 @@ impl Job {
             let outcome = catch_unwind(AssertUnwindSafe(|| body(chunk)));
             previous.install();
             if let Err(payload) = outcome {
-                let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+                let mut slot = self.panic.lock();
                 slot.get_or_insert(payload);
             }
             if self.operator {
@@ -160,7 +161,7 @@ impl Job {
             // acquire load that sees the count reach zero.
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 && !by_caller {
                 // The caller may be blocked waiting for exactly this.
-                let state = pool.lock();
+                let state = pool.state.lock();
                 if state.sleepers > 0 {
                     pool.wake.notify_all();
                 }
@@ -205,23 +206,17 @@ fn pool() -> &'static Pool {
 }
 
 impl Pool {
-    /// The pool's state. A poisoned lock is entered anyway: no code path
-    /// panics while holding it, and every update leaves it valid.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Blocks until `wake` is notified.
     fn sleep<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         state.sleepers += 1;
-        let mut state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+        let mut state = self.wake.wait(state);
         state.sleepers -= 1;
         state
     }
 
     /// Opens `job` to helpers, starting them on first use.
     fn post(&'static self, job: &Arc<Job>) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if !state.spawned {
             state.spawned = true;
             for lane in 0..self.helpers {
@@ -240,14 +235,14 @@ impl Pool {
 
     fn help_forever(&self, lane: usize) -> ! {
         leave_cpu(lane);
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             match state.open.iter().find(|job| job.has_unclaimed()) {
                 Some(job) => {
                     let job = Arc::clone(job);
                     drop(state);
                     job.work(self, false);
-                    state = self.lock();
+                    state = self.state.lock();
                 }
                 None => state = self.sleep(state),
             }
@@ -258,7 +253,7 @@ impl Pool {
     /// already claimed have finished, helping open operator jobs
     /// meanwhile.
     fn finish(&self, job: &Arc<Job>) {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         state.open.retain(|open| !Arc::ptr_eq(open, job));
         while job.pending.load(Ordering::Acquire) != 0 {
             match state
@@ -270,7 +265,7 @@ impl Pool {
                     let other = Arc::clone(other);
                     drop(state);
                     other.work(self, false);
-                    state = self.lock();
+                    state = self.state.lock();
                 }
                 None => state = self.sleep(state),
             }
@@ -376,7 +371,7 @@ fn run(chunks: usize, body: &(dyn Fn(usize) + Sync), operator: bool) {
     pool.post(&job);
     job.work(pool, true);
     pool.finish(&job);
-    let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+    let payload = job.panic.lock().take();
     if let Some(payload) = payload {
         resume_unwind(payload);
     }
@@ -387,15 +382,11 @@ pub(crate) fn parallel_map<T: Send>(chunks: usize, body: impl Fn(usize) -> T + S
     let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
     parallel_for(chunks, |chunk| {
         let value = body(chunk);
-        *slots[chunk].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
+        *slots[chunk].lock() = Some(value);
     });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every chunk ran")
-        })
+        .map(|slot| slot.into_inner().expect("every chunk ran"))
         .collect()
 }
 
@@ -578,13 +569,12 @@ mod tests {
                 parallel_for(4, |outer| {
                     parallel_for(3, |inner| {
                         seen.lock()
-                            .unwrap()
                             .push((outer, inner, simd::active_isa(), lanes()));
                     });
                 });
             });
         });
-        let mut seen = seen.into_inner().unwrap();
+        let mut seen = seen.into_inner();
         seen.sort();
         assert_eq!(seen.len(), 12);
         assert!(seen
@@ -655,7 +645,7 @@ mod tests {
                 with_forced_lanes(2, || {
                     parallel_for(8, |_| {
                         std::thread::sleep(std::time::Duration::from_millis(2));
-                        runners.lock().unwrap().push(std::thread::current().id());
+                        runners.lock().push(std::thread::current().id());
                     });
                 });
                 release.store(true, Ordering::Release);
@@ -671,7 +661,7 @@ mod tests {
                 });
             });
         });
-        let runners = runners.into_inner().unwrap();
+        let runners = runners.into_inner();
         assert_eq!(runners.len(), 8);
         assert!(!runners.contains(&waiter));
     }

@@ -2,7 +2,7 @@
 
 use ios_core::{sequential_network_schedule, SimCostModel};
 use ios_ir::{Conv2dParams, Graph, Network, OpId, OpKind, Value};
-use ios_sim::{DeviceKind, ExecutionOverheads, KernelLibrary, MeasureConfig, Simulator};
+use ios_sim::{DeviceKind, ExecutionOverheads, KernelLibrary, Simulator};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -152,12 +152,7 @@ impl Framework {
     /// Creates the framework model for a device preset.
     #[must_use]
     pub fn new(kind: FrameworkKind, device: DeviceKind) -> Self {
-        let simulator = Simulator::with_settings(
-            device.spec(),
-            kind.library(),
-            kind.overheads(),
-            MeasureConfig::deterministic(),
-        );
+        let simulator = Simulator::with_settings(device.spec(), kind.library(), kind.overheads());
         Framework { kind, simulator }
     }
 
@@ -178,7 +173,6 @@ impl Framework {
             self.simulator.device().clone(),
             self.kind.library(),
             self.kind.overheads(),
-            MeasureConfig::deterministic(),
         ));
         for block in &network.blocks {
             let rewritten = self.rewrite(&block.graph);

@@ -21,8 +21,9 @@
 use crate::engine::Shared;
 use crate::metrics::PanicSite;
 use ios_telemetry::HistogramSnapshot;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// Shed mode disengages after this many *consecutive* controller ticks
 /// whose window held fewer than `min_window_batches` samples: post-overload
@@ -44,7 +45,7 @@ pub(crate) struct AdaptState {
     /// the trickle-traffic disengage path.
     stale_ticks: AtomicU64,
     /// Stop signal for the controller thread.
-    stop: Mutex<bool>,
+    pub(crate) stop: Mutex<bool>,
     stop_signal: Condvar,
 }
 
@@ -56,7 +57,7 @@ impl AdaptState {
 
     /// Asks the controller thread to exit at its next wakeup.
     pub fn request_stop(&self) {
-        *self.stop.lock().expect("stop lock") = true;
+        *self.stop.lock() = true;
         self.stop_signal.notify_all();
     }
 }
@@ -69,12 +70,12 @@ pub(crate) fn controller_loop(shared: &Arc<Shared>) {
     // snapshot of the queue-wait histogram.
     let mut window = shared.metrics.queue_wait.snapshot();
     loop {
-        let stopped = shared.adapt.stop.lock().expect("stop lock");
-        let (stopped, _) = shared
-            .adapt
-            .stop_signal
-            .wait_timeout_while(stopped, shared.config.adapt.tick, |stopped| !*stopped)
-            .expect("stop lock");
+        let stopped = shared.adapt.stop.lock();
+        let (stopped, _) = shared.adapt.stop_signal.wait_timeout_while(
+            stopped,
+            shared.config.adapt.tick,
+            |stopped| !*stopped,
+        );
         if *stopped {
             return;
         }

@@ -49,8 +49,8 @@
 use crate::config::TenantConfig;
 use crate::metrics::Count;
 use crate::request::{Pending, TenantId};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Slack reserved on top of `predicted_exec` when a deadline tightens the
@@ -126,7 +126,7 @@ impl TenantLane {
 }
 
 #[derive(Debug, Default)]
-struct QueueState {
+pub(crate) struct QueueState {
     /// Per-tenant lanes, keyed by tenant id (ordered, so iteration — and
     /// therefore WFQ tie-breaking — is deterministic).
     lanes: BTreeMap<TenantId, TenantLane>,
@@ -271,7 +271,7 @@ impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         // Never panic here: the guard may drop while a panic unwinds.
         let queue = self.queue;
-        let mut state = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = queue.state.lock();
         state.in_flight -= 1;
         // The engine just went idle: a queued partial batch has nothing
         // left to wait for.
@@ -285,7 +285,7 @@ impl Drop for InFlight<'_> {
 /// admission.
 #[derive(Debug, Default)]
 pub(crate) struct BatchQueue {
-    state: Mutex<QueueState>,
+    pub(crate) state: Mutex<QueueState>,
     available: Condvar,
     tenants: BTreeMap<String, TenantConfig>,
 }
@@ -339,7 +339,7 @@ impl BatchQueue {
         shedding: bool,
         taken_on: &Count,
     ) -> Result<(), (Refused, Pending)> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.state.lock();
         if state.closed {
             return Err((Refused::Closed, pending));
         }
@@ -375,13 +375,13 @@ impl BatchQueue {
 
     /// Number of requests currently queued, across all tenants.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").total
+        self.state.lock().total
     }
 
     /// Closes the queue: pending requests are still handed out, further
     /// `push` calls are rejected, and workers receive `None` once drained.
     pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        self.state.lock().closed = true;
         self.available.notify_all();
     }
 
@@ -421,7 +421,7 @@ impl BatchQueue {
         max_wait: Duration,
         predicted_exec: Duration,
     ) -> Option<(Vec<Pending>, InFlight<'_>)> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.state.lock();
         let trigger = loop {
             if state.total >= max_batch {
                 break Trigger::Full;
@@ -433,7 +433,7 @@ impl BatchQueue {
                 break Trigger::Close;
             }
             let Some(oldest) = state.oldest_enqueued() else {
-                state = self.available.wait(state).expect("queue lock");
+                state = self.available.wait(state);
                 continue;
             };
             if state.in_flight == 0 {
@@ -459,11 +459,7 @@ impl BatchQueue {
             if now >= flush.0 {
                 break flush.1;
             }
-            let (guard, _) = self
-                .available
-                .wait_timeout(state, flush.0 - now)
-                .expect("queue lock");
-            state = guard;
+            state = self.available.wait_timeout(state, flush.0 - now).0;
         };
         state.in_flight += 1;
         let batch = state.drain(max_batch);
@@ -479,14 +475,14 @@ impl BatchQueue {
     /// The incrementally-maintained tightest queued deadline (test hook).
     #[cfg(test)]
     fn min_deadline_incremental(&self) -> Option<Instant> {
-        self.state.lock().expect("queue lock").min_deadline()
+        self.state.lock().min_deadline()
     }
 
     /// The tightest queued deadline recomputed by a full scan — the
     /// reference the incremental multiset must agree with (test hook).
     #[cfg(test)]
     fn min_deadline_scan(&self) -> Option<Instant> {
-        let state = self.state.lock().expect("queue lock");
+        let state = self.state.lock();
         state
             .lanes
             .values()
@@ -1088,7 +1084,7 @@ mod tests {
                 receivers.push(rx);
             } else {
                 let take = (r / 1000 % 4) as usize + 1;
-                let mut state = queue.state.lock().expect("queue lock");
+                let mut state = queue.state.lock();
                 let _ = state.drain(take);
             }
             assert_eq!(

@@ -1,34 +1,27 @@
-//! The specialized-schedule cache.
+//! The specialized-schedule cache: one table per engine, keyed by batch
+//! size.
 //!
 //! Table 3 of the paper shows that an IOS schedule is only optimal for the
-//! `(batch size, device)` it was profiled on. An online server sees many
-//! batch sizes, so this cache materializes that insight as a runtime
-//! policy: an engine serves one network on one device, so its schedules
-//! are keyed by batch size, optimized lazily on first miss, and an
-//! exact-batch miss can be served by the *nearest* cached batch size
-//! (schedule stage structure is valid at any batch) while a background
-//! worker optimizes the exact one. Background
-//! re-optimization runs against whatever cost model the engine was
-//! configured with — with `CostModelKind::CpuProfiled` the schedule that
-//! lands in the cache was *measured* on the serving backend, not simulated.
-//!
-//! The policy itself — `Shared::resolve_schedule` and its
-//! `Shared::ensure_exact` half — lives at the bottom of this module:
-//! every part of the engine that needs a schedule (pre-warm, the resolve
-//! stage) gets it there. Entries are never removed: the cost models the
-//! engine searches against do not learn, so a second search for a batch
-//! size returns the schedule already cached, and background
-//! re-optimization is the one path that brings in an exact schedule
-//! after start-up.
+//! `(batch size, device)` it was profiled on. An engine serves one network
+//! on one device, so it keeps one `Entry` per batch size it meets
+//! (`Shared::batches`): the network instance, the schedule once searched,
+//! and the background fill searching it. `Shared::resolve_schedule` is the
+//! one policy every part of the engine gets a schedule from: the exact one
+//! if cached, else the *nearest* cached batch size (stage structure is
+//! valid at any batch) while a background fill searches the exact one,
+//! else a synchronous search (`Shared::ensure_exact`). Searches run against
+//! the engine's cost model — with `CostModelKind::CpuProfiled`, one
+//! *measured* on the serving backend. Entries are never removed: the cost
+//! models do not learn, so a second search would find the same schedule.
 
 use crate::engine::Shared;
-use crate::metrics::{Count, PanicSite};
+use crate::metrics::PanicSite;
 use crate::request::ScheduleSource;
 use ios_core::{optimize_network, NetworkSchedule};
 use ios_ir::Network;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Counters describing cache behaviour.
@@ -60,209 +53,194 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe cache of one engine's batch-specialized network schedules,
-/// keyed by the batch size each was optimized for.
-#[derive(Debug, Default)]
-pub struct ScheduleCache {
-    entries: Mutex<HashMap<usize, Arc<NetworkSchedule>>>,
-    hits: Count,
-    misses: Count,
-    nearest_served: Count,
-    background_inserts: Count,
-}
-
-impl ScheduleCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        ScheduleCache::default()
-    }
-
-    /// Looks up the schedule specialized for exactly `batch`, counting a
-    /// hit or miss.
-    #[must_use]
-    pub fn lookup(&self, batch: usize) -> Option<Arc<NetworkSchedule>> {
-        let found = self.peek(batch);
-        match &found {
-            Some(_) => self.hits.add(1),
-            None => self.misses.add(1),
-        }
-        found
-    }
-
-    /// Like [`ScheduleCache::lookup`], but without touching the hit/miss
-    /// counters — for double-checked paths that already counted the miss.
-    #[must_use]
-    pub fn peek(&self, batch: usize) -> Option<Arc<NetworkSchedule>> {
-        self.entries
-            .lock()
-            .expect("cache lock")
-            .get(&batch)
-            .cloned()
-    }
-
-    /// Inserts the schedule optimized for `batch`.
-    pub fn insert(&self, batch: usize, schedule: Arc<NetworkSchedule>) {
-        self.entries
-            .lock()
-            .expect("cache lock")
-            .insert(batch, schedule);
-    }
-
-    /// The cached schedule whose batch size is nearest to `batch` (ties
-    /// prefer the smaller batch). Counts a nearest-serve when found.
-    #[must_use]
-    pub fn nearest_batch(&self, batch: usize) -> Option<(usize, Arc<NetworkSchedule>)> {
-        let entries = self.entries.lock().expect("cache lock");
-        let best = entries
-            .iter()
-            .min_by_key(|(&cached, _)| (cached.abs_diff(batch), cached))
-            .map(|(&cached, schedule)| (cached, Arc::clone(schedule)));
-        drop(entries);
-        if best.is_some() {
-            self.nearest_served.add(1);
-        }
-        best
-    }
-
-    /// Current counters.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            nearest_served: self.nearest_served.get(),
-            background_inserts: self.background_inserts.get(),
-            entries: self.entries.lock().expect("cache lock").len() as u64,
-        }
-    }
+/// What an engine keeps for one batch size, made on the size's first use.
+pub(crate) struct Entry {
+    /// The network shaped for this batch size (batch 1: the base itself).
+    network: Arc<Network>,
+    /// The schedule specialized for this batch size, once searched.
+    schedule: Option<Arc<NetworkSchedule>>,
+    /// The background fill searching `schedule`, until reaped or joined.
+    fill: Option<JoinHandle<()>>,
 }
 
 impl Shared {
-    /// The network instance shaped for `batch`, built on first use (batch 1
-    /// is the base instance itself).
-    pub(crate) fn instance(&self, batch: usize) -> Arc<Network> {
-        if batch == 1 {
-            return Arc::clone(&self.base);
-        }
-        let mut instances = self.instances.lock().expect("instances lock");
-        Arc::clone(
-            instances
-                .entry(batch)
-                .or_insert_with(|| Arc::new(self.base.with_batch_size(batch))),
-        )
+    /// `batch`'s entry in `table`, made on first use.
+    fn entry<'t>(&self, table: &'t mut BTreeMap<usize, Entry>, batch: usize) -> &'t mut Entry {
+        table.entry(batch).or_insert_with(|| Entry {
+            network: if batch == 1 {
+                Arc::clone(&self.base)
+            } else {
+                Arc::new(self.base.with_batch_size(batch))
+            },
+            schedule: None,
+            fill: None,
+        })
     }
 
-    /// The schedule specialized for exactly `batch`: the cached one, else
-    /// optimized now (synchronously) and cached. The flag tells whether
-    /// this call ran the search.
-    pub(crate) fn ensure_exact(&self, batch: usize) -> (Arc<NetworkSchedule>, bool) {
+    /// The schedule specialized for exactly `batch` with the network it
+    /// runs on: the cached one, else optimized now (synchronously) and
+    /// cached. The flag tells whether this call ran the search.
+    pub(crate) fn ensure_exact(&self, batch: usize) -> (Arc<Network>, Arc<NetworkSchedule>, bool) {
         // One search at a time: racing callers (cold-starting workers, a
         // background fill) would all run the same expensive
-        // search; whoever loses the race finds the winner's entry. The lock
-        // guards no data, so a search that panicked poisons nothing.
-        let _one_search = self
-            .optimizing
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(schedule) = self.cache.peek(batch) {
-            return (schedule, false);
-        }
-        let network = self.instance(batch);
+        // search; whoever loses the race finds the winner's entry.
+        let _one_search = self.optimizing.lock();
+        let network = {
+            let mut table = self.batches.lock();
+            let entry = self.entry(&mut table, batch);
+            if let Some(schedule) = &entry.schedule {
+                return (Arc::clone(&entry.network), Arc::clone(schedule), false);
+            }
+            Arc::clone(&entry.network)
+        };
+        // The search runs outside the table: batches of every other size
+        // keep resolving meanwhile.
         let schedule =
             Arc::new(optimize_network(&network, &self.cost, &self.config.scheduler).schedule);
-        self.cache.insert(batch, Arc::clone(&schedule));
-        (schedule, true)
+        self.entry(&mut self.batches.lock(), batch).schedule = Some(Arc::clone(&schedule));
+        (network, schedule, true)
     }
 
-    /// The Table 3 runtime policy: exact specialized schedule if cached,
-    /// else nearest cached batch (filling in the exact one in the
-    /// background), else optimize synchronously.
+    /// The Table 3 runtime policy (see the module docs), with the network
+    /// instance shaped for `batch`.
     pub(crate) fn resolve_schedule(
         self: &Arc<Self>,
         batch: usize,
-    ) -> (Arc<NetworkSchedule>, ScheduleSource) {
-        if let Some(schedule) = self.cache.lookup(batch) {
-            return (schedule, ScheduleSource::Exact);
+    ) -> (Arc<Network>, Arc<NetworkSchedule>, ScheduleSource) {
+        let mut table = self.batches.lock();
+        let entry = self.entry(&mut table, batch);
+        let network = Arc::clone(&entry.network);
+        if let Some(schedule) = &entry.schedule {
+            self.metrics.cache_hits.add(1);
+            return (network, Arc::clone(schedule), ScheduleSource::Exact);
         }
-        if let Some((optimized_for, schedule)) = self.cache.nearest_batch(batch) {
+        self.metrics.cache_misses.add(1);
+        // The nearest cached batch size; ties prefer the smaller batch.
+        let nearest = table
+            .iter()
+            .filter_map(|(&cached, entry)| Some((cached, entry.schedule.as_ref()?)))
+            .min_by_key(|&(cached, _)| (cached.abs_diff(batch), cached))
+            .map(|(cached, schedule)| (cached, Arc::clone(schedule)));
+        if let Some((optimized_for, schedule)) = nearest {
+            self.metrics.nearest_served.add(1);
             if self.config.background_reoptimize {
-                self.fill_in_background(batch);
+                self.fill_in_background(&mut table, batch);
             }
-            return (schedule, ScheduleSource::Nearest { optimized_for });
+            return (network, schedule, ScheduleSource::Nearest { optimized_for });
         }
+        drop(table);
         match self.ensure_exact(batch) {
-            (schedule, true) => (schedule, ScheduleSource::FreshlyOptimized),
-            (schedule, false) => (schedule, ScheduleSource::Exact),
+            (network, schedule, true) => (network, schedule, ScheduleSource::FreshlyOptimized),
+            (network, schedule, false) => (network, schedule, ScheduleSource::Exact),
         }
     }
 
     /// Optimizes the exact schedule for `batch` on a background thread,
     /// unless one is already at it: a batch size is claimed for as long as
     /// its thread runs.
-    fn fill_in_background(self: &Arc<Self>, batch: usize) {
-        let mut fills = self.background.lock().expect("background lock");
-        if fills.get(&batch).is_some_and(|fill| !fill.is_finished()) {
+    fn fill_in_background(self: &Arc<Self>, table: &mut BTreeMap<usize, Entry>, batch: usize) {
+        let entry = self.entry(table, batch);
+        if entry.fill.as_ref().is_some_and(|fill| !fill.is_finished()) {
             return;
         }
         let shared = Arc::clone(self);
         let fill = std::thread::Builder::new()
             .name(format!("ios-serve-reopt-b{batch}"))
             .spawn(move || {
-                if shared.ensure_exact(batch).1 {
-                    shared.cache.background_inserts.add(1);
+                if shared.ensure_exact(batch).2 {
+                    shared.metrics.background_inserts.add(1);
                 }
             })
             .expect("spawn background re-optimization thread");
         // Replacing a finished fill reaps it. One that died (a panicking
-        // cost model) left no entry behind, so this is its retry — the
+        // cost model) left no schedule behind, so this is its retry — the
         // batch size is not left on a nearest schedule for good.
-        if let Some(Err(panic)) = fills.insert(batch, fill).map(JoinHandle::join) {
+        if let Some(Err(panic)) = entry.fill.replace(fill).map(JoinHandle::join) {
             self.metrics.panic_message(PanicSite::Reoptimize, &*panic);
         }
+    }
+
+    /// The schedule-cache counters, with the number of batch sizes that
+    /// have a schedule.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let table = self.batches.lock();
+        let entries = table.values().filter(|e| e.schedule.is_some()).count();
+        CacheStats {
+            hits: self.metrics.cache_hits.get(),
+            misses: self.metrics.cache_misses.get(),
+            nearest_served: self.metrics.nearest_served.get(),
+            background_inserts: self.metrics.background_inserts.get(),
+            entries: entries as u64,
+        }
+    }
+
+    /// Joins every background fill still running or not yet reaped.
+    pub(crate) fn join_fills(&self) {
+        let mut table = self.batches.lock();
+        let fills: Vec<_> = table.values_mut().filter_map(|e| e.fill.take()).collect();
+        drop(table);
+        fills.into_iter().for_each(|fill| drop(fill.join()));
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ios_core::Schedule;
+    use crate::{ScheduleSource, ServeConfig, ServeEngine};
+    use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 
-    fn schedule(batch: usize) -> Arc<NetworkSchedule> {
-        Arc::new(NetworkSchedule {
-            network_name: "net".to_string(),
-            label: format!("batch{batch}"),
-            block_schedules: vec![Schedule::new("g", vec![])],
-            latency_us: batch as f64,
-        })
+    /// A simulated engine over a one-conv network with `prewarm` cached
+    /// and no background fills, so every resolution is observable.
+    fn simulated_engine(prewarm: Vec<usize>) -> ServeEngine {
+        let input = TensorShape::new(1, 4, 6, 6);
+        let mut b = GraphBuilder::new("cache_tiny", input);
+        let x = b.input(0);
+        let a = b.conv2d("a", x, Conv2dParams::relu(4, (3, 3), (1, 1), (1, 1)));
+        let network = Network::new("cache_tiny", input, vec![Block::new(b.build(vec![a]))]);
+        let config = ServeConfig {
+            prewarm_batches: Some(prewarm),
+            background_reoptimize: false,
+            ..ServeConfig::default()
+        };
+        ServeEngine::start_simulated(network, config)
     }
 
     #[test]
     fn exact_hits_and_misses_are_counted() {
-        let cache = ScheduleCache::new();
-        assert!(cache.lookup(4).is_none());
-        cache.insert(4, schedule(4));
-        assert_eq!(cache.lookup(4).unwrap().label, "batch4");
-        let stats = cache.stats();
+        let engine = simulated_engine(vec![4]);
+        let (network, _, source) = engine.shared.resolve_schedule(4);
+        assert_eq!(
+            (network.input_shape.batch, source),
+            (4, ScheduleSource::Exact)
+        );
+        let (network, _, source) = engine.shared.resolve_schedule(2);
+        assert_eq!(
+            network.input_shape.batch, 2,
+            "the instance matches the batch"
+        );
+        assert_eq!(source, ScheduleSource::Nearest { optimized_for: 4 });
+        let stats = engine.metrics().cache;
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!(stats.nearest_served, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn nearest_batch_prefers_closest_then_smaller() {
-        let cache = ScheduleCache::new();
-        cache.insert(1, schedule(1));
-        cache.insert(8, schedule(8));
-        let (batch, _) = cache.nearest_batch(6).unwrap();
-        assert_eq!(batch, 8);
-        let (batch, _) = cache.nearest_batch(3).unwrap();
+        let engine = simulated_engine(vec![1, 8]);
+        let nearest = |batch| match engine.shared.resolve_schedule(batch).2 {
+            ScheduleSource::Nearest { optimized_for } => optimized_for,
+            other => panic!("batch {batch} resolved {other:?}"),
+        };
+        assert_eq!(nearest(6), 8);
+        assert_eq!(nearest(3), 1, "3 is nearer to 1 than to 8");
+        // Ties prefer the smaller batch.
+        engine.shared.ensure_exact(5);
+        assert_eq!(nearest(3), 1);
+        // An empty cache has no candidates: the search runs in place.
+        let empty = simulated_engine(vec![]);
         assert_eq!(
-            batch, 1,
-            "equidistant from 1 and 8 minus... 3 is nearer to 1"
+            empty.shared.resolve_schedule(6).2,
+            ScheduleSource::FreshlyOptimized
         );
-        // Ties prefer the smaller batch; an empty cache has no candidates.
-        cache.insert(5, schedule(5));
-        assert_eq!(cache.nearest_batch(3).unwrap().0, 1);
-        assert!(ScheduleCache::new().nearest_batch(6).is_none());
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::adapt::AdaptState;
 use crate::batcher::BatchQueue;
-use crate::cache::ScheduleCache;
+use crate::cache::Entry;
 use crate::config::{CostModelKind, ServeConfig};
 use crate::exec::{BatchExecutor, CpuReferenceExecutor, SimulatedDeviceExecutor};
 use crate::metrics::{External, MetricsSnapshot, PanicSite, ServeMetrics};
@@ -12,9 +12,10 @@ use ios_backend::{CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
 use ios_core::{CachingCostModel, CostModel, ProfiledCostModel, SimCostModel};
 use ios_ir::{Network, TensorShape};
 use ios_sim::Simulator;
-use std::collections::HashMap;
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -30,13 +31,12 @@ fn host_cores() -> usize {
 /// controller ([`crate::adapt`]) and background re-optimization threads.
 pub(crate) struct Shared {
     /// The network at batch size 1 (instances for other batch sizes are
-    /// derived lazily).
+    /// derived lazily, in `batches`).
     pub(crate) base: Arc<Network>,
     /// Per-sample input shape requests must match.
     pub(crate) sample_shape: TensorShape,
     pub(crate) config: ServeConfig,
     pub(crate) queue: BatchQueue,
-    pub(crate) cache: ScheduleCache,
     /// One thread-safe cost model backs schedule optimization and
     /// background re-optimization (and, for the simulated backend, batch
     /// accounting). Selected by [`ServeConfig::cost_model`]: the analytical
@@ -51,11 +51,11 @@ pub(crate) struct Shared {
     /// at the boundary.
     pub(crate) io_pool: Arc<ScratchPool>,
     pub(crate) metrics: ServeMetrics,
-    pub(crate) instances: Mutex<HashMap<usize, Arc<Network>>>,
-    /// Background re-optimizations by batch size
-    /// ([`Shared::resolve_schedule`]).
-    pub(crate) background: Mutex<HashMap<usize, JoinHandle<()>>>,
-    /// Serializes schedule searches ([`Shared::ensure_exact`]).
+    /// Everything kept per batch size — network instance, schedule,
+    /// background fill — one [`Entry`] each ([`crate::cache`]).
+    pub(crate) batches: Mutex<BTreeMap<usize, Entry>>,
+    /// Serializes schedule searches ([`Shared::ensure_exact`]); held
+    /// across one, so it guards no data.
     pub(crate) optimizing: Mutex<()>,
     /// Live state of the runtime adaptation loop (shed mode, controller
     /// stop signal).
@@ -131,7 +131,7 @@ impl Shared {
 /// engine.shutdown();
 /// ```
 pub struct ServeEngine {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// The shed controller thread, when
     /// [`crate::AdaptConfig::shed_queue_wait_budget`] is set.
@@ -222,14 +222,12 @@ impl ServeEngine {
         let shared = Arc::new(Shared {
             sample_shape,
             queue: BatchQueue::with_tenants(config.tenants.clone()),
-            cache: ScheduleCache::new(),
             cost,
             weights,
             executor,
             io_pool: Arc::new(ScratchPool::new()),
             metrics: ServeMetrics::default(),
-            instances: Mutex::new(HashMap::new()),
-            background: Mutex::new(HashMap::new()),
+            batches: Mutex::new(BTreeMap::new()),
             optimizing: Mutex::new(()),
             adapt: AdaptState::default(),
             next_id: AtomicU64::new(0),
@@ -354,7 +352,7 @@ impl ServeEngine {
     /// A snapshot of the serving metrics, including schedule-cache counters.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot(self.shared.cache.stats())
+        self.shared.metrics.snapshot(self.shared.cache_stats())
     }
 
     /// The retained records of the process-global tracer, rendered as a
@@ -373,7 +371,7 @@ impl ServeEngine {
     #[must_use]
     pub fn prometheus_text(&self) -> String {
         self.shared.metrics.prometheus_text(&External {
-            cache: self.shared.cache.stats(),
+            cache: self.shared.cache_stats(),
             weights: self.shared.weights.footprint(),
             isa: ios_backend::simd::active_isa(),
             pool: ios_backend::workers::stats(),
@@ -443,10 +441,7 @@ impl ServeEngine {
         }
         // With the workers gone nothing spawns another re-optimization:
         // wait out the ones still running.
-        let fills = std::mem::take(&mut *self.shared.background.lock().expect("background lock"));
-        for (_, fill) in fills {
-            let _ = fill.join();
-        }
+        self.shared.join_fills();
     }
 }
 
@@ -845,38 +840,39 @@ mod tests {
         engine.shutdown();
     }
 
+    /// The CPU reference backend, panicking on its first batch.
+    struct FailsFirstBatch {
+        armed: std::sync::atomic::AtomicBool,
+        inner: CpuReferenceExecutor,
+    }
+
+    impl FailsFirstBatch {
+        fn boxed() -> Box<Self> {
+            Box::new(FailsFirstBatch {
+                armed: std::sync::atomic::AtomicBool::new(true),
+                inner: CpuReferenceExecutor::new(),
+            })
+        }
+    }
+
+    impl BatchExecutor for FailsFirstBatch {
+        fn name(&self) -> &'static str {
+            "fails-first-batch"
+        }
+        fn execute(&self, ctx: &crate::exec::BatchContext<'_>) -> crate::exec::BatchOutcome {
+            assert!(
+                !self.armed.swap(false, Ordering::SeqCst),
+                "injected backend fault"
+            );
+            self.inner.execute(ctx)
+        }
+    }
+
     #[test]
     fn a_panicking_backend_does_not_kill_the_worker() {
-        use crate::exec::{BatchContext, BatchExecutor, BatchOutcome};
-        use std::sync::atomic::AtomicBool;
-
-        /// Panics on the first batch, behaves afterwards.
-        struct FaultyOnce {
-            fail_next: AtomicBool,
-        }
-        impl BatchExecutor for FaultyOnce {
-            fn name(&self) -> &'static str {
-                "faulty-once"
-            }
-            fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
-                if self.fail_next.swap(false, Ordering::SeqCst) {
-                    panic!("injected backend fault");
-                }
-                BatchOutcome {
-                    outputs: None,
-                    device_time_us: 1.0,
-                }
-            }
-        }
-
         let net = tiny_network();
-        let engine = ServeEngine::start_with_executor(
-            net.clone(),
-            quick_config(),
-            Box::new(FaultyOnce {
-                fail_next: AtomicBool::new(true),
-            }),
-        );
+        let engine =
+            ServeEngine::start_with_executor(net.clone(), quick_config(), FailsFirstBatch::boxed());
         // The first request's batch panics: its handle observes the drop
         // (wait panics), but the worker must survive…
         let doomed = engine.submit(TensorData::zeros(net.input_shape)).unwrap();
@@ -886,6 +882,111 @@ mod tests {
         let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
         assert_eq!(response.batch_size, 1);
         engine.shutdown();
+    }
+
+    /// The fault matrix, one test per lock the engine takes: `poison`
+    /// panics on a thread of its own while it holds that lock. Then a
+    /// doomed batch panics (reported under `last_panic`), 16 requests are
+    /// served bit-identical to `execute_network`, and every request is
+    /// accounted for. Nothing is pre-warmed, so serving searches a
+    /// schedule, and the shed controller ticks every millisecond. Every
+    /// wait is bounded: a lock left broken fails the test, never hangs it.
+    fn serves_after_a_panic_holding(poison: impl FnOnce(&Shared) + Send) {
+        use crate::config::AdaptConfig;
+        use ios_backend::execute_network;
+        let net = tiny_network();
+        let config = ServeConfig {
+            prewarm_batches: Some(vec![]),
+            adapt: AdaptConfig {
+                tick: Duration::from_millis(1),
+                shed_queue_wait_budget: Some(Duration::from_secs(60)),
+                ..AdaptConfig::default()
+            },
+            ..quick_config()
+        };
+        let engine =
+            ServeEngine::start_with_executor(net.clone(), config, FailsFirstBatch::boxed());
+        let poisoner = std::thread::scope(|s| s.spawn(|| poison(&engine.shared)).join());
+        assert!(poisoner.is_err(), "the poisoning thread panics");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let outcome = |mut handle: ResponseHandle| loop {
+            match handle.try_wait() {
+                Ok(outcome) => return outcome,
+                Err(pending) => handle = pending,
+            }
+            assert!(Instant::now() < deadline, "a request was never answered");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let doomed = engine.submit(TensorData::zeros(net.input_shape)).unwrap();
+        assert_eq!(outcome(doomed).err(), Some(Rejected::Failed));
+        let inputs: Vec<_> = (0..16)
+            .map(|seed| TensorData::random(net.input_shape, seed))
+            .collect();
+        let handles: Vec<_> = inputs
+            .iter()
+            .map(|input| engine.submit(input.clone()).unwrap())
+            .collect();
+        for (handle, input) in handles.into_iter().zip(&inputs) {
+            let response = outcome(handle).expect("served");
+            let reference = execute_network(&net, std::slice::from_ref(input));
+            assert_eq!(response.outputs.len(), reference.len());
+            for (lease, expected) in response.outputs.iter().zip(&reference) {
+                assert_eq!(lease, expected);
+            }
+        }
+        let m = engine.metrics();
+        assert_eq!((m.completed, m.failed), (16, 1));
+        let outcomes = m.completed + m.shed + m.deadline_expired + m.failed;
+        assert_eq!(m.submitted, outcomes + m.in_flight);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_panic_holding_the_queue_lock_is_survived() {
+        serves_after_a_panic_holding(|shared| {
+            let _held = shared.queue.state.lock();
+            panic!("injected panic holding the queue lock");
+        });
+    }
+
+    #[test]
+    fn a_panic_holding_the_batch_table_is_survived() {
+        serves_after_a_panic_holding(|shared| {
+            let _held = shared.batches.lock();
+            panic!("injected panic holding the batch table");
+        });
+    }
+
+    #[test]
+    fn a_panic_holding_the_search_lock_is_survived() {
+        serves_after_a_panic_holding(|shared| {
+            let _held = shared.optimizing.lock();
+            panic!("injected panic holding the search lock");
+        });
+    }
+
+    #[test]
+    fn a_panic_holding_the_tenant_metrics_is_survived() {
+        serves_after_a_panic_holding(|shared| {
+            let _held = shared.metrics.tenants.lock();
+            panic!("injected panic holding the tenant metrics");
+        });
+    }
+
+    #[test]
+    fn a_panic_holding_the_last_panic_slot_is_survived() {
+        serves_after_a_panic_holding(|shared| {
+            let _held = shared.metrics.last_panic.lock();
+            panic!("injected panic holding the last-panic slot");
+        });
+    }
+
+    #[test]
+    fn a_panic_holding_the_controller_stop_flag_is_survived() {
+        serves_after_a_panic_holding(|shared| {
+            let _held = shared.adapt.stop.lock();
+            panic!("injected panic holding the controller's stop flag");
+        });
     }
 
     #[test]

@@ -97,6 +97,9 @@ pub trait BatchExecutor: Send + Sync + 'static {
 /// tensors drawn from a long-lived [`ScratchPool`] — after the first batch
 /// of a given shape profile, the op loop performs no heap allocation.
 /// Per-sample results are bit-identical to solo `execute_network` runs.
+/// Not `ctx.network` once at batch *b*: that stays bit-identical but took
+/// `serve_open_squeezenet`'s peak RSS from 62–67 MB to 138 MB (seeds 41–43;
+/// [`execute_network_batched_capped`] says why).
 #[derive(Debug)]
 pub struct CpuReferenceExecutor {
     pool: ScratchPool,

@@ -101,7 +101,7 @@ pub mod metrics;
 pub mod request;
 mod stages;
 
-pub use cache::{CacheStats, ScheduleCache};
+pub use cache::CacheStats;
 pub use config::{AdaptConfig, CostModelKind, ServeConfig, TenantConfig};
 pub use engine::ServeEngine;
 pub use exec::{

@@ -23,10 +23,11 @@ use ios_backend::simd::Isa;
 use ios_backend::workers::PoolStats;
 use ios_backend::WeightFootprint;
 use ios_telemetry::{prometheus as prom, Histogram, HistogramSnapshot};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The form of the metric table: one row per exported series (or family)
@@ -128,6 +129,11 @@ pub(crate) struct ServeMetrics {
     pub deadline_expired: Count,
     pub failed: Count,
     pub queue_depth: Count,
+    /// Schedule resolutions, as [`CacheStats`] counts them.
+    pub cache_hits: Count,
+    pub cache_misses: Count,
+    pub nearest_served: Count,
+    pub background_inserts: Count,
     /// Caught panics, by [`PanicSite`].
     panics: [Count; 3],
     /// The most recent caught panic as `site: message`, for `Debug` output.
@@ -142,24 +148,14 @@ pub(crate) struct ServeMetrics {
     pub device_time: Histogram,
     /// Per-tenant counters, created lazily on a tenant's first submit.
     /// (A `BTreeMap` so exports iterate deterministically.)
-    tenants: Mutex<BTreeMap<TenantId, Arc<TenantMetrics>>>,
+    pub(crate) tenants: Mutex<BTreeMap<TenantId, Arc<TenantMetrics>>>,
 }
 
 impl ServeMetrics {
     /// The counters of `tenant`, created on first use.
     pub fn tenant(&self, tenant: &TenantId) -> Arc<TenantMetrics> {
-        let mut tenants = self.tenants.lock().expect("tenant metrics lock");
+        let mut tenants = self.tenants.lock();
         Arc::clone(tenants.entry(tenant.clone()).or_default())
-    }
-
-    /// Every tenant seen so far with its counters, in tenant-name order.
-    fn tenant_entries(&self) -> Vec<(TenantId, Arc<TenantMetrics>)> {
-        self.tenants
-            .lock()
-            .expect("tenant metrics lock")
-            .iter()
-            .map(|(tenant, metrics)| (tenant.clone(), Arc::clone(metrics)))
-            .collect()
     }
 
     /// Records one executed batch. `device_time_us` must be non-negative
@@ -187,7 +183,7 @@ impl ServeMetrics {
             .unwrap_or_else(|| "non-string panic".to_string());
         self.panics[site as usize].add(1);
         ios_telemetry::tracer().instant("panic", "serve", site as u64);
-        let mut last = self.last_panic.lock().unwrap_or_else(|e| e.into_inner());
+        let mut last = self.last_panic.lock();
         *last = Some(format!("{}: {message}", PANIC_SITES[site as usize]));
     }
 
@@ -204,6 +200,7 @@ impl ServeMetrics {
         );
         let submitted = self.submitted.get();
         let batches = self.batches.get();
+        let tenants = self.tenants.lock().clone();
         let device_time_us = self.device_time.sum() as f64 / 1e3;
         let elapsed = self.started_at.0.elapsed().as_secs_f64();
         let [p50, p95, p99] = match self.latency.percentiles(&[50.0, 95.0, 99.0]) {
@@ -247,8 +244,7 @@ impl ServeMetrics {
             },
             queue_depth: self.queue_depth.get() as usize,
             cache,
-            tenants: self
-                .tenant_entries()
+            tenants: tenants
                 .into_iter()
                 .map(|(tenant, m)| TenantMetricsSnapshot {
                     tenant: tenant.name().to_string(),
@@ -338,13 +334,14 @@ impl ServeMetrics {
     /// far, `{tenant="…"}`. Absent entirely until the first request
     /// arrives.
     fn render_tenants(&self, out: &mut String) {
-        let tenants = self.tenant_entries();
+        // A copy: the lock is not held while the rows render.
+        let tenants = self.tenants.lock().clone();
         if tenants.is_empty() {
             return;
         }
         let labels: Vec<[(&str, &str); 1]> = tenants
-            .iter()
-            .map(|(tenant, _)| [("tenant", tenant.name())])
+            .keys()
+            .map(|tenant| [("tenant", tenant.name())])
             .collect();
         let counts = |read: fn(&TenantMetrics) -> &Count| -> Vec<(&[(&str, &str)], u64)> {
             tenants
@@ -354,8 +351,8 @@ impl ServeMetrics {
                 .collect()
         };
         let wait_snaps: Vec<HistogramSnapshot> = tenants
-            .iter()
-            .map(|(_, tm)| tm.queue_wait.snapshot())
+            .values()
+            .map(|tm| tm.queue_wait.snapshot())
             .collect();
         let waits: Vec<(&[(&str, &str)], &HistogramSnapshot)> = wait_snaps
             .iter()
@@ -624,7 +621,7 @@ mod tests {
         metrics.panic_message(PanicSite::Batch, &"injected");
         metrics.panic_message(PanicSite::Reoptimize, &String::from("injected"));
         assert_eq!(
-            metrics.last_panic.lock().unwrap().as_deref(),
+            metrics.last_panic.lock().as_deref(),
             Some("reoptimize: injected")
         );
 

@@ -13,8 +13,9 @@ use ios_serve::{
     AdaptConfig, BatchContext, BatchExecutor, BatchOutcome, MetricsSnapshot, Rejected, ServeConfig,
     ServeEngine, ServeError,
 };
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn two_block_network() -> Network {
@@ -43,7 +44,7 @@ struct Script {
 /// Runs every batch as the [`Script`] says. Computes no numerics.
 struct ScriptedExecutor {
     script: Arc<Script>,
-    entered: Mutex<mpsc::Sender<()>>,
+    entered: mpsc::Sender<()>,
     release: Mutex<mpsc::Receiver<()>>,
 }
 
@@ -56,8 +57,9 @@ impl BatchExecutor for ScriptedExecutor {
             panic!("injected backend fault");
         }
         if self.script.hold.load(Ordering::SeqCst) {
-            self.entered.lock().unwrap().send(()).unwrap();
-            self.release.lock().unwrap().recv().unwrap();
+            self.entered.send(()).unwrap();
+            let release = self.release.lock();
+            release.recv().unwrap();
         }
         BatchOutcome {
             outputs: None,
@@ -128,7 +130,7 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
         config,
         Box::new(ScriptedExecutor {
             script: Arc::clone(&script),
-            entered: Mutex::new(entered_tx),
+            entered: entered_tx,
             release: Mutex::new(release_rx),
         }),
     );
@@ -229,7 +231,7 @@ fn a_scrape_never_sees_more_in_flight_than_the_submitters_hold() {
         config,
         Box::new(ScriptedExecutor {
             script: Arc::default(),
-            entered: Mutex::new(entered_tx),
+            entered: entered_tx,
             release: Mutex::new(release_rx),
         }),
     );

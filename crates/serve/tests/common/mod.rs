@@ -16,7 +16,8 @@ use ios_backend::TensorData;
 use ios_serve::{
     BatchContext, BatchExecutor, BatchOutcome, InferenceResponse, ResponseHandle, ServeEngine,
 };
-use std::sync::{Arc, Condvar, Mutex};
+use parking_lot::{Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Burns a fixed wall-clock interval per batch — the knob that makes
@@ -60,28 +61,27 @@ impl Gate {
     /// engine with nothing queued, and returns the request's handle once
     /// its batch is parked. [`Gate::release`] takes the handle back.
     pub fn hold(&self, engine: &ServeEngine, input: TensorData) -> ResponseHandle {
-        self.state.lock().unwrap().armed = true;
+        self.state.lock().armed = true;
         let handle = engine
             .submit(input)
             .expect("the holding request is admitted");
-        let parked = self.state.lock().unwrap();
-        drop(self.changed.wait_while(parked, |s| !s.parked).unwrap());
+        drop(self.changed.wait_while(self.state.lock(), |s| !s.parked));
         handle
     }
 
     /// Lets the parked batch run, and returns the held request's answer.
     pub fn release(&self, held: ResponseHandle) -> InferenceResponse {
-        self.state.lock().unwrap().parked = false;
+        self.state.lock().parked = false;
         self.changed.notify_all();
         held.wait_outcome().expect("the held request is answered")
     }
 
     fn pass(&self) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock();
         if std::mem::take(&mut state.armed) {
             state.parked = true;
             self.changed.notify_all();
-            drop(self.changed.wait_while(state, |s| s.parked).unwrap());
+            drop(self.changed.wait_while(state, |s| s.parked));
         }
     }
 }

@@ -38,6 +38,6 @@ pub mod trends;
 pub use cost::{isolated_kernel_latency_us, occupancy, roofline_time_us};
 pub use device::{DeviceKind, DeviceSpec, ExecutionOverheads};
 pub use kernel::{conv2d_kernel, kernel_for_op, KernelLibrary, KernelSpec};
-pub use measure::{MeasureConfig, Simulator, StageMeasurement};
+pub use measure::{Simulator, StageMeasurement};
 pub use profiler::{ActiveWarpProfile, WarpSample};
 pub use stream::{simulate_stage, KernelEvent, StageSimulation};

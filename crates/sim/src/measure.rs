@@ -2,61 +2,15 @@
 //!
 //! The paper's `GenerateStage` directly measures the latency of a candidate
 //! stage on the hardware; [`Simulator`] plays that role here. It lowers
-//! graph operators to kernels for a given library, runs the multi-stream
-//! stage simulation on a given device, and (optionally) adds multiplicative
-//! measurement noise so that robustness of the dynamic program to noisy
-//! profiles can be tested.
+//! graph operators to kernels for a given library and runs the
+//! multi-stream stage simulation on a given device. Measurements are
+//! deterministic: the same stage always measures the same latency.
 
 use crate::device::{DeviceKind, DeviceSpec, ExecutionOverheads};
 use crate::kernel::{kernel_for_op, KernelLibrary, KernelSpec};
 use crate::stream::{simulate_stage, stage_latency_us, KernelEvent};
 use ios_ir::{Graph, OpId};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Configuration of the measurement process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MeasureConfig {
-    /// Standard deviation of the multiplicative Gaussian measurement noise
-    /// (0.0 = deterministic measurements, the default).
-    pub noise_std: f64,
-    /// Seed of the noise generator.
-    pub seed: u64,
-    /// Number of repetitions averaged per measurement (the paper repeats
-    /// each experiment 5 times); only meaningful when noise is enabled.
-    pub repeats: usize,
-}
-
-impl Default for MeasureConfig {
-    fn default() -> Self {
-        MeasureConfig {
-            noise_std: 0.0,
-            seed: 0x105,
-            repeats: 1,
-        }
-    }
-}
-
-impl MeasureConfig {
-    /// Deterministic measurements (no noise).
-    #[must_use]
-    pub fn deterministic() -> Self {
-        MeasureConfig::default()
-    }
-
-    /// Noisy measurements with the given relative standard deviation,
-    /// averaged over `repeats` runs.
-    #[must_use]
-    pub fn noisy(noise_std: f64, seed: u64, repeats: usize) -> Self {
-        MeasureConfig {
-            noise_std,
-            seed,
-            repeats: repeats.max(1),
-        }
-    }
-}
 
 /// Result of measuring one stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,8 +38,6 @@ pub struct Simulator {
     device: DeviceSpec,
     library: KernelLibrary,
     overheads: ExecutionOverheads,
-    config: MeasureConfig,
-    rng: Mutex<StdRng>,
 }
 
 impl Simulator {
@@ -97,7 +49,6 @@ impl Simulator {
             device.spec(),
             KernelLibrary::CuDnn,
             ExecutionOverheads::ios_engine(),
-            MeasureConfig::deterministic(),
         )
     }
 
@@ -107,15 +58,11 @@ impl Simulator {
         device: DeviceSpec,
         library: KernelLibrary,
         overheads: ExecutionOverheads,
-        config: MeasureConfig,
     ) -> Self {
-        let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
         Simulator {
             device,
             library,
             overheads,
-            config,
-            rng,
         }
     }
 
@@ -148,15 +95,14 @@ impl Simulator {
     pub fn measure_kernel_stage(&self, groups: &[Vec<KernelSpec>]) -> StageMeasurement {
         let sim = simulate_stage(groups, &self.device, self.overheads);
         StageMeasurement {
-            latency_us: self.measured(sim.latency_us),
+            latency_us: sim.latency_us,
             events: sim.events,
             total_flops: sim.total_flops,
         }
     }
 
     /// The `latency_us` of [`Simulator::measure_kernel_stage`] without its
-    /// timeline: the same simulation loop and the same noise draws, so the
-    /// two agree bit for bit. Each stream is an iterator over kernels the
+    /// timeline: the same simulation loop, so the two agree bit for bit. Each stream is an iterator over kernels the
     /// caller lowered beforehand (see [`Simulator::kernel`]) — this is the
     /// form a search uses, which measures thousands of stages over the same
     /// few operators.
@@ -165,7 +111,7 @@ impl Simulator {
     where
         I: ExactSizeIterator<Item = &'a KernelSpec>,
     {
-        self.measured(stage_latency_us(groups, &self.device, self.overheads))
+        stage_latency_us(groups, &self.device, self.overheads)
     }
 
     /// Measures a stage of graph operators executed with "concurrent
@@ -186,34 +132,14 @@ impl Simulator {
     pub fn measure_sequential(&self, graph: &Graph, ops: &[OpId]) -> StageMeasurement {
         self.measure_stage(graph, &[ops.to_vec()])
     }
-
-    /// What the configured measurement process reports for a stage whose
-    /// simulated latency is `latency`: the value itself, or the mean of
-    /// `repeats` noisy readings of it (the simulation is deterministic, so
-    /// repeats differ only in their noise).
-    fn measured(&self, latency: f64) -> f64 {
-        if self.config.noise_std <= 0.0 {
-            return latency;
-        }
-        let mut rng = self.rng.lock();
-        let mut total = 0.0;
-        let repeats = self.config.repeats.max(1);
-        for _ in 0..repeats {
-            // Box-Muller transform on two uniform samples to avoid depending
-            // on rand_distr just for a Gaussian.
-            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            total += (latency * (1.0 + self.config.noise_std * z)).max(latency * 0.2);
-        }
-        total / repeats as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ios_ir::{Conv2dParams, GraphBuilder, TensorShape};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn branchy_graph(batch: usize) -> Graph {
         let mut b = GraphBuilder::new("branchy", TensorShape::new(batch, 256, 16, 16));
@@ -245,34 +171,6 @@ mod tests {
         let a = sim.measure_stage(&g, &[vec![OpId(0)], vec![OpId(1)]]);
         let b = sim.measure_stage(&g, &[vec![OpId(0)], vec![OpId(1)]]);
         assert_eq!(a.latency_us, b.latency_us);
-    }
-
-    #[test]
-    fn noisy_measurements_vary_but_average_close() {
-        let g = branchy_graph(1);
-        let clean = Simulator::new(DeviceKind::TeslaV100);
-        let noisy = Simulator::with_settings(
-            DeviceKind::TeslaV100.spec(),
-            KernelLibrary::CuDnn,
-            ExecutionOverheads::ios_engine(),
-            MeasureConfig::noisy(0.05, 42, 16),
-        );
-        let truth = clean
-            .measure_stage(&g, &[vec![OpId(0)], vec![OpId(1)]])
-            .latency_us;
-        let measured = noisy
-            .measure_stage(&g, &[vec![OpId(0)], vec![OpId(1)]])
-            .latency_us;
-        assert!(measured > 0.0);
-        assert!(
-            (measured - truth).abs() / truth < 0.2,
-            "measured {measured}, truth {truth}"
-        );
-        // Two consecutive noisy measurements differ.
-        let m2 = noisy
-            .measure_stage(&g, &[vec![OpId(0)], vec![OpId(1)]])
-            .latency_us;
-        assert_ne!(measured, m2);
     }
 
     /// Random stages over real blocks: every group is a random run of the
@@ -307,39 +205,27 @@ mod tests {
                     DeviceKind::A100,
                 ] {
                     for library in [KernelLibrary::CuDnn, KernelLibrary::TensorRt] {
-                        for config in [
-                            MeasureConfig::deterministic(),
-                            MeasureConfig::noisy(0.05, 7, 3),
-                        ] {
-                            // Two simulators with equal seeds: equal results
-                            // throughout mean both passes drew the same
-                            // number of noise samples per stage.
-                            let make = || {
-                                Simulator::with_settings(
-                                    device.spec(),
-                                    library,
-                                    ExecutionOverheads::ios_engine(),
-                                    config,
-                                )
-                            };
-                            let (full, fast) = (make(), make());
-                            let kernels: Vec<KernelSpec> = (0..graph.len())
-                                .map(|op| fast.kernel(graph, OpId(op)))
-                                .collect();
-                            for groups in &stages {
-                                let expected = full.measure_stage(graph, groups).latency_us;
-                                let got = fast.latency_us(
-                                    groups
-                                        .iter()
-                                        .map(|g| g.iter().map(|op| &kernels[op.index()])),
-                                );
-                                assert_eq!(
-                                    got.to_bits(),
-                                    expected.to_bits(),
-                                    "{} {device:?} {library:?} {config:?} {groups:?}",
-                                    graph.name()
-                                );
-                            }
+                        let sim = Simulator::with_settings(
+                            device.spec(),
+                            library,
+                            ExecutionOverheads::ios_engine(),
+                        );
+                        let kernels: Vec<KernelSpec> = (0..graph.len())
+                            .map(|op| sim.kernel(graph, OpId(op)))
+                            .collect();
+                        for groups in &stages {
+                            let expected = sim.measure_stage(graph, groups).latency_us;
+                            let got = sim.latency_us(
+                                groups
+                                    .iter()
+                                    .map(|g| g.iter().map(|op| &kernels[op.index()])),
+                            );
+                            assert_eq!(
+                                got.to_bits(),
+                                expected.to_bits(),
+                                "{} {device:?} {library:?} {groups:?}",
+                                graph.name()
+                            );
                         }
                     }
                 }
@@ -355,7 +241,6 @@ mod tests {
             DeviceKind::TeslaV100.spec(),
             KernelLibrary::TensorRt,
             ExecutionOverheads::ios_engine(),
-            MeasureConfig::deterministic(),
         );
         let ops = [OpId(0), OpId(1), OpId(2), OpId(3)];
         let a = cudnn.measure_sequential(&g, &ops).latency_us;

@@ -162,68 +162,18 @@ impl Histogram {
         }
     }
 
-    /// Folds another histogram's contents into this one. Both may keep
-    /// recording concurrently; the merge is the sum of what each bucket
-    /// held at its read point.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Nearest-rank percentile (`p` in `0..=100`), or `None` when empty.
-    /// The result is clamped to the exact recorded `[min, max]`, so the
-    /// extremes are exact; interior quantiles carry at most
-    /// [`Histogram::MAX_RELATIVE_ERROR`].
+    /// Nearest-rank percentile (`p` in `0..=100`), or `None` when empty:
+    /// [`HistogramSnapshot::percentile`] of a [`Histogram::snapshot`].
     #[must_use]
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        self.percentiles(&[p]).map(|v| v[0])
+        self.snapshot().percentile(p)
     }
 
-    /// Several nearest-rank percentiles in **one pass** over the buckets.
-    /// `ps` must be ascending (debug-asserted); returns `None` when the
-    /// histogram is empty.
+    /// Several nearest-rank percentiles in one pass:
+    /// [`HistogramSnapshot::percentiles`] of a [`Histogram::snapshot`].
     #[must_use]
     pub fn percentiles(&self, ps: &[f64]) -> Option<Vec<u64>> {
-        debug_assert!(
-            ps.windows(2).all(|w| w[0] <= w[1]),
-            "percentile queries must be ascending"
-        );
-        let count = self.count();
-        if count == 0 || ps.is_empty() {
-            return None;
-        }
-        let min = self.min.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
-        let mut out = Vec::with_capacity(ps.len());
-        let mut seen = 0u64;
-        let mut bucket = 0usize;
-        for &p in ps {
-            let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
-            let rank = rank.min(count);
-            while seen < rank && bucket < NUM_BUCKETS {
-                seen += self.buckets[bucket].load(Ordering::Relaxed);
-                bucket += 1;
-            }
-            // `bucket - 1` holds the ranked value (the loop advanced past it).
-            out.push(clamp_to_extremes(
-                bucket_mid(bucket.saturating_sub(1)),
-                min,
-                max,
-            ));
-        }
-        Some(out)
+        self.snapshot().percentiles(ps)
     }
 
     /// A point-in-time copy of the histogram's contents.
@@ -513,23 +463,6 @@ mod tests {
         assert_eq!(many[0], h.percentile(1.0).unwrap());
         assert_eq!(many[1], h.percentile(50.0).unwrap());
         assert_eq!(many[2], h.percentile(99.0).unwrap());
-    }
-
-    #[test]
-    fn merge_adds_contents() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [5u64, 500, 50_000] {
-            a.record(v);
-        }
-        for v in [7u64, 700, 70_000, 7_000_000] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 7);
-        assert_eq!(a.sum(), 5 + 500 + 50_000 + 7 + 700 + 70_000 + 7_000_000);
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(7_000_000));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   relaxed atomic adds), count and sum are exact even under racing
 //!   writers, memory is bounded regardless of how many values are
 //!   recorded, and any percentile is off by at most
-//!   [`Histogram::MAX_RELATIVE_ERROR`]. Histograms merge, and they
-//!   snapshot into a serde-serializable [`HistogramSnapshot`].
+//!   [`Histogram::MAX_RELATIVE_ERROR`]. Histograms snapshot into a
+//!   serde-serializable [`HistogramSnapshot`], which answers every
+//!   percentile query.
 //! * [`Tracer`] — a span/event tracer writing fixed-size
 //!   [`TraceRecord`]s into a bounded ring buffer. Tracing is ~free when
 //!   disabled (one relaxed atomic load per span site, no clock read) and

@@ -16,8 +16,9 @@
 //! (`bench/src/bin/telemetry_gate.rs`) holds that cost under 2 % of the
 //! serving hot loop.
 
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// What a [`TraceRecord`] describes.
@@ -199,9 +200,7 @@ impl Tracer {
             id,
             arg,
         };
-        let mut shard = self.shards[(tid as usize) % SHARDS]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut shard = self.shards[(tid as usize) % SHARDS].lock();
         if shard.records.len() >= self.per_shard_capacity {
             shard.records.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -214,9 +213,7 @@ impl Tracer {
     pub fn records(&self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let shard = shard.lock();
             out.extend(shard.records.iter().copied());
         }
         out.sort_by_key(|r| (r.start_ns, r.seq));
@@ -226,11 +223,7 @@ impl Tracer {
     /// Discards every retained record (counters keep running).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .records
-                .clear();
+            shard.lock().records.clear();
         }
     }
 
