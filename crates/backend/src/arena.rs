@@ -3,7 +3,7 @@
 //!
 //! The hot serving loop runs the same network shapes for every batch, so the
 //! executor's working set — im2col patch matrices, activation copies, op
-//! output tensors that die at the end of their block — is identical from
+//! output tensors that die after their last reader — is identical from
 //! request to request. [`ScratchPool`] recycles those buffers: once the pool
 //! has seen one batch of a given shape profile, steady-state execution
 //! performs zero heap allocation in the op loop. Counters distinguish fresh
@@ -119,15 +119,19 @@ impl ScratchPool {
     }
 
     /// Takes a buffer of length `len` with unspecified contents, reusing
-    /// the smallest pooled buffer with enough capacity (so big buffers stay
-    /// available for the big requests that need them).
+    /// the smallest pooled buffer with enough capacity — and at most twice
+    /// it, so big buffers stay available for the big requests that need
+    /// them. Without that bound, a buffer an executor released mid-block
+    /// would go to a much smaller tensor of a sample on another lane, the
+    /// next large request would allocate afresh, and the pool's retained
+    /// capacity would ratchet up with every unlucky interleaving.
     #[must_use]
     pub fn take(&self, len: usize) -> Vec<f32> {
         let recycled = {
             let mut free = self.free.lock();
             // The list is sorted by capacity: the first fit is the best fit.
             let i = free.bufs.partition_point(|buf| buf.capacity() < len);
-            (i < free.bufs.len()).then(|| {
+            (i < free.bufs.len() && free.bufs[i].capacity() <= 2 * len).then(|| {
                 let buf = free.bufs.remove(i);
                 free.elements -= buf.capacity();
                 buf
@@ -354,6 +358,19 @@ mod tests {
             again.capacity() < 1 << 20,
             "an 8-element take must not consume the megabyte buffer"
         );
+    }
+
+    #[test]
+    fn take_leaves_a_buffer_over_twice_the_request_pooled() {
+        let pool = ScratchPool::new();
+        pool.recycle(pool.take(1024));
+        let half = pool.take(512);
+        assert_eq!(pool.fresh_allocations(), 1, "twice the request is reused");
+        pool.recycle(half);
+        let small = pool.take(511);
+        assert_eq!(pool.fresh_allocations(), 2, "more than twice is not");
+        assert_eq!(pool.pooled(), 1, "the big buffer stays for a big request");
+        pool.recycle(small);
     }
 
     #[test]

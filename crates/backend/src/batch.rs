@@ -18,7 +18,7 @@
 //! independently and in the same order.
 
 use crate::arena::ScratchPool;
-use crate::executor::{execute_schedule_pooled, relu_fold_plan, weight_seed, FoldedRelu};
+use crate::executor::{relu_fold_plan, run_stages, weight_seed, FoldedRelu};
 use crate::gemm::PackedFilter;
 use crate::ops_cpu::{conv_weights, copy_of, matmul_weights, sep_conv_seeds};
 use crate::tensor_data::TensorData;
@@ -157,10 +157,11 @@ impl BlockWeights {
     }
 
     /// The merged-stage weights for `merged` (an operator-merge stage of a
-    /// schedule for this graph): on first use the parts' filters are
-    /// regenerated from their seeds, stacked and packed; afterwards the
-    /// stage is served from the cache, so repeat batches execute it
-    /// directly. Keyed by the stage's operator set.
+    /// schedule for this graph): on first use they are packed straight
+    /// from the parts' packed filters, each part's output channels in turn,
+    /// zero outside its kernel so smaller kernels stay centred inside the
+    /// merged one; afterwards the stage is served from the cache, so repeat
+    /// batches execute it directly. Keyed by the stage's operator set.
     ///
     /// # Panics
     ///
@@ -172,15 +173,45 @@ impl BlockWeights {
             self.merged_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
+        // Each part as (first merged output channel, packed filter, kernel).
+        let mut first = 0;
+        let parts: Vec<(usize, &PackedFilter, (usize, usize))> = merged
+            .parts
+            .iter()
+            .map(|&part| {
+                let (OpKind::Conv2d(p), Some(OpWeights::Conv(filter))) =
+                    (&graph.op(part).kind, self.get(part))
+                else {
+                    panic!("merged parts must be convolutions")
+                };
+                first += p.out_channels;
+                (first - p.out_channels, filter, p.kernel)
+            })
+            .collect();
         let in_c = merged.input_shape.channels;
         let (mkh, mkw) = merged.params.kernel;
-        let mut filter = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
-        stack_merged_filter(graph, merged, &mut filter);
-        let built = Arc::new(PackedFilter::pack(
-            &filter,
+        // Merged convolutions are dense: one group.
+        let built = Arc::new(PackedFilter::pack_with(
             merged.params.out_channels,
-            merged.params.groups,
-            (in_c / merged.params.groups) * mkh * mkw,
+            1,
+            in_c * mkh * mkw,
+            |oc, k| {
+                let &(first, filter, (kh, kw)) = parts
+                    .iter()
+                    .rfind(|(first, ..)| *first <= oc)
+                    .expect("part 0 starts at channel 0");
+                let (ic, y, x) = (k / (mkh * mkw), k / mkw % mkh, k % mkw);
+                // Out-of-kernel taps wrap to large indices and read zero.
+                let (y, x) = (
+                    y.wrapping_sub((mkh - kh) / 2),
+                    x.wrapping_sub((mkw - kw) / 2),
+                );
+                if y < kh && x < kw {
+                    filter.weight(oc - first, (ic * kh + y) * kw + x)
+                } else {
+                    0.0
+                }
+            },
         ));
         self.merged_builds.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.merged.lock();
@@ -199,39 +230,6 @@ impl BlockWeights {
     #[must_use]
     pub fn merged_hits(&self) -> u64 {
         self.merged_hits.load(Ordering::Relaxed)
-    }
-}
-
-/// Stacks the per-part filters of `merged` — each regenerated from its
-/// [`weight_seed`] in natural `[out_c][in_c][kh][kw]` layout — into `dst`
-/// (pre-zeroed, length `out_c · in_c · mkh · mkw`), zero-padding smaller
-/// kernels so they stay centred inside the merged kernel.
-///
-/// # Panics
-///
-/// Panics if any merged part is not a convolution of `graph`.
-fn stack_merged_filter(graph: &Graph, merged: &MergedConv, dst: &mut [f32]) {
-    let in_c = merged.input_shape.channels;
-    let (mkh, mkw) = merged.params.kernel;
-    let mut oc_offset = 0usize;
-    for &part in &merged.parts {
-        let op = graph.op(part);
-        let OpKind::Conv2d(p) = &op.kind else {
-            panic!("merged parts must be convolutions")
-        };
-        let part_weights = conv_weights(weight_seed(graph, part), p.out_channels, in_c, p.kernel);
-        let (kh, kw) = p.kernel;
-        let (dy, dx) = ((mkh - kh) / 2, (mkw - kw) / 2);
-        for oc in 0..p.out_channels {
-            for ic in 0..in_c {
-                for y in 0..kh {
-                    let src = ((oc * in_c + ic) * kh + y) * kw;
-                    let at = (((oc_offset + oc) * in_c + ic) * mkh + y + dy) * mkw + dx;
-                    dst[at..at + kw].copy_from_slice(&part_weights[src..src + kw]);
-                }
-            }
-        }
-        oc_offset += p.out_channels;
     }
 }
 
@@ -389,7 +387,9 @@ fn sample_pooled(batched: &TensorData, n: usize, arena: &ScratchPool) -> TensorD
 /// Executes one sample through the whole network with pooled storage,
 /// consuming `inputs` and recycling every intermediate tensor — the
 /// zero-allocation op loop of the serving runtime. Block `i` runs under
-/// `block_schedules[i]`. Returns the last block's outputs.
+/// `block_schedules[i]`, and each op output goes back to `arena` at the
+/// end of the stage of its last reader ([`run_stages`]). Returns the last
+/// block's outputs.
 fn execute_network_blocks_pooled(
     network: &Network,
     block_schedules: &[Schedule],
@@ -399,14 +399,14 @@ fn execute_network_blocks_pooled(
 ) -> Vec<TensorData> {
     let mut current = inputs;
     for (index, (block, schedule)) in network.blocks.iter().zip(block_schedules).enumerate() {
-        let op_outputs = execute_schedule_pooled(
+        let mut op_outputs = run_stages(
             &block.graph,
             schedule,
             &current,
-            Some(weights.block(index)),
+            weights.block(index),
             arena,
+            true,
         );
-        let mut op_outputs: Vec<Option<TensorData>> = op_outputs.into_iter().map(Some).collect();
         let declared = block.graph.outputs();
         let mut next: Vec<TensorData> = Vec::with_capacity(declared.len());
         for (j, value) in declared.iter().enumerate() {
@@ -475,10 +475,12 @@ pub fn execute_network_batched(
 /// a large operator inside a sample still draw on whichever pool lanes are
 /// idle. Results are bit-identical for every cap.
 ///
-/// Samples run one by one, not as one batch-*b* network, because a block
-/// keeps every op output live until it ends: batch *b* would hold *b*
-/// copies (`serve_open_squeezenet` peak RSS 62–67 → 138 MB, three
-/// alternated 10 s pairs, 2-vCPU host). ROADMAP item 4(b) solves that first.
+/// Samples run one by one, not as one batch-*b* network. A block recycles
+/// each op output after its last reader, so it holds only its live set,
+/// whose peak [`Schedule::peak_live_bytes`] predicts; one batch-*b* run
+/// would hold *b* live sets at once, where the fan-out holds one per lane.
+/// Running a block as a batch only where *b* live sets fit is ROADMAP item
+/// 4(b), next.
 ///
 /// # Panics
 ///
@@ -724,6 +726,73 @@ mod tests {
                     "sample {i}, output {o} must match its solo execution bit-for-bit"
                 );
             }
+        }
+    }
+
+    /// The oracle: the parts' filters regenerated from their seeds in
+    /// natural `[out_c][in_c][kh][kw]` layout and stacked into one
+    /// merged-size filter, smaller kernels zero-padded to stay centred.
+    fn stack_merged_filter(graph: &Graph, merged: &MergedConv) -> Vec<f32> {
+        let in_c = merged.input_shape.channels;
+        let (mkh, mkw) = merged.params.kernel;
+        let mut dst = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
+        let mut oc_offset = 0usize;
+        for &part in &merged.parts {
+            let OpKind::Conv2d(p) = &graph.op(part).kind else {
+                panic!("merged parts must be convolutions")
+            };
+            let part_weights =
+                conv_weights(weight_seed(graph, part), p.out_channels, in_c, p.kernel);
+            let (kh, kw) = p.kernel;
+            let (dy, dx) = ((mkh - kh) / 2, (mkw - kw) / 2);
+            for oc in 0..p.out_channels {
+                for ic in 0..in_c {
+                    for y in 0..kh {
+                        let src = ((oc * in_c + ic) * kh + y) * kw;
+                        let at = (((oc_offset + oc) * in_c + ic) * mkh + y + dy) * mkw + dx;
+                        dst[at..at + kw].copy_from_slice(&part_weights[src..src + kw]);
+                    }
+                }
+            }
+            oc_offset += p.out_channels;
+        }
+        dst
+    }
+
+    #[test]
+    fn merged_filter_packed_from_parts_equals_the_packed_stacked_filter() {
+        use ios_ir::{Conv2dParams, GraphBuilder};
+        // 1×1 + 1×1, 3×3 + 1×1 (zero-padded) and Fig. 10's 1×3 + 3×1; odd
+        // channel counts leave ragged edge panels in parts and merge alike.
+        let pairs = [
+            [((1, 1), (0, 0), 5), ((1, 1), (0, 0), 7)],
+            [((3, 3), (1, 1), 9), ((1, 1), (0, 0), 6)],
+            [((1, 3), (0, 1), 11), ((3, 1), (1, 0), 3)],
+        ];
+        for [(k0, p0, c0), (k1, p1, c1)] in pairs {
+            let in_c = 6;
+            let mut b = GraphBuilder::new(
+                format!("pack_{k0:?}_{k1:?}"),
+                TensorShape::new(1, in_c, 7, 7),
+            );
+            let x = b.input(0);
+            let a = b.conv2d("a", x, Conv2dParams::relu(c0, k0, (1, 1), p0));
+            let c = b.conv2d("c", x, Conv2dParams::relu(c1, k1, (1, 1), p1));
+            let g = b.build(vec![a, c]);
+            let merged = ios_core::try_merge(&g, g.all_ops()).expect("the pair merges");
+            let (mkh, mkw) = merged.params.kernel;
+            let oracle = PackedFilter::pack(
+                &stack_merged_filter(&g, &merged),
+                c0 + c1,
+                1,
+                in_c * mkh * mkw,
+            );
+            let weights = BlockWeights::precompute(&g);
+            assert_eq!(
+                *weights.merged_stage(&g, &merged),
+                oracle,
+                "{k0:?} + {k1:?}"
+            );
         }
     }
 

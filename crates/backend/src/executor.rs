@@ -23,7 +23,7 @@ use crate::ops_cpu::{copy_of, execute_op};
 use crate::tensor_data::TensorData;
 use crate::workers;
 use ios_core::{try_merge, ParallelizationStrategy, Schedule};
-use ios_ir::{Activation, Graph, Op, OpId, OpKind, Value};
+use ios_ir::{Activation, Graph, Op, OpId, OpKind, OpSet, Value};
 
 /// How the executor treats one operator under the standalone-ReLU peephole
 /// ([`relu_fold_plan`]): a standalone [`OpKind::Relu`] whose input is a
@@ -171,20 +171,68 @@ pub fn execute_schedule_pooled(
     weights: Option<&BlockWeights>,
     arena: &ScratchPool,
 ) -> Vec<TensorData> {
+    let mut precomputed = None;
+    let weights = weights.unwrap_or_else(|| precomputed.insert(BlockWeights::precompute(graph)));
+    run_stages(graph, schedule, inputs, weights, arena, false)
+        .into_iter()
+        .map(|o| o.expect("all ops executed"))
+        .collect()
+}
+
+/// The stage loop behind every schedule execution: runs `schedule`'s
+/// stages in order through [`execute_stage`] and returns the op outputs
+/// still held. With `release`, each stage boundary recycles into `arena`
+/// every op output no later stage reads — its last reader ran, or it has
+/// none — except the graph's outputs, which the caller hands on; without
+/// it, every op output is returned.
+///
+/// The set of ops executed at a stage boundary is the DP's state, and it
+/// fixes the live set exactly ([`Graph::live_after`]), so the op-output
+/// bytes held at each stage end peak at [`Schedule::peak_live_bytes`].
+/// That measured high-water is the `arg` of the `block` span this records
+/// (its `id` is the stage count). Scratch is not counted.
+///
+/// # Panics
+///
+/// Panics if the schedule is not valid for `graph` or the inputs mismatch.
+pub(crate) fn run_stages(
+    graph: &Graph,
+    schedule: &Schedule,
+    inputs: &[TensorData],
+    weights: &BlockWeights,
+    arena: &ScratchPool,
+    release: bool,
+) -> Vec<Option<TensorData>> {
     check_inputs(graph, inputs);
     schedule
         .validate(graph)
         .expect("schedule must be valid for the graph");
-    let mut precomputed = None;
-    let weights = weights.unwrap_or_else(|| precomputed.insert(BlockWeights::precompute(graph)));
+    let mut block_span = ios_telemetry::tracer().span("block", "exec");
+    block_span.set_id(schedule.num_stages() as u64);
+    let bytes = |t: &TensorData| std::mem::size_of_val(&t.data[..]);
     let mut outputs: Vec<Option<TensorData>> = vec![None; graph.len()];
+    let (mut done, mut held, mut high_water) = (OpSet::empty(), 0, 0);
     for stage in &schedule.stages {
         execute_stage(graph, stage, inputs, weights, &mut outputs, arena);
+        done = done.union(stage.ops);
+        held += stage
+            .ops
+            .iter()
+            .filter_map(|op| outputs[op.index()].as_ref())
+            .map(bytes)
+            .sum::<usize>();
+        high_water = high_water.max(held);
+        if release {
+            for dead in done.difference(graph.live_after(done)).iter() {
+                if let Some(tensor) = outputs[dead.index()].take() {
+                    held -= bytes(&tensor);
+                    arena.recycle_tensor(tensor);
+                }
+            }
+        }
     }
+    block_span.set_arg(high_water as u64);
     outputs
-        .into_iter()
-        .map(|o| o.expect("all ops executed"))
-        .collect()
 }
 
 /// The completed operator outputs of one stage group, drop-drained: if the

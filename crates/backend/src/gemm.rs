@@ -83,6 +83,23 @@ impl PackedFilter {
             out_channels * k_len,
             "filter length must be out_channels * k_len"
         );
+        Self::pack_with(out_channels, groups, k_len, |oc, k| weights[oc * k_len + k])
+    }
+
+    /// The packer behind [`PackedFilter::pack`], reading the natural-layout
+    /// weight of output channel `oc` at reduction index `k` from `weight`
+    /// instead of a slice — so a filter assembled from other filters (a
+    /// merged stage's) is packed without a natural-layout temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_channels` is not divisible by `groups`.
+    pub(crate) fn pack_with(
+        out_channels: usize,
+        groups: usize,
+        k_len: usize,
+        weight: impl Fn(usize, usize) -> f32,
+    ) -> Self {
         assert_eq!(
             out_channels % groups,
             0,
@@ -99,8 +116,8 @@ impl PackedFilter {
             let (g, r) = (oc / rows_per_group, oc % rows_per_group);
             let p = g * panels_per_group + r / PACK_MR;
             let panel = &mut data[p * panel_stride..][..panel_stride];
-            for (k, &w) in weights[oc * k_len..][..k_len].iter().enumerate() {
-                panel[k * PACK_MR + r % PACK_MR] = w;
+            for k in 0..k_len {
+                panel[k * PACK_MR + r % PACK_MR] = weight(oc, k);
             }
         }
         PackedFilter {
@@ -121,6 +138,15 @@ impl PackedFilter {
     #[must_use]
     fn group(&self, g: usize) -> &[f32] {
         &self.data[g * self.group_stride..(g + 1) * self.group_stride]
+    }
+
+    /// The weight of output channel `oc` at reduction index `k` — the
+    /// inverse of the packing permutation.
+    pub(crate) fn weight(&self, oc: usize, k: usize) -> f32 {
+        let rows_per_group = self.out_channels / self.groups;
+        let (g, r) = (oc / rows_per_group, oc % rows_per_group);
+        let panel = &self.group(g)[(r / PACK_MR) * self.k_len * PACK_MR..];
+        panel[k * PACK_MR + r % PACK_MR]
     }
 
     /// Logical weight parameters (`out_channels · k_len`) and the bytes

@@ -28,7 +28,9 @@
 //! Judged and reported (`BENCH_sched.json`) through [`ios_bench::gate`]:
 //! per-block timings, the profiled-vs-simulated stage decompositions and
 //! whether they diverged — the README's "schedule divergence" table is
-//! generated from this.
+//! generated from this. A second table, reported and not judged, is each
+//! Table-2 network's predicted peak of live op-output bytes under its
+//! sequential and IOS-Both schedules: the memory cost of concurrency.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin sched_gate`
 //! (`--quick` profiles fewer blocks with fewer repeats for CI's PR lane).
@@ -39,12 +41,12 @@ use ios_backend::{
 };
 use ios_bench::{cells, geomean, paired_rounds, Gate, Table};
 use ios_core::{
-    schedule_graph, ParallelizationStrategy, ProfiledCostModel, Schedule, SchedulerConfig,
-    SimCostModel,
+    optimize_network, schedule_graph, ParallelizationStrategy, ProfiledCostModel, Schedule,
+    SchedulerConfig, SimCostModel,
 };
 use ios_ir::Graph;
 use ios_models::RandWireConfig;
-use ios_sim::Simulator;
+use ios_sim::{DeviceKind, Simulator};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -87,6 +89,53 @@ fn gate_blocks(quick: bool) -> Vec<(String, Graph)> {
         picks.push((format!("randwire/b{i}"), randwire.blocks[i].graph.clone()));
     }
     picks
+}
+
+/// The memory cost of concurrency, reported and not judged: each Table-2
+/// network's predicted peak of live op-output bytes
+/// ([`Schedule::peak_live_bytes`], the largest block's) at batch 1 under
+/// its sequential and its IOS-Both schedule (planned against the
+/// simulator), and the largest IOS ÷ sequential ratio of any one block.
+fn peak_live_table(device: DeviceKind) -> Table {
+    let mut table = Table::new(
+        "Predicted peak live op-output bytes, batch 1: sequential vs IOS-Both",
+        &[
+            ("network", "network"),
+            ("seq_peak_mb", "seq MB"),
+            ("ios_peak_mb", "IOS-Both MB"),
+            ("ios_over_seq", "IOS ÷ seq"),
+            ("worst_block_ratio", "worst block IOS ÷ seq"),
+        ],
+    );
+    let cost = SimCostModel::new(Simulator::new(device));
+    for network in ios_models::paper_benchmarks(1) {
+        let ios = optimize_network(&network, &cost, &SchedulerConfig::paper_default()).schedule;
+        let peaks: Vec<(u64, u64)> = network
+            .blocks
+            .iter()
+            .zip(&ios.block_schedules)
+            .map(|(block, schedule)| {
+                let graph = &block.graph;
+                let sequential = Schedule::sequential(graph).peak_live_bytes(graph);
+                (sequential, schedule.peak_live_bytes(graph))
+            })
+            .collect();
+        let mb = |bytes: u64| bytes as f64 / 1e6;
+        let seq_peak = peaks.iter().map(|p| p.0).max().unwrap_or(0);
+        let ios_peak = peaks.iter().map(|p| p.1).max().unwrap_or(0);
+        let worst_block = peaks
+            .iter()
+            .map(|&(seq, ios)| ios as f64 / seq as f64)
+            .fold(0.0, f64::max);
+        table.row(cells![
+            network.name.as_str(),
+            mb(seq_peak),
+            mb(ios_peak),
+            ios_peak as f64 / seq_peak as f64,
+            worst_block,
+        ]);
+    }
+    table
 }
 
 fn main() -> ExitCode {
@@ -201,6 +250,7 @@ fn main() -> ExitCode {
         ]);
     }
     gate.table(&table);
+    gate.table(&peak_live_table(gate.opts.device));
 
     gate.fact("diverged_blocks", diverged_blocks);
     gate.fact(

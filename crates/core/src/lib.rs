@@ -74,6 +74,6 @@ pub use specialize::{
 pub use stats::{block_statistics, BlockStats};
 pub use variants::{IosVariant, SchedulerConfig};
 
-/// Kept for `ios_benchmark`'s trait signature; ROADMAP item 8 removes it.
+/// Kept for `ios_benchmark`'s trait signature; ROADMAP item 9(d) removes it.
 #[derive(Debug)]
 pub struct PipelinePlan;

@@ -4,7 +4,7 @@
 //! graph into stages executed sequentially; each stage is executed with one
 //! of the two parallelization strategies of Section 3.
 
-use ios_ir::{Graph, OpId, OpSet};
+use ios_ir::{DType, Graph, OpId, OpSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -222,6 +222,29 @@ impl Schedule {
         Ok(())
     }
 
+    /// The predicted peak of live op-output bytes (f32) when the schedule
+    /// runs stage by stage and each output is released at the end of the
+    /// stage of its last reader. The set of ops executed before a stage is
+    /// the DP's state (§4), and it fixes the live set exactly
+    /// ([`Graph::live_after`]), so the peak is the maximum over stages of
+    /// the live bytes before the stage plus the bytes of its outputs. Graph
+    /// inputs and scratch are not counted.
+    #[must_use]
+    pub fn peak_live_bytes(&self, graph: &Graph) -> u64 {
+        let bytes = |set: OpSet| -> u64 {
+            set.iter()
+                .map(|op| graph.op(op).output_shape.size_bytes(DType::F32) as u64)
+                .sum()
+        };
+        let mut done = OpSet::empty();
+        let mut peak = 0;
+        for stage in &self.stages {
+            peak = peak.max(bytes(graph.live_after(done)) + bytes(stage.ops));
+            done = done.union(stage.ops);
+        }
+        peak
+    }
+
     /// Renders the schedule as a compact human-readable table.
     #[must_use]
     pub fn render(&self, graph: &Graph) -> String {
@@ -280,6 +303,34 @@ mod tests {
                 .collect(),
             measured_latency_us: 1.0,
         }
+    }
+
+    #[test]
+    fn peak_live_bytes_follows_the_executed_set() {
+        // Every op output is 16·8·8 f32s (4 KiB) but the concat's, 8 KiB.
+        let g = diamond();
+        let unit = 16 * 8 * 8 * 4;
+        let concurrent = ParallelizationStrategy::ConcurrentExecution;
+        // a | x, y together (a still read) | d, x and y read for the last
+        // time: a dies after the middle stage.
+        let wide = Schedule::new(
+            "diamond",
+            vec![
+                stage(&[0], &[&[0]], concurrent),
+                stage(&[1, 2], &[&[1], &[2]], concurrent),
+                stage(&[3], &[&[3]], concurrent),
+            ],
+        );
+        assert_eq!(wide.peak_live_bytes(&g), 4 * unit, "x + y + d");
+        // One op a stage: a and x are live while y runs; then x, y and d.
+        let sequential = Schedule::sequential(&g);
+        assert_eq!(sequential.peak_live_bytes(&g), 4 * unit);
+        // One stage holds every output at its end.
+        let one = Schedule::new(
+            "diamond",
+            vec![stage(&[0, 1, 2, 3], &[&[0, 1, 2, 3]], concurrent)],
+        );
+        assert_eq!(one.peak_live_bytes(&g), 5 * unit);
     }
 
     #[test]

@@ -168,6 +168,20 @@ impl Graph {
         preds
     }
 
+    /// The op outputs still live once the ops of `done` have run: those of
+    /// `done` that are graph outputs or have a reader outside `done`. When
+    /// `done` is the set of ops a schedule executed before a stage
+    /// boundary — the DP's state — these are exactly the outputs an
+    /// executor must still hold there.
+    #[must_use]
+    pub fn live_after(&self, done: OpSet) -> OpSet {
+        let mut read_later: OpSet = self.outputs.iter().filter_map(|v| v.as_op()).collect();
+        for op in self.ops.iter().filter(|op| !done.contains(op.id)) {
+            read_later.extend(op.inputs.iter().filter_map(|v| v.as_op()));
+        }
+        read_later.intersection(done)
+    }
+
     /// Direct successors of `id`.
     #[must_use]
     pub fn successors(&self, id: OpId) -> Vec<OpId> {
