@@ -20,11 +20,11 @@
 use crate::arena::ScratchPool;
 use crate::executor::{relu_fold_plan, run_stages, weight_seed, FoldedRelu};
 use crate::gemm::PackedFilter;
-use crate::ops_cpu::{conv_weights, copy_of, matmul_weights, sep_conv_seeds};
+use crate::ops_cpu::{copy_of, deterministic_value, sep_conv_seeds};
 use crate::tensor_data::TensorData;
 use crate::workers;
 use ios_core::{MergedConv, NetworkSchedule, Schedule};
-use ios_ir::{Graph, Network, OpId, OpKind, OpSet, TensorShape, Value};
+use ios_ir::{Graph, Network, Op, OpId, OpKind, OpSet, TensorShape, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// Precomputed weights of one operator, each in the form its kernel reads
 /// — so the serving hot path streams `A` contiguously and nothing else is
 /// held.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpWeights {
     /// Dense / grouped convolution filter.
     Conv(PackedFilter),
@@ -79,69 +79,13 @@ impl Clone for BlockWeights {
 
 impl BlockWeights {
     /// Generates the weights of every weighted operator of `graph`, each
-    /// from its deterministic [`weight_seed`], convolution filters packed.
+    /// from its deterministic [`weight_seed`], convolution filters packed:
+    /// the one-block case of [`NetworkWeights::precompute`].
     #[must_use]
     pub fn precompute(graph: &Graph) -> Self {
-        let by_op = graph
-            .ops()
-            .iter()
-            .map(|op| {
-                let seed = weight_seed(graph, op.id);
-                let input_shape = |value: Value| -> TensorShape {
-                    match value {
-                        Value::Input(i) => graph.input_shapes()[i],
-                        Value::Op(id) => graph.op(id).output_shape,
-                    }
-                };
-                match &op.kind {
-                    OpKind::Conv2d(p) => {
-                        let in_c = input_shape(op.inputs[0]).channels / p.groups;
-                        let filter = conv_weights(seed, p.out_channels, in_c, p.kernel);
-                        Some(OpWeights::Conv(PackedFilter::pack(
-                            &filter,
-                            p.out_channels,
-                            p.groups,
-                            in_c * p.kernel.0 * p.kernel.1,
-                        )))
-                    }
-                    OpKind::SepConv2d(p) => {
-                        let in_c = input_shape(op.inputs[0]).channels;
-                        let (dw_seed, pw_seed) = sep_conv_seeds(seed);
-                        let depthwise = conv_weights(dw_seed, in_c, 1, p.kernel);
-                        let pointwise = conv_weights(pw_seed, p.out_channels, in_c, (1, 1));
-                        Some(OpWeights::SepConv {
-                            depthwise: PackedFilter::pack(
-                                &depthwise,
-                                in_c,
-                                in_c,
-                                p.kernel.0 * p.kernel.1,
-                            ),
-                            pointwise: PackedFilter::pack(&pointwise, p.out_channels, 1, in_c),
-                        })
-                    }
-                    OpKind::MatMul(p) => {
-                        let in_features = input_shape(op.inputs[0]).elements_per_item();
-                        Some(OpWeights::MatMul(matmul_weights(
-                            seed,
-                            p.out_features,
-                            in_features,
-                        )))
-                    }
-                    OpKind::Pool(_)
-                    | OpKind::Concat
-                    | OpKind::Add
-                    | OpKind::Relu
-                    | OpKind::Identity => None,
-                }
-            })
-            .collect();
-        BlockWeights {
-            by_op,
-            fold_plan: relu_fold_plan(graph),
-            merged: Mutex::default(),
-            merged_builds: AtomicU64::new(0),
-            merged_hits: AtomicU64::new(0),
-        }
+        precompute_blocks(&[graph])
+            .pop()
+            .expect("one block per graph")
     }
 
     /// The precomputed weights of `op`, if it is a weighted operator.
@@ -191,28 +135,25 @@ impl BlockWeights {
         let in_c = merged.input_shape.channels;
         let (mkh, mkw) = merged.params.kernel;
         // Merged convolutions are dense: one group.
-        let built = Arc::new(PackedFilter::pack_with(
-            merged.params.out_channels,
-            1,
-            in_c * mkh * mkw,
-            |oc, k| {
-                let &(first, filter, (kh, kw)) = parts
-                    .iter()
-                    .rfind(|(first, ..)| *first <= oc)
-                    .expect("part 0 starts at channel 0");
-                let (ic, y, x) = (k / (mkh * mkw), k / mkw % mkh, k % mkw);
-                // Out-of-kernel taps wrap to large indices and read zero.
-                let (y, x) = (
-                    y.wrapping_sub((mkh - kh) / 2),
-                    x.wrapping_sub((mkw - kw) / 2),
-                );
-                if y < kh && x < kw {
-                    filter.weight(oc - first, (ic * kh + y) * kw + x)
-                } else {
-                    0.0
-                }
-            },
-        ));
+        let mut built = PackedFilter::zeroed(merged.params.out_channels, 1, in_c * mkh * mkw);
+        built.pack_with(|oc, k| {
+            let &(first, filter, (kh, kw)) = parts
+                .iter()
+                .rfind(|(first, ..)| *first <= oc)
+                .expect("part 0 starts at channel 0");
+            let (ic, y, x) = (k / (mkh * mkw), k / mkw % mkh, k % mkw);
+            // Out-of-kernel taps wrap to large indices and read zero.
+            let (y, x) = (
+                y.wrapping_sub((mkh - kh) / 2),
+                x.wrapping_sub((mkw - kw) / 2),
+            );
+            if y < kh && x < kw {
+                filter.weight(oc - first, (ic * kh + y) * kw + x)
+            } else {
+                0.0
+            }
+        });
+        let built = Arc::new(built);
         self.merged_builds.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.merged.lock();
         // Two threads may race to build the same stage; both results are
@@ -231,6 +172,114 @@ impl BlockWeights {
     pub fn merged_hits(&self) -> u64 {
         self.merged_hits.load(Ordering::Relaxed)
     }
+}
+
+impl OpWeights {
+    /// The arrays of `op` (of `graph`), allocated and zeroed but not yet
+    /// written: [`OpWeights::generate`] fills them.
+    fn zeroed(graph: &Graph, op: &Op) -> Option<Self> {
+        let input = || graph.value_shape(op.inputs[0]);
+        Some(match &op.kind {
+            OpKind::Conv2d(p) => OpWeights::Conv(PackedFilter::zeroed(
+                p.out_channels,
+                p.groups,
+                input().channels / p.groups * p.kernel.0 * p.kernel.1,
+            )),
+            OpKind::SepConv2d(p) => {
+                let in_c = input().channels;
+                OpWeights::SepConv {
+                    depthwise: PackedFilter::zeroed(in_c, in_c, p.kernel.0 * p.kernel.1),
+                    pointwise: PackedFilter::zeroed(p.out_channels, 1, in_c),
+                }
+            }
+            OpKind::MatMul(p) => {
+                OpWeights::MatMul(vec![0.0; p.out_features * input().elements_per_item()])
+            }
+            OpKind::Pool(_) | OpKind::Concat | OpKind::Add | OpKind::Relu | OpKind::Identity => {
+                return None
+            }
+        })
+    }
+
+    /// Writes every value from the operator's `seed` straight into its
+    /// packed slot: the values `conv_weights` / `matmul_weights` would give.
+    fn generate(&mut self, seed: u64) {
+        let fill = |filter: &mut PackedFilter, seed| {
+            let (_, _, k_len) = filter.geometry();
+            filter.pack_with(|oc, k| deterministic_value(seed, oc * k_len + k));
+        };
+        match self {
+            OpWeights::Conv(filter) => fill(filter, seed),
+            OpWeights::SepConv {
+                depthwise,
+                pointwise,
+            } => {
+                let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+                fill(depthwise, dw_seed);
+                fill(pointwise, pw_seed);
+            }
+            OpWeights::MatMul(m) => {
+                for (i, w) in m.iter_mut().enumerate() {
+                    *w = deterministic_value(seed, i);
+                }
+            }
+        }
+    }
+
+    /// Logical weight parameters and resident bytes.
+    fn sized(&self) -> (usize, usize) {
+        match self {
+            OpWeights::Conv(filter) => filter.footprint(),
+            OpWeights::SepConv {
+                depthwise,
+                pointwise,
+            } => {
+                let (d, p) = (depthwise.footprint(), pointwise.footprint());
+                (d.0 + p.0, d.1 + p.1)
+            }
+            OpWeights::MatMul(m) => (m.len(), std::mem::size_of_val(&m[..])),
+        }
+    }
+}
+
+/// The weights of every graph in `graphs`, in two passes: every array is
+/// allocated on the calling thread, then one [`workers::parallel_for`] job
+/// over the weighted operators of all the graphs, largest first, generates
+/// the values (the caller alone below two [`workers::GRAIN_WEIGHTS`]).
+/// Allocating on the caller keeps the weights in its allocator arena: a
+/// lane allocating its own would leave the memory freed around them in
+/// that lane's arena.
+fn precompute_blocks(graphs: &[&Graph]) -> Vec<BlockWeights> {
+    let mut by_block: Vec<Vec<Option<OpWeights>>> = graphs
+        .iter()
+        .map(|g| g.ops().iter().map(|op| OpWeights::zeroed(g, op)).collect())
+        .collect();
+    let mut fills: Vec<(u64, &mut OpWeights)> = (graphs.iter().zip(&mut by_block))
+        .flat_map(|(g, by_op)| g.ops().iter().map(|op| weight_seed(g, op.id)).zip(by_op))
+        .filter_map(|(seed, w)| Some((seed, w.as_mut()?)))
+        .collect();
+    fills.sort_by_key(|(_, w)| std::cmp::Reverse(w.sized().0));
+    let values: usize = fills.iter().map(|(_, w)| w.sized().0).sum();
+    let fills: Vec<Mutex<(u64, &mut OpWeights)>> = fills.into_iter().map(Mutex::new).collect();
+    let fill = |i: usize| {
+        let (seed, w) = &mut *fills[i].lock();
+        w.generate(*seed);
+    };
+    if values < 2 * workers::GRAIN_WEIGHTS {
+        (0..fills.len()).for_each(fill);
+    } else {
+        workers::parallel_for(fills.len(), fill);
+    }
+    let blocks = by_block.into_iter().zip(graphs);
+    blocks
+        .map(|(by_op, graph)| BlockWeights {
+            by_op,
+            fold_plan: relu_fold_plan(graph),
+            merged: Mutex::default(),
+            merged_builds: AtomicU64::new(0),
+            merged_hits: AtomicU64::new(0),
+        })
+        .collect()
 }
 
 /// Precomputed weights for every block of a network.
@@ -260,38 +309,19 @@ impl NetworkWeights {
     /// Generates the weights of every block of `network`.
     #[must_use]
     pub fn precompute(network: &Network) -> Self {
+        let graphs: Vec<&Graph> = network.blocks.iter().map(|b| &b.graph).collect();
         NetworkWeights {
             network_name: network.name.clone(),
-            blocks: network
-                .blocks
-                .iter()
-                .map(|b| BlockWeights::precompute(&b.graph))
-                .collect(),
+            blocks: precompute_blocks(&graphs),
         }
     }
 
     /// Logical weight parameters and resident bytes of the per-operator
     /// weights — the one walk both public readings come from.
     fn sized(&self) -> (usize, usize) {
-        let mut total = (0usize, 0usize);
-        let mut add = |(parameters, bytes): (usize, usize)| {
-            total.0 += parameters;
-            total.1 += bytes;
-        };
-        for w in self.blocks.iter().flat_map(|b| b.by_op.iter().flatten()) {
-            match w {
-                OpWeights::Conv(filter) => add(filter.footprint()),
-                OpWeights::SepConv {
-                    depthwise,
-                    pointwise,
-                } => {
-                    add(depthwise.footprint());
-                    add(pointwise.footprint());
-                }
-                OpWeights::MatMul(m) => add((m.len(), std::mem::size_of_val(&m[..]))),
-            }
-        }
-        total
+        let all = self.blocks.iter().flat_map(|b| b.by_op.iter().flatten());
+        all.map(OpWeights::sized)
+            .fold((0, 0), |(p, b), (dp, db)| (p + dp, b + db))
     }
 
     /// The weight-cache bytes held: packed panels (4 B per weight,
@@ -643,6 +673,7 @@ pub fn split_batch(batched: &TensorData) -> Vec<TensorData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops_cpu::{conv_weights, matmul_weights};
     use ios_core::{
         optimize_network, IosVariant, ParallelizationStrategy, SchedulerConfig, SimCostModel, Stage,
     };
@@ -793,6 +824,80 @@ mod tests {
                 oracle,
                 "{k0:?} + {k1:?}"
             );
+        }
+    }
+
+    /// The oracle: `op`'s weights generated in natural layout by
+    /// [`conv_weights`] / [`matmul_weights`], filters then packed.
+    fn natural_layout_weights(graph: &Graph, op: &Op) -> Option<OpWeights> {
+        let seed = weight_seed(graph, op.id);
+        let input = graph.value_shape(op.inputs[0]);
+        match &op.kind {
+            OpKind::Conv2d(p) => {
+                let in_c = input.channels / p.groups;
+                let k_len = in_c * p.kernel.0 * p.kernel.1;
+                let filter = conv_weights(seed, p.out_channels, in_c, p.kernel);
+                Some(OpWeights::Conv(PackedFilter::pack(
+                    &filter,
+                    p.out_channels,
+                    p.groups,
+                    k_len,
+                )))
+            }
+            OpKind::SepConv2d(p) => {
+                let in_c = input.channels;
+                let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+                let (kh, kw) = p.kernel;
+                let depthwise = conv_weights(dw_seed, in_c, 1, p.kernel);
+                let pointwise = conv_weights(pw_seed, p.out_channels, in_c, (1, 1));
+                Some(OpWeights::SepConv {
+                    depthwise: PackedFilter::pack(&depthwise, in_c, in_c, kh * kw),
+                    pointwise: PackedFilter::pack(&pointwise, p.out_channels, 1, in_c),
+                })
+            }
+            OpKind::MatMul(p) => Some(OpWeights::MatMul(matmul_weights(
+                seed,
+                p.out_features,
+                input.elements_per_item(),
+            ))),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn weights_generated_in_their_panels_equal_the_natural_layout_oracle_on_any_lanes() {
+        let nets = [
+            ios_models::squeezenet(1),
+            ios_models::randwire_small(1),
+            ios_models::nasnet_a(1),
+            ios_models::inception_v3(1),
+        ];
+        for net in &nets {
+            let oracle: Vec<Vec<Option<OpWeights>>> = net
+                .blocks
+                .iter()
+                .map(|b| {
+                    let g = &b.graph;
+                    g.ops()
+                        .iter()
+                        .map(|op| natural_layout_weights(g, op))
+                        .collect()
+                })
+                .collect();
+            for lanes in [1, 2, 7] {
+                let weights = workers::with_forced_lanes(lanes, || NetworkWeights::precompute(net));
+                for (b, block) in net.blocks.iter().enumerate() {
+                    for op in block.graph.ops() {
+                        assert_eq!(
+                            weights.block(b).get(op.id),
+                            oracle[b][op.id.index()].as_ref(),
+                            "{} block {b} op {} on {lanes} lanes",
+                            net.name,
+                            op.name
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -55,8 +55,9 @@ pub use crate::tile::mul_add_probe;
 /// order per output element as the naive loop reads them from the natural
 /// layout. The natural layout is not kept beside it.
 ///
-/// Pack once at weight-precompute time ([`crate::batch::BlockWeights`]);
-/// every later execution streams the packed filter directly.
+/// Weight precompute ([`crate::batch::BlockWeights`]) generates each
+/// weight straight into its packed slot; every later execution streams the
+/// packed filter directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedFilter {
     data: Vec<f32>,
@@ -83,45 +84,26 @@ impl PackedFilter {
             out_channels * k_len,
             "filter length must be out_channels * k_len"
         );
-        Self::pack_with(out_channels, groups, k_len, |oc, k| weights[oc * k_len + k])
+        let mut filter = Self::zeroed(out_channels, groups, k_len);
+        filter.pack_with(|oc, k| weights[oc * k_len + k]);
+        filter
     }
 
-    /// The packer behind [`PackedFilter::pack`], reading the natural-layout
-    /// weight of output channel `oc` at reduction index `k` from `weight`
-    /// instead of a slice — so a filter assembled from other filters (a
-    /// merged stage's) is packed without a natural-layout temporary.
+    /// An all-zero filter of this geometry, its panels allocated but not yet
+    /// touched: [`PackedFilter::pack_with`] writes them, on any thread.
     ///
     /// # Panics
     ///
     /// Panics if `out_channels` is not divisible by `groups`.
-    pub(crate) fn pack_with(
-        out_channels: usize,
-        groups: usize,
-        k_len: usize,
-        weight: impl Fn(usize, usize) -> f32,
-    ) -> Self {
+    pub(crate) fn zeroed(out_channels: usize, groups: usize, k_len: usize) -> Self {
         assert_eq!(
             out_channels % groups,
             0,
             "output channels must divide evenly into groups"
         );
-        let rows_per_group = out_channels / groups;
-        let panels_per_group = rows_per_group.div_ceil(PACK_MR);
-        let panel_stride = k_len * PACK_MR;
-        let group_stride = panels_per_group * panel_stride;
-        let mut data = vec![0.0f32; groups * group_stride];
-        for oc in 0..out_channels {
-            // Groups one after the other, each cut into panels of `PACK_MR`
-            // rows, its last one zero-padded.
-            let (g, r) = (oc / rows_per_group, oc % rows_per_group);
-            let p = g * panels_per_group + r / PACK_MR;
-            let panel = &mut data[p * panel_stride..][..panel_stride];
-            for k in 0..k_len {
-                panel[k * PACK_MR + r % PACK_MR] = weight(oc, k);
-            }
-        }
+        let group_stride = (out_channels / groups).div_ceil(PACK_MR) * k_len * PACK_MR;
         PackedFilter {
-            data,
+            data: vec![0.0f32; groups * group_stride],
             out_channels,
             groups,
             k_len,
@@ -129,8 +111,31 @@ impl PackedFilter {
         }
     }
 
+    /// The packer behind [`PackedFilter::pack`]: writes the natural-layout
+    /// weight of output channel `oc` at reduction index `k`, read from
+    /// `weight` instead of a slice, into its packed slot — so a filter
+    /// generated value by value, or assembled from other filters (a merged
+    /// stage's), is packed without a natural-layout temporary. Edge-panel
+    /// padding keeps its zeros.
+    pub(crate) fn pack_with(&mut self, weight: impl Fn(usize, usize) -> f32) {
+        let (out_channels, groups, k_len) = self.geometry();
+        let rows_per_group = out_channels / groups;
+        let panels_per_group = rows_per_group.div_ceil(PACK_MR);
+        let panel_stride = k_len * PACK_MR;
+        for oc in 0..out_channels {
+            // Groups one after the other, each cut into panels of `PACK_MR`
+            // rows, its last one zero-padded.
+            let (g, r) = (oc / rows_per_group, oc % rows_per_group);
+            let p = g * panels_per_group + r / PACK_MR;
+            let panel = &mut self.data[p * panel_stride..][..panel_stride];
+            for k in 0..k_len {
+                panel[k * PACK_MR + r % PACK_MR] = weight(oc, k);
+            }
+        }
+    }
+
     /// The `(out_channels, groups, k_len)` the filter was packed for.
-    fn geometry(&self) -> (usize, usize, usize) {
+    pub(crate) fn geometry(&self) -> (usize, usize, usize) {
         (self.out_channels, self.groups, self.k_len)
     }
 

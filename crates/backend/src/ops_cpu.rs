@@ -45,20 +45,35 @@ pub fn matmul_weights(seed: u64, out_features: usize, in_features: usize) -> Vec
     deterministic_values(seed, out_features * in_features)
 }
 
+/// SplitMix64's increment.
+const GAMMA: u64 = 0x9E3779B97F4A7C15;
+
 fn deterministic_values(seed: u64, count: usize) -> Vec<f32> {
-    // SplitMix64 stream mapped to [-0.5, 0.5); fast, reproducible, and
-    // independent of the `rand` crate's version-specific stream.
-    let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
+    // SplitMix64 stream mapped to [-0.5, 0.5] (`u64::MAX` rounds to 2^64
+    // as an f64, so the top value is +0.5 exactly); fast, reproducible,
+    // and independent of the `rand` crate's version-specific stream.
+    let mut state = seed.wrapping_add(GAMMA);
     (0..count)
         .map(|_| {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^= z >> 31;
-            (z as f64 / u64::MAX as f64 - 0.5) as f32
+            state = state.wrapping_add(GAMMA);
+            splitmix_value(state)
         })
         .collect()
+}
+
+/// Value `i` of [`deterministic_values`]`(seed, ..)` without its
+/// predecessors: the stream's state there is `seed + (i + 2)·γ`.
+pub(crate) fn deterministic_value(seed: u64, i: usize) -> f32 {
+    splitmix_value(seed.wrapping_add((i as u64).wrapping_add(2).wrapping_mul(GAMMA)))
+}
+
+/// SplitMix64's output function on `state`, mapped to [-0.5, 0.5].
+fn splitmix_value(state: u64) -> f32 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^= z >> 31;
+    (z as f64 / u64::MAX as f64 - 0.5) as f32
 }
 
 fn apply_activation(activation: Activation, v: f32) -> f32 {
@@ -795,5 +810,24 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.len(), 2 * 2 * 9);
         assert!(a.iter().all(|v| v.abs() <= 0.5));
+    }
+
+    #[test]
+    fn a_value_generated_alone_equals_its_place_in_the_stream() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(37);
+        for seed in [0, 1, 0xD17, u64::MAX, rng.gen_range(0..u64::MAX)] {
+            let n = 4099;
+            let stream = deterministic_values(seed, n);
+            let random = (0..16).map(|_| rng.gen_range(0..n));
+            for i in [0, 1, n - 1].into_iter().chain(random) {
+                assert_eq!(
+                    deterministic_value(seed, i).to_bits(),
+                    stream[i].to_bits(),
+                    "seed {seed:#x}, value {i}"
+                );
+            }
+        }
     }
 }

@@ -10,13 +10,16 @@
 //! a job no helper reaches is simply run by its caller, chunk after chunk —
 //! and only waits at the end for chunks a helper has already claimed.
 //!
-//! Three layers post jobs here, so together they occupy at most `lanes()`
+//! Four layers post jobs here, so together they occupy at most `lanes()`
 //! cores instead of each guessing at oversubscription:
 //!
 //! * the samples of a stacked batch ([`crate::execute_network_batched`]),
 //! * the groups of a concurrent IOS stage (`execute_stage`),
 //! * the chunks of one operator — a convolution's tile grid, a pooling's
-//!   channel planes (intra-operator parallelism, `op_chunks`).
+//!   channel planes (intra-operator parallelism, `op_chunks`),
+//! * weight precompute ([`crate::NetworkWeights::precompute`]): one
+//!   non-operator job per network, a chunk per weighted operator, its
+//!   arrays allocated by the caller beforehand (see [`GRAIN_WEIGHTS`]).
 //!
 //! Jobs nest: a stage group running on a helper posts its convolutions'
 //! chunks like any other caller. A caller that has run out of its own
@@ -66,6 +69,13 @@ use std::sync::{Arc, OnceLock};
 /// 8 × 48 AVX-512 tile (`taskset -c 0 simd_gate`, nine rows): 24–41 GMAC/s
 /// on one core, a grain of 26–44 µs — the constant was not retuned.
 pub const GRAIN_MACS: usize = 1 << 20;
+
+/// Weight values a weight precompute must hold before it is posted as a
+/// job: fewer than two grains are generated on the caller alone. Measured
+/// like [`GRAIN_MACS`], on the same host: one lane generates a fresh packed
+/// filter of 4.6 K–295 K values at 3.3–4.1 ns a value (SplitMix and
+/// first-touch page faults), so a grain takes ≈ 27–34 µs.
+pub const GRAIN_WEIGHTS: usize = 1 << 13;
 
 /// Chunks per lane a split operator is cut into. More chunks than lanes
 /// lets the claim counter balance a helper that joins late or runs on a
