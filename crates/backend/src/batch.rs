@@ -23,12 +23,9 @@ use crate::gemm::PackedFilter;
 use crate::ops_cpu::{copy_of, deterministic_value, sep_conv_seeds};
 use crate::tensor_data::TensorData;
 use crate::workers;
-use ios_core::{MergedConv, NetworkSchedule, Schedule};
-use ios_ir::{Graph, Network, Op, OpId, OpKind, OpSet, TensorShape, Value};
+use ios_core::{NetworkSchedule, Schedule};
+use ios_ir::{Graph, Network, Op, OpId, OpKind, TensorShape, Value};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Precomputed weights of one operator, each in the form its kernel reads
 /// — so the serving hot path streams `A` contiguously and nothing else is
@@ -48,33 +45,15 @@ pub enum OpWeights {
     MatMul(Vec<f32>),
 }
 
-/// Precomputed weights for every weighted operator of one graph, plus a
-/// lazily filled cache of merged-stage weights keyed by the stage's
-/// operator set — so executing the same schedule batch after batch stops
-/// rebuilding the merged tensor every time.
-#[derive(Debug)]
+/// Precomputed weights for every weighted operator of one graph. An
+/// operator-merge stage runs its parts' own filters over one shared walk,
+/// so nothing is built or held per stage.
+#[derive(Debug, Clone)]
 pub struct BlockWeights {
     by_op: Vec<Option<OpWeights>>,
     /// The block's ReLU-fold peephole plan ([`relu_fold_plan`]), computed
     /// once at build time.
     fold_plan: Vec<FoldedRelu>,
-    /// The merged-stage filters built so far: the parts' filters stacked
-    /// (and zero-padded) into one.
-    merged: Mutex<HashMap<OpSet, Arc<PackedFilter>>>,
-    merged_builds: AtomicU64,
-    merged_hits: AtomicU64,
-}
-
-impl Clone for BlockWeights {
-    fn clone(&self) -> Self {
-        BlockWeights {
-            by_op: self.by_op.clone(),
-            fold_plan: self.fold_plan.clone(),
-            merged: Mutex::new(self.merged.lock().clone()),
-            merged_builds: AtomicU64::new(self.merged_builds.load(Ordering::Relaxed)),
-            merged_hits: AtomicU64::new(self.merged_hits.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl BlockWeights {
@@ -98,79 +77,6 @@ impl BlockWeights {
     #[must_use]
     pub fn fold_plan(&self) -> &[FoldedRelu] {
         &self.fold_plan
-    }
-
-    /// The merged-stage weights for `merged` (an operator-merge stage of a
-    /// schedule for this graph): on first use they are packed straight
-    /// from the parts' packed filters, each part's output channels in turn,
-    /// zero outside its kernel so smaller kernels stay centred inside the
-    /// merged one; afterwards the stage is served from the cache, so repeat
-    /// batches execute it directly. Keyed by the stage's operator set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any merged part is not a convolution of `graph`.
-    #[must_use]
-    pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<PackedFilter> {
-        let key: OpSet = merged.parts.iter().copied().collect();
-        if let Some(cached) = self.merged.lock().get(&key) {
-            self.merged_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(cached);
-        }
-        // Each part as (first merged output channel, packed filter, kernel).
-        let mut first = 0;
-        let parts: Vec<(usize, &PackedFilter, (usize, usize))> = merged
-            .parts
-            .iter()
-            .map(|&part| {
-                let (OpKind::Conv2d(p), Some(OpWeights::Conv(filter))) =
-                    (&graph.op(part).kind, self.get(part))
-                else {
-                    panic!("merged parts must be convolutions")
-                };
-                first += p.out_channels;
-                (first - p.out_channels, filter, p.kernel)
-            })
-            .collect();
-        let in_c = merged.input_shape.channels;
-        let (mkh, mkw) = merged.params.kernel;
-        // Merged convolutions are dense: one group.
-        let mut built = PackedFilter::zeroed(merged.params.out_channels, 1, in_c * mkh * mkw);
-        built.pack_with(|oc, k| {
-            let &(first, filter, (kh, kw)) = parts
-                .iter()
-                .rfind(|(first, ..)| *first <= oc)
-                .expect("part 0 starts at channel 0");
-            let (ic, y, x) = (k / (mkh * mkw), k / mkw % mkh, k % mkw);
-            // Out-of-kernel taps wrap to large indices and read zero.
-            let (y, x) = (
-                y.wrapping_sub((mkh - kh) / 2),
-                x.wrapping_sub((mkw - kw) / 2),
-            );
-            if y < kh && x < kw {
-                filter.weight(oc - first, (ic * kh + y) * kw + x)
-            } else {
-                0.0
-            }
-        });
-        let built = Arc::new(built);
-        self.merged_builds.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.merged.lock();
-        // Two threads may race to build the same stage; both results are
-        // identical, keep whichever landed first.
-        Arc::clone(cache.entry(key).or_insert(built))
-    }
-
-    /// Number of merged-stage weight tensors built (cache misses).
-    #[must_use]
-    pub fn merged_builds(&self) -> u64 {
-        self.merged_builds.load(Ordering::Relaxed)
-    }
-
-    /// Number of merged-stage requests served from the cache.
-    #[must_use]
-    pub fn merged_hits(&self) -> u64 {
-        self.merged_hits.load(Ordering::Relaxed)
     }
 }
 
@@ -275,9 +181,6 @@ fn precompute_blocks(graphs: &[&Graph]) -> Vec<BlockWeights> {
         .map(|(by_op, graph)| BlockWeights {
             by_op,
             fold_plan: relu_fold_plan(graph),
-            merged: Mutex::default(),
-            merged_builds: AtomicU64::new(0),
-            merged_hits: AtomicU64::new(0),
         })
         .collect()
 }
@@ -325,17 +228,13 @@ impl NetworkWeights {
     }
 
     /// The weight-cache bytes held: packed panels (4 B per weight,
-    /// edge-panel padding included) and matmul matrices. The merged-stage
-    /// filters built so far are counted too: a block holds them for as long
-    /// as it lives.
+    /// edge-panel padding included) and matmul matrices. Executing never
+    /// adds to it: a merge stage reads its parts' filters.
     #[must_use]
     pub fn footprint(&self) -> WeightFootprint {
-        let mut f32_bytes = self.sized().1;
-        for block in &self.blocks {
-            let merged = block.merged.lock();
-            f32_bytes += merged.values().map(|f| f.footprint().1).sum::<usize>();
+        WeightFootprint {
+            f32_bytes: self.sized().1,
         }
-        WeightFootprint { f32_bytes }
     }
 
     /// Name of the network the weights were generated for.
@@ -674,9 +573,7 @@ pub fn split_batch(batched: &TensorData) -> Vec<TensorData> {
 mod tests {
     use super::*;
     use crate::ops_cpu::{conv_weights, matmul_weights};
-    use ios_core::{
-        optimize_network, IosVariant, ParallelizationStrategy, SchedulerConfig, SimCostModel, Stage,
-    };
+    use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
     use ios_sim::{DeviceKind, Simulator};
 
     /// A small two-block network with mergeable branches: heavy enough to
@@ -760,73 +657,6 @@ mod tests {
         }
     }
 
-    /// The oracle: the parts' filters regenerated from their seeds in
-    /// natural `[out_c][in_c][kh][kw]` layout and stacked into one
-    /// merged-size filter, smaller kernels zero-padded to stay centred.
-    fn stack_merged_filter(graph: &Graph, merged: &MergedConv) -> Vec<f32> {
-        let in_c = merged.input_shape.channels;
-        let (mkh, mkw) = merged.params.kernel;
-        let mut dst = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
-        let mut oc_offset = 0usize;
-        for &part in &merged.parts {
-            let OpKind::Conv2d(p) = &graph.op(part).kind else {
-                panic!("merged parts must be convolutions")
-            };
-            let part_weights =
-                conv_weights(weight_seed(graph, part), p.out_channels, in_c, p.kernel);
-            let (kh, kw) = p.kernel;
-            let (dy, dx) = ((mkh - kh) / 2, (mkw - kw) / 2);
-            for oc in 0..p.out_channels {
-                for ic in 0..in_c {
-                    for y in 0..kh {
-                        let src = ((oc * in_c + ic) * kh + y) * kw;
-                        let at = (((oc_offset + oc) * in_c + ic) * mkh + y + dy) * mkw + dx;
-                        dst[at..at + kw].copy_from_slice(&part_weights[src..src + kw]);
-                    }
-                }
-            }
-            oc_offset += p.out_channels;
-        }
-        dst
-    }
-
-    #[test]
-    fn merged_filter_packed_from_parts_equals_the_packed_stacked_filter() {
-        use ios_ir::{Conv2dParams, GraphBuilder};
-        // 1×1 + 1×1, 3×3 + 1×1 (zero-padded) and Fig. 10's 1×3 + 3×1; odd
-        // channel counts leave ragged edge panels in parts and merge alike.
-        let pairs = [
-            [((1, 1), (0, 0), 5), ((1, 1), (0, 0), 7)],
-            [((3, 3), (1, 1), 9), ((1, 1), (0, 0), 6)],
-            [((1, 3), (0, 1), 11), ((3, 1), (1, 0), 3)],
-        ];
-        for [(k0, p0, c0), (k1, p1, c1)] in pairs {
-            let in_c = 6;
-            let mut b = GraphBuilder::new(
-                format!("pack_{k0:?}_{k1:?}"),
-                TensorShape::new(1, in_c, 7, 7),
-            );
-            let x = b.input(0);
-            let a = b.conv2d("a", x, Conv2dParams::relu(c0, k0, (1, 1), p0));
-            let c = b.conv2d("c", x, Conv2dParams::relu(c1, k1, (1, 1), p1));
-            let g = b.build(vec![a, c]);
-            let merged = ios_core::try_merge(&g, g.all_ops()).expect("the pair merges");
-            let (mkh, mkw) = merged.params.kernel;
-            let oracle = PackedFilter::pack(
-                &stack_merged_filter(&g, &merged),
-                c0 + c1,
-                1,
-                in_c * mkh * mkw,
-            );
-            let weights = BlockWeights::precompute(&g);
-            assert_eq!(
-                *weights.merged_stage(&g, &merged),
-                oracle,
-                "{k0:?} + {k1:?}"
-            );
-        }
-    }
-
     /// The oracle: `op`'s weights generated in natural layout by
     /// [`conv_weights`] / [`matmul_weights`], filters then packed.
     fn natural_layout_weights(graph: &Graph, op: &Op) -> Option<OpWeights> {
@@ -902,43 +732,29 @@ mod tests {
     }
 
     #[test]
-    fn footprint_counts_a_merged_stage_filter_once_it_is_built() {
-        // One block, two convolutions off the same input, scheduled by
-        // IOS-Merge: the first batch builds the merged 160-channel 3×3
-        // filter (the 1×1 zero-padded into it) and the block then holds it.
-        use ios_ir::{Block, Conv2dParams, GraphBuilder};
-        let input = TensorShape::new(1, 64, 12, 12);
-        let mut b = GraphBuilder::new("merge_fp_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", x, Conv2dParams::relu(96, (1, 1), (1, 1), (0, 0)));
-        let net = Network::new("merge_fp", input, vec![Block::new(b.build(vec![a, c]))]);
+    fn an_ios_both_inference_leaves_the_weight_footprint_unchanged() {
+        // A merge stage reads its parts' filters and builds none: the bytes
+        // held after an IOS-Both inference are the bytes precomputed, on
+        // every Table-2 network (Inception V3 and SqueezeNet merge).
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
-        let config = SchedulerConfig::for_variant(IosVariant::Merge);
-        let schedule = optimize_network(&net, &cost, &config).schedule;
-        let merges = |s: &Stage| s.strategy == ParallelizationStrategy::OperatorMerge;
-        assert!(schedule.block_schedules[0].stages.iter().any(merges));
-
-        let weights = NetworkWeights::precompute(&net);
-        let before = weights.footprint();
         let arena = ScratchPool::new();
-        let sample = TensorData::random(input, 3);
-        let run = || {
-            execute_network_batched(
-                &net,
-                Some(&schedule),
-                &weights,
-                std::slice::from_ref(&sample),
-                &arena,
-            )
-        };
-        let first = run();
-        // 160 output channels are whole panels of k = 64·3·3 f32s.
-        let mut after = before;
-        after.f32_bytes += 160 * 64 * 9 * 4;
-        assert_eq!(weights.footprint(), after);
-        assert_eq!(run(), first);
-        assert_eq!(weights.footprint(), after, "a cache hit holds nothing new");
-        assert_eq!(weights.block(0).merged_builds(), 1);
+        for net in ios_models::paper_benchmarks(1) {
+            let schedule =
+                optimize_network(&net, &cost, &SchedulerConfig::paper_default()).schedule;
+            let weights = NetworkWeights::precompute(&net);
+            let before = weights.footprint();
+            let input = TensorData::random(net.input_shape, 5);
+            let outputs =
+                execute_network_batched(&net, Some(&schedule), &weights, &[input], &arena);
+            assert_eq!(weights.footprint(), before, "{}", net.name);
+            if net.name == "inception_v3" {
+                // In MiB, the unit of the benchmark's `backend.weight_mb`.
+                let mb = before.total() as f64 / (1024.0 * 1024.0);
+                assert!((mb - 90.8).abs() < 0.05, "Inception V3 holds {mb:.2} MB");
+            }
+            for t in outputs {
+                arena.recycle_tensor(t);
+            }
+        }
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! [`execute_schedule_pooled`] runs an IOS schedule stage by stage,
 //! executing the groups of a concurrent stage on the lanes of the shared
-//! worker pool ([`crate::workers`]) and executing merged stages through an
-//! actual merged weight tensor plus a split — so a passing
-//! [`verify_schedule`] demonstrates that the schedule transformation
-//! preserves the network's semantics, the guarantee cuDNN gives the paper's
-//! engine for free. [`execute_graph`] is the same runner under the graph's
-//! sequential schedule: there is one way to execute a graph, stage by
-//! stage.
+//! worker pool ([`crate::workers`]) and a merged stage as one convolution
+//! walk over its parts' own filters — so a passing [`verify_schedule`]
+//! demonstrates that the schedule transformation preserves the network's
+//! semantics, the guarantee cuDNN gives the paper's engine for free.
+//! [`execute_graph`] is the same runner under the graph's sequential
+//! schedule: there is one way to execute a graph, stage by stage.
 //!
 //! Every execution runs from precomputed weights ([`BlockWeights`]):
 //! [`execute_schedule_pooled`] takes them from the caller — or precomputes
@@ -17,13 +16,13 @@
 //! precomputes per call and uses the process-global pool.
 
 use crate::arena::{global_pool, Arena, ScratchPool, ScratchScope};
-use crate::batch::BlockWeights;
-use crate::gemm::{conv2d, ConvEpilogue};
+use crate::batch::{BlockWeights, OpWeights};
+use crate::gemm::{conv2d_parts, ConvEpilogue, ConvPart};
 use crate::ops_cpu::{copy_of, execute_op};
 use crate::tensor_data::TensorData;
-use crate::workers;
-use ios_core::{try_merge, ParallelizationStrategy, Schedule};
-use ios_ir::{Activation, Graph, Op, OpId, OpKind, OpSet, Value};
+use crate::workers::{self, DisjointOut};
+use ios_core::{ParallelizationStrategy, Schedule};
+use ios_ir::{Graph, Op, OpId, OpKind, OpSet, Value};
 
 /// How the executor treats one operator under the standalone-ReLU peephole
 /// ([`relu_fold_plan`]): a standalone [`OpKind::Relu`] whose input is a
@@ -101,19 +100,6 @@ pub fn weight_seed(graph: &Graph, op: OpId) -> u64 {
     h ^ (op.index() as u64).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
-fn resolve<'a>(
-    value: Value,
-    inputs: &'a [TensorData],
-    outputs: &'a [Option<TensorData>],
-) -> &'a TensorData {
-    match value {
-        Value::Input(i) => &inputs[i],
-        Value::Op(id) => outputs[id.index()]
-            .as_ref()
-            .expect("producer already executed"),
-    }
-}
-
 /// Executes one operator with its precomputed weights under `fold`.
 fn run_op(
     op: &Op,
@@ -153,10 +139,10 @@ pub fn execute_graph(graph: &Graph, inputs: &[TensorData]) -> Vec<TensorData> {
 
 /// Executes an IOS schedule stage by stage and returns every operator's
 /// output. Concurrent-execution stages run their groups on the worker
-/// pool's lanes; operator-merge stages run one merged convolution built
-/// from the stacked (and zero-padded) per-operator weights, followed by a
-/// split. Runs from the block's precomputed `weights` (`None` precomputes
-/// them for this call), drawing scratch and output storage from `arena`.
+/// pool's lanes; an operator-merge stage runs its parts' own filters over
+/// one convolution walk, each over its exact taps into its own output.
+/// Runs from the block's precomputed `weights` (`None` precomputes them
+/// for this call), drawing scratch and output storage from `arena`.
 /// The lanes running the groups share the arena; the returned tensors are
 /// owned by the caller.
 ///
@@ -361,47 +347,43 @@ pub(crate) fn execute_stage(
             }
         }
         ParallelizationStrategy::OperatorMerge => {
-            let merged = try_merge(graph, stage.ops)
-                .expect("merged stage must satisfy the merge eligibility rule");
-            // The merged tensor is built once per distinct stage and cached
-            // (pre-packed) inside the BlockWeights; repeat batches execute
-            // it directly.
-            let stage_weights = weights.merged_stage(graph, &merged);
-            let input = resolve(merged.input, inputs, outputs);
-            let merged_out = conv2d(
-                input,
-                &merged.params,
-                &stage_weights,
-                &ConvEpilogue::default(),
-                arena,
-            );
-            // Split the merged output back into the per-part outputs:
-            // each part's channels are one contiguous block per sample.
-            let plane = merged_out.shape.height * merged_out.shape.width;
-            let merged_item = merged.params.out_channels * plane;
-            let mut oc_offset = 0usize;
-            for (&part, &section) in merged.parts.iter().zip(&merged.split_sections) {
-                let op = graph.op(part);
-                let mut part_out = arena.take_tensor(op.output_shape);
-                let section_len = section * plane;
-                for n in 0..part_out.shape.batch {
-                    let src = n * merged_item + oc_offset * plane;
-                    part_out.data[n * section_len..(n + 1) * section_len]
-                        .copy_from_slice(&merged_out.data[src..src + section_len]);
-                }
-                // A part that absorbed a standalone ReLU still owes that
-                // activation when the merged kernel did not apply one.
-                if plan[part.index()] == FoldedRelu::FuseRelu
-                    && merged.params.activation != Activation::Relu
-                {
-                    for v in &mut part_out.data {
-                        *v = v.max(0.0);
+            // Each part's filter and epilogue (a folded ReLU included).
+            let first = stage.ops.iter().next().expect("a stage has ops");
+            let shared = graph.op(first).inputs[0];
+            let input = match shared {
+                Value::Input(i) => &inputs[i],
+                Value::Op(id) => outputs[id.index()].as_ref().expect("producer executed"),
+            };
+            let mut part_outputs: Vec<TensorData> = (stage.ops.iter())
+                .map(|part| arena.take_tensor(graph.op(part).output_shape))
+                .collect();
+            let parts: Vec<ConvPart<'_>> = (stage.ops.iter().zip(&mut part_outputs))
+                .map(|(part, out)| {
+                    let op = graph.op(part);
+                    let (OpKind::Conv2d(params), Some(OpWeights::Conv(filter)), [value]) =
+                        (&op.kind, weights.get(part), &op.inputs[..])
+                    else {
+                        panic!("merged parts must be convolutions")
+                    };
+                    assert_eq!(*value, shared, "merged parts must share their input");
+                    let ep = ConvEpilogue {
+                        relu: plan[part.index()] == FoldedRelu::FuseRelu,
+                        ..ConvEpilogue::default()
+                    };
+                    let out = DisjointOut::new(&mut out.data);
+                    ConvPart {
+                        params,
+                        filter,
+                        ep,
+                        out,
                     }
-                }
-                outputs[part.index()] = Some(part_out);
-                oc_offset += section;
+                })
+                .collect();
+            conv2d_parts(input, &parts);
+            drop(parts);
+            for (part, out) in stage.ops.iter().zip(part_outputs) {
+                outputs[part.index()] = Some(out);
             }
-            arena.recycle_tensor(merged_out);
         }
     }
 }
@@ -426,9 +408,9 @@ pub fn max_abs_difference(a: &[TensorData], b: &[TensorData]) -> f32 {
 
 /// Executes the graph both sequentially and under `schedule` with the same
 /// random inputs and returns the largest absolute difference across all
-/// operator outputs. Schedules are exact for finite inputs — a merge's
-/// zero-padded taps add `fma(0, x, acc) = acc` — so `0.0` demonstrates the
-/// schedule preserves semantics.
+/// operator outputs. Schedules are exact — every output element, a merged
+/// part's included, gets the fused multiply-adds of its own convolution —
+/// so `0.0` demonstrates the schedule preserves semantics.
 #[must_use]
 pub fn verify_schedule(graph: &Graph, schedule: &Schedule, seed: u64) -> f32 {
     let inputs: Vec<TensorData> = graph
@@ -457,7 +439,7 @@ fn check_inputs(graph: &Graph, inputs: &[TensorData]) {
 mod tests {
     use super::*;
     use crate::ops_cpu::{conv2d_naive, conv_weights};
-    use ios_core::{greedy_schedule, schedule_graph, SchedulerConfig, SimCostModel};
+    use ios_core::{greedy_schedule, schedule_graph, try_merge, SchedulerConfig, SimCostModel};
     use ios_ir::Conv2dParams;
     use ios_ir::{GraphBuilder, TensorShape};
     use ios_sim::{DeviceKind, Simulator};
@@ -518,8 +500,7 @@ mod tests {
         assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
-    /// The hand-built schedule of `forced_merge_stage_matches_sequential`,
-    /// reused by the merged-weight cache test.
+    /// The hand-built schedule of `forced_merge_stage_matches_sequential`.
     fn forced_merge_schedule(g: &Graph) -> Schedule {
         let merged_ops: ios_ir::OpSet = [OpId(0), OpId(1)].into_iter().collect();
         assert!(try_merge(g, merged_ops).is_some());
@@ -546,34 +527,6 @@ mod tests {
                 },
             ],
         )
-    }
-
-    #[test]
-    fn merged_stage_weights_are_built_once_and_cached() {
-        let g = branchy();
-        let schedule = forced_merge_schedule(&g);
-        let weights = BlockWeights::precompute(&g);
-        let inputs = vec![TensorData::random(TensorShape::new(1, 8, 10, 10), 55)];
-
-        let run = |weights: Option<&BlockWeights>| {
-            execute_schedule_pooled(&g, &schedule, &inputs, weights, global_pool())
-        };
-        let first = run(Some(&weights));
-        assert_eq!(weights.merged_builds(), 1, "first batch builds the stage");
-        assert_eq!(weights.merged_hits(), 0);
-        let second = run(Some(&weights));
-        assert_eq!(
-            weights.merged_builds(),
-            1,
-            "repeat batches must not rebuild the merged tensor"
-        );
-        assert_eq!(weights.merged_hits(), 1);
-        assert_eq!(first, second);
-
-        // `None` precomputes a fresh weight set for the call: same bits,
-        // and the caller's set is left alone.
-        assert_eq!(first, run(None));
-        assert_eq!(weights.merged_builds(), 1);
     }
 
     #[test]
@@ -692,6 +645,97 @@ mod tests {
         );
         let diff = verify_schedule(&g, &schedule, 13);
         assert_eq!(diff, 0.0, "difference = {diff}");
+    }
+
+    #[test]
+    fn merged_walk_parts_are_bit_identical_to_their_own_convolutions() {
+        // Random merge stages of 2–4 centred siblings on one input — kernels
+        // 1×1, 3×3, 1×3, 3×1 and 5×5, out channels no multiple of 4 — at
+        // stride 1 and 2, batch 1 and 3; the first part absorbs a
+        // standalone ReLU. Every part's output carries the bits of its own
+        // convolution, at every tier and lane count.
+        use crate::gemm::conv2d;
+        use crate::simd;
+        let kernels = [(1, 1), (3, 3), (1, 3), (3, 1), (5, 5)];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pick = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let pool = ScratchPool::new();
+        for case in 0..8 {
+            let (stride, batch) = (1 + case % 2, [1, 3][case / 2 % 2]);
+            let shape = TensorShape::new(batch, 3 + pick(6), 7 + pick(5), 6 + pick(6));
+            let mut b = GraphBuilder::new(format!("merge_walk_{case}"), shape);
+            let x = b.input(0);
+            let parts: Vec<Value> = (0..2 + pick(3))
+                .map(|i| {
+                    let k: (usize, usize) = kernels[pick(kernels.len())];
+                    let out_c = [3, 5, 6, 7, 9, 13][pick(6)];
+                    let padding = (k.0 / 2, k.1 / 2);
+                    let params = if case < 4 {
+                        Conv2dParams::plain(out_c, k, (stride, stride), padding)
+                    } else {
+                        Conv2dParams::relu(out_c, k, (stride, stride), padding)
+                    };
+                    b.conv2d(format!("c{i}"), x, params)
+                })
+                .collect();
+            let relu = b.relu("r", parts[0]);
+            let g = b.build(
+                [relu]
+                    .into_iter()
+                    .chain(parts[1..].iter().copied())
+                    .collect(),
+            );
+            let merged_ops: OpSet = (0..parts.len()).map(OpId).collect();
+            assert!(try_merge(&g, merged_ops).is_some(), "case {case}");
+            let stage = ios_core::Stage {
+                ops: merged_ops,
+                strategy: ParallelizationStrategy::OperatorMerge,
+                groups: vec![merged_ops.iter().collect()],
+                measured_latency_us: 1.0,
+            };
+            let weights = BlockWeights::precompute(&g);
+            assert_eq!(weights.fold_plan()[0], FoldedRelu::FuseRelu);
+            let inputs = vec![TensorData::random(shape, 90 + case as u64)];
+            for isa in simd::supported_isas() {
+                for lanes in [1, 2, 7] {
+                    simd::with_forced_isa(isa, || {
+                        workers::with_forced_lanes(lanes, || {
+                            let mut outputs = vec![None; g.len()];
+                            execute_stage(&g, &stage, &inputs, &weights, &mut outputs, &pool);
+                            for op in merged_ops.iter() {
+                                let (OpKind::Conv2d(params), Some(OpWeights::Conv(filter))) =
+                                    (&g.op(op).kind, weights.get(op))
+                                else {
+                                    unreachable!()
+                                };
+                                let ep = ConvEpilogue {
+                                    relu: op == OpId(0),
+                                    ..ConvEpilogue::default()
+                                };
+                                let alone = conv2d(&inputs[0], params, filter, &ep, &pool);
+                                let merged = outputs[op.index()].as_ref().expect("part ran");
+                                assert_eq!(merged.shape, alone.shape);
+                                assert!(
+                                    merged
+                                        .data
+                                        .iter()
+                                        .map(|v| v.to_bits())
+                                        .eq(alone.data.iter().map(|v| v.to_bits())),
+                                    "case {case}, {} {:?}, {isa}, {lanes} lanes",
+                                    g.op(op).name,
+                                    params.kernel
+                                );
+                            }
+                        });
+                    });
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,18 +23,20 @@
 //! * `C = A · B` is the `out_c/g × M` output of one group, written directly
 //!   into the NCHW output tensor.
 //!
-//! There is one convolution entry ([`conv2d`]), bit-identical to
-//! [`crate::ops_cpu::conv2d_naive`]. It walks the output column blocks in
-//! the outer loop and fuses im2col into the walk (`crate::im2col`); the
-//! filter's panels stream over each block while it is cache-hot, through
-//! the register tile of the selected tier (`crate::tile`) and the fused
+//! There is one convolution walk ([`conv2d_parts`]), bit-identical to
+//! [`crate::ops_cpu::conv2d_naive`]; [`conv2d`] is its one-part case, an
+//! operator-merge stage passes its sibling convolutions as the parts. It
+//! walks the output column blocks in the outer loop and fuses im2col into
+//! the walk (`crate::im2col`); every part's filter panels stream over each
+//! block while it is cache-hot, over that part's own taps only, through the
+//! register tile of the selected tier (`crate::tile`) and the part's fused
 //! epilogue (`crate::epilogue`).
 
 use crate::arena::Arena;
 use crate::im2col::{im2col_block, in_place_or_edge_copy};
 use crate::simd;
 use crate::tensor_data::TensorData;
-use crate::tile::{at_tier, tile_width, ColumnBlock, F32Panels, PACK_MR, PACK_NR};
+use crate::tile::{at_tier, tile_width, ColumnBlock, F32Panels, Taps, PACK_MR, PACK_NR};
 use crate::workers::{self, DisjointOut};
 use ios_ir::{Activation, Conv2dParams};
 use std::ops::Range;
@@ -114,9 +116,8 @@ impl PackedFilter {
     /// The packer behind [`PackedFilter::pack`]: writes the natural-layout
     /// weight of output channel `oc` at reduction index `k`, read from
     /// `weight` instead of a slice, into its packed slot — so a filter
-    /// generated value by value, or assembled from other filters (a merged
-    /// stage's), is packed without a natural-layout temporary. Edge-panel
-    /// padding keeps its zeros.
+    /// generated value by value is packed without a natural-layout
+    /// temporary. Edge-panel padding keeps its zeros.
     pub(crate) fn pack_with(&mut self, weight: impl Fn(usize, usize) -> f32) {
         let (out_channels, groups, k_len) = self.geometry();
         let rows_per_group = out_channels / groups;
@@ -143,15 +144,6 @@ impl PackedFilter {
     #[must_use]
     fn group(&self, g: usize) -> &[f32] {
         &self.data[g * self.group_stride..(g + 1) * self.group_stride]
-    }
-
-    /// The weight of output channel `oc` at reduction index `k` — the
-    /// inverse of the packing permutation.
-    pub(crate) fn weight(&self, oc: usize, k: usize) -> f32 {
-        let rows_per_group = self.out_channels / self.groups;
-        let (g, r) = (oc / rows_per_group, oc % rows_per_group);
-        let panel = &self.group(g)[(r / PACK_MR) * self.k_len * PACK_MR..];
-        panel[k * PACK_MR + r % PACK_MR]
     }
 
     /// Logical weight parameters (`out_channels · k_len`) and the bytes
@@ -213,10 +205,11 @@ impl TileSplit {
 }
 
 /// Dense / grouped 2-D convolution reading `filter`'s pre-packed panels —
-/// the one convolution entry: im2col + blocked GEMM with a fused epilogue,
-/// input-ReLU during im2col, bias / residual-add / ReLU in the tile
-/// writeback ([`ConvEpilogue::default`] fuses nothing). Bit-identical to
-/// running `ep`'s operations as separate passes around
+/// the one-part case of the one convolution walk ([`conv2d_parts`]):
+/// im2col + blocked GEMM with a fused epilogue, input-ReLU during im2col,
+/// bias / residual-add / ReLU in the tile writeback
+/// ([`ConvEpilogue::default`] fuses nothing). Bit-identical to running
+/// `ep`'s operations as separate passes around
 /// [`crate::ops_cpu::conv2d_naive`] on every tier and lane count. Per-lane
 /// scratch is thread-local; the output tensor is taken from `arena` and
 /// owned by the caller.
@@ -233,51 +226,106 @@ pub fn conv2d(
     ep: &ConvEpilogue<'_>,
     arena: &impl Arena,
 ) -> TensorData {
-    let in_shape = input.shape;
-    let groups = params.groups;
-    let in_c_per_group = in_shape.channels / groups;
-    let out_c_per_group = params.out_channels / groups;
-    let (kh, kw) = params.kernel;
-    let k_len = in_c_per_group * kh * kw;
-    assert_eq!(
-        filter.geometry(),
-        (params.out_channels, groups, k_len),
-        "filter geometry (out_c, groups, k) does not match the convolution"
-    );
     let mut out = ep.take_output(input, params, arena);
-    let ow = out.shape.width;
-    let m_cols = out.shape.height * ow;
+    let out_view = DisjointOut::new(&mut out.data);
+    conv2d_parts(
+        input,
+        &[ConvPart {
+            params,
+            filter,
+            ep: *ep,
+            out: out_view,
+        }],
+    );
+    out
+}
+
+/// One convolution of a [`conv2d_parts`] walk: its parameters, packed
+/// filter and epilogue, and a view of its output tensor
+/// ([`ConvEpilogue::take_output`]).
+pub(crate) struct ConvPart<'a> {
+    pub params: &'a Conv2dParams,
+    pub filter: &'a PackedFilter,
+    pub ep: ConvEpilogue<'a>,
+    pub out: DisjointOut<'a>,
+}
+
+/// The one convolution walk: each of `parts` — convolutions of `input`
+/// with one stride, their kernels centred in one another (a merge stage's
+/// siblings, or one plain convolution) — into its own output. A lane builds
+/// each column block once, over the largest kernel's taps, and every part
+/// streams its panels over its own taps of it ([`part_taps`]) while it is
+/// cache-hot: each output element gets exactly its own convolution's fused
+/// multiply-adds, no zero-padded one, stored through its part's epilogue.
+///
+/// # Panics
+///
+/// Panics if a filter was not packed for its part, or the parts are not
+/// dense, centred in one another, or differ in stride or input-ReLU.
+pub(crate) fn conv2d_parts(input: &TensorData, parts: &[ConvPart<'_>]) {
+    let in_shape = input.shape;
+    let first = parts[0].params;
+    let groups = first.groups;
+    let in_c_per_group = in_shape.channels / groups;
+    let grid = parts.iter().fold((1, 1), |(h, w), part| {
+        (h.max(part.params.kernel.0), w.max(part.params.kernel.1))
+    });
+    // Twice a part's padding once its kernel is grown, centred, to `grid`:
+    // odd for a kernel that cannot be centred.
+    let pad2 = |p: &Conv2dParams| {
+        let (k, pad) = (p.kernel, p.padding);
+        (2 * pad.0 + grid.0 - k.0, 2 * pad.1 + grid.1 - k.1)
+    };
+    let (ph, pw) = pad2(first);
+    let patch = Conv2dParams {
+        kernel: grid,
+        padding: (ph / 2, pw / 2),
+        ..*first
+    };
+    let input_relu = parts[0].ep.input_relu;
+    let mut column_macs = 0;
+    for part in parts {
+        let p = part.params;
+        let k_len = in_c_per_group * p.kernel.0 * p.kernel.1;
+        let shared = (p.stride, p.groups, pad2(p)) == (first.stride, groups, (ph, pw));
+        let packed = part.filter.geometry() == (p.out_channels, groups, k_len);
+        assert!(
+            shared
+                && packed
+                && part.ep.input_relu == input_relu
+                && (ph | pw) % 2 == 0
+                && (groups == 1 || parts.len() == 1),
+            "each part of a walk is dense, centred, has the others' stride and input-ReLU, \
+             and a filter packed for it"
+        );
+        column_macs += p.out_channels / groups * k_len;
+    }
+    let (oh, ow) = in_shape.conv_output_hw(grid, patch.stride, patch.padding);
+    let m_cols = oh * ow;
+    let k_len = in_c_per_group * grid.0 * grid.1;
     let in_plane = in_shape.height * in_shape.width;
-    // Read once, here: the lanes that run this convolution's chunks
-    // dispatch at the ISA of the thread that called it.
+    // Read once, here: the lanes that run this walk's chunks dispatch at the
+    // ISA of the thread that called it.
     let tier = simd::active_isa();
     // As wide as the tier's register tile, so every broadcast weight feeds
-    // `NV` multiply-adds and the filter is streamed once per `16·NV` columns.
+    // `NV` multiply-adds and a filter is streamed once per `16·NV` columns.
     let width = tile_width(tier);
 
-    let relu = params.activation == Activation::Relu || ep.relu;
-    // A pointwise convolution's patch matrix is the input itself — unless
-    // a fused input-ReLU must transform the values, which forces the
-    // patch-build path (it applies the ReLU while loading).
+    // A pointwise walk's patch matrix is the input itself — unless a fused
+    // input-ReLU must transform the values, which forces the patch-build
+    // path (it applies the ReLU while loading).
     let pointwise =
-        kh == 1 && kw == 1 && params.stride == (1, 1) && params.padding == (0, 0) && !ep.input_relu;
-    // The input planes of group `g` of sample `n`: a pointwise
-    // convolution's whole `K × M` patch matrix.
+        grid == (1, 1) && patch.stride == (1, 1) && patch.padding == (0, 0) && !input_relu;
+    // The input planes of group `g` of sample `n`: a pointwise walk's whole
+    // `K × M` patch matrix.
     let group_input = |n: usize, g: usize| {
         let start = (n * in_shape.channels + g * in_c_per_group) * in_plane;
         &input.data[start..start + k_len * m_cols]
     };
 
-    // The walk is column-block-outer: each lane builds the column block it
-    // is about to use — as wide as the tier's tile — in its own scratch
-    // (fused im2col) and the filter's panels stream over it while it is
-    // cache-hot. Every output element accumulates the patch values over
-    // ascending k whichever chunk and whichever block width its tile falls
-    // into, so the bits depend on neither. A pointwise convolution reads
-    // blocks of full sub-blocks in place and needs the patch scratch only
-    // for a ragged last one.
-    let split = TileSplit::plan(groups, out_c_per_group, m_cols, k_len, width);
-    let out_view = DisjointOut::new(&mut out.data);
+    // Each output element accumulates over ascending k whichever chunk and
+    // block width its tile falls into. The cut counts all parts' MACs.
+    let split = TileSplit::plan(groups, column_macs, m_cols, 1, width);
     let patch_len = if pointwise && m_cols.is_multiple_of(PACK_NR) {
         0
     } else {
@@ -288,7 +336,6 @@ pub fn conv2d(
             let (chunk_groups, blocks) = split.part(chunk);
             workers::with_lane_scratch(patch_len, |patches| {
                 for g in chunk_groups {
-                    let oc0 = g * out_c_per_group;
                     // Full-width blocks, then the chunk's last one or two
                     // sub-blocks as a narrower one.
                     for block in blocks.clone().step_by(width) {
@@ -302,37 +349,64 @@ pub fn conv2d(
                                 n,
                                 g * in_c_per_group,
                                 in_c_per_group,
-                                params,
+                                &patch,
                                 ow,
                                 j0,
                                 nr,
                                 patches,
-                                ep.input_relu,
+                                input_relu,
                             );
                             (&*patches, nr.next_multiple_of(PACK_NR))
                         };
-                        let block = ColumnBlock {
-                            m_rows: out_c_per_group,
-                            k_len,
-                            b,
-                            b_stride,
-                            j0,
-                            nr,
-                            m: m_cols,
-                            ep,
-                            relu,
-                            oc0,
-                            c0: (n * params.out_channels + oc0) * m_cols,
-                            c: &out_view,
-                        };
-                        let a = filter.group(g);
-                        at_tier(tier, F32Panels { a, block: &block });
+                        for part in parts {
+                            let p = part.params;
+                            let out_c_per_group = p.out_channels / groups;
+                            let oc0 = g * out_c_per_group;
+                            let (first_row, taps) =
+                                part_taps(p.kernel, grid, in_c_per_group, b_stride);
+                            let block = ColumnBlock {
+                                m_rows: out_c_per_group,
+                                k_len: in_c_per_group * p.kernel.0 * p.kernel.1,
+                                b: &b[first_row..],
+                                taps,
+                                j0,
+                                nr,
+                                m: m_cols,
+                                ep: &part.ep,
+                                relu: p.activation == Activation::Relu || part.ep.relu,
+                                oc0,
+                                c0: (n * p.out_channels + oc0) * m_cols,
+                                c: &part.out,
+                            };
+                            let a = part.filter.group(g);
+                            at_tier(tier, F32Panels { a, block: &block });
+                        }
                     }
                 }
             });
         });
     }
-    out
+}
+
+/// Where a `kernel`'s rows lie in a block built for a `grid` of taps per
+/// input channel, `channels` of them, at row stride `stride`: the offset of
+/// its first row, and its [`Taps`] — every row for the grid's own kernel,
+/// the centre row of each channel (a uniform step) for a 1×1 one, its
+/// centred window of each channel's rows for any other.
+fn part_taps(
+    kernel: (usize, usize),
+    grid: (usize, usize),
+    channels: usize,
+    stride: usize,
+) -> (usize, Taps) {
+    let first_row = (grid.0 - kernel.0) / 2 * grid.1 + (grid.1 - kernel.1) / 2;
+    let per_channel = grid.0 * grid.1 * stride;
+    let levels = match kernel {
+        k if k == grid => [(1, 0), (1, 0), (channels * k.0 * k.1, stride)],
+        (1, 1) => [(1, 0), (1, 0), (channels, per_channel)],
+        (kh, kw) => [(channels, per_channel), (kh, grid.1 * stride), (kw, stride)],
+    };
+    (first_row * stride, Taps(levels))
 }
 
 #[cfg(test)]
@@ -607,7 +681,7 @@ mod tests {
                             m_rows,
                             k_len,
                             b: &short_block,
-                            b_stride: row_width,
+                            taps: Taps([(1, 0), (1, 0), (k_len, row_width)]),
                             j0: 0,
                             nr: row_width,
                             m: row_width,

@@ -6,11 +6,12 @@
 //! for the reproduction — plus a CPU hot path fast enough to serve real
 //! traffic through `ios-serve`:
 //!
-//! * [`gemm`] — the one convolution entry ([`conv2d`]): im2col +
-//!   register-blocked GEMM over f32 filters pre-packed into tile-major
-//!   panels at weight-precompute time ([`PackedFilter`]), **bit-identical**
-//!   to the naive oracle because it preserves the reference's
-//!   `(ic, ky, kx)` accumulation order per output element;
+//! * [`gemm`] — the one convolution walk: im2col + register-blocked GEMM
+//!   over f32 filters pre-packed into tile-major panels at
+//!   weight-precompute time ([`PackedFilter`]), **bit-identical** to the
+//!   naive oracle because it preserves the reference's `(ic, ky, kx)`
+//!   accumulation order per output element; [`conv2d`] is its one-part
+//!   case, a merged stage's parts share it;
 //! * [`ops_cpu`] — every other IR operator, one entry each, and the naive
 //!   7-deep convolution loop kept as the oracle ([`ops_cpu::conv2d_naive`]);
 //! * [`simd`] — the runtime SIMD dispatch of the register tile and the
@@ -30,8 +31,9 @@
 //!   (groups on the worker pool) through one stage runner — a plain graph
 //!   is its sequential schedule — from precomputed weights
 //!   ([`BlockWeights`], built for the call when the caller holds none),
-//!   serving operator-merge stages from the per-stage merged-weight cache
-//!   ([`BlockWeights::merged_stage`]);
+//!   running an operator-merge stage as its parts' own filters over one
+//!   shared convolution walk — exact taps, each part's output written in
+//!   place, no merged filter built or held;
 //! * [`batch`] — network-level execution, weight precomputation (packed
 //!   filters included), batch stacking/splitting, and
 //!   [`execute_network_batched`] which fans a stacked batch out across

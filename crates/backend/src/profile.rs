@@ -3,7 +3,7 @@
 //!
 //! [`CpuStageProfiler`] implements [`ios_core::StageProfiler`]: given a
 //! candidate stage, it executes that stage — concurrent groups on the
-//! worker pool's lanes, merge stages through the packed merged-weight path —
+//! worker pool's lanes, merge stages as one walk over their parts' filters —
 //! through the very same [`execute_stage`] the serving executor runs, so
 //! the latencies the scheduler optimizes against are latencies of the code
 //! that will serve the schedule. [`ios_core::ProfiledCostModel`] supplies
@@ -262,7 +262,7 @@ mod tests {
         // resolved from the warmed per-op state.
         profiler.run_concurrent(&g, &[vec![OpId(2)], vec![OpId(3), OpId(4)]]);
         assert_eq!(profiler.warmed_graphs(), 1);
-        // The mergeable pair runs through the packed merged-weight path.
+        // The mergeable pair runs as one walk over both parts' filters.
         let merged = ios_core::try_merge(&g, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
         profiler.run_merge(&g, &merged);
         assert_eq!(profiler.warmed_graphs(), 1, "same graph, same state");

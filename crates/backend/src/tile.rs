@@ -212,17 +212,18 @@ fn assert_runs_here(isa: Isa) {
 /// is one sequential, prefetchable stream.
 ///
 /// `b` holds B columns `[j0, j0 + W)`, `W` = `nr` rounded up to whole
-/// sub-blocks, with row stride `b_stride`: a view into a full `K × M` patch
-/// matrix (a pointwise convolution's input planes), or a cache-resident
-/// `K × W` block built by [`crate::im2col`]. `c` is the whole output
-/// tensor, in which the group's `m_rows × m` rows start at `c0` and output
-/// channel `oc0` (where `ep`'s residual and bias rows start too); columns
-/// `[j0, j0 + nr)` are written, through `max(0, ·)` if `relu`.
+/// sub-blocks, its rows where `taps` says: a view into a full `K × M` patch
+/// matrix (a pointwise convolution's input planes), or into a cache-resident
+/// block built by [`crate::im2col`] — whose rows may be a superset of this
+/// filter's, when several convolutions share one block. `c` is the whole
+/// output tensor, in which the group's `m_rows × m` rows start at `c0` and
+/// output channel `oc0` (where `ep`'s residual and bias rows start too);
+/// columns `[j0, j0 + nr)` are written, through `max(0, ·)` if `relu`.
 pub(crate) struct ColumnBlock<'a> {
     pub m_rows: usize,
     pub k_len: usize,
     pub b: &'a [f32],
-    pub b_stride: usize,
+    pub taps: Taps,
     pub j0: usize,
     pub nr: usize,
     pub m: usize,
@@ -232,6 +233,14 @@ pub(crate) struct ColumnBlock<'a> {
     pub c0: usize,
     pub c: &'a DisjointOut<'a>,
 }
+
+/// Where in a [`ColumnBlock`]'s `b` each reduction index's row starts:
+/// `k = (i, j, l)` counts through three nested `(count, step)` levels and
+/// starts at `i · step₀ + j · step₁ + l · step₂`. A uniform stride is the
+/// last level alone; a smaller kernel read out of a larger one's block is
+/// its input channels, kernel rows and kernel columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Taps(pub [(usize, usize); 3]);
 
 /// `A` in tile-major packed f32 panels ([`crate::gemm::PackedFilter`]) over
 /// a column block: panel `p` holds rows `p·PACK_MR ..` as
@@ -273,16 +282,22 @@ impl F32Panels<'_> {
     #[inline(always)]
     unsafe fn panels<R: Row, const SPAN: usize, const NV: usize>(&self) {
         let panels = self.block.m_rows.div_ceil(PACK_MR);
+        // One loop per instantiation: a tile holding both the one-level and
+        // the nested walk over its taps runs the one-level walk at half the
+        // speed at AVX-512's full width.
+        let nested = !matches!(self.block.taps.0, [(1, _), (1, _), _]);
         let mut p = 0;
         // SAFETY: the caller's contract, passed down.
         unsafe {
-            while p + SPAN <= panels {
-                self.tile::<R, SPAN, NV>(p);
-                p += SPAN;
-            }
             while p < panels {
-                self.tile::<R, 1, NV>(p);
-                p += 1;
+                let full = p + SPAN <= panels;
+                match (full, nested) {
+                    (true, false) => self.tile::<R, SPAN, NV, false>(p),
+                    (true, true) => self.tile::<R, SPAN, NV, true>(p),
+                    (false, false) => self.tile::<R, 1, NV, false>(p),
+                    (false, true) => self.tile::<R, 1, NV, true>(p),
+                }
+                p += if full { SPAN } else { 1 };
             }
         }
     }
@@ -306,33 +321,59 @@ impl F32Panels<'_> {
     /// Panics if the panels or `b` are too short for the tile — the raw
     /// loads below never run against an out-of-bounds slice.
     #[inline(always)]
-    unsafe fn tile<R: Row, const SPAN: usize, const NV: usize>(&self, p: usize) {
+    unsafe fn tile<R: Row, const SPAN: usize, const NV: usize, const NESTED: bool>(
+        &self,
+        p: usize,
+    ) {
         let blk = self.block;
-        let (k_len, b_stride) = (blk.k_len, blk.b_stride);
+        let k_len = blk.k_len;
         let panel_stride = k_len * PACK_MR;
         let a = &self.a[p * panel_stride..(p + SPAN) * panel_stride];
+        let [(n0, s0), (n1, s1), (n2, s2)] = blk.taps.0;
         assert!(
-            k_len == 0 || blk.b.len() >= (k_len - 1) * b_stride + NV * PACK_NR,
+            n0 * n1 * n2 == k_len
+                && (k_len == 0
+                    || blk.b.len() >= (n0 - 1) * s0 + (n1 - 1) * s1 + (n2 - 1) * s2 + NV * PACK_NR),
             "patch block too short"
         );
         // SAFETY: all pointer arithmetic stays inside `a` and `blk.b` per
-        // the slicing and the assert above (the last row's last vector ends
-        // at `(k_len − 1) · b_stride + NV · PACK_NR`); `R`'s ISA is the
-        // caller's contract.
+        // the slicing and the assert above (the taps count `k_len` rows, and
+        // the last row's last vector, the furthest, ends inside `b`); `R`'s
+        // ISA is the caller's contract.
         unsafe {
             let mut acc = [[[R::splat(0.0); NV]; PACK_MR]; SPAN];
             let (ap, bp) = (a.as_ptr(), blk.b.as_ptr());
-            for kk in 0..k_len {
-                let b_k = bp.add(kk * b_stride);
-                let brow: [R; NV] = std::array::from_fn(|v| R::load(b_k.add(v * PACK_NR)));
-                for (s, panel_acc) in acc.iter_mut().enumerate() {
-                    let a_k = ap.add(s * panel_stride + kk * PACK_MR);
-                    for (i, row_acc) in panel_acc.iter_mut().enumerate() {
-                        let a_ik = R::splat(*a_k.add(i));
-                        for (v_acc, &b_kv) in row_acc.iter_mut().zip(&brow) {
-                            *v_acc = v_acc.mul_add(a_ik, b_kv);
+            // One k step over the row at `b_k` and the k-slabs at `a_k` (a
+            // macro: a closure would hold `acc` in memory).
+            macro_rules! step {
+                ($a_k:expr, $b_k:expr) => {{
+                    let (a_k, b_k): (*const f32, *const f32) = ($a_k, $b_k);
+                    let brow: [R; NV] = std::array::from_fn(|v| R::load(b_k.add(v * PACK_NR)));
+                    for (s, panel_acc) in acc.iter_mut().enumerate() {
+                        let a_s = a_k.add(s * panel_stride);
+                        for (i, row_acc) in panel_acc.iter_mut().enumerate() {
+                            let a_ik = R::splat(*a_s.add(i));
+                            for (v_acc, &b_kv) in row_acc.iter_mut().zip(&brow) {
+                                *v_acc = v_acc.mul_add(a_ik, b_kv);
+                            }
                         }
                     }
+                }};
+            }
+            if NESTED {
+                let mut a_k = ap;
+                for c in 0..n0 {
+                    for y in 0..n1 {
+                        let b_row = bp.add(c * s0 + y * s1);
+                        for x in 0..n2 {
+                            step!(a_k, b_row.add(x * s2));
+                            a_k = a_k.add(PACK_MR);
+                        }
+                    }
+                }
+            } else {
+                for kk in 0..k_len {
+                    step!(ap.add(kk * PACK_MR), bp.add(kk * s2));
                 }
             }
             let i0 = p * PACK_MR;

@@ -28,9 +28,12 @@
 //! Judged and reported (`BENCH_sched.json`) through [`ios_bench::gate`]:
 //! per-block timings, the profiled-vs-simulated stage decompositions and
 //! whether they diverged — the README's "schedule divergence" table is
-//! generated from this. A second table, reported and not judged, is each
+//! generated from this. Two more tables are reported and not judged: each
 //! Table-2 network's predicted peak of live op-output bytes under its
-//! sequential and IOS-Both schedules: the memory cost of concurrency.
+//! sequential and IOS-Both schedules — the memory cost of concurrency — and
+//! every merge stage of Inception V3's and SqueezeNet's IOS-Both schedules
+//! timed three ways: as the merged walk, as its parts in one concurrent
+//! stage, and as its parts one after another.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin sched_gate`
 //! (`--quick` profiles fewer blocks with fewer repeats for CI's PR lane).
@@ -41,10 +44,10 @@ use ios_backend::{
 };
 use ios_bench::{cells, geomean, paired_rounds, Gate, Table};
 use ios_core::{
-    optimize_network, schedule_graph, ParallelizationStrategy, ProfiledCostModel, Schedule,
-    SchedulerConfig, SimCostModel,
+    optimize_network, schedule_graph, try_merge, ParallelizationStrategy, ProfiledCostModel,
+    Schedule, SchedulerConfig, SimCostModel, StageProfiler,
 };
-use ios_ir::Graph;
+use ios_ir::{Graph, OpId, OpKind};
 use ios_models::RandWireConfig;
 use ios_sim::{DeviceKind, Simulator};
 use std::process::ExitCode;
@@ -138,6 +141,80 @@ fn peak_live_table(device: DeviceKind) -> Table {
     table
 }
 
+/// Operator merge on the CPU, reported and not judged: every merge stage of
+/// Inception V3's and SqueezeNet's batch-1 IOS-Both schedules (planned
+/// against the simulator) timed best-of-`iters` three ways on warmed stage
+/// state — the merged walk (one patch block per column block, every part's
+/// filter streamed over it), its parts as one concurrent stage (a group
+/// each) and its parts one after another on the caller.
+fn merge_table(device: DeviceKind, iters: usize) -> Table {
+    let mut table = Table::new(
+        "Merge stages of the IOS-Both schedules, batch 1: merged walk vs concurrent vs sequential",
+        &[
+            ("network", "network"),
+            ("block", "block"),
+            ("parts", "parts (kernel:out_c)"),
+            ("input", "input c×h×w"),
+            ("merged_ms", "merged ms"),
+            ("concurrent_ms", "concurrent ms"),
+            ("sequential_ms", "sequential ms"),
+            ("concurrent_over_merged", "concurrent ÷ merged"),
+            ("sequential_over_merged", "sequential ÷ merged"),
+        ],
+    );
+    let cost = SimCostModel::new(Simulator::new(device));
+    let profiler = CpuStageProfiler::new();
+    for network in [ios_models::inception_v3(1), ios_models::squeezenet(1)] {
+        let ios = optimize_network(&network, &cost, &SchedulerConfig::paper_default()).schedule;
+        for (index, (block, schedule)) in
+            network.blocks.iter().zip(&ios.block_schedules).enumerate()
+        {
+            let graph = &block.graph;
+            let merges = schedule
+                .stages
+                .iter()
+                .filter(|s| s.strategy == ParallelizationStrategy::OperatorMerge);
+            for stage in merges {
+                let merged = try_merge(graph, stage.ops).expect("a merge stage merges");
+                let parts: Vec<String> = merged
+                    .parts
+                    .iter()
+                    .map(|&op| match &graph.op(op).kind {
+                        OpKind::Conv2d(p) => {
+                            format!("{}x{}:{}", p.kernel.0, p.kernel.1, p.out_channels)
+                        }
+                        _ => unreachable!("merged parts are convolutions"),
+                    })
+                    .collect();
+                let alone: Vec<Vec<OpId>> = merged.parts.iter().map(|&op| vec![op]).collect();
+                let one_by_one = [merged.parts.clone()];
+                let mut run_merged = || profiler.run_merge(graph, &merged);
+                let mut run_concurrent = || profiler.run_concurrent(graph, &alone);
+                let mut run_sequential = || profiler.run_concurrent(graph, &one_by_one);
+                let mut variants: [&mut dyn FnMut(); 3] =
+                    [&mut run_merged, &mut run_concurrent, &mut run_sequential];
+                // One warm-up round fills the stage state and the pool.
+                paired_rounds(1, &mut variants);
+                let rounds = paired_rounds(iters, &mut variants);
+                let ms = [rounds.best_ms(0), rounds.best_ms(1), rounds.best_ms(2)];
+                let shape = merged.input_shape;
+                table.row(cells![
+                    network.name.as_str(),
+                    format!("b{index}"),
+                    parts.join(" "),
+                    format!("{}×{}×{}", shape.channels, shape.height, shape.width),
+                    ms[0],
+                    ms[1],
+                    ms[2],
+                    ms[1] / ms[0],
+                    ms[2] / ms[0],
+                ]);
+            }
+        }
+    }
+    table
+}
+
 fn main() -> ExitCode {
     let mut gate = Gate::from_args("sched");
     let quick = gate.opts.quick;
@@ -206,10 +283,6 @@ fn main() -> ExitCode {
         for t in reference.into_iter().chain(scheduled) {
             pool.recycle_tensor(t);
         }
-        // Warm the sim-guided path's merged-weight cache too.
-        for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, Some(&weights), &pool) {
-            pool.recycle_tensor(t);
-        }
 
         let mut run_sequential = || {
             for t in execute_schedule_pooled(graph, &sequential, &inputs, Some(&weights), &pool) {
@@ -251,6 +324,7 @@ fn main() -> ExitCode {
     }
     gate.table(&table);
     gate.table(&peak_live_table(gate.opts.device));
+    gate.table(&merge_table(gate.opts.device, iters));
 
     gate.fact("diverged_blocks", diverged_blocks);
     gate.fact(

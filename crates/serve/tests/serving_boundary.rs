@@ -126,7 +126,7 @@ fn steady_state_serving_boundary_is_allocation_free() {
         Box::new(CpuReferenceExecutor::with_max_workers(1)),
     );
 
-    // Warm-up: fills both pools and the merged-weight cache.
+    // Warm-up: fills both pools.
     for i in 0..3 {
         let response = engine
             .infer(TensorData::random(net.input_shape, 70 + i))
@@ -172,6 +172,65 @@ fn steady_state_serving_boundary_is_allocation_free() {
         assert!(io_reuses > 0);
         assert!(exec_reuses > 0);
     }
+    engine.shutdown();
+}
+
+/// A merge stage reads its parts' own filters and builds no merged one, so
+/// serving a schedule that merges leaves the weight-cache gauge where
+/// start-up put it.
+#[test]
+fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
+    use ios_core::{
+        optimize_network, IosVariant, ParallelizationStrategy, SchedulerConfig, SimCostModel,
+    };
+    use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+    use ios_sim::{DeviceKind, Simulator};
+    // Two wide siblings on one input: IOS-Merge merges them on the V100.
+    let input = TensorShape::new(1, 64, 12, 12);
+    let mut b = GraphBuilder::new("merge_served_b0", input);
+    let x = b.input(0);
+    let a = b.conv2d("a", x, Conv2dParams::relu(64, (3, 3), (1, 1), (1, 1)));
+    let c = b.conv2d("c", x, Conv2dParams::relu(96, (1, 1), (1, 1), (0, 0)));
+    let net = Network::new("merge_served", input, vec![Block::new(b.build(vec![a, c]))]);
+    let config = ServeConfig {
+        max_batch: 1,
+        workers: 1,
+        scheduler: SchedulerConfig::for_variant(IosVariant::Merge),
+        prewarm_batches: Some(vec![1]),
+        background_reoptimize: false,
+        ..ServeConfig::default()
+    };
+    let cost = SimCostModel::new(Simulator::new(config.device));
+    let served = optimize_network(&net, &cost, &config.scheduler).schedule;
+    assert!(
+        served
+            .block_schedules
+            .iter()
+            .flat_map(|s| &s.stages)
+            .any(|s| s.strategy == ParallelizationStrategy::OperatorMerge),
+        "the served schedule merges"
+    );
+    assert_eq!(config.device, DeviceKind::TeslaV100);
+    let engine = ServeEngine::start(net.clone(), config);
+    let gauge = |engine: &ServeEngine| {
+        let text = engine.prometheus_text();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("ios_weight_cache_f32_bytes "))
+            .expect("the weight-cache gauge is exported")
+            .to_string();
+        line
+    };
+    let before = gauge(&engine);
+    for i in 0..3 {
+        let sample = TensorData::random(net.input_shape, 30 + i);
+        let response = engine.infer(sample.clone()).unwrap();
+        let reference = execute_network(&net, std::slice::from_ref(&sample));
+        for (leased, expected) in response.outputs.iter().zip(&reference) {
+            assert_eq!(leased, expected, "a merged stage serves exact bits");
+        }
+    }
+    assert_eq!(gauge(&engine), before, "serving a merge holds nothing new");
     engine.shutdown();
 }
 
