@@ -34,7 +34,7 @@ pub enum FoldedRelu {
     /// Execute the operator as written.
     None,
     /// A convolution that absorbs the standalone ReLU consuming it:
-    /// executed with [`Activation::Relu`] fused into its epilogue.
+    /// executed with [`ios_ir::Activation::Relu`] fused into its epilogue.
     FuseRelu,
     /// The standalone ReLU whose work moved into the named convolution:
     /// its input already carries the activation, so it copies.

@@ -8,7 +8,7 @@
 //! over the *independent* output dimensions (output channels × output
 //! pixels), so every output element receives precisely the same sequence of
 //! fused multiply-adds as the reference: `acc = fma(w, x, acc)`, one rounding
-//! per step, on every tier ([`crate::tile`]). Padding positions contribute
+//! per step, on every tier (`tile.rs`). Padding positions contribute
 //! explicit zero patch values; `fma(±0.0, w, acc)` leaves a finite accumulator
 //! equal to itself, so results compare equal (`==`) element for element.
 //!
@@ -23,7 +23,7 @@
 //! * `C = A · B` is the `out_c/g × M` output of one group, written directly
 //!   into the NCHW output tensor.
 //!
-//! There is one convolution walk ([`conv2d_parts`]), bit-identical to
+//! There is one convolution walk (`conv2d_parts`), bit-identical to
 //! [`crate::ops_cpu::conv2d_naive`]; [`conv2d`] is its one-part case, an
 //! operator-merge stage passes its sibling convolutions as the parts. It
 //! walks the output column blocks in the outer loop and fuses im2col into
@@ -205,7 +205,7 @@ impl TileSplit {
 }
 
 /// Dense / grouped 2-D convolution reading `filter`'s pre-packed panels —
-/// the one-part case of the one convolution walk ([`conv2d_parts`]):
+/// the one-part case of the one convolution walk (`conv2d_parts`):
 /// im2col + blocked GEMM with a fused epilogue, input-ReLU during im2col,
 /// bias / residual-add / ReLU in the tile writeback
 /// ([`ConvEpilogue::default`] fuses nothing). Bit-identical to running

@@ -4,7 +4,7 @@
 //! [`CpuStageProfiler`] implements [`ios_core::StageProfiler`]: given a
 //! candidate stage, it executes that stage — concurrent groups on the
 //! worker pool's lanes, merge stages as one walk over their parts' filters —
-//! through the very same [`execute_stage`] the serving executor runs, so
+//! through the very same `execute_stage` the serving executor runs, so
 //! the latencies the scheduler optimizes against are latencies of the code
 //! that will serve the schedule. [`ios_core::ProfiledCostModel`] supplies
 //! the measurement policy (warmup, median-of-N, stage cache) on top.

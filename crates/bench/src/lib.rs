@@ -388,7 +388,7 @@ fn inception_v3_shapes(s: usize) -> Vec<ConvCase> {
 
 /// The convolution shapes the kernel bench and gate run: Inception- and
 /// SqueezeNet-shaped layers covering 3×3, pointwise, strided-downsample
-/// and grouped cases, then [`inception_v3_shapes`]. `quick` halves the
+/// and grouped cases, then `inception_v3_shapes`. `quick` halves the
 /// channel counts.
 #[must_use]
 pub fn conv_bench_shapes(quick: bool) -> Vec<ConvCase> {
@@ -488,7 +488,7 @@ pub fn epilogue_bench_shapes() -> Vec<ConvCase> {
 /// `k`, the tile-bound case the AVX2 kernel targets), a strided
 /// downsample, a bottleneck pointwise (pure GEMM), a compact Inception 3×3
 /// so small-`m` layers with edge tiles stay visible, then the full-size
-/// [`inception_v3_shapes`]. Like the epilogue set, never scaled down in quick
+/// `inception_v3_shapes`. Like the epilogue set, never scaled down in quick
 /// mode — that would shift the compute-vs-traffic regime; `simd_gate
 /// --quick` reduces the round count instead.
 #[must_use]

@@ -187,10 +187,12 @@ impl Shared {
 mod tests {
     use crate::{ScheduleSource, ServeConfig, ServeEngine};
     use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+    use std::time::Duration;
 
-    /// A simulated engine over a one-conv network with `prewarm` cached
-    /// and no background fills, so every resolution is observable.
-    fn simulated_engine(prewarm: Vec<usize>) -> ServeEngine {
+    /// An engine over a one-conv network with `prewarm` cached and no
+    /// background fills, so every resolution is observable. Its executor
+    /// computes nothing: these tests only resolve schedules.
+    fn engine_with(prewarm: Vec<usize>) -> ServeEngine {
         let input = TensorShape::new(1, 4, 6, 6);
         let mut b = GraphBuilder::new("cache_tiny", input);
         let x = b.input(0);
@@ -201,12 +203,15 @@ mod tests {
             background_reoptimize: false,
             ..ServeConfig::default()
         };
-        ServeEngine::start_simulated(network, config)
+        let executor = Box::new(crate::common::SleepyExecutor {
+            batch_time: Duration::ZERO,
+        });
+        ServeEngine::start_with_executor(network, config, executor)
     }
 
     #[test]
     fn exact_hits_and_misses_are_counted() {
-        let engine = simulated_engine(vec![4]);
+        let engine = engine_with(vec![4]);
         let (network, _, source) = engine.shared.resolve_schedule(4);
         assert_eq!(
             (network.input_shape.batch, source),
@@ -226,7 +231,7 @@ mod tests {
 
     #[test]
     fn nearest_batch_prefers_closest_then_smaller() {
-        let engine = simulated_engine(vec![1, 8]);
+        let engine = engine_with(vec![1, 8]);
         let nearest = |batch| match engine.shared.resolve_schedule(batch).2 {
             ScheduleSource::Nearest { optimized_for } => optimized_for,
             other => panic!("batch {batch} resolved {other:?}"),
@@ -237,7 +242,7 @@ mod tests {
         engine.shared.ensure_exact(5);
         assert_eq!(nearest(3), 1);
         // An empty cache has no candidates: the search runs in place.
-        let empty = simulated_engine(vec![]);
+        let empty = engine_with(vec![]);
         assert_eq!(
             empty.shared.resolve_schedule(6).2,
             ScheduleSource::FreshlyOptimized

@@ -1,7 +1,6 @@
 //! Serving runtime configuration.
 
 use ios_core::SchedulerConfig;
-use ios_sim::DeviceKind;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -37,7 +36,7 @@ impl Default for TenantConfig {
 /// schedules against — the serving face of the paper's §4 profiling loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostModelKind {
-    /// The analytical GPU simulator for `device`: fast to evaluate, but
+    /// The analytical simulator of a Tesla V100: fast to evaluate, but
     /// blind to how the *actual* execution substrate behaves.
     #[default]
     Simulated,
@@ -97,8 +96,6 @@ impl Default for AdaptConfig {
 /// once, when it starts, and panics on an invalid field.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The (simulated) device schedules are specialized for.
-    pub device: DeviceKind,
     /// The cost model schedules are optimized against.
     pub cost_model: CostModelKind,
     /// Largest batch the dynamic batcher coalesces. Requests are dispatched
@@ -134,7 +131,6 @@ impl Default for ServeConfig {
             .map_or(1, |n| n.get())
             .min(4);
         ServeConfig {
-            device: DeviceKind::TeslaV100,
             cost_model: CostModelKind::default(),
             max_batch: 8,
             max_wait: Duration::from_millis(2),
@@ -214,7 +210,6 @@ mod tests {
     fn builder_methods_compose() {
         let config = ServeConfig {
             max_batch: 32,
-            device: DeviceKind::TeslaK80,
             workers: 2,
             max_wait: Duration::from_millis(5),
             background_reoptimize: false,
@@ -223,7 +218,6 @@ mod tests {
         };
         assert_eq!(config.max_batch, 32);
         assert_eq!(config.effective_prewarm_batches(), vec![1, 32]);
-        assert_eq!(config.device, DeviceKind::TeslaK80);
         assert_eq!(config.workers, 2);
         assert_eq!(config.max_wait, Duration::from_millis(5));
         assert!(!config.background_reoptimize);
@@ -312,8 +306,8 @@ mod tests {
         });
     }
 
-    /// Every engine constructor goes through the one check, the simulated
-    /// one included.
+    /// Every engine constructor goes through the one check, the one taking
+    /// a custom executor included.
     #[test]
     #[should_panic(expected = "max_batch must be at least 1")]
     fn a_field_assigned_zero_max_batch_is_rejected_at_start() {
@@ -321,7 +315,10 @@ mod tests {
             max_batch: 0,
             ..ServeConfig::default()
         };
-        crate::ServeEngine::start_simulated(network(), config).shutdown();
+        let executor = Box::new(crate::common::SleepyExecutor {
+            batch_time: Duration::ZERO,
+        });
+        crate::ServeEngine::start_with_executor(network(), config, executor).shutdown();
     }
 
     #[test]

@@ -5,13 +5,13 @@ use crate::adapt::AdaptState;
 use crate::batcher::BatchQueue;
 use crate::cache::Entry;
 use crate::config::{CostModelKind, ServeConfig};
-use crate::exec::{BatchExecutor, CpuReferenceExecutor, SimulatedDeviceExecutor};
+use crate::exec::{BatchExecutor, CpuReferenceExecutor};
 use crate::metrics::{External, MetricsSnapshot, PanicSite, ServeMetrics};
 use crate::request::{InferenceResponse, Rejected, ResponseHandle, ServeError, TenantId};
 use ios_backend::{CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
 use ios_core::{CachingCostModel, CostModel, ProfiledCostModel, SimCostModel};
 use ios_ir::{Network, TensorShape};
-use ios_sim::Simulator;
+use ios_sim::{DeviceKind, Simulator};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -38,9 +38,9 @@ pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) queue: BatchQueue,
     /// One thread-safe cost model backs schedule optimization and
-    /// background re-optimization (and, for the simulated backend, batch
-    /// accounting). Selected by [`ServeConfig::cost_model`]: the analytical
-    /// simulator, or stage latencies profiled on the CPU backend.
+    /// background re-optimization. Selected by [`ServeConfig::cost_model`]:
+    /// the analytical simulator, or stage latencies profiled on the CPU
+    /// backend.
     pub(crate) cost: Arc<dyn CostModel + Send + Sync>,
     /// Weights are batch-size independent, so one table serves every batch.
     pub(crate) weights: Arc<NetworkWeights>,
@@ -151,20 +151,6 @@ impl ServeEngine {
         })
     }
 
-    /// Starts an engine that accounts batches on the analytical GPU
-    /// simulator instead of computing numerics — the configuration for
-    /// serving-throughput studies. The batch accounting shares the
-    /// scheduling cost model, so [`ServeConfig::cost_model`] is ignored
-    /// here: simulated execution is only meaningful against the simulator.
-    #[must_use]
-    pub fn start_simulated(network: Network, config: ServeConfig) -> Self {
-        let cost = Arc::new(CachingCostModel::new(SimCostModel::new(Simulator::new(
-            config.device,
-        ))));
-        let executor = SimulatedDeviceExecutor::new(Arc::clone(&cost));
-        Self::build(network, config, cost, |_| Box::new(executor))
-    }
-
     /// Starts an engine with a custom execution backend, optimizing
     /// schedules against the cost model selected by
     /// [`ServeConfig::cost_model`].
@@ -182,7 +168,7 @@ impl ServeEngine {
     fn cost_model_for(config: &ServeConfig) -> Arc<dyn CostModel + Send + Sync> {
         match config.cost_model {
             CostModelKind::Simulated => Arc::new(CachingCostModel::new(SimCostModel::new(
-                Simulator::new(config.device),
+                Simulator::new(DeviceKind::TeslaV100),
             ))),
             // Profiled serving policy: 1 warmup + median of 3 — background
             // re-optimization shares the engine's cores with serving, so
@@ -414,12 +400,6 @@ impl ServeEngine {
     #[must_use]
     pub fn network_name(&self) -> &str {
         &self.shared.base.name
-    }
-
-    /// Name of the execution backend.
-    #[must_use]
-    pub fn executor_name(&self) -> &'static str {
-        self.shared.executor.name()
     }
 
     /// Stops accepting requests, answers everything already queued, waits
@@ -751,7 +731,7 @@ mod tests {
         /// a `PanicsOnce`, armed once the pre-warm searches are done.
         fn armed_engine(net: &Network, config: ServeConfig) -> (ServeEngine, Arc<Self>) {
             let cost = Arc::new(PanicsOnce {
-                inner: SimCostModel::new(Simulator::new(config.device)),
+                inner: SimCostModel::new(Simulator::new(DeviceKind::TeslaV100)),
                 armed: std::sync::atomic::AtomicBool::new(false),
             });
             let executor = Box::new(CpuReferenceExecutor::new());
@@ -987,16 +967,5 @@ mod tests {
             let _held = shared.adapt.stop.lock();
             panic!("injected panic holding the controller's stop flag");
         });
-    }
-
-    #[test]
-    fn simulated_backend_reports_device_time_without_outputs() {
-        let net = tiny_network();
-        let engine = ServeEngine::start_simulated(net.clone(), quick_config());
-        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
-        assert!(response.outputs.is_empty());
-        assert!(response.device_us > 0.0);
-        assert_eq!(engine.executor_name(), "simulated-device");
-        engine.shutdown();
     }
 }

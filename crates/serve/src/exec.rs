@@ -3,22 +3,13 @@
 //! The engine is backend-agnostic: a [`BatchExecutor`] receives a fully
 //! prepared batch (network instance shaped for the batch size and for one
 //! sample, specialized schedule, precomputed weights, stacked inputs) and
-//! returns stacked outputs plus the device time consumed. Two backends ship today:
-//!
-//! * [`CpuReferenceExecutor`] — computes real numerics through
-//!   `ios_backend`, bit-identical per sample to `execute_graph`. Its
-//!   "device time" is the wall time of the CPU execution.
-//! * [`SimulatedDeviceExecutor`] — skips numerics and charges the batch the
-//!   latency the analytical GPU simulator assigns to the schedule at this
-//!   batch size. This is the backend for throughput studies: it exposes the
-//!   batching efficiency of the *modeled device* (Figure 11) rather than of
-//!   the host CPU.
-//!
-//! Later PRs can add further backends (sharded, async, real accelerators)
-//! without touching the queueing or caching layers.
+//! returns stacked outputs plus the device time consumed. The backend that
+//! ships, [`CpuReferenceExecutor`], computes real numerics through
+//! `ios_backend`, bit-identical per sample to `execute_graph`; its "device
+//! time" is the wall time of the CPU execution.
 
 use ios_backend::{execute_network_batched_capped, NetworkWeights, ScratchPool, TensorData};
-use ios_core::{evaluate_network, CachingCostModel, NetworkSchedule, PipelinePlan, SimCostModel};
+use ios_core::{NetworkSchedule, PipelinePlan};
 use ios_ir::Network;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,9 +34,8 @@ pub struct BatchContext<'a> {
 /// Result of executing one batch.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// Stacked output tensors, or `None` for backends that do not compute
-    /// numerics.
-    pub outputs: Option<Vec<TensorData>>,
+    /// Stacked output tensors, one per network output.
+    pub outputs: Vec<TensorData>,
     /// Device time consumed by the batch, in µs.
     pub device_time_us: f64,
 }
@@ -133,12 +123,6 @@ impl CpuReferenceExecutor {
             max_workers: max_workers.max(1),
         }
     }
-
-    /// Scratch-pool counters: `(fresh heap allocations, pool reuses)`.
-    #[must_use]
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool.fresh_allocations(), self.pool.reuses())
-    }
 }
 
 impl BatchExecutor for CpuReferenceExecutor {
@@ -157,7 +141,7 @@ impl BatchExecutor for CpuReferenceExecutor {
             self.max_workers,
         );
         BatchOutcome {
-            outputs: Some(outputs),
+            outputs,
             device_time_us: start.elapsed().as_secs_f64() * 1e6,
         }
     }
@@ -169,95 +153,6 @@ impl BatchExecutor for CpuReferenceExecutor {
     }
 
     fn pool_stats(&self) -> Option<(u64, u64)> {
-        Some(self.pool_stats())
-    }
-}
-
-/// Charges batches the latency of the schedule on the analytical GPU
-/// simulator, without computing numerics.
-#[derive(Debug)]
-pub struct SimulatedDeviceExecutor {
-    cost: Arc<CachingCostModel<SimCostModel>>,
-}
-
-impl SimulatedDeviceExecutor {
-    /// Uses (and shares) the given cost model for stage measurements.
-    #[must_use]
-    pub fn new(cost: Arc<CachingCostModel<SimCostModel>>) -> Self {
-        SimulatedDeviceExecutor { cost }
-    }
-}
-
-impl BatchExecutor for SimulatedDeviceExecutor {
-    fn name(&self) -> &'static str {
-        "simulated-device"
-    }
-
-    fn execute(&self, ctx: &BatchContext<'_>) -> BatchOutcome {
-        // Re-measure the schedule's stages at *this* batch size; the caching
-        // cost model makes repeat batches of the same size effectively free.
-        let device_time_us = evaluate_network(ctx.network, ctx.schedule, &self.cost);
-        BatchOutcome {
-            outputs: None,
-            device_time_us,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ios_backend::stack_batch;
-    use ios_core::{optimize_network, SchedulerConfig};
-    use ios_sim::{DeviceKind, Simulator};
-
-    fn setup(batch: usize) -> (Network, Arc<NetworkSchedule>, NetworkWeights) {
-        // SqueezeNet is the network whose batch-1 kernels under-utilize the
-        // simulated V100 — the effect batched serving exists to exploit.
-        let net = ios_models::squeezenet(1).with_batch_size(batch);
-        let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
-        let schedule = optimize_network(&net, &cost, &SchedulerConfig::paper_default()).schedule;
-        let weights = NetworkWeights::precompute(&net);
-        (net, Arc::new(schedule), weights)
-    }
-
-    #[test]
-    fn simulated_executor_charges_sublinear_batch_time() {
-        let cost = Arc::new(CachingCostModel::new(SimCostModel::new(Simulator::new(
-            DeviceKind::TeslaV100,
-        ))));
-        let executor = SimulatedDeviceExecutor::new(Arc::clone(&cost));
-
-        let (net1, schedule1, weights1) = setup(1);
-        let input1 = TensorData::zeros(net1.input_shape);
-        let outcome1 = executor.execute(&BatchContext {
-            network: &net1,
-            per_sample: &net1,
-            schedule: &schedule1,
-            weights: &weights1,
-            inputs: &[input1],
-        });
-        assert!(outcome1.outputs.is_none());
-        assert!(outcome1.device_time_us > 0.0);
-
-        let batch = 32;
-        let (net32, schedule32, weights32) = setup(batch);
-        let sample = TensorData::zeros(net1.input_shape);
-        let stacked = stack_batch(&vec![&sample; batch]);
-        let outcome32 = executor.execute(&BatchContext {
-            network: &net32,
-            per_sample: &net1,
-            schedule: &schedule32,
-            weights: &weights32,
-            inputs: &[stacked],
-        });
-        // The under-utilization effect of the simulated GPU: a batch of 32
-        // costs less than half of 32 batches of one (≈ 2.4× throughput).
-        assert!(
-            outcome32.device_time_us < 0.5 * batch as f64 * outcome1.device_time_us,
-            "batch-32 device time {} vs 32 × batch-1 {}",
-            outcome32.device_time_us,
-            batch as f64 * outcome1.device_time_us
-        );
+        Some((self.pool.fresh_allocations(), self.pool.reuses()))
     }
 }

@@ -35,8 +35,8 @@
 //!   closing the paper's optimize → profile → execute loop at serving time.
 //! * **Execute** (`stages`, [`exec`]) — the CPU reference backend returns
 //!   real numerics (bit-identical per sample to
-//!   [`ios_backend::execute_graph`]); the simulated-device backend charges
-//!   batches the analytical GPU latency for throughput studies.
+//!   [`ios_backend::execute_graph`]) and its wall time as the batch's
+//!   device time.
 //! * **Respond** (`stages`) — the stacked outputs are split into leases
 //!   from the serving-boundary pool and every member of the batch is
 //!   finished with its response. A batch whose backend panics finishes its
@@ -104,9 +104,7 @@ mod stages;
 pub use cache::CacheStats;
 pub use config::{AdaptConfig, CostModelKind, ServeConfig, TenantConfig};
 pub use engine::ServeEngine;
-pub use exec::{
-    BatchContext, BatchExecutor, BatchOutcome, CpuReferenceExecutor, SimulatedDeviceExecutor,
-};
+pub use exec::{BatchContext, BatchExecutor, BatchOutcome, CpuReferenceExecutor};
 pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};
 pub use request::{
     InferenceResponse, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,

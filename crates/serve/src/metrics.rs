@@ -144,7 +144,7 @@ pub(crate) struct ServeMetrics {
     pub queue_wait: Histogram,
     /// Time spent assembling each batch (oldest enqueue → dispatch), ns.
     pub batch_assembly: Histogram,
-    /// Per-batch (simulated) device time, ns.
+    /// Per-batch device time (the backend's execution time), ns.
     pub device_time: Histogram,
     /// Per-tenant counters, created lazily on a tenant's first submit.
     /// (A `BTreeMap` so exports iterate deterministically.)
@@ -318,7 +318,7 @@ impl ServeMetrics {
             histogram_us "ios_batch_assembly_us" = &self.batch_assembly.snapshot(),
                 "Batch assembly time, oldest enqueue to dispatch, microseconds.";
             histogram_us "ios_batch_device_time_us" = &self.device_time.snapshot(),
-                "Per-batch (simulated) device time, microseconds.";
+                "Per-batch device time, microseconds.";
         }
         self.render_tenants(&mut out);
         let sites = PANIC_SITES.map(|site| [("site", site)]);
@@ -446,7 +446,7 @@ pub struct MetricsSnapshot {
     pub mean_assembly_us: f64,
     /// Requests per second of wall clock since the engine started.
     pub wall_throughput_rps: f64,
-    /// Total (simulated) device time consumed by all batches, µs.
+    /// Total device time consumed by all batches, µs.
     pub device_time_us: f64,
     /// Requests per second of *device* time — the hardware-efficiency
     /// number batching improves (cf. Figure 11 of the paper).
@@ -587,9 +587,10 @@ mod tests {
     /// `prometheus_text` for a fixed, hand-recorded state must be what the
     /// parent commit's hand-written exposition rendered for the same state
     /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
-    /// two-lane host) — apart from the three families this table added, and
-    /// the pipeline, re-plan and eviction counters and the int8 weight gauge
-    /// and kernel series, which are stripped from it here.
+    /// two-lane host) — apart from the three families this table added, the
+    /// device-time HELP text, which no longer says "(simulated)", and the
+    /// pipeline, re-plan and eviction counters and the int8 weight gauge and
+    /// kernel series, which are stripped from it here.
     #[test]
     fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
         use crate::batcher::Trigger;
@@ -654,6 +655,7 @@ mod tests {
                         ios_batch_dispatch_total{trigger=\"deadline\"} 0\n\
                         ios_batch_dispatch_total{trigger=\"close\"} 0\n";
         let expired = "ios_requests_deadline_expired_total 1\n";
+        let device_help = "Per-batch (simulated) device time";
         let failed = "# HELP ios_requests_failed_total Requests completed as failed: \
                       their batch panicked in the backend.\n\
                       # TYPE ios_requests_failed_total counter\n\
@@ -680,8 +682,10 @@ mod tests {
             .collect();
         assert_eq!(parent.matches(expired).count(), 1);
         assert_eq!(parent.matches(batches).count(), 1);
+        assert_eq!(parent.matches(device_help).count(), 1);
         let expected = parent
             .replacen(batches, &format!("{batches}{dispatch}"), 1)
+            .replacen(device_help, "Per-batch device time", 1)
             .replacen(expired, &format!("{expired}{failed}"), 1)
             + panics;
         assert_eq!(text, expected);

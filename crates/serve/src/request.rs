@@ -174,9 +174,7 @@ pub struct InferenceResponse {
     /// The request this response answers.
     pub id: RequestId,
     /// Per-output tensors of this sample (batch dimension 1), leased from
-    /// the engine's response pool (returned on drop). Empty when the
-    /// engine runs a backend that does not compute numerics (for example
-    /// the simulated-device backend used for throughput studies).
+    /// the engine's response pool (returned on drop).
     pub outputs: Vec<ResponseLease>,
     /// Size of the coalesced batch this request was executed in.
     pub batch_size: usize,
@@ -186,7 +184,7 @@ pub struct InferenceResponse {
     pub queue_us: f64,
     /// Total time from submission to completion, in µs of wall clock.
     pub total_us: f64,
-    /// This request's share of the batch's (simulated) device time, in µs.
+    /// This request's share of the batch's device time, in µs.
     pub device_us: f64,
 }
 

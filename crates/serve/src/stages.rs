@@ -36,9 +36,8 @@ struct Executed {
     source: ScheduleSource,
     /// Each member's share of the batch's device time, µs.
     device_share_us: f64,
-    /// One stacked tensor per network output; `None` from backends that
-    /// compute no numerics.
-    outputs: Option<Vec<TensorData>>,
+    /// One stacked tensor per network output.
+    outputs: Vec<TensorData>,
 }
 
 impl Shared {
@@ -245,29 +244,27 @@ impl Shared {
     /// returns there when the client drops it, the stacked tensors go back
     /// to the backend's pool — and finishes every member with its response.
     fn respond(&self, requests: &mut Vec<Pending>, mut batch: Executed) {
-        let stacked_outputs = batch.outputs.take();
+        let outputs = std::mem::take(&mut batch.outputs);
         let mut responses: Vec<Vec<ResponseLease>> = (0..batch.batch_size)
-            .map(|_| Vec::with_capacity(stacked_outputs.as_ref().map_or(0, Vec::len)))
+            .map(|_| Vec::with_capacity(outputs.len()))
             .collect();
-        if let Some(outputs) = stacked_outputs {
-            for stacked_out in &outputs {
-                let per_item = stacked_out.shape.elements_per_item();
-                let item_shape = TensorShape::new(
-                    1,
-                    stacked_out.shape.channels,
-                    stacked_out.shape.height,
-                    stacked_out.shape.width,
-                );
-                for (i, sample_outputs) in responses.iter_mut().enumerate() {
-                    let mut leased = self.io_pool.take_tensor(item_shape);
-                    leased
-                        .data
-                        .copy_from_slice(&stacked_out.data[i * per_item..(i + 1) * per_item]);
-                    sample_outputs.push(ResponseLease::pooled(leased, Arc::clone(&self.io_pool)));
-                }
+        for stacked_out in &outputs {
+            let per_item = stacked_out.shape.elements_per_item();
+            let item_shape = TensorShape::new(
+                1,
+                stacked_out.shape.channels,
+                stacked_out.shape.height,
+                stacked_out.shape.width,
+            );
+            for (i, sample_outputs) in responses.iter_mut().enumerate() {
+                let mut leased = self.io_pool.take_tensor(item_shape);
+                leased
+                    .data
+                    .copy_from_slice(&stacked_out.data[i * per_item..(i + 1) * per_item]);
+                sample_outputs.push(ResponseLease::pooled(leased, Arc::clone(&self.io_pool)));
             }
-            self.executor.recycle_outputs(outputs);
         }
+        self.executor.recycle_outputs(outputs);
         for (pending, outputs) in requests.drain(..).zip(responses) {
             let served = Served {
                 outputs,

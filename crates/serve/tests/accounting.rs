@@ -62,7 +62,7 @@ impl BatchExecutor for ScriptedExecutor {
             release.recv().unwrap();
         }
         BatchOutcome {
-            outputs: None,
+            outputs: Vec::new(),
             device_time_us: 1.0,
         }
     }

@@ -13,7 +13,7 @@
 //!   clause disengages it.
 
 use ios_backend::{execute_network, TensorData};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_ir::Network;
 use ios_serve::{
     AdaptConfig, CpuReferenceExecutor, Rejected, ResponseHandle, ScheduleSource, ServeConfig,
     ServeEngine,
@@ -21,27 +21,6 @@ use ios_serve::{
 use std::time::{Duration, Instant};
 
 mod common;
-
-/// The three-block chain from the concurrency suite: distinct per-batch
-/// schedules, small enough to stress in CI.
-fn three_block_network() -> Network {
-    let input = TensorShape::new(1, 4, 6, 6);
-    let mut b = GraphBuilder::new("adapt_b0", input);
-    let x = b.input(0);
-    let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
-    let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
-    let cat = b.concat("cat", &[a, c]);
-    let block0 = Block::new(b.build(vec![cat]));
-    let mut b = GraphBuilder::with_inputs("adapt_b1", block0.graph.output_shapes());
-    let x = b.input(0);
-    let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-    let block1 = Block::new(b.build(vec![d]));
-    let mut b = GraphBuilder::with_inputs("adapt_b2", block1.graph.output_shapes());
-    let x = b.input(0);
-    let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-    let block2 = Block::new(b.build(vec![e]));
-    Network::new("adapt_net", input, vec![block0, block1, block2])
-}
 
 fn reference_outputs(net: &Network, seed: u64) -> Vec<TensorData> {
     let input = TensorData::random(net.input_shape, seed);
@@ -52,7 +31,7 @@ fn reference_outputs(net: &Network, seed: u64) -> Vec<TensorData> {
 
 #[test]
 fn an_already_expired_request_is_rejected_without_device_dispatch() {
-    let net = three_block_network();
+    let net = common::three_block_network();
     let config = ServeConfig {
         max_batch: 4,
         workers: 1,
@@ -84,7 +63,7 @@ fn an_already_expired_request_is_rejected_without_device_dispatch() {
 
 #[test]
 fn a_deadline_flushes_the_batch_early_instead_of_waiting_out_max_wait() {
-    let net = three_block_network();
+    let net = common::three_block_network();
     // max_wait is a full minute and one worker's batch is held in flight,
     // so the other worker waits for companions: only the deadline can
     // explain a prompt answer.
@@ -112,7 +91,9 @@ fn a_deadline_flushes_the_batch_early_instead_of_waiting_out_max_wait() {
         start.elapsed()
     );
     assert_eq!(response.batch_size, 1);
-    for (lease, reference) in response.outputs.iter().zip(&reference_outputs(&net, 3)) {
+    let reference = reference_outputs(&net, 3);
+    assert_eq!(response.outputs.len(), reference.len());
+    for (lease, reference) in response.outputs.iter().zip(&reference) {
         assert_eq!(
             lease, reference,
             "an early flush still serves exact numerics"
@@ -125,7 +106,7 @@ fn a_deadline_flushes_the_batch_early_instead_of_waiting_out_max_wait() {
 
 #[test]
 fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
-    let net = three_block_network();
+    let net = common::three_block_network();
     let config = ServeConfig {
         max_batch: 2,
         workers: 1,
@@ -156,7 +137,9 @@ fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
         response.batch_size, 1,
         "the expired member was partitioned out before stacking"
     );
-    for (lease, reference) in response.outputs.iter().zip(&reference_outputs(&net, 2)) {
+    let reference = reference_outputs(&net, 2);
+    assert_eq!(response.outputs.len(), reference.len());
+    for (lease, reference) in response.outputs.iter().zip(&reference) {
         assert_eq!(lease, reference);
     }
     let metrics = engine.metrics();
@@ -175,7 +158,7 @@ fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
 
 #[test]
 fn default_deadline_applies_to_plain_submits() {
-    let net = three_block_network();
+    let net = common::three_block_network();
     let config = ServeConfig {
         max_batch: 4,
         workers: 1,
@@ -206,7 +189,7 @@ fn default_deadline_applies_to_plain_submits() {
 /// execution.
 #[test]
 fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identical() {
-    let net = three_block_network();
+    let net = common::three_block_network();
     let config = ServeConfig {
         max_batch: 4,
         workers: 1,
@@ -293,7 +276,7 @@ fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identi
 /// three sample-free ticks.
 #[test]
 fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
-    let net = three_block_network();
+    let net = common::three_block_network();
     let batch_time = Duration::from_millis(20);
     let config = ServeConfig {
         max_batch: 4,

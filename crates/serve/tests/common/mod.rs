@@ -1,5 +1,6 @@
-//! Executors the engine suites share: one that burns a fixed interval per
-//! batch, and a gated wrapper that holds a batch in flight.
+//! What the engine suites share: a small three-block network, an executor
+//! that burns a fixed interval per batch, and a gated wrapper that holds a
+//! batch in flight.
 //!
 //! An idle engine dispatches a partial batch at once, so a test that needs
 //! requests to coalesce into one batch, or to stay queued, first holds a
@@ -13,6 +14,7 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use ios_backend::TensorData;
+use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 use ios_serve::{
     BatchContext, BatchExecutor, BatchOutcome, InferenceResponse, ResponseHandle, ServeEngine,
 };
@@ -20,9 +22,30 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A three-block chain with a two-branch head: distinct per-batch
+/// schedules, small enough to stress in CI.
+pub fn three_block_network() -> Network {
+    let input = TensorShape::new(1, 4, 6, 6);
+    let mut b = GraphBuilder::new("chain_b0", input);
+    let x = b.input(0);
+    let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
+    let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
+    let cat = b.concat("cat", &[a, c]);
+    let block0 = Block::new(b.build(vec![cat]));
+    let mut b = GraphBuilder::with_inputs("chain_b1", block0.graph.output_shapes());
+    let x = b.input(0);
+    let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
+    let block1 = Block::new(b.build(vec![d]));
+    let mut b = GraphBuilder::with_inputs("chain_b2", block1.graph.output_shapes());
+    let x = b.input(0);
+    let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
+    let block2 = Block::new(b.build(vec![e]));
+    Network::new("chain_net", input, vec![block0, block1, block2])
+}
+
 /// Burns a fixed wall-clock interval per batch — the knob that makes
-/// queue waits blow past a shed budget deterministically. Computes no
-/// numerics.
+/// offered load exceed capacity, and queue waits blow past a shed budget,
+/// deterministically. Computes no numerics: its batches return no outputs.
 pub struct SleepyExecutor {
     pub batch_time: Duration,
 }
@@ -34,7 +57,7 @@ impl BatchExecutor for SleepyExecutor {
     fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
         std::thread::sleep(self.batch_time);
         BatchOutcome {
-            outputs: None,
+            outputs: Vec::new(),
             device_time_us: self.batch_time.as_micros() as f64,
         }
     }

@@ -254,6 +254,7 @@ fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
     let responses: Vec<_> = handles.into_iter().map(ResponseHandle::wait).collect();
     for (seed, response) in responses.iter().enumerate() {
         assert_eq!(response.batch_size, 5, "exact boundary dispatches full");
+        assert_eq!(response.outputs.len(), references[seed].len());
         for (lease, reference) in response.outputs.iter().zip(&references[seed]) {
             assert_eq!(lease, reference);
         }
@@ -292,6 +293,7 @@ fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
     });
     for (seed, response) in responses.iter().enumerate() {
         assert_eq!(response.batch_size, 3, "the queued trio ships as one batch");
+        assert_eq!(response.outputs.len(), references[seed].len());
         for (lease, reference) in response.outputs.iter().zip(&references[seed]) {
             assert_eq!(lease, reference);
         }

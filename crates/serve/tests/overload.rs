@@ -15,56 +15,12 @@
 //!   sustained overload and disengages again once the system drains idle.
 
 use ios_backend::{execute_network, TensorData};
-use ios_serve::{
-    AdaptConfig, BatchContext, BatchExecutor, BatchOutcome, Rejected, ServeConfig, ServeEngine,
-    ServeError,
-};
+use ios_serve::{AdaptConfig, Rejected, ServeConfig, ServeEngine, ServeError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-mod common {
-    use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
-
-    pub fn three_block_network() -> Network {
-        let input = TensorShape::new(1, 4, 6, 6);
-        let mut b = GraphBuilder::new("over_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
-        let cat = b.concat("cat", &[a, c]);
-        let block0 = Block::new(b.build(vec![cat]));
-        let mut b = GraphBuilder::with_inputs("over_b1", block0.graph.output_shapes());
-        let x = b.input(0);
-        let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-        let block1 = Block::new(b.build(vec![d]));
-        let mut b = GraphBuilder::with_inputs("over_b2", block1.graph.output_shapes());
-        let x = b.input(0);
-        let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-        let block2 = Block::new(b.build(vec![e]));
-        Network::new("over_net", input, vec![block0, block1, block2])
-    }
-}
-
-/// Burns a fixed wall-clock interval per batch — the knob that makes
-/// "offered load exceeds capacity" a deterministic property instead of a
-/// CI-machine coin flip. Returns no outputs (latency study only).
-struct SlowExecutor {
-    batch_time: Duration,
-}
-
-impl BatchExecutor for SlowExecutor {
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-    fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
-        std::thread::sleep(self.batch_time);
-        BatchOutcome {
-            outputs: None,
-            device_time_us: self.batch_time.as_micros() as f64,
-        }
-    }
-}
+mod common;
 
 // ------------------------------------------------ no shedding: p99 grows
 
@@ -83,7 +39,7 @@ fn without_shedding_an_overload_burst_sends_tail_latency_through_the_roof() {
     let engine = ServeEngine::start_with_executor(
         net.clone(),
         config,
-        Box::new(SlowExecutor { batch_time }),
+        Box::new(common::SleepyExecutor { batch_time }),
     );
     // Open-loop burst: 64 requests land instantly on a server that needs
     // 5 ms each. The last one waits ~63 batch times in the queue.
@@ -136,7 +92,7 @@ fn bounded_admission_accounting_is_exact_under_racing_submitters() {
     let engine = Arc::new(ServeEngine::start_with_executor(
         net.clone(),
         config,
-        Box::new(SlowExecutor {
+        Box::new(common::SleepyExecutor {
             batch_time: Duration::from_millis(3),
         }),
     ));
@@ -220,7 +176,7 @@ fn shed_mode_engages_under_sustained_overload_and_disengages_when_idle() {
     let engine = Arc::new(ServeEngine::start_with_executor(
         net.clone(),
         config,
-        Box::new(SlowExecutor { batch_time }),
+        Box::new(common::SleepyExecutor { batch_time }),
     ));
     assert!(!engine.is_shedding(), "a fresh engine starts permissive");
 
@@ -346,6 +302,7 @@ fn accepted_responses_stay_bit_identical_under_overload() {
                         Ok(handle) => {
                             let response =
                                 handle.wait_outcome().expect("accepted requests complete");
+                            assert_eq!(response.outputs.len(), references[seed as usize].len());
                             for (lease, reference) in
                                 response.outputs.iter().zip(&references[seed as usize])
                             {

@@ -155,6 +155,7 @@ fn steady_state_serving_boundary_is_allocation_free() {
         let response = engine
             .infer(TensorData::random(net.input_shape, 7))
             .unwrap();
+        assert_eq!(response.outputs.len(), expected.len());
         for (leased, want) in response.outputs.iter().zip(&expected) {
             assert_eq!(leased, want, "round {round}: steady state is deterministic");
         }
@@ -200,7 +201,7 @@ fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
         background_reoptimize: false,
         ..ServeConfig::default()
     };
-    let cost = SimCostModel::new(Simulator::new(config.device));
+    let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
     let served = optimize_network(&net, &cost, &config.scheduler).schedule;
     assert!(
         served
@@ -210,7 +211,11 @@ fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
             .any(|s| s.strategy == ParallelizationStrategy::OperatorMerge),
         "the served schedule merges"
     );
-    assert_eq!(config.device, DeviceKind::TeslaV100);
+    assert_eq!(
+        config.cost_model,
+        CostModelKind::Simulated,
+        "the engine plans on the same V100 simulator"
+    );
     let engine = ServeEngine::start(net.clone(), config);
     let gauge = |engine: &ServeEngine| {
         let text = engine.prometheus_text();
@@ -226,6 +231,7 @@ fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
         let sample = TensorData::random(net.input_shape, 30 + i);
         let response = engine.infer(sample.clone()).unwrap();
         let reference = execute_network(&net, std::slice::from_ref(&sample));
+        assert_eq!(response.outputs.len(), reference.len());
         for (leased, expected) in response.outputs.iter().zip(&reference) {
             assert_eq!(leased, expected, "a merged stage serves exact bits");
         }
@@ -284,6 +290,7 @@ fn cpu_profiled_engine_serves_bit_identically_and_reoptimizes_in_background() {
 
     // Serving with the freshly profiled exact schedule is still exact.
     let again = engine.infer(sample.clone()).unwrap();
+    assert_eq!(again.outputs.len(), reference.len());
     for (leased, expected) in again.outputs.iter().zip(&reference) {
         assert_eq!(leased, expected);
     }

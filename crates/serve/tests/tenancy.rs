@@ -17,58 +17,12 @@
 //!   round-trip through the telemetry validator.
 
 use ios_backend::{execute_network, TensorData};
-use ios_serve::{
-    BatchContext, BatchExecutor, BatchOutcome, MetricsSnapshot, Rejected, ServeConfig, ServeEngine,
-    ServeError, TenantConfig,
-};
+use ios_serve::{MetricsSnapshot, Rejected, ServeConfig, ServeEngine, ServeError, TenantConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-mod common {
-    use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
-
-    /// The three-block chain the other serving suites stress: small enough
-    /// for CI, deep enough to have real per-batch schedules.
-    pub fn three_block_network() -> Network {
-        let input = TensorShape::new(1, 4, 6, 6);
-        let mut b = GraphBuilder::new("ten_b0", input);
-        let x = b.input(0);
-        let a = b.conv2d("a", x, Conv2dParams::relu(6, (3, 3), (1, 1), (1, 1)));
-        let c = b.conv2d("c", x, Conv2dParams::relu(6, (1, 1), (1, 1), (0, 0)));
-        let cat = b.concat("cat", &[a, c]);
-        let block0 = Block::new(b.build(vec![cat]));
-        let mut b = GraphBuilder::with_inputs("ten_b1", block0.graph.output_shapes());
-        let x = b.input(0);
-        let d = b.conv2d("d", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-        let block1 = Block::new(b.build(vec![d]));
-        let mut b = GraphBuilder::with_inputs("ten_b2", block1.graph.output_shapes());
-        let x = b.input(0);
-        let e = b.conv2d("e", x, Conv2dParams::relu(4, (1, 1), (1, 1), (0, 0)));
-        let block2 = Block::new(b.build(vec![e]));
-        Network::new("ten_net", input, vec![block0, block1, block2])
-    }
-}
-
-/// Burns a fixed wall-clock interval per batch — saturates a worker
-/// deterministically so fairness is decided by the dequeue policy, not by
-/// execution noise (latency study only; returns no outputs).
-struct PacedExecutor {
-    batch_time: Duration,
-}
-
-impl BatchExecutor for PacedExecutor {
-    fn name(&self) -> &'static str {
-        "paced"
-    }
-    fn execute(&self, _ctx: &BatchContext<'_>) -> BatchOutcome {
-        std::thread::sleep(self.batch_time);
-        BatchOutcome {
-            outputs: None,
-            device_time_us: self.batch_time.as_micros() as f64,
-        }
-    }
-}
+mod common;
 
 fn tenant_snapshot<'a>(
     snapshot: &'a MetricsSnapshot,
@@ -119,7 +73,7 @@ fn a_saturated_server_divides_throughput_by_tenant_weight() {
     let engine = Arc::new(ServeEngine::start_with_executor(
         net.clone(),
         config,
-        Box::new(PacedExecutor {
+        Box::new(common::SleepyExecutor {
             batch_time: Duration::from_millis(2),
         }),
     ));
@@ -215,7 +169,7 @@ fn a_token_bucket_admits_exactly_its_burst_and_spares_the_neighbor() {
     let engine = Arc::new(ServeEngine::start_with_executor(
         net.clone(),
         config,
-        Box::new(PacedExecutor {
+        Box::new(common::SleepyExecutor {
             batch_time: Duration::from_millis(1),
         }),
     ));
@@ -336,6 +290,7 @@ fn tenant_responses_stay_bit_identical_to_solo_execution() {
             .collect();
         for (handle, seed) in handles {
             let response = handle.wait_outcome().expect("no deadline configured");
+            assert_eq!(response.outputs.len(), references[seed as usize].len());
             for (lease, reference) in response.outputs.iter().zip(&references[seed as usize]) {
                 assert_eq!(
                     lease, reference,

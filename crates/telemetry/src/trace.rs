@@ -64,7 +64,7 @@ struct Ring {
     records: std::collections::VecDeque<TraceRecord>,
 }
 
-/// A bounded span/event recorder. See the [module docs](self).
+/// A bounded span/event recorder. See the [crate docs](crate).
 pub struct Tracer {
     enabled: AtomicBool,
     epoch: Instant,

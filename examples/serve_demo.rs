@@ -1,6 +1,9 @@
 //! Demo of the `ios-serve` online runtime: real numerics through the CPU
-//! reference backend on a small network, then a serving-throughput
-//! comparison on SqueezeNet accounted in simulated V100 device time.
+//! reference backend on a small network.
+//!
+//! The paper's batch-size story on its simulated V100 (Figure 11, Table 3)
+//! is reproduced by the `fig11_batchsize` and `table3_specialization`
+//! binaries of `ios-bench`, which call the simulator directly.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
@@ -8,8 +11,7 @@ use ios::backend::TensorData;
 use ios::prelude::*;
 use std::time::Duration;
 
-/// A small two-branch network so the CPU numerics part of the demo runs in
-/// seconds.
+/// A small two-branch network, so the demo runs in well under a second.
 fn small_network() -> Network {
     let input = TensorShape::new(1, 8, 12, 12);
     let mut b = GraphBuilder::new("demo_block", input);
@@ -25,7 +27,6 @@ fn small_network() -> Network {
 }
 
 fn main() {
-    // --- Part 1: online inference with real numerics --------------------
     let network = small_network();
     println!(
         "== serving `{}` on the CPU reference backend ==",
@@ -66,43 +67,4 @@ fn main() {
         m.cache.hit_rate()
     );
     engine.shutdown();
-
-    // --- Part 2: why batching matters, on the simulated device ----------
-    let squeezenet = ios::models::squeezenet(1);
-    println!(
-        "\n== batched vs naive serving of `{}` (simulated V100) ==",
-        squeezenet.name
-    );
-    let mut device_rps = Vec::new();
-    for (label, max_batch) in [("naive (batch 1)", 1usize), ("batched (batch 32)", 32)] {
-        let engine = ServeEngine::start_simulated(
-            squeezenet.clone(),
-            ServeConfig {
-                max_batch,
-                workers: 1,
-                max_wait: Duration::from_millis(50),
-                ..ServeConfig::default()
-            },
-        );
-        let input = TensorData::zeros(squeezenet.input_shape);
-        let handles: Vec<_> = (0..64)
-            .map(|_| engine.submit(input.clone()).expect("accepted"))
-            .collect();
-        for handle in handles {
-            let _ = handle.wait();
-        }
-        let m = engine.metrics();
-        println!(
-            "  {label:<20} mean batch {:>6.2} | device time {:>8.2} ms | {:>9.1} req/s of device",
-            m.mean_batch_size,
-            m.device_time_us / 1e3,
-            m.device_throughput_rps
-        );
-        device_rps.push(m.device_throughput_rps);
-        engine.shutdown();
-    }
-    println!(
-        "  => dynamic batching buys {:.2}x device throughput (Table 3 schedules per batch size)",
-        device_rps[1] / device_rps[0]
-    );
 }

@@ -5,13 +5,8 @@
 //! documented hit/miss behaviour.
 
 use ios::backend::TensorData;
-use ios::core::{CachingCostModel, SimCostModel};
 use ios::prelude::*;
-use ios::serve::{
-    CpuReferenceExecutor, ScheduleSource, ServeConfig, ServeEngine, SimulatedDeviceExecutor,
-};
-use ios::sim::Simulator;
-use std::sync::Arc;
+use ios::serve::{CpuReferenceExecutor, ScheduleSource, ServeConfig, ServeEngine};
 use std::time::{Duration, Instant};
 
 #[path = "../crates/serve/tests/common/mod.rs"]
@@ -115,8 +110,8 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
 
 #[test]
 fn schedule_cache_serves_specialized_schedules_with_nearest_fallback() {
-    // The cache-policy test runs on the simulated device backend: no CPU
-    // numerics, so it exercises scheduling and caching only.
+    // The cache-policy test runs on an executor that computes nothing, so
+    // it exercises scheduling and caching only.
     let network = ios::models::squeezenet(1);
     let config = ServeConfig {
         max_batch: 8,
@@ -126,8 +121,9 @@ fn schedule_cache_serves_specialized_schedules_with_nearest_fallback() {
         background_reoptimize: true,
         ..ServeConfig::default()
     };
-    let cost = CachingCostModel::new(SimCostModel::new(Simulator::new(config.device)));
-    let (executor, gate) = common::gated(SimulatedDeviceExecutor::new(Arc::new(cost)));
+    let (executor, gate) = common::gated(common::SleepyExecutor {
+        batch_time: Duration::ZERO,
+    });
     let engine = ServeEngine::start_with_executor(network.clone(), config, executor);
     let input = || TensorData::zeros(network.input_shape);
     // Requests queued behind a batch held in flight leave together once it
