@@ -21,7 +21,9 @@ use crate::arena::ScratchPool;
 use crate::executor::{relu_fold_plan, run_stages, weight_seed, FoldedRelu};
 use crate::gemm::PackedFilter;
 use crate::ops_cpu::{copy_of, deterministic_value, sep_conv_seeds};
+use crate::simd;
 use crate::tensor_data::TensorData;
+use crate::tile::{at_tier, Row, RowKernel};
 use crate::workers;
 use ios_core::{NetworkSchedule, Schedule};
 use ios_ir::{Graph, Network, Op, OpId, OpKind, TensorShape, Value};
@@ -108,28 +110,10 @@ impl OpWeights {
     }
 
     /// Writes every value from the operator's `seed` straight into its
-    /// packed slot: the values `conv_weights` / `matmul_weights` would give.
+    /// packed slot: the values `conv_weights` / `matmul_weights` would give,
+    /// computed at the active tier's vector width ([`Generate`]).
     fn generate(&mut self, seed: u64) {
-        let fill = |filter: &mut PackedFilter, seed| {
-            let (_, _, k_len) = filter.geometry();
-            filter.pack_with(|oc, k| deterministic_value(seed, oc * k_len + k));
-        };
-        match self {
-            OpWeights::Conv(filter) => fill(filter, seed),
-            OpWeights::SepConv {
-                depthwise,
-                pointwise,
-            } => {
-                let (dw_seed, pw_seed) = sep_conv_seeds(seed);
-                fill(depthwise, dw_seed);
-                fill(pointwise, pw_seed);
-            }
-            OpWeights::MatMul(m) => {
-                for (i, w) in m.iter_mut().enumerate() {
-                    *w = deterministic_value(seed, i);
-                }
-            }
-        }
+        at_tier(simd::active_isa(), Generate(self, seed));
     }
 
     /// Logical weight parameters and resident bytes.
@@ -144,6 +128,36 @@ impl OpWeights {
                 (d.0 + p.0, d.1 + p.1)
             }
             OpWeights::MatMul(m) => (m.len(), std::mem::size_of_val(&m[..])),
+        }
+    }
+}
+
+/// [`OpWeights::generate`] at a tier: value `i` of each array is
+/// [`deterministic_value`] of its natural index, in the array's order (a
+/// filter's is [`PackedFilter::fill`]). Under the tier's `#[target_feature]`
+/// entry the SplitMix64 arithmetic vectorizes, into the same bits.
+struct Generate<'a>(&'a mut OpWeights, u64);
+
+impl RowKernel for Generate<'_> {
+    type Out = ();
+    #[inline(always)]
+    unsafe fn run<R: Row, const SPAN: usize, const NV: usize>(self) {
+        let Generate(weights, seed) = self;
+        let stream = |seed| move |i| deterministic_value(seed, i);
+        match weights {
+            OpWeights::Conv(filter) => filter.fill(stream(seed)),
+            OpWeights::SepConv {
+                depthwise,
+                pointwise,
+            } => {
+                let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+                depthwise.fill(stream(dw_seed));
+                pointwise.fill(stream(pw_seed));
+            }
+            OpWeights::MatMul(m) => {
+                let value = stream(seed);
+                m.iter_mut().enumerate().for_each(|(i, w)| *w = value(i));
+            }
         }
     }
 }
@@ -573,6 +587,7 @@ pub fn split_batch(batched: &TensorData) -> Vec<TensorData> {
 mod tests {
     use super::*;
     use crate::ops_cpu::{conv_weights, matmul_weights};
+    use crate::tile::PACK_MR;
     use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
     use ios_sim::{DeviceKind, Simulator};
 
@@ -725,6 +740,141 @@ mod tests {
                             net.name,
                             op.name
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts every slot of `filter` `to_bits`-equal to the value of its
+    /// own reading of the packed layout: group `g`'s panel `p`, slot
+    /// `k · PACK_MR + r`, holds [`deterministic_value`] of output channel
+    /// `g · rows + p · PACK_MR + r` at `k`, or `+0.0` past the group's rows.
+    fn assert_panels(filter: &PackedFilter, seed: u64, what: &str) {
+        let (out_channels, groups, k_len) = filter.geometry();
+        let rows = out_channels / groups;
+        for g in 0..groups {
+            let panels = filter.group(g);
+            assert_eq!(panels.len(), rows.div_ceil(PACK_MR) * k_len * PACK_MR);
+            for (slot, v) in panels.iter().enumerate() {
+                let (p, k, r) = (
+                    slot / (k_len * PACK_MR),
+                    slot / PACK_MR % k_len,
+                    slot % PACK_MR,
+                );
+                let row = p * PACK_MR + r;
+                let want = if row < rows {
+                    deterministic_value(seed, (g * rows + row) * k_len + k)
+                } else {
+                    0.0
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "{what}: group {g} slot {slot}");
+            }
+        }
+    }
+
+    /// Asserts every generated value of `weights` `to_bits`-equal to
+    /// [`deterministic_value`] of its natural index under `seed`.
+    fn assert_generated(weights: &OpWeights, seed: u64, what: &str) {
+        match weights {
+            OpWeights::Conv(filter) => assert_panels(filter, seed, what),
+            OpWeights::SepConv {
+                depthwise,
+                pointwise,
+            } => {
+                let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+                assert_panels(depthwise, dw_seed, &format!("{what} depthwise"));
+                assert_panels(pointwise, pw_seed, &format!("{what} pointwise"));
+            }
+            OpWeights::MatMul(m) => {
+                for (i, v) in m.iter().enumerate() {
+                    let want = deterministic_value(seed, i);
+                    assert_eq!(v.to_bits(), want.to_bits(), "{what}: value {i}");
+                }
+            }
+        }
+    }
+
+    /// Edge shapes of the panel walk in one block: output channels short of
+    /// a panel, grouped and depthwise filters with a padded panel per
+    /// group, a separable pair, a matrix, and `k_len` of 1 and 3 (shorter than
+    /// any vector).
+    fn edge_block() -> Graph {
+        use ios_ir::{Conv2dParams, GraphBuilder};
+        let mut b = GraphBuilder::new("panel_walk_edges", TensorShape::new(1, 6, 5, 5));
+        let x = b.input(0);
+        let c7 = b.conv2d("c7", x, Conv2dParams::plain(7, (3, 3), (1, 1), (1, 1)));
+        let grouped = Conv2dParams {
+            groups: 2,
+            ..Conv2dParams::plain(6, (3, 3), (1, 1), (1, 1))
+        };
+        let g2 = b.conv2d("grouped", x, grouped);
+        let depthwise = Conv2dParams {
+            groups: 6,
+            ..Conv2dParams::plain(6, (3, 3), (1, 1), (1, 1))
+        };
+        let dw = b.conv2d("depthwise", g2, depthwise);
+        let sep = b.sep_conv2d("sep", dw, Conv2dParams::plain(5, (3, 3), (1, 1), (1, 1)));
+        let one = b.conv2d("k1", sep, Conv2dParams::plain(1, (1, 1), (1, 1), (0, 0)));
+        let two = b.conv2d(
+            "k2",
+            c7,
+            Conv2dParams {
+                groups: 7,
+                ..Conv2dParams::plain(14, (1, 1), (1, 1), (0, 0))
+            },
+        );
+        let three = b.conv2d("k3", one, Conv2dParams::plain(3, (1, 3), (1, 1), (0, 1)));
+        let fc = b.matmul("fc", three, 9);
+        b.build(vec![fc, two])
+    }
+
+    #[test]
+    fn every_generated_weight_is_its_deterministic_value_at_every_tier_and_lane_count() {
+        let nets = [
+            ios_models::squeezenet(1),
+            ios_models::randwire_small(1),
+            ios_models::nasnet_a(1),
+            ios_models::inception_v3(1),
+        ];
+        let edges = edge_block();
+        for isa in simd::supported_isas() {
+            for lanes in [1, 2, 7] {
+                for net in &nets {
+                    let weights = simd::with_forced_isa(isa, || {
+                        workers::with_forced_lanes(lanes, || NetworkWeights::precompute(net))
+                    });
+                    for (b, block) in net.blocks.iter().enumerate() {
+                        let g = &block.graph;
+                        for op in g.ops() {
+                            if let Some(w) = weights.block(b).get(op.id) {
+                                let what = format!("{} {} on {isa} × {lanes}", net.name, op.name);
+                                assert_generated(w, weight_seed(g, op.id), &what);
+                            }
+                        }
+                    }
+                }
+                let weights = simd::with_forced_isa(isa, || {
+                    workers::with_forced_lanes(lanes, || BlockWeights::precompute(&edges))
+                });
+                for op in edges.ops() {
+                    if let Some(w) = weights.get(op.id) {
+                        let what = format!("{} on {isa} × {lanes}", op.name);
+                        assert_generated(w, weight_seed(&edges, op.id), &what);
+                    }
+                }
+            }
+            // Seeds whose states `seed + (i + 2)·γ` wrap around `u64::MAX`.
+            for seed in [
+                u64::MAX,
+                u64::MAX - 1,
+                u64::MAX - 0x9E37_79B9_7F4A_7C15,
+                1 << 63,
+            ] {
+                for op in edges.ops() {
+                    if let Some(mut w) = OpWeights::zeroed(&edges, op) {
+                        simd::with_forced_isa(isa, || w.generate(seed));
+                        assert_generated(&w, seed, &format!("{} seed {seed:#x} on {isa}", op.name));
                     }
                 }
             }

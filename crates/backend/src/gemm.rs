@@ -87,12 +87,12 @@ impl PackedFilter {
             "filter length must be out_channels * k_len"
         );
         let mut filter = Self::zeroed(out_channels, groups, k_len);
-        filter.pack_with(|oc, k| weights[oc * k_len + k]);
+        filter.fill(|i| weights[i]);
         filter
     }
 
     /// An all-zero filter of this geometry, its panels allocated but not yet
-    /// touched: [`PackedFilter::pack_with`] writes them, on any thread.
+    /// touched: [`PackedFilter::fill`] writes them, on any thread.
     ///
     /// # Panics
     ///
@@ -113,24 +113,36 @@ impl PackedFilter {
         }
     }
 
-    /// The packer behind [`PackedFilter::pack`]: writes the natural-layout
-    /// weight of output channel `oc` at reduction index `k`, read from
-    /// `weight` instead of a slice, into its packed slot — so a filter
-    /// generated value by value is packed without a natural-layout
-    /// temporary. Edge-panel padding keeps its zeros.
-    pub(crate) fn pack_with(&mut self, weight: impl Fn(usize, usize) -> f32) {
+    /// The one panel-order walk, behind [`PackedFilter::pack`] and weight
+    /// generation: slot `k · PACK_MR + r` of a panel gets the natural-layout
+    /// weight `value(oc · k_len + k)` of the panel's row `r` (channel `oc`),
+    /// or 0.0 past its group's last channel. Inlined, so a generator run at
+    /// a tier ([`crate::tile::at_tier`]) vectorizes at the tier's width.
+    #[inline(always)]
+    pub(crate) fn fill(&mut self, value: impl Fn(usize) -> f32) {
         let (out_channels, groups, k_len) = self.geometry();
         let rows_per_group = out_channels / groups;
         let panels_per_group = rows_per_group.div_ceil(PACK_MR);
-        let panel_stride = k_len * PACK_MR;
-        for oc in 0..out_channels {
+        // `max(1)`: a filter with `k_len == 0` holds no panels at all.
+        let panels = self.data.chunks_exact_mut((k_len * PACK_MR).max(1));
+        for (p, panel) in panels.enumerate() {
             // Groups one after the other, each cut into panels of `PACK_MR`
             // rows, its last one zero-padded.
-            let (g, r) = (oc / rows_per_group, oc % rows_per_group);
-            let p = g * panels_per_group + r / PACK_MR;
-            let panel = &mut self.data[p * panel_stride..][..panel_stride];
-            for k in 0..k_len {
-                panel[k * PACK_MR + r % PACK_MR] = weight(oc, k);
+            let row0 = p % panels_per_group * PACK_MR;
+            let oc0 = p / panels_per_group * rows_per_group + row0;
+            let live = PACK_MR.min(rows_per_group - row0);
+            let slots = panel.as_chunks_mut::<PACK_MR>().0.iter_mut().enumerate();
+            // A full panel's slots are written without a test per row, so
+            // they vectorize as whole stores.
+            if live == PACK_MR {
+                for (k, slots) in slots {
+                    *slots = std::array::from_fn(|r| value((oc0 + r) * k_len + k));
+                }
+            } else {
+                for (k, slots) in slots {
+                    let at = |r| (r < live).then(|| value((oc0 + r) * k_len + k));
+                    *slots = std::array::from_fn(|r| at(r).unwrap_or(0.0));
+                }
             }
         }
     }
@@ -142,7 +154,7 @@ impl PackedFilter {
 
     /// The packed panels of group `g`.
     #[must_use]
-    fn group(&self, g: usize) -> &[f32] {
+    pub(crate) fn group(&self, g: usize) -> &[f32] {
         &self.data[g * self.group_stride..(g + 1) * self.group_stride]
     }
 

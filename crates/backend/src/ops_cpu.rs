@@ -63,11 +63,13 @@ fn deterministic_values(seed: u64, count: usize) -> Vec<f32> {
 
 /// Value `i` of [`deterministic_values`]`(seed, ..)` without its
 /// predecessors: the stream's state there is `seed + (i + 2)·γ`.
+#[inline(always)]
 pub(crate) fn deterministic_value(seed: u64, i: usize) -> f32 {
     splitmix_value(seed.wrapping_add((i as u64).wrapping_add(2).wrapping_mul(GAMMA)))
 }
 
 /// SplitMix64's output function on `state`, mapped to [-0.5, 0.5].
+#[inline(always)]
 fn splitmix_value(state: u64) -> f32 {
     let mut z = state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

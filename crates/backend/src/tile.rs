@@ -145,8 +145,8 @@ pub(crate) trait RowKernel {
 
 /// Runs `kernel` at tier `isa` — the one list of tiers: each names its
 /// [`Row`] and its tile's height and width behind its `#[target_feature]`
-/// entry. The tile, the pooling window, the column walk ([`tile_width`])
-/// and the roofline probe ([`mul_add_probe`]) read it.
+/// entry. The tile, the pooling window, the column walk ([`tile_width`]),
+/// the roofline probe ([`mul_add_probe`]) and weight generation read it.
 pub(crate) fn at_tier<K: RowKernel>(isa: Isa, kernel: K) -> K::Out {
     #[cfg(target_arch = "x86_64")]
     {

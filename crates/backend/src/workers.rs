@@ -72,10 +72,10 @@ pub const GRAIN_MACS: usize = 1 << 20;
 
 /// Weight values a weight precompute must hold before it is posted as a
 /// job: fewer than two grains are generated on the caller alone. Measured
-/// like [`GRAIN_MACS`], on the same host: one lane generates a fresh packed
-/// filter of 4.6 K–295 K values at 3.3–4.1 ns a value (SplitMix and
-/// first-touch page faults), so a grain takes ≈ 27–34 µs.
-pub const GRAIN_WEIGHTS: usize = 1 << 13;
+/// like [`GRAIN_MACS`]: one lane precomputes SqueezeNet, RandWire and
+/// NASNet-A (SplitMix at the tier's width, first-touch faults) at 1.8–2.2 ns
+/// a value at AVX-512, 2.5–2.9 at AVX2, so a grain takes ≈ 30–45 µs.
+pub const GRAIN_WEIGHTS: usize = 1 << 14;
 
 /// Chunks per lane a split operator is cut into. More chunks than lanes
 /// lets the claim counter balance a helper that joins late or runs on a

@@ -1,6 +1,7 @@
 //! `simd_gate` — CI acceptance gate for the hardware-FMA tiers of the f32
 //! kernels behind the runtime SIMD dispatch (`ios_backend::simd`): the GEMM
-//! microkernel, judged, and the pooling window, reported.
+//! microkernel, judged, and the pooling window and weight generation,
+//! reported.
 //!
 //! On the serving-hot layer shapes of [`ios_bench::simd_bench_shapes`],
 //! each run with a full bias + residual + ReLU epilogue:
@@ -35,6 +36,14 @@
 //!    of the copy bandwidth the gate measures ([`ios_bench::copy_peak_gbps`]
 //!    on every lane at once). Reported, not judged; above 100 % would be a
 //!    probe bug.
+//! 6. **Weight generation** — Inception V3's largest convolution filter and
+//!    its 1000×2048 FC matrix, each generated on one lane by
+//!    `BlockWeights::precompute` of a one-operator graph, allocation and
+//!    zeroing included (after the first rounds the allocator hands back
+//!    memory already faulted in, so the best times hold no first-touch
+//!    faults): first asserted bit-identical across every supported tier,
+//!    then timed at every tier — best ns per value per tier and the active
+//!    tier's median paired speedup over AVX2. Reported, not judged.
 //!
 //! Speedups are medians of per-round paired ratios (baseline and wide
 //! variants run adjacently within each round, so a noisy stretch on a
@@ -48,12 +57,13 @@
 
 use ios_backend::ops_cpu::pool;
 use ios_backend::simd::{self, Isa};
-use ios_backend::{conv2d, ConvEpilogue, ScratchPool, TensorData};
+use ios_backend::workers::with_forced_lanes;
+use ios_backend::{conv2d, BlockWeights, ConvEpilogue, ScratchPool, TensorData};
 use ios_bench::{
     cells, copy_peak_gbps, geomean, mul_add_peak_gflops, paired_rounds, simd_bench_shapes, Cell,
-    Gate, Table,
+    Gate, Rounds, Table,
 };
-use ios_ir::{PoolParams, TensorShape};
+use ios_ir::{Graph, GraphBuilder, Op, OpKind, PoolParams, TensorShape};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -158,6 +168,7 @@ fn main() -> ExitCode {
         );
     }
     pool_rows(&mut gate, iters, &arena);
+    weight_rows(&mut gate, iters);
     gate.finish()
 }
 
@@ -210,25 +221,144 @@ fn pool_rows(gate: &mut Gate, iters: usize, arena: &ScratchPool) {
         let bytes = (input.data.len() + reference.data.len()) * std::mem::size_of::<f32>();
         arena.recycle_tensor(reference);
         // A pooling is well under a millisecond: ten times the convolution
-        // rows' rounds, every tier once per round.
-        let mut runs: Vec<_> = supported
-            .iter()
-            .map(|&isa| move || arena.recycle_tensor(run_on(isa)))
-            .collect();
-        let mut variants: Vec<&mut dyn FnMut()> =
-            runs.iter_mut().map(|run| run as &mut dyn FnMut()).collect();
-        let rounds = paired_rounds(iters * 10, &mut variants);
-        // Variant `i` of the rounds is tier `supported[i]`.
-        let at = |isa: Isa| supported.iter().position(|&s| s == isa);
-        let wide = at(active).expect("the active tier is supported");
-        let gbps = bytes as f64 / rounds.best_ms(wide) / 1e6;
+        // rows' rounds.
+        let rounds = tier_rounds(iters * 10, |isa| arena.recycle_tensor(run_on(isa)));
+        let gbps = bytes as f64 / rounds.best_ms(tier(active)) / 1e6;
         let mut row = cells![name];
-        row.extend(Isa::ALL.map(|isa| Cell::from(at(isa).map(|i| rounds.best_ms(i)))));
+        row.extend(tier_cells(&rounds, 1.0));
         row.extend(cells![
-            at(Isa::Avx2).map(|avx2| rounds.median_speedup(avx2, wide)),
             Cell::Num(gbps, 1),
             Cell::Num(100.0 * gbps / copy_gbps, 1),
         ]);
+        table.row(row);
+    }
+    gate.table(&table);
+}
+
+/// Position of `isa` among the supported tiers — the variant it is in
+/// [`tier_rounds`].
+fn tier(isa: Isa) -> usize {
+    let supported = simd::supported_isas();
+    supported
+        .iter()
+        .position(|&s| s == isa)
+        .expect("a supported tier")
+}
+
+/// `run` at every supported tier, once each per round, for `rounds`
+/// interleaved rounds: variant [`tier`]`(isa)` is tier `isa`.
+fn tier_rounds(rounds: usize, run: impl Fn(Isa)) -> Rounds {
+    let mut runs: Vec<_> = simd::supported_isas()
+        .into_iter()
+        .map(|isa| {
+            let run = &run;
+            move || run(isa)
+        })
+        .collect();
+    let mut variants: Vec<&mut dyn FnMut()> =
+        runs.iter_mut().map(|run| run as &mut dyn FnMut()).collect();
+    paired_rounds(rounds, &mut variants)
+}
+
+/// One cell per tier of [`Isa::ALL`] — its best time times `scale`, `-`
+/// where the host lacks it — then the active tier's median paired speedup
+/// over AVX2.
+fn tier_cells(rounds: &Rounds, scale: f64) -> Vec<Cell> {
+    let supported = simd::supported_isas();
+    let at = |isa: Isa| supported.iter().position(|&s| s == isa);
+    let mut cells: Vec<Cell> = Isa::ALL
+        .map(|isa| Cell::from(at(isa).map(|i| rounds.best_ms(i) * scale)))
+        .into();
+    let wide = tier(simd::active_isa());
+    cells.push(
+        at(Isa::Avx2)
+            .map(|avx2| rounds.median_speedup(avx2, wide))
+            .into(),
+    );
+    cells
+}
+
+/// Inception V3's largest convolution filter and its FC matrix, each as
+/// the one operator of a graph of its own: `(label, graph, values)`.
+fn inception_weights() -> Vec<(String, Graph, usize)> {
+    let net = ios_models::inception_v3(1);
+    let ops: Vec<(TensorShape, &Op)> = net
+        .blocks
+        .iter()
+        .flat_map(|b| {
+            b.graph
+                .ops()
+                .iter()
+                .map(|op| (b.graph.value_shape(op.inputs[0]), op))
+        })
+        .collect();
+    let largest = |of_kind: fn(&OpKind) -> bool| {
+        let candidates = ops.iter().filter(|(_, op)| of_kind(&op.kind));
+        *candidates
+            .max_by_key(|(shape, op)| op.num_parameters(&[*shape]))
+            .expect("Inception V3 has the operator")
+    };
+    let conv = largest(|kind| matches!(kind, OpKind::Conv2d(_)));
+    let fc = largest(|kind| matches!(kind, OpKind::MatMul(_)));
+    [conv, fc]
+        .into_iter()
+        .map(|(shape, op)| {
+            let (label, values) = match &op.kind {
+                OpKind::Conv2d(p) => {
+                    let (kh, kw) = p.kernel;
+                    let k_len = shape.channels / p.groups * kh * kw;
+                    let label = format!("conv_{kh}x{kw}_{}x{}", shape.channels, p.out_channels);
+                    (label, p.out_channels * k_len)
+                }
+                OpKind::MatMul(p) => {
+                    let in_features = shape.elements_per_item();
+                    let label = format!("fc_{}x{in_features}", p.out_features);
+                    (label, p.out_features * in_features)
+                }
+                kind => unreachable!("{kind:?} was not selected"),
+            };
+            let mut b = GraphBuilder::new(format!("simd_gate_{label}"), shape);
+            let x = b.input(0);
+            let out = b.add(op.name.clone(), op.kind.clone(), &[x]);
+            (label, b.build(vec![out]), values)
+        })
+        .collect()
+}
+
+/// Weight generation's rows: bit-identity across the supported tiers, then
+/// every tier timed on one lane in interleaved rounds, in ns per value.
+fn weight_rows(gate: &mut Gate, iters: usize) {
+    let active = simd::active_isa();
+    let mut table = Table::new(
+        format!("weight generation per tier, one lane, ns per value: {active} vs avx2"),
+        &[
+            ("operator", "operator"),
+            ("values", "values"),
+            ("scalar_ns", "scalar ns"),
+            ("avx2_ns", "avx2 ns"),
+            ("avx512_ns", "avx512 ns"),
+            ("vs_avx2", "vs avx2"),
+        ],
+    );
+    for (label, graph, values) in inception_weights() {
+        let op = graph.ops()[0].id;
+        let generate = |isa: Isa| {
+            with_forced_lanes(1, || {
+                simd::with_forced_isa(isa, || BlockWeights::precompute(&graph))
+            })
+        };
+        let reference = generate(Isa::Scalar);
+        for &isa in &simd::supported_isas()[1..] {
+            assert_eq!(
+                generate(isa).get(op),
+                reference.get(op),
+                "{label}: weights must be bit-identical on {isa}"
+            );
+        }
+        drop(reference);
+        let rounds = tier_rounds(iters, |isa| drop(generate(isa)));
+        let mut row = cells![label, values];
+        row.extend(tier_cells(&rounds, 1e6 / values as f64));
         table.row(row);
     }
     gate.table(&table);
