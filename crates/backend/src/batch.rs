@@ -1,11 +1,12 @@
 //! Batched, weight-reusing network execution — the serving entry point.
 //!
-//! Every executor runs from precomputed weights. The one-off entry points
-//! ([`crate::execute_graph`], [`execute_network`]) precompute them for the
-//! call, which is fine for verification but wasteful when a serving runtime
+//! The one-off entry points ([`crate::execute_graph`], [`execute_network`])
+//! generate each stage's weights just before the stage and drop them after
+//! it, which is fine for verification but wasteful when a serving runtime
 //! executes the same network for every incoming batch. This module holds
 //! the weights precomputed once ([`NetworkWeights`]) and executes whole
-//! networks (block chains) with them, plus the batch stacking/splitting
+//! networks (block chains) with them — every network walk, the reference's
+//! included, through one block body — plus the batch stacking/splitting
 //! helpers the `ios-serve` dynamic batcher uses to coalesce single-sample
 //! requests.
 //!
@@ -26,7 +27,7 @@ use crate::tensor_data::TensorData;
 use crate::tile::{at_tier, Row, RowKernel};
 use crate::workers;
 use ios_core::{NetworkSchedule, Schedule};
-use ios_ir::{Graph, Network, Op, OpId, OpKind, TensorShape, Value};
+use ios_ir::{Graph, Network, Op, OpId, OpKind, OpSet, TensorShape, Value};
 use parking_lot::Mutex;
 
 /// Precomputed weights of one operator, each in the form its kernel reads
@@ -64,7 +65,13 @@ impl BlockWeights {
     /// the one-block case of [`NetworkWeights::precompute`].
     #[must_use]
     pub fn precompute(graph: &Graph) -> Self {
-        precompute_blocks(&[graph])
+        Self::generate(graph, graph.all_ops())
+    }
+
+    /// The weights of `ops` alone, generated as [`BlockWeights::precompute`]
+    /// generates them: what a stage run without precomputed weights holds.
+    pub(crate) fn generate(graph: &Graph, ops: OpSet) -> Self {
+        precompute_blocks(&[(graph, ops)])
             .pop()
             .expect("one block per graph")
     }
@@ -162,20 +169,23 @@ impl RowKernel for Generate<'_> {
     }
 }
 
-/// The weights of every graph in `graphs`, in two passes: every array is
-/// allocated on the calling thread, then one [`workers::parallel_for`] job
-/// over the weighted operators of all the graphs, largest first, generates
-/// the values (the caller alone below two [`workers::GRAIN_WEIGHTS`]).
+/// The weights of the given ops of every graph in `graphs`, in two passes:
+/// every array is allocated on the calling thread, then one
+/// [`workers::parallel_for`] job over those weighted operators of all the
+/// graphs, largest first, generates the values (the caller alone below two
+/// [`workers::GRAIN_WEIGHTS`]).
 /// Allocating on the caller keeps the weights in its allocator arena: a
 /// lane allocating its own would leave the memory freed around them in
 /// that lane's arena.
-fn precompute_blocks(graphs: &[&Graph]) -> Vec<BlockWeights> {
-    let mut by_block: Vec<Vec<Option<OpWeights>>> = graphs
-        .iter()
-        .map(|g| g.ops().iter().map(|op| OpWeights::zeroed(g, op)).collect())
+fn precompute_blocks(graphs: &[(&Graph, OpSet)]) -> Vec<BlockWeights> {
+    let mut by_block: Vec<Vec<Option<OpWeights>>> = (graphs.iter())
+        .map(|(g, ops)| {
+            let zeroed = |op: &Op| ops.contains(op.id).then(|| OpWeights::zeroed(g, op));
+            g.ops().iter().map(|op| zeroed(op).flatten()).collect()
+        })
         .collect();
     let mut fills: Vec<(u64, &mut OpWeights)> = (graphs.iter().zip(&mut by_block))
-        .flat_map(|(g, by_op)| g.ops().iter().map(|op| weight_seed(g, op.id)).zip(by_op))
+        .flat_map(|((g, _), by_op)| g.ops().iter().map(|op| weight_seed(g, op.id)).zip(by_op))
         .filter_map(|(seed, w)| Some((seed, w.as_mut()?)))
         .collect();
     fills.sort_by_key(|(_, w)| std::cmp::Reverse(w.sized().0));
@@ -192,7 +202,7 @@ fn precompute_blocks(graphs: &[&Graph]) -> Vec<BlockWeights> {
     }
     let blocks = by_block.into_iter().zip(graphs);
     blocks
-        .map(|(by_op, graph)| BlockWeights {
+        .map(|(by_op, (graph, _))| BlockWeights {
             by_op,
             fold_plan: relu_fold_plan(graph),
         })
@@ -226,7 +236,9 @@ impl NetworkWeights {
     /// Generates the weights of every block of `network`.
     #[must_use]
     pub fn precompute(network: &Network) -> Self {
-        let graphs: Vec<&Graph> = network.blocks.iter().map(|b| &b.graph).collect();
+        let graphs: Vec<(&Graph, OpSet)> = (network.blocks.iter())
+            .map(|b| (&b.graph, b.graph.all_ops()))
+            .collect();
         NetworkWeights {
             network_name: network.name.clone(),
             blocks: precompute_blocks(&graphs),
@@ -276,27 +288,15 @@ impl NetworkWeights {
     }
 }
 
-/// Resolves the external output tensors of a graph from its per-operator
-/// outputs.
-fn graph_outputs(
-    graph: &Graph,
-    inputs: &[TensorData],
-    op_outputs: &[TensorData],
-) -> Vec<TensorData> {
-    graph
-        .outputs()
-        .iter()
-        .map(|value| match value {
-            Value::Input(i) => inputs[*i].clone(),
-            Value::Op(id) => op_outputs[id.index()].clone(),
-        })
-        .collect()
-}
-
 /// Executes a whole network sequentially (block by block, operators in
-/// topological order), precomputing each block's weights for the call — the
-/// reference the serving runtime is checked against. Returns the final
-/// block's outputs.
+/// topological order) — the reference the serving runtime is checked
+/// against. Returns the final block's outputs.
+///
+/// It holds one operator's weights at a time, generated just before the
+/// operator runs ([`crate::execute_schedule_pooled`] with `None`), and one
+/// block's buffers: each block draws its op outputs and scratch from a pool
+/// of its own, dropped at the block's end, so nothing the pass frees stays
+/// held once it returns.
 ///
 /// # Panics
 ///
@@ -304,12 +304,53 @@ fn graph_outputs(
 /// blocks do not chain (block `i` outputs ≠ block `i + 1` inputs).
 #[must_use]
 pub fn execute_network(network: &Network, inputs: &[TensorData]) -> Vec<TensorData> {
-    let mut current: Vec<TensorData> = inputs.to_vec();
+    let mut current = inputs.to_vec();
     for block in &network.blocks {
-        let op_outputs = crate::execute_graph(&block.graph, &current);
-        current = graph_outputs(&block.graph, &current, &op_outputs);
+        let sequential = Schedule::sequential(&block.graph);
+        current = run_block(
+            &block.graph,
+            &sequential,
+            None,
+            current,
+            &ScratchPool::new(),
+        );
     }
     current
+}
+
+/// The one block body of every network walk: runs `graph` under `schedule`
+/// with release ([`run_stages`]: each op output goes back to `arena` at the
+/// end of the stage of its last reader), moves the declared outputs on and
+/// recycles the rest — the block's `inputs` included — into `arena`.
+fn run_block(
+    graph: &Graph,
+    schedule: &Schedule,
+    weights: Option<&BlockWeights>,
+    inputs: Vec<TensorData>,
+    arena: &ScratchPool,
+) -> Vec<TensorData> {
+    let mut op_outputs = run_stages(graph, schedule, &inputs, weights, arena, true);
+    let declared = graph.outputs();
+    let mut next: Vec<TensorData> = Vec::with_capacity(declared.len());
+    for (j, value) in declared.iter().enumerate() {
+        let tensor = match value {
+            Value::Input(i) => copy_of(&inputs[*i], arena),
+            Value::Op(id) => {
+                // An op may be listed as a graph output more than once;
+                // only the first occurrence can take ownership.
+                if let Some(prev) = declared[..j].iter().position(|u| u == value) {
+                    copy_of(&next[prev], arena)
+                } else {
+                    op_outputs[id.index()].take().expect("op executed")
+                }
+            }
+        };
+        next.push(tensor);
+    }
+    for t in op_outputs.into_iter().flatten().chain(inputs) {
+        arena.recycle_tensor(t);
+    }
+    next
 }
 
 /// A pooled copy of sample `n` of a stacked tensor (batch dimension 1).
@@ -325,57 +366,6 @@ fn sample_pooled(batched: &TensorData, n: usize, arena: &ScratchPool) -> TensorD
     out.data
         .copy_from_slice(&batched.data[n * per_item..(n + 1) * per_item]);
     out
-}
-
-/// Executes one sample through the whole network with pooled storage,
-/// consuming `inputs` and recycling every intermediate tensor — the
-/// zero-allocation op loop of the serving runtime. Block `i` runs under
-/// `block_schedules[i]`, and each op output goes back to `arena` at the
-/// end of the stage of its last reader ([`run_stages`]). Returns the last
-/// block's outputs.
-fn execute_network_blocks_pooled(
-    network: &Network,
-    block_schedules: &[Schedule],
-    weights: &NetworkWeights,
-    inputs: Vec<TensorData>,
-    arena: &ScratchPool,
-) -> Vec<TensorData> {
-    let mut current = inputs;
-    for (index, (block, schedule)) in network.blocks.iter().zip(block_schedules).enumerate() {
-        let mut op_outputs = run_stages(
-            &block.graph,
-            schedule,
-            &current,
-            weights.block(index),
-            arena,
-            true,
-        );
-        let declared = block.graph.outputs();
-        let mut next: Vec<TensorData> = Vec::with_capacity(declared.len());
-        for (j, value) in declared.iter().enumerate() {
-            let tensor = match value {
-                Value::Input(i) => copy_of(&current[*i], arena),
-                Value::Op(id) => {
-                    // An op may be listed as a graph output more than once;
-                    // only the first occurrence can take ownership.
-                    if let Some(prev) = declared[..j].iter().position(|u| u == value) {
-                        copy_of(&next[prev], arena)
-                    } else {
-                        op_outputs[id.index()].take().expect("op executed")
-                    }
-                }
-            };
-            next.push(tensor);
-        }
-        for t in op_outputs.into_iter().flatten() {
-            arena.recycle_tensor(t);
-        }
-        for t in current {
-            arena.recycle_tensor(t);
-        }
-        current = next;
-    }
-    current
 }
 
 /// Executes a stacked batch by running every sample independently on the
@@ -480,15 +470,16 @@ pub fn execute_network_batched_capped(
     let per_sample_outputs: Vec<Vec<TensorData>> = workers::parallel_map(fan_out, |worker| {
         workers::chunk_range(batch, fan_out, worker)
             .map(|n| {
-                let sample_inputs: Vec<TensorData> =
+                // The zero-allocation op loop of the serving runtime: block
+                // `i` under `block_schedules[i]`, every intermediate recycled.
+                let mut current: Vec<TensorData> =
                     inputs.iter().map(|t| sample_pooled(t, n, arena)).collect();
-                execute_network_blocks_pooled(
-                    per_sample,
-                    block_schedules,
-                    weights,
-                    sample_inputs,
-                    arena,
-                )
+                let blocks = per_sample.blocks.iter().zip(block_schedules);
+                for (i, (block, schedule)) in blocks.enumerate() {
+                    let weights = Some(weights.block(i));
+                    current = run_block(&block.graph, schedule, weights, current, arena);
+                }
+                current
             })
             .collect::<Vec<_>>()
     })

@@ -9,11 +9,13 @@
 //! [`execute_graph`] is the same runner under the graph's sequential
 //! schedule: there is one way to execute a graph, stage by stage.
 //!
-//! Every execution runs from precomputed weights ([`BlockWeights`]):
-//! [`execute_schedule_pooled`] takes them from the caller — or precomputes
-//! them for the call when given `None` — and draws all scratch and output
-//! storage from a caller-owned [`ScratchPool`]; [`execute_graph`]
-//! precomputes per call and uses the process-global pool.
+//! Every stage runs from generated weights ([`BlockWeights`]):
+//! [`execute_schedule_pooled`] takes a block's from the caller, or, given
+//! `None`, generates each stage's just before the stage and drops them
+//! after it — so a one-off run holds one stage's weights, not the block's.
+//! It draws all scratch and output storage from a caller-owned
+//! [`ScratchPool`]; [`execute_graph`] is the `None` case on the
+//! process-global pool.
 
 use crate::arena::{global_pool, Arena, ScratchPool, ScratchScope};
 use crate::batch::{BlockWeights, OpWeights};
@@ -125,8 +127,8 @@ fn run_op(
 
 /// Executes the graph sequentially and returns every operator's output:
 /// its [`Schedule::sequential`] (one operator per stage, topological
-/// order) through the one stage runner. Weights are precomputed once for
-/// the call.
+/// order) through the one stage runner. Each operator's weights are
+/// generated just before it runs and dropped after it.
 ///
 /// # Panics
 ///
@@ -141,10 +143,12 @@ pub fn execute_graph(graph: &Graph, inputs: &[TensorData]) -> Vec<TensorData> {
 /// output. Concurrent-execution stages run their groups on the worker
 /// pool's lanes; an operator-merge stage runs its parts' own filters over
 /// one convolution walk, each over its exact taps into its own output.
-/// Runs from the block's precomputed `weights` (`None` precomputes them
-/// for this call), drawing scratch and output storage from `arena`.
-/// The lanes running the groups share the arena; the returned tensors are
-/// owned by the caller.
+/// Runs from the block's precomputed `weights`; with `None`, each stage's
+/// weights — every part of a merge — are generated just before the stage
+/// by the same generator and dropped after it, so the bits are the same and
+/// only one stage's weights are ever held. Scratch and output storage come
+/// from `arena`; the lanes running the groups share it, and the returned
+/// tensors are owned by the caller.
 ///
 /// # Panics
 ///
@@ -157,8 +161,6 @@ pub fn execute_schedule_pooled(
     weights: Option<&BlockWeights>,
     arena: &ScratchPool,
 ) -> Vec<TensorData> {
-    let mut precomputed = None;
-    let weights = weights.unwrap_or_else(|| precomputed.insert(BlockWeights::precompute(graph)));
     run_stages(graph, schedule, inputs, weights, arena, false)
         .into_iter()
         .map(|o| o.expect("all ops executed"))
@@ -167,10 +169,11 @@ pub fn execute_schedule_pooled(
 
 /// The stage loop behind every schedule execution: runs `schedule`'s
 /// stages in order through [`execute_stage`] and returns the op outputs
-/// still held. With `release`, each stage boundary recycles into `arena`
-/// every op output no later stage reads — its last reader ran, or it has
-/// none — except the graph's outputs, which the caller hands on; without
-/// it, every op output is returned.
+/// still held. Without precomputed `weights`, each stage's are generated
+/// just before it and dropped after it. With `release`, each stage
+/// boundary recycles into `arena` every op output no later stage reads —
+/// its last reader ran, or it has none — except the graph's outputs, which
+/// the caller hands on; without it, every op output is returned.
 ///
 /// The set of ops executed at a stage boundary is the DP's state, and it
 /// fixes the live set exactly ([`Graph::live_after`]), so the op-output
@@ -185,7 +188,7 @@ pub(crate) fn run_stages(
     graph: &Graph,
     schedule: &Schedule,
     inputs: &[TensorData],
-    weights: &BlockWeights,
+    weights: Option<&BlockWeights>,
     arena: &ScratchPool,
     release: bool,
 ) -> Vec<Option<TensorData>> {
@@ -199,7 +202,11 @@ pub(crate) fn run_stages(
     let mut outputs: Vec<Option<TensorData>> = vec![None; graph.len()];
     let (mut done, mut held, mut high_water) = (OpSet::empty(), 0, 0);
     for stage in &schedule.stages {
-        execute_stage(graph, stage, inputs, weights, &mut outputs, arena);
+        let generated = weights
+            .is_none()
+            .then(|| BlockWeights::generate(graph, stage.ops));
+        let stage_weights = weights.or(generated.as_ref()).expect("given or generated");
+        execute_stage(graph, stage, inputs, stage_weights, &mut outputs, arena);
         done = done.union(stage.ops);
         held += stage
             .ops

@@ -160,7 +160,8 @@ impl PackedFilter {
 
     /// Logical weight parameters (`out_channels · k_len`) and the bytes
     /// held (edge-panel zero padding included).
-    pub(crate) fn footprint(&self) -> (usize, usize) {
+    #[must_use]
+    pub fn footprint(&self) -> (usize, usize) {
         (
             self.out_channels * self.k_len,
             std::mem::size_of_val(&self.data[..]),

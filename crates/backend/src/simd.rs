@@ -62,12 +62,13 @@ impl Isa {
     }
 }
 
-/// The tiers this host can execute, narrowest first: [`Isa::ALL`] up to
-/// [`detected_isa`].
+/// The tiers this process executes, narrowest first: [`Isa::ALL`] up to
+/// [`detected_isa`], or up to the tier `IOS_FORCE_ISA` forces — so a forced
+/// process models a host that has no wider tier.
 #[must_use]
 pub fn supported_isas() -> Vec<Isa> {
-    let detected = detected_isa();
-    Isa::ALL.into_iter().filter(|&i| i <= detected).collect()
+    let selected = selected_isa();
+    Isa::ALL.into_iter().filter(|&i| i <= selected).collect()
 }
 
 impl std::fmt::Display for Isa {
@@ -210,7 +211,7 @@ mod tests {
     fn detection_never_exceeds_the_hardware() {
         // active_isa() must always be executable on this host ...
         assert!(active_isa() <= detected_isa());
-        assert_eq!(supported_isas().last(), Some(&detected_isa()));
+        assert_eq!(supported_isas().last(), Some(&active_isa()));
         // ... which is the `unsafe` contract of the tile module's tier
         // list: every feature a supported tier's `#[target_feature]` entry
         // enables is one the CPU reports.

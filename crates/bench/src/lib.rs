@@ -6,8 +6,8 @@
 //! means, the paired-round timer, and [`gate`] — the one way a gate judges,
 //! reports (`BENCH_<gate>.json`) and exits.
 //!
-//! Every binary accepts, and rejects anything else with a usage line and
-//! exit status 2:
+//! Every binary but `pairs` (see its docs) accepts, and rejects anything
+//! else with a usage line and exit status 2:
 //!
 //! * `--device v100|k80|2080ti` — the simulated GPU (default V100);
 //! * `--batch N` — batch size where applicable (default 1);
