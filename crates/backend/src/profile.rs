@@ -6,8 +6,8 @@
 //! worker pool's lanes, merge stages as one walk over their parts' filters —
 //! through the very same `execute_stage` the serving executor runs, so
 //! the latencies the scheduler optimizes against are latencies of the code
-//! that will serve the schedule. [`ios_core::ProfiledCostModel`] supplies
-//! the measurement policy (warmup, median-of-N, stage cache) on top.
+//! that will serve the schedule. [`ios_core::ProfiledCostModel`] adds
+//! warmup and median-of-N, [`ios_core::CachingCostModel`] the stage cache.
 //!
 //! Per profiled graph the harness keeps a warmed state: precomputed
 //! (packed) [`BlockWeights`] (shared across batch-resized instances of
@@ -237,7 +237,9 @@ impl StageProfiler for CpuStageProfiler {
 mod tests {
     use super::*;
     use crate::executor::verify_schedule;
-    use ios_core::{schedule_graph, CostModel, ProfiledCostModel, SchedulerConfig};
+    use ios_core::{
+        schedule_graph, CachingCostModel, CostModel, ProfiledCostModel, SchedulerConfig,
+    };
     use ios_ir::{Conv2dParams, GraphBuilder, PoolParams, TensorShape};
 
     /// A multi-branch block with mergeable convolutions — the same shape
@@ -303,7 +305,11 @@ mod tests {
         // then execute the winning schedule on the same backend and check
         // it preserves the network's semantics.
         let g = branchy();
-        let cost = ProfiledCostModel::with_policy(CpuStageProfiler::new(), 1, 3);
+        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
+            CpuStageProfiler::new(),
+            1,
+            3,
+        ));
         let result = schedule_graph(&g, &cost, &SchedulerConfig::paper_default());
         assert!(result.schedule.validate(&g).is_ok());
         assert!(result.latency_us > 0.0);
@@ -312,11 +318,9 @@ mod tests {
         assert_eq!(diff, 0.0, "difference = {diff}");
     }
 
-    /// The profiled cost model does not learn: a second search of the same
-    /// network against the same model hits the stage cache for every
-    /// candidate and returns the schedule the first one found. (So a
-    /// serving engine has nothing to gain from dropping a cached schedule
-    /// and searching again.)
+    /// The cached profiled cost model does not learn: a second search of
+    /// the same network against the same model hits the stage cache for
+    /// every candidate and returns the schedule the first one found.
     #[test]
     fn a_second_search_against_one_profiled_model_measures_nothing_and_agrees() {
         use ios_core::optimize_network;
@@ -339,7 +343,11 @@ mod tests {
             })
             .collect();
         let network = Network::new("small", input, blocks);
-        let cost = ProfiledCostModel::with_policy(CpuStageProfiler::new(), 1, 3);
+        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
+            CpuStageProfiler::new(),
+            1,
+            3,
+        ));
         let config = SchedulerConfig::paper_default();
         let first = optimize_network(&network, &cost, &config).schedule;
         let measured = cost.measurement_count();

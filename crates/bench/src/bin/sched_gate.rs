@@ -5,7 +5,7 @@
 //! random stages) is optimized by the IOS dynamic program against a
 //! [`ProfiledCostModel`] whose stage latencies are **measured on the CPU
 //! execution backend** (`CpuStageProfiler`, warmup + median-of-N repeats
-//! per distinct stage), and the winning schedule is then executed on that
+//! per distinct stage, cached by [`CachingCostModel`]), and the winning schedule is then executed on that
 //! same backend against two references:
 //!
 //! * **sequential execution** (plain topological order) — the paper's
@@ -44,8 +44,8 @@ use ios_backend::{
 };
 use ios_bench::{cells, geomean, paired_rounds, Gate, Table};
 use ios_core::{
-    optimize_network, schedule_graph, try_merge, ParallelizationStrategy, ProfiledCostModel,
-    Schedule, SchedulerConfig, SimCostModel, StageProfiler,
+    optimize_network, schedule_graph, try_merge, CachingCostModel, ParallelizationStrategy,
+    ProfiledCostModel, Schedule, SchedulerConfig, SimCostModel, StageProfiler,
 };
 use ios_ir::{Graph, OpId, OpKind};
 use ios_models::RandWireConfig;
@@ -252,7 +252,11 @@ fn main() -> ExitCode {
     let mut diverged_blocks = 0usize;
     for (name, graph) in &gate_blocks(quick) {
         // Optimize against stage latencies measured on the CPU backend…
-        let profiled = ProfiledCostModel::with_policy(CpuStageProfiler::new(), warmup, repeats);
+        let profiled = CachingCostModel::new(ProfiledCostModel::with_policy(
+            CpuStageProfiler::new(),
+            warmup,
+            repeats,
+        ));
         let started = Instant::now();
         let ios = schedule_graph(graph, &profiled, &config);
         let optimize_s = started.elapsed().as_secs_f64();

@@ -56,8 +56,6 @@ fn main() -> ExitCode {
         max_batch: 1,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     }
     .with_tenant("burst", TenantConfig::default())
@@ -117,8 +115,6 @@ fn main() -> ExitCode {
         max_batch: 8,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     }
     .with_tenant(

@@ -17,11 +17,12 @@
 //! that can *execute* a candidate stage once (an execution backend, a
 //! remote device worker) becomes a full profiling cost model by wrapping it
 //! in [`ProfiledCostModel`], which adds the measurement policy — warmup
-//! runs, median-of-N timed repeats, and a stage-fingerprint cache so the
-//! dynamic program never profiles the same stage twice. This closes the
-//! paper's optimize → profile → execute loop: the scheduler optimizes
-//! against latencies measured on the very backend that will run the
-//! schedule.
+//! runs and median-of-N timed repeats. Wrapped in [`CachingCostModel`], the
+//! one stage cache, the dynamic program never profiles the same stage
+//! twice. This closes the paper's optimize → profile → execute loop: the
+//! scheduler optimizes against latencies measured on the very backend that
+//! will run the schedule. The serving engine plans on the simulator; the
+//! profiled loop runs in `sched_gate` and the backend's profiler tests.
 
 use crate::merge::MergedConv;
 use ios_ir::{Graph, OpId};
@@ -195,8 +196,7 @@ pub trait StageProfiler {
 
 // Like cost models, profilers take `&self` everywhere: references and
 // shared pointers to a profiler are profilers too, so one warmed-up
-// substrate can back several cost models (e.g. a serving engine and a
-// background re-optimizer).
+// substrate can back several cost models.
 impl<P: StageProfiler + ?Sized> StageProfiler for &P {
     fn run_concurrent(&self, graph: &Graph, groups: &[Vec<OpId>]) {
         (**self).run_concurrent(graph, groups);
@@ -272,8 +272,8 @@ type MergeStageCache = StageCache<Vec<OpId>>;
 /// key may otherwise collide across: different blocks (names differ),
 /// different batch sizes of one block (shapes differ), and same-shaped
 /// graphs whose operators differ only in hyper-parameters (kinds differ).
-/// Shared by [`CachingCostModel`], [`ProfiledCostModel`] and the backend
-/// profiling harness (which keys its per-graph weights/inputs by it).
+/// Shared by [`CachingCostModel`] and the backend profiling harness (which
+/// keys its per-graph weights/inputs by it).
 #[must_use]
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
     use std::hash::Hasher;
@@ -291,66 +291,38 @@ pub fn graph_fingerprint(graph: &Graph) -> u64 {
 /// A cost model that *measures* stage latency on a [`StageProfiler`]
 /// instead of simulating it — the paper's §4 profiling loop.
 ///
-/// Every distinct stage is profiled once: `warmup` untimed runs (filling
-/// weight caches, scratch pools and the branch predictor), then `repeats`
-/// timed runs whose **median** is the reported latency (the median is
-/// robust against one preempted run, which on shared CI hosts is the
-/// dominant noise source). Results are cached by the same key the
-/// [`CachingCostModel`] uses (graph fingerprint plus stage), so a dynamic
-/// program that revisits a stage from many states pays for it once.
-///
-/// Measurements are **serialized**: concurrent callers (a synchronous
-/// optimizer racing a background re-optimizer) take a measurement lock,
-/// re-check the cache, and only then profile — otherwise two threads would
-/// time the same device simultaneously and each would cache the other's
-/// interference (a stage latency inflated by lock waits, forever).
+/// Every request profiles its stage: `warmup` untimed runs (filling weight
+/// caches, scratch pools and the branch predictor), then `repeats` timed
+/// runs whose **median** is the reported latency (the median is robust
+/// against one preempted run, which on shared CI hosts is the dominant
+/// noise source). It keeps no cache of its own: wrap it in
+/// [`CachingCostModel`], whose key (graph fingerprint plus stage) makes a
+/// dynamic program that revisits a stage from many states pay for it once.
+/// Measure from one thread at a time: timed runs that overlap would time
+/// each other.
+#[derive(Debug)]
 pub struct ProfiledCostModel<P> {
     profiler: P,
     warmup: u32,
     repeats: u32,
-    concurrent_cache: ConcurrentStageCache,
-    merge_cache: MergeStageCache,
-    /// Held across one full warmup-plus-repeats measurement so timed runs
-    /// never overlap (and never time another thread's lock wait).
-    measure_lock: Mutex<()>,
-    /// Distinct stages profiled (cache misses).
+    /// Stages profiled.
     profiled: AtomicU64,
     /// Total stage executions requested from the profiler (warmup included).
     stage_runs: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl<P: std::fmt::Debug> std::fmt::Debug for ProfiledCostModel<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfiledCostModel")
-            .field("profiler", &self.profiler)
-            .field("warmup", &self.warmup)
-            .field("repeats", &self.repeats)
-            .field("profiled", &self.profiled.load(Ordering::Relaxed))
-            .field("stage_runs", &self.stage_runs.load(Ordering::Relaxed))
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl<P: StageProfiler> ProfiledCostModel<P> {
     /// Wraps a profiler with its measurement policy: `warmup` untimed runs,
-    /// then the median of `repeats` timed runs per distinct stage.
-    /// `repeats` is clamped to at least 1; serving runtimes that
-    /// re-optimize in the background typically drop to `(1, 3)` to bound
-    /// optimization cost.
+    /// then the median of `repeats` timed runs per stage. `repeats` is
+    /// clamped to at least 1.
     #[must_use]
     pub fn with_policy(profiler: P, warmup: u32, repeats: u32) -> Self {
         ProfiledCostModel {
             profiler,
             warmup,
             repeats: repeats.max(1),
-            concurrent_cache: StageCache::new(),
-            merge_cache: StageCache::new(),
-            measure_lock: Mutex::new(()),
             profiled: AtomicU64::new(0),
             stage_runs: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
         }
     }
 
@@ -360,7 +332,7 @@ impl<P: StageProfiler> ProfiledCostModel<P> {
         &self.profiler
     }
 
-    /// Number of distinct stages profiled so far.
+    /// Number of stages profiled so far.
     #[must_use]
     pub fn profiled_stages(&self) -> u64 {
         self.profiled.load(Ordering::Relaxed)
@@ -370,12 +342,6 @@ impl<P: StageProfiler> ProfiledCostModel<P> {
     #[must_use]
     pub fn stage_runs(&self) -> u64 {
         self.stage_runs.load(Ordering::Relaxed)
-    }
-
-    /// Number of latency requests served from the stage cache.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 
     /// Runs the measurement policy over one stage-execution closure:
@@ -402,35 +368,6 @@ impl<P: StageProfiler> ProfiledCostModel<P> {
             0.5 * (samples[mid - 1] + samples[mid])
         }
     }
-
-    /// One stage's latency: from `cache` if it is there, else measured —
-    /// one measurement at a time, re-checking under the measurement lock so
-    /// a racing caller that just profiled this stage is served its result
-    /// instead of profiling it again.
-    fn cached_or_measured<K, Q>(
-        &self,
-        cache: &StageCache<K>,
-        fingerprint: u64,
-        stage: &Q,
-        run: impl FnMut(),
-    ) -> f64
-    where
-        K: Hash + Eq + Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        if let Some(cached) = cache.get(fingerprint, stage) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        let _one_at_a_time = self.measure_lock.lock();
-        if let Some(cached) = cache.get(fingerprint, stage) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        let value = self.measure(run);
-        cache.insert(fingerprint, stage.to_owned(), value);
-        value
-    }
 }
 
 impl<P: StageProfiler> CostModel for ProfiledCostModel<P> {
@@ -439,35 +376,25 @@ impl<P: StageProfiler> CostModel for ProfiledCostModel<P> {
     }
 
     fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
-        Box::new(ProfiledGraphCost {
-            model: self,
-            graph,
-            fingerprint: graph_fingerprint(graph),
-        })
+        Box::new(ProfiledGraphCost { model: self, graph })
     }
 }
 
-/// [`ProfiledCostModel`] on one graph, fingerprinted once.
+/// [`ProfiledCostModel`] on one graph.
 struct ProfiledGraphCost<'a, P> {
     model: &'a ProfiledCostModel<P>,
     graph: &'a Graph,
-    fingerprint: u64,
 }
 
 impl<P: StageProfiler> GraphCostModel for ProfiledGraphCost<'_, P> {
     fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
         let model = self.model;
-        model.cached_or_measured(&model.concurrent_cache, self.fingerprint, groups, || {
-            model.profiler.run_concurrent(self.graph, groups);
-        })
+        model.measure(|| model.profiler.run_concurrent(self.graph, groups))
     }
 
     fn merge_latency(&self, merged: &MergedConv) -> f64 {
         let model = self.model;
-        let parts = merged.parts.as_slice();
-        model.cached_or_measured(&model.merge_cache, self.fingerprint, parts, || {
-            model.profiler.run_merge(self.graph, merged);
-        })
+        model.measure(|| model.profiler.run_merge(self.graph, merged))
     }
 }
 
@@ -796,69 +723,39 @@ mod tests {
     #[test]
     fn profiled_model_runs_warmup_plus_repeats_once_per_stage() {
         let g = two_branch_graph();
-        let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 2, 3);
+        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
+            CountingProfiler::default(),
+            2,
+            3,
+        ));
+        let profiled = cost.inner();
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
         let first = cost.bind(&g).concurrent_latency(&groups);
         assert!(first > 0.0, "profiled latency must be positive");
         assert_eq!(
-            cost.profiler().concurrent_runs.load(Ordering::Relaxed),
+            profiled.profiler().concurrent_runs.load(Ordering::Relaxed),
             5,
             "2 warmup + 3 timed runs"
         );
-        assert_eq!(cost.profiled_stages(), 1);
-        assert_eq!(cost.stage_runs(), 5);
+        assert_eq!(profiled.profiled_stages(), 1);
+        assert_eq!(profiled.stage_runs(), 5);
         assert_eq!(cost.measurement_count(), 1);
 
         // A repeat request is served from the stage cache: no further runs.
         let again = cost.bind(&g).concurrent_latency(&groups);
         assert_eq!(again, first);
-        assert_eq!(cost.profiler().concurrent_runs.load(Ordering::Relaxed), 5);
+        assert_eq!(
+            profiled.profiler().concurrent_runs.load(Ordering::Relaxed),
+            5
+        );
         assert_eq!(cost.cache_hits(), 1);
 
         // Merge stages profile through the merge path.
         let merged = crate::merge::try_merge(&g, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
         let m = cost.bind(&g).merge_latency(&merged);
         assert!(m > 0.0);
-        assert_eq!(cost.profiler().merge_runs.load(Ordering::Relaxed), 5);
-        assert_eq!(cost.profiled_stages(), 2);
-    }
-
-    #[test]
-    fn racing_callers_profile_a_stage_once() {
-        // Several threads request the same uncached stage at once: the
-        // measurement lock serializes them, the re-check under the lock
-        // turns the losers into cache hits, and the profiler runs only one
-        // warmup+repeats sequence — no double-profiled, interference-timed
-        // entry can land in the cache.
-        let g = two_branch_graph();
-        let cost = std::sync::Arc::new(ProfiledCostModel::with_policy(
-            CountingProfiler::default(),
-            1,
-            3,
-        ));
-        let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let results: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let cost = std::sync::Arc::clone(&cost);
-                    let g = &g;
-                    let groups = &groups;
-                    scope.spawn(move || cost.bind(g).concurrent_latency(groups))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("measurement thread"))
-                .collect()
-        });
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(
-            cost.profiler().concurrent_runs.load(Ordering::Relaxed),
-            4,
-            "exactly one warmup + 3 repeats despite 4 racing callers"
-        );
-        assert_eq!(cost.profiled_stages(), 1);
-        assert_eq!(cost.cache_hits(), 3);
+        assert_eq!(profiled.profiler().merge_runs.load(Ordering::Relaxed), 5);
+        assert_eq!(profiled.profiled_stages(), 2);
     }
 
     #[test]
@@ -867,12 +764,16 @@ mod tests {
         // must be profiled separately (the fingerprint includes shapes).
         let g1 = two_branch_graph_at(1);
         let g8 = two_branch_graph_at(8);
-        let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 0, 1);
+        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
+            CountingProfiler::default(),
+            0,
+            1,
+        ));
         let groups = vec![vec![OpId(0)], vec![OpId(1)]];
         let _ = cost.bind(&g1).concurrent_latency(&groups);
         let _ = cost.bind(&g8).concurrent_latency(&groups);
         assert_eq!(
-            cost.profiled_stages(),
+            cost.inner().profiled_stages(),
             2,
             "batch-1 and batch-8 instances must be distinct profile entries"
         );
@@ -884,19 +785,24 @@ mod tests {
         // The whole DP runs against a profiler-backed model; the schedule
         // must be valid and the profiler must have been exercised.
         let g = two_branch_graph();
-        let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 1, 3);
+        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
+            CountingProfiler::default(),
+            1,
+            3,
+        ));
         let result =
             crate::dp::schedule_graph(&g, &cost, &crate::variants::SchedulerConfig::default());
         assert!(result.schedule.validate(&g).is_ok());
         assert!(result.latency_us > 0.0);
-        assert!(cost.profiled_stages() > 0);
-        assert!(cost.stage_runs() >= cost.profiled_stages() * 4);
+        let profiled = cost.inner();
+        assert!(profiled.profiled_stages() > 0);
+        assert!(profiled.stage_runs() >= profiled.profiled_stages() * 4);
 
         // Profilers are shareable through the blanket impls.
         fn takes_profiler<P: StageProfiler>(p: P) -> &'static str {
             p.device_name()
         }
-        assert_eq!(takes_profiler(cost.profiler()), "counting");
+        assert_eq!(takes_profiler(profiled.profiler()), "counting");
         assert_eq!(
             takes_profiler(std::sync::Arc::new(CountingProfiler::default())),
             "counting"

@@ -22,8 +22,9 @@
 //!   and graphs fingerprinted per block, not per measurement.
 //! * [`StageProfiler`] / [`ProfiledCostModel`] — the real profiling loop:
 //!   any substrate that can execute a candidate stage becomes a measuring
-//!   cost model (warmup + median-of-N repeats, cached per stage); the CPU
-//!   backend's `CpuStageProfiler` plugs in here ([`cost_model`]).
+//!   cost model (warmup + median-of-N repeats; [`CachingCostModel`] caches
+//!   it per stage); the CPU backend's `CpuStageProfiler` plugs in here
+//!   ([`cost_model`]).
 //! * [`specialize`] — the batch-size / device specialization study of
 //!   Table 3.
 //! * [`stats`] — schedule-space statistics (Table 1).

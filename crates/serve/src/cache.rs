@@ -6,18 +6,20 @@
 //! on one device, so it keeps one `Entry` per batch size it meets
 //! (`Shared::batches`): the network instance, the schedule once searched,
 //! and the background fill searching it. `Shared::resolve_schedule` is the
-//! one policy every part of the engine gets a schedule from: the exact one
-//! if cached, else the *nearest* cached batch size (stage structure is
-//! valid at any batch) while a background fill searches the exact one,
-//! else a synchronous search (`Shared::ensure_exact`). Searches run against
-//! the engine's cost model — with `CostModelKind::CpuProfiled`, one
-//! *measured* on the serving backend. Entries are never removed: the cost
-//! models do not learn, so a second search would find the same schedule.
+//! one policy every batch gets its schedule from: the exact one if cached,
+//! else the *nearest* cached batch size (stage structure is valid at any
+//! batch) while a background fill searches the exact one. The engine
+//! pre-warms batch sizes 1 and `max_batch` before its workers start, so a
+//! nearest schedule always exists and no batch waits for a search.
+//! Searches (`Shared::ensure_exact`) run the paper's default scheduler
+//! configuration against the engine's cost model, the simulated V100.
+//! Entries are never removed: the cost model does not learn, so a second
+//! search would find the same schedule.
 
 use crate::engine::Shared;
 use crate::metrics::PanicSite;
 use crate::request::ScheduleSource;
-use ios_core::{optimize_network, NetworkSchedule};
+use ios_core::{optimize_network, NetworkSchedule, SchedulerConfig};
 use ios_ir::Network;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -77,62 +79,49 @@ impl Shared {
         })
     }
 
-    /// The schedule specialized for exactly `batch` with the network it
-    /// runs on: the cached one, else optimized now (synchronously) and
-    /// cached. The flag tells whether this call ran the search.
-    pub(crate) fn ensure_exact(&self, batch: usize) -> (Arc<Network>, Arc<NetworkSchedule>, bool) {
-        // One search at a time: racing callers (cold-starting workers, a
-        // background fill) would all run the same expensive
-        // search; whoever loses the race finds the winner's entry.
+    /// Searches the schedule specialized for exactly `batch` and caches
+    /// it, unless it is cached already. Tells whether this call searched.
+    pub(crate) fn ensure_exact(&self, batch: usize) -> bool {
+        // One search at a time: background fills of several batch sizes
+        // do not compete with each other for the cores serving requests.
         let _one_search = self.optimizing.lock();
         let network = {
             let mut table = self.batches.lock();
             let entry = self.entry(&mut table, batch);
-            if let Some(schedule) = &entry.schedule {
-                return (Arc::clone(&entry.network), Arc::clone(schedule), false);
+            if entry.schedule.is_some() {
+                return false;
             }
             Arc::clone(&entry.network)
         };
         // The search runs outside the table: batches of every other size
         // keep resolving meanwhile.
-        let schedule =
-            Arc::new(optimize_network(&network, &self.cost, &self.config.scheduler).schedule);
-        self.entry(&mut self.batches.lock(), batch).schedule = Some(Arc::clone(&schedule));
-        (network, schedule, true)
+        let config = SchedulerConfig::paper_default();
+        let schedule = Arc::new(optimize_network(&network, &self.cost, &config).schedule);
+        self.entry(&mut self.batches.lock(), batch).schedule = Some(schedule);
+        true
     }
 
-    /// The Table 3 runtime policy (see the module docs), with the network
-    /// instance shaped for `batch`.
+    /// The Table 3 runtime policy (see the module docs).
     pub(crate) fn resolve_schedule(
         self: &Arc<Self>,
         batch: usize,
-    ) -> (Arc<Network>, Arc<NetworkSchedule>, ScheduleSource) {
+    ) -> (Arc<NetworkSchedule>, ScheduleSource) {
         let mut table = self.batches.lock();
-        let entry = self.entry(&mut table, batch);
-        let network = Arc::clone(&entry.network);
-        if let Some(schedule) = &entry.schedule {
+        if let Some(schedule) = table.get(&batch).and_then(|e| e.schedule.as_ref()) {
             self.metrics.cache_hits.add(1);
-            return (network, Arc::clone(schedule), ScheduleSource::Exact);
+            return (Arc::clone(schedule), ScheduleSource::Exact);
         }
         self.metrics.cache_misses.add(1);
         // The nearest cached batch size; ties prefer the smaller batch.
-        let nearest = table
+        let (optimized_for, schedule) = table
             .iter()
             .filter_map(|(&cached, entry)| Some((cached, entry.schedule.as_ref()?)))
             .min_by_key(|&(cached, _)| (cached.abs_diff(batch), cached))
-            .map(|(cached, schedule)| (cached, Arc::clone(schedule)));
-        if let Some((optimized_for, schedule)) = nearest {
-            self.metrics.nearest_served.add(1);
-            if self.config.background_reoptimize {
-                self.fill_in_background(&mut table, batch);
-            }
-            return (network, schedule, ScheduleSource::Nearest { optimized_for });
-        }
-        drop(table);
-        match self.ensure_exact(batch) {
-            (network, schedule, true) => (network, schedule, ScheduleSource::FreshlyOptimized),
-            (network, schedule, false) => (network, schedule, ScheduleSource::Exact),
-        }
+            .map(|(cached, schedule)| (cached, Arc::clone(schedule)))
+            .expect("batch size 1 is pre-warmed");
+        self.metrics.nearest_served.add(1);
+        self.fill_in_background(&mut table, batch);
+        (schedule, ScheduleSource::Nearest { optimized_for })
     }
 
     /// Optimizes the exact schedule for `batch` on a background thread,
@@ -147,7 +136,7 @@ impl Shared {
         let fill = std::thread::Builder::new()
             .name(format!("ios-serve-reopt-b{batch}"))
             .spawn(move || {
-                if shared.ensure_exact(batch).2 {
+                if shared.ensure_exact(batch) {
                     shared.metrics.background_inserts.add(1);
                 }
             })
@@ -189,18 +178,17 @@ mod tests {
     use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
     use std::time::Duration;
 
-    /// An engine over a one-conv network with `prewarm` cached and no
-    /// background fills, so every resolution is observable. Its executor
-    /// computes nothing: these tests only resolve schedules.
-    fn engine_with(prewarm: Vec<usize>) -> ServeEngine {
+    /// An engine over a one-conv network, pre-warmed at batch sizes 1 and
+    /// `max_batch`. Its executor computes nothing: these tests only
+    /// resolve schedules.
+    fn engine_with(max_batch: usize) -> ServeEngine {
         let input = TensorShape::new(1, 4, 6, 6);
         let mut b = GraphBuilder::new("cache_tiny", input);
         let x = b.input(0);
         let a = b.conv2d("a", x, Conv2dParams::relu(4, (3, 3), (1, 1), (1, 1)));
         let network = Network::new("cache_tiny", input, vec![Block::new(b.build(vec![a]))]);
         let config = ServeConfig {
-            prewarm_batches: Some(prewarm),
-            background_reoptimize: false,
+            max_batch,
             ..ServeConfig::default()
         };
         let executor = Box::new(crate::common::SleepyExecutor {
@@ -211,41 +199,35 @@ mod tests {
 
     #[test]
     fn exact_hits_and_misses_are_counted() {
-        let engine = engine_with(vec![4]);
-        let (network, _, source) = engine.shared.resolve_schedule(4);
-        assert_eq!(
-            (network.input_shape.batch, source),
-            (4, ScheduleSource::Exact)
-        );
-        let (network, _, source) = engine.shared.resolve_schedule(2);
-        assert_eq!(
-            network.input_shape.batch, 2,
-            "the instance matches the batch"
-        );
-        assert_eq!(source, ScheduleSource::Nearest { optimized_for: 4 });
+        let engine = engine_with(4);
+        let (_, source) = engine.shared.resolve_schedule(4);
+        assert_eq!(source, ScheduleSource::Exact);
+        let (_, source) = engine.shared.resolve_schedule(2);
+        assert_eq!(source, ScheduleSource::Nearest { optimized_for: 1 });
+        // The miss started batch 2's fill; once it lands, batch 2 is exact.
+        engine.shared.join_fills();
         let stats = engine.metrics().cache;
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(stats.nearest_served, 1);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 3));
+        assert_eq!((stats.nearest_served, stats.background_inserts), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(engine.shared.resolve_schedule(2).1, ScheduleSource::Exact);
     }
 
     #[test]
     fn nearest_batch_prefers_closest_then_smaller() {
-        let engine = engine_with(vec![1, 8]);
-        let nearest = |batch| match engine.shared.resolve_schedule(batch).2 {
+        let engine = engine_with(5);
+        let nearest = |batch| match engine.shared.resolve_schedule(batch).1 {
             ScheduleSource::Nearest { optimized_for } => optimized_for,
             other => panic!("batch {batch} resolved {other:?}"),
         };
-        assert_eq!(nearest(6), 8);
-        assert_eq!(nearest(3), 1, "3 is nearer to 1 than to 8");
-        // Ties prefer the smaller batch.
-        engine.shared.ensure_exact(5);
-        assert_eq!(nearest(3), 1);
-        // An empty cache has no candidates: the search runs in place.
-        let empty = engine_with(vec![]);
-        assert_eq!(
-            empty.shared.resolve_schedule(6).2,
-            ScheduleSource::FreshlyOptimized
-        );
+        // Holding the search lock keeps every fill from landing, so each
+        // batch size below is still served by batch 1's or batch 5's.
+        let no_fills = engine.shared.optimizing.lock();
+        assert_eq!(nearest(4), 5);
+        assert_eq!(nearest(2), 1);
+        assert_eq!(nearest(3), 1, "ties prefer the smaller batch");
+        drop(no_fills);
+        engine.shared.join_fills();
+        assert_eq!(engine.metrics().cache.entries, 5);
     }
 }

@@ -1,6 +1,5 @@
 //! Serving runtime configuration.
 
-use ios_core::SchedulerConfig;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -32,25 +31,9 @@ impl Default for TenantConfig {
     }
 }
 
-/// Which cost model the engine optimizes (and background re-optimizes)
-/// schedules against — the serving face of the paper's §4 profiling loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModelKind {
-    /// The analytical simulator of a Tesla V100: fast to evaluate, but
-    /// blind to how the *actual* execution substrate behaves.
-    #[default]
-    Simulated,
-    /// Stage latencies **measured on the CPU execution backend** (warmup +
-    /// median-of-N repeats per distinct stage, cached): the schedule that
-    /// wins the DP is the schedule that is fastest on the backend that
-    /// will execute it. The right choice when the engine serves real
-    /// numerics through the CPU executor.
-    CpuProfiled,
-}
-
 /// Configuration of the runtime adaptation loop: the telemetry-driven shed
-/// controller, bounded admission and deadlines. Everything here is opt-in —
-/// the default is a fully static engine.
+/// controller and bounded admission. Everything here is opt-in — the
+/// default is a fully static engine.
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
     /// How often the controller wakes to inspect its telemetry window.
@@ -72,10 +55,6 @@ pub struct AdaptConfig {
     /// [`crate::Rejected::Shed`] regardless of shed mode. `None` leaves
     /// the queue unbounded; a bound must be at least 1.
     pub admission_capacity: Option<usize>,
-    /// Deadline budget applied to every plain [`crate::ServeEngine::submit`]
-    /// (measured from submission). `None` means plain submissions carry no
-    /// deadline.
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for AdaptConfig {
@@ -85,7 +64,6 @@ impl Default for AdaptConfig {
             min_window_batches: 8,
             shed_queue_wait_budget: None,
             admission_capacity: None,
-            default_deadline: None,
         }
     }
 }
@@ -94,10 +72,14 @@ impl Default for AdaptConfig {
 /// you need over the defaults (`ServeConfig { max_batch: 4,
 /// ..ServeConfig::default() }`); the engine checks the whole configuration
 /// once, when it starts, and panics on an invalid field.
+///
+/// How schedules are planned is not configured: the engine searches them
+/// with `SchedulerConfig::paper_default()` against the simulated V100,
+/// pre-warms batch sizes 1 and `max_batch`, and fills any other batch size
+/// in the background while the nearest cached schedule serves it
+/// ([`crate::cache`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The cost model schedules are optimized against.
-    pub cost_model: CostModelKind,
     /// Largest batch the dynamic batcher coalesces. Requests are dispatched
     /// as soon as `max_batch` are queued. Must be at least 1.
     pub max_batch: usize,
@@ -106,18 +88,8 @@ pub struct ServeConfig {
     pub max_wait: Duration,
     /// Number of worker threads executing batches. Must be at least 1.
     pub workers: usize,
-    /// Scheduler configuration used when (re-)optimizing schedules.
-    pub scheduler: SchedulerConfig,
-    /// Batch sizes whose specialized schedules are optimized at startup;
-    /// `None` means the default of `[1, max_batch]`. Other batch sizes are
-    /// served by the nearest cached schedule until a background
-    /// re-optimization produces their exact one.
-    pub prewarm_batches: Option<Vec<usize>>,
-    /// Whether a cache miss on an exact batch size triggers background
-    /// re-optimization for that batch size (Table 3 as a runtime policy).
-    pub background_reoptimize: bool,
-    /// Runtime adaptation loop (shed controller, admission bound,
-    /// deadlines). Disabled by default.
+    /// Runtime adaptation loop (shed controller, admission bound).
+    /// Disabled by default.
     pub adapt: AdaptConfig,
     /// Per-tenant admission by tenant name; a tenant not named here (the
     /// default tenant included) gets [`TenantConfig::default`], so
@@ -131,13 +103,9 @@ impl Default for ServeConfig {
             .map_or(1, |n| n.get())
             .min(4);
         ServeConfig {
-            cost_model: CostModelKind::default(),
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             workers,
-            scheduler: SchedulerConfig::paper_default(),
-            prewarm_batches: None,
-            background_reoptimize: true,
             adapt: AdaptConfig::default(),
             tenants: BTreeMap::new(),
         }
@@ -145,20 +113,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The batch sizes the engine pre-warms: the configured list, or
-    /// `[1, max_batch]` when none was set.
-    #[must_use]
-    pub fn effective_prewarm_batches(&self) -> Vec<usize> {
-        let mut batches = self
-            .prewarm_batches
-            .clone()
-            .unwrap_or_else(|| vec![1, self.max_batch]);
-        batches.retain(|&b| b >= 1);
-        batches.sort_unstable();
-        batches.dedup();
-        batches
-    }
-
     /// Configures one named tenant's admission parameters (WFQ weight,
     /// token-bucket rate limit). Call once per tenant; submit traffic on
     /// its behalf with [`crate::ServeEngine::submit_for_tenant`].
@@ -203,36 +157,25 @@ impl ServeConfig {
 mod tests {
     use super::*;
 
-    /// Fields set over the defaults compose: each keeps its value, the
-    /// pre-warm list follows `max_batch`, and the result passes the
-    /// start-time check.
+    /// Fields set over the defaults compose: each keeps its value, and
+    /// the result passes the start-time check.
     #[test]
     fn builder_methods_compose() {
         let config = ServeConfig {
             max_batch: 32,
             workers: 2,
             max_wait: Duration::from_millis(5),
-            background_reoptimize: false,
-            cost_model: CostModelKind::CpuProfiled,
             ..ServeConfig::default()
         };
         assert_eq!(config.max_batch, 32);
-        assert_eq!(config.effective_prewarm_batches(), vec![1, 32]);
         assert_eq!(config.workers, 2);
         assert_eq!(config.max_wait, Duration::from_millis(5));
-        assert!(!config.background_reoptimize);
-        assert_eq!(config.cost_model, CostModelKind::CpuProfiled);
         config.check();
-        assert_eq!(
-            ServeConfig::default().cost_model,
-            CostModelKind::Simulated,
-            "the simulator remains the default model"
-        );
     }
 
     /// Everything beyond batching is opt-in: the defaults shed nothing,
-    /// bound nothing, set no deadline and name no tenant; adaptation fields
-    /// set over them compose and pass the start-time check.
+    /// bound nothing and name no tenant; adaptation fields set over them
+    /// compose and pass the start-time check.
     #[test]
     fn adaptation_stays_opt_in_and_builders_compose() {
         let default = ServeConfig::default();
@@ -241,14 +184,12 @@ mod tests {
             "the shed controller is opt-in"
         );
         assert!(default.adapt.admission_capacity.is_none());
-        assert!(default.adapt.default_deadline.is_none());
         assert!(default.tenants.is_empty());
 
         let config = ServeConfig {
             adapt: AdaptConfig {
                 shed_queue_wait_budget: Some(Duration::from_millis(10)),
                 admission_capacity: Some(64),
-                default_deadline: Some(Duration::from_millis(50)),
                 tick: Duration::from_millis(5),
                 ..AdaptConfig::default()
             },
@@ -259,26 +200,8 @@ mod tests {
             Some(Duration::from_millis(10))
         );
         assert_eq!(config.adapt.admission_capacity, Some(64));
-        assert_eq!(
-            config.adapt.default_deadline,
-            Some(Duration::from_millis(50))
-        );
         assert_eq!(config.adapt.tick, Duration::from_millis(5));
         config.check();
-    }
-
-    #[test]
-    fn explicit_prewarm_survives_later_max_batch_changes() {
-        let mut config = ServeConfig {
-            prewarm_batches: Some(vec![2, 16, 0, 16]),
-            ..ServeConfig::default()
-        };
-        config.max_batch = 32;
-        assert_eq!(
-            config.effective_prewarm_batches(),
-            vec![2, 16],
-            "an explicit pre-warm list must not be overwritten (zeros and dups dropped)"
-        );
     }
 
     /// A one-convolution network to start engines on.

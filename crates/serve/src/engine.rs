@@ -4,12 +4,12 @@
 use crate::adapt::AdaptState;
 use crate::batcher::BatchQueue;
 use crate::cache::Entry;
-use crate::config::{CostModelKind, ServeConfig};
+use crate::config::ServeConfig;
 use crate::exec::{BatchExecutor, CpuReferenceExecutor};
 use crate::metrics::{External, MetricsSnapshot, PanicSite, ServeMetrics};
 use crate::request::{InferenceResponse, Rejected, ResponseHandle, ServeError, TenantId};
-use ios_backend::{CpuStageProfiler, NetworkWeights, ScratchPool, TensorData};
-use ios_core::{CachingCostModel, CostModel, ProfiledCostModel, SimCostModel};
+use ios_backend::{NetworkWeights, ScratchPool, TensorData};
+use ios_core::{CachingCostModel, CostModel, SimCostModel};
 use ios_ir::{Network, TensorShape};
 use ios_sim::{DeviceKind, Simulator};
 use parking_lot::Mutex;
@@ -37,10 +37,9 @@ pub(crate) struct Shared {
     pub(crate) sample_shape: TensorShape,
     pub(crate) config: ServeConfig,
     pub(crate) queue: BatchQueue,
-    /// One thread-safe cost model backs schedule optimization and
-    /// background re-optimization. Selected by [`ServeConfig::cost_model`]:
-    /// the analytical simulator, or stage latencies profiled on the CPU
-    /// backend.
+    /// The one cost model every schedule search runs against: the cached
+    /// simulator of a Tesla V100 (both constructors pass it to `build`; the
+    /// fault tests pass their own).
     pub(crate) cost: Arc<dyn CostModel + Send + Sync>,
     /// Weights are batch-size independent, so one table serves every batch.
     pub(crate) weights: Arc<NetworkWeights>,
@@ -144,42 +143,27 @@ impl ServeEngine {
     /// workers so concurrent batches do not oversubscribe the machine.
     #[must_use]
     pub fn start(network: Network, config: ServeConfig) -> Self {
-        let cost = Self::cost_model_for(&config);
-        Self::build(network, config, cost, |config| {
+        Self::build(network, config, Self::planner(), |config| {
             let per_batch = host_cores().div_ceil(config.workers);
             Box::new(CpuReferenceExecutor::with_max_workers(per_batch))
         })
     }
 
-    /// Starts an engine with a custom execution backend, optimizing
-    /// schedules against the cost model selected by
-    /// [`ServeConfig::cost_model`].
+    /// Starts an engine with a custom execution backend.
     #[must_use]
     pub fn start_with_executor(
         network: Network,
         config: ServeConfig,
         executor: Box<dyn BatchExecutor>,
     ) -> Self {
-        let cost = Self::cost_model_for(&config);
-        Self::build(network, config, cost, |_| executor)
+        Self::build(network, config, Self::planner(), |_| executor)
     }
 
-    /// The scheduling cost model [`ServeConfig::cost_model`] selects.
-    fn cost_model_for(config: &ServeConfig) -> Arc<dyn CostModel + Send + Sync> {
-        match config.cost_model {
-            CostModelKind::Simulated => Arc::new(CachingCostModel::new(SimCostModel::new(
-                Simulator::new(DeviceKind::TeslaV100),
-            ))),
-            // Profiled serving policy: 1 warmup + median of 3 — background
-            // re-optimization shares the engine's cores with serving, so
-            // optimization cost is bounded tighter than offline profiling;
-            // the ProfiledCostModel caches per stage on its own.
-            CostModelKind::CpuProfiled => Arc::new(ProfiledCostModel::with_policy(
-                CpuStageProfiler::new(),
-                1,
-                3,
-            )),
-        }
+    /// The cost model every engine plans on: the simulated Tesla V100,
+    /// cached per stage.
+    fn planner() -> Arc<dyn CostModel + Send + Sync> {
+        let simulator = Simulator::new(DeviceKind::TeslaV100);
+        Arc::new(CachingCostModel::new(SimCostModel::new(simulator)))
     }
 
     /// The one start path: `config` is checked before the executor is made.
@@ -222,11 +206,10 @@ impl ServeEngine {
             config,
         });
 
-        // Pre-warm the schedule cache: the configured batch sizes get their
-        // specialized schedules before the first request arrives.
-        for batch in shared.config.effective_prewarm_batches() {
-            shared.ensure_exact(batch);
-        }
+        // Pre-warm the schedule cache before the first request arrives:
+        // with batch 1 cached, every batch size has a nearest schedule.
+        shared.ensure_exact(1);
+        shared.ensure_exact(shared.config.max_batch);
 
         let workers = (0..shared.config.workers)
             .map(|i| {
@@ -253,10 +236,8 @@ impl ServeEngine {
         }
     }
 
-    /// Submits one single-sample request; the returned handle resolves to
-    /// the response once its batch executed. When
-    /// [`crate::AdaptConfig::default_deadline`] is configured the request
-    /// carries that budget as its deadline.
+    /// Submits one single-sample request with no deadline; the returned
+    /// handle resolves to the response once its batch executed.
     ///
     /// # Errors
     ///
@@ -267,8 +248,7 @@ impl ServeEngine {
     /// control turned the request away (bounded queue full, or shed mode
     /// with a batch's worth already queued).
     pub fn submit(&self, input: TensorData) -> Result<ResponseHandle, ServeError> {
-        let budget = self.shared.config.adapt.default_deadline;
-        self.shared.admit(TenantId::default_tenant(), input, budget)
+        self.shared.admit(TenantId::default_tenant(), input, None)
     }
 
     /// Submits a request on behalf of a named tenant: it queues on the
@@ -289,8 +269,7 @@ impl ServeEngine {
         tenant: impl Into<TenantId>,
         input: TensorData,
     ) -> Result<ResponseHandle, ServeError> {
-        let budget = self.shared.config.adapt.default_deadline;
-        self.shared.admit(tenant.into(), input, budget)
+        self.shared.admit(tenant.into(), input, None)
     }
 
     /// [`ServeEngine::submit_for_tenant`] with a per-request deadline
@@ -628,14 +607,37 @@ mod tests {
         engine.shutdown();
     }
 
+    /// Right after start every batch size up to `max_batch` has a
+    /// schedule to run on, exact or nearest: no batch waits for a search.
+    #[test]
+    fn every_batch_size_resolves_without_a_search_right_after_start() {
+        let config = ServeConfig {
+            max_batch: 5,
+            ..quick_config()
+        };
+        let executor = Box::new(crate::common::SleepyExecutor {
+            batch_time: Duration::ZERO,
+        });
+        let engine = ServeEngine::start_with_executor(tiny_network(), config, executor);
+        for batch in 1..=5 {
+            let (schedule, source) = engine.shared.resolve_schedule(batch);
+            assert_eq!(schedule.block_schedules.len(), 1);
+            match (batch, source) {
+                (1 | 5, ScheduleSource::Exact) | (2..=4, ScheduleSource::Nearest { .. }) => {}
+                other => panic!("batch {batch} resolved {other:?}"),
+            }
+        }
+        let cache = engine.metrics().cache;
+        assert_eq!((cache.hits, cache.misses), (2, 3));
+        assert_eq!(cache.misses, cache.nearest_served);
+        engine.shutdown();
+    }
+
     #[test]
     fn exact_schedules_hit_the_cache_and_odd_batches_fall_back() {
         let net = tiny_network();
-        // Pre-warm only batch 1 and 4; disable background re-optimization so
-        // the fallback stays observable.
+        // Batch sizes 1 and 4 are pre-warmed.
         let config = ServeConfig {
-            prewarm_batches: Some(vec![1, 4]),
-            background_reoptimize: false,
             max_wait: Duration::from_millis(30),
             ..quick_config()
         };
@@ -683,26 +685,43 @@ mod tests {
         engine.shutdown();
     }
 
+    /// Serves one batch of two behind a held request, and returns the
+    /// schedule source both members report.
+    fn serve_a_pair(engine: &ServeEngine, gate: &crate::common::Gate) -> ScheduleSource {
+        let shape = engine.shared.sample_shape;
+        let held = gate.hold(engine, TensorData::zeros(shape));
+        let pair: Vec<_> = (0..2)
+            .map(|seed| engine.submit(TensorData::random(shape, seed)).unwrap())
+            .collect();
+        gate.release(held);
+        let sources: Vec<_> = pair
+            .into_iter()
+            .map(|h| {
+                let response = h.wait();
+                assert_eq!(response.batch_size, 2, "the queued pair ships as one batch");
+                response.schedule_source
+            })
+            .collect();
+        assert_eq!(sources[0], sources[1]);
+        sources[0]
+    }
+
     #[test]
     fn background_reoptimization_fills_the_exact_entry() {
         let net = tiny_network();
         let config = ServeConfig {
-            prewarm_batches: Some(vec![4]),
-            background_reoptimize: true,
-            max_wait: Duration::from_millis(5),
+            max_wait: Duration::from_millis(50),
             ..quick_config()
         };
-        let engine = ServeEngine::start(net.clone(), config);
-        // Submit a lone request: batch 1 misses, is served by the batch-4
-        // schedule, and background re-optimization inserts the exact entry.
-        let response = engine
-            .infer(TensorData::random(net.input_shape, 1))
-            .unwrap();
+        let (executor, gate) = crate::common::gated(CpuReferenceExecutor::new());
+        let engine = ServeEngine::start_with_executor(net, config, executor);
+        // Batch 2 misses, is served by the batch-1 schedule, and background
+        // re-optimization inserts the exact entry.
         assert_eq!(
-            response.schedule_source,
-            ScheduleSource::Nearest { optimized_for: 4 }
+            serve_a_pair(&engine, &gate),
+            ScheduleSource::Nearest { optimized_for: 1 }
         );
-        // The background thread inserts the exact batch-1 schedule; wait
+        // The background thread inserts the exact batch-2 schedule; wait
         // for it (bounded).
         let deadline = Instant::now() + Duration::from_secs(10);
         while engine.metrics().cache.background_inserts == 0 {
@@ -712,11 +731,8 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        // The next lone request is served by its exact schedule.
-        let response = engine
-            .infer(TensorData::random(net.input_shape, 2))
-            .unwrap();
-        assert_eq!(response.schedule_source, ScheduleSource::Exact);
+        // The next pair is served by its exact schedule.
+        assert_eq!(serve_a_pair(&engine, &gate), ScheduleSource::Exact);
         engine.shutdown();
     }
 
@@ -727,14 +743,17 @@ mod tests {
     }
 
     impl PanicsOnce {
-        /// An engine on the CPU backend whose schedule searches go through
-        /// a `PanicsOnce`, armed once the pre-warm searches are done.
-        fn armed_engine(net: &Network, config: ServeConfig) -> (ServeEngine, Arc<Self>) {
+        /// An engine on `executor` whose schedule searches go through a
+        /// `PanicsOnce`, armed once the pre-warm searches are done.
+        fn armed_engine(
+            net: &Network,
+            config: ServeConfig,
+            executor: Box<dyn BatchExecutor>,
+        ) -> (ServeEngine, Arc<Self>) {
             let cost = Arc::new(PanicsOnce {
                 inner: SimCostModel::new(Simulator::new(DeviceKind::TeslaV100)),
                 armed: std::sync::atomic::AtomicBool::new(false),
             });
-            let executor = Box::new(CpuReferenceExecutor::new());
             let engine = ServeEngine::build(net.clone(), config, cost.clone(), |_| executor);
             cost.armed.store(true, Ordering::SeqCst);
             (engine, cost)
@@ -761,26 +780,25 @@ mod tests {
     fn a_background_fill_that_panics_once_is_retried() {
         let net = tiny_network();
         let config = ServeConfig {
-            prewarm_batches: Some(vec![4]),
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::from_millis(50),
             ..quick_config()
         };
-        let (engine, cost) = PanicsOnce::armed_engine(&net, config);
-        // Lone requests miss batch 1 and are served by the batch-4 schedule
-        // while a background fill runs. The first fill hits the fault; a
-        // later miss must start another, which lands the exact schedule.
+        let (executor, gate) = crate::common::gated(CpuReferenceExecutor::new());
+        let (engine, cost) = PanicsOnce::armed_engine(&net, config, executor);
+        // Pairs miss batch 2 and are served by the batch-1 schedule while a
+        // background fill runs. The first fill hits the fault; a later miss
+        // must start another, which lands the exact schedule.
         let deadline = Instant::now() + Duration::from_secs(20);
         while engine.metrics().cache.background_inserts == 0 {
             assert!(
                 Instant::now() < deadline,
-                "the panicked fill kept its claim: batch 1 is never re-optimized"
+                "the panicked fill kept its claim: batch 2 is never re-optimized"
             );
-            engine.infer(TensorData::zeros(net.input_shape)).unwrap();
+            serve_a_pair(&engine, &gate);
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(!cost.armed.load(Ordering::SeqCst), "the fault fired");
-        let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
-        assert_eq!(response.schedule_source, ScheduleSource::Exact);
+        assert_eq!(serve_a_pair(&engine, &gate), ScheduleSource::Exact);
         assert_eq!(engine.metrics().cache.background_inserts, 1);
         let text = engine.prometheus_text();
         assert!(
@@ -799,16 +817,12 @@ mod tests {
         let config = ServeConfig {
             workers: 2,
             max_wait: Duration::from_secs(60),
-            prewarm_batches: Some(vec![]),
-            background_reoptimize: false,
             ..quick_config()
         };
-        // Nothing is pre-warmed, so the first batch searches its schedule
-        // inside its run and hits the fault there.
-        let (engine, cost) = PanicsOnce::armed_engine(&net, config);
+        let engine =
+            ServeEngine::start_with_executor(net.clone(), config, FailsFirstBatch::boxed());
         let doomed = engine.submit(TensorData::zeros(net.input_shape)).unwrap();
         assert_eq!(doomed.wait_outcome().err(), Some(Rejected::Failed));
-        assert!(!cost.armed.load(Ordering::SeqCst), "the fault fired");
         let start = Instant::now();
         let response = engine.infer(TensorData::zeros(net.input_shape)).unwrap();
         assert!(start.elapsed() < Duration::from_secs(1));
@@ -867,16 +881,15 @@ mod tests {
     /// The fault matrix, one test per lock the engine takes: `poison`
     /// panics on a thread of its own while it holds that lock. Then a
     /// doomed batch panics (reported under `last_panic`), 16 requests are
-    /// served bit-identical to `execute_network`, and every request is
-    /// accounted for. Nothing is pre-warmed, so serving searches a
-    /// schedule, and the shed controller ticks every millisecond. Every
-    /// wait is bounded: a lock left broken fails the test, never hangs it.
+    /// served bit-identical to `execute_network`, every request is
+    /// accounted for, and a background fill still lands a schedule. The
+    /// shed controller ticks every millisecond. Every wait is bounded: a
+    /// lock left broken fails the test, never hangs it.
     fn serves_after_a_panic_holding(poison: impl FnOnce(&Shared) + Send) {
         use crate::config::AdaptConfig;
         use ios_backend::execute_network;
         let net = tiny_network();
         let config = ServeConfig {
-            prewarm_batches: Some(vec![]),
             adapt: AdaptConfig {
                 tick: Duration::from_millis(1),
                 shed_queue_wait_budget: Some(Duration::from_secs(60)),
@@ -918,6 +931,12 @@ mod tests {
         assert_eq!((m.completed, m.failed), (16, 1));
         let outcomes = m.completed + m.shed + m.deadline_expired + m.failed;
         assert_eq!(m.submitted, outcomes + m.in_flight);
+        // A miss on batch 3 starts a fill unless one already landed.
+        engine.shared.resolve_schedule(3);
+        while engine.metrics().cache.background_inserts == 0 {
+            assert!(Instant::now() < deadline, "no background fill landed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         engine.shutdown();
     }
 

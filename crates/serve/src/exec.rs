@@ -1,8 +1,8 @@
 //! Pluggable batch execution backends.
 //!
 //! The engine is backend-agnostic: a [`BatchExecutor`] receives a fully
-//! prepared batch (network instance shaped for the batch size and for one
-//! sample, specialized schedule, precomputed weights, stacked inputs) and
+//! prepared batch (the network at batch size 1, the schedule serving the
+//! batch, precomputed weights, stacked inputs) and
 //! returns stacked outputs plus the device time consumed. The backend that
 //! ships, [`CpuReferenceExecutor`], computes real numerics through
 //! `ios_backend`, bit-identical per sample to `execute_graph`; its "device
@@ -17,10 +17,8 @@ use std::time::Instant;
 /// Everything a backend needs to run one coalesced batch.
 #[derive(Debug)]
 pub struct BatchContext<'a> {
-    /// The network shaped for this batch size.
-    pub network: &'a Network,
-    /// The same network at batch size 1 — what a backend that fans a batch
-    /// out one sample per task executes.
+    /// The network at batch size 1 — what a backend that fans a batch out
+    /// one sample per task executes.
     pub per_sample: &'a Network,
     /// The specialized schedule serving this batch.
     pub schedule: &'a Arc<NetworkSchedule>,
@@ -87,9 +85,9 @@ pub trait BatchExecutor: Send + Sync + 'static {
 /// tensors drawn from a long-lived [`ScratchPool`] — after the first batch
 /// of a given shape profile, the op loop performs no heap allocation.
 /// Per-sample results are bit-identical to solo `execute_network` runs.
-/// Not `ctx.network` once at batch *b*: that stays bit-identical but took
-/// `serve_open_squeezenet`'s peak RSS from 62–67 MB to 138 MB (seeds 41–43;
-/// [`execute_network_batched_capped`] says why).
+/// Not the whole network once at batch *b*: that stays bit-identical but
+/// took `serve_open_squeezenet`'s peak RSS from 62–67 MB to 138 MB (seeds
+/// 41–43; [`execute_network_batched_capped`] says why).
 #[derive(Debug)]
 pub struct CpuReferenceExecutor {
     pool: ScratchPool,

@@ -26,13 +26,11 @@
 //! * **Resolve** ([`cache`]) — Table 3 of the paper shows a schedule is
 //!   only optimal for the `(batch size, device)` it was profiled for. The
 //!   cache keys an engine's schedules by batch size, and one policy serves
-//!   every part of the engine that needs a schedule: the exact one if
-//!   cached, else the *nearest* cached batch size (stage structure is
-//!   batch-invariant) while the exact one is re-optimized in the
-//!   background, else a synchronous search. The scheduler can measure
-//!   candidate stages on the CPU execution backend itself
-//!   ([`config::CostModelKind::CpuProfiled`]) instead of simulating them,
-//!   closing the paper's optimize → profile → execute loop at serving time.
+//!   every batch: the exact one if cached, else the *nearest* cached batch
+//!   size (stage structure is batch-invariant) while the exact one is
+//!   searched in the background. Batch sizes 1 and `max_batch` are
+//!   searched before the workers start, so no batch waits for a search.
+//!   Every search plans on the simulated V100.
 //! * **Execute** (`stages`, [`exec`]) — the CPU reference backend returns
 //!   real numerics (bit-identical per sample to
 //!   [`ios_backend::execute_graph`]) and its wall time as the batch's
@@ -102,7 +100,7 @@ pub mod request;
 mod stages;
 
 pub use cache::CacheStats;
-pub use config::{AdaptConfig, CostModelKind, ServeConfig, TenantConfig};
+pub use config::{AdaptConfig, ServeConfig, TenantConfig};
 pub use engine::ServeEngine;
 pub use exec::{BatchContext, BatchExecutor, BatchOutcome, CpuReferenceExecutor};
 pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};

@@ -80,9 +80,6 @@ pub enum ScheduleSource {
         /// The batch size the serving schedule was optimized for.
         optimized_for: usize,
     },
-    /// Nothing usable was cached; the schedule was optimized synchronously
-    /// before this batch could run (first-request warm-up cost).
-    FreshlyOptimized,
 }
 
 /// A response tensor leased from the serving engine's scratch pool.

@@ -19,7 +19,7 @@ use crate::request::{
 };
 use ios_backend::{stack_batch_pooled, TensorData};
 use ios_core::NetworkSchedule;
-use ios_ir::{Network, TensorShape};
+use ios_ir::TensorShape;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -192,8 +192,8 @@ impl Shared {
         let mut batch_span = ios_telemetry::tracer().span("batch", "serve");
         batch_span.set_id(batch_id);
         batch_span.set_arg(requests.len() as u64);
-        let (network, schedule, source) = self.resolve_schedule(requests.len());
-        let executed = self.execute(batch_id, requests, &network, &schedule, source);
+        let (schedule, source) = self.resolve_schedule(requests.len());
+        let executed = self.execute(batch_id, requests, &schedule, source);
         self.respond(requests, executed);
     }
 
@@ -203,7 +203,6 @@ impl Shared {
         &self,
         batch_id: u64,
         requests: &[Pending],
-        network: &Network,
         schedule: &Arc<NetworkSchedule>,
         source: ScheduleSource,
     ) -> Executed {
@@ -220,7 +219,6 @@ impl Shared {
         let mut exec_span = ios_telemetry::tracer().span("batch.execute", "serve");
         exec_span.set_id(batch_id);
         let outcome = self.executor.execute(&BatchContext {
-            network,
             per_sample: &self.base,
             schedule,
             weights: &self.weights,

@@ -117,8 +117,6 @@ fn every_request_is_accounted_for_through_every_way_it_can_end() {
         max_batch: 1,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         adapt: AdaptConfig {
             admission_capacity: Some(2),
             ..AdaptConfig::default()
@@ -218,8 +216,6 @@ fn a_scrape_never_sees_more_in_flight_than_the_submitters_hold() {
         max_batch: 2,
         workers: 1,
         max_wait: Duration::from_micros(50),
-        prewarm_batches: Some(vec![1, 2]),
-        background_reoptimize: false,
         adapt: AdaptConfig {
             admission_capacity: Some(1),
             ..AdaptConfig::default()

@@ -5,8 +5,8 @@
 //!   rejection **without any device dispatch**; a deadline-carrying
 //!   request flushes early instead of waiting out `max_wait`; a mixed
 //!   batch serves the live requests and rejects only the expired ones;
-//! * mid-flight swap: lone requests are served by the nearest cached
-//!   schedule until background re-optimization lands their exact one, and
+//! * mid-flight swap: pairs are served by the nearest cached schedule
+//!   until background re-optimization lands their exact one, and
 //!   responses stay **bit-identical** to solo references across the swap;
 //! * shed latch: a parked request that keeps the queue occupied (but never
 //!   fills a window) must not latch shed mode forever — the stale-tick
@@ -156,34 +156,11 @@ fn a_mixed_batch_serves_live_requests_and_rejects_only_the_expired() {
     engine.shutdown();
 }
 
-#[test]
-fn default_deadline_applies_to_plain_submits() {
-    let net = common::three_block_network();
-    let config = ServeConfig {
-        max_batch: 4,
-        workers: 1,
-        max_wait: Duration::from_secs(60),
-        adapt: AdaptConfig {
-            default_deadline: Some(Duration::ZERO),
-            ..AdaptConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let engine = ServeEngine::start(net.clone(), config);
-    let handle = engine.submit(TensorData::zeros(net.input_shape)).unwrap();
-    assert_eq!(
-        handle.wait_outcome().err(),
-        Some(Rejected::DeadlineExceeded)
-    );
-    assert_eq!(engine.metrics().deadline_expired, 1);
-    engine.shutdown();
-}
-
 // --------------------------------------------------- mid-flight swap
 
-/// Table 3 at runtime: lone requests form batches of 1, which only the
-/// prewarmed batch-4 schedule can serve at first. Background
-/// re-optimization lands the exact batch-1 schedule while traffic keeps
+/// Table 3 at runtime: pairs form batches of 2, which only the pre-warmed
+/// batch-1 and batch-4 schedules can serve at first. Background
+/// re-optimization lands the exact batch-2 schedule while traffic keeps
 /// flowing, and every response before, across and after that swap — and
 /// through the bursts of 4 that follow — is bit-identical to solo
 /// execution.
@@ -193,12 +170,11 @@ fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identi
     let config = ServeConfig {
         max_batch: 4,
         workers: 1,
-        max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![4]),
-        background_reoptimize: true,
+        max_wait: Duration::from_millis(50),
         ..ServeConfig::default()
     };
-    let engine = ServeEngine::start(net.clone(), config);
+    let (executor, gate) = common::gated(CpuReferenceExecutor::new());
+    let engine = ServeEngine::start_with_executor(net.clone(), config, executor);
     let references: Vec<Vec<TensorData>> = (0..4).map(|s| reference_outputs(&net, s)).collect();
 
     let check = |handles: Vec<ResponseHandle>, seeds: &[u64]| -> Vec<ScheduleSource> {
@@ -221,35 +197,46 @@ fn a_background_fill_swaps_the_schedule_mid_flight_and_responses_stay_bit_identi
             .collect()
     };
 
-    // Singles until the background fill has landed batch 1's exact
-    // schedule; until then the batch-4 schedule serves them.
+    // Pairs, coalesced behind a held request, until the background fill
+    // has landed batch 2's exact schedule; until then the batch-1 schedule,
+    // the nearest, serves them.
     let mut served_nearest = 0;
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         assert!(
             Instant::now() < deadline,
-            "the background fill never landed the exact batch-1 schedule \
+            "the background fill never landed the exact batch-2 schedule \
              (background inserts {})",
             engine.metrics().cache.background_inserts
         );
-        let seed = 1u64;
-        let handle = engine
-            .submit(TensorData::random(net.input_shape, seed))
-            .unwrap();
-        match check(vec![handle], &[seed])[0] {
-            ScheduleSource::Exact => break,
-            ScheduleSource::Nearest { optimized_for: 4 } => served_nearest += 1,
-            other => panic!("a lone request was served by {other:?}"),
+        let seeds = [1u64, 2];
+        let held = gate.hold(&engine, TensorData::zeros(net.input_shape));
+        let handles: Vec<_> = seeds
+            .iter()
+            .map(|&s| {
+                engine
+                    .submit(TensorData::random(net.input_shape, s))
+                    .unwrap()
+            })
+            .collect();
+        gate.release(held);
+        match check(handles, &seeds)[..] {
+            [ScheduleSource::Exact, ScheduleSource::Exact] => break,
+            [ScheduleSource::Nearest { optimized_for: 1 }, ScheduleSource::Nearest { optimized_for: 1 }] =>
+            {
+                served_nearest += 1;
+            }
+            ref other => panic!("a pair was served by {other:?}"),
         }
     }
     assert!(
         served_nearest >= 1,
-        "the first single must be served by the nearest (batch-4) schedule"
+        "the first pair must be served by the nearest (batch-1) schedule"
     );
     assert!(engine.metrics().cache.background_inserts >= 1);
 
-    // Bursts of max_batch run on the prewarmed batch-4 schedule, next to
-    // the freshly filled batch-1 one.
+    // Bursts of max_batch run on the pre-warmed batch-4 schedule, next to
+    // the freshly filled batch-2 one.
     for _ in 0..8 {
         let seeds = [0u64, 1, 2, 3];
         let handles: Vec<_> = seeds
@@ -281,8 +268,6 @@ fn shed_mode_disengages_under_a_trickle_that_never_fills_a_window() {
     let config = ServeConfig {
         max_batch: 4,
         workers: 1,
-        prewarm_batches: Some(vec![1, 4]),
-        background_reoptimize: false,
         adapt: AdaptConfig {
             tick: Duration::from_millis(100),
             shed_queue_wait_budget: Some(Duration::from_millis(2)),

@@ -114,15 +114,13 @@ fn await_background_insert(engine: &ServeEngine, net: &Network) {
 #[test]
 fn responses_stay_bit_identical_while_schedules_swap_mid_flight() {
     let net = three_block_network();
-    // Pre-warm only the full batch: every smaller coalesced batch is
-    // served by the nearest schedule while the background re-optimizer
+    // Only batch 1 and the full batch are pre-warmed: batches of 2 and 3
+    // are served by the nearest schedule while the background re-optimizer
     // races to insert the exact one — schedules swap under live traffic.
     let config = ServeConfig {
         max_batch: 4,
         workers: 2,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![4]),
-        background_reoptimize: true,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(net.clone(), config);
@@ -143,7 +141,6 @@ fn cache_and_pool_counters_stay_consistent_under_racing_submit_and_drop() {
         max_batch: 4,
         workers: 2,
         max_wait: Duration::from_millis(1),
-        background_reoptimize: true,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(net.clone(), config);
@@ -233,8 +230,6 @@ fn shutdown_with_requests_still_queued_answers_them_and_returns_leases() {
         max_batch: 5,
         workers: 2,
         max_wait: Duration::from_secs(60),
-        prewarm_batches: Some(vec![3, 5]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     };
     let (executor, gate) = common::gated(CpuReferenceExecutor::new());
@@ -444,8 +439,6 @@ fn shutdown_wave2_reuses_leases() {
         max_batch: 5,
         workers: 1,
         max_wait: Duration::from_millis(5),
-        prewarm_batches: Some(vec![5]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     };
     let (executor, gate) = common::gated(CpuReferenceExecutor::new());

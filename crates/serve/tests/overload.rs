@@ -32,8 +32,6 @@ fn without_shedding_an_overload_burst_sends_tail_latency_through_the_roof() {
         max_batch: 1,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start_with_executor(
@@ -81,8 +79,6 @@ fn bounded_admission_accounting_is_exact_under_racing_submitters() {
         max_batch: 1,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         adapt: AdaptConfig {
             admission_capacity: Some(capacity),
             ..AdaptConfig::default()
@@ -163,8 +159,6 @@ fn shed_mode_engages_under_sustained_overload_and_disengages_when_idle() {
         max_batch: 1,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         adapt: AdaptConfig {
             tick: Duration::from_millis(50),
             shed_queue_wait_budget: Some(Duration::from_millis(2)),
@@ -268,8 +262,6 @@ fn accepted_responses_stay_bit_identical_under_overload() {
         max_batch: 2,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1, 2]),
-        background_reoptimize: false,
         adapt: AdaptConfig {
             admission_capacity: Some(2),
             ..AdaptConfig::default()

@@ -4,10 +4,8 @@
 //! response lease dropped, every pooled buffer back home.
 
 use ios_backend::{execute_network, TensorData};
-use ios_serve::{
-    CostModelKind, CpuReferenceExecutor, ResponseHandle, ResponseLease, ServeConfig, ServeEngine,
-};
-use std::time::{Duration, Instant};
+use ios_serve::{CpuReferenceExecutor, ResponseHandle, ResponseLease, ServeConfig, ServeEngine};
+use std::time::Duration;
 
 /// A two-block network with mergeable branches so the served schedules can
 /// exercise both concurrent and operator-merge stages.
@@ -83,8 +81,6 @@ fn schedule_cache_hits_advance_under_repeat_traffic() {
         ServeConfig {
             max_batch: 2,
             workers: 1,
-            prewarm_batches: Some(vec![1]),
-            background_reoptimize: false,
             max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         },
@@ -118,8 +114,6 @@ fn steady_state_serving_boundary_is_allocation_free() {
         ServeConfig {
             max_batch: 1,
             workers: 1,
-            prewarm_batches: Some(vec![1]),
-            background_reoptimize: false,
             max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         },
@@ -181,12 +175,10 @@ fn steady_state_serving_boundary_is_allocation_free() {
 /// start-up put it.
 #[test]
 fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
-    use ios_core::{
-        optimize_network, IosVariant, ParallelizationStrategy, SchedulerConfig, SimCostModel,
-    };
+    use ios_core::{optimize_network, ParallelizationStrategy, SchedulerConfig, SimCostModel};
     use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
     use ios_sim::{DeviceKind, Simulator};
-    // Two wide siblings on one input: IOS-Merge merges them on the V100.
+    // Two wide siblings on one input: IOS-Both merges them on the V100.
     let input = TensorShape::new(1, 64, 12, 12);
     let mut b = GraphBuilder::new("merge_served_b0", input);
     let x = b.input(0);
@@ -196,13 +188,12 @@ fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
     let config = ServeConfig {
         max_batch: 1,
         workers: 1,
-        scheduler: SchedulerConfig::for_variant(IosVariant::Merge),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     };
+    // What the engine searches: the paper's default configuration on the
+    // V100 simulator.
     let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
-    let served = optimize_network(&net, &cost, &config.scheduler).schedule;
+    let served = optimize_network(&net, &cost, &SchedulerConfig::paper_default()).schedule;
     assert!(
         served
             .block_schedules
@@ -210,11 +201,6 @@ fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
             .flat_map(|s| &s.stages)
             .any(|s| s.strategy == ParallelizationStrategy::OperatorMerge),
         "the served schedule merges"
-    );
-    assert_eq!(
-        config.cost_model,
-        CostModelKind::Simulated,
-        "the engine plans on the same V100 simulator"
     );
     let engine = ServeEngine::start(net.clone(), config);
     let gauge = |engine: &ServeEngine| {
@@ -237,63 +223,6 @@ fn serving_a_merge_stage_leaves_the_weight_cache_gauge_unchanged() {
         }
     }
     assert_eq!(gauge(&engine), before, "serving a merge holds nothing new");
-    engine.shutdown();
-}
-
-/// Profile-guided serving: an engine whose scheduler *measures* candidate
-/// stages on the CPU backend (instead of simulating a GPU) serves
-/// responses bit-identical to the sequential reference, and its background
-/// re-optimizer inserts a profiled schedule for an uncached batch size
-/// (observed through the cache's background-insert counter).
-#[test]
-fn cpu_profiled_engine_serves_bit_identically_and_reoptimizes_in_background() {
-    let net = serve_network();
-    let engine = ServeEngine::start(
-        net.clone(),
-        ServeConfig {
-            cost_model: CostModelKind::CpuProfiled,
-            max_batch: 4,
-            workers: 1,
-            prewarm_batches: Some(vec![4]),
-            background_reoptimize: true,
-            max_wait: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
-    );
-
-    // A lone request: batch 1 has no exact schedule, so it is served by
-    // the pre-warmed (profiled) batch-4 schedule and kicks off background
-    // re-optimization — which profiles on the CPU backend too.
-    let sample = TensorData::random(net.input_shape, 2024);
-    let response = engine.infer(sample.clone()).unwrap();
-    let reference = execute_network(&net, std::slice::from_ref(&sample));
-    assert_eq!(response.outputs.len(), reference.len());
-    for (leased, expected) in response.outputs.iter().zip(&reference) {
-        assert_eq!(
-            leased, expected,
-            "profiled-schedule output must be bit-identical to the reference"
-        );
-    }
-
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while engine.metrics().cache.background_inserts == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "background re-optimization against the profiled model never completed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        engine.metrics().cache.background_inserts >= 1,
-        "the re-optimizer must insert a profiled schedule"
-    );
-
-    // Serving with the freshly profiled exact schedule is still exact.
-    let again = engine.infer(sample.clone()).unwrap();
-    assert_eq!(again.outputs.len(), reference.len());
-    for (leased, expected) in again.outputs.iter().zip(&reference) {
-        assert_eq!(leased, expected);
-    }
     engine.shutdown();
 }
 
@@ -384,8 +313,6 @@ fn pool_counters_stay_flat_across_mixed_clone_drop_sequences() {
         ServeConfig {
             max_batch: 1,
             workers: 1,
-            prewarm_batches: Some(vec![1]),
-            background_reoptimize: false,
             max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         },

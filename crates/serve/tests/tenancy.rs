@@ -52,8 +52,6 @@ fn a_saturated_server_divides_throughput_by_tenant_weight() {
         max_batch: 1,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     }
     .with_tenant(
@@ -153,8 +151,6 @@ fn a_token_bucket_admits_exactly_its_burst_and_spares_the_neighbor() {
         max_batch: 8,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     }
     .with_tenant(
@@ -252,8 +248,6 @@ fn tenant_responses_stay_bit_identical_to_solo_execution() {
         max_batch: 4,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1, 4]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     }
     .with_tenant(
@@ -321,8 +315,6 @@ fn prometheus_export_carries_labelled_tenant_series_and_validates() {
         max_batch: 4,
         workers: 1,
         max_wait: Duration::from_millis(1),
-        prewarm_batches: Some(vec![1]),
-        background_reoptimize: false,
         ..ServeConfig::default()
     }
     .with_tenant("alpha", TenantConfig::default())

@@ -50,7 +50,6 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
         max_batch: 8,
         workers: 1,
         max_wait: Duration::from_millis(40),
-        prewarm_batches: Some(vec![1, 4, 8]),
         ..ServeConfig::default()
     };
     let (executor, gate) = common::gated(CpuReferenceExecutor::new());
@@ -76,13 +75,13 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
 
         for (response, &s) in responses.iter().zip(&sample_idx) {
             assert_eq!(response.batch_size, batch);
-            // Batch sizes 1, 4 and 8 were pre-warmed: every request must be
-            // served by its exactly specialized schedule.
-            assert_eq!(
-                response.schedule_source,
-                ScheduleSource::Exact,
-                "batch {batch} was pre-warmed"
-            );
+            // Batch sizes 1 and 8 were pre-warmed and are served by their
+            // exactly specialized schedules; batch 4 by the nearest, 1's.
+            let expected = match batch {
+                4 => ScheduleSource::Nearest { optimized_for: 1 },
+                _ => ScheduleSource::Exact,
+            };
+            assert_eq!(response.schedule_source, expected, "batch {batch}");
             assert_eq!(response.outputs.len(), references[s].len());
             for (out, reference) in response.outputs.iter().zip(&references[s]) {
                 assert_eq!(
@@ -101,8 +100,9 @@ fn served_squeezenet_outputs_are_bit_identical_across_batch_sizes() {
         "plus the two held requests"
     );
     assert_eq!(
-        metrics.cache.misses, 0,
-        "all three batch sizes were pre-warmed"
+        (metrics.cache.misses, metrics.cache.nearest_served),
+        (1, 1),
+        "batch 4 is the one size not pre-warmed"
     );
     assert!(metrics.cache.hits >= 3);
     engine.shutdown();
@@ -117,8 +117,6 @@ fn schedule_cache_serves_specialized_schedules_with_nearest_fallback() {
         max_batch: 8,
         workers: 1,
         max_wait: Duration::from_millis(20),
-        prewarm_batches: Some(vec![1, 8]),
-        background_reoptimize: true,
         ..ServeConfig::default()
     };
     let (executor, gate) = common::gated(common::SleepyExecutor {
