@@ -13,77 +13,17 @@
 //! (they may hold data from a previous use); every caller in this crate
 //! fully overwrites what it takes. Use [`ScratchPool::take_zeroed`] when
 //! zero-initialized memory is required.
-//!
-//! Operators are generic over the [`Arena`] capability rather than the
-//! concrete pool, so a schedule-stage group worker can route its scratch
-//! through a [`ScratchScope`] — an uncontended thread-local free list that
-//! falls back to (and drains back into) the shared [`ScratchPool`] — and
-//! the hot op loop stops taking the shared mutex for every intermediate
-//! buffer.
 
 use crate::tensor_data::TensorData;
 use ios_ir::TensorShape;
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The scratch-allocation capability the operator kernels draw from: take
-/// a buffer, give it back. Implemented by the shared, thread-safe
-/// [`ScratchPool`] and by the single-threaded [`ScratchScope`] wrapper a
-/// group worker holds; both hand out plain `Vec<f32>` buffers, so tensors
-/// taken from a scope may be recycled into any pool (and vice versa).
-pub trait Arena {
-    /// Takes a buffer of length `len` with unspecified contents.
-    fn take(&self, len: usize) -> Vec<f32>;
-
-    /// Returns a buffer for future reuse.
-    fn recycle(&self, buf: Vec<f32>);
-
-    /// Takes a zero-filled buffer of length `len`.
-    fn take_zeroed(&self, len: usize) -> Vec<f32> {
-        let mut buf = self.take(len);
-        buf.fill(0.0);
-        buf
-    }
-
-    /// Takes a tensor of `shape` with unspecified element contents.
-    fn take_tensor(&self, shape: TensorShape) -> TensorData {
-        TensorData {
-            shape,
-            data: self.take(shape.num_elements()),
-        }
-    }
-
-    /// Takes a zero-filled tensor of `shape`.
-    fn take_tensor_zeroed(&self, shape: TensorShape) -> TensorData {
-        TensorData {
-            shape,
-            data: self.take_zeroed(shape.num_elements()),
-        }
-    }
-
-    /// Returns a tensor's storage for future reuse.
-    fn recycle_tensor(&self, tensor: TensorData) {
-        self.recycle(tensor.data);
-    }
-}
-
-impl<A: Arena + ?Sized> Arena for &A {
-    fn take(&self, len: usize) -> Vec<f32> {
-        (**self).take(len)
-    }
-
-    fn recycle(&self, buf: Vec<f32>) {
-        (**self).recycle(buf);
-    }
-}
 
 /// A thread-safe pool of reusable `Vec<f32>` scratch buffers.
 ///
 /// `take`/`recycle` are cheap (one short mutex hold each — the free list is
 /// kept sorted by capacity, so acquisition is a binary search); the pool is
-/// shared by the scoped worker threads of concurrent-stage and batched
-/// execution.
+/// shared by the lanes of concurrent-stage and batched execution.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Mutex<FreeList>,
@@ -224,97 +164,6 @@ impl ScratchPool {
     }
 }
 
-impl Arena for ScratchPool {
-    fn take(&self, len: usize) -> Vec<f32> {
-        ScratchPool::take(self, len)
-    }
-
-    fn recycle(&self, buf: Vec<f32>) {
-        ScratchPool::recycle(self, buf);
-    }
-}
-
-/// A per-worker scratch scope: an uncontended free list in front of a
-/// shared [`ScratchPool`].
-///
-/// Each schedule-stage group worker creates one scope for its op loop.
-/// `take` serves from the local list first (counted as a reuse on the
-/// parent so the fresh/reuse accounting stays in one place) and falls back
-/// to the parent pool on a miss; `recycle` keeps the buffer local. When the
-/// scope drops — at the end of the group — every retained buffer drains
-/// back into the parent, so nothing is stranded and the parent's
-/// steady-state "no fresh allocations" invariant is preserved across any
-/// worker-to-buffer assignment.
-///
-/// The scope is intentionally **not** `Sync`: it belongs to one worker
-/// thread. Cross-thread sharing goes through the parent pool.
-#[derive(Debug)]
-pub struct ScratchScope<'a> {
-    parent: &'a ScratchPool,
-    /// Local free buffers, sorted ascending by capacity (like the parent).
-    local: RefCell<Vec<Vec<f32>>>,
-}
-
-impl<'a> ScratchScope<'a> {
-    /// A new, empty scope draining into `parent` on drop.
-    #[must_use]
-    pub fn new(parent: &'a ScratchPool) -> Self {
-        ScratchScope {
-            parent,
-            local: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// The shared pool this scope falls back to and drains into.
-    #[must_use]
-    pub fn parent(&self) -> &'a ScratchPool {
-        self.parent
-    }
-
-    /// Buffers currently held locally by this scope.
-    #[must_use]
-    pub fn held(&self) -> usize {
-        self.local.borrow().len()
-    }
-}
-
-impl Arena for ScratchScope<'_> {
-    fn take(&self, len: usize) -> Vec<f32> {
-        let recycled = {
-            let mut local = self.local.borrow_mut();
-            let i = local.partition_point(|buf| buf.capacity() < len);
-            (i < local.len()).then(|| local.remove(i))
-        };
-        match recycled {
-            Some(mut buf) => {
-                // A local hit is still a pool reuse: count it on the parent
-                // so fresh/reuse accounting has a single source of truth.
-                self.parent.reused.fetch_add(1, Ordering::Relaxed);
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => self.parent.take(len),
-        }
-    }
-
-    fn recycle(&self, buf: Vec<f32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut local = self.local.borrow_mut();
-        let i = local.partition_point(|b| b.capacity() < buf.capacity());
-        local.insert(i, buf);
-    }
-}
-
-impl Drop for ScratchScope<'_> {
-    fn drop(&mut self) {
-        for buf in self.local.borrow_mut().drain(..) {
-            self.parent.recycle(buf);
-        }
-    }
-}
-
 /// The process-wide pool backing the convenience entry points
 /// ([`crate::execute_graph`] and friends) that do not thread an explicit
 /// pool. Long-running processes reuse its buffers across calls.
@@ -394,83 +243,6 @@ mod tests {
         pool.recycle(a);
         let b = pool.take_zeroed(8);
         assert!(b.iter().all(|v| *v == 0.0));
-    }
-
-    #[test]
-    fn scope_serves_locally_and_drains_to_parent() {
-        let pool = ScratchPool::new();
-        // Warm the parent with one buffer.
-        pool.recycle(pool.take(256));
-        let (fresh0, reused0) = (pool.fresh_allocations(), pool.reuses());
-        {
-            let scope = ScratchScope::new(&pool);
-            // Miss locally, hit the parent: a parent reuse, no fresh alloc.
-            let a = Arena::take(&scope, 128);
-            assert_eq!(pool.fresh_allocations(), fresh0);
-            assert_eq!(pool.reuses(), reused0 + 1);
-            Arena::recycle(&scope, a);
-            assert_eq!(scope.held(), 1);
-            assert_eq!(pool.pooled(), 0, "the buffer stays local to the scope");
-            // Local hit: counted as a parent reuse, parent untouched.
-            let b = Arena::take(&scope, 64);
-            assert_eq!(pool.reuses(), reused0 + 2);
-            assert_eq!(pool.fresh_allocations(), fresh0);
-            Arena::recycle(&scope, b);
-            // A take larger than anything pooled allocates fresh (through
-            // the parent, so the counter advances there).
-            let big = Arena::take(&scope, 4096);
-            assert_eq!(pool.fresh_allocations(), fresh0 + 1);
-            Arena::recycle(&scope, big);
-            assert_eq!(scope.held(), 2);
-        }
-        // Scope dropped: both buffers drained back to the parent.
-        assert_eq!(pool.pooled(), 2);
-    }
-
-    #[test]
-    fn scope_prefers_smallest_fitting_local_buffer() {
-        let pool = ScratchPool::new();
-        let scope = ScratchScope::new(&pool);
-        let big = Arena::take(&scope, 1 << 16);
-        let little = Arena::take(&scope, 32);
-        Arena::recycle(&scope, big);
-        Arena::recycle(&scope, little);
-        let small = Arena::take(&scope, 8);
-        assert!(
-            small.capacity() < 1 << 16,
-            "an 8-element take must not consume the 64K buffer"
-        );
-    }
-
-    #[test]
-    fn scope_drains_to_parent_on_panic() {
-        // The drain is Drop-based, so it runs during unwinding too: a
-        // panicking stage worker cannot strand the buffers its scope
-        // retained. (Buffers the worker itself still holds at panic time
-        // are the executor's responsibility — see its GroupOutputs guard.)
-        let pool = ScratchPool::new();
-        pool.recycle(pool.take(256));
-        let fresh = pool.fresh_allocations();
-        for round in 0..3 {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let scope = ScratchScope::new(&pool);
-                let a = Arena::take(&scope, 200);
-                Arena::recycle(&scope, a);
-                assert_eq!(pool.pooled(), 0, "the buffer is held locally");
-                panic!("injected worker fault");
-            }));
-            assert!(result.is_err());
-            assert_eq!(
-                pool.pooled(),
-                1,
-                "round {round}: the scope must drain its buffer on unwind"
-            );
-            assert_eq!(
-                pool.fresh_allocations(),
-                fresh,
-                "round {round}: repeat panics must not grow the pool"
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! register-hot, between the register tile and the store into the output
 //! tensor, instead of as separate whole-tensor passes afterwards.
 
-use crate::arena::Arena;
+use crate::arena::ScratchPool;
 use crate::tensor_data::TensorData;
 use crate::tile::{ColumnBlock, Row, PACK_NR};
 use ios_ir::{Conv2dParams, TensorShape};
@@ -93,7 +93,7 @@ impl ConvEpilogue<'_> {
         &self,
         input: &TensorData,
         params: &Conv2dParams,
-        pool: &impl Arena,
+        pool: &ScratchPool,
     ) -> TensorData {
         let (oh, ow) = input
             .shape

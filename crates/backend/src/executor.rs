@@ -17,7 +17,7 @@
 //! [`ScratchPool`]; [`execute_graph`] is the `None` case on the
 //! process-global pool.
 
-use crate::arena::{global_pool, Arena, ScratchPool, ScratchScope};
+use crate::arena::{global_pool, ScratchPool};
 use crate::batch::{BlockWeights, OpWeights};
 use crate::gemm::{conv2d_parts, ConvEpilogue, ConvPart};
 use crate::ops_cpu::{copy_of, execute_op};
@@ -108,7 +108,7 @@ fn run_op(
     op_inputs: &[&TensorData],
     weights: &BlockWeights,
     fold: FoldedRelu,
-    arena: &impl Arena,
+    arena: &ScratchPool,
 ) -> TensorData {
     if let FoldedRelu::CopyOf(_) = fold {
         // The producing convolution already applied this ReLU in its
@@ -232,8 +232,8 @@ pub(crate) fn run_stages(
 /// stage unwinds — this group's worker panicked mid-op, or a *sibling*
 /// group's did and the collected results are dropped at the join — every
 /// tensor still held here is recycled back into the pool instead of
-/// leaking to the heap. Together with [`ScratchScope`]'s own drop-drain
-/// this keeps the pool's steady-state accounting exact across panics: a
+/// leaking to the heap. This keeps the pool's steady-state accounting exact
+/// across panics: a
 /// serving runtime that catches a batch panic keeps executing with its
 /// pool intact.
 struct GroupOutputs<'a> {
@@ -263,12 +263,9 @@ impl Drop for GroupOutputs<'_> {
 /// others' operator chunks — unless the whole stage is smaller than two
 /// grains ([`workers::GRAIN_MACS`]), which nothing is posted for: a size
 /// read off the stage itself, the same at every batch size and for every
-/// caller. Every group routes its scratch through a
-/// [`ScratchScope`], an uncontended local free list that drains back into
-/// `arena` when the group finishes, so intermediates recycle without
-/// taking the shared pool mutex per buffer. Both the scope and the group's
-/// completed outputs drain back on **panic** too ([`GroupOutputs`]), so a
-/// panicking group cannot leak pooled buffers: the pool lets the other
+/// caller. Every group draws its scratch from `arena`, and the group's
+/// completed outputs drain back into it on **panic** ([`GroupOutputs`]), so
+/// a panicking group cannot leak pooled buffers: the pool lets the other
 /// groups finish, drops their results and re-raises the panic here.
 pub(crate) fn execute_stage(
     graph: &Graph,
@@ -296,7 +293,6 @@ pub(crate) fn execute_stage(
             // result.
             let snapshot: &[Option<TensorData>] = outputs;
             let run_group = |group: &Vec<OpId>| {
-                let scope = ScratchScope::new(arena);
                 let mut local = GroupOutputs {
                     arena,
                     ops: Vec::new(),
@@ -322,11 +318,9 @@ pub(crate) fn execute_stage(
                             }
                         })
                         .collect();
-                    let out = run_op(op, &op_inputs, weights, plan[op_id.index()], &scope);
+                    let out = run_op(op, &op_inputs, weights, plan[op_id.index()], arena);
                     local.ops.push((op_id, out));
                 }
-                // `scope` drops here: its retained scratch drains back into
-                // the shared arena before the group's results are stitched.
                 local
             };
             // The groups are cut into chunks by the rule that splits an
@@ -757,9 +751,9 @@ mod tests {
         // A malformed stage puts `d` (OpId 2) and its dependency `a`
         // (OpId 0) in *different* groups of one stage: group [0] completes
         // its convolution (taking pool buffers), then group [2] panics
-        // resolving its input. Both the completed group's outputs
-        // (GroupOutputs guard) and every scope's scratch must drain back,
-        // so repeat panicking runs allocate nothing fresh — the pool a
+        // resolving its input. The completed group's outputs must drain
+        // back (GroupOutputs guard), so repeat panicking runs allocate
+        // nothing fresh — the pool a
         // serving engine keeps across a caught batch panic stays exact.
         let g = branchy();
         let weights = BlockWeights::precompute(&g);

@@ -32,7 +32,7 @@
 //! register tile of the selected tier (`crate::tile`) and the part's fused
 //! epilogue (`crate::epilogue`).
 
-use crate::arena::Arena;
+use crate::arena::ScratchPool;
 use crate::im2col::{im2col_block, in_place_or_edge_copy};
 use crate::simd;
 use crate::tensor_data::TensorData;
@@ -237,7 +237,7 @@ pub fn conv2d(
     params: &Conv2dParams,
     filter: &PackedFilter,
     ep: &ConvEpilogue<'_>,
-    arena: &impl Arena,
+    arena: &ScratchPool,
 ) -> TensorData {
     let mut out = ep.take_output(input, params, arena);
     let out_view = DisjointOut::new(&mut out.data);

@@ -59,7 +59,7 @@ pub mod tensor_data;
 mod tile;
 pub mod workers;
 
-pub use arena::{Arena, ScratchPool, ScratchScope};
+pub use arena::ScratchPool;
 pub use batch::{
     execute_network, execute_network_batched, execute_network_batched_capped, split_batch,
     stack_batch, stack_batch_pooled, BlockWeights, NetworkWeights, OpWeights, WeightFootprint,

@@ -13,10 +13,10 @@
 //! pooling window ([`pool`]). The blocked [`matmul`] stays auto-vectorized:
 //! its dot products accumulate along `k`, which vectorizing would reorder.
 //! Every operator has one entry, drawing scratch and output storage from the
-//! [`Arena`] it is handed, so steady-state serving allocates nothing in the
-//! op loop.
+//! [`ScratchPool`] it is handed, so steady-state serving allocates nothing in
+//! the op loop.
 
-use crate::arena::Arena;
+use crate::arena::ScratchPool;
 use crate::batch::OpWeights;
 use crate::gemm::{conv2d, ConvEpilogue, PackedFilter};
 use crate::tensor_data::TensorData;
@@ -157,7 +157,7 @@ pub fn sep_conv2d(
     params: &Conv2dParams,
     depthwise: &PackedFilter,
     pointwise: &PackedFilter,
-    arena: &impl Arena,
+    arena: &ScratchPool,
 ) -> TensorData {
     // Depthwise: groups = channels, one output channel per input channel.
     let dw_params = Conv2dParams {
@@ -188,7 +188,7 @@ pub fn sep_conv2d(
 /// operator is large enough (`workers::op_chunks`), and give the reference
 /// loop's bits at every tier and lane count.
 #[must_use]
-pub fn pool(input: &TensorData, params: &PoolParams, arena: &impl Arena) -> TensorData {
+pub fn pool(input: &TensorData, params: &PoolParams, arena: &ScratchPool) -> TensorData {
     let in_shape = input.shape;
     let plane = in_shape.height * in_shape.width;
     let planes = in_shape.batch * in_shape.channels;
@@ -347,7 +347,7 @@ pub fn matmul(
     input: &TensorData,
     params: &MatMulParams,
     weights: &[f32],
-    arena: &impl Arena,
+    arena: &ScratchPool,
 ) -> TensorData {
     let in_features = input.shape.elements_per_item();
     let out_features = params.out_features;
@@ -388,7 +388,7 @@ pub fn matmul(
 /// contiguous `channels × h × w` block per sample, copied with a single
 /// memcpy instead of per-element indexing.
 #[must_use]
-pub fn concat(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
+pub fn concat(inputs: &[&TensorData], arena: &ScratchPool) -> TensorData {
     let first = inputs[0].shape;
     let channels: usize = inputs.iter().map(|t| t.shape.channels).sum();
     let out_shape = TensorShape::new(first.batch, channels, first.height, first.width);
@@ -409,7 +409,7 @@ pub fn concat(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
 
 /// Element-wise addition of all inputs.
 #[must_use]
-pub fn add(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
+pub fn add(inputs: &[&TensorData], arena: &ScratchPool) -> TensorData {
     let mut out = arena.take_tensor(inputs[0].shape);
     out.data.copy_from_slice(&inputs[0].data);
     for t in &inputs[1..] {
@@ -422,7 +422,7 @@ pub fn add(inputs: &[&TensorData], arena: &impl Arena) -> TensorData {
 
 /// Standalone ReLU.
 #[must_use]
-pub fn relu(input: &TensorData, arena: &impl Arena) -> TensorData {
+pub fn relu(input: &TensorData, arena: &ScratchPool) -> TensorData {
     let mut out = arena.take_tensor(input.shape);
     for (o, v) in out.data.iter_mut().zip(&input.data) {
         *o = v.max(0.0);
@@ -431,7 +431,7 @@ pub fn relu(input: &TensorData, arena: &impl Arena) -> TensorData {
 }
 
 /// A copy of `tensor` in storage drawn from `arena`.
-pub(crate) fn copy_of(tensor: &TensorData, arena: &impl Arena) -> TensorData {
+pub(crate) fn copy_of(tensor: &TensorData, arena: &ScratchPool) -> TensorData {
     let mut out = arena.take_tensor(tensor.shape);
     out.data.copy_from_slice(&tensor.data);
     out
@@ -452,7 +452,7 @@ pub fn execute_op(
     inputs: &[&TensorData],
     weights: Option<&OpWeights>,
     fuse_relu: bool,
-    arena: &impl Arena,
+    arena: &ScratchPool,
 ) -> TensorData {
     match (&op.kind, weights) {
         (OpKind::Conv2d(p), Some(OpWeights::Conv(kernel))) => {

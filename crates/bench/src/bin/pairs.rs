@@ -14,6 +14,14 @@
 //! Run against itself (`--parent HEAD`) every metric must read
 //! *unresolved*: that is the rule's false-positive check.
 //!
+//! Then it runs every acceptance gate [`GATE_RUNS`] times with `--quick` on
+//! the change, and appends one row to `BENCH_TRAJECTORY.jsonl` at the
+//! repository root: the two revisions, the host with its load average, each
+//! workload's verdict table, and per gate each bar's median value and how
+//! many runs it passed in. [`check_row`] is the row's schema; the rows of
+//! changes measured before this tool wrote them are transcribed from
+//! CHANGES.md and marked `reconstructed`.
+//!
 //! ```text
 //! cargo run --release -p ios-bench --bin pairs -- --parent REV [--workload NAME]... [--pairs N]
 //! ```
@@ -22,11 +30,23 @@
 //! `--pairs` defaults to 10. Commit the change first: both sides are
 //! revisions, as the judge sees them.
 
-use serde_json::Value;
+use ios_bench::gate::Host;
+use serde_json::{json, Map, Value};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 const USAGE: &str = "usage: pairs --parent REV [--workload NAME]... [--pairs N]";
+
+/// The trajectory, at the repository root: one JSON row per line.
+const TRAJECTORY: &str = "BENCH_TRAJECTORY.jsonl";
+
+/// The acceptance gates (`<name>_gate` binaries of this package).
+const GATES: [&str; 6] = ["conv", "simd", "sched", "telemetry", "adapt", "tenant"];
+
+/// Runs of each gate on the change: a bar that passes in some runs only
+/// shows as such.
+const GATE_RUNS: usize = 3;
 
 /// What one pair of runs says about a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,6 +176,8 @@ fn run(program: &str, args: &[&str], dir: &Path) -> Result<String, String> {
 struct Side {
     name: &'static str,
     worktree: PathBuf,
+    /// The build directory: the benchmark, and the gates on the change.
+    build: PathBuf,
     binary: PathBuf,
 }
 
@@ -177,8 +199,19 @@ fn prepare(root: &Path, name: &'static str, rev: &str) -> Result<Side, String> {
         root,
     )?;
     let build = pairs_dir.join(format!("{name}-build"));
-    let manifest = worktree.join("ios_benchmark").join("Cargo.toml");
     println!("# building {name} at {} ({rev})", &commit[..12]);
+    cargo_build(&worktree.join("ios_benchmark"), &build, &[])?;
+    let binary = build.join("release").join("ios_benchmark");
+    Ok(Side {
+        name,
+        worktree,
+        build,
+        binary,
+    })
+}
+
+/// Builds the workspace at `dir` in release mode, offline, into `build`.
+fn cargo_build(dir: &Path, build: &Path, extra: &[&str]) -> Result<(), String> {
     let status = Command::new("cargo")
         .args([
             "build",
@@ -187,19 +220,225 @@ fn prepare(root: &Path, name: &'static str, rev: &str) -> Result<Side, String> {
             "--offline",
             "--manifest-path",
         ])
-        .arg(&manifest)
-        .env("CARGO_TARGET_DIR", &build)
+        .arg(dir.join("Cargo.toml"))
+        .args(extra)
+        .env("CARGO_TARGET_DIR", build)
         .status()
         .map_err(|e| format!("cargo: {e}"))?;
     if !status.success() {
-        return Err(format!("building {name} failed: {status}"));
+        return Err(format!("building {} failed: {status}", dir.display()));
     }
-    let binary = build.join("release").join("ios_benchmark");
-    Ok(Side {
-        name,
-        worktree,
-        binary,
+    Ok(())
+}
+
+/// Builds the gates on `side` and runs each [`GATE_RUNS`] times with
+/// `--quick` in its worktree; one [`summarize`]d entry per gate.
+fn run_gates(side: &Side) -> Result<Map, String> {
+    println!(
+        "# running the gates on {}, {GATE_RUNS} times each",
+        side.name
+    );
+    cargo_build(&side.worktree, &side.build, &["-p", "ios-bench", "--bins"])?;
+    let mut gates = Map::new();
+    for gate in GATES {
+        let binary = side.build.join("release").join(format!("{gate}_gate"));
+        let report = side.worktree.join(format!("BENCH_{gate}.json"));
+        let mut reports = Vec::new();
+        for _ in 0..GATE_RUNS {
+            let status = Command::new(&binary)
+                .arg("--quick")
+                .current_dir(&side.worktree)
+                .stdout(Stdio::null())
+                .status()
+                .map_err(|e| format!("{gate}_gate: {e}"))?;
+            // 0: every bar passed; 1: one failed. Anything else is no run.
+            if !matches!(status.code(), Some(0 | 1)) {
+                return Err(format!("{gate}_gate: {status}"));
+            }
+            let text = std::fs::read_to_string(&report)
+                .map_err(|e| format!("{}: {e}", report.display()))?;
+            reports.push(serde_json::from_str(&text).map_err(|e| format!("{gate}: {e}"))?);
+        }
+        gates.insert(gate, summarize(&reports));
+    }
+    Ok(gates)
+}
+
+/// One gate's runs (its `BENCH_<gate>.json` reports) summed up: how many
+/// runs passed every bar, and per bar its comparator, its bar, the median
+/// of its values and the runs it passed in.
+fn summarize(reports: &[Value]) -> Value {
+    let passes = |v: &Value| v["pass"].as_bool() == Some(true);
+    let mut bars = Map::new();
+    for bar in reports
+        .first()
+        .and_then(|r| r["bars"].as_array())
+        .unwrap_or(&[])
+    {
+        let name = bar["name"].as_str().unwrap_or_default();
+        let runs: Vec<&Value> = (reports.iter())
+            .filter_map(|r| (r["bars"].as_array()?.iter()).find(|b| b["name"] == bar["name"]))
+            .collect();
+        let values: Vec<f64> = (runs.iter())
+            .filter_map(|b| Some(b["value"].as_number()?.as_f64()))
+            .collect();
+        let median = (!values.is_empty()).then(|| quantile(&values, 0.5));
+        let passed = runs.iter().filter(|b| passes(b)).count();
+        let summary = json!({
+            "comparator": (bar["comparator"].clone()),
+            "bar": (bar["bar"].clone()),
+            "median": median,
+            "passed": passed,
+        });
+        bars.insert(name, summary);
+    }
+    json!({
+        "runs": (reports.len()),
+        "passed": (reports.iter().filter(|r| passes(r)).count()),
+        "bars": (Value::Object(bars)),
     })
+}
+
+/// `/proc/loadavg`, where there is one.
+fn loadavg() -> Value {
+    std::fs::read_to_string("/proc/loadavg").map_or(Value::Null, |text| json!((text.trim())))
+}
+
+/// Why `row` is not a trajectory row, if it is not one. Every row has:
+///
+/// * `rev` — the measured commit — and `parent`, the commit it was
+///   compared with (null where none was);
+/// * `date` (`YYYY-MM-DD`), `pr` (the PR number, null where unknown) and
+///   `reconstructed`: true for a row transcribed from CHANGES.md rather
+///   than measured by this tool; such a row cites its entry in `note`;
+/// * `host`: `cores` and `cpu_model`, and `loadavg` as `[start, end]` of
+///   the runs, null where unknown (a measured row has all three);
+/// * `pairs`: the pairs run per workload, null where unknown;
+/// * `workloads`: per workload, per end-to-end metric, `parent` and
+///   `change` as `[q1, median, q3]` (null where unknown), `lower` as
+///   `"k/n"` and `verdict` (`better`, `worse` or `unresolved`);
+/// * `gates`: per gate its `runs`, the runs it `passed`, and per bar its
+///   `comparator` (`>=` or `<=`), `bar`, `median` value and the runs it
+///   `passed` in;
+/// * `note`: free text.
+fn check_row(row: &Value) -> Result<(), String> {
+    let object = |v: &Value, what: &str| -> Result<Map, String> {
+        v.as_object()
+            .cloned()
+            .ok_or(format!("{what} is not an object"))
+    };
+    let row_map = object(row, "the row")?;
+    let keys: Vec<&str> = row_map.iter().map(|(k, _)| k.as_str()).collect();
+    let expected = [
+        "rev",
+        "parent",
+        "date",
+        "pr",
+        "reconstructed",
+        "host",
+        "pairs",
+        "workloads",
+        "gates",
+        "note",
+    ];
+    if keys != expected {
+        return Err(format!("keys {keys:?}, expected {expected:?}"));
+    }
+    let is = |ok: bool, what: &str| {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("bad {what}"))
+        }
+    };
+    let uint_or_null =
+        |v: &Value| v.is_null() || v.as_number().is_some_and(|n| n.as_u128().is_some());
+    let num_or_null = |v: &Value| v.is_null() || v.as_number().is_some();
+    let text = |v: &Value| v.as_str().is_some_and(|s| !s.is_empty());
+    let hex = |v: &Value| {
+        v.as_str()
+            .is_some_and(|s| s.len() >= 7 && s.bytes().all(|b| b.is_ascii_hexdigit()))
+    };
+    is(hex(&row["rev"]), "rev")?;
+    is(row["parent"].is_null() || hex(&row["parent"]), "parent")?;
+    let date = row["date"].as_str().unwrap_or_default();
+    is(
+        date.len() == 10 && date.as_bytes()[4] == b'-' && date.as_bytes()[7] == b'-',
+        "date",
+    )?;
+    is(uint_or_null(&row["pr"]), "pr")?;
+    let reconstructed = row["reconstructed"].as_bool().ok_or("bad reconstructed")?;
+    is(row["note"].as_str().is_some(), "note")?;
+    let host = &row["host"];
+    is(uint_or_null(&host["cores"]), "host.cores")?;
+    is(
+        host["cpu_model"].is_null() || text(&host["cpu_model"]),
+        "host.cpu_model",
+    )?;
+    let load = &host["loadavg"];
+    is(
+        load.is_null()
+            || load
+                .as_array()
+                .is_some_and(|a| a.len() == 2 && a.iter().all(|l| l.is_null() || text(l))),
+        "host.loadavg",
+    )?;
+    is(uint_or_null(&row["pairs"]), "pairs")?;
+    if reconstructed {
+        is(
+            row["pr"].as_number().is_some() && text(&row["note"]),
+            "reconstructed row's pr and note",
+        )?;
+    } else {
+        is(
+            !host["cores"].is_null() && !load.is_null() && !row["pairs"].is_null(),
+            "measured row's host and pairs",
+        )?;
+    }
+    let quartiles = |v: &Value| {
+        v.is_null()
+            || v.as_array()
+                .is_some_and(|a| a.len() == 3 && a.iter().all(num_or_null))
+    };
+    for (workload, metrics) in object(&row["workloads"], "workloads")?.iter() {
+        for (metric, m) in object(metrics, workload)?.iter() {
+            let what = format!("{workload}.{metric}");
+            object(m, &what)?;
+            is(quartiles(&m["parent"]) && quartiles(&m["change"]), &what)?;
+            is(
+                m["lower"].is_null()
+                    || m["lower"]
+                        .as_str()
+                        .and_then(|s| s.split_once('/'))
+                        .is_some_and(|(k, n)| k.parse::<u32>().is_ok() && n.parse::<u32>().is_ok()),
+                &format!("{what}.lower"),
+            )?;
+            is(
+                m["verdict"].is_null()
+                    || matches!(
+                        m["verdict"].as_str(),
+                        Some("better" | "worse" | "unresolved")
+                    ),
+                &format!("{what}.verdict"),
+            )?;
+        }
+    }
+    for (gate, g) in object(&row["gates"], "gates")?.iter() {
+        is(uint_or_null(&g["runs"]) && uint_or_null(&g["passed"]), gate)?;
+        for (bar, b) in object(&g["bars"], gate)?.iter() {
+            let what = format!("{gate}: {bar}");
+            object(b, &what)?;
+            is(
+                b["comparator"].is_null() || matches!(b["comparator"].as_str(), Some(">=" | "<=")),
+                &what,
+            )?;
+            is(
+                num_or_null(&b["bar"]) && num_or_null(&b["median"]) && uint_or_null(&b["passed"]),
+                &what,
+            )?;
+        }
+    }
+    Ok(())
 }
 
 /// An end-to-end metric: its name, and whether lower is better.
@@ -274,6 +513,7 @@ fn compare(args: &Args) -> Result<(), String> {
     } else {
         args.workloads.clone()
     };
+    let load_start = loadavg();
     let sides = [
         prepare(&root, "parent", &args.parent)?,
         prepare(&root, "change", "HEAD")?,
@@ -305,26 +545,64 @@ fn compare(args: &Args) -> Result<(), String> {
         "\n{:<22} {:<16} {:>36} {:>36} {:>7}  verdict",
         "workload", "metric", "parent q1 / median / q3", "change q1 / median / q3", "lower"
     );
+    let mut table = Map::new();
     for (workload, per_metric) in workloads.iter().zip(&values) {
+        let mut rows = Map::new();
         for ((name, lower), pairs) in metrics.iter().zip(per_metric) {
-            let show = |side: Vec<f64>| {
-                let [q1, q2, q3] = quartiles(&side);
+            let parent = quartiles(&pairs.iter().map(|p| p.0).collect::<Vec<_>>());
+            let change = quartiles(&pairs.iter().map(|p| p.1).collect::<Vec<_>>());
+            let show = |[q1, q2, q3]: [f64; 3]| {
                 format!("{} / {} / {}", digits(q1), digits(q2), digits(q3))
             };
-            let below = pairs.iter().filter(|(p, c)| c < p).count();
-            println!(
-                "{workload:<22} {name:<16} {:>36} {:>36} {:>7}  {}",
-                show(pairs.iter().map(|p| p.0).collect()),
-                show(pairs.iter().map(|p| p.1).collect()),
-                format!("{below}/{}", pairs.len()),
-                verdict(pairs, *lower).name()
+            let below = format!(
+                "{}/{}",
+                pairs.iter().filter(|(p, c)| c < p).count(),
+                pairs.len()
             );
+            let verdict = verdict(pairs, *lower).name();
+            println!(
+                "{workload:<22} {name:<16} {:>36} {:>36} {below:>7}  {verdict}",
+                show(parent),
+                show(change),
+            );
+            let row =
+                json!({"parent": parent, "change": change, "lower": below, "verdict": verdict});
+            rows.insert(name.as_str(), row);
         }
+        table.insert(workload.as_str(), Value::Object(rows));
     }
+    let gates = run_gates(&sides[1])?;
     for side in &sides {
         let path = side.worktree.to_string_lossy();
         run("git", &["worktree", "remove", "--force", &path], &root)?;
     }
+    let rev = |spec: &str| run("git", &["rev-parse", &format!("{spec}^{{commit}}")], &root);
+    let mut host = serde_json::to_value(Host::detect()).map_err(|e| e.to_string())?;
+    if let Some(host) = host.as_object_mut() {
+        host.insert("loadavg", json!([(load_start), (loadavg())]));
+    }
+    let row = json!({
+        "rev": (rev("HEAD")?.trim()),
+        "parent": (rev(&args.parent)?.trim()),
+        "date": (run("date", &["-u", "+%F"], &root)?.trim()),
+        "pr": null,
+        "reconstructed": false,
+        "host": host,
+        "pairs": (args.pairs),
+        "workloads": (Value::Object(table)),
+        "gates": (Value::Object(gates)),
+        "note": "",
+    });
+    check_row(&row)?;
+    let line = serde_json::to_string(&row).map_err(|e| e.to_string())?;
+    let path = root.join(TRAJECTORY);
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut file| writeln!(file, "{line}"))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("# appended a row to {TRAJECTORY}");
     Ok(())
 }
 
@@ -389,6 +667,123 @@ mod tests {
     fn quartiles_interpolate_between_ranks() {
         assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), [2.0, 3.0, 4.0]);
         assert_eq!(quartiles(&[1.0, 2.0]), [1.25, 1.5, 1.75]);
+    }
+
+    /// A measured row as `compare` writes it, with one workload metric and
+    /// one gate.
+    fn measured_row() -> Value {
+        let gate = summarize(&[report(1.2, true), report(0.9, false), report(1.1, true)]);
+        json!({
+            "rev": "0123456789abcdef",
+            "parent": "fedcba9876543210",
+            "date": "2026-10-19",
+            "pr": null,
+            "reconstructed": false,
+            "host": {"cores": 2, "cpu_model": "Xeon", "loadavg": ["0.5 0.4 0.3 1/99 7", "1.9 1.0 0.6 2/99 8"]},
+            "pairs": 10,
+            "workloads": {"sched_search": {"latency_ms_best": {
+                "parent": [1.0, 2.0, 3.0], "change": [1.0, 2.0, 3.0], "lower": "4/10", "verdict": "unresolved"
+            }}},
+            "gates": {"sched": gate},
+            "note": "",
+        })
+    }
+
+    /// A one-bar `BENCH_<gate>.json` report.
+    fn report(value: f64, pass: bool) -> Value {
+        json!({"gate": "sched", "pass": pass, "bars": [
+            {"name": "speedup", "value": value, "comparator": ">=", "bar": 1.0, "pass": pass}
+        ]})
+    }
+
+    #[test]
+    fn a_gate_sums_up_as_its_median_and_the_runs_it_passed() {
+        let gate = summarize(&[report(1.2, true), report(0.9, false), report(1.1, true)]);
+        assert_eq!(
+            (gate["runs"].clone(), gate["passed"].clone()),
+            (json!(3), json!(2))
+        );
+        let bar = &gate["bars"]["speedup"];
+        assert_eq!(bar["median"], json!(1.1));
+        assert_eq!(
+            (bar["passed"].clone(), bar["bar"].clone()),
+            (json!(2), json!(1.0))
+        );
+        assert_eq!(bar["comparator"], json!(">="));
+    }
+
+    #[test]
+    fn a_row_is_checked_against_the_schema() {
+        let row = measured_row();
+        check_row(&row).expect("a measured row is well formed");
+        let text = serde_json::to_string(&row).unwrap();
+        check_row(&serde_json::from_str(&text).unwrap()).expect("and still so once written");
+        let broken = |edit: &dyn Fn(&mut Map)| {
+            let mut row = measured_row();
+            edit(row.as_object_mut().unwrap());
+            check_row(&row).is_err()
+        };
+        assert!(broken(&|r| r.insert("rev", json!("HEAD"))));
+        assert!(broken(&|r| r.insert("date", json!("19.10.2026"))));
+        assert!(
+            broken(&|r| r.insert("pairs", Value::Null)),
+            "a measured row counts its pairs"
+        );
+        assert!(
+            broken(&|r| r.insert("reconstructed", json!(true))),
+            "a reconstructed row names its PR"
+        );
+        assert!(broken(&|r| {
+            r.insert("workloads", json!({"w": {"m": {"parent": [1.0], "change": null, "lower": null, "verdict": null}}}));
+        }));
+        assert!(broken(&|r| {
+            r.insert("workloads", json!({"w": {"m": {"parent": null, "change": null, "lower": "9 of 10", "verdict": null}}}));
+        }));
+        assert!(broken(&|r| {
+            r.insert("workloads", json!({"w": {"m": {"parent": null, "change": null, "lower": null, "verdict": "faster"}}}));
+        }));
+        assert!(broken(&|r| {
+            r.insert("gates", json!({"g": {"runs": 1, "passed": 1, "bars": {"b": {"comparator": ">", "bar": 1, "median": 1, "passed": 1}}}}));
+        }));
+        let mut extra = measured_row();
+        extra.as_object_mut().unwrap().insert("extra", json!(1));
+        assert!(check_row(&extra).is_err(), "no key beyond the schema's");
+    }
+
+    /// The committed trajectory: every row well formed, and the
+    /// reconstructed ones — one per PR entry of CHANGES.md from 11 to 43 —
+    /// first, in PR order.
+    #[test]
+    fn every_trajectory_row_is_well_formed() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../",
+            "BENCH_TRAJECTORY.jsonl"
+        );
+        let text = std::fs::read_to_string(path).expect("the trajectory is committed");
+        let rows: Vec<Value> = (text.lines().enumerate())
+            .map(|(i, line)| {
+                let row =
+                    serde_json::from_str(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+                check_row(&row).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+                row
+            })
+            .collect();
+        let prs: Vec<u128> = (rows.iter())
+            .take_while(|row| row["reconstructed"] == json!(true))
+            .map(|row| row["pr"].as_number().and_then(|n| n.as_u128()).unwrap())
+            .collect();
+        let changes = [
+            11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 25, 26, 27, 29, 30, 32, 35, 36, 37, 38, 39, 40,
+            41, 43,
+        ];
+        assert_eq!(prs, changes);
+        assert!(
+            rows[prs.len()..]
+                .iter()
+                .all(|row| row["reconstructed"] == json!(false)),
+            "measured rows follow the reconstructed ones"
+        );
     }
 
     #[test]

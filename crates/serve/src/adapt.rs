@@ -10,9 +10,8 @@
 //! [`crate::Rejected::Shed`]. Hysteresis (disengage at half the budget)
 //! keeps the mode from flapping at the boundary.
 //!
-//! The controller never touches the schedule cache: background
-//! re-optimization ([`crate::cache`]) is the one path that brings in an
-//! exact schedule for a batch size the engine serves.
+//! The controller never touches the schedule: the engine searches its one
+//! schedule when it starts.
 //!
 //! Every tick runs inside `catch_unwind`: a panicking tick leaves the
 //! controller alive for the next one and is counted under

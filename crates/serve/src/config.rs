@@ -73,11 +73,10 @@ impl Default for AdaptConfig {
 /// ..ServeConfig::default() }`); the engine checks the whole configuration
 /// once, when it starts, and panics on an invalid field.
 ///
-/// How schedules are planned is not configured: the engine searches them
-/// with `SchedulerConfig::paper_default()` against the simulated V100,
-/// pre-warms batch sizes 1 and `max_batch`, and fills any other batch size
-/// in the background while the nearest cached schedule serves it
-/// ([`crate::cache`]).
+/// How the schedule is planned is not configured: the engine searches one,
+/// for the network at batch size 1, with `SchedulerConfig::paper_default()`
+/// against the simulated V100 when it starts, and every batch of every size
+/// runs it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Largest batch the dynamic batcher coalesces. Requests are dispatched

@@ -1,8 +1,8 @@
 //! Pluggable batch execution backends.
 //!
 //! The engine is backend-agnostic: a [`BatchExecutor`] receives a fully
-//! prepared batch (the network at batch size 1, the schedule serving the
-//! batch, precomputed weights, stacked inputs) and
+//! prepared batch (the network at batch size 1, the engine's one schedule,
+//! precomputed weights, stacked inputs) and
 //! returns stacked outputs plus the device time consumed. The backend that
 //! ships, [`CpuReferenceExecutor`], computes real numerics through
 //! `ios_backend`, bit-identical per sample to `execute_graph`; its "device
@@ -20,7 +20,8 @@ pub struct BatchContext<'a> {
     /// The network at batch size 1 — what a backend that fans a batch out
     /// one sample per task executes.
     pub per_sample: &'a Network,
-    /// The specialized schedule serving this batch.
+    /// The engine's one schedule, searched for `per_sample` when the engine
+    /// started; every batch of every size runs it.
     pub schedule: &'a Arc<NetworkSchedule>,
     /// Precomputed weights (batch-size independent).
     pub weights: &'a NetworkWeights,

@@ -3,7 +3,11 @@
 //! The rest of the workspace reproduces IOS (Ding et al., MLSys 2021) as an
 //! *offline* tool: build a network, run the ending-based dynamic program
 //! once, report a latency. This crate turns that scheduler into an *online*
-//! engine. A request passes through five stages, and reaches its terminal
+//! engine. When it starts, the engine searches one schedule for the network
+//! at batch size 1 — the shape its executor runs, once per sample, whatever
+//! a batch's size (Table 3 of the paper: a schedule is specialized to the
+//! shape it was searched for) — on the simulated V100, and every batch runs
+//! it. A request passes through four stages, and reaches its terminal
 //! outcome in one place:
 //!
 //! * **Admit** (`stages`) — shape check, the tenant's counters resolved
@@ -23,18 +27,10 @@
 //!   flushes early to make them, and one that has passed by assembly
 //!   finishes as [`request::Rejected::DeadlineExceeded`] instead of being
 //!   served a stale result.
-//! * **Resolve** ([`cache`]) — Table 3 of the paper shows a schedule is
-//!   only optimal for the `(batch size, device)` it was profiled for. The
-//!   cache keys an engine's schedules by batch size, and one policy serves
-//!   every batch: the exact one if cached, else the *nearest* cached batch
-//!   size (stage structure is batch-invariant) while the exact one is
-//!   searched in the background. Batch sizes 1 and `max_batch` are
-//!   searched before the workers start, so no batch waits for a search.
-//!   Every search plans on the simulated V100.
 //! * **Execute** (`stages`, [`exec`]) — the CPU reference backend returns
 //!   real numerics (bit-identical per sample to
-//!   [`ios_backend::execute_graph`]) and its wall time as the batch's
-//!   device time.
+//!   [`ios_backend::execute_graph`]) on the engine's one schedule, and its
+//!   wall time as the batch's device time.
 //! * **Respond** (`stages`) — the stacked outputs are split into leases
 //!   from the serving-boundary pool and every member of the batch is
 //!   finished with its response. A batch whose backend panics finishes its
@@ -49,13 +45,11 @@
 //!   same storage and exports the accounting identity `submitted =
 //!   completed + shed + deadline_expired + failed + in_flight`, alongside
 //!   p50/p95/p99 latency, wall and device throughput, queue depth, batch
-//!   shape, cache hit rates and per-tenant `ios_tenant_*{tenant="…"}`
-//!   series.
+//!   shape and per-tenant `ios_tenant_*{tenant="…"}` series.
 //! * **Runtime adaptation** ([`config::AdaptConfig`]) — an opt-in
 //!   controller thread windows the queue-wait histogram each tick and
 //!   sheds load while the windowed p95 queue wait exceeds a budget. It
-//!   never touches the schedule cache: background re-optimization is the
-//!   one path that brings in an exact schedule.
+//!   never touches the schedule.
 //!
 //! # Quickstart
 //!
@@ -91,7 +85,6 @@
 
 mod adapt;
 mod batcher;
-pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod exec;
@@ -99,14 +92,12 @@ pub mod metrics;
 pub mod request;
 mod stages;
 
-pub use cache::CacheStats;
 pub use config::{AdaptConfig, ServeConfig, TenantConfig};
 pub use engine::ServeEngine;
 pub use exec::{BatchContext, BatchExecutor, BatchOutcome, CpuReferenceExecutor};
-pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};
+pub use metrics::{CacheStats, MetricsSnapshot, TenantMetricsSnapshot};
 pub use request::{
-    InferenceResponse, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,
-    ServeError, TenantId,
+    InferenceResponse, Rejected, RequestId, ResponseHandle, ResponseLease, ServeError, TenantId,
 };
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Serving metrics: latency percentiles, throughput, queue depth, batch
-//! shape and schedule-cache behaviour — each declared once.
+//! Serving metrics: latency percentiles, throughput, queue depth and batch
+//! shape — each declared once.
 //!
 //! `ServeMetrics` is the storage (plain relaxed counters and
 //! [`Histogram`]s the stages write directly), and the rows of
@@ -17,7 +17,6 @@
 //! relative error.
 
 use crate::batcher::TRIGGERS;
-use crate::cache::CacheStats;
 use crate::request::TenantId;
 use ios_backend::simd::Isa;
 use ios_backend::workers::PoolStats;
@@ -67,12 +66,10 @@ pub(crate) enum PanicSite {
     Batch,
     /// One shed-controller tick; the controller lives on to the next.
     Adapt,
-    /// A background re-optimization; the nearest schedule keeps serving.
-    Reoptimize,
 }
 
 /// The `site` label of each [`PanicSite`], in declaration order.
-const PANIC_SITES: [&str; 3] = ["batch", "adapt", "reoptimize"];
+const PANIC_SITES: [&str; 2] = ["batch", "adapt"];
 
 /// One tenant's admission-path counters: requests completed, requests
 /// shed, and the queue-wait distribution. Created on a tenant's first
@@ -89,12 +86,10 @@ pub(crate) struct TenantMetrics {
     pub queue_wait: Histogram,
 }
 
-/// What the exposition reads from outside [`ServeMetrics`]: the schedule
-/// cache's counters, the weight cache's footprint and the process-wide
-/// kernel facts.
+/// What the exposition reads from outside [`ServeMetrics`]: the weight
+/// cache's footprint and the process-wide kernel facts.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct External {
-    pub cache: CacheStats,
     pub weights: WeightFootprint,
     /// The selected microkernel ISA tier.
     pub isa: Isa,
@@ -129,13 +124,8 @@ pub(crate) struct ServeMetrics {
     pub deadline_expired: Count,
     pub failed: Count,
     pub queue_depth: Count,
-    /// Schedule resolutions, as [`CacheStats`] counts them.
-    pub cache_hits: Count,
-    pub cache_misses: Count,
-    pub nearest_served: Count,
-    pub background_inserts: Count,
     /// Caught panics, by [`PanicSite`].
-    panics: [Count; 3],
+    panics: [Count; 2],
     /// The most recent caught panic as `site: message`, for `Debug` output.
     pub last_panic: Mutex<Option<String>>,
     /// Completed-request total latencies (submission → response), ns.
@@ -189,16 +179,27 @@ impl ServeMetrics {
 
     /// Snapshots every counter. Percentiles come from the latency
     /// histogram in a single pass; count, sum and max are exact.
-    pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
-        // Outcomes before `submitted`: every outcome follows its own
-        // submission, so this order can only over-count what is in flight.
-        let completed = self.completed.get();
-        let (shed, deadline_expired, failed) = (
-            self.shed.get(),
-            self.deadline_expired.get(),
-            self.failed.get(),
-        );
-        let submitted = self.submitted.get();
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        // Outcomes before `submitted`, and again after it: every outcome
+        // follows its own submission, so the first read can only over-count
+        // what is in flight, and outcomes that did not move across the read
+        // of `submitted` make `in_flight` exact at that instant.
+        let outcomes = || {
+            [
+                &self.completed,
+                &self.shed,
+                &self.deadline_expired,
+                &self.failed,
+            ]
+            .map(Count::get)
+        };
+        let (submitted, [completed, shed, deadline_expired, failed]) = loop {
+            let before = outcomes();
+            let submitted = self.submitted.get();
+            if outcomes() == before {
+                break (submitted, before);
+            }
+        };
         let batches = self.batches.get();
         let tenants = self.tenants.lock().clone();
         let device_time_us = self.device_time.sum() as f64 / 1e3;
@@ -243,7 +244,11 @@ impl ServeMetrics {
                 0.0
             },
             queue_depth: self.queue_depth.get() as usize,
-            cache,
+            cache: CacheStats {
+                hits: batches,
+                nearest_served: 0,
+                background_inserts: 0,
+            },
             tenants: tenants
                 .into_iter()
                 .map(|(tenant, m)| TenantMetricsSnapshot {
@@ -261,7 +266,7 @@ impl ServeMetrics {
     }
 
     /// The metric table, rendered as Prometheus text: request counters, the
-    /// queue-depth gauge, schedule-cache counters, the weight-cache
+    /// queue-depth gauge, the weight-cache
     /// footprint gauge, the selected-microkernel-ISA info gauge,
     /// the worker pool's lane gauge and intra-operator counters
     /// (process-wide, like the pool), the latency / queue-wait /
@@ -270,7 +275,7 @@ impl ServeMetrics {
     /// counters.
     pub fn prometheus_text(&self, ext: &External) -> String {
         let mut out = String::new();
-        let (cache, pool) = (ext.cache, ext.pool);
+        let pool = ext.pool;
         let triggers = TRIGGERS.map(|trigger| [("trigger", trigger)]);
         table! { &mut out;
             counter "ios_requests_completed_total" = self.completed.get(),
@@ -288,16 +293,6 @@ impl ServeMetrics {
                 "Requests completed as failed: their batch panicked in the backend.";
             gauge "ios_queue_depth" = self.queue_depth.get() as f64,
                 "Requests waiting in the batching queue.";
-            counter "ios_schedule_cache_hits_total" = cache.hits,
-                "Exact specialized-schedule cache hits.";
-            counter "ios_schedule_cache_misses_total" = cache.misses,
-                "Schedule-cache lookups with no exact entry.";
-            counter "ios_schedule_cache_nearest_total" = cache.nearest_served,
-                "Batches served by the nearest cached batch size.";
-            counter "ios_schedule_cache_background_inserts_total" = cache.background_inserts,
-                "Exact schedules inserted by background re-optimization.";
-            gauge "ios_schedule_cache_entries" = cache.entries as f64,
-                "Schedules currently cached.";
             gauge "ios_weight_cache_f32_bytes" = ext.weights.f32_bytes as f64,
                 "Bytes of f32 weight arrays held by the weight cache.";
             info "ios_simd_kernel" = &[&[("path", "f32"), ("isa", ext.isa.name())]],
@@ -324,8 +319,7 @@ impl ServeMetrics {
         let sites = PANIC_SITES.map(|site| [("site", site)]);
         table! { &mut out;
             counter_family "ios_panics_total" = &labelled(&sites, &self.panics),
-                "Panics caught and isolated, by site: a batch, an adaptation tick, \
-                 a background re-optimization.";
+                "Panics caught and isolated, by site: a batch, an adaptation tick.";
         }
         out
     }
@@ -380,6 +374,22 @@ fn labelled<'a>(
         .zip(counts)
         .map(|(labels, count)| (labels.as_slice(), count.get()))
         .collect()
+}
+
+/// The schedule counters of a [`MetricsSnapshot`]. The engine runs one
+/// schedule, searched when it starts, so every batch is a hit and the two
+/// other fields are always 0. Kept only because `ios_benchmark` reads all
+/// three.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CacheStats {
+    /// Batches served, every one on the engine's one schedule.
+    pub hits: u64,
+    /// Always 0: no batch is served a schedule searched for another batch
+    /// size. Kept only for `ios_benchmark`, which reads it.
+    pub nearest_served: u64,
+    /// Always 0: no schedule is searched after start. Kept only for
+    /// `ios_benchmark`, which reads it.
+    pub background_inserts: u64,
 }
 
 /// A point-in-time view of one tenant's admission-path counters.
@@ -453,7 +463,7 @@ pub struct MetricsSnapshot {
     pub device_throughput_rps: f64,
     /// Requests queued at snapshot time.
     pub queue_depth: usize,
-    /// Schedule-cache behaviour.
+    /// Schedule counters, kept for `ios_benchmark`, which reads them.
     pub cache: CacheStats,
     /// Per-tenant completed/shed/queue-wait counters, in tenant-name
     /// order. Empty until the first request arrives.
@@ -477,7 +487,7 @@ mod tests {
         for us in 1..=100 {
             metrics.latency.record_us(f64::from(us));
         }
-        let snap = metrics.snapshot(CacheStats::default());
+        let snap = metrics.snapshot();
         assert!(
             close(snap.p50_latency_us, 50.0),
             "p50 {}",
@@ -511,7 +521,7 @@ mod tests {
         metrics.queue_wait.record_us(12.0);
         metrics.batch_assembly.record_us(40.0);
         metrics.queue_depth.set(3);
-        let snap = metrics.snapshot(CacheStats::default());
+        let snap = metrics.snapshot();
         assert_eq!(snap.completed, 6);
         assert_eq!(snap.batches, 2);
         assert!((snap.mean_batch_size - 3.0).abs() < 1e-12);
@@ -538,7 +548,7 @@ mod tests {
         for i in 0..1_000_000u64 {
             metrics.latency.record_us((i % 10_000) as f64);
         }
-        let snap = metrics.snapshot(CacheStats::default());
+        let snap = metrics.snapshot();
         assert_eq!(metrics.latency.count(), 1_000_000);
         assert!(
             close(snap.p50_latency_us, 4_999.0),
@@ -554,7 +564,7 @@ mod tests {
         for _ in 0..1000 {
             metrics.record_batch(0.0006);
         }
-        let snap = metrics.snapshot(CacheStats::default());
+        let snap = metrics.snapshot();
         assert!(
             (snap.device_time_us - 1.0).abs() < 1e-9,
             "1000 × 0.6 ns must round to 1 ns each, got {} µs",
@@ -569,7 +579,7 @@ mod tests {
         metrics.shed.add(1);
         metrics.shed.add(1);
         metrics.deadline_expired.add(1);
-        let snap = metrics.snapshot(CacheStats::default());
+        let snap = metrics.snapshot();
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.deadline_expired, 1);
     }
@@ -579,7 +589,7 @@ mod tests {
         let metrics = ServeMetrics::default();
         metrics.record_batch(50.0);
         metrics.latency.record_us(80.0);
-        let snap = metrics.snapshot(CacheStats::default());
+        let snap = metrics.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
@@ -589,8 +599,8 @@ mod tests {
     /// (`tests/data/prometheus_parent.txt`, captured there on an AVX2
     /// two-lane host) — apart from the three families this table added, the
     /// device-time HELP text, which no longer says "(simulated)", and the
-    /// pipeline, re-plan and eviction counters and the int8 weight gauge and
-    /// kernel series, which are stripped from it here.
+    /// pipeline and re-plan counters, every schedule-cache series and the
+    /// int8 weight gauge and kernel series, which are stripped from it here.
     #[test]
     fn prometheus_text_is_the_parents_plus_the_failed_and_panic_families() {
         use crate::batcher::Trigger;
@@ -620,20 +630,13 @@ mod tests {
         beta.queue_wait.record_us(2500.0);
         beta.shed.add(2);
         metrics.panic_message(PanicSite::Batch, &"injected");
-        metrics.panic_message(PanicSite::Reoptimize, &String::from("injected"));
+        metrics.panic_message(PanicSite::Adapt, &String::from("injected"));
         assert_eq!(
             metrics.last_panic.lock().as_deref(),
-            Some("reoptimize: injected")
+            Some("adapt: injected")
         );
 
         let text = metrics.prometheus_text(&External {
-            cache: CacheStats {
-                hits: 3,
-                misses: 1,
-                nearest_served: 1,
-                background_inserts: 1,
-                entries: 2,
-            },
             weights: WeightFootprint { f32_bytes: 640 },
             isa: Isa::Avx2,
             pool: PoolStats {
@@ -661,19 +664,18 @@ mod tests {
                       # TYPE ios_requests_failed_total counter\n\
                       ios_requests_failed_total 2\n";
         let panics = "# HELP ios_panics_total Panics caught and isolated, by site: a batch, \
-                      an adaptation tick, a background re-optimization.\n\
+                      an adaptation tick.\n\
                       # TYPE ios_panics_total counter\n\
                       ios_panics_total{site=\"batch\"} 1\n\
-                      ios_panics_total{site=\"adapt\"} 0\n\
-                      ios_panics_total{site=\"reoptimize\"} 1\n";
+                      ios_panics_total{site=\"adapt\"} 1\n";
         // The pipelined-batch counter, the int8 series, the re-plan counter
-        // and the eviction counter are gone from the table.
+        // and every schedule-cache series are gone from the table.
         let removed = [
             "ios_pipelined_batches_total",
             "ios_weight_cache_int8_bytes",
             "path=\"int8\"",
             "ios_adaptation_replans_total",
-            "ios_schedule_cache_evictions_total",
+            "ios_schedule_cache_",
         ];
         let parent: String = include_str!("../tests/data/prometheus_parent.txt")
             .lines()

@@ -68,20 +68,6 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// How the schedule that executed a request's batch was obtained — the
-/// runtime face of the paper's Table 3 specialization study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleSource {
-    /// A schedule specialized for exactly this batch size was cached.
-    Exact,
-    /// No exact schedule was cached; the nearest cached batch size served
-    /// the request (its stage structure is valid at any batch size).
-    Nearest {
-        /// The batch size the serving schedule was optimized for.
-        optimized_for: usize,
-    },
-}
-
 /// A response tensor leased from the serving engine's scratch pool.
 ///
 /// The engine fills each response from pooled storage instead of a fresh
@@ -175,8 +161,6 @@ pub struct InferenceResponse {
     pub outputs: Vec<ResponseLease>,
     /// Size of the coalesced batch this request was executed in.
     pub batch_size: usize,
-    /// How the batch's schedule was obtained.
-    pub schedule_source: ScheduleSource,
     /// Time spent queued before dispatch, in µs of wall clock.
     pub queue_us: f64,
     /// Total time from submission to completion, in µs of wall clock.

@@ -1,10 +1,9 @@
-//! The five stages a request passes through — **admit → assemble →
-//! resolve → execute → respond** — and the one place it finishes.
+//! The four stages a request passes through — **admit → assemble →
+//! execute → respond** — and the one place it finishes.
 //!
 //! [`Shared::admit`] offers the request to the batching queue; the batcher
 //! ([`crate::batcher`]) assembles the batch; [`Shared::run_batch`] takes it
-//! through resolve ([`Shared::resolve_schedule`], in [`crate::cache`]),
-//! execute and respond. Every terminal outcome — shed at admission, expired
+//! through execute, on the engine's one schedule, and respond. Every terminal outcome — shed at admission, expired
 //! at assembly, answered by respond, failed in the worker's panic guard —
 //! goes through [`Shared::finish`], which is therefore where the identity
 //! `submitted = completed + shed + deadline_expired + failed + in_flight`
@@ -14,11 +13,10 @@ use crate::batcher::Refused;
 use crate::engine::Shared;
 use crate::exec::BatchContext;
 use crate::request::{
-    InferenceResponse, Pending, Rejected, RequestId, ResponseHandle, ResponseLease, ScheduleSource,
-    ServeError, TenantId,
+    InferenceResponse, Pending, Rejected, RequestId, ResponseHandle, ResponseLease, ServeError,
+    TenantId,
 };
 use ios_backend::{stack_batch_pooled, TensorData};
-use ios_core::NetworkSchedule;
 use ios_ir::TensorShape;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
@@ -33,7 +31,6 @@ struct Executed {
     batch_size: usize,
     /// End of every member's queue wait.
     dispatched_at: Instant,
-    source: ScheduleSource,
     /// Each member's share of the batch's device time, µs.
     device_share_us: f64,
     /// One stacked tensor per network output.
@@ -144,7 +141,6 @@ impl Shared {
                     id: pending.id,
                     outputs,
                     batch_size: batch.batch_size,
-                    schedule_source: batch.source,
                     queue_us,
                     total_us,
                     device_us: batch.device_share_us,
@@ -175,7 +171,7 @@ impl Shared {
     /// finished there as [`Rejected::Failed`].
     pub(crate) fn run_batch(self: &Arc<Self>, requests: &mut Vec<Pending>) {
         // Requests whose deadline already passed complete as expired *before*
-        // any schedule resolution or device dispatch — serving them would
+        // device dispatch — serving them would
         // burn device time on answers nobody can use.
         let now = Instant::now();
         let (live, expired): (Vec<Pending>, Vec<Pending>) = std::mem::take(requests)
@@ -192,20 +188,13 @@ impl Shared {
         let mut batch_span = ios_telemetry::tracer().span("batch", "serve");
         batch_span.set_id(batch_id);
         batch_span.set_arg(requests.len() as u64);
-        let (schedule, source) = self.resolve_schedule(requests.len());
-        let executed = self.execute(batch_id, requests, &schedule, source);
+        let executed = self.execute(batch_id, requests);
         self.respond(requests, executed);
     }
 
     /// **Execute**: stacks the inputs, runs the batch and accounts it
     /// (assembly and device-time histograms).
-    fn execute(
-        &self,
-        batch_id: u64,
-        requests: &[Pending],
-        schedule: &Arc<NetworkSchedule>,
-        source: ScheduleSource,
-    ) -> Executed {
+    fn execute(&self, batch_id: u64, requests: &[Pending]) -> Executed {
         let batch_size = requests.len();
         let dispatched_at = Instant::now();
         if let Some(oldest) = requests.iter().map(|p| p.enqueued_at).min() {
@@ -220,7 +209,7 @@ impl Shared {
         exec_span.set_id(batch_id);
         let outcome = self.executor.execute(&BatchContext {
             per_sample: &self.base,
-            schedule,
+            schedule: &self.schedule,
             weights: &self.weights,
             inputs: std::slice::from_ref(&stacked),
         });
@@ -231,7 +220,6 @@ impl Shared {
             batch_id,
             batch_size,
             dispatched_at,
-            source,
             device_share_us: outcome.device_time_us / batch_size as f64,
             outputs: outcome.outputs,
         }

@@ -51,20 +51,14 @@ fn main() {
     for handle in handles {
         let r = handle.wait();
         println!(
-            "  {}: batch {} | schedule {:?} | queue {:.0} µs | total {:.0} µs",
-            r.id, r.batch_size, r.schedule_source, r.queue_us, r.total_us
+            "  {}: batch {} | queue {:.0} µs | total {:.0} µs",
+            r.id, r.batch_size, r.queue_us, r.total_us
         );
     }
     let m = engine.metrics();
     println!(
-        "  metrics: {} requests in {} batches (mean {:.2}), p50 {:.0} µs, p99 {:.0} µs, \
-         cache hit rate {:.2}",
-        m.completed,
-        m.batches,
-        m.mean_batch_size,
-        m.p50_latency_us,
-        m.p99_latency_us,
-        m.cache.hit_rate()
+        "  metrics: {} requests in {} batches (mean {:.2}), p50 {:.0} µs, p99 {:.0} µs",
+        m.completed, m.batches, m.mean_batch_size, m.p50_latency_us, m.p99_latency_us
     );
     engine.shutdown();
 }

@@ -62,8 +62,7 @@ pub mod prelude {
         TensorShape,
     };
     pub use ios_serve::{
-        AdaptConfig, InferenceResponse, MetricsSnapshot, Rejected, ScheduleSource, ServeConfig,
-        ServeEngine,
+        AdaptConfig, InferenceResponse, MetricsSnapshot, Rejected, ServeConfig, ServeEngine,
     };
     pub use ios_sim::{DeviceKind, KernelLibrary, Simulator};
 }
