@@ -131,7 +131,7 @@ fn main() -> ExitCode {
             ..ServeConfig::default()
         },
     );
-    // Warm-up: first requests pay schedule optimization + cache fill.
+    // Warm-up: first requests fill the pools.
     serve_closed_loop(&engine, &network, warmup, 0);
 
     // Timed phase, tracer disabled — the configuration every production

@@ -1,5 +1,5 @@
 //! End-to-end serving invariants: responses bit-identical to solo
-//! `execute_graph`-style runs, schedule-cache counters advancing, and a
+//! `execute_graph`-style runs, the schedule counter advancing, and a
 //! fully allocation-free steady-state serving boundary — request in,
 //! response lease dropped, every pooled buffer back home.
 
