@@ -304,6 +304,14 @@ fn loadavg() -> Value {
     std::fs::read_to_string("/proc/loadavg").map_or(Value::Null, |text| json!((text.trim())))
 }
 
+/// `v[key]`, or null where `v` has no such key: a malformed row then fails
+/// a check instead of the indexing (the vendored `Value` panics on a
+/// missing key).
+fn at<'v>(v: &'v Value, key: &str) -> &'v Value {
+    static NULL: Value = Value::Null;
+    v.as_object().and_then(|m| m.get(key)).unwrap_or(&NULL)
+}
+
 /// Why `row` is not a trajectory row, if it is not one. Every row has:
 ///
 /// * `rev` — the measured commit — and `parent`, the commit it was
@@ -359,23 +367,28 @@ fn check_row(row: &Value) -> Result<(), String> {
         v.as_str()
             .is_some_and(|s| s.len() >= 7 && s.bytes().all(|b| b.is_ascii_hexdigit()))
     };
-    is(hex(&row["rev"]), "rev")?;
-    is(row["parent"].is_null() || hex(&row["parent"]), "parent")?;
-    let date = row["date"].as_str().unwrap_or_default();
+    is(hex(at(row, "rev")), "rev")?;
+    is(
+        at(row, "parent").is_null() || hex(at(row, "parent")),
+        "parent",
+    )?;
+    let date = at(row, "date").as_str().unwrap_or_default();
     is(
         date.len() == 10 && date.as_bytes()[4] == b'-' && date.as_bytes()[7] == b'-',
         "date",
     )?;
-    is(uint_or_null(&row["pr"]), "pr")?;
-    let reconstructed = row["reconstructed"].as_bool().ok_or("bad reconstructed")?;
-    is(row["note"].as_str().is_some(), "note")?;
-    let host = &row["host"];
-    is(uint_or_null(&host["cores"]), "host.cores")?;
+    is(uint_or_null(at(row, "pr")), "pr")?;
+    let reconstructed = at(row, "reconstructed")
+        .as_bool()
+        .ok_or("bad reconstructed")?;
+    is(at(row, "note").as_str().is_some(), "note")?;
+    let host = at(row, "host");
+    is(uint_or_null(at(host, "cores")), "host.cores")?;
     is(
-        host["cpu_model"].is_null() || text(&host["cpu_model"]),
+        at(host, "cpu_model").is_null() || text(at(host, "cpu_model")),
         "host.cpu_model",
     )?;
-    let load = &host["loadavg"];
+    let load = at(host, "loadavg");
     is(
         load.is_null()
             || load
@@ -383,15 +396,15 @@ fn check_row(row: &Value) -> Result<(), String> {
                 .is_some_and(|a| a.len() == 2 && a.iter().all(|l| l.is_null() || text(l))),
         "host.loadavg",
     )?;
-    is(uint_or_null(&row["pairs"]), "pairs")?;
+    is(uint_or_null(at(row, "pairs")), "pairs")?;
     if reconstructed {
         is(
-            row["pr"].as_number().is_some() && text(&row["note"]),
+            at(row, "pr").as_number().is_some() && text(at(row, "note")),
             "reconstructed row's pr and note",
         )?;
     } else {
         is(
-            !host["cores"].is_null() && !load.is_null() && !row["pairs"].is_null(),
+            !at(host, "cores").is_null() && !load.is_null() && !at(row, "pairs").is_null(),
             "measured row's host and pairs",
         )?;
     }
@@ -400,40 +413,49 @@ fn check_row(row: &Value) -> Result<(), String> {
             || v.as_array()
                 .is_some_and(|a| a.len() == 3 && a.iter().all(num_or_null))
     };
-    for (workload, metrics) in object(&row["workloads"], "workloads")?.iter() {
+    for (workload, metrics) in object(at(row, "workloads"), "workloads")?.iter() {
         for (metric, m) in object(metrics, workload)?.iter() {
             let what = format!("{workload}.{metric}");
             object(m, &what)?;
-            is(quartiles(&m["parent"]) && quartiles(&m["change"]), &what)?;
             is(
-                m["lower"].is_null()
-                    || m["lower"]
+                quartiles(at(m, "parent")) && quartiles(at(m, "change")),
+                &what,
+            )?;
+            is(
+                at(m, "lower").is_null()
+                    || at(m, "lower")
                         .as_str()
                         .and_then(|s| s.split_once('/'))
                         .is_some_and(|(k, n)| k.parse::<u32>().is_ok() && n.parse::<u32>().is_ok()),
                 &format!("{what}.lower"),
             )?;
             is(
-                m["verdict"].is_null()
+                at(m, "verdict").is_null()
                     || matches!(
-                        m["verdict"].as_str(),
+                        at(m, "verdict").as_str(),
                         Some("better" | "worse" | "unresolved")
                     ),
                 &format!("{what}.verdict"),
             )?;
         }
     }
-    for (gate, g) in object(&row["gates"], "gates")?.iter() {
-        is(uint_or_null(&g["runs"]) && uint_or_null(&g["passed"]), gate)?;
-        for (bar, b) in object(&g["bars"], gate)?.iter() {
+    for (gate, g) in object(at(row, "gates"), "gates")?.iter() {
+        is(
+            uint_or_null(at(g, "runs")) && uint_or_null(at(g, "passed")),
+            gate,
+        )?;
+        for (bar, b) in object(at(g, "bars"), gate)?.iter() {
             let what = format!("{gate}: {bar}");
             object(b, &what)?;
             is(
-                b["comparator"].is_null() || matches!(b["comparator"].as_str(), Some(">=" | "<=")),
+                at(b, "comparator").is_null()
+                    || matches!(at(b, "comparator").as_str(), Some(">=" | "<=")),
                 &what,
             )?;
             is(
-                num_or_null(&b["bar"]) && num_or_null(&b["median"]) && uint_or_null(&b["passed"]),
+                num_or_null(at(b, "bar"))
+                    && num_or_null(at(b, "median"))
+                    && uint_or_null(at(b, "passed")),
                 &what,
             )?;
         }
@@ -728,6 +750,10 @@ mod tests {
         assert!(
             broken(&|r| r.insert("pairs", Value::Null)),
             "a measured row counts its pairs"
+        );
+        assert!(
+            broken(&|r| r.insert("host", json!({"cores": 2}))),
+            "a missing key fails a check, not the indexing"
         );
         assert!(
             broken(&|r| r.insert("reconstructed", json!(true))),
