@@ -2,17 +2,21 @@
 //! operator executions.
 //!
 //! The hot serving loop runs the same network shapes for every batch, so the
-//! executor's working set — im2col patch matrices, activation copies, op
-//! output tensors that die after their last reader — is identical from
-//! request to request. [`ScratchPool`] recycles those buffers: once the pool
-//! has seen one batch of a given shape profile, steady-state execution
-//! performs zero heap allocation in the op loop. Counters distinguish fresh
-//! heap allocations from pool reuses so tests can assert the steady state.
+//! executor's working set is identical from request to request: each
+//! block's op-output slots, planned once per schedule
+//! (`ios_core::Schedule::slot_plan`) and taken from the pool at the block's
+//! start, the block outputs handed to the next block, a separable
+//! convolution's depthwise intermediate and the serving boundary's stacked
+//! tensors. [`ScratchPool`] recycles those buffers: once the pool has seen
+//! one batch of a given shape profile, steady-state execution performs zero
+//! heap allocation in the op loop. Counters distinguish fresh heap
+//! allocations from pool reuses so tests can assert the steady state.
+//! Lane scratch (im2col blocks, pooling windows) is thread-local and never
+//! passes through the pool.
 //!
 //! Buffers handed out by [`ScratchPool::take`] have *unspecified contents*
 //! (they may hold data from a previous use); every caller in this crate
-//! fully overwrites what it takes. Use [`ScratchPool::take_zeroed`] when
-//! zero-initialized memory is required.
+//! fully overwrites what it takes.
 
 use crate::tensor_data::TensorData;
 use ios_ir::TensorShape;
@@ -31,7 +35,9 @@ pub struct ScratchPool {
     reused: AtomicU64,
 }
 
-/// The pooled buffers plus a running total of their capacities.
+/// The pooled buffers plus a running total of their capacities. Nothing
+/// caps them: what a run takes back is what its slot plans and block
+/// outputs need, so a pool retains at most what its callers held at once.
 #[derive(Debug, Default)]
 struct FreeList {
     /// Free buffers, sorted ascending by capacity.
@@ -39,17 +45,6 @@ struct FreeList {
     /// Sum of the pooled buffers' capacities, in elements.
     elements: usize,
 }
-
-/// An upper bound on retained buffers; beyond it, recycled buffers are
-/// dropped instead of pooled so a pathological workload cannot grow the
-/// pool without bound.
-const MAX_POOLED_BUFFERS: usize = 256;
-
-/// An upper bound on total retained capacity (64 MiB of `f32`s); the pool
-/// backs the process-global convenience entry points, so the cap limits
-/// how much a one-shot large execution can leave pinned for the process
-/// lifetime.
-const MAX_POOLED_ELEMENTS: usize = 16 << 20;
 
 impl ScratchPool {
     /// An empty pool.
@@ -59,19 +54,14 @@ impl ScratchPool {
     }
 
     /// Takes a buffer of length `len` with unspecified contents, reusing
-    /// the smallest pooled buffer with enough capacity — and at most twice
-    /// it, so big buffers stay available for the big requests that need
-    /// them. Without that bound, a buffer an executor released mid-block
-    /// would go to a much smaller tensor of a sample on another lane, the
-    /// next large request would allocate afresh, and the pool's retained
-    /// capacity would ratchet up with every unlucky interleaving.
+    /// the smallest pooled buffer with enough capacity.
     #[must_use]
     pub fn take(&self, len: usize) -> Vec<f32> {
         let recycled = {
             let mut free = self.free.lock();
             // The list is sorted by capacity: the first fit is the best fit.
             let i = free.bufs.partition_point(|buf| buf.capacity() < len);
-            (i < free.bufs.len() && free.bufs[i].capacity() <= 2 * len).then(|| {
+            (i < free.bufs.len()).then(|| {
                 let buf = free.bufs.remove(i);
                 free.elements -= buf.capacity();
                 buf
@@ -90,26 +80,12 @@ impl ScratchPool {
         }
     }
 
-    /// Takes a zero-filled buffer of length `len`.
-    #[must_use]
-    pub fn take_zeroed(&self, len: usize) -> Vec<f32> {
-        let mut buf = self.take(len);
-        buf.fill(0.0);
-        buf
-    }
-
-    /// Returns a buffer to the pool for future reuse. Dropped instead of
-    /// retained when the pool is at its buffer-count or total-capacity cap.
+    /// Returns a buffer to the pool for future reuse.
     pub fn recycle(&self, buf: Vec<f32>) {
         if buf.capacity() == 0 {
             return;
         }
         let mut free = self.free.lock();
-        if free.bufs.len() >= MAX_POOLED_BUFFERS
-            || free.elements + buf.capacity() > MAX_POOLED_ELEMENTS
-        {
-            return;
-        }
         let i = free.bufs.partition_point(|b| b.capacity() < buf.capacity());
         free.elements += buf.capacity();
         free.bufs.insert(i, buf);
@@ -122,15 +98,6 @@ impl ScratchPool {
         TensorData {
             shape,
             data: self.take(shape.num_elements()),
-        }
-    }
-
-    /// Takes a zero-filled tensor of `shape`.
-    #[must_use]
-    pub fn take_tensor_zeroed(&self, shape: TensorShape) -> TensorData {
-        TensorData {
-            shape,
-            data: self.take_zeroed(shape.num_elements()),
         }
     }
 
@@ -164,13 +131,27 @@ impl ScratchPool {
     }
 }
 
-/// The process-wide pool backing the convenience entry points
-/// ([`crate::execute_graph`] and friends) that do not thread an explicit
-/// pool. Long-running processes reuse its buffers across calls.
-#[must_use]
-pub fn global_pool() -> &'static ScratchPool {
-    static GLOBAL: std::sync::OnceLock<ScratchPool> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(ScratchPool::new)
+/// Where a kernel's output storage comes from: a buffer taken from a pool,
+/// or the operator's planned slot (`ios_core::SlotPlan`), resized to the
+/// output. Its contents are unspecified either way.
+pub(crate) enum Output<'a> {
+    /// Take the output from this pool.
+    Pool(&'a ScratchPool),
+    /// Write the output into this buffer.
+    Slot(Vec<f32>),
+}
+
+impl Output<'_> {
+    /// The output tensor of `shape`.
+    pub(crate) fn tensor(self, shape: TensorShape) -> TensorData {
+        match self {
+            Output::Pool(pool) => pool.take_tensor(shape),
+            Output::Slot(mut data) => {
+                data.resize(shape.num_elements(), 0.0);
+                TensorData { shape, data }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -210,46 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn take_leaves_a_buffer_over_twice_the_request_pooled() {
-        let pool = ScratchPool::new();
-        pool.recycle(pool.take(1024));
-        let half = pool.take(512);
-        assert_eq!(pool.fresh_allocations(), 1, "twice the request is reused");
-        pool.recycle(half);
-        let small = pool.take(511);
-        assert_eq!(pool.fresh_allocations(), 2, "more than twice is not");
-        assert_eq!(pool.pooled(), 1, "the big buffer stays for a big request");
-        pool.recycle(small);
-    }
-
-    #[test]
-    fn capacity_cap_drops_oversized_recycles() {
-        let pool = ScratchPool::new();
-        let huge = pool.take(MAX_POOLED_ELEMENTS + 1);
-        pool.recycle(huge);
-        assert_eq!(pool.pooled(), 0, "an over-cap buffer must not be retained");
-        assert_eq!(pool.pooled_elements(), 0);
-        let small = pool.take(64);
-        pool.recycle(small);
-        assert_eq!(pool.pooled(), 1);
-        assert!(pool.pooled_elements() >= 64);
-    }
-
-    #[test]
-    fn zeroed_take_clears_recycled_contents() {
-        let pool = ScratchPool::new();
-        let mut a = pool.take(8);
-        a.fill(7.0);
-        pool.recycle(a);
-        let b = pool.take_zeroed(8);
-        assert!(b.iter().all(|v| *v == 0.0));
-    }
-
-    #[test]
     fn tensor_round_trip() {
         let pool = ScratchPool::new();
         let shape = TensorShape::new(1, 2, 3, 4);
-        let t = pool.take_tensor_zeroed(shape);
+        let t = pool.take_tensor(shape);
         assert_eq!(t.shape, shape);
         assert_eq!(t.data.len(), 24);
         pool.recycle_tensor(t);

@@ -18,7 +18,7 @@
 //! through [`crate::execute_graph`]: every operator treats batch items
 //! independently and in the same order.
 
-use crate::arena::ScratchPool;
+use crate::arena::{Output, ScratchPool};
 use crate::executor::{relu_fold_plan, run_stages, weight_seed, FoldedRelu};
 use crate::gemm::PackedFilter;
 use crate::ops_cpu::{copy_of, deterministic_value, sep_conv_seeds};
@@ -26,7 +26,7 @@ use crate::simd;
 use crate::tensor_data::TensorData;
 use crate::tile::{at_tier, Row, RowKernel};
 use crate::workers;
-use ios_core::{NetworkSchedule, Schedule};
+use ios_core::{NetworkSchedule, Schedule, SlotPlan};
 use ios_ir::{Graph, Network, Op, OpId, OpKind, OpSet, TensorShape, Value};
 use parking_lot::Mutex;
 
@@ -294,9 +294,10 @@ impl NetworkWeights {
 ///
 /// It holds one operator's weights at a time, generated just before the
 /// operator runs ([`crate::execute_schedule_pooled`] with `None`), and one
-/// block's buffers: each block draws its op outputs and scratch from a pool
-/// of its own, dropped at the block's end, so nothing the pass frees stays
-/// held once it returns.
+/// block's buffers: each block takes its slot plan's op-output slots
+/// ([`Schedule::slot_plan`]) and its scratch from a pool of its own,
+/// dropped at the block's end, so nothing the pass frees stays held once
+/// it returns.
 ///
 /// # Panics
 ///
@@ -307,9 +308,11 @@ pub fn execute_network(network: &Network, inputs: &[TensorData]) -> Vec<TensorDa
     let mut current = inputs.to_vec();
     for block in &network.blocks {
         let sequential = Schedule::sequential(&block.graph);
+        let plan = sequential.slot_plan(&block.graph);
         current = run_block(
             &block.graph,
             &sequential,
+            &plan,
             None,
             current,
             &ScratchPool::new(),
@@ -318,28 +321,31 @@ pub fn execute_network(network: &Network, inputs: &[TensorData]) -> Vec<TensorDa
     current
 }
 
-/// The one block body of every network walk: runs `graph` under `schedule`
-/// with release ([`run_stages`]: each op output goes back to `arena` at the
-/// end of the stage of its last reader), moves the declared outputs on and
-/// recycles the rest — the block's `inputs` included — into `arena`.
+/// The one block body of every network walk: runs `graph` under
+/// `schedule` and its slot `plan` ([`run_stages`]: the plan's slots are taken
+/// from `arena` at the block's start, and each op output goes back to its
+/// slot at the end of the stage of its last reader), moves the declared
+/// outputs on and recycles the rest — the slots and the block's `inputs` —
+/// into `arena`.
 fn run_block(
     graph: &Graph,
     schedule: &Schedule,
+    plan: &SlotPlan,
     weights: Option<&BlockWeights>,
     inputs: Vec<TensorData>,
     arena: &ScratchPool,
 ) -> Vec<TensorData> {
-    let mut op_outputs = run_stages(graph, schedule, &inputs, weights, arena, true);
+    let mut op_outputs = run_stages(graph, schedule, &inputs, weights, arena, plan);
     let declared = graph.outputs();
     let mut next: Vec<TensorData> = Vec::with_capacity(declared.len());
     for (j, value) in declared.iter().enumerate() {
         let tensor = match value {
-            Value::Input(i) => copy_of(&inputs[*i], arena),
+            Value::Input(i) => copy_of(&inputs[*i], Output::Pool(arena)),
             Value::Op(id) => {
                 // An op may be listed as a graph output more than once;
                 // only the first occurrence can take ownership.
                 if let Some(prev) = declared[..j].iter().position(|u| u == value) {
-                    copy_of(&next[prev], arena)
+                    copy_of(&next[prev], Output::Pool(arena))
                 } else {
                     op_outputs[id.index()].take().expect("op executed")
                 }
@@ -408,10 +414,12 @@ pub fn execute_network_batched(
 /// a large operator inside a sample still draw on whichever pool lanes are
 /// idle. Results are bit-identical for every cap.
 ///
-/// Samples run one by one, not as one batch-*b* network. A block recycles
-/// each op output after its last reader, so it holds only its live set,
-/// whose peak [`Schedule::peak_live_bytes`] predicts; one batch-*b* run
-/// would hold *b* live sets at once, where the fan-out holds one per lane.
+/// Samples run one by one, not as one batch-*b* network. A block hands
+/// each op output back to its slot after its last reader, so it holds only
+/// its live set, whose peak [`Schedule::peak_live_bytes`] predicts, in
+/// [`Schedule::slot_bytes`] of slots planned once per call; one batch-*b*
+/// run would hold *b* live sets at once, where the fan-out holds one per
+/// lane.
 /// Running a block as a batch only where *b* live sets fit is ROADMAP item
 /// 4(b), next.
 ///
@@ -463,6 +471,9 @@ pub fn execute_network_batched_capped(
         weights.num_blocks(),
         "weights and network block counts differ"
     );
+    let plans: Vec<SlotPlan> = (per_sample.blocks.iter().zip(block_schedules))
+        .map(|(block, schedule)| schedule.slot_plan(&block.graph))
+        .collect();
 
     // `max_workers` bounds how many lanes the *samples* occupy; one sample
     // runs on the caller without posting anything.
@@ -474,10 +485,13 @@ pub fn execute_network_batched_capped(
                 // `i` under `block_schedules[i]`, every intermediate recycled.
                 let mut current: Vec<TensorData> =
                     inputs.iter().map(|t| sample_pooled(t, n, arena)).collect();
-                let blocks = per_sample.blocks.iter().zip(block_schedules);
-                for (i, (block, schedule)) in blocks.enumerate() {
+                let blocks = per_sample
+                    .blocks
+                    .iter()
+                    .zip(block_schedules.iter().zip(&plans));
+                for (i, (block, (schedule, plan))) in blocks.enumerate() {
                     let weights = Some(weights.block(i));
-                    current = run_block(&block.graph, schedule, weights, current, arena);
+                    current = run_block(&block.graph, schedule, plan, weights, current, arena);
                 }
                 current
             })

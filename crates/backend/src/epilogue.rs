@@ -2,7 +2,7 @@
 //! register-hot, between the register tile and the store into the output
 //! tensor, instead of as separate whole-tensor passes afterwards.
 
-use crate::arena::ScratchPool;
+use crate::arena::Output;
 use crate::tensor_data::TensorData;
 use crate::tile::{ColumnBlock, Row, PACK_NR};
 use ios_ir::{Conv2dParams, TensorShape};
@@ -84,7 +84,7 @@ pub struct ConvEpilogue<'a> {
 }
 
 impl ConvEpilogue<'_> {
-    /// Takes the convolution's output tensor from `pool`.
+    /// The convolution's output tensor, from `out`.
     ///
     /// # Panics
     ///
@@ -93,7 +93,7 @@ impl ConvEpilogue<'_> {
         &self,
         input: &TensorData,
         params: &Conv2dParams,
-        pool: &ScratchPool,
+        out: Output<'_>,
     ) -> TensorData {
         let (oh, ow) = input
             .shape
@@ -111,6 +111,6 @@ impl ConvEpilogue<'_> {
                 "fused bias must cover every output channel"
             );
         }
-        pool.take_tensor(out_shape)
+        out.tensor(out_shape)
     }
 }

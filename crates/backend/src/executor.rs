@@ -13,18 +13,25 @@
 //! [`execute_schedule_pooled`] takes a block's from the caller, or, given
 //! `None`, generates each stage's just before the stage and drops them
 //! after it — so a one-off run holds one stage's weights, not the block's.
-//! It draws all scratch and output storage from a caller-owned
-//! [`ScratchPool`]; [`execute_graph`] is the `None` case on the
-//! process-global pool.
+//!
+//! Op outputs live in planned slots ([`SlotPlan`]): a run takes its plan's
+//! slot set from a caller-owned [`ScratchPool`] at the start, one buffer
+//! per slot, writes each op output into its op's slot and hands a dead
+//! output back to it. A releasing block run plans with
+//! [`Schedule::slot_plan`], so it retains [`Schedule::slot_bytes`];
+//! [`execute_schedule_pooled`], which keeps every output, is the same run
+//! under the plan where no op shares a slot. Scratch comes from the same
+//! pool; [`execute_graph`] is the `None` case on a pool of its own.
 
-use crate::arena::{global_pool, ScratchPool};
+use crate::arena::{Output, ScratchPool};
 use crate::batch::{BlockWeights, OpWeights};
 use crate::gemm::{conv2d_parts, ConvEpilogue, ConvPart};
 use crate::ops_cpu::{copy_of, execute_op};
 use crate::tensor_data::TensorData;
 use crate::workers::{self, DisjointOut};
-use ios_core::{ParallelizationStrategy, Schedule};
+use ios_core::{ParallelizationStrategy, Schedule, SlotPlan};
 use ios_ir::{Graph, Op, OpId, OpKind, OpSet, Value};
+use parking_lot::Mutex;
 
 /// How the executor treats one operator under the standalone-ReLU peephole
 /// ([`relu_fold_plan`]): a standalone [`OpKind::Relu`] whose input is a
@@ -102,21 +109,23 @@ pub fn weight_seed(graph: &Graph, op: OpId) -> u64 {
     h ^ (op.index() as u64).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
-/// Executes one operator with its precomputed weights under `fold`.
+/// Executes one operator with its precomputed weights under `fold`, into
+/// `out`.
 fn run_op(
     op: &Op,
     op_inputs: &[&TensorData],
     weights: &BlockWeights,
     fold: FoldedRelu,
+    out: Output<'_>,
     arena: &ScratchPool,
 ) -> TensorData {
     if let FoldedRelu::CopyOf(_) = fold {
         // The producing convolution already applied this ReLU in its
         // epilogue; the input is rectified, so the op is a copy.
-        return copy_of(op_inputs[0], arena);
+        return copy_of(op_inputs[0], out);
     }
     let fuse_relu = fold == FoldedRelu::FuseRelu;
-    let out = execute_op(op, op_inputs, weights.get(op.id), fuse_relu, arena);
+    let out = execute_op(op, op_inputs, weights.get(op.id), fuse_relu, out, arena);
     assert_eq!(
         out.shape, op.output_shape,
         "shape inference mismatch for {}",
@@ -128,7 +137,8 @@ fn run_op(
 /// Executes the graph sequentially and returns every operator's output:
 /// its [`Schedule::sequential`] (one operator per stage, topological
 /// order) through the one stage runner. Each operator's weights are
-/// generated just before it runs and dropped after it.
+/// generated just before it runs and dropped after it, and its buffers come
+/// from a pool of the call's own.
 ///
 /// # Panics
 ///
@@ -136,7 +146,7 @@ fn run_op(
 #[must_use]
 pub fn execute_graph(graph: &Graph, inputs: &[TensorData]) -> Vec<TensorData> {
     let sequential = Schedule::sequential(graph);
-    execute_schedule_pooled(graph, &sequential, inputs, None, global_pool())
+    execute_schedule_pooled(graph, &sequential, inputs, None, &ScratchPool::new())
 }
 
 /// Executes an IOS schedule stage by stage and returns every operator's
@@ -146,9 +156,10 @@ pub fn execute_graph(graph: &Graph, inputs: &[TensorData]) -> Vec<TensorData> {
 /// Runs from the block's precomputed `weights`; with `None`, each stage's
 /// weights — every part of a merge — are generated just before the stage
 /// by the same generator and dropped after it, so the bits are the same and
-/// only one stage's weights are ever held. Scratch and output storage come
-/// from `arena`; the lanes running the groups share it, and the returned
-/// tensors are owned by the caller.
+/// only one stage's weights are ever held. Every op output gets a slot of
+/// its own ([`SlotPlan::unshared`]), taken from `arena` with the scratch;
+/// the lanes running the groups share it, and the returned tensors are
+/// owned by the caller.
 ///
 /// # Panics
 ///
@@ -161,43 +172,50 @@ pub fn execute_schedule_pooled(
     weights: Option<&BlockWeights>,
     arena: &ScratchPool,
 ) -> Vec<TensorData> {
-    run_stages(graph, schedule, inputs, weights, arena, false)
+    let plan = SlotPlan::unshared(graph);
+    run_stages(graph, schedule, inputs, weights, arena, &plan)
         .into_iter()
         .map(|o| o.expect("all ops executed"))
         .collect()
 }
 
-/// The stage loop behind every schedule execution: runs `schedule`'s
-/// stages in order through [`execute_stage`] and returns the op outputs
-/// still held. Without precomputed `weights`, each stage's are generated
-/// just before it and dropped after it. With `release`, each stage
-/// boundary recycles into `arena` every op output no later stage reads —
-/// its last reader ran, or it has none — except the graph's outputs, which
-/// the caller hands on; without it, every op output is returned.
+/// The stage loop behind every schedule execution: takes `plan`'s slots
+/// from `arena`, runs `schedule`'s stages in order through
+/// [`execute_stage`] with each op output in its op's slot, and hands each
+/// dead output — no later stage reads it and it is not a graph output —
+/// back to its slot at the end of its stage. Returns each slot's last
+/// tenant: the graph's outputs, which the caller hands on, and under
+/// [`SlotPlan::unshared`] every op output. Without precomputed `weights`,
+/// each stage's are generated just before it and dropped after it.
 ///
 /// The set of ops executed at a stage boundary is the DP's state, and it
 /// fixes the live set exactly ([`Graph::live_after`]), so the op-output
 /// bytes held at each stage end peak at [`Schedule::peak_live_bytes`].
-/// That measured high-water is the `arg` of the `block` span this records
-/// (its `id` is the stage count). Scratch is not counted.
+/// That measured high-water is the `arg` of the `block` span this records;
+/// its `id` is the bytes of the slot buffers the run took, which are
+/// [`Schedule::slot_bytes`] when the pool held none larger. Scratch is not
+/// counted.
 ///
 /// # Panics
 ///
-/// Panics if the schedule is not valid for `graph` or the inputs mismatch.
+/// Panics if the schedule is not valid for `graph`, the plan not one of
+/// its plans, or the inputs mismatch.
 pub(crate) fn run_stages(
     graph: &Graph,
     schedule: &Schedule,
     inputs: &[TensorData],
     weights: Option<&BlockWeights>,
     arena: &ScratchPool,
-    release: bool,
+    plan: &SlotPlan,
 ) -> Vec<Option<TensorData>> {
     check_inputs(graph, inputs);
     schedule
         .validate(graph)
         .expect("schedule must be valid for the graph");
+    assert_eq!(plan.slot_of.len(), graph.len(), "one slot per operator");
     let mut block_span = ios_telemetry::tracer().span("block", "exec");
-    block_span.set_id(schedule.num_stages() as u64);
+    let slots = Slots::take(arena, Some(plan));
+    block_span.set_id(slots.bytes() as u64);
     let bytes = |t: &TensorData| std::mem::size_of_val(&t.data[..]);
     let mut outputs: Vec<Option<TensorData>> = vec![None; graph.len()];
     let (mut done, mut held, mut high_water) = (OpSet::empty(), 0, 0);
@@ -206,7 +224,7 @@ pub(crate) fn run_stages(
             .is_none()
             .then(|| BlockWeights::generate(graph, stage.ops));
         let stage_weights = weights.or(generated.as_ref()).expect("given or generated");
-        execute_stage(graph, stage, inputs, stage_weights, &mut outputs, arena);
+        run_stage(graph, stage, inputs, stage_weights, &mut outputs, &slots);
         done = done.union(stage.ops);
         held += stage
             .ops
@@ -215,36 +233,119 @@ pub(crate) fn run_stages(
             .map(bytes)
             .sum::<usize>();
         high_water = high_water.max(held);
-        if release {
-            for dead in done.difference(graph.live_after(done)).iter() {
-                if let Some(tensor) = outputs[dead.index()].take() {
-                    held -= bytes(&tensor);
-                    arena.recycle_tensor(tensor);
-                }
+        for dead in done.difference(graph.live_after(done)).iter() {
+            if let Some(tensor) = outputs[dead.index()].take() {
+                held -= bytes(&tensor);
+                slots.give_back(dead, tensor);
             }
         }
     }
     block_span.set_arg(high_water as u64);
+    slots.last_tenants(graph, &mut outputs);
     outputs
+}
+
+/// The op-output storage of one run: with a plan, its slots — one buffer
+/// per slot, taken from the pool up front — and without one (a stage run
+/// on its own), the pool itself. An op's output is its slot's buffer; a
+/// dead output goes back to its slot as the slot's last tenant. Whatever
+/// the slots hold when dropped, on a panic's unwinding too, is recycled
+/// into the pool, so a caught panic leaves the pool's accounting exact.
+struct Slots<'a> {
+    arena: &'a ScratchPool,
+    plan: Option<&'a SlotPlan>,
+    /// Per slot: its buffer while no op holds it, and the op it last held.
+    free: Vec<Mutex<(Vec<f32>, Option<OpId>)>>,
+}
+
+impl<'a> Slots<'a> {
+    /// `plan`'s slots, one `take` from `arena` each; the pool itself
+    /// without a plan.
+    fn take(arena: &'a ScratchPool, plan: Option<&'a SlotPlan>) -> Self {
+        let slot_bytes = plan.map_or(&[][..], |plan| &plan.slot_bytes[..]);
+        let elements = |bytes: u64| bytes as usize / std::mem::size_of::<f32>();
+        Slots {
+            arena,
+            plan,
+            free: (slot_bytes.iter())
+                .map(|&bytes| Mutex::new((arena.take(elements(bytes)), None)))
+                .collect(),
+        }
+    }
+
+    /// The bytes of the slot buffers, by capacity.
+    fn bytes(&self) -> usize {
+        let capacity = |slot: &Mutex<(Vec<f32>, _)>| slot.lock().0.capacity();
+        self.free.iter().map(capacity).sum::<usize>() * std::mem::size_of::<f32>()
+    }
+
+    /// Where `op`'s output goes: its slot's buffer, or the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another op's output still holds the slot.
+    fn output(&self, op: OpId) -> Output<'a> {
+        let Some(plan) = self.plan else {
+            return Output::Pool(self.arena);
+        };
+        let slot = plan.slot_of[op.index()];
+        let mut free = self.free[slot].lock();
+        assert!(
+            free.0.capacity() > 0,
+            "slot {slot} is held by a live output"
+        );
+        free.1 = None;
+        Output::Slot(std::mem::take(&mut free.0))
+    }
+
+    /// Hands `op`'s dead output back to its slot, or to the pool.
+    fn give_back(&self, op: OpId, tensor: TensorData) {
+        match self.plan {
+            Some(plan) => *self.free[plan.slot_of[op.index()]].lock() = (tensor.data, Some(op)),
+            None => self.arena.recycle_tensor(tensor),
+        }
+    }
+
+    /// Moves each slot's last tenant back into `outputs`: at a run's end,
+    /// its data is intact.
+    fn last_tenants(mut self, graph: &Graph, outputs: &mut [Option<TensorData>]) {
+        for slot in &mut self.free {
+            let (data, tenant) = slot.get_mut();
+            if let Some(op) = tenant.take() {
+                let shape = graph.op(op).output_shape;
+                outputs[op.index()] = Some(TensorData {
+                    shape,
+                    data: std::mem::take(data),
+                });
+            }
+        }
+    }
+}
+
+impl Drop for Slots<'_> {
+    fn drop(&mut self) {
+        for slot in self.free.drain(..) {
+            self.arena.recycle(slot.into_inner().0);
+        }
+    }
 }
 
 /// The completed operator outputs of one stage group, drop-drained: if the
 /// stage unwinds — this group's worker panicked mid-op, or a *sibling*
 /// group's did and the collected results are dropped at the join — every
-/// tensor still held here is recycled back into the pool instead of
+/// tensor still held here goes back to its slot (or the pool) instead of
 /// leaking to the heap. This keeps the pool's steady-state accounting exact
-/// across panics: a
-/// serving runtime that catches a batch panic keeps executing with its
-/// pool intact.
-struct GroupOutputs<'a> {
-    arena: &'a ScratchPool,
+/// across panics: a serving runtime that catches a batch panic keeps
+/// executing with its pool intact.
+struct GroupOutputs<'s, 'a> {
+    slots: &'s Slots<'a>,
     ops: Vec<(OpId, TensorData)>,
 }
 
-impl Drop for GroupOutputs<'_> {
+impl Drop for GroupOutputs<'_, '_> {
     fn drop(&mut self) {
-        for (_, tensor) in self.ops.drain(..) {
-            self.arena.recycle_tensor(tensor);
+        for (op, tensor) in self.ops.drain(..) {
+            self.slots.give_back(op, tensor);
         }
     }
 }
@@ -263,10 +364,11 @@ impl Drop for GroupOutputs<'_> {
 /// others' operator chunks — unless the whole stage is smaller than two
 /// grains ([`workers::GRAIN_MACS`]), which nothing is posted for: a size
 /// read off the stage itself, the same at every batch size and for every
-/// caller. Every group draws its scratch from `arena`, and the group's
-/// completed outputs drain back into it on **panic** ([`GroupOutputs`]), so
-/// a panicking group cannot leak pooled buffers: the pool lets the other
-/// groups finish, drops their results and re-raises the panic here.
+/// caller. Every group draws its scratch and outputs from `arena`, and the
+/// group's completed outputs drain back into it on **panic**
+/// ([`GroupOutputs`]), so a panicking group cannot leak pooled buffers: the
+/// pool lets the other groups finish, drops their results and re-raises the
+/// panic here.
 pub(crate) fn execute_stage(
     graph: &Graph,
     stage: &ios_core::Stage,
@@ -275,6 +377,28 @@ pub(crate) fn execute_stage(
     outputs: &mut [Option<TensorData>],
     arena: &ScratchPool,
 ) {
+    run_stage(
+        graph,
+        stage,
+        inputs,
+        weights,
+        outputs,
+        &Slots::take(arena, None),
+    );
+}
+
+/// [`execute_stage`] with each op output in its slot of `slots`. The ops
+/// of one stage hold distinct slots, so the groups, and a merge's parts,
+/// write to disjoint buffers.
+fn run_stage(
+    graph: &Graph,
+    stage: &ios_core::Stage,
+    inputs: &[TensorData],
+    weights: &BlockWeights,
+    outputs: &mut [Option<TensorData>],
+    slots: &Slots<'_>,
+) {
+    let arena = slots.arena;
     let mut stage_span = ios_telemetry::tracer().span(
         match stage.strategy {
             ParallelizationStrategy::ConcurrentExecution => "stage.concurrent",
@@ -294,31 +418,38 @@ pub(crate) fn execute_stage(
             let snapshot: &[Option<TensorData>] = outputs;
             let run_group = |group: &Vec<OpId>| {
                 let mut local = GroupOutputs {
-                    arena,
+                    slots,
                     ops: Vec::new(),
                 };
                 for &op_id in group {
                     let op = graph.op(op_id);
-                    let op_inputs: Vec<&TensorData> = op
-                        .inputs
-                        .iter()
-                        .map(|v| match v {
-                            Value::Input(i) => &inputs[*i],
-                            Value::Op(id) => {
-                                if let Some(t) = snapshot[id.index()].as_ref() {
-                                    t
-                                } else {
-                                    local
-                                        .ops
-                                        .iter()
-                                        .find(|(lid, _)| lid == id)
-                                        .map(|(_, t)| t)
-                                        .expect("intra-group dependency")
-                                }
+                    let resolve = |v: &Value| match v {
+                        Value::Input(i) => &inputs[*i],
+                        Value::Op(id) => {
+                            if let Some(t) = snapshot[id.index()].as_ref() {
+                                t
+                            } else {
+                                (local.ops.iter())
+                                    .find(|(lid, _)| lid == id)
+                                    .map(|(_, t)| t)
+                                    .expect("intra-group dependency")
                             }
-                        })
-                        .collect();
-                    let out = run_op(op, &op_inputs, weights, plan[op_id.index()], arena);
+                        }
+                    };
+                    // Most operators read one value: no list to allocate.
+                    let (one, many): (&TensorData, Vec<&TensorData>);
+                    let op_inputs: &[&TensorData] = match op.inputs.as_slice() {
+                        [value] => {
+                            one = resolve(value);
+                            std::slice::from_ref(&one)
+                        }
+                        values => {
+                            many = values.iter().map(resolve).collect();
+                            &many
+                        }
+                    };
+                    let out = slots.output(op_id);
+                    let out = run_op(op, op_inputs, weights, plan[op_id.index()], out, arena);
                     local.ops.push((op_id, out));
                 }
                 local
@@ -335,7 +466,7 @@ pub(crate) fn execute_stage(
             } else {
                 1
             };
-            let chunk_results: Vec<Vec<GroupOutputs<'_>>> =
+            let chunk_results: Vec<Vec<GroupOutputs<'_, '_>>> =
                 workers::parallel_map(chunks, |chunk| {
                     workers::chunk_range(stage.groups.len(), chunks, chunk)
                         .map(|g| run_group(&stage.groups[g]))
@@ -356,7 +487,7 @@ pub(crate) fn execute_stage(
                 Value::Op(id) => outputs[id.index()].as_ref().expect("producer executed"),
             };
             let mut part_outputs: Vec<TensorData> = (stage.ops.iter())
-                .map(|part| arena.take_tensor(graph.op(part).output_shape))
+                .map(|part| slots.output(part).tensor(graph.op(part).output_shape))
                 .collect();
             let parts: Vec<ConvPart<'_>> = (stage.ops.iter().zip(&mut part_outputs))
                 .map(|(part, out)| {
@@ -421,7 +552,7 @@ pub fn verify_schedule(graph: &Graph, schedule: &Schedule, seed: u64) -> f32 {
         .map(|(i, s)| TensorData::random(*s, seed.wrapping_add(i as u64)))
         .collect();
     let reference = execute_graph(graph, &inputs);
-    let scheduled = execute_schedule_pooled(graph, schedule, &inputs, None, global_pool());
+    let scheduled = execute_schedule_pooled(graph, schedule, &inputs, None, &ScratchPool::new());
     max_abs_difference(&reference, &scheduled)
 }
 

@@ -32,7 +32,7 @@
 //! register tile of the selected tier (`crate::tile`) and the part's fused
 //! epilogue (`crate::epilogue`).
 
-use crate::arena::ScratchPool;
+use crate::arena::{Output, ScratchPool};
 use crate::im2col::{im2col_block, in_place_or_edge_copy};
 use crate::simd;
 use crate::tensor_data::TensorData;
@@ -239,7 +239,18 @@ pub fn conv2d(
     ep: &ConvEpilogue<'_>,
     arena: &ScratchPool,
 ) -> TensorData {
-    let mut out = ep.take_output(input, params, arena);
+    conv2d_to(input, params, filter, ep, Output::Pool(arena))
+}
+
+/// [`conv2d`] into `out`.
+pub(crate) fn conv2d_to(
+    input: &TensorData,
+    params: &Conv2dParams,
+    filter: &PackedFilter,
+    ep: &ConvEpilogue<'_>,
+    out: Output<'_>,
+) -> TensorData {
+    let mut out = ep.take_output(input, params, out);
     let out_view = DisjointOut::new(&mut out.data);
     conv2d_parts(
         input,

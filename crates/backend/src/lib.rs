@@ -29,7 +29,9 @@
 //!   outputs at the serving boundary;
 //! * [`executor`] — runs an IOS [`ios_core::Schedule`] stage by stage
 //!   (groups on the worker pool) through one stage runner — a plain graph
-//!   is its sequential schedule — from precomputed weights
+//!   is its sequential schedule — with every op output in a slot planned
+//!   once per (block, schedule) ([`ios_core::Schedule::slot_plan`]: outputs
+//!   never held at one stage share a slot), from precomputed weights
 //!   ([`BlockWeights`], built for the call when the caller holds none),
 //!   running an operator-merge stage as its parts' own filters over one
 //!   shared convolution walk — exact taps, each part's output written in

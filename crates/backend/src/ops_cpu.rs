@@ -13,12 +13,13 @@
 //! pooling window ([`pool`]). The blocked [`matmul`] stays auto-vectorized:
 //! its dot products accumulate along `k`, which vectorizing would reorder.
 //! Every operator has one entry, drawing scratch and output storage from the
-//! [`ScratchPool`] it is handed, so steady-state serving allocates nothing in
-//! the op loop.
+//! [`ScratchPool`] it is handed; inside the executor an operator writes its
+//! output into its planned slot instead. Steady-state serving allocates
+//! nothing in the op loop.
 
-use crate::arena::ScratchPool;
+use crate::arena::{Output, ScratchPool};
 use crate::batch::OpWeights;
-use crate::gemm::{conv2d, ConvEpilogue, PackedFilter};
+use crate::gemm::{conv2d, conv2d_to, ConvEpilogue, PackedFilter};
 use crate::tensor_data::TensorData;
 use crate::tile::{at_tier, Row, RowKernel, PACK_NR};
 use crate::workers::{self, DisjointOut};
@@ -159,6 +160,25 @@ pub fn sep_conv2d(
     pointwise: &PackedFilter,
     arena: &ScratchPool,
 ) -> TensorData {
+    sep_conv2d_to(
+        input,
+        params,
+        depthwise,
+        pointwise,
+        Output::Pool(arena),
+        arena,
+    )
+}
+
+/// [`sep_conv2d`] into `out`, the depthwise intermediate from `arena`.
+fn sep_conv2d_to(
+    input: &TensorData,
+    params: &Conv2dParams,
+    depthwise: &PackedFilter,
+    pointwise: &PackedFilter,
+    out: Output<'_>,
+    arena: &ScratchPool,
+) -> TensorData {
     // Depthwise: groups = channels, one output channel per input channel.
     let dw_params = Conv2dParams {
         out_channels: input.shape.channels,
@@ -172,12 +192,12 @@ pub fn sep_conv2d(
     };
     let dw_out = conv2d(input, &dw_params, depthwise, &dw_epilogue, arena);
     let pw_params = Conv2dParams::plain(params.out_channels, (1, 1), (1, 1), (0, 0));
-    let out = conv2d(
+    let out = conv2d_to(
         &dw_out,
         &pw_params,
         pointwise,
         &ConvEpilogue::default(),
-        arena,
+        out,
     );
     arena.recycle_tensor(dw_out);
     out
@@ -189,13 +209,18 @@ pub fn sep_conv2d(
 /// loop's bits at every tier and lane count.
 #[must_use]
 pub fn pool(input: &TensorData, params: &PoolParams, arena: &ScratchPool) -> TensorData {
+    pool_to(input, params, Output::Pool(arena))
+}
+
+/// [`pool`] into `out`.
+fn pool_to(input: &TensorData, params: &PoolParams, out: Output<'_>) -> TensorData {
     let in_shape = input.shape;
     let plane = in_shape.height * in_shape.width;
     let planes = in_shape.batch * in_shape.channels;
     match params.kind {
         PoolKind::GlobalAvg => {
             let out_shape = TensorShape::new(in_shape.batch, in_shape.channels, 1, 1);
-            let mut out = arena.take_tensor(out_shape);
+            let mut out = out.tensor(out_shape);
             let hw = plane as f32;
             for (slot, ch) in out.data.iter_mut().zip(input.data.chunks_exact(plane)) {
                 // Slice iteration adds in the same (h, w) order as the
@@ -208,7 +233,7 @@ pub fn pool(input: &TensorData, params: &PoolParams, arena: &ScratchPool) -> Ten
         PoolKind::Max | PoolKind::Avg => {
             let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
             let out_shape = TensorShape::new(in_shape.batch, in_shape.channels, oh, ow);
-            let mut out = arena.take_tensor(out_shape);
+            let mut out = out.tensor(out_shape);
             let ((kh, kw), (sh, sw), (ph, pw)) = (params.kernel, params.stride, params.padding);
             let runs = ow.next_multiple_of(PACK_NR);
             let phase = runs + (kw - 1) / sw;
@@ -349,10 +374,20 @@ pub fn matmul(
     weights: &[f32],
     arena: &ScratchPool,
 ) -> TensorData {
+    matmul_to(input, params, weights, Output::Pool(arena))
+}
+
+/// [`matmul`] into `out`.
+fn matmul_to(
+    input: &TensorData,
+    params: &MatMulParams,
+    weights: &[f32],
+    out: Output<'_>,
+) -> TensorData {
     let in_features = input.shape.elements_per_item();
     let out_features = params.out_features;
     let out_shape = TensorShape::vector(input.shape.batch, out_features);
-    let mut out = arena.take_tensor(out_shape);
+    let mut out = out.tensor(out_shape);
     for n in 0..input.shape.batch {
         let row = &input.data[n * in_features..(n + 1) * in_features];
         let out_row = &mut out.data[n * out_features..(n + 1) * out_features];
@@ -388,11 +423,11 @@ pub fn matmul(
 /// contiguous `channels × h × w` block per sample, copied with a single
 /// memcpy instead of per-element indexing.
 #[must_use]
-pub fn concat(inputs: &[&TensorData], arena: &ScratchPool) -> TensorData {
+pub(crate) fn concat(inputs: &[&TensorData], out: Output<'_>) -> TensorData {
     let first = inputs[0].shape;
     let channels: usize = inputs.iter().map(|t| t.shape.channels).sum();
     let out_shape = TensorShape::new(first.batch, channels, first.height, first.width);
-    let mut out = arena.take_tensor(out_shape);
+    let mut out = out.tensor(out_shape);
     let plane = first.height * first.width;
     let out_item = channels * plane;
     for n in 0..first.batch {
@@ -409,8 +444,8 @@ pub fn concat(inputs: &[&TensorData], arena: &ScratchPool) -> TensorData {
 
 /// Element-wise addition of all inputs.
 #[must_use]
-pub fn add(inputs: &[&TensorData], arena: &ScratchPool) -> TensorData {
-    let mut out = arena.take_tensor(inputs[0].shape);
+pub(crate) fn add(inputs: &[&TensorData], out: Output<'_>) -> TensorData {
+    let mut out = out.tensor(inputs[0].shape);
     out.data.copy_from_slice(&inputs[0].data);
     for t in &inputs[1..] {
         for (o, v) in out.data.iter_mut().zip(&t.data) {
@@ -422,17 +457,17 @@ pub fn add(inputs: &[&TensorData], arena: &ScratchPool) -> TensorData {
 
 /// Standalone ReLU.
 #[must_use]
-pub fn relu(input: &TensorData, arena: &ScratchPool) -> TensorData {
-    let mut out = arena.take_tensor(input.shape);
+pub(crate) fn relu(input: &TensorData, out: Output<'_>) -> TensorData {
+    let mut out = out.tensor(input.shape);
     for (o, v) in out.data.iter_mut().zip(&input.data) {
         *o = v.max(0.0);
     }
     out
 }
 
-/// A copy of `tensor` in storage drawn from `arena`.
-pub(crate) fn copy_of(tensor: &TensorData, arena: &ScratchPool) -> TensorData {
-    let mut out = arena.take_tensor(tensor.shape);
+/// A copy of `tensor` in `out`.
+pub(crate) fn copy_of(tensor: &TensorData, out: Output<'_>) -> TensorData {
+    let mut out = out.tensor(tensor.shape);
     out.data.copy_from_slice(&tensor.data);
     out
 }
@@ -441,17 +476,18 @@ pub(crate) fn copy_of(tensor: &TensorData, arena: &ScratchPool) -> TensorData {
 /// (convolution, separable convolution, matmul) with its precomputed
 /// `weights`, any other with `None`; `fuse_relu` applies `max(0, ·)` in a
 /// convolution's tile writeback (the executor's standalone-ReLU fold).
-/// Scratch and output storage are drawn from `arena`.
+/// The output goes to `out`; scratch is drawn from `arena`.
 ///
 /// # Panics
 ///
 /// Panics if the weight kind does not match the operator kind.
 #[must_use]
-pub fn execute_op(
+pub(crate) fn execute_op(
     op: &Op,
     inputs: &[&TensorData],
     weights: Option<&OpWeights>,
     fuse_relu: bool,
+    out: Output<'_>,
     arena: &ScratchPool,
 ) -> TensorData {
     match (&op.kind, weights) {
@@ -460,7 +496,7 @@ pub fn execute_op(
                 relu: fuse_relu,
                 ..ConvEpilogue::default()
             };
-            conv2d(inputs[0], p, kernel, &ep, arena)
+            conv2d_to(inputs[0], p, kernel, &ep, out)
         }
         (
             OpKind::SepConv2d(p),
@@ -468,13 +504,13 @@ pub fn execute_op(
                 depthwise,
                 pointwise,
             }),
-        ) => sep_conv2d(inputs[0], p, depthwise, pointwise, arena),
-        (OpKind::MatMul(p), Some(OpWeights::MatMul(w))) => matmul(inputs[0], p, w, arena),
-        (OpKind::Pool(p), None) => pool(inputs[0], p, arena),
-        (OpKind::Concat, None) => concat(inputs, arena),
-        (OpKind::Add, None) => add(inputs, arena),
-        (OpKind::Relu, None) => relu(inputs[0], arena),
-        (OpKind::Identity, None) => copy_of(inputs[0], arena),
+        ) => sep_conv2d_to(inputs[0], p, depthwise, pointwise, out, arena),
+        (OpKind::MatMul(p), Some(OpWeights::MatMul(w))) => matmul_to(inputs[0], p, w, out),
+        (OpKind::Pool(p), None) => pool_to(inputs[0], p, out),
+        (OpKind::Concat, None) => concat(inputs, out),
+        (OpKind::Add, None) => add(inputs, out),
+        (OpKind::Relu, None) => relu(inputs[0], out),
+        (OpKind::Identity, None) => copy_of(inputs[0], out),
         (kind, _) => panic!("mismatched precomputed weights for operator kind {kind:?}"),
     }
 }
@@ -482,7 +518,6 @@ pub fn execute_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::global_pool;
 
     /// The f32 kernel over a filter given in its natural layout.
     fn conv2d(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
@@ -493,7 +528,7 @@ mod tests {
             params,
             &packed,
             &ConvEpilogue::default(),
-            global_pool(),
+            &ScratchPool::new(),
         )
     }
 
@@ -509,7 +544,7 @@ mod tests {
             params,
             &PackedFilter::pack(&dw, in_c, in_c, kh * kw),
             &PackedFilter::pack(&pw, params.out_channels, 1, in_c),
-            global_pool(),
+            &ScratchPool::new(),
         )
     }
 
@@ -680,8 +715,9 @@ mod tests {
             input.data[h * w / 2] = f32::NEG_INFINITY;
             let want = pool_windowed(&input, &params);
             for lanes in [1, 2, 3] {
-                let got =
-                    workers::with_forced_lanes(lanes, || pool(&input, &params, global_pool()));
+                let got = workers::with_forced_lanes(lanes, || {
+                    pool(&input, &params, &ScratchPool::new())
+                });
                 assert_eq!(got.shape, want.shape);
                 let same = got
                     .data
@@ -701,7 +737,7 @@ mod tests {
         let out = pool(
             &input,
             &PoolParams::max((2, 2), (2, 2), (0, 0)),
-            global_pool(),
+            &ScratchPool::new(),
         );
         assert_eq!(out.shape, TensorShape::new(1, 1, 2, 2));
         assert_eq!(out.at(0, 0, 0, 0), 5.0);
@@ -714,7 +750,7 @@ mod tests {
         let out = pool(
             &input,
             &PoolParams::max((3, 3), (2, 2), (1, 1)),
-            global_pool(),
+            &ScratchPool::new(),
         );
         assert_eq!(out.shape, TensorShape::new(1, 2, 3, 3));
         // The corner window sees only the 2×2 in-bounds values.
@@ -732,7 +768,7 @@ mod tests {
             shape: TensorShape::new(1, 1, 2, 2),
             data: vec![1.0, 2.0, 3.0, 6.0],
         };
-        let out = pool(&input, &PoolParams::global_avg(), global_pool());
+        let out = pool(&input, &PoolParams::global_avg(), &ScratchPool::new());
         assert_eq!(out.at(0, 0, 0, 0), 3.0);
     }
 
@@ -746,12 +782,12 @@ mod tests {
             shape: TensorShape::new(1, 1, 1, 2),
             data: vec![3.0, 4.0],
         };
-        let cat = concat(&[&a, &b], global_pool());
+        let cat = concat(&[&a, &b], Output::Pool(&ScratchPool::new()));
         assert_eq!(cat.shape.channels, 2);
         assert_eq!(cat.data, vec![1.0, -2.0, 3.0, 4.0]);
-        let sum = add(&[&a, &b], global_pool());
+        let sum = add(&[&a, &b], Output::Pool(&ScratchPool::new()));
         assert_eq!(sum.data, vec![4.0, 2.0]);
-        let r = relu(&a, global_pool());
+        let r = relu(&a, Output::Pool(&ScratchPool::new()));
         assert_eq!(r.data, vec![1.0, 0.0]);
     }
 
@@ -766,7 +802,7 @@ mod tests {
             out_features: 2,
             activation: Activation::None,
         };
-        let out = matmul(&input, &params, &weights, global_pool());
+        let out = matmul(&input, &params, &weights, &ScratchPool::new());
         assert_eq!(out.data, vec![2.0, 5.0]);
     }
 
@@ -779,7 +815,7 @@ mod tests {
             activation: Activation::Relu,
         };
         let w = matmul_weights(9, 6, 10);
-        let out = matmul(&input, &params, &w, global_pool());
+        let out = matmul(&input, &params, &w, &ScratchPool::new());
         for n in 0..3 {
             for o in 0..6 {
                 let expected: f32 = (0..10)

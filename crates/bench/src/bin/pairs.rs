@@ -20,7 +20,9 @@
 //! workload's verdict table, and per gate each bar's median value and how
 //! many runs it passed in. [`check_row`] is the row's schema; the rows of
 //! changes measured before this tool wrote them are transcribed from
-//! CHANGES.md and marked `reconstructed`.
+//! CHANGES.md and marked `reconstructed`. The tool leaves a new row's `pr`
+//! null and its `note` empty: the change's docs commit fills them in, and
+//! a committed measured row without them fails [`check_row`].
 //!
 //! ```text
 //! cargo run --release -p ios-bench --bin pairs -- --parent REV [--workload NAME]... [--pairs N]
@@ -329,7 +331,21 @@ fn at<'v>(v: &'v Value, key: &str) -> &'v Value {
 ///   `comparator` (`>=` or `<=`), `bar`, `median` value and the runs it
 ///   `passed` in;
 /// * `note`: free text.
+///
+/// A measured row also names its PR and says in `note` what it measured;
+/// [`check_schema`] is the rule without that, for a row just written.
 fn check_row(row: &Value) -> Result<(), String> {
+    check_schema(row)?;
+    let named = at(row, "pr").as_number().is_some() && at(row, "note").as_str() != Some("");
+    if at(row, "reconstructed").as_bool() == Some(false) && !named {
+        return Err("a measured row names its pr and has a note".to_string());
+    }
+    Ok(())
+}
+
+/// [`check_row`] but for a measured row's `pr` and `note`, which the
+/// change's docs commit fills in.
+fn check_schema(row: &Value) -> Result<(), String> {
     let object = |v: &Value, what: &str| -> Result<Map, String> {
         v.as_object()
             .cloned()
@@ -495,17 +511,23 @@ fn one_run(
         .rev()
         .find(|l| !l.trim().is_empty())
         .unwrap_or("");
-    let result: Value = serde_json::from_str(last).map_err(|e| format!("result line: {e}"))?;
-    if result["correct"].as_bool() != Some(true) {
-        return Err(format!("{workload} on {}: a check failed", side.name));
+    read_result(last, metrics).map_err(|why| format!("{workload} on {}: {why}", side.name))
+}
+
+/// The metric values of one run's result line, in `metrics` order. Keys
+/// are read through [`at`]: a line without `correct` or without a metric
+/// is an error, not a panic half an hour into a session.
+fn read_result(line: &str, metrics: &[Metric]) -> Result<Vec<f64>, String> {
+    let result: Value = serde_json::from_str(line).map_err(|e| format!("result line: {e}"))?;
+    if at(&result, "correct").as_bool() != Some(true) {
+        return Err("a check failed".to_string());
     }
     let value = |name: &str| {
-        result["metrics"][name]["value"]
-            .as_number()
-            .map(|n| n.as_f64())
+        let metric = at(at(&result, "metrics"), name);
+        at(metric, "value").as_number().map(|n| n.as_f64())
     };
     (metrics.iter())
-        .map(|(name, _)| value(name).ok_or(format!("{workload}: no {name}")))
+        .map(|(name, _)| value(name).ok_or(format!("no {name}")))
         .collect()
 }
 
@@ -615,7 +637,7 @@ fn compare(args: &Args) -> Result<(), String> {
         "gates": (Value::Object(gates)),
         "note": "",
     });
-    check_row(&row)?;
+    check_schema(&row)?;
     let line = serde_json::to_string(&row).map_err(|e| e.to_string())?;
     let path = root.join(TRAJECTORY);
     std::fs::OpenOptions::new()
@@ -625,6 +647,9 @@ fn compare(args: &Args) -> Result<(), String> {
         .and_then(|mut file| writeln!(file, "{line}"))
         .map_err(|e| format!("{}: {e}", path.display()))?;
     println!("# appended a row to {TRAJECTORY}");
+    if let Err(why) = check_row(&row) {
+        println!("# {why}: fill them in before committing it");
+    }
     Ok(())
 }
 
@@ -692,14 +717,14 @@ mod tests {
     }
 
     /// A measured row as `compare` writes it, with one workload metric and
-    /// one gate.
+    /// one gate, its `pr` and `note` filled in.
     fn measured_row() -> Value {
         let gate = summarize(&[report(1.2, true), report(0.9, false), report(1.1, true)]);
         json!({
             "rev": "0123456789abcdef",
             "parent": "fedcba9876543210",
             "date": "2026-10-19",
-            "pr": null,
+            "pr": 46,
             "reconstructed": false,
             "host": {"cores": 2, "cpu_model": "Xeon", "loadavg": ["0.5 0.4 0.3 1/99 7", "1.9 1.0 0.6 2/99 8"]},
             "pairs": 10,
@@ -707,7 +732,7 @@ mod tests {
                 "parent": [1.0, 2.0, 3.0], "change": [1.0, 2.0, 3.0], "lower": "4/10", "verdict": "unresolved"
             }}},
             "gates": {"sched": gate},
-            "note": "",
+            "note": "what the pairs measured",
         })
     }
 
@@ -756,7 +781,10 @@ mod tests {
             "a missing key fails a check, not the indexing"
         );
         assert!(
-            broken(&|r| r.insert("reconstructed", json!(true))),
+            broken(&|r| {
+                r.insert("reconstructed", json!(true));
+                r.insert("pr", Value::Null);
+            }),
             "a reconstructed row names its PR"
         );
         assert!(broken(&|r| {
@@ -774,6 +802,38 @@ mod tests {
         let mut extra = measured_row();
         extra.as_object_mut().unwrap().insert("extra", json!(1));
         assert!(check_row(&extra).is_err(), "no key beyond the schema's");
+    }
+
+    #[test]
+    fn a_measured_row_names_its_pr_and_says_what_it_measured() {
+        let unfilled = |key: &str, value: Value| {
+            let mut row = measured_row();
+            row.as_object_mut().unwrap().insert(key, value);
+            (check_schema(&row).is_ok(), check_row(&row).is_err())
+        };
+        assert_eq!(unfilled("pr", Value::Null), (true, true));
+        assert_eq!(unfilled("note", json!("")), (true, true));
+    }
+
+    #[test]
+    fn a_result_line_without_a_metric_is_an_error_not_a_panic() {
+        let metrics = [
+            ("latency_ms_best".to_string(), true),
+            ("peak_rss_mb".to_string(), true),
+        ];
+        let line = r#"{"correct": true, "metrics": {"latency_ms_best": {"value": 1.5}}}"#;
+        assert_eq!(
+            read_result(line, &metrics),
+            Err("no peak_rss_mb".to_string())
+        );
+        let both = r#"{"correct": true, "metrics": {"latency_ms_best": {"value": 1.5}, "peak_rss_mb": {"value": 9}}}"#;
+        assert_eq!(read_result(both, &metrics), Ok(vec![1.5, 9.0]));
+        let unchecked = r#"{"metrics": {}}"#;
+        assert_eq!(
+            read_result(unchecked, &metrics),
+            Err("a check failed".to_string())
+        );
+        assert!(read_result(r#"{"correct": true}"#, &metrics).is_err());
     }
 
     /// The committed trajectory: every row well formed, and the

@@ -98,29 +98,40 @@ fn gate_blocks(quick: bool) -> Vec<(String, Graph)> {
 /// network's predicted peak of live op-output bytes
 /// ([`Schedule::peak_live_bytes`], the largest block's) at batch 1 under
 /// its sequential and its IOS-Both schedule (planned against the
-/// simulator), and the largest IOS ÷ sequential ratio of any one block.
+/// simulator), the largest IOS ÷ sequential ratio of any one block, and
+/// the bytes a run retains for op outputs ([`Schedule::slot_bytes`], the
+/// largest block's) under each schedule.
 fn peak_live_table(device: DeviceKind) -> Table {
     let mut table = Table::new(
-        "Predicted peak live op-output bytes, batch 1: sequential vs IOS-Both",
+        "Predicted peak live op-output bytes and slot-plan bytes, batch 1: sequential vs IOS-Both",
         &[
             ("network", "network"),
             ("seq_peak_mb", "seq MB"),
             ("ios_peak_mb", "IOS-Both MB"),
             ("ios_over_seq", "IOS ÷ seq"),
             ("worst_block_ratio", "worst block IOS ÷ seq"),
+            ("seq_slot_mb", "seq slots MB"),
+            ("ios_slot_mb", "IOS-Both slots MB"),
         ],
     );
     let cost = SimCostModel::new(Simulator::new(device));
     for network in ios_models::paper_benchmarks(1) {
         let ios = optimize_network(&network, &cost, &SchedulerConfig::paper_default()).schedule;
+        let mut seq_slots = 0;
+        let mut ios_slots = 0;
         let peaks: Vec<(u64, u64)> = network
             .blocks
             .iter()
             .zip(&ios.block_schedules)
             .map(|(block, schedule)| {
                 let graph = &block.graph;
-                let sequential = Schedule::sequential(graph).peak_live_bytes(graph);
-                (sequential, schedule.peak_live_bytes(graph))
+                let sequential = Schedule::sequential(graph);
+                seq_slots = u64::max(seq_slots, sequential.slot_bytes(graph));
+                ios_slots = u64::max(ios_slots, schedule.slot_bytes(graph));
+                (
+                    sequential.peak_live_bytes(graph),
+                    schedule.peak_live_bytes(graph),
+                )
             })
             .collect();
         let mb = |bytes: u64| bytes as f64 / 1e6;
@@ -136,6 +147,8 @@ fn peak_live_table(device: DeviceKind) -> Table {
             mb(ios_peak),
             ios_peak as f64 / seq_peak as f64,
             worst_block,
+            mb(seq_slots),
+            mb(ios_slots),
         ]);
     }
     table

@@ -68,7 +68,7 @@ pub use optimizer::{
     evaluate_network, greedy_network_schedule, network_block_costs, optimize_network,
     sequential_network_schedule, NetworkSchedule, OptimizeReport,
 };
-pub use schedule::{ParallelizationStrategy, Schedule, Stage};
+pub use schedule::{ParallelizationStrategy, Schedule, SlotPlan, Stage};
 pub use specialize::{
     cross_evaluate, specialization_violations, ExecutionContext, SpecializationCell,
 };

@@ -65,6 +65,36 @@ impl Stage {
     }
 }
 
+/// The op-output storage of one block run ([`Schedule::slot_plan`]): each
+/// operator's slot, and each slot's size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotPlan {
+    /// The slot of each operator, by operator index.
+    pub slot_of: Vec<usize>,
+    /// The bytes of each slot (f32): its largest tenant's output.
+    pub slot_bytes: Vec<u64>,
+}
+
+impl SlotPlan {
+    /// One slot per operator, exactly its output: the plan of a run that
+    /// keeps every op output.
+    #[must_use]
+    pub fn unshared(graph: &Graph) -> Self {
+        SlotPlan {
+            slot_of: (0..graph.len()).collect(),
+            slot_bytes: (graph.ops().iter())
+                .map(|op| op.output_shape.size_bytes(DType::F32) as u64)
+                .collect(),
+        }
+    }
+
+    /// The bytes of every slot together.
+    #[must_use]
+    pub fn total_bytes(&self) -> u64 {
+        self.slot_bytes.iter().sum()
+    }
+}
+
 /// A complete schedule for one graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
@@ -243,6 +273,69 @@ impl Schedule {
             done = done.union(stage.ops);
         }
         peak
+    }
+
+    /// Where each op output of one run of the schedule is stored: one slot
+    /// per operator, shared only by outputs never held at the same stage.
+    /// An output is held from its stage to the last stage that reads it —
+    /// a graph output to the last stage — by the [`Graph::live_after`] rule
+    /// that [`Schedule::peak_live_bytes`] sums, so the outputs of one stage
+    /// never share a slot. Assigned greedy by size (Pisarchyk & Lee, 2020;
+    /// TFLite's arena planner): largest output first, each into the
+    /// smallest slot free at all its stages, or a new slot of its size. A
+    /// slot is as large as its first, largest tenant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule has more than 128 stages.
+    #[must_use]
+    pub fn slot_plan(&self, graph: &Graph) -> SlotPlan {
+        assert!(self.stages.len() <= 128, "a slot plan covers 128 stages");
+        // Per op: its bytes, its index and the stages it is held at (bit
+        // `t` for stage `t`), largest first.
+        let mut tenants: Vec<(u64, usize, u128)> = (graph.ops().iter())
+            .map(|op| {
+                (
+                    op.output_shape.size_bytes(DType::F32) as u64,
+                    op.id.index(),
+                    0,
+                )
+            })
+            .collect();
+        let mut done = OpSet::empty();
+        for (t, stage) in self.stages.iter().enumerate() {
+            for op in graph.live_after(done).union(stage.ops).iter() {
+                tenants[op.index()].2 |= 1 << t;
+            }
+            done = done.union(stage.ops);
+        }
+        tenants.sort_by_key(|&(bytes, _, _)| std::cmp::Reverse(bytes));
+        let mut plan = SlotPlan {
+            slot_of: vec![0; graph.len()],
+            slot_bytes: Vec::with_capacity(graph.len()),
+        };
+        for (i, &(bytes, op, held)) in tenants.iter().enumerate() {
+            let free = |slot: &usize| {
+                (tenants[..i].iter())
+                    .all(|&(_, other, taken)| plan.slot_of[other] != *slot || taken & held == 0)
+            };
+            let slot = (0..plan.slot_bytes.len())
+                .filter(free)
+                .min_by_key(|&slot| plan.slot_bytes[slot]);
+            plan.slot_of[op] = slot.unwrap_or_else(|| {
+                plan.slot_bytes.push(bytes);
+                plan.slot_bytes.len() - 1
+            });
+        }
+        plan
+    }
+
+    /// The bytes of [`Schedule::slot_plan`]'s slots: what a run of the
+    /// schedule retains for op outputs, beside the
+    /// [`Schedule::peak_live_bytes`] it holds live at most.
+    #[must_use]
+    pub fn slot_bytes(&self, graph: &Graph) -> u64 {
+        self.slot_plan(graph).total_bytes()
     }
 
     /// Renders the schedule as a compact human-readable table.

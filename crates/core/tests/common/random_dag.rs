@@ -8,6 +8,7 @@
 //! * convolutions with 1×1, 3×3, 1×3 and 3×1 kernels;
 //! * a *sibling* convolution: a convolution on the input of the last one,
 //!   so that operator merges arise;
+//! * separable convolutions (ReLU, depthwise 3×3 or 5×5, pointwise 1×1);
 //! * 3×3 max and average pooling, add, concat and ReLU.
 //!
 //! The generator depends only on `ios_ir` and the `proptest` stand-in's
@@ -30,6 +31,13 @@ fn below(rng: &mut TestRng, n: usize) -> usize {
 /// outputs are the operators no other operator reads.
 #[must_use]
 pub fn random_dag(seed: u64) -> Graph {
+    random_dag_of(seed, MAX_OPS)
+}
+
+/// A random block of 1 to `max_ops` operators, drawn as [`random_dag`]
+/// draws its blocks.
+#[must_use]
+pub fn random_dag_of(seed: u64, max_ops: usize) -> Graph {
     const KERNELS: [(usize, usize); 4] = [(1, 1), (3, 3), (1, 3), (3, 1)];
     const CHANNELS: [usize; 3] = [4, 8, 16];
     let mut rng = TestRng::deterministic(seed);
@@ -39,11 +47,11 @@ pub fn random_dag(seed: u64) -> Graph {
     let mut values = vec![b.input(0)];
     let mut read = vec![false];
     let mut last_conv_input: Option<usize> = None;
-    let ops = 1 + below(&mut rng, MAX_OPS);
+    let ops = 1 + below(&mut rng, max_ops);
     for i in 0..ops {
         let name = format!("op{i}");
         let pick = below(&mut rng, values.len());
-        let (value, sources) = match below(&mut rng, 9) {
+        let (value, sources) = match below(&mut rng, 10) {
             kind @ (0..=2) => {
                 // A sibling reads the last convolution's input; a plain
                 // convolution reads any value.
@@ -91,6 +99,16 @@ pub fn random_dag(seed: u64) -> Graph {
                         vec![pick, other],
                     )
                 }
+            }
+            8 => {
+                let kernel = [(3, 3), (5, 5)][below(&mut rng, 2)];
+                let params = Conv2dParams::plain(
+                    CHANNELS[below(&mut rng, 3)],
+                    kernel,
+                    (1, 1),
+                    Conv2dParams::same_padding(kernel),
+                );
+                (b.sep_conv2d(name, values[pick], params), vec![pick])
             }
             _ => (b.relu(name, values[pick]), vec![pick]),
         };
