@@ -27,23 +27,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// `take`/`recycle` are cheap (one short mutex hold each — the free list is
 /// kept sorted by capacity, so acquisition is a binary search); the pool is
-/// shared by the lanes of concurrent-stage and batched execution.
+/// shared by the lanes of concurrent-stage and batched execution. Nothing
+/// caps what it retains: what a run gives back is what its slot plans and
+/// block outputs took, so a pool keeps at most what its callers held at
+/// once.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    free: Mutex<FreeList>,
+    /// Free buffers, sorted ascending by capacity.
+    free: Mutex<Vec<Vec<f32>>>,
     fresh: AtomicU64,
     reused: AtomicU64,
-}
-
-/// The pooled buffers plus a running total of their capacities. Nothing
-/// caps them: what a run takes back is what its slot plans and block
-/// outputs need, so a pool retains at most what its callers held at once.
-#[derive(Debug, Default)]
-struct FreeList {
-    /// Free buffers, sorted ascending by capacity.
-    bufs: Vec<Vec<f32>>,
-    /// Sum of the pooled buffers' capacities, in elements.
-    elements: usize,
 }
 
 impl ScratchPool {
@@ -60,12 +53,8 @@ impl ScratchPool {
         let recycled = {
             let mut free = self.free.lock();
             // The list is sorted by capacity: the first fit is the best fit.
-            let i = free.bufs.partition_point(|buf| buf.capacity() < len);
-            (i < free.bufs.len()).then(|| {
-                let buf = free.bufs.remove(i);
-                free.elements -= buf.capacity();
-                buf
-            })
+            let i = free.partition_point(|buf| buf.capacity() < len);
+            (i < free.len()).then(|| free.remove(i))
         };
         match recycled {
             Some(mut buf) => {
@@ -86,9 +75,8 @@ impl ScratchPool {
             return;
         }
         let mut free = self.free.lock();
-        let i = free.bufs.partition_point(|b| b.capacity() < buf.capacity());
-        free.elements += buf.capacity();
-        free.bufs.insert(i, buf);
+        let i = free.partition_point(|b| b.capacity() < buf.capacity());
+        free.insert(i, buf);
     }
 
     /// Takes a tensor of `shape` whose element contents are unspecified;
@@ -121,13 +109,13 @@ impl ScratchPool {
     /// Buffers currently sitting in the pool.
     #[must_use]
     pub fn pooled(&self) -> usize {
-        self.free.lock().bufs.len()
+        self.free.lock().len()
     }
 
     /// Total capacity currently retained by the pool, in `f32` elements.
     #[must_use]
     pub fn pooled_elements(&self) -> usize {
-        self.free.lock().elements
+        self.free.lock().iter().map(Vec::capacity).sum()
     }
 }
 
