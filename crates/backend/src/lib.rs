@@ -24,9 +24,10 @@
 //!   run on its `cores − 1` parked lanes beside their caller, so a
 //!   batch-1 inference uses every core and nothing oversubscribes —
 //!   bit-identical for every lane count;
-//! * [`arena`] — a scratch-buffer pool so steady-state execution performs
-//!   zero heap allocation, from the op loop out to the stacked batch
-//!   outputs at the serving boundary;
+//! * [`arena`] — a scratch-buffer pool so steady-state execution on one
+//!   sample lane performs zero heap allocation, from the op loop out to the
+//!   stacked batch outputs at the serving boundary (on more lanes the pool
+//!   keeps the peak simultaneous demand, which depends on interleaving);
 //! * [`executor`] — runs an IOS [`ios_core::Schedule`] stage by stage
 //!   (groups on the worker pool) through one stage runner — a plain graph
 //!   is its sequential schedule — with every op output in a slot planned

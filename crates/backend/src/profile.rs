@@ -7,36 +7,51 @@
 //! through the very same `execute_stage` the serving executor runs, so
 //! the latencies the scheduler optimizes against are latencies of the code
 //! that will serve the schedule. [`ios_core::ProfiledCostModel`] adds
-//! warmup and median-of-N, [`ios_core::CachingCostModel`] the stage cache.
+//! warmup and median-of-N.
 //!
 //! Per profiled graph the harness keeps a warmed state: precomputed
-//! (packed) [`BlockWeights`] (shared across batch-resized instances of
-//! one block — weights are batch-size independent), deterministic random
-//! graph inputs, and a deterministic random output tensor for every
-//! operator — the stage under profile reads its predecessors from that
-//! state exactly like a mid-graph stage reads earlier stages' outputs.
-//! Stage outputs produced by a run are recycled into the harness's
-//! scratch pool before the next run, so repeat runs of a stage reuse its
-//! tensors and timings measure compute, not the allocator (the only
-//! per-run bookkeeping is two uncontended lock acquisitions and the
-//! stage's group-list clone — sub-microsecond, and mirroring the
-//! per-stage overhead the real executor pays anyway).
+//! (packed) [`BlockWeights`], deterministic random graph inputs, and a
+//! deterministic random output tensor for every operator — the stage under
+//! profile reads its predecessors from that state exactly like a mid-graph
+//! stage reads earlier stages' outputs. Stage outputs produced by a run are
+//! recycled into the harness's scratch pool before the next run, so repeat
+//! runs of a stage reuse its tensors and timings measure compute, not the
+//! allocator (the only per-run bookkeeping is one uncontended lock
+//! acquisition, hashing the graph and the stage's group-list clone —
+//! small, and mirroring the per-stage overhead the real executor pays
+//! anyway).
 
 use crate::arena::ScratchPool;
 use crate::batch::BlockWeights;
 use crate::executor::execute_stage;
 use crate::tensor_data::TensorData;
-use ios_core::{graph_fingerprint, MergedConv, ParallelizationStrategy, Stage, StageProfiler};
+use ios_core::{MergedConv, ParallelizationStrategy, Stage, StageProfiler};
 use ios_ir::{Graph, Op, OpId, OpSet};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+
+/// A structural fingerprint of a graph, keying its warmed state and seeding
+/// its synthetic tensors: different blocks (names differ), different batch
+/// sizes of one block (shapes differ), and same-shaped graphs whose
+/// operators differ only in hyper-parameters (kinds differ) hash apart.
+fn graph_fingerprint(graph: &Graph) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    graph.name().hash(&mut hasher);
+    graph.input_shapes().hash(&mut hasher);
+    for op in graph.ops() {
+        op.kind.hash(&mut hasher);
+        op.inputs.hash(&mut hasher);
+        op.output_shape.hash(&mut hasher);
+    }
+    hasher.finish()
+}
 
 /// Warmed per-graph profiling state: weights plus synthetic inputs and
 /// predecessor outputs for every operator.
 struct GraphState {
-    weights: Arc<BlockWeights>,
+    weights: BlockWeights,
     inputs: Vec<TensorData>,
     /// One slot per operator, pre-seeded with a deterministic random tensor
     /// of the operator's output shape so any stage can resolve its
@@ -53,7 +68,7 @@ fn seeded_output(op: &Op, seed: u64) -> TensorData {
 }
 
 impl GraphState {
-    fn build(graph: &Graph, seed: u64, weights: Arc<BlockWeights>) -> Self {
+    fn build(graph: &Graph, seed: u64) -> Self {
         let inputs = graph
             .input_shapes()
             .iter()
@@ -66,45 +81,20 @@ impl GraphState {
             .map(|op| Some(seeded_output(op, seed)))
             .collect();
         GraphState {
-            weights,
+            weights: BlockWeights::precompute(graph),
             inputs,
             outputs,
         }
     }
 }
 
-/// A batch-independent structural fingerprint: graph name, per-input
-/// channel count, operator kinds and wiring — everything the
-/// deterministic weights depend on, and nothing that changes under
-/// [`ios_ir::Network::with_batch_size`]. Batch-resized instances of one
-/// block hash equal, so they share one precomputed [`BlockWeights`].
-fn weights_fingerprint(graph: &Graph) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    graph.name().hash(&mut hasher);
-    for shape in graph.input_shapes() {
-        shape.channels.hash(&mut hasher);
-    }
-    for op in graph.ops() {
-        op.kind.hash(&mut hasher);
-        op.inputs.hash(&mut hasher);
-    }
-    hasher.finish()
-}
-
 /// The CPU execution backend as an on-device stage profiler.
 ///
-/// Thread-safe: the per-graph state is locked per run (profiling is
-/// serialized per graph anyway — concurrent timed runs would perturb each
-/// other), so one warmed profiler can back a serving engine's schedule
-/// optimizer and its background re-optimization workers at once.
+/// Runs one stage at a time: the warmed states are locked for the whole
+/// run, since concurrent timed runs would perturb each other.
 pub struct CpuStageProfiler {
     pool: ScratchPool,
-    graphs: Mutex<HashMap<u64, Arc<Mutex<GraphState>>>>,
-    /// Precomputed weights shared across batch-resized instances of one
-    /// block (weights are batch-size independent), keyed by
-    /// [`weights_fingerprint`].
-    weights: Mutex<HashMap<u64, Arc<BlockWeights>>>,
+    graphs: Mutex<HashMap<u64, GraphState>>,
 }
 
 impl Default for CpuStageProfiler {
@@ -129,20 +119,7 @@ impl CpuStageProfiler {
         CpuStageProfiler {
             pool: ScratchPool::new(),
             graphs: Mutex::new(HashMap::new()),
-            weights: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The shared precomputed weights for `graph`'s block structure,
-    /// built once and reused by every batch-resized instance.
-    fn weights_for(&self, graph: &Graph) -> Arc<BlockWeights> {
-        let key = weights_fingerprint(graph);
-        let mut weights = self.weights.lock();
-        Arc::clone(
-            weights
-                .entry(key)
-                .or_insert_with(|| Arc::new(BlockWeights::precompute(graph))),
-        )
     }
 
     /// Number of distinct graphs with warmed profiling state.
@@ -158,22 +135,6 @@ impl CpuStageProfiler {
         (self.pool.fresh_allocations(), self.pool.reuses())
     }
 
-    fn state_for(&self, graph: &Graph) -> Arc<Mutex<GraphState>> {
-        let fingerprint = graph_fingerprint(graph);
-        if let Some(state) = self.graphs.lock().get(&fingerprint) {
-            return Arc::clone(state);
-        }
-        // Build outside the map lock (weight precompute + tensor seeding
-        // is the expensive part); a racing builder's duplicate is dropped.
-        let built = Arc::new(Mutex::new(GraphState::build(
-            graph,
-            fingerprint,
-            self.weights_for(graph),
-        )));
-        let mut graphs = self.graphs.lock();
-        Arc::clone(graphs.entry(fingerprint).or_insert(built))
-    }
-
     /// Runs one stage against the graph's warmed state: the stage ops'
     /// previous outputs are recycled into the pool first (so the run's own
     /// takes reuse them — allocation-free in steady state), then the stage
@@ -181,8 +142,11 @@ impl CpuStageProfiler {
     /// state for any later stage that depends on them. A stage that panics
     /// re-seeds the slots it emptied, so later stages find their inputs.
     fn run_stage(&self, graph: &Graph, stage: &Stage) {
-        let state = self.state_for(graph);
-        let mut state = state.lock();
+        let seed = graph_fingerprint(graph);
+        let mut graphs = self.graphs.lock();
+        let state = graphs
+            .entry(seed)
+            .or_insert_with(|| GraphState::build(graph, seed));
         for op in stage.ops.iter() {
             if let Some(previous) = state.outputs[op.index()].take() {
                 self.pool.recycle_tensor(previous);
@@ -192,12 +156,11 @@ impl CpuStageProfiler {
             weights,
             inputs,
             outputs,
-        } = &mut *state;
+        } = state;
         let run = AssertUnwindSafe(|| {
             execute_stage(graph, stage, inputs, weights, outputs, &self.pool);
         });
         if let Err(panic) = catch_unwind(run) {
-            let seed = graph_fingerprint(graph);
             for op in stage.ops.iter() {
                 outputs[op.index()].get_or_insert_with(|| seeded_output(graph.op(op), seed));
             }
@@ -227,19 +190,13 @@ impl StageProfiler for CpuStageProfiler {
         };
         self.run_stage(graph, &stage);
     }
-
-    fn device_name(&self) -> &'static str {
-        "cpu-backend"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::verify_schedule;
-    use ios_core::{
-        schedule_graph, CachingCostModel, CostModel, ProfiledCostModel, SchedulerConfig,
-    };
+    use ios_core::{schedule_graph, CostModel, ProfiledCostModel, SchedulerConfig};
     use ios_ir::{Conv2dParams, GraphBuilder, PoolParams, TensorShape};
 
     /// A multi-branch block with mergeable convolutions — the same shape
@@ -305,60 +262,13 @@ mod tests {
         // then execute the winning schedule on the same backend and check
         // it preserves the network's semantics.
         let g = branchy();
-        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
-            CpuStageProfiler::new(),
-            1,
-            3,
-        ));
+        let cost = ProfiledCostModel::with_policy(CpuStageProfiler::new(), 1, 3);
         let result = schedule_graph(&g, &cost, &SchedulerConfig::paper_default());
         assert!(result.schedule.validate(&g).is_ok());
         assert!(result.latency_us > 0.0);
         assert!(cost.measurement_count() > 0);
         let diff = verify_schedule(&g, &result.schedule, 17);
         assert_eq!(diff, 0.0, "difference = {diff}");
-    }
-
-    /// The cached profiled cost model does not learn: a second search of
-    /// the same network against the same model hits the stage cache for
-    /// every candidate and returns the schedule the first one found.
-    #[test]
-    fn a_second_search_against_one_profiled_model_measures_nothing_and_agrees() {
-        use ios_core::optimize_network;
-        use ios_ir::{Block, Network};
-        // Three blocks of `3x3 || 1x1 -> concat -> 1x1` on 16 channels of
-        // 16x16.
-        let input = TensorShape::new(1, 16, 16, 16);
-        let mut shape = input;
-        let blocks = (0..3)
-            .map(|i| {
-                let mut b = GraphBuilder::new(format!("small_block{i}"), shape);
-                let x = b.input(0);
-                let wide = b.conv2d("wide", x, Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)));
-                let point = b.conv2d("point", x, Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)));
-                let cat = b.concat("cat", &[wide, point]);
-                let mix = b.conv2d("mix", cat, Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)));
-                let graph = b.build(vec![mix]);
-                shape = graph.output_shapes()[0];
-                Block::new(graph)
-            })
-            .collect();
-        let network = Network::new("small", input, blocks);
-        let cost = CachingCostModel::new(ProfiledCostModel::with_policy(
-            CpuStageProfiler::new(),
-            1,
-            3,
-        ));
-        let config = SchedulerConfig::paper_default();
-        let first = optimize_network(&network, &cost, &config).schedule;
-        let measured = cost.measurement_count();
-        assert!(measured > 0);
-        let second = optimize_network(&network, &cost, &config).schedule;
-        assert_eq!(
-            cost.measurement_count(),
-            measured,
-            "the second search measured a stage again"
-        );
-        assert_eq!(second, first);
     }
 
     #[test]
@@ -383,13 +293,6 @@ mod tests {
             profiler.warmed_graphs(),
             2,
             "batch-1 and batch-4 instances are distinct profiling targets"
-        );
-        // …but share one precomputed weight table (weights are
-        // batch-size independent).
-        assert_eq!(
-            profiler.weights.lock().len(),
-            1,
-            "batch-resized instances must share one BlockWeights"
         );
     }
 }

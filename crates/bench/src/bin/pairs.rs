@@ -33,6 +33,7 @@
 //! revisions, as the judge sees them.
 
 use ios_bench::gate::Host;
+use ios_bench::{quantile, quartiles};
 use serde_json::{json, Map, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -68,26 +69,11 @@ impl Verdict {
     }
 }
 
-/// The `p`-th quantile (0 ≤ p ≤ 1) of `values`, linearly interpolated
-/// between the nearest ranks.
-fn quantile(values: &[f64], p: f64) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let at = p * (sorted.len() - 1) as f64;
-    let (low, high) = (at.floor() as usize, at.ceil() as usize);
-    sorted[low] + (sorted[high] - sorted[low]) * (at - low as f64)
-}
-
 /// `value` to four significant digits: set-up times run from tens of
 /// microseconds to tenths of a second.
 fn digits(value: f64) -> String {
     let decimals = (3.0 - value.abs().log10().floor()).clamp(0.0, 9.0) as usize;
     format!("{value:.decimals$}")
-}
-
-/// q1, median and q3 of `values`.
-fn quartiles(values: &[f64]) -> [f64; 3] {
-    [0.25, 0.5, 0.75].map(|p| quantile(values, p))
 }
 
 /// The verdict on `(parent, change)` pairs of one metric, `lower` if a lower

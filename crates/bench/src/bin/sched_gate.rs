@@ -5,8 +5,9 @@
 //! random stages) is optimized by the IOS dynamic program against a
 //! [`ProfiledCostModel`] whose stage latencies are **measured on the CPU
 //! execution backend** (`CpuStageProfiler`, warmup + median-of-N repeats
-//! per distinct stage, cached by [`CachingCostModel`]), and the winning schedule is then executed on that
-//! same backend against two references:
+//! per stage; the DP's stage memo asks for each stage once), and the
+//! winning schedule is then executed on that same backend against two
+//! references:
 //!
 //! * **sequential execution** (plain topological order) — the paper's
 //!   baseline; the headline gate number;
@@ -15,7 +16,11 @@
 //!   *actual* substrate is worth over optimizing for the wrong device.
 //!
 //! The profiled schedule must also preserve semantics (checked against
-//! sequential execution before timing: exact for finite inputs).
+//! sequential execution before timing: exact for finite inputs). The three
+//! schedules of a block are timed in one [`paired_rounds`] call, so every
+//! round runs them back to back; beside the best-of times the bar judges,
+//! the table reports the quartiles of the per-round sequential ÷ profiled
+//! ratio and the median per-round sim-guided ÷ profiled ratio.
 //!
 //! The acceptance bar is host-aware, because inter-operator concurrency is
 //! a hardware property: on a host with ≥ 2 cores the profiled IOS schedule
@@ -44,8 +49,8 @@ use ios_backend::{
 };
 use ios_bench::{cells, geomean, paired_rounds, Gate, Table};
 use ios_core::{
-    optimize_network, schedule_graph, try_merge, CachingCostModel, ParallelizationStrategy,
-    ProfiledCostModel, Schedule, SchedulerConfig, SimCostModel, StageProfiler,
+    optimize_network, schedule_graph, try_merge, ParallelizationStrategy, ProfiledCostModel,
+    Schedule, SchedulerConfig, SimCostModel, StageProfiler,
 };
 use ios_ir::{Graph, OpId, OpKind};
 use ios_models::RandWireConfig;
@@ -256,6 +261,11 @@ fn main() -> ExitCode {
             ("sim_guided_ms", "sim-guided ms"),
             ("speedup_vs_seq", "vs seq"),
             ("speedup_vs_sim_guided", "vs sim-guided"),
+            // Per-round ratios: the three schedules ran back to back.
+            ("seq_over_ios_q1", "seq ÷ ios q1"),
+            ("seq_over_ios_median", "seq ÷ ios median"),
+            ("seq_over_ios_q3", "seq ÷ ios q3"),
+            ("sim_over_ios_median", "sim ÷ ios median"),
             ("cpu_decomposition", "cpu schedule"),
             ("sim_decomposition", "sim schedule"),
             // Whether the two cost models picked different decompositions.
@@ -265,11 +275,7 @@ fn main() -> ExitCode {
     let mut diverged_blocks = 0usize;
     for (name, graph) in &gate_blocks(quick) {
         // Optimize against stage latencies measured on the CPU backend…
-        let profiled = CachingCostModel::new(ProfiledCostModel::with_policy(
-            CpuStageProfiler::new(),
-            warmup,
-            repeats,
-        ));
+        let profiled = ProfiledCostModel::with_policy(CpuStageProfiler::new(), warmup, repeats);
         let started = Instant::now();
         let ios = schedule_graph(graph, &profiled, &config);
         let optimize_s = started.elapsed().as_secs_f64();
@@ -301,21 +307,23 @@ fn main() -> ExitCode {
             pool.recycle_tensor(t);
         }
 
-        let mut run_sequential = || {
-            for t in execute_schedule_pooled(graph, &sequential, &inputs, Some(&weights), &pool) {
-                pool.recycle_tensor(t);
-            }
-        };
-        let run_scheduled = |schedule| {
+        let run = |schedule: &Schedule| {
             for t in execute_schedule_pooled(graph, schedule, &inputs, Some(&weights), &pool) {
                 pool.recycle_tensor(t);
             }
         };
-        // One variant per call: best-of-N each, measured back to back.
-        let seq_ms = paired_rounds(iters, &mut [&mut run_sequential]).best_ms(0);
-        let ios_ms = paired_rounds(iters, &mut [&mut || run_scheduled(&ios.schedule)]).best_ms(0);
-        let sim_guided_ms =
-            paired_rounds(iters, &mut [&mut || run_scheduled(&sim.schedule)]).best_ms(0);
+        // One call: each round runs sequential, profiled and sim-guided
+        // back to back, so a change of host state covers all three.
+        let rounds = paired_rounds(
+            iters,
+            &mut [
+                &mut || run(&sequential),
+                &mut || run(&ios.schedule),
+                &mut || run(&sim.schedule),
+            ],
+        );
+        let [seq_ms, ios_ms, sim_guided_ms] = [0, 1, 2].map(|variant| rounds.best_ms(variant));
+        let [seq_q1, seq_median, seq_q3] = rounds.speedup_quartiles(0, 1);
 
         let diverged = ios
             .schedule
@@ -334,6 +342,10 @@ fn main() -> ExitCode {
             sim_guided_ms,
             seq_ms / ios_ms,
             sim_guided_ms / ios_ms,
+            seq_q1,
+            seq_median,
+            seq_q3,
+            rounds.median_speedup(2, 1),
             decomposition(&ios.schedule),
             decomposition(&sim.schedule),
             diverged,

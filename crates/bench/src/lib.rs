@@ -560,18 +560,10 @@ pub fn gate_network() -> Network {
 }
 
 /// Median of a sample set (averages the middle pair for even counts).
-/// The gate binaries use this over per-round speedup ratios so one noisy
-/// round on a shared CI host cannot flip a verdict.
 #[must_use]
 pub fn median(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty(), "median of an empty sample set");
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    }
+    quantile(samples, 0.5)
 }
 
 /// Wall times of interleaved timing rounds, per variant, in milliseconds —
@@ -599,13 +591,36 @@ impl Rounds {
     /// split in half.
     #[must_use]
     pub fn median_speedup(&self, slower: usize, faster: usize) -> f64 {
-        let mut ratios: Vec<f64> = self.times_ms[slower]
+        self.speedup_quartiles(slower, faster)[1]
+    }
+
+    /// q1, median and q3 of the same per-round ratios.
+    #[must_use]
+    pub fn speedup_quartiles(&self, slower: usize, faster: usize) -> [f64; 3] {
+        let ratios: Vec<f64> = self.times_ms[slower]
             .iter()
             .zip(&self.times_ms[faster])
             .map(|(s, f)| s / f)
             .collect();
-        median(&mut ratios)
+        quartiles(&ratios)
     }
+}
+
+/// The `p`-th quantile (0 ≤ p ≤ 1) of `values`, linearly interpolated
+/// between the nearest ranks.
+#[must_use]
+pub fn quantile(values: &[f64], p: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = p * (sorted.len() - 1) as f64;
+    let (low, high) = (at.floor() as usize, at.ceil() as usize);
+    sorted[low] + (sorted[high] - sorted[low]) * (at - low as f64)
+}
+
+/// q1, median and q3 of `values`.
+#[must_use]
+pub fn quartiles(values: &[f64]) -> [f64; 3] {
+    [0.25, 0.5, 0.75].map(|p| quantile(values, p))
 }
 
 /// Times `rounds` rounds of `variants`, running every variant once per

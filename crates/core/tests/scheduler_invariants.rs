@@ -6,12 +6,78 @@
 //!   correct minimization can only improve on them);
 //! * the per-run stage memo fires on graphs with shared endings — wide
 //!   Inception-style blocks reach the same ending from many states, so
-//!   `GenerateStage` must be served from the memo, not re-derived.
+//!   `GenerateStage` must be served from the memo, not re-derived;
+//! * one search never asks its cost model twice for the same stage, which
+//!   is why no cost model keeps a stage cache ([`RecordingCostModel`]).
 
-use ios_core::{schedule_graph, sequential_schedule, SchedulerConfig, SimCostModel};
+use ios_core::{
+    schedule_graph, sequential_schedule, CostModel, GraphCostModel, MergedConv, SchedulerConfig,
+    SimCostModel,
+};
+use ios_ir::{Graph, OpId};
 use ios_models::randwire::{randwire, RandWireConfig};
 use ios_sim::{DeviceKind, Simulator};
 use proptest::prelude::*;
+use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
+
+/// The V100 simulator, counting every request a bound view has already
+/// answered: a concurrent stage by its groups, a merge by its parts.
+struct RecordingCostModel {
+    inner: SimCostModel,
+    repeats: Cell<u64>,
+}
+
+impl RecordingCostModel {
+    fn new() -> Self {
+        RecordingCostModel {
+            inner: SimCostModel::new(Simulator::new(DeviceKind::TeslaV100)),
+            repeats: Cell::new(0),
+        }
+    }
+}
+
+impl CostModel for RecordingCostModel {
+    fn measurement_count(&self) -> u64 {
+        self.inner.measurement_count()
+    }
+
+    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
+        Box::new(RecordingView {
+            inner: self.inner.bind(graph),
+            repeats: &self.repeats,
+            concurrent: RefCell::default(),
+            merges: RefCell::default(),
+        })
+    }
+}
+
+struct RecordingView<'a> {
+    inner: Box<dyn GraphCostModel + 'a>,
+    repeats: &'a Cell<u64>,
+    concurrent: RefCell<HashSet<Vec<Vec<OpId>>>>,
+    merges: RefCell<HashSet<Vec<OpId>>>,
+}
+
+impl RecordingView<'_> {
+    fn record(&self, first_time: bool) {
+        if !first_time {
+            self.repeats.set(self.repeats.get() + 1);
+        }
+    }
+}
+
+impl GraphCostModel for RecordingView<'_> {
+    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
+        self.record(self.concurrent.borrow_mut().insert(groups.to_vec()));
+        self.inner.concurrent_latency(groups)
+    }
+
+    fn merge_latency(&self, merged: &MergedConv) -> f64 {
+        self.record(self.merges.borrow_mut().insert(merged.parts.clone()));
+        self.inner.merge_latency(merged)
+    }
+}
 
 /// An Inception-style block: `branches` parallel convolutions over a
 /// shared input, concatenated — the shape that makes endings shared
@@ -61,8 +127,9 @@ proptest! {
             seed,
         });
         let graph = &net.blocks[0].graph;
-        let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
+        let cost = RecordingCostModel::new();
         let result = schedule_graph(graph, &cost, &SchedulerConfig::paper_default());
+        prop_assert_eq!(cost.repeats.get(), 0, "the search asked for a stage twice");
         prop_assert!(result.schedule.validate(graph).is_ok());
         let seq = sequential_schedule(graph, &cost).total_measured_latency_us();
         prop_assert!(
@@ -83,8 +150,9 @@ proptest! {
         spatial in 6usize..13,
     ) {
         let graph = branchy_graph(branches, channels, spatial);
-        let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
+        let cost = RecordingCostModel::new();
         let result = schedule_graph(&graph, &cost, &SchedulerConfig::paper_default());
+        prop_assert_eq!(cost.repeats.get(), 0, "the search asked for a stage twice");
         prop_assert!(result.schedule.validate(&graph).is_ok());
         prop_assert!(
             result.stage_memo_hits > 0,

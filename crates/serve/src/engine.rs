@@ -8,9 +8,7 @@ use crate::exec::{BatchExecutor, CpuReferenceExecutor};
 use crate::metrics::{External, MetricsSnapshot, PanicSite, ServeMetrics};
 use crate::request::{InferenceResponse, Rejected, ResponseHandle, ServeError, TenantId};
 use ios_backend::{NetworkWeights, ScratchPool, TensorData};
-use ios_core::{
-    optimize_network, CachingCostModel, NetworkSchedule, SchedulerConfig, SimCostModel,
-};
+use ios_core::{optimize_network, NetworkSchedule, SchedulerConfig, SimCostModel};
 use ios_ir::{Network, TensorShape};
 use ios_sim::{DeviceKind, Simulator};
 use std::sync::atomic::AtomicU64;
@@ -154,10 +152,9 @@ impl ServeEngine {
     }
 
     /// The cost model the engine's one schedule search plans on: the
-    /// simulated Tesla V100, cached per stage.
-    fn planner() -> CachingCostModel<SimCostModel> {
-        let simulator = Simulator::new(DeviceKind::TeslaV100);
-        CachingCostModel::new(SimCostModel::new(simulator))
+    /// simulated Tesla V100.
+    fn planner() -> SimCostModel {
+        SimCostModel::new(Simulator::new(DeviceKind::TeslaV100))
     }
 
     /// The one start path: `config` is checked before the executor is made,
