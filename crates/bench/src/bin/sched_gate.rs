@@ -254,7 +254,7 @@ fn main() -> ExitCode {
             ("block", "block"),
             ("ops", "ops"),
             // Stage latency measurements the profiled optimization performed.
-            ("profiled_stages", "stage profiles"),
+            ("measurements", "stage profiles"),
             ("optimize_s", "optimize s"),
             ("seq_ms", "seq ms"),
             ("ios_ms", "ios ms"),
