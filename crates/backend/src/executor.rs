@@ -180,8 +180,8 @@ pub fn execute_schedule_pooled(
 }
 
 /// The stage loop behind every schedule execution: takes `plan`'s slots
-/// from `arena`, runs `schedule`'s stages in order through
-/// [`execute_stage`] with each op output in its op's slot, and hands each
+/// from `arena`, runs `schedule`'s stages in order through [`run_stage`]
+/// with each op output in its op's slot, and hands each
 /// dead output — no later stage reads it and it is not a graph output —
 /// back to its slot at the end of its stage. Returns each slot's last
 /// tenant: the graph's outputs, which the caller hands on, and under
@@ -214,7 +214,7 @@ pub(crate) fn run_stages(
         .expect("schedule must be valid for the graph");
     assert_eq!(plan.slot_of.len(), graph.len(), "one slot per operator");
     let mut block_span = ios_telemetry::tracer().span("block", "exec");
-    let slots = Slots::take(arena, Some(plan));
+    let slots = Slots::take(arena, plan);
     block_span.set_id(slots.bytes() as u64);
     let bytes = |t: &TensorData| std::mem::size_of_val(&t.data[..]);
     let mut outputs: Vec<Option<TensorData>> = vec![None; graph.len()];
@@ -245,29 +245,27 @@ pub(crate) fn run_stages(
     outputs
 }
 
-/// The op-output storage of one run: with a plan, its slots — one buffer
-/// per slot, taken from the pool up front — and without one (a stage run
-/// on its own), the pool itself. An op's output is its slot's buffer; a
-/// dead output goes back to its slot as the slot's last tenant. Whatever
+/// The op-output storage of one run: its plan's slots, one buffer per
+/// slot, taken from the pool up front. An op's output is its slot's
+/// buffer; a dead output goes back to its slot as the slot's last tenant.
+/// Whatever
 /// the slots hold when dropped, on a panic's unwinding too, is recycled
 /// into the pool, so a caught panic leaves the pool's accounting exact.
 struct Slots<'a> {
     arena: &'a ScratchPool,
-    plan: Option<&'a SlotPlan>,
+    plan: &'a SlotPlan,
     /// Per slot: its buffer while no op holds it, and the op it last held.
     free: Vec<Mutex<(Vec<f32>, Option<OpId>)>>,
 }
 
 impl<'a> Slots<'a> {
-    /// `plan`'s slots, one `take` from `arena` each; the pool itself
-    /// without a plan.
-    fn take(arena: &'a ScratchPool, plan: Option<&'a SlotPlan>) -> Self {
-        let slot_bytes = plan.map_or(&[][..], |plan| &plan.slot_bytes[..]);
+    /// `plan`'s slots, one `take` from `arena` each.
+    fn take(arena: &'a ScratchPool, plan: &'a SlotPlan) -> Self {
         let elements = |bytes: u64| bytes as usize / std::mem::size_of::<f32>();
         Slots {
             arena,
             plan,
-            free: (slot_bytes.iter())
+            free: (plan.slot_bytes.iter())
                 .map(|&bytes| Mutex::new((arena.take(elements(bytes)), None)))
                 .collect(),
         }
@@ -279,16 +277,13 @@ impl<'a> Slots<'a> {
         self.free.iter().map(capacity).sum::<usize>() * std::mem::size_of::<f32>()
     }
 
-    /// Where `op`'s output goes: its slot's buffer, or the pool.
+    /// Where `op`'s output goes: its slot's buffer.
     ///
     /// # Panics
     ///
     /// Panics if another op's output still holds the slot.
     fn output(&self, op: OpId) -> Output<'a> {
-        let Some(plan) = self.plan else {
-            return Output::Pool(self.arena);
-        };
-        let slot = plan.slot_of[op.index()];
+        let slot = self.plan.slot_of[op.index()];
         let mut free = self.free[slot].lock();
         assert!(
             free.0.capacity() > 0,
@@ -298,12 +293,9 @@ impl<'a> Slots<'a> {
         Output::Slot(std::mem::take(&mut free.0))
     }
 
-    /// Hands `op`'s dead output back to its slot, or to the pool.
+    /// Hands `op`'s dead output back to its slot.
     fn give_back(&self, op: OpId, tensor: TensorData) {
-        match self.plan {
-            Some(plan) => *self.free[plan.slot_of[op.index()]].lock() = (tensor.data, Some(op)),
-            None => self.arena.recycle_tensor(tensor),
-        }
+        *self.free[self.plan.slot_of[op.index()]].lock() = (tensor.data, Some(op));
     }
 
     /// Moves each slot's last tenant back into `outputs`: at a run's end,
@@ -350,13 +342,13 @@ impl Drop for GroupOutputs<'_, '_> {
     }
 }
 
-/// Executes one schedule stage against a partial per-operator output state:
-/// stage operators read graph `inputs` and already-filled `outputs` slots
-/// and write their own slots. This is the one stage runner: sequential and
-/// scheduled graph execution, the batched network path and the
-/// stage-profiling harness ([`crate::profile::CpuStageProfiler`]) all come
-/// through here — so the scheduler optimizes against exactly the code that
-/// serves.
+/// Executes one schedule stage against a partial per-operator output state,
+/// with each op output in its slot of `slots`: stage operators read graph
+/// `inputs` and already-filled `outputs` slots and write their own slots.
+/// This is the one stage runner: sequential and scheduled graph execution
+/// and the batched network path all come through here. The ops of one
+/// stage hold distinct slots, so the groups, and a merge's parts, write to
+/// disjoint buffers.
 ///
 /// Concurrent-execution groups run as one job on the worker pool — the
 /// caller takes groups beside whichever lanes are idle (on a busy pool it
@@ -364,32 +356,11 @@ impl Drop for GroupOutputs<'_, '_> {
 /// others' operator chunks — unless the whole stage is smaller than two
 /// grains ([`workers::GRAIN_MACS`]), which nothing is posted for: a size
 /// read off the stage itself, the same at every batch size and for every
-/// caller. Every group draws its scratch and outputs from `arena`, and the
-/// group's completed outputs drain back into it on **panic**
+/// caller. Every group draws its scratch from the pool behind `slots`, and
+/// the group's completed outputs drain back into their slots on **panic**
 /// ([`GroupOutputs`]), so a panicking group cannot leak pooled buffers: the
 /// pool lets the other groups finish, drops their results and re-raises the
 /// panic here.
-pub(crate) fn execute_stage(
-    graph: &Graph,
-    stage: &ios_core::Stage,
-    inputs: &[TensorData],
-    weights: &BlockWeights,
-    outputs: &mut [Option<TensorData>],
-    arena: &ScratchPool,
-) {
-    run_stage(
-        graph,
-        stage,
-        inputs,
-        weights,
-        outputs,
-        &Slots::take(arena, None),
-    );
-}
-
-/// [`execute_stage`] with each op output in its slot of `slots`. The ops
-/// of one stage hold distinct slots, so the groups, and a merge's parts,
-/// write to disjoint buffers.
 fn run_stage(
     graph: &Graph,
     stage: &ios_core::Stage,
@@ -575,6 +546,20 @@ mod tests {
     use ios_ir::Conv2dParams;
     use ios_ir::{GraphBuilder, TensorShape};
     use ios_sim::{DeviceKind, Simulator};
+
+    /// One stage run on its own, every op output in a slot of its own.
+    fn execute_stage(
+        graph: &Graph,
+        stage: &ios_core::Stage,
+        inputs: &[TensorData],
+        weights: &BlockWeights,
+        outputs: &mut [Option<TensorData>],
+        arena: &ScratchPool,
+    ) {
+        let plan = SlotPlan::unshared(graph);
+        let slots = Slots::take(arena, &plan);
+        run_stage(graph, stage, inputs, weights, outputs, &slots);
+    }
 
     /// A small multi-branch block with mergeable convolutions.
     fn branchy() -> Graph {

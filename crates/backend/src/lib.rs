@@ -40,11 +40,7 @@
 //! * [`batch`] — network-level execution, weight precomputation (packed
 //!   filters included), batch stacking/splitting, and
 //!   [`execute_network_batched`] which fans a stacked batch out across
-//!   the worker pool, one deterministic sample per task;
-//! * [`profile`] — the backend as an on-device stage profiler:
-//!   [`CpuStageProfiler`] executes candidate schedule stages through the
-//!   executor's one stage runner so `ios_core::ProfiledCostModel` can
-//!   optimize against latencies measured on this very substrate.
+//!   the worker pool, one deterministic sample per task.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -56,7 +52,6 @@ pub mod executor;
 pub mod gemm;
 mod im2col;
 pub mod ops_cpu;
-pub mod profile;
 pub mod simd;
 pub mod tensor_data;
 mod tile;
@@ -72,6 +67,5 @@ pub use executor::{
     weight_seed, FoldedRelu,
 };
 pub use gemm::{conv2d, ConvEpilogue, PackedFilter};
-pub use profile::CpuStageProfiler;
 pub use simd::Isa;
 pub use tensor_data::TensorData;

@@ -14,7 +14,7 @@
 //! cores instead of each guessing at oversubscription:
 //!
 //! * the samples of a stacked batch ([`crate::execute_network_batched`]),
-//! * the groups of a concurrent IOS stage (`execute_stage`),
+//! * the groups of a concurrent IOS stage (`executor::run_stage`),
 //! * the chunks of one operator — a convolution's tile grid, a pooling's
 //!   channel planes (intra-operator parallelism, `op_chunks`),
 //! * weight precompute ([`crate::NetworkWeights::precompute`]): one

@@ -559,13 +559,6 @@ pub fn gate_network() -> Network {
     Network::new("serve_gate_net", input, blocks)
 }
 
-/// Median of a sample set (averages the middle pair for even counts).
-#[must_use]
-pub fn median(samples: &mut [f64]) -> f64 {
-    assert!(!samples.is_empty(), "median of an empty sample set");
-    quantile(samples, 0.5)
-}
-
 /// Wall times of interleaved timing rounds, per variant, in milliseconds —
 /// the timing harness of the gate binaries ([`paired_rounds`]).
 #[derive(Debug, Clone)]
@@ -877,11 +870,11 @@ mod tests {
 
     #[test]
     fn median_handles_odd_even_and_unsorted() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&mut [7.0]), 7.0);
+        assert_eq!(quantile(&[3.0, 1.0, 2.0], 0.5), 2.0);
+        assert_eq!(quantile(&[4.0, 1.0, 3.0, 2.0], 0.5), 2.5);
+        assert_eq!(quantile(&[7.0], 0.5), 7.0);
         // A single outlier round must not move the verdict.
-        assert_eq!(median(&mut [1.0, 1.0, 100.0]), 1.0);
+        assert_eq!(quantile(&[1.0, 1.0, 100.0], 0.5), 1.0);
     }
 
     #[test]

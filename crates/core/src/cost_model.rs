@@ -2,9 +2,8 @@
 //!
 //! The paper's `GenerateStage` measures each candidate stage directly on the
 //! target device. [`CostModel`] abstracts that measurement so the dynamic
-//! program can run against the `ios-sim` simulator ([`SimCostModel`]), a
-//! profiled device ([`ProfiledCostModel`]), or any synthetic model used in
-//! tests.
+//! program can run against the `ios-sim` simulator ([`SimCostModel`]) or
+//! any synthetic model used in tests.
 //!
 //! A search asks for thousands of stage latencies on one graph, so whatever
 //! a model can work out from the graph alone — the kernel each operator
@@ -14,23 +13,12 @@
 //! one view per block. No model caches stages: the dynamic program
 //! generates each ending's stage once per search (its stage memo, as in
 //! the paper's Algorithm 1), so one search never asks for a stage twice.
-//!
-//! Real devices enter through the [`StageProfiler`] capability: anything
-//! that can *execute* a candidate stage once (an execution backend, a
-//! remote device worker) becomes a full profiling cost model by wrapping it
-//! in [`ProfiledCostModel`], which adds the measurement policy — warmup
-//! runs and median-of-N timed repeats. This closes the paper's optimize →
-//! profile → execute loop: the scheduler optimizes against latencies
-//! measured on the very backend that will run the schedule. The serving
-//! engine plans on the simulator; the profiled loop runs in `sched_gate`
-//! and the backend's profiler tests.
 
 use crate::merge::MergedConv;
 use ios_ir::{Graph, OpId};
 use ios_sim::{KernelSpec, Simulator};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A source of stage latencies for the scheduler.
 pub trait CostModel {
@@ -153,115 +141,6 @@ impl GraphCostModel for SimGraphCost<'_> {
             memory_efficiency: 0.85,
         };
         self.model.simulator.latency_us([[conv, split].iter()])
-    }
-}
-
-/// The capability of executing a candidate stage once on a real execution
-/// substrate — the device half of the paper's on-device profiler.
-///
-/// Implementations run the stage exactly as the production executor would
-/// (concurrent groups on real threads, merged stages through the merged
-/// weight tensor plus split) but do not time anything themselves:
-/// [`ProfiledCostModel`] owns the measurement policy (warmup, repeats,
-/// median) so every profiler gets the same treatment. The CPU
-/// execution backend provides `CpuStageProfiler` in `ios-backend`.
-pub trait StageProfiler {
-    /// Executes `groups` once with the concurrent-execution strategy
-    /// (groups concurrently, operators of a group sequentially in order).
-    fn run_concurrent(&self, graph: &Graph, groups: &[Vec<OpId>]);
-
-    /// Executes a merged convolution stage (merged kernel + split) once.
-    fn run_merge(&self, graph: &Graph, merged: &MergedConv);
-}
-
-/// A cost model that *measures* stage latency on a [`StageProfiler`]
-/// instead of simulating it — the paper's §4 profiling loop.
-///
-/// Every request profiles its stage: `warmup` untimed runs (filling weight
-/// caches, scratch pools and the branch predictor), then `repeats` timed
-/// runs whose **median** is the reported latency (the median is robust
-/// against one preempted run, which on shared CI hosts is the dominant
-/// noise source). It keeps no cache: a search asks for each stage once.
-/// Measure from one thread at a time: timed runs that overlap would time
-/// each other.
-#[derive(Debug)]
-pub struct ProfiledCostModel<P> {
-    profiler: P,
-    warmup: u32,
-    repeats: u32,
-    /// Stages profiled.
-    profiled: AtomicU64,
-}
-
-impl<P: StageProfiler> ProfiledCostModel<P> {
-    /// Wraps a profiler with its measurement policy: `warmup` untimed runs,
-    /// then the median of `repeats` timed runs per stage. `repeats` is
-    /// clamped to at least 1.
-    #[must_use]
-    pub fn with_policy(profiler: P, warmup: u32, repeats: u32) -> Self {
-        ProfiledCostModel {
-            profiler,
-            warmup,
-            repeats: repeats.max(1),
-            profiled: AtomicU64::new(0),
-        }
-    }
-
-    /// The wrapped profiler.
-    #[must_use]
-    pub fn profiler(&self) -> &P {
-        &self.profiler
-    }
-
-    /// Runs the measurement policy over one stage-execution closure:
-    /// `warmup` untimed runs, then the median of `repeats` timed runs, µs.
-    fn measure(&self, mut run: impl FnMut()) -> f64 {
-        for _ in 0..self.warmup {
-            run();
-        }
-        let mut samples: Vec<f64> = (0..self.repeats)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        self.profiled.fetch_add(1, Ordering::Relaxed);
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        let mid = samples.len() / 2;
-        if samples.len() % 2 == 1 {
-            samples[mid]
-        } else {
-            0.5 * (samples[mid - 1] + samples[mid])
-        }
-    }
-}
-
-impl<P: StageProfiler> CostModel for ProfiledCostModel<P> {
-    fn measurement_count(&self) -> u64 {
-        self.profiled.load(Ordering::Relaxed)
-    }
-
-    fn bind<'a>(&'a self, graph: &'a Graph) -> Box<dyn GraphCostModel + 'a> {
-        Box::new(ProfiledGraphCost { model: self, graph })
-    }
-}
-
-/// [`ProfiledCostModel`] on one graph.
-struct ProfiledGraphCost<'a, P> {
-    model: &'a ProfiledCostModel<P>,
-    graph: &'a Graph,
-}
-
-impl<P: StageProfiler> GraphCostModel for ProfiledGraphCost<'_, P> {
-    fn concurrent_latency(&self, groups: &[Vec<OpId>]) -> f64 {
-        let model = self.model;
-        model.measure(|| model.profiler.run_concurrent(self.graph, groups))
-    }
-
-    fn merge_latency(&self, merged: &MergedConv) -> f64 {
-        let model = self.model;
-        model.measure(|| model.profiler.run_merge(self.graph, merged))
     }
 }
 
@@ -421,71 +300,5 @@ mod tests {
             .concurrent_latency(&[vec![OpId(0)], vec![OpId(1)]]);
         assert_eq!(takes_cost_model(&cost), 1);
         assert_eq!(takes_cost_model(&cost as &dyn CostModel), 1);
-    }
-
-    /// A profiler that counts its runs and idles a deterministic amount so
-    /// the measured medians are stable enough to assert against.
-    #[derive(Debug, Default)]
-    struct CountingProfiler {
-        concurrent_runs: AtomicU64,
-        merge_runs: AtomicU64,
-    }
-
-    impl CountingProfiler {
-        fn runs(&self) -> u64 {
-            self.concurrent_runs.load(Ordering::Relaxed) + self.merge_runs.load(Ordering::Relaxed)
-        }
-    }
-
-    impl StageProfiler for CountingProfiler {
-        fn run_concurrent(&self, _graph: &Graph, groups: &[Vec<OpId>]) {
-            self.concurrent_runs.fetch_add(1, Ordering::Relaxed);
-            // Busy-work proportional to the widest group so latencies are
-            // positive and monotone in stage size.
-            let ops: usize = groups.iter().map(Vec::len).max().unwrap_or(0);
-            std::hint::black_box((0..ops * 500).map(|i| i as f64).sum::<f64>());
-        }
-
-        fn run_merge(&self, _graph: &Graph, merged: &MergedConv) {
-            self.merge_runs.fetch_add(1, Ordering::Relaxed);
-            std::hint::black_box((0..merged.parts.len() * 500).map(|i| i as f64).sum::<f64>());
-        }
-    }
-
-    #[test]
-    fn profiled_model_runs_warmup_plus_repeats_once_per_stage() {
-        let g = two_branch_graph();
-        let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 2, 3);
-        let groups = vec![vec![OpId(0)], vec![OpId(1)]];
-        let first = cost.bind(&g).concurrent_latency(&groups);
-        assert!(first > 0.0, "profiled latency must be positive");
-        assert_eq!(
-            cost.profiler().concurrent_runs.load(Ordering::Relaxed),
-            5,
-            "2 warmup + 3 timed runs"
-        );
-        assert_eq!(cost.measurement_count(), 1);
-
-        // Merge stages profile through the merge path.
-        let merged = crate::merge::try_merge(&g, [OpId(0), OpId(1)].into_iter().collect()).unwrap();
-        let m = cost.bind(&g).merge_latency(&merged);
-        assert!(m > 0.0);
-        assert_eq!(cost.profiler().merge_runs.load(Ordering::Relaxed), 5);
-        assert_eq!(cost.measurement_count(), 2);
-        assert_eq!(cost.profiler().runs(), cost.measurement_count() * (2 + 3));
-    }
-
-    #[test]
-    fn profiled_model_drives_the_scheduler_end_to_end() {
-        // The whole DP runs against a profiler-backed model; the schedule
-        // must be valid and the profiler must have been exercised.
-        let g = two_branch_graph();
-        let cost = ProfiledCostModel::with_policy(CountingProfiler::default(), 1, 3);
-        let result =
-            crate::dp::schedule_graph(&g, &cost, &crate::variants::SchedulerConfig::default());
-        assert!(result.schedule.validate(&g).is_ok());
-        assert!(result.latency_us > 0.0);
-        assert!(cost.measurement_count() > 0);
-        assert_eq!(cost.profiler().runs(), cost.measurement_count() * (1 + 3));
     }
 }

@@ -19,12 +19,8 @@
 //!   simulator, playing the role of the paper's on-device profiler
 //!   ([`cost_model`]). A search binds its cost model to each block once
 //!   ([`CostModel::bind`] → [`GraphCostModel`]), so operators are lowered
-//!   per block, not per measurement.
-//! * [`StageProfiler`] / [`ProfiledCostModel`] — the real profiling loop:
-//!   any substrate that can execute a candidate stage becomes a measuring
-//!   cost model (warmup + median-of-N repeats); the CPU backend's
-//!   `CpuStageProfiler` plugs in here ([`cost_model`]). No model caches
-//!   stages: the DP's stage memo asks for each stage once per search.
+//!   per block, not per measurement. No model caches stages: the DP's
+//!   stage memo asks for each stage once per search.
 //! * [`specialize`] — the batch-size / device specialization study of
 //!   Table 3.
 //! * [`stats`] — schedule-space statistics (Table 1).
@@ -57,7 +53,7 @@ pub mod stats;
 pub mod variants;
 
 pub use baselines::{greedy_schedule, sequential_schedule};
-pub use cost_model::{CostModel, GraphCostModel, ProfiledCostModel, SimCostModel, StageProfiler};
+pub use cost_model::{CostModel, GraphCostModel, SimCostModel};
 pub use dp::{schedule_graph, ScheduleResult, Scheduler};
 pub use ios_ir::PruningLimits;
 pub use merge::{try_merge, MergedConv};
