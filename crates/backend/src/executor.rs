@@ -248,9 +248,9 @@ pub(crate) fn run_stages(
 /// The op-output storage of one run: its plan's slots, one buffer per
 /// slot, taken from the pool up front. An op's output is its slot's
 /// buffer; a dead output goes back to its slot as the slot's last tenant.
-/// Whatever
-/// the slots hold when dropped, on a panic's unwinding too, is recycled
-/// into the pool, so a caught panic leaves the pool's accounting exact.
+/// Whatever the slots hold when dropped, on a panic's unwinding too, is
+/// recycled into the pool, so a caught panic leaves the pool's accounting
+/// exact.
 struct Slots<'a> {
     arena: &'a ScratchPool,
     plan: &'a SlotPlan,

@@ -178,15 +178,20 @@ impl<'g> BlockRun<'g> {
         run
     }
 
-    /// Every op output of one run of `schedule`, as bits.
-    fn output_bits(&self, schedule: &Schedule) -> Vec<Vec<u32>> {
-        let outputs = execute_schedule_pooled(
+    /// Every op output of one run of `schedule`.
+    fn execute(&self, schedule: &Schedule) -> Vec<TensorData> {
+        execute_schedule_pooled(
             self.graph,
             schedule,
             &self.inputs,
             Some(&self.weights),
             &self.pool,
-        );
+        )
+    }
+
+    /// Every op output of one run of `schedule`, as bits.
+    fn output_bits(&self, schedule: &Schedule) -> Vec<Vec<u32>> {
+        let outputs = self.execute(schedule);
         let bits = outputs
             .iter()
             .map(|t| t.data.iter().map(|v| v.to_bits()).collect())
@@ -212,14 +217,7 @@ impl<'g> BlockRun<'g> {
 
     /// One run of `schedule`, its outputs handed back to the pool.
     fn run(&self, schedule: &Schedule) {
-        let outputs = execute_schedule_pooled(
-            self.graph,
-            schedule,
-            &self.inputs,
-            Some(&self.weights),
-            &self.pool,
-        );
-        for t in outputs {
+        for t in self.execute(schedule) {
             self.pool.recycle_tensor(t);
         }
     }
