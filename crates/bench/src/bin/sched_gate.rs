@@ -378,10 +378,6 @@ fn main() -> ExitCode {
     gate.table(&peak_live_table(device));
     gate.table(&merge_table(device, iters));
 
-    gate.fact(
-        "geomean_predicted_over_measured",
-        geomean(&table.column("predicted_over_measured")),
-    );
     // Inter-operator concurrency is a hardware property: with one core no
     // schedule beats sequential wall-clock, and the bar is no-regression.
     let bar = gate.by_cores(1.10, 0.95);
